@@ -19,7 +19,7 @@ from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                     GridField, apply_multiplier, direct_synthesis,
                     read_gridfield, semiclassical_ft, write_gridfield)
 from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
-                        Quasimode, build_cutoff, support_volume, synthesize,
+                        Quasimode, build_cutoff, support_volume,
                         verify_joint_quasimode)
 from .symbols import (INFINITE, ContactReport, GraphForm, PolySymbol,
                       mixed_partials_check, contact_order, contact_profile,

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasilab
 from quasilab import families
 from quasilab.errors import (BoxTooSmallError, EmptySupportError)
-from quasilab.grids import INVERSE, mesh_points, semiclassical_ft
-from quasilab.quasimode import (AxisRule, BandConstraint, FrequencyCutoff,
-                                HExpr, Quasimode, build_cutoff,
-                                support_volume, synthesize, synthesize_raw,
+from quasilab.grids import INVERSE, AxisSpec, mesh_points, semiclassical_ft
+from quasilab.quasimode import (AxisRule, BandConstraint, CutoffField,
+                                FrequencyCutoff, HExpr, Quasimode,
+                                build_cutoff, support_volume,
+                                synthesize_on_axes, synthesize_raw,
                                 verify_joint_quasimode)
 from quasilab.symbols import parse_symbol
 
@@ -157,12 +163,6 @@ class TestSynthesis:
         err = np.abs(direct - pos.data).max() / np.abs(pos.data).max()
         assert err < 1e-6
 
-    def test_normalized_synthesize_matches_quasimode(self):
-        h = 2.0 ** -5
-        cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
-        pts = np.array([[0.0, 0.0], [0.1, 0.02]])
-        assert np.allclose(synthesize(cut, pts), Quasimode(cut, h).values(pts))
-
     def test_dense_guard(self):
         h = 2.0 ** -10
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
@@ -170,22 +170,119 @@ class TestSynthesis:
             cut.to_grid_field(max_cells=100)
 
 
+def _line_field(h):
+    """1D run |xi1| <= h, hand-built: build_cutoff needs n >= 2."""
+    return CutoffField(h=h, axes=[AxisSpec(0.0, 2.0 * h, 64)],
+                       col_coords=np.zeros((1, 0)), col_start=np.array([16]),
+                       col_count=np.array([32]))
+
+
+def _fine_parabola_cutoff():
+    """2D strip |xi1 - xi2^2| <= h, |xi2| <= 1/2 on a fine bar grid (~160 columns)."""
+    return FrequencyCutoff(
+        (BandConstraint(parse_symbol("x1 - x2^2", dim=2), 1.0),
+         BandConstraint(parse_symbol("x2", dim=2), 0.0, 0.5)),
+        (AxisRule(HExpr.of(-0.1), HExpr.of(0.4), HExpr.of(1 / 16, 1.0)),
+         AxisRule(HExpr.of(-0.6), HExpr.of(0.6), HExpr.of(1 / 160))))
+
+
+# Prints sha256 digests of a 3D product synthesis and a joint-ratio matrix.
+DIGEST_CHILD = """
+import hashlib
+from quasilab import families
+from quasilab.analysis import oscillation_axes
+from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
+                                verify_joint_quasimode)
+h = 2.0 ** -5
+cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
+axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 2, 8)
+for arr in (synthesize_on_axes(cut, axes).data, verify_joint_quasimode(cut, 3)):
+    print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+class TestProductSynthesis:
+    """The blocked matrix-product path against the pointwise column sum."""
+
+    @pytest.mark.parametrize("make_field,points", [
+        (lambda: _line_field(2.0 ** -6), (37,)),
+        (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19)),
+        # 1,156 columns: 18 full 64-column blocks and a partial one.
+        (lambda: build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5),
+         (13, 11, 9)),
+    ], ids=["1d", "2d", "3d"])
+    def test_matches_pointwise_oracle(self, make_field, points):
+        cut = make_field()
+        h = cut.h
+        if cut.dim > 1:
+            assert len(cut.col_count) > 128 and len(cut.col_count) % 64
+        # Off-center boxes spanning a few oscillation scales per axis.
+        axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
+            (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
+        fast = synthesize_on_axes(cut, axes)
+        assert fast.data.shape == points
+        oracle = synthesize_raw(cut, mesh_points(axes)).reshape(points)
+        err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
+        assert err <= 1e-12
+
+    def test_dimension_checked_before_allocation(self):
+        # A dense 4D grid of 1e16 points cannot be allocated; the dimension
+        # check must fire first.
+        axes = [AxisSpec(0.0, 1.0, 10 ** 4)] * 4
+        cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
+                          col_start=np.array([0]), col_count=np.array([1]))
+        with pytest.raises(NotImplementedError):
+            synthesize_on_axes(cut, axes)
+
+    def test_bits_independent_of_blas_threads(self):
+        src = str(Path(quasilab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", DIGEST_CHILD], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
+
+JOINT_CASES = [
+    (lambda: families.paraboloid_cutoff(2, 3), 2.0 ** -6),
+    (lambda: families.slab_cutoff(3, 3), 2.0 ** -5),
+    (lambda: families.valley_cutoff(), 2.0 ** -6),
+]
+
+
 class TestJointQuasimode:
     def test_zero_orders_ratio_one(self):
         h = 2.0 ** -6
         qm = Quasimode(build_cutoff(families.paraboloid_cutoff(2, 1), h), h)
-        assert verify_joint_quasimode(qm, 0, 0) == pytest.approx(1.0, rel=1e-14)
+        assert verify_joint_quasimode(qm, 0)[0, 0] == pytest.approx(1.0, rel=1e-14)
 
-    @pytest.mark.parametrize("spec_fn,h", [
-        (lambda: families.paraboloid_cutoff(2, 3), 2.0 ** -6),
-        (lambda: families.slab_cutoff(3, 3), 2.0 ** -5),
-        (lambda: families.valley_cutoff(), 2.0 ** -6),
-    ])
+    @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_all_orders_bounded(self, spec_fn, h):
         qm = Quasimode(build_cutoff(spec_fn(), h), h)
+        ratios = verify_joint_quasimode(qm, 3)
+        assert ratios.shape == (4, 4)
+        assert (ratios <= 1.0 + 1.0 / 16.0).all()
+
+    @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
+    def test_one_pass_matches_per_pair_sums(self, spec_fn, h):
+        cut = build_cutoff(spec_fn(), h)
+        p1, p2 = (c.symbol for c in cut.spec.constraints[:2])
+        direct = np.zeros((4, 4))
         for m1 in range(4):
             for m2 in range(4):
-                assert verify_joint_quasimode(qm, m1, m2) <= 1.0 + 1.0 / 16.0
+                total = 0.0
+                for coords in cut.support_cells():
+                    arrays = [coords[:, d] for d in range(cut.dim)]
+                    total += np.sum(p1.eval_grid(arrays) ** (2 * m1)
+                                    * p2.eval_grid(arrays) ** (2 * m2))
+                direct[m1, m2] = math.sqrt(total * cut.cell_volume) / (
+                    h ** (m1 + m2) * cut.l2_norm())
+        np.testing.assert_allclose(verify_joint_quasimode(Quasimode(cut, h), 3),
+                                   direct, rtol=1e-12, atol=0)
 
     def test_multiplier_norm_oracle(self):
         # Independent frequency-side oracle: apply p1 as a multiplier to the
@@ -197,7 +294,7 @@ class TestJointQuasimode:
         p1, _ = families.paraboloid_pair(2, 1)
         out = apply_multiplier(dense, p1)
         oracle = out.l2_norm() / (h * dense.l2_norm())
-        assert verify_joint_quasimode(Quasimode(cut, h), 1, 0) == pytest.approx(
+        assert verify_joint_quasimode(Quasimode(cut, h), 1)[1, 0] == pytest.approx(
             oracle, rel=1e-10)
         assert oracle <= 1.0
 
@@ -206,4 +303,4 @@ class TestJointQuasimode:
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
         cut.spec = None
         with pytest.raises(ValueError):
-            verify_joint_quasimode(Quasimode(cut, h), 1, 1)
+            verify_joint_quasimode(Quasimode(cut, h), 1)
