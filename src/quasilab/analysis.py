@@ -238,6 +238,16 @@ class ScalingReport:
                 f"se {self.slope_stderr:.4f})")
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x and its standard error."""
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    resid = y - (ym + slope * (x - xm))
+    dof = max(len(x) - 2, 1)
+    return slope, math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
+
+
 def fit_scaling(h_values: Sequence[float], norms: Sequence[float],
                 predicted: float, tolerance: float) -> ScalingReport:
     """Least-squares slope of log(norm) against log(h) with pass verdict."""
@@ -247,14 +257,8 @@ def fit_scaling(h_values: Sequence[float], norms: Sequence[float],
         raise ValueError("h_values and norms must align")
     if any(v <= 0 for v in norms):
         raise ValueError("norms must be positive")
-    x = np.log(np.asarray(h_values, float))
-    y = np.log(np.asarray(norms, float))
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    resid = y - (ym + slope * (x - xm))
-    dof = max(len(x) - 2, 1)
-    stderr = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
+    slope, stderr = _fit_line(np.log(np.asarray(h_values, float)),
+                              np.log(np.asarray(norms, float)))
     passed = abs(slope - predicted) <= tolerance
     return ScalingReport(tuple(float(h) for h in h_values),
                          tuple(float(v) for v in norms),

@@ -17,15 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .analysis import _fit_line
 from .errors import ResolutionError
 from .symbols import PolySymbol
 from .wavelets import MotherWavelet, _smooth_step
 
 _TWO_PI = 2.0 * np.pi
+_SLAB_POINTS = 1 << 16   # quadrature points per slab of _slabs
 
 Phase = Callable[[np.ndarray], np.ndarray]          # (..., d) -> (...)
 Amplitude = Callable[[np.ndarray, float], np.ndarray]
@@ -101,16 +103,28 @@ def evaluate(integrand: OscIntegrand, h: float,
 
 
 def _midpoint(integrand: OscIntegrand, h: float, n: int) -> complex:
+    return complex(sum(_slabs(integrand.box, n, lambda pts: np.exp(
+        1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h))))
+
+
+def _slabs(box: Sequence[tuple[float, float]], n: int,
+           f: Callable[[np.ndarray], np.ndarray]) -> Iterator[complex]:
+    """Midpoint sums of f over the n^d tensor grid on box, one slab at a time.
+
+    A slab is a fixed run of first-axis indices holding at most _SLAB_POINTS
+    points (one index when a single one holds more), so memory stays bounded
+    and the reduction order depends only on n and d.
+    """
     axes = []
     cell = 1.0
-    for lo, hi in integrand.box:
+    for lo, hi in box:
         step = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * step)
         cell *= step
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
-    return complex(np.sum(vals) * cell)
+    rows = max(1, _SLAB_POINTS // n ** (len(box) - 1))
+    for start in range(0, n, rows):
+        mesh = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij")
+        yield np.sum(f(np.stack(mesh, axis=-1))) * cell
 
 
 # -- critical point location ----------------------------------------------------
@@ -237,16 +251,6 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
     return VdcReport(tuple(h_values), tuple(mags), ratios, float(slope),
                      float(stderr), admissible, tuple(crit), det,
                      "PASS" if ok else "FAIL", reason)
-
-
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    n = len(x)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    resid = y - (ym + slope * (x - xm))
-    stderr = math.sqrt(float(np.sum(resid ** 2)) / max(n - 2, 1) / sxx)
-    return slope, stderr
 
 
 # -- model families ----------------------------------------------------------------
@@ -380,12 +384,5 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
 
 
 def _midpoint_abs(integrand: OscIntegrand, h: float, n: int) -> float:
-    axes = []
-    cell = 1.0
-    for lo, hi in integrand.box:
-        step = (hi - lo) / n
-        axes.append(lo + (np.arange(n) + 0.5) * step)
-        cell *= step
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    return float(np.sum(np.abs(integrand.amplitude(pts, h))) * cell)
+    return float(sum(_slabs(integrand.box, n,
+                            lambda pts: np.abs(integrand.amplitude(pts, h)))))

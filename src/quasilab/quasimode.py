@@ -253,12 +253,16 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
+    n = len(spec.box)
+    if n < 2:
+        raise DimensionMismatchError(
+            "a cutoff needs one xi1 axis and at least one bar axis; "
+            f"the box has dimension {n}")
     axes = [rule.to_axis(h) for rule in spec.box]
-    n = len(axes)
     bar_axes = axes[1:]
     bar_nodes = [a.nodes() for a in bar_axes]
-    mesh = np.meshgrid(*bar_nodes, indexing="ij") if bar_axes else []
-    cols = np.stack([g.ravel() for g in mesh], axis=-1) if bar_axes else np.zeros((1, 0))
+    mesh = np.meshgrid(*bar_nodes, indexing="ij")
+    cols = np.stack([g.ravel() for g in mesh], axis=-1)
     col_arrays = [cols[:, d] for d in range(n - 1)]
 
     lo = np.full(len(cols), -np.inf)
@@ -295,13 +299,12 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
             f"xi1 support leaves the configured box at h={h}")
 
     # Boundary check on the bar axes: support must stay off the outer layer.
-    if bar_axes:
-        shape = tuple(a.points for a in bar_axes)
-        grid_idx = np.unravel_index(np.nonzero(nonempty)[0], shape)
-        for d, a in enumerate(bar_axes):
-            if (grid_idx[d] == 0).any() or (grid_idx[d] == a.points - 1).any():
-                raise BoxTooSmallError(
-                    f"support reaches the box boundary on axis {d + 2} at h={h}")
+    shape = tuple(a.points for a in bar_axes)
+    grid_idx = np.unravel_index(np.nonzero(nonempty)[0], shape)
+    for d, a in enumerate(bar_axes):
+        if (grid_idx[d] == 0).any() or (grid_idx[d] == a.points - 1).any():
+            raise BoxTooSmallError(
+                f"support reaches the box boundary on axis {d + 2} at h={h}")
 
     return CutoffField(
         h=h,

@@ -5,8 +5,9 @@ The mother wavelet is the derivative of the standard smooth bump
 exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth, mean zero, with a
 finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta (computed
 once by quadrature, tails reported).  Transforms are plain quadratures on
-the field's x1 grid; windows that miss the data support contribute exact
-zeros (empty sums), not small numbers.
+the field's x1 grid, applied per scale as a sparse banded operator whose
+rows hold only the taps that land on data samples; windows that miss the
+data support are empty rows and give exact zeros, not small numbers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
 
 from .errors import DimensionMismatchError
 from .grids import AxisSpec, GridField, ft_axis
@@ -131,8 +133,10 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
 
     b runs on a per-scale grid of step ~ a/b_step_factor (snapped to the x1
     grid so windows slide by whole cells), extended b_pad dilated supports
-    beyond the data so the no-overlap region is represented; those windows
-    sum over zero samples and are exact zeros.
+    beyond the data so the no-overlap region is represented.  Each scale is
+    one sparse (len(b), n1) operator applied to the field; a window's row
+    keeps only the taps on data samples, so windows off the data are empty
+    rows and their coefficients are exact zeros.
 
     At scales far above the grid step the quadrature decimates to a step of
     min(a/16, x1_scale/8): both the dilated profile and the field (whose x1
@@ -145,6 +149,9 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
     dx = ax.spacing
     n1 = ax.points
     bar_shape = v.data.shape[1:]
+    # The field as real (n1, 2 * prod(bar_shape)): each scale's operator
+    # acts on real and imaginary parts at once.
+    flat = np.ascontiguousarray(v.data, dtype=complex).reshape(n1, -1).view(float)
     values: list[np.ndarray] = []
     b_grids: list[np.ndarray] = []
     for a in np.asarray(a_grid, dtype=float):
@@ -158,22 +165,19 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
         pad_cells = int(math.ceil(2.0 * b_pad * half / dx)) + wcells * qstride
         b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
         b = ax.start + (b_idx + 0.5) * dx
-        # Zero-pad the field so every window is full width; out-of-data
-        # samples multiply zeros, keeping the no-overlap values exactly 0.
-        pad = pad_cells + wcells * qstride
-        padded = np.zeros((n1 + 2 * pad,) + bar_shape, dtype=v.data.dtype)
-        padded[pad:pad + n1] = v.data
         offs = (np.arange(2 * wcells + 1) - wcells) * qstride
         # b sits on the grid, so the sampled profile is one row for every b.
         frow = w.profile(offs * dx / a) / math.sqrt(a)
-        idx = b_idx[:, None] + offs[None, :] + pad
-        out = np.empty((len(b),) + bar_shape, dtype=complex)
-        chunk = max(1, (1 << 22) // max(1, (2 * wcells + 1) *
-                                        int(np.prod(bar_shape, dtype=int))))
-        for lo in range(0, len(b), chunk):
-            win = padded[idx[lo:lo + chunk]]
-            out[lo:lo + chunk] = np.einsum(
-                "w,lw...->l...", frow, win, optimize=False) * qstep
+        # Row i of the banded operator holds the taps of window b_idx[i]
+        # that land on data samples; a window off the data holds none, so
+        # its coefficients are exact zeros.
+        cols = b_idx[:, None] + offs[None, :]
+        on_data = (cols >= 0) & (cols < n1)
+        op = csr_matrix(
+            (np.broadcast_to(frow, cols.shape)[on_data], cols[on_data],
+             np.concatenate(([0], np.cumsum(on_data.sum(axis=1))))),
+            shape=(len(b), n1))
+        out = (op @ flat).view(complex).reshape((len(b),) + bar_shape) * qstep
         values.append(out)
         b_grids.append(b)
     return WaveletCoefficients(np.asarray(a_grid, float), b_grids, values, ax, v.h)

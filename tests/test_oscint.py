@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quasilab import oscint
 from quasilab.errors import ResolutionError
 from quasilab.oscint import (EvalResult, OscIntegrand, bump_amplitude,
                              dyadic_amplitude, dyadic_loss                     ,
@@ -80,6 +82,37 @@ class TestEvaluate:
         assert isinstance(res, EvalResult)
         assert res.error_estimate < 1e-6
 
+    # Each n leaves a partial last slab: 100000 = 65536 + 34464 points,
+    # 300 = 218 + 82 rows of 300, 50 = 26 + 24 rows of 50^2.
+    @pytest.mark.parametrize("d, n", [(1, 100_000), (2, 300), (3, 50)])
+    def test_slabs_match_whole_grid_sum(self, d, n):
+        rows = max(1, oscint._SLAB_POINTS // n ** (d - 1))
+        assert rows < n and n % rows
+        h = 2.0 ** -4
+        integrand = OscIntegrand(quadratic_phase(1.0, d), bump_amplitude(1.0),
+                                 d, ((-1.0, 1.2),) * d, unit_loss)
+        axes = [-1.0 + (np.arange(n) + 0.5) * (2.2 / n)] * d
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        cell = (2.2 / n) ** d
+        vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
+        whole = complex(np.sum(vals) * cell)
+        assert abs(oscint._midpoint(integrand, h, n) - whole) <= 1e-13 * abs(whole)
+        mass = float(np.sum(np.abs(integrand.amplitude(pts, h))) * cell)
+        assert oscint._midpoint_abs(integrand, h, n) == pytest.approx(mass, rel=1e-13)
+
+    def test_memory_bounded(self):
+        # The vdc_d2 integrand at its finest h: 1834^2 quadrature points.
+        integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
+                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1))
+        tracemalloc.start()
+        try:
+            res = evaluate(integrand, 2.0 ** -8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.points_per_axis == 1834
+        assert peak <= 32 * 2 ** 20
+
 
 class TestCriticalPoints:
     def test_unique_quadratic(self):
@@ -142,6 +175,17 @@ class TestVdcCheck:
             hs = [2.0 ** -e for e in range(4, 9)]
             rep = vdc_check(integrand, hs, mu, exponent_tolerance=0.15)
             assert rep.verdict == "PASS", rep.reason
+
+    def test_zero_magnitudes_still_fit(self):
+        # |I| = 0 at every h is floored before the log, so the fit runs and
+        # the verdict fails instead of raising.
+        zero = OscIntegrand(quadratic_phase(1.0, 1),
+                            lambda p, h: np.zeros(p.shape[:-1]),
+                            1, ((-1, 1),), unit_loss)
+        rep = vdc_check(zero, H6[:5], 1.0)
+        assert rep.magnitudes == (0.0,) * 5
+        assert rep.fitted_exponent == 0.0 and rep.slope_stderr == 0.0
+        assert rep.verdict == "FAIL"
 
     def test_needs_five_points(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),

@@ -13,7 +13,8 @@ import pytest
 
 import quasilab
 from quasilab import families
-from quasilab.errors import (BoxTooSmallError, EmptySupportError)
+from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
+                             EmptySupportError)
 from quasilab.grids import INVERSE, AxisSpec, mesh_points, semiclassical_ft
 from quasilab.quasimode import (AxisRule, BandConstraint, CutoffField,
                                 FrequencyCutoff, HExpr, Quasimode,
@@ -87,6 +88,15 @@ class TestBuildCutoff:
     def test_h_range_validated(self):
         with pytest.raises(ValueError):
             build_cutoff(families.paraboloid_cutoff(2, 1), 1.5)
+
+    def test_one_dimensional_box_rejected(self):
+        # |xi1| <= h is affine in xi1, but a cutoff is stored per bar column.
+        spec = FrequencyCutoff(
+            (BandConstraint(parse_symbol("x1", dim=1), 1.0),),
+            (AxisRule(HExpr.of(-2.0, 1.0), HExpr.of(2.0, 1.0),
+                      HExpr.of(1 / 16, 1.0)),))
+        with pytest.raises(DimensionMismatchError, match="bar axis"):
+            build_cutoff(spec, 2.0 ** -6)
 
 
 class TestSupportVolume:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,10 +74,68 @@ class TestCwt:
             combo = a * c1.values[i] + bcoef * c2.values[i]
             assert np.abs(c3.values[i] - combo).max() < 1e-12
 
+    # a = 1/4 samples every cell (qstride 1); a = 4 decimates to every 7th
+    # cell.  1000 cells is a multiple of neither stride nor qstride, so the
+    # windows meet the data edges at varying partial overlaps.
+    @pytest.mark.parametrize("bar_shape", [(), (8,)], ids=["1d", "2d"])
+    def test_matches_padded_gather_oracle(self, mother_wavelet, bar_shape):
+        rng = np.random.default_rng(41)
+        shape = (1000,) + bar_shape
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ax = AxisSpec(0.0, 8.0, 1000)
+        axes = [ax] + [AxisSpec(0.0, 1.0, m) for m in bar_shape]
+        v = GridField(2.0 ** -4, POSITION, axes, data)
+        a_grid = [0.25, 4.0]
+        co = cwt(v, mother_wavelet, a_grid)
+        for i, a in enumerate(a_grid):
+            b, x, qstride, partial = _padded_gather_cwt(v, mother_wavelet, a)
+            assert qstride == (1 if i == 0 else 7)
+            assert partial > 0
+            assert np.array_equal(co.b_grids[i], b)
+            assert co.values[i].shape == x.shape
+            assert np.abs(co.values[i] - x).max() <= 1e-13 * np.abs(x).max()
+
+    def test_memory_bounded(self, mother_wavelet, flat_model_field):
+        tracemalloc.start()
+        try:
+            cwt(flat_model_field, mother_wavelet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+
     def test_rejects_nonpositive_scale(self, mother_wavelet):
         v = self._field(np.ones(256))
         with pytest.raises(ValueError):
             cwt(v, mother_wavelet, a_grid=[0.0])
+
+
+def _padded_gather_cwt(v, w, a, b_step_factor=8.0, b_pad=1.0, x1_scale=1.0):
+    """The CWT at one scale by zero-padding the field, gathering every
+    window and summing in tap order; also returns qstride and the number
+    of windows that overlap the data only in part."""
+    ax = v.axes[0]
+    dx, n1 = ax.spacing, ax.points
+    half = w.support_halfwidth * a
+    qstride = max(1, int(min(a / 16.0, x1_scale / 8.0) / dx))
+    qstep = qstride * dx
+    wcells = int(math.ceil(2.0 * half / qstep)) + 2
+    stride = max(1, int(round(a / b_step_factor / dx)))
+    pad_cells = int(math.ceil(2.0 * b_pad * half / dx)) + wcells * qstride
+    b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
+    pad = pad_cells + wcells * qstride
+    padded = np.zeros((n1 + 2 * pad,) + v.data.shape[1:], dtype=complex)
+    padded[pad:pad + n1] = v.data
+    offs = (np.arange(2 * wcells + 1) - wcells) * qstride
+    frow = w.profile(offs * dx / a) / math.sqrt(a)
+    idx = b_idx[:, None] + offs[None, :] + pad
+    win = padded[idx]
+    out = np.zeros((len(b_idx),) + v.data.shape[1:], dtype=complex)
+    for m in range(len(offs)):
+        out += frow[m] * win[:, m]
+    inside = ((idx >= pad) & (idx < pad + n1))[:, frow != 0.0]
+    partial = int(np.sum(inside.any(axis=1) & ~inside.all(axis=1)))
+    return ax.start + (b_idx + 0.5) * dx, out * qstep, qstride, partial
 
 
 class TestDyadicCutoffs:
