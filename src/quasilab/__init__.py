@@ -17,13 +17,13 @@ from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      SymbolParseError, TailDominanceError)
 from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                     GridField, apply_multiplier, direct_synthesis,
-                    read_gridfield, semiclassical_ft, write_gridfield)
+                    semiclassical_ft)
 from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
                         Quasimode, build_cutoff, support_volume,
                         verify_joint_quasimode)
 from .symbols import (INFINITE, ContactReport, GraphForm, PolySymbol,
                       mixed_partials_check, contact_order, contact_profile,
-                      curvature_check, ellipticity_constant, format_symbol,
-                      graph_factor, parse_symbol)
+                      curvature_check, format_symbol, graph_factor,
+                      parse_symbol)
 
 __version__ = "0.1.0"

@@ -105,13 +105,16 @@ def _num(text: str) -> float:
     text = text.strip()
     if text in ("inf", "oo"):
         return math.inf
-    if "^" in text:
-        base, exp = text.split("^")
-        return float(base) ** float(exp)
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
+    try:
+        if "^" in text:
+            base, exp = text.split("^")
+            return float(base) ** float(exp)
+        if "/" in text:
+            num, den = text.split("/")
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"malformed number {text!r}") from None
 
 
 def _num_list(text: str) -> list[float]:
@@ -142,6 +145,18 @@ class ExperimentConfig:
         if key in self.tolerances:
             return _num(self.tolerances[key])
         return default
+
+    def family(self) -> families.Family:
+        """The cutoff family record; an n it contradicts is a config error."""
+        name = self.param("family", "paraboloid")
+        if name not in families.CUTOFF_FAMILIES:
+            raise ConfigError(f"unknown cutoff family {name!r}")
+        fam = families.CUTOFF_FAMILIES[name]
+        n = self.params.get("n")
+        if fam.dim is not None and n and _num(n) != fam.dim:
+            raise ConfigError(f"n = {self.params['n']} contradicts family "
+                              f"{name!r}, which is {fam.dim}-dimensional")
+        return fam
 
     def h_sweep(self) -> list[float]:
         if "h_list" in self.params:
@@ -210,8 +225,11 @@ def _validate(cfg: ExperimentConfig) -> None:
             parse_symbol(text, dim=int(cfg.params.get("n", "0")) or None)
         except QuasilabError as err:
             raise ConfigError(f"symbol {name!r} does not parse: {err}") from None
-    if "p_list" in cfg.params:
-        cfg.p_list()
+    ps = cfg.p_list()
+    if cfg.kind == "sharpness-sweep" and cfg.family().slope is None and ps \
+            and cfg.param("peak_only", "false") != "true":
+        raise ConfigError(f"family {cfg.params['family']!r} predicts no Lp "
+                          "slope; drop p_list or set peak_only = true")
     if "h_start" in cfg.params or "h_list" in cfg.params:
         cfg.h_sweep()
 
@@ -230,58 +248,6 @@ def _map(fn, items):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
-
-
-# -- family wiring -----------------------------------------------------------------
-
-def _family_spec(cfg: ExperimentConfig, pow2: bool = False):
-    name = cfg.param("family", "paraboloid")
-    n = int(cfg.param("n", "0") or 0)
-    k = int(cfg.param("k", "1"))
-    cells = int(cfg.param("cells_per_band", str(families.CELLS_PER_BAND)))
-    if name == "paraboloid":
-        return (families.paraboloid_cutoff(n, k, pow2, cells),
-                families.paraboloid_pair(n, k))
-    if name == "slab":
-        return (families.slab_cutoff(n, k, pow2=pow2, cells_per_band=cells),
-                families.paraboloid_pair(n, k))
-    if name == "axis-contact":
-        return (families.axis_contact_cutoff(k, pow2, cells),
-                families.axis_contact_pair(k))
-    if name == "valley":
-        return families.valley_cutoff(pow2, cells), families.valley_pair()
-    if name == "flat":
-        return families.flat_cutoff(n, k, pow2, cells), families.flat_pair(n, k)
-    raise ConfigError(f"unknown cutoff family {name!r}")
-
-
-def _volume_exponent(cfg: ExperimentConfig) -> float:
-    name = cfg.param("family", "paraboloid")
-    n = int(cfg.param("n", "0") or 3)
-    k = int(cfg.param("k", "1"))
-    if name in ("paraboloid", "flat"):
-        return 1.0 + (n - 1) / (k + 1)
-    if name == "slab":
-        return 1.0 + (n - 1) / 2.0
-    if name == "axis-contact":
-        return 1.0 + 0.5 + 1.0 / (k + 1)
-    if name == "valley":
-        return 1.0 + 0.5 + 1.0 / 20.0
-    raise ConfigError(f"unknown cutoff family {name!r}")
-
-
-def _predicted_slope(cfg: ExperimentConfig, p) -> float:
-    # Only uniform-contact families have a theorem-backed Lp exponent; the
-    # 1,k and valley families get peak predictions from their volumes.
-    name = cfg.param("family", "paraboloid")
-    n = int(cfg.param("n", "0") or 3)
-    k = int(cfg.param("k", "1"))
-    if name in ("paraboloid", "flat"):
-        return -float(contact_delta(n, p, k))
-    if name == "slab":
-        s = 0.0 if p is INF_P else 1.0 / float(parse_p(p))
-        return -(n - 1) / 2.0 * (0.5 - s)
-    raise ConfigError(f"no predicted Lp slope for family {name!r}")
 
 
 # -- experiment runners --------------------------------------------------------------
@@ -324,7 +290,7 @@ def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
         p1 = parse_symbol(cfg.symbols["p1"], dim=n)
         p2 = parse_symbol(cfg.symbols["p2"], dim=n)
     else:
-        _, (p1, p2) = _family_spec(cfg)
+        p1, p2 = cfg.family().pair(n, int(cfg.param("k", "1")))
     g1, g2 = graph_factor(p1), graph_factor(p2)
     if not (g1.valid and g2.valid):
         raise ConfigError("both symbols must factor as graphs over xi1")
@@ -363,8 +329,7 @@ def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                      {"contact_profile": table})
 
 
-def _sweep_point(cfg: ExperimentConfig, spec, h, ps, joint_orders, margin,
-                 pts_per_scale):
+def _sweep_point(spec, h, ps, joint_orders, margin, pts_per_scale):
     cut = build_cutoff(spec, h)
     qm = Quasimode(cut, h)
     vol = support_volume(cut)
@@ -389,7 +354,11 @@ def _sweep_point(cfg: ExperimentConfig, spec, h, ps, joint_orders, margin,
 
 
 def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    spec, _pair = _family_spec(cfg)
+    fam = cfg.family()
+    n = int(cfg.param("n", "0") or 0)
+    k = int(cfg.param("k", "1"))
+    spec = fam.cutoff(n, k, cfg.param("cells_per_band",
+                                      families.CELLS_PER_BAND, int))
     hs = cfg.h_sweep()
     ps = cfg.p_list()
     joint_orders = int(cfg.param("joint_orders", "3"))
@@ -398,10 +367,10 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     peak_only = cfg.param("peak_only", "false") == "true"
     if peak_only:
         ps = []
-    results = _map(lambda h: _sweep_point(cfg, spec, h, ps, joint_orders,
-                                          margin, pts_per_scale), hs)
+    results = _map(lambda h: _sweep_point(spec, h, ps, joint_orders, margin,
+                                          pts_per_scale), hs)
 
-    gamma = _volume_exponent(cfg)
+    gamma = fam.gamma(n, k)
     header = ["h", "volume", "volume_ratio", "peak", "t0_rel_err",
               "joint_ratio_max"]
     header += [f"norm_p{p if p is not INF_P else 'inf'}" for p in ps]
@@ -432,12 +401,12 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
         all(b < a for a, b in zip(vols, vols[1:]))))
     slope_tol = cfg.tol("slope", 0.1)
     if peak_only or cfg.param("check_peak_slope", "false") == "true":
-        predicted = gamma / 2.0 - cut_dim(cfg) / 2.0
+        predicted = gamma / 2.0 - len(spec.box) / 2.0
         rep = fit_scaling(hs, [r["peak"] for r in results], predicted, slope_tol)
         verdicts.append(Verdict("peak-slope", rep.slope, rep.predicted,
                                 rep.tolerance, rep.passed))
     for p in ps:
-        predicted = _predicted_slope(cfg, p)
+        predicted = fam.slope(n, k, p)
         tol = cfg.tol("slope_p2", 0.02) if (p is not INF_P and float(parse_p(p)) == 2.0) \
             else slope_tol
         rep = fit_scaling(hs, [r["norms"][p] for r in results], predicted, tol)
@@ -445,10 +414,6 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
             f"lp-slope-p{p if p is not INF_P else 'inf'}",
             rep.slope, rep.predicted, rep.tolerance, rep.passed))
     return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"sweep": table})
-
-
-def cut_dim(cfg: ExperimentConfig) -> int:
-    return int(cfg.param("n", "3"))
 
 
 def run_wavelet_diagnostic(cfg: ExperimentConfig, outdir: Path) -> RunResult:

@@ -9,6 +9,10 @@ follow the resolution rule of one sixteenth of the matching band width.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
+from .analysis import INF_P, contact_delta, parse_p
 from .quasimode import AxisRule, BandConstraint, FrequencyCutoff, HExpr
 from .symbols import PolySymbol
 
@@ -187,3 +191,57 @@ def flat_cutoff(n: int, k: int, pow2: bool = False,
     r1 = _rule([(-1.5, 1.0)], [(1.5, 1.0)], (1.0 / cells_per_band, 1.0), pow2)
     return FrequencyCutoff((_band(p1), _band(p2)),
                            (r1,) + (bar_rule,) * (n - 1))
+
+
+# -- the family table ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """What a sweep needs to know about one cutoff family.
+
+    ``cutoff(n, k, cells_per_band)`` builds the spec and ``pair(n, k)`` its
+    symbol pair; ``gamma(n, k)`` is the support-volume exponent (Vol ~
+    h^gamma); ``slope(n, k, p)`` is the theorem-backed Lp growth exponent,
+    None where only the peak is predicted (from gamma); ``dim`` is the fixed
+    ambient dimension, None when n sets it.
+    """
+
+    cutoff: Callable[[int, int, int], FrequencyCutoff]
+    pair: Callable[[int, int], tuple[PolySymbol, PolySymbol]]
+    gamma: Callable[[int, int], float]
+    slope: Callable[[int, int, object], float] | None = None
+    dim: int | None = None
+
+
+def _uniform_gamma(n: int, k: int) -> float:
+    return 1.0 + (n - 1) / (k + 1)
+
+
+def _contact_slope(n: int, k: int, p) -> float:
+    return -float(contact_delta(n, p, k))
+
+
+def _slab_slope(n: int, k: int, p) -> float:
+    s = 0.0 if p is INF_P else 1.0 / float(parse_p(p))
+    return -(n - 1) / 2.0 * (0.5 - s)
+
+
+CUTOFF_FAMILIES: dict[str, Family] = {
+    "paraboloid": Family(
+        lambda n, k, cells: paraboloid_cutoff(n, k, cells_per_band=cells),
+        paraboloid_pair, _uniform_gamma, _contact_slope),
+    "slab": Family(
+        lambda n, k, cells: slab_cutoff(n, k, cells_per_band=cells),
+        paraboloid_pair, lambda n, k: 1.0 + (n - 1) / 2.0, _slab_slope),
+    "axis-contact": Family(
+        lambda n, k, cells: axis_contact_cutoff(k, cells_per_band=cells),
+        lambda n, k: axis_contact_pair(k),
+        lambda n, k: 1.0 + 0.5 + 1.0 / (k + 1), dim=3),
+    "valley": Family(
+        lambda n, k, cells: valley_cutoff(cells_per_band=cells),
+        lambda n, k: valley_pair(),
+        lambda n, k: 1.0 + 0.5 + 1.0 / 20.0, dim=3),
+    "flat": Family(
+        lambda n, k, cells: flat_cutoff(n, k, cells_per_band=cells),
+        flat_pair, _uniform_gamma, _contact_slope),
+}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec, GridField,
-                    dual_axis, ft_axis, semiclassical_ft)
+                    dual_axis, ft_axes, semiclassical_ft)
 from .symbols import PolySymbol
 
 
@@ -51,6 +51,36 @@ def apply_W(op: FlatteningOp, u: GridField, x1: float,
     return GridField(u.h, FREQUENCY, list(u.axes), u.data * mult)
 
 
+def _bar_symbol(a1: PolySymbol, u: GridField) -> np.ndarray:
+    """a1 on the dual nodes of u's bar axes, shaped to broadcast against u.data."""
+    coords = []
+    for d, ax in enumerate(u.axes[1:], start=1):
+        shape = [1] * u.dim
+        shape[d] = ax.points
+        coords.append(dual_axis(ax, u.h).nodes().reshape(shape))
+    return a1.eval_grid(coords)
+
+
+def _bar_multiply(op: FlatteningOp, u: GridField, data: np.ndarray,
+                  x1: np.ndarray | None = None) -> np.ndarray:
+    """a1(hD_bar) slice-wise: multiply data's bar-side transform, invert.
+
+    data lies on u's bar axes.  Given x1, the x1 nodes of data's slices,
+    the factor is exp(-i*x1*a1(xi_bar)/h) instead, i.e. W(x1) per slice.
+    """
+    avals = _bar_symbol(op.a1, u)
+    if x1 is not None:
+        avals = np.exp(-1j * x1.reshape((-1,) + (1,) * (u.dim - 1)) * avals
+                       / op.h)
+    hat, duals = ft_axes(data, u.axes[1:], u.h)
+    # avals * hat, not hat * avals: numpy's vectorized complex product
+    # fuses a multiply-add, so its last bit depends on operand order, and
+    # this order keeps fio.csv bit-identical to earlier versions.
+    out, _ = ft_axes(avals * hat, duals, u.h, inverse=True,
+                     out_axes=u.axes[1:])
+    return out
+
+
 def transform_quasimode(op: FlatteningOp, u: GridField) -> GridField:
     """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
 
@@ -62,23 +92,8 @@ def transform_quasimode(op: FlatteningOp, u: GridField) -> GridField:
         raise ValueError("transform_quasimode expects a POSITION field")
     if u.dim != op.a1.dim + 1:
         raise DimensionMismatchError("field dim must be symbol dim + 1")
-    data = u.data
-    duals: list[AxisSpec] = []
-    for ax_i in range(1, u.dim):
-        data, dual = ft_axis(data, u.axes[ax_i], u.h, ax_i)
-        duals.append(dual)
-    bar_coords = []
-    for d, dual in enumerate(duals):
-        shape = [1] * u.dim
-        shape[d + 1] = dual.points
-        bar_coords.append(dual.nodes().reshape(shape))
-    avals = op.a1.eval_grid(bar_coords)
-    x1 = u.axes[0].nodes().reshape((-1,) + (1,) * (u.dim - 1))
-    data = data * np.exp(-1j * x1 * avals / op.h)
-    for ax_i in range(1, u.dim):
-        data, _ = ft_axis(data, duals[ax_i - 1], u.h, ax_i, inverse=True,
-                          out_axis=u.axes[ax_i])
-    return GridField(u.h, POSITION, list(u.axes), data)
+    return GridField(u.h, POSITION, list(u.axes),
+                     _bar_multiply(op, u, u.data, u.axes[0].nodes()))
 
 
 def egorov_symbol(a1: PolySymbol, a2: PolySymbol) -> PolySymbol:
@@ -160,14 +175,12 @@ def flattening_reports(op: FlatteningOp, u: GridField,
         ratio = _interior_norm(dv, cell) / (h ** m * u_norm)
         slack = m * fd_rel + 0.05
         if m == 1:
-            du = hd_x1(u, 1)
-            au = apply_multiplier_bar(op, u)
-            rhs_inner = du - au.data[1:-1]
-            rhs = transform_slices(op, rhs_inner, u, first_slice=1)
+            au = _bar_multiply(op, u, u.data)
+            rhs = _bar_multiply(op, u, hd_x1(u, 1) - au[1:-1],
+                                u.axes[0].nodes()[1:-1])
             resid = _interior_norm(dv - rhs, cell) / u_norm
             # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
-            amax = float(np.abs(op.a1.eval_grid(
-                [ax.nodes() for ax in _bar_mesh(u)])).max())
+            amax = float(np.abs(_bar_symbol(op.a1, u)).max())
             mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
             d1 = amax * _interior_norm(mid_gap, cell)
             d2 = dx * amax ** 2 / (2 * h) * u_norm
@@ -177,66 +190,3 @@ def flattening_reports(op: FlatteningOp, u: GridField,
             reports.append(FlatteningReport(m, ratio, slack, float("nan"),
                                             float("nan")))
     return reports
-
-
-def _bar_mesh(u: GridField) -> list[AxisSpec]:
-    duals = [dual_axis(ax, u.h) for ax in u.axes[1:]]
-    out = []
-    for d, dual in enumerate(duals):
-        shape = [1] * (u.dim - 1)
-        shape[d] = dual.points
-        out.append(_Reshaped(dual, shape))
-    return out
-
-
-class _Reshaped:
-    """AxisSpec view whose nodes() broadcasts along a chosen shape."""
-
-    def __init__(self, axis: AxisSpec, shape):
-        self.axis = axis
-        self.shape = shape
-
-    def nodes(self):
-        return self.axis.nodes().reshape(self.shape)
-
-
-def apply_multiplier_bar(op: FlatteningOp, u: GridField) -> GridField:
-    """a1(hD_bar) applied slice-wise to a position field (x1 = axis 0)."""
-    data = u.data
-    duals = []
-    for ax_i in range(1, u.dim):
-        data, dual = ft_axis(data, u.axes[ax_i], u.h, ax_i)
-        duals.append(dual)
-    coords = []
-    for d, dual in enumerate(duals):
-        shape = [1] * u.dim
-        shape[d + 1] = dual.points
-        coords.append(dual.nodes().reshape(shape))
-    data = data * op.a1.eval_grid(coords)
-    for ax_i in range(1, u.dim):
-        data, _ = ft_axis(data, duals[ax_i - 1], u.h, ax_i, inverse=True,
-                          out_axis=u.axes[ax_i])
-    return GridField(u.h, POSITION, list(u.axes), data)
-
-
-def transform_slices(op: FlatteningOp, inner: np.ndarray, u: GridField,
-                     first_slice: int) -> np.ndarray:
-    """Apply W(x1) slice-wise to an array aligned with u's interior slices."""
-    x1_nodes = u.axes[0].nodes()
-    data = inner
-    duals = []
-    for ax_i in range(1, u.dim):
-        data, dual = ft_axis(data, u.axes[ax_i], u.h, ax_i)
-        duals.append(dual)
-    coords = []
-    for d, dual in enumerate(duals):
-        shape = [1] * u.dim
-        shape[d + 1] = dual.points
-        coords.append(dual.nodes().reshape(shape))
-    avals = op.a1.eval_grid(coords)
-    x1 = x1_nodes[first_slice:first_slice + inner.shape[0]]
-    data = data * np.exp(-1j * x1.reshape((-1,) + (1,) * (u.dim - 1)) * avals / op.h)
-    for ax_i in range(1, u.dim):
-        data, _ = ft_axis(data, duals[ax_i - 1], u.h, ax_i, inverse=True,
-                          out_axis=u.axes[ax_i])
-    return data

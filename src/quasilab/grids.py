@@ -10,7 +10,6 @@ inverse(forward) is the identity.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -150,6 +149,23 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
     return out, dual
 
 
+def ft_axes(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
+            first: int = 1, inverse: bool = False,
+            out_axes: Sequence[AxisSpec] | None = None
+            ) -> tuple[np.ndarray, list[AxisSpec]]:
+    """ft_axis over data axes first, first+1, ... in order; returns the new axes.
+
+    The default first = 1 is the bar-side transform of a field whose axis 0
+    is x1; ``out_axes`` are the inverse's targets, one per transformed axis.
+    """
+    new_axes: list[AxisSpec] = []
+    for i, ax in enumerate(axes):
+        target = out_axes[i] if out_axes is not None else None
+        data, dual = ft_axis(data, ax, h, first + i, inverse, target)
+        new_axes.append(dual)
+    return data, new_axes
+
+
 def semiclassical_ft(f: GridField, direction: str,
                      out_axes: Sequence[AxisSpec] | None = None) -> GridField:
     """Discrete h-scaled Fourier transform of a full field (all axes).
@@ -166,13 +182,8 @@ def semiclassical_ft(f: GridField, direction: str,
             raise ValueError("INVERSE transform expects a FREQUENCY field")
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    data = f.data
-    new_axes: list[AxisSpec] = []
-    for i, ax in enumerate(f.axes):
-        target = out_axes[i] if out_axes is not None else None
-        data, dual = ft_axis(data, ax, f.h, i, inverse=direction == INVERSE,
-                             out_axis=target)
-        new_axes.append(dual)
+    data, new_axes = ft_axes(f.data, f.axes, f.h, 0, direction == INVERSE,
+                             out_axes)
     return GridField(f.h, FREQUENCY if direction == FORWARD else POSITION,
                      new_axes, data)
 
@@ -242,55 +253,3 @@ def direct_synthesis(cutoff_field: GridField, targets) -> np.ndarray:
     weights = cutoff_field.data[idx] * cutoff_field.cell_volume
     scale = (_TWO_PI * cutoff_field.h) ** (-cutoff_field.dim / 2)
     return scale * nufft_direct(points, weights, cutoff_field.h, targets)
-
-
-# -- serialization --------------------------------------------------------------
-
-_MAGIC = b"QLGF"
-_VERSION = 1
-
-
-def write_gridfield(path, f: GridField) -> None:
-    """Binary container: little-endian header + interleaved re/im float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, f.dim))
-        fh.write(struct.pack("<B", 0 if f.space == POSITION else 1))
-        fh.write(struct.pack("<d", f.h))
-        for a in f.axes:
-            fh.write(struct.pack("<ddQ", a.center, a.half_width, a.points))
-        inter = np.empty(f.data.size * 2, dtype="<f8")
-        flat = f.data.ravel()
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
-
-
-def read_gridfield(path) -> GridField:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a GridField container")
-        version, dim = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        space = POSITION if struct.unpack("<B", fh.read(1))[0] == 0 else FREQUENCY
-        h = struct.unpack("<d", fh.read(8))[0]
-        axes = []
-        for _ in range(dim):
-            c, hw, n = struct.unpack("<ddQ", fh.read(24))
-            axes.append(AxisSpec(c, hw, int(n)))
-        count = int(np.prod([a.points for a in axes]))
-        inter = np.frombuffer(fh.read(count * 16), dtype="<f8")
-        data = (inter[0::2] + 1j * inter[1::2]).reshape([a.points for a in axes])
-    return GridField(h, space, axes, data.copy())
-
-
-def gridfield_to_csv(path, f: GridField) -> None:
-    """Plain CSV (x1..xn, re, im) for small fields."""
-    pts = mesh_points(f.axes)
-    flat = f.data.ravel()
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i+1}" for i in range(f.dim)) + ",re,im\n")
-        for row, val in zip(pts, flat):
-            coords = ",".join("%.17g" % c for c in row)
-            fh.write(f"{coords},{'%.17g' % val.real},{'%.17g' % val.imag}\n")

@@ -14,14 +14,13 @@ norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
-                     EmptySupportError, SymbolParseError)
+                     EmptySupportError)
 from .grids import FREQUENCY, POSITION, AxisSpec, GridField
 from .symbols import PolySymbol, split_affine_x1
 
@@ -34,9 +33,6 @@ _BLOCK = 64
 
 
 # -- h-scaling expressions -------------------------------------------------------
-
-_HTERM = re.compile(r"^(?P<coef>[^h]*?)\*?(?:h(?:\^(?P<exp>[0-9.]+(?:/[0-9.]+)?))?)?$")
-
 
 @dataclass(frozen=True)
 class HExpr:
@@ -51,57 +47,6 @@ class HExpr:
     def of(coef: float, exp: float = 0.0, *more: tuple[float, float]) -> "HExpr":
         return HExpr(((float(coef), float(exp)),) + tuple(
             (float(c), float(e)) for c, e in more))
-
-    @staticmethod
-    def parse(text: str) -> "HExpr":
-        compact = text.replace(" ", "")
-        if not compact:
-            raise SymbolParseError("empty h-expression")
-        pieces: list[str] = []
-        cur = ""
-        for i, ch in enumerate(compact):
-            if ch in "+-" and i > 0 and compact[i - 1] not in "+-*^/":
-                pieces.append(cur)
-                cur = ch
-            else:
-                cur += ch
-        pieces.append(cur)
-        terms = []
-        for piece in pieces:
-            sign = 1.0
-            while piece and piece[0] in "+-":
-                if piece[0] == "-":
-                    sign = -sign
-                piece = piece[1:]
-            m = _HTERM.match(piece)
-            if not m or not piece:
-                raise SymbolParseError(f"cannot parse h-expression term {piece!r}")
-            coef_text = m.group("coef")
-            has_h = "h" in piece
-            coef = 1.0 if coef_text in ("", "*") else _ratio(coef_text)
-            exp = 0.0
-            if has_h:
-                exp = _ratio(m.group("exp")) if m.group("exp") else 1.0
-            terms.append((sign * coef, exp))
-        return HExpr(tuple(terms))
-
-    def text(self) -> str:
-        parts = []
-        for c, e in self.terms:
-            if e == 0:
-                parts.append("%.17g" % c)
-            elif e == 1:
-                parts.append("%.17g*h" % c)
-            else:
-                parts.append("%.17g*h^%.17g" % (c, e))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def _ratio(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
 
 
 @dataclass(frozen=True)
@@ -421,7 +366,7 @@ class Quasimode:
 
     cutoff: CutoffField
     h: float
-    l2norm: float = 1.0
+    l2norm: ClassVar[float] = 1.0
 
     def values(self, targets) -> np.ndarray:
         return synthesize_raw(self.cutoff, targets) / self.cutoff.l2_norm()

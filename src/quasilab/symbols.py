@@ -4,8 +4,8 @@ Symbols are multivariate polynomials over the rationals in the frequency
 variables x1..xn, stored as a map from exponent tuples to nonzero Fraction
 coefficients.  Every algebraic operation here (differentiation, graph
 factorization, line/curve restriction, Hessians, mixed-partial scans) is
-exact; floating point enters only in the ellipticity sampler, which is a
-brute-force numerical minimum by design.
+exact; floating point enters only when a symbol is evaluated at float
+points (eval, eval_grid).
 """
 
 from __future__ import annotations
@@ -624,55 +624,3 @@ def curvature_check(a: PolySymbol) -> CurvatureReport:
             hess[i][j] = hess[j][i] = val
     det = _det_exact(hess)
     return CurvatureReport(det != 0, det, tuple(tuple(r) for r in hess))
-
-
-# -- ellipticity sampler (floating point, brute force) ---------------------------
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    """Sampled minimum of q(xi)/|xi|^(k+1) over a punctured ball.
-
-    c_est <= 0 signals a sign change (the witness is a point where the
-    bound fails); positivity is decided up to the reporting tolerance.
-    """
-
-    c_est: float
-    witness: tuple[float, ...]
-    k: int
-    radius: float
-    samples: int
-    tolerance: float = 1e-12
-
-    @property
-    def positive(self) -> bool:
-        return self.c_est > self.tolerance * max(1.0, abs(self.c_est))
-
-
-def ellipticity_constant(q: PolySymbol, k: int, radius: float,
-                         directions: int = 512, radii: int = 24,
-                         random_points: int = 4096, seed: int = 7) -> EllipticityReport:
-    """Brute-force min of q/|.|^(k+1) on {0 < |xi| <= radius}."""
-    if q.constant_term():
-        raise ValueError("q(0) must vanish")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    m = q.dim
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions, m))
-    axes = np.concatenate([np.eye(m), -np.eye(m)])
-    diag = np.array(np.meshgrid(*([[-1.0, 1.0]] * m))).reshape(m, -1).T
-    dirs = np.concatenate([dirs, axes, diag])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rr = np.geomspace(radius * 1e-3, radius, radii)
-    pts = (dirs[:, None, :] * rr[None, :, None]).reshape(-1, m)
-    ball = rng.standard_normal((random_points, m))
-    ball /= np.linalg.norm(ball, axis=1, keepdims=True)
-    ball *= radius * rng.random((random_points, 1)) ** (1.0 / m)
-    pts = np.concatenate([pts, ball])
-    norms = np.linalg.norm(pts, axis=1)
-    keep = norms > 0
-    pts, norms = pts[keep], norms[keep]
-    vals = q.eval_grid([pts[:, i] for i in range(m)]) / norms ** (k + 1)
-    i = int(np.argmin(vals))
-    return EllipticityReport(float(vals[i]), tuple(float(x) for x in pts[i]),
-                             k, radius, len(pts))

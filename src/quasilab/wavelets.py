@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 
 from .errors import DimensionMismatchError
-from .grids import AxisSpec, GridField, ft_axis
+from .grids import AxisSpec, GridField, ft_axes
 
 _TWO_PI = 2.0 * np.pi
 
@@ -317,11 +317,7 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
         x = coeffs.values[ai]
         db = (coeffs.b_grids[ai][1] - coeffs.b_grids[ai][0]
               if len(coeffs.b_grids[ai]) > 1 else coeffs.x1_axis.spacing)
-        data = x
-        duals = []
-        for d in range(1, v.dim):
-            data, dual = ft_axis(data, v.axes[d], v.h, d)
-            duals.append(dual)
+        data, duals = ft_axes(x, v.axes[1:], v.h)
         mesh = np.meshgrid(*[dl.nodes() for dl in duals], indexing="ij")
         radius = np.sqrt(sum(g * g for g in mesh))
         cellvol = float(np.prod([dl.spacing for dl in duals]))

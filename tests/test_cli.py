@@ -227,6 +227,44 @@ expect = pass
         assert "refused" in err and "from oscint" in err
 
 
+VALLEY_CFG = """
+[experiment]
+id = valley
+kind = sharpness-sweep
+
+[params]
+family = valley
+n = 3
+k = 3
+h_start = 2^-4
+h_stop = 2^-5
+"""
+
+
+class TestValidation:
+    def test_dimension_contradicting_family_exits_2(self, tmp_path, capsys):
+        text = VALLEY_CFG.replace("n = 3", "n = 2") + "peak_only = true\n"
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "n = 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_p_list_without_predicted_slope_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, VALLEY_CFG + "p_list = 8\n")
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "p_list" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1/0", "abc", "2^x"])
+    def test_malformed_number_exits_2(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, VALLEY_CFG.replace("h_start = 2^-4",
+                                                     f"h_start = {text}"))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert repr(text) in capsys.readouterr().err
+
+
 class TestOtherVerbs:
     def test_list_contains_templates(self, capsys):
         assert main(["list"]) == EXIT_OK

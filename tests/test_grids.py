@@ -1,4 +1,4 @@
-"""Semiclassical transforms, multipliers, direct synthesis, serialization."""
+"""Semiclassical transforms, multipliers, and direct synthesis."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import pytest
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                             GridField, apply_multiplier, direct_synthesis,
-                            dual_axis, gridfield_to_csv, mesh_points,
-                            nufft_direct, read_gridfield, semiclassical_ft,
-                            write_gridfield)
+                            dual_axis, mesh_points, nufft_direct,
+                            semiclassical_ft)
 from quasilab.symbols import parse_symbol
 
 
@@ -201,28 +200,3 @@ class TestDirectSynthesis:
     def test_nufft_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             nufft_direct(np.zeros((3, 2)), np.ones(3), 0.5, np.zeros((4, 3)))
-
-
-class TestSerialization:
-    def test_binary_round_trip(self, tmp_path):
-        f = random_field(2.0 ** -5, (16, 8), seed=9, space=FREQUENCY)
-        path = tmp_path / "field.qlgf"
-        write_gridfield(path, f)
-        g = read_gridfield(path)
-        assert g.space == FREQUENCY and g.h == f.h
-        assert [a.points for a in g.axes] == [16, 8]
-        assert np.array_equal(g.data, f.data)
-
-    def test_csv_export(self, tmp_path):
-        f = random_field(2.0 ** -4, (4, 4), seed=10)
-        path = tmp_path / "field.csv"
-        gridfield_to_csv(path, f)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2,re,im"
-        assert len(lines) == 17
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.qlgf"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(ValueError):
-            read_gridfield(path)

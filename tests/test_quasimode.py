@@ -27,19 +27,6 @@ H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
 
 class TestHExpr:
-    def test_parse_terms(self):
-        e = HExpr.parse("-1.25*h^0.5 + 3*h")
-        assert e(0.25) == pytest.approx(-1.25 * 0.5 + 0.75)
-
-    def test_parse_constant_and_bare_h(self):
-        assert HExpr.parse("2.5")(0.1) == 2.5
-        assert HExpr.parse("h")(0.3) == 0.3
-        assert HExpr.parse("h^1/2")(0.25) == 0.5
-
-    def test_text_round_trip(self):
-        e = HExpr.of(1.5, 0.5, (-3.0, 1.0))
-        assert HExpr.parse(e.text())(0.37) == pytest.approx(e(0.37), rel=1e-15)
-
     def test_axis_rule_pow2(self):
         rule = AxisRule(HExpr.of(-1.0), HExpr.of(1.0), HExpr.of(0.3), pow2=True)
         assert rule.to_axis(0.5).points == 8

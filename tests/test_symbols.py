@@ -13,9 +13,8 @@ from quasilab import families
 from quasilab.errors import DimensionMismatchError, SymbolParseError
 from quasilab.symbols import (INFINITE, PolySymbol, mixed_partials_check,
                               contact_order, contact_profile, curvature_check,
-                              ellipticity_constant, format_symbol,
-                              graph_factor, lift_graph, parse_symbol,
-                              sample_directions)
+                              format_symbol, graph_factor, lift_graph,
+                              parse_symbol, sample_directions)
 
 F = Fraction
 
@@ -305,31 +304,6 @@ class TestCurvature:
     def test_mixed_terms(self):
         rep = curvature_check(parse_symbol("x1*x2", dim=2))
         assert rep.det == -1 and rep.nondegenerate
-
-
-class TestEllipticity:
-    def test_equality_case(self):
-        q = families.bar_norm_power(4, 4)
-        qb = PolySymbol(3, {m[1:]: c for m, c in q.coeffs.items()})
-        rep = ellipticity_constant(qb, 3, 0.5)
-        assert rep.c_est == pytest.approx(1.0, abs=1e-9)
-        assert rep.positive
-
-    def test_mixed_anisotropic_minimum(self):
-        # (x2^2 + x3^4)/|xi|^4 attains its sampled minimum 1 on the x2 = 0 axis.
-        q = parse_symbol("x1^2 + x2^4", dim=2)
-        rep = ellipticity_constant(q, 3, 0.5)
-        assert rep.c_est == pytest.approx(1.0, rel=1e-6)
-        assert abs(rep.witness[0]) < 1e-12
-
-    def test_sign_change_detected(self):
-        rep = ellipticity_constant(parse_symbol("x1^3", dim=1), 2, 0.5)
-        assert rep.c_est < 0 and rep.witness[0] < 0
-        assert not rep.positive
-
-    def test_rejects_nonvanishing(self):
-        with pytest.raises(ValueError):
-            ellipticity_constant(parse_symbol("x1 + 1", dim=1), 1, 1.0)
 
 
 class TestDirections:
