@@ -220,9 +220,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    try:
+        n = int(cfg.params.get("n", "0"))
+    except ValueError:
+        raise ConfigError(
+            f"n must be an integer, got {cfg.params['n']!r}") from None
     for name, text in cfg.symbols.items():
         try:
-            parse_symbol(text, dim=int(cfg.params.get("n", "0")) or None)
+            parse_symbol(text, dim=n or None)
         except QuasilabError as err:
             raise ConfigError(f"symbol {name!r} does not parse: {err}") from None
     ps = cfg.p_list()

@@ -26,9 +26,9 @@ from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
 _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
-# Columns per matrix product in synthesize_on_axes.  A fixed block makes the
-# output bits independent of the BLAS thread count; 256 runs faster but
-# doubles the transient memory.
+# Columns (stage 1) or rows (stage 2) per matrix product in
+# synthesize_on_axes.  A fixed block makes the output bits independent of the
+# BLAS thread count.
 _BLOCK = 64
 
 
@@ -42,11 +42,6 @@ class HExpr:
 
     def __call__(self, h: float) -> float:
         return sum(c * h ** e for c, e in self.terms)
-
-    @staticmethod
-    def of(coef: float, exp: float = 0.0, *more: tuple[float, float]) -> "HExpr":
-        return HExpr(((float(coef), float(exp)),) + tuple(
-            (float(c), float(e)) for c, e in more))
 
 
 @dataclass(frozen=True)
@@ -322,11 +317,18 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     """Raw synthesis on a product position grid (separable fast path).
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
-    (Dutt & Rokhlin 1993), evaluated exactly as matrix products over fixed
-    blocks of _BLOCK columns: the xi1 run factor (block x N1) times the
-    row-wise outer product of the bar-axis exponentials (block x N2*N3).
-    The fixed blocking keeps the summation order, and so every output bit,
-    independent of the BLAS thread count.
+    (Dutt & Rokhlin 1993), evaluated exactly in two matrix-product stages.
+    The bar-grid columns fall into R rows of equal xi3.  Stage 1 sums each
+    row's columns into an (N1, N2) slab: the xi1 run factor (block x N1)
+    times the xi2 exponentials (block x N2), K*N1*N2 multiply-adds over all
+    K columns.  Stage 2 contracts the slabs against the rows' xi3
+    exponentials, (N1*N2 x R) times (R x N3): R*N1*N2*N3 multiply-adds,
+    written in C order with no transpose.  A 1D or 2D field is one row and
+    skips stage 2.  Rows are taken in increasing xi3 and columns in
+    increasing xi2 within a row, and both reductions run over fixed blocks
+    of _BLOCK columns or rows.  That fixes the summation order, and so every
+    output bit, whatever the order of the stored columns or the BLAS thread
+    count.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -337,19 +339,30 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     first = field.xi1_first_node()
     counts = field.col_count.astype(float)
     shape = tuple(a.points for a in axes)
-    out = np.zeros((shape[0], math.prod(shape[1:])), dtype=complex)
     x1 = axes[0].nodes()
     theta = x1 * (dxi1 / h)
-    bar_nodes = [a.nodes() for a in axes[1:]]
-    for lo in range(0, len(first), _BLOCK):
-        cols = slice(lo, lo + _BLOCK)
-        run = _dirichlet(theta[None, :], counts[cols, None])
-        a0 = run * np.exp(1j * np.outer(first[cols], x1) / h)
-        bar = np.ones((len(a0), 1), dtype=complex)
-        for d, nodes in enumerate(bar_nodes):
-            e = np.exp(1j * np.outer(field.col_coords[cols, d], nodes) / h)
-            bar = (bar[:, :, None] * e[:, None, :]).reshape(len(a0), -1)
-        out += a0.T @ bar
+    # A missing bar axis is zero coordinates and one node at 0: factor 1.
+    bar = np.zeros((len(first), 2))
+    bar[:, :field.dim - 1] = field.col_coords
+    x2, x3 = ([a.nodes() for a in axes[1:]] + [np.zeros(1)] * 2)[:2]
+    row_xi3, row_of = np.unique(bar[:, 1], return_inverse=True)
+    rows = np.split(np.lexsort((bar[:, 0], row_of)),
+                    np.cumsum(np.bincount(row_of))[:-1])
+    slabs = np.zeros((len(rows), len(x1), len(x2)), dtype=complex)
+    for slab, row in zip(slabs, rows):
+        for lo in range(0, len(row), _BLOCK):
+            cols = row[lo:lo + _BLOCK]
+            run = _dirichlet(theta[None, :], counts[cols, None])
+            a0 = run * np.exp(1j * np.outer(first[cols], x1) / h)
+            slab += a0.T @ np.exp(1j * np.outer(bar[cols, 0], x2) / h)
+    if field.dim < 3:
+        out = slabs[0]
+    else:
+        flat = slabs.reshape(len(rows), -1)
+        e3 = np.exp(1j * np.outer(row_xi3, x3) / h)
+        out = flat[:_BLOCK].T @ e3[:_BLOCK]
+        for lo in range(_BLOCK, len(rows), _BLOCK):
+            out += flat[lo:lo + _BLOCK].T @ e3[lo:lo + _BLOCK]
     out *= field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     return GridField(h, POSITION, list(axes), out.reshape(shape))
 

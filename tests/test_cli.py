@@ -257,6 +257,15 @@ class TestValidation:
         assert "p_list" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_non_integer_n_exits_2(self, tmp_path, capsys):
+        text = CONTACT_CFG.replace("n = 3", "n = 2.5") + (
+            "\n[symbols]\np1 = x1 - x2^2\np2 = x1\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "n must be an integer, got '2.5'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["1/0", "abc", "2^x"])
     def test_malformed_number_exits_2(self, tmp_path, capsys, text):
         cfg = write_cfg(tmp_path, VALLEY_CFG.replace("h_start = 2^-4",

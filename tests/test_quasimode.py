@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import quasilab
 from quasilab import families
+from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError)
 from quasilab.grids import INVERSE, AxisSpec, mesh_points, semiclassical_ft
@@ -28,7 +30,8 @@ H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
 class TestHExpr:
     def test_axis_rule_pow2(self):
-        rule = AxisRule(HExpr.of(-1.0), HExpr.of(1.0), HExpr.of(0.3), pow2=True)
+        rule = AxisRule(HExpr(((-1.0, 0.0),)), HExpr(((1.0, 0.0),)),
+                        HExpr(((0.3, 0.0),)), pow2=True)
         assert rule.to_axis(0.5).points == 8
 
 
@@ -45,8 +48,10 @@ class TestBuildCutoff:
         spec = FrequencyCutoff(
             (BandConstraint(parse_symbol("x1", dim=2), 1.0, 1.0),
              BandConstraint(parse_symbol("x1 - 1", dim=2), 1.0, 1.0)),
-            (AxisRule(HExpr.of(-2.0), HExpr.of(2.0), HExpr.of(1 / 64, 1.0)),
-             AxisRule(HExpr.of(-1.0), HExpr.of(1.0), HExpr.of(1 / 16))))
+            (AxisRule(HExpr(((-2.0, 0.0),)), HExpr(((2.0, 0.0),)),
+                      HExpr(((1 / 64, 1.0),))),
+             AxisRule(HExpr(((-1.0, 0.0),)), HExpr(((1.0, 0.0),)),
+                      HExpr(((1 / 16, 0.0),)))))
         with pytest.raises(EmptySupportError):
             build_cutoff(spec, 2.0 ** -6)
 
@@ -55,9 +60,10 @@ class TestBuildCutoff:
         spec = FrequencyCutoff(
             (BandConstraint(parse_symbol("x1", dim=2), 1.0, 1.0),
              BandConstraint(parse_symbol("x2", dim=2), 0.0, 1.0)),
-            (AxisRule(HExpr.of(-2.0, 1.0), HExpr.of(2.0, 1.0),
-                      HExpr.of(1 / 16, 1.0)),
-             AxisRule(HExpr.of(-0.5), HExpr.of(0.5), HExpr.of(1 / 64))))
+            (AxisRule(HExpr(((-2.0, 1.0),)), HExpr(((2.0, 1.0),)),
+                      HExpr(((1 / 16, 1.0),))),
+             AxisRule(HExpr(((-0.5, 0.0),)), HExpr(((0.5, 0.0),)),
+                      HExpr(((1 / 64, 0.0),)))))
         with pytest.raises(BoxTooSmallError):
             build_cutoff(spec, 2.0 ** -5)
 
@@ -80,8 +86,8 @@ class TestBuildCutoff:
         # |xi1| <= h is affine in xi1, but a cutoff is stored per bar column.
         spec = FrequencyCutoff(
             (BandConstraint(parse_symbol("x1", dim=1), 1.0),),
-            (AxisRule(HExpr.of(-2.0, 1.0), HExpr.of(2.0, 1.0),
-                      HExpr.of(1 / 16, 1.0)),))
+            (AxisRule(HExpr(((-2.0, 1.0),)), HExpr(((2.0, 1.0),)),
+                      HExpr(((1 / 16, 1.0),))),))
         with pytest.raises(DimensionMismatchError, match="bar axis"):
             build_cutoff(spec, 2.0 ** -6)
 
@@ -174,45 +180,67 @@ def _line_field(h):
                        col_count=np.array([32]))
 
 
-def _fine_parabola_cutoff():
-    """2D strip |xi1 - xi2^2| <= h, |xi2| <= 1/2 on a fine bar grid (~160 columns)."""
-    return FrequencyCutoff(
-        (BandConstraint(parse_symbol("x1 - x2^2", dim=2), 1.0),
-         BandConstraint(parse_symbol("x2", dim=2), 0.0, 0.5)),
-        (AxisRule(HExpr.of(-0.1), HExpr.of(0.4), HExpr.of(1 / 16, 1.0)),
-         AxisRule(HExpr.of(-0.6), HExpr.of(0.6), HExpr.of(1 / 160))))
+def _fine_parabola_cutoff(n=2):
+    """|xi1 - |xi-bar|^2| <= h, |xi_j| <= 1/2 on a fine bar grid.
+
+    Each bar axis holds 160 support nodes: 160 columns in 2D, and 160 rows
+    (of equal xi3) of 160 columns each in 3D.
+    """
+    bar = [f"x{j}" for j in range(2, n + 1)]
+    paraboloid = parse_symbol("x1 - " + " - ".join(f"{x}^2" for x in bar), dim=n)
+    caps = tuple(BandConstraint(parse_symbol(x, dim=n), 0.0, 0.5) for x in bar)
+    xi1_rule = AxisRule(HExpr(((-0.1, 0.0),)),
+                        HExpr(((0.15 + 0.25 * (n - 1), 0.0),)),
+                        HExpr(((1 / 16, 1.0),)))
+    bar_rule = AxisRule(HExpr(((-0.6, 0.0),)), HExpr(((0.6, 0.0),)),
+                        HExpr(((1 / 160, 0.0),)))
+    return FrequencyCutoff((BandConstraint(paraboloid, 1.0),) + caps,
+                           (xi1_rule,) + (bar_rule,) * (n - 1))
 
 
-# Prints sha256 digests of a 3D product synthesis and a joint-ratio matrix.
+# Prints sha256 digests of two 3D product syntheses (the n = 3 sweep's
+# field, and the fine field whose reductions both span several blocks) and
+# of a joint-ratio matrix.
 DIGEST_CHILD = """
 import hashlib
 from quasilab import families
 from quasilab.analysis import oscillation_axes
 from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
                                 verify_joint_quasimode)
-h = 2.0 ** -5
-cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
-axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 2, 8)
-for arr in (synthesize_on_axes(cut, axes).data, verify_joint_quasimode(cut, 3)):
+from test_quasimode import _fine_parabola_cutoff
+cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
+fine = build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6)
+arrays = [synthesize_on_axes(c, oscillation_axes(
+    [c.extent(i) for i in range(3)], c.h, margin, 8)).data
+    for c, margin in ((cut, 2), (fine, 4))]
+for arr in arrays + [verify_joint_quasimode(cut, 3)]:
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
 
 class TestProductSynthesis:
-    """The blocked matrix-product path against the pointwise column sum."""
+    """The two-stage matrix-product path against the pointwise column sum."""
 
-    @pytest.mark.parametrize("make_field,points", [
-        (lambda: _line_field(2.0 ** -6), (37,)),
-        (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19)),
-        # 1,156 columns: 18 full 64-column blocks and a partial one.
+    @pytest.mark.parametrize("make_field,points,rows", [
+        (lambda: _line_field(2.0 ** -6), (37,), (1, 1)),
+        # One row of 160 columns: two full 64-column blocks and a partial one.
+        (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19),
+         (1, 160)),
+        # The n = 3 sweep's field: one block in each reduction.
         (lambda: build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5),
-         (13, 11, 9)),
-    ], ids=["1d", "2d", "3d"])
-    def test_matches_pointwise_oracle(self, make_field, points):
+         (13, 11, 9), (38, 38)),
+        # 160 rows of 160 columns: both reductions span two full blocks and
+        # a partial one.
+        (lambda: build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6),
+         (7, 6, 5), (160, 160)),
+    ], ids=["1d", "2d", "3d", "3d-fine"])
+    def test_matches_pointwise_oracle(self, make_field, points, rows):
         cut = make_field()
         h = cut.h
-        if cut.dim > 1:
-            assert len(cut.col_count) > 128 and len(cut.col_count) % 64
+        # Columns per row of equal xi3; below 3D the field is one row.
+        xi3 = cut.col_coords[:, 1] if cut.dim == 3 else np.zeros(len(cut.col_count))
+        widths = np.unique(xi3, return_counts=True)[1]
+        assert (len(widths), widths.max()) == rows
         # Off-center boxes spanning a few oscillation scales per axis.
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
@@ -221,6 +249,30 @@ class TestProductSynthesis:
         oracle = synthesize_raw(cut, mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
+
+    def test_column_order_does_not_change_bits(self):
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
+        perm = np.random.default_rng(5).permutation(len(cut.col_count))
+        shuffled = CutoffField(h, cut.axes, cut.col_coords[perm],
+                               cut.col_start[perm], cut.col_count[perm])
+        axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 2, 8)
+        np.testing.assert_array_equal(synthesize_on_axes(shuffled, axes).data,
+                                      synthesize_on_axes(cut, axes).data)
+
+    def test_memory_bounded(self):
+        # The 64^3 complex output alone is 4.2 MB.
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
+        axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8)
+        assert [a.points for a in axes] == [64] * 3
+        tracemalloc.start()
+        try:
+            synthesize_on_axes(cut, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_dimension_checked_before_allocation(self):
         # A dense 4D grid of 1e16 points cannot be allocated; the dimension
@@ -233,14 +285,16 @@ class TestProductSynthesis:
 
     def test_bits_independent_of_blas_threads(self):
         src = str(Path(quasilab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tests = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, tests,
+                                             os.environ.get("PYTHONPATH")]))
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             run = subprocess.run([sys.executable, "-c", DIGEST_CHILD], env=env,
                                  capture_output=True, text=True, check=True)
             digests.append(run.stdout.split())
-        assert len(digests[0]) == 2
+        assert len(digests[0]) == 3
         assert digests[0] == digests[1]
 
 
