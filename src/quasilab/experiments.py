@@ -30,8 +30,8 @@ from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      quadratic_phase, resonant_amplitude, power_loss,
                      ttstar_kernel, vdc_check)
-from .quasimode import (Quasimode, build_cutoff, support_volume,
-                        verify_joint_quasimode)
+from .quasimode import (MAX_SYNTH_DIM, Quasimode, build_cutoff,
+                        support_volume, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
                       graph_factor, parse_symbol, sample_directions)
 from .wavelets import decay_diagnostic, make_mother_wavelet
@@ -219,22 +219,40 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
+# Parameters the runners read as integers, checked at parse time so that a
+# bad value names its key before any output is written.
+_INT_KEYS = ("n", "k", "j", "d", "points_per_scale", "joint_orders",
+             "cells_per_band", "m_order", "max_order", "directions",
+             "invp_points")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    try:
-        n = int(cfg.params.get("n", "0"))
-    except ValueError:
-        raise ConfigError(
-            f"n must be an integer, got {cfg.params['n']!r}") from None
+    for key in _INT_KEYS:
+        if key in cfg.params:
+            try:
+                int(cfg.params[key])
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, got "
+                                  f"{cfg.params[key]!r}") from None
+    n = int(cfg.params.get("n", "0"))
     for name, text in cfg.symbols.items():
         try:
             parse_symbol(text, dim=n or None)
         except QuasilabError as err:
             raise ConfigError(f"symbol {name!r} does not parse: {err}") from None
     ps = cfg.p_list()
-    if cfg.kind == "sharpness-sweep" and cfg.family().slope is None and ps \
-            and cfg.param("peak_only", "false") != "true":
-        raise ConfigError(f"family {cfg.params['family']!r} predicts no Lp "
-                          "slope; drop p_list or set peak_only = true")
+    if cfg.kind == "sharpness-sweep":
+        fam = cfg.family()
+        if ps and cfg.param("peak_only", "false") != "true":
+            if fam.slope is None:
+                raise ConfigError(f"family {cfg.params['family']!r} predicts "
+                                  "no Lp slope; drop p_list or set "
+                                  "peak_only = true")
+            if n > MAX_SYNTH_DIM:
+                raise ConfigError(
+                    f"n = {n}: Lp norms need the field on a grid, and "
+                    f"synthesis supports n <= {MAX_SYNTH_DIM} only; drop "
+                    "p_list or set peak_only = true")
     if "h_start" in cfg.params or "h_list" in cfg.params:
         cfg.h_sweep()
 

@@ -5,6 +5,11 @@ evaluate() refuses under-resolved requests instead of returning garbage:
 the tensor midpoint rule needs a fixed number of points per oscillation
 wavelength (2*pi*h/|grad phi|), after which its error is the aliasing level
 of the smooth compactly supported integrand, far below the value itself.
+The rule sums fixed slabs of nodes; on each it evaluates the amplitude
+first and takes the phase and the complex exponential only on the
+amplitude's support.  The zeros stay in place and every slab is summed
+whole, so the reduction order, and with it every output bit, depends only
+on the grid.
 
 The decay check sweeps h, fits log|I| against log h, and certifies the
 h^(d/2) mu^(-d/2) law only when the declared amplitude regularity loss
@@ -103,8 +108,18 @@ def evaluate(integrand: OscIntegrand, h: float,
 
 
 def _midpoint(integrand: OscIntegrand, h: float, n: int) -> complex:
-    return complex(sum(_slabs(integrand.box, n, lambda pts: np.exp(
-        1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h))))
+    def integrand_values(pts: np.ndarray) -> np.ndarray:
+        # exp(i*phase/h) * amp vanishes wherever amp does, so the phase and
+        # the exponential are taken on the support only.  The values land in
+        # a zero slab of the full shape, which is summed whole: the same
+        # reduction order as the unmasked product, so the same bits.
+        amp = integrand.amplitude(pts, h)
+        on = amp != 0
+        vals = np.zeros(amp.shape, complex)
+        vals[on] = np.exp(1j * integrand.phase(pts[on]) / h) * amp[on]
+        return vals
+
+    return complex(sum(_slabs(integrand.box, n, integrand_values)))
 
 
 def _slabs(box: Sequence[tuple[float, float]], n: int,
@@ -255,31 +270,27 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
 
 # -- model families ----------------------------------------------------------------
 
+def _norm_sq(pts: np.ndarray) -> np.ndarray:
+    """|xi|^2 over the trailing axis, pts[..., 0]^2 + pts[..., 1]^2 + ...
+
+    Summed left to right, which gives the same bits as
+    np.sum(pts ** 2, axis=-1) without numpy's slow reduction over a short
+    trailing axis.
+    """
+    pts = np.asarray(pts, float)
+    out = pts[..., 0] ** 2
+    for i in range(1, pts.shape[-1]):
+        out += pts[..., i] ** 2
+    return out
+
+
 def quadratic_phase(mu: float, d: int) -> Phase:
     """phi(xi) = mu |xi|^2 / 2: unique nondegenerate critical point at 0."""
 
     def phi(pts: np.ndarray) -> np.ndarray:
-        return 0.5 * mu * np.sum(np.asarray(pts, float) ** 2, axis=-1)
+        return 0.5 * mu * _norm_sq(pts)
 
     return phi
-
-
-def linear_phase(d: int) -> Phase:
-    def phi(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, float)[..., 0]
-
-    return phi
-
-
-def bump_amplitude(width: float = 1.0) -> Amplitude:
-    """Smooth bump of fixed width (h-independent; loss rate 1/width)."""
-    from .wavelets import bump
-
-    def amp(pts: np.ndarray, h: float) -> np.ndarray:
-        r = np.sqrt(np.sum(np.asarray(pts, float) ** 2, axis=-1))
-        return bump(r / width)
-
-    return amp
 
 
 def dyadic_amplitude(k: int, j: int) -> Amplitude:
@@ -291,7 +302,7 @@ def dyadic_amplitude(k: int, j: int) -> Amplitude:
 
     def amp(pts: np.ndarray, h: float) -> np.ndarray:
         s = 2.0 ** j * h ** (1.0 / (k + 1))
-        r = np.sqrt(np.sum(np.asarray(pts, float) ** 2, axis=-1))
+        r = np.sqrt(_norm_sq(pts))
         return _smooth_step(r / s)
 
     return amp
@@ -312,7 +323,7 @@ def resonant_amplitude(phase: Phase, beta: float) -> Amplitude:
 
     def amp(pts: np.ndarray, h: float) -> np.ndarray:
         w = h ** (1.0 - beta)
-        r = np.sqrt(np.sum(np.asarray(pts, float) ** 2, axis=-1))
+        r = np.sqrt(_norm_sq(pts))
         return bump(r / w) * np.exp(-1j * phase(pts) / h)
 
     return amp
@@ -367,7 +378,7 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
         return lin + sep * a1.eval_grid([pts[..., i] for i in range(m)])
 
     def amp(pts: np.ndarray, h_: float) -> np.ndarray:
-        r = np.sqrt(np.sum(np.asarray(pts, float) ** 2, axis=-1))
+        r = np.sqrt(_norm_sq(pts))
         return family.psi(j, r)
 
     integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale,

@@ -30,6 +30,7 @@ _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
 # synthesize_on_axes.  A fixed block makes the output bits independent of the
 # BLAS thread count.
 _BLOCK = 64
+MAX_SYNTH_DIM = 3  # largest field dimension synthesize_on_axes handles
 
 
 # -- h-scaling expressions -------------------------------------------------------
@@ -332,8 +333,9 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
-    if field.dim > 3:
-        raise NotImplementedError("product synthesis supports dim <= 3")
+    if field.dim > MAX_SYNTH_DIM:
+        raise NotImplementedError(
+            f"product synthesis supports dim <= {MAX_SYNTH_DIM}")
     h = field.h
     dxi1 = field.axes[0].spacing
     first = field.xi1_first_node()

@@ -266,6 +266,39 @@ class TestValidation:
         assert "n must be an integer, got '2.5'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, key, old, new", [
+        ("sharp_largep_n2_k3.cfg", "k", "3", "3.0"),
+        ("sharp_largep_n2_k3.cfg", "points_per_scale", "8", "2.5"),
+        ("sharp_largep_n2_k3.cfg", "joint_orders", "3", "three"),
+        ("vdc_d1.cfg", "j", "2", "2.5"),
+        ("vdc_d1.cfg", "d", "1", "1e0"),
+    ])
+    def test_non_integer_key_exits_2(self, tmp_path, capsys, config, key,
+                                     old, new):
+        text = (CONFIG_DIR / config).read_text()
+        assert f"\n{key} = {old}\n" in text
+        text = text.replace(f"\n{key} = {old}\n", f"\n{key} = {new}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key} must be an integer, got '{new}'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lp_sweep_beyond_synthesis_dims_exits_2(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "sharp_largep_n2_k3.cfg").read_text()
+        text = text.replace("\nn = 2\n", "\nn = 5\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "n = 5" in err and "n <= 3" in err
+        assert not out.exists()
+        # A peak-only sweep synthesizes nothing on a grid, so n = 5 parses.
+        text = text.replace("\nn = 5\n", "\nn = 5\npeak_only = true\n")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cfg.params["n"] == "5"
+
     @pytest.mark.parametrize("text", ["1/0", "abc", "2^x"])
     def test_malformed_number_exits_2(self, tmp_path, capsys, text):
         cfg = write_cfg(tmp_path, VALLEY_CFG.replace("h_start = 2^-4",

@@ -10,18 +10,35 @@ import pytest
 
 from quasilab import oscint
 from quasilab.errors import ResolutionError
-from quasilab.oscint import (EvalResult, OscIntegrand, bump_amplitude,
-                             dyadic_amplitude, dyadic_loss                     ,
-                             evaluate, find_critical_points, linear_phase,
+from quasilab.oscint import (EvalResult, OscIntegrand, dyadic_amplitude,
+                             dyadic_loss, evaluate, find_critical_points,
                              power_loss, quadratic_phase, resonant_amplitude,
                              ttstar_kernel, vdc_check)
 from quasilab.symbols import parse_symbol
+from quasilab.wavelets import bump, dyadic_cutoffs
 
 H6 = [2.0 ** -e for e in range(6, 13)]
 
 
 def unit_loss(h):
     return 1.0
+
+
+def linear_phase(d):
+    def phi(pts):
+        return np.asarray(pts, float)[..., 0]
+
+    return phi
+
+
+def bump_amplitude(width=1.0):
+    """Smooth bump of fixed width (h-independent; loss rate 1/width)."""
+
+    def amp(pts, h):
+        r = np.sqrt(np.sum(np.asarray(pts, float) ** 2, axis=-1))
+        return bump(r / width)
+
+    return amp
 
 
 class TestEvaluate:
@@ -112,6 +129,99 @@ class TestEvaluate:
             tracemalloc.stop()
         assert res.points_per_axis == 1834
         assert peak <= 32 * 2 ** 20
+
+
+def _unmasked_midpoint(integrand, h, n):
+    """exp(i*phase/h) * amplitude at every node, summed in _midpoint's slabs."""
+    return complex(sum(oscint._slabs(integrand.box, n, lambda pts: np.exp(
+        1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h))))
+
+
+def _ttstar_style_integrand(h):
+    # The integrand ttstar_kernel builds, in two dimensions with a nonzero
+    # linear term: a dyadic psi_j times a tensordot-plus-symbol phase.
+    a1 = parse_symbol("x1^2 + x1*x2 - x2^4", dim=2)
+    family = dyadic_cutoffs(h, 3)
+    scale = family.scale(1)
+    dxz = np.array([0.3, -0.2])
+
+    def phase(pts):
+        pts = np.asarray(pts, float)
+        lin = np.tensordot(pts, dxz, axes=(-1, 0))
+        return lin + 0.125 * a1.eval_grid([pts[..., i] for i in range(2)])
+
+    def amp(pts, h_):
+        return family.psi(1, np.sqrt(oscint._norm_sq(pts)))
+
+    return OscIntegrand(phase, amp, 2, ((-1.5 * scale, 1.5 * scale),) * 2,
+                        lambda h_: 1.0 / scale)
+
+
+class TestSupportRestriction:
+    # Each n leaves a partial last slab: 1834 = 52 * 35 + 14 rows of 1834,
+    # 100000 = 65536 + 34464 points, 300 = 218 + 82 rows of 300.
+    @pytest.mark.parametrize("case", ["vdc_d2", "resonant_d1", "ttstar"])
+    def test_bits_equal_unmasked_product(self, case):
+        if case == "vdc_d2":
+            h, n = 2.0 ** -8, 1834
+            integrand = OscIntegrand(quadratic_phase(1.0, 2),
+                                     dyadic_amplitude(3, 1), 2,
+                                     ((-1.5, 1.5),) * 2, dyadic_loss(3, 1))
+        elif case == "resonant_d1":
+            h, n = 2.0 ** -10, 100_000
+            phase = quadratic_phase(1.0, 1)
+            integrand = OscIntegrand(phase, resonant_amplitude(phase, 0.8), 1,
+                                     ((-1, 1),), power_loss(0.8))
+        else:
+            h, n = 2.0 ** -8, 300
+            integrand = _ttstar_style_integrand(h)
+        rows = max(1, oscint._SLAB_POINTS // n ** (integrand.d - 1))
+        assert rows < n and n % rows
+        value = oscint._midpoint(integrand, h, n)
+        assert value != 0
+        assert value == _unmasked_midpoint(integrand, h, n)
+
+    def test_one_slab_equals_whole_grid_formula(self):
+        h, n = 2.0 ** -6, 256
+        integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
+                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1))
+        assert n ** 2 == oscint._SLAB_POINTS
+        axes = [-1.5 + (np.arange(n) + 0.5) * (3.0 / n)] * 2
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
+        assert np.count_nonzero(vals == 0) > 0
+        assert oscint._midpoint(integrand, h, n) == complex(
+            np.sum(vals) * (3.0 / n) ** 2)
+
+    def test_phase_evaluated_on_support_only(self):
+        # A phase that is NaN wherever the amplitude vanishes leaves the value
+        # finite and unchanged: off the support the phase is never taken.
+        h, n = 2.0 ** -6, 300
+        amp = dyadic_amplitude(3, 1)
+        plain = quadratic_phase(1.0, 2)
+
+        def nan_off_support(pts):
+            return np.where(amp(pts, h) == 0, np.nan, plain(pts))
+
+        box = ((-1.5, 1.5),) * 2
+        value = oscint._midpoint(
+            OscIntegrand(plain, amp, 2, box, dyadic_loss(3, 1)), h, n)
+        masked = oscint._midpoint(
+            OscIntegrand(nan_off_support, amp, 2, box, dyadic_loss(3, 1)), h, n)
+        assert math.isfinite(abs(masked))
+        assert masked == value
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_norm_sq_matches_trailing_sum(self, d):
+        rng = np.random.default_rng(d)
+        axes = [np.linspace(-1.5, 1.5, 17)] * d
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        for pts in (rng.standard_normal((1000, d)) * 1e3,
+                    rng.standard_normal((7, 9, d)) * 1e-3, grid):
+            want = np.sum(pts ** 2, axis=-1)
+            got = oscint._norm_sq(pts)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCriticalPoints:
