@@ -219,11 +219,17 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-# Parameters the runners read as integers, checked at parse time so that a
-# bad value names its key before any output is written.
+# Parameters the runners read as integers or comma-separated lists of
+# integers, checked at parse time so that a bad value names its key before
+# any output is written.
 _INT_KEYS = ("n", "k", "j", "d", "points_per_scale", "joint_orders",
              "cells_per_band", "m_order", "max_order", "directions",
              "invp_points")
+_INT_LIST_KEYS = ("k_list", "orders", "expect_orders")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip()]
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -234,6 +240,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             except ValueError:
                 raise ConfigError(f"{key} must be an integer, got "
                                   f"{cfg.params[key]!r}") from None
+    for key in _INT_LIST_KEYS:
+        if key in cfg.params:
+            try:
+                values = _int_list(cfg.params[key])
+            except ValueError:
+                values = []
+            if not values:
+                raise ConfigError(f"{key} must be a list of integers, got "
+                                  f"{cfg.params[key]!r}")
     n = int(cfg.params.get("n", "0"))
     for name, text in cfg.symbols.items():
         try:
@@ -248,6 +263,16 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"family {cfg.params['family']!r} predicts "
                                   "no Lp slope; drop p_list or set "
                                   "peak_only = true")
+            if fam.p_min is not None and n >= 2:
+                p0 = fam.p_min(n)
+                low = [p for p in ps if p is not INF_P and p < p0]
+                if low:
+                    raise ConfigError(
+                        f"p_list has p = {', '.join(map(str, low))} below "
+                        f"p0 = {p0}, the least p at which family "
+                        f"{cfg.param('family', 'paraboloid')!r} predicts an "
+                        f"Lp slope at n = {n}; drop those p or set "
+                        "peak_only = true")
             if n > MAX_SYNTH_DIM:
                 raise ConfigError(
                     f"n = {n}: Lp norms need the field on a grid, and "
@@ -277,7 +302,7 @@ def _map(fn, items):
 
 def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     n = int(cfg.param("n", "3"))
-    k_list = [int(v) for v in _num_list(cfg.param("k_list", "1,3,5"))]
+    k_list = _int_list(cfg.param("k_list", "1,3,5"))
     points = int(cfg.param("invp_points", "25"))
     inv_p = [Fraction(i, 2 * (points - 1)) for i in range(points)]
     rows = []
@@ -336,7 +361,7 @@ def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                             str(expect_uniform), "exact",
                             profile.uniform == expect_uniform))
     finite = sorted({o for o in profile.orders() if not math.isinf(o)})
-    expect_orders = sorted(int(v) for v in _num_list(cfg.param("expect_orders")))
+    expect_orders = sorted(_int_list(cfg.param("expect_orders")))
     verdicts.append(Verdict("order-set", ";".join(map(str, finite)),
                             ";".join(map(str, expect_orders)), "exact",
                             finite == expect_orders))
@@ -559,7 +584,7 @@ def run_fio_check(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     n = int(cfg.param("n", "2"))
     k = int(cfg.param("k", "1"))
     hs = cfg.h_sweep()
-    orders = tuple(int(v) for v in _num_list(cfg.param("orders", "1,2")))
+    orders = tuple(_int_list(cfg.param("orders", "1,2")))
     spec = families.paraboloid_cutoff(n, k, pow2=True)
     p1, _ = families.paraboloid_pair(n, k)
     a1 = graph_factor(p1).a

@@ -10,6 +10,7 @@ follow the resolution rule of one sixteenth of the matching band width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .analysis import INF_P, contact_delta, parse_p
@@ -202,14 +203,16 @@ class Family:
     ``cutoff(n, k, cells_per_band)`` builds the spec and ``pair(n, k)`` its
     symbol pair; ``gamma(n, k)`` is the support-volume exponent (Vol ~
     h^gamma); ``slope(n, k, p)`` is the theorem-backed Lp growth exponent,
-    None where only the peak is predicted (from gamma); ``dim`` is the fixed
-    ambient dimension, None when n sets it.
+    None where only the peak is predicted (from gamma); ``p_min(n)`` is the
+    least p at which ``slope`` holds, None when it holds for every p >= 2;
+    ``dim`` is the fixed ambient dimension, None when n sets it.
     """
 
     cutoff: Callable[[int, int, int], FrequencyCutoff]
     pair: Callable[[int, int], tuple[PolySymbol, PolySymbol]]
     gamma: Callable[[int, int], float]
     slope: Callable[[int, int, object], float] | None = None
+    p_min: Callable[[int], Fraction] | None = None
     dim: int | None = None
 
 
@@ -221,6 +224,11 @@ def _contact_slope(n: int, k: int, p) -> float:
     return -float(contact_delta(n, p, k))
 
 
+def _kink_p(n: int) -> Fraction:
+    """p0 = 2(n+1)/(n-1): the paraboloid attains delta(n, p, k) for p >= p0."""
+    return Fraction(2 * (n + 1), n - 1)
+
+
 def _slab_slope(n: int, k: int, p) -> float:
     s = 0.0 if p is INF_P else 1.0 / float(parse_p(p))
     return -(n - 1) / 2.0 * (0.5 - s)
@@ -229,7 +237,7 @@ def _slab_slope(n: int, k: int, p) -> float:
 CUTOFF_FAMILIES: dict[str, Family] = {
     "paraboloid": Family(
         lambda n, k, cells: paraboloid_cutoff(n, k, cells_per_band=cells),
-        paraboloid_pair, _uniform_gamma, _contact_slope),
+        paraboloid_pair, _uniform_gamma, _contact_slope, p_min=_kink_p),
     "slab": Family(
         lambda n, k, cells: slab_cutoff(n, k, cells_per_band=cells),
         paraboloid_pair, lambda n, k: 1.0 + (n - 1) / 2.0, _slab_slope),

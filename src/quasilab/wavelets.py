@@ -3,11 +3,15 @@ decay diagnostics of the flat model.
 
 The mother wavelet is the derivative of the standard smooth bump
 exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth, mean zero, with a
-finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta (computed
-once by quadrature, tails reported).  Transforms are plain quadratures on
-the field's x1 grid, applied per scale as a sparse banded operator whose
-rows hold only the taps that land on data samples; windows that miss the
-data support are empty rows and give exact zeros, not small numbers.
+finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta.  C_f is
+computed by adaptive quadrature, tails reported, on first use: only
+``reconstruct`` needs it, and its first call runs ``admissibility``.
+Transforms are plain quadratures on the field's x1 grid, applied
+per scale as a sparse banded operator whose rows hold only the taps that
+land on data samples; windows that miss the data support are empty rows and
+give exact zeros, not small numbers.  Neither scipy.integrate nor
+scipy.sparse is imported with this module: the quadrature imports ``quad``
+when it runs, and ``scipy.sparse`` loads on the first ``cwt``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.sparse import csr_matrix
 
 from .errors import DimensionMismatchError
 from .grids import AxisSpec, GridField, ft_axes
@@ -54,11 +56,8 @@ class MotherWavelet:
 
     profile: Callable[[np.ndarray], np.ndarray]
     support_halfwidth: float
-    admissibility: float          # C_f = int_R |f^|^2/|eta| d eta
     l2_norm_sq: float
     mean: float                   # quadrature of f; ~0 by construction
-    tail_low: float               # bound on the omitted |eta| < eta_min piece
-    tail_high: float              # estimate of the omitted |eta| > eta_max piece
 
 
 def _fourier_abs_sq(eta: np.ndarray, t: np.ndarray, f: np.ndarray,
@@ -69,14 +68,36 @@ def _fourier_abs_sq(eta: np.ndarray, t: np.ndarray, f: np.ndarray,
 
 
 @lru_cache(maxsize=1)
-def make_mother_wavelet(eta_min: float = 1e-6, eta_max: float = 1e3,
-                        t_points: int = 8192) -> MotherWavelet:
-    """Build the bump-derivative wavelet and its admissibility constant.
+def make_mother_wavelet(t_points: int = 8192) -> MotherWavelet:
+    """Build the bump-derivative wavelet: profile, support, L2 norm, mean.
 
-    C_f is computed by adaptive quadrature on [eta_min, eta_max] (doubled for
-    the negative axis by symmetry); the trapezoid-in-t evaluation of f^ is
-    spectrally accurate because f vanishes to all orders at the endpoints.
+    The admissibility constant is not part of it: ``admissibility`` computes
+    C_f on first use, which is the first ``reconstruct``.
     """
+    tt = np.linspace(-1.0, 1.0, 2 * t_points)
+    fv = bump_derivative(tt)
+    dtt = tt[1] - tt[0]
+    return MotherWavelet(
+        profile=bump_derivative,
+        support_halfwidth=1.0,
+        l2_norm_sq=float(np.sum(fv * fv) * dtt),
+        mean=float(np.sum(fv) * dtt),
+    )
+
+
+@lru_cache(maxsize=1)
+def admissibility(eta_min: float = 1e-6, eta_max: float = 1e3,
+                  t_points: int = 8192) -> tuple[float, float, float]:
+    """(C_f, tail_low, tail_high) of the bump-derivative wavelet.
+
+    C_f = int_R |f^|^2/|eta| d eta is computed by adaptive quadrature on
+    [eta_min, eta_max] (doubled for the negative axis by symmetry); the
+    trapezoid-in-t evaluation of f^ is spectrally accurate because f
+    vanishes to all orders at the endpoints.  tail_low bounds the omitted
+    |eta| < eta_min piece and tail_high estimates the |eta| > eta_max one.
+    """
+    from scipy.integrate import quad
+
     t = np.linspace(0.0, 1.0, t_points)
     ft = bump_derivative(t)
     dt = t[1] - t[0]
@@ -93,19 +114,7 @@ def make_mother_wavelet(eta_min: float = 1e-6, eta_max: float = 1e3,
     tail_low = near * eta_min  # integrand decreases ~linearly to 0 below eta_min
     hi = _fourier_abs_sq(np.array([eta_max]), t, ft, dt)[0] / eta_max
     tail_high = hi * eta_max   # crude envelope; decay there is superpolynomial
-
-    tt = np.linspace(-1.0, 1.0, 2 * t_points)
-    fv = bump_derivative(tt)
-    dtt = tt[1] - tt[0]
-    return MotherWavelet(
-        profile=bump_derivative,
-        support_halfwidth=1.0,
-        admissibility=2.0 * c_half,
-        l2_norm_sq=float(np.sum(fv * fv) * dtt),
-        mean=float(np.sum(fv) * dtt),
-        tail_low=2.0 * tail_low,
-        tail_high=2.0 * tail_high,
-    )
+    return 2.0 * c_half, 2.0 * tail_low, 2.0 * tail_high
 
 
 # -- continuous wavelet transform --------------------------------------------------
@@ -143,6 +152,10 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
     variation scale the caller declares) are smooth at that resolution, and
     the wide-window cost drops from O(a) to O(1) per translate.
     """
+    # Imported on first use: scipy.sparse is a large share of start-up, and
+    # most runs never transform.
+    from scipy.sparse import csr_matrix
+
     if a_grid is None:
         a_grid = default_a_grid()
     ax = v.axes[0]
@@ -187,8 +200,9 @@ def reconstruct(coeffs: WaveletCoefficients, w: MotherWavelet,
                 x_nodes: np.ndarray) -> np.ndarray:
     """Inverse transform (2/C_f) sum_a w_a sum_b db a^(-5/2) X f((x-b)/a).
 
-    Positive scales only, hence the factor 2/C_f; the a-quadrature uses the
-    log-spaced weights a * dln(a).
+    Positive scales only, hence the factor 2/C_f (from ``admissibility``,
+    computed on the first call); the a-quadrature uses the log-spaced
+    weights a * dln(a).
     """
     a = coeffs.a_grid
     if len(a) < 2:
@@ -205,7 +219,7 @@ def reconstruct(coeffs: WaveletCoefficients, w: MotherWavelet,
         kernel = w.profile((x_nodes[:, None] - b[None, :]) / aval)
         weight = (aval * log_w[ai]) * db * aval ** -2.5
         out += weight * np.tensordot(kernel, coeffs.values[ai], axes=(1, 0))
-    return out * (2.0 / w.admissibility)
+    return out * (2.0 / admissibility()[0])
 
 
 # -- dyadic cutoffs ------------------------------------------------------------------

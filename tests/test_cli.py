@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quasilab
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
@@ -272,6 +276,10 @@ class TestValidation:
         ("sharp_largep_n2_k3.cfg", "joint_orders", "3", "three"),
         ("vdc_d1.cfg", "j", "2", "2.5"),
         ("vdc_d1.cfg", "d", "1", "1e0"),
+        ("delta_curves_n3.cfg", "k_list", "1, 3, 5", "2.5, 3"),
+        ("fio_n2_k1.cfg", "orders", "1, 2", "1, 2^1"),
+        ("contact_axis_k3.cfg", "expect_orders", "1, 3", "1, 3.0"),
+        ("contact_axis_k3.cfg", "expect_orders", "1, 3", ","),
     ])
     def test_non_integer_key_exits_2(self, tmp_path, capsys, config, key,
                                      old, new):
@@ -281,9 +289,28 @@ class TestValidation:
         out = tmp_path / "o"
         assert main(["run", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == EXIT_CONFIG
-        assert f"{key} must be an integer, got '{new}'" in \
+        what = "a list of integers" if "," in old else "an integer"
+        assert f"{key} must be {what}, got '{new}'" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_paraboloid_p_below_kink_exits_2(self, tmp_path, capsys):
+        # The paraboloid attains delta(n, p, k) only for p >= p0 = 2(n+1)/(n-1).
+        text = (CONFIG_DIR / "sharp_largep_n2_k3.cfg").read_text()
+        assert "\np_list = inf, 8\n" in text
+        text = text.replace("\np_list = inf, 8\n", "\np_list = inf, 6, 4\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "p_list has p = 4 below p0 = 6" in err
+        assert not out.exists()
+        # A peak-only sweep predicts no Lp slope; at n = 3, p0 = 4.
+        peak = text.replace("\np_list = inf, 6, 4\n",
+                            "\np_list = inf, 6, 4\npeak_only = true\n")
+        assert parse_config(write_cfg(tmp_path, peak)).params["n"] == "2"
+        n3 = text.replace("\nn = 2\n", "\nn = 3\n")
+        assert parse_config(write_cfg(tmp_path, n3)).params["n"] == "3"
 
     def test_lp_sweep_beyond_synthesis_dims_exits_2(self, tmp_path, capsys):
         text = (CONFIG_DIR / "sharp_largep_n2_k3.cfg").read_text()
@@ -305,6 +332,40 @@ class TestValidation:
                                                      f"h_start = {text}"))
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert repr(text) in capsys.readouterr().err
+
+
+# Start-up as one CLI run sees it: the scipy modules loaded after the import,
+# the wavelet, the parse of every shipped config and one non-wavelet run, then
+# after a run of the wavelet config.
+STARTUP_CHILD = """
+import json, sys
+from pathlib import Path
+import quasilab.cli
+from quasilab import experiments, wavelets
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+scipy_mods = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+wavelets.make_mother_wavelet()
+for path in sorted(configs.glob("*.cfg")):
+    experiments.parse_config(path)
+for stem in ("sharp_smallp_n2", "wavelet_flat_n2_k3"):
+    cfg = experiments.parse_config(configs / f"{stem}.cfg")
+    experiments.run_experiment(cfg, out / stem)
+    print(json.dumps(scipy_mods()))
+"""
+
+
+class TestStartup:
+    def test_no_scipy_until_a_transform(self, tmp_path):
+        src = str(Path(quasilab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", STARTUP_CHILD, str(CONFIG_DIR),
+             str(tmp_path)], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True)
+        before_cwt, after_cwt = map(json.loads, run.stdout.splitlines())
+        assert before_cwt == []
+        assert "scipy.sparse" in after_cwt
+        assert not any(m.startswith("scipy.integrate") for m in after_cwt)
 
 
 class TestOtherVerbs:

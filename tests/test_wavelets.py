@@ -9,19 +9,20 @@ import numpy as np
 import pytest
 
 from quasilab.grids import AxisSpec, GridField, POSITION
-from quasilab.wavelets import (bump, bump_derivative, cwt, dyadic_cutoffs,
-                               make_mother_wavelet, reconstruct)
+from quasilab.wavelets import (admissibility, bump, bump_derivative, cwt,
+                               dyadic_cutoffs)
 
 
 class TestMotherWavelet:
     def test_mean_zero(self, mother_wavelet):
         assert abs(mother_wavelet.mean) < 1e-12
 
-    def test_admissibility_finite_and_frozen(self, mother_wavelet):
+    def test_admissibility_finite_and_frozen(self):
         # Frozen value from the quadrature itself (stability guard).
-        assert mother_wavelet.admissibility == pytest.approx(1.12662767, rel=1e-5)
-        assert mother_wavelet.tail_low < 1e-10
-        assert mother_wavelet.tail_high < 1e-10
+        c_f, tail_low, tail_high = admissibility()
+        assert c_f == pytest.approx(1.12662767, rel=1e-5)
+        assert tail_low < 1e-10
+        assert tail_high < 1e-10
 
     def test_support(self, mother_wavelet):
         f = mother_wavelet.profile
