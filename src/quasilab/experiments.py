@@ -30,7 +30,7 @@ from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      quadratic_phase, resonant_amplitude, power_loss,
                      ttstar_kernel, vdc_check)
-from .quasimode import (MAX_SYNTH_DIM, Quasimode, build_cutoff,
+from .quasimode import (MAX_GRID_CELLS, Quasimode, build_cutoff,
                         support_volume, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
                       graph_factor, parse_symbol, sample_directions)
@@ -273,13 +273,25 @@ def _validate(cfg: ExperimentConfig) -> None:
                         f"{cfg.param('family', 'paraboloid')!r} predicts an "
                         f"Lp slope at n = {n}; drop those p or set "
                         "peak_only = true")
-            if n > MAX_SYNTH_DIM:
-                raise ConfigError(
-                    f"n = {n}: Lp norms need the field on a grid, and "
-                    f"synthesis supports n <= {MAX_SYNTH_DIM} only; drop "
-                    "p_list or set peak_only = true")
+            _check_sweep_grid(cfg, n)
     if "h_start" in cfg.params or "h_list" in cfg.params:
         cfg.h_sweep()
+
+
+def _check_sweep_grid(cfg: ExperimentConfig, n: int) -> None:
+    """An Lp sweep's position grid must fit the synthesis cell budget."""
+    margin = _num(cfg.param("margin", "8"))
+    if not 0 < margin < math.inf:
+        raise ConfigError(f"margin must be a positive number, got {margin}")
+    axes = oscillation_axes([1.0] * n, 1.0, margin,
+                            int(cfg.param("points_per_scale", "8")))
+    cells = math.prod(a.points for a in axes)
+    if cells > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"an Lp sweep at n = {n} synthesizes on a grid of "
+            f"{'x'.join(str(a.points) for a in axes)} = {cells} cells, over "
+            f"the budget of {MAX_GRID_CELLS} (2^24); lower n, margin or "
+            "points_per_scale, or set peak_only = true")
 
 
 def _threads() -> int:
@@ -679,6 +691,8 @@ TEMPLATES: tuple[Template, ...] = (
              "peak and L8 growth match the contact exponent (n=2, k=3)"),
     Template("sharp-smallp-n2", "sharpness-sweep", "sharp_smallp_n2.cfg",
              "slab extremizer saturates the low-p branch (p = 2, 4, 6)"),
+    Template("lp-n4-paraboloid-k3", "sharpness-sweep", "lp_n4_paraboloid_k3.cfg",
+             "L-inf, L8 and L6 growth match the contact exponent (n=4, k=3)"),
     Template("peak-valley-n3", "sharpness-sweep", "peak_valley_n3.cfg",
              "parabola-valley support volume and peak pick up the hidden h^(1/20)"),
     Template("wavelet-flat-n2-k3", "wavelet-diagnostic", "wavelet_flat_n2_k3.cfg",

@@ -229,9 +229,22 @@ def _kink_p(n: int) -> Fraction:
     return Fraction(2 * (n + 1), n - 1)
 
 
-def _slab_slope(n: int, k: int, p) -> float:
+def _box_slope(width: float, p) -> float:
+    """Lp growth exponent -width*(1/2 - 1/p) of a normalized box cutoff.
+
+    A box of volume h^gamma in n dimensions has width = n - gamma: its
+    transform peaks at h^(-width/2) and spreads over h^(width) of x-volume.
+    """
     s = 0.0 if p is INF_P else 1.0 / float(parse_p(p))
-    return -(n - 1) / 2.0 * (0.5 - s)
+    return -width * (0.5 - s)
+
+
+def _slab_slope(n: int, k: int, p) -> float:
+    return _box_slope((n - 1) / 2.0, p)
+
+
+def _flat_slope(n: int, k: int, p) -> float:
+    return _box_slope((n - 1) * k / (k + 1), p)
 
 
 CUTOFF_FAMILIES: dict[str, Family] = {
@@ -251,5 +264,5 @@ CUTOFF_FAMILIES: dict[str, Family] = {
         lambda n, k: 1.0 + 0.5 + 1.0 / 20.0, dim=3),
     "flat": Family(
         lambda n, k, cells: flat_cutoff(n, k, cells_per_band=cells),
-        flat_pair, _uniform_gamma, _contact_slope),
+        flat_pair, _uniform_gamma, _flat_slope),
 }

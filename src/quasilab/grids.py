@@ -102,12 +102,6 @@ class GridField:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.cell_volume))
 
 
-def mesh_points(axes: Sequence[AxisSpec]) -> np.ndarray:
-    """All grid nodes as an (N_total, n) array, C-order."""
-    grids = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 # -- transforms ---------------------------------------------------------------
 
 def _require_pow2(n: int) -> None:

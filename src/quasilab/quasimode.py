@@ -26,11 +26,20 @@ from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
 _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
-# Columns (stage 1) or rows (stage 2) per matrix product in
+# Columns (stage 1) or rows (each fold) per matrix product in
 # synthesize_on_axes.  A fixed block makes the output bits independent of the
 # BLAS thread count.
 _BLOCK = 64
-MAX_SYNTH_DIM = 3  # largest field dimension synthesize_on_axes handles
+# Largest grid, in cells, that to_grid_field or synthesize_on_axes allocates
+# (256 MB of complex values).
+MAX_GRID_CELLS = 1 << 24
+
+
+def _check_grid_cells(shape: Sequence[int]) -> None:
+    total = math.prod(shape)
+    if total > MAX_GRID_CELLS:
+        raise MemoryError(
+            f"dense grid would hold {total} cells (> {MAX_GRID_CELLS})")
 
 
 # -- h-scaling expressions -------------------------------------------------------
@@ -165,13 +174,10 @@ class CutoffField:
             bar = np.repeat(bars, reps, axis=0)
             yield np.concatenate([xi1[:, None], bar], axis=1)
 
-    def to_grid_field(self, max_cells: int = 1 << 24) -> GridField:
-        """Dense 0/1 indicator; guarded against runaway grids."""
+    def to_grid_field(self) -> GridField:
+        """Dense 0/1 indicator; refuses grids above MAX_GRID_CELLS."""
         shape = tuple(a.points for a in self.axes)
-        total = int(np.prod(shape))
-        if total > max_cells:
-            raise MemoryError(
-                f"dense grid would hold {total} cells (> {max_cells})")
+        _check_grid_cells(shape)
         data = np.zeros(shape, dtype=complex)
         bar_axes = self.axes[1:]
         flat = data.reshape(shape[0], -1)
@@ -314,59 +320,70 @@ def synthesize_raw(field: CutoffField, targets, chunk: int = 1 << 21) -> np.ndar
     return scale * out
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """First index of each run of equal rows in a sorted (R, m) key array."""
+    return np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+
+
 def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridField:
     """Raw synthesis on a product position grid (separable fast path).
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
-    (Dutt & Rokhlin 1993), evaluated exactly in two matrix-product stages.
-    The bar-grid columns fall into R rows of equal xi3.  Stage 1 sums each
-    row's columns into an (N1, N2) slab: the xi1 run factor (block x N1)
-    times the xi2 exponentials (block x N2), K*N1*N2 multiply-adds over all
-    K columns.  Stage 2 contracts the slabs against the rows' xi3
-    exponentials, (N1*N2 x R) times (R x N3): R*N1*N2*N3 multiply-adds,
-    written in C order with no transpose.  A 1D or 2D field is one row and
-    skips stage 2.  Rows are taken in increasing xi3 and columns in
-    increasing xi2 within a row, and both reductions run over fixed blocks
+    (Dutt & Rokhlin 1993), evaluated exactly by sum factorisation (Orszag
+    1980): one matrix-product stage, then one fold per bar axis beyond xi2.
+    Stage 1 sums the columns of each of the R rows of equal (xi3..xin) into
+    an (N1, N2) slab: the xi1 run factor (block x N1) times the xi2
+    exponentials (block x N2), K*N1*N2 multiply-adds over all K columns.
+    The fold of axis j+1 groups the current rows by their remaining
+    coordinates (xi(j+2)..xin) and contracts each group against its rows'
+    xi(j+1) exponentials, (N1*...*Nj x R_g) times (R_g x N(j+1)), written in
+    C order with no transpose: R*N1*...*N(j+1) multiply-adds for the R rows
+    it folds.  A 2D field is one row and no fold; a 3D field is one fold of
+    one group.  Rows are taken in increasing (xin, ..., xi3), columns in
+    increasing xi2 within a row, and every reduction runs over fixed blocks
     of _BLOCK columns or rows.  That fixes the summation order, and so every
     output bit, whatever the order of the stored columns or the BLAS thread
-    count.
+    count.  Grids above MAX_GRID_CELLS are refused before any allocation.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
-    if field.dim > MAX_SYNTH_DIM:
-        raise NotImplementedError(
-            f"product synthesis supports dim <= {MAX_SYNTH_DIM}")
+    shape = tuple(a.points for a in axes)
+    _check_grid_cells(shape)
     h = field.h
     dxi1 = field.axes[0].spacing
     first = field.xi1_first_node()
     counts = field.col_count.astype(float)
-    shape = tuple(a.points for a in axes)
-    x1 = axes[0].nodes()
+    x1, x2 = axes[0].nodes(), axes[1].nodes()
     theta = x1 * (dxi1 / h)
-    # A missing bar axis is zero coordinates and one node at 0: factor 1.
-    bar = np.zeros((len(first), 2))
-    bar[:, :field.dim - 1] = field.col_coords
-    x2, x3 = ([a.nodes() for a in axes[1:]] + [np.zeros(1)] * 2)[:2]
-    row_xi3, row_of = np.unique(bar[:, 1], return_inverse=True)
-    rows = np.split(np.lexsort((bar[:, 0], row_of)),
-                    np.cumsum(np.bincount(row_of))[:-1])
-    slabs = np.zeros((len(rows), len(x1), len(x2)), dtype=complex)
-    for slab, row in zip(slabs, rows):
+    bar = field.col_coords
+    # Columns by xin, ..., xi3, then xi2: each row of equal (xi3..xin) is a
+    # run, and rows that differ only in xi3 are adjacent.
+    order = np.lexsort(bar.T)
+    starts = _run_starts(bar[order, 1:])
+    keys = bar[order[starts], 1:]
+    slabs = np.zeros((len(starts), len(x1), len(x2)), dtype=complex)
+    for slab, row in zip(slabs, np.split(order, starts[1:])):
         for lo in range(0, len(row), _BLOCK):
             cols = row[lo:lo + _BLOCK]
             run = _dirichlet(theta[None, :], counts[cols, None])
             a0 = run * np.exp(1j * np.outer(first[cols], x1) / h)
             slab += a0.T @ np.exp(1j * np.outer(bar[cols, 0], x2) / h)
-    if field.dim < 3:
-        out = slabs[0]
-    else:
-        flat = slabs.reshape(len(rows), -1)
-        e3 = np.exp(1j * np.outer(row_xi3, x3) / h)
-        out = flat[:_BLOCK].T @ e3[:_BLOCK]
-        for lo in range(_BLOCK, len(rows), _BLOCK):
-            out += flat[lo:lo + _BLOCK].T @ e3[lo:lo + _BLOCK]
-    out *= field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
-    return GridField(h, POSITION, list(axes), out.reshape(shape))
+    flat = slabs.reshape(len(starts), -1)
+    for axis in axes[2:]:
+        # Fold the leading key coordinate; groups are runs of the rest.
+        e = np.exp(1j * np.outer(keys[:, 0], axis.nodes()) / h)
+        starts = _run_starts(keys[:, 1:])
+        keys = keys[starts, 1:]
+        folded = np.empty((len(starts), flat.shape[1], axis.points),
+                          dtype=complex)
+        for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(e)]):
+            blocks = [slice(b, min(b + _BLOCK, hi)) for b in range(lo, hi, _BLOCK)]
+            np.matmul(flat[blocks[0]].T, e[blocks[0]], out=out)
+            for blk in blocks[1:]:
+                out += flat[blk].T @ e[blk]
+        flat = folded.reshape(len(starts), -1)
+    flat *= field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
+    return GridField(h, POSITION, list(axes), flat.reshape(shape))
 
 
 # -- the normalized extremizer -------------------------------------------------------

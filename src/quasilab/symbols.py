@@ -2,10 +2,10 @@
 
 Symbols are multivariate polynomials over the rationals in the frequency
 variables x1..xn, stored as a map from exponent tuples to nonzero Fraction
-coefficients.  Every algebraic operation here (differentiation, graph
-factorization, line/curve restriction, Hessians, mixed-partial scans) is
-exact; floating point enters only when a symbol is evaluated at float
-points (eval, eval_grid).
+coefficients.  Every algebraic operation here (graph factorization,
+line/curve restriction, Hessians, mixed-partial scans) is exact; floating
+point enters only when a symbol is evaluated at float points (eval,
+eval_grid).
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ class PolySymbol:
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * self.dim, Fraction(0))
-
-    def depends_on(self, index: int) -> bool:
-        """True if x<index> (1-based) appears with positive exponent."""
-        return any(m[index - 1] for m in self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySymbol):
@@ -189,32 +185,6 @@ class PolySymbol:
                     term = term * powers[key]
             out += term
         return out
-
-    # -- calculus ------------------------------------------------------------
-
-    def differentiate(self, alpha: Sequence[int]) -> "PolySymbol":
-        """Exact partial derivative d^alpha, alpha a multi-index over all variables."""
-        if len(alpha) != self.dim:
-            raise DimensionMismatchError(
-                f"multi-index length {len(alpha)}, expected {self.dim}")
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.coeffs.items():
-            coeff = c
-            new = list(mono)
-            ok = True
-            for i, a in enumerate(alpha):
-                if a == 0:
-                    continue
-                if mono[i] < a:
-                    ok = False
-                    break
-                for j in range(a):
-                    coeff *= mono[i] - j
-                new[i] = mono[i] - a
-            if ok and coeff:
-                key = tuple(new)
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return PolySymbol(self.dim, out)
 
     def substitute(self, args: Sequence["PolySymbol"]) -> "PolySymbol":
         """Compose with polynomial arguments (one per variable, equal dims)."""
@@ -387,17 +357,6 @@ def graph_factor(p: PolySymbol) -> GraphForm:
         return GraphForm(None, False, "does not depend on x1")
     a = rest * Fraction(-1, 1) * (1 / c1)
     return GraphForm(a, True, "", c1)
-
-
-def lift_graph(form: GraphForm, dim: int) -> PolySymbol:
-    """Rebuild c*(x1 - a) in the ambient dimension; exact re-substitution."""
-    if not form.valid or form.a is None or form.xi1_coeff is None:
-        raise ValueError("cannot lift an invalid GraphForm")
-    if form.a.dim != dim - 1:
-        raise DimensionMismatchError("graph dimension does not match ambient dim")
-    x1 = PolySymbol.variable(1, dim)
-    a_lifted = PolySymbol(dim, {(0,) + m: c for m, c in form.a.coeffs.items()})
-    return (x1 - a_lifted) * form.xi1_coeff
 
 
 # -- contact order --------------------------------------------------------------

@@ -261,12 +261,6 @@ class DyadicFamily:
         return (_smooth_step(r / (2.0 ** j * base))
                 - _smooth_step(r / (2.0 ** (j - 1) * base)))
 
-    def partition_sum(self, r: np.ndarray) -> np.ndarray:
-        total = self.psi(0, r)
-        for j in range(1, self.levels + 1):
-            total = total + self.psi(j, r)
-        return total
-
 
 def dyadic_cutoffs(h: float, k: int) -> DyadicFamily:
     """Family with J = ceil(log2 h^(-1/(k+1))): sum_j psi_j = 1 on |r| <= 1."""

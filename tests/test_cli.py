@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import quasilab
+from quasilab.analysis import contact_delta
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                                   TEMPLATES, list_experiments, parse_config)
+from quasilab.quasimode import MAX_GRID_CELLS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,6 +131,44 @@ joint_orders = 1
         assert main(["run", str(cfg), "--out", str(tmp_path / "par")]) == EXIT_OK
         assert (tmp_path / "seq" / "sweep.csv").read_bytes() == \
             (tmp_path / "par" / "sweep.csv").read_bytes()
+
+    def test_n4_paraboloid_slopes(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", str(CONFIG_DIR / "lp_n4_paraboloid_k3.cfg"),
+                     "--out", str(out)]) == EXIT_OK
+        verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+        slopes = {v["name"]: float(v["measured"]) for v in verdicts}
+        for p in ("inf", "8", "6"):
+            assert abs(slopes[f"lp-slope-p{p}"]
+                       + float(contact_delta(4, p, 3))) <= 0.01
+
+    def test_flat_sweep_slopes(self, tmp_path):
+        # The flat cutoff is a box, |xi1| <= h by |xi-bar| <= (2h)^(1/4): its
+        # Lp slope is -(n-1)*k/(k+1)*(1/2 - 1/p), not -delta(n, p, k).
+        text = """
+[experiment]
+id = flat-sweep
+kind = sharpness-sweep
+
+[params]
+family = flat
+n = 2
+k = 3
+h_start = 2^-4
+h_stop = 2^-10
+p_list = inf, 8, 4
+joint_orders = 3
+
+[tolerances]
+slope = 0.01
+"""
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_OK
+        verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+        predicted = {v["name"]: float(v["predicted"]) for v in verdicts}
+        assert predicted["lp-slope-p8"] == -0.28125
+        assert predicted["lp-slope-p4"] == -0.1875
 
     def test_cells_per_band_override(self, tmp_path):
         text = """
@@ -319,12 +359,42 @@ class TestValidation:
         assert main(["run", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "n = 5" in err and "n <= 3" in err
+        assert "n = 5" in err and f"budget of {MAX_GRID_CELLS}" in err
         assert not out.exists()
         # A peak-only sweep synthesizes nothing on a grid, so n = 5 parses.
         text = text.replace("\nn = 5\n", "\nn = 5\npeak_only = true\n")
         cfg = parse_config(write_cfg(tmp_path, text))
         assert cfg.params["n"] == "5"
+
+    @pytest.mark.parametrize("n, margin, grid", [
+        ("4", None, "128x128x128x128"),   # the default margin and resolution
+        ("3", "32", "512x512x512"),
+    ])
+    def test_lp_sweep_over_grid_budget_exits_2(self, tmp_path, capsys, n,
+                                               margin, grid):
+        text = (CONFIG_DIR / "lp_n4_paraboloid_k3.cfg").read_text()
+        assert "\nmargin = 4\npoints_per_scale = 4\n" in text
+        text = text.replace("\nn = 4\n", f"\nn = {n}\n").replace(
+            "\nmargin = 4\npoints_per_scale = 4\n",
+            f"\nmargin = {margin}\n" if margin else "\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert grid in err and f"budget of {MAX_GRID_CELLS}" in err
+        assert "n, margin or points_per_scale" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("margin", ["inf", "0", "-1"])
+    def test_lp_sweep_nonpositive_margin_exits_2(self, tmp_path, capsys,
+                                                 margin):
+        text = (CONFIG_DIR / "lp_n4_paraboloid_k3.cfg").read_text()
+        text = text.replace("\nmargin = 4\n", f"\nmargin = {margin}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "margin must be a positive number" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["1/0", "abc", "2^x"])
     def test_malformed_number_exits_2(self, tmp_path, capsys, text):

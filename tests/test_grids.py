@@ -8,9 +8,14 @@ import pytest
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                             GridField, apply_multiplier, direct_synthesis,
-                            dual_axis, mesh_points, nufft_direct,
-                            semiclassical_ft)
+                            dual_axis, nufft_direct, semiclassical_ft)
 from quasilab.symbols import parse_symbol
+
+
+def mesh_points(axes):
+    """All grid nodes as an (N_total, n) array, C-order."""
+    grids = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def gaussian_field(h, n_axis=256, center=0.0):

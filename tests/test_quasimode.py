@@ -17,15 +17,21 @@ from quasilab import families
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError)
-from quasilab.grids import INVERSE, AxisSpec, mesh_points, semiclassical_ft
-from quasilab.quasimode import (AxisRule, BandConstraint, CutoffField,
-                                FrequencyCutoff, HExpr, Quasimode,
-                                build_cutoff, support_volume,
+from quasilab.grids import INVERSE, AxisSpec, semiclassical_ft
+from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
+                                CutoffField, FrequencyCutoff, HExpr,
+                                Quasimode, build_cutoff, support_volume,
                                 synthesize_on_axes, synthesize_raw,
                                 verify_joint_quasimode)
 from quasilab.symbols import parse_symbol
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
+
+
+def mesh_points(axes):
+    """All grid nodes as an (N_total, n) array, C-order."""
+    grids = np.meshgrid(*[a.nodes() for a in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 class TestHExpr:
@@ -167,62 +173,70 @@ class TestSynthesis:
         assert err < 1e-6
 
     def test_dense_guard(self):
-        h = 2.0 ** -10
-        cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
-        with pytest.raises(MemoryError):
-            cut.to_grid_field(max_cells=100)
+        # The 3D paraboloid's xi1 axis grows like h^(-1/2): at h = 2^-18 its
+        # dense grid holds about 3.4e7 cells.
+        cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -18)
+        assert math.prod(a.points for a in cut.axes) > MAX_GRID_CELLS
+        with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
+            cut.to_grid_field()
 
 
-def _line_field(h):
-    """1D run |xi1| <= h, hand-built: build_cutoff needs n >= 2."""
-    return CutoffField(h=h, axes=[AxisSpec(0.0, 2.0 * h, 64)],
-                       col_coords=np.zeros((1, 0)), col_start=np.array([16]),
-                       col_count=np.array([32]))
+def _fine_parabola_cutoff(n=2, caps=(0.5, 0.5, 0.5), spacing=1 / 160):
+    """|xi1 - |xi-bar|^2| <= h, |xi_j| <= caps[j-2] on a fine bar grid.
 
-
-def _fine_parabola_cutoff(n=2):
-    """|xi1 - |xi-bar|^2| <= h, |xi_j| <= 1/2 on a fine bar grid.
-
-    Each bar axis holds 160 support nodes: 160 columns in 2D, and 160 rows
-    (of equal xi3) of 160 columns each in 3D.
+    With the default caps and spacing each bar axis holds 160 support nodes:
+    160 columns in 2D, and 160 rows (of equal xi3) of 160 columns each in 3D.
     """
     bar = [f"x{j}" for j in range(2, n + 1)]
     paraboloid = parse_symbol("x1 - " + " - ".join(f"{x}^2" for x in bar), dim=n)
-    caps = tuple(BandConstraint(parse_symbol(x, dim=n), 0.0, 0.5) for x in bar)
+    caps = tuple(BandConstraint(parse_symbol(x, dim=n), 0.0, cap)
+                 for x, cap in zip(bar, caps))
     xi1_rule = AxisRule(HExpr(((-0.1, 0.0),)),
                         HExpr(((0.15 + 0.25 * (n - 1), 0.0),)),
                         HExpr(((1 / 16, 1.0),)))
     bar_rule = AxisRule(HExpr(((-0.6, 0.0),)), HExpr(((0.6, 0.0),)),
-                        HExpr(((1 / 160, 0.0),)))
+                        HExpr(((spacing, 0.0),)))
     return FrequencyCutoff((BandConstraint(paraboloid, 1.0),) + caps,
                            (xi1_rule,) + (bar_rule,) * (n - 1))
 
 
+def _fine_4d_field():
+    """A 4D field whose two folds both span more than one 64-row block.
+
+    |xi2| <= 0.02 and |xi3|, |xi4| <= 1/2 on a 1/80 bar grid: 6400 rows of
+    equal (xi3, xi4) with 4 columns each.  The xi3 fold has 80 groups of 80
+    rows, the xi4 fold one group of 80 rows.
+    """
+    return build_cutoff(_fine_parabola_cutoff(4, (0.02, 0.5, 0.5), 1 / 80),
+                        2.0 ** -6)
+
+
 # Prints sha256 digests of two 3D product syntheses (the n = 3 sweep's
-# field, and the fine field whose reductions both span several blocks) and
-# of a joint-ratio matrix.
+# field, and the fine field whose reductions both span several blocks), of
+# a 4D one whose two folds both span several blocks, and of a joint-ratio
+# matrix.
 DIGEST_CHILD = """
 import hashlib
 from quasilab import families
 from quasilab.analysis import oscillation_axes
 from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
                                 verify_joint_quasimode)
-from test_quasimode import _fine_parabola_cutoff
+from test_quasimode import _fine_4d_field, _fine_parabola_cutoff
 cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
 fine = build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6)
 arrays = [synthesize_on_axes(c, oscillation_axes(
-    [c.extent(i) for i in range(3)], c.h, margin, 8)).data
-    for c, margin in ((cut, 2), (fine, 4))]
+    [c.extent(i) for i in range(c.dim)], c.h, margin, pts)).data
+    for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
+                           (_fine_4d_field(), 2, 4))]
 for arr in arrays + [verify_joint_quasimode(cut, 3)]:
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
 
 class TestProductSynthesis:
-    """The two-stage matrix-product path against the pointwise column sum."""
+    """The stage-and-fold product path against the pointwise column sum."""
 
     @pytest.mark.parametrize("make_field,points,rows", [
-        (lambda: _line_field(2.0 ** -6), (37,), (1, 1)),
         # One row of 160 columns: two full 64-column blocks and a partial one.
         (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19),
          (1, 160)),
@@ -233,13 +247,19 @@ class TestProductSynthesis:
         # a partial one.
         (lambda: build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6),
          (7, 6, 5), (160, 160)),
-    ], ids=["1d", "2d", "3d", "3d-fine"])
+        # The n = 4 sweep's field at its coarsest h: 29,200 columns in 1,160
+        # rows; each fold is one block per group.
+        (lambda: build_cutoff(families.paraboloid_cutoff(4, 3), 2.0 ** -5),
+         (5, 4, 4, 3), (1160, 38)),
+        # Both folds span a full block and a partial one.
+        (_fine_4d_field, (5, 4, 4, 3), (6400, 4)),
+    ], ids=["2d", "3d", "3d-fine", "4d", "4d-fine"])
     def test_matches_pointwise_oracle(self, make_field, points, rows):
         cut = make_field()
         h = cut.h
-        # Columns per row of equal xi3; below 3D the field is one row.
-        xi3 = cut.col_coords[:, 1] if cut.dim == 3 else np.zeros(len(cut.col_count))
-        widths = np.unique(xi3, return_counts=True)[1]
+        # Columns per row of equal (xi3..xin); a 2D field is one row.
+        widths = np.unique(cut.col_coords[:, 1:], axis=0,
+                           return_counts=True)[1]
         assert (len(widths), widths.max()) == rows
         # Off-center boxes spanning a few oscillation scales per axis.
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
@@ -275,12 +295,12 @@ class TestProductSynthesis:
         assert peak <= 12e6
 
     def test_dimension_checked_before_allocation(self):
-        # A dense 4D grid of 1e16 points cannot be allocated; the dimension
-        # check must fire first.
+        # A dense 4D grid of 1e16 points cannot be allocated; the cell budget
+        # must refuse it first.
         axes = [AxisSpec(0.0, 1.0, 10 ** 4)] * 4
         cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
                           col_start=np.array([0]), col_count=np.array([1]))
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
             synthesize_on_axes(cut, axes)
 
     def test_bits_independent_of_blas_threads(self):
@@ -294,7 +314,7 @@ class TestProductSynthesis:
             run = subprocess.run([sys.executable, "-c", DIGEST_CHILD], env=env,
                                  capture_output=True, text=True, check=True)
             digests.append(run.stdout.split())
-        assert len(digests[0]) == 3
+        assert len(digests[0]) == 4
         assert digests[0] == digests[1]
 
 

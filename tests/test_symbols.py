@@ -13,8 +13,8 @@ from quasilab import families
 from quasilab.errors import DimensionMismatchError, SymbolParseError
 from quasilab.symbols import (INFINITE, PolySymbol, mixed_partials_check,
                               contact_order, contact_profile, curvature_check,
-                              format_symbol, graph_factor, lift_graph,
-                              parse_symbol, sample_directions)
+                              format_symbol, graph_factor, parse_symbol,
+                              sample_directions)
 
 F = Fraction
 
@@ -22,6 +22,13 @@ F = Fraction
 def bar(p):
     """Drop x1 from a graph-symbol pair and return the bar graphs."""
     return graph_factor(p).a
+
+
+def lift_graph(form, dim):
+    """Rebuild c*(x1 - a) in the ambient dimension from a graph factor."""
+    x1 = PolySymbol.variable(1, dim)
+    a_lifted = PolySymbol(dim, {(0,) + m: c for m, c in form.a.coeffs.items()})
+    return (x1 - a_lifted) * form.xi1_coeff
 
 
 class TestParseFormat:
@@ -88,23 +95,6 @@ class TestEval:
         grid = p.eval_grid([pts[:, 0], pts[:, 1]])
         for i in range(50):
             assert grid[i] == pytest.approx(p.eval(tuple(pts[i])), rel=1e-12)
-
-
-class TestDifferentiate:
-    def test_power_rule(self):
-        p = parse_symbol("x2^2*x3", dim=3)
-        assert p.differentiate((0, 2, 0)) == parse_symbol("2*x3", dim=3)
-        assert p.differentiate((0, 1, 1)) == parse_symbol("2*x2", dim=3)
-
-    def test_graph_difference_derivative(self):
-        # a1 - a2 = |xi-bar|^2 for k=1, so d/dxi2 gives 2*xi2.
-        p1, p2 = families.paraboloid_pair(3, 1)
-        diff = bar(p1) - bar(p2)
-        assert diff.differentiate((1, 0)) == parse_symbol("2*x1", dim=2)
-
-    def test_annihilates_low_degree(self):
-        p = parse_symbol("x1^2", dim=1)
-        assert p.differentiate((3,)).is_zero()
 
 
 class TestGraphFactor:
