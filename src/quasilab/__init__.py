@@ -13,8 +13,8 @@ from .analysis import (CONTACT, INF_P, SOGGE, SUBMANIFOLD, TRANSVERSE,
                        lp_norm, sogge_delta, submanifold_delta,
                        transverse_delta)
 from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
-                     EmptySupportError, QuasilabError, ResolutionError,
-                     SymbolParseError, TailDominanceError)
+                     EmptySupportError, GridBudgetError, QuasilabError,
+                     ResolutionError, SymbolParseError, TailDominanceError)
 from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                     GridField, apply_multiplier, direct_synthesis,
                     semiclassical_ft)

@@ -158,6 +158,10 @@ def delta_curve(family: str, n: int, k: int | None, inv_p_grid: Sequence[Fractio
 
 # -- Lp norms ------------------------------------------------------------------------
 
+# Largest share the estimated exterior may add to a finite-p norm.
+TAIL_FRACTION = 0.01
+
+
 @dataclass(frozen=True)
 class LpNorm:
     value: float
@@ -167,8 +171,7 @@ class LpNorm:
 
 def lp_norm(values: np.ndarray, weights, p,
             shell_mask: np.ndarray | None = None,
-            inner_shell_mask: np.ndarray | None = None,
-            tail_fraction: float = 0.01) -> LpNorm:
+            inner_shell_mask: np.ndarray | None = None) -> LpNorm:
     """Weighted quadrature Lp norm with an optional boundary-shell check.
 
     shell_mask marks the outermost layer of the target set.  For finite p
@@ -212,10 +215,10 @@ def lp_norm(values: np.ndarray, weights, p,
                 factor = min(ratio / (1.0 - ratio), 1e6)
         exterior = shell * factor
         tail = (total + exterior) ** (1.0 / pf) - norm
-        if tail > tail_fraction * norm:
+        if tail > TAIL_FRACTION * norm:
             raise TailDominanceError(
                 f"estimated exterior adds {tail / norm:.2%} to the L{p} norm "
-                f"(limit {tail_fraction:.2%}); enlarge the box")
+                f"(limit {TAIL_FRACTION:.2%}); enlarge the box")
     return LpNorm(norm, tail, p)
 
 
@@ -267,23 +270,22 @@ def fit_scaling(h_values: Sequence[float], norms: Sequence[float],
 
 
 def oscillation_axes(extents: Sequence[float], h: float, margin: float = 8.0,
-                     points_per_scale: int = 8, pow2: bool = True):
+                     points_per_scale: int = 8):
     """Position axes resolving the synthesis oscillation of a cutoff.
 
     extents are the per-axis frequency support extents; the field varies on
     the scale h/extent per axis, the box spans margin such scales each way,
-    and the sampling puts points_per_scale nodes per scale.  Axis counts are
-    h-independent, so sweeps sample self-similarly and slopes are clean.
+    and the sampling puts points_per_scale nodes per scale, with each axis
+    count rounded up to a power of two.  Axis counts are h-independent, so
+    sweeps sample self-similarly and slopes are clean.
     """
     from .grids import AxisSpec
 
     axes = []
     for ext in extents:
         scale = h / ext if ext > 0 else 1.0
-        points = 2 * margin * points_per_scale
-        n = int(points)
-        if pow2:
-            n = 1 << (n - 1).bit_length()
+        n = int(2 * margin * points_per_scale)
+        n = 1 << (n - 1).bit_length()
         axes.append(AxisSpec(0.0, margin * scale, n))
     return axes
 

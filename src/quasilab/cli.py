@@ -3,7 +3,7 @@
 Verbs: run <config> [--out DIR], list, delta --family ... , contact --p1
 FILE --p2 FILE.  Exit codes: 0 all verdicts pass, 1 a verdict failed,
 2 config parse/validation error, 3 a module refused (resolution, empty
-support, box or tail trouble) with the refusing module named.
+support, box, tail or grid-budget trouble) with the refusing module named.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .analysis import (CONTACT, FAMILIES, ExponentQuery, exponent, parse_p)
 from .errors import (BoxTooSmallError, ConfigError, EmptySupportError,
-                     QuasilabError, ResolutionError, TailDominanceError)
+                     GridBudgetError, QuasilabError, ResolutionError,
+                     TailDominanceError)
 from .experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                           EXIT_VERDICT_FAIL, list_experiments, parse_config,
                           run_experiment)
@@ -24,7 +25,7 @@ from .symbols import (contact_profile, format_symbol, graph_factor,
                       parse_symbol, sample_directions)
 
 _REFUSALS = (ResolutionError, EmptySupportError, BoxTooSmallError,
-             TailDominanceError)
+             TailDominanceError, GridBudgetError)
 
 
 def _raising_module(err: BaseException) -> str:

@@ -36,5 +36,9 @@ class TailDominanceError(QuasilabError, RuntimeError):
     """Boundary-shell mass exceeds the allowed fraction of an Lp norm."""
 
 
+class GridBudgetError(QuasilabError, MemoryError):
+    """A dense array would hold more cells than the module's budget allows."""
+
+
 class ConfigError(QuasilabError, ValueError):
     """Experiment configuration failed to parse or validate."""

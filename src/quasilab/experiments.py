@@ -121,6 +121,10 @@ def _num_list(text: str) -> list[float]:
     return [_num(t) for t in text.split(",") if t.strip()]
 
 
+def _p_values(text: str) -> list:
+    return [parse_p(t.strip()) for t in text.split(",") if t.strip()]
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description (flat key-value sections)."""
@@ -149,8 +153,6 @@ class ExperimentConfig:
     def family(self) -> families.Family:
         """The cutoff family record; an n it contradicts is a config error."""
         name = self.param("family", "paraboloid")
-        if name not in families.CUTOFF_FAMILIES:
-            raise ConfigError(f"unknown cutoff family {name!r}")
         fam = families.CUTOFF_FAMILIES[name]
         n = self.params.get("n")
         if fam.dim is not None and n and _num(n) != fam.dim:
@@ -178,8 +180,7 @@ class ExperimentConfig:
         return hs
 
     def p_list(self) -> list:
-        raw = self.params.get("p_list", "")
-        ps = [parse_p(t.strip()) for t in raw.split(",") if t.strip()]
+        ps = _p_values(self.params.get("p_list", ""))
         for p in ps:
             if p is not INF_P and p < 2:
                 raise ConfigError(f"every p must be >= 2, got {p}")
@@ -219,36 +220,64 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-# Parameters the runners read as integers or comma-separated lists of
-# integers, checked at parse time so that a bad value names its key before
-# any output is written.
-_INT_KEYS = ("n", "k", "j", "d", "points_per_scale", "joint_orders",
-             "cells_per_band", "m_order", "max_order", "directions",
-             "invp_points")
-_INT_LIST_KEYS = ("k_list", "orders", "expect_orders")
-
-
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _choice(*options: str) -> tuple[str, Callable[[str], str]]:
+    def check(text: str) -> str:
+        if text not in options:
+            raise ValueError(text)
+        return text
+    return f"one of {', '.join(options)}", check
+
+
+_INT = ("an integer", int)
+_NUMBER = ("a number", _num)
+_BOOL = _choice("true", "false")
+
+# Every [params] key some runner reads, with what its value must be and the
+# parser that checks it.  parse_config runs each parser, so a bad value or
+# an unknown key names itself before any output is written.
+_PARAM_CHECKS: dict[str, tuple[str, Callable[[str], object]]] = {
+    **dict.fromkeys(("n", "k", "j", "d", "points_per_scale", "joint_orders",
+                     "cells_per_band", "m_order", "max_order", "directions",
+                     "invp_points"), _INT),
+    **dict.fromkeys(("k_list", "orders", "expect_orders"),
+                    ("a list of integers", _int_list)),
+    **dict.fromkeys(("h", "h_start", "h_stop", "margin", "mu", "beta",
+                     "box_half_width", "degraded_below", "a", "separation",
+                     "x1_half_width", "x1_spacing"), _NUMBER),
+    "h_list": ("a list of numbers", _num_list),
+    "p_list": ("a list of exponents", _p_values),
+    **dict.fromkeys(("peak_only", "check_peak_slope", "expect_uniform"), _BOOL),
+    "family": _choice(*families.CUTOFF_FAMILIES),
+    "amplitude": _choice("dyadic", "resonant"),
+    "expect": _choice("pass", "fail"),
+}
+# Every [tolerances] key some runner reads; each value is a number.
+_TOLERANCE_CHECKS = dict.fromkeys(
+    ("volume_band", "joint_slack", "slope", "slope_p2", "small_a_min",
+     "large_a_abs", "exponent", "band"), _NUMBER)
+
+
+def _check_values(section: str, values: dict[str, str], checks: dict) -> None:
+    for key, text in values.items():
+        if key not in checks:
+            raise ConfigError(f"[{section}] key {key!r} is read by no "
+                              "experiment kind")
+        what, parse = checks[key]
+        try:
+            ok = parse(text) != []   # an empty list is no value
+        except (ValueError, ArithmeticError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {what}, got {text!r}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    for key in _INT_KEYS:
-        if key in cfg.params:
-            try:
-                int(cfg.params[key])
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got "
-                                  f"{cfg.params[key]!r}") from None
-    for key in _INT_LIST_KEYS:
-        if key in cfg.params:
-            try:
-                values = _int_list(cfg.params[key])
-            except ValueError:
-                values = []
-            if not values:
-                raise ConfigError(f"{key} must be a list of integers, got "
-                                  f"{cfg.params[key]!r}")
+    _check_values("params", cfg.params, _PARAM_CHECKS)
+    _check_values("tolerances", cfg.tolerances, _TOLERANCE_CHECKS)
     n = int(cfg.params.get("n", "0"))
     for name, text in cfg.symbols.items():
         try:
@@ -653,9 +682,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> RunResult:
         },
         "verdicts": [
             {"name": v.name,
-             "measured": v.measured if isinstance(v.measured, str) else fmt(v.measured),
-             "predicted": v.predicted if isinstance(v.predicted, str) else fmt(v.predicted),
-             "tolerance": v.tolerance if isinstance(v.tolerance, str) else fmt(v.tolerance),
+             "measured": fmt(v.measured),
+             "predicted": fmt(v.predicted),
+             "tolerance": fmt(v.tolerance),
              "passed": bool(v.passed)}
             for v in result.verdicts
         ],

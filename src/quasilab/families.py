@@ -52,10 +52,8 @@ def paraboloid_pair(n: int, k: int) -> tuple[PolySymbol, PolySymbol]:
     return p1, p2
 
 
-def axis_contact_pair(k: int, n: int = 3) -> tuple[PolySymbol, PolySymbol]:
+def axis_contact_pair(k: int) -> tuple[PolySymbol, PolySymbol]:
     """1,k-type model: difference x2^2 + x3^(k+1) (order 1 off one axis, k on it)."""
-    if n != 3:
-        raise ValueError("the 1,k model is three-dimensional")
     if k < 1 or k % 2 == 0:
         raise ValueError("need odd k >= 1")
     x1 = PolySymbol.variable(1, 3)
@@ -88,18 +86,15 @@ def flat_pair(n: int, k: int) -> tuple[PolySymbol, PolySymbol]:
     return x1, x1 + bar_norm_power(n, k + 1)
 
 
-def plane_vs_bowl_graphs(n: int = 3) -> tuple[PolySymbol, PolySymbol]:
-    """Graphs a1 = 0 and a2 = -(x1^2 + x2^6) in the n-1 bar variables.
+def plane_vs_bowl_graphs() -> tuple[PolySymbol, PolySymbol]:
+    """Graphs a1 = 0 and a2 = -(x1^2 + x2^6) in the two bar variables of n = 3.
 
     First-order contact along every line off one axis, fifth order on it;
     the standard nonuniform-contact surface pair.
     """
-    m = n - 1
-    if m != 2:
-        raise ValueError("the bowl pair is a surface example (n = 3)")
-    u = PolySymbol.variable(1, m)
-    v = PolySymbol.variable(2, m)
-    return PolySymbol.zero(m), -(u ** 2 + v ** 6)
+    u = PolySymbol.variable(1, 2)
+    v = PolySymbol.variable(2, 2)
+    return PolySymbol.zero(2), -(u ** 2 + v ** 6)
 
 
 # -- cutoff specs -----------------------------------------------------------------
@@ -132,37 +127,35 @@ def paraboloid_cutoff(n: int, k: int, pow2: bool = False,
                            (xi1_rule,) + (bar_rule,) * (n - 1))
 
 
-def slab_cutoff(n: int, k: int, c: float = 1.0, pow2: bool = False,
+def slab_cutoff(n: int, k: int,
                 cells_per_band: int = CELLS_PER_BAND) -> FrequencyCutoff:
-    """Uniform-contact bands plus |xi_j| <= c*h^(1/2): the small-p extremizer."""
+    """Uniform-contact bands plus |xi_j| <= h^(1/2): the small-p extremizer."""
     p1, p2 = paraboloid_pair(n, k)
     constraints = [_band(p1), _band(p2)]
     for j in range(2, n + 1):
-        constraints.append(BandConstraint(PolySymbol.variable(j, n), 0.5, c))
-    bar_ext = MARGIN * c
-    bar_rule = _rule([(-bar_ext, 0.5)], [(bar_ext, 0.5)],
-                     (c / cells_per_band, 0.5), pow2)
-    hi = [(MARGIN * (n - 1) * c * c + 3.0, 1.0)]
-    xi1_rule = _rule([(-3.0, 1.0)], hi, (1.0 / cells_per_band, 1.0), pow2)
+        constraints.append(BandConstraint(PolySymbol.variable(j, n), 0.5))
+    bar_rule = _rule([(-MARGIN, 0.5)], [(MARGIN, 0.5)],
+                     (1.0 / cells_per_band, 0.5))
+    hi = [(MARGIN * (n - 1) + 3.0, 1.0)]
+    xi1_rule = _rule([(-3.0, 1.0)], hi, (1.0 / cells_per_band, 1.0))
     return FrequencyCutoff(tuple(constraints), (xi1_rule,) + (bar_rule,) * (n - 1))
 
 
-def axis_contact_cutoff(k: int, pow2: bool = False,
+def axis_contact_cutoff(k: int,
                         cells_per_band: int = CELLS_PER_BAND) -> FrequencyCutoff:
     """{|p1| <= h, |p2| <= h} for the 1,k model (n = 3)."""
     p1, p2 = axis_contact_pair(k)
     e = 1.0 / (k + 1)
     r2 = _rule([(-MARGIN * 2 ** 0.5, 0.5)], [(MARGIN * 2 ** 0.5, 0.5)],
-               (2 ** 0.5 / cells_per_band, 0.5), pow2)
+               (2 ** 0.5 / cells_per_band, 0.5))
     r3 = _rule([(-MARGIN * 2 ** e, e)], [(MARGIN * 2 ** e, e)],
-               (2 ** e / cells_per_band, e), pow2)
+               (2 ** e / cells_per_band, e))
     hi = [(MARGIN ** 2 * 2.0, 1.0), (MARGIN ** 2 * 2 ** (2 * e), 2 * e), (3.0, 1.0)]
-    r1 = _rule([(-3.0, 1.0)], hi, (1.0 / cells_per_band, 1.0), pow2)
+    r1 = _rule([(-3.0, 1.0)], hi, (1.0 / cells_per_band, 1.0))
     return FrequencyCutoff((_band(p1), _band(p2)), (r1, r2, r3))
 
 
-def valley_cutoff(pow2: bool = False,
-                  cells_per_band: int = CELLS_PER_BAND) -> FrequencyCutoff:
+def valley_cutoff(cells_per_band: int = CELLS_PER_BAND) -> FrequencyCutoff:
     """{|q1| <= h, |q2| <= h} for the parabola-valley pair (n = 3).
 
     Support: |x2 - x3^2| <= sqrt(2h), |x2| <= (2h)^(1/10), |x3| ~ (2h)^(1/20);
@@ -172,12 +165,12 @@ def valley_cutoff(pow2: bool = False,
     s2 = 2 ** 0.5  # sqrt factors of the (2h) bounds
     r2 = _rule([(-MARGIN * s2, 0.5)],
                [(MARGIN * 2 ** 0.1, 0.1), (MARGIN * s2, 0.5)],
-               (s2 / cells_per_band, 0.5), pow2)
+               (s2 / cells_per_band, 0.5))
     ext3 = MARGIN * 2 ** 0.55  # sqrt((2h)^(1/10) + sqrt(2h)) <= sqrt(2)*(2h)^(1/20)
     r3 = _rule([(-ext3, 0.05)], [(ext3, 0.05)],
-               (2 ** 0.05 / cells_per_band, 0.05), pow2)
+               (2 ** 0.05 / cells_per_band, 0.05))
     hi = [(MARGIN ** 2 * 2 ** 0.2, 0.2), (MARGIN ** 2 * 2 * 2 ** 0.1, 0.1), (3.0, 1.0)]
-    r1 = _rule([(-3.0, 1.0)], hi, (1.0 / cells_per_band, 1.0), pow2)
+    r1 = _rule([(-3.0, 1.0)], hi, (1.0 / cells_per_band, 1.0))
     return FrequencyCutoff((_band(q1), _band(q2)), (r1, r2, r3))
 
 

@@ -205,45 +205,32 @@ def apply_multiplier(f: GridField, m: PolySymbol | Callable) -> GridField:
 
 # -- direct nonuniform synthesis ----------------------------------------------
 
-def nufft_direct(points: np.ndarray, weights: np.ndarray, h: float,
-                 targets: np.ndarray, chunk: int = 1 << 21) -> np.ndarray:
-    """sum_s weights[s] * exp(i <x, points[s]> / h) for each target x.
-
-    Deterministic reduction order (fixed chunking, numpy pairwise sums).
-    """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if targets.shape[1] != points.shape[1]:
-        raise DimensionMismatchError("targets and points disagree on dimension")
-    ns = points.shape[0]
-    out = np.empty(targets.shape[0], dtype=complex)
-    rows = max(1, chunk // max(ns, 1))
-    for lo in range(0, targets.shape[0], rows):
-        tt = targets[lo:lo + rows]
-        phase = tt[:, 0:1] * points[None, :, 0] if points.shape[1] == 1 else None
-        if phase is None:
-            phase = np.zeros((tt.shape[0], ns))
-            for d in range(points.shape[1]):
-                phase += tt[:, d:d + 1] * points[None, :, d]
-        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * weights[None, :], axis=1)
-    return out
-
-
 def direct_synthesis(cutoff_field: GridField, targets) -> np.ndarray:
     """Quadrature of (2*pi*h)^(-n/2) * integral exp(i<x,xi>/h) chi(xi) dxi.
 
     Sums over the nonzero cells of a FREQUENCY field at each target point;
     the midpoint rule in xi keeps this the exact discrete counterpart of
-    the FFT inverse on shared nodes.
+    the FFT inverse on shared nodes.  Targets are taken in fixed blocks, so
+    the reduction order is deterministic.
     """
     if cutoff_field.space != FREQUENCY:
         raise ValueError("direct_synthesis expects a FREQUENCY field")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.size == 0:
         raise ValueError("empty target list")
+    if targets.shape[1] != cutoff_field.dim:
+        raise DimensionMismatchError("targets and field disagree on dimension")
+    h = cutoff_field.h
     idx = np.nonzero(cutoff_field.data)
     nodes = [ax.nodes() for ax in cutoff_field.axes]
     points = np.stack([nodes[d][idx[d]] for d in range(cutoff_field.dim)], axis=-1)
     weights = cutoff_field.data[idx] * cutoff_field.cell_volume
-    scale = (_TWO_PI * cutoff_field.h) ** (-cutoff_field.dim / 2)
-    return scale * nufft_direct(points, weights, cutoff_field.h, targets)
+    out = np.empty(targets.shape[0], dtype=complex)
+    rows = max(1, (1 << 21) // max(len(weights), 1))
+    for lo in range(0, targets.shape[0], rows):
+        tt = targets[lo:lo + rows]
+        phase = np.zeros((tt.shape[0], len(weights)))
+        for d in range(cutoff_field.dim):
+            phase += tt[:, d:d + 1] * points[None, :, d]
+        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * weights[None, :], axis=1)
+    return (_TWO_PI * h) ** (-cutoff_field.dim / 2) * out

@@ -33,6 +33,12 @@ from .wavelets import MotherWavelet, _smooth_step
 
 _TWO_PI = 2.0 * np.pi
 _SLAB_POINTS = 1 << 16   # quadrature points per slab of _slabs
+_GRAD_PROBE = 33         # probe nodes per axis for the phase-gradient bound
+POINTS_PER_WAVELENGTH = 10.0   # evaluate's nodes per oscillation wavelength,
+MIN_POINTS_PER_AXIS = 33       # and the least and most nodes per axis it uses
+MAX_POINTS_PER_AXIS = 1 << 17
+_HESS_FLOOR = 0.1    # vdc_check's least |det Hess| / mu^d at the critical point
+_RATIO_BAND = 10.0   # and widest max/min spread of the normalized ratios
 
 Phase = Callable[[np.ndarray], np.ndarray]          # (..., d) -> (...)
 Amplitude = Callable[[np.ndarray, float], np.ndarray]
@@ -61,8 +67,8 @@ class EvalResult:
     error_estimate: float
 
 
-def _grad_max(phase: Phase, box, d: int, probe: int = 33) -> float:
-    axes = [np.linspace(lo, hi, probe) for lo, hi in box]
+def _grad_max(phase: Phase, box, d: int) -> float:
+    axes = [np.linspace(lo, hi, _GRAD_PROBE) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
     eps = min(hi - lo for lo, hi in box) * 1e-5
@@ -75,14 +81,11 @@ def _grad_max(phase: Phase, box, d: int, probe: int = 33) -> float:
     return gmax
 
 
-def evaluate(integrand: OscIntegrand, h: float,
-             points_per_wavelength: float = 10.0,
-             max_points_per_axis: int = 1 << 17,
-             min_points_per_axis: int = 33) -> EvalResult:
+def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
     """Tensor midpoint quadrature with a nested coarse pass for error control.
 
-    Raises ResolutionError when honoring points_per_wavelength (and the
-    amplitude's own scale 1/f(h)) would exceed max_points_per_axis.
+    Raises ResolutionError when honoring POINTS_PER_WAVELENGTH (and the
+    amplitude's own scale 1/f(h)) would exceed MAX_POINTS_PER_AXIS.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -92,17 +95,17 @@ def evaluate(integrand: OscIntegrand, h: float,
     wavelength = _TWO_PI * h / gmax if gmax > 0 else math.inf
     loss = integrand.loss_rate(h)
     amp_scale = 1.0 / loss if loss > 0 else math.inf
-    n = min_points_per_axis
+    n = MIN_POINTS_PER_AXIS
     for width in widths:
-        need_osc = width / wavelength * points_per_wavelength
+        need_osc = width / wavelength * POINTS_PER_WAVELENGTH
         need_amp = width / amp_scale * 8.0
         n = max(n, math.ceil(need_osc), math.ceil(need_amp))
-    if n > max_points_per_axis:
+    if n > MAX_POINTS_PER_AXIS:
         raise ResolutionError(
             f"{n} points per axis needed to resolve the oscillation "
-            f"(budget {max_points_per_axis}); refusing")
+            f"(budget {MAX_POINTS_PER_AXIS}); refusing")
     # Nested midpoint rules (n and n//2) give a data-driven error estimate.
-    coarse = _midpoint(integrand, h, max(min_points_per_axis // 2, n // 2))
+    coarse = _midpoint(integrand, h, max(MIN_POINTS_PER_AXIS // 2, n // 2))
     fine = _midpoint(integrand, h, n)
     return EvalResult(fine, n, abs(fine - coarse))
 
@@ -162,8 +165,7 @@ def _grad_hess(phase: Phase, x: np.ndarray, eps: float) -> tuple[np.ndarray, np.
     return grad, hess
 
 
-def find_critical_points(phase: Phase, box, d: int,
-                         tol: float = 1e-10) -> list[np.ndarray]:
+def find_critical_points(phase: Phase, box, d: int) -> list[np.ndarray]:
     """Damped Newton from the box center and corners; clustered duplicates merged."""
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -178,7 +180,7 @@ def find_critical_points(phase: Phase, box, d: int,
         ok = False
         for _ in range(80):
             grad, hess = _grad_hess(phase, x, eps)
-            if np.linalg.norm(grad) < tol * max(1.0, scale):
+            if np.linalg.norm(grad) < 1e-10 * max(1.0, scale):
                 ok = True
                 break
             try:
@@ -216,15 +218,13 @@ class VdcReport:
 
 
 def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
-              exponent_tolerance: float = 0.1, ratio_band: float = 10.0,
-              hess_floor: float = 0.1,
-              points_per_wavelength: float = 10.0) -> VdcReport:
+              exponent_tolerance: float = 0.1) -> VdcReport:
     """Sweep h, fit log|I| vs log h, and compare against the d/2 decay law.
 
     PASS requires: declared amplitude loss admissible at every h, a unique
-    nondegenerate critical point with |det Hess| >= hess_floor * mu^d,
+    nondegenerate critical point with |det Hess| >= _HESS_FLOOR * mu^d,
     fitted exponent >= d/2 - exponent_tolerance, and the normalized ratios
-    |I| h^(-d/2) mu^(d/2) confined to a bounded band across the sweep.
+    |I| h^(-d/2) mu^(d/2) within a factor _RATIO_BAND across the sweep.
     """
     if len(h_values) < 5:
         raise ValueError("need at least 5 sweep points")
@@ -238,23 +238,23 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
     scale = max(b[1] - b[0] for b in integrand.box)
     _, hess = _grad_hess(integrand.phase, crit, scale * 1e-4)
     det = float(abs(np.linalg.det(hess)))
-    if det < hess_floor * mu ** d:
+    if det < _HESS_FLOOR * mu ** d:
         return VdcReport(tuple(h_values), (), (), math.nan, math.nan, False,
                          tuple(crit), det, "REFUSED",
-                         f"|det Hess| = {det:.3g} below {hess_floor} * mu^d")
+                         f"|det Hess| = {det:.3g} below {_HESS_FLOOR} * mu^d")
 
     admissible = all(integrand.loss_rate(h) <= h ** -0.5 * mu ** 0.5 * (1 + 1e-9)
                      for h in h_values)
     mags = []
     for h in h_values:
-        res = evaluate(integrand, h, points_per_wavelength)
+        res = evaluate(integrand, h)
         mags.append(abs(res.value))
     logs_h = np.log(np.asarray(h_values, float))
     logs_m = np.log(np.maximum(mags, 1e-300))
     slope, stderr = _fit_line(logs_h, logs_m)
     ratios = tuple(m * h ** (-d / 2) * mu ** (d / 2)
                    for m, h in zip(mags, h_values))
-    bounded = max(ratios) <= ratio_band * max(min(ratios), 1e-300)
+    bounded = max(ratios) <= _RATIO_BAND * max(min(ratios), 1e-300)
     ok = admissible and slope >= d / 2 - exponent_tolerance and bounded
     reason = ""
     if not admissible:
@@ -344,8 +344,7 @@ class KernelValue:
 
 def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
                   h: float, k: int, x1: float, z1: float,
-                  xbar: Sequence[float], zbar: Sequence[float],
-                  points_per_wavelength: float = 10.0) -> KernelValue:
+                  xbar: Sequence[float], zbar: Sequence[float]) -> KernelValue:
     """Dyadic TT* kernel in the constant-coefficient model.
 
     K = B(x1,z1;a) * (2 pi h)^(-(n-1)) * int exp(i((xbar-zbar).xi
@@ -383,7 +382,7 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
 
     integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale,
                              name=f"ttstar j={j}")
-    res = evaluate(integrand, h, points_per_wavelength)
+    res = evaluate(integrand, h)
     pref = (_TWO_PI * h) ** (-m)
     # Triangle inequality on the same quadrature nodes: |sum| <= sum of
     # moduli holds to rounding, so the support-only bound is sharp in the

@@ -20,7 +20,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
-                     EmptySupportError)
+                     EmptySupportError, GridBudgetError)
 from .grids import FREQUENCY, POSITION, AxisSpec, GridField
 from .symbols import PolySymbol, split_affine_x1
 
@@ -30,15 +30,17 @@ _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
 # synthesize_on_axes.  A fixed block makes the output bits independent of the
 # BLAS thread count.
 _BLOCK = 64
-# Largest grid, in cells, that to_grid_field or synthesize_on_axes allocates
+# Largest array, in cells, that to_grid_field or synthesize_on_axes allocates
 # (256 MB of complex values).
 MAX_GRID_CELLS = 1 << 24
+_CELL_CHUNK = 1 << 14      # columns per block of support_cells
+_TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_raw
 
 
 def _check_grid_cells(shape: Sequence[int]) -> None:
     total = math.prod(shape)
     if total > MAX_GRID_CELLS:
-        raise MemoryError(
+        raise GridBudgetError(
             f"dense grid would hold {total} cells (> {MAX_GRID_CELLS})")
 
 
@@ -155,14 +157,14 @@ class CutoffField:
             return float(max(np.abs(first).max(), np.abs(last).max()))
         return float(np.abs(self.col_coords[:, axis - 1]).max())
 
-    def support_cells(self, chunk_cols: int = 1 << 14):
+    def support_cells(self):
         """Yield (coords (S, n), ) blocks covering every support cell once."""
         k = len(self.col_count)
         ax0 = self.axes[0]
-        for lo in range(0, k, chunk_cols):
-            counts = self.col_count[lo:lo + chunk_cols]
-            starts = self.col_start[lo:lo + chunk_cols]
-            bars = self.col_coords[lo:lo + chunk_cols]
+        for lo in range(0, k, _CELL_CHUNK):
+            counts = self.col_count[lo:lo + _CELL_CHUNK]
+            starts = self.col_start[lo:lo + _CELL_CHUNK]
+            bars = self.col_coords[lo:lo + _CELL_CHUNK]
             total = int(counts.sum())
             if total == 0:
                 continue
@@ -262,16 +264,11 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
         spec=spec)
 
 
-def support_volume(field: CutoffField | GridField) -> float:
+def support_volume(field: CutoffField) -> float:
     """Cell count times cell volume."""
-    if isinstance(field, CutoffField):
-        if field.cell_count == 0:
-            raise EmptySupportError("cutoff has empty support")
-        return field.volume()
-    count = int(np.count_nonzero(field.data))
-    if count == 0:
+    if field.cell_count == 0:
         raise EmptySupportError("cutoff has empty support")
-    return count * field.cell_volume
+    return field.volume()
 
 
 # -- synthesis ---------------------------------------------------------------------
@@ -290,7 +287,7 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return ratio * np.exp(1j * (counts - 1) * half)
 
 
-def synthesize_raw(field: CutoffField, targets, chunk: int = 1 << 21) -> np.ndarray:
+def synthesize_raw(field: CutoffField, targets) -> np.ndarray:
     """(2 pi h)^(-n/2) sum_cells exp(i<x,xi>/h) * cellvol at each target.
 
     Column-wise closed form: the xi1 run of every column is a geometric sum,
@@ -306,7 +303,7 @@ def synthesize_raw(field: CutoffField, targets, chunk: int = 1 << 21) -> np.ndar
     first = field.xi1_first_node()
     counts = field.col_count.astype(float)
     out = np.empty(targets.shape[0], dtype=complex)
-    rows = max(1, chunk // max(len(counts), 1))
+    rows = max(1, _TARGET_CHUNK // max(len(counts), 1))
     for lo in range(0, targets.shape[0], rows):
         tt = targets[lo:lo + rows]
         x1 = tt[:, 0:1]
@@ -343,7 +340,8 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     increasing xi2 within a row, and every reduction runs over fixed blocks
     of _BLOCK columns or rows.  That fixes the summation order, and so every
     output bit, whatever the order of the stored columns or the BLAS thread
-    count.  Grids above MAX_GRID_CELLS are refused before any allocation.
+    count.  The output grid, the stage-1 slabs and each fold's result are
+    checked against MAX_GRID_CELLS before they are allocated.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -361,6 +359,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     order = np.lexsort(bar.T)
     starts = _run_starts(bar[order, 1:])
     keys = bar[order[starts], 1:]
+    _check_grid_cells((len(starts), len(x1), len(x2)))
     slabs = np.zeros((len(starts), len(x1), len(x2)), dtype=complex)
     for slab, row in zip(slabs, np.split(order, starts[1:])):
         for lo in range(0, len(row), _BLOCK):
@@ -374,6 +373,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
         e = np.exp(1j * np.outer(keys[:, 0], axis.nodes()) / h)
         starts = _run_starts(keys[:, 1:])
         keys = keys[starts, 1:]
+        _check_grid_cells((len(starts), flat.shape[1], axis.points))
         folded = np.empty((len(starts), flat.shape[1], axis.points),
                           dtype=complex)
         for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(e)]):
@@ -414,27 +414,23 @@ class Quasimode:
         return (_TWO_PI * self.h) ** (-self.cutoff.dim / 2) * math.sqrt(vol)
 
 
-def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int,
-                           p1: PolySymbol | None = None,
-                           p2: PolySymbol | None = None) -> np.ndarray:
+def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarray:
     """||p1^M1 p2^M2 chi||_2 / (h^(M1+M2) ||chi||_2) on the frequency side.
 
     Returns the (orders+1, orders+1) matrix of these ratios indexed
     [M1, M2], from one pass over the support: p1^2 and p2^2 (in units of
     h^2) are evaluated once per chunk, and the power columns 0..orders of
-    each are contracted against the other.  Defaults to the cutoff's first
-    two band symbols.  Midpoint membership makes |p_j| <= h hold at every
-    support node, so each ratio is <= 1 up to rounding; values above
+    each are contracted against the other.  p1 and p2 are the cutoff's
+    first two band symbols.  Midpoint membership makes |p_j| <= h hold at
+    every support node, so each ratio is <= 1 up to rounding; values above
     1 + boundary slack indicate a broken cutoff.
     """
     field = qm.cutoff if isinstance(qm, Quasimode) else qm
     if orders < 0:
         raise ValueError("orders must be nonnegative")
-    if p1 is None or p2 is None:
-        if field.spec is None or len(field.spec.constraints) < 2:
-            raise ValueError("cutoff spec with two band constraints required")
-        p1 = p1 or field.spec.constraints[0].symbol
-        p2 = p2 or field.spec.constraints[1].symbol
+    if field.spec is None or len(field.spec.constraints) < 2:
+        raise ValueError("cutoff spec with two band constraints required")
+    p1, p2 = (c.symbol for c in field.spec.constraints[:2])
     h = field.h
     total = np.zeros((orders + 1, orders + 1))
     for coords in field.support_cells():

@@ -3,7 +3,7 @@
 Symbols are multivariate polynomials over the rationals in the frequency
 variables x1..xn, stored as a map from exponent tuples to nonzero Fraction
 coefficients.  Every algebraic operation here (graph factorization,
-line/curve restriction, Hessians, mixed-partial scans) is exact; floating
+line restriction, Hessians, mixed-partial scans) is exact; floating
 point enters only when a symbol is evaluated at float points (eval,
 eval_grid).
 """
@@ -186,24 +186,6 @@ class PolySymbol:
             out += term
         return out
 
-    def substitute(self, args: Sequence["PolySymbol"]) -> "PolySymbol":
-        """Compose with polynomial arguments (one per variable, equal dims)."""
-        if len(args) != self.dim:
-            raise DimensionMismatchError(
-                f"{len(args)} substitution arguments, expected {self.dim}")
-        inner_dim = args[0].dim
-        for a in args:
-            if a.dim != inner_dim:
-                raise DimensionMismatchError("substitution arguments disagree on dim")
-        result = PolySymbol.zero(inner_dim)
-        for mono, c in self.coeffs.items():
-            term = PolySymbol.constant(c, inner_dim)
-            for arg, e in zip(args, mono):
-                if e:
-                    term = term * arg ** e
-            result = result + term
-        return result
-
     def restrict_line(self, direction: Sequence[Rational]) -> list[Fraction]:
         """Coefficients of p(t*v) as a dense univariate list, degree-indexed."""
         if len(direction) != self.dim:
@@ -363,9 +345,9 @@ def graph_factor(p: PolySymbol) -> GraphForm:
 
 @dataclass(frozen=True)
 class ContactReport:
-    """Contact order of two graphs along one line (or curve) through 0.
+    """Contact order of two graphs along one line through 0.
 
-    order = s means the t-derivatives of (a1-a2) along the path vanish
+    order = s means the t-derivatives of (a1-a2) along the line vanish
     through order s and the (s+1)-st does not; INFINITE when every probed
     derivative vanishes.  leading_coefficient is the first nonvanishing
     derivative divided by its factorial (the t^{s+1} Taylor coefficient),
@@ -377,54 +359,30 @@ class ContactReport:
     leading_coefficient: Fraction | None
 
 
-Curve = Sequence[PolySymbol]
-
-
-def _restrict(diff: PolySymbol, path) -> list[Fraction]:
-    if isinstance(path, (tuple, list)) and path and isinstance(path[0], PolySymbol):
-        for c in path:
-            if c.dim != 1:
-                raise DimensionMismatchError("curve components must be univariate")
-            if c.constant_term():
-                raise ValueError("curve must pass through the contact point")
-        uni = diff.substitute(list(path))
-        out = [Fraction(0)] * (uni.total_degree() + 1)
-        for mono, c in uni.coeffs.items():
-            out[mono[0]] += c
-        return out
-    return diff.restrict_line(path)
-
-
 def contact_order(a1: PolySymbol, a2: PolySymbol, direction,
                   max_order: int = 32) -> ContactReport:
-    """Contact order of the graphs of a1, a2 along a line (or polynomial curve).
+    """Contact order of the graphs of a1, a2 along a line through 0.
 
     The direction may be any nonzero rational vector; the order is invariant
     under rescaling, so unit normalization is unnecessary (and would leave
-    the rationals).  Entries may instead be univariate PolySymbols defining
-    a polynomial curve through 0.
+    the rationals).
     """
     if a1.dim != a2.dim:
         raise DimensionMismatchError("a1 and a2 must share a dimension")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    is_curve = (isinstance(direction, (tuple, list)) and direction
-                and isinstance(direction[0], PolySymbol))
-    if not is_curve:
-        if len(direction) != a1.dim or not any(Fraction(x) for x in direction):
-            raise ValueError("direction must be a nonzero vector of length dim")
-        direction = tuple(Fraction(x) for x in direction)
-    diff = a1 - a2
-    coeffs = _restrict(diff, direction)
-    key = tuple(direction) if not is_curve else tuple(format_symbol(c) for c in direction)
+    if len(direction) != a1.dim or not any(Fraction(x) for x in direction):
+        raise ValueError("direction must be a nonzero vector of length dim")
+    direction = tuple(Fraction(x) for x in direction)
+    coeffs = (a1 - a2).restrict_line(direction)
     if coeffs and coeffs[0]:
-        raise ValueError("graphs do not meet at the origin along this path")
+        raise ValueError("graphs do not meet at the origin along this line")
     for s, c in enumerate(coeffs):
         if c:
             if s - 1 > max_order:
                 break
-            return ContactReport(key, s - 1, c)
-    return ContactReport(key, INFINITE, None)
+            return ContactReport(direction, s - 1, c)
+    return ContactReport(direction, INFINITE, None)
 
 
 @dataclass(frozen=True)

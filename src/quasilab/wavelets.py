@@ -27,6 +27,10 @@ from .errors import DimensionMismatchError
 from .grids import AxisSpec, GridField, ft_axes
 
 _TWO_PI = 2.0 * np.pi
+_T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
+_ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
+_A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))   # cwt's default scales
+_LOCALIZE_HALFWIDTH = 1.5   # decay_diagnostic's window is flat out to here
 
 
 def bump(t: np.ndarray) -> np.ndarray:
@@ -68,13 +72,13 @@ def _fourier_abs_sq(eta: np.ndarray, t: np.ndarray, f: np.ndarray,
 
 
 @lru_cache(maxsize=1)
-def make_mother_wavelet(t_points: int = 8192) -> MotherWavelet:
+def make_mother_wavelet() -> MotherWavelet:
     """Build the bump-derivative wavelet: profile, support, L2 norm, mean.
 
     The admissibility constant is not part of it: ``admissibility`` computes
     C_f on first use, which is the first ``reconstruct``.
     """
-    tt = np.linspace(-1.0, 1.0, 2 * t_points)
+    tt = np.linspace(-1.0, 1.0, 2 * _T_POINTS)
     fv = bump_derivative(tt)
     dtt = tt[1] - tt[0]
     return MotherWavelet(
@@ -86,34 +90,33 @@ def make_mother_wavelet(t_points: int = 8192) -> MotherWavelet:
 
 
 @lru_cache(maxsize=1)
-def admissibility(eta_min: float = 1e-6, eta_max: float = 1e3,
-                  t_points: int = 8192) -> tuple[float, float, float]:
+def admissibility() -> tuple[float, float, float]:
     """(C_f, tail_low, tail_high) of the bump-derivative wavelet.
 
     C_f = int_R |f^|^2/|eta| d eta is computed by adaptive quadrature on
-    [eta_min, eta_max] (doubled for the negative axis by symmetry); the
+    [_ETA_MIN, _ETA_MAX] (doubled for the negative axis by symmetry); the
     trapezoid-in-t evaluation of f^ is spectrally accurate because f
     vanishes to all orders at the endpoints.  tail_low bounds the omitted
-    |eta| < eta_min piece and tail_high estimates the |eta| > eta_max one.
+    |eta| < _ETA_MIN piece and tail_high estimates the |eta| > _ETA_MAX one.
     """
     from scipy.integrate import quad
 
-    t = np.linspace(0.0, 1.0, t_points)
+    t = np.linspace(0.0, 1.0, _T_POINTS)
     ft = bump_derivative(t)
     dt = t[1] - t[0]
 
     def integrand(eta: float) -> float:
         return float(_fourier_abs_sq(np.array([eta]), t, ft, dt)[0]) / eta
 
-    val, _err = quad(integrand, eta_min, 1.0, limit=200)
+    val, _err = quad(integrand, _ETA_MIN, 1.0, limit=200)
     val2, _err2 = quad(integrand, 1.0, 50.0, limit=400)
-    val3, _err3 = quad(integrand, 50.0, eta_max, limit=400)
+    val3, _err3 = quad(integrand, 50.0, _ETA_MAX, limit=400)
     c_half = val + val2 + val3
     # Tails: |f^(eta)|^2/eta <= C*eta near 0; superpolynomial decay above.
-    near = _fourier_abs_sq(np.array([eta_min]), t, ft, dt)[0] / eta_min
-    tail_low = near * eta_min  # integrand decreases ~linearly to 0 below eta_min
-    hi = _fourier_abs_sq(np.array([eta_max]), t, ft, dt)[0] / eta_max
-    tail_high = hi * eta_max   # crude envelope; decay there is superpolynomial
+    near = _fourier_abs_sq(np.array([_ETA_MIN]), t, ft, dt)[0] / _ETA_MIN
+    tail_low = near * _ETA_MIN  # integrand decreases ~linearly to 0 below it
+    hi = _fourier_abs_sq(np.array([_ETA_MAX]), t, ft, dt)[0] / _ETA_MAX
+    tail_high = hi * _ETA_MAX   # crude envelope; decay there is superpolynomial
     return 2.0 * c_half, 2.0 * tail_low, 2.0 * tail_high
 
 
@@ -130,18 +133,12 @@ class WaveletCoefficients:
     h: float
 
 
-def default_a_grid(lo: float = 2.0 ** -6, hi: float = 2.0 ** 6,
-                   points: int = 25) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
-
-
 def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
-        b_step_factor: float = 8.0, b_pad: float = 1.0,
-        x1_scale: float = 1.0) -> WaveletCoefficients:
+        b_step_factor: float = 8.0, x1_scale: float = 1.0) -> WaveletCoefficients:
     """X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
 
     b runs on a per-scale grid of step ~ a/b_step_factor (snapped to the x1
-    grid so windows slide by whole cells), extended b_pad dilated supports
+    grid so windows slide by whole cells), extended one dilated support
     beyond the data so the no-overlap region is represented.  Each scale is
     one sparse (len(b), n1) operator applied to the field; a window's row
     keeps only the taps on data samples, so windows off the data are empty
@@ -157,7 +154,7 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
     from scipy.sparse import csr_matrix
 
     if a_grid is None:
-        a_grid = default_a_grid()
+        a_grid = _A_GRID
     ax = v.axes[0]
     dx = ax.spacing
     n1 = ax.points
@@ -175,7 +172,7 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
         qstep = qstride * dx
         wcells = int(math.ceil(2.0 * half / qstep)) + 2
         stride = max(1, int(round(a / b_step_factor / dx)))
-        pad_cells = int(math.ceil(2.0 * b_pad * half / dx)) + wcells * qstride
+        pad_cells = int(math.ceil(2.0 * half / dx)) + wcells * qstride
         b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
         b = ax.start + (b_idx + 0.5) * dx
         offs = (np.arange(2 * wcells + 1) - wcells) * qstride
@@ -291,9 +288,7 @@ class DecayDiagnostic:
 
 
 def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
-                       k: int, a_grid: Sequence[float] | None = None,
-                       localize_halfwidth: float | None = 1.5
-                       ) -> DecayDiagnostic:
+                       k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
 
     v is a flat-model quasimode on a position grid (x1 = axis 0); the bar
@@ -302,22 +297,19 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
     the 2^(-j(k+1)M) * (|a|^(3/2) for a <= 1, 1 for a >= 1) envelope.
 
     The decay law presumes a quasimode localized in an O(1) region, while a
-    sharp-cutoff synthesis has |x1|^-1 tails out to the box; unless
-    localize_halfwidth is None, v is therefore multiplied by a smooth
-    window flat on |x1| <= localize_halfwidth (zero past 1.5x).  The window
-    commutes with hD_x1 up to an exact O(h) term, so the windowed field is
-    still an order-h quasimode and the envelope applies to it verbatim.
+    sharp-cutoff synthesis has |x1|^-1 tails out to the box; v is therefore
+    multiplied by a smooth window flat on |x1| <= _LOCALIZE_HALFWIDTH (zero
+    past 1.5x).  The window commutes with hD_x1 up to an exact O(h) term, so
+    the windowed field is still an order-h quasimode and the envelope
+    applies to it verbatim.
     """
     if v.dim < 2:
         raise DimensionMismatchError("need at least one bar axis")
-    if a_grid is not None and len(set(np.asarray(a_grid, float))) < 2:
-        raise ValueError("degenerate a-grid: need at least two distinct scales")
     family = dyadic_cutoffs(v.h, k)
-    if localize_halfwidth is not None:
-        window = _smooth_step(np.abs(v.axes[0].nodes()) / localize_halfwidth)
-        data = v.data * window.reshape((-1,) + (1,) * (v.dim - 1))
-        v = GridField(v.h, v.space, list(v.axes), data)
-    coeffs = cwt(v, w, a_grid)
+    window = _smooth_step(np.abs(v.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
+    data = v.data * window.reshape((-1,) + (1,) * (v.dim - 1))
+    v = GridField(v.h, v.space, list(v.axes), data)
+    coeffs = cwt(v, w)
     a_vals = coeffs.a_grid
     # Bar-side transform of X(a, b, .) for every b at once.
     table: dict[tuple[int, int], float] = {}
@@ -345,8 +337,6 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
         xs = np.log(a_vals[mask])
         ys = np.log(np.maximum([table[(ai, 0)] for ai in np.nonzero(mask)[0]],
                                1e-300))
-        if len(xs) < 2:
-            return float("nan")
         return float(np.polyfit(xs, ys, 1)[0])
 
     # Each asymptotic exponent is measured in the outer octaves of its

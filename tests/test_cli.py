@@ -403,6 +403,41 @@ class TestValidation:
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert repr(text) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, old, new, key", [
+        # A key no kind reads, in either section.
+        ("sharp_largep_n2_k3.cfg", "joint_orders = 3", "joint_order = 9",
+         "joint_order"),
+        ("vdc_d1.cfg", "exponent = 0.1", "exponnent = 0.1", "exponnent"),
+        # Booleans are true or false, choices one of their names.
+        ("sharp_largep_n2_k3.cfg", "joint_orders = 3",
+         "joint_orders = 3\npeak_only = yes", "peak_only"),
+        ("contact_axis_k3.cfg", "expect_uniform = false",
+         "expect_uniform = True", "expect_uniform"),
+        ("vdc_d1.cfg", "expect = pass", "expect = PASS", "expect"),
+        # A malformed number that only the runner used to parse.
+        ("vdc_d1.cfg", "mu = 1", "mu = abc", "mu"),
+    ], ids=["unknown-param", "unknown-tolerance", "bool-yes", "bool-True",
+            "choice-PASS", "number-abc"])
+    def test_bad_or_unknown_key_exits_2(self, tmp_path, capsys, config, old,
+                                         new, key):
+        text = (CONFIG_DIR / config).read_text()
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_budget_refusal_exits_3(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "fio_n2_k1.cfg").read_text()
+        assert "\nx1_half_width = 8\n" in text
+        text = text.replace("\nx1_half_width = 8\n", "\nx1_half_width = 2^14\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_REFUSED
+        err = capsys.readouterr().err
+        assert "from quasimode" in err and str(MAX_GRID_CELLS) in err
+
 
 # Start-up as one CLI run sees it: the scipy modules loaded after the import,
 # the wavelet, the parse of every shipped config and one non-wavelet run, then

@@ -8,7 +8,7 @@ import pytest
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                             GridField, apply_multiplier, direct_synthesis,
-                            dual_axis, nufft_direct, semiclassical_ft)
+                            dual_axis, semiclassical_ft)
 from quasilab.symbols import parse_symbol
 
 
@@ -202,6 +202,6 @@ class TestDirectSynthesis:
         with pytest.raises(ValueError):
             direct_synthesis(self._indicator(), np.zeros((0, 2)))
 
-    def test_nufft_dimension_check(self):
+    def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            nufft_direct(np.zeros((3, 2)), np.ones(3), 0.5, np.zeros((4, 3)))
+            direct_synthesis(self._indicator(), np.zeros((4, 3)))

@@ -90,7 +90,7 @@ class TestEvaluate:
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
                                  1, ((-100, 100),), unit_loss)
         with pytest.raises(ResolutionError):
-            evaluate(integrand, 2.0 ** -12, max_points_per_axis=4096)
+            evaluate(integrand, 2.0 ** -12)
 
     def test_error_estimate_reported(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import quasilab
-from quasilab import families
+from quasilab import families, quasimode
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError)
@@ -301,6 +301,15 @@ class TestProductSynthesis:
         cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
                           col_start=np.array([0]), col_count=np.array([1]))
         with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
+            synthesize_on_axes(cut, axes)
+
+    def test_slabs_checked_before_allocation(self, monkeypatch):
+        # 240 output cells fit a 1000-cell budget; the 6400 stage-1 slabs of
+        # 5 x 4 cells each (128,000) do not.
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 1000)
+        cut = _fine_4d_field()
+        axes = [AxisSpec(0.0, 1.0, n) for n in (5, 4, 4, 3)]
+        with pytest.raises(MemoryError, match="128000 cells"):
             synthesize_on_axes(cut, axes)
 
     def test_bits_independent_of_blas_threads(self):

@@ -229,13 +229,6 @@ class TestContactProfile:
         off_axis = [o for d, o in orders.items() if d[0] != 0]
         assert set(off_axis) == {1}
 
-    def test_valley_curve_mode(self):
-        # Along the parabola (t^2, t) the valley difference is t^20.
-        q1, q2 = families.valley_pair()
-        t = PolySymbol.variable(1, 1)
-        rep = contact_order(bar(q1), bar(q2), (t ** 2, t), max_order=32)
-        assert rep.order == 19
-
     def test_empty_sample_rejected(self):
         a = bar(families.paraboloid_pair(3, 1)[0])
         with pytest.raises(ValueError):
