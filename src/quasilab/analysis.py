@@ -291,11 +291,12 @@ def oscillation_axes(extents: Sequence[float], h: float, margin: float = 8.0,
 
 
 def shell_mask(shape: Sequence[int], layer: int = 0) -> np.ndarray:
-    """Boolean mask of the cells exactly ``layer`` steps from the boundary."""
+    """Boolean mask of the cells exactly ``layer`` steps from the boundary.
+
+    The box of cells at depth >= layer, minus the box at depth >= layer + 1.
+    """
     shape = tuple(shape)
-    depth = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
-    for axis, npts in enumerate(shape):
-        idx = np.minimum(np.arange(npts), npts - 1 - np.arange(npts))
-        view = idx.reshape([npts if a == axis else 1 for a in range(len(shape))])
-        depth = np.minimum(depth, view)
-    return depth == layer
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(slice(layer, max(n - layer, 0)) for n in shape)] = True
+    mask[tuple(slice(layer + 1, max(n - layer - 1, 0)) for n in shape)] = False
+    return mask

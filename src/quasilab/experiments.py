@@ -138,9 +138,9 @@ class ExperimentConfig:
     out: str | None = None
     path: str | None = None
 
-    def param(self, key: str, default=None, cast: Callable = str):
+    def param(self, key: str, default=None):
         if key in self.params:
-            return cast(self.params[key])
+            return self.params[key]
         if default is None:
             raise ConfigError(f"missing parameter {key!r} for {self.kind}")
         return default
@@ -446,8 +446,8 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     fam = cfg.family()
     n = int(cfg.param("n", "0") or 0)
     k = int(cfg.param("k", "1"))
-    spec = fam.cutoff(n, k, cfg.param("cells_per_band",
-                                      families.CELLS_PER_BAND, int))
+    spec = fam.cutoff(n, k, int(cfg.param("cells_per_band",
+                                          families.CELLS_PER_BAND)))
     hs = cfg.h_sweep()
     ps = cfg.p_list()
     joint_orders = int(cfg.param("joint_orders", "3"))

@@ -33,7 +33,7 @@ _BLOCK = 64
 # Largest array, in cells, that to_grid_field or synthesize_on_axes allocates
 # (256 MB of complex values).
 MAX_GRID_CELLS = 1 << 24
-_CELL_CHUNK = 1 << 14      # columns per block of support_cells
+_CELL_CHUNK = 1 << 14      # columns per chunk of verify_joint_quasimode
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_raw
 
 
@@ -156,25 +156,6 @@ class CutoffField:
             last = first + (self.col_count - 1) * self.axes[0].spacing
             return float(max(np.abs(first).max(), np.abs(last).max()))
         return float(np.abs(self.col_coords[:, axis - 1]).max())
-
-    def support_cells(self):
-        """Yield (coords (S, n), ) blocks covering every support cell once."""
-        k = len(self.col_count)
-        ax0 = self.axes[0]
-        for lo in range(0, k, _CELL_CHUNK):
-            counts = self.col_count[lo:lo + _CELL_CHUNK]
-            starts = self.col_start[lo:lo + _CELL_CHUNK]
-            bars = self.col_coords[lo:lo + _CELL_CHUNK]
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            reps = counts.astype(np.int64)
-            base = np.repeat(starts, reps)
-            offsets = np.arange(total) - np.repeat(
-                np.concatenate([[0], np.cumsum(reps)[:-1]]), reps)
-            xi1 = ax0.start + (base + offsets + 0.5) * ax0.spacing
-            bar = np.repeat(bars, reps, axis=0)
-            yield np.concatenate([xi1[:, None], bar], axis=1)
 
     def to_grid_field(self) -> GridField:
         """Dense 0/1 indicator; refuses grids above MAX_GRID_CELLS."""
@@ -331,6 +312,9 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     Stage 1 sums the columns of each of the R rows of equal (xi3..xin) into
     an (N1, N2) slab: the xi1 run factor (block x N1) times the xi2
     exponentials (block x N2), K*N1*N2 multiply-adds over all K columns.
+    A column's xi1 run factor is its start's phase row times its count's
+    Dirichlet row, both tabled once per call over the distinct starts and
+    counts, so stage 1 evaluates no sin, cos or exp per column.
     The fold of axis j+1 groups the current rows by their remaining
     coordinates (xi(j+2)..xin) and contracts each group against its rows'
     xi(j+1) exponentials, (N1*...*Nj x R_g) times (R_g x N(j+1)), written in
@@ -340,19 +324,18 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     increasing xi2 within a row, and every reduction runs over fixed blocks
     of _BLOCK columns or rows.  That fixes the summation order, and so every
     output bit, whatever the order of the stored columns or the BLAS thread
-    count.  The output grid, the stage-1 slabs and each fold's result are
-    checked against MAX_GRID_CELLS before they are allocated.
+    count.  The output grid, the run tables, the stage-1 slabs and each
+    fold's result are checked against MAX_GRID_CELLS before they are
+    allocated.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
     shape = tuple(a.points for a in axes)
     _check_grid_cells(shape)
     h = field.h
-    dxi1 = field.axes[0].spacing
-    first = field.xi1_first_node()
-    counts = field.col_count.astype(float)
+    ax0 = field.axes[0]
     x1, x2 = axes[0].nodes(), axes[1].nodes()
-    theta = x1 * (dxi1 / h)
+    theta = x1 * (ax0.spacing / h)
     bar = field.col_coords
     # Columns by xin, ..., xi3, then xi2: each row of equal (xi3..xin) is a
     # run, and rows that differ only in xi3 are adjacent.
@@ -360,12 +343,21 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     starts = _run_starts(bar[order, 1:])
     keys = bar[order[starts], 1:]
     _check_grid_cells((len(starts), len(x1), len(x2)))
+    # The run factor depends on a column only through its count and the
+    # phase only through its start: one row per distinct value of each.
+    counts, count_of = np.unique(field.col_count, return_inverse=True)
+    xi1_starts, start_of = np.unique(field.col_start, return_inverse=True)
+    _check_grid_cells((len(counts) + len(xi1_starts), len(x1)))
+    runs = _dirichlet(theta[None, :], counts[:, None])
+    first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
+    phases = np.exp(1j * np.outer(first, x1) / h)
     slabs = np.zeros((len(starts), len(x1), len(x2)), dtype=complex)
     for slab, row in zip(slabs, np.split(order, starts[1:])):
         for lo in range(0, len(row), _BLOCK):
             cols = row[lo:lo + _BLOCK]
-            run = _dirichlet(theta[None, :], counts[cols, None])
-            a0 = run * np.exp(1j * np.outer(first[cols], x1) / h)
+            # Phase first: a complex product's rounding depends on operand
+            # order, and this order gives the outputs of the untabled sum.
+            a0 = phases[start_of[cols]] * runs[count_of[cols]]
             slab += a0.T @ np.exp(1j * np.outer(bar[cols, 0], x2) / h)
     flat = slabs.reshape(len(starts), -1)
     for axis in axes[2:]:
@@ -419,23 +411,36 @@ def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarr
 
     Returns the (orders+1, orders+1) matrix of these ratios indexed
     [M1, M2], from one pass over the support: p1^2 and p2^2 (in units of
-    h^2) are evaluated once per chunk, and the power columns 0..orders of
-    each are contracted against the other.  p1 and p2 are the cutoff's
-    first two band symbols.  Midpoint membership makes |p_j| <= h hold at
-    every support node, so each ratio is <= 1 up to rounding; values above
-    1 + boundary slack indicate a broken cutoff.
+    h^2) are formed at every support cell, and the power columns 0..orders
+    of each are contracted against the other.  p1 and p2 are the cutoff's
+    first two band symbols.  Each splits as p = c1*xi1 + r(xi2..xin)
+    (split_affine_x1), so r is evaluated once per column and spread over
+    the column's xi1 run; columns go in chunks of _CELL_CHUNK.  Midpoint
+    membership makes |p_j| <= h hold at every support node, so each ratio
+    is <= 1 up to rounding; values above 1 + boundary slack indicate a
+    broken cutoff.
     """
     field = qm.cutoff if isinstance(qm, Quasimode) else qm
     if orders < 0:
         raise ValueError("orders must be nonnegative")
     if field.spec is None or len(field.spec.constraints) < 2:
         raise ValueError("cutoff spec with two band constraints required")
-    p1, p2 = (c.symbol for c in field.spec.constraints[:2])
+    splits = [split_affine_x1(c.symbol) for c in field.spec.constraints[:2]]
     h = field.h
+    ax0 = field.axes[0]
     total = np.zeros((orders + 1, orders + 1))
-    for coords in field.support_cells():
-        arrays = [coords[:, d] for d in range(field.dim)]
-        a = np.vander((p1.eval_grid(arrays) / h) ** 2, orders + 1, increasing=True)
-        b = np.vander((p2.eval_grid(arrays) / h) ** 2, orders + 1, increasing=True)
+    for lo in range(0, len(field.col_count), _CELL_CHUNK):
+        counts = field.col_count[lo:lo + _CELL_CHUNK]
+        bar = field.col_coords[lo:lo + _CELL_CHUNK]
+        # xi1 cell index: the column's start plus the offset into its run.
+        ends = np.cumsum(counts)
+        idx = np.arange(ends[-1]) + np.repeat(
+            field.col_start[lo:lo + _CELL_CHUNK] - (ends - counts), counts)
+        xi1 = ax0.start + (idx + 0.5) * ax0.spacing
+        bar_arrays = [bar[:, d] for d in range(field.dim - 1)]
+        a, b = [np.vander(((float(c1) * xi1
+                            + np.repeat(rest.eval_grid(bar_arrays), counts))
+                           / h) ** 2, orders + 1, increasing=True)
+                for c1, rest in splits]
         total += a.T @ b
     return np.sqrt(total * field.cell_volume) / field.l2_norm()

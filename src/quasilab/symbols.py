@@ -82,9 +82,6 @@ class PolySymbol:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.coeffs), default=0)
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.dim, Fraction(0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySymbol):
             return NotImplemented

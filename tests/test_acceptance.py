@@ -145,13 +145,13 @@ class TestCriterion4Volumes:
                ", ".join(f"{k}={v:.3f}" for k, v in bands.items()))
 
 
-def _lp_sweep(spec, hs, ps, dim):
+def _lp_sweep(spec, hs, ps, dim, margin=8.0, points_per_scale=8):
     norms = {p: [] for p in ps}
     for h in hs:
         cut = build_cutoff(spec, h)
         qm = Quasimode(cut, h)
         exts = [cut.extent(i) for i in range(dim)]
-        g = qm.on_axes(oscillation_axes(exts, h))
+        g = qm.on_axes(oscillation_axes(exts, h, margin, points_per_scale))
         m0 = shell_mask(g.data.shape, 0)
         m1 = shell_mask(g.data.shape, 1)
         for p in ps:
@@ -182,6 +182,17 @@ class TestCriterion5Sharpness:
             rep = fit_scaling(hs, norms[p], predicted, 0.1)
             ok &= rep.passed
             lines.append(f"slab p={p}:{rep.slope:+.4f} vs {predicted:+.4f}")
+        # n = 4, k = 3 on 32^4 grids (margin 4, 4 points per scale), as in
+        # configs/lp_n4_paraboloid_k3.cfg.
+        hs4 = [2.0 ** -e for e in range(5, 10)]
+        norms = _lp_sweep(families.paraboloid_cutoff(4, 3), hs4, [INF_P, 8, 6],
+                          4, margin=4.0, points_per_scale=4)
+        for p in (INF_P, 8, 6):
+            predicted = -float(contact_delta(4, p, 3))
+            rep = fit_scaling(hs4, norms[p], predicted, 0.1)
+            ok &= rep.passed
+            lines.append(f"n=4,k=3,p={'inf' if p is INF_P else p}:"
+                         f"{rep.slope:+.4f} vs {predicted:+.4f}")
         hs12 = [2.0 ** -e for e in range(4, 13)]
         peaks = [Quasimode(build_cutoff(families.valley_cutoff(), h), h).peak()
                  for h in hs12]

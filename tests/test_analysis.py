@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -221,12 +222,33 @@ class TestFitScaling:
             fit_scaling(hs, [0.0] * len(hs), 0.0, 0.1)
 
 
+def depth_shell_mask(shape, layer):
+    """Oracle for shell_mask: each cell's distance to the nearest face, as
+    an int64 depth array, compared with the layer."""
+    depth = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
+    for axis, npts in enumerate(shape):
+        idx = np.minimum(np.arange(npts), npts - 1 - np.arange(npts))
+        view = idx.reshape([npts if a == axis else 1 for a in range(len(shape))])
+        depth = np.minimum(depth, view)
+    return depth == layer
+
+
 class TestHelpers:
     def test_shell_mask_layers(self):
         m0 = shell_mask((5, 5))
         m1 = shell_mask((5, 5), 1)
         assert m0.sum() == 16 and m1.sum() == 8
         assert not (m0 & m1).any()
+
+    @pytest.mark.parametrize("dim,most", [(1, 7), (2, 7), (3, 7), (4, 5)])
+    def test_shell_mask_matches_depth_oracle(self, dim, most):
+        # Includes axes with n <= 2*layer, where both boxes are empty, and
+        # with n <= layer, where a slice stop would fall below 0 unclamped.
+        for shape in itertools.product(range(1, most + 1), repeat=dim):
+            for layer in range(5):
+                np.testing.assert_array_equal(
+                    shell_mask(shape, layer), depth_shell_mask(shape, layer),
+                    err_msg=f"shape {shape}, layer {layer}")
 
     def test_oscillation_axes(self):
         axes = oscillation_axes([0.5, 0.25], 2.0 ** -5, margin=8,

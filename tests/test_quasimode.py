@@ -34,6 +34,18 @@ def mesh_points(axes):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def support_cells(field):
+    """Every support cell's midpoint as an (S, n) array: the per-cell
+    oracle of the column-wise joint check."""
+    counts = field.col_count
+    ends = np.cumsum(counts)
+    offsets = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    ax0 = field.axes[0]
+    xi1 = ax0.start + (np.repeat(field.col_start, counts) + offsets
+                       + 0.5) * ax0.spacing
+    return np.column_stack([xi1, np.repeat(field.col_coords, counts, axis=0)])
+
+
 class TestHExpr:
     def test_axis_rule_pow2(self):
         rule = AxisRule(HExpr(((-1.0, 0.0),)), HExpr(((1.0, 0.0),)),
@@ -312,6 +324,18 @@ class TestProductSynthesis:
         with pytest.raises(MemoryError, match="128000 cells"):
             synthesize_on_axes(cut, axes)
 
+    def test_run_tables_checked_before_allocation(self, monkeypatch):
+        # Output and slab are 10 x 2 cells each; the run tables hold one
+        # 10-node row per distinct count (5) and per distinct start (5).
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 50)
+        axes = [AxisSpec(0.0, 1.0, 16), AxisSpec(0.0, 1.0, 8)]
+        cut = CutoffField(h=0.1, axes=axes,
+                          col_coords=np.linspace(-0.5, 0.5, 5)[:, None],
+                          col_start=np.arange(5), col_count=np.arange(1, 6))
+        out_axes = [AxisSpec(0.0, 1.0, 10), AxisSpec(0.0, 1.0, 2)]
+        with pytest.raises(MemoryError, match="100 cells"):
+            synthesize_on_axes(cut, out_axes)
+
     def test_bits_independent_of_blas_threads(self):
         src = str(Path(quasilab.__file__).resolve().parents[1])
         tests = str(Path(__file__).resolve().parent)
@@ -331,6 +355,10 @@ JOINT_CASES = [
     (lambda: families.paraboloid_cutoff(2, 3), 2.0 ** -6),
     (lambda: families.slab_cutoff(3, 3), 2.0 ** -5),
     (lambda: families.valley_cutoff(), 2.0 ** -6),
+    pytest.param(lambda: families.paraboloid_cutoff(3, 3), 2.0 ** -5,
+                 id="paraboloid-n3-k3"),
+    pytest.param(lambda: families.paraboloid_cutoff(4, 3), 2.0 ** -5,
+                 id="paraboloid-n4-k3"),
 ]
 
 
@@ -350,15 +378,13 @@ class TestJointQuasimode:
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_one_pass_matches_per_pair_sums(self, spec_fn, h):
         cut = build_cutoff(spec_fn(), h)
-        p1, p2 = (c.symbol for c in cut.spec.constraints[:2])
+        coords = support_cells(cut)
+        arrays = [coords[:, d] for d in range(cut.dim)]
+        v1, v2 = (c.symbol.eval_grid(arrays) for c in cut.spec.constraints[:2])
         direct = np.zeros((4, 4))
         for m1 in range(4):
             for m2 in range(4):
-                total = 0.0
-                for coords in cut.support_cells():
-                    arrays = [coords[:, d] for d in range(cut.dim)]
-                    total += np.sum(p1.eval_grid(arrays) ** (2 * m1)
-                                    * p2.eval_grid(arrays) ** (2 * m2))
+                total = np.sum(v1 ** (2 * m1) * v2 ** (2 * m2))
                 direct[m1, m2] = math.sqrt(total * cut.cell_volume) / (
                     h ** (m1 + m2) * cut.l2_norm())
         np.testing.assert_allclose(verify_joint_quasimode(Quasimode(cut, h), 3),
