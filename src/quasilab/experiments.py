@@ -12,8 +12,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -323,22 +321,6 @@ def _check_sweep_grid(cfg: ExperimentConfig, n: int) -> None:
             "points_per_scale, or set peak_only = true")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QUASILAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    """Order-preserving map; parallel when QUASILAB_THREADS > 1."""
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- experiment runners --------------------------------------------------------------
 
 def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
@@ -456,8 +438,8 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     peak_only = cfg.param("peak_only", "false") == "true"
     if peak_only:
         ps = []
-    results = _map(lambda h: _sweep_point(spec, h, ps, joint_orders, margin,
-                                          pts_per_scale), hs)
+    results = [_sweep_point(spec, h, ps, joint_orders, margin, pts_per_scale)
+               for h in hs]
 
     gamma = fam.gamma(n, k)
     header = ["h", "volume", "volume_ratio", "peak", "t0_rel_err",

@@ -70,14 +70,15 @@ def _bar_multiply(op: FlatteningOp, u: GridField, data: np.ndarray,
     """
     avals = _bar_symbol(op.a1, u)
     if x1 is not None:
-        avals = np.exp(-1j * x1.reshape((-1,) + (1,) * (u.dim - 1)) * avals
-                       / op.h)
+        avals = -1j * x1.reshape((-1,) + (1,) * (u.dim - 1)) * avals
+        avals /= op.h
+        np.exp(avals, out=avals)
     hat, duals = ft_axes(data, u.axes[1:], u.h)
     # avals * hat, not hat * avals: numpy's vectorized complex product
     # fuses a multiply-add, so its last bit depends on operand order, and
     # this order keeps fio.csv bit-identical to earlier versions.
-    out, _ = ft_axes(avals * hat, duals, u.h, inverse=True,
-                     out_axes=u.axes[1:])
+    np.multiply(avals, hat, out=hat)
+    out, _ = ft_axes(hat, duals, u.h, inverse=True, out_axes=u.axes[1:])
     return out
 
 
@@ -175,9 +176,9 @@ def flattening_reports(op: FlatteningOp, u: GridField,
         ratio = _interior_norm(dv, cell) / (h ** m * u_norm)
         slack = m * fd_rel + 0.05
         if m == 1:
-            au = _bar_multiply(op, u, u.data)
-            rhs = _bar_multiply(op, u, hd_x1(u, 1) - au[1:-1],
-                                u.axes[0].nodes()[1:-1])
+            # a1(hD_bar) u is a temporary: it is gone before W is applied.
+            hd_minus_a = hd_x1(u, 1) - _bar_multiply(op, u, u.data)[1:-1]
+            rhs = _bar_multiply(op, u, hd_minus_a, u.axes[0].nodes()[1:-1])
             resid = _interior_norm(dv - rhs, cell) / u_norm
             # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
             amax = float(np.abs(_bar_symbol(op.a1, u)).max())

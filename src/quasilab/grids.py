@@ -132,14 +132,15 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
         pre = np.exp(-1j * (ar * axis_spec.spacing) * (dual.start + 0.5 * dual.spacing) / h)
         post = np.exp(-1j * x0 * dual.nodes() / h) * (
             axis_spec.spacing / np.sqrt(_TWO_PI * h))
-        out = np.fft.fft(data * pre.reshape(shape), axis=axis) * post.reshape(shape)
+        out = np.fft.fft(data * pre.reshape(shape), axis=axis)
     else:
         xi0 = axis_spec.start + 0.5 * axis_spec.spacing
         x0 = dual.start + 0.5 * dual.spacing
         pre = np.exp(1j * x0 * (ar * axis_spec.spacing) / h)
         post = np.exp(1j * dual.nodes() * xi0 / h) * (
             n * axis_spec.spacing / np.sqrt(_TWO_PI * h))
-        out = np.fft.ifft(data * pre.reshape(shape), axis=axis) * post.reshape(shape)
+        out = np.fft.ifft(data * pre.reshape(shape), axis=axis)
+    out *= post.reshape(shape)
     return out, dual
 
 

@@ -6,12 +6,11 @@ exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth, mean zero, with a
 finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta.  C_f is
 computed by adaptive quadrature, tails reported, on first use: only
 ``reconstruct`` needs it, and its first call runs ``admissibility``.
-Transforms are plain quadratures on the field's x1 grid, applied
-per scale as a sparse banded operator whose rows hold only the taps that
-land on data samples; windows that miss the data support are empty rows and
-give exact zeros, not small numbers.  Neither scipy.integrate nor
-scipy.sparse is imported with this module: the quadrature imports ``quad``
-when it runs, and ``scipy.sparse`` loads on the first ``cwt``.
+Transforms are plain quadratures on the field's x1 grid, summed per scale
+tap by tap in numpy: each tap reaches only the windows where it lands on a
+data sample, so windows that miss the data support give exact zeros, not
+small numbers.  The module imports no scipy: the quadrature imports
+``scipy.integrate.quad`` when it runs.
 """
 
 from __future__ import annotations
@@ -24,13 +23,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grids import AxisSpec, GridField, ft_axes
+from .grids import AxisSpec, GridField, dual_axis, ft_axes
 
 _TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 _ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
 _A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))   # cwt's default scales
 _LOCALIZE_HALFWIDTH = 1.5   # decay_diagnostic's window is flat out to here
+_CWT_BLOCK = 1 << 15   # cwt's coefficients per block of windows (256 KB)
 
 
 def bump(t: np.ndarray) -> np.ndarray:
@@ -139,29 +139,26 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
 
     b runs on a per-scale grid of step ~ a/b_step_factor (snapped to the x1
     grid so windows slide by whole cells), extended one dilated support
-    beyond the data so the no-overlap region is represented.  Each scale is
-    one sparse (len(b), n1) operator applied to the field; a window's row
-    keeps only the taps on data samples, so windows off the data are empty
-    rows and their coefficients are exact zeros.
+    beyond the data so the no-overlap region is represented.  Each scale
+    sums its taps in ascending order, each one a strided multiply-add over
+    the windows where it lands on a data sample, so windows off the data
+    get no tap and their coefficients are exact zeros.
 
     At scales far above the grid step the quadrature decimates to a step of
     min(a/16, x1_scale/8): both the dilated profile and the field (whose x1
     variation scale the caller declares) are smooth at that resolution, and
     the wide-window cost drops from O(a) to O(1) per translate.
     """
-    # Imported on first use: scipy.sparse is a large share of start-up, and
-    # most runs never transform.
-    from scipy.sparse import csr_matrix
-
     if a_grid is None:
         a_grid = _A_GRID
     ax = v.axes[0]
     dx = ax.spacing
     n1 = ax.points
     bar_shape = v.data.shape[1:]
-    # The field as real (n1, 2 * prod(bar_shape)): each scale's operator
-    # acts on real and imaginary parts at once.
+    # The field as real (n1, 2 * prod(bar_shape)): each tap acts on real and
+    # imaginary parts at once.
     flat = np.ascontiguousarray(v.data, dtype=complex).reshape(n1, -1).view(float)
+    block = max(1, _CWT_BLOCK // flat.shape[1])
     values: list[np.ndarray] = []
     b_grids: list[np.ndarray] = []
     for a in np.asarray(a_grid, dtype=float):
@@ -178,17 +175,32 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
         offs = (np.arange(2 * wcells + 1) - wcells) * qstride
         # b sits on the grid, so the sampled profile is one row for every b.
         frow = w.profile(offs * dx / a) / math.sqrt(a)
-        # Row i of the banded operator holds the taps of window b_idx[i]
-        # that land on data samples; a window off the data holds none, so
-        # its coefficients are exact zeros.
-        cols = b_idx[:, None] + offs[None, :]
-        on_data = (cols >= 0) & (cols < n1)
-        op = csr_matrix(
-            (np.broadcast_to(frow, cols.shape)[on_data], cols[on_data],
-             np.concatenate(([0], np.cumsum(on_data.sum(axis=1))))),
-            shape=(len(b), n1))
-        out = (op @ flat).view(complex).reshape((len(b),) + bar_shape) * qstep
-        values.append(out)
+        # Window i's tap at off reads sample i * stride + (off - pad_cells);
+        # windows [lo, hi) are those where that sample lies on the data.
+        shift = offs - pad_cells
+        lo = np.maximum(0, -(shift // stride))
+        hi = np.minimum(len(b), (n1 - 1 - shift) // stride + 1)
+        live = (frow != 0.0) & (lo < hi)
+        taps = list(zip(frow[live].tolist(), shift[live].tolist(),
+                        lo[live].tolist(), hi[live].tolist()))
+        # Every coefficient adds its taps to +0 one by one in ascending
+        # order, the padded-gather oracle's order, which fixes every output
+        # bit; windows go in blocks small enough to stay in cache across
+        # their taps.  Skipping a zero tap keeps every bit, signed zeros
+        # included, and a window off the data gets no tap, so its
+        # coefficients are exact zeros.
+        out = np.zeros((len(b), flat.shape[1]))
+        buf = np.empty((min(block, len(b)), flat.shape[1]))
+        for r0 in range(0, len(b), block):
+            for f, sh, t0, t1 in taps:
+                i0, i1 = max(t0, r0), min(t1, r0 + block)
+                if i0 < i1:
+                    c0 = i0 * stride + sh
+                    out[i0:i1] += np.multiply(
+                        flat[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
+                        out=buf[:i1 - i0])
+        out *= qstep
+        values.append(out.view(complex).reshape((len(b),) + bar_shape))
         b_grids.append(b)
     return WaveletCoefficients(np.asarray(a_grid, float), b_grids, values, ax, v.h)
 
@@ -287,6 +299,20 @@ class DecayDiagnostic:
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
 
 
+def _scale_power(v: GridField, w: MotherWavelet, a: float
+                 ) -> tuple[float, np.ndarray]:
+    """(db, |F_h X(a, b, .)|^2) at one scale, for every b at once.
+
+    One scale at a time: the coefficients and their bar-side transform are
+    dropped on return, before the next scale is transformed.
+    """
+    coeffs = cwt(v, w, [a])
+    b = coeffs.b_grids[0]
+    db = b[1] - b[0] if len(b) > 1 else coeffs.x1_axis.spacing
+    hat, _ = ft_axes(coeffs.values[0], v.axes[1:], v.h)
+    return db, np.abs(hat) ** 2
+
+
 def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
                        k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
@@ -309,22 +335,18 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
     window = _smooth_step(np.abs(v.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
     data = v.data * window.reshape((-1,) + (1,) * (v.dim - 1))
     v = GridField(v.h, v.space, list(v.axes), data)
-    coeffs = cwt(v, w)
-    a_vals = coeffs.a_grid
-    # Bar-side transform of X(a, b, .) for every b at once.
+    a_vals = np.asarray(_A_GRID)
+    duals = [dual_axis(ax, v.h) for ax in v.axes[1:]]
+    mesh = np.meshgrid(*[dl.nodes() for dl in duals], indexing="ij")
+    radius = np.sqrt(sum(g * g for g in mesh))
+    cellvol = float(np.prod([dl.spacing for dl in duals]))
+    weights = [family.psi(j, radius)[None, ...]
+               for j in range(family.levels + 1)]
     table: dict[tuple[int, int], float] = {}
-    for ai in range(len(a_vals)):
-        x = coeffs.values[ai]
-        db = (coeffs.b_grids[ai][1] - coeffs.b_grids[ai][0]
-              if len(coeffs.b_grids[ai]) > 1 else coeffs.x1_axis.spacing)
-        data, duals = ft_axes(x, v.axes[1:], v.h)
-        mesh = np.meshgrid(*[dl.nodes() for dl in duals], indexing="ij")
-        radius = np.sqrt(sum(g * g for g in mesh))
-        cellvol = float(np.prod([dl.spacing for dl in duals]))
-        for j in range(family.levels + 1):
-            weight = family.psi(j, radius)
-            mass = float(np.sum(weight[None, ...] * np.abs(data) ** 2) *
-                         db * cellvol)
+    for ai, a in enumerate(_A_GRID):
+        db, power = _scale_power(v, w, a)
+        for j, weight in enumerate(weights):
+            mass = float(np.sum(weight * power) * db * cellvol)
             table[(ai, j)] = math.sqrt(max(mass, 0.0))
 
     rows = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,21 @@ class TestTransformQuasimode:
             assert rep.ratio <= 1.0 + rep.slack
             if rep.order == 1:
                 assert rep.identity_residual <= rep.identity_bound
+
+    def test_reports_memory_bounded(self):
+        # The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64): the
+        # reports' peak above it stays within nine copies of it.
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
+        u = Quasimode(cut, h).on_axes(aligned_position_axes(cut, 8.0, h / 8.0))
+        op = FlatteningOp(_a1(), h)
+        tracemalloc.start()
+        try:
+            flattening_reports(op, u, orders=(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * u.data.nbytes
 
     def test_multiplier_commutes_with_W(self, setup):
         # ||q(hD_bar) v|| = ||(a1-a2)(hD_bar) u|| when q = a1 - a2.

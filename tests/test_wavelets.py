@@ -10,7 +10,7 @@ import pytest
 
 from quasilab.grids import AxisSpec, GridField, POSITION
 from quasilab.wavelets import (admissibility, bump, bump_derivative, cwt,
-                               dyadic_cutoffs)
+                               decay_diagnostic, dyadic_cutoffs)
 
 
 class TestMotherWavelet:
@@ -77,8 +77,10 @@ class TestCwt:
 
     # a = 1/4 samples every cell (qstride 1); a = 4 decimates to every 7th
     # cell.  1000 cells is a multiple of neither stride nor qstride, so the
-    # windows meet the data edges at varying partial overlaps.
-    @pytest.mark.parametrize("bar_shape", [(), (8,)], ids=["1d", "2d"])
+    # windows meet the data edges at varying partial overlaps.  With 48 bar
+    # points a = 1/4's 566 windows span two of cwt's cache blocks.
+    @pytest.mark.parametrize("bar_shape", [(), (8,), (48,)],
+                             ids=["1d", "2d", "2d-blocks"])
     def test_matches_padded_gather_oracle(self, mother_wavelet, bar_shape):
         rng = np.random.default_rng(41)
         shape = (1000,) + bar_shape
@@ -94,7 +96,7 @@ class TestCwt:
             assert partial > 0
             assert np.array_equal(co.b_grids[i], b)
             assert co.values[i].shape == x.shape
-            assert np.abs(co.values[i] - x).max() <= 1e-13 * np.abs(x).max()
+            assert np.array_equal(co.values[i], x)
 
     def test_memory_bounded(self, mother_wavelet, flat_model_field):
         tracemalloc.start()
@@ -177,6 +179,19 @@ class TestDyadicCutoffs:
             dyadic_cutoffs(0.0, 3)
         with pytest.raises(ValueError):
             dyadic_cutoffs(0.5, 0)
+
+
+class TestDecayDiagnostic:
+    def test_memory_bounded(self, mother_wavelet, flat_model_field):
+        # One scale's coefficients live at a time: the peak above the
+        # 8192 x 64 input stays within six copies of it.
+        tracemalloc.start()
+        try:
+            decay_diagnostic(flat_model_field, mother_wavelet, 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * flat_model_field.data.nbytes
 
 
 class TestReconstruction:
