@@ -182,6 +182,11 @@ def lp_norm(values: np.ndarray, weights, p,
     the shell maximum and the refusal condition is a boundary maximizer.
     TailDominanceError signals a box too small for the requested accuracy;
     without masks no tail policing happens.
+
+    Sweeps measure their norms with lp_norms, called by
+    experiments._sweep_point.  This per-p, mask-based form is the oracle
+    the tests check lp_norms against, and the acceptance gate's own sweeps
+    measure with it.
     """
     values = np.abs(np.asarray(values))
     weights = np.broadcast_to(np.asarray(weights, float), values.shape)
@@ -190,29 +195,82 @@ def lp_norm(values: np.ndarray, weights, p,
     pp = parse_p(p)
     if pp is INF_P:
         norm = float(values.max())
-        tail = float(values[shell_mask].max()) if shell_mask is not None else 0.0
-        if shell_mask is not None and norm > 0 and tail >= norm * (1 - 1e-12):
-            raise TailDominanceError(
-                "Linf maximizer lies on the boundary shell; enlarge the box")
-        return LpNorm(norm, tail, p)
+        if shell_mask is None:
+            return LpNorm(norm, 0.0, p)
+        return _sup_tail(norm, float(values[shell_mask].max()), p)
+    pf = _finite_p(pp)
+    total = float(np.sum(values ** pf * weights))
+    if shell_mask is None:
+        return LpNorm(total ** (1.0 / pf), 0.0, p)
+    shell = float(np.sum(values[shell_mask] ** pf * weights[shell_mask]))
+    inner = None
+    if inner_shell_mask is not None:
+        inner = float(np.sum(values[inner_shell_mask] ** pf
+                             * weights[inner_shell_mask]))
+    return _finite_tail(total, shell, inner, pf, p)
+
+
+def lp_norms(values: np.ndarray, weight: float, ps) -> list[LpNorm]:
+    """lp_norm with both boundary shells policed, for every p in ps at once.
+
+    |u| is taken once.  Each p takes from it the maximum (p = infinity) or
+    the sum of |u|^p * weight, and the same over the layer-0 and layer-1
+    shell_slices boxes, so no boolean mask is built and no |u| is taken per
+    p.  weight is the scalar cell weight.  The whole-grid maximum and sums
+    are lp_norm's, element for element and in the same order, so the norms
+    equal lp_norm's bit for bit; only the shell sums run in another order.
+    The tail rule is lp_norm's, and the first p it refuses raises
+    TailDominanceError.
+    """
+    if weight < 0:
+        raise ValueError("weights must be nonnegative")
+    mod = np.abs(np.asarray(values))
+    shell, inner = shell_slices(mod.shape, 0), shell_slices(mod.shape, 1)
+    out = []
+    for p in ps:
+        pp = parse_p(p)
+        if pp is INF_P:
+            out.append(_sup_tail(float(mod.max()),
+                                 max(float(mod[b].max()) for b in shell), p))
+            continue
+        pf = _finite_p(pp)
+        power = mod ** pf
+        power *= weight
+        out.append(_finite_tail(
+            float(power.sum()), sum(float(power[b].sum()) for b in shell),
+            sum(float(power[b].sum()) for b in inner), pf, p))
+    return out
+
+
+def _finite_p(pp) -> float:
     pf = float(pp)
     if pf < 1:
         raise ValueError("p must be >= 1")
-    total = float(np.sum(values ** pf * weights))
+    return pf
+
+
+def _sup_tail(norm: float, shell_max: float, p) -> LpNorm:
+    """The L-infinity tail rule: refuse a maximizer on the boundary shell."""
+    if norm > 0 and shell_max >= norm * (1 - 1e-12):
+        raise TailDominanceError(
+            "Linf maximizer lies on the boundary shell; enlarge the box")
+    return LpNorm(norm, shell_max, p)
+
+
+def _finite_tail(total: float, shell: float, inner: float | None, pf: float,
+                 p) -> LpNorm:
+    """The finite-p tail rule, from the weighted sums of |u|^p over the grid,
+    the boundary shell and (if given) the next shell in."""
     norm = total ** (1.0 / pf)
     tail = 0.0
-    if shell_mask is not None and total > 0:
-        shell = float(np.sum(values[shell_mask] ** pf * weights[shell_mask]))
+    if total > 0:
         factor = 1.0
-        if inner_shell_mask is not None:
-            inner = float(np.sum(values[inner_shell_mask] ** pf
-                                 * weights[inner_shell_mask]))
-            if inner > 0:
-                ratio = shell / inner
-                if ratio >= 1.0:
-                    raise TailDominanceError(
-                        "boundary shells are not decaying; enlarge the box")
-                factor = min(ratio / (1.0 - ratio), 1e6)
+        if inner is not None and inner > 0:
+            ratio = shell / inner
+            if ratio >= 1.0:
+                raise TailDominanceError(
+                    "boundary shells are not decaying; enlarge the box")
+            factor = min(ratio / (1.0 - ratio), 1e6)
         exterior = shell * factor
         tail = (total + exterior) ** (1.0 / pf) - norm
         if tail > TAIL_FRACTION * norm:
@@ -223,6 +281,10 @@ def lp_norm(values: np.ndarray, weights, p,
 
 
 # -- scaling fits --------------------------------------------------------------------
+
+# Fewest h values a slope fit accepts.
+MIN_SWEEP_POINTS = 5
+
 
 @dataclass(frozen=True)
 class ScalingReport:
@@ -254,8 +316,8 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def fit_scaling(h_values: Sequence[float], norms: Sequence[float],
                 predicted: float, tolerance: float) -> ScalingReport:
     """Least-squares slope of log(norm) against log(h) with pass verdict."""
-    if len(h_values) < 5:
-        raise ValueError("need at least 5 sweep points")
+    if len(h_values) < MIN_SWEEP_POINTS:
+        raise ValueError(f"need at least {MIN_SWEEP_POINTS} sweep points")
     if len(norms) != len(h_values):
         raise ValueError("h_values and norms must align")
     if any(v <= 0 for v in norms):
@@ -300,3 +362,25 @@ def shell_mask(shape: Sequence[int], layer: int = 0) -> np.ndarray:
     mask[tuple(slice(layer, max(n - layer, 0)) for n in shape)] = True
     mask[tuple(slice(layer + 1, max(n - layer - 1, 0)) for n in shape)] = False
     return mask
+
+
+def shell_slices(shape: Sequence[int], layer: int = 0
+                 ) -> list[tuple[slice, ...]]:
+    """Disjoint nonempty boxes whose union is shell_mask(shape, layer).
+
+    Box (d, face) holds the shell cells whose first boundary axis is d: one
+    of the two faces of the layer's box on axis d, inside the next box in
+    on the axes before d and inside the layer's box on the axes after d.
+    """
+    shape = tuple(shape)
+    if any(n <= 2 * layer for n in shape):
+        return []   # the layer's box is empty, and so is its shell
+    outer = [slice(layer, n - layer) for n in shape]
+    inner = [slice(layer + 1, n - layer - 1) for n in shape]
+    boxes = []
+    for d, n in enumerate(shape):
+        for i in sorted({layer, n - layer - 1}):
+            box = (*inner[:d], slice(i, i + 1), *outer[d + 1:])
+            if all(s.stop > s.start for s in box):
+                boxes.append(box)
+    return boxes

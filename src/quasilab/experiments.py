@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import families
-from .analysis import (INF_P, contact_delta, delta_curve, fit_scaling,
-                       lp_norm, oscillation_axes, parse_p, shell_mask,
+from .analysis import (INF_P, MIN_SWEEP_POINTS, contact_delta, delta_curve,
+                       fit_scaling, lp_norms, oscillation_axes, parse_p,
                        sogge_delta)
 from .errors import ConfigError, QuasilabError
 from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
@@ -301,7 +301,15 @@ def _validate(cfg: ExperimentConfig) -> None:
                         f"Lp slope at n = {n}; drop those p or set "
                         "peak_only = true")
             _check_sweep_grid(cfg, n)
-    if "h_start" in cfg.params or "h_list" in cfg.params:
+    if cfg.kind in ("sharpness-sweep", "vdc"):
+        # Both kinds fit slopes over the h sweep.
+        hs = cfg.h_sweep()
+        if len(hs) < MIN_SWEEP_POINTS:
+            keys = "h_list" if "h_list" in cfg.params else "h_start/h_stop"
+            raise ConfigError(
+                f"{keys} gives {len(hs)} h value(s); a {cfg.kind} fits "
+                f"slopes and needs at least {MIN_SWEEP_POINTS}")
+    elif "h_start" in cfg.params or "h_list" in cfg.params:
         cfg.h_sweep()
 
 
@@ -412,14 +420,11 @@ def _sweep_point(spec, h, ps, joint_orders, margin, pts_per_scale):
         exts = [cut.extent(i) for i in range(cut.dim)]
         axes = oscillation_axes(exts, h, margin, pts_per_scale)
         g = qm.on_axes(axes)
-        m0 = shell_mask(g.data.shape, 0)
-        m1mask = shell_mask(g.data.shape, 1)
-        for p in ps:
-            if p is not INF_P and float(parse_p(p)) == 2.0:
-                # Frequency-side Parseval: exact for the normalized cutoff.
-                norms[p] = 1.0
-            else:
-                norms[p] = lp_norm(g.data, g.cell_volume, p, m0, m1mask).value
+        # p = 2 is frequency-side Parseval: exact for the normalized cutoff.
+        measured = [p for p in ps if p is INF_P or float(parse_p(p)) != 2.0]
+        norms = dict.fromkeys(ps, 1.0)
+        norms.update((m.p, m.value)
+                     for m in lp_norms(g.data, g.cell_volume, measured))
     return {"h": h, "volume": vol, "peak": qm.peak(), "t0_err": t0_err,
             "ratios": ratios, "norms": norms}
 

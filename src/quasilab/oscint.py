@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import _fit_line
+from .analysis import MIN_SWEEP_POINTS, _fit_line
 from .errors import ResolutionError
 from .symbols import PolySymbol
 from .wavelets import MotherWavelet, _smooth_step
@@ -226,8 +226,8 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
     fitted exponent >= d/2 - exponent_tolerance, and the normalized ratios
     |I| h^(-d/2) mu^(d/2) within a factor _RATIO_BAND across the sweep.
     """
-    if len(h_values) < 5:
-        raise ValueError("need at least 5 sweep points")
+    if len(h_values) < MIN_SWEEP_POINTS:
+        raise ValueError(f"need at least {MIN_SWEEP_POINTS} sweep points")
     d = integrand.d
     crits = find_critical_points(integrand.phase, integrand.box, d)
     if len(crits) != 1:

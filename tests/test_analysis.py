@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasilab.analysis import (INF_P, ExponentQuery, contact_delta, exponent,
-                               fit_scaling, lp_norm, oscillation_axes,
-                               parse_p, shell_mask, sogge_delta,
-                               submanifold_delta, transverse_delta)
+                               fit_scaling, lp_norm, lp_norms,
+                               oscillation_axes, parse_p, shell_mask,
+                               shell_slices, sogge_delta, submanifold_delta,
+                               transverse_delta)
 from quasilab.errors import TailDominanceError
 from quasilab.grids import FORWARD, AxisSpec, GridField, POSITION, semiclassical_ft
 
@@ -196,6 +198,105 @@ class TestLpNorm:
 
     def test_no_mask_no_policing(self):
         assert lp_norm(np.ones(4), 1.0, 2).tail_estimate == 0.0
+
+
+def envelope(shape, rate):
+    """exp(-rate |t|^2) on a product grid of t in [-1, 1] per axis."""
+    dim = len(shape)
+    return np.exp(-rate * sum(
+        np.linspace(-1, 1, n).reshape([n if a == d else 1 for a in range(dim)])
+        ** 2 for d, n in enumerate(shape)))
+
+
+def policed_oracle(values, weight, p):
+    """lp_norm with both shell masks, as the acceptance gate calls it."""
+    shape = np.shape(values)
+    return lp_norm(values, weight, p, shell_mask(shape, 0),
+                   shell_mask(shape, 1))
+
+
+def assert_matches_oracle(values, weight, p):
+    """lp_norms on one p gives the oracle's norm and tail, or its refusal."""
+    try:
+        want = policed_oracle(values, weight, p)
+    except TailDominanceError as err:
+        with pytest.raises(TailDominanceError) as got:
+            lp_norms(values, weight, [p])
+        assert str(got.value) == str(err)
+        return str(err)
+    got, = lp_norms(values, weight, [p])
+    assert got.p is p
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+    assert got.tail_estimate == pytest.approx(want.tail_estimate, rel=0,
+                                              abs=1e-12 * want.value)
+    return None
+
+
+GRID_SHAPES = [(24, 20), (12, 11, 10), (8, 7, 6, 9)]
+ORACLE_PS = [INF_P, F(3), F(4), F(6), F(8), F(16)]
+
+
+class TestLpNorms:
+    """The sweep's one-pass norms against the per-p, mask-based lp_norm."""
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES, ids=["2d", "3d", "4d"])
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(len(shape))
+        values = envelope(shape, 3.0) * (1 + 0.2 * rng.random(shape)) \
+            * np.exp(2j * np.pi * rng.random(shape))
+        for p in ORACLE_PS:
+            assert assert_matches_oracle(values, 0.01, p) is None
+        got = lp_norms(values, 0.01, ORACLE_PS)
+        assert [m.p for m in got] == ORACLE_PS
+        for m in got:
+            assert m.value == policed_oracle(values, 0.01, m.p).value
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES, ids=["2d", "3d", "4d"])
+    def test_refusals_match_oracle(self, shape):
+        # L-inf maximum on the shell: a smooth field plus one boundary spike.
+        spike = envelope(shape, 3.0).astype(complex)
+        spike[(0,) + tuple(n // 2 for n in shape[1:])] = 2.0
+        assert "Linf maximizer" in assert_matches_oracle(spike, 0.01, INF_P)
+        # Shells that do not decay.
+        flat = np.ones(shape, dtype=complex)
+        assert "not decaying" in assert_matches_oracle(flat, 0.01, F(4))
+        # Decaying shells whose extrapolated exterior is over 1 %.
+        slow = envelope(shape, 0.5)
+        assert "exterior adds" in assert_matches_oracle(slow, 0.01, F(3))
+        # The first refused p raises, whatever the p after it.
+        with pytest.raises(TailDominanceError, match="exterior adds"):
+            lp_norms(slow, 0.01, [INF_P, F(3), F(8)])
+        assert lp_norms(slow, 0.01, [INF_P, F(8)])[1].value == \
+            policed_oracle(slow, 0.01, F(8)).value
+
+    @pytest.mark.parametrize("dim,most", [(1, 7), (2, 7), (3, 7), (4, 5)])
+    def test_shell_slices_partition_shell_mask(self, dim, most):
+        for shape in itertools.product(range(1, most + 1), repeat=dim):
+            for layer in range(5):
+                hits = np.zeros(shape, dtype=int)
+                for box in shell_slices(shape, layer):
+                    assert hits[box].size > 0
+                    hits[box] += 1
+                assert hits.max(initial=0) <= 1, (shape, layer)
+                np.testing.assert_array_equal(
+                    hits == 1, shell_mask(shape, layer),
+                    err_msg=f"shape {shape}, layer {layer}")
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           rate=st.floats(0.0, 30.0),
+           weight=st.floats(1e-6, 10.0),
+           p=st.one_of(st.just(INF_P), st.floats(2.0, 16.0)))
+    def test_property_matches_oracle(self, shape, seed, rate, weight, p):
+        # Random complex values under a random decay: rate 0 is plain noise,
+        # which the shell checks mostly refuse; fast decay mostly passes.
+        shape = tuple(shape)
+        rng = np.random.default_rng(seed)
+        values = envelope(shape, rate) * (rng.standard_normal(shape)
+                                          + 1j * rng.standard_normal(shape))
+        assert_matches_oracle(values, weight, p)
 
 
 class TestFitScaling:

@@ -213,8 +213,29 @@ h_stop = 2^-8
 expect = pass
 """
         cfg = write_cfg(tmp_path, text)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "h_start/h_stop gives 3 h value(s)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("h_stop = 2^-10", "h_stop = 2^-5", "h_start/h_stop gives 2"),
+        ("h_start = 2^-4\nh_stop = 2^-10", "h_list = 2^-4, 2^-6, 2^-8",
+         "h_list gives 3"),
+    ], ids=["h_start", "h_list"])
+    def test_short_sharpness_sweep_exits_2(self, tmp_path, capsys, old, new,
+                                           key):
+        # Rejected at parse time: no sweep point runs and no output is made.
+        text = (CONFIG_DIR / "sharp_largep_n2_k3.cfg").read_text()
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_increasing_sweep_rejected(self, tmp_path):
         text = DELTA_CFG.replace("kind = delta-curves", "kind = vdc") + \

@@ -284,13 +284,18 @@ class TestProductSynthesis:
 
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
-        cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
-        perm = np.random.default_rng(5).permutation(len(cut.col_count))
-        shuffled = CutoffField(h, cut.axes, cut.col_coords[perm],
-                               cut.col_start[perm], cut.col_count[perm])
-        axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 2, 8)
-        np.testing.assert_array_equal(synthesize_on_axes(shuffled, axes).data,
-                                      synthesize_on_axes(cut, axes).data)
+        # The n = 3 sweep's field, and the n = 4 one, whose 1,160 rows share
+        # 38 xi2 values.
+        for n, pts in ((3, 8), (4, 4)):
+            cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
+            perm = np.random.default_rng(5).permutation(len(cut.col_count))
+            shuffled = CutoffField(h, cut.axes, cut.col_coords[perm],
+                                   cut.col_start[perm], cut.col_count[perm])
+            axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2,
+                                    pts)
+            np.testing.assert_array_equal(
+                synthesize_on_axes(shuffled, axes).data,
+                synthesize_on_axes(cut, axes).data)
 
     def test_memory_bounded(self):
         # The 64^3 complex output alone is 4.2 MB.
@@ -334,6 +339,19 @@ class TestProductSynthesis:
                           col_start=np.arange(5), col_count=np.arange(1, 6))
         out_axes = [AxisSpec(0.0, 1.0, 10), AxisSpec(0.0, 1.0, 2)]
         with pytest.raises(MemoryError, match="100 cells"):
+            synthesize_on_axes(cut, out_axes)
+
+    def test_xi2_table_checked_before_allocation(self, monkeypatch):
+        # Output and slab are 2 x 10 cells each and the run tables 2 x 2
+        # (one count, one start); the xi2 table holds one 10-node row per
+        # distinct xi2 (8).
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 50)
+        axes = [AxisSpec(0.0, 1.0, 16), AxisSpec(0.0, 1.0, 8)]
+        cut = CutoffField(h=0.1, axes=axes,
+                          col_coords=np.linspace(-0.5, 0.5, 8)[:, None],
+                          col_start=np.full(8, 3), col_count=np.full(8, 2))
+        out_axes = [AxisSpec(0.0, 1.0, 2), AxisSpec(0.0, 1.0, 10)]
+        with pytest.raises(MemoryError, match="80 cells"):
             synthesize_on_axes(cut, out_axes)
 
     def test_bits_independent_of_blas_threads(self):
