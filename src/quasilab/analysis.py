@@ -227,14 +227,16 @@ def lp_norms(values: np.ndarray, weight: float, ps) -> list[LpNorm]:
     mod = np.abs(np.asarray(values))
     shell, inner = shell_slices(mod.shape, 0), shell_slices(mod.shape, 1)
     out = []
-    for p in ps:
+    for i, p in enumerate(ps):
         pp = parse_p(p)
         if pp is INF_P:
             out.append(_sup_tail(float(mod.max()),
                                  max(float(mod[b].max()) for b in shell), p))
             continue
         pf = _finite_p(pp)
-        power = mod ** pf
+        # The last p takes its powers in place of |u|, which no later p
+        # reads: one grid-sized array fewer at the peak.
+        power = np.power(mod, pf, out=mod if i == len(ps) - 1 else None)
         power *= weight
         out.append(_finite_tail(
             float(power.sum()), sum(float(power[b].sum()) for b in shell),

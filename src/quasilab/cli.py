@@ -3,7 +3,9 @@
 Verbs: run <config> [--out DIR], list, delta --family ... , contact --p1
 FILE --p2 FILE.  Exit codes: 0 all verdicts pass, 1 a verdict failed,
 2 config parse/validation error, 3 a module refused (resolution, empty
-support, box, tail or grid-budget trouble) with the refusing module named.
+support, box, tail or grid-budget trouble) with the refusing module named,
+4 an internal error: any other exception from a run, printed with its
+traceback.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .analysis import (CONTACT, FAMILIES, ExponentQuery, exponent, parse_p)
 from .errors import (BoxTooSmallError, ConfigError, EmptySupportError,
                      GridBudgetError, QuasilabError, ResolutionError,
                      TailDominanceError)
-from .experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
-                          EXIT_VERDICT_FAIL, list_experiments, parse_config,
-                          run_experiment)
+from .experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                          EXIT_REFUSED, EXIT_VERDICT_FAIL, list_experiments,
+                          parse_config, run_experiment)
 from .symbols import (contact_profile, format_symbol, graph_factor,
                       parse_symbol, sample_directions)
 
@@ -88,11 +90,13 @@ def _cmd_run(args) -> int:
         print(f"refused ({type(err).__name__} from {_raising_module(err)}): "
               f"{err}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ConfigError, ValueError) as err:
-        # Parameter combinations the runners reject (short sweeps, bad
-        # ranges) are configuration failures.
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        import traceback   # here, so that start-up does not pay for it
+        traceback.print_exc()
+        return EXIT_INTERNAL
     for v in result.verdicts:
         print(v.line())
     print(f"report: {Path(outdir) / 'report.json'}")

@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 
 def fmt(x) -> str:
@@ -106,7 +107,10 @@ def _num(text: str) -> float:
     try:
         if "^" in text:
             base, exp = text.split("^")
-            return float(base) ** float(exp)
+            value = float(base) ** float(exp)
+            if isinstance(value, complex):   # negative base, fractional power
+                raise ValueError(text)
+            return value
         if "/" in text:
             num, den = text.split("/")
             return float(num) / float(den)
@@ -231,21 +235,36 @@ def _choice(*options: str) -> tuple[str, Callable[[str], str]]:
 
 
 _INT = ("an integer", int)
+_INT_LIST = ("a list of integers", _int_list)
 _NUMBER = ("a number", _num)
 _BOOL = _choice("true", "false")
 
-# Every [params] key some runner reads, with what its value must be and the
-# parser that checks it.  parse_config runs each parser, so a bad value or
-# an unknown key names itself before any output is written.
-_PARAM_CHECKS: dict[str, tuple[str, Callable[[str], object]]] = {
-    **dict.fromkeys(("n", "k", "j", "d", "points_per_scale", "joint_orders",
-                     "cells_per_band", "m_order", "max_order", "directions",
-                     "invp_points"), _INT),
-    **dict.fromkeys(("k_list", "orders", "expect_orders"),
-                    ("a list of integers", _int_list)),
-    **dict.fromkeys(("h", "h_start", "h_stop", "margin", "mu", "beta",
-                     "box_half_width", "degraded_below", "a", "separation",
-                     "x1_half_width", "x1_spacing"), _NUMBER),
+
+def _at_least(low: int) -> tuple:
+    return (*_INT, (f">= {low}", lambda v: v >= low))
+
+
+_POSITIVE = (*_NUMBER, ("positive and finite", lambda v: 0 < v < math.inf))
+
+# Every [params] key some runner reads, with what its value must be, the
+# parser that checks it and, for some keys, a bound (its text and its test)
+# outside which a runner's own calls raise.  parse_config runs each check, so
+# a bad value or an unknown key names itself before any output is written.
+_PARAM_CHECKS: dict[str, tuple] = {
+    **dict.fromkeys(("j", "points_per_scale", "cells_per_band", "m_order",
+                     "directions"), _INT),
+    "n": _at_least(2),
+    **dict.fromkeys(("k", "d", "max_order"), _at_least(1)),
+    "joint_orders": _at_least(0),
+    "invp_points": _at_least(2),
+    "k_list": (*_INT_LIST,
+               ("a list of integers >= 1", lambda ks: min(ks) >= 1)),
+    **dict.fromkeys(("orders", "expect_orders"), _INT_LIST),
+    **dict.fromkeys(("h_start", "h_stop", "margin", "beta", "box_half_width",
+                     "degraded_below"), _NUMBER),
+    "h": (*_NUMBER, ("in (0, 1]", lambda v: 0 < v <= 1)),
+    **dict.fromkeys(("mu", "a", "separation", "x1_half_width", "x1_spacing"),
+                    _POSITIVE),
     "h_list": ("a list of numbers", _num_list),
     "p_list": ("a list of exponents", _p_values),
     **dict.fromkeys(("peak_only", "check_peak_slope", "expect_uniform"), _BOOL),
@@ -264,19 +283,37 @@ def _check_values(section: str, values: dict[str, str], checks: dict) -> None:
         if key not in checks:
             raise ConfigError(f"[{section}] key {key!r} is read by no "
                               "experiment kind")
-        what, parse = checks[key]
+        what, parse, *bound = checks[key]
         try:
-            ok = parse(text) != []   # an empty list is no value
+            value = parse(text)
         except (ValueError, ArithmeticError):
-            ok = False
-        if not ok:
+            value = []
+        if value == []:   # an empty list is no value
             raise ConfigError(f"{key} must be {what}, got {text!r}")
+        for limit, ok in bound:
+            if not ok(value):
+                raise ConfigError(f"{key} must be {limit}, got {text!r}")
+
+
+def _pair_family(cfg: ExperimentConfig) -> str | None:
+    """The family whose symbol pair the run builds from n and k, if any."""
+    if cfg.kind == "sharpness-sweep" or (
+            cfg.kind == "contact-profile"
+            and not ("p1" in cfg.symbols and "p2" in cfg.symbols)):
+        return cfg.param("family", "paraboloid")
+    return {"wavelet-diagnostic": "flat",
+            "fio-check": "paraboloid"}.get(cfg.kind)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
     _check_values("params", cfg.params, _PARAM_CHECKS)
     _check_values("tolerances", cfg.tolerances, _TOLERANCE_CHECKS)
     n = int(cfg.params.get("n", "0"))
+    family = _pair_family(cfg)
+    if (family and families.CUTOFF_FAMILIES[family].odd_k
+            and int(cfg.params.get("k", "1")) % 2 == 0):
+        raise ConfigError(f"k = {cfg.params['k']}: family {family!r} needs "
+                          "an odd k")
     for name, text in cfg.symbols.items():
         try:
             parse_symbol(text, dim=n or None)

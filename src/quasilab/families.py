@@ -198,7 +198,8 @@ class Family:
     h^gamma); ``slope(n, k, p)`` is the theorem-backed Lp growth exponent,
     None where only the peak is predicted (from gamma); ``p_min(n)`` is the
     least p at which ``slope`` holds, None when it holds for every p >= 2;
-    ``dim`` is the fixed ambient dimension, None when n sets it.
+    ``dim`` is the fixed ambient dimension, None when n sets it;
+    ``odd_k`` says whether the pair and cutoff need an odd k.
     """
 
     cutoff: Callable[[int, int, int], FrequencyCutoff]
@@ -207,6 +208,7 @@ class Family:
     slope: Callable[[int, int, object], float] | None = None
     p_min: Callable[[int], Fraction] | None = None
     dim: int | None = None
+    odd_k: bool = True
 
 
 def _uniform_gamma(n: int, k: int) -> float:
@@ -254,7 +256,7 @@ CUTOFF_FAMILIES: dict[str, Family] = {
     "valley": Family(
         lambda n, k, cells: valley_cutoff(cells_per_band=cells),
         lambda n, k: valley_pair(),
-        lambda n, k: 1.0 + 0.5 + 1.0 / 20.0, dim=3),
+        lambda n, k: 1.0 + 0.5 + 1.0 / 20.0, dim=3, odd_k=False),
     "flat": Family(
         lambda n, k, cells: flat_cutoff(n, k, cells_per_band=cells),
         flat_pair, _uniform_gamma, _flat_slope),

@@ -357,14 +357,17 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
     phases = np.exp(1j * np.outer(first, x1) / h)
     exps = np.exp(1j * np.outer(xi2, x2) / h)
-    slabs = np.zeros((len(starts), len(x1), len(x2)), dtype=complex)
+    slabs = np.empty((len(starts), len(x1), len(x2)), dtype=complex)
     for slab, row in zip(slabs, np.split(order, starts[1:])):
         for lo in range(0, len(row), _BLOCK):
             cols = row[lo:lo + _BLOCK]
             # Phase first: a complex product's rounding depends on operand
             # order, and this order gives the outputs of the untabled sum.
             a0 = phases[start_of[cols]] * runs[count_of[cols]]
-            slab += a0.T @ exps[xi2_of[cols]]
+            if lo == 0:
+                np.matmul(a0.T, exps[xi2_of[cols]], out=slab)
+            else:
+                slab += a0.T @ exps[xi2_of[cols]]
     flat = slabs.reshape(len(starts), -1)
     for axis in axes[2:]:
         # Fold the leading key coordinate; groups are runs of the rest.
@@ -398,18 +401,36 @@ class Quasimode:
     h: float
     l2norm: ClassVar[float] = 1.0
 
+    # Both methods multiply by 1/||chi||: numpy divides a complex array by a
+    # real scalar as a multiply by the scalar's reciprocal, so the bits equal
+    # those of a division, at a fraction of complex division's cost.
     def values(self, targets) -> np.ndarray:
-        return synthesize_raw(self.cutoff, targets) / self.cutoff.l2_norm()
+        scale = 1.0 / self.cutoff.l2_norm()
+        return synthesize_raw(self.cutoff, targets) * scale
 
     def on_axes(self, axes: Sequence[AxisSpec]) -> GridField:
         g = synthesize_on_axes(self.cutoff, axes)
-        g.data /= self.cutoff.l2_norm()
+        g.data *= 1.0 / self.cutoff.l2_norm()
         return g
 
     def peak(self) -> float:
         """|T(0)|; the global maximum by the triangle inequality."""
         vol = self.cutoff.volume()
         return (_TWO_PI * self.h) ** (-self.cutoff.dim / 2) * math.sqrt(vol)
+
+
+def _power_columns(x: np.ndarray, m: int) -> np.ndarray:
+    """C-order (len(x), m) array of x^0 .. x^(m-1), one column at a time.
+
+    Array-equal to np.vander(x, m, increasing=True), whose multiply.accumulate
+    along each short row costs several times this fill.  The C order keeps
+    the a.T @ b contraction of the joint check on the same bits.
+    """
+    out = np.empty((len(x), m))
+    out[:, 0] = 1.0
+    for j in range(1, m):
+        np.multiply(out[:, j - 1], x, out=out[:, j])
+    return out
 
 
 def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarray:
@@ -444,9 +465,9 @@ def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarr
             field.col_start[lo:lo + _CELL_CHUNK] - (ends - counts), counts)
         xi1 = ax0.start + (idx + 0.5) * ax0.spacing
         bar_arrays = [bar[:, d] for d in range(field.dim - 1)]
-        a, b = [np.vander(((float(c1) * xi1
-                            + np.repeat(rest.eval_grid(bar_arrays), counts))
-                           / h) ** 2, orders + 1, increasing=True)
+        a, b = [_power_columns(((float(c1) * xi1
+                                 + np.repeat(rest.eval_grid(bar_arrays), counts))
+                                / h) ** 2, orders + 1)
                 for c1, rest in splits]
         total += a.T @ b
     return np.sqrt(total * field.cell_volume) / field.l2_norm()

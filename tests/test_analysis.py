@@ -246,10 +246,14 @@ class TestLpNorms:
             * np.exp(2j * np.pi * rng.random(shape))
         for p in ORACLE_PS:
             assert assert_matches_oracle(values, 0.01, p) is None
-        got = lp_norms(values, 0.01, ORACLE_PS)
-        assert [m.p for m in got] == ORACLE_PS
-        for m in got:
-            assert m.value == policed_oracle(values, 0.01, m.p).value
+        before = values.copy()
+        # The last p's powers overwrite |u|, whichever p come before it.
+        for ps in (ORACLE_PS, ORACLE_PS[::-1]):
+            got = lp_norms(values, 0.01, ps)
+            assert [m.p for m in got] == ps
+            for m in got:
+                assert m.value == policed_oracle(values, 0.01, m.p).value
+        np.testing.assert_array_equal(values, before)
 
     @pytest.mark.parametrize("shape", GRID_SHAPES, ids=["2d", "3d", "4d"])
     def test_refusals_match_oracle(self, shape):

@@ -9,13 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quasilab
+from quasilab import experiments
 from quasilab.analysis import contact_delta
 from quasilab.cli import main
 from quasilab.errors import ConfigError
-from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
-                                  TEMPLATES, list_experiments, parse_config)
+from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                                  EXIT_REFUSED, TEMPLATES, list_experiments,
+                                  parse_config)
 from quasilab.quasimode import MAX_GRID_CELLS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -392,12 +395,57 @@ class TestValidation:
         assert "margin must be a positive number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["1/0", "abc", "2^x"])
+    # -2^0.5 is complex in Python: a negative base to a fractional power.
+    @pytest.mark.parametrize("text", ["1/0", "abc", "2^x", "-2^0.5"])
     def test_malformed_number_exits_2(self, tmp_path, capsys, text):
         cfg = write_cfg(tmp_path, VALLEY_CFG.replace("h_start = 2^-4",
                                                      f"h_start = {text}"))
-        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert repr(text) in capsys.readouterr().err
+        assert not out.exists()
+
+    # Values a runner's own calls reject once it has made the output
+    # directory; each is a config error before it.
+    @pytest.mark.parametrize("config, old, new, message", [
+        ("sharp_largep_n2_k3.cfg", "k = 3", "k = 2", "odd k"),
+        ("contact_uniform_n3_k3.cfg", "k = 3", "k = 4", "odd k"),
+        ("wavelet_flat_n2_k3.cfg", "k = 3", "k = 2", "odd k"),
+        ("fio_n2_k1.cfg", "n = 2", "n = 1", "n must be >= 2"),
+        ("sharp_largep_n2_k3.cfg", "joint_orders = 3", "joint_orders = -1",
+         "joint_orders must be >= 0"),
+        ("contact_axis_k3.cfg", "max_order = 32", "max_order = 0",
+         "max_order must be >= 1"),
+        ("delta_curves_n3.cfg", "k_list = 1, 3, 5", "k_list = 0, 3",
+         "k_list must be a list of integers >= 1"),
+        ("delta_curves_n3.cfg", "invp_points = 25", "invp_points = 1",
+         "invp_points must be >= 2"),
+        ("vdc_d1.cfg", "d = 1", "d = 0", "d must be >= 1"),
+        ("vdc_d1.cfg", "mu = 1", "mu = -1", "mu must be positive"),
+        ("ttstar_n2.cfg", "a = 0.5", "a = 0", "a must be positive"),
+        ("wavelet_flat_n2_k3.cfg", "h = 2^-8", "h = 2", "h must be in (0, 1]"),
+        ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 0",
+         "x1_spacing must be positive"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, config, old,
+                                        new, message):
+        text = (CONFIG_DIR / config).read_text()
+        assert f"\n{old}\n" in text
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, text.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, outdir):
+            raise RuntimeError("runner bug")
+        monkeypatch.setitem(experiments.RUNNERS, "delta-curves", broken)
+        cfg = write_cfg(tmp_path, DELTA_CFG)
+        assert main(["run", str(cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: runner bug" in err
 
     @pytest.mark.parametrize("config, old, new, key", [
         # A key no kind reads, in either section.
@@ -433,6 +481,36 @@ class TestValidation:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_REFUSED
         err = capsys.readouterr().err
         assert "from quasimode" in err and str(MAX_GRID_CELLS) in err
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Config number text: anything from the grammar's characters, and the three
+# forms _num knows with float operands.
+_NUMBER_TEXT = st.one_of(
+    st.text(alphabet="0123456789.-+e^/inf ", max_size=12),
+    st.builds(repr, _FINITE),
+    st.builds(lambda a, b, op: f"{a!r}{op}{b!r}", _FINITE, _FINITE,
+              st.sampled_from("^/")))
+
+
+class TestNumberProperties:
+    @_PROPERTY
+    @given(text=_NUMBER_TEXT)
+    def test_accepted_numbers_are_real_floats(self, text):
+        try:
+            value = experiments._num(text)
+        except ConfigError:
+            return
+        assert type(value) is float
+
+    @_PROPERTY
+    @given(base=st.floats(max_value=-1e-300, allow_infinity=False),
+           exp=_FINITE.filter(lambda b: b != int(b)))
+    def test_negative_base_fractional_power_rejected(self, base, exp):
+        with pytest.raises(ConfigError, match="malformed number"):
+            experiments._num(f"{base!r}^{exp!r}")
 
 
 # Start-up as one CLI run sees it: the scipy modules loaded after the import,

@@ -297,6 +297,21 @@ class TestProductSynthesis:
                 synthesize_on_axes(shuffled, axes).data,
                 synthesize_on_axes(cut, axes).data)
 
+    @pytest.mark.parametrize("n,pts", [(2, 8), (3, 8), (4, 4)],
+                             ids=["2d", "3d", "4d"])
+    def test_normalisation_is_a_division_bit_for_bit(self, n, pts):
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
+        axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2, pts)
+        norm = cut.l2_norm()
+        qm = Quasimode(cut, h)
+        assert qm.on_axes(axes).data.tobytes() == \
+            (synthesize_on_axes(cut, axes).data / norm).tobytes()
+        nodes = mesh_points(axes)
+        targets = nodes[np.linspace(0, len(nodes) - 1, 64).astype(int)]
+        assert qm.values(targets).tobytes() == \
+            (synthesize_raw(cut, targets) / norm).tobytes()
+
     def test_memory_bounded(self):
         # The 64^3 complex output alone is 4.2 MB.
         h = 2.0 ** -5
@@ -407,6 +422,21 @@ class TestJointQuasimode:
                     h ** (m1 + m2) * cut.l2_norm())
         np.testing.assert_allclose(verify_joint_quasimode(Quasimode(cut, h), 3),
                                    direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_power_columns_match_vander(self, m):
+        x = np.random.default_rng(m).standard_normal(1000) * 3.0
+        got = quasimode._power_columns(x, m)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.vander(x, m, increasing=True))
+
+    @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
+    def test_matches_vander_oracle(self, spec_fn, h, monkeypatch):
+        cut = build_cutoff(spec_fn(), h)
+        got = verify_joint_quasimode(cut, 3)
+        monkeypatch.setattr(quasimode, "_power_columns",
+                            lambda x, m: np.vander(x, m, increasing=True))
+        np.testing.assert_array_equal(got, verify_joint_quasimode(cut, 3))
 
     def test_multiplier_norm_oracle(self):
         # Independent frequency-side oracle: apply p1 as a multiplier to the

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasilab import families
 from quasilab.errors import DimensionMismatchError, SymbolParseError
@@ -58,6 +59,16 @@ class TestParseFormat:
 
     def test_canonical_zero(self):
         assert format_symbol(parse_symbol("x1 - x1", dim=1)) == "0"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 4).flatmap(lambda dim: st.builds(
+        PolySymbol, st.just(dim),
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * dim),
+                        st.fractions(max_denominator=50),
+                        max_size=6))))
+    def test_round_trip_property(self, p):
+        assert parse_symbol(format_symbol(p), dim=p.dim) == p
 
 
 class TestEval:
