@@ -90,9 +90,6 @@ def _cmd_run(args) -> int:
         print(f"refused ({type(err).__name__} from {_raising_module(err)}): "
               f"{err}", file=sys.stderr)
         return EXIT_REFUSED
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception:
         import traceback   # here, so that start-up does not pay for it
         traceback.print_exc()

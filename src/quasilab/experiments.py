@@ -12,7 +12,8 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -119,17 +120,72 @@ def _num(text: str) -> float:
         raise ConfigError(f"malformed number {text!r}") from None
 
 
-def _num_list(text: str) -> list[float]:
-    return [_num(t) for t in text.split(",") if t.strip()]
+def _list(parse: Callable[[str], object]) -> Callable[[str], list]:
+    """A parser of comma-separated lists of what parse reads."""
+    return lambda text: [parse(t.strip()) for t in text.split(",") if t.strip()]
 
 
-def _p_values(text: str) -> list:
-    return [parse_p(t.strip()) for t in text.split(",") if t.strip()]
+@dataclass(frozen=True)
+class Key:
+    """One config key: what its value must be, its parser, its default
+    (config text, parsed like given text; None: absent unless a rule fills
+    it) and a bound (its text and its test) on a given value, if any."""
+
+    what: str
+    parse: Callable[[str], object]
+    default: str | None = None
+    bound: tuple[str, Callable] | None = None
+
+
+REQUIRED = "required"
+_POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)
+
+
+def _int(default=None, low: int | None = None) -> Key:
+    return Key("an integer", int, default,
+               None if low is None else (f">= {low}", lambda v: v >= low))
+
+
+def _ints(default=None, low: int | None = None) -> Key:
+    return Key("a list of integers", _list(int), default,
+               None if low is None
+               else (f"a list of integers >= {low}", lambda v: min(v) >= low))
+
+
+def _number(default=None, bound=None) -> Key:
+    return Key("a number", _num, default, bound)
+
+
+def _choice(default: str, options: dict | tuple) -> Key:
+    """One of the options' names; a dict maps each name to its value."""
+    if not isinstance(options, dict):
+        options = dict(zip(options, options))
+    return Key(f"one of {', '.join(options)}", options.__getitem__, default)
+
+
+_FLAG = {"true": True, "false": False}
+_FAMILY = _choice("paraboloid", families.CUTOFF_FAMILIES)
+_SYMBOL = Key("a polynomial", str)   # parsed by the kind's rule, which knows n
+# An h sweep: h_list, or h_start halved down to h_stop (_check_h_sweep).
+_H_SWEEP = {"h_start": _number(), "h_stop": _number(),
+            "h_list": Key("a list of numbers", _list(_num))}
+
+
+@dataclass(frozen=True)
+class Schema:
+    """Every key one experiment kind reads, by config section, and the rules
+    that check the keys against each other and fill derived values."""
+
+    params: dict[str, Key]
+    tolerances: dict[str, Key] = field(default_factory=dict)
+    symbols: dict[str, Key] = field(default_factory=dict)
+    rules: tuple[Callable[[dict], None], ...] = ()
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (flat key-value sections)."""
+    """A validated experiment: the config text as written, which report.json
+    echoes, and ``values``, every key its kind reads, typed and defaulted."""
 
     experiment_id: str
     kind: str
@@ -138,55 +194,7 @@ class ExperimentConfig:
     symbols: dict[str, str]
     tolerances: dict[str, str]
     out: str | None = None
-    path: str | None = None
-
-    def param(self, key: str, default=None):
-        if key in self.params:
-            return self.params[key]
-        if default is None:
-            raise ConfigError(f"missing parameter {key!r} for {self.kind}")
-        return default
-
-    def tol(self, key: str, default: float) -> float:
-        if key in self.tolerances:
-            return _num(self.tolerances[key])
-        return default
-
-    def family(self) -> families.Family:
-        """The cutoff family record; an n it contradicts is a config error."""
-        name = self.param("family", "paraboloid")
-        fam = families.CUTOFF_FAMILIES[name]
-        n = self.params.get("n")
-        if fam.dim is not None and n and _num(n) != fam.dim:
-            raise ConfigError(f"n = {self.params['n']} contradicts family "
-                              f"{name!r}, which is {fam.dim}-dimensional")
-        return fam
-
-    def h_sweep(self) -> list[float]:
-        if "h_list" in self.params:
-            hs = _num_list(self.params["h_list"])
-        else:
-            start = _num(self.param("h_start"))
-            stop = _num(self.param("h_stop"))
-            if not 0 < stop <= start <= 1:
-                raise ConfigError("need 0 < h_stop <= h_start <= 1")
-            hs = []
-            h = start
-            while h >= stop * (1 - 1e-12):
-                hs.append(h)
-                h /= 2.0
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ConfigError("h sweep must be strictly decreasing")
-        if any(not 0 < h <= 1 for h in hs):
-            raise ConfigError("h values must lie in (0, 1]")
-        return hs
-
-    def p_list(self) -> list:
-        ps = _p_values(self.params.get("p_list", ""))
-        for p in ps:
-            if p is not INF_P and p < 2:
-                raise ConfigError(f"every p must be >= 2, got {p}")
-        return ps
+    values: dict = field(default_factory=dict)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -201,9 +209,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
     kind = exp.get("kind", "").strip()
-    if kind not in RUNNERS:
+    if kind not in SCHEMAS:
         raise ConfigError(
-            f"unknown experiment kind {kind!r}; expected one of {sorted(RUNNERS)}")
+            f"unknown experiment kind {kind!r}; expected one of {sorted(SCHEMAS)}")
     try:
         seed = int(exp.get("seed", "1234"))
     except ValueError as err:
@@ -216,162 +224,206 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         symbols=dict(parser["symbols"]) if "symbols" in parser else {},
         tolerances=dict(parser["tolerances"]) if "tolerances" in parser else {},
         out=exp.get("out", "").strip() or None,
-        path=str(path),
     )
-    _validate(cfg)
+    schema = SCHEMAS[kind]
+    for section in ("params", "tolerances", "symbols"):
+        _parse_section(cfg, section, getattr(schema, section))
+    for rule in schema.rules:
+        rule(cfg.values)
     return cfg
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
-
-
-def _choice(*options: str) -> tuple[str, Callable[[str], str]]:
-    def check(text: str) -> str:
-        if text not in options:
-            raise ValueError(text)
-        return text
-    return f"one of {', '.join(options)}", check
-
-
-_INT = ("an integer", int)
-_INT_LIST = ("a list of integers", _int_list)
-_NUMBER = ("a number", _num)
-_BOOL = _choice("true", "false")
-
-
-def _at_least(low: int) -> tuple:
-    return (*_INT, (f">= {low}", lambda v: v >= low))
-
-
-_POSITIVE = (*_NUMBER, ("positive and finite", lambda v: 0 < v < math.inf))
-
-# Every [params] key some runner reads, with what its value must be, the
-# parser that checks it and, for some keys, a bound (its text and its test)
-# outside which a runner's own calls raise.  parse_config runs each check, so
-# a bad value or an unknown key names itself before any output is written.
-_PARAM_CHECKS: dict[str, tuple] = {
-    **dict.fromkeys(("j", "points_per_scale", "cells_per_band", "m_order",
-                     "directions"), _INT),
-    "n": _at_least(2),
-    **dict.fromkeys(("k", "d", "max_order"), _at_least(1)),
-    "joint_orders": _at_least(0),
-    "invp_points": _at_least(2),
-    "k_list": (*_INT_LIST,
-               ("a list of integers >= 1", lambda ks: min(ks) >= 1)),
-    **dict.fromkeys(("orders", "expect_orders"), _INT_LIST),
-    **dict.fromkeys(("h_start", "h_stop", "margin", "beta", "box_half_width",
-                     "degraded_below"), _NUMBER),
-    "h": (*_NUMBER, ("in (0, 1]", lambda v: 0 < v <= 1)),
-    **dict.fromkeys(("mu", "a", "separation", "x1_half_width", "x1_spacing"),
-                    _POSITIVE),
-    "h_list": ("a list of numbers", _num_list),
-    "p_list": ("a list of exponents", _p_values),
-    **dict.fromkeys(("peak_only", "check_peak_slope", "expect_uniform"), _BOOL),
-    "family": _choice(*families.CUTOFF_FAMILIES),
-    "amplitude": _choice("dyadic", "resonant"),
-    "expect": _choice("pass", "fail"),
-}
-# Every [tolerances] key some runner reads; each value is a number.
-_TOLERANCE_CHECKS = dict.fromkeys(
-    ("volume_band", "joint_slack", "slope", "slope_p2", "small_a_min",
-     "large_a_abs", "exponent", "band"), _NUMBER)
-
-
-def _check_values(section: str, values: dict[str, str], checks: dict) -> None:
-    for key, text in values.items():
-        if key not in checks:
-            raise ConfigError(f"[{section}] key {key!r} is read by no "
-                              "experiment kind")
-        what, parse, *bound = checks[key]
+def _parse_section(cfg: ExperimentConfig, section: str, keys: dict) -> None:
+    """Type every key of one section, given or defaulted, into cfg.values."""
+    given, values = getattr(cfg, section), cfg.values
+    for key in given:
+        if key not in keys:
+            raise ConfigError(f"[{section}] key {key!r} is not read by "
+                              f"{cfg.kind}; it reads {', '.join(keys) or 'none'}")
+    for key, spec in keys.items():
+        if key not in given:
+            if spec.default == REQUIRED:
+                raise ConfigError(f"missing parameter {key!r} for {cfg.kind}")
+            if spec.default is not None:
+                values[key] = spec.parse(spec.default)
+            continue
+        text = given[key]
         try:
-            value = parse(text)
-        except (ValueError, ArithmeticError):
+            value = spec.parse(text)
+        except (ValueError, ArithmeticError, KeyError):
             value = []
         if value == []:   # an empty list is no value
-            raise ConfigError(f"{key} must be {what}, got {text!r}")
-        for limit, ok in bound:
-            if not ok(value):
-                raise ConfigError(f"{key} must be {limit}, got {text!r}")
+            raise ConfigError(f"{key} must be {spec.what}, got {text!r}")
+        if spec.bound and not spec.bound[1](value):
+            raise ConfigError(f"{key} must be {spec.bound[0]}, got {text!r}")
+        values[key] = value
 
 
-def _pair_family(cfg: ExperimentConfig) -> str | None:
-    """The family whose symbol pair the run builds from n and k, if any."""
-    if cfg.kind == "sharpness-sweep" or (
-            cfg.kind == "contact-profile"
-            and not ("p1" in cfg.symbols and "p2" in cfg.symbols)):
-        return cfg.param("family", "paraboloid")
-    return {"wavelet-diagnostic": "flat",
-            "fio-check": "paraboloid"}.get(cfg.kind)
+def _check_h_sweep(v: dict, fits_slopes: bool = False) -> None:
+    """Fill v["h_sweep"], strictly decreasing in (0, 1]; a kind that fits
+    slopes over it needs MIN_SWEEP_POINTS values."""
+    if "h_list" in v:
+        keys, hs = "h_list", v["h_list"]
+    elif "h_start" in v and "h_stop" in v:
+        keys, start, stop = "h_start/h_stop", v["h_start"], v["h_stop"]
+        if not 0 < stop <= start <= 1:
+            raise ConfigError("need 0 < h_stop <= h_start <= 1")
+        hs, h = [], start
+        while h >= stop * (1 - 1e-12):
+            hs.append(h)
+            h /= 2.0
+    else:
+        raise ConfigError("give h_start and h_stop, or h_list")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ConfigError("h sweep must be strictly decreasing")
+    if any(not 0 < h <= 1 for h in hs):
+        raise ConfigError("h values must lie in (0, 1]")
+    if fits_slopes and len(hs) < MIN_SWEEP_POINTS:
+        raise ConfigError(f"{keys} gives {len(hs)} h value(s); a run that "
+                          f"fits slopes needs at least {MIN_SWEEP_POINTS}")
+    v["h_sweep"] = hs
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    _check_values("params", cfg.params, _PARAM_CHECKS)
-    _check_values("tolerances", cfg.tolerances, _TOLERANCE_CHECKS)
-    n = int(cfg.params.get("n", "0"))
-    family = _pair_family(cfg)
-    if (family and families.CUTOFF_FAMILIES[family].odd_k
-            and int(cfg.params.get("k", "1")) % 2 == 0):
-        raise ConfigError(f"k = {cfg.params['k']}: family {family!r} needs "
-                          "an odd k")
-    for name, text in cfg.symbols.items():
-        try:
-            parse_symbol(text, dim=n or None)
-        except QuasilabError as err:
-            raise ConfigError(f"symbol {name!r} does not parse: {err}") from None
-    ps = cfg.p_list()
-    if cfg.kind == "sharpness-sweep":
-        fam = cfg.family()
-        if ps and cfg.param("peak_only", "false") != "true":
-            if fam.slope is None:
-                raise ConfigError(f"family {cfg.params['family']!r} predicts "
-                                  "no Lp slope; drop p_list or set "
-                                  "peak_only = true")
-            if fam.p_min is not None and n >= 2:
-                p0 = fam.p_min(n)
-                low = [p for p in ps if p is not INF_P and p < p0]
-                if low:
-                    raise ConfigError(
-                        f"p_list has p = {', '.join(map(str, low))} below "
-                        f"p0 = {p0}, the least p at which family "
-                        f"{cfg.param('family', 'paraboloid')!r} predicts an "
-                        f"Lp slope at n = {n}; drop those p or set "
-                        "peak_only = true")
-            _check_sweep_grid(cfg, n)
-    if cfg.kind in ("sharpness-sweep", "vdc"):
-        # Both kinds fit slopes over the h sweep.
-        hs = cfg.h_sweep()
-        if len(hs) < MIN_SWEEP_POINTS:
-            keys = "h_list" if "h_list" in cfg.params else "h_start/h_stop"
+def _check_pair(v: dict, fam: families.Family | None = None) -> None:
+    """n and k must suit the family whose symbol pair the run builds (the
+    `family` key's, unless fam is given); an absent n is its dimension."""
+    fam = fam or v["family"]
+    if "n" not in v:
+        if fam.dim is None:
+            raise ConfigError(f"missing parameter 'n': family {fam.name!r} "
+                              "has no fixed dimension")
+        v["n"] = fam.dim
+    elif fam.dim is not None and v["n"] != fam.dim:
+        raise ConfigError(f"n = {v['n']} contradicts family {fam.name!r}, "
+                          f"which is {fam.dim}-dimensional")
+    if fam.odd_k and v["k"] % 2 == 0:
+        raise ConfigError(f"k = {v['k']}: family {fam.name!r} needs an odd k")
+
+
+_check_fitted_sweep = partial(_check_h_sweep, fits_slopes=True)
+
+
+def _check_symbol(v: dict, name: str, dim: int) -> None:
+    try:
+        v[name] = parse_symbol(v[name], dim=dim)
+    except QuasilabError as err:
+        raise ConfigError(f"symbol {name!r} does not parse: {err}") from None
+
+
+def _check_contact(v: dict) -> None:
+    """p1 and p2 as given, both factoring over xi1, or the family's pair."""
+    if "p1" not in v and "p2" not in v:
+        _check_pair(v)
+        v["p1"], v["p2"] = v["family"].pair(v["n"], v["k"])
+        return
+    for name in ("p1", "p2"):
+        if name not in v:
+            raise ConfigError(f"symbol {name!r} is missing; give p1 and p2 or neither")
+        _check_symbol(v, name, v["n"])
+    if not (graph_factor(v["p1"]).valid and graph_factor(v["p2"]).valid):
+        raise ConfigError("both symbols must factor as graphs over xi1")
+
+
+def _check_lp_sweep(v: dict) -> None:
+    """An Lp sweep's family must predict its slopes at every p, and its
+    position grid must fit the synthesis cell budget."""
+    fam, ps = v["family"], v["p_list"]
+    if not ps or v["peak_only"]:
+        return
+    if fam.slope is None:
+        raise ConfigError(f"family {fam.name!r} predicts no Lp slope; drop "
+                          "p_list or set peak_only = true")
+    if fam.p_min is not None:
+        p0 = fam.p_min(v["n"])
+        low = [p for p in ps if p < p0]
+        if low:
             raise ConfigError(
-                f"{keys} gives {len(hs)} h value(s); a {cfg.kind} fits "
-                f"slopes and needs at least {MIN_SWEEP_POINTS}")
-    elif "h_start" in cfg.params or "h_list" in cfg.params:
-        cfg.h_sweep()
-
-
-def _check_sweep_grid(cfg: ExperimentConfig, n: int) -> None:
-    """An Lp sweep's position grid must fit the synthesis cell budget."""
-    margin = _num(cfg.param("margin", "8"))
-    if not 0 < margin < math.inf:
-        raise ConfigError(f"margin must be a positive number, got {margin}")
-    axes = oscillation_axes([1.0] * n, 1.0, margin,
-                            int(cfg.param("points_per_scale", "8")))
+                f"p_list has p = {', '.join(map(str, low))} below p0 = {p0}, "
+                f"the least p at which family {fam.name!r} predicts an Lp "
+                f"slope at n = {v['n']}; drop those p or set peak_only = true")
+    axes = oscillation_axes([1.0] * v["n"], 1.0, v["margin"],
+                            v["points_per_scale"])
     cells = math.prod(a.points for a in axes)
     if cells > MAX_GRID_CELLS:
         raise ConfigError(
-            f"an Lp sweep at n = {n} synthesizes on a grid of "
+            f"an Lp sweep at n = {v['n']} synthesizes on a grid of "
             f"{'x'.join(str(a.points) for a in axes)} = {cells} cells, over "
             f"the budget of {MAX_GRID_CELLS} (2^24); lower n, margin or "
             "points_per_scale, or set peak_only = true")
 
 
+def _check_ttstar(v: dict) -> None:
+    """The kernel is 0 once its windows, a times the wavelet's half-width
+    each, do not overlap: at `separation` or at the largest h (the
+    support-only regime's separation), the band ratios would divide by 0."""
+    _check_symbol(v, "a1", 1)
+    reach = 2.0 * make_mother_wavelet().support_halfwidth
+    for key, sep in (("separation", v["separation"]),
+                     ("h_list" if "h_list" in v else "h_start",
+                      v["h_sweep"][0])):
+        if sep / v["a"] >= reach:
+            raise ConfigError(
+                f"{key} gives a separation of {fmt(sep)}, at least "
+                f"2*a*support_halfwidth = {fmt(reach * v['a'])}: the two "
+                "windows do not overlap, so the kernel vanishes")
+
+
+SCHEMAS: dict[str, Schema] = {
+    "delta-curves": Schema({
+        "n": _int("3", 2), "k_list": _ints("1, 3, 5", 1),
+        "invp_points": _int("25", 2)}),
+    "contact-profile": Schema({
+        "n": _int("3", 2), "k": _int("1", 1), "family": _FAMILY,
+        "max_order": _int("32", 1), "directions": _int("64"),
+        "expect_uniform": _choice("true", _FLAG), "expect_orders": _ints(REQUIRED),
+    }, symbols={"p1": _SYMBOL, "p2": _SYMBOL}, rules=(_check_contact,)),
+    "sharpness-sweep": Schema({
+        "family": _FAMILY, "n": _int(low=2), "k": _int("1", 1),
+        "cells_per_band": _int(str(families.CELLS_PER_BAND)), **_H_SWEEP,
+        "p_list": Key("a list of exponents", _list(parse_p), "",
+                      ("a list of exponents >= 2", lambda ps: min(ps) >= 2)),
+        "joint_orders": _int("3", 0), "margin": _number("8", _POSITIVE),
+        "points_per_scale": _int("8"), "peak_only": _choice("false", _FLAG),
+        "check_peak_slope": _choice("false", _FLAG),
+    }, tolerances={
+        "volume_band": _number("4.0"), "joint_slack": _number("1/16"),
+        "slope": _number("0.1"), "slope_p2": _number("0.02"),
+    }, rules=(_check_pair, _check_lp_sweep, _check_fitted_sweep)),
+    "wavelet-diagnostic": Schema({
+        "n": _int("2", 2), "k": _int("3", 1),
+        "h": _number("2^-8", ("in (0, 1]", lambda v: 0 < v <= 1)),
+        "m_order": _int("1"), "x1_half_width": _number("6", _POSITIVE),
+        "x1_spacing": _number("2^-9", _POSITIVE),
+    }, tolerances={
+        "small_a_min": _number("1.4"), "large_a_abs": _number("0.1"),
+    }, rules=(partial(_check_pair, fam=families.CUTOFF_FAMILIES["flat"]),)),
+    "vdc": Schema({
+        "d": _int("1", 1), "mu": _number("1", _POSITIVE), **_H_SWEEP,
+        "amplitude": _choice("dyadic", ("dyadic", "resonant")),
+        "k": _int("3", 1), "j": _int("2"), "beta": _number("0.8"),
+        "box_half_width": _number("1.5"),
+        "expect": _choice("pass", {"pass": "PASS", "fail": "FAIL"}),
+        "degraded_below": _number("0.4"),
+    }, tolerances={"exponent": _number("0.1")}, rules=(_check_fitted_sweep,)),
+    "ttstar-kernel": Schema({
+        "k": _int("3", 1), "j": _int("0"), "a": _number("0.5", _POSITIVE),
+        **_H_SWEEP, "separation": _number("2^-3", _POSITIVE),
+    }, tolerances={"band": _number("4.0")},
+        symbols={"a1": Key(_SYMBOL.what, str, "x1^2")},
+        rules=(_check_h_sweep, _check_ttstar)),
+    "fio-check": Schema({
+        "n": _int("2", 2), "k": _int("1", 1), **_H_SWEEP,
+        "orders": _ints("1, 2"), "x1_half_width": _number("8", _POSITIVE),
+    }, rules=(_check_h_sweep,
+              partial(_check_pair, fam=families.CUTOFF_FAMILIES["paraboloid"]))),
+}
+
+
 # -- experiment runners --------------------------------------------------------------
 
 def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    n = int(cfg.param("n", "3"))
-    k_list = _int_list(cfg.param("k_list", "1,3,5"))
-    points = int(cfg.param("invp_points", "25"))
+    v = cfg.values
+    n, k_list, points = v["n"], v["k_list"], v["invp_points"]
     inv_p = [Fraction(i, 2 * (points - 1)) for i in range(points)]
     rows = []
     for k in k_list:
@@ -401,19 +453,10 @@ def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
 
 
 def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    n = int(cfg.param("n", "3"))
-    if "p1" in cfg.symbols and "p2" in cfg.symbols:
-        p1 = parse_symbol(cfg.symbols["p1"], dim=n)
-        p2 = parse_symbol(cfg.symbols["p2"], dim=n)
-    else:
-        p1, p2 = cfg.family().pair(n, int(cfg.param("k", "1")))
-    g1, g2 = graph_factor(p1), graph_factor(p2)
-    if not (g1.valid and g2.valid):
-        raise ConfigError("both symbols must factor as graphs over xi1")
-    max_order = int(cfg.param("max_order", "32"))
-    count = int(cfg.param("directions", "64"))
-    dirs = sample_directions(n - 1, count)
-    profile = contact_profile(g1.a, g2.a, dirs, max_order)
+    v = cfg.values
+    a1, a2 = graph_factor(v["p1"]).a, graph_factor(v["p2"]).a
+    dirs = sample_directions(v["n"] - 1, v["directions"])
+    profile = contact_profile(a1, a2, dirs, v["max_order"])
     rows = []
     for rep in profile.reports:
         rows.append((";".join(str(c) for c in rep.direction),
@@ -424,41 +467,40 @@ def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     write_csv(table, ("direction", "order", "leading_coefficient"), rows)
 
     verdicts = []
-    expect_uniform = cfg.param("expect_uniform", "true") == "true"
     verdicts.append(Verdict("uniformity", str(profile.uniform),
-                            str(expect_uniform), "exact",
-                            profile.uniform == expect_uniform))
+                            str(v["expect_uniform"]), "exact",
+                            profile.uniform == v["expect_uniform"]))
     finite = sorted({o for o in profile.orders() if not math.isinf(o)})
-    expect_orders = sorted(_int_list(cfg.param("expect_orders")))
+    expect_orders = sorted(v["expect_orders"])
     verdicts.append(Verdict("order-set", ";".join(map(str, finite)),
                             ";".join(map(str, expect_orders)), "exact",
                             finite == expect_orders))
-    curv = curvature_check(g1.a)
+    curv = curvature_check(a1)
     verdicts.append(Verdict("curvature-nondegenerate", float(curv.det), "nonzero",
                             "exact", curv.nondegenerate))
     if profile.uniform and len(finite) == 1:
         k = int(finite[0])
-        c_ok = mixed_partials_check(g1.a, g2.a, k).ok
+        c_ok = mixed_partials_check(a1, a2, k).ok
         verdicts.append(Verdict("mixed-partials-vanish", str(c_ok), "true",
                                 "exact", c_ok))
     return RunResult(cfg.experiment_id, cfg.kind, verdicts,
                      {"contact_profile": table})
 
 
-def _sweep_point(spec, h, ps, joint_orders, margin, pts_per_scale):
+def _sweep_point(spec, h, ps, v):
     cut = build_cutoff(spec, h)
     qm = Quasimode(cut, h)
     vol = support_volume(cut)
     origin = np.zeros((1, cut.dim))
     t0_err = abs(abs(qm.values(origin)[0]) - qm.peak()) / qm.peak()
-    ratios = verify_joint_quasimode(qm, joint_orders)
+    ratios = verify_joint_quasimode(qm, v["joint_orders"])
     norms = {}
     if ps:
         exts = [cut.extent(i) for i in range(cut.dim)]
-        axes = oscillation_axes(exts, h, margin, pts_per_scale)
+        axes = oscillation_axes(exts, h, v["margin"], v["points_per_scale"])
         g = qm.on_axes(axes)
         # p = 2 is frequency-side Parseval: exact for the normalized cutoff.
-        measured = [p for p in ps if p is INF_P or float(parse_p(p)) != 2.0]
+        measured = [p for p in ps if p != 2]
         norms = dict.fromkeys(ps, 1.0)
         norms.update((m.p, m.value)
                      for m in lp_norms(g.data, g.cell_volume, measured))
@@ -467,21 +509,11 @@ def _sweep_point(spec, h, ps, joint_orders, margin, pts_per_scale):
 
 
 def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    fam = cfg.family()
-    n = int(cfg.param("n", "0") or 0)
-    k = int(cfg.param("k", "1"))
-    spec = fam.cutoff(n, k, int(cfg.param("cells_per_band",
-                                          families.CELLS_PER_BAND)))
-    hs = cfg.h_sweep()
-    ps = cfg.p_list()
-    joint_orders = int(cfg.param("joint_orders", "3"))
-    margin = _num(cfg.param("margin", "8"))
-    pts_per_scale = int(cfg.param("points_per_scale", "8"))
-    peak_only = cfg.param("peak_only", "false") == "true"
-    if peak_only:
-        ps = []
-    results = [_sweep_point(spec, h, ps, joint_orders, margin, pts_per_scale)
-               for h in hs]
+    v = cfg.values
+    fam, n, k, hs = v["family"], v["n"], v["k"], v["h_sweep"]
+    spec = fam.cutoff(n, k, v["cells_per_band"])
+    ps = [] if v["peak_only"] else v["p_list"]
+    results = [_sweep_point(spec, h, ps, v) for h in hs]
 
     gamma = fam.gamma(n, k)
     header = ["h", "volume", "volume_ratio", "peak", "t0_rel_err",
@@ -498,30 +530,29 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
 
     verdicts = []
     vr = [r["volume"] / r["h"] ** gamma for r in results]
-    band = cfg.tol("volume_band", 4.0)
+    band = v["volume_band"]
     verdicts.append(Verdict("volume-band", max(vr) / min(vr), 1.0, band,
                             max(vr) / min(vr) <= band))
     worst_t0 = max(r["t0_err"] for r in results)
     verdicts.append(Verdict("peak-identity", worst_t0, 0.0, 1e-10,
                             worst_t0 <= 1e-10))
     worst_ratio = max(float(r["ratios"].max()) for r in results)
-    slack = cfg.tol("joint_slack", 1.0 / 16.0)
+    slack = v["joint_slack"]
     verdicts.append(Verdict("joint-quasimode-ratio", worst_ratio, 1.0,
                             slack, worst_ratio <= 1.0 + slack))
     vols = [r["volume"] for r in results]
-    verdicts.append(Verdict("volume-monotone", float(all(
-        b < a for a, b in zip(vols, vols[1:]))), 1.0, 0.0,
-        all(b < a for a, b in zip(vols, vols[1:]))))
-    slope_tol = cfg.tol("slope", 0.1)
-    if peak_only or cfg.param("check_peak_slope", "false") == "true":
+    monotone = all(b < a for a, b in zip(vols, vols[1:]))
+    verdicts.append(Verdict("volume-monotone", float(monotone), 1.0, 0.0,
+                            monotone))
+    slope_tol = v["slope"]
+    if v["peak_only"] or v["check_peak_slope"]:
         predicted = gamma / 2.0 - len(spec.box) / 2.0
         rep = fit_scaling(hs, [r["peak"] for r in results], predicted, slope_tol)
         verdicts.append(Verdict("peak-slope", rep.slope, rep.predicted,
                                 rep.tolerance, rep.passed))
     for p in ps:
         predicted = fam.slope(n, k, p)
-        tol = cfg.tol("slope_p2", 0.02) if (p is not INF_P and float(parse_p(p)) == 2.0) \
-            else slope_tol
+        tol = v["slope_p2"] if p == 2 else slope_tol
         rep = fit_scaling(hs, [r["norms"][p] for r in results], predicted, tol)
         verdicts.append(Verdict(
             f"lp-slope-p{p if p is not INF_P else 'inf'}",
@@ -530,28 +561,20 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
 
 
 def run_wavelet_diagnostic(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    n = int(cfg.param("n", "2"))
-    k = int(cfg.param("k", "3"))
-    h = _num(cfg.param("h", "2^-8"))
-    m_order = int(cfg.param("m_order", "1"))
-    spec = families.flat_cutoff(n, k, pow2=True)
-    cut = build_cutoff(spec, h)
-    x1_hw = _num(cfg.param("x1_half_width", "6"))
-    x1_dx = _num(cfg.param("x1_spacing", "2^-9"))
-    axes = aligned_position_axes(cut, x1_hw, x1_dx)
-    v = Quasimode(cut, h).on_axes(axes)
-    w = make_mother_wavelet()
-    diag = decay_diagnostic(v, w, m_order, k)
+    v = cfg.values
+    k, h = v["k"], v["h"]
+    cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
+    axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
+    u = Quasimode(cut, h).on_axes(axes)
+    diag = decay_diagnostic(u, make_mother_wavelet(), v["m_order"], k)
     table = outdir / "wavelet_diag.csv"
     write_csv(table, ("a", "j", "value", "predicted_bound"),
               [(r.a, r.j, r.value, r.bound) for r in diag.rows])
     verdicts = [
         Verdict("small-a-exponent", diag.small_a_slope, 1.5,
-                cfg.tol("small_a_min", 1.4),
-                diag.small_a_slope >= cfg.tol("small_a_min", 1.4)),
+                v["small_a_min"], diag.small_a_slope >= v["small_a_min"]),
         Verdict("large-a-exponent", diag.large_a_slope, 0.0,
-                cfg.tol("large_a_abs", 0.1),
-                abs(diag.large_a_slope) <= cfg.tol("large_a_abs", 0.1)),
+                v["large_a_abs"], abs(diag.large_a_slope) <= v["large_a_abs"]),
     ]
     bound = 2.0 ** (-(k + 1))
     worst = max((r for _, r in diag.j_ratios), default=0.0)
@@ -562,61 +585,47 @@ def run_wavelet_diagnostic(cfg: ExperimentConfig, outdir: Path) -> RunResult:
 
 
 def run_vdc(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    d = int(cfg.param("d", "1"))
-    mu = _num(cfg.param("mu", "1"))
-    hs = cfg.h_sweep()
-    amp_kind = cfg.param("amplitude", "dyadic")
+    v = cfg.values
+    d, mu, amp_kind, tol = v["d"], v["mu"], v["amplitude"], v["exponent"]
     phase = quadratic_phase(mu, d)
     if amp_kind == "dyadic":
-        k = int(cfg.param("k", "3"))
-        j = int(cfg.param("j", "2"))
-        amp, loss = dyadic_amplitude(k, j), dyadic_loss(k, j)
-    elif amp_kind == "resonant":
-        beta = _num(cfg.param("beta", "0.8"))
-        amp, loss = resonant_amplitude(phase, beta), power_loss(beta)
+        amp, loss = dyadic_amplitude(v["k"], v["j"]), dyadic_loss(v["k"], v["j"])
     else:
-        raise ConfigError(f"unknown amplitude family {amp_kind!r}")
-    ext = _num(cfg.param("box_half_width", "1.5"))
+        amp, loss = resonant_amplitude(phase, v["beta"]), power_loss(v["beta"])
+    ext = v["box_half_width"]
     integrand = OscIntegrand(phase, amp, d, tuple((-ext, ext) for _ in range(d)),
                              loss, name=amp_kind)
-    rep = vdc_check(integrand, hs, mu,
-                    exponent_tolerance=cfg.tol("exponent", 0.1))
+    rep = vdc_check(integrand, v["h_sweep"], mu, exponent_tolerance=tol)
     table = outdir / "vdc.csv"
     bound_rows = [(h, m, h ** (d / 2) * mu ** (-d / 2), r)
                   for h, m, r in zip(rep.h_values, rep.magnitudes, rep.ratios)]
     write_csv(table, ("h", "magnitude", "bound", "ratio"), bound_rows)
-    expect = cfg.param("expect", "pass")
-    verdicts = [Verdict("vdc-verdict", rep.verdict, expect.upper(), "exact",
-                        rep.verdict == expect.upper())]
-    if expect == "pass":
+    verdicts = [Verdict("vdc-verdict", rep.verdict, v["expect"], "exact",
+                        rep.verdict == v["expect"])]
+    if v["expect"] == "PASS":
         verdicts.append(Verdict("fitted-exponent", rep.fitted_exponent,
-                                d / 2.0, cfg.tol("exponent", 0.1),
-                                abs(rep.fitted_exponent - d / 2.0)
-                                <= cfg.tol("exponent", 0.1)))
+                                d / 2.0, tol,
+                                abs(rep.fitted_exponent - d / 2.0) <= tol))
     else:
-        limit = _num(cfg.param("degraded_below", "0.4"))
         verdicts.append(Verdict("degraded-exponent", rep.fitted_exponent,
-                                limit, 0.0, rep.fitted_exponent < limit))
+                                v["degraded_below"], 0.0,
+                                rep.fitted_exponent < v["degraded_below"]))
     return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"vdc": table})
 
 
 def run_ttstar(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    k = int(cfg.param("k", "3"))
-    j = int(cfg.param("j", "0"))
-    a = _num(cfg.param("a", "0.5"))
-    hs = cfg.h_sweep()
-    w = make_mother_wavelet()
-    a1 = parse_symbol(cfg.symbols.get("a1", "x1^2"), dim=1)
-    nbar = a1.dim
-    rows = []
-    vdc_ratios, triv_ratios = [], []
+    v = cfg.values
+    k, j, a, hs, a1 = v["k"], v["j"], v["a"], v["h_sweep"], v["a1"]
+    sep_vdc, nbar, w = v["separation"], a1.dim, make_mother_wavelet()
+
+    def kernel(h, sep):   # windows at x1 = sep/2 and z1 = -sep/2
+        return ttstar_kernel(a1, w, a, j, h, k, x1=sep / 2, z1=-sep / 2,
+                             xbar=[0.0] * nbar, zbar=[0.0] * nbar)
+    rows, vdc_ratios, triv_ratios = [], [], []
     for h in hs:
-        sep_vdc = _num(cfg.param("separation", "2^-3"))
-        kv = ttstar_kernel(a1, w, a, j, h, k, x1=sep_vdc / 2, z1=-sep_vdc / 2,
-                           xbar=[0.0] * nbar, zbar=[0.0] * nbar)
+        kv = kernel(h, sep_vdc)
         r_vdc = abs(kv.value) * h ** (nbar / 2) * sep_vdc ** (nbar / 2) / a
-        kv2 = ttstar_kernel(a1, w, a, j, h, k, x1=h / 2, z1=-h / 2,
-                            xbar=[0.0] * nbar, zbar=[0.0] * nbar)
+        kv2 = kernel(h, h)
         r_triv = abs(kv2.value) / (
             a * h ** (-nbar * (1 - 1 / (k + 1))) * 2.0 ** (j * nbar))
         trivial_ok = abs(kv2.value) <= kv2.trivial_bound * (1 + 1e-9)
@@ -628,7 +637,7 @@ def run_ttstar(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     write_csv(table, ("h", "separation", "kernel_vdc", "ratio_vdc",
                       "kernel_trivial", "ratio_trivial", "trivial_bound_ok"),
               rows)
-    band = cfg.tol("band", 4.0)
+    band = v["band"]
     verdicts = [
         Verdict("vdc-regime-band", max(vdc_ratios) / min(vdc_ratios), 1.0,
                 band, max(vdc_ratios) / min(vdc_ratios) <= band),
@@ -638,31 +647,23 @@ def run_ttstar(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                 0.0, all(r[-1] for r in rows)),
     ]
     # Disjoint-window kernel must vanish identically.
-    kv0 = ttstar_kernel(a1, w, a, j, hs[0], k, x1=2.5 * a, z1=-2.5 * a,
-                        xbar=[0.0] * nbar, zbar=[0.0] * nbar)
+    kv0 = kernel(hs[0], 5 * a)
     verdicts.append(Verdict("disjoint-window-zero", abs(kv0.value), 0.0, 0.0,
                             kv0.value == 0.0))
     return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"ttstar": table})
 
 
 def run_fio_check(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    n = int(cfg.param("n", "2"))
-    k = int(cfg.param("k", "1"))
-    hs = cfg.h_sweep()
-    orders = tuple(_int_list(cfg.param("orders", "1,2")))
+    v = cfg.values
+    n, k, orders = v["n"], v["k"], tuple(v["orders"])
     spec = families.paraboloid_cutoff(n, k, pow2=True)
-    p1, _ = families.paraboloid_pair(n, k)
-    a1 = graph_factor(p1).a
-    rows = []
-    verdicts = []
-    for h in hs:
+    a1 = graph_factor(families.paraboloid_pair(n, k)[0]).a
+    rows, verdicts = [], []
+    for h in v["h_sweep"]:
         cut = build_cutoff(spec, h)
-        axes = aligned_position_axes(cut, _num(cfg.param("x1_half_width", "8")),
-                                     h / 8.0)
+        axes = aligned_position_axes(cut, v["x1_half_width"], h / 8.0)
         u = Quasimode(cut, h).on_axes(axes)
-        op = FlatteningOp(a1, h)
-        reports = flattening_reports(op, u, orders)
-        for rep in reports:
+        for rep in flattening_reports(FlatteningOp(a1, h), u, orders):
             rows.append((h, rep.order, rep.ratio, rep.slack,
                          rep.identity_residual, rep.identity_bound))
             verdicts.append(Verdict(

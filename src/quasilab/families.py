@@ -193,15 +193,17 @@ def flat_cutoff(n: int, k: int, pow2: bool = False,
 class Family:
     """What a sweep needs to know about one cutoff family.
 
-    ``cutoff(n, k, cells_per_band)`` builds the spec and ``pair(n, k)`` its
-    symbol pair; ``gamma(n, k)`` is the support-volume exponent (Vol ~
-    h^gamma); ``slope(n, k, p)`` is the theorem-backed Lp growth exponent,
-    None where only the peak is predicted (from gamma); ``p_min(n)`` is the
-    least p at which ``slope`` holds, None when it holds for every p >= 2;
-    ``dim`` is the fixed ambient dimension, None when n sets it;
-    ``odd_k`` says whether the pair and cutoff need an odd k.
+    ``name`` is its key in CUTOFF_FAMILIES; ``cutoff(n, k, cells_per_band)``
+    builds the spec and ``pair(n, k)`` its symbol pair; ``gamma(n, k)`` is
+    the support-volume exponent (Vol ~ h^gamma); ``slope(n, k, p)`` is the
+    theorem-backed Lp growth exponent, None where only the peak is
+    predicted (from gamma); ``p_min(n)`` is the least p at which ``slope``
+    holds, None when it holds for every p >= 2; ``dim`` is the fixed
+    ambient dimension, None when n sets it; ``odd_k`` says whether the pair
+    and cutoff need an odd k.
     """
 
+    name: str
     cutoff: Callable[[int, int, int], FrequencyCutoff]
     pair: Callable[[int, int], tuple[PolySymbol, PolySymbol]]
     gamma: Callable[[int, int], float]
@@ -242,22 +244,19 @@ def _flat_slope(n: int, k: int, p) -> float:
     return _box_slope((n - 1) * k / (k + 1), p)
 
 
-CUTOFF_FAMILIES: dict[str, Family] = {
-    "paraboloid": Family(
-        lambda n, k, cells: paraboloid_cutoff(n, k, cells_per_band=cells),
-        paraboloid_pair, _uniform_gamma, _contact_slope, p_min=_kink_p),
-    "slab": Family(
-        lambda n, k, cells: slab_cutoff(n, k, cells_per_band=cells),
-        paraboloid_pair, lambda n, k: 1.0 + (n - 1) / 2.0, _slab_slope),
-    "axis-contact": Family(
-        lambda n, k, cells: axis_contact_cutoff(k, cells_per_band=cells),
-        lambda n, k: axis_contact_pair(k),
-        lambda n, k: 1.0 + 0.5 + 1.0 / (k + 1), dim=3),
-    "valley": Family(
-        lambda n, k, cells: valley_cutoff(cells_per_band=cells),
-        lambda n, k: valley_pair(),
-        lambda n, k: 1.0 + 0.5 + 1.0 / 20.0, dim=3, odd_k=False),
-    "flat": Family(
-        lambda n, k, cells: flat_cutoff(n, k, cells_per_band=cells),
-        flat_pair, _uniform_gamma, _flat_slope),
-}
+CUTOFF_FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
+    Family("paraboloid",
+           lambda n, k, cells: paraboloid_cutoff(n, k, cells_per_band=cells),
+           paraboloid_pair, _uniform_gamma, _contact_slope, p_min=_kink_p),
+    Family("slab", lambda n, k, cells: slab_cutoff(n, k, cells_per_band=cells),
+           paraboloid_pair, lambda n, k: 1.0 + (n - 1) / 2.0, _slab_slope),
+    Family("axis-contact",
+           lambda n, k, cells: axis_contact_cutoff(k, cells_per_band=cells),
+           lambda n, k: axis_contact_pair(k),
+           lambda n, k: 1.0 + 0.5 + 1.0 / (k + 1), dim=3),
+    Family("valley", lambda n, k, cells: valley_cutoff(cells_per_band=cells),
+           lambda n, k: valley_pair(),
+           lambda n, k: 1.0 + 0.5 + 1.0 / 20.0, dim=3, odd_k=False),
+    Family("flat", lambda n, k, cells: flat_cutoff(n, k, cells_per_band=cells),
+           flat_pair, _uniform_gamma, _flat_slope),
+)}

@@ -37,6 +37,7 @@ _GRAD_PROBE = 33         # probe nodes per axis for the phase-gradient bound
 POINTS_PER_WAVELENGTH = 10.0   # evaluate's nodes per oscillation wavelength,
 MIN_POINTS_PER_AXIS = 33       # and the least and most nodes per axis it uses
 MAX_POINTS_PER_AXIS = 1 << 17
+MAX_QUAD_POINTS = 1 << 24      # and the most nodes in all, over d axes
 _HESS_FLOOR = 0.1    # vdc_check's least |det Hess| / mu^d at the critical point
 _RATIO_BAND = 10.0   # and widest max/min spread of the normalized ratios
 
@@ -84,8 +85,9 @@ def _grad_max(phase: Phase, box, d: int) -> float:
 def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
     """Tensor midpoint quadrature with a nested coarse pass for error control.
 
-    Raises ResolutionError when honoring POINTS_PER_WAVELENGTH (and the
-    amplitude's own scale 1/f(h)) would exceed MAX_POINTS_PER_AXIS.
+    Raises ResolutionError, before any quadrature runs, when honoring
+    POINTS_PER_WAVELENGTH (and the amplitude's own scale 1/f(h)) would
+    exceed MAX_POINTS_PER_AXIS, or MAX_QUAD_POINTS nodes over the d axes.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -100,10 +102,11 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
         need_osc = width / wavelength * POINTS_PER_WAVELENGTH
         need_amp = width / amp_scale * 8.0
         n = max(n, math.ceil(need_osc), math.ceil(need_amp))
-    if n > MAX_POINTS_PER_AXIS:
+    if n > MAX_POINTS_PER_AXIS or n ** d > MAX_QUAD_POINTS:
         raise ResolutionError(
-            f"{n} points per axis needed to resolve the oscillation "
-            f"(budget {MAX_POINTS_PER_AXIS}); refusing")
+            f"{n} points per axis, {n ** d} in all, needed to resolve the "
+            f"oscillation (budget {MAX_POINTS_PER_AXIS} per axis and "
+            f"{MAX_QUAD_POINTS} in all); refusing")
     # Nested midpoint rules (n and n//2) give a data-driven error estimate.
     coarse = _midpoint(integrand, h, max(MIN_POINTS_PER_AXIS // 2, n // 2))
     fine = _midpoint(integrand, h, n)

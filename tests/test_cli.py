@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                                   EXIT_REFUSED, TEMPLATES, list_experiments,
                                   parse_config)
+from quasilab.oscint import MAX_QUAD_POINTS
 from quasilab.quasimode import MAX_GRID_CELLS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -240,11 +242,16 @@ expect = pass
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    def test_increasing_sweep_rejected(self, tmp_path):
-        text = DELTA_CFG.replace("kind = delta-curves", "kind = vdc") + \
-            "\nd = 1\nh_list = 2^-8, 2^-4\n"
-        cfg = write_cfg(tmp_path, text)
-        assert main(["run", str(cfg)]) == EXIT_CONFIG
+    def test_increasing_sweep_rejected(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "vdc_d1.cfg").read_text()
+        old = "\nh_start = 2^-6\nh_stop = 2^-12\n"
+        assert old in text
+        text = text.replace(old, "\nh_list = 2^-8, 2^-7, 2^-6, 2^-5, 2^-4\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "strictly decreasing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_refusal_exits_3(self, tmp_path, capsys):
         text = """
@@ -392,7 +399,8 @@ class TestValidation:
         out = tmp_path / "o"
         assert main(["run", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == EXIT_CONFIG
-        assert "margin must be a positive number" in capsys.readouterr().err
+        assert f"margin must be positive and finite, got '{margin}'" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     # -2^0.5 is complex in Python: a negative base to a fractional power.
@@ -472,6 +480,81 @@ class TestValidation:
                      "--out", str(out)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["paraboloid", "slab", "flat"])
+    def test_sweep_without_n_exits_2(self, tmp_path, capsys, family):
+        # These families fix no dimension, so a sweep of one must give n.
+        text = (CONFIG_DIR / "sharp_largep_n2_k3.cfg").read_text()
+        text = text.replace("\nfamily = paraboloid\nn = 2\n",
+                            f"\nfamily = {family}\npeak_only = true\n")
+        assert "\nn = " not in text and "\npeak_only = true\n" in text
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "missing parameter 'n'" in err and repr(family) in err
+        assert not out.exists()
+
+    def test_sweep_n_defaults_to_family_dimension(self, tmp_path):
+        text = (CONFIG_DIR / "peak_valley_n3.cfg").read_text()
+        assert "\nn = 3\n" in text
+        cfg = parse_config(write_cfg(tmp_path, text.replace("\nn = 3\n", "\n")))
+        assert "n" not in cfg.params and cfg.values["n"] == 3
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("separation = 2^-3", "separation = 1", "separation"),
+        ("separation = 2^-3", "separation = 2", "separation"),
+        ("h_start = 2^-8", "h_start = 1", "h_start"),
+    ], ids=["separation-1", "separation-2", "h_start-1"])
+    def test_ttstar_disjoint_windows_exit_2(self, tmp_path, capsys, old, new,
+                                            key):
+        # At a = 0.5 the windows, of half-width a, no longer overlap: the
+        # kernel is exactly 0 and the band ratios would divide by it.
+        text = (CONFIG_DIR / "ttstar_n2.cfg").read_text()
+        assert f"\n{old}\n" in text and "\na = 0.5\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {key} gives a separation of" in err
+        assert "2*a*support_halfwidth = 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, section, line", [
+        ("vdc_d1.cfg", "params", "margin = 8"),
+        ("delta_curves_n3.cfg", "params", "h_list = 2^-4, 2^-5"),
+        ("fio_n2_k1.cfg", "params", "p_list = inf"),
+        ("vdc_d1.cfg", "tolerances", "slope = 0.1"),
+        ("sharp_largep_n2_k1.cfg", "symbols", "p1 = x1 - x2^2"),
+    ], ids=["vdc-margin", "delta-h_list", "fio-p_list", "vdc-slope",
+            "sweep-p1"])
+    def test_key_of_another_kind_exits_2(self, tmp_path, capsys, config,
+                                         section, line):
+        # Each key is read by some kind, but not by this config's kind.
+        text = (CONFIG_DIR / config).read_text()
+        if f"[{section}]" not in text:
+            text += f"\n[{section}]\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["run", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        key = line.split(" =")[0]
+        assert f"[{section}] key {key!r} is not read by" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quadrature_over_point_budget_exits_3(self, tmp_path, capsys):
+        # d = 2 needs 29,336^2 nodes at h = 2^-12; the budget refuses at the
+        # first h over 2^24 nodes in place of running for minutes.
+        text = (CONFIG_DIR / "vdc_d1.cfg").read_text()
+        assert "\nd = 1\n" in text
+        cfg = write_cfg(tmp_path, text.replace("\nd = 1\n", "\nd = 2\n"))
+        start = time.monotonic()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_REFUSED
+        assert time.monotonic() - start < 30.0
+        err = capsys.readouterr().err
+        assert "from oscint" in err and f"{MAX_QUAD_POINTS} in all" in err
 
     def test_grid_budget_refusal_exits_3(self, tmp_path, capsys):
         text = (CONFIG_DIR / "fio_n2_k1.cfg").read_text()
@@ -583,6 +666,37 @@ class TestOtherVerbs:
         p1.write_text("x1^2 - x2\n")
         p2.write_text("x1 - x2^2\n")
         assert main(["contact", "--p1", str(p1), "--p2", str(p2)]) == EXIT_CONFIG
+
+
+def documented_keys() -> dict:
+    """{kind: {(section, key): default}} from the tables of docs/formats.md:
+    a default in backticks is config text, `empty` the empty text,
+    `required` REQUIRED, and any other words describe a rule (None)."""
+    text = (CONFIG_DIR.parent / "docs" / "formats.md").read_text()
+    tables = {}
+    for block in text.split("## Config keys by kind\n")[1].split("\n### ")[1:]:
+        kind, *lines = block.splitlines()
+        rows = [line.strip("|").split("|") for line in lines
+                if line.startswith("| ") and not line.startswith("| section")]
+        defaults = {"required": experiments.REQUIRED, "empty": ""}
+        tables[kind] = {
+            (section.strip(), key.strip()):
+            default.strip()[1:-1] if default.strip().startswith("`")
+            else defaults.get(default.strip())
+            for section, key, default, _ in rows}
+    return tables
+
+
+class TestSchema:
+    def test_docs_list_every_key_and_default(self):
+        schema = {kind: {(section, key): spec.default
+                         for section in ("params", "tolerances", "symbols")
+                         for key, spec in getattr(s, section).items()}
+                  for kind, s in experiments.SCHEMAS.items()}
+        assert documented_keys() == schema
+
+    def test_every_kind_has_a_schema(self):
+        assert set(experiments.SCHEMAS) == set(experiments.RUNNERS)
 
 
 class TestShippedConfigs:

@@ -92,6 +92,17 @@ class TestEvaluate:
         with pytest.raises(ResolutionError):
             evaluate(integrand, 2.0 ** -12)
 
+    def test_refuses_over_total_point_budget(self, monkeypatch):
+        # 7,334 nodes per axis is within MAX_POINTS_PER_AXIS, but 7,334^2
+        # is over MAX_QUAD_POINTS: refused before any quadrature runs.
+        def midpoint(*args):
+            raise AssertionError("quadrature ran")
+        monkeypatch.setattr(oscint, "_midpoint", midpoint)
+        integrand = OscIntegrand(quadratic_phase(1.0, 2), bump_amplitude(1.0),
+                                 2, ((-1.5, 1.5),) * 2, unit_loss)
+        with pytest.raises(ResolutionError, match=f"{oscint.MAX_QUAD_POINTS} in all"):
+            evaluate(integrand, 2.0 ** -10)
+
     def test_error_estimate_reported(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
                                  1, ((-1, 1),), unit_loss)
