@@ -28,7 +28,7 @@ from .errors import ConfigError, QuasilabError
 from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      quadratic_phase, resonant_amplitude, power_loss,
-                     ttstar_kernel, vdc_check)
+                     ttstar_kernel, vdc_check, window_overlap)
 from .quasimode import (MAX_GRID_CELLS, Quasimode, build_cutoff,
                         support_volume, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
@@ -353,19 +353,21 @@ def _check_lp_sweep(v: dict) -> None:
 
 
 def _check_ttstar(v: dict) -> None:
-    """The kernel is 0 once its windows, a times the wavelet's half-width
-    each, do not overlap: at `separation` or at the largest h (the
-    support-only regime's separation), the band ratios would divide by 0."""
+    """The kernel is 0 where its windows' b-overlap is: at `separation` or
+    at the largest h (the support-only regime's separation) the band
+    ratios would divide by it."""
     _check_symbol(v, "a1", 1)
-    reach = 2.0 * make_mother_wavelet().support_halfwidth
+    w = make_mother_wavelet()
     for key, sep in (("separation", v["separation"]),
                      ("h_list" if "h_list" in v else "h_start",
                       v["h_sweep"][0])):
-        if sep / v["a"] >= reach:
+        if window_overlap(w, v["a"], sep) == 0.0:
             raise ConfigError(
-                f"{key} gives a separation of {fmt(sep)}, at least "
-                f"2*a*support_halfwidth = {fmt(reach * v['a'])}: the two "
-                "windows do not overlap, so the kernel vanishes")
+                f"{key} gives a separation of {fmt(sep)}, at which the two "
+                "windows overlap by 0.0 on the kernel's nodes (they are "
+                "disjoint from 2*a*support_halfwidth = "
+                f"{fmt(2.0 * w.support_halfwidth * v['a'])} on), so the "
+                "kernel vanishes")
 
 
 SCHEMAS: dict[str, Schema] = {

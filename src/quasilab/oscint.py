@@ -5,11 +5,12 @@ evaluate() refuses under-resolved requests instead of returning garbage:
 the tensor midpoint rule needs a fixed number of points per oscillation
 wavelength (2*pi*h/|grad phi|), after which its error is the aliasing level
 of the smooth compactly supported integrand, far below the value itself.
-The rule sums fixed slabs of nodes; on each it evaluates the amplitude
-first and takes the phase and the complex exponential only on the
-amplitude's support.  The zeros stay in place and every slab is summed
-whole, so the reduction order, and with it every output bit, depends only
-on the grid.
+The rule sums fixed slabs of nodes, written into one node array per
+quadrature; on each it evaluates the amplitude first and takes the phase
+and the complex exponential only on the amplitude's support, gathered from
+the flat (N, d) list of nodes.  The zeros stay in place and every slab is
+summed whole, so the reduction order, and with it every output bit,
+depends only on the grid.
 
 The decay check sweeps h, fits log|I| against log h, and certifies the
 h^(d/2) mu^(-d/2) law only when the declared amplitude regularity loss
@@ -116,13 +117,16 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
 def _midpoint(integrand: OscIntegrand, h: float, n: int) -> complex:
     def integrand_values(pts: np.ndarray) -> np.ndarray:
         # exp(i*phase/h) * amp vanishes wherever amp does, so the phase and
-        # the exponential are taken on the support only.  The values land in
-        # a zero slab of the full shape, which is summed whole: the same
-        # reduction order as the unmasked product, so the same bits.
-        amp = integrand.amplitude(pts, h)
+        # the exponential are taken on the support only, gathered from the
+        # flat (N, d) view of the nodes and scattered back through a 1-D
+        # mask.  The values land in a zero array of the slab's size, which
+        # is summed whole: the same reduction order as the unmasked
+        # product, so the same bits.
+        amp = integrand.amplitude(pts, h).ravel()
         on = amp != 0
+        support = np.compress(on, pts.reshape(-1, pts.shape[-1]), axis=0)
         vals = np.zeros(amp.shape, complex)
-        vals[on] = np.exp(1j * integrand.phase(pts[on]) / h) * amp[on]
+        vals[on] = np.exp(1j * integrand.phase(support) / h) * amp[on]
         return vals
 
     return complex(sum(_slabs(integrand.box, n, integrand_values)))
@@ -134,18 +138,28 @@ def _slabs(box: Sequence[tuple[float, float]], n: int,
 
     A slab is a fixed run of first-axis indices holding at most _SLAB_POINTS
     points (one index when a single one holds more), so memory stays bounded
-    and the reduction order depends only on n and d.
+    and the reduction order depends only on n and d.  Each slab's nodes are
+    written, coordinate by coordinate, into one C-order (rows, n, ..., d)
+    array allocated once per call (a partial last slab is its leading
+    part): the values of np.stack(np.meshgrid(...)) without building the
+    mesh.  f gets that array and may not keep it past its return.
     """
+    d = len(box)
     axes = []
     cell = 1.0
     for lo, hi in box:
         step = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * step)
         cell *= step
-    rows = max(1, _SLAB_POINTS // n ** (len(box) - 1))
+    rows = min(n, max(1, _SLAB_POINTS // n ** (d - 1)))
+    nodes = np.empty((rows,) + (n,) * (d - 1) + (d,))
     for start in range(0, n, rows):
-        mesh = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij")
-        yield np.sum(f(np.stack(mesh, axis=-1))) * cell
+        pts = nodes[:n - start]
+        for k, ax in enumerate(axes):
+            shape = [1] * d
+            shape[k] = -1
+            pts[..., k] = (ax[start:start + rows] if k == 0 else ax).reshape(shape)
+        yield np.sum(f(pts)) * cell
 
 
 # -- critical point location ----------------------------------------------------
@@ -345,6 +359,22 @@ class KernelValue:
     trivial_bound: float        # support-only estimate of |K|
 
 
+def window_overlap(w: MotherWavelet, a: float, sep: float) -> float:
+    """The b-overlap a * int f(u) f(u - sep/a) du of two windows of scale a
+    whose centres lie sep apart, summed on 4,096 u nodes.
+
+    It is exactly 0.0 once |sep| / a >= 2 * support_halfwidth, where the
+    windows are disjoint, and can be 0.0 just below that, where their
+    overlap is thinner than the nodes resolve.
+    """
+    if abs(sep) / a >= 2.0 * w.support_halfwidth:
+        return 0.0
+    tgrid = np.linspace(-1.0, 1.0 + abs(sep) / a, 4096)
+    fv = w.profile(tgrid)
+    fs = w.profile(tgrid - sep / a)
+    return a * float(np.sum(fv * fs) * (tgrid[1] - tgrid[0]))
+
+
 def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
                   h: float, k: int, x1: float, z1: float,
                   xbar: Sequence[float], zbar: Sequence[float]) -> KernelValue:
@@ -357,13 +387,7 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
     """
     m = a1.dim
     sep = x1 - z1
-    # b-overlap factor: a * int f(u) f(u - sep/a) du.
-    tgrid = np.linspace(-1.0, 1.0 + abs(sep) / a, 4096)
-    fv = w.profile(tgrid)
-    fs = w.profile(tgrid - sep / a)
-    b_overlap = a * float(np.sum(fv * fs) * (tgrid[1] - tgrid[0]))
-    if abs(sep) / a >= 2.0 * w.support_halfwidth:
-        b_overlap = 0.0
+    b_overlap = window_overlap(w, a, sep)
     if b_overlap == 0.0:
         return KernelValue(0.0, 0.0, 0.0)
 

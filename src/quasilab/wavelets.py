@@ -8,8 +8,12 @@ computed by adaptive quadrature, tails reported, on first use: only
 ``reconstruct`` needs it, and its first call runs ``admissibility``.
 Transforms are plain quadratures on the field's x1 grid, summed per scale
 tap by tap in numpy: each tap reaches only the windows where it lands on a
-data sample, so windows that miss the data support give exact zeros, not
-small numbers.  The module imports no scipy: the quadrature imports
+data row between the field's first and last nonzero rows, so windows that
+miss those rows give exact zeros, not small numbers.  A coefficient is a
+sum that starts at +0 and never turns -0, so the taps skipped on zero rows,
+which add +-0, change no bit of it.  The decay table transforms each
+scale's coefficients only from the first nonzero row to the last: a zero
+row's power is +0.  The module imports no scipy: the quadrature imports
 ``scipy.integrate.quad`` when it runs.
 """
 
@@ -133,6 +137,15 @@ class WaveletCoefficients:
     h: float
 
 
+def _nonzero_rows(flat: np.ndarray) -> tuple[int, int]:
+    """(first, last) rows of a 2-D array that hold a nonzero entry, NaN
+    included; (n, -1), an empty range, when every entry is +-0."""
+    rows = np.flatnonzero(flat.any(axis=1))
+    if rows.size == 0:
+        return flat.shape[0], -1
+    return int(rows[0]), int(rows[-1])
+
+
 def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
         b_step_factor: float = 8.0, x1_scale: float = 1.0) -> WaveletCoefficients:
     """X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
@@ -141,8 +154,9 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
     grid so windows slide by whole cells), extended one dilated support
     beyond the data so the no-overlap region is represented.  Each scale
     sums its taps in ascending order, each one a strided multiply-add over
-    the windows where it lands on a data sample, so windows off the data
-    get no tap and their coefficients are exact zeros.
+    the windows where it lands on a row from the first nonzero row of the
+    data to the last, so windows off those rows get no tap and their
+    coefficients are +0, the same bits as a sum over every sample.
 
     At scales far above the grid step the quadrature decimates to a step of
     min(a/16, x1_scale/8): both the dilated profile and the field (whose x1
@@ -158,6 +172,7 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
     # The field as real (n1, 2 * prod(bar_shape)): each tap acts on real and
     # imaginary parts at once.
     flat = np.ascontiguousarray(v.data, dtype=complex).reshape(n1, -1).view(float)
+    first, last = _nonzero_rows(flat)
     block = max(1, _CWT_BLOCK // flat.shape[1])
     values: list[np.ndarray] = []
     b_grids: list[np.ndarray] = []
@@ -176,19 +191,21 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
         # b sits on the grid, so the sampled profile is one row for every b.
         frow = w.profile(offs * dx / a) / math.sqrt(a)
         # Window i's tap at off reads sample i * stride + (off - pad_cells);
-        # windows [lo, hi) are those where that sample lies on the data.
+        # windows [lo, hi) are those where that sample lies on the data rows
+        # first..last, outside which every sample is a zero.
         shift = offs - pad_cells
-        lo = np.maximum(0, -(shift // stride))
-        hi = np.minimum(len(b), (n1 - 1 - shift) // stride + 1)
+        lo = np.maximum(0, -((shift - first) // stride))
+        hi = np.minimum(len(b), (last - shift) // stride + 1)
         live = (frow != 0.0) & (lo < hi)
         taps = list(zip(frow[live].tolist(), shift[live].tolist(),
                         lo[live].tolist(), hi[live].tolist()))
         # Every coefficient adds its taps to +0 one by one in ascending
         # order, the padded-gather oracle's order, which fixes every output
         # bit; windows go in blocks small enough to stay in cache across
-        # their taps.  Skipping a zero tap keeps every bit, signed zeros
-        # included, and a window off the data gets no tap, so its
-        # coefficients are exact zeros.
+        # their taps.  A sum that starts at +0 never becomes -0, so adding
+        # a +-0 term changes no bit of it: skipping a zero tap or a tap on
+        # a zero row keeps every bit, signed zeros included, and a window
+        # off the nonzero rows gets no tap, so its coefficients are +0.
         out = np.zeros((len(b), flat.shape[1]))
         buf = np.empty((min(block, len(b)), flat.shape[1]))
         for r0 in range(0, len(b), block):
@@ -304,13 +321,20 @@ def _scale_power(v: GridField, w: MotherWavelet, a: float
     """(db, |F_h X(a, b, .)|^2) at one scale, for every b at once.
 
     One scale at a time: the coefficients and their bar-side transform are
-    dropped on return, before the next scale is transformed.
+    dropped on return, before the next scale is transformed.  Only the
+    coefficient rows from the first nonzero one to the last are
+    transformed; the rows outside are exact zeros, whose power is +0.
     """
     coeffs = cwt(v, w, [a])
     b = coeffs.b_grids[0]
     db = b[1] - b[0] if len(b) > 1 else coeffs.x1_axis.spacing
-    hat, _ = ft_axes(coeffs.values[0], v.axes[1:], v.h)
-    return db, np.abs(hat) ** 2
+    x = coeffs.values[0]
+    first, last = _nonzero_rows(x.reshape(len(b), -1).view(float))
+    power = np.zeros(x.shape)
+    live = power[first:last + 1]
+    hat, _ = ft_axes(x[first:last + 1], v.axes[1:], v.h)
+    np.square(np.abs(hat, out=live), out=live)
+    return db, power
 
 
 def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,

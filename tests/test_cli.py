@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,8 +19,8 @@ from quasilab.analysis import contact_delta
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
-                                  EXIT_REFUSED, TEMPLATES, list_experiments,
-                                  parse_config)
+                                  EXIT_REFUSED, EXIT_VERDICT_FAIL, TEMPLATES,
+                                  list_experiments, parse_config)
 from quasilab.oscint import MAX_QUAD_POINTS
 from quasilab.quasimode import MAX_GRID_CELLS
 
@@ -505,11 +506,14 @@ class TestValidation:
         ("separation = 2^-3", "separation = 1", "separation"),
         ("separation = 2^-3", "separation = 2", "separation"),
         ("h_start = 2^-8", "h_start = 1", "h_start"),
-    ], ids=["separation-1", "separation-2", "h_start-1"])
+        ("separation = 2^-3", "separation = 0.999", "separation"),
+    ], ids=["separation-1", "separation-2", "h_start-1", "separation-0.999"])
     def test_ttstar_disjoint_windows_exit_2(self, tmp_path, capsys, old, new,
                                             key):
-        # At a = 0.5 the windows, of half-width a, no longer overlap: the
-        # kernel is exactly 0 and the band ratios would divide by it.
+        # At a = 0.5 the windows, of half-width a, no longer overlap from a
+        # separation of 1 on, and just below it (0.999) their overlap sums
+        # to 0.0 on the kernel's nodes: the kernel is exactly 0 and the
+        # band ratios would divide by it.
         text = (CONFIG_DIR / "ttstar_n2.cfg").read_text()
         assert f"\n{old}\n" in text and "\na = 0.5\n" in text
         text = text.replace(f"\n{old}\n", f"\n{new}\n")
@@ -710,3 +714,52 @@ class TestShippedConfigs:
         text = CONTACT_CFG + "\n[symbols]\np1 = x1 +\np2 = x1\n"
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, text))
+
+
+def _param_mutations() -> list[tuple[str, str, str]]:
+    """(config, line, replacement): each `[params]` line of each shipped
+    config set to -1, 0, 0.5, 1 and 2, and `separation` also to 0.999,
+    where that changes the line."""
+    out = []
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        params = path.read_text().split("\n[params]\n", 1)[1].split("\n[", 1)[0]
+        for line in params.splitlines():
+            key = line.partition("=")[0].strip()
+            values = ["-1", "0", "0.5", "1", "2"]
+            if key == "separation":
+                values.append("0.999")
+            out += [(path.name, line, f"{key} = {v}") for v in values
+                    if line and line != f"{key} = {v}"]
+    return out
+
+
+# A seeded sample of the 488 mutations, which all together take about 20 s
+# in process.  The TT* separation just under the windows' reach is always
+# in it: its overlap sums to 0.0, which once divided by zero after the
+# output directory was made.
+_FUZZ_ALWAYS = ("ttstar_n2.cfg", "separation = 2^-3", "separation = 0.999")
+_FUZZ = [_FUZZ_ALWAYS] + random.Random(0).sample(
+    [m for m in _param_mutations() if m != _FUZZ_ALWAYS], 39)
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("config, old, new", _FUZZ,
+                             ids=[f"{c[:-4]}:{n.replace(' ', '')}"
+                                  for c, _, n in _FUZZ])
+    def test_mutated_config_ends_in_a_defined_way(self, tmp_path, config, old,
+                                                  new):
+        # A run ends in 0 (verdicts pass), 1 (a verdict failed, on record in
+        # report.json), 2 (a config error, before any output) or 3 (a
+        # refusal); never in 4, an internal error.
+        text = (CONFIG_DIR / config).read_text()
+        assert f"\n{old}\n" in text
+        out = tmp_path / "o"
+        code = main(["run", str(write_cfg(tmp_path, text.replace(
+            f"\n{old}\n", f"\n{new}\n"))), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VERDICT_FAIL, EXIT_CONFIG, EXIT_REFUSED)
+        if code == EXIT_CONFIG:
+            assert not out.exists()
+        if code in (EXIT_OK, EXIT_VERDICT_FAIL):
+            report = json.loads((out / "report.json").read_text())
+            assert report["passed"] == (code == EXIT_OK)
+            assert all(v["passed"] for v in report["verdicts"]) == report["passed"]

@@ -13,7 +13,7 @@ from quasilab.errors import ResolutionError
 from quasilab.oscint import (EvalResult, OscIntegrand, dyadic_amplitude,
                              dyadic_loss, evaluate, find_critical_points,
                              power_loss, quadratic_phase, resonant_amplitude,
-                             ttstar_kernel, vdc_check)
+                             ttstar_kernel, vdc_check, window_overlap)
 from quasilab.symbols import parse_symbol
 from quasilab.wavelets import bump, dyadic_cutoffs
 
@@ -127,6 +127,25 @@ class TestEvaluate:
         assert abs(oscint._midpoint(integrand, h, n) - whole) <= 1e-13 * abs(whole)
         mass = float(np.sum(np.abs(integrand.amplitude(pts, h))) * cell)
         assert oscint._midpoint_abs(integrand, h, n) == pytest.approx(mass, rel=1e-13)
+
+    # Each (d, n) leaves a partial last slab: 100000 = 65536 + 34464
+    # points, 300 = 218 + 82 rows, 50 = 26 + 24 rows and 20 = 8 + 8 + 4.
+    @pytest.mark.parametrize("d, n", [(1, 100_000), (2, 300), (3, 50), (4, 20)])
+    def test_slab_nodes_match_meshgrid(self, d, n):
+        box = tuple((-1.0 - 0.1 * k, 1.2 + 0.3 * k) for k in range(d))
+        seen = []
+
+        def record(pts):
+            seen.append(pts.copy())
+            return np.zeros(pts.shape[:-1])
+
+        assert list(oscint._slabs(box, n, record)) == [0.0] * len(seen)
+        assert len(seen) > 1 and len(seen[-1]) < len(seen[0])
+        axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in box]
+        want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        got = np.concatenate(seen)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_memory_bounded(self):
         # The vdc_d2 integrand at its finest h: 1834^2 quadrature points.
@@ -324,6 +343,17 @@ class TestTTStar:
         a1, w = setup
         kv = ttstar_kernel(a1, w, 0.5, 0, 2.0 ** -8, 3,
                            x1=1.25, z1=-1.25, xbar=[0.0], zbar=[0.0])
+        assert kv.value == 0.0 and kv.b_overlap == 0.0
+
+    def test_overlap_vanishes_just_below_reach(self, setup):
+        # At a = 0.5 the windows are disjoint from a separation of 1 on;
+        # at 0.999 their overlap is thinner than the 4,096 nodes resolve.
+        a1, w = setup
+        assert window_overlap(w, 0.5, 0.99) != 0.0
+        assert window_overlap(w, 0.5, 0.999) == 0.0
+        assert window_overlap(w, 0.5, 1.0) == 0.0
+        kv = ttstar_kernel(a1, w, 0.5, 0, 2.0 ** -8, 3,
+                           x1=0.4995, z1=-0.4995, xbar=[0.0], zbar=[0.0])
         assert kv.value == 0.0 and kv.b_overlap == 0.0
 
     def test_vdc_regime_bounded(self, setup):

@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasilab.grids import AxisSpec, GridField, POSITION
-from quasilab.wavelets import (admissibility, bump, bump_derivative, cwt,
+from quasilab.grids import AxisSpec, GridField, POSITION, ft_axes
+from quasilab.wavelets import (_LOCALIZE_HALFWIDTH, _scale_power, _smooth_step,
+                               admissibility, bump, bump_derivative, cwt,
                                decay_diagnostic, dyadic_cutoffs)
 
 
@@ -78,25 +79,34 @@ class TestCwt:
     # a = 1/4 samples every cell (qstride 1); a = 4 decimates to every 7th
     # cell.  1000 cells is a multiple of neither stride nor qstride, so the
     # windows meet the data edges at varying partial overlaps.  With 48 bar
-    # points a = 1/4's 566 windows span two of cwt's cache blocks.
+    # points a = 1/4's 566 windows span two of cwt's cache blocks.  Besides
+    # a dense field, cwt's clip to the nonzero rows meets a field with zero
+    # rows at both ends, a zero row inside and -0.0 entries, and a field of
+    # zeros only; bytes are compared, so signed zeros count.
     @pytest.mark.parametrize("bar_shape", [(), (8,), (48,)],
                              ids=["1d", "2d", "2d-blocks"])
     def test_matches_padded_gather_oracle(self, mother_wavelet, bar_shape):
         rng = np.random.default_rng(41)
         shape = (1000,) + bar_shape
-        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows = dense.copy()
+        rows[:137] = 0.0
+        rows[830:] = -0.0
+        rows[400] = complex(-0.0, 0.0)
+        rows[500:520].real[rows[500:520].real < 0] = -0.0
         ax = AxisSpec(0.0, 8.0, 1000)
         axes = [ax] + [AxisSpec(0.0, 1.0, m) for m in bar_shape]
-        v = GridField(2.0 ** -4, POSITION, axes, data)
         a_grid = [0.25, 4.0]
-        co = cwt(v, mother_wavelet, a_grid)
-        for i, a in enumerate(a_grid):
-            b, x, qstride, partial = _padded_gather_cwt(v, mother_wavelet, a)
-            assert qstride == (1 if i == 0 else 7)
-            assert partial > 0
-            assert np.array_equal(co.b_grids[i], b)
-            assert co.values[i].shape == x.shape
-            assert np.array_equal(co.values[i], x)
+        for data in (dense, rows, np.zeros(shape, complex)):
+            v = GridField(2.0 ** -4, POSITION, axes, data)
+            co = cwt(v, mother_wavelet, a_grid)
+            for i, a in enumerate(a_grid):
+                b, x, qstride, partial = _padded_gather_cwt(v, mother_wavelet, a)
+                assert qstride == (1 if i == 0 else 7)
+                assert partial > 0
+                assert np.array_equal(co.b_grids[i], b)
+                assert co.values[i].shape == x.shape
+                assert co.values[i].tobytes() == x.tobytes()
 
     def test_memory_bounded(self, mother_wavelet, flat_model_field):
         tracemalloc.start()
@@ -183,15 +193,37 @@ class TestDyadicCutoffs:
 
 class TestDecayDiagnostic:
     def test_memory_bounded(self, mother_wavelet, flat_model_field):
-        # One scale's coefficients live at a time: the peak above the
-        # 8192 x 64 input stays within six copies of it.
+        # One scale's coefficients live at a time, and only their nonzero
+        # rows are transformed: the peak above the 8192 x 64 input stays
+        # within 3.6 copies of it (about 3.3 measured, 4.1 when every row
+        # is transformed).
         tracemalloc.start()
         try:
             decay_diagnostic(flat_model_field, mother_wavelet, 1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * flat_model_field.data.nbytes
+        assert peak <= 3.6 * flat_model_field.data.nbytes
+
+    # The smallest and the largest of the default scales.
+    @pytest.mark.parametrize("a", [2.0 ** -6, 64.0], ids=["a=2^-6", "a=64"])
+    def test_scale_power_matches_whole_transform(self, mother_wavelet,
+                                                 flat_model_field, a):
+        # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
+        # coefficient rows are exact zeros and are not transformed.
+        f = flat_model_field
+        window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
+        v = GridField(f.h, f.space, list(f.axes), f.data * window[:, None])
+        db, power = _scale_power(v, mother_wavelet, a)
+        co = cwt(v, mother_wavelet, [a])
+        x = co.values[0]
+        zero_rows = ~x.reshape(len(x), -1).any(axis=1)
+        assert zero_rows[0] and zero_rows[-1] and not zero_rows.all()
+        b = co.b_grids[0]
+        assert db == b[1] - b[0]
+        want = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
+        assert power.shape == want.shape
+        assert power.tobytes() == want.tobytes()
 
 
 class TestReconstruction:
