@@ -8,13 +8,13 @@ slope fits (analysis), and the config-driven experiment runner
 (experiments, cli).
 """
 
-from .analysis import (CONTACT, INF_P, SOGGE, SUBMANIFOLD, TRANSVERSE,
-                       ExponentQuery, contact_delta, exponent, fit_scaling,
-                       lp_norm, sogge_delta, submanifold_delta,
-                       transverse_delta)
+from .analysis import (EXPONENTS, INF_P, contact_delta, exponent,
+                       fit_scaling, kink_p, lp_norm, sogge_delta,
+                       submanifold_delta, transverse_delta)
 from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError, QuasilabError,
-                     ResolutionError, SymbolParseError, TailDominanceError)
+                     RefusalError, ResolutionError, SymbolParseError,
+                     TailDominanceError)
 from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                     GridField, apply_multiplier, direct_synthesis,
                     semiclassical_ft)

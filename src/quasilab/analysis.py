@@ -4,6 +4,8 @@ Exponents are evaluated in exact rational arithmetic with p = infinity as a
 dedicated sentinel (internally everything is a function of 1/p, so the
 limit is literal).  Branch points are handled by continuity: both branch
 formulas agree there exactly as Fractions, which the tests assert.
+EXPONENTS is the one table of exponent families, exponent() the one
+dispatch on a family name, and kink_p(n) the one definition of the kink p0.
 """
 
 from __future__ import annotations
@@ -11,19 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import TailDominanceError
 
 INF_P = math.inf
-
-SOGGE = "sogge"
-SUBMANIFOLD = "submanifold"
-TRANSVERSE = "transverse"
-CONTACT = "contact"
-FAMILIES = (SOGGE, SUBMANIFOLD, TRANSVERSE, CONTACT)
 
 
 def parse_p(p) -> Fraction | float:
@@ -49,23 +45,18 @@ def _inv(p) -> Fraction:
     return Fraction(1) / p
 
 
-@dataclass(frozen=True)
-class ExponentQuery:
-    family: str
-    n: int
-    p: object
-    d: int | None = None   # submanifold dimension
-    r: int | None = None   # number of operators
-    k: int | None = None   # contact order
+def kink_p(n: int) -> Fraction:
+    """p0 = 2(n+1)/(n-1): the kink of sogge_delta, above which contact_delta
+    carries its 1/(k+1) correction and the paraboloid attains it."""
+    return Fraction(2 * (n + 1), n - 1)
 
 
 def sogge_delta(n: int, p) -> Fraction:
-    """Unconditional growth exponent: kink at p0 = 2(n+1)/(n-1)."""
+    """Unconditional growth exponent: kink at p0 = kink_p(n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     s = _inv(p)
-    s0 = Fraction(n - 1, 2 * (n + 1))
-    if s >= s0:
+    if s >= 1 / kink_p(n):
         return Fraction(n - 1, 4) - Fraction(n - 1, 2) * s
     return Fraction(n - 1, 2) - n * s
 
@@ -82,8 +73,7 @@ def contact_delta(n: int, p, k: int) -> Fraction:
     if k is None or k < 1:
         raise ValueError("k must be >= 1")
     s = _inv(p)
-    s0 = Fraction(n - 1, 2 * (n + 1))
-    if s >= s0:
+    if s >= 1 / kink_p(n):
         return Fraction(n - 1, 4) - Fraction(n - 1, 2) * s
     return (Fraction(n - 1, 2) - n * s
             - Fraction(1, k + 1) * (Fraction(n - 1, 2) - (n + 1) * s))
@@ -126,34 +116,27 @@ def submanifold_delta(n: int, p, d: int) -> Fraction:
     return Fraction(n - 1, 4) - Fraction(d - 1, 2) * s
 
 
-def exponent(q: ExponentQuery) -> Fraction:
-    """Dispatch on family; exact rational output."""
-    if q.family == SOGGE:
-        return sogge_delta(q.n, q.p)
-    if q.family == CONTACT:
-        return contact_delta(q.n, q.p, q.k)
-    if q.family == TRANSVERSE:
-        return transverse_delta(q.n, q.p, q.r)
-    if q.family == SUBMANIFOLD:
-        return submanifold_delta(q.n, q.p, q.d)
-    raise ValueError(f"unknown family {q.family!r}; expected one of {FAMILIES}")
+# Each exponent family: its formula and the name of the formula's third
+# argument after (n, p), None for a formula of (n, p) alone.
+EXPONENTS: dict[str, tuple[Callable[..., Fraction], str | None]] = {
+    "sogge": (sogge_delta, None),
+    "submanifold": (submanifold_delta, "d"),
+    "transverse": (transverse_delta, "r"),
+    "contact": (contact_delta, "k"),
+}
 
 
-def delta_curve(family: str, n: int, k: int | None, inv_p_grid: Sequence[Fraction]
-                ) -> list[tuple[str, int, object, int | None, Fraction]]:
-    """Rows (family, n, p, k, delta) along a 1/p grid, for curve exports."""
-    rows = []
-    for s in inv_p_grid:
-        s = Fraction(s)
-        p: object = INF_P if s == 0 else 1 / s
-        if family == SOGGE:
-            val = sogge_delta(n, p)
-        elif family == CONTACT:
-            val = contact_delta(n, p, k)
-        else:
-            raise ValueError("delta_curve supports the sogge and contact families")
-        rows.append((family, n, p, k, val))
-    return rows
+def exponent(family: str, n: int, p, **extra) -> Fraction:
+    """delta(n, p, .) of one EXPONENTS family, exact.
+
+    extra holds the family's third argument by name (d, r or k); the
+    arguments of other families are ignored.
+    """
+    if family not in EXPONENTS:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of {tuple(EXPONENTS)}")
+    formula, arg = EXPONENTS[family]
+    return formula(n, p) if arg is None else formula(n, p, extra.get(arg))
 
 
 # -- Lp norms ------------------------------------------------------------------------
@@ -297,12 +280,6 @@ class ScalingReport:
     predicted: float
     tolerance: float
     passed: bool
-
-    def line(self, name: str) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {name}: slope {self.slope:+.4f} "
-                f"(predicted {self.predicted:+.4f}, tol {self.tolerance:.3f}, "
-                f"se {self.slope_stderr:.4f})")
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

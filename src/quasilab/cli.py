@@ -2,10 +2,10 @@
 
 Verbs: run <config> [--out DIR], list, delta --family ... , contact --p1
 FILE --p2 FILE.  Exit codes: 0 all verdicts pass, 1 a verdict failed,
-2 config parse/validation error, 3 a module refused (resolution, empty
-support, box, tail or grid-budget trouble) with the refusing module named,
-4 an internal error: any other exception from a run, printed with its
-traceback.
+2 config parse/validation error, 3 a module refused (a RefusalError:
+resolution, empty support, box, tail or grid-budget trouble) with the
+refusing module named, 4 an internal error: any other exception from a
+run, printed with its traceback.
 """
 
 from __future__ import annotations
@@ -16,18 +16,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import (CONTACT, FAMILIES, ExponentQuery, exponent, parse_p)
-from .errors import (BoxTooSmallError, ConfigError, EmptySupportError,
-                     GridBudgetError, QuasilabError, ResolutionError,
-                     TailDominanceError)
+from .analysis import EXPONENTS, exponent, parse_p
+from .errors import ConfigError, QuasilabError, RefusalError
 from .experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                           EXIT_REFUSED, EXIT_VERDICT_FAIL, list_experiments,
                           parse_config, run_experiment)
 from .symbols import (contact_profile, format_symbol, graph_factor,
                       parse_symbol, sample_directions)
-
-_REFUSALS = (ResolutionError, EmptySupportError, BoxTooSmallError,
-             TailDominanceError, GridBudgetError)
 
 
 def _raising_module(err: BaseException) -> str:
@@ -57,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list built-in experiment templates")
 
     p_delta = sub.add_parser("delta", help="evaluate a growth exponent")
-    p_delta.add_argument("--family", choices=FAMILIES, default=CONTACT)
+    p_delta.add_argument("--family", choices=EXPONENTS, default="contact")
     p_delta.add_argument("--n", type=int, required=True)
     p_delta.add_argument("--p", required=True,
                          help="Lebesgue exponent (>= 2, fraction, or 'inf')")
@@ -86,7 +81,7 @@ def _cmd_run(args) -> int:
     outdir = args.out or cfg.out or str(Path("reports") / cfg.experiment_id)
     try:
         result = run_experiment(cfg, outdir)
-    except _REFUSALS as err:
+    except RefusalError as err:
         print(f"refused ({type(err).__name__} from {_raising_module(err)}): "
               f"{err}", file=sys.stderr)
         return EXIT_REFUSED
@@ -102,9 +97,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_delta(args) -> int:
     try:
-        p = parse_p(args.p)
-        q = ExponentQuery(args.family, args.n, p, d=args.d, r=args.r, k=args.k)
-        val = exponent(q)
+        val = exponent(args.family, args.n, parse_p(args.p),
+                       d=args.d, r=args.r, k=args.k)
     except (ValueError, QuasilabError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

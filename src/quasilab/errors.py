@@ -13,7 +13,12 @@ class SymbolParseError(QuasilabError, ValueError):
     """Symbol text did not match the term grammar."""
 
 
-class EmptySupportError(QuasilabError, RuntimeError):
+class RefusalError(QuasilabError):
+    """A module refused work it cannot do within its resolution or budget;
+    the CLI exits 3 on it, naming the refusing module."""
+
+
+class EmptySupportError(RefusalError, RuntimeError):
     """No frequency cell satisfies all cutoff constraints.
 
     Signals that h is too large for the configured box or that the
@@ -21,22 +26,22 @@ class EmptySupportError(QuasilabError, RuntimeError):
     """
 
 
-class BoxTooSmallError(QuasilabError, RuntimeError):
+class BoxTooSmallError(RefusalError, RuntimeError):
     """Cutoff support touches the enclosing box; results would be truncated."""
 
 
-class ResolutionError(QuasilabError, RuntimeError):
+class ResolutionError(RefusalError, RuntimeError):
     """Requested quadrature cannot resolve the oscillation within budget.
 
     Raised instead of returning an under-resolved (garbage) value.
     """
 
 
-class TailDominanceError(QuasilabError, RuntimeError):
+class TailDominanceError(RefusalError, RuntimeError):
     """Boundary-shell mass exceeds the allowed fraction of an Lp norm."""
 
 
-class GridBudgetError(QuasilabError, MemoryError):
+class GridBudgetError(RefusalError, MemoryError):
     """A dense array would hold more cells than the module's budget allows."""
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .analysis import INF_P, contact_delta, parse_p
+from .analysis import INF_P, contact_delta, kink_p, parse_p
 from .quasimode import AxisRule, BandConstraint, FrequencyCutoff, HExpr
 from .symbols import PolySymbol
 
@@ -221,11 +221,6 @@ def _contact_slope(n: int, k: int, p) -> float:
     return -float(contact_delta(n, p, k))
 
 
-def _kink_p(n: int) -> Fraction:
-    """p0 = 2(n+1)/(n-1): the paraboloid attains delta(n, p, k) for p >= p0."""
-    return Fraction(2 * (n + 1), n - 1)
-
-
 def _box_slope(width: float, p) -> float:
     """Lp growth exponent -width*(1/2 - 1/p) of a normalized box cutoff.
 
@@ -247,7 +242,7 @@ def _flat_slope(n: int, k: int, p) -> float:
 CUTOFF_FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
     Family("paraboloid",
            lambda n, k, cells: paraboloid_cutoff(n, k, cells_per_band=cells),
-           paraboloid_pair, _uniform_gamma, _contact_slope, p_min=_kink_p),
+           paraboloid_pair, _uniform_gamma, _contact_slope, p_min=kink_p),
     Family("slab", lambda n, k, cells: slab_cutoff(n, k, cells_per_band=cells),
            paraboloid_pair, lambda n, k: 1.0 + (n - 1) / 2.0, _slab_slope),
     Family("axis-contact",

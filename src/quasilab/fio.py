@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec, GridField,
-                    dual_axis, ft_axes, semiclassical_ft)
+from .grids import (POSITION, AxisSpec, GridField, apply_multiplier, dual_axis,
+                    ft_axes)
 from .symbols import PolySymbol
 
 
@@ -34,21 +34,16 @@ def apply_W(op: FlatteningOp, u: GridField, x1: float,
             adjoint: bool = False) -> GridField:
     """Apply W(x1) (or its adjoint) to one bar slice.
 
-    Frequency slices are multiplied in place; position slices are
-    transformed, multiplied, and returned on their own axes.  Exactly
-    unitary either way.
+    The multiplier goes through grids.apply_multiplier: frequency slices
+    are multiplied pointwise; position slices are transformed, multiplied,
+    and returned on their own axes.  Exactly unitary either way.
     """
     if u.dim != op.a1.dim:
         raise DimensionMismatchError(
             f"slice dim {u.dim} != symbol dim {op.a1.dim}")
-    if u.space == POSITION:
-        hat = semiclassical_ft(u, FORWARD)
-        hat = apply_W(op, hat, x1, adjoint)
-        return semiclassical_ft(hat, INVERSE, out_axes=u.axes)
-    avals = op.a1.eval_grid(u.node_arrays())
     sign = 1.0 if adjoint else -1.0
-    mult = np.exp(sign * 1j * x1 * avals / op.h)
-    return GridField(u.h, FREQUENCY, list(u.axes), u.data * mult)
+    return apply_multiplier(
+        u, lambda *xi: np.exp(sign * 1j * x1 * op.a1.eval_grid(xi) / op.h))
 
 
 def _bar_symbol(a1: PolySymbol, u: GridField) -> np.ndarray:

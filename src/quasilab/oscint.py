@@ -59,7 +59,6 @@ class OscIntegrand:
     d: int
     box: tuple[tuple[float, float], ...]
     loss_rate: Callable[[float], float]
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -407,8 +406,7 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
         r = np.sqrt(_norm_sq(pts))
         return family.psi(j, r)
 
-    integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale,
-                             name=f"ttstar j={j}")
+    integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale)
     res = evaluate(integrand, h)
     pref = (_TWO_PI * h) ** (-m)
     # Triangle inequality on the same quadrature nodes: |sum| <= sum of

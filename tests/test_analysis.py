@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasilab.analysis import (INF_P, ExponentQuery, contact_delta, exponent,
-                               fit_scaling, lp_norm, lp_norms,
-                               oscillation_axes, parse_p, shell_mask,
-                               shell_slices, sogge_delta, submanifold_delta,
-                               transverse_delta)
+from quasilab.analysis import (INF_P, contact_delta, exponent, fit_scaling,
+                               lp_norm, lp_norms, oscillation_axes, parse_p,
+                               shell_mask, shell_slices, sogge_delta,
+                               submanifold_delta, transverse_delta)
 from quasilab.errors import TailDominanceError
 from quasilab.grids import FORWARD, AxisSpec, GridField, POSITION, semiclassical_ft
 
@@ -134,10 +133,9 @@ class TestOtherFamilies:
             submanifold_delta(3, 4, 3)  # d must be <= n-1
 
     def test_dispatch(self):
-        q = ExponentQuery("contact", 3, INF_P, k=1)
-        assert exponent(q) == F(1, 2)
+        assert exponent("contact", 3, INF_P, k=1) == F(1, 2)
         with pytest.raises(ValueError):
-            exponent(ExponentQuery("unknown", 3, 4))
+            exponent("unknown", 3, 4)
 
     def test_parse_p(self):
         assert parse_p("inf") is INF_P

@@ -8,14 +8,16 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasilab
-from quasilab import experiments
-from quasilab.analysis import contact_delta
+from quasilab import errors, experiments
+from quasilab.analysis import contact_delta, kink_p
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
@@ -74,6 +76,22 @@ class TestRun:
             assert {"name", "measured", "predicted", "tolerance",
                     "passed"} <= set(v)
         assert (out / "delta_curves.csv").exists()
+
+    def test_kink_verdict_fails_on_a_shifted_high_branch(self, tmp_path,
+                                                         monkeypatch):
+        # 1/100 added above p0 breaks the curve at the kink; at p0 itself
+        # contact_delta takes its p <= p0 branch, which the shift leaves.
+        def shifted(n, p, k):
+            return contact_delta(n, p, k) + (Fraction(1, 100) if p > kink_p(n)
+                                             else 0)
+        monkeypatch.setattr(experiments, "contact_delta", shifted)
+        out = tmp_path / "out"
+        assert main(["run", str(write_cfg(tmp_path, DELTA_CFG)),
+                     "--out", str(out)]) == EXIT_VERDICT_FAIL
+        report = json.loads((out / "report.json").read_text())
+        kink, = [v for v in report["verdicts"]
+                 if v["name"] == "kink-continuity-exact"]
+        assert kink["measured"] == "0.01" and not kink["passed"]
 
     def test_contact_profile_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CONTACT_CFG)
@@ -277,6 +295,20 @@ expect = pass
         err = capsys.readouterr().err
         assert "refused" in err and "from oscint" in err
 
+    @pytest.mark.parametrize("error", [
+        errors.ResolutionError, errors.EmptySupportError,
+        errors.BoxTooSmallError, errors.TailDominanceError,
+        errors.GridBudgetError])
+    def test_every_refusal_exits_3(self, tmp_path, capsys, monkeypatch, error):
+        def refusing(cfg, outdir):
+            raise error("over budget")
+        monkeypatch.setitem(experiments.RUNNERS, "delta-curves", refusing)
+        cfg = write_cfg(tmp_path, DELTA_CFG)
+        assert main(["run", str(cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_REFUSED
+        assert (f"refused ({error.__name__} from experiments): over budget"
+                in capsys.readouterr().err)
+
 
 VALLEY_CFG = """
 [experiment]
@@ -435,6 +467,35 @@ class TestValidation:
         ("wavelet_flat_n2_k3.cfg", "h = 2^-8", "h = 2", "h must be in (0, 1]"),
         ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 0",
          "x1_spacing must be positive"),
+        # Tolerances are finite; a width or slack is also >= 0, a band >= 1.
+        ("sharp_largep_n2_k3.cfg", "slope = 0.1", "slope = inf",
+         "slope must be >= 0 and finite"),
+        ("sharp_largep_n2_k3.cfg", "slope = 0.1", "slope = nan",
+         "slope must be >= 0 and finite"),
+        ("sharp_smallp_n2.cfg", "slope_p2 = 0.02", "slope_p2 = -0.02",
+         "slope_p2 must be >= 0 and finite"),
+        ("sharp_largep_n2_k3.cfg", "joint_slack = 3/16", "joint_slack = -1",
+         "joint_slack must be >= 0 and finite"),
+        ("sharp_largep_n2_k3.cfg", "volume_band = 4.0", "volume_band = 0.5",
+         "volume_band must be >= 1 and finite"),
+        ("ttstar_n2.cfg", "band = 4.0", "band = inf",
+         "band must be >= 1 and finite"),
+        ("vdc_d1.cfg", "exponent = 0.1", "exponent = -0.1",
+         "exponent must be >= 0 and finite"),
+        ("wavelet_flat_n2_k3.cfg", "small_a_min = 1.4", "small_a_min = -inf",
+         "small_a_min must be finite"),
+        ("wavelet_flat_n2_k3.cfg", "large_a_abs = 0.1", "large_a_abs = nan",
+         "large_a_abs must be >= 0 and finite"),
+        ("vdc_d1_resonant.cfg", "degraded_below = 0.4",
+         "degraded_below = inf", "degraded_below must be finite"),
+        ("vdc_d1_resonant.cfg", "beta = 0.8", "beta = nan",
+         "beta must be finite"),
+        ("vdc_d1_resonant.cfg", "beta = 0.8", "beta = inf",
+         "beta must be finite"),
+        *[("vdc_d1.cfg", "expect = pass",
+           f"expect = pass\nbox_half_width = {value}",
+           "box_half_width must be positive and finite")
+          for value in ("0", "-1", "nan", "inf")],
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, config, old,
                                         new, message):
@@ -716,30 +777,39 @@ class TestShippedConfigs:
             parse_config(write_cfg(tmp_path, text))
 
 
-def _param_mutations() -> list[tuple[str, str, str]]:
-    """(config, line, replacement): each `[params]` line of each shipped
-    config set to -1, 0, 0.5, 1 and 2, and `separation` also to 0.999,
-    where that changes the line."""
+def _mutations(section: str, values: Callable[[str], list[str]]
+               ) -> list[tuple[str, str, str]]:
+    """(config, line, replacement): each `[section]` line of each shipped
+    config, key = ..., set to each of values(key) that changes the line."""
     out = []
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
-        params = path.read_text().split("\n[params]\n", 1)[1].split("\n[", 1)[0]
-        for line in params.splitlines():
+        text = path.read_text()
+        if f"\n[{section}]\n" not in text:
+            continue
+        block = text.split(f"\n[{section}]\n", 1)[1].split("\n[", 1)[0]
+        for line in block.splitlines():
             key = line.partition("=")[0].strip()
-            values = ["-1", "0", "0.5", "1", "2"]
-            if key == "separation":
-                values.append("0.999")
-            out += [(path.name, line, f"{key} = {v}") for v in values
+            out += [(path.name, line, f"{key} = {v}") for v in values(key)
                     if line and line != f"{key} = {v}"]
     return out
 
 
-# A seeded sample of the 488 mutations, which all together take about 20 s
-# in process.  The TT* separation just under the windows' reach is always
-# in it: its overlap sums to 0.0, which once divided by zero after the
-# output directory was made.
+_SMALL = ["-1", "0", "0.5", "1", "2"]
+
+# A seeded sample of the 488 `[params]` mutations to -1, 0, 0.5, 1 and 2
+# (and `separation` to 0.999), which all together take about 20 s in
+# process.  The TT* separation just under the windows' reach is always in
+# it: its overlap sums to 0.0, which once divided by zero after the output
+# directory was made.  A second seeded sample takes every `[params]` line
+# to inf and nan and every `[tolerances]` line to all seven values: an
+# infinite tolerance once passed every verdict.
 _FUZZ_ALWAYS = ("ttstar_n2.cfg", "separation = 2^-3", "separation = 0.999")
 _FUZZ = [_FUZZ_ALWAYS] + random.Random(0).sample(
-    [m for m in _param_mutations() if m != _FUZZ_ALWAYS], 39)
+    [m for m in _mutations("params", lambda key: _SMALL + (
+        ["0.999"] if key == "separation" else []))
+     if m != _FUZZ_ALWAYS], 39) + random.Random(0).sample(
+    _mutations("params", lambda key: ["inf", "nan"])
+    + _mutations("tolerances", lambda key: _SMALL + ["inf", "nan"]), 20)
 
 
 class TestConfigFuzz:
