@@ -378,11 +378,11 @@ SCHEMAS: dict[str, Schema] = {
     }, symbols={"p1": _SYMBOL, "p2": _SYMBOL}, rules=(_check_contact,)),
     "sharpness-sweep": Schema({
         "family": _FAMILY, "n": _int(low=2), "k": _int("1", 1),
-        "cells_per_band": _int(str(families.CELLS_PER_BAND)), **_H_SWEEP,
+        "cells_per_band": _int(str(families.CELLS_PER_BAND), 1), **_H_SWEEP,
         "p_list": Key("a list of exponents", _list(parse_p), "",
                       ("a list of exponents >= 2", lambda ps: min(ps) >= 2)),
         "joint_orders": _int("3", 0), "margin": _number("8", _POSITIVE),
-        "points_per_scale": _int("8"), "peak_only": _choice("false", _FLAG),
+        "points_per_scale": _int("8", 1), "peak_only": _choice("false", _FLAG),
         "check_peak_slope": _choice("false", _FLAG),
     }, tolerances={
         "volume_band": _number("4.0", _AT_LEAST_1),
@@ -393,7 +393,7 @@ SCHEMAS: dict[str, Schema] = {
     "wavelet-diagnostic": Schema({
         "n": _int("2", 2), "k": _int("3", 1),
         "h": _number("2^-8", ("in (0, 1]", lambda v: 0 < v <= 1)),
-        "m_order": _int("1"), "x1_half_width": _number("6", _POSITIVE),
+        "m_order": _int("1", 1), "x1_half_width": _number("6", _POSITIVE),
         "x1_spacing": _number("2^-9", _POSITIVE),
     }, tolerances={
         "small_a_min": _number("1.4", _FINITE),
@@ -416,7 +416,7 @@ SCHEMAS: dict[str, Schema] = {
         rules=(_check_h_sweep, _check_ttstar)),
     "fio-check": Schema({
         "n": _int("2", 2), "k": _int("1", 1), **_H_SWEEP,
-        "orders": _ints("1, 2"), "x1_half_width": _number("8", _POSITIVE),
+        "orders": _ints("1, 2", 1), "x1_half_width": _number("8", _POSITIVE),
     }, rules=(_check_h_sweep,
               partial(_check_pair, fam=families.CUTOFF_FAMILIES["paraboloid"]))),
 }

@@ -9,6 +9,8 @@ the xi1 axis never has to be materialized, which is what keeps the finest
 sweeps (where the dense grid would have ~1e9 cells) at desk scale.  The
 indicator decides membership at cell midpoints, so quadrature multiplier
 norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.
+synthesize_on_axes sums the columns onto a product position grid by sum
+factorisation, with one fold per bar axis, xi2 included.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
 _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
-# Columns (stage 1) or rows (each fold) per matrix product in
-# synthesize_on_axes.  A fixed block makes the output bits independent of the
+# Rows per matrix product in each fold of synthesize_on_axes (the xi2 fold's
+# rows are columns).  A fixed block makes the output bits independent of the
 # BLAS thread count.
 _BLOCK = 64
 # Largest array, in cells, that to_grid_field or synthesize_on_axes allocates
@@ -308,27 +310,25 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
     (Dutt & Rokhlin 1993), evaluated exactly by sum factorisation (Orszag
-    1980): one matrix-product stage, then one fold per bar axis beyond xi2.
-    Stage 1 sums the columns of each of the R rows of equal (xi3..xin) into
-    an (N1, N2) slab: the xi1 run factor (block x N1) times the xi2
-    exponentials (block x N2), K*N1*N2 multiply-adds over all K columns.
-    A column's xi1 run factor is its start's phase row times its count's
-    Dirichlet row, and its xi2 exponentials are its xi2's row, all tabled
-    once per call over the distinct starts, counts and xi2 values (38 xi2
-    rows serve the ~1,150 columns of the n = 3, k = 3 paraboloid at
-    h = 2^-5), so stage 1 evaluates no sin, cos or exp per column.
-    The fold of axis j+1 groups the current rows by their remaining
-    coordinates (xi(j+2)..xin) and contracts each group against its rows'
-    xi(j+1) exponentials, (N1*...*Nj x R_g) times (R_g x N(j+1)), written in
-    C order with no transpose: R*N1*...*N(j+1) multiply-adds for the R rows
-    it folds.  A 2D field is one row and no fold; a 3D field is one fold of
-    one group.  Rows are taken in increasing (xin, ..., xi3), columns in
-    increasing xi2 within a row, and every reduction runs over fixed blocks
-    of _BLOCK columns or rows.  That fixes the summation order, and so every
+    1980): one fold per bar axis, xi2 included.  The fold of axis j+1 groups
+    the current rows by their remaining coordinates (xi(j+2)..xin) and
+    contracts each group against its rows' xi(j+1) exponentials,
+    (N1*...*Nj x R_g) times (R_g x N(j+1)), written in C order with no
+    transpose: R*N1*...*N(j+1) multiply-adds for the R rows it folds.  The
+    xi2 fold's rows are the K columns, each its xi1 run factor over the N1
+    x1 nodes: its start's phase row times its count's Dirichlet row, formed
+    block by block and never held for all K at once.  The phase, Dirichlet
+    and exponential rows are tabled once per call over the distinct starts,
+    counts and leading keys (38 xi2 rows serve the ~1,150 columns of the
+    n = 3, k = 3 paraboloid at h = 2^-5), so no fold evaluates a sin, cos or
+    exp per row.  A 2D field is one fold of one group.  Rows are taken in
+    increasing (xin, ..., xi(j+1)), and every reduction runs over fixed
+    blocks of _BLOCK rows.  That fixes the summation order, and so every
     output bit, whatever the order of the stored columns or the BLAS thread
-    count.  The output grid, the run and xi2 tables, the stage-1 slabs and
-    each fold's result are checked against MAX_GRID_CELLS before they are
-    allocated.
+    count.  The output grid, every fold's result, the run tables and every
+    exponential table are checked against MAX_GRID_CELLS before any of them
+    is allocated, and each fold's input is released once the next fold is
+    built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -336,52 +336,46 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     _check_grid_cells(shape)
     h = field.h
     ax0 = field.axes[0]
-    x1, x2 = axes[0].nodes(), axes[1].nodes()
-    theta = x1 * (ax0.spacing / h)
-    bar = field.col_coords
-    # Columns by xin, ..., xi3, then xi2: each row of equal (xi3..xin) is a
-    # run, and rows that differ only in xi3 are adjacent.
-    order = np.lexsort(bar.T)
-    starts = _run_starts(bar[order, 1:])
-    keys = bar[order[starts], 1:]
-    _check_grid_cells((len(starts), len(x1), len(x2)))
+    x1 = axes[0].nodes()
+    # Columns by xin, ..., xi2: each fold's groups are runs of equal keys
+    # after its leading one, taken in increasing leading key.
+    order = np.lexsort(field.col_coords.T)
+    keys = field.col_coords[order]
+    folds, width = [], len(x1)
+    for axis in axes[1:]:
+        starts = _run_starts(keys[:, 1:])
+        _check_grid_cells((len(starts), width, axis.points))
+        folds.append((axis, width, starts,
+                      *np.unique(keys[:, 0], return_inverse=True)))
+        keys = keys[starts, 1:]
+        width *= axis.points
     # The run factor depends on a column only through its count, the phase
-    # only through its start and the xi2 exponential only through its xi2:
-    # one row per distinct value of each.
-    counts, count_of = np.unique(field.col_count, return_inverse=True)
-    xi1_starts, start_of = np.unique(field.col_start, return_inverse=True)
-    xi2, xi2_of = np.unique(bar[:, 0], return_inverse=True)
+    # only through its start and an exponential only through its row's
+    # leading key: one table row per distinct value of each.
+    counts, count_of = np.unique(field.col_count[order], return_inverse=True)
+    xi1_starts, start_of = np.unique(field.col_start[order], return_inverse=True)
     _check_grid_cells((len(counts) + len(xi1_starts), len(x1)))
-    _check_grid_cells((len(xi2), len(x2)))
-    runs = _dirichlet(theta[None, :], counts[:, None])
+    for axis, _, _, values, _ in folds:
+        _check_grid_cells((len(values), axis.points))
+    runs = _dirichlet(x1[None, :] * (ax0.spacing / h), counts[:, None])
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
     phases = np.exp(1j * np.outer(first, x1) / h)
-    exps = np.exp(1j * np.outer(xi2, x2) / h)
-    slabs = np.empty((len(starts), len(x1), len(x2)), dtype=complex)
-    for slab, row in zip(slabs, np.split(order, starts[1:])):
-        for lo in range(0, len(row), _BLOCK):
-            cols = row[lo:lo + _BLOCK]
-            # Phase first: a complex product's rounding depends on operand
-            # order, and this order gives the outputs of the untabled sum.
-            a0 = phases[start_of[cols]] * runs[count_of[cols]]
-            if lo == 0:
-                np.matmul(a0.T, exps[xi2_of[cols]], out=slab)
-            else:
-                slab += a0.T @ exps[xi2_of[cols]]
-    flat = slabs.reshape(len(starts), -1)
-    for axis in axes[2:]:
-        # Fold the leading key coordinate; groups are runs of the rest.
-        e = np.exp(1j * np.outer(keys[:, 0], axis.nodes()) / h)
-        starts = _run_starts(keys[:, 1:])
-        keys = keys[starts, 1:]
-        _check_grid_cells((len(starts), flat.shape[1], axis.points))
-        folded = np.empty((len(starts), flat.shape[1], axis.points),
-                          dtype=complex)
-        for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(e)]):
-            blocks = [slice(b, min(b + _BLOCK, hi)) for b in range(lo, hi, _BLOCK)]
-            np.matmul(flat[blocks[0]].T, e[blocks[0]], out=out)
-            for blk in blocks[1:]:
-                out += flat[blk].T @ e[blk]
+    flat = None
+    for axis, width, starts, values, value_of in folds:
+        e = np.exp(1j * np.outer(values, axis.nodes()) / h)
+        folded = np.empty((len(starts), width, axis.points), dtype=complex)
+        for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(value_of)]):
+            for b in range(lo, hi, _BLOCK):
+                blk = slice(b, min(b + _BLOCK, hi))
+                # Phase first: a complex product's rounding depends on
+                # operand order, and this order gives the untabled sum's bits.
+                rows = (phases[start_of[blk]] * runs[count_of[blk]]
+                        if flat is None else flat[blk])
+                if b == lo:
+                    np.matmul(rows.T, e[value_of[blk]], out=out)
+                else:
+                    out += rows.T @ e[value_of[blk]]
+        del rows  # a view of the input: it would keep the input alive
         flat = folded.reshape(len(starts), -1)
     flat *= field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     return GridField(h, POSITION, list(axes), flat.reshape(shape))

@@ -496,6 +496,17 @@ class TestValidation:
            f"expect = pass\nbox_half_width = {value}",
            "box_half_width must be positive and finite")
           for value in ("0", "-1", "nan", "inf")],
+        # Counts and orders are >= 1: below that a sweep ran on a grid the
+        # config did not ask for, crashed, or passed trivially.
+        ("sharp_largep_n2_k3.cfg", "points_per_scale = 8",
+         "points_per_scale = -1", "points_per_scale must be >= 1"),
+        *[("sharp_largep_n2_k3.cfg", "points_per_scale = 8",
+           f"points_per_scale = 8\ncells_per_band = {value}",
+           "cells_per_band must be >= 1") for value in ("0", "-4")],
+        *[("fio_n2_k1.cfg", "orders = 1, 2", f"orders = {value}",
+           "orders must be a list of integers >= 1") for value in ("0", "-1, 1")],
+        ("wavelet_flat_n2_k3.cfg", "m_order = 1", "m_order = 0",
+         "m_order must be >= 1"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, config, old,
                                         new, message):

@@ -16,7 +16,7 @@ import quasilab
 from quasilab import families, quasimode
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
-                             EmptySupportError)
+                             EmptySupportError, GridBudgetError)
 from quasilab.grids import INVERSE, AxisSpec, semiclassical_ft
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
@@ -246,7 +246,7 @@ for arr in arrays + [verify_joint_quasimode(cut, 3)]:
 
 
 class TestProductSynthesis:
-    """The stage-and-fold product path against the pointwise column sum."""
+    """The fold product path against the pointwise column sum."""
 
     @pytest.mark.parametrize("make_field,points,rows", [
         # One row of 160 columns: two full 64-column blocks and a partial one.
@@ -325,6 +325,48 @@ class TestProductSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
+
+    def test_each_fold_input_released(self):
+        # The n = 4 sweep's field on 32^4: while a fold runs, its input and
+        # its output are alive, and no earlier fold's result.
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(4, 3), h)
+        axes = oscillation_axes([cut.extent(i) for i in range(4)], h, 4, 4)
+        assert [a.points for a in axes] == [32] * 4
+        # The xi(j+1) fold's result has one row per distinct (xi(j+2)..xin).
+        rows = [len(np.unique(cut.col_coords[:, j:], axis=0)) for j in (1, 2)]
+        cells = np.cumprod([a.points for a in axes])[1:]
+        folds = [16 * r * c for r, c in zip(rows + [1], cells)]
+        tracemalloc.start()
+        try:
+            synthesize_on_axes(cut, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * max(a + b for a, b in zip(folds, folds[1:]))
+
+    def test_every_fold_checked_before_allocation(self, monkeypatch):
+        # 64 rows that differ only in xi4, two columns each: the xi2 fold's
+        # result is 64 x 32 x 32 cells, the xi3 fold's 64 times as many
+        # (N3 = 64) and the output 32 x 32 x 64 x 2.  A budget between the
+        # two fold results must refuse before either is allocated.
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 1 << 20)
+        xi4 = np.repeat(np.linspace(-0.5, 0.5, 64), 2)
+        xi2 = np.tile([-0.25, 0.25], 64)
+        cut = CutoffField(h=0.1, axes=[AxisSpec(0.0, 1.0, 16)] * 4,
+                          col_coords=np.column_stack(
+                              [xi2, np.zeros_like(xi2), xi4]),
+                          col_start=np.zeros(128, dtype=np.int64),
+                          col_count=np.ones(128, dtype=np.int64))
+        axes = [AxisSpec(0.0, 1.0, n) for n in (32, 32, 64, 2)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridBudgetError, match=f"{64 * 32 * 32 * 64} cells"):
+                synthesize_on_axes(cut, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64 * 32 * 32
 
     def test_dimension_checked_before_allocation(self):
         # A dense 4D grid of 1e16 points cannot be allocated; the cell budget
