@@ -2,9 +2,9 @@
 
 Experiments parse from flat INI-style files (sections of key = value, no
 code execution), run deterministic sweeps, and write one machine-readable
-report.json plus per-table CSVs (floats at 17 significant digits, fixed
-row order, fixed reduction order) so identical configs give bit-identical
-outputs.  Every verdict carries (measured, predicted, tolerance).
+report.json plus one CSV table per run (floats at 17 significant digits,
+fixed row order, fixed reduction order) so identical configs give
+bit-identical outputs.  Every verdict carries (measured, predicted, tolerance).
 """
 
 from __future__ import annotations
@@ -82,10 +82,7 @@ class Verdict:
 
 @dataclass
 class RunResult:
-    experiment_id: str
-    kind: str
     verdicts: list[Verdict]
-    tables: dict[str, Path]
 
     @property
     def passed(self) -> bool:
@@ -169,10 +166,14 @@ _H_SWEEP = {"h_start": _number(), "h_stop": _number(),
 
 
 @dataclass(frozen=True)
-class Schema:
-    """Every key one experiment kind reads, by config section, and the rules
-    that check the keys against each other and fill derived values."""
+class Kind:
+    """One experiment kind: its runner, a pure function of the typed values
+    that returns (verdicts, header, rows); the stem of the CSV table it
+    fills; every key it reads, by config section; and the rules that check
+    the keys against each other and fill derived values."""
 
+    run: Callable[[dict], tuple[list[Verdict], Sequence[str], list]]
+    table: str
     params: dict[str, Key]
     tolerances: dict[str, Key] = field(default_factory=dict)
     symbols: dict[str, Key] = field(default_factory=dict)
@@ -206,9 +207,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
     kind = exp.get("kind", "").strip()
-    if kind not in SCHEMAS:
+    if kind not in KINDS:
         raise ConfigError(
-            f"unknown experiment kind {kind!r}; expected one of {sorted(SCHEMAS)}")
+            f"unknown experiment kind {kind!r}; expected one of {sorted(KINDS)}")
     try:
         seed = int(exp.get("seed", "1234"))
     except ValueError as err:
@@ -222,10 +223,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         tolerances=dict(parser["tolerances"]) if "tolerances" in parser else {},
         out=exp.get("out", "").strip() or None,
     )
-    schema = SCHEMAS[kind]
+    spec = KINDS[kind]
     for section in ("params", "tolerances", "symbols"):
-        _parse_section(cfg, section, getattr(schema, section))
-    for rule in schema.rules:
+        _parse_section(cfg, section, getattr(spec, section))
+    for rule in spec.rules:
         rule(cfg.values)
     return cfg
 
@@ -367,65 +368,11 @@ def _check_ttstar(v: dict) -> None:
                 "kernel vanishes")
 
 
-SCHEMAS: dict[str, Schema] = {
-    "delta-curves": Schema({
-        "n": _int("3", 2), "k_list": _ints("1, 3, 5", 1),
-        "invp_points": _int("25", 2)}),
-    "contact-profile": Schema({
-        "n": _int("3", 2), "k": _int("1", 1), "family": _FAMILY,
-        "max_order": _int("32", 1), "directions": _int("64"),
-        "expect_uniform": _choice("true", _FLAG), "expect_orders": _ints(REQUIRED),
-    }, symbols={"p1": _SYMBOL, "p2": _SYMBOL}, rules=(_check_contact,)),
-    "sharpness-sweep": Schema({
-        "family": _FAMILY, "n": _int(low=2), "k": _int("1", 1),
-        "cells_per_band": _int(str(families.CELLS_PER_BAND), 1), **_H_SWEEP,
-        "p_list": Key("a list of exponents", _list(parse_p), "",
-                      ("a list of exponents >= 2", lambda ps: min(ps) >= 2)),
-        "joint_orders": _int("3", 0), "margin": _number("8", _POSITIVE),
-        "points_per_scale": _int("8", 1), "peak_only": _choice("false", _FLAG),
-        "check_peak_slope": _choice("false", _FLAG),
-    }, tolerances={
-        "volume_band": _number("4.0", _AT_LEAST_1),
-        "joint_slack": _number("1/16", _NONNEGATIVE),
-        "slope": _number("0.1", _NONNEGATIVE),
-        "slope_p2": _number("0.02", _NONNEGATIVE),
-    }, rules=(_check_pair, _check_lp_sweep, _check_fitted_sweep)),
-    "wavelet-diagnostic": Schema({
-        "n": _int("2", 2), "k": _int("3", 1),
-        "h": _number("2^-8", ("in (0, 1]", lambda v: 0 < v <= 1)),
-        "m_order": _int("1", 1), "x1_half_width": _number("6", _POSITIVE),
-        "x1_spacing": _number("2^-9", _POSITIVE),
-    }, tolerances={
-        "small_a_min": _number("1.4", _FINITE),
-        "large_a_abs": _number("0.1", _NONNEGATIVE),
-    }, rules=(partial(_check_pair, fam=families.CUTOFF_FAMILIES["flat"]),)),
-    "vdc": Schema({
-        "d": _int("1", 1), "mu": _number("1", _POSITIVE), **_H_SWEEP,
-        "amplitude": _choice("dyadic", ("dyadic", "resonant")),
-        "k": _int("3", 1), "j": _int("2"), "beta": _number("0.8", _FINITE),
-        "box_half_width": _number("1.5", _POSITIVE),
-        "expect": _choice("pass", {"pass": "PASS", "fail": "FAIL"}),
-        "degraded_below": _number("0.4", _FINITE),
-    }, tolerances={"exponent": _number("0.1", _NONNEGATIVE)},
-        rules=(_check_fitted_sweep,)),
-    "ttstar-kernel": Schema({
-        "k": _int("3", 1), "j": _int("0"), "a": _number("0.5", _POSITIVE),
-        **_H_SWEEP, "separation": _number("2^-3", _POSITIVE),
-    }, tolerances={"band": _number("4.0", _AT_LEAST_1)},
-        symbols={"a1": Key(_SYMBOL.what, str, "x1^2")},
-        rules=(_check_h_sweep, _check_ttstar)),
-    "fio-check": Schema({
-        "n": _int("2", 2), "k": _int("1", 1), **_H_SWEEP,
-        "orders": _ints("1, 2", 1), "x1_half_width": _number("8", _POSITIVE),
-    }, rules=(_check_h_sweep,
-              partial(_check_pair, fam=families.CUTOFF_FAMILIES["paraboloid"]))),
-}
-
-
 # -- experiment runners --------------------------------------------------------------
+# Each runner is a pure function of its kind's typed values: it returns the
+# verdicts and the CSV table's header and rows, and run_experiment writes them.
 
-def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_delta_curves(v: dict):
     n, k_list, points = v["n"], v["k_list"], v["invp_points"]
     # p at evenly spaced 1/p in [0, 1/2].
     ps = [INF_P if i == 0 else Fraction(2 * (points - 1), i)
@@ -433,8 +380,6 @@ def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     rows = [("contact", n, p, k, float(exponent("contact", n, p, k=k)))
             for k in k_list for p in ps]
     rows += [("sogge", n, p, "", float(exponent("sogge", n, p))) for p in ps]
-    table = outdir / "delta_curves.csv"
-    write_csv(table, ("family", "n", "p", "k", "delta"), rows)
 
     # Above p0, delta is affine in 1/p: its line through p = inf and 2*p0,
     # extended to p0, must meet the value at p0, which is the p <= p0 branch.
@@ -449,11 +394,10 @@ def run_delta_curves(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                 for k in k_list for p in ps)
     verdicts.append(Verdict("contact-below-sogge", worst, 0.0, 0.0,
                             worst <= 0.0))
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"delta_curves": table})
+    return verdicts, ("family", "n", "p", "k", "delta"), rows
 
 
-def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_contact_profile(v: dict):
     a1, a2 = graph_factor(v["p1"]).a, graph_factor(v["p2"]).a
     dirs = sample_directions(v["n"] - 1, v["directions"])
     profile = contact_profile(a1, a2, dirs, v["max_order"])
@@ -463,8 +407,6 @@ def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                      "infinite" if math.isinf(rep.order) else int(rep.order),
                      "" if rep.leading_coefficient is None
                      else str(rep.leading_coefficient)))
-    table = outdir / "contact_profile.csv"
-    write_csv(table, ("direction", "order", "leading_coefficient"), rows)
 
     verdicts = []
     verdicts.append(Verdict("uniformity", str(profile.uniform),
@@ -483,8 +425,7 @@ def run_contact_profile(cfg: ExperimentConfig, outdir: Path) -> RunResult:
         c_ok = mixed_partials_check(a1, a2, k).ok
         verdicts.append(Verdict("mixed-partials-vanish", str(c_ok), "true",
                                 "exact", c_ok))
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts,
-                     {"contact_profile": table})
+    return verdicts, ("direction", "order", "leading_coefficient"), rows
 
 
 def _sweep_point(spec, h, ps, v):
@@ -508,8 +449,7 @@ def _sweep_point(spec, h, ps, v):
             "ratios": ratios, "norms": norms}
 
 
-def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_sharpness(v: dict):
     fam, n, k, hs = v["family"], v["n"], v["k"], v["h_sweep"]
     spec = fam.cutoff(n, k, v["cells_per_band"])
     ps = [] if v["peak_only"] else v["p_list"]
@@ -525,8 +465,6 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                r["t0_err"], float(r["ratios"].max())]
         row += [r["norms"][p] for p in ps]
         rows.append(row)
-    table = outdir / "sweep.csv"
-    write_csv(table, header, rows)
 
     verdicts = []
     vr = [r["volume"] / r["h"] ** gamma for r in results]
@@ -545,7 +483,7 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     verdicts.append(Verdict("volume-monotone", float(monotone), 1.0, 0.0,
                             monotone))
     slope_tol = v["slope"]
-    if v["peak_only"] or v["check_peak_slope"]:
+    if v["peak_only"]:
         predicted = gamma / 2.0 - len(spec.box) / 2.0
         rep = fit_scaling(hs, [r["peak"] for r in results], predicted, slope_tol)
         verdicts.append(Verdict("peak-slope", rep.slope, rep.predicted,
@@ -557,19 +495,15 @@ def run_sharpness(cfg: ExperimentConfig, outdir: Path) -> RunResult:
         verdicts.append(Verdict(
             f"lp-slope-p{p if p is not INF_P else 'inf'}",
             rep.slope, rep.predicted, rep.tolerance, rep.passed))
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"sweep": table})
+    return verdicts, header, rows
 
 
-def run_wavelet_diagnostic(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
     axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
     u = Quasimode(cut, h).on_axes(axes)
     diag = decay_diagnostic(u, make_mother_wavelet(), v["m_order"], k)
-    table = outdir / "wavelet_diag.csv"
-    write_csv(table, ("a", "j", "value", "predicted_bound"),
-              [(r.a, r.j, r.value, r.bound) for r in diag.rows])
     verdicts = [
         Verdict("small-a-exponent", diag.small_a_slope, 1.5,
                 v["small_a_min"], diag.small_a_slope >= v["small_a_min"]),
@@ -580,12 +514,11 @@ def run_wavelet_diagnostic(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     worst = max((r for _, r in diag.j_ratios), default=0.0)
     verdicts.append(Verdict("j-decay-ratio", worst, bound, 0.0,
                             worst <= bound))
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts,
-                     {"wavelet_diag": table})
+    return (verdicts, ("a", "j", "value", "predicted_bound"),
+            [(r.a, r.j, r.value, r.bound) for r in diag.rows])
 
 
-def run_vdc(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_vdc(v: dict):
     d, mu, amp_kind, tol = v["d"], v["mu"], v["amplitude"], v["exponent"]
     phase = quadratic_phase(mu, d)
     if amp_kind == "dyadic":
@@ -596,10 +529,8 @@ def run_vdc(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     integrand = OscIntegrand(phase, amp, d, tuple((-ext, ext) for _ in range(d)),
                              loss)
     rep = vdc_check(integrand, v["h_sweep"], mu, exponent_tolerance=tol)
-    table = outdir / "vdc.csv"
-    bound_rows = [(h, m, h ** (d / 2) * mu ** (-d / 2), r)
-                  for h, m, r in zip(rep.h_values, rep.magnitudes, rep.ratios)]
-    write_csv(table, ("h", "magnitude", "bound", "ratio"), bound_rows)
+    rows = [(h, m, h ** (d / 2) * mu ** (-d / 2), r)
+            for h, m, r in zip(rep.h_values, rep.magnitudes, rep.ratios)]
     verdicts = [Verdict("vdc-verdict", rep.verdict, v["expect"], "exact",
                         rep.verdict == v["expect"])]
     if v["expect"] == "PASS":
@@ -610,11 +541,10 @@ def run_vdc(cfg: ExperimentConfig, outdir: Path) -> RunResult:
         verdicts.append(Verdict("degraded-exponent", rep.fitted_exponent,
                                 v["degraded_below"], 0.0,
                                 rep.fitted_exponent < v["degraded_below"]))
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"vdc": table})
+    return verdicts, ("h", "magnitude", "bound", "ratio"), rows
 
 
-def run_ttstar(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_ttstar(v: dict):
     k, j, a, hs, a1 = v["k"], v["j"], v["a"], v["h_sweep"], v["a1"]
     sep_vdc, nbar, w = v["separation"], a1.dim, make_mother_wavelet()
 
@@ -633,10 +563,6 @@ def run_ttstar(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                      trivial_ok))
         vdc_ratios.append(r_vdc)
         triv_ratios.append(r_triv)
-    table = outdir / "ttstar.csv"
-    write_csv(table, ("h", "separation", "kernel_vdc", "ratio_vdc",
-                      "kernel_trivial", "ratio_trivial", "trivial_bound_ok"),
-              rows)
     band = v["band"]
     verdicts = [
         Verdict("vdc-regime-band", max(vdc_ratios) / min(vdc_ratios), 1.0,
@@ -650,11 +576,12 @@ def run_ttstar(cfg: ExperimentConfig, outdir: Path) -> RunResult:
     kv0 = kernel(hs[0], 5 * a)
     verdicts.append(Verdict("disjoint-window-zero", abs(kv0.value), 0.0, 0.0,
                             kv0.value == 0.0))
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"ttstar": table})
+    header = ("h", "separation", "kernel_vdc", "ratio_vdc", "kernel_trivial",
+              "ratio_trivial", "trivial_bound_ok")
+    return verdicts, header, rows
 
 
-def run_fio_check(cfg: ExperimentConfig, outdir: Path) -> RunResult:
-    v = cfg.values
+def run_fio_check(v: dict):
     n, k, orders = v["n"], v["k"], tuple(v["orders"])
     spec = families.paraboloid_cutoff(n, k, pow2=True)
     a1 = graph_factor(families.paraboloid_pair(n, k)[0]).a
@@ -674,31 +601,79 @@ def run_fio_check(cfg: ExperimentConfig, outdir: Path) -> RunResult:
                     f"intertwining-h{fmt(h)}", rep.identity_residual, 0.0,
                     rep.identity_bound,
                     rep.identity_residual <= rep.identity_bound))
-    table = outdir / "fio.csv"
-    write_csv(table, ("h", "order", "ratio", "slack", "identity_residual",
-                      "identity_bound"), rows)
-    return RunResult(cfg.experiment_id, cfg.kind, verdicts, {"fio": table})
+    return verdicts, ("h", "order", "ratio", "slack", "identity_residual",
+                      "identity_bound"), rows
 
 
-RUNNERS: dict[str, Callable[[ExperimentConfig, Path], RunResult]] = {
-    "delta-curves": run_delta_curves,
-    "contact-profile": run_contact_profile,
-    "sharpness-sweep": run_sharpness,
-    "wavelet-diagnostic": run_wavelet_diagnostic,
-    "vdc": run_vdc,
-    "ttstar-kernel": run_ttstar,
-    "fio-check": run_fio_check,
+# -- experiment kinds ----------------------------------------------------------------
+
+KINDS: dict[str, Kind] = {
+    "delta-curves": Kind(run_delta_curves, "delta_curves", {
+        "n": _int("3", 2), "k_list": _ints("1, 3, 5", 1),
+        "invp_points": _int("25", 2)}),
+    "contact-profile": Kind(run_contact_profile, "contact_profile", {
+        "n": _int("3", 2), "k": _int("1", 1), "family": _FAMILY,
+        "max_order": _int("32", 1), "directions": _int("64", 1),
+        "expect_uniform": _choice("true", _FLAG), "expect_orders": _ints(REQUIRED),
+    }, symbols={"p1": _SYMBOL, "p2": _SYMBOL}, rules=(_check_contact,)),
+    "sharpness-sweep": Kind(run_sharpness, "sweep", {
+        "family": _FAMILY, "n": _int(low=2), "k": _int("1", 1),
+        "cells_per_band": _int(str(families.CELLS_PER_BAND), 1), **_H_SWEEP,
+        "p_list": Key("a list of exponents", _list(parse_p), "",
+                      ("a list of exponents >= 2", lambda ps: min(ps) >= 2)),
+        "joint_orders": _int("3", 0), "margin": _number("8", _POSITIVE),
+        "points_per_scale": _int("8", 1), "peak_only": _choice("false", _FLAG),
+    }, tolerances={
+        "volume_band": _number("4.0", _AT_LEAST_1),
+        "joint_slack": _number("1/16", _NONNEGATIVE),
+        "slope": _number("0.1", _NONNEGATIVE),
+        "slope_p2": _number("0.02", _NONNEGATIVE),
+    }, rules=(_check_pair, _check_lp_sweep, _check_fitted_sweep)),
+    "wavelet-diagnostic": Kind(run_wavelet_diagnostic, "wavelet_diag", {
+        "n": _int("2", 2), "k": _int("3", 1),
+        "h": _number("2^-8", ("in (0, 1]", lambda v: 0 < v <= 1)),
+        "m_order": _int("1", 1), "x1_half_width": _number("6", _POSITIVE),
+        "x1_spacing": _number("2^-9", _POSITIVE),
+    }, tolerances={
+        "small_a_min": _number("1.4", _FINITE),
+        "large_a_abs": _number("0.1", _NONNEGATIVE),
+    }, rules=(partial(_check_pair, fam=families.CUTOFF_FAMILIES["flat"]),)),
+    "vdc": Kind(run_vdc, "vdc", {
+        "d": _int("1", 1), "mu": _number("1", _POSITIVE), **_H_SWEEP,
+        "amplitude": _choice("dyadic", ("dyadic", "resonant")),
+        "k": _int("3", 1), "j": _int("2"), "beta": _number("0.8", _FINITE),
+        "box_half_width": _number("1.5", _POSITIVE),
+        "expect": _choice("pass", {"pass": "PASS", "fail": "FAIL"}),
+        "degraded_below": _number("0.4", _FINITE),
+    }, tolerances={"exponent": _number("0.1", _NONNEGATIVE)},
+        rules=(_check_fitted_sweep,)),
+    "ttstar-kernel": Kind(run_ttstar, "ttstar", {
+        "k": _int("3", 1), "j": _int("0"), "a": _number("0.5", _POSITIVE),
+        **_H_SWEEP, "separation": _number("2^-3", _POSITIVE),
+    }, tolerances={"band": _number("4.0", _AT_LEAST_1)},
+        symbols={"a1": Key(_SYMBOL.what, str, "x1^2")},
+        rules=(_check_h_sweep, _check_ttstar)),
+    "fio-check": Kind(run_fio_check, "fio", {
+        "n": _int("2", 2), "k": _int("1", 1), **_H_SWEEP,
+        "orders": _ints("1, 2", 1), "x1_half_width": _number("8", _POSITIVE),
+    }, rules=(_check_h_sweep,
+              partial(_check_pair, fam=families.CUTOFF_FAMILIES["paraboloid"]))),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> RunResult:
+    """Run cfg's kind and write its table and report.json into outdir, the
+    one place a run's files are written."""
+    kind = KINDS[cfg.kind]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = RUNNERS[cfg.kind](cfg, outdir)
+    verdicts, header, rows = kind.run(cfg.values)
+    write_csv(outdir / f"{kind.table}.csv", header, rows)
+    result = RunResult(verdicts)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "experiment": result.experiment_id,
-        "kind": result.kind,
+        "experiment": cfg.experiment_id,
+        "kind": cfg.kind,
         "seed": cfg.seed,
         "config": {
             "params": cfg.params,
@@ -711,9 +686,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> RunResult:
              "predicted": fmt(v.predicted),
              "tolerance": fmt(v.tolerance),
              "passed": bool(v.passed)}
-            for v in result.verdicts
+            for v in verdicts
         ],
-        "tables": {name: str(path.name) for name, path in result.tables.items()},
+        "tables": {kind.table: f"{kind.table}.csv"},
         "passed": result.passed,
     }
     with open(outdir / "report.json", "w") as fh:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import FREQUENCY, POSITION, AxisSpec, GridField
+from .grids import POSITION, AxisSpec, GridField
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -32,8 +32,8 @@ _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
 # rows are columns).  A fixed block makes the output bits independent of the
 # BLAS thread count.
 _BLOCK = 64
-# Largest array, in cells, that to_grid_field or synthesize_on_axes allocates
-# (256 MB of complex values).
+# Largest array, in cells, that synthesize_on_axes allocates (256 MB of
+# complex values).
 MAX_GRID_CELLS = 1 << 24
 _CELL_CHUNK = 1 << 14      # columns per chunk of verify_joint_quasimode
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_raw
@@ -158,22 +158,6 @@ class CutoffField:
             last = first + (self.col_count - 1) * self.axes[0].spacing
             return float(max(np.abs(first).max(), np.abs(last).max()))
         return float(np.abs(self.col_coords[:, axis - 1]).max())
-
-    def to_grid_field(self) -> GridField:
-        """Dense 0/1 indicator; refuses grids above MAX_GRID_CELLS."""
-        shape = tuple(a.points for a in self.axes)
-        _check_grid_cells(shape)
-        data = np.zeros(shape, dtype=complex)
-        bar_axes = self.axes[1:]
-        flat = data.reshape(shape[0], -1)
-        # Recover each stored column's flat bar index from its coordinates.
-        idx = np.zeros(len(self.col_coords), dtype=np.int64)
-        for d, ax in enumerate(bar_axes):
-            pos = np.round((self.col_coords[:, d] - ax.start) / ax.spacing - 0.5)
-            idx = idx * ax.points + pos.astype(np.int64)
-        for col, (s, c) in enumerate(zip(self.col_start, self.col_count)):
-            flat[s:s + c, idx[col]] = 1.0
-        return GridField(self.h, FREQUENCY, list(self.axes), data)
 
 
 def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:

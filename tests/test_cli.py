@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -21,8 +23,9 @@ from quasilab.analysis import contact_delta, kink_p
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
-                                  EXIT_REFUSED, EXIT_VERDICT_FAIL, TEMPLATES,
-                                  list_experiments, parse_config)
+                                  EXIT_REFUSED, EXIT_VERDICT_FAIL, KINDS,
+                                  TEMPLATES, list_experiments, parse_config,
+                                  run_experiment)
 from quasilab.oscint import MAX_QUAD_POINTS
 from quasilab.quasimode import MAX_GRID_CELLS
 
@@ -300,9 +303,11 @@ expect = pass
         errors.BoxTooSmallError, errors.TailDominanceError,
         errors.GridBudgetError])
     def test_every_refusal_exits_3(self, tmp_path, capsys, monkeypatch, error):
-        def refusing(cfg, outdir):
+        def refusing(v):
             raise error("over budget")
-        monkeypatch.setitem(experiments.RUNNERS, "delta-curves", refusing)
+        monkeypatch.setitem(KINDS, "delta-curves",
+                            dataclasses.replace(KINDS["delta-curves"],
+                                                run=refusing))
         cfg = write_cfg(tmp_path, DELTA_CFG)
         assert main(["run", str(cfg), "--out",
                      str(tmp_path / "o")]) == EXIT_REFUSED
@@ -457,6 +462,8 @@ class TestValidation:
          "joint_orders must be >= 0"),
         ("contact_axis_k3.cfg", "max_order = 32", "max_order = 0",
          "max_order must be >= 1"),
+        *[("contact_axis_k3.cfg", "directions = 64", f"directions = {value}",
+           "directions must be >= 1") for value in ("0", "-3")],
         ("delta_curves_n3.cfg", "k_list = 1, 3, 5", "k_list = 0, 3",
          "k_list must be a list of integers >= 1"),
         ("delta_curves_n3.cfg", "invp_points = 25", "invp_points = 1",
@@ -519,9 +526,11 @@ class TestValidation:
         assert not out.exists()
 
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
-        def broken(cfg, outdir):
+        def broken(v):
             raise RuntimeError("runner bug")
-        monkeypatch.setitem(experiments.RUNNERS, "delta-curves", broken)
+        monkeypatch.setitem(KINDS, "delta-curves",
+                            dataclasses.replace(KINDS["delta-curves"],
+                                                run=broken))
         cfg = write_cfg(tmp_path, DELTA_CFG)
         assert main(["run", str(cfg), "--out",
                      str(tmp_path / "o")]) == EXIT_INTERNAL
@@ -541,8 +550,11 @@ class TestValidation:
         ("vdc_d1.cfg", "expect = pass", "expect = PASS", "expect"),
         # A malformed number that only the runner used to parse.
         ("vdc_d1.cfg", "mu = 1", "mu = abc", "mu"),
+        # A removed key is an unknown one.
+        ("sharp_largep_n2_k3.cfg", "joint_orders = 3",
+         "joint_orders = 3\ncheck_peak_slope = true", "check_peak_slope"),
     ], ids=["unknown-param", "unknown-tolerance", "bool-yes", "bool-True",
-            "choice-PASS", "number-abc"])
+            "choice-PASS", "number-abc", "removed-check_peak_slope"])
     def test_bad_or_unknown_key_exits_2(self, tmp_path, capsys, config, old,
                                          new, key):
         text = (CONFIG_DIR / config).read_text()
@@ -765,14 +777,18 @@ def documented_keys() -> dict:
 
 class TestSchema:
     def test_docs_list_every_key_and_default(self):
-        schema = {kind: {(section, key): spec.default
+        schema = {name: {(section, key): spec.default
                          for section in ("params", "tolerances", "symbols")
-                         for key, spec in getattr(s, section).items()}
-                  for kind, s in experiments.SCHEMAS.items()}
+                         for key, spec in getattr(kind, section).items()}
+                  for name, kind in KINDS.items()}
         assert documented_keys() == schema
 
-    def test_every_kind_has_a_schema(self):
-        assert set(experiments.SCHEMAS) == set(experiments.RUNNERS)
+    def test_docs_name_each_kinds_table(self):
+        # One "### <kind>: `<table>.csv`" heading per kind, naming its table.
+        text = (CONFIG_DIR.parent / "docs" / "formats.md").read_text()
+        headings = re.findall(r"^### (\S+): `([^`]+)`$", text, re.M)
+        assert sorted(headings) == sorted(
+            (name, f"{kind.table}.csv") for name, kind in KINDS.items())
 
 
 class TestShippedConfigs:
@@ -781,6 +797,18 @@ class TestShippedConfigs:
         cfg = parse_config(CONFIG_DIR / template.config_file)
         assert cfg.kind == template.kind
         assert cfg.experiment_id == template.template_id
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_run_writes_report_and_one_table(self, tmp_path, kind):
+        # The first shipped config of the kind; the layout bench/check.py reads.
+        template = next(t for t in TEMPLATES if t.kind == kind)
+        out = tmp_path / "o"
+        run_experiment(parse_config(CONFIG_DIR / template.config_file), out)
+        table = KINDS[kind].table
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["report.json", f"{table}.csv"])
+        report = json.loads((out / "report.json").read_text())
+        assert report["tables"] == {table: f"{table}.csv"}
 
     def test_symbol_validation(self, tmp_path):
         text = CONTACT_CFG + "\n[symbols]\np1 = x1 +\np2 = x1\n"

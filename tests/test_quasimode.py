@@ -17,7 +17,8 @@ from quasilab import families, quasimode
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError, GridBudgetError)
-from quasilab.grids import INVERSE, AxisSpec, semiclassical_ft
+from quasilab.grids import (FREQUENCY, INVERSE, AxisSpec, GridField,
+                            semiclassical_ft)
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
                                 Quasimode, build_cutoff, support_volume,
@@ -44,6 +45,22 @@ def support_cells(field):
     xi1 = ax0.start + (np.repeat(field.col_start, counts) + offsets
                        + 0.5) * ax0.spacing
     return np.column_stack([xi1, np.repeat(field.col_coords, counts, axis=0)])
+
+
+def _dense_indicator(cut):
+    """The cutoff's 0/1 indicator on its dense frequency grid: the input of
+    the FFT and multiplier oracles."""
+    shape = tuple(a.points for a in cut.axes)
+    data = np.zeros(shape, dtype=complex)
+    flat = data.reshape(shape[0], -1)
+    # Recover each stored column's flat bar index from its coordinates.
+    idx = np.zeros(len(cut.col_coords), dtype=np.int64)
+    for d, ax in enumerate(cut.axes[1:]):
+        pos = np.round((cut.col_coords[:, d] - ax.start) / ax.spacing - 0.5)
+        idx = idx * ax.points + pos.astype(np.int64)
+    for col, (s, c) in enumerate(zip(cut.col_start, cut.col_count)):
+        flat[s:s + c, idx[col]] = 1.0
+    return GridField(cut.h, FREQUENCY, list(cut.axes), data)
 
 
 class TestHExpr:
@@ -177,20 +194,12 @@ class TestSynthesis:
         # The FFT inverse of the dense indicator is the independent oracle.
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        dense = cut.to_grid_field()
+        dense = _dense_indicator(cut)
         pos = semiclassical_ft(dense, INVERSE)
         pts = mesh_points(pos.axes)
         direct = synthesize_raw(cut, pts).reshape(pos.data.shape)
         err = np.abs(direct - pos.data).max() / np.abs(pos.data).max()
         assert err < 1e-6
-
-    def test_dense_guard(self):
-        # The 3D paraboloid's xi1 axis grows like h^(-1/2): at h = 2^-18 its
-        # dense grid holds about 3.4e7 cells.
-        cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -18)
-        assert math.prod(a.points for a in cut.axes) > MAX_GRID_CELLS
-        with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
-            cut.to_grid_field()
 
 
 def _fine_parabola_cutoff(n=2, caps=(0.5, 0.5, 0.5), spacing=1 / 160):
@@ -486,7 +495,7 @@ class TestJointQuasimode:
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
         from quasilab.grids import apply_multiplier
-        dense = cut.to_grid_field()
+        dense = _dense_indicator(cut)
         p1, _ = families.paraboloid_pair(2, 1)
         out = apply_multiplier(dense, p1)
         oracle = out.l2_norm() / (h * dense.l2_norm())
