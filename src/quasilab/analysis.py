@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TailDominanceError
+from .grids import AxisSpec
 
 INF_P = math.inf
 
@@ -320,8 +321,6 @@ def oscillation_axes(extents: Sequence[float], h: float, margin: float = 8.0,
     count rounded up to a power of two.  Axis counts are h-independent, so
     sweeps sample self-similarly and slopes are clean.
     """
-    from .grids import AxisSpec
-
     axes = []
     for ext in extents:
         scale = h / ext if ext > 0 else 1.0

@@ -195,6 +195,12 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
 
+# [experiment] holds these keys, and each kind's Kind record the keys it
+# reads from the other sections a config may hold.
+EXPERIMENT_KEYS = ("id", "kind", "seed", "out")
+KEY_SECTIONS = ("params", "tolerances", "symbols")
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -203,9 +209,17 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"malformed config {path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config {path}")
+    for name in parser.sections():
+        if name not in ("experiment",) + KEY_SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; a config holds "
+                              "[experiment], [params], [tolerances], [symbols]")
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
+    for key in exp:
+        if key not in EXPERIMENT_KEYS:
+            raise ConfigError(f"[experiment] key {key!r} is not read; it reads "
+                              + ", ".join(EXPERIMENT_KEYS))
     kind = exp.get("kind", "").strip()
     if kind not in KINDS:
         raise ConfigError(
@@ -218,13 +232,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         experiment_id=exp.get("id", kind).strip(),
         kind=kind,
         seed=seed,
-        params=dict(parser["params"]) if "params" in parser else {},
-        symbols=dict(parser["symbols"]) if "symbols" in parser else {},
-        tolerances=dict(parser["tolerances"]) if "tolerances" in parser else {},
         out=exp.get("out", "").strip() or None,
+        **{s: dict(parser[s]) if s in parser else {} for s in KEY_SECTIONS},
     )
     spec = KINDS[kind]
-    for section in ("params", "tolerances", "symbols"):
+    for section in KEY_SECTIONS:
         _parse_section(cfg, section, getattr(spec, section))
     for rule in spec.rules:
         rule(cfg.values)

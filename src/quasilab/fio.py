@@ -6,7 +6,9 @@ slice, W(0) = Id, and conjugation sends a2(hD_bar) to itself, so the
 transported observable is exactly a1 - a2 (no O(h) remainder to model).
 Applied to a quasimode u of hD_x1 - a1(hD_bar), the slice-wise transform
 v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1; the reports below verify
-that quantitatively with centered finite differences in x1.
+that quantitatively with centered finite differences in x1.  W on one
+slice, on a whole field and a1(hD_bar) itself are all one multiplier
+applied by grids.apply_multiplier.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .grids import (POSITION, AxisSpec, GridField, apply_multiplier, dual_axis,
-                    ft_axes)
+                    node_arrays)
 from .symbols import PolySymbol
 
 
@@ -30,67 +32,55 @@ class FlatteningOp:
     h: float
 
 
-def apply_W(op: FlatteningOp, u: GridField, x1: float,
-            adjoint: bool = False) -> GridField:
-    """Apply W(x1) (or its adjoint) to one bar slice.
+def _w_multiplier(op: FlatteningOp, x1: float | np.ndarray,
+                  sign: float = -1.0):
+    """xi_bar -> exp(sign*i*x1*a1(xi_bar)/h): W(x1) for sign -1, its adjoint
+    for +1.
 
-    The multiplier goes through grids.apply_multiplier: frequency slices
-    are multiplied pointwise; position slices are transformed, multiplied,
-    and returned on their own axes.  Exactly unitary either way.
+    x1 is a scalar for one slice, or the x1 nodes shaped to broadcast
+    against the bar nodes; either way each slice gets the same bits.
     """
-    if u.dim != op.a1.dim:
-        raise DimensionMismatchError(
-            f"slice dim {u.dim} != symbol dim {op.a1.dim}")
-    sign = 1.0 if adjoint else -1.0
-    return apply_multiplier(
-        u, lambda *xi: np.exp(sign * 1j * x1 * op.a1.eval_grid(xi) / op.h))
-
-
-def _bar_symbol(a1: PolySymbol, u: GridField) -> np.ndarray:
-    """a1 on the dual nodes of u's bar axes, shaped to broadcast against u.data."""
-    coords = []
-    for d, ax in enumerate(u.axes[1:], start=1):
-        shape = [1] * u.dim
-        shape[d] = ax.points
-        coords.append(dual_axis(ax, u.h).nodes().reshape(shape))
-    return a1.eval_grid(coords)
-
-
-def _bar_multiply(op: FlatteningOp, u: GridField, data: np.ndarray,
-                  x1: np.ndarray | None = None) -> np.ndarray:
-    """a1(hD_bar) slice-wise: multiply data's bar-side transform, invert.
-
-    data lies on u's bar axes.  Given x1, the x1 nodes of data's slices,
-    the factor is exp(-i*x1*a1(xi_bar)/h) instead, i.e. W(x1) per slice.
-    """
-    avals = _bar_symbol(op.a1, u)
-    if x1 is not None:
-        avals = -1j * x1.reshape((-1,) + (1,) * (u.dim - 1)) * avals
+    def m(*xi: np.ndarray) -> np.ndarray:
+        avals = sign * 1j * x1 * op.a1.eval_grid(xi)
         # numpy divides by a real scalar as this multiply: same bits, faster.
         avals *= 1.0 / op.h
-        np.exp(avals, out=avals)
-    hat, duals = ft_axes(data, u.axes[1:], u.h)
-    # avals * hat, not hat * avals: numpy's vectorized complex product
-    # fuses a multiply-add, so its last bit depends on operand order, and
-    # this order keeps fio.csv bit-identical to earlier versions.
-    np.multiply(avals, hat, out=hat)
-    out, _ = ft_axes(hat, duals, u.h, inverse=True, out_axes=u.axes[1:])
-    return out
+        return np.exp(avals, out=avals)
+    return m
+
+
+def _check_field(op: FlatteningOp, u: GridField, bar_first: int) -> None:
+    """u is a position field at op's h, whose axes from bar_first on are
+    a1's bar axes: W takes h from op, the transforms from u."""
+    if u.space != POSITION or u.h != op.h:
+        raise ValueError(f"W at h = {op.h!r} acts on POSITION fields at that h,"
+                         f" not on a {u.space} field at h = {u.h!r}")
+    if u.dim != op.a1.dim + bar_first:
+        raise DimensionMismatchError(
+            f"field dim {u.dim} != symbol dim {op.a1.dim} + {bar_first}")
+
+
+def apply_W(op: FlatteningOp, u: GridField, x1: float,
+            adjoint: bool = False) -> GridField:
+    """Apply W(x1) (or its adjoint) to one position-side bar slice.
+
+    Exactly unitary, and bit for bit the x1 row of transform_quasimode.
+    """
+    _check_field(op, u, 0)
+    m = _w_multiplier(op, x1, 1.0 if adjoint else -1.0)
+    return GridField(u.h, POSITION, list(u.axes),
+                     apply_multiplier(u.data, u.axes, u.h, m))
 
 
 def transform_quasimode(op: FlatteningOp, u: GridField) -> GridField:
     """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
 
-    Vectorized over slices: one bar-side transform of the whole array, a
-    broadcast multiplier exp(-i*x1*a1(xi_bar)/h), and the inverse back onto
-    the original bar axes.
+    Vectorized over slices: one bar-side multiplier with the x1 nodes
+    broadcast down axis 0.
     """
-    if u.space != POSITION:
-        raise ValueError("transform_quasimode expects a POSITION field")
-    if u.dim != op.a1.dim + 1:
-        raise DimensionMismatchError("field dim must be symbol dim + 1")
-    return GridField(u.h, POSITION, list(u.axes),
-                     _bar_multiply(op, u, u.data, u.axes[0].nodes()))
+    _check_field(op, u, 1)
+    x1, = node_arrays(u.axes[:1], u.dim)
+    return GridField(u.h, POSITION, list(u.axes), apply_multiplier(
+        u.data, u.axes[1:], u.h, _w_multiplier(op, x1), first=1))
 
 
 def egorov_symbol(a1: PolySymbol, a2: PolySymbol) -> PolySymbol:
@@ -165,6 +155,7 @@ def flattening_reports(op: FlatteningOp, u: GridField,
     cell = u.cell_volume
     u_norm = u.l2_norm()
     fd_rel = (dx / h) ** 2 / 6.0
+    bar = u.axes[1:]
 
     reports = []
     for m in orders:
@@ -173,11 +164,16 @@ def flattening_reports(op: FlatteningOp, u: GridField,
         slack = m * fd_rel + 0.05
         if m == 1:
             # a1(hD_bar) u is a temporary: it is gone before W is applied.
-            hd_minus_a = hd_x1(u, 1) - _bar_multiply(op, u, u.data)[1:-1]
-            rhs = _bar_multiply(op, u, hd_minus_a, u.axes[0].nodes()[1:-1])
+            hd_minus_a = hd_x1(u, 1) - apply_multiplier(
+                u.data, bar, h, lambda *xi: op.a1.eval_grid(xi), first=1)[1:-1]
+            x1, = node_arrays(u.axes[:1], u.dim)
+            rhs = apply_multiplier(hd_minus_a, bar, h,
+                                   _w_multiplier(op, x1[1:-1]), first=1)
             resid = _interior_norm(dv - rhs, cell) / u_norm
             # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
-            amax = float(np.abs(_bar_symbol(op.a1, u)).max())
+            duals = [dual_axis(ax, h) for ax in bar]
+            a_bar = op.a1.eval_grid(node_arrays(duals, len(duals)))
+            amax = float(np.abs(a_bar).max())
             mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
             d1 = amax * _interior_norm(mid_gap, cell)
             d2 = dx * amax ** 2 / (2 * h) * u_norm

@@ -5,18 +5,19 @@ Grids use a midpoint convention: an axis with N cells over
 of one cell volume per sample is the quadrature rule everywhere.  With the
 dual axis chosen so that dx * dxi = 2*pi*h / N, the discrete transform is
 exactly unitary for that quadrature (Parseval holds to rounding) and
-inverse(forward) is the identity.
+inverse(forward) is the identity.  apply_multiplier is the one place a
+frequency multiplier m(hD) is applied: transform, multiply, invert.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .symbols import PolySymbol
 
 POSITION = "position"
 FREQUENCY = "frequency"
@@ -59,6 +60,23 @@ def dual_axis(axis: AxisSpec, h: float) -> AxisSpec:
     return AxisSpec(0.0, 0.5 * axis.points * dxi, axis.points)
 
 
+def node_arrays(axes: Sequence[AxisSpec], ndim: int,
+                first: int = 0) -> list[np.ndarray]:
+    """Node coordinates of axes[i], shaped to broadcast on axis first + i of
+    an ndim-dimensional array."""
+    out = []
+    for i, a in enumerate(axes):
+        shape = [1] * ndim
+        shape[first + i] = a.points
+        out.append(a.nodes().reshape(shape))
+    return out
+
+
+def cell_volume(axes: Sequence[AxisSpec]) -> float:
+    """Product of the axes' spacings: the quadrature weight of one cell."""
+    return math.prod(a.spacing for a in axes)
+
+
 @dataclass
 class GridField:
     """Complex samples over a product grid, tagged position- or frequency-side."""
@@ -84,19 +102,7 @@ class GridField:
 
     @property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for a in self.axes:
-            vol *= a.spacing
-        return vol
-
-    def node_arrays(self) -> list[np.ndarray]:
-        """Per-axis node coordinates shaped for broadcasting."""
-        out = []
-        for i, a in enumerate(self.axes):
-            shape = [1] * self.dim
-            shape[i] = a.points
-            out.append(a.nodes().reshape(shape))
-        return out
+        return cell_volume(self.axes)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.cell_volume))
@@ -183,25 +189,20 @@ def semiclassical_ft(f: GridField, direction: str,
                      new_axes, data)
 
 
-def apply_multiplier(f: GridField, m: PolySymbol | Callable) -> GridField:
-    """Apply the frequency multiplier m(xi), i.e. the operator m(hD).
+def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
+                     m: Callable[..., np.ndarray], first: int = 0) -> np.ndarray:
+    """m(hD) on data axes first, first+1, ...: the position-side samples on
+    ``axes`` are transformed, multiplied by m(xi) on the dual nodes, and
+    brought back onto ``axes``.
 
-    A FREQUENCY field is multiplied pointwise; a POSITION field is
-    transformed, multiplied, and brought back onto its own axes.
+    m takes one broadcastable node array per transformed axis.  The product
+    is values * hat, in that order: numpy's vectorized complex product fuses
+    a multiply-add, so its last bit depends on operand order.
     """
-    if f.space == POSITION:
-        hat = semiclassical_ft(f, FORWARD)
-        hat = apply_multiplier(hat, m)
-        return semiclassical_ft(hat, INVERSE, out_axes=f.axes)
-    coords = f.node_arrays()
-    if isinstance(m, PolySymbol):
-        if m.dim != f.dim:
-            raise DimensionMismatchError(
-                f"multiplier dim {m.dim} vs field dim {f.dim}")
-        values = m.eval_grid(coords)
-    else:
-        values = m(*coords)
-    return GridField(f.h, FREQUENCY, list(f.axes), f.data * values)
+    hat, duals = ft_axes(data, axes, h, first)
+    np.multiply(m(*node_arrays(duals, data.ndim, first)), hat, out=hat)
+    out, _ = ft_axes(hat, duals, h, first, inverse=True, out_axes=axes)
+    return out
 
 
 # -- direct nonuniform synthesis ----------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from .analysis import MIN_SWEEP_POINTS, _fit_line
 from .errors import ResolutionError
 from .symbols import PolySymbol
-from .wavelets import MotherWavelet, _smooth_step
+from .wavelets import MotherWavelet, _smooth_step, bump, dyadic_cutoffs
 
 _TWO_PI = 2.0 * np.pi
 _SLAB_POINTS = 1 << 16   # quadrature points per slab of _slabs
@@ -335,8 +335,6 @@ def resonant_amplitude(phase: Phase, beta: float) -> Amplitude:
     sharpness family for the stationary-phase bound: the chirp cancels the
     oscillation on the window, so |I| ~ h^(1-beta) instead of h^(d/2).
     """
-    from .wavelets import bump
-
     def amp(pts: np.ndarray, h: float) -> np.ndarray:
         w = h ** (1.0 - beta)
         r = np.sqrt(_norm_sq(pts))
@@ -390,7 +388,6 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
     if b_overlap == 0.0:
         return KernelValue(0.0, 0.0, 0.0)
 
-    from .wavelets import dyadic_cutoffs
     family = dyadic_cutoffs(h, k)
     scale = family.scale(j)
     ext = 2.0 * scale if j == 0 else 1.5 * scale

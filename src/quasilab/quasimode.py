@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import POSITION, AxisSpec, GridField
+from .grids import POSITION, AxisSpec, GridField, cell_volume
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -131,10 +131,7 @@ class CutoffField:
 
     @property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for a in self.axes:
-            vol *= a.spacing
-        return vol
+        return cell_volume(self.axes)
 
     @property
     def cell_count(self) -> int:

@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grids import AxisSpec, GridField, dual_axis, ft_axes
+from .grids import (AxisSpec, GridField, cell_volume, dual_axis, ft_axes,
+                    node_arrays)
 
 _TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
@@ -356,14 +357,13 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
     if v.dim < 2:
         raise DimensionMismatchError("need at least one bar axis")
     family = dyadic_cutoffs(v.h, k)
-    window = _smooth_step(np.abs(v.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
-    data = v.data * window.reshape((-1,) + (1,) * (v.dim - 1))
+    x1, = node_arrays(v.axes[:1], v.dim)
+    data = v.data * _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
     v = GridField(v.h, v.space, list(v.axes), data)
     a_vals = np.asarray(_A_GRID)
     duals = [dual_axis(ax, v.h) for ax in v.axes[1:]]
-    mesh = np.meshgrid(*[dl.nodes() for dl in duals], indexing="ij")
-    radius = np.sqrt(sum(g * g for g in mesh))
-    cellvol = float(np.prod([dl.spacing for dl in duals]))
+    radius = np.sqrt(sum(g * g for g in node_arrays(duals, len(duals))))
+    cellvol = cell_volume(duals)
     weights = [family.psi(j, radius)[None, ...]
                for j in range(family.levels + 1)]
     table: dict[tuple[int, int], float] = {}

@@ -553,8 +553,17 @@ class TestValidation:
         # A removed key is an unknown one.
         ("sharp_largep_n2_k3.cfg", "joint_orders = 3",
          "joint_orders = 3\ncheck_peak_slope = true", "check_peak_slope"),
+        # A misspelt section, and unknown [experiment] keys.
+        ("sharp_largep_n2_k3.cfg", "[tolerances]", "[tolerance]",
+         "[tolerance]"),
+        ("delta_curves_n3.cfg", "[params]", "[param]", "[param]"),
+        ("sharp_largep_n2_k3.cfg", "seed = 1234", "sede = 3", "sede"),
+        ("sharp_largep_n2_k3.cfg", "seed = 1234", "seed = 1234\nidd = foo",
+         "idd"),
     ], ids=["unknown-param", "unknown-tolerance", "bool-yes", "bool-True",
-            "choice-PASS", "number-abc", "removed-check_peak_slope"])
+            "choice-PASS", "number-abc", "removed-check_peak_slope",
+            "section-tolerance", "section-param",
+            "experiment-sede", "experiment-idd"])
     def test_bad_or_unknown_key_exits_2(self, tmp_path, capsys, config, old,
                                          new, key):
         text = (CONFIG_DIR / config).read_text()

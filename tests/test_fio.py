@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from quasilab import families
-from quasilab.fio import (FlatteningOp, _bar_multiply, aligned_position_axes,
-                          apply_W, egorov_symbol, flattening_reports, hd_x1,
+from quasilab.fio import (FlatteningOp, aligned_position_axes, apply_W,
+                          egorov_symbol, flattening_reports, hd_x1,
                           transform_quasimode)
-from quasilab.grids import (FORWARD, FREQUENCY, POSITION, AxisSpec, GridField,
-                            ft_axis, semiclassical_ft)
+from quasilab.grids import (FREQUENCY, POSITION, AxisSpec, GridField,
+                            apply_multiplier, ft_axis)
 from quasilab.quasimode import Quasimode, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
@@ -46,13 +46,17 @@ class TestApplyW:
         back = apply_W(op, w, 0.37, adjoint=True)
         assert np.abs(back.data - u.data).max() < 1e-12 * np.abs(u.data).max()
 
-    def test_frequency_slice_multiplies(self):
+    def test_rejects_frequency_slice(self):
         op = FlatteningOp(_a1(), 2.0 ** -5)
-        u = _random_slice(space=FREQUENCY)
-        out = apply_W(op, u, 0.5)
-        xi = u.axes[0].nodes()
-        mult = np.exp(-1j * 0.5 * xi ** 2 / u.h)
-        assert np.abs(out.data - u.data * mult).max() < 1e-12
+        with pytest.raises(ValueError, match="POSITION"):
+            apply_W(op, _random_slice(space=FREQUENCY), 0.5)
+
+    def test_rejects_h_mismatch(self):
+        # W takes its h from the operator, the transforms from the field.
+        u = _random_slice()
+        op = FlatteningOp(_a1(), 2 * u.h)
+        with pytest.raises(ValueError, match="not on a position field at h"):
+            apply_W(op, u, 0.5)
 
 
 class TestTransformQuasimode:
@@ -75,6 +79,28 @@ class TestTransformQuasimode:
         a_vals = op.a1.eval_grid([xi])
         expected = u_hat * np.exp(-1j * x1 * a_vals / u.h)
         assert np.abs(v_hat - expected).max() < 1e-11 * np.abs(u_hat).max()
+
+    @pytest.mark.parametrize("n, half_width, per_h", [(2, 8.0, 8), (3, 2.0, 2)])
+    def test_rows_are_apply_W(self, n, half_width, per_h):
+        # Each x1 row of v is W(x1) applied to that slice alone, bit for bit.
+        h = 2.0 ** -4
+        cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+        axes = aligned_position_axes(cut, half_width, h / per_h)
+        u = Quasimode(cut, h).on_axes(axes)
+        op = FlatteningOp(_a1(n, 1), h)
+        v = transform_quasimode(op, u)
+        for i in range(0, axes[0].points, 7):
+            row = GridField(h, POSITION, axes[1:], u.data[i])
+            np.testing.assert_array_equal(
+                apply_W(op, row, axes[0].nodes()[i]).data, v.data[i])
+
+    def test_rejects_h_mismatch(self, setup):
+        op, u = setup
+        op = FlatteningOp(op.a1, u.h / 2)
+        with pytest.raises(ValueError, match="not on a position field at h"):
+            transform_quasimode(op, u)
+        with pytest.raises(ValueError, match="not on a position field at h"):
+            flattening_reports(op, u)
 
     def test_unitarity_per_slice(self, setup):
         op, u = setup
@@ -127,8 +153,10 @@ class TestTransformQuasimode:
         _, p2 = families.paraboloid_pair(2, 1)
         q = egorov_symbol(op.a1, graph_factor(p2).a)
         v = transform_quasimode(op, u)
-        qu = _bar_multiply(FlatteningOp(q, u.h), u, u.data)
-        qv = _bar_multiply(FlatteningOp(q, u.h), v, v.data)
+        def q_bar(f):
+            return apply_multiplier(f.data, f.axes[1:], f.h,
+                                    lambda *xi: q.eval_grid(xi), first=1)
+        qu, qv = q_bar(u), q_bar(v)
         assert np.linalg.norm(qv) == pytest.approx(np.linalg.norm(qu), rel=1e-10)
 
 

@@ -9,7 +9,6 @@ from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
                             GridField, apply_multiplier, direct_synthesis,
                             dual_axis, semiclassical_ft)
-from quasilab.symbols import parse_symbol
 
 
 def mesh_points(axes):
@@ -125,9 +124,12 @@ class TestTransforms:
 
 class TestMultiplier:
     def test_identity_multiplier(self):
-        f = random_field(2.0 ** -4, (64,), seed=6, space=FREQUENCY)
-        out = apply_multiplier(f, parse_symbol("1", dim=1))
-        assert np.array_equal(out.data, f.data)
+        # m = 1 multiplies exactly, leaving the transform round trip.
+        f = random_field(2.0 ** -4, (64,), seed=6)
+        out = apply_multiplier(f.data, f.axes, f.h, lambda xi: 1.0)
+        back = semiclassical_ft(semiclassical_ft(f, FORWARD), INVERSE,
+                                out_axes=f.axes)
+        assert np.array_equal(out, back.data)
 
     def test_diagonal_action_on_plane_wave(self):
         h = 2.0 ** -6
@@ -136,21 +138,24 @@ class TestMultiplier:
         xi0 = xi_nodes[300]  # exact grid frequency
         f = GridField(h, POSITION, [ax],
                       np.exp(1j * ax.nodes() * xi0 / h).astype(complex))
+        out = apply_multiplier(f.data, [ax], h, lambda xi: xi)
         hat = semiclassical_ft(f, FORWARD)
-        out = apply_multiplier(hat, parse_symbol("x1", dim=1))
+        out_hat = semiclassical_ft(GridField(h, POSITION, [ax], out), FORWARD)
         peak = np.argmax(np.abs(hat.data))
-        assert out.data[peak] == pytest.approx(hat.data[peak] * xi0, rel=1e-12)
+        assert out_hat.data[peak] == pytest.approx(hat.data[peak] * xi0,
+                                                   rel=1e-12)
 
     def test_position_side_round_trip(self):
         f = random_field(2.0 ** -4, (64,), seed=7)
-        out = apply_multiplier(f, parse_symbol("1", dim=1))
-        assert np.abs(out.data - f.data).max() < 1e-12 * np.abs(f.data).max()
+        out = apply_multiplier(f.data, f.axes, f.h, lambda xi: 1.0)
+        assert np.abs(out - f.data).max() < 1e-12 * np.abs(f.data).max()
 
-    def test_callable_multiplier(self):
-        f = random_field(2.0 ** -4, (32, 32), seed=8, space=FREQUENCY)
-        out = apply_multiplier(f, lambda x, y: x + 0 * y)
-        expected = f.data * f.axes[0].nodes()[:, None]
-        assert np.abs(out.data - expected).max() < 1e-14
+    def test_two_axis_multiplier(self):
+        # m(xi, eta) = xi on both axes is m(xi) = xi on axis 0 alone.
+        f = random_field(2.0 ** -4, (32, 32), seed=8)
+        out = apply_multiplier(f.data, f.axes, f.h, lambda x, y: x + 0 * y)
+        expected = apply_multiplier(f.data, f.axes[:1], f.h, lambda x: x)
+        assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 class TestDirectSynthesis:
