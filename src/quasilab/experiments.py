@@ -514,8 +514,9 @@ def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
     axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
-    u = Quasimode(cut, h).on_axes(axes)
-    diag = decay_diagnostic(u, make_mother_wavelet(), v["m_order"], k)
+    # No reference is kept here: the field is freed once it is windowed.
+    diag = decay_diagnostic(Quasimode(cut, h).on_axes(axes),
+                            make_mother_wavelet(), v["m_order"], k)
     verdicts = [
         Verdict("small-a-exponent", diag.small_a_slope, 1.5,
                 v["small_a_min"], diag.small_a_slope >= v["small_a_min"]),

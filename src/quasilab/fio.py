@@ -77,10 +77,18 @@ def transform_quasimode(op: FlatteningOp, u: GridField) -> GridField:
     Vectorized over slices: one bar-side multiplier with the x1 nodes
     broadcast down axis 0.
     """
+    return _flatten(op, u)[0]
+
+
+def _flatten(op: FlatteningOp, u: GridField) -> tuple[GridField, np.ndarray]:
+    """(W u, W on every (x1, xi_bar) node of u's grid): the flattening check
+    reuses W's interior rows."""
     _check_field(op, u, 1)
     x1, = node_arrays(u.axes[:1], u.dim)
+    duals = [dual_axis(ax, u.h) for ax in u.axes[1:]]
+    w_nodes = _w_multiplier(op, x1)(*node_arrays(duals, u.dim, 1))
     return GridField(u.h, POSITION, list(u.axes), apply_multiplier(
-        u.data, u.axes[1:], u.h, _w_multiplier(op, x1), first=1))
+        u.data, u.axes[1:], u.h, lambda *xi: w_nodes, first=1)), w_nodes
 
 
 def egorov_symbol(a1: PolySymbol, a2: PolySymbol) -> PolySymbol:
@@ -115,17 +123,22 @@ def hd_x1(field: GridField, order: int = 1) -> np.ndarray:
 
     Returns the interior samples only (order slices trimmed per side); the
     symmetric difference of a band-limited signal underestimates |xi1|, so
-    quadrature norms of the result sit below the exact operator norm.
+    quadrature norms of the result sit below the exact operator norm.  Each
+    order writes its difference, its h/i product and its division into one
+    array.
     """
     data = field.data
     dx = field.axes[0].spacing
     for _ in range(order):
-        data = (field.h / 1j) * (data[2:] - data[:-2]) / (2.0 * dx)
+        diff = np.subtract(data[2:], data[:-2], dtype=complex)
+        np.multiply(field.h / 1j, diff, out=diff)
+        data = np.divide(diff, 2.0 * dx, out=diff)
     return data
 
 
 def _interior_norm(data: np.ndarray, cell_volume: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(data) ** 2) * cell_volume))
+    sq = np.abs(data)
+    return float(np.sqrt(np.sum(np.square(sq, out=sq)) * cell_volume))
 
 
 @dataclass(frozen=True)
@@ -148,38 +161,51 @@ def flattening_reports(op: FlatteningOp, u: GridField,
     hD_x1 v against W(x1)(hD_x1 - a1(hD_bar)) u computed with the same
     difference stencil, bounded by a term-by-term estimate evaluated on the
     data itself.
+
+    W is evaluated once on the whole grid: it is elementwise in (x1, xi), so
+    its rows 1:-1 are bit for bit W at the interior nodes, which the
+    residual needs.  v is dropped once every order's difference is taken,
+    and the residual's differences and products are formed in place.
     """
-    v = transform_quasimode(op, u)
+    v, w_nodes = _flatten(op, u)
     h = u.h
     dx = u.axes[0].spacing
     cell = u.cell_volume
     u_norm = u.l2_norm()
     fd_rel = (dx / h) ** 2 / 6.0
     bar = u.axes[1:]
-
-    reports = []
+    ratios, dv1 = {}, None
     for m in orders:
         dv = hd_x1(v, m)
-        ratio = _interior_norm(dv, cell) / (h ** m * u_norm)
-        slack = m * fd_rel + 0.05
+        ratios[m] = _interior_norm(dv, cell) / (h ** m * u_norm)
         if m == 1:
-            # a1(hD_bar) u is a temporary: it is gone before W is applied.
-            hd_minus_a = hd_x1(u, 1) - apply_multiplier(
-                u.data, bar, h, lambda *xi: op.a1.eval_grid(xi), first=1)[1:-1]
-            x1, = node_arrays(u.axes[:1], u.dim)
-            rhs = apply_multiplier(hd_minus_a, bar, h,
-                                   _w_multiplier(op, x1[1:-1]), first=1)
-            resid = _interior_norm(dv - rhs, cell) / u_norm
-            # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
-            duals = [dual_axis(ax, h) for ax in bar]
-            a_bar = op.a1.eval_grid(node_arrays(duals, len(duals)))
-            amax = float(np.abs(a_bar).max())
-            mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
-            d1 = amax * _interior_norm(mid_gap, cell)
-            d2 = dx * amax ** 2 / (2 * h) * u_norm
-            bound = 1.5 * (d1 + d2) / u_norm + 1e-12
-            reports.append(FlatteningReport(m, ratio, slack, resid, bound))
-        else:
-            reports.append(FlatteningReport(m, ratio, slack, float("nan"),
-                                            float("nan")))
-    return reports
+            dv1 = dv
+        del dv
+    del v
+
+    nan = float("nan")
+    resid = bound = nan
+    if dv1 is not None:
+        # a1(hD_bar) u is a temporary: it is gone before W is applied.
+        hd_minus_a = hd_x1(u, 1)
+        np.subtract(hd_minus_a, apply_multiplier(
+            u.data, bar, h, lambda *xi: op.a1.eval_grid(xi), first=1)[1:-1],
+            out=hd_minus_a)
+        rhs = apply_multiplier(hd_minus_a, bar, h, lambda *xi: w_nodes[1:-1],
+                               first=1)
+        del hd_minus_a
+        resid = _interior_norm(np.subtract(dv1, rhs, out=rhs), cell) / u_norm
+        del rhs
+        # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
+        duals = [dual_axis(ax, h) for ax in bar]
+        a_bar = op.a1.eval_grid(node_arrays(duals, len(duals)))
+        amax = float(np.abs(a_bar).max())
+        mid_gap = np.add(u.data[2:], u.data[:-2])
+        np.multiply(0.5, mid_gap, out=mid_gap)
+        np.subtract(u.data[1:-1], mid_gap, out=mid_gap)
+        d1 = amax * _interior_norm(mid_gap, cell)
+        d2 = dx * amax ** 2 / (2 * h) * u_norm
+        bound = 1.5 * (d1 + d2) / u_norm + 1e-12
+    return [FlatteningReport(m, ratios[m], m * fd_rel + 0.05,
+                             resid if m == 1 else nan, bound if m == 1 else nan)
+            for m in orders]

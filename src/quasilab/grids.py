@@ -123,7 +123,8 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
     Forward maps a position axis onto its (centered) dual frequency axis;
     inverse maps a frequency axis onto ``out_axis`` (default: centered dual).
     The FFT carries explicit boundary phases so arbitrary axis offsets are
-    exact, and inverse(forward) cancels to rounding.
+    exact, and inverse(forward) cancels to rounding.  The result is one new
+    array: the phased input, transformed and rephased in place.
     """
     n = axis_spec.points
     _require_pow2(n)
@@ -138,14 +139,16 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
         pre = np.exp(-1j * (ar * axis_spec.spacing) * (dual.start + 0.5 * dual.spacing) / h)
         post = np.exp(-1j * x0 * dual.nodes() / h) * (
             axis_spec.spacing / np.sqrt(_TWO_PI * h))
-        out = np.fft.fft(data * pre.reshape(shape), axis=axis)
+        out = data * pre.reshape(shape)
+        np.fft.fft(out, axis=axis, out=out)
     else:
         xi0 = axis_spec.start + 0.5 * axis_spec.spacing
         x0 = dual.start + 0.5 * dual.spacing
         pre = np.exp(1j * x0 * (ar * axis_spec.spacing) / h)
         post = np.exp(1j * dual.nodes() * xi0 / h) * (
             n * axis_spec.spacing / np.sqrt(_TWO_PI * h))
-        out = np.fft.ifft(data * pre.reshape(shape), axis=axis)
+        out = data * pre.reshape(shape)
+        np.fft.ifft(out, axis=axis, out=out)
     out *= post.reshape(shape)
     return out, dual
 

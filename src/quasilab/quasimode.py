@@ -245,10 +245,13 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     den = np.sin(half)
     num = np.sin(counts * half)
     safe = np.abs(den) > 1e-8
-    # l'Hopital at the Dirichlet singularities (theta ~ 0 mod 2 pi).
-    ratio = np.where(safe, num / np.where(safe, den, 1.0),
-                     counts * np.cos(counts * half) / np.cos(half))
-    return ratio * np.exp(1j * (counts - 1) * half)
+    np.divide(num, den, out=num, where=safe)
+    # l'Hopital at the Dirichlet singularities (theta ~ 0 mod 2 pi), and
+    # only there.
+    sing = ~safe
+    c, t = counts[sing], half[sing]
+    num[sing] = c * np.cos(c * t) / np.cos(t)
+    return num * np.exp(1j * (counts - 1) * half)
 
 
 def synthesize_raw(field: CutoffField, targets) -> np.ndarray:

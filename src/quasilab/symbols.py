@@ -366,12 +366,17 @@ def contact_order(a1: PolySymbol, a2: PolySymbol, direction,
     """
     if a1.dim != a2.dim:
         raise DimensionMismatchError("a1 and a2 must share a dimension")
+    return _contact_order(a1 - a2, direction, max_order)
+
+
+def _contact_order(diff: PolySymbol, direction, max_order: int) -> ContactReport:
+    """contact_order from the difference a1 - a2 of the two graphs."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if len(direction) != a1.dim or not any(Fraction(x) for x in direction):
+    if len(direction) != diff.dim or not any(Fraction(x) for x in direction):
         raise ValueError("direction must be a nonzero vector of length dim")
     direction = tuple(Fraction(x) for x in direction)
-    coeffs = (a1 - a2).restrict_line(direction)
+    coeffs = diff.restrict_line(direction)
     if coeffs and coeffs[0]:
         raise ValueError("graphs do not meet at the origin along this line")
     for s, c in enumerate(coeffs):
@@ -399,9 +404,10 @@ def contact_profile(a1: PolySymbol, a2: PolySymbol,
     uniform is True iff all finite orders agree (INFINITE entries, e.g.
     identical graphs, do not break uniformity).
     """
+    diff = a1 - a2   # a DimensionMismatchError unless the dims agree
     if directions is None:
         directions = sample_directions(a1.dim)
-    reports = tuple(contact_order(a1, a2, d, max_order) for d in directions)
+    reports = tuple(_contact_order(diff, d, max_order) for d in directions)
     if not reports:
         raise ValueError("empty direction sample")
     finite = {r.order for r in reports if r.order is not INFINITE}

@@ -7,13 +7,15 @@ finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta.  C_f is
 computed by adaptive quadrature, tails reported, on first use: only
 ``reconstruct`` needs it, and its first call runs ``admissibility``.
 Transforms are plain quadratures on the field's x1 grid, summed per scale
-tap by tap in numpy: each tap reaches only the windows where it lands on a
-data row between the field's first and last nonzero rows, so windows that
-miss those rows give exact zeros, not small numbers.  A coefficient is a
-sum that starts at +0 and never turns -0, so the taps skipped on zero rows,
-which add +-0, change no bit of it.  The decay table transforms each
-scale's coefficients only from the first nonzero row to the last: a zero
-row's power is +0.  The module imports no scipy: the quadrature imports
+tap by tap in numpy over a band of x1 rows, scanned once for its first and
+last nonzero rows: each tap reaches only the windows where it lands on a
+row between them, and only the windows some tap reaches are formed, so the
+others are exact zeros, not small numbers.  A coefficient is a sum that
+starts at +0 and never turns -0, so the taps skipped on zero rows, which
+add +-0, change no bit of it.  The decay table windows only the band of
+rows where its x1 window is nonzero, keeps no reference to the unwindowed
+field, and transforms each scale's live windows only: every other row's
+power is +0.  The module imports no scipy: the quadrature imports
 ``scipy.integrate.quad`` when it runs.
 """
 
@@ -147,36 +149,25 @@ def _nonzero_rows(flat: np.ndarray) -> tuple[int, int]:
     return int(rows[0]), int(rows[-1])
 
 
-def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
-        b_step_factor: float = 8.0, x1_scale: float = 1.0) -> WaveletCoefficients:
-    """X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
+def _scale_windows(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
+                   a_grid: Sequence[float], b_step_factor: float = 8.0,
+                   x1_scale: float = 1.0):
+    """Per scale: (b, coefficients of windows [wlo, whi), wlo).
 
-    b runs on a per-scale grid of step ~ a/b_step_factor (snapped to the x1
-    grid so windows slide by whole cells), extended one dilated support
-    beyond the data so the no-overlap region is represented.  Each scale
-    sums its taps in ascending order, each one a strided multiply-add over
-    the windows where it lands on a row from the first nonzero row of the
-    data to the last, so windows off those rows get no tap and their
-    coefficients are +0, the same bits as a sum over every sample.
-
-    At scales far above the grid step the quadrature decimates to a step of
-    min(a/16, x1_scale/8): both the dilated profile and the field (whose x1
-    variation scale the caller declares) are smooth at that resolution, and
-    the wide-window cost drops from O(a) to O(1) per translate.
+    band is the real (rows, 2 * prod(bar_shape)) view of x1 rows row0,
+    row0 + 1, ... of a field on the x1 axis ax; every row outside it is
+    zero.  The band is scanned once for its first and last nonzero rows.
+    [wlo, whi) is the union of the window ranges of the scale's live taps:
+    the windows where some nonzero tap lands on a row from the first
+    nonzero row to the last.  Every window outside it gets no tap, so its
+    coefficients are +0 and are not formed.
     """
-    if a_grid is None:
-        a_grid = _A_GRID
-    ax = v.axes[0]
     dx = ax.spacing
     n1 = ax.points
-    bar_shape = v.data.shape[1:]
-    # The field as real (n1, 2 * prod(bar_shape)): each tap acts on real and
-    # imaginary parts at once.
-    flat = np.ascontiguousarray(v.data, dtype=complex).reshape(n1, -1).view(float)
-    first, last = _nonzero_rows(flat)
-    block = max(1, _CWT_BLOCK // flat.shape[1])
-    values: list[np.ndarray] = []
-    b_grids: list[np.ndarray] = []
+    first, last = _nonzero_rows(band)
+    first, last = first + row0, last + row0
+    cols = band.shape[1]
+    block = max(1, _CWT_BLOCK // cols)
     for a in np.asarray(a_grid, dtype=float):
         if a <= 0:
             raise ValueError("scales must be positive")
@@ -191,36 +182,72 @@ def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
         offs = (np.arange(2 * wcells + 1) - wcells) * qstride
         # b sits on the grid, so the sampled profile is one row for every b.
         frow = w.profile(offs * dx / a) / math.sqrt(a)
-        # Window i's tap at off reads sample i * stride + (off - pad_cells);
-        # windows [lo, hi) are those where that sample lies on the data rows
+        # Window i's tap at off reads field row i * stride + (off - pad_cells);
+        # windows [lo, hi) are those where that row lies on the rows
         # first..last, outside which every sample is a zero.
         shift = offs - pad_cells
         lo = np.maximum(0, -((shift - first) // stride))
         hi = np.minimum(len(b), (last - shift) // stride + 1)
         live = (frow != 0.0) & (lo < hi)
-        taps = list(zip(frow[live].tolist(), shift[live].tolist(),
-                        lo[live].tolist(), hi[live].tolist()))
+        lo, hi = lo[live], hi[live]
+        wlo, whi = (int(lo.min()), int(hi.max())) if lo.size else (0, 0)
+        taps = list(zip(frow[live].tolist(), (shift[live] - row0).tolist(),
+                        lo.tolist(), hi.tolist()))
         # Every coefficient adds its taps to +0 one by one in ascending
         # order, the padded-gather oracle's order, which fixes every output
         # bit; windows go in blocks small enough to stay in cache across
         # their taps.  A sum that starts at +0 never becomes -0, so adding
         # a +-0 term changes no bit of it: skipping a zero tap or a tap on
-        # a zero row keeps every bit, signed zeros included, and a window
-        # off the nonzero rows gets no tap, so its coefficients are +0.
-        out = np.zeros((len(b), flat.shape[1]))
-        buf = np.empty((min(block, len(b)), flat.shape[1]))
-        for r0 in range(0, len(b), block):
+        # a zero row keeps every bit, signed zeros included.
+        out = np.zeros((whi - wlo, cols))
+        buf = np.empty((min(block, whi - wlo), cols))
+        for r0 in range(wlo, whi, block):
             for f, sh, t0, t1 in taps:
                 i0, i1 = max(t0, r0), min(t1, r0 + block)
                 if i0 < i1:
                     c0 = i0 * stride + sh
-                    out[i0:i1] += np.multiply(
-                        flat[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
+                    out[i0 - wlo:i1 - wlo] += np.multiply(
+                        band[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
                         out=buf[:i1 - i0])
         out *= qstep
+        yield b, out, wlo
+
+
+def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
+        b_step_factor: float = 8.0, x1_scale: float = 1.0) -> WaveletCoefficients:
+    """X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
+
+    b runs on a per-scale grid of step ~ a/b_step_factor (snapped to the x1
+    grid so windows slide by whole cells), extended one dilated support
+    beyond the data so the no-overlap region is represented.  The field is
+    scanned once for its first and last nonzero rows.  Each scale sums its
+    taps in ascending order, each one a strided multiply-add over the
+    windows where it lands on a row between those two; only the windows
+    some tap reaches are formed, and the others are padded with +0, the
+    same bits as a sum over every sample.
+
+    At scales far above the grid step the quadrature decimates to a step of
+    min(a/16, x1_scale/8): both the dilated profile and the field (whose x1
+    variation scale the caller declares) are smooth at that resolution, and
+    the wide-window cost drops from O(a) to O(1) per translate.
+    """
+    if a_grid is None:
+        a_grid = _A_GRID
+    bar_shape = v.data.shape[1:]
+    # The field as real (n1, 2 * prod(bar_shape)): each tap acts on real and
+    # imaginary parts at once.
+    flat = np.ascontiguousarray(v.data, dtype=complex).reshape(
+        v.axes[0].points, -1).view(float)
+    values: list[np.ndarray] = []
+    b_grids: list[np.ndarray] = []
+    for b, x, wlo in _scale_windows(flat, 0, v.axes[0], w, a_grid,
+                                    b_step_factor, x1_scale):
+        out = np.zeros((len(b), flat.shape[1]))
+        out[wlo:wlo + len(x)] = x
         values.append(out.view(complex).reshape((len(b),) + bar_shape))
         b_grids.append(b)
-    return WaveletCoefficients(np.asarray(a_grid, float), b_grids, values, ax, v.h)
+    return WaveletCoefficients(np.asarray(a_grid, float), b_grids, values,
+                               v.axes[0], v.h)
 
 
 def reconstruct(coeffs: WaveletCoefficients, w: MotherWavelet,
@@ -317,25 +344,34 @@ class DecayDiagnostic:
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
 
 
-def _scale_power(v: GridField, w: MotherWavelet, a: float
-                 ) -> tuple[float, np.ndarray]:
-    """(db, |F_h X(a, b, .)|^2) at one scale, for every b at once.
+def _scale_powers(v: GridField, w: MotherWavelet):
+    """(db, |F_h X(a, b, .)|^2) for every b, one scale of _A_GRID at a time,
+    of v windowed by decay_diagnostic's x1 window.
 
-    One scale at a time: the coefficients and their bar-side transform are
-    dropped on return, before the next scale is transformed.  Only the
-    coefficient rows from the first nonzero one to the last are
-    transformed; the rows outside are exact zeros, whose power is +0.
+    Only the x1 rows where the window is nonzero are multiplied, and the
+    generator keeps no reference to v once they are: the unwindowed field is
+    freed here when the caller holds no other.  Each scale transforms only
+    its live windows' coefficients; the other rows are exact zeros, whose
+    power is +0.
     """
-    coeffs = cwt(v, w, [a])
-    b = coeffs.b_grids[0]
-    db = b[1] - b[0] if len(b) > 1 else coeffs.x1_axis.spacing
-    x = coeffs.values[0]
-    first, last = _nonzero_rows(x.reshape(len(b), -1).view(float))
-    power = np.zeros(x.shape)
-    live = power[first:last + 1]
-    hat, _ = ft_axes(x[first:last + 1], v.axes[1:], v.h)
-    np.square(np.abs(hat, out=live), out=live)
-    return db, power
+    ax, bar_axes, h = v.axes[0], v.axes[1:], v.h
+    bar_shape = v.data.shape[1:]
+    window = _smooth_step(np.abs(ax.nodes()) / _LOCALIZE_HALFWIDTH)
+    rows = np.flatnonzero(window)
+    row0, row1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+    band = v.data[row0:row1] * window[row0:row1].reshape(
+        (-1,) + (1,) * len(bar_shape))
+    del v
+    band = np.ascontiguousarray(band, dtype=complex).reshape(
+        row1 - row0, -1).view(float)
+    for b, x, wlo in _scale_windows(band, row0, ax, w, _A_GRID):
+        db = b[1] - b[0] if len(b) > 1 else ax.spacing
+        power = np.zeros((len(b),) + bar_shape)
+        live = power[wlo:wlo + len(x)]
+        hat, _ = ft_axes(x.view(complex).reshape(live.shape), bar_axes, h)
+        np.square(np.abs(hat, out=live), out=live)
+        del hat
+        yield db, power
 
 
 def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
@@ -357,18 +393,16 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
     if v.dim < 2:
         raise DimensionMismatchError("need at least one bar axis")
     family = dyadic_cutoffs(v.h, k)
-    x1, = node_arrays(v.axes[:1], v.dim)
-    data = v.data * _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
-    v = GridField(v.h, v.space, list(v.axes), data)
     a_vals = np.asarray(_A_GRID)
     duals = [dual_axis(ax, v.h) for ax in v.axes[1:]]
     radius = np.sqrt(sum(g * g for g in node_arrays(duals, len(duals))))
     cellvol = cell_volume(duals)
     weights = [family.psi(j, radius)[None, ...]
                for j in range(family.levels + 1)]
+    powers = _scale_powers(v, w)
+    del v   # the generator holds the field only until it is windowed
     table: dict[tuple[int, int], float] = {}
-    for ai, a in enumerate(_A_GRID):
-        db, power = _scale_power(v, w, a)
+    for ai, (db, power) in enumerate(powers):
         for j, weight in enumerate(weights):
             mass = float(np.sum(weight * power) * db * cellvol)
             table[(ai, j)] = math.sqrt(max(mass, 0.0))

@@ -132,9 +132,23 @@ class TestTransformQuasimode:
             if rep.order == 1:
                 assert rep.identity_residual <= rep.identity_bound
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_hd_x1_matches_expression(self, setup, order, dtype):
+        _, u = setup
+        data = u.data if dtype is complex else u.data.real.copy()
+        f = GridField(u.h, POSITION, list(u.axes), data)
+        want = f.data
+        for _ in range(order):
+            want = (f.h / 1j) * (want[2:] - want[:-2]) / (2.0 * f.axes[0].spacing)
+        got = hd_x1(f, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_reports_memory_bounded(self):
         # The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64): the
-        # reports' peak above it stays within nine copies of it.
+        # reports' peak above it stays within six copies of it (about 5.1
+        # measured).
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
         u = Quasimode(cut, h).on_axes(aligned_position_axes(cut, 8.0, h / 8.0))
@@ -145,7 +159,7 @@ class TestTransformQuasimode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * u.data.nbytes
+        assert peak <= 6 * u.data.nbytes
 
     def test_multiplier_commutes_with_W(self, setup):
         # ||q(hD_bar) v|| = ||(a1-a2)(hD_bar) u|| when q = a1 - a2.

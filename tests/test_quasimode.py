@@ -201,6 +201,33 @@ class TestSynthesis:
         err = np.abs(direct - pos.data).max() / np.abs(pos.data).max()
         assert err < 1e-6
 
+    def test_dirichlet_matches_two_branch_oracle(self):
+        # Exact multiples of 2 pi, theta within 1e-8 of them on both sides
+        # of the 1e-8 switch on |sin(theta/2)|, and generic theta.
+        base = 2.0 * np.pi * np.arange(-3, 4)
+        eps = [0.0, 1e-9, -1e-9, 1.999e-8, -1.999e-8, 2.001e-8, -2.001e-8, 1e-6]
+        rng = np.random.default_rng(47)
+        theta = np.concatenate([(base[:, None] + eps).ravel(),
+                                rng.uniform(-20.0, 20.0, 40)])
+        counts = np.arange(1, 65, dtype=float)
+        got = quasimode._dirichlet(theta[:, None], counts[None, :])
+        want = _two_branch_dirichlet(theta[:, None], counts[None, :])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _two_branch_dirichlet(theta, counts):
+    """sum_{m<M} exp(i m theta) with both branches evaluated everywhere."""
+    theta, counts = np.broadcast_arrays(np.asarray(theta, float),
+                                        np.asarray(counts, float))
+    half = 0.5 * theta
+    den = np.sin(half)
+    num = np.sin(counts * half)
+    safe = np.abs(den) > 1e-8
+    ratio = np.where(safe, num / np.where(safe, den, 1.0),
+                     counts * np.cos(counts * half) / np.cos(half))
+    return ratio * np.exp(1j * (counts - 1) * half)
+
 
 def _fine_parabola_cutoff(n=2, caps=(0.5, 0.5, 0.5), spacing=1 / 160):
     """|xi1 - |xi-bar|^2| <= h, |xi_j| <= caps[j-2] on a fine bar grid.
