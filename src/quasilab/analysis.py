@@ -39,7 +39,7 @@ def parse_p(p) -> Fraction | float:
 def _inv(p) -> Fraction:
     """1/p as an exact Fraction; 0 for the infinity sentinel."""
     p = parse_p(p)
-    if p is INF_P or (isinstance(p, float) and math.isinf(p)):
+    if p is INF_P:
         return Fraction(0)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -63,35 +63,28 @@ def sogge_delta(n: int, p) -> Fraction:
 
 
 def contact_delta(n: int, p, k: int) -> Fraction:
-    """Joint-quasimode exponent with k-th order contact.
-
-    Agrees with sogge_delta on [2, p0]; above p0 the 1/(k+1) correction
-    (vanishing at the kink, so the curve is continuous) removes part of
-    the high-p growth.
-    """
+    """Joint-quasimode exponent with k-th order contact: sogge_delta on
+    [2, p0], minus above p0 a 1/(k+1) correction that vanishes at the kink
+    (so the curve is continuous) and removes part of the high-p growth."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if k is None or k < 1:
         raise ValueError("k must be >= 1")
     s = _inv(p)
+    delta = sogge_delta(n, p)
     if s >= 1 / kink_p(n):
-        return Fraction(n - 1, 4) - Fraction(n - 1, 2) * s
-    return (Fraction(n - 1, 2) - n * s
-            - Fraction(1, k + 1) * (Fraction(n - 1, 2) - (n + 1) * s))
+        return delta
+    return delta - Fraction(1, k + 1) * (Fraction(n - 1, 2) - (n + 1) * s)
 
 
 def transverse_delta(n: int, p, r: int) -> Fraction:
-    """Exponent for r jointly transverse operators; r = 1 reproduces sogge."""
+    """Exponent for r jointly transverse operators: sogge_delta in
+    n - r + 1 dimensions, so r = 1 reproduces sogge."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if r is None or not 1 <= r <= n - 1:
         raise ValueError("r must satisfy 1 <= r <= n-1")
-    s = _inv(p)
-    m = n - r
-    s_r = Fraction(m, 2 * (m + 2))
-    if s >= s_r:
-        return Fraction(m, 4) - Fraction(m, 2) * s
-    return Fraction(m, 2) - (m + 1) * s
+    return sogge_delta(n - r + 1, p)
 
 
 def submanifold_delta(n: int, p, d: int) -> Fraction:

@@ -107,6 +107,9 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_contact(args) -> int:
+    if args.directions < 1:
+        print("error: --directions must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         text1 = Path(args.p1).read_text()
         text2 = Path(args.p2).read_text()

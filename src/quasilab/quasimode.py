@@ -4,13 +4,14 @@ A cutoff is the sharp indicator of a conjunction of band constraints
 |p(xi)| <= c*h^alpha.  Because every constraint in the catalog is affine in
 xi1 (graph symbols) or xi1-free, the support over each (xi2..xin) grid
 column is a contiguous run of xi1 cells.  build_cutoff therefore returns a
-columnar field (per-column xi1 index intervals over a virtual dense grid):
-the xi1 axis never has to be materialized, which is what keeps the finest
-sweeps (where the dense grid would have ~1e9 cells) at desk scale.  The
-indicator decides membership at cell midpoints, so quadrature multiplier
-norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.
-synthesize_on_axes sums the columns onto a product position grid by sum
-factorisation, with one fold per bar axis, xi2 included.
+columnar field (per-column xi1 index intervals over a virtual dense grid),
+evaluating the constraints on broadcast bar nodes: neither the xi1 axis nor
+a list of bar-grid points is ever materialized, which is what keeps the
+finest sweeps (where the dense grid would have ~1e9 cells) at desk scale.
+The indicator decides membership at cell midpoints, so quadrature multiplier
+norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.  synthesize_on_axes
+sums the columns onto a product position grid by sum factorisation, with one
+fold per bar axis, xi2 included.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import POSITION, AxisSpec, GridField, cell_volume
+from .grids import POSITION, AxisSpec, GridField, cell_volume, node_arrays
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -160,8 +161,10 @@ class CutoffField:
 def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     """Indicator of the constraint conjunction on the spec's grid at this h.
 
-    Raises EmptySupportError when no cell qualifies and BoxTooSmallError when
-    the support touches the box boundary (the configured box must enclose the
+    The constraints are evaluated on broadcast bar nodes, so every array is
+    bar-grid shaped and none lists the grid's points.  Raises
+    EmptySupportError when no cell qualifies and BoxTooSmallError when the
+    support touches the box boundary (the configured box must enclose the
     constraint set).
     """
     if not 0 < h <= 1:
@@ -173,14 +176,11 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
             f"the box has dimension {n}")
     axes = [rule.to_axis(h) for rule in spec.box]
     bar_axes = axes[1:]
-    bar_nodes = [a.nodes() for a in bar_axes]
-    mesh = np.meshgrid(*bar_nodes, indexing="ij")
-    cols = np.stack([g.ravel() for g in mesh], axis=-1)
-    col_arrays = [cols[:, d] for d in range(n - 1)]
-
-    lo = np.full(len(cols), -np.inf)
-    hi = np.full(len(cols), np.inf)
-    mask = np.ones(len(cols), dtype=bool)
+    bar_nodes = node_arrays(bar_axes, n - 1)
+    shape = tuple(a.points for a in bar_axes)
+    lo = np.full(shape, -np.inf)
+    hi = np.full(shape, np.inf)
+    mask = np.ones(shape, dtype=bool)
     for c in spec.constraints:
         split = split_affine_x1(c.symbol)
         if split is None:
@@ -188,7 +188,7 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
                 "cutoff constraints must be affine in xi1 or xi1-free")
         c1, rest = split
         b = c.bound(h)
-        rvals = rest.eval_grid(col_arrays) if rest.coeffs else np.zeros(len(cols))
+        rvals = rest.eval_grid(bar_nodes)
         if c1 == 0:
             mask &= np.abs(rvals) <= b
         else:
@@ -207,24 +207,25 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     if not nonempty.any():
         raise EmptySupportError(
             f"no frequency cell satisfies the cutoff constraints at h={h}")
-    if (i_lo[nonempty] < 0).any() or (i_hi[nonempty] >= ax0.points).any():
+    col_start, col_end = i_lo[nonempty], i_hi[nonempty]
+    if (col_start < 0).any() or (col_end >= ax0.points).any():
         raise BoxTooSmallError(
             f"xi1 support leaves the configured box at h={h}")
 
     # Boundary check on the bar axes: support must stay off the outer layer.
-    shape = tuple(a.points for a in bar_axes)
-    grid_idx = np.unravel_index(np.nonzero(nonempty)[0], shape)
-    for d, a in enumerate(bar_axes):
-        if (grid_idx[d] == 0).any() or (grid_idx[d] == a.points - 1).any():
+    for d in range(n - 1):
+        if np.take(nonempty, [0, -1], axis=d).any():
             raise BoxTooSmallError(
                 f"support reaches the box boundary on axis {d + 2} at h={h}")
 
+    # np.nonzero walks the bar grid in C order: the columns' order.
     return CutoffField(
         h=h,
         axes=axes,
-        col_coords=cols[nonempty],
-        col_start=i_lo[nonempty],
-        col_count=(i_hi - i_lo + 1)[nonempty],
+        col_coords=np.column_stack([a.nodes()[i] for a, i in
+                                    zip(bar_axes, np.nonzero(nonempty))]),
+        col_start=col_start,
+        col_count=col_end - col_start + 1,
         spec=spec)
 
 

@@ -757,6 +757,17 @@ class TestOtherVerbs:
         assert "uniform: False" in out
         assert "[1, 3]" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_contact_rejects_nonpositive_directions(self, tmp_path, capsys,
+                                                    count):
+        p1 = tmp_path / "p1.txt"
+        p2 = tmp_path / "p2.txt"
+        p1.write_text("x1 - x2^2 - x3^2\n")
+        p2.write_text("x1 - 2*x2^2 - x3^2 - x3^4\n")
+        assert main(["contact", "--p1", str(p1), "--p2", str(p2),
+                     "--directions", count]) == EXIT_CONFIG
+        assert "--directions must be >= 1" in capsys.readouterr().err
+
     def test_contact_rejects_nongraph(self, tmp_path, capsys):
         p1 = tmp_path / "p1.txt"
         p2 = tmp_path / "p2.txt"

@@ -24,7 +24,7 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 Quasimode, build_cutoff, support_volume,
                                 synthesize_on_axes, synthesize_raw,
                                 verify_joint_quasimode)
-from quasilab.symbols import parse_symbol
+from quasilab.symbols import parse_symbol, split_affine_x1
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -45,6 +45,68 @@ def support_cells(field):
     xi1 = ax0.start + (np.repeat(field.col_start, counts) + offsets
                        + 0.5) * ax0.spacing
     return np.column_stack([xi1, np.repeat(field.col_coords, counts, axis=0)])
+
+
+def mesh_cutoff(spec, h):
+    """build_cutoff over the listed bar mesh: every bar-grid column's
+    coordinates as one (M, n-1) array, boundary cells found by unravelling
+    flat indices.  The oracle of the broadcast build."""
+    axes = [rule.to_axis(h) for rule in spec.box]
+    bar_axes = axes[1:]
+    cols = mesh_points(bar_axes)
+    col_arrays = [cols[:, d] for d in range(len(bar_axes))]
+    lo = np.full(len(cols), -np.inf)
+    hi = np.full(len(cols), np.inf)
+    mask = np.ones(len(cols), dtype=bool)
+    for c in spec.constraints:
+        c1, rest = split_affine_x1(c.symbol)
+        b = c.bound(h)
+        rvals = rest.eval_grid(col_arrays) if rest.coeffs else np.zeros(len(cols))
+        if c1 == 0:
+            mask &= np.abs(rvals) <= b
+        else:
+            ctr = -rvals / float(c1)
+            half = b / abs(float(c1))
+            lo = np.maximum(lo, ctr - half)
+            hi = np.minimum(hi, ctr + half)
+    ax0 = axes[0]
+    snap = quasimode._SNAP
+    i_lo = np.ceil((lo - ax0.start) / ax0.spacing - 0.5 - snap).astype(np.int64)
+    i_hi = np.floor((hi - ax0.start) / ax0.spacing - 0.5 + snap).astype(np.int64)
+    nonempty = mask & (i_hi >= i_lo)
+    if not nonempty.any():
+        raise EmptySupportError(
+            f"no frequency cell satisfies the cutoff constraints at h={h}")
+    if (i_lo[nonempty] < 0).any() or (i_hi[nonempty] >= ax0.points).any():
+        raise BoxTooSmallError(
+            f"xi1 support leaves the configured box at h={h}")
+    shape = tuple(a.points for a in bar_axes)
+    grid_idx = np.unravel_index(np.nonzero(nonempty)[0], shape)
+    for d, a in enumerate(bar_axes):
+        if (grid_idx[d] == 0).any() or (grid_idx[d] == a.points - 1).any():
+            raise BoxTooSmallError(
+                f"support reaches the box boundary on axis {d + 2} at h={h}")
+    return CutoffField(h, axes, cols[nonempty], i_lo[nonempty],
+                       (i_hi - i_lo + 1)[nonempty], spec)
+
+
+def assert_matches_mesh_cutoff(spec, h):
+    """build_cutoff gives the oracle's arrays, dtypes included, or raises
+    the oracle's error type with its message."""
+    try:
+        want = mesh_cutoff(spec, h)
+    except (EmptySupportError, BoxTooSmallError) as err:
+        with pytest.raises(type(err)) as info:
+            build_cutoff(spec, h)
+        assert (info.type, str(info.value)) == (type(err), str(err))
+        return None
+    got = build_cutoff(spec, h)
+    assert got.axes == want.axes
+    for name in ("col_coords", "col_start", "col_count"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    return got
 
 
 def _dense_indicator(cut):
@@ -125,6 +187,79 @@ class TestBuildCutoff:
                       HExpr(((1 / 16, 1.0),))),))
         with pytest.raises(DimensionMismatchError, match="bar axis"):
             build_cutoff(spec, 2.0 ** -6)
+
+
+def _family_cases():
+    """(family, n, cells per band): every CUTOFF_FAMILIES entry at n = 2..5,
+    the 5D case at four cells per band (12^4 bar columns)."""
+    for fam in families.CUTOFF_FAMILIES.values():
+        for n in [fam.dim] if fam.dim else range(2, 6):
+            yield fam.name, n, 4 if n == 5 else families.CELLS_PER_BAND
+
+
+def _box_spec(narrow=(), empty=False):
+    """|x1| <= h, |x2| <= 1/2 and |x3| <= 1/2 in a box that encloses them,
+    except on the axes in narrow; empty adds |x1 - 1| <= h."""
+    def rule(lo, hi, spacing, e):
+        return AxisRule(HExpr(((lo, e),)), HExpr(((hi, e),)),
+                        HExpr(((spacing, e),)))
+    bands = [BandConstraint(parse_symbol("x1", dim=3), 1.0),
+             BandConstraint(parse_symbol("x2", dim=3), 0.0, 0.5),
+             BandConstraint(parse_symbol("x3", dim=3), 0.0, 0.5)]
+    if empty:
+        bands.append(BandConstraint(parse_symbol("x1 - 1", dim=3), 1.0))
+    edges = [0.5 if i in narrow else 2.0 for i in range(3)]
+    box = [rule(-edges[0], edges[0], 1 / 16, 1.0)]
+    box += [rule(-e / 2, e / 2, 1 / 16, 0.0) for e in edges[1:]]
+    return FrequencyCutoff(tuple(bands), tuple(box))
+
+
+class TestCutoffMatchesMeshOracle:
+    @pytest.mark.parametrize("name, n, cells", list(_family_cases()))
+    def test_every_family(self, name, n, cells):
+        spec = families.CUTOFF_FAMILIES[name].cutoff(n, 3, cells)
+        for e in range(3, 10):
+            assert assert_matches_mesh_cutoff(spec, 2.0 ** -e) is not None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make", [families.paraboloid_cutoff,
+                                      families.flat_cutoff])
+    def test_pow2(self, make, n):
+        for e in range(3, 10):
+            assert assert_matches_mesh_cutoff(make(n, 3, pow2=True),
+                                              2.0 ** -e) is not None
+
+    @pytest.mark.parametrize("narrow, empty, error, message", [
+        ((), False, None, None),
+        ((), True, EmptySupportError, "no frequency cell"),
+        ((0, 1, 2), True, EmptySupportError, "no frequency cell"),
+        ((0,), False, BoxTooSmallError, "xi1 support"),
+        ((0, 1, 2), False, BoxTooSmallError, "xi1 support"),
+        ((1,), False, BoxTooSmallError, "on axis 2 "),
+        ((1, 2), False, BoxTooSmallError, "on axis 2 "),
+        ((2,), False, BoxTooSmallError, "on axis 3 "),
+    ])
+    def test_errors(self, narrow, empty, error, message):
+        spec = _box_spec(narrow, empty)
+        assert (assert_matches_mesh_cutoff(spec, 2.0 ** -5) is None) == bool(error)
+        if error:
+            with pytest.raises(error, match=message):
+                build_cutoff(spec, 2.0 ** -5)
+
+    def test_memory_below_thirteen_bar_grids(self):
+        # Listing the bar mesh's points peaked at about 19 float64 arrays
+        # over the bar grid.
+        spec = families.paraboloid_cutoff(4, 3)
+        h = 2.0 ** -5
+        build_cutoff(spec, h)
+        tracemalloc.start()
+        try:
+            cut = build_cutoff(spec, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [a.points for a in cut.axes[1:]] == [48] * 3
+        assert peak < 13 * 8 * 48 ** 3
 
 
 class TestSupportVolume:
