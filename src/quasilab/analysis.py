@@ -1,5 +1,9 @@
 """Norm-growth exponent formulas, Lp quadrature norms, and slope fits.
 
+The sweeps' Lp norms are summed block by block (BlockNorms) as the synthesis
+makes the grid; the whole-array lp_norm over boolean shell masks is the
+oracle they are tested against.
+
 Exponents are evaluated in exact rational arithmetic with p = infinity as a
 dedicated sentinel (internally everything is a function of 1/p, so the
 limit is literal).  Branch points are handled by continuity: both branch
@@ -160,10 +164,10 @@ def lp_norm(values: np.ndarray, weights, p,
     TailDominanceError signals a box too small for the requested accuracy;
     without masks no tail policing happens.
 
-    Sweeps measure their norms with lp_norms, called by
-    experiments._sweep_point.  This per-p, mask-based form is the oracle
-    the tests check lp_norms against, and the acceptance gate's own sweeps
-    measure with it.
+    Sweeps measure their norms with BlockNorms, block by block as
+    quasimode.synthesize_on_axes makes the grid.  This whole-array, per-p,
+    mask-based form is the oracle the tests check BlockNorms against, and
+    the acceptance gate's own sweeps measure with it.
     """
     values = np.abs(np.asarray(values))
     weights = np.broadcast_to(np.asarray(weights, float), values.shape)
@@ -187,38 +191,86 @@ def lp_norm(values: np.ndarray, weights, p,
     return _finite_tail(total, shell, inner, pf, p)
 
 
-def lp_norms(values: np.ndarray, weight: float, ps) -> list[LpNorm]:
-    """lp_norm with both boundary shells policed, for every p in ps at once.
+class BlockNorms:
+    """lp_norm with both boundary shells policed, for every p in ps at once,
+    summed over blocks of whole first-axis rows as a producer hands them out.
 
-    |u| is taken once.  Each p takes from it the maximum (p = infinity) or
-    the sum of |u|^p * weight, and the same over the layer-0 and layer-1
-    shell_slices boxes, so no boolean mask is built and no |u| is taken per
-    p.  weight is the scalar cell weight.  The whole-grid maximum and sums
-    are lp_norm's, element for element and in the same order, so the norms
-    equal lp_norm's bit for bit; only the shell sums run in another order.
-    The tail rule is lp_norm's, and the first p it refuses raises
-    TailDominanceError.
+    add(rows, block) takes block = u[rows] for the next run rows of
+    first-axis indices; the blocks must tile the grid in order.  Each block
+    gives, per p, its maximum of |u| (p = infinity) or its sum of
+    |u|^p * weight, and the same over the layer-0 and layer-1 shell_slices
+    boxes cut to its rows, so no boolean mask and no grid-sized array is
+    built.  |u| is taken once a block, into one buffer reused across
+    blocks, and the powers into a second.  The block sums are combined by
+    halves (_pairwise).  When the blocks all hold one power-of-two count
+    of cells, at least numpy's 128-cell pairwise leaf, as on the sweeps'
+    power-of-two grids, that is numpy's own pairwise tree over the whole
+    grid, so the norms equal lp_norm's bit for bit (as they do for one
+    block); only the shell sums run in another order.  norms() applies lp_norm's tail rule in the
+    order of ps, and the first p it refuses raises TailDominanceError.
+    weight is the scalar cell weight.
     """
-    if weight < 0:
-        raise ValueError("weights must be nonnegative")
-    mod = np.abs(np.asarray(values))
-    shell, inner = shell_slices(mod.shape, 0), shell_slices(mod.shape, 1)
-    out = []
-    for i, p in enumerate(ps):
-        pp = parse_p(p)
-        if pp is INF_P:
-            out.append(_sup_tail(float(mod.max()),
-                                 max(float(mod[b].max()) for b in shell), p))
-            continue
-        pf = _finite_p(pp)
-        # The last p takes its powers in place of |u|, which no later p
-        # reads: one grid-sized array fewer at the peak.
-        power = np.power(mod, pf, out=mod if i == len(ps) - 1 else None)
-        power *= weight
-        out.append(_finite_tail(
-            float(power.sum()), sum(float(power[b].sum()) for b in shell),
-            sum(float(power[b].sum()) for b in inner), pf, p))
-    return out
+
+    def __init__(self, shape: Sequence[int], weight: float, ps):
+        if weight < 0:
+            raise ValueError("weights must be nonnegative")
+        self.shape = tuple(shape)
+        self.weight = weight
+        self.ps = list(ps)
+        self.pfs = [None if pp is INF_P else _finite_p(pp)
+                    for pp in map(parse_p, self.ps)]
+        self.shells = (shell_slices(self.shape, 0), shell_slices(self.shape, 1))
+        self.next_row = 0
+        # Per p: the block maxima or sums, and the shell and inner-shell
+        # maximum (p = infinity, which polices the shell only) or sums.
+        self.blocks = [[] for _ in self.ps]
+        self.shell_sums = [[0.0, 0.0] for _ in self.ps]
+        self.mod = self.power = None
+
+    def add(self, rows: slice, block: np.ndarray) -> None:
+        i0, i1 = rows.start, rows.stop
+        if i0 != self.next_row or block.shape != (i1 - i0,) + self.shape[1:]:
+            raise ValueError("blocks must tile the grid's first axis in order")
+        self.next_row = i1
+        if self.mod is None or self.mod.size < block.size:
+            self.mod, self.power = np.empty(block.size), np.empty(block.size)
+        mod = np.abs(block, out=self.mod[:block.size].reshape(block.shape))
+        power = self.power[:block.size].reshape(block.shape)
+        # The shell boxes that meet this block's rows, cut to them and
+        # shifted to block coordinates.
+        cut = [[(slice(max(b[0].start, i0) - i0, min(b[0].stop, i1) - i0), *b[1:])
+                for b in boxes if b[0].start < i1 and b[0].stop > i0]
+               for boxes in self.shells]
+        for pf, sums, shell in zip(self.pfs, self.blocks, self.shell_sums):
+            if pf is None:
+                sums.append(float(mod.max()))
+                shell[0] = max([shell[0]] + [float(mod[b].max()) for b in cut[0]])
+                continue
+            np.power(mod, pf, out=power)
+            power *= self.weight
+            sums.append(float(power.sum()))
+            for j in (0, 1):
+                shell[j] += sum(float(power[b].sum()) for b in cut[j])
+
+    def norms(self) -> list[LpNorm]:
+        if self.next_row != self.shape[0]:
+            raise ValueError("blocks must tile the grid's first axis in order")
+        out = []
+        for p, pf, sums, (shell, inner) in zip(
+                self.ps, self.pfs, self.blocks, self.shell_sums):
+            if pf is None:
+                out.append(_sup_tail(max(sums), shell, p))
+            else:
+                out.append(_finite_tail(_pairwise(sums), shell, inner, pf, p))
+        return out
+
+
+def _pairwise(parts: list[float]) -> float:
+    """parts summed by halves, as numpy's pairwise sum splits an array."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return _pairwise(parts[:mid]) + _pairwise(parts[mid:])
 
 
 def _finite_p(pp) -> float:

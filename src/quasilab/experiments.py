@@ -21,11 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import families
-from .analysis import (INF_P, MIN_SWEEP_POINTS, contact_delta, exponent,
-                       fit_scaling, kink_p, lp_norms, oscillation_axes,
+from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
+                       exponent, fit_scaling, kink_p, oscillation_axes,
                        parse_p, sogge_delta)
 from .errors import ConfigError, QuasilabError
 from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
+from .grids import cell_volume
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      quadratic_phase, resonant_amplitude, power_loss,
                      ttstar_kernel, vdc_check, window_overlap)
@@ -451,12 +452,12 @@ def _sweep_point(spec, h, ps, v):
     if ps:
         exts = [cut.extent(i) for i in range(cut.dim)]
         axes = oscillation_axes(exts, h, v["margin"], v["points_per_scale"])
-        g = qm.on_axes(axes)
         # p = 2 is frequency-side Parseval: exact for the normalized cutoff.
-        measured = [p for p in ps if p != 2]
+        sums = BlockNorms([a.points for a in axes], cell_volume(axes),
+                          [p for p in ps if p != 2])
+        qm.on_axes(axes, sums.add)
         norms = dict.fromkeys(ps, 1.0)
-        norms.update((m.p, m.value)
-                     for m in lp_norms(g.data, g.cell_volume, measured))
+        norms.update((m.p, m.value) for m in sums.norms())
     return {"h": h, "volume": vol, "peak": qm.peak(), "t0_err": t0_err,
             "ratios": ratios, "norms": norms}
 

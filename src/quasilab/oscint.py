@@ -114,18 +114,31 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
 
 
 def _midpoint(integrand: OscIntegrand, h: float, n: int) -> complex:
+    values = scratch = None
+
     def integrand_values(pts: np.ndarray) -> np.ndarray:
         # exp(i*phase/h) * amp vanishes wherever amp does, so the phase and
         # the exponential are taken on the support only, gathered from the
         # flat (N, d) view of the nodes and scattered back through a 1-D
-        # mask.  The values land in a zero array of the slab's size, which
+        # mask.  The values land in a zeroed array of the slab's size, which
         # is summed whole: the same reduction order as the unmasked
-        # product, so the same bits.
+        # product, so the same bits.  The values array and the exponential
+        # scratch are the first (largest) slab's, reused by every later one;
+        # the exponential is formed in place with the ufuncs and operand
+        # order of np.exp(1j * phase / h) * amp.
+        nonlocal values, scratch
         amp = integrand.amplitude(pts, h).ravel()
         on = amp != 0
         support = np.compress(on, pts.reshape(-1, pts.shape[-1]), axis=0)
-        vals = np.zeros(amp.shape, complex)
-        vals[on] = np.exp(1j * integrand.phase(support) / h) * amp[on]
+        if values is None:
+            values, scratch = np.empty(amp.size, complex), np.empty(amp.size, complex)
+        vals, e = values[:amp.size], scratch[:len(support)]
+        vals.fill(0)
+        np.multiply(1j, integrand.phase(support), out=e)
+        np.divide(e, h, out=e)
+        np.exp(e, out=e)
+        np.multiply(e, amp[on], out=e)
+        vals[on] = e
         return vals
 
     return complex(sum(_slabs(integrand.box, n, integrand_values)))

@@ -11,14 +11,15 @@ finest sweeps (where the dense grid would have ~1e9 cells) at desk scale.
 The indicator decides membership at cell midpoints, so quadrature multiplier
 norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.  synthesize_on_axes
 sums the columns onto a product position grid by sum factorisation, with one
-fold per bar axis, xi2 included.
+fold per bar axis, xi2 included; the last fold makes the grid in blocks of
+whole x1 rows, which a consumer may take one at a time in place of the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -33,10 +34,13 @@ _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
 # rows are columns).  A fixed block makes the output bits independent of the
 # BLAS thread count.
 _BLOCK = 64
+# Cells per block of synthesize_on_axes's last fold, which makes the grid in
+# whole x1 rows (one row a block when a row holds more).
+_OUT_BLOCK = 1 << 15
 # Largest array, in cells, that synthesize_on_axes allocates (256 MB of
 # complex values).
 MAX_GRID_CELLS = 1 << 24
-_CELL_CHUNK = 1 << 14      # columns per chunk of verify_joint_quasimode
+_JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_raw
 
 
@@ -239,9 +243,12 @@ def support_volume(field: CutoffField) -> float:
 # -- synthesis ---------------------------------------------------------------------
 
 def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """sum_{m=0}^{M-1} exp(i m theta), stable near theta = 2 pi l."""
-    theta, counts = np.broadcast_arrays(np.asarray(theta, float),
-                                        np.asarray(counts, float))
+    """sum_{m=0}^{M-1} exp(i m theta), stable near theta = 2 pi l.
+
+    theta and counts broadcast against each other; sin(theta/2) is taken
+    once per theta, not once per (count, theta) pair.
+    """
+    theta, counts = np.asarray(theta, float), np.asarray(counts, float)
     half = 0.5 * theta
     den = np.sin(half)
     num = np.sin(counts * half)
@@ -249,8 +256,9 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     np.divide(num, den, out=num, where=safe)
     # l'Hopital at the Dirichlet singularities (theta ~ 0 mod 2 pi), and
     # only there.
-    sing = ~safe
-    c, t = counts[sing], half[sing]
+    sing = np.broadcast_to(~safe, num.shape)
+    c = np.broadcast_to(counts, num.shape)[sing]
+    t = np.broadcast_to(half, num.shape)[sing]
     num[sing] = c * np.cos(c * t) / np.cos(t)
     return num * np.exp(1j * (counts - 1) * half)
 
@@ -290,7 +298,27 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
 
 
-def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridField:
+def _fold_into(out: np.ndarray, rows_of, e: np.ndarray, value_of: np.ndarray,
+               lo: int, hi: int) -> None:
+    """out = sum over rows lo..hi-1 of rows_of(blk).T @ e[value_of[blk]].
+
+    The rows go in fixed blocks of _BLOCK from lo, so the summation order is
+    fixed; the first block is written straight into out.
+    """
+    for b in range(lo, hi, _BLOCK):
+        blk = slice(b, min(b + _BLOCK, hi))
+        rows = rows_of(blk)
+        if b == lo:
+            np.matmul(rows.T, e[value_of[blk]], out=out)
+        else:
+            out += rows.T @ e[value_of[blk]]
+
+
+BlockConsumer = Callable[[slice, np.ndarray], None]
+
+
+def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
+                       consume: BlockConsumer | None = None) -> GridField | None:
     """Raw synthesis on a product position grid (separable fast path).
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
@@ -310,10 +338,21 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     increasing (xin, ..., xi(j+1)), and every reduction runs over fixed
     blocks of _BLOCK rows.  That fixes the summation order, and so every
     output bit, whatever the order of the stored columns or the BLAS thread
-    count.  The output grid, every fold's result, the run tables and every
-    exponential table are checked against MAX_GRID_CELLS before any of them
-    is allocated, and each fold's input is released once the next fold is
-    built.
+    count.
+
+    The last fold, whose one group is every row, makes the grid in blocks
+    of whole x1 rows, _OUT_BLOCK cells or one x1 row each: a block is a
+    C-order slice u[i0:i1] of the grid and a contiguous run of the last
+    product's output rows, computed from the same run of its input's
+    columns (for a 2D field, of the run factors' x1 nodes) and scaled by
+    (2 pi h)^(-n/2) * cellvol.  Its bits depend only on the grid.  Without
+    consume the blocks are written into one grid, returned as a GridField.
+    With it, each block goes to consume(slice(i0, i1), block) in increasing
+    i0 and no grid is built; block is a view of one buffer that the next
+    block overwrites, so consume must not keep it.  The output grid, every
+    fold's result, the run tables and every exponential table are checked
+    against MAX_GRID_CELLS before any of them is allocated, and each fold's
+    input is released once the next fold is built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -346,24 +385,43 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec]) -> GridFiel
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
     phases = np.exp(1j * np.outer(first, x1) / h)
     flat = None
-    for axis, width, starts, values, value_of in folds:
+
+    def rows_of(blk, cols=slice(None)):
+        if flat is None:
+            # Phase first: a complex product's rounding depends on operand
+            # order, and this order gives the untabled sum's bits.
+            return phases[start_of[blk], cols] * runs[count_of[blk], cols]
+        return flat[blk, cols]
+
+    for axis, width, starts, values, value_of in folds[:-1]:
         e = np.exp(1j * np.outer(values, axis.nodes()) / h)
         folded = np.empty((len(starts), width, axis.points), dtype=complex)
         for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(value_of)]):
-            for b in range(lo, hi, _BLOCK):
-                blk = slice(b, min(b + _BLOCK, hi))
-                # Phase first: a complex product's rounding depends on
-                # operand order, and this order gives the untabled sum's bits.
-                rows = (phases[start_of[blk]] * runs[count_of[blk]]
-                        if flat is None else flat[blk])
-                if b == lo:
-                    np.matmul(rows.T, e[value_of[blk]], out=out)
-                else:
-                    out += rows.T @ e[value_of[blk]]
-        del rows  # a view of the input: it would keep the input alive
+            _fold_into(out, rows_of, e, value_of, lo, hi)
         flat = folded.reshape(len(starts), -1)
-    flat *= field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
-    return GridField(h, POSITION, list(axes), flat.reshape(shape))
+
+    axis, width, _, values, value_of = folds[-1]
+    e = np.exp(1j * np.outer(values, axis.nodes()) / h)
+    per_row = width // len(x1)     # output rows of the last product per x1 row
+    step = max(1, _OUT_BLOCK // (per_row * axis.points))
+    scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
+    if consume is None:
+        grid = np.empty(shape, dtype=complex)
+        outs = grid.reshape(width, axis.points)
+    else:
+        outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
+    for i0 in range(0, len(x1), step):
+        i1 = min(i0 + step, len(x1))
+        cols = slice(i0 * per_row, i1 * per_row)
+        out = outs[cols] if consume is None else outs[:cols.stop - cols.start]
+        _fold_into(out, lambda blk: rows_of(blk, cols), e, value_of,
+                   0, len(value_of))
+        out *= scale
+        if consume is not None:
+            consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
+    if consume is None:
+        return GridField(h, POSITION, list(axes), grid)
+    return None
 
 
 # -- the normalized extremizer -------------------------------------------------------
@@ -387,10 +445,21 @@ class Quasimode:
         scale = 1.0 / self.cutoff.l2_norm()
         return synthesize_raw(self.cutoff, targets) * scale
 
-    def on_axes(self, axes: Sequence[AxisSpec]) -> GridField:
-        g = synthesize_on_axes(self.cutoff, axes)
-        g.data *= 1.0 / self.cutoff.l2_norm()
-        return g
+    def on_axes(self, axes: Sequence[AxisSpec],
+                consume: BlockConsumer | None = None) -> GridField | None:
+        """The field on a product grid; with consume, synthesize_on_axes's
+        blocks, each normalized before consume gets it, and no grid."""
+        scale = 1.0 / self.cutoff.l2_norm()
+        if consume is None:
+            g = synthesize_on_axes(self.cutoff, axes)
+            g.data *= scale
+            return g
+
+        def normalized(rows: slice, block: np.ndarray) -> None:
+            block *= scale
+            consume(rows, block)
+
+        return synthesize_on_axes(self.cutoff, axes, normalized)
 
     def peak(self) -> float:
         """|T(0)|; the global maximum by the triangle inequality."""
@@ -421,10 +490,11 @@ def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarr
     of each are contracted against the other.  p1 and p2 are the cutoff's
     first two band symbols.  Each splits as p = c1*xi1 + r(xi2..xin)
     (split_affine_x1), so r is evaluated once per column and spread over
-    the column's xi1 run; columns go in chunks of _CELL_CHUNK.  Midpoint
-    membership makes |p_j| <= h hold at every support node, so each ratio
-    is <= 1 up to rounding; values above 1 + boundary slack indicate a
-    broken cutoff.
+    the column's xi1 run.  Whole columns go in chunks of up to
+    _JOINT_CHUNK_CELLS support cells (one column when it alone holds more),
+    so the temporaries stay bounded whatever n is.  Midpoint membership
+    makes |p_j| <= h hold at every support node, so each ratio is <= 1 up
+    to rounding; values above 1 + boundary slack indicate a broken cutoff.
     """
     field = qm.cutoff if isinstance(qm, Quasimode) else qm
     if orders < 0:
@@ -435,13 +505,17 @@ def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarr
     h = field.h
     ax0 = field.axes[0]
     total = np.zeros((orders + 1, orders + 1))
-    for lo in range(0, len(field.col_count), _CELL_CHUNK):
-        counts = field.col_count[lo:lo + _CELL_CHUNK]
-        bar = field.col_coords[lo:lo + _CELL_CHUNK]
+    ends = np.cumsum(field.col_count)
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, (ends[lo - 1] if lo else 0) + _JOINT_CHUNK_CELLS, "right")))
+        counts = field.col_count[lo:hi]
+        bar = field.col_coords[lo:hi]
         # xi1 cell index: the column's start plus the offset into its run.
-        ends = np.cumsum(counts)
-        idx = np.arange(ends[-1]) + np.repeat(
-            field.col_start[lo:lo + _CELL_CHUNK] - (ends - counts), counts)
+        run_ends = np.cumsum(counts)
+        idx = np.arange(run_ends[-1]) + np.repeat(
+            field.col_start[lo:hi] - (run_ends - counts), counts)
         xi1 = ax0.start + (idx + 0.5) * ax0.spacing
         bar_arrays = [bar[:, d] for d in range(field.dim - 1)]
         a, b = [_power_columns(((float(c1) * xi1
@@ -449,4 +523,5 @@ def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarr
                                 / h) ** 2, orders + 1)
                 for c1, rest in splits]
         total += a.T @ b
+        lo = hi
     return np.sqrt(total * field.cell_volume) / field.l2_norm()

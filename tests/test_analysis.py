@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasilab.analysis import (INF_P, contact_delta, exponent, fit_scaling,
-                               lp_norm, lp_norms, oscillation_axes, parse_p,
+from quasilab.analysis import (INF_P, BlockNorms, contact_delta, exponent,
+                               fit_scaling, lp_norm, oscillation_axes, parse_p,
                                shell_mask, shell_slices, sogge_delta,
                                submanifold_delta, transverse_delta)
 from quasilab.errors import TailDominanceError
@@ -213,20 +213,39 @@ def policed_oracle(values, weight, p):
                    shell_mask(shape, 1))
 
 
+def block_norms(values, weight, ps, cuts=()):
+    """BlockNorms fed values in blocks of first-axis rows split at cuts."""
+    edges = [0, *cuts, len(values)]
+    sums = BlockNorms(np.shape(values), weight, ps)
+    for i0, i1 in zip(edges, edges[1:]):
+        sums.add(slice(i0, i1), values[i0:i1])
+    return sums.norms()
+
+
+def splits(n):
+    """First-axis cuts for a length-n axis: one block, two, one row each,
+    and blocks that split the two outer shell layers (i0 = 1, 2, n - 2)."""
+    return [tuple(sorted({i for i in cuts if 0 < i < n}))
+            for cuts in ((), (n // 2,), range(1, n), (1, 2, n - 2))]
+
+
 def assert_matches_oracle(values, weight, p):
-    """lp_norms on one p gives the oracle's norm and tail, or its refusal."""
+    """The block norms on one p, however the grid is split into blocks,
+    give the oracle's norm and tail, or its refusal."""
     try:
         want = policed_oracle(values, weight, p)
     except TailDominanceError as err:
-        with pytest.raises(TailDominanceError) as got:
-            lp_norms(values, weight, [p])
-        assert str(got.value) == str(err)
+        for cuts in splits(len(values)):
+            with pytest.raises(TailDominanceError) as got:
+                block_norms(values, weight, [p], cuts)
+            assert str(got.value) == str(err)
         return str(err)
-    got, = lp_norms(values, weight, [p])
-    assert got.p is p
-    assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
-    assert got.tail_estimate == pytest.approx(want.tail_estimate, rel=0,
-                                              abs=1e-12 * want.value)
+    for cuts in splits(len(values)):
+        got, = block_norms(values, weight, [p], cuts)
+        assert got.p is p
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+        assert got.tail_estimate == pytest.approx(want.tail_estimate, rel=0,
+                                                  abs=1e-12 * want.value)
     return None
 
 
@@ -234,8 +253,9 @@ GRID_SHAPES = [(24, 20), (12, 11, 10), (8, 7, 6, 9)]
 ORACLE_PS = [INF_P, F(3), F(4), F(6), F(8), F(16)]
 
 
-class TestLpNorms:
-    """The sweep's one-pass norms against the per-p, mask-based lp_norm."""
+class TestBlockNorms:
+    """The sweep's block-by-block norms against the per-p, mask-based
+    lp_norm."""
 
     @pytest.mark.parametrize("shape", GRID_SHAPES, ids=["2d", "3d", "4d"])
     def test_matches_oracle(self, shape):
@@ -245,13 +265,29 @@ class TestLpNorms:
         for p in ORACLE_PS:
             assert assert_matches_oracle(values, 0.01, p) is None
         before = values.copy()
-        # The last p's powers overwrite |u|, whichever p come before it.
         for ps in (ORACLE_PS, ORACLE_PS[::-1]):
-            got = lp_norms(values, 0.01, ps)
-            assert [m.p for m in got] == ps
-            for m in got:
-                assert m.value == policed_oracle(values, 0.01, m.p).value
+            for cuts in splits(shape[0]):
+                got = block_norms(values, 0.01, ps, cuts)
+                assert [m.p for m in got] == ps
+                for m in got:
+                    want = policed_oracle(values, 0.01, m.p).value
+                    # One block sums the whole grid as the oracle does.
+                    assert m.value == (want if not cuts else pytest.approx(
+                        want, rel=1e-12))
         np.testing.assert_array_equal(values, before)
+
+    @pytest.mark.parametrize("shape,rows", [((64, 16, 8), 1), ((64, 16, 8), 8),
+                                            ((32, 8, 4, 4), 4), ((256, 64), 2)],
+                             ids=["3d-1row", "3d-8rows", "4d", "2d"])
+    def test_power_of_two_blocks_give_the_oracle_bits(self, shape, rows):
+        # Power-of-two blocks of >= 128 cells, as the sweeps' grids give:
+        # the block sums combine by halves into numpy's whole-grid sum.
+        rng = np.random.default_rng(sum(shape))
+        values = envelope(shape, 4.0) * np.exp(2j * np.pi * rng.random(shape))
+        got = block_norms(values, 0.37, ORACLE_PS,
+                          range(rows, shape[0], rows))
+        assert [m.value for m in got] == \
+            [policed_oracle(values, 0.37, p).value for p in ORACLE_PS]
 
     @pytest.mark.parametrize("shape", GRID_SHAPES, ids=["2d", "3d", "4d"])
     def test_refusals_match_oracle(self, shape):
@@ -259,17 +295,39 @@ class TestLpNorms:
         spike = envelope(shape, 3.0).astype(complex)
         spike[(0,) + tuple(n // 2 for n in shape[1:])] = 2.0
         assert "Linf maximizer" in assert_matches_oracle(spike, 0.01, INF_P)
+        # The same spike on the other x1 face, and on a face of the last
+        # axis, which every block crosses.
+        spike = np.flip(spike, axis=0)
+        assert "Linf maximizer" in assert_matches_oracle(spike, 0.01, INF_P)
+        spike = envelope(shape, 3.0).astype(complex)
+        spike[tuple(n // 2 for n in shape[:-1]) + (-1,)] = 2.0
+        assert "Linf maximizer" in assert_matches_oracle(spike, 0.01, INF_P)
         # Shells that do not decay.
         flat = np.ones(shape, dtype=complex)
         assert "not decaying" in assert_matches_oracle(flat, 0.01, F(4))
         # Decaying shells whose extrapolated exterior is over 1 %.
         slow = envelope(shape, 0.5)
         assert "exterior adds" in assert_matches_oracle(slow, 0.01, F(3))
-        # The first refused p raises, whatever the p after it.
-        with pytest.raises(TailDominanceError, match="exterior adds"):
-            lp_norms(slow, 0.01, [INF_P, F(3), F(8)])
-        assert lp_norms(slow, 0.01, [INF_P, F(8)])[1].value == \
-            policed_oracle(slow, 0.01, F(8)).value
+        # The first refused p raises, whatever the p after it, and however
+        # the grid is split.
+        for cuts in splits(shape[0]):
+            with pytest.raises(TailDominanceError, match="exterior adds"):
+                block_norms(slow, 0.01, [INF_P, F(3), F(8)], cuts)
+            with pytest.raises(TailDominanceError, match="not decaying"):
+                block_norms(flat, 0.01, [F(4), INF_P, F(3)], cuts)
+            assert block_norms(slow, 0.01, [INF_P, F(8)], cuts)[1].value == \
+                pytest.approx(policed_oracle(slow, 0.01, F(8)).value, rel=1e-12)
+
+    def test_blocks_must_tile_the_grid(self):
+        values = envelope((8, 6), 3.0)
+        sums = BlockNorms(values.shape, 0.1, [F(4)])
+        sums.add(slice(0, 3), values[0:3])
+        with pytest.raises(ValueError, match="tile"):
+            sums.add(slice(4, 8), values[4:8])
+        with pytest.raises(ValueError, match="tile"):
+            sums.norms()
+        with pytest.raises(ValueError, match="nonnegative"):
+            BlockNorms(values.shape, -1.0, [F(4)])
 
     @pytest.mark.parametrize("dim,most", [(1, 7), (2, 7), (3, 7), (4, 5)])
     def test_shell_slices_partition_shell_mask(self, dim, most):

@@ -211,6 +211,27 @@ class TestSupportRestriction:
         assert value != 0
         assert value == _unmasked_midpoint(integrand, h, n)
 
+    def test_values_array_reused_across_slabs(self, monkeypatch):
+        # 300 = 218 + 82 rows of 300: both slabs fill one values array.
+        h, n = 2.0 ** -8, 300
+        integrand = _ttstar_style_integrand(h)
+        seen = []
+        slabs = oscint._slabs
+
+        def record(box, n, f):
+            def values(pts):
+                vals = f(pts)
+                seen.append((vals.size, vals.__array_interface__["data"][0]))
+                return vals
+            return slabs(box, n, values)
+
+        monkeypatch.setattr(oscint, "_slabs", record)
+        value = oscint._midpoint(integrand, h, n)
+        assert [size for size, _ in seen] == [218 * n, 82 * n]
+        assert len({address for _, address in seen}) == 1
+        monkeypatch.undo()
+        assert value == _unmasked_midpoint(integrand, h, n)
+
     def test_one_slab_equals_whole_grid_formula(self):
         h, n = 2.0 ** -6, 256
         integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),

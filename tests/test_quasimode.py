@@ -497,6 +497,80 @@ class TestProductSynthesis:
             tracemalloc.stop()
         assert peak <= 12e6
 
+    @pytest.mark.parametrize("make_field,points,out_block", [
+        # 23 x1 rows of 19 cells, 3 to a block: seven blocks and a partial.
+        (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19),
+         3 * 19),
+        # The n = 3 sweep's field, 2 x1 rows of 99 cells to a block.
+        (lambda: build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5),
+         (13, 11, 9), 2 * 99 + 1),
+        # A block smaller than one x1 row still holds one whole row; the
+        # last fold's 160 rows span three 64-row reductions.
+        (lambda: build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6),
+         (7, 6, 5), 1),
+        # 400 rows of equal (xi3, xi4) fold onto 20 of equal xi4.
+        (lambda: build_cutoff(_fine_parabola_cutoff(4, (0.02, 0.25, 0.25),
+                                                    1 / 40), 2.0 ** -6),
+         (5, 4, 4, 3), 2 * 48),
+    ], ids=["2d", "3d", "3d-fine", "4d"])
+    def test_blocks_reassemble_the_grid(self, make_field, points, out_block,
+                                        monkeypatch):
+        monkeypatch.setattr(quasimode, "_OUT_BLOCK", out_block)
+        cut = make_field()
+        h = cut.h
+        axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
+            (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
+        blocks = []
+        assert synthesize_on_axes(
+            cut, axes, lambda rows, b: blocks.append((rows, b.copy()))) is None
+        row = math.prod(points[1:])
+        step = max(1, out_block // row)
+        assert [(r.start, r.stop) for r, _ in blocks] == [
+            (i, min(i + step, points[0])) for i in range(0, points[0], step)]
+        for rows, b in blocks:
+            assert b.shape == (rows.stop - rows.start,) + points[1:]
+        whole = synthesize_on_axes(cut, axes).data
+        assert np.concatenate([b for _, b in blocks]).tobytes() == whole.tobytes()
+
+    def test_sweep_blocks_are_on_axes_slices(self):
+        # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, normalized
+        # as on_axes normalizes its grid.
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
+        axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8)
+        qm = Quasimode(cut, h)
+        blocks = []
+        qm.on_axes(axes, lambda rows, b: blocks.append((rows, b.copy())))
+        assert [(r.start, r.stop) for r, _ in blocks] == [
+            (i, i + 8) for i in range(0, 64, 8)]
+        grid = qm.on_axes(axes).data
+        for rows, b in blocks:
+            assert b.tobytes() == grid[rows].tobytes()
+
+    def test_sweep_point_memory_bounded(self):
+        # One point of the n = 3 sweep on 64^3: the grid alone would be
+        # 4 MiB, and with |u| 6 MiB.  The last fold's blocks go straight into
+        # the norm sums, whose norms equal the whole-grid oracle's bits.
+        from quasilab import experiments
+        from quasilab.analysis import INF_P, lp_norm, shell_mask
+
+        h, ps = 2.0 ** -5, [INF_P, 8]
+        spec = families.paraboloid_cutoff(3, 3)
+        v = {"joint_orders": 3, "margin": 4, "points_per_scale": 8}
+        tracemalloc.start()
+        try:
+            point = experiments._sweep_point(spec, h, ps, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2 ** 20
+        cut = build_cutoff(spec, h)
+        g = Quasimode(cut, h).on_axes(
+            oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8))
+        masks = shell_mask(g.data.shape), shell_mask(g.data.shape, 1)
+        assert point["norms"] == {
+            p: lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps}
+
     def test_each_fold_input_released(self):
         # The n = 4 sweep's field on 32^4: while a fold runs, its input and
         # its output are alive, and no earlier fold's result.
@@ -635,6 +709,36 @@ class TestJointQuasimode:
                     h ** (m1 + m2) * cut.l2_norm())
         np.testing.assert_allclose(verify_joint_quasimode(Quasimode(cut, h), 3),
                                    direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec_fn,h", JOINT_CASES[:4])
+    def test_chunks_match_one_chunk(self, spec_fn, h, monkeypatch):
+        cut = build_cutoff(spec_fn(), h)
+        sizes = []
+        power_columns = quasimode._power_columns
+
+        def record(x, m):
+            sizes.append(len(x))
+            return power_columns(x, m)
+
+        monkeypatch.setattr(quasimode, "_power_columns", record)
+        # Every n <= 3 case is one chunk at the shipped size.
+        whole = verify_joint_quasimode(cut, 3)
+        assert sizes[::2] == [cut.cell_count]
+        for cells in (40, 5000):
+            monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", cells)
+            sizes.clear()
+            got = verify_joint_quasimode(cut, 3)
+            np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
+            # Whole columns, as many as fit in the chunk, or one.
+            chunks, ends = sizes[::2], np.cumsum(cut.col_count)
+            assert sum(chunks) == cut.cell_count
+            bounds = np.cumsum(chunks)
+            assert set(bounds) <= set(ends)
+            for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+                first = ends[np.searchsorted(ends, lo, "right")]
+                assert hi - lo <= cells or hi == first
+                nxt = np.searchsorted(ends, hi, "right")
+                assert nxt == len(ends) or ends[nxt] - lo > cells
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_power_columns_match_vander(self, m):
