@@ -10,6 +10,8 @@ limit is literal).  Branch points are handled by continuity: both branch
 formulas agree there exactly as Fractions, which the tests assert.
 EXPONENTS is the one table of exponent families, exponent() the one
 dispatch on a family name, and kink_p(n) the one definition of the kink p0.
+parse_number is the one reader of the numbers a user writes, in configs,
+symbols and on the command line; parse_p reads exponents through it.
 """
 
 from __future__ import annotations
@@ -25,18 +27,70 @@ from .errors import TailDominanceError
 from .grids import AxisSpec
 
 INF_P = math.inf
+_EXACT_BITS = 1 << 16   # the most bits parse_number spends on an exact power
+
+
+def parse_number(text: str) -> Fraction | float:
+    """Every number a user writes (config values, p_list entries, symbol
+    coefficients, ``delta --p``): a decimal, ``a/b`` or ``b^e`` of decimals,
+    or oo, inf, -inf, nan.  An exact Fraction, or float arithmetic's value
+    where no Fraction is kept: non-finite, -0, an underflow, or a power that
+    is irrational or over _EXACT_BITS.  A power's float comes first, so no
+    exact power is built whose float overflows (OverflowError) or underflows."""
+    text = text.strip()
+    if text == "oo":
+        return math.inf
+    if "^" in text:
+        base, exp = map(_decimal, text.split("^"))
+        value = float(base) ** float(exp)
+        if isinstance(value, complex):   # negative base, fractional power
+            raise ValueError(f"{text!r} is not real")
+        if float in (type(base), type(exp)) or (base and not value):
+            return value
+        num, den = (_iroot(n, exp.denominator) for n in base.as_integer_ratio())
+        if None in (num, den) or abs(exp.numerator) * (
+                max(abs(num), den).bit_length() - 1) > _EXACT_BITS:
+            return value
+        return Fraction(num, den) ** exp.numerator
+    if "/" in text:
+        num, den = map(_decimal, text.split("/"))
+        return num / den   # a float either side divides as floats
+    return _decimal(text)
+
+
+def _decimal(text: str) -> Fraction | float:
+    """A decimal literal, exact unless its float is not finite or is a zero
+    the literal is not (-0, or an underflow such as 1e-400)."""
+    value = float(text)
+    if value and math.isfinite(value):
+        return Fraction(text)
+    if value == 0 and math.copysign(1, value) > 0 and not Fraction(
+            text.lower().split("e")[0]):   # the mantissa: no 10^exponent built
+        return Fraction(0)
+    return value
+
+
+def _iroot(n: int, q: int) -> int | None:
+    """The integer q-th root of n, None when there is none or n < 0 < q - 1."""
+    if q == 1 or 0 <= n < 2:
+        return n
+    if n < 0 or n.bit_length() <= q:
+        return None
+    x = 1 << -(-n.bit_length() // q)   # above the root: Newton descends
+    while (y := ((q - 1) * x + n // x ** (q - 1)) // q) < x:
+        x = y
+    return x if x ** q == n else None
 
 
 def parse_p(p) -> Fraction | float:
-    """Normalize a Lebesgue exponent: Fraction for finite p, INF_P sentinel else."""
-    if p in ("inf", "oo", "Inf", "INF"):
-        return INF_P
-    if isinstance(p, float) and math.isinf(p):
-        return INF_P
+    """Normalize a Lebesgue exponent: Fraction for finite p, INF_P sentinel
+    else; text is read by parse_number and must be rational or inf."""
     if isinstance(p, str):
-        return Fraction(p)
+        text, p = p, parse_number(p)
+        if isinstance(p, float) and p != INF_P:
+            raise ValueError(f"p must be rational or inf, got {text!r}")
     if isinstance(p, float):
-        return Fraction(p).limit_denominator(10 ** 9)
+        return INF_P if math.isinf(p) else Fraction(p).limit_denominator(10 ** 9)
     return Fraction(p)
 
 

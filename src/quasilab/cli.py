@@ -4,8 +4,8 @@ Verbs: run <config> [--out DIR], list, delta --family ... , contact --p1
 FILE --p2 FILE.  Exit codes: 0 all verdicts pass, 1 a verdict failed,
 2 config parse/validation error, 3 a module refused (a RefusalError:
 resolution, empty support, box, tail or grid-budget trouble) with the
-refusing module named, 4 an internal error: any other exception from a
-run, printed with its traceback.
+refusing module named, 4 an internal error: any other exception from
+parsing or running a config, printed with its traceback.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_delta.add_argument("--family", choices=EXPONENTS, default="contact")
     p_delta.add_argument("--n", type=int, required=True)
     p_delta.add_argument("--p", required=True,
-                         help="Lebesgue exponent (>= 2, fraction, or 'inf')")
+                         help="Lebesgue exponent >= 2: a/b, b^e, a decimal or inf")
     p_delta.add_argument("--k", type=int, default=None, help="contact order")
     p_delta.add_argument("--r", type=int, default=None, help="operator count")
     p_delta.add_argument("--d", type=int, default=None,
@@ -75,12 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except ConfigError as err:
+        outdir = args.out or cfg.out or str(Path("reports") / cfg.experiment_id)
+        result = run_experiment(cfg, outdir)
+    except ConfigError as err:   # only parse_config raises it
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = args.out or cfg.out or str(Path("reports") / cfg.experiment_id)
-    try:
-        result = run_experiment(cfg, outdir)
     except RefusalError as err:
         print(f"refused ({type(err).__name__} from {_raising_module(err)}): "
               f"{err}", file=sys.stderr)
@@ -99,7 +98,7 @@ def _cmd_delta(args) -> int:
     try:
         val = exponent(args.family, args.n, parse_p(args.p),
                        d=args.d, r=args.r, k=args.k)
-    except (ValueError, QuasilabError) as err:
+    except (ValueError, ArithmeticError, QuasilabError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"delta = {val} = {float(val):.12g}")
@@ -111,14 +110,10 @@ def _cmd_contact(args) -> int:
         print("error: --directions must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        text1 = Path(args.p1).read_text()
-        text2 = Path(args.p2).read_text()
-        p1 = parse_symbol(text1.strip(), dim=args.n)
-        p2 = parse_symbol(text2.strip(), dim=args.n)
-        if p1.dim != p2.dim:
-            bigger = max(p1.dim, p2.dim)
-            p1 = parse_symbol(text1.strip(), dim=bigger)
-            p2 = parse_symbol(text2.strip(), dim=bigger)
+        texts = [Path(f).read_text().strip() for f in (args.p1, args.p2)]
+        dim = args.n if args.n is not None else max(
+            parse_symbol(t).dim for t in texts)
+        p1, p2 = (parse_symbol(t, dim=dim) for t in texts)
         g1, g2 = graph_factor(p1), graph_factor(p2)
         if not g1.valid or not g2.valid:
             print(f"error: symbols must be affine in x1 "
@@ -145,16 +140,11 @@ def _cmd_contact(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.verb == "run":
-        return _cmd_run(args)
     if args.verb == "list":
         print(list_experiments())
         return EXIT_OK
-    if args.verb == "delta":
-        return _cmd_delta(args)
-    if args.verb == "contact":
-        return _cmd_contact(args)
-    return EXIT_CONFIG
+    return {"run": _cmd_run, "delta": _cmd_delta,
+            "contact": _cmd_contact}[args.verb](args)
 
 
 if __name__ == "__main__":

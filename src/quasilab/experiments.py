@@ -23,7 +23,7 @@ import numpy as np
 from . import families
 from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
                        exponent, fit_scaling, kink_p, oscillation_axes,
-                       parse_p, sogge_delta)
+                       parse_number, parse_p, sogge_delta)
 from .errors import ConfigError, QuasilabError
 from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
 from .grids import cell_volume
@@ -92,24 +92,8 @@ class RunResult:
 
 # -- config handling ---------------------------------------------------------------
 
-def _num(text: str) -> float:
-    """Numbers in configs: plain floats, a/b fractions, and 2^e powers."""
-    text = text.strip()
-    if text in ("inf", "oo"):
-        return math.inf
-    try:
-        if "^" in text:
-            base, exp = text.split("^")
-            value = float(base) ** float(exp)
-            if isinstance(value, complex):   # negative base, fractional power
-                raise ValueError(text)
-            return value
-        if "/" in text:
-            num, den = text.split("/")
-            return float(num) / float(den)
-        return float(text)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"malformed number {text!r}") from None
+def _float(text: str) -> float:
+    return float(parse_number(text))   # a config number, as a float
 
 
 def _list(parse: Callable[[str], object]) -> Callable[[str], list]:
@@ -148,7 +132,7 @@ def _ints(default=None, low: int | None = None) -> Key:
 
 
 def _number(default=None, bound=None) -> Key:
-    return Key("a number", _num, default, bound)
+    return Key("a number", _float, default, bound)
 
 
 def _choice(default: str, options: dict | tuple) -> Key:
@@ -163,7 +147,7 @@ _FAMILY = _choice("paraboloid", families.CUTOFF_FAMILIES)
 _SYMBOL = Key("a polynomial", str)   # parsed by the kind's rule, which knows n
 # An h sweep: h_list, or h_start halved down to h_stop (_check_h_sweep).
 _H_SWEEP = {"h_start": _number(), "h_stop": _number(),
-            "h_list": Key("a list of numbers", _list(_num))}
+            "h_list": Key("a list of numbers", _list(_float))}
 
 
 @dataclass(frozen=True)
@@ -689,17 +673,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> RunResult:
         "experiment": cfg.experiment_id,
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "config": {
-            "params": cfg.params,
-            "symbols": cfg.symbols,
-            "tolerances": cfg.tolerances,
-        },
+        "config": {s: getattr(cfg, s) for s in KEY_SECTIONS},
         "verdicts": [
-            {"name": v.name,
-             "measured": fmt(v.measured),
-             "predicted": fmt(v.predicted),
-             "tolerance": fmt(v.tolerance),
-             "passed": bool(v.passed)}
+            {"name": v.name, "passed": bool(v.passed),
+             **{f: fmt(getattr(v, f)) for f in ("measured", "predicted", "tolerance")}}
             for v in verdicts
         ],
         "tables": {kind.table: f"{kind.table}.csv"},

@@ -23,10 +23,8 @@ CELLS_PER_BAND = 16    # grid cells across each constraint band
 
 def bar_norm_sq(n: int) -> PolySymbol:
     """|xi-bar|^2 = x2^2 + ... + xn^2 in ambient dimension n."""
-    out = PolySymbol.zero(n)
-    for i in range(2, n + 1):
-        out = out + PolySymbol.variable(i, n) ** 2
-    return out
+    return sum((PolySymbol.variable(i, n) ** 2 for i in range(2, n + 1)),
+               PolySymbol.zero(n))
 
 
 def bar_norm_power(n: int, power: int) -> PolySymbol:
@@ -56,9 +54,7 @@ def axis_contact_pair(k: int) -> tuple[PolySymbol, PolySymbol]:
     """1,k-type model: difference x2^2 + x3^(k+1) (order 1 off one axis, k on it)."""
     if k < 1 or k % 2 == 0:
         raise ValueError("need odd k >= 1")
-    x1 = PolySymbol.variable(1, 3)
-    x2 = PolySymbol.variable(2, 3)
-    x3 = PolySymbol.variable(3, 3)
+    x1, x2, x3 = (PolySymbol.variable(i, 3) for i in (1, 2, 3))
     p1 = x1 - (x2 ** 2 + x3 ** 2)
     p2 = x1 - (2 * x2 ** 2 + x3 ** 2 + x3 ** (k + 1))
     return p1, p2
@@ -70,9 +66,7 @@ def valley_pair() -> tuple[PolySymbol, PolySymbol]:
     The support volume picks up an extra h^(1/20) factor that no straight
     line through the origin can see.
     """
-    x1 = PolySymbol.variable(1, 3)
-    x2 = PolySymbol.variable(2, 3)
-    x3 = PolySymbol.variable(3, 3)
+    x1, x2, x3 = (PolySymbol.variable(i, 3) for i in (1, 2, 3))
     q1 = x1 - (x2 ** 2 + x3 ** 2)
     q2 = x1 - (x2 ** 2 + x3 ** 2 - (x2 - x3 ** 2) ** 2 - x2 ** 10)
     return q1, q2

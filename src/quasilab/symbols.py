@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analysis import parse_number
 from .errors import DimensionMismatchError, SymbolParseError
 
 # Sentinel contact order: all probed derivatives of the difference vanish.
@@ -137,13 +138,8 @@ class PolySymbol:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = PolySymbol.constant(1, self.dim)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     # -- evaluation ----------------------------------------------------------
@@ -203,65 +199,52 @@ class PolySymbol:
 
 # -- text format --------------------------------------------------------------
 
-_FACTOR_VAR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_FACTOR_NUM = re.compile(r"^\d+(?:\.\d+)?(?:/\d+)?$")
+_FACTOR_VAR = re.compile(r"x(0*[1-9]\d*)(?:\^(\d+))?")   # x0 is no variable
+# A term starts at a sign that follows neither an operator nor a number's e.
+_TERM_START = re.compile(r"(?<=[^-+*/^eE])(?=[-+])")
 
 
 def parse_symbol(text: str, dim: int | None = None) -> PolySymbol:
     """Parse symbol text like ``3/2*x1^2*x3 - x2``.
 
-    Variables are x1..xn; coefficients are integers, fractions a/b, or
-    finite decimals (converted exactly).  dim defaults to the largest
-    variable index that appears.
+    Variables are x1..xn; a coefficient factor is any finite rational
+    analysis.parse_number reads (``3/2``, ``0.75/2``, ``1e-3``, ``2^-3``),
+    kept exact.  dim defaults to the largest variable index that appears.
     """
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise SymbolParseError("empty symbol text")
-    # Split into signed terms.
-    terms: list[str] = []
-    current = ""
-    for i, ch in enumerate(compact):
-        if ch in "+-" and i > 0 and compact[i - 1] not in "+-*/^":
-            terms.append(current)
-            current = ch
-        else:
-            current += ch
-    terms.append(current)
-
     parsed: list[tuple[Fraction, dict[int, int]]] = []
     max_index = 0
-    for term in terms:
-        sign = Fraction(1)
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
+    for term in _TERM_START.split(compact):
+        body = term.lstrip("+-")
+        if not body:
             raise SymbolParseError(f"dangling sign in {text!r}")
-        coeff = sign
+        coeff = Fraction(-1 if term[:-len(body)].count("-") % 2 else 1)
         exponents: dict[int, int] = {}
-        for factor in term.split("*"):
+        for factor in body.split("*"):
             if not factor:
-                raise SymbolParseError(f"empty factor in term {term!r}")
-            m = _FACTOR_VAR.match(factor)
+                raise SymbolParseError(f"empty factor in term {body!r}")
+            m = _FACTOR_VAR.fullmatch(factor)
             if m:
                 idx = int(m.group(1))
-                if idx < 1:
-                    raise SymbolParseError(f"variable index must be >= 1 in {factor!r}")
                 exponents[idx] = exponents.get(idx, 0) + int(m.group(2) or 1)
                 max_index = max(max_index, idx)
                 continue
-            if _FACTOR_NUM.match(factor):
-                coeff *= Fraction(factor)
-                continue
-            raise SymbolParseError(f"cannot parse factor {factor!r} in {text!r}")
+            try:
+                value = parse_number(factor)
+            except (ValueError, ArithmeticError):
+                value = None
+            if not isinstance(value, Fraction):   # non-finite or irrational
+                raise SymbolParseError(
+                    f"factor {factor!r} in {text!r} is not x1..xn or a finite rational")
+            coeff *= value
         parsed.append((coeff, exponents))
 
     if dim is None:
         dim = max(max_index, 1)
     if max_index > dim:
-        raise SymbolParseError(
-            f"symbol uses x{max_index} but dim={dim}")
+        raise SymbolParseError(f"symbol uses x{max_index} but dim={dim}")
     coeffs: dict[Monomial, Fraction] = {}
     for coeff, exponents in parsed:
         mono = tuple(exponents.get(i + 1, 0) for i in range(dim))

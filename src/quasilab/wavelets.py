@@ -4,8 +4,9 @@ decay diagnostics of the flat model.
 The mother wavelet is the derivative of the standard smooth bump
 exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth, mean zero, with a
 finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta.  C_f is
-computed by adaptive quadrature, tails reported, on first use: only
-``reconstruct`` needs it, and its first call runs ``admissibility``.
+computed by Gauss-Legendre quadrature in ln eta (numpy alone), tails
+reported, on first use: only ``reconstruct`` needs it, and its first call
+runs ``admissibility``.
 Transforms are plain quadratures on the field's x1 grid, summed per scale
 tap by tap in numpy over a band of x1 rows, scanned once for its first and
 last nonzero rows: each tap reaches only the windows where it lands on a
@@ -15,8 +16,7 @@ starts at +0 and never turns -0, so the taps skipped on zero rows, which
 add +-0, change no bit of it.  The decay table windows only the band of
 rows where its x1 window is nonzero, keeps no reference to the unwindowed
 field, and transforms each scale's live windows only: every other row's
-power is +0.  The module imports no scipy: the quadrature imports
-``scipy.integrate.quad`` when it runs.
+power is +0.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .grids import (AxisSpec, GridField, cell_volume, dual_axis, ft_axes,
 _TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 _ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
+_GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
 _A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))   # cwt's default scales
 _LOCALIZE_HALFWIDTH = 1.5   # decay_diagnostic's window is flat out to here
 _CWT_BLOCK = 1 << 15   # cwt's coefficients per block of windows (256 KB)
@@ -100,25 +101,24 @@ def make_mother_wavelet() -> MotherWavelet:
 def admissibility() -> tuple[float, float, float]:
     """(C_f, tail_low, tail_high) of the bump-derivative wavelet.
 
-    C_f = int_R |f^|^2/|eta| d eta is computed by adaptive quadrature on
-    [_ETA_MIN, _ETA_MAX] (doubled for the negative axis by symmetry); the
+    C_f = int_R |f^|^2/|eta| d eta is computed on [_ETA_MIN, _ETA_MAX]
+    (doubled for the negative axis by symmetry) by Gauss-Legendre in
+    s = ln eta, _GL_NODES nodes on each of three segments; the
     trapezoid-in-t evaluation of f^ is spectrally accurate because f
     vanishes to all orders at the endpoints.  tail_low bounds the omitted
     |eta| < _ETA_MIN piece and tail_high estimates the |eta| > _ETA_MAX one.
     """
-    from scipy.integrate import quad
+    from numpy.polynomial.legendre import leggauss   # here: ~7 ms to import
 
     t = np.linspace(0.0, 1.0, _T_POINTS)
     ft = bump_derivative(t)
     dt = t[1] - t[0]
-
-    def integrand(eta: float) -> float:
-        return float(_fourier_abs_sq(np.array([eta]), t, ft, dt)[0]) / eta
-
-    val, _err = quad(integrand, _ETA_MIN, 1.0, limit=200)
-    val2, _err2 = quad(integrand, 1.0, 50.0, limit=400)
-    val3, _err3 = quad(integrand, 50.0, _ETA_MAX, limit=400)
-    c_half = val + val2 + val3
+    x, w = leggauss(_GL_NODES)
+    c_half = 0.0
+    for a, b in ((_ETA_MIN, 1.0), (1.0, 50.0), (50.0, _ETA_MAX)):
+        half, mid = 0.5 * math.log(b / a), 0.5 * math.log(a * b)
+        eta = np.exp(half * x + mid)   # d eta / eta = ds
+        c_half += half * float(w @ _fourier_abs_sq(eta, t, ft, dt))
     # Tails: |f^(eta)|^2/eta <= C*eta near 0; superpolynomial decay above.
     near = _fourier_abs_sq(np.array([_ETA_MIN]), t, ft, dt)[0] / _ETA_MIN
     tail_low = near * _ETA_MIN  # integrand decreases ~linearly to 0 below it

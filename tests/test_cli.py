@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import quasilab
 from quasilab import errors, experiments
-from quasilab.analysis import contact_delta, kink_p
+from quasilab.analysis import INF_P, contact_delta, kink_p, parse_number
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
@@ -100,6 +102,37 @@ class TestRun:
         cfg = write_cfg(tmp_path, CONTACT_CFG)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+
+    def test_decimal_over_integer_coefficient_runs(self, tmp_path):
+        # 1.5/2 is exact 3/4; the coefficient grammar used to pass it to
+        # Fraction(), whose ValueError escaped with exit 1.
+        cfg = write_cfg(tmp_path, CONTACT_CFG + (
+            "\n[symbols]\np1 = x1 - 1.5/2*x2^2 - x3^2\n"
+            "p2 = x1 - 2*x2^2 - x3^2 - x3^4\n"))
+        assert parse_config(cfg).values["p1"].coeffs[(0, 2, 0)] == Fraction(-3, 4)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_parse_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(v):
+            raise RuntimeError("rule bug")
+        monkeypatch.setitem(KINDS, "delta-curves",
+                            dataclasses.replace(KINDS["delta-curves"],
+                                                rules=(broken,)))
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, DELTA_CFG)
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: rule bug" in err
+        assert not out.exists()
+
+    def test_p_list_reads_powers_fractions_and_inf(self, tmp_path):
+        text = (CONFIG_DIR / "sharp_smallp_n2.cfg").read_text()
+        assert "\np_list = 2, 4, 6\n" in text
+        cfg = parse_config(write_cfg(tmp_path, text.replace(
+            "\np_list = 2, 4, 6\n", "\np_list = 2^3, 16/3, Inf\n")))
+        ps = cfg.values["p_list"]
+        assert ps == [8, Fraction(16, 3), INF_P] and ps[2] is INF_P
+        assert type(ps[0]) is Fraction
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, DELTA_CFG)
@@ -667,30 +700,123 @@ _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                      database=None)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Config number text: anything from the grammar's characters, and the three
-# forms _num knows with float operands.
+# forms the grammar knows with float operands.
 _NUMBER_TEXT = st.one_of(
     st.text(alphabet="0123456789.-+e^/inf ", max_size=12),
     st.builds(repr, _FINITE),
     st.builds(lambda a, b, op: f"{a!r}{op}{b!r}", _FINITE, _FINITE,
               st.sampled_from("^/")))
+# Integers a float holds exactly, so a/b of them is rounded once by both
+# grammars.
+_EXACT_INT = st.integers(-2 ** 53, 2 ** 53)
+
+
+def float_grammar(text: str) -> float:
+    """The float grammar configs were read with before parse_number, kept as
+    its oracle: each form evaluated in float arithmetic, so a decimal over a
+    decimal or a power of a base other than 2 may round twice."""
+    text = text.strip()
+    if text in ("inf", "oo"):
+        return math.inf
+    try:
+        if "^" in text:
+            base, exp = text.split("^")
+            value = float(base) ** float(exp)
+            if isinstance(value, complex):   # negative base, fractional power
+                raise ValueError(text)
+            return value
+        if "/" in text:
+            num, den = text.split("/")
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"malformed number {text!r}") from None
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 class TestNumberProperties:
     @_PROPERTY
     @given(text=_NUMBER_TEXT)
     def test_accepted_numbers_are_real_floats(self, text):
+        # Exact rationals, or floats where no Fraction holds the value:
+        # never complex.
         try:
-            value = experiments._num(text)
-        except ConfigError:
+            value = parse_number(text)
+        except (ValueError, ArithmeticError):
             return
-        assert type(value) is float
+        assert type(value) in (Fraction, float)
 
     @_PROPERTY
     @given(base=st.floats(max_value=-1e-300, allow_infinity=False),
            exp=_FINITE.filter(lambda b: b != int(b)))
     def test_negative_base_fractional_power_rejected(self, base, exp):
-        with pytest.raises(ConfigError, match="malformed number"):
-            experiments._num(f"{base!r}^{exp!r}")
+        # A ValueError, or an OverflowError where the complex power overflows.
+        with pytest.raises((ValueError, ArithmeticError)):
+            parse_number(f"{base!r}^{exp!r}")
+
+    @_PROPERTY
+    @given(text=_NUMBER_TEXT)
+    def test_accepts_what_the_float_grammar_accepts(self, text):
+        try:
+            float_grammar(text)
+            expected = True
+        except ConfigError:
+            expected = False
+        try:
+            parse_number(text)
+            accepted = True
+        except (ValueError, ArithmeticError):
+            accepted = False
+        assert accepted == expected
+
+    @_PROPERTY
+    @given(text=st.one_of(
+        st.builds(repr, st.floats()),
+        st.builds(lambda a, b: f"{a}/{b}", _EXACT_INT, _EXACT_INT),
+        st.builds(lambda e: f"2^{e}", st.integers(-1200, 1200))))
+    def test_floats_equal_the_float_grammar(self, text):
+        # On repr(float), int/int and 2^int texts (every number the shipped
+        # and bench configs write) float arithmetic rounds once, so the two
+        # grammars give the same bits.
+        try:
+            expected = float_grammar(text)
+        except ConfigError:
+            with pytest.raises((ValueError, ArithmeticError)):
+                parse_number(text)
+            return
+        assert _bits(float(parse_number(text))) == _bits(expected)
+
+    @pytest.mark.parametrize("text, value", [
+        ("2^3", Fraction(8)), ("16/3", Fraction(16, 3)), ("1.5/2", Fraction(3, 4)),
+        ("1e-3", Fraction(1, 1000)), ("2^-8", Fraction(1, 256)),
+        ("4^0.5", Fraction(2)), ("0.25^-1.5", Fraction(8)), ("-2^3", Fraction(-8)),
+        ("0e999999999", Fraction(0)), ("1^1e300", Fraction(1))])
+    def test_exact_values(self, text, value):
+        assert type(parse_number(text)) is Fraction
+        assert parse_number(text) == value
+
+    @pytest.mark.parametrize("text, value", [
+        ("2^0.5", math.sqrt(2)), ("1e-400", 0.0), ("2^-1075", 0.0),
+        ("-0", -0.0), ("Inf", math.inf), ("oo", math.inf), ("-inf", -math.inf)])
+    def test_float_values(self, text, value):
+        got = parse_number(text)
+        assert type(got) is float and _bits(got) == _bits(value)
+
+    # Each would build an exact power of 10^300 or 10^99999999 digits, or of
+    # 3.4e10 bits for 1.0000000001^1e9, if the float did not come first.
+    @pytest.mark.parametrize("text", [
+        "2^-1e300", "1e300^1e300", "10^99999999", "0.5^1e300",
+        "1.0000000001^1e9", "1e-999999999", "0e999999999", "1e999999999/3"])
+    def test_hostile_text_returns_within_a_second(self, text):
+        start = time.monotonic()
+        try:
+            parse_number(text)
+        except (ValueError, ArithmeticError):
+            pass
+        assert time.monotonic() - start < 1.0
 
 
 # Start-up as one CLI run sees it: the scipy modules loaded after the import,
@@ -743,6 +869,20 @@ class TestOtherVerbs:
                      "--k", "1"]) == EXIT_OK
         assert "1/2" in capsys.readouterr().out
 
+    def test_delta_power_p_prints_as_integer_p(self, capsys):
+        outs = []
+        for p in ("2^3", "8"):
+            assert main(["delta", "--family", "contact", "--n", "3", "--p", p,
+                         "--k", "1"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("delta = ")
+
+    @pytest.mark.parametrize("p", ["2^0.5", "nan", "-inf", "1/0", "10^400"])
+    def test_delta_rejects_unreadable_p(self, capsys, p):
+        assert main(["delta", "--family", "contact", "--n", "3", f"--p={p}",
+                     "--k", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_delta_rejects_bad_p(self, capsys):
         assert main(["delta", "--family", "contact", "--n", "3", "--p", "1",
                      "--k", "1"]) == EXIT_CONFIG
@@ -756,6 +896,14 @@ class TestOtherVerbs:
         out = capsys.readouterr().out
         assert "uniform: False" in out
         assert "[1, 3]" in out
+
+    def test_contact_verb_decimal_over_integer(self, tmp_path, capsys):
+        p1 = tmp_path / "p1.txt"
+        p2 = tmp_path / "p2.txt"
+        p1.write_text("x1 - 1.5/2*x2^2\n")
+        p2.write_text("x1 - x2^2 - x2^4\n")
+        assert main(["contact", "--p1", str(p1), "--p2", str(p2)]) == EXIT_OK
+        assert "a1 = 3/4*x1^2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_contact_rejects_nonpositive_directions(self, tmp_path, capsys,

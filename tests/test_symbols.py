@@ -46,6 +46,16 @@ class TestParseFormat:
         p = parse_symbol("0.5*x1", dim=1)
         assert p.coeffs[(1,)] == F(1, 2)
 
+    def test_coefficients_in_the_number_grammar(self):
+        p = parse_symbol("0.75/2*x1 - 1e-3*x2^2 + 2^-3", dim=2)
+        assert p.coeffs == {(1, 0): F(3, 8), (0, 2): F(-1, 1000),
+                            (0, 0): F(1, 8)}
+
+    @pytest.mark.parametrize("factor", ["inf", "nan", "2^0.5", "1/0", "x0"])
+    def test_non_rational_factor_rejected(self, factor):
+        with pytest.raises(SymbolParseError, match="x1..xn or a finite rational"):
+            parse_symbol(f"x1 - {factor}*x2", dim=2)
+
     def test_dim_inference(self):
         assert parse_symbol("x3").dim == 3
 
