@@ -22,8 +22,7 @@ from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
                         Quasimode, build_cutoff, support_volume,
                         verify_joint_quasimode)
 from .symbols import (INFINITE, ContactReport, GraphForm, PolySymbol,
-                      mixed_partials_check, contact_order, contact_profile,
-                      curvature_check, format_symbol, graph_factor,
-                      parse_symbol)
+                      mixed_partials_check, contact_profile, curvature_check,
+                      format_symbol, graph_factor, parse_symbol)
 
 __version__ = "0.1.0"

@@ -51,8 +51,6 @@ def fmt(x) -> str:
         return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if x is INF_P or (isinstance(x, float) and math.isinf(x)):
-        return "inf"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, Fraction):
@@ -425,14 +423,22 @@ def run_contact_profile(v: dict):
     return verdicts, ("direction", "order", "leading_coefficient"), rows
 
 
-def _sweep_point(spec, h, ps, v):
+def _band(name: str, column, band: float) -> Verdict:
+    """A column's spread, max/min, against band."""
+    spread = max(column) / min(column)
+    return Verdict(name, spread, 1.0, band, spread <= band)
+
+
+def _sweep_point(spec, h, gamma, ps, v) -> list:
+    """One sweep.csv row: h, volume, volume_ratio, peak, t0_rel_err,
+    joint_ratio_max and the norm at each p of ps."""
     cut = build_cutoff(spec, h)
     qm = Quasimode(cut, h)
-    vol = support_volume(cut)
+    vol, peak = support_volume(cut), qm.peak()
     origin = np.zeros((1, cut.dim))
-    t0_err = abs(abs(qm.values(origin)[0]) - qm.peak()) / qm.peak()
-    ratios = verify_joint_quasimode(qm, v["joint_orders"])
-    norms = {}
+    t0_err = abs(abs(qm.values(origin)[0]) - peak) / peak
+    row = [h, vol, vol / h ** gamma, peak, t0_err,
+           float(verify_joint_quasimode(qm, v["joint_orders"]).max())]
     if ps:
         exts = [cut.extent(i) for i in range(cut.dim)]
         axes = oscillation_axes(exts, h, v["margin"], v["points_per_scale"])
@@ -440,58 +446,39 @@ def _sweep_point(spec, h, ps, v):
         sums = BlockNorms([a.points for a in axes], cell_volume(axes),
                           [p for p in ps if p != 2])
         qm.on_axes(axes, sums.add)
-        norms = dict.fromkeys(ps, 1.0)
-        norms.update((m.p, m.value) for m in sums.norms())
-    return {"h": h, "volume": vol, "peak": qm.peak(), "t0_err": t0_err,
-            "ratios": ratios, "norms": norms}
+        norms = {m.p: m.value for m in sums.norms()}
+        row += [norms.get(p, 1.0) for p in ps]
+    return row
 
 
 def run_sharpness(v: dict):
-    fam, n, k, hs = v["family"], v["n"], v["k"], v["h_sweep"]
+    fam, n, k = v["family"], v["n"], v["k"]
     spec = fam.cutoff(n, k, v["cells_per_band"])
     ps = [] if v["peak_only"] else v["p_list"]
-    results = [_sweep_point(spec, h, ps, v) for h in hs]
-
     gamma = fam.gamma(n, k)
     header = ["h", "volume", "volume_ratio", "peak", "t0_rel_err",
-              "joint_ratio_max"]
-    header += [f"norm_p{p if p is not INF_P else 'inf'}" for p in ps]
-    rows = []
-    for r in results:
-        row = [r["h"], r["volume"], r["volume"] / r["h"] ** gamma, r["peak"],
-               r["t0_err"], float(r["ratios"].max())]
-        row += [r["norms"][p] for p in ps]
-        rows.append(row)
+              "joint_ratio_max"] + [f"norm_p{fmt(p)}" for p in ps]
+    rows = [_sweep_point(spec, h, gamma, ps, v) for h in v["h_sweep"]]
+    hs, vols, vol_ratios, peaks, t0_errs, joint, *norms = zip(*rows)
 
-    verdicts = []
-    vr = [r["volume"] / r["h"] ** gamma for r in results]
-    band = v["volume_band"]
-    verdicts.append(Verdict("volume-band", max(vr) / min(vr), 1.0, band,
-                            max(vr) / min(vr) <= band))
-    worst_t0 = max(r["t0_err"] for r in results)
-    verdicts.append(Verdict("peak-identity", worst_t0, 0.0, 1e-10,
-                            worst_t0 <= 1e-10))
-    worst_ratio = max(float(r["ratios"].max()) for r in results)
-    slack = v["joint_slack"]
-    verdicts.append(Verdict("joint-quasimode-ratio", worst_ratio, 1.0,
-                            slack, worst_ratio <= 1.0 + slack))
-    vols = [r["volume"] for r in results]
+    worst_t0, worst_joint, slack = max(t0_errs), max(joint), v["joint_slack"]
     monotone = all(b < a for a, b in zip(vols, vols[1:]))
-    verdicts.append(Verdict("volume-monotone", float(monotone), 1.0, 0.0,
-                            monotone))
-    slope_tol = v["slope"]
-    if v["peak_only"]:
-        predicted = gamma / 2.0 - len(spec.box) / 2.0
-        rep = fit_scaling(hs, [r["peak"] for r in results], predicted, slope_tol)
-        verdicts.append(Verdict("peak-slope", rep.slope, rep.predicted,
-                                rep.tolerance, rep.passed))
-    for p in ps:
-        predicted = fam.slope(n, k, p)
-        tol = v["slope_p2"] if p == 2 else slope_tol
-        rep = fit_scaling(hs, [r["norms"][p] for r in results], predicted, tol)
-        verdicts.append(Verdict(
-            f"lp-slope-p{p if p is not INF_P else 'inf'}",
-            rep.slope, rep.predicted, rep.tolerance, rep.passed))
+    verdicts = [
+        _band("volume-band", vol_ratios, v["volume_band"]),
+        Verdict("peak-identity", worst_t0, 0.0, 1e-10, worst_t0 <= 1e-10),
+        Verdict("joint-quasimode-ratio", worst_joint, 1.0, slack,
+                worst_joint <= 1.0 + slack),
+        Verdict("volume-monotone", float(monotone), 1.0, 0.0, monotone),
+    ]
+    fits = [("peak-slope", peaks, gamma / 2.0 - len(spec.box) / 2.0,
+             v["slope"])] if v["peak_only"] else []
+    fits += [(f"lp-slope-p{fmt(p)}", column, fam.slope(n, k, p),
+              v["slope_p2"] if p == 2 else v["slope"])
+             for p, column in zip(ps, norms)]
+    for name, column, predicted, tol in fits:
+        rep = fit_scaling(hs, column, predicted, tol)
+        verdicts.append(Verdict(name, rep.slope, rep.predicted, rep.tolerance,
+                                rep.passed))
     return verdicts, header, rows
 
 
@@ -502,18 +489,19 @@ def run_wavelet_diagnostic(v: dict):
     # No reference is kept here: the field is freed once it is windowed.
     diag = decay_diagnostic(Quasimode(cut, h).on_axes(axes),
                             make_mother_wavelet(), v["m_order"], k)
+    bound = 2.0 ** (-(k + 1))
+    worst = max((r for _, r in diag.j_ratios), default=0.0)
     verdicts = [
         Verdict("small-a-exponent", diag.small_a_slope, 1.5,
                 v["small_a_min"], diag.small_a_slope >= v["small_a_min"]),
         Verdict("large-a-exponent", diag.large_a_slope, 0.0,
                 v["large_a_abs"], abs(diag.large_a_slope) <= v["large_a_abs"]),
+        Verdict("j-decay-ratio", worst, bound, 0.0, worst <= bound),
     ]
-    bound = 2.0 ** (-(k + 1))
-    worst = max((r for _, r in diag.j_ratios), default=0.0)
-    verdicts.append(Verdict("j-decay-ratio", worst, bound, 0.0,
-                            worst <= bound))
-    return (verdicts, ("a", "j", "value", "predicted_bound"),
-            [(r.a, r.j, r.value, r.bound) for r in diag.rows])
+    rows = [(a, j, value, envelope)
+            for a, values, envelopes in zip(diag.a_grid, diag.mass, diag.bound)
+            for j, (value, envelope) in enumerate(zip(values, envelopes))]
+    return verdicts, ("a", "j", "value", "predicted_bound"), rows
 
 
 def run_vdc(v: dict):
@@ -549,26 +537,22 @@ def run_ttstar(v: dict):
     def kernel(h, sep):   # windows at x1 = sep/2 and z1 = -sep/2
         return ttstar_kernel(a1, w, a, j, h, k, x1=sep / 2, z1=-sep / 2,
                              xbar=[0.0] * nbar, zbar=[0.0] * nbar)
-    rows, vdc_ratios, triv_ratios = [], [], []
+    rows = []
     for h in hs:
-        kv = kernel(h, sep_vdc)
-        r_vdc = abs(kv.value) * h ** (nbar / 2) * sep_vdc ** (nbar / 2) / a
-        kv2 = kernel(h, h)
-        r_triv = abs(kv2.value) / (
-            a * h ** (-nbar * (1 - 1 / (k + 1))) * 2.0 ** (j * nbar))
-        trivial_ok = abs(kv2.value) <= kv2.trivial_bound * (1 + 1e-9)
-        rows.append((h, sep_vdc, abs(kv.value), r_vdc, abs(kv2.value), r_triv,
-                     trivial_ok))
-        vdc_ratios.append(r_vdc)
-        triv_ratios.append(r_triv)
-    band = v["band"]
+        mag_vdc = abs(kernel(h, sep_vdc).value)
+        triv = kernel(h, h)
+        mag_triv = abs(triv.value)
+        rows.append((
+            h, sep_vdc, mag_vdc,
+            mag_vdc * h ** (nbar / 2) * sep_vdc ** (nbar / 2) / a, mag_triv,
+            mag_triv / (a * h ** (-nbar * (1 - 1 / (k + 1))) * 2.0 ** (j * nbar)),
+            mag_triv <= triv.trivial_bound * (1 + 1e-9)))
+    *_, ratio_vdc, _, ratio_trivial, bound_ok = zip(*rows)
     verdicts = [
-        Verdict("vdc-regime-band", max(vdc_ratios) / min(vdc_ratios), 1.0,
-                band, max(vdc_ratios) / min(vdc_ratios) <= band),
-        Verdict("trivial-regime-band", max(triv_ratios) / min(triv_ratios),
-                1.0, band, max(triv_ratios) / min(triv_ratios) <= band),
-        Verdict("trivial-bound-holds", float(all(r[-1] for r in rows)), 1.0,
-                0.0, all(r[-1] for r in rows)),
+        _band("vdc-regime-band", ratio_vdc, v["band"]),
+        _band("trivial-regime-band", ratio_trivial, v["band"]),
+        Verdict("trivial-bound-holds", float(all(bound_ok)), 1.0, 0.0,
+                all(bound_ok)),
     ]
     # Disjoint-window kernel must vanish identically.
     kv0 = kernel(hs[0], 5 * a)

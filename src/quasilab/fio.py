@@ -93,9 +93,7 @@ def _flatten(op: FlatteningOp, u: GridField) -> tuple[GridField, np.ndarray]:
 
 def egorov_symbol(a1: PolySymbol, a2: PolySymbol) -> PolySymbol:
     """Transported second observable: exactly a1 - a2 for trivial flow."""
-    if a1.dim != a2.dim:
-        raise DimensionMismatchError("a1 and a2 must share a dimension")
-    return a1 - a2
+    return a1 - a2   # a DimensionMismatchError unless the dims agree
 
 
 def aligned_position_axes(cutoff, x1_half_width: float,

@@ -339,21 +339,14 @@ class ContactReport:
     leading_coefficient: Fraction | None
 
 
-def contact_order(a1: PolySymbol, a2: PolySymbol, direction,
-                  max_order: int = 32) -> ContactReport:
-    """Contact order of the graphs of a1, a2 along a line through 0.
+def _contact_order(diff: PolySymbol, direction, max_order: int) -> ContactReport:
+    """Contact order of two graphs, given by their difference a1 - a2,
+    along a line through 0.
 
     The direction may be any nonzero rational vector; the order is invariant
     under rescaling, so unit normalization is unnecessary (and would leave
     the rationals).
     """
-    if a1.dim != a2.dim:
-        raise DimensionMismatchError("a1 and a2 must share a dimension")
-    return _contact_order(a1 - a2, direction, max_order)
-
-
-def _contact_order(diff: PolySymbol, direction, max_order: int) -> ContactReport:
-    """contact_order from the difference a1 - a2 of the two graphs."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if len(direction) != diff.dim or not any(Fraction(x) for x in direction):
@@ -475,11 +468,9 @@ def mixed_partials_check(a1: PolySymbol, a2: PolySymbol, k: int) -> MixedPartial
     Exact: d^alpha p(0) = alpha! * coeff_alpha, so the scan inspects the
     low-degree monomials directly.
     """
-    if a1.dim != a2.dim:
-        raise DimensionMismatchError("a1 and a2 must share a dimension")
+    diff = a1 - a2   # a DimensionMismatchError unless the dims agree
     if k < 0:
         raise ValueError("k must be >= 0")
-    diff = a1 - a2
     offending = tuple(sorted(m for m in diff.coeffs if sum(m) <= k))
     return MixedPartialReport(not offending, offending)
 

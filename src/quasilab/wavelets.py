@@ -329,16 +329,10 @@ def dyadic_cutoffs(h: float, k: int) -> DyadicFamily:
 # -- flat-model decay diagnostics ------------------------------------------------------
 
 @dataclass(frozen=True)
-class DecayRow:
-    a: float
-    j: int
-    value: float        # N(a, j)
-    bound: float        # decay-law envelope at M = 1 (relative units)
-
-
-@dataclass(frozen=True)
 class DecayDiagnostic:
-    rows: tuple[DecayRow, ...]
+    a_grid: np.ndarray       # the scales a: one row of mass and bound each
+    mass: np.ndarray         # N(a, j), one column per level j
+    bound: np.ndarray        # decay-law envelope at M = 1 (relative units)
     small_a_slope: float     # fitted log N / log a over a <= 1, j = 0
     large_a_slope: float     # same over a >= 1
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
@@ -401,22 +395,15 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
                for j in range(family.levels + 1)]
     powers = _scale_powers(v, w)
     del v   # the generator holds the field only until it is windowed
-    table: dict[tuple[int, int], float] = {}
-    for ai, (db, power) in enumerate(powers):
-        for j, weight in enumerate(weights):
-            mass = float(np.sum(weight * power) * db * cellvol)
-            table[(ai, j)] = math.sqrt(max(mass, 0.0))
-
-    rows = []
-    for ai, a in enumerate(a_vals):
-        for j in range(family.levels + 1):
-            envelope = (min(a, 1.0) ** 1.5) * 2.0 ** (-j * (k + 1) * m_order)
-            rows.append(DecayRow(float(a), j, table[(ai, j)], envelope))
+    mass = np.array([[np.sum(weight * power) * db * cellvol
+                      for weight in weights] for db, power in powers])
+    mass = np.sqrt(np.maximum(mass, 0.0))
+    bound = np.array([[min(a, 1.0) ** 1.5 * 2.0 ** (-j * (k + 1) * m_order)
+                       for j in range(family.levels + 1)] for a in a_vals])
 
     def fit(mask) -> float:
         xs = np.log(a_vals[mask])
-        ys = np.log(np.maximum([table[(ai, 0)] for ai in np.nonzero(mask)[0]],
-                               1e-300))
+        ys = np.log(np.maximum(mass[mask, 0], 1e-300))
         return float(np.polyfit(xs, ys, 1)[0])
 
     # Each asymptotic exponent is measured in the outer octaves of its
@@ -427,13 +414,7 @@ def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
     hi_cut = float(a_vals.max()) / 8.0
     small = fit(a_vals <= min(lo_cut, 1.0) + 1e-12)
     large = fit(a_vals >= max(hi_cut, 1.0) - 1e-12)
-    ratios = []
-    for j in range(1, family.levels):
-        worst = 0.0
-        for ai in range(len(a_vals)):
-            lo = table[(ai, j)]
-            hi = table[(ai, j + 1)]
-            if lo > 0:
-                worst = max(worst, hi / lo)
-        ratios.append((j, worst))
-    return DecayDiagnostic(tuple(rows), small, large, tuple(ratios))
+    ratios = tuple((j, max([0.0] + [hi / lo for lo, hi in
+                                    mass[:, j:j + 2].tolist() if lo > 0]))
+                   for j in range(1, family.levels))
+    return DecayDiagnostic(a_vals, mass, bound, small, large, ratios)

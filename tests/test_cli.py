@@ -16,12 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasilab
 from quasilab import errors, experiments
-from quasilab.analysis import INF_P, contact_delta, kink_p, parse_number
+from quasilab.analysis import (INF_P, contact_delta, fit_scaling, kink_p,
+                               parse_number)
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
@@ -798,6 +800,10 @@ class TestNumberProperties:
         assert type(parse_number(text)) is Fraction
         assert parse_number(text) == value
 
+    def test_fmt_keeps_the_sign_of_infinity(self):
+        assert experiments.fmt(-math.inf) == "-inf"
+        assert experiments.fmt(INF_P) == "inf"
+
     @pytest.mark.parametrize("text, value", [
         ("2^0.5", math.sqrt(2)), ("1e-400", 0.0), ("2^-1075", 0.0),
         ("-0", -0.0), ("Inf", math.inf), ("oo", math.inf), ("-inf", -math.inf)])
@@ -982,6 +988,75 @@ class TestShippedConfigs:
         text = CONTACT_CFG + "\n[symbols]\np1 = x1 +\np2 = x1\n"
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, text))
+
+
+def _columns(path: Path) -> dict[str, list]:
+    """A CSV table's columns, each cell a flag or a float (17 significant
+    digits give back the double that was written)."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    flags = {"true": True, "false": False}
+    return {name: [flags[c] if c in flags else float(c) for c in column]
+            for name, column in zip(header, zip(*rows))}
+
+
+def _spread(column) -> float:
+    return max(column) / min(column)
+
+
+def _sweep_measured(c: dict) -> dict:
+    vols = c["volume"]
+    fits = {f"lp-slope-p{name[len('norm_p'):]}": column
+            for name, column in c.items() if name.startswith("norm_p")}
+    fits["peak-slope"] = c["peak"]
+    return {"volume-band": _spread(c["volume_ratio"]),
+            "peak-identity": max(c["t0_rel_err"]),
+            "joint-quasimode-ratio": max(c["joint_ratio_max"]),
+            "volume-monotone": float(all(b < a for a, b in zip(vols, vols[1:]))),
+            **{name: fit_scaling(c["h"], column, 0.0, 0.0).slope
+               for name, column in fits.items()}}
+
+
+def _ttstar_measured(c: dict) -> dict:
+    return {"vdc-regime-band": _spread(c["ratio_vdc"]),
+            "trivial-regime-band": _spread(c["ratio_trivial"]),
+            "trivial-bound-holds": float(all(c["trivial_bound_ok"]))}
+
+
+def _wavelet_measured(c: dict) -> dict:
+    levels = int(max(c["j"])) + 1
+    a = np.array(c["a"][::levels])
+    mass = np.reshape(c["value"], (len(a), levels))
+
+    def slope(mask):   # log N(a, 0) against log a
+        return float(np.polyfit(np.log(a[mask]),
+                                np.log(np.maximum(mass[mask, 0], 1e-300)), 1)[0])
+    return {"small-a-exponent": slope(a <= min(a.min() * 8, 1.0) + 1e-12),
+            "large-a-exponent": slope(a >= max(a.max() / 8, 1.0) - 1e-12),
+            "j-decay-ratio": max((row[j + 1] / row[j] for row in mass.tolist()
+                                  for j in range(1, levels - 1) if row[j] > 0),
+                                 default=0.0)}
+
+
+class TestReportsMatchTables:
+    # Each verdict's measured value, re-derived from the columns of the CSV
+    # the run wrote, has report.json's text; the disjoint-window kernel is
+    # the one verdict that reads no column.
+    DERIVE = {"sharpness-sweep": _sweep_measured,
+              "ttstar-kernel": _ttstar_measured,
+              "wavelet-diagnostic": _wavelet_measured}
+
+    @pytest.mark.parametrize("config", [
+        "sharp_smallp_n2", "peak_valley_n3", "ttstar_n2", "wavelet_flat_n2_k3"])
+    def test_measured_values_reduce_the_table(self, tmp_path, config):
+        cfg = parse_config(CONFIG_DIR / f"{config}.cfg")
+        run_experiment(cfg, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        derived = self.DERIVE[cfg.kind](
+            _columns(tmp_path / f"{KINDS[cfg.kind].table}.csv"))
+        measured = {v["name"]: v["measured"] for v in report["verdicts"]}
+        measured.pop("disjoint-window-zero", None)
+        assert measured == {name: experiments.fmt(derived[name])
+                            for name in measured}
 
 
 def _mutations(section: str, values: Callable[[str], list[str]]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quasilab import families
+from quasilab.errors import DimensionMismatchError
 from quasilab.fio import (FlatteningOp, aligned_position_axes, apply_W,
                           egorov_symbol, flattening_reports, hd_x1,
                           transform_quasimode)
@@ -183,6 +184,10 @@ class TestEgorov:
     def test_equal_graphs(self):
         a = _a1(3, 1)
         assert egorov_symbol(a, a).is_zero()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            egorov_symbol(_a1(2, 1), _a1(3, 1))
 
     def test_valley_pair(self):
         q1, q2 = families.valley_pair()

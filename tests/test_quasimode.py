@@ -559,7 +559,7 @@ class TestProductSynthesis:
         v = {"joint_orders": 3, "margin": 4, "points_per_scale": 8}
         tracemalloc.start()
         try:
-            point = experiments._sweep_point(spec, h, ps, v)
+            row = experiments._sweep_point(spec, h, 0.0, ps, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -568,8 +568,8 @@ class TestProductSynthesis:
         g = Quasimode(cut, h).on_axes(
             oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8))
         masks = shell_mask(g.data.shape), shell_mask(g.data.shape, 1)
-        assert point["norms"] == {
-            p: lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps}
+        assert row[6:] == [
+            lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps]
 
     def test_each_fold_input_released(self):
         # The n = 4 sweep's field on 32^4: while a fold runs, its input and

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 from quasilab import families
 from quasilab.errors import DimensionMismatchError, SymbolParseError
 from quasilab.symbols import (INFINITE, PolySymbol, mixed_partials_check,
-                              contact_order, contact_profile, curvature_check,
-                              format_symbol, graph_factor, parse_symbol,
-                              sample_directions)
+                              contact_profile, curvature_check, format_symbol,
+                              graph_factor, parse_symbol, sample_directions)
 
 F = Fraction
 
@@ -163,35 +162,36 @@ class TestContactOrder:
     def test_uniform_pair_any_direction(self):
         p1, p2 = families.paraboloid_pair(3, 3)
         for v in ((1, 0), (0, 1), (F(3, 5), F(-4, 5)), (2, 7)):
-            rep = contact_order(bar(p1), bar(p2), v)
+            rep = contact_profile(bar(p1), bar(p2), [v]).reports[0]
             assert rep.order == 3
 
     def test_axis_pair_split_orders(self):
         p1, p2 = families.axis_contact_pair(3)
-        assert contact_order(bar(p1), bar(p2), (0, 1)).order == 3
-        assert contact_order(bar(p1), bar(p2), (1, 0)).order == 1
+        a1, a2 = bar(p1), bar(p2)
+        assert contact_profile(a1, a2, [(0, 1)]).reports[0].order == 3
+        assert contact_profile(a1, a2, [(1, 0)]).reports[0].order == 1
 
     def test_identical_graphs_infinite(self):
         a = families.bar_norm_sq(3)
         a = graph_factor(families.paraboloid_pair(3, 1)[0]).a
-        rep = contact_order(a, a, (1, 1))
+        rep = contact_profile(a, a, [(1, 1)]).reports[0]
         assert math.isinf(rep.order) and rep.leading_coefficient is None
 
     def test_zero_direction_rejected(self):
         a = bar(families.paraboloid_pair(3, 1)[0])
         with pytest.raises(ValueError):
-            contact_order(a, a, (0, 0))
+            contact_profile(a, a, [(0, 0)]).reports[0]
 
     def test_no_contact_rejected(self):
         a1 = PolySymbol.constant(1, 2)
         a2 = PolySymbol.zero(2)
         with pytest.raises(ValueError):
-            contact_order(a1, a2, (1, 0))
+            contact_profile(a1, a2, [(1, 0)]).reports[0]
 
     def test_leading_coefficient_value(self):
         # Along (1, 2): |t(1,2)|^4 = 25 t^4, so the t^4 coefficient is 25.
         p1, p2 = families.paraboloid_pair(3, 3)
-        rep = contact_order(bar(p1), bar(p2), (1, 2))
+        rep = contact_profile(bar(p1), bar(p2), [(1, 2)]).reports[0]
         assert rep.leading_coefficient == 25
 
     def test_symmetry_property(self):
@@ -201,8 +201,8 @@ class TestContactOrder:
             v = tuple(F(rng.randint(-4, 4)) for _ in range(a1.dim))
             if not any(v):
                 v = (F(1),) * a1.dim
-            r12 = contact_order(a1, a2, v)
-            r21 = contact_order(a2, a1, v)
+            r12 = contact_profile(a1, a2, [v]).reports[0]
+            r21 = contact_profile(a2, a1, [v]).reports[0]
             assert r12.order == r21.order
             if r12.leading_coefficient is not None:
                 assert r12.leading_coefficient == -r21.leading_coefficient
@@ -215,8 +215,8 @@ class TestContactOrder:
             v = tuple(F(rng.randint(-3, 3)) for _ in range(a1.dim))
             if not any(v):
                 continue
-            r = contact_order(a1, a2, v)
-            r_scaled = contact_order(a1 * lam, a2 * lam, v)
+            r = contact_profile(a1, a2, [v]).reports[0]
+            r_scaled = contact_profile(a1 * lam, a2 * lam, [v]).reports[0]
             assert r.order == r_scaled.order
 
 
@@ -261,6 +261,10 @@ class TestMixedPartials:
         p1, p2 = families.paraboloid_pair(3, 3)
         assert mixed_partials_check(bar(p1), bar(p2), 3).ok
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            mixed_partials_check(PolySymbol.zero(1), PolySymbol.zero(2), 1)
+
     def test_uniform_pair_false_past_k(self):
         p1, p2 = families.paraboloid_pair(3, 3)
         rep = mixed_partials_check(bar(p1), bar(p2), 4)
@@ -283,8 +287,8 @@ class TestMixedPartials:
             if diff.is_zero() or diff.coeffs.get((0,) * diff.dim):
                 continue
             dirs = dirs2 if dim == 2 else dirs3
-            orders = [contact_order(a1, a2, v, max_order=16).order
-                      for v in dirs]
+            orders = [contact_profile(a1, a2, [v], max_order=16).reports[0]
+                      .order for v in dirs]
             min_finite = min((o for o in orders if not math.isinf(o)),
                              default=math.inf)
             for k in range(0, 7):
