@@ -1,11 +1,11 @@
 """quasilab: measure the Lp growth of joint-quasimode extremizers.
 
-Core surfaces: exact symbol/contact algebra (symbols), semiclassical grids
-and transforms (grids), sharp cutoffs and their synthesis (quasimode,
-families), the flattening conjugation (fio), wavelet diagnostics
-(wavelets), oscillatory-integral checks (oscint), exponent formulas and
-slope fits (analysis), and the config-driven experiment runner
-(experiments, cli).
+Core surfaces: exact symbol/contact algebra (symbols), position-side
+grids with the semiclassical transform and its multipliers (grids), sharp
+cutoffs and their synthesis (quasimode, families), the flattening
+conjugation (fio), wavelet diagnostics (wavelets), oscillatory-integral
+checks (oscint), exponent formulas and slope fits (analysis), and the
+config-driven experiment runner (experiments, cli).
 """
 
 from .analysis import (EXPONENTS, INF_P, contact_delta, exponent,
@@ -15,9 +15,7 @@ from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError, QuasilabError,
                      RefusalError, ResolutionError, SymbolParseError,
                      TailDominanceError)
-from .grids import (FORWARD, FREQUENCY, INVERSE, POSITION, AxisSpec,
-                    GridField, apply_multiplier, direct_synthesis,
-                    semiclassical_ft)
+from .grids import AxisSpec, GridField, apply_multiplier
 from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
                         Quasimode, build_cutoff, support_volume,
                         verify_joint_quasimode)

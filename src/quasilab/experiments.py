@@ -25,7 +25,7 @@ from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
                        exponent, fit_scaling, kink_p, oscillation_axes,
                        parse_number, parse_p, sogge_delta)
 from .errors import ConfigError, QuasilabError
-from .fio import (FlatteningOp, aligned_position_axes, flattening_reports)
+from .fio import aligned_position_axes, flattening_reports
 from .grids import cell_volume
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      quadratic_phase, resonant_amplitude, power_loss,
@@ -433,7 +433,7 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
     """One sweep.csv row: h, volume, volume_ratio, peak, t0_rel_err,
     joint_ratio_max and the norm at each p of ps."""
     cut = build_cutoff(spec, h)
-    qm = Quasimode(cut, h)
+    qm = Quasimode(cut)
     vol, peak = support_volume(cut), qm.peak()
     origin = np.zeros((1, cut.dim))
     t0_err = abs(abs(qm.values(origin)[0]) - peak) / peak
@@ -487,7 +487,7 @@ def run_wavelet_diagnostic(v: dict):
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
     axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
     # No reference is kept here: the field is freed once it is windowed.
-    diag = decay_diagnostic(Quasimode(cut, h).on_axes(axes),
+    diag = decay_diagnostic(Quasimode(cut).on_axes(axes),
                             make_mother_wavelet(), v["m_order"], k)
     bound = 2.0 ** (-(k + 1))
     worst = max((r for _, r in diag.j_ratios), default=0.0)
@@ -571,8 +571,8 @@ def run_fio_check(v: dict):
     for h in v["h_sweep"]:
         cut = build_cutoff(spec, h)
         axes = aligned_position_axes(cut, v["x1_half_width"], h / 8.0)
-        u = Quasimode(cut, h).on_axes(axes)
-        for rep in flattening_reports(FlatteningOp(a1, h), u, orders):
+        u = Quasimode(cut).on_axes(axes)
+        for rep in flattening_reports(a1, u, orders):
             rows.append((h, rep.order, rep.ratio, rep.slack,
                          rep.identity_residual, rep.identity_bound))
             verdicts.append(Verdict(

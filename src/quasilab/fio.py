@@ -1,14 +1,14 @@
-"""Flattening operator for x-independent graph symbols, and the Egorov symbol.
+"""Flattening conjugation for x-independent graph symbols.
 
 With a1 independent of x the conjugating family is the exact frequency
 multiplier W(x1) = exp(-i*x1*a1(hD_bar)/h): it is unitary on every bar
-slice, W(0) = Id, and conjugation sends a2(hD_bar) to itself, so the
-transported observable is exactly a1 - a2 (no O(h) remainder to model).
-Applied to a quasimode u of hD_x1 - a1(hD_bar), the slice-wise transform
-v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1; the reports below verify
-that quantitatively with centered finite differences in x1.  W on one
-slice, on a whole field and a1(hD_bar) itself are all one multiplier
-applied by grids.apply_multiplier.
+slice, W(0) = Id, its adjoint is W for -a1, and conjugation sends
+a2(hD_bar) to itself, so the transported observable is exactly a1 - a2 (no
+O(h) remainder to model).  Applied to a quasimode u of hD_x1 - a1(hD_bar),
+the slice-wise transform v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1;
+the reports below verify that quantitatively with centered finite
+differences in x1.  W on a whole field and a1(hD_bar) itself are both one
+multiplier applied by grids.apply_multiplier, at the field's h.
 """
 
 from __future__ import annotations
@@ -19,81 +19,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grids import (POSITION, AxisSpec, GridField, apply_multiplier, dual_axis,
-                    node_arrays)
+from .grids import AxisSpec, GridField, apply_multiplier, dual_axis, node_arrays
 from .symbols import PolySymbol
 
 
-@dataclass(frozen=True)
-class FlatteningOp:
-    """Frequency multiplier exp(-i*x1*a1(xi_bar)/h) acting on bar slices."""
-
-    a1: PolySymbol
-    h: float
-
-
-def _w_multiplier(op: FlatteningOp, x1: float | np.ndarray,
-                  sign: float = -1.0):
-    """xi_bar -> exp(sign*i*x1*a1(xi_bar)/h): W(x1) for sign -1, its adjoint
-    for +1.
-
-    x1 is a scalar for one slice, or the x1 nodes shaped to broadcast
-    against the bar nodes; either way each slice gets the same bits.
-    """
+def _w_multiplier(a1: PolySymbol, h: float, x1: np.ndarray):
+    """xi_bar -> exp(-i*x1*a1(xi_bar)/h), with the x1 nodes shaped to
+    broadcast against the bar nodes."""
     def m(*xi: np.ndarray) -> np.ndarray:
-        avals = sign * 1j * x1 * op.a1.eval_grid(xi)
+        avals = -1j * x1 * a1.eval_grid(xi)
         # numpy divides by a real scalar as this multiply: same bits, faster.
-        avals *= 1.0 / op.h
+        avals *= 1.0 / h
         return np.exp(avals, out=avals)
     return m
 
 
-def _check_field(op: FlatteningOp, u: GridField, bar_first: int) -> None:
-    """u is a position field at op's h, whose axes from bar_first on are
-    a1's bar axes: W takes h from op, the transforms from u."""
-    if u.space != POSITION or u.h != op.h:
-        raise ValueError(f"W at h = {op.h!r} acts on POSITION fields at that h,"
-                         f" not on a {u.space} field at h = {u.h!r}")
-    if u.dim != op.a1.dim + bar_first:
+def _check_field(a1: PolySymbol, u: GridField) -> None:
+    """u's axes from 1 on are a1's bar axes."""
+    if u.dim != a1.dim + 1:
         raise DimensionMismatchError(
-            f"field dim {u.dim} != symbol dim {op.a1.dim} + {bar_first}")
+            f"field dim {u.dim} != symbol dim {a1.dim} + 1")
 
 
-def apply_W(op: FlatteningOp, u: GridField, x1: float,
-            adjoint: bool = False) -> GridField:
-    """Apply W(x1) (or its adjoint) to one position-side bar slice.
-
-    Exactly unitary, and bit for bit the x1 row of transform_quasimode.
-    """
-    _check_field(op, u, 0)
-    m = _w_multiplier(op, x1, 1.0 if adjoint else -1.0)
-    return GridField(u.h, POSITION, list(u.axes),
-                     apply_multiplier(u.data, u.axes, u.h, m))
-
-
-def transform_quasimode(op: FlatteningOp, u: GridField) -> GridField:
+def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
     """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
 
     Vectorized over slices: one bar-side multiplier with the x1 nodes
-    broadcast down axis 0.
+    broadcast down axis 0.  transform_quasimode(-a1, v) inverts it.
     """
-    return _flatten(op, u)[0]
+    return _flatten(a1, u)[0]
 
 
-def _flatten(op: FlatteningOp, u: GridField) -> tuple[GridField, np.ndarray]:
+def _flatten(a1: PolySymbol, u: GridField) -> tuple[GridField, np.ndarray]:
     """(W u, W on every (x1, xi_bar) node of u's grid): the flattening check
     reuses W's interior rows."""
-    _check_field(op, u, 1)
+    _check_field(a1, u)
     x1, = node_arrays(u.axes[:1], u.dim)
     duals = [dual_axis(ax, u.h) for ax in u.axes[1:]]
-    w_nodes = _w_multiplier(op, x1)(*node_arrays(duals, u.dim, 1))
-    return GridField(u.h, POSITION, list(u.axes), apply_multiplier(
+    w_nodes = _w_multiplier(a1, u.h, x1)(*node_arrays(duals, u.dim, 1))
+    return GridField(u.h, list(u.axes), apply_multiplier(
         u.data, u.axes[1:], u.h, lambda *xi: w_nodes, first=1)), w_nodes
-
-
-def egorov_symbol(a1: PolySymbol, a2: PolySymbol) -> PolySymbol:
-    """Transported second observable: exactly a1 - a2 for trivial flow."""
-    return a1 - a2   # a DimensionMismatchError unless the dims agree
 
 
 def aligned_position_axes(cutoff, x1_half_width: float,
@@ -150,7 +115,7 @@ class FlatteningReport:
     identity_bound: float     # self-calibrated O((dx/h)^2) allowance
 
 
-def flattening_reports(op: FlatteningOp, u: GridField,
+def flattening_reports(a1: PolySymbol, u: GridField,
                        orders: tuple[int, ...] = (1, 2)) -> list[FlatteningReport]:
     """Check ||(hD_x1)^M v|| <= h^M ||u|| + slack and the discrete intertwining.
 
@@ -165,7 +130,7 @@ def flattening_reports(op: FlatteningOp, u: GridField,
     residual needs.  v is dropped once every order's difference is taken,
     and the residual's differences and products are formed in place.
     """
-    v, w_nodes = _flatten(op, u)
+    v, w_nodes = _flatten(a1, u)
     h = u.h
     dx = u.axes[0].spacing
     cell = u.cell_volume
@@ -187,7 +152,7 @@ def flattening_reports(op: FlatteningOp, u: GridField,
         # a1(hD_bar) u is a temporary: it is gone before W is applied.
         hd_minus_a = hd_x1(u, 1)
         np.subtract(hd_minus_a, apply_multiplier(
-            u.data, bar, h, lambda *xi: op.a1.eval_grid(xi), first=1)[1:-1],
+            u.data, bar, h, lambda *xi: a1.eval_grid(xi), first=1)[1:-1],
             out=hd_minus_a)
         rhs = apply_multiplier(hd_minus_a, bar, h, lambda *xi: w_nodes[1:-1],
                                first=1)
@@ -196,7 +161,7 @@ def flattening_reports(op: FlatteningOp, u: GridField,
         del rhs
         # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
         duals = [dual_axis(ax, h) for ax in bar]
-        a_bar = op.a1.eval_grid(node_arrays(duals, len(duals)))
+        a_bar = a1.eval_grid(node_arrays(duals, len(duals)))
         amax = float(np.abs(a_bar).max())
         mid_gap = np.add(u.data[2:], u.data[:-2])
         np.multiply(0.5, mid_gap, out=mid_gap)

@@ -1,4 +1,4 @@
-"""Anisotropic grids, semiclassical Fourier transforms, and direct synthesis.
+"""Anisotropic grids, semiclassical Fourier transforms, and multipliers.
 
 Grids use a midpoint convention: an axis with N cells over
 [center-hw, center+hw] samples at the N cell centers, so a uniform weight
@@ -18,11 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-
-POSITION = "position"
-FREQUENCY = "frequency"
-FORWARD = "forward"
-INVERSE = "inverse"
 
 _TWO_PI = 2.0 * np.pi
 
@@ -79,18 +74,15 @@ def cell_volume(axes: Sequence[AxisSpec]) -> float:
 
 @dataclass
 class GridField:
-    """Complex samples over a product grid, tagged position- or frequency-side."""
+    """Complex position-side samples over a product grid."""
 
     h: float
-    space: str
     axes: list[AxisSpec]
     data: np.ndarray
 
     def __post_init__(self):
         if not 0 < self.h <= 1:
             raise ValueError("h must lie in (0, 1]")
-        if self.space not in (POSITION, FREQUENCY):
-            raise ValueError(f"unknown space tag {self.space!r}")
         shape = tuple(a.points for a in self.axes)
         if self.data.shape != shape:
             raise DimensionMismatchError(
@@ -170,28 +162,6 @@ def ft_axes(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
     return data, new_axes
 
 
-def semiclassical_ft(f: GridField, direction: str,
-                     out_axes: Sequence[AxisSpec] | None = None) -> GridField:
-    """Discrete h-scaled Fourier transform of a full field (all axes).
-
-    FORWARD requires a POSITION field and produces the FREQUENCY field on
-    the dual grid; INVERSE is the exact algebraic inverse (pass out_axes to
-    land on a specific position grid, e.g. for round trips).
-    """
-    if direction == FORWARD:
-        if f.space != POSITION:
-            raise ValueError("FORWARD transform expects a POSITION field")
-    elif direction == INVERSE:
-        if f.space != FREQUENCY:
-            raise ValueError("INVERSE transform expects a FREQUENCY field")
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    data, new_axes = ft_axes(f.data, f.axes, f.h, 0, direction == INVERSE,
-                             out_axes)
-    return GridField(f.h, FREQUENCY if direction == FORWARD else POSITION,
-                     new_axes, data)
-
-
 def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
                      m: Callable[..., np.ndarray], first: int = 0) -> np.ndarray:
     """m(hD) on data axes first, first+1, ...: the position-side samples on
@@ -206,36 +176,3 @@ def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
     np.multiply(m(*node_arrays(duals, data.ndim, first)), hat, out=hat)
     out, _ = ft_axes(hat, duals, h, first, inverse=True, out_axes=axes)
     return out
-
-
-# -- direct nonuniform synthesis ----------------------------------------------
-
-def direct_synthesis(cutoff_field: GridField, targets) -> np.ndarray:
-    """Quadrature of (2*pi*h)^(-n/2) * integral exp(i<x,xi>/h) chi(xi) dxi.
-
-    Sums over the nonzero cells of a FREQUENCY field at each target point;
-    the midpoint rule in xi keeps this the exact discrete counterpart of
-    the FFT inverse on shared nodes.  Targets are taken in fixed blocks, so
-    the reduction order is deterministic.
-    """
-    if cutoff_field.space != FREQUENCY:
-        raise ValueError("direct_synthesis expects a FREQUENCY field")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.size == 0:
-        raise ValueError("empty target list")
-    if targets.shape[1] != cutoff_field.dim:
-        raise DimensionMismatchError("targets and field disagree on dimension")
-    h = cutoff_field.h
-    idx = np.nonzero(cutoff_field.data)
-    nodes = [ax.nodes() for ax in cutoff_field.axes]
-    points = np.stack([nodes[d][idx[d]] for d in range(cutoff_field.dim)], axis=-1)
-    weights = cutoff_field.data[idx] * cutoff_field.cell_volume
-    out = np.empty(targets.shape[0], dtype=complex)
-    rows = max(1, (1 << 21) // max(len(weights), 1))
-    for lo in range(0, targets.shape[0], rows):
-        tt = targets[lo:lo + rows]
-        phase = np.zeros((tt.shape[0], len(weights)))
-        for d in range(cutoff_field.dim):
-            phase += tt[:, d:d + 1] * points[None, :, d]
-        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * weights[None, :], axis=1)
-    return (_TWO_PI * h) ** (-cutoff_field.dim / 2) * out

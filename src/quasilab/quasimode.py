@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import POSITION, AxisSpec, GridField, cell_volume, node_arrays
+from .grids import AxisSpec, GridField, cell_volume, node_arrays
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -420,7 +420,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
         if consume is not None:
             consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
     if consume is None:
-        return GridField(h, POSITION, list(axes), grid)
+        return GridField(h, list(axes), grid)
     return None
 
 
@@ -435,8 +435,12 @@ class Quasimode:
     """
 
     cutoff: CutoffField
-    h: float
     l2norm: ClassVar[float] = 1.0
+
+    @property
+    def h(self) -> float:
+        """The cutoff's h: a Quasimode has no h of its own."""
+        return self.cutoff.h
 
     # Both methods multiply by 1/||chi||: numpy divides a complex array by a
     # real scalar as a multiply by the scalar's reciprocal, so the bits equal

@@ -7,7 +7,7 @@ import pytest
 
 from quasilab import families
 from quasilab.fio import aligned_position_axes
-from quasilab.grids import AxisSpec, GridField, POSITION
+from quasilab.grids import AxisSpec, GridField
 from quasilab.quasimode import Quasimode, build_cutoff
 from quasilab.wavelets import cwt, make_mother_wavelet, reconstruct
 
@@ -27,7 +27,7 @@ def reconstruction_error(mother_wavelet):
     ax = AxisSpec(0.0, 8.0, 2048)
     x = ax.nodes()
     sig = np.exp(-x ** 2 / 2.0) * np.sin(4.0 * x)
-    v = GridField(2.0 ** -4, POSITION, [ax], sig.astype(complex))
+    v = GridField(2.0 ** -4, [ax], sig.astype(complex))
     a_grid = np.geomspace(2.0 ** -7, 2.0 ** 6, 105)
     coeffs = cwt(v, mother_wavelet, a_grid, b_step_factor=16.0, x1_scale=0.25)
     rec = reconstruct(coeffs, mother_wavelet, x)
@@ -40,4 +40,4 @@ def flat_model_field():
     h = 2.0 ** -8
     cut = build_cutoff(families.flat_cutoff(2, 3, pow2=True), h)
     axes = aligned_position_axes(cut, 6.0, 2.0 ** -9)
-    return Quasimode(cut, h).on_axes(axes)
+    return Quasimode(cut).on_axes(axes)

@@ -1,0 +1,42 @@
+"""The public surface: a public definition in src is there because src uses it."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import quasilab
+
+SRC = Path(quasilab.__file__).resolve().parent
+
+# Public definitions that no src code reaches today, only tests.  Each is an
+# oracle to move into the tests, or a step of the paper's argument that a
+# run should report.  This set may shrink; it may not grow.
+TEST_ONLY = {"cwt", "lp_norm", "plane_vs_bowl_graphs", "reconstruct",
+             "transform_quasimode"}
+
+
+def unreferenced_public_definitions(src: Path) -> set[str]:
+    """Public module-level functions and classes of src/*.py that no src
+    code names, reads as an attribute or imports; __init__ is not counted."""
+    defined, used = set(), set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    return defined - used
+
+
+def test_no_new_test_only_public_definitions():
+    assert unreferenced_public_definitions(SRC) == TEST_ONLY

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from quasilab.grids import AxisSpec, GridField, POSITION, ft_axes
+from quasilab.grids import AxisSpec, GridField, ft_axes
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _scale_powers,
                                _scale_windows, _smooth_step, admissibility,
                                bump, bump_derivative, cwt, decay_diagnostic,
@@ -41,7 +41,7 @@ class TestMotherWavelet:
 class TestCwt:
     def _field(self, data, h=2.0 ** -4, half=8.0):
         ax = AxisSpec(0.0, half, len(data))
-        return GridField(h, POSITION, [ax], np.asarray(data, complex))
+        return GridField(h, [ax], np.asarray(data, complex))
 
     def test_autocorrelation_peak(self, mother_wavelet):
         ax = AxisSpec(0.0, 8.0, 4096)
@@ -100,7 +100,7 @@ class TestCwt:
         axes = [ax] + [AxisSpec(0.0, 1.0, m) for m in bar_shape]
         a_grid = [0.25, 4.0]
         for data in (dense, rows, np.zeros(shape, complex)):
-            v = GridField(2.0 ** -4, POSITION, axes, data)
+            v = GridField(2.0 ** -4, axes, data)
             co = cwt(v, mother_wavelet, a_grid)
             for i, a in enumerate(a_grid):
                 b, x, qstride, partial = _padded_gather_cwt(v, mother_wavelet, a)
@@ -134,7 +134,7 @@ class TestCwt:
         ax = AxisSpec(0.0, 8.0, 1000)
         axes = [ax] + [AxisSpec(0.0, 1.0, m) for m in bar_shape]
         a_grid = [2.0 ** -5, 0.25, 4.0, 16.0]
-        co = cwt(GridField(2.0 ** -4, POSITION, axes, data), mother_wavelet,
+        co = cwt(GridField(2.0 ** -4, axes, data), mother_wavelet,
                  a_grid)
         flat = band.reshape(rows, -1).view(float)
         scales = list(_scale_windows(flat, row0, ax, mother_wavelet, a_grid))
@@ -245,7 +245,7 @@ class TestDecayDiagnostic:
 
     def test_field_freed_once_windowed(self, mother_wavelet, flat_model_field):
         f = flat_model_field
-        v = GridField(f.h, f.space, list(f.axes), f.data.copy())
+        v = GridField(f.h, list(f.axes), f.data.copy())
         ref = weakref.ref(v.data)
         powers = _scale_powers(v, mother_wavelet)
         del v
@@ -261,7 +261,7 @@ class TestDecayDiagnostic:
         # coefficient rows are exact zeros and are not transformed.
         f = flat_model_field
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
-        v = GridField(f.h, f.space, list(f.axes), f.data * window[:, None])
+        v = GridField(f.h, list(f.axes), f.data * window[:, None])
         for s, (db, power) in zip(_A_GRID, _scale_powers(f, mother_wavelet)):
             if s == a:
                 break
