@@ -46,9 +46,10 @@ class TestW:
         back = transform_quasimode(-_a1(), transform_quasimode(_a1(), u))
         assert np.abs(back.data - u.data).max() < 1e-12 * np.abs(u.data).max()
 
-    def test_rejects_dimension_mismatch(self):
+    @pytest.mark.parametrize("check", [transform_quasimode, flattening_reports])
+    def test_rejects_dimension_mismatch(self, check):
         with pytest.raises(DimensionMismatchError):
-            transform_quasimode(_a1(3, 1), _random_field())
+            check(_a1(3, 1), _random_field())
 
 
 class TestTransformQuasimode:
@@ -71,6 +72,18 @@ class TestTransformQuasimode:
         a_vals = a1.eval_grid([xi])
         expected = u_hat * np.exp(-1j * x1 * a_vals / u.h)
         assert np.abs(v_hat - expected).max() < 1e-11 * np.abs(u_hat).max()
+
+    @pytest.mark.parametrize("n, half_width, per_h", [(2, 8.0, 8), (3, 2.0, 2)])
+    def test_rows_are_slice_W(self, n, half_width, per_h):
+        # Each x1 row of v is exp(-i x1 a1(hD_bar)/h) on that slice alone.
+        h, a1 = 2.0 ** -4, _a1(n, 1)
+        cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+        u = Quasimode(cut).on_axes(aligned_position_axes(cut, half_width, h / per_h))
+        v = transform_quasimode(a1, u)
+        for i, x1 in list(enumerate(u.axes[0].nodes()))[::7]:
+            w = apply_multiplier(u.data[i], u.axes[1:], h, lambda *xi: np.exp(
+                -1j * x1 * a1.eval_grid(xi) / h))
+            np.testing.assert_array_equal(w, v.data[i])
 
     def test_unitarity_per_slice(self, setup):
         a1, u = setup

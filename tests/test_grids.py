@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (AxisSpec, GridField, apply_multiplier, cell_volume,
                             dual_axis, ft_axes)
 
@@ -54,6 +55,13 @@ class TestAxes:
             AxisSpec(0.0, -1.0, 8)
         with pytest.raises(ValueError):
             AxisSpec(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("h, shape, error", [
+        (0.0, 16, ValueError), (1.5, 16, ValueError),
+        (0.5, 8, DimensionMismatchError), (0.5, (16, 1), DimensionMismatchError)])
+    def test_field_validation(self, h, shape, error):
+        with pytest.raises(error):
+            GridField(h, [AxisSpec(0.0, 1.0, 16)], np.zeros(shape, complex))
 
     def test_dual_spacing_relation(self):
         h = 2.0 ** -5
@@ -162,6 +170,12 @@ class TestDirectSynthesis:
         data = np.zeros((n, n), complex)
         data[10:20, 12:24] = 1.0
         return h, axes, data
+
+    def test_single_cell_closed_form(self):
+        h, ax, data = 2.0 ** -4, AxisSpec(0.0, 1.0, 16), np.eye(16)[5]
+        pos, (out,) = ft_axes(data, [ax], h, first=0, inverse=True)
+        oracle = np.exp(1j * out.nodes() * ax.nodes()[5] / h) * ax.spacing
+        assert np.abs(pos * np.sqrt(2 * np.pi * h) - oracle).max() < 1e-13 * ax.spacing
 
     def test_agreement_with_fft_inverse(self):
         h, axes, data = self._indicator()
