@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
                        exponent, fit_scaling, kink_p, oscillation_axes,
                        parse_number, parse_p, sogge_delta)
 from .errors import ConfigError, QuasilabError
-from .fio import aligned_position_axes, flattening_reports
+from .fio import aligned_position_axes, flattening_reports, x1_points
 from .grids import cell_volume
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      quadratic_phase, resonant_amplitude, power_loss,
@@ -37,6 +38,8 @@ from .symbols import (mixed_partials_check, contact_profile, curvature_check,
 from .wavelets import decay_diagnostic, make_mother_wavelet
 
 SCHEMA_VERSION = 1
+# x1 cells per unit of h in a fio check's position grid.
+_FIO_CELLS_PER_H = 8
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -363,6 +366,25 @@ def _check_ttstar(v: dict) -> None:
                 "kernel vanishes")
 
 
+def _check_fio_orders(v: dict) -> None:
+    """Every order M of a fio check needs an interior x1 row, 2M < n1, at
+    each h (the largest h has the fewest rows), and h^M, by which its ratio
+    divides, a normal float (the smallest h has the least)."""
+    m = max(v["orders"])
+    for h in v["h_sweep"]:
+        n1 = x1_points(v["x1_half_width"], h / _FIO_CELLS_PER_H)
+        if 2 * m >= n1:
+            raise ConfigError(
+                f"orders has M = {m}, whose {2 * m + 1}-row difference "
+                f"stencil leaves no interior row of the {n1} x1 rows at "
+                f"h = {fmt(h)}; orders must stay below {(n1 + 1) // 2}")
+        if h ** m < sys.float_info.min:
+            raise ConfigError(
+                f"orders has M = {m}, and h^M at h = {fmt(h)} is below the "
+                f"least normal float ({fmt(h ** m)}); the x1-quasimode ratio "
+                "divides by it")
+
+
 # -- experiment runners --------------------------------------------------------------
 # Each runner is a pure function of its kind's typed values: it returns the
 # verdicts and the CSV table's header and rows, and run_experiment writes them.
@@ -486,9 +508,8 @@ def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
     axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
-    # No reference is kept here: the field is freed once it is windowed.
-    diag = decay_diagnostic(Quasimode(cut).on_axes(axes),
-                            make_mother_wavelet(), v["m_order"], k)
+    diag = decay_diagnostic(Quasimode(cut), axes, make_mother_wavelet(),
+                            v["m_order"], k)
     bound = 2.0 ** (-(k + 1))
     worst = max((r for _, r in diag.j_ratios), default=0.0)
     verdicts = [
@@ -570,7 +591,8 @@ def run_fio_check(v: dict):
     rows, verdicts = [], []
     for h in v["h_sweep"]:
         cut = build_cutoff(spec, h)
-        axes = aligned_position_axes(cut, v["x1_half_width"], h / 8.0)
+        axes = aligned_position_axes(cut, v["x1_half_width"],
+                                     h / _FIO_CELLS_PER_H)
         u = Quasimode(cut).on_axes(axes)
         for rep in flattening_reports(a1, u, orders):
             rows.append((h, rep.order, rep.ratio, rep.slack,
@@ -639,7 +661,8 @@ KINDS: dict[str, Kind] = {
         "n": _int("2", 2), "k": _int("1", 1), **_H_SWEEP,
         "orders": _ints("1, 2", 1), "x1_half_width": _number("8", _POSITIVE),
     }, rules=(_check_h_sweep,
-              partial(_check_pair, fam=families.CUTOFF_FAMILIES["paraboloid"]))),
+              partial(_check_pair, fam=families.CUTOFF_FAMILIES["paraboloid"]),
+              _check_fio_orders)),
 }
 
 

@@ -13,10 +13,10 @@ last nonzero rows: each tap reaches only the windows where it lands on a
 row between them, and only the windows some tap reaches are formed, so the
 others are exact zeros, not small numbers.  A coefficient is a sum that
 starts at +0 and never turns -0, so the taps skipped on zero rows, which
-add +-0, change no bit of it.  The decay table windows only the band of
-rows where its x1 window is nonzero, keeps no reference to the unwindowed
-field, and transforms each scale's live windows only: every other row's
-power is +0.
+add +-0, change no bit of it.  The decay table takes the field from the
+synthesis in blocks of x1 rows, keeps only the windowed band of rows where
+its x1 window is nonzero, never holds the whole grid, and transforms each
+scale's live windows only: every other row's power is +0.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .grids import (AxisSpec, GridField, cell_volume, dual_axis, ft_axes,
                     node_arrays)
+from .quasimode import Quasimode
 
 _TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
@@ -160,57 +161,66 @@ def _scale_windows(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
     [wlo, whi) is the union of the window ranges of the scale's live taps:
     the windows where some nonzero tap lands on a row from the first
     nonzero row to the last.  Every window outside it gets no tap, so its
-    coefficients are +0 and are not formed.
+    coefficients are +0 and are not formed.  The generator keeps no
+    reference to a scale's coefficients once it has yielded them.
     """
+    first, last = _nonzero_rows(band)
+    for a in np.asarray(a_grid, dtype=float):
+        yield _scale_window(band, row0, first + row0, last + row0, ax, w, a,
+                            b_step_factor, x1_scale)
+
+
+def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
+                  ax: AxisSpec, w: MotherWavelet, a: float,
+                  b_step_factor: float, x1_scale: float):
+    """_scale_windows at one scale a, whose band's nonzero rows run from
+    the x1 rows first to last."""
+    if a <= 0:
+        raise ValueError("scales must be positive")
     dx = ax.spacing
     n1 = ax.points
-    first, last = _nonzero_rows(band)
-    first, last = first + row0, last + row0
     cols = band.shape[1]
     block = max(1, _CWT_BLOCK // cols)
-    for a in np.asarray(a_grid, dtype=float):
-        if a <= 0:
-            raise ValueError("scales must be positive")
-        half = w.support_halfwidth * a
-        qstride = max(1, int(min(a / 16.0, x1_scale / 8.0) / dx))
-        qstep = qstride * dx
-        wcells = int(math.ceil(2.0 * half / qstep)) + 2
-        stride = max(1, int(round(a / b_step_factor / dx)))
-        pad_cells = int(math.ceil(2.0 * half / dx)) + wcells * qstride
-        b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
-        b = ax.start + (b_idx + 0.5) * dx
-        offs = (np.arange(2 * wcells + 1) - wcells) * qstride
-        # b sits on the grid, so the sampled profile is one row for every b.
-        frow = w.profile(offs * dx / a) / math.sqrt(a)
-        # Window i's tap at off reads field row i * stride + (off - pad_cells);
-        # windows [lo, hi) are those where that row lies on the rows
-        # first..last, outside which every sample is a zero.
-        shift = offs - pad_cells
-        lo = np.maximum(0, -((shift - first) // stride))
-        hi = np.minimum(len(b), (last - shift) // stride + 1)
-        live = (frow != 0.0) & (lo < hi)
-        lo, hi = lo[live], hi[live]
-        wlo, whi = (int(lo.min()), int(hi.max())) if lo.size else (0, 0)
-        taps = list(zip(frow[live].tolist(), (shift[live] - row0).tolist(),
-                        lo.tolist(), hi.tolist()))
-        # Every coefficient adds its taps to +0 one by one in ascending
-        # order, the padded-gather oracle's order, which fixes every output
-        # bit; windows go in blocks small enough to stay in cache across
-        # their taps.  A sum that starts at +0 never becomes -0, so adding
-        # a +-0 term changes no bit of it: skipping a zero tap or a tap on
-        # a zero row keeps every bit, signed zeros included.
-        out = np.zeros((whi - wlo, cols))
-        buf = np.empty((min(block, whi - wlo), cols))
-        for r0 in range(wlo, whi, block):
-            for f, sh, t0, t1 in taps:
-                i0, i1 = max(t0, r0), min(t1, r0 + block)
-                if i0 < i1:
-                    c0 = i0 * stride + sh
-                    out[i0 - wlo:i1 - wlo] += np.multiply(
-                        band[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
-                        out=buf[:i1 - i0])
-        out *= qstep
-        yield b, out, wlo
+    half = w.support_halfwidth * a
+    qstride = max(1, int(min(a / 16.0, x1_scale / 8.0) / dx))
+    qstep = qstride * dx
+    wcells = int(math.ceil(2.0 * half / qstep)) + 2
+    stride = max(1, int(round(a / b_step_factor / dx)))
+    pad_cells = int(math.ceil(2.0 * half / dx)) + wcells * qstride
+    b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
+    b = ax.start + (b_idx + 0.5) * dx
+    offs = (np.arange(2 * wcells + 1) - wcells) * qstride
+    # b sits on the grid, so the sampled profile is one row for every b.
+    frow = w.profile(offs * dx / a) / math.sqrt(a)
+    # Window i's tap at off reads field row i * stride + (off - pad_cells);
+    # windows [lo, hi) are those where that row lies on the rows
+    # first..last, outside which every sample is a zero.
+    shift = offs - pad_cells
+    lo = np.maximum(0, -((shift - first) // stride))
+    hi = np.minimum(len(b), (last - shift) // stride + 1)
+    live = (frow != 0.0) & (lo < hi)
+    lo, hi = lo[live], hi[live]
+    wlo, whi = (int(lo.min()), int(hi.max())) if lo.size else (0, 0)
+    taps = list(zip(frow[live].tolist(), (shift[live] - row0).tolist(),
+                    lo.tolist(), hi.tolist()))
+    # Every coefficient adds its taps to +0 one by one in ascending order,
+    # the padded-gather oracle's order, which fixes every output bit;
+    # windows go in blocks small enough to stay in cache across their taps.
+    # A sum that starts at +0 never becomes -0, so adding a +-0 term
+    # changes no bit of it: skipping a zero tap or a tap on a zero row
+    # keeps every bit, signed zeros included.
+    out = np.zeros((whi - wlo, cols))
+    buf = np.empty((min(block, whi - wlo), cols))
+    for r0 in range(wlo, whi, block):
+        for f, sh, t0, t1 in taps:
+            i0, i1 = max(t0, r0), min(t1, r0 + block)
+            if i0 < i1:
+                c0 = i0 * stride + sh
+                out[i0 - wlo:i1 - wlo] += np.multiply(
+                    band[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
+                    out=buf[:i1 - i0])
+    out *= qstep
+    return b, out, wlo
 
 
 def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
@@ -338,66 +348,98 @@ class DecayDiagnostic:
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
 
 
-def _scale_powers(v: GridField, w: MotherWavelet):
-    """(db, |F_h X(a, b, .)|^2) for every b, one scale of _A_GRID at a time,
-    of v windowed by decay_diagnostic's x1 window.
+def _windowed_band(source: Quasimode, axes: Sequence[AxisSpec]
+                   ) -> tuple[np.ndarray, int]:
+    """(band, row0): source's field on axes times decay_diagnostic's x1
+    window, on the x1 rows row0, row0 + 1, ... where the window is nonzero,
+    as the real (rows, 2 * prod(bar_shape)) view.
 
-    Only the x1 rows where the window is nonzero are multiplied, and the
-    generator keeps no reference to v once they are: the unwindowed field is
-    freed here when the caller holds no other.  Each scale transforms only
-    its live windows' coefficients; the other rows are exact zeros, whose
-    power is +0.
+    source.on_axes hands the field over in blocks of whole x1 rows, and
+    only the band is allocated: each block's band rows are multiplied by the
+    window into it, block first, the operand order of a whole-grid product.
     """
-    ax, bar_axes, h = v.axes[0], v.axes[1:], v.h
-    bar_shape = v.data.shape[1:]
-    window = _smooth_step(np.abs(ax.nodes()) / _LOCALIZE_HALFWIDTH)
+    ax = axes[0]
+    bar_shape = tuple(a.points for a in axes[1:])
+    window = _smooth_step(np.abs(ax.nodes()) / _LOCALIZE_HALFWIDTH).reshape(
+        (-1,) + (1,) * len(bar_shape))
     rows = np.flatnonzero(window)
     row0, row1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-    band = v.data[row0:row1] * window[row0:row1].reshape(
-        (-1,) + (1,) * len(bar_shape))
-    del v
-    band = np.ascontiguousarray(band, dtype=complex).reshape(
-        row1 - row0, -1).view(float)
+    band = np.empty((row1 - row0,) + bar_shape, dtype=complex)
+
+    def consume(block_rows: slice, block: np.ndarray) -> None:
+        lo, hi = max(block_rows.start, row0), min(block_rows.stop, row1)
+        if lo < hi:
+            np.multiply(block[lo - block_rows.start:hi - block_rows.start],
+                        window[lo:hi], out=band[lo - row0:hi - row0])
+
+    source.on_axes(axes, consume)
+    return band.reshape(row1 - row0, math.prod(bar_shape)).view(float), row0
+
+
+def _scale_powers(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
+                  h: float, w: MotherWavelet):
+    """(db, |F_h X(a, b, .)|^2) for every b, one scale of _A_GRID at a time,
+    of the windowed band (row0, band) of _windowed_band on axes.
+
+    Each scale transforms only its live windows' coefficients, and frees
+    them before it yields; the other rows are exact zeros, whose power is +0.
+    """
+    ax, bar_axes = axes[0], axes[1:]
+    bar_shape = tuple(a.points for a in bar_axes)
     for b, x, wlo in _scale_windows(band, row0, ax, w, _A_GRID):
         db = b[1] - b[0] if len(b) > 1 else ax.spacing
+        hat, _ = ft_axes(x.view(complex).reshape((len(x),) + bar_shape),
+                         bar_axes, h)
+        del x
         power = np.zeros((len(b),) + bar_shape)
-        live = power[wlo:wlo + len(x)]
-        hat, _ = ft_axes(x.view(complex).reshape(live.shape), bar_axes, h)
+        live = power[wlo:wlo + len(hat)]
         np.square(np.abs(hat, out=live), out=live)
-        del hat
+        del hat, live
         yield db, power
+        del power
 
 
-def decay_diagnostic(v: GridField, w: MotherWavelet, m_order: int,
-                       k: int) -> DecayDiagnostic:
+def decay_diagnostic(source: Quasimode, axes: Sequence[AxisSpec],
+                     w: MotherWavelet, m_order: int, k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
 
-    v is a flat-model quasimode on a position grid (x1 = axis 0); the bar
-    transform runs on the grid's dual axes.  Reports the fitted a-slopes at
-    j = 0 and the worst consecutive-j decay ratios for comparison against
-    the 2^(-j(k+1)M) * (|a|^(3/2) for a <= 1, 1 for a >= 1) envelope.
+    v is source's field on the position grid axes (x1 = axis 0), a
+    flat-model quasimode; the bar transform runs on the grid's dual axes.
+    Reports the fitted a-slopes at j = 0 and the worst consecutive-j decay
+    ratios for comparison against the 2^(-j(k+1)M) * (|a|^(3/2) for
+    a <= 1, 1 for a >= 1) envelope.
 
     The decay law presumes a quasimode localized in an O(1) region, while a
     sharp-cutoff synthesis has |x1|^-1 tails out to the box; v is therefore
     multiplied by a smooth window flat on |x1| <= _LOCALIZE_HALFWIDTH (zero
     past 1.5x).  The window commutes with hD_x1 up to an exact O(h) term, so
     the windowed field is still an order-h quasimode and the envelope
-    applies to it verbatim.
+    applies to it verbatim.  Only the x1 rows where the window is nonzero
+    are synthesized into an array (_windowed_band): the whole grid never is.
+    Each scale's weighted sums go through one scratch array, reused across
+    scales.
     """
-    if v.dim < 2:
+    if len(axes) < 2:
         raise DimensionMismatchError("need at least one bar axis")
-    family = dyadic_cutoffs(v.h, k)
+    h = source.h
+    family = dyadic_cutoffs(h, k)
     a_vals = np.asarray(_A_GRID)
-    duals = [dual_axis(ax, v.h) for ax in v.axes[1:]]
+    duals = [dual_axis(ax, h) for ax in axes[1:]]
     radius = np.sqrt(sum(g * g for g in node_arrays(duals, len(duals))))
     cellvol = cell_volume(duals)
     weights = [family.psi(j, radius)[None, ...]
                for j in range(family.levels + 1)]
-    powers = _scale_powers(v, w)
-    del v   # the generator holds the field only until it is windowed
-    mass = np.array([[np.sum(weight * power) * db * cellvol
-                      for weight in weights] for db, power in powers])
-    mass = np.sqrt(np.maximum(mass, 0.0))
+    band, row0 = _windowed_band(source, axes)
+    mass, scratch = [], np.empty((0,) + radius.shape)
+    for db, power in _scale_powers(band, row0, axes, h, w):
+        if len(scratch) < len(power):
+            del scratch
+            scratch = np.empty_like(power)
+        product = scratch[:len(power)]
+        mass.append([np.sum(np.multiply(weight, power, out=product)) * db * cellvol
+                     for weight in weights])
+        del power, product
+    mass = np.sqrt(np.maximum(np.array(mass), 0.0))
     bound = np.array([[min(a, 1.0) ** 1.5 * 2.0 ** (-j * (k + 1) * m_order)
                        for j in range(family.levels + 1)] for a in a_vals])
 

@@ -35,9 +35,16 @@ def reconstruction_error(mother_wavelet):
 
 
 @pytest.fixture(scope="session")
-def flat_model_field():
-    """Flat-model quasimode for the wavelet decay diagnostics (n=2, k=3)."""
+def flat_model():
+    """(quasimode, position axes) of the wavelet decay diagnostics' flat
+    model (n=2, k=3): the shipped wavelet config's 8192 x 64 grid."""
     h = 2.0 ** -8
     cut = build_cutoff(families.flat_cutoff(2, 3, pow2=True), h)
-    axes = aligned_position_axes(cut, 6.0, 2.0 ** -9)
-    return Quasimode(cut).on_axes(axes)
+    return Quasimode(cut), aligned_position_axes(cut, 6.0, 2.0 ** -9)
+
+
+@pytest.fixture(scope="session")
+def flat_model_field(flat_model):
+    """The flat model's field on its whole grid."""
+    qm, axes = flat_model
+    return qm.on_axes(axes)

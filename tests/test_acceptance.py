@@ -8,12 +8,9 @@ here, not configurable.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from quasilab import families
 from quasilab.analysis import (INF_P, contact_delta, fit_scaling, lp_norm,
@@ -237,8 +234,8 @@ class TestCriterion6Flattening:
 
 
 class TestCriterion7WaveletDecay:
-    def test_flat_model_diagnostic(self, flat_model_field, mother_wavelet):
-        diag = decay_diagnostic(flat_model_field, mother_wavelet, 1, 3)
+    def test_flat_model_diagnostic(self, flat_model, mother_wavelet):
+        diag = decay_diagnostic(*flat_model, mother_wavelet, 1, 3)
         worst_j = max((r for _, r in diag.j_ratios), default=0.0)
         ok = (diag.small_a_slope >= 1.4
               and abs(diag.large_a_slope) <= 0.1

@@ -547,6 +547,16 @@ class TestValidation:
            "cells_per_band must be >= 1") for value in ("0", "-4")],
         *[("fio_n2_k1.cfg", "orders = 1, 2", f"orders = {value}",
            "orders must be a list of integers >= 1") for value in ("0", "-1, 1")],
+        # Orders the grid cannot carry: at h = 2^-1 a 401-row stencil leaves
+        # no interior row of 256 (the M = 200 check passed with measured 0),
+        # and h^250 underflows to 0 at h = 2^-5 (the ratio divided by it).
+        ("fio_n2_k1.cfg", "h_list = 2^-4, 2^-5\norders = 1, 2",
+         "h_list = 2^-1, 2^-2\norders = 1, 200",
+         "orders has M = 200, whose 401-row difference stencil leaves no "
+         "interior row of the 256 x1 rows at h = 0.5"),
+        ("fio_n2_k1.cfg", "orders = 1, 2", "orders = 1, 250",
+         "orders has M = 250, and h^M at h = 0.03125 is below the least "
+         "normal float"),
         ("wavelet_flat_n2_k3.cfg", "m_order = 1", "m_order = 0",
          "m_order must be >= 1"),
     ])
@@ -559,6 +569,23 @@ class TestValidation:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("h_list, largest", [("2^-1, 2^-2", 127),
+                                                 ("2^-4, 2^-5", 204)])
+    def test_fio_orders_bounds_are_sharp(self, tmp_path, h_list, largest):
+        # At h = 2^-1 the grid has 256 x1 rows, so 2M < 256 stops at 127;
+        # at h = 2^-5, 2^(-5M) stays normal (>= 2^-1022) up to M = 204.
+        text = (CONFIG_DIR / "fio_n2_k1.cfg").read_text()
+        old = "h_list = 2^-4, 2^-5\norders = 1, 2"
+        assert old in text
+        for m in (largest, largest + 1):
+            cfg = write_cfg(tmp_path, text.replace(
+                old, f"h_list = {h_list}\norders = 1, {m}"))
+            if m == largest:
+                assert parse_config(cfg).values["orders"] == [1, m]
+            else:
+                with pytest.raises(ConfigError, match=f"orders has M = {m}"):
+                    parse_config(cfg)
 
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(v):

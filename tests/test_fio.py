@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasilab import families
+from quasilab import families, fio
 from quasilab.errors import DimensionMismatchError
-from quasilab.fio import (aligned_position_axes, flattening_reports, hd_x1,
-                          transform_quasimode)
-from quasilab.grids import AxisSpec, GridField, apply_multiplier, ft_axis
+from quasilab.fio import (FlatteningReport, _w_multiplier, aligned_position_axes,
+                          flattening_reports, hd_x1, transform_quasimode)
+from quasilab.grids import (AxisSpec, GridField, apply_multiplier, dual_axis,
+                            ft_axis, node_arrays)
 from quasilab.quasimode import Quasimode, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
@@ -103,7 +104,7 @@ class TestTransformQuasimode:
         x1 = axes[0].nodes()[:, None]
         x2 = axes[1].nodes()[None, :]
         u = GridField(h, axes, np.exp(1j * (x1 * a_val + x2 * xi0) / h))
-        dv = hd_x1(transform_quasimode(a1, u), 1)
+        dv = hd_x1(transform_quasimode(a1, u).data, h, axes[0].spacing, 1)
         assert np.abs(dv).max() < 1e-12
 
     def test_quasimode_ratios(self, setup):
@@ -122,14 +123,15 @@ class TestTransformQuasimode:
         want = f.data
         for _ in range(order):
             want = (f.h / 1j) * (want[2:] - want[:-2]) / (2.0 * f.axes[0].spacing)
-        got = hd_x1(f, order)
+        got = hd_x1(f.data, f.h, f.axes[0].spacing, order)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_reports_memory_bounded(self):
         # The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64): the
-        # reports' peak above it stays within six copies of it (about 5.1
-        # measured).
+        # reports go over x1 row blocks, so their peak above it stays
+        # within three copies of it (about 2.8 measured): four real |.|^2
+        # arrays, half a copy each, and one block's temporaries.
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
         u = Quasimode(cut).on_axes(aligned_position_axes(cut, 8.0, h / 8.0))
@@ -139,7 +141,7 @@ class TestTransformQuasimode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * u.data.nbytes
+        assert peak <= 3 * u.data.nbytes
 
     def test_multiplier_commutes_with_W(self, setup):
         # ||q(hD_bar) v|| = ||(a1-a2)(hD_bar) u|| when q = a1 - a2.
@@ -152,6 +154,81 @@ class TestTransformQuasimode:
                                     lambda *xi: q.eval_grid(xi), first=1)
         qu, qv = q_bar(u), q_bar(v)
         assert np.linalg.norm(qv) == pytest.approx(np.linalg.norm(qu), rel=1e-10)
+
+
+def _whole_grid_reports(a1, u, orders):
+    """flattening_reports on the whole grid at once: W on every node, v, its
+    differences, a1(hD_bar) u and the intertwining right-hand side each one
+    whole-grid array, and each norm one np.sum over a whole array."""
+    def norm(data):
+        sq = np.abs(data)
+        return float(np.sqrt(np.sum(np.square(sq, out=sq)) * u.cell_volume))
+
+    h, dx, bar = u.h, u.axes[0].spacing, u.axes[1:]
+    x1, = node_arrays(u.axes[:1], u.dim)
+    duals = [dual_axis(ax, h) for ax in bar]
+    w_nodes = _w_multiplier(a1, h, x1)(*node_arrays(duals, u.dim, 1))
+    v = apply_multiplier(u.data, bar, h, lambda *xi: w_nodes, first=1)
+    u_norm = u.l2_norm()
+    fd_rel = (dx / h) ** 2 / 6.0
+    ratios = {m: norm(hd_x1(v, h, dx, m)) / (h ** m * u_norm) for m in orders}
+    nan = float("nan")
+    resid = bound = nan
+    if 1 in orders:
+        hd_minus_a = hd_x1(u.data, h, dx, 1) - apply_multiplier(
+            u.data, bar, h, lambda *xi: a1.eval_grid(xi), first=1)[1:-1]
+        rhs = apply_multiplier(hd_minus_a, bar, h, lambda *xi: w_nodes[1:-1],
+                               first=1)
+        resid = norm(hd_x1(v, h, dx, 1) - rhs) / u_norm
+        amax = float(np.abs(a1.eval_grid(node_arrays(duals, len(duals)))).max())
+        mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
+        d1 = amax * norm(mid_gap)
+        d2 = dx * amax ** 2 / (2 * h) * u_norm
+        bound = 1.5 * (d1 + d2) / u_norm + 1e-12
+    return [FlatteningReport(m, ratios[m], m * fd_rel + 0.05,
+                             resid if m == 1 else nan, bound if m == 1 else nan)
+            for m in orders]
+
+
+def _hex(reports):
+    return [(r.order, r.ratio.hex(), r.slack.hex(), r.identity_residual.hex(),
+             r.identity_bound.hex()) for r in reports]
+
+
+class TestBlockedReports:
+    ORDERS = [(1,), (2,), (1, 2), (3,)]
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, 16])
+    def test_blocks_match_whole_grid(self, monkeypatch, orders, block_rows):
+        # 37 x1 rows: no block count divides them, and blocks of 1, 2 and 5
+        # rows put block edges inside the halo of max(orders) rows.
+        rng = np.random.default_rng(5)
+        u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.5, 37), AxisSpec(0.1, 2.0, 16)],
+                      rng.standard_normal((37, 16))
+                      + 1j * rng.standard_normal((37, 16)))
+        monkeypatch.setattr(fio, "_ROW_BLOCK", 16 * block_rows)
+        want = _hex(_whole_grid_reports(_a1(), u, orders))
+        assert _hex(flattening_reports(_a1(), u, orders)) == want
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    def test_shipped_blocks_match_whole_grid(self, orders):
+        # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64): four
+        # blocks of 512 rows.
+        h = 2.0 ** -4
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
+        u = Quasimode(cut).on_axes(aligned_position_axes(cut, 8.0, h / 8.0))
+        assert u.data.shape[0] > fio._ROW_BLOCK // u.data.shape[1]
+        want = _hex(_whole_grid_reports(_a1(), u, orders))
+        assert _hex(flattening_reports(_a1(), u, orders)) == want
+
+    def test_rejects_orders_the_grid_cannot_carry(self):
+        # 2M < n1 leaves an interior row; at 2M >= n1 none is left.
+        u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.0, 8), AxisSpec(0.0, 1.0, 16)],
+                      np.ones((8, 16), dtype=complex))
+        assert len(flattening_reports(_a1(), u, (1, 3))) == 2
+        with pytest.raises(ValueError, match="8"):
+            flattening_reports(_a1(), u, (1, 4))
 
 
 class TestEgorov:

@@ -1,4 +1,5 @@
-"""The public surface: a public definition in src is there because src uses it."""
+"""The public surface: a public definition in src is there because src uses
+it, and a module imports a name because it uses it."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 import quasilab
 
 SRC = Path(quasilab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Public definitions that no src code reaches today, only tests.  Each is an
 # oracle to move into the tests, or a step of the paper's argument that a
@@ -40,3 +42,34 @@ def unreferenced_public_definitions(src: Path) -> set[str]:
 
 def test_no_new_test_only_public_definitions():
     assert unreferenced_public_definitions(SRC) == TEST_ONLY
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that path's module-level imports bind and that the module never
+    names; `from __future__` binds none."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - named)
+
+
+def test_no_unused_imports():
+    # __init__ modules import to re-export, so they are not scanned.
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path)
+             for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+             if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_check_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\nimport json as js\n"
+                      "from math import pi, tau as turn\n"
+                      "def f(x: pi) -> None:\n    os.sep\n")
+    assert unused_imports(module) == ["js", "turn"]

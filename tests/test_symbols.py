@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasilab import families
 from quasilab.errors import DimensionMismatchError, SymbolParseError
-from quasilab.symbols import (INFINITE, PolySymbol, mixed_partials_check,
+from quasilab.symbols import (PolySymbol, mixed_partials_check,
                               contact_profile, curvature_check, format_symbol,
                               graph_factor, parse_symbol, sample_directions)
 

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
 from quasilab.grids import AxisSpec, GridField, ft_axes
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _scale_powers,
-                               _scale_windows, _smooth_step, admissibility,
-                               bump, bump_derivative, cwt, decay_diagnostic,
-                               dyadic_cutoffs)
+                               _scale_windows, _smooth_step, _windowed_band,
+                               admissibility, bump, bump_derivative, cwt,
+                               decay_diagnostic, dyadic_cutoffs)
 
 
 class TestMotherWavelet:
@@ -230,39 +229,60 @@ class TestDyadicCutoffs:
 
 
 class TestDecayDiagnostic:
-    def test_memory_bounded(self, mother_wavelet, flat_model_field):
-        # Only the rows where the window is nonzero are windowed, one scale's
-        # live coefficients and power live at a time, and only the live rows
-        # are transformed: the peak above the 8192 x 64 input stays within
-        # 2.2 copies of it (about 1.8 measured).
+    def test_memory_bounded(self, mother_wavelet, flat_model, flat_model_field):
+        # The field is synthesized in row blocks into the windowed band
+        # alone, one scale's live coefficients and power live at a time,
+        # only the live rows are transformed, and the weight sums share one
+        # scratch array: the whole run, synthesis included, stays within
+        # 1.6 copies of the 8192 x 64 grid (about 1.40 measured).
         tracemalloc.start()
         try:
-            decay_diagnostic(flat_model_field, mother_wavelet, 1, 3)
+            decay_diagnostic(*flat_model, mother_wavelet, 1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * flat_model_field.data.nbytes
+        assert peak <= 1.6 * flat_model_field.data.nbytes
 
-    def test_field_freed_once_windowed(self, mother_wavelet, flat_model_field):
+    def test_grid_never_allocated(self, flat_model, flat_model_field):
+        # The band of rows where the window is nonzero (37.5 % of the grid)
+        # is allocated first and lives throughout, so a whole-grid array
+        # would lift the peak a full grid above it; the synthesis tables and
+        # row blocks stay well below that (about 0.63 grid measured).
+        qm, axes = flat_model
+        tracemalloc.start()
+        try:
+            band, _ = _windowed_band(qm, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = flat_model_field.data.nbytes
+        assert band.nbytes < 0.4 * grid
+        assert peak - band.nbytes <= 0.75 * grid
+
+    def test_band_is_windowed_field(self, flat_model, flat_model_field):
+        # Block by block, the band is the whole field's band rows times the
+        # window, bit for bit.
         f = flat_model_field
-        v = GridField(f.h, list(f.axes), f.data.copy())
-        ref = weakref.ref(v.data)
-        powers = _scale_powers(v, mother_wavelet)
-        del v
-        assert ref() is not None
-        next(powers)
-        assert ref() is None
+        band, row0 = _windowed_band(*flat_model)
+        window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
+        row1 = row0 + len(band)
+        assert window[row0 - 1] == 0.0 and window[row1] == 0.0
+        assert window[row0:row1].all()
+        want = f.data[row0:row1] * window[row0:row1, None]
+        assert band.tobytes() == want.tobytes()
 
     # The smallest and the largest of the default scales.
     @pytest.mark.parametrize("a", [2.0 ** -6, 64.0], ids=["a=2^-6", "a=64"])
     def test_scale_power_matches_whole_transform(self, mother_wavelet,
-                                                 flat_model_field, a):
+                                                 flat_model, flat_model_field, a):
         # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
         # coefficient rows are exact zeros and are not transformed.
         f = flat_model_field
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         v = GridField(f.h, list(f.axes), f.data * window[:, None])
-        for s, (db, power) in zip(_A_GRID, _scale_powers(f, mother_wavelet)):
+        band, row0 = _windowed_band(*flat_model)
+        for s, (db, power) in zip(_A_GRID, _scale_powers(
+                band, row0, f.axes, f.h, mother_wavelet)):
             if s == a:
                 break
         co = cwt(v, mother_wavelet, [a])
