@@ -29,8 +29,9 @@ from .errors import ConfigError, QuasilabError
 from .fio import aligned_position_axes, flattening_reports, x1_points
 from .grids import cell_volume
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
-                     quadratic_phase, resonant_amplitude, power_loss,
-                     ttstar_kernel, vdc_check, window_overlap)
+                     dyadic_radius, quadratic_phase, resonant_amplitude,
+                     resonant_radius, power_loss, ttstar_kernel, vdc_check,
+                     window_overlap)
 from .quasimode import (MAX_GRID_CELLS, Quasimode, build_cutoff,
                         support_volume, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
@@ -529,12 +530,16 @@ def run_vdc(v: dict):
     d, mu, amp_kind, tol = v["d"], v["mu"], v["amplitude"], v["exponent"]
     phase = quadratic_phase(mu, d)
     if amp_kind == "dyadic":
-        amp, loss = dyadic_amplitude(v["k"], v["j"]), dyadic_loss(v["k"], v["j"])
+        k, j = v["k"], v["j"]
+        amp, loss, radius = (dyadic_amplitude(k, j), dyadic_loss(k, j),
+                             dyadic_radius(k, j))
     else:
-        amp, loss = resonant_amplitude(phase, v["beta"]), power_loss(v["beta"])
+        beta = v["beta"]
+        amp, loss, radius = (resonant_amplitude(phase, beta), power_loss(beta),
+                             resonant_radius(beta))
     ext = v["box_half_width"]
     integrand = OscIntegrand(phase, amp, d, tuple((-ext, ext) for _ in range(d)),
-                             loss)
+                             loss, radius)
     rep = vdc_check(integrand, v["h_sweep"], mu, exponent_tolerance=tol)
     rows = [(h, m, h ** (d / 2) * mu ** (-d / 2), r)
             for h, m, r in zip(rep.h_values, rep.magnitudes, rep.ratios)]
@@ -594,7 +599,9 @@ def run_fio_check(v: dict):
         axes = aligned_position_axes(cut, v["x1_half_width"],
                                      h / _FIO_CELLS_PER_H)
         u = Quasimode(cut).on_axes(axes)
-        for rep in flattening_reports(a1, u, orders):
+        reports = flattening_reports(a1, u, orders)
+        del u    # so that the next h's field is not synthesized beside it
+        for rep in reports:
             rows.append((h, rep.order, rep.ratio, rep.slack,
                          rep.identity_residual, rep.identity_bound))
             verdicts.append(Verdict(

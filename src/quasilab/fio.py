@@ -140,10 +140,10 @@ def flattening_reports(a1: PolySymbol, u: GridField,
     The x1 axis goes in blocks of whole rows, about _ROW_BLOCK cells each,
     read with a halo of max(orders) rows per side.  A block forms its own W
     rows (W is elementwise in (x1, xi), and its interior rows serve the
-    residual), v = W u, the x1 differences of every order, a1(hD_bar) u and
-    the intertwining right-hand side.  The bar transforms act row by row and
-    the rest is elementwise, so a block's rows are the whole grid's rows bit
-    for bit.  Each interior |.|^2 goes into one full-length real array,
+    residual), v = W u, the x1 differences of every order (each from the
+    order below it), a1(hD_bar) u and the intertwining right-hand side.
+    The bar transforms act row by row and the rest is elementwise, so a
+    block's rows are the whole grid's rows bit for bit.  Each interior |.|^2 goes into one full-length real array,
     summed whole once every block is in: the norms keep the bits of one sum
     over the whole grid, and no whole-grid complex temporary is formed.
     """
@@ -176,14 +176,15 @@ def flattening_reports(a1: PolySymbol, u: GridField,
         lo, hi = max(0, r0 - halo), min(n1, rows.stop + halo)
         chunk = u.data[lo:hi]
         w = _w_multiplier(a1, h, x1[lo:hi])(*xi)
-        v = apply_multiplier(chunk, bar, h, lambda *_: w, first=1)
-        for m in orders:
-            dv = hd_x1(v, h, dx, m)
+        dv, done = apply_multiplier(chunk, bar, h, lambda *_: w, first=1), 0
+        for m in sorted(set(orders)):
+            # (hD_x1)^m v from (hD_x1)^done v: hd_x1 takes the same
+            # differences as from v, so the same bits.
+            dv, done = hd_x1(dv, h, dx, m - done), m
             _abs_sq_rows(*sq[m], dv, lo + m, rows)
             if m == 1:
                 dv1 = dv
-            del dv
-        del v
+        del dv
         if not check_identity:
             continue
         # a1(hD_bar) u is a temporary: it is gone before W is applied.

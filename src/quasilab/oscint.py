@@ -8,9 +8,13 @@ of the smooth compactly supported integrand, far below the value itself.
 The rule sums fixed slabs of nodes, written into one node array per
 quadrature; on each it evaluates the amplitude first and takes the phase
 and the complex exponential only on the amplitude's support, gathered from
-the flat (N, d) list of nodes.  The zeros stay in place and every slab is
-summed whole, so the reduction order, and with it every output bit,
-depends only on the grid.
+the flat (N, d) list of nodes.  An integrand may declare a support radius
+R, outside whose cube |xi_k| < R the amplitude is exactly 0: then a slab
+that misses the cube (padded by one node per side) is skipped, and inside
+the others nodes are built and the amplitude taken only on the cube's rows
+and columns.  Everywhere else the slab keeps the zeros the amplitude would
+have given, and every slab is summed whole, so the reduction order, and
+with it every output bit, depends only on the grid, not on the radius.
 
 The decay check sweeps h, fits log|I| against log h, and certifies the
 h^(d/2) mu^(-d/2) law only when the declared amplitude regularity loss
@@ -52,6 +56,11 @@ class OscIntegrand:
 
     loss_rate(h) declares the amplitude's regularity loss per derivative
     (the f(h) of the admissibility condition f(h) <= h^(-1/2) mu^(1/2)).
+    support_radius(h), when given, is a radius R such that the amplitude is
+    exactly 0 at every node where some |xi_k| >= R; the quadrature then
+    skips the nodes outside that cube (see _slabs).  None means the whole
+    box.  The box is never shrunk to the cube: the node count and every
+    node come from the box.
     """
 
     phase: Phase
@@ -59,6 +68,7 @@ class OscIntegrand:
     d: int
     box: tuple[tuple[float, float], ...]
     loss_rate: Callable[[float], float]
+    support_radius: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -108,53 +118,96 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
             f"oscillation (budget {MAX_POINTS_PER_AXIS} per axis and "
             f"{MAX_QUAD_POINTS} in all); refusing")
     # Nested midpoint rules (n and n//2) give a data-driven error estimate.
-    coarse = _midpoint(integrand, h, max(MIN_POINTS_PER_AXIS // 2, n // 2))
-    fine = _midpoint(integrand, h, n)
+    # One values array and one exponential scratch, each as long as the
+    # longer slab of the two passes, serve both.
+    coarse_n = max(MIN_POINTS_PER_AXIS // 2, n // 2)
+    size = max(_slab_points(coarse_n, d), _slab_points(n, d))
+    buffers = np.empty(size, complex), np.empty(size, complex)
+    coarse = _midpoint(integrand, h, coarse_n, buffers)
+    fine = _midpoint(integrand, h, n, buffers)
     return EvalResult(fine, n, abs(fine - coarse))
 
 
-def _midpoint(integrand: OscIntegrand, h: float, n: int) -> complex:
-    values = scratch = None
+def _radius(integrand: OscIntegrand, h: float) -> float | None:
+    radius = integrand.support_radius
+    return None if radius is None else radius(h)
 
-    def integrand_values(pts: np.ndarray) -> np.ndarray:
+
+def _midpoint(integrand: OscIntegrand, h: float, n: int,
+              buffers: tuple[np.ndarray, np.ndarray] | None = None) -> complex:
+    """The midpoint rule on n nodes per axis.  buffers, two complex arrays
+    at least one slab long, hold the slab's values and the exponential
+    scratch; by default they are allocated here."""
+    if buffers is None:
+        size = _slab_points(n, integrand.d)
+        buffers = np.empty(size, complex), np.empty(size, complex)
+    values, scratch = buffers
+
+    def integrand_values(pts: np.ndarray, out: np.ndarray) -> None:
         # exp(i*phase/h) * amp vanishes wherever amp does, so the phase and
         # the exponential are taken on the support only, gathered from the
-        # flat (N, d) view of the nodes and scattered back through a 1-D
-        # mask.  The values land in a zeroed array of the slab's size, which
-        # is summed whole: the same reduction order as the unmasked
-        # product, so the same bits.  The values array and the exponential
-        # scratch are the first (largest) slab's, reused by every later one;
-        # the exponential is formed in place with the ufuncs and operand
-        # order of np.exp(1j * phase / h) * amp.
-        nonlocal values, scratch
-        amp = integrand.amplitude(pts, h).ravel()
+        # flat (N, d) view of the nodes and scattered back into out through
+        # the mask: the zeros stay, and the slab is summed whole, which is
+        # the unmasked product's reduction order, so the same bits.  The
+        # exponential is formed in place with the ufuncs and operand order
+        # of np.exp(1j * phase / h) * amp.
+        amp = integrand.amplitude(pts, h)
         on = amp != 0
-        support = np.compress(on, pts.reshape(-1, pts.shape[-1]), axis=0)
-        if values is None:
-            values, scratch = np.empty(amp.size, complex), np.empty(amp.size, complex)
-        vals, e = values[:amp.size], scratch[:len(support)]
-        vals.fill(0)
+        support = np.compress(on.ravel(), pts.reshape(-1, pts.shape[-1]), axis=0)
+        e = scratch[:len(support)]
         np.multiply(1j, integrand.phase(support), out=e)
         np.divide(e, h, out=e)
         np.exp(e, out=e)
         np.multiply(e, amp[on], out=e)
-        vals[on] = e
-        return vals
+        out[on] = e
 
-    return complex(sum(_slabs(integrand.box, n, integrand_values)))
+    return complex(sum(_slabs(integrand.box, n, _radius(integrand, h), values,
+                              integrand_values)))
 
 
-def _slabs(box: Sequence[tuple[float, float]], n: int,
-           f: Callable[[np.ndarray], np.ndarray]) -> Iterator[complex]:
-    """Midpoint sums of f over the n^d tensor grid on box, one slab at a time.
+def _slab_rows(n: int, d: int) -> int:
+    """First-axis indices per slab of _slabs: at most _SLAB_POINTS points,
+    one index when a single one holds more."""
+    return min(n, max(1, _SLAB_POINTS // n ** (d - 1)))
 
-    A slab is a fixed run of first-axis indices holding at most _SLAB_POINTS
-    points (one index when a single one holds more), so memory stays bounded
-    and the reduction order depends only on n and d.  Each slab's nodes are
-    written, coordinate by coordinate, into one C-order (rows, n, ..., d)
-    array allocated once per call (a partial last slab is its leading
-    part): the values of np.stack(np.meshgrid(...)) without building the
-    mesh.  f gets that array and may not keep it past its return.
+
+def _slab_points(n: int, d: int) -> int:
+    """Nodes in a full slab of _slabs."""
+    return _slab_rows(n, d) * n ** (d - 1)
+
+
+def _kept(ax: np.ndarray, radius: float | None) -> slice:
+    """The indices of the increasing nodes ax with |x| < radius, padded by
+    one node per side; all of them when radius is None."""
+    if radius is None:
+        return slice(0, len(ax))
+    if not radius > 0:
+        raise ValueError(f"support radius {radius} is not positive")
+    lo = int(np.searchsorted(ax, -radius, "right"))
+    hi = int(np.searchsorted(ax, radius, "left"))
+    return slice(max(0, lo - 1), min(len(ax), hi + 1))
+
+
+def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float | None,
+           values: np.ndarray,
+           f: Callable[[np.ndarray, np.ndarray], None]) -> Iterator[complex]:
+    """Midpoint sums of an integrand over the n^d tensor grid on box, one
+    slab at a time.
+
+    A slab is a fixed run of _slab_rows first-axis indices, so memory stays
+    bounded and the reduction order depends only on n and d.  Its values
+    are the leading part of values (a flat array at least one slab long),
+    zero on entry: f(pts, out) writes the integrand's nonzero values at the
+    nodes pts into out, a (rows, n, ..., n)-shaped view of them, and the
+    slab is summed whole.  pts and out cover only the cube |xi_k| < radius,
+    padded by one node per side (the whole slab when radius is None); a
+    slab that misses it yields 0 without a call.  The integrand is 0
+    outside the cube, so every slab's sum, and so every bit, is the whole
+    box's.  out is zeroed again after its sum, and values is zeroed once
+    per call.  The nodes are written, coordinate by coordinate, into one
+    C-order (rows, ..., d) array allocated once per call (a partial last
+    slab is its leading part): the values of np.stack(np.meshgrid(...))
+    without building the mesh.  f may not keep pts or out past its return.
     """
     d = len(box)
     axes = []
@@ -163,15 +216,30 @@ def _slabs(box: Sequence[tuple[float, float]], n: int,
         step = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * step)
         cell *= step
-    rows = min(n, max(1, _SLAB_POINTS // n ** (d - 1)))
-    nodes = np.empty((rows,) + (n,) * (d - 1) + (d,))
+    kept = [_kept(ax, radius) for ax in axes]
+    rows = _slab_rows(n, d)
+    plane = n ** (d - 1)
+    values[:rows * plane].fill(0)
+    nodes = np.empty((min(rows, kept[0].stop - kept[0].start),)
+                     + tuple(k.stop - k.start for k in kept[1:]) + (d,))
     for start in range(0, n, rows):
-        pts = nodes[:n - start]
+        stop = min(start + rows, n)
+        lo, hi = max(start, kept[0].start), min(stop, kept[0].stop)
+        if lo >= hi:
+            yield 0.0
+            continue
+        pts = nodes[:hi - lo]
         for k, ax in enumerate(axes):
             shape = [1] * d
             shape[k] = -1
-            pts[..., k] = (ax[start:start + rows] if k == 0 else ax).reshape(shape)
-        yield np.sum(f(pts)) * cell
+            pts[..., k] = (ax[lo:hi] if k == 0 else ax[kept[k]]).reshape(shape)
+        slab = values[:(stop - start) * plane]
+        out = slab.reshape((stop - start,) + (n,) * (d - 1))[
+            (slice(lo - start, hi - start),) + tuple(kept[1:])]
+        f(pts, out)
+        total = np.sum(slab) * cell
+        out.fill(0)
+        yield total
 
 
 # -- critical point location ----------------------------------------------------
@@ -341,6 +409,11 @@ def dyadic_loss(k: int, j: int) -> Callable[[float], float]:
     return lambda h: (2.0 ** j * h ** (1.0 / (k + 1))) ** -1.0
 
 
+def dyadic_radius(k: int, j: int) -> Callable[[float], float]:
+    """dyadic_amplitude's support radius: the cutoff is 0 from 3/2 its scale."""
+    return lambda h: 1.5 * 2.0 ** j * h ** (1.0 / (k + 1))
+
+
 def resonant_amplitude(phase: Phase, beta: float) -> Amplitude:
     """Conjugate chirp exp(-i*phase/h) on a window of width h^(1-beta).
 
@@ -358,6 +431,11 @@ def resonant_amplitude(phase: Phase, beta: float) -> Amplitude:
 
 def power_loss(beta: float) -> Callable[[float], float]:
     return lambda h: h ** -beta
+
+
+def resonant_radius(beta: float) -> Callable[[float], float]:
+    """resonant_amplitude's support radius: its window's width h^(1-beta)."""
+    return lambda h: h ** (1.0 - beta)
 
 
 # -- TT* kernel --------------------------------------------------------------------
@@ -416,7 +494,9 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
         r = np.sqrt(_norm_sq(pts))
         return family.psi(j, r)
 
-    integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale)
+    # psi_j is 0 from 3/2 its scale on, j = 0 included.
+    integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale,
+                             lambda h_: 1.5 * scale)
     res = evaluate(integrand, h)
     pref = (_TWO_PI * h) ** (-m)
     # Triangle inequality on the same quadrature nodes: |sum| <= sum of
@@ -429,5 +509,7 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
 
 
 def _midpoint_abs(integrand: OscIntegrand, h: float, n: int) -> float:
-    return float(sum(_slabs(integrand.box, n,
-                            lambda pts: np.abs(integrand.amplitude(pts, h)))))
+    values = np.empty(_slab_points(n, integrand.d))
+    return float(sum(_slabs(
+        integrand.box, n, _radius(integrand, h), values,
+        lambda pts, out: np.abs(integrand.amplitude(pts, h), out=out))))

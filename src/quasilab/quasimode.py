@@ -318,7 +318,8 @@ BlockConsumer = Callable[[slice, np.ndarray], None]
 
 
 def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
-                       consume: BlockConsumer | None = None) -> GridField | None:
+                       consume: BlockConsumer | None = None,
+                       rows: range | None = None) -> GridField | None:
     """Raw synthesis on a product position grid (separable fast path).
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
@@ -349,7 +350,13 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     consume the blocks are written into one grid, returned as a GridField.
     With it, each block goes to consume(slice(i0, i1), block) in increasing
     i0 and no grid is built; block is a view of one buffer that the next
-    block overwrites, so consume must not keep it.  The output grid, every
+    block overwrites, so consume must not keep it.  With consume, rows, a
+    range of x1 row indices within the grid, limits the last fold to the
+    blocks that meet it (none when it is empty): the blocks keep their
+    boundaries and the others are skipped, so no block's bits move.  For a
+    2D field the run and phase tables then cover only those blocks' x1
+    nodes, and their entries are elementwise the same; for n >= 3 the
+    earlier folds still cover every x1 row.  The output grid, every
     fold's result, the run tables and every exponential table are checked
     against MAX_GRID_CELLS before any of them is allocated, and each fold's
     input is released once the next fold is built.
@@ -358,9 +365,16 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
         raise DimensionMismatchError("axes dimension mismatch")
     shape = tuple(a.points for a in axes)
     _check_grid_cells(shape)
+    x1 = axes[0].nodes()
+    if rows is None:
+        rows = range(len(x1))
+    elif consume is None:
+        raise ValueError("a row range needs consume")
+    elif not 0 <= rows.start <= rows.stop <= len(x1) or rows.step != 1:
+        raise ValueError(f"row range {rows} is not a run of the grid's "
+                         f"{len(x1)} x1 rows")
     h = field.h
     ax0 = field.axes[0]
-    x1 = axes[0].nodes()
     # Columns by xin, ..., xi2: each fold's groups are runs of equal keys
     # after its leading one, taken in increasing leading key.
     order = np.lexsort(field.col_coords.T)
@@ -378,12 +392,20 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     # leading key: one table row per distinct value of each.
     counts, count_of = np.unique(field.col_count[order], return_inverse=True)
     xi1_starts, start_of = np.unique(field.col_start[order], return_inverse=True)
-    _check_grid_cells((len(counts) + len(xi1_starts), len(x1)))
+    # The last fold's x1 blocks, and the x1 rows [t0, t1) the tables cover:
+    # the blocks' rows when the first fold is the last, every row otherwise.
+    per_row = math.prod(shape[1:-1])   # last product's output rows per x1 row
+    step = max(1, _OUT_BLOCK // math.prod(shape[1:]))
+    blocks = range(rows.start - rows.start % step, rows.stop, step) if rows else rows
+    t0, t1 = 0, len(x1)
+    if len(folds) == 1:
+        t0, t1 = (blocks.start, min(blocks[-1] + step, len(x1))) if blocks else (0, 0)
+    _check_grid_cells((len(counts) + len(xi1_starts), t1 - t0))
     for axis, _, _, values, _ in folds:
         _check_grid_cells((len(values), axis.points))
-    runs = _dirichlet(x1[None, :] * (ax0.spacing / h), counts[:, None])
+    runs = _dirichlet(x1[None, t0:t1] * (ax0.spacing / h), counts[:, None])
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
-    phases = np.exp(1j * np.outer(first, x1) / h)
+    phases = np.exp(1j * np.outer(first, x1[t0:t1]) / h)
     flat = None
 
     def rows_of(blk, cols=slice(None)):
@@ -402,19 +424,19 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
 
     axis, width, _, values, value_of = folds[-1]
     e = np.exp(1j * np.outer(values, axis.nodes()) / h)
-    per_row = width // len(x1)     # output rows of the last product per x1 row
-    step = max(1, _OUT_BLOCK // (per_row * axis.points))
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     if consume is None:
         grid = np.empty(shape, dtype=complex)
         outs = grid.reshape(width, axis.points)
     else:
         outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
-    for i0 in range(0, len(x1), step):
+    for i0 in blocks:
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
+        # The tables' columns are x1 rows from t0 (a 2D field's per_row is 1).
+        table_cols = cols if flat is not None else slice(i0 - t0, i1 - t0)
         out = outs[cols] if consume is None else outs[:cols.stop - cols.start]
-        _fold_into(out, lambda blk: rows_of(blk, cols), e, value_of,
+        _fold_into(out, lambda blk: rows_of(blk, table_cols), e, value_of,
                    0, len(value_of))
         out *= scale
         if consume is not None:
@@ -450,20 +472,22 @@ class Quasimode:
         return synthesize_raw(self.cutoff, targets) * scale
 
     def on_axes(self, axes: Sequence[AxisSpec],
-                consume: BlockConsumer | None = None) -> GridField | None:
+                consume: BlockConsumer | None = None,
+                rows: range | None = None) -> GridField | None:
         """The field on a product grid; with consume, synthesize_on_axes's
-        blocks, each normalized before consume gets it, and no grid."""
+        blocks (those that meet rows, when given), each normalized before
+        consume gets it, and no grid."""
         scale = 1.0 / self.cutoff.l2_norm()
         if consume is None:
-            g = synthesize_on_axes(self.cutoff, axes)
+            g = synthesize_on_axes(self.cutoff, axes, rows=rows)
             g.data *= scale
             return g
 
-        def normalized(rows: slice, block: np.ndarray) -> None:
+        def normalized(block_rows: slice, block: np.ndarray) -> None:
             block *= scale
-            consume(rows, block)
+            consume(block_rows, block)
 
-        return synthesize_on_axes(self.cutoff, axes, normalized)
+        return synthesize_on_axes(self.cutoff, axes, normalized, rows)
 
     def peak(self) -> float:
         """|T(0)|; the global maximum by the triangle inequality."""

@@ -354,9 +354,12 @@ def _windowed_band(source: Quasimode, axes: Sequence[AxisSpec]
     window, on the x1 rows row0, row0 + 1, ... where the window is nonzero,
     as the real (rows, 2 * prod(bar_shape)) view.
 
-    source.on_axes hands the field over in blocks of whole x1 rows, and
-    only the band is allocated: each block's band rows are multiplied by the
-    window into it, block first, the operand order of a whole-grid product.
+    source.on_axes hands the field over in blocks of whole x1 rows, only
+    those that meet the band (the others, whose rows the window zeroes, are
+    never synthesized), and only the band is allocated: each block's band
+    rows are multiplied by the window into it, block first, the operand
+    order of a whole-grid product.  A block's bits depend only on the grid,
+    so the skipped blocks move none.
     """
     ax = axes[0]
     bar_shape = tuple(a.points for a in axes[1:])
@@ -372,7 +375,7 @@ def _windowed_band(source: Quasimode, axes: Sequence[AxisSpec]
             np.multiply(block[lo - block_rows.start:hi - block_rows.start],
                         window[lo:hi], out=band[lo - row0:hi - row0])
 
-    source.on_axes(axes, consume)
+    source.on_axes(axes, consume, range(row0, row1))
     return band.reshape(row1 - row0, math.prod(bar_shape)).view(float), row0
 
 

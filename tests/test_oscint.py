@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,11 +12,12 @@ import pytest
 from quasilab import oscint
 from quasilab.errors import ResolutionError
 from quasilab.oscint import (EvalResult, OscIntegrand, dyadic_amplitude,
-                             dyadic_loss, evaluate, find_critical_points,
-                             power_loss, quadratic_phase, resonant_amplitude,
+                             dyadic_loss, dyadic_radius, evaluate,
+                             find_critical_points, power_loss, quadratic_phase,
+                             resonant_amplitude, resonant_radius,
                              ttstar_kernel, vdc_check, window_overlap)
 from quasilab.symbols import parse_symbol
-from quasilab.wavelets import bump, dyadic_cutoffs
+from quasilab.wavelets import bump, dyadic_cutoffs, make_mother_wavelet
 
 H6 = [2.0 ** -e for e in range(6, 13)]
 
@@ -135,11 +137,11 @@ class TestEvaluate:
         box = tuple((-1.0 - 0.1 * k, 1.2 + 0.3 * k) for k in range(d))
         seen = []
 
-        def record(pts):
+        def record(pts, out):
             seen.append(pts.copy())
-            return np.zeros(pts.shape[:-1])
 
-        assert list(oscint._slabs(box, n, record)) == [0.0] * len(seen)
+        values = np.empty(oscint._slab_points(n, d))
+        assert list(oscint._slabs(box, n, None, values, record)) == [0.0] * len(seen)
         assert len(seen) > 1 and len(seen[-1]) < len(seen[0])
         axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in box]
         want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -163,8 +165,13 @@ class TestEvaluate:
 
 def _unmasked_midpoint(integrand, h, n):
     """exp(i*phase/h) * amplitude at every node, summed in _midpoint's slabs."""
-    return complex(sum(oscint._slabs(integrand.box, n, lambda pts: np.exp(
-        1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h))))
+    d = integrand.d
+    values = np.empty(oscint._slab_points(n, d), complex)
+
+    def write(pts, out):
+        out[...] = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
+
+    return complex(sum(oscint._slabs(integrand.box, n, None, values, write)))
 
 
 def _ttstar_style_integrand(h):
@@ -218,12 +225,11 @@ class TestSupportRestriction:
         seen = []
         slabs = oscint._slabs
 
-        def record(box, n, f):
-            def values(pts):
-                vals = f(pts)
-                seen.append((vals.size, vals.__array_interface__["data"][0]))
-                return vals
-            return slabs(box, n, values)
+        def record(box, n, radius, values, f):
+            def write(pts, out):
+                f(pts, out)
+                seen.append((out.size, out.__array_interface__["data"][0]))
+            return slabs(box, n, radius, values, write)
 
         monkeypatch.setattr(oscint, "_slabs", record)
         value = oscint._midpoint(integrand, h, n)
@@ -395,3 +401,155 @@ class TestTTStar:
             assert abs(kv.value) <= kv.trivial_bound * (1 + 1e-9)
             scale = 0.5 * h ** -0.75  # |a| h^(-(n-1)(1-1/(k+1))), n=2, k=3
             assert abs(kv.value) <= scale
+
+
+# The shipped vdc integrands with their support radii, and the h at which
+# each is checked: 2^-3 puts the dyadic cube outside the box (radius 1.78
+# and 3.57 against a half width of 1.5), the others inside it.
+def _vdc_integrand(case):
+    if case == "dyadic-d1":
+        return OscIntegrand(quadratic_phase(1.0, 1), dyadic_amplitude(3, 2), 1,
+                            ((-1.5, 1.5),), dyadic_loss(3, 2), dyadic_radius(3, 2))
+    if case == "dyadic-d2":
+        return OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1), 2,
+                            ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
+                            dyadic_radius(3, 1))
+    phase = quadratic_phase(1.0, 1)
+    return OscIntegrand(phase, resonant_amplitude(phase, 0.8), 1,
+                        ((-1.5, 1.5),), power_loss(0.8), resonant_radius(0.8))
+
+
+VDC_CASES = [("dyadic-d1", 2.0 ** -3), ("dyadic-d1", 2.0 ** -12),
+             ("dyadic-d2", 2.0 ** -3), ("dyadic-d2", 2.0 ** -6),
+             ("resonant-d1", 2.0 ** -3), ("resonant-d1", 2.0 ** -12)]
+
+
+def _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
+    """(j, integrand) for every psi_j of the TT* kernel at h (k = 3, a =
+    0.5), caught on their way into evaluate."""
+    seen = []
+    real = oscint.evaluate
+
+    def spy(integrand, h_):
+        seen.append(integrand)
+        return real(integrand, h_)
+
+    monkeypatch.setattr(oscint, "evaluate", spy)
+    levels = dyadic_cutoffs(h, 3).levels
+    for j in range(levels + 1):
+        ttstar_kernel(a1, make_mother_wavelet(), 0.5, j, h, 3, x1=sep / 2,
+                      z1=-sep / 2, xbar=xbar, zbar=zbar)
+    monkeypatch.undo()
+    assert len(seen) == levels + 1
+    return list(enumerate(seen))
+
+
+TTSTAR_CASES = [
+    # ttstar_n2's symbol at its largest and smallest h (levels 0-2, 0-3).
+    ("x1^2", 1, 2.0 ** -8, 2.0 ** -3, [0.0], [0.0]),
+    ("x1^2", 1, 2.0 ** -12, 2.0 ** -12, [0.0], [0.0]),
+    # Two bar dimensions with a nonzero linear term (levels 0-1).
+    ("x1^2 + x1*x2 - x2^4", 2, 2.0 ** -4, 2.0 ** -3, [0.3, 0.1], [0.0, 0.2]),
+]
+
+
+def _outside_cube(integrand, h, n):
+    """The nodes of the n^d grid on the box with some |xi_k| >= radius."""
+    axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in integrand.box]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, integrand.d)
+    return pts[np.abs(pts).max(axis=1) >= integrand.support_radius(h)]
+
+
+class TestSupportRadius:
+    """The bounded quadrature against the whole box, bit for bit."""
+
+    @staticmethod
+    def assert_bounded_equals_whole(integrand, h):
+        whole = dataclasses.replace(integrand, support_radius=None)
+        bounded, full = evaluate(integrand, h), evaluate(whole, h)
+        assert bounded.value != 0
+        assert bounded.value == full.value
+        assert bounded.error_estimate == full.error_estimate
+        assert bounded.points_per_axis == full.points_per_axis
+        return bounded.points_per_axis
+
+    @pytest.mark.parametrize("case, h", VDC_CASES)
+    def test_vdc_equals_whole_box(self, case, h):
+        self.assert_bounded_equals_whole(_vdc_integrand(case), h)
+
+    @pytest.mark.parametrize("symbol, dim, h, sep, xbar, zbar", TTSTAR_CASES)
+    def test_every_ttstar_psi_equals_whole_box(self, monkeypatch, symbol, dim,
+                                               h, sep, xbar, zbar):
+        a1 = parse_symbol(symbol, dim=dim)
+        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
+            n = self.assert_bounded_equals_whole(integrand, h)
+            whole = dataclasses.replace(integrand, support_radius=None)
+            assert oscint._midpoint_abs(integrand, h, n) == oscint._midpoint_abs(
+                whole, h, n), j
+
+    @pytest.mark.parametrize("case, h", VDC_CASES)
+    def test_vdc_amplitude_zero_outside_cube(self, case, h):
+        integrand = _vdc_integrand(case)
+        n = evaluate(integrand, h).points_per_axis
+        for m in (max(oscint.MIN_POINTS_PER_AXIS // 2, n // 2), n):
+            outside = _outside_cube(integrand, h, m)
+            assert not integrand.amplitude(outside, h).any()
+
+    @pytest.mark.parametrize("symbol, dim, h, sep, xbar, zbar", TTSTAR_CASES)
+    def test_ttstar_psi_zero_outside_cube(self, monkeypatch, symbol, dim, h,
+                                          sep, xbar, zbar):
+        a1 = parse_symbol(symbol, dim=dim)
+        # psi_0's box reaches 2 scales out, past the cube; psi_j's for j >= 1
+        # ends at the cube's faces.
+        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
+            n = evaluate(integrand, h).points_per_axis
+            outside = _outside_cube(integrand, h, n)
+            assert (len(outside) > 0) == (j == 0)
+            assert not integrand.amplitude(outside, h).any(), j
+
+    def test_amplitude_taken_only_on_padded_cube(self):
+        # vdc_d2's integrand at h = 2^-8 on 1000^2 nodes in 16 slabs:
+        # radius 0.75 in a box of half width 1.5, so about a quarter of the
+        # nodes are taken and half the slabs skipped.
+        integrand = _vdc_integrand("dyadic-d2")
+        h, n = 2.0 ** -8, 1000
+        radius = integrand.support_radius(h)
+        seen = []
+
+        def amp(pts, h_):
+            seen.append((len(pts.reshape(-1, 2)), np.abs(pts).max()))
+            return integrand.amplitude(pts, h_)
+
+        step = 3.0 / n
+        oscint._midpoint(dataclasses.replace(integrand, amplitude=amp), h, n)
+        assert max(r for _, r in seen) < radius + step
+        side = 2 * radius / step + 3    # kept nodes per axis, at most
+        assert sum(size for size, _ in seen) <= side ** 2 < 0.3 * n ** 2
+        rows = oscint._slab_rows(n, 2)
+        assert len(seen) <= side / rows + 2 < 0.7 * math.ceil(n / rows)
+
+    def test_nonpositive_radius_rejected(self):
+        integrand = dataclasses.replace(_vdc_integrand("dyadic-d1"),
+                                        support_radius=lambda h: 0.0)
+        with pytest.raises(ValueError, match="not positive"):
+            evaluate(integrand, 2.0 ** -6)
+
+    def test_buffers_shared_by_both_passes(self, monkeypatch):
+        # evaluate allocates one values array and one scratch, as long as
+        # the longer slab of its two passes, and hands both to each pass.
+        integrand = _vdc_integrand("dyadic-d2")
+        h = 2.0 ** -6
+        seen = []
+        midpoint = oscint._midpoint
+
+        def record(integrand, h, n, buffers):
+            seen.append((n, [b.__array_interface__["data"][0] for b in buffers],
+                         [b.size for b in buffers]))
+            return midpoint(integrand, h, n, buffers)
+
+        monkeypatch.setattr(oscint, "_midpoint", record)
+        n = evaluate(integrand, h).points_per_axis
+        (coarse, addr0, size0), (fine, addr1, size1) = seen
+        assert (coarse, fine) == (n // 2, n)
+        assert addr0 == addr1 and size0 == size1
+        assert size0[0] == max(oscint._slab_points(m, 2) for m in (coarse, fine))

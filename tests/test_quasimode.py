@@ -530,6 +530,56 @@ class TestProductSynthesis:
         whole = synthesize_on_axes(cut, axes).data
         assert np.concatenate([b for _, b in blocks]).tobytes() == whole.tobytes()
 
+    # 23 x1 rows in blocks of 3 (2D), 13 in blocks of 2 (3D).  Each range
+    # is (start, stop) in units of the block step, from the grid's end when
+    # negative: one row inside a block, a run over three blocks, either end
+    # of the grid, an empty range in mid-block and the whole grid.
+    @pytest.mark.parametrize("make_field,points,out_block", [
+        (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19),
+         3 * 19),
+        (lambda: build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5),
+         (13, 11, 9), 2 * 99 + 1),
+    ], ids=["2d", "3d"])
+    @pytest.mark.parametrize("where", [
+        "inside-block", "across-blocks", "first-row", "last-row", "empty",
+        "whole"])
+    def test_row_range_blocks_are_grid_rows(self, make_field, points,
+                                            out_block, where, monkeypatch):
+        monkeypatch.setattr(quasimode, "_OUT_BLOCK", out_block)
+        cut = make_field()
+        h = cut.h
+        axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
+            (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
+        n1, step = points[0], out_block // math.prod(points[1:])
+        lo, hi = {"inside-block": (step + 1, step + 2),
+                  "across-blocks": (step - 1, 2 * step + 1),
+                  "first-row": (0, 1), "last-row": (n1 - 1, n1),
+                  "empty": (step + 1, step + 1), "whole": (0, n1)}[where]
+        blocks = []
+        assert synthesize_on_axes(
+            cut, axes, lambda rows, b: blocks.append((rows, b.copy())),
+            range(lo, hi)) is None
+        assert [(r.start, r.stop) for r, _ in blocks] == [
+            (i, min(i + step, n1)) for i in range(0, n1, step)
+            if i < hi and lo < i + step and lo < hi]
+        whole = synthesize_on_axes(cut, axes).data
+        for rows, b in blocks:
+            assert b.tobytes() == whole[rows].tobytes()
+
+    @pytest.mark.parametrize("rows", [range(-1, 3), range(20, 24),
+                                      range(5, 3), range(0, 6, 2)])
+    def test_row_range_outside_grid_rejected(self, rows):
+        cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
+        axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
+        with pytest.raises(ValueError, match="x1 rows"):
+            synthesize_on_axes(cut, axes, lambda rows, b: None, rows)
+
+    def test_row_range_needs_consume(self):
+        cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
+        axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
+        with pytest.raises(ValueError, match="consume"):
+            synthesize_on_axes(cut, axes, rows=range(0, 3))
+
     def test_sweep_blocks_are_on_axes_slices(self):
         # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, normalized
         # as on_axes normalizes its grid.

@@ -259,6 +259,25 @@ class TestDecayDiagnostic:
         assert band.nbytes < 0.4 * grid
         assert peak - band.nbytes <= 0.75 * grid
 
+    def test_band_synthesizes_only_its_blocks(self, flat_model):
+        # The window keeps 3,072 of the 8,192 x1 rows: only the blocks of
+        # 512 rows that meet them are synthesized.
+        qm, axes = flat_model
+        seen = []
+
+        class Recording:
+            def on_axes(self, axes, consume, rows):
+                def record(block_rows, block):
+                    seen.append((block_rows.start, block_rows.stop))
+                    consume(block_rows, block)
+                return qm.on_axes(axes, record, rows)
+
+        band, row0 = _windowed_band(Recording(), axes)
+        row1 = row0 + len(band)
+        assert seen[0][0] <= row0 < seen[0][1] and seen[-1][0] < row1 <= seen[-1][1]
+        assert all(a < row1 and row0 < b for a, b in seen)
+        assert len(seen) < 0.4 * axes[0].points / (seen[0][1] - seen[0][0])
+
     def test_band_is_windowed_field(self, flat_model, flat_model_field):
         # Block by block, the band is the whole field's band rows times the
         # window, bit for bit.
