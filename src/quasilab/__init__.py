@@ -9,8 +9,8 @@ config-driven experiment runner (experiments, cli).
 """
 
 from .analysis import (EXPONENTS, INF_P, contact_delta, exponent,
-                       fit_scaling, kink_p, lp_norm, sogge_delta,
-                       submanifold_delta, transverse_delta)
+                       fit_scaling, kink_p, sogge_delta, submanifold_delta,
+                       transverse_delta)
 from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError, QuasilabError,
                      RefusalError, ResolutionError, SymbolParseError,

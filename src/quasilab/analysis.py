@@ -1,8 +1,7 @@
 """Norm-growth exponent formulas, Lp quadrature norms, and slope fits.
 
 The sweeps' Lp norms are summed block by block (BlockNorms) as the synthesis
-makes the grid; the whole-array lp_norm over boolean shell masks is the
-oracle they are tested against.
+makes the grid, with the boundary shells read as boxes (shell_slices).
 
 Exponents are evaluated in exact rational arithmetic with p = infinity as a
 dedicated sentinel (internally everything is a function of 1/p, so the
@@ -204,50 +203,17 @@ class LpNorm:
     p: object
 
 
-def lp_norm(values: np.ndarray, weights, p,
-            shell_mask: np.ndarray | None = None,
-            inner_shell_mask: np.ndarray | None = None) -> LpNorm:
-    """Weighted quadrature Lp norm with an optional boundary-shell check.
-
-    shell_mask marks the outermost layer of the target set.  For finite p
-    the tail estimate is the norm increment the exterior would contribute
-    if the shell masses kept decaying at their measured geometric rate
-    (inner_shell_mask, the next layer in, supplies the rate; without it the
-    exterior is taken as one more shell).  For p = infinity the estimate is
-    the shell maximum and the refusal condition is a boundary maximizer.
-    TailDominanceError signals a box too small for the requested accuracy;
-    without masks no tail policing happens.
-
-    Sweeps measure their norms with BlockNorms, block by block as
-    quasimode.synthesize_on_axes makes the grid.  This whole-array, per-p,
-    mask-based form is the oracle the tests check BlockNorms against, and
-    the acceptance gate's own sweeps measure with it.
-    """
-    values = np.abs(np.asarray(values))
-    weights = np.broadcast_to(np.asarray(weights, float), values.shape)
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    pp = parse_p(p)
-    if pp is INF_P:
-        norm = float(values.max())
-        if shell_mask is None:
-            return LpNorm(norm, 0.0, p)
-        return _sup_tail(norm, float(values[shell_mask].max()), p)
-    pf = _finite_p(pp)
-    total = float(np.sum(values ** pf * weights))
-    if shell_mask is None:
-        return LpNorm(total ** (1.0 / pf), 0.0, p)
-    shell = float(np.sum(values[shell_mask] ** pf * weights[shell_mask]))
-    inner = None
-    if inner_shell_mask is not None:
-        inner = float(np.sum(values[inner_shell_mask] ** pf
-                             * weights[inner_shell_mask]))
-    return _finite_tail(total, shell, inner, pf, p)
-
-
 class BlockNorms:
-    """lp_norm with both boundary shells policed, for every p in ps at once,
-    summed over blocks of whole first-axis rows as a producer hands them out.
+    """Weighted quadrature Lp norms of a grid u, for every p in ps at once,
+    summed over blocks of whole first-axis rows as a producer hands them out,
+    with both boundary shells policed.
+
+    For finite p the tail estimate is the norm increment the exterior would
+    contribute if the shell masses kept decaying at their measured
+    geometric rate, that of the layer-0 shell over the layer-1 shell.  For
+    p = infinity the estimate is the layer-0 shell maximum and the refusal
+    condition is a boundary maximizer.  TailDominanceError signals a box
+    too small for the requested accuracy.
 
     add(rows, block) takes block = u[rows] for the next run rows of
     first-axis indices; the blocks must tile the grid in order.  Each block
@@ -259,10 +225,11 @@ class BlockNorms:
     halves (_pairwise).  When the blocks all hold one power-of-two count
     of cells, at least numpy's 128-cell pairwise leaf, as on the sweeps'
     power-of-two grids, that is numpy's own pairwise tree over the whole
-    grid, so the norms equal lp_norm's bit for bit (as they do for one
-    block); only the shell sums run in another order.  norms() applies lp_norm's tail rule in the
-    order of ps, and the first p it refuses raises TailDominanceError.
-    weight is the scalar cell weight.
+    grid, so the norms equal those of one numpy sum over the whole grid
+    bit for bit (as they do for one block); the shell sums may round
+    otherwise than one sum over each shell.  norms() applies the tail rule
+    in the order of ps, and the first p it refuses raises
+    TailDominanceError.  weight is the scalar cell weight.
     """
 
     def __init__(self, shape: Sequence[int], weight: float, ps):
@@ -429,21 +396,11 @@ def oscillation_axes(extents: Sequence[float], h: float, margin: float = 8.0,
     return axes
 
 
-def shell_mask(shape: Sequence[int], layer: int = 0) -> np.ndarray:
-    """Boolean mask of the cells exactly ``layer`` steps from the boundary.
-
-    The box of cells at depth >= layer, minus the box at depth >= layer + 1.
-    """
-    shape = tuple(shape)
-    mask = np.zeros(shape, dtype=bool)
-    mask[tuple(slice(layer, max(n - layer, 0)) for n in shape)] = True
-    mask[tuple(slice(layer + 1, max(n - layer - 1, 0)) for n in shape)] = False
-    return mask
-
-
 def shell_slices(shape: Sequence[int], layer: int = 0
                  ) -> list[tuple[slice, ...]]:
-    """Disjoint nonempty boxes whose union is shell_mask(shape, layer).
+    """Disjoint nonempty boxes whose union is the shell of the cells exactly
+    ``layer`` steps from the boundary: the box of cells at depth >= layer,
+    minus the box at depth >= layer + 1.
 
     Box (d, face) holds the shell cells whose first boundary axis is d: one
     of the two faces of the layer's box on axis d, inside the next box in

@@ -80,17 +80,6 @@ def flat_pair(n: int, k: int) -> tuple[PolySymbol, PolySymbol]:
     return x1, x1 + bar_norm_power(n, k + 1)
 
 
-def plane_vs_bowl_graphs() -> tuple[PolySymbol, PolySymbol]:
-    """Graphs a1 = 0 and a2 = -(x1^2 + x2^6) in the two bar variables of n = 3.
-
-    First-order contact along every line off one axis, fifth order on it;
-    the standard nonuniform-contact surface pair.
-    """
-    u = PolySymbol.variable(1, 2)
-    v = PolySymbol.variable(2, 2)
-    return PolySymbol.zero(2), -(u ** 2 + v ** 6)
-
-
 # -- cutoff specs -----------------------------------------------------------------
 
 def _band(sym: PolySymbol) -> BandConstraint:

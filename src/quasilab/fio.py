@@ -7,8 +7,9 @@ a2(hD_bar) to itself, so the transported observable is exactly a1 - a2 (no
 O(h) remainder to model).  Applied to a quasimode u of hD_x1 - a1(hD_bar),
 the slice-wise transform v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1;
 the reports below verify that quantitatively with centered finite
-differences in x1.  W on a whole field and a1(hD_bar) itself are both one
-multiplier applied by grids.apply_multiplier, at the field's h.
+differences in x1.  They form v block by block of x1 rows: W on a block
+and a1(hD_bar) itself are both one multiplier applied by
+grids.apply_multiplier, at the field's h.
 """
 
 from __future__ import annotations
@@ -42,18 +43,6 @@ def _check_field(a1: PolySymbol, u: GridField) -> None:
     if u.dim != a1.dim + 1:
         raise DimensionMismatchError(
             f"field dim {u.dim} != symbol dim {a1.dim} + 1")
-
-
-def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
-    """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
-
-    Vectorized over slices: one bar-side multiplier with the x1 nodes
-    broadcast down axis 0.  transform_quasimode(-a1, v) inverts it.
-    """
-    _check_field(a1, u)
-    x1, = node_arrays(u.axes[:1], u.dim)
-    return GridField(u.h, list(u.axes), apply_multiplier(
-        u.data, u.axes[1:], u.h, _w_multiplier(a1, u.h, x1), first=1))
 
 
 def x1_points(half_width: float, max_spacing: float) -> int:

@@ -12,7 +12,8 @@ The indicator decides membership at cell midpoints, so quadrature multiplier
 norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.  synthesize_on_axes
 sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included; the last fold makes the grid in blocks of
-whole x1 rows, which a consumer may take one at a time in place of the grid.
+whole x1 rows, which a consumer takes one at a time.  Quasimode.on_axes is
+the one place that writes the blocks into a whole grid.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
 # whole x1 rows (one row a block when a row holds more).
 _OUT_BLOCK = 1 << 15
-# Largest array, in cells, that synthesize_on_axes allocates (256 MB of
-# complex values).
+# Largest array, in cells, that synthesize_on_axes or Quasimode.on_axes
+# allocates (256 MB of complex values).
 MAX_GRID_CELLS = 1 << 24
 _JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_raw
@@ -318,8 +319,8 @@ BlockConsumer = Callable[[slice, np.ndarray], None]
 
 
 def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
-                       consume: BlockConsumer | None = None,
-                       rows: range | None = None) -> GridField | None:
+                       consume: BlockConsumer,
+                       rows: range | None = None) -> None:
     """Raw synthesis on a product position grid (separable fast path).
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
@@ -346,20 +347,19 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     C-order slice u[i0:i1] of the grid and a contiguous run of the last
     product's output rows, computed from the same run of its input's
     columns (for a 2D field, of the run factors' x1 nodes) and scaled by
-    (2 pi h)^(-n/2) * cellvol.  Its bits depend only on the grid.  Without
-    consume the blocks are written into one grid, returned as a GridField.
-    With it, each block goes to consume(slice(i0, i1), block) in increasing
-    i0 and no grid is built; block is a view of one buffer that the next
-    block overwrites, so consume must not keep it.  With consume, rows, a
-    range of x1 row indices within the grid, limits the last fold to the
-    blocks that meet it (none when it is empty): the blocks keep their
-    boundaries and the others are skipped, so no block's bits move.  For a
-    2D field the run and phase tables then cover only those blocks' x1
-    nodes, and their entries are elementwise the same; for n >= 3 the
-    earlier folds still cover every x1 row.  The output grid, every
-    fold's result, the run tables and every exponential table are checked
-    against MAX_GRID_CELLS before any of them is allocated, and each fold's
-    input is released once the next fold is built.
+    (2 pi h)^(-n/2) * cellvol.  Its bits depend only on the grid.  Each
+    block goes to consume(slice(i0, i1), block) in increasing i0 and no
+    grid is built; block is a view of one buffer that the next block
+    overwrites, so consume must not keep it.  rows, a range of x1 row
+    indices within the grid, limits the last fold to the blocks that meet
+    it (none when it is empty): the blocks keep their boundaries and the
+    others are skipped, so no block's bits move.  For a 2D field the run
+    and phase tables then cover only those blocks' x1 nodes, and their
+    entries are elementwise the same; for n >= 3 the earlier folds still
+    cover every x1 row.  The output grid, every fold's result, the run
+    tables and every exponential table are checked against MAX_GRID_CELLS
+    before any of them is allocated, and each fold's input is released
+    once the next fold is built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -368,8 +368,6 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     x1 = axes[0].nodes()
     if rows is None:
         rows = range(len(x1))
-    elif consume is None:
-        raise ValueError("a row range needs consume")
     elif not 0 <= rows.start <= rows.stop <= len(x1) or rows.step != 1:
         raise ValueError(f"row range {rows} is not a run of the grid's "
                          f"{len(x1)} x1 rows")
@@ -422,28 +420,20 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
             _fold_into(out, rows_of, e, value_of, lo, hi)
         flat = folded.reshape(len(starts), -1)
 
-    axis, width, _, values, value_of = folds[-1]
+    axis, _, _, values, value_of = folds[-1]
     e = np.exp(1j * np.outer(values, axis.nodes()) / h)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
-    if consume is None:
-        grid = np.empty(shape, dtype=complex)
-        outs = grid.reshape(width, axis.points)
-    else:
-        outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
+    outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
     for i0 in blocks:
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
         # The tables' columns are x1 rows from t0 (a 2D field's per_row is 1).
         table_cols = cols if flat is not None else slice(i0 - t0, i1 - t0)
-        out = outs[cols] if consume is None else outs[:cols.stop - cols.start]
+        out = outs[:cols.stop - cols.start]
         _fold_into(out, lambda blk: rows_of(blk, table_cols), e, value_of,
                    0, len(value_of))
         out *= scale
-        if consume is not None:
-            consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
-    if consume is None:
-        return GridField(h, list(axes), grid)
-    return None
+        consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
 
 
 # -- the normalized extremizer -------------------------------------------------------
@@ -476,18 +466,31 @@ class Quasimode:
                 rows: range | None = None) -> GridField | None:
         """The field on a product grid; with consume, synthesize_on_axes's
         blocks (those that meet rows, when given), each normalized before
-        consume gets it, and no grid."""
+        consume gets it, and no grid.
+
+        Without consume the normalized blocks are written into one grid,
+        allocated at the first block, once every budget check of the
+        synthesis has passed, and returned as a GridField.
+        """
+        if consume is None and rows is not None:
+            raise ValueError("a row range needs consume")
         scale = 1.0 / self.cutoff.l2_norm()
-        if consume is None:
-            g = synthesize_on_axes(self.cutoff, axes, rows=rows)
-            g.data *= scale
-            return g
+        grid = None
 
         def normalized(block_rows: slice, block: np.ndarray) -> None:
+            nonlocal grid
             block *= scale
-            consume(block_rows, block)
+            if consume is not None:
+                consume(block_rows, block)
+                return
+            if grid is None:
+                grid = np.empty(tuple(a.points for a in axes), dtype=complex)
+            grid[block_rows] = block
 
-        return synthesize_on_axes(self.cutoff, axes, normalized, rows)
+        synthesize_on_axes(self.cutoff, axes, normalized, rows)
+        if consume is not None:
+            return None
+        return GridField(self.h, list(axes), grid)
 
     def peak(self) -> float:
         """|T(0)|; the global maximum by the triangle inequality."""
@@ -509,7 +512,7 @@ def _power_columns(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarray:
+def verify_joint_quasimode(qm: Quasimode, orders: int) -> np.ndarray:
     """||p1^M1 p2^M2 chi||_2 / (h^(M1+M2) ||chi||_2) on the frequency side.
 
     Returns the (orders+1, orders+1) matrix of these ratios indexed
@@ -524,7 +527,7 @@ def verify_joint_quasimode(qm: Quasimode | CutoffField, orders: int) -> np.ndarr
     makes |p_j| <= h hold at every support node, so each ratio is <= 1 up
     to rounding; values above 1 + boundary slack indicate a broken cutoff.
     """
-    field = qm.cutoff if isinstance(qm, Quasimode) else qm
+    field = qm.cutoff
     if orders < 0:
         raise ValueError("orders must be nonnegative")
     if field.spec is None or len(field.spec.constraints) < 2:

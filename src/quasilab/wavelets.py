@@ -2,21 +2,17 @@
 decay diagnostics of the flat model.
 
 The mother wavelet is the derivative of the standard smooth bump
-exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth, mean zero, with a
-finite admissibility constant C_f = int |f^(eta)|^2/|eta| d eta.  C_f is
-computed by Gauss-Legendre quadrature in ln eta (numpy alone), tails
-reported, on first use: only ``reconstruct`` needs it, and its first call
-runs ``admissibility``.
-Transforms are plain quadratures on the field's x1 grid, summed per scale
-tap by tap in numpy over a band of x1 rows, scanned once for its first and
-last nonzero rows: each tap reaches only the windows where it lands on a
-row between them, and only the windows some tap reaches are formed, so the
-others are exact zeros, not small numbers.  A coefficient is a sum that
-starts at +0 and never turns -0, so the taps skipped on zero rows, which
-add +-0, change no bit of it.  The decay table takes the field from the
-synthesis in blocks of x1 rows, keeps only the windowed band of rows where
-its x1 window is nonzero, never holds the whole grid, and transforms each
-scale's live windows only: every other row's power is +0.
+exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth and mean zero.
+The transform is a plain quadrature on the field's x1 grid, summed per
+scale tap by tap in numpy over a band of x1 rows, scanned once for its
+first and last nonzero rows: each tap reaches only the windows where it
+lands on a row between them, and only the windows some tap reaches are
+formed, so the others are exact zeros, not small numbers.  A coefficient
+is a sum that starts at +0 and never turns -0, so the taps skipped on zero
+rows, which add +-0, change no bit of it.  The decay table takes the field
+from the synthesis in blocks of x1 rows, keeps only the windowed band of
+rows where its x1 window is nonzero, never holds the whole grid, and
+transforms each scale's live windows only: every other row's power is +0.
 """
 
 from __future__ import annotations
@@ -29,17 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grids import (AxisSpec, GridField, cell_volume, dual_axis, ft_axes,
-                    node_arrays)
+from .grids import AxisSpec, cell_volume, dual_axis, ft_axes, node_arrays
 from .quasimode import Quasimode
 
-_TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
-_ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
-_GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
-_A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))   # cwt's default scales
-_LOCALIZE_HALFWIDTH = 1.5   # decay_diagnostic's window is flat out to here
-_CWT_BLOCK = 1 << 15   # cwt's coefficients per block of windows (256 KB)
+# decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
+_A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))
+_LOCALIZE_HALFWIDTH = 1.5
+_CWT_BLOCK = 1 << 15   # coefficients per block of windows (256 KB)
 
 
 def bump(t: np.ndarray) -> np.ndarray:
@@ -73,20 +66,9 @@ class MotherWavelet:
     mean: float                   # quadrature of f; ~0 by construction
 
 
-def _fourier_abs_sq(eta: np.ndarray, t: np.ndarray, f: np.ndarray,
-                    dt: float) -> np.ndarray:
-    """|f^(eta)|^2 for real odd f: f^(eta) = -2i int_0^inf f sin(eta t) dt."""
-    s = np.sin(np.outer(eta, t)) @ f * dt
-    return 4.0 * s * s
-
-
 @lru_cache(maxsize=1)
 def make_mother_wavelet() -> MotherWavelet:
-    """Build the bump-derivative wavelet: profile, support, L2 norm, mean.
-
-    The admissibility constant is not part of it: ``admissibility`` computes
-    C_f on first use, which is the first ``reconstruct``.
-    """
+    """Build the bump-derivative wavelet: profile, support, L2 norm, mean."""
     tt = np.linspace(-1.0, 1.0, 2 * _T_POINTS)
     fv = bump_derivative(tt)
     dtt = tt[1] - tt[0]
@@ -96,49 +78,6 @@ def make_mother_wavelet() -> MotherWavelet:
         l2_norm_sq=float(np.sum(fv * fv) * dtt),
         mean=float(np.sum(fv) * dtt),
     )
-
-
-@lru_cache(maxsize=1)
-def admissibility() -> tuple[float, float, float]:
-    """(C_f, tail_low, tail_high) of the bump-derivative wavelet.
-
-    C_f = int_R |f^|^2/|eta| d eta is computed on [_ETA_MIN, _ETA_MAX]
-    (doubled for the negative axis by symmetry) by Gauss-Legendre in
-    s = ln eta, _GL_NODES nodes on each of three segments; the
-    trapezoid-in-t evaluation of f^ is spectrally accurate because f
-    vanishes to all orders at the endpoints.  tail_low bounds the omitted
-    |eta| < _ETA_MIN piece and tail_high estimates the |eta| > _ETA_MAX one.
-    """
-    from numpy.polynomial.legendre import leggauss   # here: ~7 ms to import
-
-    t = np.linspace(0.0, 1.0, _T_POINTS)
-    ft = bump_derivative(t)
-    dt = t[1] - t[0]
-    x, w = leggauss(_GL_NODES)
-    c_half = 0.0
-    for a, b in ((_ETA_MIN, 1.0), (1.0, 50.0), (50.0, _ETA_MAX)):
-        half, mid = 0.5 * math.log(b / a), 0.5 * math.log(a * b)
-        eta = np.exp(half * x + mid)   # d eta / eta = ds
-        c_half += half * float(w @ _fourier_abs_sq(eta, t, ft, dt))
-    # Tails: |f^(eta)|^2/eta <= C*eta near 0; superpolynomial decay above.
-    near = _fourier_abs_sq(np.array([_ETA_MIN]), t, ft, dt)[0] / _ETA_MIN
-    tail_low = near * _ETA_MIN  # integrand decreases ~linearly to 0 below it
-    hi = _fourier_abs_sq(np.array([_ETA_MAX]), t, ft, dt)[0] / _ETA_MAX
-    tail_high = hi * _ETA_MAX   # crude envelope; decay there is superpolynomial
-    return 2.0 * c_half, 2.0 * tail_low, 2.0 * tail_high
-
-
-# -- continuous wavelet transform --------------------------------------------------
-
-@dataclass
-class WaveletCoefficients:
-    """X(a, b, .) per scale: ragged in b because the b step tracks a."""
-
-    a_grid: np.ndarray
-    b_grids: list[np.ndarray]
-    values: list[np.ndarray]      # per scale: (len(b_grid), *bar_shape)
-    x1_axis: AxisSpec
-    h: float
 
 
 def _nonzero_rows(flat: np.ndarray) -> tuple[int, int]:
@@ -151,8 +90,7 @@ def _nonzero_rows(flat: np.ndarray) -> tuple[int, int]:
 
 
 def _scale_windows(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
-                   a_grid: Sequence[float], b_step_factor: float = 8.0,
-                   x1_scale: float = 1.0):
+                   a_grid: Sequence[float]):
     """Per scale: (b, coefficients of windows [wlo, whi), wlo).
 
     band is the real (rows, 2 * prod(bar_shape)) view of x1 rows row0,
@@ -166,15 +104,23 @@ def _scale_windows(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
     """
     first, last = _nonzero_rows(band)
     for a in np.asarray(a_grid, dtype=float):
-        yield _scale_window(band, row0, first + row0, last + row0, ax, w, a,
-                            b_step_factor, x1_scale)
+        yield _scale_window(band, row0, first + row0, last + row0, ax, w, a)
 
 
 def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
-                  ax: AxisSpec, w: MotherWavelet, a: float,
-                  b_step_factor: float, x1_scale: float):
+                  ax: AxisSpec, w: MotherWavelet, a: float):
     """_scale_windows at one scale a, whose band's nonzero rows run from
-    the x1 rows first to last."""
+    the x1 rows first to last.
+
+    X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
+    b runs on a grid of step ~ a/8, snapped to the x1 grid so windows slide
+    by whole cells, and extended one dilated support beyond the data so the
+    no-overlap region is represented.  At scales far above the grid step
+    the quadrature decimates to a step of min(a/16, 1/8): the dilated
+    profile and the field, which varies on the unit x1 scale, are both
+    smooth at that resolution, and the wide-window cost drops from O(a) to
+    O(1) per translate.
+    """
     if a <= 0:
         raise ValueError("scales must be positive")
     dx = ax.spacing
@@ -182,10 +128,10 @@ def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
     cols = band.shape[1]
     block = max(1, _CWT_BLOCK // cols)
     half = w.support_halfwidth * a
-    qstride = max(1, int(min(a / 16.0, x1_scale / 8.0) / dx))
+    qstride = max(1, int(min(a / 16.0, 1.0 / 8.0) / dx))
     qstep = qstride * dx
     wcells = int(math.ceil(2.0 * half / qstep)) + 2
-    stride = max(1, int(round(a / b_step_factor / dx)))
+    stride = max(1, int(round(a / 8.0 / dx)))
     pad_cells = int(math.ceil(2.0 * half / dx)) + wcells * qstride
     b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
     b = ax.start + (b_idx + 0.5) * dx
@@ -221,69 +167,6 @@ def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
                     out=buf[:i1 - i0])
     out *= qstep
     return b, out, wlo
-
-
-def cwt(v: GridField, w: MotherWavelet, a_grid: Sequence[float] | None = None,
-        b_step_factor: float = 8.0, x1_scale: float = 1.0) -> WaveletCoefficients:
-    """X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
-
-    b runs on a per-scale grid of step ~ a/b_step_factor (snapped to the x1
-    grid so windows slide by whole cells), extended one dilated support
-    beyond the data so the no-overlap region is represented.  The field is
-    scanned once for its first and last nonzero rows.  Each scale sums its
-    taps in ascending order, each one a strided multiply-add over the
-    windows where it lands on a row between those two; only the windows
-    some tap reaches are formed, and the others are padded with +0, the
-    same bits as a sum over every sample.
-
-    At scales far above the grid step the quadrature decimates to a step of
-    min(a/16, x1_scale/8): both the dilated profile and the field (whose x1
-    variation scale the caller declares) are smooth at that resolution, and
-    the wide-window cost drops from O(a) to O(1) per translate.
-    """
-    if a_grid is None:
-        a_grid = _A_GRID
-    bar_shape = v.data.shape[1:]
-    # The field as real (n1, 2 * prod(bar_shape)): each tap acts on real and
-    # imaginary parts at once.
-    flat = np.ascontiguousarray(v.data, dtype=complex).reshape(
-        v.axes[0].points, -1).view(float)
-    values: list[np.ndarray] = []
-    b_grids: list[np.ndarray] = []
-    for b, x, wlo in _scale_windows(flat, 0, v.axes[0], w, a_grid,
-                                    b_step_factor, x1_scale):
-        out = np.zeros((len(b), flat.shape[1]))
-        out[wlo:wlo + len(x)] = x
-        values.append(out.view(complex).reshape((len(b),) + bar_shape))
-        b_grids.append(b)
-    return WaveletCoefficients(np.asarray(a_grid, float), b_grids, values,
-                               v.axes[0], v.h)
-
-
-def reconstruct(coeffs: WaveletCoefficients, w: MotherWavelet,
-                x_nodes: np.ndarray) -> np.ndarray:
-    """Inverse transform (2/C_f) sum_a w_a sum_b db a^(-5/2) X f((x-b)/a).
-
-    Positive scales only, hence the factor 2/C_f (from ``admissibility``,
-    computed on the first call); the a-quadrature uses the log-spaced
-    weights a * dln(a).
-    """
-    a = coeffs.a_grid
-    if len(a) < 2:
-        raise ValueError("inversion needs at least two scales")
-    log_w = np.empty_like(a)
-    la = np.log(a)
-    log_w[1:-1] = 0.5 * (la[2:] - la[:-2])
-    log_w[0] = la[1] - la[0]
-    log_w[-1] = la[-1] - la[-2]
-    out = np.zeros(x_nodes.shape + coeffs.values[0].shape[1:], dtype=complex)
-    for ai, aval in enumerate(a):
-        b = coeffs.b_grids[ai]
-        db = (b[1] - b[0]) if len(b) > 1 else coeffs.x1_axis.spacing
-        kernel = w.profile((x_nodes[:, None] - b[None, :]) / aval)
-        weight = (aval * log_w[ai]) * db * aval ** -2.5
-        out += weight * np.tensordot(kernel, coeffs.values[ai], axes=(1, 0))
-    return out * (2.0 / admissibility()[0])
 
 
 # -- dyadic cutoffs ------------------------------------------------------------------

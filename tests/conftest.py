@@ -9,7 +9,9 @@ from quasilab import families
 from quasilab.fio import aligned_position_axes
 from quasilab.grids import AxisSpec, GridField
 from quasilab.quasimode import Quasimode, build_cutoff
-from quasilab.wavelets import cwt, make_mother_wavelet, reconstruct
+from quasilab.wavelets import make_mother_wavelet
+
+from oracles import padded_gather_cwt, reconstruct
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +31,10 @@ def reconstruction_error(mother_wavelet):
     sig = np.exp(-x ** 2 / 2.0) * np.sin(4.0 * x)
     v = GridField(2.0 ** -4, [ax], sig.astype(complex))
     a_grid = np.geomspace(2.0 ** -7, 2.0 ** 6, 105)
-    coeffs = cwt(v, mother_wavelet, a_grid, b_step_factor=16.0, x1_scale=0.25)
-    rec = reconstruct(coeffs, mother_wavelet, x)
+    b_grids, values = zip(*(padded_gather_cwt(
+        v, mother_wavelet, a, b_step_factor=16.0, x1_scale=0.25)[:2]
+        for a in a_grid))
+    rec = reconstruct(a_grid, b_grids, values, ax.spacing, mother_wavelet, x)
     return float(np.sqrt(np.sum(np.abs(rec - sig) ** 2) / np.sum(sig ** 2)))
 
 

@@ -1,0 +1,230 @@
+"""Slow reference paths the tests check the runs' fast paths against.
+
+No run calls these: the sweeps take their norms block by block
+(analysis.BlockNorms), the decay table transforms only live windows
+(wavelets._scale_windows) and the synthesis hands its blocks to a consumer
+(quasimode.synthesize_on_axes).  Each definition here is the whole-array or
+whole-field form of one of them, or a step of the paper's argument that
+the tests check by hand.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
+                               _sup_tail, parse_p)
+from quasilab.fio import _check_field, _w_multiplier
+from quasilab.grids import GridField, apply_multiplier, node_arrays
+from quasilab.quasimode import synthesize_on_axes
+from quasilab.symbols import PolySymbol
+from quasilab.wavelets import _T_POINTS, bump_derivative
+
+_ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
+_GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
+
+
+# -- synthesis ---------------------------------------------------------------------
+
+def raw_grid(cut, axes) -> GridField:
+    """synthesize_on_axes's blocks written into one grid, unnormalized.
+
+    The grid is allocated at the first block, after every budget check of
+    the synthesis has passed.
+    """
+    grid = None
+
+    def collect(rows: slice, block: np.ndarray) -> None:
+        nonlocal grid
+        if grid is None:
+            grid = np.empty(tuple(a.points for a in axes), dtype=complex)
+        grid[rows] = block
+
+    synthesize_on_axes(cut, axes, collect)
+    return GridField(cut.h, list(axes), grid)
+
+
+# -- Lp norms ------------------------------------------------------------------------
+
+def lp_norm(values: np.ndarray, weights, p,
+            shell_mask: np.ndarray | None = None,
+            inner_shell_mask: np.ndarray | None = None) -> LpNorm:
+    """Weighted quadrature Lp norm with an optional boundary-shell check.
+
+    shell_mask marks the outermost layer of the target set.  For finite p
+    the tail estimate is the norm increment the exterior would contribute
+    if the shell masses kept decaying at their measured geometric rate
+    (inner_shell_mask, the next layer in, supplies the rate; without it the
+    exterior is taken as one more shell).  For p = infinity the estimate is
+    the shell maximum and the refusal condition is a boundary maximizer.
+    TailDominanceError signals a box too small for the requested accuracy;
+    without masks no tail policing happens.
+
+    The whole-array, per-p, mask-based form of analysis.BlockNorms, which
+    the sweeps use.
+    """
+    values = np.abs(np.asarray(values))
+    weights = np.broadcast_to(np.asarray(weights, float), values.shape)
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    pp = parse_p(p)
+    if pp is INF_P:
+        norm = float(values.max())
+        if shell_mask is None:
+            return LpNorm(norm, 0.0, p)
+        return _sup_tail(norm, float(values[shell_mask].max()), p)
+    pf = _finite_p(pp)
+    total = float(np.sum(values ** pf * weights))
+    if shell_mask is None:
+        return LpNorm(total ** (1.0 / pf), 0.0, p)
+    shell = float(np.sum(values[shell_mask] ** pf * weights[shell_mask]))
+    inner = None
+    if inner_shell_mask is not None:
+        inner = float(np.sum(values[inner_shell_mask] ** pf
+                             * weights[inner_shell_mask]))
+    return _finite_tail(total, shell, inner, pf, p)
+
+
+def shell_mask(shape: Sequence[int], layer: int = 0) -> np.ndarray:
+    """Boolean mask of the cells exactly ``layer`` steps from the boundary.
+
+    The box of cells at depth >= layer, minus the box at depth >= layer + 1.
+    """
+    shape = tuple(shape)
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(slice(layer, max(n - layer, 0)) for n in shape)] = True
+    mask[tuple(slice(layer + 1, max(n - layer - 1, 0)) for n in shape)] = False
+    return mask
+
+
+# -- wavelets ------------------------------------------------------------------------
+
+def padded_gather_cwt(v: GridField, w, a, b_step_factor=8.0, b_pad=1.0,
+                      x1_scale=1.0):
+    """The CWT at one scale by zero-padding the field, gathering every
+    window and summing in tap order; also returns qstride and the number
+    of windows that overlap the data only in part.
+
+    b runs on a grid of step ~ a/b_step_factor, snapped to the x1 grid, and
+    the quadrature decimates to a step of min(a/16, x1_scale/8).  The
+    decay table's transform (wavelets._scale_windows) is this one at
+    b_step_factor 8 and x1_scale 1.
+    """
+    ax = v.axes[0]
+    dx, n1 = ax.spacing, ax.points
+    half = w.support_halfwidth * a
+    qstride = max(1, int(min(a / 16.0, x1_scale / 8.0) / dx))
+    qstep = qstride * dx
+    wcells = int(math.ceil(2.0 * half / qstep)) + 2
+    stride = max(1, int(round(a / b_step_factor / dx)))
+    pad_cells = int(math.ceil(2.0 * b_pad * half / dx)) + wcells * qstride
+    b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
+    pad = pad_cells + wcells * qstride
+    padded = np.zeros((n1 + 2 * pad,) + v.data.shape[1:], dtype=complex)
+    padded[pad:pad + n1] = v.data
+    offs = (np.arange(2 * wcells + 1) - wcells) * qstride
+    frow = w.profile(offs * dx / a) / math.sqrt(a)
+    idx = b_idx[:, None] + offs[None, :] + pad
+    win = padded[idx]
+    out = np.zeros((len(b_idx),) + v.data.shape[1:], dtype=complex)
+    for m in range(len(offs)):
+        out += frow[m] * win[:, m]
+    inside = ((idx >= pad) & (idx < pad + n1))[:, frow != 0.0]
+    partial = int(np.sum(inside.any(axis=1) & ~inside.all(axis=1)))
+    return ax.start + (b_idx + 0.5) * dx, out * qstep, qstride, partial
+
+
+def _fourier_abs_sq(eta: np.ndarray, t: np.ndarray, f: np.ndarray,
+                    dt: float) -> np.ndarray:
+    """|f^(eta)|^2 for real odd f: f^(eta) = -2i int_0^inf f sin(eta t) dt."""
+    s = np.sin(np.outer(eta, t)) @ f * dt
+    return 4.0 * s * s
+
+
+@lru_cache(maxsize=1)
+def admissibility() -> tuple[float, float, float]:
+    """(C_f, tail_low, tail_high) of the bump-derivative wavelet.
+
+    C_f = int_R |f^|^2/|eta| d eta is computed on [_ETA_MIN, _ETA_MAX]
+    (doubled for the negative axis by symmetry) by Gauss-Legendre in
+    s = ln eta, _GL_NODES nodes on each of three segments; the
+    trapezoid-in-t evaluation of f^ is spectrally accurate because f
+    vanishes to all orders at the endpoints.  tail_low bounds the omitted
+    |eta| < _ETA_MIN piece and tail_high estimates the |eta| > _ETA_MAX one.
+    """
+    t = np.linspace(0.0, 1.0, _T_POINTS)
+    ft = bump_derivative(t)
+    dt = t[1] - t[0]
+    x, w = leggauss(_GL_NODES)
+    c_half = 0.0
+    for a, b in ((_ETA_MIN, 1.0), (1.0, 50.0), (50.0, _ETA_MAX)):
+        half, mid = 0.5 * math.log(b / a), 0.5 * math.log(a * b)
+        eta = np.exp(half * x + mid)   # d eta / eta = ds
+        c_half += half * float(w @ _fourier_abs_sq(eta, t, ft, dt))
+    # Tails: |f^(eta)|^2/eta <= C*eta near 0; superpolynomial decay above.
+    near = _fourier_abs_sq(np.array([_ETA_MIN]), t, ft, dt)[0] / _ETA_MIN
+    tail_low = near * _ETA_MIN  # integrand decreases ~linearly to 0 below it
+    hi = _fourier_abs_sq(np.array([_ETA_MAX]), t, ft, dt)[0] / _ETA_MAX
+    tail_high = hi * _ETA_MAX   # crude envelope; decay there is superpolynomial
+    return 2.0 * c_half, 2.0 * tail_low, 2.0 * tail_high
+
+
+def reconstruct(a_grid, b_grids, values, dx: float, w,
+                x: np.ndarray) -> np.ndarray:
+    """Inverse transform (2/C_f) sum_a w_a sum_b db a^(-5/2) X f((x-b)/a).
+
+    values[i] holds the coefficients X(a_grid[i], b, .) on the translates
+    b_grids[i], one row per b; a scale with one translate takes db = dx,
+    the x1 grid step.  Positive scales only, hence the factor 2/C_f (from
+    admissibility, computed on the first call); the a-quadrature uses the
+    log-spaced weights a * dln(a).
+    """
+    a = np.asarray(a_grid, dtype=float)
+    if len(a) < 2:
+        raise ValueError("inversion needs at least two scales")
+    log_w = np.empty_like(a)
+    la = np.log(a)
+    log_w[1:-1] = 0.5 * (la[2:] - la[:-2])
+    log_w[0] = la[1] - la[0]
+    log_w[-1] = la[-1] - la[-2]
+    out = np.zeros(x.shape + values[0].shape[1:], dtype=complex)
+    for ai, aval in enumerate(a):
+        b = b_grids[ai]
+        db = (b[1] - b[0]) if len(b) > 1 else dx
+        kernel = w.profile((x[:, None] - b[None, :]) / aval)
+        weight = (aval * log_w[ai]) * db * aval ** -2.5
+        out += weight * np.tensordot(kernel, values[ai], axes=(1, 0))
+    return out * (2.0 / admissibility()[0])
+
+
+# -- flattening ----------------------------------------------------------------------
+
+def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
+    """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
+
+    Vectorized over slices: one bar-side multiplier with the x1 nodes
+    broadcast down axis 0.  transform_quasimode(-a1, v) inverts it.
+    fio.flattening_reports forms the same v block by block.
+    """
+    _check_field(a1, u)
+    x1, = node_arrays(u.axes[:1], u.dim)
+    return GridField(u.h, list(u.axes), apply_multiplier(
+        u.data, u.axes[1:], u.h, _w_multiplier(a1, u.h, x1), first=1))
+
+
+# -- symbol pairs --------------------------------------------------------------------
+
+def plane_vs_bowl_graphs() -> tuple[PolySymbol, PolySymbol]:
+    """Graphs a1 = 0 and a2 = -(x1^2 + x2^6) in the two bar variables of n = 3.
+
+    First-order contact along every line off one axis, fifth order on it;
+    the standard nonuniform-contact surface pair.
+    """
+    u = PolySymbol.variable(1, 2)
+    v = PolySymbol.variable(2, 2)
+    return PolySymbol.zero(2), -(u ** 2 + v ** 6)

@@ -13,13 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from quasilab import families
-from quasilab.analysis import (INF_P, contact_delta, fit_scaling, lp_norm,
-                               oscillation_axes, shell_mask, sogge_delta)
+from quasilab.analysis import (INF_P, BlockNorms, contact_delta, fit_scaling,
+                               oscillation_axes, sogge_delta)
 from quasilab.cli import main
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                                   EXIT_VERDICT_FAIL)
-from quasilab.fio import (aligned_position_axes, flattening_reports,
-                          transform_quasimode)
+from quasilab.fio import aligned_position_axes, flattening_reports
 from quasilab.grids import AxisSpec, GridField, cell_volume, ft_axes
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                              power_loss, quadratic_phase, resonant_amplitude,
@@ -29,6 +28,8 @@ from quasilab.quasimode import Quasimode, build_cutoff, support_volume, \
 from quasilab.symbols import (mixed_partials_check, contact_profile, graph_factor,
                               parse_symbol, sample_directions)
 from quasilab.wavelets import decay_diagnostic
+
+from oracles import plane_vs_bowl_graphs, transform_quasimode
 
 F = Fraction
 
@@ -84,7 +85,7 @@ class TestCriterion2Contact:
                 past = not mixed_partials_check(bar(p1), bar(p2), k + 1).ok
                 ok &= uniform_k and claim and past
                 details.append(f"n={n},k={k}:{'ok' if uniform_k else 'BAD'}")
-        a1, a2 = families.plane_vs_bowl_graphs()
+        a1, a2 = plane_vs_bowl_graphs()
         prof = contact_profile(a1, a2, sample_directions(2, 64))
         orders = {tuple(r.direction): r.order for r in prof.reports}
         on_axis = {o for d, o in orders.items() if d[0] == 0}
@@ -144,19 +145,21 @@ class TestCriterion4Volumes:
 
 
 def _lp_sweep(spec, hs, ps, dim, margin=8.0, points_per_scale=8):
+    """Per p, the norms over hs as the sweep runner takes them: block by
+    block as the synthesis makes the grid."""
     norms = {p: [] for p in ps}
     for h in hs:
         cut = build_cutoff(spec, h)
         qm = Quasimode(cut)
         exts = [cut.extent(i) for i in range(dim)]
-        g = qm.on_axes(oscillation_axes(exts, h, margin, points_per_scale))
-        m0 = shell_mask(g.data.shape, 0)
-        m1 = shell_mask(g.data.shape, 1)
+        axes = oscillation_axes(exts, h, margin, points_per_scale)
+        sums = BlockNorms([a.points for a in axes], cell_volume(axes),
+                          [p for p in ps if p != 2])
+        qm.on_axes(axes, sums.add)
+        measured = {m.p: m.value for m in sums.norms()}
         for p in ps:
-            if p == 2:
-                norms[p].append(1.0)  # exact frequency-side normalization
-            else:
-                norms[p].append(lp_norm(g.data, g.cell_volume, p, m0, m1).value)
+            # p = 2 is the exact frequency-side normalization.
+            norms[p].append(measured.get(p, 1.0))
     return norms
 
 

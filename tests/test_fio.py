@@ -10,11 +10,13 @@ import pytest
 from quasilab import families, fio
 from quasilab.errors import DimensionMismatchError
 from quasilab.fio import (FlatteningReport, _w_multiplier, aligned_position_axes,
-                          flattening_reports, hd_x1, transform_quasimode)
+                          flattening_reports, hd_x1)
 from quasilab.grids import (AxisSpec, GridField, apply_multiplier, dual_axis,
                             ft_axis, node_arrays)
 from quasilab.quasimode import Quasimode, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
+
+from oracles import transform_quasimode
 
 
 def _a1(n=2, k=1):

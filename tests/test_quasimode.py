@@ -25,6 +25,8 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
+from oracles import lp_norm, raw_grid, shell_mask
+
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
 
@@ -400,16 +402,16 @@ DIGEST_CHILD = """
 import hashlib
 from quasilab import families
 from quasilab.analysis import oscillation_axes
-from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
-                                verify_joint_quasimode)
+from quasilab.quasimode import Quasimode, build_cutoff, verify_joint_quasimode
+from oracles import raw_grid
 from test_quasimode import _fine_4d_field, _fine_parabola_cutoff
 cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
 fine = build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6)
-arrays = [synthesize_on_axes(c, oscillation_axes(
+arrays = [raw_grid(c, oscillation_axes(
     [c.extent(i) for i in range(c.dim)], c.h, margin, pts)).data
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
-for arr in arrays + [verify_joint_quasimode(cut, 3)]:
+for arr in arrays + [verify_joint_quasimode(Quasimode(cut), 3)]:
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -445,7 +447,7 @@ class TestProductSynthesis:
         # Off-center boxes spanning a few oscillation scales per axis.
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
-        fast = synthesize_on_axes(cut, axes)
+        fast = raw_grid(cut, axes)
         assert fast.data.shape == points
         oracle = synthesize_raw(cut, mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
@@ -463,8 +465,8 @@ class TestProductSynthesis:
             axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2,
                                     pts)
             np.testing.assert_array_equal(
-                synthesize_on_axes(shuffled, axes).data,
-                synthesize_on_axes(cut, axes).data)
+                raw_grid(shuffled, axes).data,
+                raw_grid(cut, axes).data)
 
     @pytest.mark.parametrize("n,pts", [(2, 8), (3, 8), (4, 4)],
                              ids=["2d", "3d", "4d"])
@@ -475,7 +477,7 @@ class TestProductSynthesis:
         norm = cut.l2_norm()
         qm = Quasimode(cut)
         assert qm.on_axes(axes).data.tobytes() == \
-            (synthesize_on_axes(cut, axes).data / norm).tobytes()
+            (raw_grid(cut, axes).data / norm).tobytes()
         nodes = mesh_points(axes)
         targets = nodes[np.linspace(0, len(nodes) - 1, 64).astype(int)]
         assert qm.values(targets).tobytes() == \
@@ -489,7 +491,7 @@ class TestProductSynthesis:
         assert [a.points for a in axes] == [64] * 3
         tracemalloc.start()
         try:
-            synthesize_on_axes(cut, axes)
+            raw_grid(cut, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -519,16 +521,17 @@ class TestProductSynthesis:
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
         blocks = []
-        assert synthesize_on_axes(
-            cut, axes, lambda rows, b: blocks.append((rows, b.copy()))) is None
+        synthesize_on_axes(cut, axes,
+                           lambda rows, b: blocks.append((rows, b.copy())))
         row = math.prod(points[1:])
         step = max(1, out_block // row)
         assert [(r.start, r.stop) for r, _ in blocks] == [
             (i, min(i + step, points[0])) for i in range(0, points[0], step)]
         for rows, b in blocks:
             assert b.shape == (rows.stop - rows.start,) + points[1:]
-        whole = synthesize_on_axes(cut, axes).data
-        assert np.concatenate([b for _, b in blocks]).tobytes() == whole.tobytes()
+        grid = np.concatenate([b for _, b in blocks])
+        oracle = synthesize_raw(cut, mesh_points(axes)).reshape(points)
+        assert np.abs(grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     # 23 x1 rows in blocks of 3 (2D), 13 in blocks of 2 (3D).  Each range
     # is (start, stop) in units of the block step, from the grid's end when
@@ -556,13 +559,13 @@ class TestProductSynthesis:
                   "first-row": (0, 1), "last-row": (n1 - 1, n1),
                   "empty": (step + 1, step + 1), "whole": (0, n1)}[where]
         blocks = []
-        assert synthesize_on_axes(
-            cut, axes, lambda rows, b: blocks.append((rows, b.copy())),
-            range(lo, hi)) is None
+        synthesize_on_axes(cut, axes,
+                           lambda rows, b: blocks.append((rows, b.copy())),
+                           range(lo, hi))
         assert [(r.start, r.stop) for r, _ in blocks] == [
             (i, min(i + step, n1)) for i in range(0, n1, step)
             if i < hi and lo < i + step and lo < hi]
-        whole = synthesize_on_axes(cut, axes).data
+        whole = raw_grid(cut, axes).data
         for rows, b in blocks:
             assert b.tobytes() == whole[rows].tobytes()
 
@@ -578,7 +581,7 @@ class TestProductSynthesis:
         cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
         axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
         with pytest.raises(ValueError, match="consume"):
-            synthesize_on_axes(cut, axes, rows=range(0, 3))
+            Quasimode(cut).on_axes(axes, rows=range(0, 3))
 
     def test_sweep_blocks_are_on_axes_slices(self):
         # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, normalized
@@ -600,7 +603,7 @@ class TestProductSynthesis:
         # 4 MiB, and with |u| 6 MiB.  The last fold's blocks go straight into
         # the norm sums, whose norms equal the whole-grid oracle's bits.
         from quasilab import experiments
-        from quasilab.analysis import INF_P, lp_norm, shell_mask
+        from quasilab.analysis import INF_P
 
         h, ps = 2.0 ** -5, [INF_P, 8]
         spec = families.paraboloid_cutoff(3, 3)
@@ -632,7 +635,7 @@ class TestProductSynthesis:
         folds = [16 * r * c for r, c in zip(rows + [1], cells)]
         tracemalloc.start()
         try:
-            synthesize_on_axes(cut, axes)
+            raw_grid(cut, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -655,7 +658,7 @@ class TestProductSynthesis:
         tracemalloc.start()
         try:
             with pytest.raises(GridBudgetError, match=f"{64 * 32 * 32 * 64} cells"):
-                synthesize_on_axes(cut, axes)
+                raw_grid(cut, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -668,7 +671,7 @@ class TestProductSynthesis:
         cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
                           col_start=np.array([0]), col_count=np.array([1]))
         with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
-            synthesize_on_axes(cut, axes)
+            raw_grid(cut, axes)
 
     def test_slabs_checked_before_allocation(self, monkeypatch):
         # 240 output cells fit a 1000-cell budget; the 6400 stage-1 slabs of
@@ -677,7 +680,7 @@ class TestProductSynthesis:
         cut = _fine_4d_field()
         axes = [AxisSpec(0.0, 1.0, n) for n in (5, 4, 4, 3)]
         with pytest.raises(MemoryError, match="128000 cells"):
-            synthesize_on_axes(cut, axes)
+            raw_grid(cut, axes)
 
     def test_run_tables_checked_before_allocation(self, monkeypatch):
         # Output and slab are 10 x 2 cells each; the run tables hold one
@@ -689,7 +692,7 @@ class TestProductSynthesis:
                           col_start=np.arange(5), col_count=np.arange(1, 6))
         out_axes = [AxisSpec(0.0, 1.0, 10), AxisSpec(0.0, 1.0, 2)]
         with pytest.raises(MemoryError, match="100 cells"):
-            synthesize_on_axes(cut, out_axes)
+            raw_grid(cut, out_axes)
 
     def test_xi2_table_checked_before_allocation(self, monkeypatch):
         # Output and slab are 2 x 10 cells each and the run tables 2 x 2
@@ -702,7 +705,7 @@ class TestProductSynthesis:
                           col_start=np.full(8, 3), col_count=np.full(8, 2))
         out_axes = [AxisSpec(0.0, 1.0, 2), AxisSpec(0.0, 1.0, 10)]
         with pytest.raises(MemoryError, match="80 cells"):
-            synthesize_on_axes(cut, out_axes)
+            raw_grid(cut, out_axes)
 
     def test_bits_independent_of_blas_threads(self):
         src = str(Path(quasilab.__file__).resolve().parents[1])
@@ -770,12 +773,12 @@ class TestJointQuasimode:
 
         monkeypatch.setattr(quasimode, "_power_columns", record)
         # Every n <= 3 case is one chunk at the shipped size.
-        whole = verify_joint_quasimode(cut, 3)
+        whole = verify_joint_quasimode(Quasimode(cut), 3)
         assert sizes[::2] == [cut.cell_count]
         for cells in (40, 5000):
             monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", cells)
             sizes.clear()
-            got = verify_joint_quasimode(cut, 3)
+            got = verify_joint_quasimode(Quasimode(cut), 3)
             np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
             # Whole columns, as many as fit in the chunk, or one.
             chunks, ends = sizes[::2], np.cumsum(cut.col_count)
@@ -798,10 +801,11 @@ class TestJointQuasimode:
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_matches_vander_oracle(self, spec_fn, h, monkeypatch):
         cut = build_cutoff(spec_fn(), h)
-        got = verify_joint_quasimode(cut, 3)
+        got = verify_joint_quasimode(Quasimode(cut), 3)
         monkeypatch.setattr(quasimode, "_power_columns",
                             lambda x, m: np.vander(x, m, increasing=True))
-        np.testing.assert_array_equal(got, verify_joint_quasimode(cut, 3))
+        np.testing.assert_array_equal(
+            got, verify_joint_quasimode(Quasimode(cut), 3))
 
     def test_multiplier_norm_oracle(self):
         # Independent frequency-side oracle: apply p1 as a multiplier to the

@@ -16,6 +16,8 @@ from quasilab.symbols import (PolySymbol, mixed_partials_check,
                               contact_profile, curvature_check, format_symbol,
                               graph_factor, parse_symbol, sample_directions)
 
+from oracles import plane_vs_bowl_graphs
+
 F = Fraction
 
 
@@ -241,7 +243,7 @@ class TestContactProfile:
         assert len(prof.reports) >= 64
 
     def test_plane_vs_bowl_split(self):
-        a1, a2 = families.plane_vs_bowl_graphs()
+        a1, a2 = plane_vs_bowl_graphs()
         dirs = sample_directions(2, 64)
         prof = contact_profile(a1, a2, dirs)
         orders = {tuple(r.direction): r.order for r in prof.reports}

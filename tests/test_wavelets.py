@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -11,8 +10,27 @@ import pytest
 from quasilab.grids import AxisSpec, GridField, ft_axes
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _scale_powers,
                                _scale_windows, _smooth_step, _windowed_band,
-                               admissibility, bump, bump_derivative, cwt,
-                               decay_diagnostic, dyadic_cutoffs)
+                               bump, bump_derivative, decay_diagnostic,
+                               dyadic_cutoffs)
+
+from oracles import admissibility, padded_gather_cwt
+
+
+def whole_field_cwt(v, w, a_grid):
+    """(b_grids, values): _scale_windows on the whole field v, per scale
+    the translates b and the coefficients at every b, those of the windows
+    it does not form padded with +0, in v's bar shape."""
+    bar_shape = v.data.shape[1:]
+    # The field as real (n1, 2 * prod(bar_shape)), as the decay table's band.
+    flat = np.ascontiguousarray(v.data, dtype=complex).reshape(
+        v.axes[0].points, -1).view(float)
+    b_grids, values = [], []
+    for b, x, wlo in _scale_windows(flat, 0, v.axes[0], w, a_grid):
+        out = np.zeros((len(b), flat.shape[1]))
+        out[wlo:wlo + len(x)] = x
+        values.append(out.view(complex).reshape((len(b),) + bar_shape))
+        b_grids.append(b)
+    return b_grids, values
 
 
 class TestMotherWavelet:
@@ -45,24 +63,22 @@ class TestCwt:
     def test_autocorrelation_peak(self, mother_wavelet):
         ax = AxisSpec(0.0, 8.0, 4096)
         v = self._field(bump_derivative(ax.nodes()))
-        co = cwt(v, mother_wavelet, a_grid=[1.0])
-        b = co.b_grids[0]
-        peak = co.values[0][int(np.argmin(np.abs(b)))]
+        (b,), (x,) = whole_field_cwt(v, mother_wavelet, [1.0])
+        peak = x[int(np.argmin(np.abs(b)))]
         assert peak.real == pytest.approx(mother_wavelet.l2_norm_sq, abs=1e-3)
 
     def test_mean_zero_cancellation_on_constant(self, mother_wavelet):
         v = self._field(np.ones(4096))
-        co = cwt(v, mother_wavelet, a_grid=[2.0 ** -4])
-        inner = np.abs(co.b_grids[0]) < 4.0
-        assert np.abs(co.values[0][inner]).max() <= 1e-8 * v.l2_norm()
+        (b,), (x,) = whole_field_cwt(v, mother_wavelet, [2.0 ** -4])
+        inner = np.abs(b) < 4.0
+        assert np.abs(x[inner]).max() <= 1e-8 * v.l2_norm()
 
     def test_exact_zero_off_overlap(self, mother_wavelet):
         v = self._field(bump_derivative(AxisSpec(0.0, 8.0, 2048).nodes()))
-        co = cwt(v, mother_wavelet, a_grid=[1.0])
-        b = co.b_grids[0]
+        (b,), (x,) = whole_field_cwt(v, mother_wavelet, [1.0])
         far = np.abs(b) > 8.0 + 1.0  # data box + dilated support
         assert far.any()
-        assert np.all(co.values[0][far] == 0.0)
+        assert np.all(x[far] == 0.0)
 
     def test_linearity(self, mother_wavelet):
         rng = np.random.default_rng(17)
@@ -70,18 +86,18 @@ class TestCwt:
         d2 = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         a, bcoef = 1.3, -0.7 + 0.2j
         grids = [2.0 ** -2, 1.0]
-        c1 = cwt(self._field(d1), mother_wavelet, grids)
-        c2 = cwt(self._field(d2), mother_wavelet, grids)
-        c3 = cwt(self._field(a * d1 + bcoef * d2), mother_wavelet, grids)
-        for i in range(2):
-            combo = a * c1.values[i] + bcoef * c2.values[i]
-            assert np.abs(c3.values[i] - combo).max() < 1e-12
+        _, c1 = whole_field_cwt(self._field(d1), mother_wavelet, grids)
+        _, c2 = whole_field_cwt(self._field(d2), mother_wavelet, grids)
+        _, c3 = whole_field_cwt(self._field(a * d1 + bcoef * d2),
+                                mother_wavelet, grids)
+        for x1, x2, x3 in zip(c1, c2, c3):
+            assert np.abs(x3 - (a * x1 + bcoef * x2)).max() < 1e-12
 
     # a = 1/4 samples every cell (qstride 1); a = 4 decimates to every 7th
     # cell.  1000 cells is a multiple of neither stride nor qstride, so the
     # windows meet the data edges at varying partial overlaps.  With 48 bar
-    # points a = 1/4's 566 windows span two of cwt's cache blocks.  Besides
-    # a dense field, cwt's clip to the nonzero rows meets a field with zero
+    # points a = 1/4's 566 windows span two of the cache blocks.  Besides
+    # a dense field, the clip to the nonzero rows meets a field with zero
     # rows at both ends, a zero row inside and -0.0 entries, and a field of
     # zeros only; bytes are compared, so signed zeros count.
     @pytest.mark.parametrize("bar_shape", [(), (8,), (48,)],
@@ -100,18 +116,20 @@ class TestCwt:
         a_grid = [0.25, 4.0]
         for data in (dense, rows, np.zeros(shape, complex)):
             v = GridField(2.0 ** -4, axes, data)
-            co = cwt(v, mother_wavelet, a_grid)
+            b_grids, values = whole_field_cwt(v, mother_wavelet, a_grid)
             for i, a in enumerate(a_grid):
-                b, x, qstride, partial = _padded_gather_cwt(v, mother_wavelet, a)
+                b, x, qstride, partial = padded_gather_cwt(
+                    v, mother_wavelet, a)
                 assert qstride == (1 if i == 0 else 7)
                 assert partial > 0
-                assert np.array_equal(co.b_grids[i], b)
-                assert co.values[i].shape == x.shape
-                assert co.values[i].tobytes() == x.tobytes()
+                assert np.array_equal(b_grids[i], b)
+                assert values[i].shape == x.shape
+                assert values[i].tobytes() == x.tobytes()
 
-    # A band of 80 rows starting at row 300 of a 1000-row field: cwt on the
-    # field zero-padded around it is the oracle.  a = 4 decimates (qstride
-    # 7), and a = 16 reaches the band from windows far outside it.
+    # A band of 80 rows starting at row 300 of a 1000-row field: the
+    # transform of the field zero-padded around it is the oracle.  a = 4
+    # decimates (qstride 7), and a = 16 reaches the band from windows far
+    # outside it.
     @pytest.mark.parametrize("bar_shape", [(), (8,)], ids=["1d", "2d"])
     @pytest.mark.parametrize("case", ["dense", "zero-ends", "zero-inside",
                                       "all-zero"])
@@ -133,59 +151,22 @@ class TestCwt:
         ax = AxisSpec(0.0, 8.0, 1000)
         axes = [ax] + [AxisSpec(0.0, 1.0, m) for m in bar_shape]
         a_grid = [2.0 ** -5, 0.25, 4.0, 16.0]
-        co = cwt(GridField(2.0 ** -4, axes, data), mother_wavelet,
-                 a_grid)
+        want_bs, wants = whole_field_cwt(GridField(2.0 ** -4, axes, data),
+                                         mother_wavelet, a_grid)
         flat = band.reshape(rows, -1).view(float)
         scales = list(_scale_windows(flat, row0, ax, mother_wavelet, a_grid))
         assert len(scales) == len(a_grid)
-        for (b, x, wlo), want_b, want in zip(scales, co.b_grids, co.values):
+        for (b, x, wlo), want_b, want in zip(scales, want_bs, wants):
             assert b.tobytes() == want_b.tobytes()
             got = np.zeros((len(b), flat.shape[1]))
             got[wlo:wlo + len(x)] = x
             assert got.tobytes() == want.reshape(len(b), -1).view(float).tobytes()
             assert (len(x) == 0) == (case == "all-zero")
 
-    def test_memory_bounded(self, mother_wavelet, flat_model_field):
-        tracemalloc.start()
-        try:
-            cwt(flat_model_field, mother_wavelet)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 2 ** 20
-
     def test_rejects_nonpositive_scale(self, mother_wavelet):
         v = self._field(np.ones(256))
         with pytest.raises(ValueError):
-            cwt(v, mother_wavelet, a_grid=[0.0])
-
-
-def _padded_gather_cwt(v, w, a, b_step_factor=8.0, b_pad=1.0, x1_scale=1.0):
-    """The CWT at one scale by zero-padding the field, gathering every
-    window and summing in tap order; also returns qstride and the number
-    of windows that overlap the data only in part."""
-    ax = v.axes[0]
-    dx, n1 = ax.spacing, ax.points
-    half = w.support_halfwidth * a
-    qstride = max(1, int(min(a / 16.0, x1_scale / 8.0) / dx))
-    qstep = qstride * dx
-    wcells = int(math.ceil(2.0 * half / qstep)) + 2
-    stride = max(1, int(round(a / b_step_factor / dx)))
-    pad_cells = int(math.ceil(2.0 * b_pad * half / dx)) + wcells * qstride
-    b_idx = np.arange(-pad_cells, n1 + pad_cells, stride)
-    pad = pad_cells + wcells * qstride
-    padded = np.zeros((n1 + 2 * pad,) + v.data.shape[1:], dtype=complex)
-    padded[pad:pad + n1] = v.data
-    offs = (np.arange(2 * wcells + 1) - wcells) * qstride
-    frow = w.profile(offs * dx / a) / math.sqrt(a)
-    idx = b_idx[:, None] + offs[None, :] + pad
-    win = padded[idx]
-    out = np.zeros((len(b_idx),) + v.data.shape[1:], dtype=complex)
-    for m in range(len(offs)):
-        out += frow[m] * win[:, m]
-    inside = ((idx >= pad) & (idx < pad + n1))[:, frow != 0.0]
-    partial = int(np.sum(inside.any(axis=1) & ~inside.all(axis=1)))
-    return ax.start + (b_idx + 0.5) * dx, out * qstep, qstride, partial
+            whole_field_cwt(v, mother_wavelet, [0.0])
 
 
 def partition_sum(fam, r):
@@ -304,11 +285,9 @@ class TestDecayDiagnostic:
                 band, row0, f.axes, f.h, mother_wavelet)):
             if s == a:
                 break
-        co = cwt(v, mother_wavelet, [a])
-        x = co.values[0]
+        (b,), (x,) = whole_field_cwt(v, mother_wavelet, [a])
         zero_rows = ~x.reshape(len(x), -1).any(axis=1)
         assert zero_rows[0] and zero_rows[-1] and not zero_rows.all()
-        b = co.b_grids[0]
         assert db == b[1] - b[0]
         want = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
         assert power.shape == want.shape
