@@ -163,6 +163,23 @@ class TestCwt:
             assert got.tobytes() == want.reshape(len(b), -1).view(float).tobytes()
             assert (len(x) == 0) == (case == "all-zero")
 
+    def test_memory_bounded(self, mother_wavelet, flat_model_field):
+        # The transform of the flat model's whole 8192 x 64 grid at every
+        # scale of the shipped a-grid holds one scale's coefficients at a
+        # time: the largest scale's are about one grid, and the whole run
+        # peaks at about 1.05 grids measured.
+        v = flat_model_field
+        flat = v.data.reshape(v.axes[0].points, -1).view(float)
+        tracemalloc.start()
+        try:
+            for b, x, _ in _scale_windows(flat, 0, v.axes[0], mother_wavelet,
+                                          _A_GRID):
+                del b, x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * v.data.nbytes
+
     def test_rejects_nonpositive_scale(self, mother_wavelet):
         v = self._field(np.ones(256))
         with pytest.raises(ValueError):
