@@ -17,7 +17,7 @@ from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      TailDominanceError)
 from .grids import AxisSpec, GridField, apply_multiplier
 from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
-                        Quasimode, build_cutoff, support_volume,
+                        build_cutoff, support_volume, synthesize_on_axes,
                         verify_joint_quasimode)
 from .symbols import (INFINITE, ContactReport, GraphForm, PolySymbol,
                       mixed_partials_check, contact_profile, curvature_check,

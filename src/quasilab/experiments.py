@@ -32,8 +32,9 @@ from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      dyadic_radius, quadratic_phase, resonant_amplitude,
                      resonant_radius, power_loss, ttstar_kernel, vdc_check,
                      window_overlap)
-from .quasimode import (MAX_GRID_CELLS, Quasimode, build_cutoff,
-                        support_volume, verify_joint_quasimode)
+from .quasimode import (MAX_GRID_CELLS, build_cutoff, support_volume,
+                        synthesize_at, synthesize_on_axes,
+                        verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
                       graph_factor, parse_symbol, sample_directions)
 from .wavelets import decay_diagnostic, make_mother_wavelet
@@ -456,19 +457,18 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
     """One sweep.csv row: h, volume, volume_ratio, peak, t0_rel_err,
     joint_ratio_max and the norm at each p of ps."""
     cut = build_cutoff(spec, h)
-    qm = Quasimode(cut)
-    vol, peak = support_volume(cut), qm.peak()
+    vol, peak = support_volume(cut), cut.peak()
     origin = np.zeros((1, cut.dim))
-    t0_err = abs(abs(qm.values(origin)[0]) - peak) / peak
+    t0_err = abs(abs(synthesize_at(cut, origin)[0]) - peak) / peak
     row = [h, vol, vol / h ** gamma, peak, t0_err,
-           float(verify_joint_quasimode(qm, v["joint_orders"]).max())]
+           float(verify_joint_quasimode(cut, v["joint_orders"]).max())]
     if ps:
         exts = [cut.extent(i) for i in range(cut.dim)]
         axes = oscillation_axes(exts, h, v["margin"], v["points_per_scale"])
         # p = 2 is frequency-side Parseval: exact for the normalized cutoff.
         sums = BlockNorms([a.points for a in axes], cell_volume(axes),
                           [p for p in ps if p != 2])
-        qm.on_axes(axes, sums.add)
+        synthesize_on_axes(cut, axes, sums.add)
         norms = {m.p: m.value for m in sums.norms()}
         row += [norms.get(p, 1.0) for p in ps]
     return row
@@ -509,7 +509,7 @@ def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
     axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
-    diag = decay_diagnostic(Quasimode(cut), axes, make_mother_wavelet(),
+    diag = decay_diagnostic(cut, axes, make_mother_wavelet(),
                             v["m_order"], k)
     bound = 2.0 ** (-(k + 1))
     worst = max((r for _, r in diag.j_ratios), default=0.0)
@@ -598,7 +598,7 @@ def run_fio_check(v: dict):
         cut = build_cutoff(spec, h)
         axes = aligned_position_axes(cut, v["x1_half_width"],
                                      h / _FIO_CELLS_PER_H)
-        u = Quasimode(cut).on_axes(axes)
+        u = synthesize_on_axes(cut, axes)
         reports = flattening_reports(a1, u, orders)
         del u    # so that the next h's field is not synthesized beside it
         for rep in reports:

@@ -11,16 +11,17 @@ finest sweeps (where the dense grid would have ~1e9 cells) at desk scale.
 The indicator decides membership at cell midpoints, so quadrature multiplier
 norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.  synthesize_on_axes
 sums the columns onto a product position grid by sum factorisation, with one
-fold per bar axis, xi2 included; the last fold makes the grid in blocks of
-whole x1 rows, which a consumer takes one at a time.  Quasimode.on_axes is
-the one place that writes the blocks into a whole grid.
+fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
+it makes the normalized quasimode itself.  Its last fold makes the grid in
+blocks of whole x1 rows, which a consumer takes one at a time; without a
+consumer they are written into one grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +39,11 @@ _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
 # whole x1 rows (one row a block when a row holds more).
 _OUT_BLOCK = 1 << 15
-# Largest array, in cells, that synthesize_on_axes or Quasimode.on_axes
-# allocates (256 MB of complex values).
+# Largest array, in cells, that synthesize_on_axes allocates (256 MB of
+# complex values), and the largest bar grid build_cutoff evaluates on.
 MAX_GRID_CELLS = 1 << 24
 _JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
-_TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_raw
+_TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
 
 
 def _check_grid_cells(shape: Sequence[int]) -> None:
@@ -150,6 +151,11 @@ class CutoffField:
         """Quadrature L2 norm of the indicator: sqrt(support volume)."""
         return math.sqrt(self.volume())
 
+    def peak(self) -> float:
+        """|u(0)| = (2 pi h)^(-n/2) sqrt(Vol) of the normalized quasimode,
+        its global maximum by the triangle inequality."""
+        return (_TWO_PI * self.h) ** (-self.dim / 2) * math.sqrt(self.volume())
+
     def xi1_first_node(self) -> np.ndarray:
         ax = self.axes[0]
         return ax.start + (self.col_start + 0.5) * ax.spacing
@@ -168,9 +174,10 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
 
     The constraints are evaluated on broadcast bar nodes, so every array is
     bar-grid shaped and none lists the grid's points.  Raises
-    EmptySupportError when no cell qualifies and BoxTooSmallError when the
-    support touches the box boundary (the configured box must enclose the
-    constraint set).
+    GridBudgetError when the bar grid holds more than MAX_GRID_CELLS cells,
+    before any of those arrays is allocated, EmptySupportError when no cell
+    qualifies and BoxTooSmallError when the support touches the box
+    boundary (the configured box must enclose the constraint set).
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -181,8 +188,9 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
             f"the box has dimension {n}")
     axes = [rule.to_axis(h) for rule in spec.box]
     bar_axes = axes[1:]
-    bar_nodes = node_arrays(bar_axes, n - 1)
     shape = tuple(a.points for a in bar_axes)
+    _check_grid_cells(shape)
+    bar_nodes = node_arrays(bar_axes, n - 1)
     lo = np.full(shape, -np.inf)
     hi = np.full(shape, np.inf)
     mask = np.ones(shape, dtype=bool)
@@ -264,8 +272,9 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return num * np.exp(1j * (counts - 1) * half)
 
 
-def synthesize_raw(field: CutoffField, targets) -> np.ndarray:
-    """(2 pi h)^(-n/2) sum_cells exp(i<x,xi>/h) * cellvol at each target.
+def synthesize_at(field: CutoffField, targets) -> np.ndarray:
+    """(2 pi h)^(-n/2) sum_cells exp(i<x,xi>/h) * cellvol / ||chi||_2, the
+    normalized quasimode, at each target.
 
     Column-wise closed form: the xi1 run of every column is a geometric sum,
     so the cost is targets x columns, independent of the xi1 resolution.
@@ -291,7 +300,7 @@ def synthesize_raw(field: CutoffField, targets) -> np.ndarray:
             phase = phase + tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
         out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * run, axis=1)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
-    return scale * out
+    return scale * out * (1.0 / field.l2_norm())
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -319,9 +328,10 @@ BlockConsumer = Callable[[slice, np.ndarray], None]
 
 
 def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
-                       consume: BlockConsumer,
-                       rows: range | None = None) -> None:
-    """Raw synthesis on a product position grid (separable fast path).
+                       consume: BlockConsumer | None = None,
+                       rows: range | None = None) -> GridField | None:
+    """The normalized quasimode on a product position grid (separable fast
+    path).
 
     The column sum is a type-3 nonuniform Fourier sum over columnar support
     (Dutt & Rokhlin 1993), evaluated exactly by sum factorisation (Orszag
@@ -346,23 +356,29 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     of whole x1 rows, _OUT_BLOCK cells or one x1 row each: a block is a
     C-order slice u[i0:i1] of the grid and a contiguous run of the last
     product's output rows, computed from the same run of its input's
-    columns (for a 2D field, of the run factors' x1 nodes) and scaled by
-    (2 pi h)^(-n/2) * cellvol.  Its bits depend only on the grid.  Each
-    block goes to consume(slice(i0, i1), block) in increasing i0 and no
-    grid is built; block is a view of one buffer that the next block
-    overwrites, so consume must not keep it.  rows, a range of x1 row
-    indices within the grid, limits the last fold to the blocks that meet
-    it (none when it is empty): the blocks keep their boundaries and the
-    others are skipped, so no block's bits move.  For a 2D field the run
-    and phase tables then cover only those blocks' x1 nodes, and their
-    entries are elementwise the same; for n >= 3 the earlier folds still
-    cover every x1 row.  The output grid, every fold's result, the run
-    tables and every exponential table are checked against MAX_GRID_CELLS
-    before any of them is allocated, and each fold's input is released
-    once the next fold is built.
+    columns (for a 2D field, of the run factors' x1 nodes), scaled by
+    (2 pi h)^(-n/2) * cellvol and then by 1/||chi||_2 (numpy divides a
+    complex array by a real scalar as a multiply by its reciprocal, so
+    these are a division's bits).  Its bits depend only on the grid.  With
+    consume, each block goes to consume(slice(i0, i1), block) in increasing
+    i0 and no grid is built; block is a view of one buffer that the next
+    block overwrites, so consume must not keep it.  Without consume, the
+    blocks are written into one grid, allocated at the first block once
+    every budget check has passed, and returned as a GridField.  rows, a
+    range of x1 row indices within the grid, needs consume and limits the
+    last fold to the blocks that meet it (none when it is empty): the
+    blocks keep their boundaries and the others are skipped, so no block's
+    bits move.  For a 2D field the run and phase tables then cover only
+    those blocks' x1 nodes, and their entries are elementwise the same; for
+    n >= 3 the earlier folds still cover every x1 row.  The output grid,
+    every fold's result, the run tables and every exponential table are
+    checked against MAX_GRID_CELLS before any of them is allocated, and
+    each fold's input is released once the next fold is built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
+    if consume is None and rows is not None:
+        raise ValueError("a row range needs consume")
     shape = tuple(a.points for a in axes)
     _check_grid_cells(shape)
     x1 = axes[0].nodes()
@@ -423,7 +439,9 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     axis, _, _, values, value_of = folds[-1]
     e = np.exp(1j * np.outer(values, axis.nodes()) / h)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
+    inv_norm = 1.0 / field.l2_norm()
     outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
+    grid = None
     for i0 in blocks:
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
@@ -433,69 +451,16 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
         _fold_into(out, lambda blk: rows_of(blk, table_cols), e, value_of,
                    0, len(value_of))
         out *= scale
-        consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
-
-
-# -- the normalized extremizer -------------------------------------------------------
-
-@dataclass
-class Quasimode:
-    """L2-normalized inverse transform of a sharp cutoff indicator.
-
-    The normalization is the frequency-side quadrature norm, so l2norm == 1
-    identically and T(0) = (2 pi h)^(-n/2) sqrt(Vol) exactly.
-    """
-
-    cutoff: CutoffField
-    l2norm: ClassVar[float] = 1.0
-
-    @property
-    def h(self) -> float:
-        """The cutoff's h: a Quasimode has no h of its own."""
-        return self.cutoff.h
-
-    # Both methods multiply by 1/||chi||: numpy divides a complex array by a
-    # real scalar as a multiply by the scalar's reciprocal, so the bits equal
-    # those of a division, at a fraction of complex division's cost.
-    def values(self, targets) -> np.ndarray:
-        scale = 1.0 / self.cutoff.l2_norm()
-        return synthesize_raw(self.cutoff, targets) * scale
-
-    def on_axes(self, axes: Sequence[AxisSpec],
-                consume: BlockConsumer | None = None,
-                rows: range | None = None) -> GridField | None:
-        """The field on a product grid; with consume, synthesize_on_axes's
-        blocks (those that meet rows, when given), each normalized before
-        consume gets it, and no grid.
-
-        Without consume the normalized blocks are written into one grid,
-        allocated at the first block, once every budget check of the
-        synthesis has passed, and returned as a GridField.
-        """
-        if consume is None and rows is not None:
-            raise ValueError("a row range needs consume")
-        scale = 1.0 / self.cutoff.l2_norm()
-        grid = None
-
-        def normalized(block_rows: slice, block: np.ndarray) -> None:
-            nonlocal grid
-            block *= scale
-            if consume is not None:
-                consume(block_rows, block)
-                return
-            if grid is None:
-                grid = np.empty(tuple(a.points for a in axes), dtype=complex)
-            grid[block_rows] = block
-
-        synthesize_on_axes(self.cutoff, axes, normalized, rows)
+        out *= inv_norm
+        block = out.reshape((i1 - i0,) + shape[1:])
         if consume is not None:
-            return None
-        return GridField(self.h, list(axes), grid)
-
-    def peak(self) -> float:
-        """|T(0)|; the global maximum by the triangle inequality."""
-        vol = self.cutoff.volume()
-        return (_TWO_PI * self.h) ** (-self.cutoff.dim / 2) * math.sqrt(vol)
+            consume(slice(i0, i1), block)
+            continue
+        if grid is None:
+            grid = np.empty(shape, dtype=complex)
+        grid[i0:i1] = block
+    if consume is None:
+        return GridField(h, list(axes), grid)
 
 
 def _power_columns(x: np.ndarray, m: int) -> np.ndarray:
@@ -512,7 +477,7 @@ def _power_columns(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def verify_joint_quasimode(qm: Quasimode, orders: int) -> np.ndarray:
+def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     """||p1^M1 p2^M2 chi||_2 / (h^(M1+M2) ||chi||_2) on the frequency side.
 
     Returns the (orders+1, orders+1) matrix of these ratios indexed
@@ -526,8 +491,9 @@ def verify_joint_quasimode(qm: Quasimode, orders: int) -> np.ndarray:
     so the temporaries stay bounded whatever n is.  Midpoint membership
     makes |p_j| <= h hold at every support node, so each ratio is <= 1 up
     to rounding; values above 1 + boundary slack indicate a broken cutoff.
+    qm is the quasimode's cutoff.
     """
-    field = qm.cutoff
+    field = qm
     if orders < 0:
         raise ValueError("orders must be nonnegative")
     if field.spec is None or len(field.spec.constraints) < 2:

@@ -144,21 +144,6 @@ class PolySymbol:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, point: Sequence[Rational | float]):
-        """Evaluate at a point; exact Fraction when every coordinate is rational."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, expected {self.dim}")
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        total = Fraction(0) if exact else 0.0
-        for mono, c in self.coeffs.items():
-            term = c if exact else float(c)
-            for x, e in zip(point, mono):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
-
     def eval_grid(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized float evaluation on broadcastable coordinate arrays."""
         if len(coords) != self.dim:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .grids import AxisSpec, cell_volume, dual_axis, ft_axes, node_arrays
-from .quasimode import Quasimode
+from .quasimode import CutoffField, synthesize_on_axes
 
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 # decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
@@ -231,13 +231,13 @@ class DecayDiagnostic:
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
 
 
-def _windowed_band(source: Quasimode, axes: Sequence[AxisSpec]
+def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
                    ) -> tuple[np.ndarray, int]:
-    """(band, row0): source's field on axes times decay_diagnostic's x1
-    window, on the x1 rows row0, row0 + 1, ... where the window is nonzero,
-    as the real (rows, 2 * prod(bar_shape)) view.
+    """(band, row0): the quasimode of the cutoff source on axes times
+    decay_diagnostic's x1 window, on the x1 rows row0, row0 + 1, ... where
+    the window is nonzero, as the real (rows, 2 * prod(bar_shape)) view.
 
-    source.on_axes hands the field over in blocks of whole x1 rows, only
+    synthesize_on_axes hands the field over in blocks of whole x1 rows, only
     those that meet the band (the others, whose rows the window zeroes, are
     never synthesized), and only the band is allocated: each block's band
     rows are multiplied by the window into it, block first, the operand
@@ -258,7 +258,7 @@ def _windowed_band(source: Quasimode, axes: Sequence[AxisSpec]
             np.multiply(block[lo - block_rows.start:hi - block_rows.start],
                         window[lo:hi], out=band[lo - row0:hi - row0])
 
-    source.on_axes(axes, consume, range(row0, row1))
+    synthesize_on_axes(source, axes, consume, range(row0, row1))
     return band.reshape(row1 - row0, math.prod(bar_shape)).view(float), row0
 
 
@@ -285,15 +285,15 @@ def _scale_powers(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
         del power
 
 
-def decay_diagnostic(source: Quasimode, axes: Sequence[AxisSpec],
+def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
                      w: MotherWavelet, m_order: int, k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
 
-    v is source's field on the position grid axes (x1 = axis 0), a
-    flat-model quasimode; the bar transform runs on the grid's dual axes.
-    Reports the fitted a-slopes at j = 0 and the worst consecutive-j decay
-    ratios for comparison against the 2^(-j(k+1)M) * (|a|^(3/2) for
-    a <= 1, 1 for a >= 1) envelope.
+    v is the quasimode of the flat-model cutoff source on the position
+    grid axes (x1 = axis 0); the bar transform runs on the grid's dual
+    axes.  Reports the fitted a-slopes at j = 0 and the worst
+    consecutive-j decay ratios for comparison against the
+    2^(-j(k+1)M) * (|a|^(3/2) for a <= 1, 1 for a >= 1) envelope.
 
     The decay law presumes a quasimode localized in an O(1) region, while a
     sharp-cutoff synthesis has |x1|^-1 tails out to the box; v is therefore

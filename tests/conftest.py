@@ -8,7 +8,7 @@ import pytest
 from quasilab import families
 from quasilab.fio import aligned_position_axes
 from quasilab.grids import AxisSpec, GridField
-from quasilab.quasimode import Quasimode, build_cutoff
+from quasilab.quasimode import build_cutoff, synthesize_on_axes
 from quasilab.wavelets import make_mother_wavelet
 
 from oracles import padded_gather_cwt, reconstruct
@@ -40,15 +40,14 @@ def reconstruction_error(mother_wavelet):
 
 @pytest.fixture(scope="session")
 def flat_model():
-    """(quasimode, position axes) of the wavelet decay diagnostics' flat
+    """(cutoff, position axes) of the wavelet decay diagnostics' flat
     model (n=2, k=3): the shipped wavelet config's 8192 x 64 grid."""
     h = 2.0 ** -8
     cut = build_cutoff(families.flat_cutoff(2, 3, pow2=True), h)
-    return Quasimode(cut), aligned_position_axes(cut, 6.0, 2.0 ** -9)
+    return cut, aligned_position_axes(cut, 6.0, 2.0 ** -9)
 
 
 @pytest.fixture(scope="session")
 def flat_model_field(flat_model):
     """The flat model's field on its whole grid."""
-    qm, axes = flat_model
-    return qm.on_axes(axes)
+    return synthesize_on_axes(*flat_model)

@@ -2,15 +2,17 @@
 
 No run calls these: the sweeps take their norms block by block
 (analysis.BlockNorms), the decay table transforms only live windows
-(wavelets._scale_windows) and the synthesis hands its blocks to a consumer
-(quasimode.synthesize_on_axes).  Each definition here is the whole-array or
-whole-field form of one of them, or a step of the paper's argument that
-the tests check by hand.
+(wavelets._scale_windows), the flattening check forms its field block by
+block (fio.flattening_reports) and the cutoffs evaluate their symbols on
+whole grids (PolySymbol.eval_grid).  Each definition here is the
+whole-array, whole-field or exact form of one of them, or a step of the
+paper's argument that the tests check by hand.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -19,34 +21,14 @@ from numpy.polynomial.legendre import leggauss
 
 from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
+from quasilab.errors import DimensionMismatchError
 from quasilab.fio import _check_field, _w_multiplier
 from quasilab.grids import GridField, apply_multiplier, node_arrays
-from quasilab.quasimode import synthesize_on_axes
 from quasilab.symbols import PolySymbol
 from quasilab.wavelets import _T_POINTS, bump_derivative
 
 _ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
 _GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
-
-
-# -- synthesis ---------------------------------------------------------------------
-
-def raw_grid(cut, axes) -> GridField:
-    """synthesize_on_axes's blocks written into one grid, unnormalized.
-
-    The grid is allocated at the first block, after every budget check of
-    the synthesis has passed.
-    """
-    grid = None
-
-    def collect(rows: slice, block: np.ndarray) -> None:
-        nonlocal grid
-        if grid is None:
-            grid = np.empty(tuple(a.points for a in axes), dtype=complex)
-        grid[rows] = block
-
-    synthesize_on_axes(cut, axes, collect)
-    return GridField(cut.h, list(axes), grid)
 
 
 # -- Lp norms ------------------------------------------------------------------------
@@ -217,7 +199,25 @@ def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
         u.data, u.axes[1:], u.h, _w_multiplier(a1, u.h, x1), first=1))
 
 
-# -- symbol pairs --------------------------------------------------------------------
+# -- symbols -------------------------------------------------------------------------
+
+def eval_exact(p: PolySymbol, point: Sequence):
+    """p at a point, term by term: an exact Fraction when every coordinate
+    is an int or a Fraction, a float otherwise.  The exact oracle of
+    PolySymbol.eval_grid."""
+    if len(point) != p.dim:
+        raise DimensionMismatchError(
+            f"point has {len(point)} coordinates, expected {p.dim}")
+    exact = all(isinstance(x, (int, Fraction)) for x in point)
+    total = Fraction(0) if exact else 0.0
+    for mono, c in p.coeffs.items():
+        term = c if exact else float(c)
+        for x, e in zip(point, mono):
+            if e:
+                term = term * x ** e
+        total = total + term
+    return total
+
 
 def plane_vs_bowl_graphs() -> tuple[PolySymbol, PolySymbol]:
     """Graphs a1 = 0 and a2 = -(x1^2 + x2^6) in the two bar variables of n = 3.

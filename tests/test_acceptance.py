@@ -19,12 +19,12 @@ from quasilab.cli import main
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                                   EXIT_VERDICT_FAIL)
 from quasilab.fio import aligned_position_axes, flattening_reports
-from quasilab.grids import AxisSpec, GridField, cell_volume, ft_axes
+from quasilab.grids import AxisSpec, GridField, cell_volume, dual_axis, ft_axes
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                              power_loss, quadratic_phase, resonant_amplitude,
                              ttstar_kernel, vdc_check)
-from quasilab.quasimode import Quasimode, build_cutoff, support_volume, \
-    synthesize_raw, verify_joint_quasimode
+from quasilab.quasimode import (build_cutoff, support_volume, synthesize_at,
+                                synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import (mixed_partials_check, contact_profile, graph_factor,
                               parse_symbol, sample_directions)
 from quasilab.wavelets import decay_diagnostic
@@ -111,16 +111,23 @@ class TestCriterion3QuasimodeExactness:
         worst_ratio = 0.0
         for name, spec_fn, h in CUTOFFS_C3:
             cut = build_cutoff(spec_fn(), h)
-            qm = Quasimode(cut)
-            assert qm.l2norm == 1.0
-            t0 = abs(abs(qm.values(np.zeros((1, cut.dim)))[0]) - qm.peak())
-            worst_t0 = max(worst_t0, t0 / qm.peak())
+            t0 = abs(abs(synthesize_at(cut, np.zeros((1, cut.dim)))[0])
+                     - cut.peak())
+            worst_t0 = max(worst_t0, t0 / cut.peak())
             worst_ratio = max(worst_ratio,
-                              float(verify_joint_quasimode(qm, 3).max()))
-        ok = worst_t0 <= 1e-10 and worst_ratio <= 1.0 + 1.0 / 16.0
+                              float(verify_joint_quasimode(cut, 3).max()))
+        # Measured normalization: on the dual grid of a power-of-two cutoff
+        # grid the synthesis is a unitary DFT of chi / ||chi||_2.
+        h = 2.0 ** -6
+        cut = build_cutoff(families.paraboloid_cutoff(2, 3, pow2=True), h)
+        u = synthesize_on_axes(cut, [dual_axis(a, h) for a in cut.axes])
+        norm_err = abs(u.l2_norm() - 1.0)
+        ok = (worst_t0 <= 1e-10 and worst_ratio <= 1.0 + 1.0 / 16.0
+              and norm_err <= 1e-12)
         report("criterion 3 (quasimode exactness)", ok,
                f"peak identity rel err {worst_t0:.2e} <= 1e-10; "
-               f"max joint ratio {worst_ratio:.6f} <= 1 + 1/16")
+               f"max joint ratio {worst_ratio:.6f} <= 1 + 1/16; "
+               f"Parseval norm err {norm_err:.1e} <= 1e-12")
 
 
 class TestCriterion4Volumes:
@@ -150,12 +157,11 @@ def _lp_sweep(spec, hs, ps, dim, margin=8.0, points_per_scale=8):
     norms = {p: [] for p in ps}
     for h in hs:
         cut = build_cutoff(spec, h)
-        qm = Quasimode(cut)
         exts = [cut.extent(i) for i in range(dim)]
         axes = oscillation_axes(exts, h, margin, points_per_scale)
         sums = BlockNorms([a.points for a in axes], cell_volume(axes),
                           [p for p in ps if p != 2])
-        qm.on_axes(axes, sums.add)
+        synthesize_on_axes(cut, axes, sums.add)
         measured = {m.p: m.value for m in sums.norms()}
         for p in ps:
             # p = 2 is the exact frequency-side normalization.
@@ -195,7 +201,7 @@ class TestCriterion5Sharpness:
             lines.append(f"n=4,k=3,p={'inf' if p is INF_P else p}:"
                          f"{rep.slope:+.4f} vs {predicted:+.4f}")
         hs12 = [2.0 ** -e for e in range(4, 13)]
-        peaks = [Quasimode(build_cutoff(families.valley_cutoff(), h)).peak()
+        peaks = [build_cutoff(families.valley_cutoff(), h).peak()
                  for h in hs12]
         predicted = -(3.0 / 4.0 - 1.0 / 40.0)
         rep = fit_scaling(hs12, peaks, predicted, 0.1)
@@ -220,7 +226,7 @@ class TestCriterion6Flattening:
         ratios = []
         for h in (2.0 ** -4, 2.0 ** -5):
             cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-            u = Quasimode(cut).on_axes(aligned_position_axes(cut, 8.0, h / 8))
+            u = synthesize_on_axes(cut, aligned_position_axes(cut, 8.0, h / 8))
             for rep in flattening_reports(a1, u, (1, 2)):
                 ratio_ok &= rep.ratio <= 1.0 + rep.slack
                 ratios.append(f"h={h},M={rep.order}:{rep.ratio:.3f}")
@@ -372,8 +378,8 @@ expect = pass
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
         shifted = dataclasses.replace(cut, col_start=cut.col_start + 5)
         targets = rng.standard_normal((16, 2))
-        base = synthesize_raw(cut, targets)
-        moved = synthesize_raw(shifted, targets)
+        base = synthesize_at(cut, targets)
+        moved = synthesize_at(shifted, targets)
         phase = np.exp(1j * targets[:, 0] * 5 * cut.axes[0].spacing / h)
         covariant = np.abs(moved - base * phase).max() <= 1e-10 * np.abs(base).max()
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasilab
-from quasilab import errors, experiments
+from quasilab import errors, experiments, quasimode
 from quasilab.analysis import (INF_P, contact_delta, fit_scaling, kink_p,
                                parse_number)
 from quasilab.cli import main
@@ -723,6 +723,25 @@ class TestValidation:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_REFUSED
         err = capsys.readouterr().err
         assert "from quasimode" in err and str(MAX_GRID_CELLS) in err
+
+    def test_bar_grid_budget_refusal_exits_3(self, tmp_path, capsys,
+                                             monkeypatch):
+        # A peak-only sweep has no position grid for the config check to
+        # size, so its cutoff's bar grid is checked as it is built: here the
+        # first one of the shipped valley sweep, one cell over the budget.
+        path = CONFIG_DIR / "peak_valley_n3.cfg"
+        v = parse_config(path).values
+        assert v["peak_only"]
+        h = v["h_sweep"][0]
+        spec = v["family"].cutoff(v["n"], v["k"], v["cells_per_band"])
+        bar_axes = quasimode.build_cutoff(spec, h).axes[1:]
+        cells = math.prod(a.points for a in bar_axes)
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", cells - 1)
+        out = str(tmp_path / "o")
+        assert main(["run", str(path), "--out", out]) == EXIT_REFUSED
+        err = capsys.readouterr().err
+        assert "GridBudgetError from quasimode" in err
+        assert f"{cells} cells" in err
 
 
 _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,

@@ -13,10 +13,10 @@ from quasilab.fio import (FlatteningReport, _w_multiplier, aligned_position_axes
                           flattening_reports, hd_x1)
 from quasilab.grids import (AxisSpec, GridField, apply_multiplier, dual_axis,
                             ft_axis, node_arrays)
-from quasilab.quasimode import Quasimode, build_cutoff
+from quasilab.quasimode import build_cutoff, synthesize_on_axes
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import transform_quasimode
+from oracles import eval_exact, transform_quasimode
 
 
 def _a1(n=2, k=1):
@@ -61,7 +61,7 @@ class TestTransformQuasimode:
         h, n, k = 2.0 ** -4, 2, 1
         cut = build_cutoff(families.paraboloid_cutoff(n, k, pow2=True), h)
         axes = aligned_position_axes(cut, 8.0, h / 8.0)
-        u = Quasimode(cut).on_axes(axes)
+        u = synthesize_on_axes(cut, axes)
         return _a1(n, k), u
 
     def test_frequency_side_intertwining(self, setup):
@@ -81,7 +81,8 @@ class TestTransformQuasimode:
         # Each x1 row of v is exp(-i x1 a1(hD_bar)/h) on that slice alone.
         h, a1 = 2.0 ** -4, _a1(n, 1)
         cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
-        u = Quasimode(cut).on_axes(aligned_position_axes(cut, half_width, h / per_h))
+        u = synthesize_on_axes(
+            cut, aligned_position_axes(cut, half_width, h / per_h))
         v = transform_quasimode(a1, u)
         for i, x1 in list(enumerate(u.axes[0].nodes()))[::7]:
             w = apply_multiplier(u.data[i], u.axes[1:], h, lambda *xi: np.exp(
@@ -102,7 +103,7 @@ class TestTransformQuasimode:
         axes = aligned_position_axes(cut, 8.0, h / 8.0)
         a1 = _a1()
         xi0 = cut.axes[1].nodes()[cut.axes[1].points // 2 + 3]
-        a_val = float(a1.eval([xi0]))
+        a_val = float(eval_exact(a1, [xi0]))
         x1 = axes[0].nodes()[:, None]
         x2 = axes[1].nodes()[None, :]
         u = GridField(h, axes, np.exp(1j * (x1 * a_val + x2 * xi0) / h))
@@ -136,7 +137,7 @@ class TestTransformQuasimode:
         # arrays, half a copy each, and one block's temporaries.
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        u = Quasimode(cut).on_axes(aligned_position_axes(cut, 8.0, h / 8.0))
+        u = synthesize_on_axes(cut, aligned_position_axes(cut, 8.0, h / 8.0))
         tracemalloc.start()
         try:
             flattening_reports(_a1(), u, orders=(1, 2))
@@ -219,7 +220,7 @@ class TestBlockedReports:
         # blocks of 512 rows.
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        u = Quasimode(cut).on_axes(aligned_position_axes(cut, 8.0, h / 8.0))
+        u = synthesize_on_axes(cut, aligned_position_axes(cut, 8.0, h / 8.0))
         assert u.data.shape[0] > fio._ROW_BLOCK // u.data.shape[1]
         want = _hex(_whole_grid_reports(_a1(), u, orders))
         assert _hex(flattening_reports(_a1(), u, orders)) == want

@@ -17,15 +17,14 @@ from quasilab import families, quasimode
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError, GridBudgetError)
-from quasilab.grids import AxisSpec, ft_axes, node_arrays
+from quasilab.grids import AxisSpec, dual_axis, ft_axes, node_arrays
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
-                                Quasimode, build_cutoff, support_volume,
-                                synthesize_on_axes, synthesize_raw,
-                                verify_joint_quasimode)
+                                build_cutoff, support_volume, synthesize_at,
+                                synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import lp_norm, raw_grid, shell_mask
+from oracles import lp_norm, shell_mask
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -189,6 +188,24 @@ class TestBuildCutoff:
         with pytest.raises(DimensionMismatchError, match="bar axis"):
             build_cutoff(spec, 2.0 ** -6)
 
+    def test_bar_grid_checked_before_allocation(self, monkeypatch):
+        # The n = 3 paraboloid's 48 x 48 bar grid at h = 2^-5 fits a budget
+        # of exactly its cells; one cell less refuses before the bar nodes,
+        # the first bar-grid arrays, are formed.
+        spec, h = families.paraboloid_cutoff(3, 3), 2.0 ** -5
+        cells = math.prod(a.points for a in build_cutoff(spec, h).axes[1:])
+        assert cells == 48 * 48
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", cells)
+        build_cutoff(spec, h)
+
+        def no_nodes(*args):
+            raise AssertionError("bar nodes formed over budget")
+
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", cells - 1)
+        monkeypatch.setattr(quasimode, "node_arrays", no_nodes)
+        with pytest.raises(GridBudgetError, match=f"{cells} cells"):
+            build_cutoff(spec, h)
+
 
 def _family_cases():
     """(family, n, cells per band): every CUTOFF_FAMILIES entry at n = 2..5,
@@ -293,37 +310,42 @@ class TestSynthesis:
         for spec, n in ((families.paraboloid_cutoff(2, 3), 2),
                         (families.slab_cutoff(3, 3), 3),
                         (families.valley_cutoff(), 3)):
-            h = 2.0 ** -6
-            qm = Quasimode(build_cutoff(spec, h))
-            val = abs(qm.values(np.zeros((1, n)))[0])
-            assert val == pytest.approx(qm.peak(), rel=1e-10)
+            cut = build_cutoff(spec, 2.0 ** -6)
+            val = abs(synthesize_at(cut, np.zeros((1, n)))[0])
+            assert val == pytest.approx(cut.peak(), rel=1e-10)
 
     def test_normalization_is_exact(self):
         h = 2.0 ** -6
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
         assert cut.l2_norm() == pytest.approx(math.sqrt(support_volume(cut)),
                                               rel=1e-15)
-        qm = Quasimode(cut)
-        assert qm.l2norm == 1.0
+        # Measured: on the dual grid of a power-of-two cutoff grid the
+        # synthesis is a unitary DFT of chi / ||chi||, so Parseval gives 1.
+        for n in (2, 3):
+            for h in (2.0 ** -4, 2.0 ** -6):
+                spec = families.paraboloid_cutoff(n, 3, pow2=True)
+                cut = build_cutoff(spec, h)
+                u = synthesize_on_axes(cut, [dual_axis(a, h)
+                                             for a in cut.axes])
+                assert u.l2_norm() == pytest.approx(1.0, rel=1e-12)
 
     def test_non_oscillation_plateau(self):
         # Inside the stationary box the synthesis stays within 10% of T(0).
         h, k = 2.0 ** -6, 3
         cut = build_cutoff(families.paraboloid_cutoff(2, k), h)
-        qm = Quasimode(cut)
         r1 = h ** (1 - 2 / (k + 1)) / 100.0
         r2 = h ** (1 - 1 / (k + 1)) / 100.0
         rng = np.random.default_rng(13)
         pts = rng.uniform(-1, 1, size=(40, 2)) * [r1, r2]
-        vals = np.abs(qm.values(pts))
-        assert vals.min() >= 0.9 * qm.peak()
+        vals = np.abs(synthesize_at(cut, pts))
+        assert vals.min() >= 0.9 * cut.peak()
 
     def test_slab_peak_lower_bound(self):
         # |T(0)| of the slab family grows like h^(-(n-1)/4) (n = 3 here).
         ratios = []
         for h in H_SWEEP:
-            qm = Quasimode(build_cutoff(families.slab_cutoff(3, 3), h))
-            ratios.append(qm.peak() * h ** 0.5)
+            cut = build_cutoff(families.slab_cutoff(3, 3), h)
+            ratios.append(cut.peak() * h ** 0.5)
         assert max(ratios) / min(ratios) < 1.2
 
     def test_agreement_with_dense_fft_path(self):
@@ -332,7 +354,8 @@ class TestSynthesis:
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
         pos, pos_axes = ft_axes(_dense_indicator(cut), cut.axes, h, first=0,
                                 inverse=True)
-        direct = synthesize_raw(cut, mesh_points(pos_axes)).reshape(pos.shape)
+        pos /= cut.l2_norm()
+        direct = synthesize_at(cut, mesh_points(pos_axes)).reshape(pos.shape)
         err = np.abs(direct - pos).max() / np.abs(pos).max()
         assert err < 1e-6
 
@@ -402,16 +425,16 @@ DIGEST_CHILD = """
 import hashlib
 from quasilab import families
 from quasilab.analysis import oscillation_axes
-from quasilab.quasimode import Quasimode, build_cutoff, verify_joint_quasimode
-from oracles import raw_grid
+from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
+                                verify_joint_quasimode)
 from test_quasimode import _fine_4d_field, _fine_parabola_cutoff
 cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
 fine = build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6)
-arrays = [raw_grid(c, oscillation_axes(
+arrays = [synthesize_on_axes(c, oscillation_axes(
     [c.extent(i) for i in range(c.dim)], c.h, margin, pts)).data
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
-for arr in arrays + [verify_joint_quasimode(Quasimode(cut), 3)]:
+for arr in arrays + [verify_joint_quasimode(cut, 3)]:
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -447,9 +470,9 @@ class TestProductSynthesis:
         # Off-center boxes spanning a few oscillation scales per axis.
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
-        fast = raw_grid(cut, axes)
+        fast = synthesize_on_axes(cut, axes)
         assert fast.data.shape == points
-        oracle = synthesize_raw(cut, mesh_points(axes)).reshape(points)
+        oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
 
@@ -465,23 +488,27 @@ class TestProductSynthesis:
             axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2,
                                     pts)
             np.testing.assert_array_equal(
-                raw_grid(shuffled, axes).data,
-                raw_grid(cut, axes).data)
+                synthesize_on_axes(shuffled, axes).data,
+                synthesize_on_axes(cut, axes).data)
 
     @pytest.mark.parametrize("n,pts", [(2, 8), (3, 8), (4, 4)],
                              ids=["2d", "3d", "4d"])
-    def test_normalisation_is_a_division_bit_for_bit(self, n, pts):
+    def test_normalisation_is_a_division_bit_for_bit(self, n, pts,
+                                                      monkeypatch):
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
         axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2, pts)
-        norm = cut.l2_norm()
-        qm = Quasimode(cut)
-        assert qm.on_axes(axes).data.tobytes() == \
-            (raw_grid(cut, axes).data / norm).tobytes()
         nodes = mesh_points(axes)
         targets = nodes[np.linspace(0, len(nodes) - 1, 64).astype(int)]
-        assert qm.values(targets).tobytes() == \
-            (synthesize_raw(cut, targets) / norm).tobytes()
+        norm = cut.l2_norm()
+        grid = synthesize_on_axes(cut, axes)
+        values = synthesize_at(cut, targets)
+        # With a unit norm the scaling by 1/norm is exact: the raw sums.
+        monkeypatch.setattr(CutoffField, "l2_norm", lambda self: 1.0)
+        assert grid.data.tobytes() == \
+            (synthesize_on_axes(cut, axes).data / norm).tobytes()
+        assert values.tobytes() == \
+            (synthesize_at(cut, targets) / norm).tobytes()
 
     def test_memory_bounded(self):
         # The 64^3 complex output alone is 4.2 MB.
@@ -491,7 +518,7 @@ class TestProductSynthesis:
         assert [a.points for a in axes] == [64] * 3
         tracemalloc.start()
         try:
-            raw_grid(cut, axes)
+            synthesize_on_axes(cut, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,7 +557,7 @@ class TestProductSynthesis:
         for rows, b in blocks:
             assert b.shape == (rows.stop - rows.start,) + points[1:]
         grid = np.concatenate([b for _, b in blocks])
-        oracle = synthesize_raw(cut, mesh_points(axes)).reshape(points)
+        oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         assert np.abs(grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     # 23 x1 rows in blocks of 3 (2D), 13 in blocks of 2 (3D).  Each range
@@ -565,7 +592,7 @@ class TestProductSynthesis:
         assert [(r.start, r.stop) for r, _ in blocks] == [
             (i, min(i + step, n1)) for i in range(0, n1, step)
             if i < hi and lo < i + step and lo < hi]
-        whole = raw_grid(cut, axes).data
+        whole = synthesize_on_axes(cut, axes).data
         for rows, b in blocks:
             assert b.tobytes() == whole[rows].tobytes()
 
@@ -581,20 +608,20 @@ class TestProductSynthesis:
         cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
         axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
         with pytest.raises(ValueError, match="consume"):
-            Quasimode(cut).on_axes(axes, rows=range(0, 3))
+            synthesize_on_axes(cut, axes, rows=range(0, 3))
 
     def test_sweep_blocks_are_on_axes_slices(self):
-        # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, normalized
-        # as on_axes normalizes its grid.
+        # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, each the
+        # whole grid's rows, bit for bit.
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
         axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8)
-        qm = Quasimode(cut)
         blocks = []
-        qm.on_axes(axes, lambda rows, b: blocks.append((rows, b.copy())))
+        synthesize_on_axes(cut, axes,
+                           lambda rows, b: blocks.append((rows, b.copy())))
         assert [(r.start, r.stop) for r, _ in blocks] == [
             (i, i + 8) for i in range(0, 64, 8)]
-        grid = qm.on_axes(axes).data
+        grid = synthesize_on_axes(cut, axes).data
         for rows, b in blocks:
             assert b.tobytes() == grid[rows].tobytes()
 
@@ -616,8 +643,8 @@ class TestProductSynthesis:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
         cut = build_cutoff(spec, h)
-        g = Quasimode(cut).on_axes(
-            oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8))
+        g = synthesize_on_axes(cut, oscillation_axes(
+            [cut.extent(i) for i in range(3)], h, 4, 8))
         masks = shell_mask(g.data.shape), shell_mask(g.data.shape, 1)
         assert row[6:] == [
             lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps]
@@ -635,7 +662,7 @@ class TestProductSynthesis:
         folds = [16 * r * c for r, c in zip(rows + [1], cells)]
         tracemalloc.start()
         try:
-            raw_grid(cut, axes)
+            synthesize_on_axes(cut, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -658,7 +685,7 @@ class TestProductSynthesis:
         tracemalloc.start()
         try:
             with pytest.raises(GridBudgetError, match=f"{64 * 32 * 32 * 64} cells"):
-                raw_grid(cut, axes)
+                synthesize_on_axes(cut, axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -671,16 +698,16 @@ class TestProductSynthesis:
         cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
                           col_start=np.array([0]), col_count=np.array([1]))
         with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
-            raw_grid(cut, axes)
+            synthesize_on_axes(cut, axes)
 
     def test_slabs_checked_before_allocation(self, monkeypatch):
         # 240 output cells fit a 1000-cell budget; the 6400 stage-1 slabs of
         # 5 x 4 cells each (128,000) do not.
+        cut = _fine_4d_field()   # its 96^3 bar grid is over the test budget
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 1000)
-        cut = _fine_4d_field()
         axes = [AxisSpec(0.0, 1.0, n) for n in (5, 4, 4, 3)]
         with pytest.raises(MemoryError, match="128000 cells"):
-            raw_grid(cut, axes)
+            synthesize_on_axes(cut, axes)
 
     def test_run_tables_checked_before_allocation(self, monkeypatch):
         # Output and slab are 10 x 2 cells each; the run tables hold one
@@ -692,7 +719,7 @@ class TestProductSynthesis:
                           col_start=np.arange(5), col_count=np.arange(1, 6))
         out_axes = [AxisSpec(0.0, 1.0, 10), AxisSpec(0.0, 1.0, 2)]
         with pytest.raises(MemoryError, match="100 cells"):
-            raw_grid(cut, out_axes)
+            synthesize_on_axes(cut, out_axes)
 
     def test_xi2_table_checked_before_allocation(self, monkeypatch):
         # Output and slab are 2 x 10 cells each and the run tables 2 x 2
@@ -705,7 +732,7 @@ class TestProductSynthesis:
                           col_start=np.full(8, 3), col_count=np.full(8, 2))
         out_axes = [AxisSpec(0.0, 1.0, 2), AxisSpec(0.0, 1.0, 10)]
         with pytest.raises(MemoryError, match="80 cells"):
-            raw_grid(cut, out_axes)
+            synthesize_on_axes(cut, out_axes)
 
     def test_bits_independent_of_blas_threads(self):
         src = str(Path(quasilab.__file__).resolve().parents[1])
@@ -736,13 +763,13 @@ JOINT_CASES = [
 class TestJointQuasimode:
     def test_zero_orders_ratio_one(self):
         h = 2.0 ** -6
-        qm = Quasimode(build_cutoff(families.paraboloid_cutoff(2, 1), h))
-        assert verify_joint_quasimode(qm, 0)[0, 0] == pytest.approx(1.0, rel=1e-14)
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
+        assert verify_joint_quasimode(cut, 0)[0, 0] == pytest.approx(
+            1.0, rel=1e-14)
 
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_all_orders_bounded(self, spec_fn, h):
-        qm = Quasimode(build_cutoff(spec_fn(), h))
-        ratios = verify_joint_quasimode(qm, 3)
+        ratios = verify_joint_quasimode(build_cutoff(spec_fn(), h), 3)
         assert ratios.shape == (4, 4)
         assert (ratios <= 1.0 + 1.0 / 16.0).all()
 
@@ -758,7 +785,7 @@ class TestJointQuasimode:
                 total = np.sum(v1 ** (2 * m1) * v2 ** (2 * m2))
                 direct[m1, m2] = math.sqrt(total * cut.cell_volume) / (
                     h ** (m1 + m2) * cut.l2_norm())
-        np.testing.assert_allclose(verify_joint_quasimode(Quasimode(cut), 3),
+        np.testing.assert_allclose(verify_joint_quasimode(cut, 3),
                                    direct, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES[:4])
@@ -773,12 +800,12 @@ class TestJointQuasimode:
 
         monkeypatch.setattr(quasimode, "_power_columns", record)
         # Every n <= 3 case is one chunk at the shipped size.
-        whole = verify_joint_quasimode(Quasimode(cut), 3)
+        whole = verify_joint_quasimode(cut, 3)
         assert sizes[::2] == [cut.cell_count]
         for cells in (40, 5000):
             monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", cells)
             sizes.clear()
-            got = verify_joint_quasimode(Quasimode(cut), 3)
+            got = verify_joint_quasimode(cut, 3)
             np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
             # Whole columns, as many as fit in the chunk, or one.
             chunks, ends = sizes[::2], np.cumsum(cut.col_count)
@@ -801,11 +828,11 @@ class TestJointQuasimode:
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_matches_vander_oracle(self, spec_fn, h, monkeypatch):
         cut = build_cutoff(spec_fn(), h)
-        got = verify_joint_quasimode(Quasimode(cut), 3)
+        got = verify_joint_quasimode(cut, 3)
         monkeypatch.setattr(quasimode, "_power_columns",
                             lambda x, m: np.vander(x, m, increasing=True))
         np.testing.assert_array_equal(
-            got, verify_joint_quasimode(Quasimode(cut), 3))
+            got, verify_joint_quasimode(cut, 3))
 
     def test_multiplier_norm_oracle(self):
         # Independent frequency-side oracle: apply p1 as a multiplier to the
@@ -816,7 +843,7 @@ class TestJointQuasimode:
         p1, _ = families.paraboloid_pair(2, 1)
         out = dense * p1.eval_grid(node_arrays(cut.axes, cut.dim))
         oracle = np.linalg.norm(out) / (h * np.linalg.norm(dense))
-        assert verify_joint_quasimode(Quasimode(cut), 1)[1, 0] == pytest.approx(
+        assert verify_joint_quasimode(cut, 1)[1, 0] == pytest.approx(
             oracle, rel=1e-10)
         assert oracle <= 1.0
 
@@ -825,4 +852,4 @@ class TestJointQuasimode:
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
         cut.spec = None
         with pytest.raises(ValueError):
-            verify_joint_quasimode(Quasimode(cut), 1)
+            verify_joint_quasimode(cut, 1)

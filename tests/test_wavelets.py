@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quasilab import wavelets
 from quasilab.grids import AxisSpec, GridField, ft_axes
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _scale_powers,
                                _scale_windows, _smooth_step, _windowed_band,
@@ -246,10 +247,9 @@ class TestDecayDiagnostic:
         # is allocated first and lives throughout, so a whole-grid array
         # would lift the peak a full grid above it; the synthesis tables and
         # row blocks stay well below that (about 0.63 grid measured).
-        qm, axes = flat_model
         tracemalloc.start()
         try:
-            band, _ = _windowed_band(qm, axes)
+            band, _ = _windowed_band(*flat_model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,20 +257,21 @@ class TestDecayDiagnostic:
         assert band.nbytes < 0.4 * grid
         assert peak - band.nbytes <= 0.75 * grid
 
-    def test_band_synthesizes_only_its_blocks(self, flat_model):
+    def test_band_synthesizes_only_its_blocks(self, flat_model, monkeypatch):
         # The window keeps 3,072 of the 8,192 x1 rows: only the blocks of
         # 512 rows that meet them are synthesized.
-        qm, axes = flat_model
+        cut, axes = flat_model
         seen = []
+        synthesize = wavelets.synthesize_on_axes
 
-        class Recording:
-            def on_axes(self, axes, consume, rows):
-                def record(block_rows, block):
-                    seen.append((block_rows.start, block_rows.stop))
-                    consume(block_rows, block)
-                return qm.on_axes(axes, record, rows)
+        def recording(field, axes, consume, rows):
+            def record(block_rows, block):
+                seen.append((block_rows.start, block_rows.stop))
+                consume(block_rows, block)
+            return synthesize(field, axes, record, rows)
 
-        band, row0 = _windowed_band(Recording(), axes)
+        monkeypatch.setattr(wavelets, "synthesize_on_axes", recording)
+        band, row0 = _windowed_band(cut, axes)
         row1 = row0 + len(band)
         assert seen[0][0] <= row0 < seen[0][1] and seen[-1][0] < row1 <= seen[-1][1]
         assert all(a < row1 and row0 < b for a, b in seen)
