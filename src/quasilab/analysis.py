@@ -203,6 +203,88 @@ class LpNorm:
     p: object
 
 
+_PW_LEAF = 128   # numpy's pairwise-sum leaf: at most this many values
+
+
+class PairwiseSum:
+    """np.sum of a virtual float64 array of length n, bit for bit, from its
+    values fed in order: add(chunk) takes the next chunk.size values (in C
+    order), skip(count) a run of count +0 values, and total() the sum once
+    all n are in.
+
+    numpy sums a float64 array by a fixed pairwise tree (Higham 1993): a
+    node of more than _PW_LEAF values splits at half its length rounded
+    down to a multiple of 8, and a leaf is summed with 8 accumulators.
+    Every complete node inside one chunk is summed by one np.sum over its
+    slice, which walks the same tree below it; a node inside a skipped run
+    sums to +0.  Node sums are combined with their left siblings as soon
+    as they complete, so the state is one partial sum per level of the
+    path to the next value, plus at most one leaf, copied, whose values
+    straddle two feeds.  np.sum starts from the identity +0, so a node's
+    sum may differ from numpy's inner one only in the sign of a zero,
+    which changes no nonzero sum, and total() adds the same +0.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pos = 0        # values fed so far
+        self.left = []      # sums of the complete left siblings on the path
+        self.leaf = np.empty(min(n, _PW_LEAF))
+
+    def add(self, chunk: np.ndarray) -> None:
+        values = np.ravel(chunk)
+        self._feed(len(values), values)
+
+    def skip(self, count: int) -> None:
+        self._feed(count, None)
+
+    def total(self) -> float:
+        if self.pos != self.n:
+            raise ValueError(f"{self.pos} of {self.n} values fed")
+        return 0.0 + (self.left[0] if self.left else 0.0)
+
+    def _feed(self, count: int, values: np.ndarray | None) -> None:
+        end = self.pos + count
+        if end > self.n:
+            raise ValueError(f"{end} values fed to a sum of {self.n}")
+        while self.pos < end:
+            lo, hi, rights = self._node(end)
+            at, take = self.pos - lo, min(hi, end) - self.pos
+            off = self.pos + count - end   # self.pos's index into values
+            if at == 0 and hi <= end:
+                value = 0.0 if values is None else float(
+                    np.sum(values[off:off + take]))
+            else:
+                # A leaf that is not all in this feed: collect its values.
+                part = self.leaf[at:at + take]
+                if values is None:
+                    part.fill(0.0)
+                else:
+                    part[:] = values[off:off + take]
+                if at + take < hi - lo:
+                    self.pos = end
+                    return
+                value = float(np.sum(self.leaf[:hi - lo]))
+            self.pos = hi
+            for _ in range(rights):
+                value = self.left.pop() + value
+            self.left.append(value)
+
+    def _node(self, end: int) -> tuple[int, int, int]:
+        """(lo, hi, rights) of the node numpy sums whole that starts at
+        self.pos and ends at or before end, or else of the leaf that holds
+        self.pos; rights counts the right-child steps that end its path."""
+        lo, hi, rights = 0, self.n, 0
+        while not (lo == self.pos and hi <= end) and hi - lo > _PW_LEAF:
+            mid = (hi - lo) // 2
+            mid = lo + mid - mid % 8
+            if self.pos < mid:
+                hi, rights = mid, 0
+            else:
+                lo, rights = mid, rights + 1
+        return lo, hi, rights
+
+
 class BlockNorms:
     """Weighted quadrature Lp norms of a grid u, for every p in ps at once,
     summed over blocks of whole first-axis rows as a producer hands them out,
@@ -217,19 +299,16 @@ class BlockNorms:
 
     add(rows, block) takes block = u[rows] for the next run rows of
     first-axis indices; the blocks must tile the grid in order.  Each block
-    gives, per p, its maximum of |u| (p = infinity) or its sum of
-    |u|^p * weight, and the same over the layer-0 and layer-1 shell_slices
-    boxes cut to its rows, so no boolean mask and no grid-sized array is
-    built.  |u| is taken once a block, into one buffer reused across
-    blocks, and the powers into a second.  The block sums are combined by
-    halves (_pairwise).  When the blocks all hold one power-of-two count
-    of cells, at least numpy's 128-cell pairwise leaf, as on the sweeps'
-    power-of-two grids, that is numpy's own pairwise tree over the whole
-    grid, so the norms equal those of one numpy sum over the whole grid
-    bit for bit (as they do for one block); the shell sums may round
-    otherwise than one sum over each shell.  norms() applies the tail rule
-    in the order of ps, and the first p it refuses raises
-    TailDominanceError.  weight is the scalar cell weight.
+    gives, per p, its maximum of |u| (p = infinity) or its |u|^p * weight,
+    fed to one PairwiseSum per p, and the same maximum or sums over the
+    layer-0 and layer-1 shell_slices boxes cut to its rows, so no boolean
+    mask and no grid-sized array is built.  |u| is taken once a block, into
+    one buffer reused across blocks, and the powers into a second.  The
+    norms equal those of one numpy sum over the whole grid bit for bit,
+    however the blocks fall; the shell sums may round otherwise than one
+    sum over each shell.  norms() applies the tail rule in the order of ps,
+    and the first p it refuses raises TailDominanceError.  weight is the
+    scalar cell weight.
     """
 
     def __init__(self, shape: Sequence[int], weight: float, ps):
@@ -242,9 +321,12 @@ class BlockNorms:
                     for pp in map(parse_p, self.ps)]
         self.shells = (shell_slices(self.shape, 0), shell_slices(self.shape, 1))
         self.next_row = 0
-        # Per p: the block maxima or sums, and the shell and inner-shell
-        # maximum (p = infinity, which polices the shell only) or sums.
-        self.blocks = [[] for _ in self.ps]
+        # Per p: the block maxima or the grid's PairwiseSum, and the shell
+        # and inner-shell maximum (p = infinity, which polices the shell
+        # only) or sums.
+        cells = math.prod(self.shape)
+        self.totals = [[] if pf is None else PairwiseSum(cells)
+                       for pf in self.pfs]
         self.shell_sums = [[0.0, 0.0] for _ in self.ps]
         self.mod = self.power = None
 
@@ -262,14 +344,14 @@ class BlockNorms:
         cut = [[(slice(max(b[0].start, i0) - i0, min(b[0].stop, i1) - i0), *b[1:])
                 for b in boxes if b[0].start < i1 and b[0].stop > i0]
                for boxes in self.shells]
-        for pf, sums, shell in zip(self.pfs, self.blocks, self.shell_sums):
+        for pf, total, shell in zip(self.pfs, self.totals, self.shell_sums):
             if pf is None:
-                sums.append(float(mod.max()))
+                total.append(float(mod.max()))
                 shell[0] = max([shell[0]] + [float(mod[b].max()) for b in cut[0]])
                 continue
             np.power(mod, pf, out=power)
             power *= self.weight
-            sums.append(float(power.sum()))
+            total.add(power)
             for j in (0, 1):
                 shell[j] += sum(float(power[b].sum()) for b in cut[j])
 
@@ -277,21 +359,13 @@ class BlockNorms:
         if self.next_row != self.shape[0]:
             raise ValueError("blocks must tile the grid's first axis in order")
         out = []
-        for p, pf, sums, (shell, inner) in zip(
-                self.ps, self.pfs, self.blocks, self.shell_sums):
+        for p, pf, total, (shell, inner) in zip(
+                self.ps, self.pfs, self.totals, self.shell_sums):
             if pf is None:
-                out.append(_sup_tail(max(sums), shell, p))
+                out.append(_sup_tail(max(total), shell, p))
             else:
-                out.append(_finite_tail(_pairwise(sums), shell, inner, pf, p))
+                out.append(_finite_tail(total.total(), shell, inner, pf, p))
         return out
-
-
-def _pairwise(parts: list[float]) -> float:
-    """parts summed by halves, as numpy's pairwise sum splits an array."""
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return _pairwise(parts[:mid]) + _pairwise(parts[mid:])
 
 
 def _finite_p(pp) -> float:

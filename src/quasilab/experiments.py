@@ -598,10 +598,7 @@ def run_fio_check(v: dict):
         cut = build_cutoff(spec, h)
         axes = aligned_position_axes(cut, v["x1_half_width"],
                                      h / _FIO_CELLS_PER_H)
-        u = synthesize_on_axes(cut, axes)
-        reports = flattening_reports(a1, u, orders)
-        del u    # so that the next h's field is not synthesized beside it
-        for rep in reports:
+        for rep in flattening_reports(a1, cut, axes, orders):
             rows.append((h, rep.order, rep.ratio, rep.slack,
                          rep.identity_residual, rep.identity_bound))
             verdicts.append(Verdict(

@@ -6,43 +6,41 @@ slice, W(0) = Id, its adjoint is W for -a1, and conjugation sends
 a2(hD_bar) to itself, so the transported observable is exactly a1 - a2 (no
 O(h) remainder to model).  Applied to a quasimode u of hD_x1 - a1(hD_bar),
 the slice-wise transform v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1;
-the reports below verify that quantitatively with centered finite
-differences in x1.  They form v block by block of x1 rows: W on a block
-and a1(hD_bar) itself are both one multiplier applied by
-grids.apply_multiplier, at the field's h.
+FlatteningCheck verifies that quantitatively with centered finite
+differences in x1.  It is fed u by synthesize_on_axes in blocks of x1 rows
+and forms v block by block, carrying only the halo rows the differences
+need: W on a block and a1(hD_bar) itself are both one multiplier applied
+by grids.apply_multiplier, at the field's h.  Every norm is streamed into
+an analysis.PairwiseSum, so neither the field nor any |.|^2 array over
+the grid is ever held, and the norms keep the bits of whole-array sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
-from .grids import AxisSpec, GridField, apply_multiplier, dual_axis, node_arrays
+from .grids import (AxisSpec, apply_multiplier, cell_volume, dual_axis,
+                    node_arrays)
+from .quasimode import CutoffField, synthesize_on_axes
 from .symbols import PolySymbol
 
-# Cells per x1 row block of flattening_reports (one row when a row holds more).
-_ROW_BLOCK = 1 << 15
 
-
-def _w_multiplier(a1: PolySymbol, h: float, x1: np.ndarray):
+def _w_multiplier(a1: PolySymbol, h: float, x1: np.ndarray,
+                  out: np.ndarray | None = None):
     """xi_bar -> exp(-i*x1*a1(xi_bar)/h), with the x1 nodes shaped to
-    broadcast against the bar nodes."""
+    broadcast against the bar nodes, written into out when given."""
     def m(*xi: np.ndarray) -> np.ndarray:
-        avals = -1j * x1 * a1.eval_grid(xi)
+        avals = np.multiply(-1j * x1, a1.eval_grid(xi), out=out)
         # numpy divides by a real scalar as this multiply: same bits, faster.
         avals *= 1.0 / h
         return np.exp(avals, out=avals)
     return m
-
-
-def _check_field(a1: PolySymbol, u: GridField) -> None:
-    """u's axes from 1 on are a1's bar axes."""
-    if u.dim != a1.dim + 1:
-        raise DimensionMismatchError(
-            f"field dim {u.dim} != symbol dim {a1.dim} + 1")
 
 
 def x1_points(half_width: float, max_spacing: float) -> int:
@@ -70,7 +68,8 @@ def aligned_position_axes(cutoff, x1_half_width: float,
 
 # -- finite-difference quasimode diagnostics ------------------------------------
 
-def hd_x1(data: np.ndarray, h: float, dx: float, order: int = 1) -> np.ndarray:
+def hd_x1(data: np.ndarray, h: float, dx: float, order: int = 1,
+          out: np.ndarray | None = None) -> np.ndarray:
     """(hD_x1)^order by iterated centered differences along axis 0 of the
     samples data of an x1 grid of spacing dx.
 
@@ -78,30 +77,13 @@ def hd_x1(data: np.ndarray, h: float, dx: float, order: int = 1) -> np.ndarray:
     symmetric difference of a band-limited signal underestimates |xi1|, so
     quadrature norms of the result sit below the exact operator norm.  Each
     order writes its difference, its h/i product and its division into one
-    array.
+    array: a new one, or out (complex, of the result's shape) at order 1.
     """
     for _ in range(order):
-        diff = np.subtract(data[2:], data[:-2], dtype=complex)
+        diff = np.subtract(data[2:], data[:-2], dtype=complex, out=out)
         np.multiply(h / 1j, diff, out=diff)
         data = np.divide(diff, 2.0 * dx, out=diff)
     return data
-
-
-def _abs_sq_rows(dst: np.ndarray, dst_row0: int, src: np.ndarray,
-                 src_row0: int, rows: range) -> None:
-    """dst[r - dst_row0] = |src[r - src_row0]|^2 for the x1 rows r of rows
-    that dst holds."""
-    lo = max(rows.start, dst_row0)
-    hi = min(rows.stop, dst_row0 + len(dst))
-    if lo < hi:
-        out = dst[lo - dst_row0:hi - dst_row0]
-        np.abs(src[lo - src_row0:hi - src_row0], out=out)
-        np.square(out, out=out)
-
-
-def _norm(sq: np.ndarray, cell_volume: float) -> float:
-    """The quadrature L2 norm of the field whose |.|^2 is sq."""
-    return float(np.sqrt(np.sum(sq) * cell_volume))
 
 
 @dataclass(frozen=True)
@@ -115,9 +97,9 @@ class FlatteningReport:
     identity_bound: float     # self-calibrated O((dx/h)^2) allowance
 
 
-def flattening_reports(a1: PolySymbol, u: GridField,
-                       orders: tuple[int, ...] = (1, 2)) -> list[FlatteningReport]:
-    """Check ||(hD_x1)^M v|| <= h^M ||u|| + slack and the discrete intertwining.
+class FlatteningCheck:
+    """Check ||(hD_x1)^M v|| <= h^M ||u|| + slack and the discrete
+    intertwining for a field u on axes at h, fed in blocks of whole x1 rows.
 
     The slack covers the centered-difference error ((dx1/h)^2/6 per
     application) plus box truncation; the intertwining residual compares
@@ -126,81 +108,170 @@ def flattening_reports(a1: PolySymbol, u: GridField,
     data itself.  Each order M needs 2M < n1 x1 rows, so that an interior
     row is left; a ValueError says so otherwise.
 
-    The x1 axis goes in blocks of whole rows, about _ROW_BLOCK cells each,
-    read with a halo of max(orders) rows per side.  A block forms its own W
-    rows (W is elementwise in (x1, xi), and its interior rows serve the
-    residual), v = W u, the x1 differences of every order (each from the
-    order below it), a1(hD_bar) u and the intertwining right-hand side.
-    The bar transforms act row by row and the rest is elementwise, so a
-    block's rows are the whole grid's rows bit for bit.  Each interior |.|^2 goes into one full-length real array,
-    summed whole once every block is in: the norms keep the bits of one sum
-    over the whole grid, and no whole-grid complex temporary is formed.
+    add(rows, block) takes block = u[rows] for the next run rows of x1
+    indices; the blocks must tile the grid in order, and a block may be
+    overwritten once add returns (synthesize_on_axes's consumer contract).
+    The last 2 * max(orders) rows of u are carried to the next block, so
+    each block finishes the interior rows whose halo of max(orders) rows
+    per side it completes: it forms their W rows (W is elementwise in
+    (x1, xi), and its interior rows serve the residual), v = W u, the x1
+    differences of every order (each from the order below it), a1(hD_bar) u
+    and the intertwining right-hand side.  The bar transforms act row by
+    row and the rest is elementwise, so every row is the whole grid's row
+    bit for bit.  These arrays are written into a few work arrays that the
+    check keeps from block to block, so no block allocates its own.
+    ||u|| and each interior norm is one PairwiseSum of |.|^2, fed row by
+    row, so the norms keep the bits of one sum over a whole array while no
+    whole field and no full-length |.|^2 array is held.  reports() gives
+    one FlatteningReport per order once every row is in.
     """
-    _check_field(a1, u)
-    n1 = u.axes[0].points
-    halo = max(orders)
-    if 2 * halo >= n1:
-        raise ValueError(f"order {halo} needs more than {2 * halo} x1 rows, "
-                         f"and the grid has {n1}")
-    h = u.h
-    dx = u.axes[0].spacing
-    cell = u.cell_volume
-    u_norm = u.l2_norm()
-    fd_rel = (dx / h) ** 2 / 6.0
-    bar = u.axes[1:]
-    x1, = node_arrays(u.axes[:1], u.dim)
-    duals = [dual_axis(ax, h) for ax in bar]
-    xi = node_arrays(duals, u.dim, 1)
-    # Interior |.|^2 by key, with the x1 row of its first entry: one array
-    # per order, and for M = 1 the residual and the bound's midpoint gap.
-    check_identity = 1 in orders
-    first_row = {m: m for m in orders}
-    if check_identity:
-        first_row.update(resid=1, gap=1)
-    sq = {key: (np.empty((n1 - 2 * r,) + u.data.shape[1:]), r)
-          for key, r in first_row.items()}
-    step = max(1, _ROW_BLOCK // u.data[0].size)
-    for r0 in range(0, n1, step):
-        rows = range(r0, min(r0 + step, n1))
-        lo, hi = max(0, r0 - halo), min(n1, rows.stop + halo)
-        chunk = u.data[lo:hi]
-        w = _w_multiplier(a1, h, x1[lo:hi])(*xi)
-        dv, done = apply_multiplier(chunk, bar, h, lambda *_: w, first=1), 0
-        for m in sorted(set(orders)):
-            # (hD_x1)^m v from (hD_x1)^done v: hd_x1 takes the same
-            # differences as from v, so the same bits.
-            dv, done = hd_x1(dv, h, dx, m - done), m
-            _abs_sq_rows(*sq[m], dv, lo + m, rows)
-            if m == 1:
-                dv1 = dv
-        del dv
-        if not check_identity:
-            continue
-        # a1(hD_bar) u is a temporary: it is gone before W is applied.
-        hd_minus_a = hd_x1(chunk, h, dx, 1)
-        np.subtract(hd_minus_a, apply_multiplier(
-            chunk[1:-1], bar, h, lambda *xi: a1.eval_grid(xi), first=1),
-            out=hd_minus_a)
-        rhs = apply_multiplier(hd_minus_a, bar, h, lambda *_: w[1:-1], first=1)
-        del hd_minus_a
-        _abs_sq_rows(*sq["resid"], np.subtract(dv1, rhs, out=rhs), lo + 1, rows)
-        del rhs, dv1
-        mid_gap = np.add(chunk[2:], chunk[:-2])
-        np.multiply(0.5, mid_gap, out=mid_gap)
-        np.subtract(chunk[1:-1], mid_gap, out=mid_gap)
-        _abs_sq_rows(*sq["gap"], mid_gap, lo + 1, rows)
-    ratios = {m: _norm(sq[m][0], cell) / (h ** m * u_norm) for m in orders}
 
-    nan = float("nan")
-    resid = bound = nan
-    if check_identity:
-        resid = _norm(sq["resid"][0], cell) / u_norm
-        # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
-        a_bar = a1.eval_grid(node_arrays(duals, len(duals)))
-        amax = float(np.abs(a_bar).max())
-        d1 = amax * _norm(sq["gap"][0], cell)
-        d2 = dx * amax ** 2 / (2 * h) * u_norm
-        bound = 1.5 * (d1 + d2) / u_norm + 1e-12
-    return [FlatteningReport(m, ratios[m], m * fd_rel + 0.05,
-                             resid if m == 1 else nan, bound if m == 1 else nan)
-            for m in orders]
+    def __init__(self, a1: PolySymbol, h: float, axes: Sequence[AxisSpec],
+                 orders: tuple[int, ...] = (1, 2)):
+        if len(axes) != a1.dim + 1:
+            raise DimensionMismatchError(
+                f"field dim {len(axes)} != symbol dim {a1.dim} + 1")
+        n1 = axes[0].points
+        self.halo = max(orders)
+        if 2 * self.halo >= n1:
+            raise ValueError(f"order {self.halo} needs more than "
+                             f"{2 * self.halo} x1 rows, and the grid has {n1}")
+        self.a1, self.h, self.orders = a1, h, tuple(orders)
+        self.axes = list(axes)
+        dim = len(axes)
+        self.x1, = node_arrays(axes[:1], dim)
+        self.duals = [dual_axis(ax, h) for ax in axes[1:]]
+        self.xi = node_arrays(self.duals, dim, 1)
+        self.row_shape = tuple(ax.points for ax in axes[1:])
+        cells = math.prod(self.row_shape)
+        # |.|^2 sums by key, with the x1 rows [r, n1 - r) each covers: u,
+        # then the interior of each order, and for M = 1 the residual and
+        # the bound's midpoint gap.
+        self.check_identity = 1 in orders
+        first_row = {"u": 0, **{m: m for m in orders}}
+        if self.check_identity:
+            first_row.update(resid=1, gap=1)
+        self.sums = {key: (PairwiseSum((n1 - 2 * r) * cells), r, n1 - r)
+                     for key, r in first_row.items()}
+        self.next_row = 0   # x1 rows of u fed
+        self.done = 0       # interior x1 rows summed
+        self.kept = 0       # first x1 row of u kept in the "u" work array
+        self.work, self.capacity = {}, 0   # work arrays, rows allocated
+        self.sq = np.empty(0)
+
+    def _work(self, name: str, rows: int) -> np.ndarray:
+        """The first rows rows of the complex work array name, which is
+        kept from block to block; a grown array keeps its rows."""
+        buf = self.work.get(name)
+        if buf is None or len(buf) < rows:
+            grown = np.empty((max(rows, self.capacity),) + self.row_shape,
+                             dtype=complex)
+            if buf is not None:
+                grown[:len(buf)] = buf
+            buf = self.work[name] = grown
+        return buf[:rows]
+
+    def _add_abs_sq(self, key, src: np.ndarray, src_row0: int,
+                    rows: range) -> None:
+        """Feed |src[r - src_row0]|^2 to the sum of key for the x1 rows r
+        of rows that it covers."""
+        total, first, last = self.sums[key]
+        lo, hi = max(rows.start, first), min(rows.stop, last)
+        if lo < hi:
+            part = src[lo - src_row0:hi - src_row0]
+            if self.sq.size < part.size:
+                self.sq = np.empty(part.size)
+            out = np.abs(part, out=self.sq[:part.size].reshape(part.shape))
+            total.add(np.square(out, out=out))
+
+    def add(self, rows: slice, block: np.ndarray) -> None:
+        i0, i1 = rows.start, rows.stop
+        n1, halo = self.axes[0].points, self.halo
+        if i0 != self.next_row or block.shape != (i1 - i0,) + self.row_shape:
+            raise ValueError("blocks must tile the grid's first axis in order")
+        self.next_row = i1
+        self.capacity = max(self.capacity, len(block) + 2 * halo)
+        self._add_abs_sq("u", block, i0, range(i0, i1))
+        # u's rows [lo, i1): those kept from earlier blocks, then this one.
+        # They hold the halo of self.halo rows per side of every x1 row
+        # from done to stop - 1.
+        lo = self.kept
+        u = self._work("u", i1 - lo)
+        u[i0 - lo:] = block
+        stop = n1 if i1 == n1 else max(self.done, i1 - halo)
+        if stop > self.done:
+            self._rows(u, lo, range(self.done, stop))
+            self.done = stop
+        self.kept = max(0, stop - halo)
+        u[:i1 - self.kept] = u[self.kept - lo:]
+
+    def _rows(self, u: np.ndarray, lo: int, rows: range) -> None:
+        """Sum the interior x1 rows of rows from u, the grid's x1 rows
+        [lo, lo + len(u)), which hold their halos."""
+        h, a1, bar = self.h, self.a1, self.axes[1:]
+        dx, n = self.axes[0].spacing, len(u)
+        w = _w_multiplier(a1, h, self.x1[lo:lo + n], self._work("w", n))(*self.xi)
+        dv = apply_multiplier(u, bar, h, lambda *_: w, first=1,
+                              out=self._work("v", n))
+        # (hD_x1)^m v from (hD_x1)^(m-1) v, the steps hd_x1 takes from v,
+        # so the same bits.  m = 1 keeps its array for the residual; the
+        # later orders take turns in "v", free once m = 1 is formed, and
+        # "d2".
+        for m in range(1, self.halo + 1):
+            dv = hd_x1(dv, h, dx, 1, self._work(
+                "d1" if m == 1 else ("v", "d2")[m % 2], max(0, n - 2 * m)))
+            if m in self.orders:
+                self._add_abs_sq(m, dv, lo + m, rows)
+        if not self.check_identity:
+            return
+        # (hD_x1 - a1(hD_bar)) u and then W times it, in place in "v".
+        rhs = hd_x1(u, h, dx, 1, self._work("v", n - 2))
+        np.subtract(rhs, apply_multiplier(
+            u[1:-1], bar, h, lambda *xi: a1.eval_grid(xi), first=1,
+            out=self._work("d2", n - 2)), out=rhs)
+        apply_multiplier(rhs, bar, h, lambda *_: w[1:-1], first=1, out=rhs)
+        self._add_abs_sq("resid", np.subtract(
+            self._work("d1", n - 2), rhs, out=rhs), lo + 1, rows)
+        mid_gap = np.add(u[2:], u[:-2], out=self._work("d2", n - 2))
+        np.multiply(0.5, mid_gap, out=mid_gap)
+        np.subtract(u[1:-1], mid_gap, out=mid_gap)
+        self._add_abs_sq("gap", mid_gap, lo + 1, rows)
+
+    def reports(self) -> list[FlatteningReport]:
+        if self.next_row != self.axes[0].points:
+            raise ValueError("blocks must tile the grid's first axis in order")
+        h, dx = self.h, self.axes[0].spacing
+        cell = cell_volume(self.axes)
+
+        def norm(key) -> float:
+            """The quadrature L2 norm whose |.|^2 key summed."""
+            return float(np.sqrt(self.sums[key][0].total() * cell))
+
+        u_norm = norm("u")
+        fd_rel = (dx / h) ** 2 / 6.0
+        ratios = {m: norm(m) / (h ** m * u_norm) for m in self.orders}
+        nan = float("nan")
+        resid = bound = nan
+        if self.check_identity:
+            resid = norm("resid") / u_norm
+            # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
+            a_bar = self.a1.eval_grid(node_arrays(self.duals, len(self.duals)))
+            amax = float(np.abs(a_bar).max())
+            d1 = amax * norm("gap")
+            d2 = dx * amax ** 2 / (2 * h) * u_norm
+            bound = 1.5 * (d1 + d2) / u_norm + 1e-12
+        return [FlatteningReport(m, ratios[m], m * fd_rel + 0.05,
+                                 resid if m == 1 else nan,
+                                 bound if m == 1 else nan)
+                for m in self.orders]
+
+
+def flattening_reports(a1: PolySymbol, field: CutoffField,
+                       axes: Sequence[AxisSpec],
+                       orders: tuple[int, ...] = (1, 2)) -> list[FlatteningReport]:
+    """FlatteningCheck's reports on the quasimode of the cutoff field on
+    axes, which synthesize_on_axes hands over block by block: no grid is
+    built."""
+    check = FlatteningCheck(a1, field.h, axes, orders)
+    synthesize_on_axes(field, axes, check.add)
+    return check.reports()

@@ -96,9 +96,6 @@ class GridField:
     def cell_volume(self) -> float:
         return cell_volume(self.axes)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.cell_volume))
-
 
 # -- transforms ---------------------------------------------------------------
 
@@ -108,15 +105,16 @@ def _require_pow2(n: int) -> None:
 
 
 def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
-            inverse: bool = False, out_axis: AxisSpec | None = None
-            ) -> tuple[np.ndarray, AxisSpec]:
+            inverse: bool = False, out_axis: AxisSpec | None = None,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, AxisSpec]:
     """h-scaled Fourier transform along one axis of an ndarray.
 
     Forward maps a position axis onto its (centered) dual frequency axis;
     inverse maps a frequency axis onto ``out_axis`` (default: centered dual).
     The FFT carries explicit boundary phases so arbitrary axis offsets are
-    exact, and inverse(forward) cancels to rounding.  The result is one new
-    array: the phased input, transformed and rephased in place.
+    exact, and inverse(forward) cancels to rounding.  The result is the
+    phased input, transformed and rephased in place: one new array, or
+    ``out`` (complex, data's shape, and data itself allowed) when given.
     """
     n = axis_spec.points
     _require_pow2(n)
@@ -131,7 +129,7 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
         pre = np.exp(-1j * (ar * axis_spec.spacing) * (dual.start + 0.5 * dual.spacing) / h)
         post = np.exp(-1j * x0 * dual.nodes() / h) * (
             axis_spec.spacing / np.sqrt(_TWO_PI * h))
-        out = data * pre.reshape(shape)
+        out = np.multiply(data, pre.reshape(shape), out=out)
         np.fft.fft(out, axis=axis, out=out)
     else:
         xi0 = axis_spec.start + 0.5 * axis_spec.spacing
@@ -139,7 +137,7 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
         pre = np.exp(1j * x0 * (ar * axis_spec.spacing) / h)
         post = np.exp(1j * dual.nodes() * xi0 / h) * (
             n * axis_spec.spacing / np.sqrt(_TWO_PI * h))
-        out = data * pre.reshape(shape)
+        out = np.multiply(data, pre.reshape(shape), out=out)
         np.fft.ifft(out, axis=axis, out=out)
     out *= post.reshape(shape)
     return out, dual
@@ -147,32 +145,39 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
 
 def ft_axes(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
             first: int = 1, inverse: bool = False,
-            out_axes: Sequence[AxisSpec] | None = None
-            ) -> tuple[np.ndarray, list[AxisSpec]]:
+            out_axes: Sequence[AxisSpec] | None = None,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, list[AxisSpec]]:
     """ft_axis over data axes first, first+1, ... in order; returns the new axes.
 
     The default first = 1 is the bar-side transform of a field whose axis 0
     is x1; ``out_axes`` are the inverse's targets, one per transformed axis.
+    The first axis goes into ``out`` as ft_axis's does, or into a new
+    array, and every later axis in place.
     """
     new_axes: list[AxisSpec] = []
     for i, ax in enumerate(axes):
         target = out_axes[i] if out_axes is not None else None
-        data, dual = ft_axis(data, ax, h, first + i, inverse, target)
+        data, dual = ft_axis(data, ax, h, first + i, inverse, target, out)
+        out = data
         new_axes.append(dual)
     return data, new_axes
 
 
 def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
-                     m: Callable[..., np.ndarray], first: int = 0) -> np.ndarray:
+                     m: Callable[..., np.ndarray], first: int = 0,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """m(hD) on data axes first, first+1, ...: the position-side samples on
     ``axes`` are transformed, multiplied by m(xi) on the dual nodes, and
     brought back onto ``axes``.
 
     m takes one broadcastable node array per transformed axis.  The product
     is values * hat, in that order: numpy's vectorized complex product fuses
-    a multiply-add, so its last bit depends on operand order.
+    a multiply-add, so its last bit depends on operand order.  The
+    transform goes into ``out`` (complex, data's shape, and data itself
+    allowed) or into one new array, and the product and the inverse act in
+    place on it.
     """
-    hat, duals = ft_axes(data, axes, h, first)
+    hat, duals = ft_axes(data, axes, h, first, out=out)
     np.multiply(m(*node_arrays(duals, data.ndim, first)), hat, out=hat)
-    out, _ = ft_axes(hat, duals, h, first, inverse=True, out_axes=axes)
+    out, _ = ft_axes(hat, duals, h, first, inverse=True, out_axes=axes, out=hat)
     return out

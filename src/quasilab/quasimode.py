@@ -368,12 +368,13 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     range of x1 row indices within the grid, needs consume and limits the
     last fold to the blocks that meet it (none when it is empty): the
     blocks keep their boundaries and the others are skipped, so no block's
-    bits move.  For a 2D field the run and phase tables then cover only
-    those blocks' x1 nodes, and their entries are elementwise the same; for
-    n >= 3 the earlier folds still cover every x1 row.  The output grid,
-    every fold's result, the run tables and every exponential table are
-    checked against MAX_GRID_CELLS before any of them is allocated, and
-    each fold's input is released once the next fold is built.
+    bits move; for n >= 3 the earlier folds still cover every x1 row.  A
+    2D field's run and phase tables are built one block at a time, over
+    that block's x1 nodes: their entries are elementwise those of whole
+    tables.  The output grid, every fold's result, the run tables and every
+    exponential table are checked against MAX_GRID_CELLS before any of them
+    is allocated, and each fold's input is released once the next fold is
+    built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -406,26 +407,30 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     # leading key: one table row per distinct value of each.
     counts, count_of = np.unique(field.col_count[order], return_inverse=True)
     xi1_starts, start_of = np.unique(field.col_start[order], return_inverse=True)
-    # The last fold's x1 blocks, and the x1 rows [t0, t1) the tables cover:
-    # the blocks' rows when the first fold is the last, every row otherwise.
+    # The last fold's x1 blocks.  A 2D field's tables cover one block's x1
+    # rows at a time; for n >= 3 the first fold needs every x1 row.
     per_row = math.prod(shape[1:-1])   # last product's output rows per x1 row
     step = max(1, _OUT_BLOCK // math.prod(shape[1:]))
     blocks = range(rows.start - rows.start % step, rows.stop, step) if rows else rows
-    t0, t1 = 0, len(x1)
-    if len(folds) == 1:
-        t0, t1 = (blocks.start, min(blocks[-1] + step, len(x1))) if blocks else (0, 0)
-    _check_grid_cells((len(counts) + len(xi1_starts), t1 - t0))
+    _check_grid_cells((len(counts) + len(xi1_starts),
+                       min(step, len(x1)) if len(folds) == 1 else len(x1)))
     for axis, _, _, values, _ in folds:
         _check_grid_cells((len(values), axis.points))
-    runs = _dirichlet(x1[None, t0:t1] * (ax0.spacing / h), counts[:, None])
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
-    phases = np.exp(1j * np.outer(first, x1[t0:t1]) / h)
+
+    def run_tables(t0, t1):
+        """The phase and run tables over the x1 rows [t0, t1)."""
+        return (np.exp(1j * np.outer(first, x1[t0:t1]) / h),
+                _dirichlet(x1[None, t0:t1] * (ax0.spacing / h), counts[:, None]))
+
+    tables = run_tables(0, len(x1)) if len(folds) > 1 else None
     flat = None
 
     def rows_of(blk, cols=slice(None)):
         if flat is None:
             # Phase first: a complex product's rounding depends on operand
             # order, and this order gives the untabled sum's bits.
+            phases, runs = tables
             return phases[start_of[blk], cols] * runs[count_of[blk], cols]
         return flat[blk, cols]
 
@@ -434,7 +439,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
         folded = np.empty((len(starts), width, axis.points), dtype=complex)
         for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(value_of)]):
             _fold_into(out, rows_of, e, value_of, lo, hi)
-        flat = folded.reshape(len(starts), -1)
+        flat, tables = folded.reshape(len(starts), -1), None
 
     axis, _, _, values, value_of = folds[-1]
     e = np.exp(1j * np.outer(values, axis.nodes()) / h)
@@ -445,10 +450,12 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     for i0 in blocks:
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
-        # The tables' columns are x1 rows from t0 (a 2D field's per_row is 1).
-        table_cols = cols if flat is not None else slice(i0 - t0, i1 - t0)
         out = outs[:cols.stop - cols.start]
-        _fold_into(out, lambda blk: rows_of(blk, table_cols), e, value_of,
+        if flat is None:
+            tables = None   # the last block's, freed before this block's
+            tables = run_tables(i0, i1)
+            cols = slice(None)
+        _fold_into(out, lambda blk: rows_of(blk, cols), e, value_of,
                    0, len(value_of))
         out *= scale
         out *= inv_norm

@@ -11,8 +11,11 @@ formed, so the others are exact zeros, not small numbers.  A coefficient
 is a sum that starts at +0 and never turns -0, so the taps skipped on zero
 rows, which add +-0, change no bit of it.  The decay table takes the field
 from the synthesis in blocks of x1 rows, keeps only the windowed band of
-rows where its x1 window is nonzero, never holds the whole grid, and
-transforms each scale's live windows only: every other row's power is +0.
+rows where its x1 window is nonzero, and never holds the whole grid.  Each
+scale forms and bar-transforms its live windows one block at a time, into
+a power array of the live windows only: every other window's power is +0,
+so each level's weighted sum skips those rows in an analysis.PairwiseSum,
+which keeps the bits of one sum over every window.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
 from .grids import AxisSpec, cell_volume, dual_axis, ft_axes, node_arrays
 from .quasimode import CutoffField, synthesize_on_axes
@@ -91,16 +95,17 @@ def _nonzero_rows(flat: np.ndarray) -> tuple[int, int]:
 
 def _scale_windows(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
                    a_grid: Sequence[float]):
-    """Per scale: (b, coefficients of windows [wlo, whi), wlo).
+    """Per scale: (b, wlo, whi, blocks), blocks yielding (i0, x), x the
+    coefficients of the windows [i0, i0 + len(x)), in increasing i0.
 
     band is the real (rows, 2 * prod(bar_shape)) view of x1 rows row0,
     row0 + 1, ... of a field on the x1 axis ax; every row outside it is
     zero.  The band is scanned once for its first and last nonzero rows.
-    [wlo, whi) is the union of the window ranges of the scale's live taps:
-    the windows where some nonzero tap lands on a row from the first
-    nonzero row to the last.  Every window outside it gets no tap, so its
-    coefficients are +0 and are not formed.  The generator keeps no
-    reference to a scale's coefficients once it has yielded them.
+    The blocks tile [wlo, whi), the union of the window ranges of the
+    scale's live taps: the windows where some nonzero tap lands on a row
+    from the first nonzero row to the last.  Every window outside it gets
+    no tap, so its coefficients are +0 and are not formed.  A block is a
+    view of one buffer that the next block of its scale overwrites.
     """
     first, last = _nonzero_rows(band)
     for a in np.asarray(a_grid, dtype=float):
@@ -149,24 +154,31 @@ def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
     wlo, whi = (int(lo.min()), int(hi.max())) if lo.size else (0, 0)
     taps = list(zip(frow[live].tolist(), (shift[live] - row0).tolist(),
                     lo.tolist(), hi.tolist()))
-    # Every coefficient adds its taps to +0 one by one in ascending order,
-    # the padded-gather oracle's order, which fixes every output bit;
-    # windows go in blocks small enough to stay in cache across their taps.
-    # A sum that starts at +0 never becomes -0, so adding a +-0 term
-    # changes no bit of it: skipping a zero tap or a tap on a zero row
-    # keeps every bit, signed zeros included.
-    out = np.zeros((whi - wlo, cols))
-    buf = np.empty((min(block, whi - wlo), cols))
-    for r0 in range(wlo, whi, block):
-        for f, sh, t0, t1 in taps:
-            i0, i1 = max(t0, r0), min(t1, r0 + block)
-            if i0 < i1:
-                c0 = i0 * stride + sh
-                out[i0 - wlo:i1 - wlo] += np.multiply(
-                    band[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
-                    out=buf[:i1 - i0])
-    out *= qstep
-    return b, out, wlo
+
+    def blocks():
+        # Every coefficient adds its taps to +0 one by one in ascending
+        # order, the padded-gather oracle's order, which fixes every output
+        # bit; windows go in blocks small enough to stay in cache across
+        # their taps.  A sum that starts at +0 never becomes -0, so adding
+        # a +-0 term changes no bit of it: skipping a zero tap or a tap on
+        # a zero row keeps every bit, signed zeros included.
+        out = np.empty((min(block, whi - wlo), cols))
+        buf = np.empty_like(out)
+        for r0 in range(wlo, whi, block):
+            r1 = min(r0 + block, whi)
+            x = out[:r1 - r0]
+            x.fill(0.0)
+            for f, sh, t0, t1 in taps:
+                i0, i1 = max(t0, r0), min(t1, r1)
+                if i0 < i1:
+                    c0 = i0 * stride + sh
+                    x[i0 - r0:i1 - r0] += np.multiply(
+                        band[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
+                        out=buf[:i1 - i0])
+            x *= qstep
+            yield r0, x
+
+    return b, wlo, whi, blocks()
 
 
 # -- dyadic cutoffs ------------------------------------------------------------------
@@ -264,24 +276,26 @@ def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
 
 def _scale_powers(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
                   h: float, w: MotherWavelet):
-    """(db, |F_h X(a, b, .)|^2) for every b, one scale of _A_GRID at a time,
-    of the windowed band (row0, band) of _windowed_band on axes.
+    """(b, wlo, power) for each scale of _A_GRID in turn, of the windowed
+    band (row0, band) of _windowed_band on axes: power holds
+    |F_h X(a, b, .)|^2 on the live windows [wlo, wlo + len(power)) of b,
+    and every other window's power is +0.
 
-    Each scale transforms only its live windows' coefficients, and frees
-    them before it yields; the other rows are exact zeros, whose power is +0.
+    Each block of live windows is transformed on its own, into its rows of
+    power; the bar transforms act row by row, so the bits are those of one
+    transform of every window.
     """
     ax, bar_axes = axes[0], axes[1:]
     bar_shape = tuple(a.points for a in bar_axes)
-    for b, x, wlo in _scale_windows(band, row0, ax, w, _A_GRID):
-        db = b[1] - b[0] if len(b) > 1 else ax.spacing
-        hat, _ = ft_axes(x.view(complex).reshape((len(x),) + bar_shape),
-                         bar_axes, h)
-        del x
-        power = np.zeros((len(b),) + bar_shape)
-        live = power[wlo:wlo + len(hat)]
-        np.square(np.abs(hat, out=live), out=live)
-        del hat, live
-        yield db, power
+    for b, wlo, whi, blocks in _scale_windows(band, row0, ax, w, _A_GRID):
+        power = np.empty((whi - wlo,) + bar_shape)
+        for i0, x in blocks:
+            hat, _ = ft_axes(x.view(complex).reshape((len(x),) + bar_shape),
+                             bar_axes, h)
+            live = power[i0 - wlo:i0 - wlo + len(x)]
+            np.square(np.abs(hat, out=live), out=live)
+            del hat, live
+        yield b, wlo, power
         del power
 
 
@@ -302,8 +316,11 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
     the windowed field is still an order-h quasimode and the envelope
     applies to it verbatim.  Only the x1 rows where the window is nonzero
     are synthesized into an array (_windowed_band): the whole grid never is.
-    Each scale's weighted sums go through one scratch array, reused across
-    scales.
+    Each scale's power holds its live windows only (_scale_powers), and
+    each level's weight times it goes into one scratch array, reused
+    across levels and scales, and into one PairwiseSum over every window,
+    the others skipped as +0: the bits of one np.sum over the full-size
+    product.
     """
     if len(axes) < 2:
         raise DimensionMismatchError("need at least one bar axis")
@@ -317,13 +334,22 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
                for j in range(family.levels + 1)]
     band, row0 = _windowed_band(source, axes)
     mass, scratch = [], np.empty((0,) + radius.shape)
-    for db, power in _scale_powers(band, row0, axes, h, w):
+    for b, wlo, power in _scale_powers(band, row0, axes, h, w):
+        db = b[1] - b[0] if len(b) > 1 else axes[0].spacing
         if len(scratch) < len(power):
             del scratch
             scratch = np.empty_like(power)
         product = scratch[:len(power)]
-        mass.append([np.sum(np.multiply(weight, power, out=product)) * db * cellvol
-                     for weight in weights])
+        # Each level's sum is that of weight times the power at every b:
+        # the live windows' products, between runs of +0.
+        sums = []
+        for weight in weights:
+            total = PairwiseSum(len(b) * radius.size)
+            total.skip(wlo * radius.size)
+            total.add(np.multiply(weight, power, out=product))
+            total.skip((len(b) - wlo - len(power)) * radius.size)
+            sums.append(total.total() * db * cellvol)
+        mass.append(sums)
         del power, product
     mass = np.sqrt(np.maximum(np.array(mass), 0.0))
     bound = np.array([[min(a, 1.0) ** 1.5 * 2.0 ** (-j * (k + 1) * m_order)

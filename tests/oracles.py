@@ -2,9 +2,10 @@
 
 No run calls these: the sweeps take their norms block by block
 (analysis.BlockNorms), the decay table transforms only live windows
-(wavelets._scale_windows), the flattening check forms its field block by
-block (fio.flattening_reports) and the cutoffs evaluate their symbols on
-whole grids (PolySymbol.eval_grid).  Each definition here is the
+(wavelets._scale_windows), the flattening check takes its field block by
+block (fio.FlatteningCheck), no run takes a norm over a whole field
+(l2_norm) and the cutoffs evaluate their symbols on whole grids
+(PolySymbol.eval_grid).  Each definition here is the
 whole-array, whole-field or exact form of one of them, or a step of the
 paper's argument that the tests check by hand.
 """
@@ -22,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
-from quasilab.fio import _check_field, _w_multiplier
+from quasilab.fio import _w_multiplier
 from quasilab.grids import GridField, apply_multiplier, node_arrays
 from quasilab.symbols import PolySymbol
 from quasilab.wavelets import _T_POINTS, bump_derivative
@@ -184,6 +185,14 @@ def reconstruct(a_grid, b_grids, values, dx: float, w,
     return out * (2.0 / admissibility()[0])
 
 
+# -- fields --------------------------------------------------------------------------
+
+def l2_norm(u: GridField) -> float:
+    """The quadrature L2 norm of a field on its whole grid, one np.sum over
+    |u|^2: the form whose bits fio.FlatteningCheck's streamed ||u|| keeps."""
+    return float(np.sqrt(np.sum(np.abs(u.data) ** 2) * u.cell_volume))
+
+
 # -- flattening ----------------------------------------------------------------------
 
 def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
@@ -191,9 +200,11 @@ def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
 
     Vectorized over slices: one bar-side multiplier with the x1 nodes
     broadcast down axis 0.  transform_quasimode(-a1, v) inverts it.
-    fio.flattening_reports forms the same v block by block.
+    fio.FlatteningCheck forms the same v block by block.
     """
-    _check_field(a1, u)
+    if u.dim != a1.dim + 1:
+        raise DimensionMismatchError(
+            f"field dim {u.dim} != symbol dim {a1.dim} + 1")
     x1, = node_arrays(u.axes[:1], u.dim)
     return GridField(u.h, list(u.axes), apply_multiplier(
         u.data, u.axes[1:], u.h, _w_multiplier(a1, u.h, x1), first=1))

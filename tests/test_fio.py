@@ -7,20 +7,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasilab import families, fio
+from quasilab import families, quasimode
 from quasilab.errors import DimensionMismatchError
-from quasilab.fio import (FlatteningReport, _w_multiplier, aligned_position_axes,
-                          flattening_reports, hd_x1)
+from quasilab.fio import (FlatteningCheck, FlatteningReport, _w_multiplier,
+                          aligned_position_axes, flattening_reports, hd_x1)
 from quasilab.grids import (AxisSpec, GridField, apply_multiplier, dual_axis,
                             ft_axis, node_arrays)
 from quasilab.quasimode import build_cutoff, synthesize_on_axes
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import eval_exact, transform_quasimode
+from oracles import eval_exact, l2_norm, transform_quasimode
 
 
 def _a1(n=2, k=1):
     return graph_factor(families.paraboloid_pair(n, k)[0]).a
+
+
+def fed_reports(a1, u, orders, rows):
+    """FlatteningCheck's reports on the field u, fed in blocks of rows x1
+    rows (the last block holds the rest)."""
+    check = FlatteningCheck(a1, u.h, u.axes, orders)
+    for i0 in range(0, len(u.data), rows):
+        i1 = min(i0 + rows, len(u.data))
+        check.add(slice(i0, i1), u.data[i0:i1])
+    return check.reports()
 
 
 def _random_field(h=2.0 ** -5, n=256, seed=3):
@@ -42,14 +52,16 @@ class TestW:
     def test_unitary(self):
         u = _random_field()
         out = transform_quasimode(_a1(), u)
-        assert abs(out.l2_norm() - u.l2_norm()) < 1e-12 * u.l2_norm()
+        assert abs(l2_norm(out) - l2_norm(u)) < 1e-12 * l2_norm(u)
 
     def test_adjoint_inverts(self):
         u = _random_field()
         back = transform_quasimode(-_a1(), transform_quasimode(_a1(), u))
         assert np.abs(back.data - u.data).max() < 1e-12 * np.abs(u.data).max()
 
-    @pytest.mark.parametrize("check", [transform_quasimode, flattening_reports])
+    @pytest.mark.parametrize("check", [
+        transform_quasimode, lambda a1, u: FlatteningCheck(a1, u.h, u.axes)],
+        ids=["transform_quasimode", "FlatteningCheck"])
     def test_rejects_dimension_mismatch(self, check):
         with pytest.raises(DimensionMismatchError):
             check(_a1(3, 1), _random_field())
@@ -112,7 +124,7 @@ class TestTransformQuasimode:
 
     def test_quasimode_ratios(self, setup):
         a1, u = setup
-        for rep in flattening_reports(a1, u, orders=(1, 2)):
+        for rep in fed_reports(a1, u, (1, 2), 512):
             assert rep.ratio <= 1.0 + rep.slack
             if rep.order == 1:
                 assert rep.identity_residual <= rep.identity_bound
@@ -129,22 +141,6 @@ class TestTransformQuasimode:
         got = hd_x1(f.data, f.h, f.axes[0].spacing, order)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-    def test_reports_memory_bounded(self):
-        # The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64): the
-        # reports go over x1 row blocks, so their peak above it stays
-        # within three copies of it (about 2.8 measured): four real |.|^2
-        # arrays, half a copy each, and one block's temporaries.
-        h = 2.0 ** -5
-        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        u = synthesize_on_axes(cut, aligned_position_axes(cut, 8.0, h / 8.0))
-        tracemalloc.start()
-        try:
-            flattening_reports(_a1(), u, orders=(1, 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * u.data.nbytes
 
     def test_multiplier_commutes_with_W(self, setup):
         # ||q(hD_bar) v|| = ||(a1-a2)(hD_bar) u|| when q = a1 - a2.
@@ -172,7 +168,7 @@ def _whole_grid_reports(a1, u, orders):
     duals = [dual_axis(ax, h) for ax in bar]
     w_nodes = _w_multiplier(a1, h, x1)(*node_arrays(duals, u.dim, 1))
     v = apply_multiplier(u.data, bar, h, lambda *xi: w_nodes, first=1)
-    u_norm = u.l2_norm()
+    u_norm = l2_norm(u)
     fd_rel = (dx / h) ** 2 / 6.0
     ratios = {m: norm(hd_x1(v, h, dx, m)) / (h ** m * u_norm) for m in orders}
     nan = float("nan")
@@ -203,35 +199,85 @@ class TestBlockedReports:
 
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     @pytest.mark.parametrize("block_rows", [1, 2, 5, 16])
-    def test_blocks_match_whole_grid(self, monkeypatch, orders, block_rows):
+    def test_blocks_match_whole_grid(self, orders, block_rows):
         # 37 x1 rows: no block count divides them, and blocks of 1, 2 and 5
-        # rows put block edges inside the halo of max(orders) rows.
+        # rows are shorter than the 2 * max(orders) rows carried between
+        # blocks, so a block may finish no interior row at all.
         rng = np.random.default_rng(5)
         u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.5, 37), AxisSpec(0.1, 2.0, 16)],
                       rng.standard_normal((37, 16))
                       + 1j * rng.standard_normal((37, 16)))
-        monkeypatch.setattr(fio, "_ROW_BLOCK", 16 * block_rows)
         want = _hex(_whole_grid_reports(_a1(), u, orders))
-        assert _hex(flattening_reports(_a1(), u, orders)) == want
+        assert _hex(fed_reports(_a1(), u, orders, block_rows)) == want
 
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_shipped_blocks_match_whole_grid(self, orders):
-        # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64): four
-        # blocks of 512 rows.
+        # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), as
+        # synthesize_on_axes hands it over: four blocks of 512 rows.
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        u = synthesize_on_axes(cut, aligned_position_axes(cut, 8.0, h / 8.0))
-        assert u.data.shape[0] > fio._ROW_BLOCK // u.data.shape[1]
+        axes = aligned_position_axes(cut, 8.0, h / 8.0)
+        u = synthesize_on_axes(cut, axes)
+        assert u.data.shape == (2048, 64)
+        assert quasimode._OUT_BLOCK // u.data.shape[1] == 512
         want = _hex(_whole_grid_reports(_a1(), u, orders))
-        assert _hex(flattening_reports(_a1(), u, orders)) == want
+        assert _hex(flattening_reports(_a1(), cut, axes, orders)) == want
 
     def test_rejects_orders_the_grid_cannot_carry(self):
         # 2M < n1 leaves an interior row; at 2M >= n1 none is left.
         u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.0, 8), AxisSpec(0.0, 1.0, 16)],
                       np.ones((8, 16), dtype=complex))
-        assert len(flattening_reports(_a1(), u, (1, 3))) == 2
+        assert len(fed_reports(_a1(), u, (1, 3), 3)) == 2
         with pytest.raises(ValueError, match="8"):
-            flattening_reports(_a1(), u, (1, 4))
+            FlatteningCheck(_a1(), u.h, u.axes, (1, 4))
+
+    def test_blocks_must_tile_the_grid(self):
+        u = _random_field()
+        check = FlatteningCheck(_a1(), u.h, u.axes, (1,))
+        with pytest.raises(ValueError, match="tile"):
+            check.add(slice(1, 2), u.data[1:2])
+        check.add(slice(0, 1), u.data[0:1])
+        with pytest.raises(ValueError, match="tile"):
+            check.add(slice(1, 2), u.data[1:2, :-1])
+        with pytest.raises(ValueError, match="tile"):
+            check.reports()
+
+
+class TestStreamedMemory:
+    """The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64), fed to the
+    check by synthesize_on_axes: neither the field nor any |.|^2 array over
+    the grid is held, only one synthesis block, its tables and one block's
+    temporaries."""
+
+    @staticmethod
+    def peak(x1_half_width):
+        """tracemalloc peak of flattening_reports at h = 2^-5 on a grid of
+        x1 half-width x1_half_width, and the grid's complex bytes."""
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
+        axes = aligned_position_axes(cut, x1_half_width, h / 8.0)
+        tracemalloc.start()
+        try:
+            flattening_reports(_a1(), cut, axes, (1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, 16 * axes[0].points * axes[1].points
+
+    def test_memory_bounded(self):
+        # At most 1.5 copies of the grid, synthesis included (about 1.17
+        # measured).
+        peak, grid = self.peak(8.0)
+        assert grid == 16 * 4096 * 64
+        assert peak <= 1.5 * grid
+
+    def test_no_grid_sized_array(self):
+        # Twice the x1 rows at the same h and bar grid: a whole field, or a
+        # |.|^2 array over the grid's rows, would lift the peak by at least
+        # half a copy of the smaller grid.  The peak stays within a quarter.
+        small, grid = self.peak(8.0)
+        large, _ = self.peak(16.0)
+        assert large - small <= 0.25 * grid
 
 
 class TestEgorov:

@@ -9,6 +9,8 @@ from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (AxisSpec, GridField, apply_multiplier, cell_volume,
                             dual_axis, ft_axes)
 
+from oracles import l2_norm
+
 
 def mesh_points(axes):
     """All grid nodes as an (N_total, n) array, C-order."""
@@ -102,12 +104,12 @@ class TestTransforms:
 
     def test_parseval(self):
         f = random_field(2.0 ** -5, (128,), seed=1)
-        assert abs(l2(*forward(f)) - f.l2_norm()) / f.l2_norm() < 1e-10
+        assert abs(l2(*forward(f)) - l2_norm(f)) / l2_norm(f) < 1e-10
 
     def test_parseval_2d(self):
         f = random_field(2.0 ** -4, (64, 32), seed=2)
         hat, duals = forward(f)
-        assert abs(l2(hat, duals) - f.l2_norm()) / f.l2_norm() < 1e-10
+        assert abs(l2(hat, duals) - l2_norm(f)) / l2_norm(f) < 1e-10
         back = back_onto(f, hat, duals)
         assert np.abs(back - f.data).max() < 1e-12 * np.abs(f.data).max()
 

@@ -24,7 +24,7 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import lp_norm, shell_mask
+from oracles import l2_norm, lp_norm, shell_mask
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -327,7 +327,7 @@ class TestSynthesis:
                 cut = build_cutoff(spec, h)
                 u = synthesize_on_axes(cut, [dual_axis(a, h)
                                              for a in cut.axes])
-                assert u.l2_norm() == pytest.approx(1.0, rel=1e-12)
+                assert l2_norm(u) == pytest.approx(1.0, rel=1e-12)
 
     def test_non_oscillation_plateau(self):
         # Inside the stationary box the synthesis stays within 10% of T(0).

@@ -14,7 +14,21 @@ from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _scale_powers,
                                bump, bump_derivative, decay_diagnostic,
                                dyadic_cutoffs)
 
-from oracles import admissibility, padded_gather_cwt
+from oracles import admissibility, l2_norm, padded_gather_cwt
+
+
+def every_window(b, wlo, whi, blocks, cols):
+    """One scale of _scale_windows as the real (len(b), cols) coefficients
+    at every b: its blocks, which must tile [wlo, whi) in order, copied
+    in, and +0 at the windows it does not form."""
+    out = np.zeros((len(b), cols))
+    row = wlo
+    for i0, x in blocks:
+        assert i0 == row
+        out[i0:i0 + len(x)] = x
+        row += len(x)
+    assert row == whi
+    return out
 
 
 def whole_field_cwt(v, w, a_grid):
@@ -26,9 +40,8 @@ def whole_field_cwt(v, w, a_grid):
     flat = np.ascontiguousarray(v.data, dtype=complex).reshape(
         v.axes[0].points, -1).view(float)
     b_grids, values = [], []
-    for b, x, wlo in _scale_windows(flat, 0, v.axes[0], w, a_grid):
-        out = np.zeros((len(b), flat.shape[1]))
-        out[wlo:wlo + len(x)] = x
+    for b, *blocks in _scale_windows(flat, 0, v.axes[0], w, a_grid):
+        out = every_window(b, *blocks, flat.shape[1])
         values.append(out.view(complex).reshape((len(b),) + bar_shape))
         b_grids.append(b)
     return b_grids, values
@@ -72,7 +85,7 @@ class TestCwt:
         v = self._field(np.ones(4096))
         (b,), (x,) = whole_field_cwt(v, mother_wavelet, [2.0 ** -4])
         inner = np.abs(b) < 4.0
-        assert np.abs(x[inner]).max() <= 1e-8 * v.l2_norm()
+        assert np.abs(x[inner]).max() <= 1e-8 * l2_norm(v)
 
     def test_exact_zero_off_overlap(self, mother_wavelet):
         v = self._field(bump_derivative(AxisSpec(0.0, 8.0, 2048).nodes()))
@@ -157,29 +170,30 @@ class TestCwt:
         flat = band.reshape(rows, -1).view(float)
         scales = list(_scale_windows(flat, row0, ax, mother_wavelet, a_grid))
         assert len(scales) == len(a_grid)
-        for (b, x, wlo), want_b, want in zip(scales, want_bs, wants):
+        for (b, wlo, whi, blocks), want_b, want in zip(scales, want_bs, wants):
             assert b.tobytes() == want_b.tobytes()
-            got = np.zeros((len(b), flat.shape[1]))
-            got[wlo:wlo + len(x)] = x
+            got = every_window(b, wlo, whi, blocks, flat.shape[1])
             assert got.tobytes() == want.reshape(len(b), -1).view(float).tobytes()
-            assert (len(x) == 0) == (case == "all-zero")
+            assert (whi == wlo) == (case == "all-zero")
 
     def test_memory_bounded(self, mother_wavelet, flat_model_field):
         # The transform of the flat model's whole 8192 x 64 grid at every
-        # scale of the shipped a-grid holds one scale's coefficients at a
-        # time: the largest scale's are about one grid, and the whole run
-        # peaks at about 1.05 grids measured.
+        # scale of the shipped a-grid holds one block of one scale's
+        # coefficients at a time: the run peaks at about 0.08 grids
+        # measured.
         v = flat_model_field
         flat = v.data.reshape(v.axes[0].points, -1).view(float)
         tracemalloc.start()
         try:
-            for b, x, _ in _scale_windows(flat, 0, v.axes[0], mother_wavelet,
-                                          _A_GRID):
-                del b, x
+            for b, _, _, blocks in _scale_windows(
+                    flat, 0, v.axes[0], mother_wavelet, _A_GRID):
+                for _, x in blocks:
+                    del x
+                del b, blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * v.data.nbytes
+        assert peak <= 0.25 * v.data.nbytes
 
     def test_rejects_nonpositive_scale(self, mother_wavelet):
         v = self._field(np.ones(256))
@@ -230,23 +244,24 @@ class TestDyadicCutoffs:
 class TestDecayDiagnostic:
     def test_memory_bounded(self, mother_wavelet, flat_model, flat_model_field):
         # The field is synthesized in row blocks into the windowed band
-        # alone, one scale's live coefficients and power live at a time,
-        # only the live rows are transformed, and the weight sums share one
-        # scratch array: the whole run, synthesis included, stays within
-        # 1.6 copies of the 8192 x 64 grid (about 1.40 measured).
+        # alone, one block of one scale's live coefficients at a time is
+        # transformed, one scale's power holds its live windows only, and
+        # the weight sums share one scratch array of that size: the whole
+        # run, synthesis included, stays within 0.9 copies of the
+        # 8192 x 64 grid (about 0.82 measured).
         tracemalloc.start()
         try:
             decay_diagnostic(*flat_model, mother_wavelet, 1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * flat_model_field.data.nbytes
+        assert peak <= 0.9 * flat_model_field.data.nbytes
 
     def test_grid_never_allocated(self, flat_model, flat_model_field):
         # The band of rows where the window is nonzero (37.5 % of the grid)
         # is allocated first and lives throughout, so a whole-grid array
         # would lift the peak a full grid above it; the synthesis tables and
-        # row blocks stay well below that (about 0.63 grid measured).
+        # row blocks stay well below that (about 0.20 grid measured).
         tracemalloc.start()
         try:
             band, _ = _windowed_band(*flat_model)
@@ -299,17 +314,22 @@ class TestDecayDiagnostic:
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         v = GridField(f.h, list(f.axes), f.data * window[:, None])
         band, row0 = _windowed_band(*flat_model)
-        for s, (db, power) in zip(_A_GRID, _scale_powers(
+        for s, (got_b, wlo, power) in zip(_A_GRID, _scale_powers(
                 band, row0, f.axes, f.h, mother_wavelet)):
             if s == a:
                 break
         (b,), (x,) = whole_field_cwt(v, mother_wavelet, [a])
         zero_rows = ~x.reshape(len(x), -1).any(axis=1)
         assert zero_rows[0] and zero_rows[-1] and not zero_rows.all()
-        assert db == b[1] - b[0]
+        assert got_b.tobytes() == b.tobytes()
         want = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
-        assert power.shape == want.shape
-        assert power.tobytes() == want.tobytes()
+        # The power holds the live windows only; every other window's
+        # power is +0.
+        live = slice(wlo, wlo + len(power))
+        assert power.shape[1:] == want.shape[1:] and 0 < len(power) < len(b)
+        assert power.tobytes() == want[live].tobytes()
+        dead = np.concatenate((want[:live.start], want[live.stop:]))
+        assert dead.tobytes() == np.zeros_like(dead).tobytes()
 
 
 class TestReconstruction:
