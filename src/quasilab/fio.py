@@ -8,9 +8,10 @@ O(h) remainder to model).  Applied to a quasimode u of hD_x1 - a1(hD_bar),
 the slice-wise transform v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1;
 FlatteningCheck verifies that quantitatively with centered finite
 differences in x1.  It is fed u by synthesize_on_axes in blocks of x1 rows
-and forms v block by block, carrying only the halo rows the differences
-need: W on a block and a1(hD_bar) itself are both one multiplier applied
-by grids.apply_multiplier, at the field's h.  Every norm is streamed into
+and forms v in steps of one working block of rows (grids.WORK_BLOCK_BYTES),
+carrying only the halo rows the differences need: W on a step and
+a1(hD_bar) itself are both one multiplier applied by grids.apply_multiplier,
+at the field's h.  Every norm is streamed into
 an analysis.PairwiseSum, so neither the field nor any |.|^2 array over
 the grid is ever held, and the norms keep the bits of whole-array sums.
 """
@@ -25,8 +26,8 @@ import numpy as np
 
 from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
-from .grids import (AxisSpec, apply_multiplier, cell_volume, dual_axis,
-                    node_arrays)
+from .grids import (WORK_BLOCK_BYTES, AxisSpec, apply_multiplier,
+                    cell_volume, dual_axis, node_arrays)
 from .quasimode import CutoffField, synthesize_on_axes
 from .symbols import PolySymbol
 
@@ -111,15 +112,18 @@ class FlatteningCheck:
     add(rows, block) takes block = u[rows] for the next run rows of x1
     indices; the blocks must tile the grid in order, and a block may be
     overwritten once add returns (synthesize_on_axes's consumer contract).
-    The last 2 * max(orders) rows of u are carried to the next block, so
-    each block finishes the interior rows whose halo of max(orders) rows
-    per side it completes: it forms their W rows (W is elementwise in
+    Whatever its length, a block is taken in steps of at most one working
+    block of complex cells (grids.WORK_BLOCK_BYTES: 256 x1 rows of 64
+    cells).  The last 2 * max(orders) rows of u are carried to the next
+    step, so each step finishes the interior rows whose halo of max(orders)
+    rows per side it completes: it forms their W rows (W is elementwise in
     (x1, xi), and its interior rows serve the residual), v = W u, the x1
     differences of every order (each from the order below it), a1(hD_bar) u
     and the intertwining right-hand side.  The bar transforms act row by
     row and the rest is elementwise, so every row is the whole grid's row
-    bit for bit.  These arrays are written into a few work arrays that the
-    check keeps from block to block, so no block allocates its own.
+    bit for bit.  These arrays are written into a few work arrays of one
+    step and its halos each, which the check keeps to the end, so their
+    size is set by the working block and not by the producer's blocks.
     ||u|| and each interior norm is one PairwiseSum of |.|^2, fed row by
     row, so the norms keep the bits of one sum over a whole array while no
     whole field and no full-length |.|^2 array is held.  reports() gives
@@ -156,19 +160,20 @@ class FlatteningCheck:
         self.next_row = 0   # x1 rows of u fed
         self.done = 0       # interior x1 rows summed
         self.kept = 0       # first x1 row of u kept in the "u" work array
-        self.work, self.capacity = {}, 0   # work arrays, rows allocated
-        self.sq = np.empty(0)
+        # x1 rows per step of add: one working block of complex cells.
+        self.step = max(1, WORK_BLOCK_BYTES // (16 * cells))
+        # A step's rows and the halos carried with them: the rows of every
+        # work array, allocated at its first use and kept to the end.
+        self.capacity = min(n1, self.step + 2 * self.halo)
+        self.work = {}
+        self.sq = np.empty(self.capacity * cells)
 
     def _work(self, name: str, rows: int) -> np.ndarray:
-        """The first rows rows of the complex work array name, which is
-        kept from block to block; a grown array keeps its rows."""
+        """The first rows rows of the complex work array name."""
         buf = self.work.get(name)
-        if buf is None or len(buf) < rows:
-            grown = np.empty((max(rows, self.capacity),) + self.row_shape,
-                             dtype=complex)
-            if buf is not None:
-                grown[:len(buf)] = buf
-            buf = self.work[name] = grown
+        if buf is None:
+            buf = self.work[name] = np.empty(
+                (self.capacity,) + self.row_shape, dtype=complex)
         return buf[:rows]
 
     def _add_abs_sq(self, key, src: np.ndarray, src_row0: int,
@@ -179,18 +184,21 @@ class FlatteningCheck:
         lo, hi = max(rows.start, first), min(rows.stop, last)
         if lo < hi:
             part = src[lo - src_row0:hi - src_row0]
-            if self.sq.size < part.size:
-                self.sq = np.empty(part.size)
             out = np.abs(part, out=self.sq[:part.size].reshape(part.shape))
             total.add(np.square(out, out=out))
 
     def add(self, rows: slice, block: np.ndarray) -> None:
         i0, i1 = rows.start, rows.stop
-        n1, halo = self.axes[0].points, self.halo
         if i0 != self.next_row or block.shape != (i1 - i0,) + self.row_shape:
             raise ValueError("blocks must tile the grid's first axis in order")
+        for s0 in range(i0, i1, self.step):
+            s1 = min(s0 + self.step, i1)
+            self._add_step(s0, s1, block[s0 - i0:s1 - i0])
+
+    def _add_step(self, i0: int, i1: int, block: np.ndarray) -> None:
+        """add for the x1 rows [i0, i1), at most one step of them."""
+        n1, halo = self.axes[0].points, self.halo
         self.next_row = i1
-        self.capacity = max(self.capacity, len(block) + 2 * halo)
         self._add_abs_sq("u", block, i0, range(i0, i1))
         # u's rows [lo, i1): those kept from earlier blocks, then this one.
         # They hold the halo of self.halo rows per side of every x1 row

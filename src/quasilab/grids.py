@@ -20,6 +20,11 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 _TWO_PI = 2.0 * np.pi
+# Bytes of one working block: the blocked stages size their per-block
+# buffers by it (the wavelet transform's windows, the decay table's power
+# and the flattening check's x1 rows), so that a block stays in cache and
+# no buffer grows with the grid or with the block a producer hands over.
+WORK_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)

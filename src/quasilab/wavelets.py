@@ -12,10 +12,11 @@ is a sum that starts at +0 and never turns -0, so the taps skipped on zero
 rows, which add +-0, change no bit of it.  The decay table takes the field
 from the synthesis in blocks of x1 rows, keeps only the windowed band of
 rows where its x1 window is nonzero, and never holds the whole grid.  Each
-scale forms and bar-transforms its live windows one block at a time, into
-a power array of the live windows only: every other window's power is +0,
-so each level's weighted sum skips those rows in an analysis.PairwiseSum,
-which keeps the bits of one sum over every window.
+scale forms and bar-transforms its live windows one block at a time, and
+their power fills one buffer of one working block (grids.WORK_BLOCK_BYTES),
+whose weighted rows feed each level's analysis.PairwiseSum whenever it is
+full: every other window's power is +0, so the sums skip those rows, and
+they keep the bits of one sum over every window.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import numpy as np
 
 from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
-from .grids import AxisSpec, cell_volume, dual_axis, ft_axes, node_arrays
+from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
+                    ft_axes, node_arrays)
 from .quasimode import CutoffField, synthesize_on_axes
 
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 # decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
 _A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))
 _LOCALIZE_HALFWIDTH = 1.5
-_CWT_BLOCK = 1 << 15   # coefficients per block of windows (256 KB)
 
 
 def bump(t: np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
     dx = ax.spacing
     n1 = ax.points
     cols = band.shape[1]
-    block = max(1, _CWT_BLOCK // cols)
+    block = max(1, WORK_BLOCK_BYTES // (band.itemsize * cols))
     half = w.support_halfwidth * a
     qstride = max(1, int(min(a / 16.0, 1.0 / 8.0) / dx))
     qstep = qstride * dx
@@ -274,29 +275,53 @@ def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
     return band.reshape(row1 - row0, math.prod(bar_shape)).view(float), row0
 
 
-def _scale_powers(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
-                  h: float, w: MotherWavelet):
-    """(b, wlo, power) for each scale of _A_GRID in turn, of the windowed
-    band (row0, band) of _windowed_band on axes: power holds
-    |F_h X(a, b, .)|^2 on the live windows [wlo, wlo + len(power)) of b,
-    and every other window's power is +0.
+def _level_sums(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
+                h: float, w: MotherWavelet, weights: Sequence[np.ndarray]):
+    """(b, sums) for each scale of _A_GRID in turn, of the windowed band
+    (row0, band) of _windowed_band on axes: sums[j] is the np.sum of
+    weights[j] * |F_h X(a, b, .)|^2 over every b, bit for bit.
 
-    Each block of live windows is transformed on its own, into its rows of
-    power; the bar transforms act row by row, so the bits are those of one
-    transform of every window.
+    One power and one product buffer of one working block each serve every
+    scale.  The live windows' blocks are bar-transformed in place, and their
+    |.|^2 fills the power buffer block by block; each time it is full, and
+    once at the end of the scale, each level's weight times it goes into the
+    product buffer and on into that level's analysis.PairwiseSum.  The bar
+    axes and the working block are powers of two, so the buffer holds a
+    whole number of _scale_windows' blocks (two of complex coefficients)
+    and every block but a scale's last is full: no block straddles a flush,
+    and one that would fails the shape check of its |.|^2.  Every
+    other window's power is +0, so each sum skips those rows.  The bar
+    transforms act row by row and the rest is elementwise, so the bits are
+    those of one sum over the weighted power of every window.
     """
     ax, bar_axes = axes[0], axes[1:]
     bar_shape = tuple(a.points for a in bar_axes)
+    cells = math.prod(bar_shape)
+    power = np.empty((max(1, WORK_BLOCK_BYTES // (8 * cells)),) + bar_shape)
+    product = np.empty_like(power)
+
+    def feed(totals, filled):
+        for weight, total in zip(weights, totals):
+            total.add(np.multiply(weight, power[:filled], out=product[:filled]))
+
     for b, wlo, whi, blocks in _scale_windows(band, row0, ax, w, _A_GRID):
-        power = np.empty((whi - wlo,) + bar_shape)
-        for i0, x in blocks:
-            hat, _ = ft_axes(x.view(complex).reshape((len(x),) + bar_shape),
-                             bar_axes, h)
-            live = power[i0 - wlo:i0 - wlo + len(x)]
+        totals = [PairwiseSum(len(b) * cells) for _ in weights]
+        for total in totals:
+            total.skip(wlo * cells)
+        filled = 0
+        for _, x in blocks:
+            coef = x.view(complex).reshape((len(x),) + bar_shape)
+            hat, _ = ft_axes(coef, bar_axes, h, out=coef)
+            live = power[filled:filled + len(hat)]
             np.square(np.abs(hat, out=live), out=live)
-            del hat, live
-        yield b, wlo, power
-        del power
+            filled += len(hat)
+            if filled == len(power):
+                feed(totals, filled)
+                filled = 0
+        feed(totals, filled)
+        for total in totals:
+            total.skip((len(b) - whi) * cells)
+        yield b, [total.total() for total in totals]
 
 
 def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
@@ -316,11 +341,10 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
     the windowed field is still an order-h quasimode and the envelope
     applies to it verbatim.  Only the x1 rows where the window is nonzero
     are synthesized into an array (_windowed_band): the whole grid never is.
-    Each scale's power holds its live windows only (_scale_powers), and
-    each level's weight times it goes into one scratch array, reused
-    across levels and scales, and into one PairwiseSum over every window,
-    the others skipped as +0: the bits of one np.sum over the full-size
-    product.
+    Each level's sum is fed from one power and one product buffer of one
+    working block each, kept across scales (_level_sums): one PairwiseSum
+    over every window, the windows no tap reaches skipped as +0, which
+    keeps the bits of one np.sum over the full-size weighted power.
     """
     if len(axes) < 2:
         raise DimensionMismatchError("need at least one bar axis")
@@ -333,24 +357,10 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
     weights = [family.psi(j, radius)[None, ...]
                for j in range(family.levels + 1)]
     band, row0 = _windowed_band(source, axes)
-    mass, scratch = [], np.empty((0,) + radius.shape)
-    for b, wlo, power in _scale_powers(band, row0, axes, h, w):
+    mass = []
+    for b, sums in _level_sums(band, row0, axes, h, w, weights):
         db = b[1] - b[0] if len(b) > 1 else axes[0].spacing
-        if len(scratch) < len(power):
-            del scratch
-            scratch = np.empty_like(power)
-        product = scratch[:len(power)]
-        # Each level's sum is that of weight times the power at every b:
-        # the live windows' products, between runs of +0.
-        sums = []
-        for weight in weights:
-            total = PairwiseSum(len(b) * radius.size)
-            total.skip(wlo * radius.size)
-            total.add(np.multiply(weight, power, out=product))
-            total.skip((len(b) - wlo - len(power)) * radius.size)
-            sums.append(total.total() * db * cellvol)
-        mass.append(sums)
-        del power, product
+        mass.append([total * db * cellvol for total in sums])
     mass = np.sqrt(np.maximum(np.array(mass), 0.0))
     bound = np.array([[min(a, 1.0) ** 1.5 * 2.0 ** (-j * (k + 1) * m_order)
                        for j in range(family.levels + 1)] for a in a_vals])

@@ -24,7 +24,7 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import l2_norm, lp_norm, shell_mask
+from oracles import l2_norm, lp_norm, shell_mask, unbuffered_synthesis_2d
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -475,6 +475,21 @@ class TestProductSynthesis:
         oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
+
+    # 160 columns: two full 64-column reductions and a partial one, so the
+    # kept product buffer is summed into the block.  23 x1 rows in blocks
+    # of 3 end on a shorter block, whose tables and gathers fill only the
+    # leading part of their buffers.
+    @pytest.mark.parametrize("out_block", [3 * 19, quasimode._OUT_BLOCK],
+                             ids=["3-row-blocks", "one-block"])
+    def test_2d_buffers_match_unbuffered_sum(self, out_block, monkeypatch):
+        monkeypatch.setattr(quasimode, "_OUT_BLOCK", out_block)
+        cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
+        assert len(cut.col_count) == 160
+        axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
+            (3.0 * cut.h / cut.extent(i) for i in range(2)), (23, 19))]
+        want = unbuffered_synthesis_2d(cut, axes, max(1, out_block // 19))
+        assert synthesize_on_axes(cut, axes).data.tobytes() == want.tobytes()
 
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5

@@ -9,7 +9,7 @@ import pytest
 
 from quasilab import wavelets
 from quasilab.grids import AxisSpec, GridField, ft_axes
-from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _scale_powers,
+from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
                                _scale_windows, _smooth_step, _windowed_band,
                                bump, bump_derivative, decay_diagnostic,
                                dyadic_cutoffs)
@@ -245,17 +245,17 @@ class TestDecayDiagnostic:
     def test_memory_bounded(self, mother_wavelet, flat_model, flat_model_field):
         # The field is synthesized in row blocks into the windowed band
         # alone, one block of one scale's live coefficients at a time is
-        # transformed, one scale's power holds its live windows only, and
-        # the weight sums share one scratch array of that size: the whole
-        # run, synthesis included, stays within 0.9 copies of the
-        # 8192 x 64 grid (about 0.82 measured).
+        # transformed in place, and the power and weighted-power buffers
+        # hold one working block each: the whole run, synthesis included,
+        # stays within 0.65 copies of the 8192 x 64 grid (about 0.58
+        # measured).
         tracemalloc.start()
         try:
             decay_diagnostic(*flat_model, mother_wavelet, 1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.9 * flat_model_field.data.nbytes
+        assert peak <= 0.65 * flat_model_field.data.nbytes
 
     def test_grid_never_allocated(self, flat_model, flat_model_field):
         # The band of rows where the window is nonzero (37.5 % of the grid)
@@ -304,32 +304,46 @@ class TestDecayDiagnostic:
         want = f.data[row0:row1] * window[row0:row1, None]
         assert band.tobytes() == want.tobytes()
 
-    # The smallest and the largest of the default scales.
-    @pytest.mark.parametrize("a", [2.0 ** -6, 64.0], ids=["a=2^-6", "a=64"])
-    def test_scale_power_matches_whole_transform(self, mother_wavelet,
-                                                 flat_model, flat_model_field, a):
+    # The smallest and the largest of the default scales, and a scale below
+    # the x1 spacing, whose taps all land off the profile's support, so that
+    # no window is live.  With the shipped working block the power buffer
+    # holds two blocks of windows; with 2,048 bytes a block holds 2 windows
+    # and the buffer 4, so every scale flushes the buffer many times.
+    @pytest.mark.parametrize("work", [None, 2048], ids=["shipped", "small"])
+    @pytest.mark.parametrize("a", [2.0 ** -6, 64.0, 2.0 ** -11],
+                             ids=["a=2^-6", "a=64", "a=2^-11"])
+    def test_level_sums_match_whole_transform(self, mother_wavelet, flat_model,
+                                              flat_model_field, a, work,
+                                              monkeypatch):
         # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
         # coefficient rows are exact zeros and are not transformed.
         f = flat_model_field
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         v = GridField(f.h, list(f.axes), f.data * window[:, None])
         band, row0 = _windowed_band(*flat_model)
-        for s, (got_b, wlo, power) in zip(_A_GRID, _scale_powers(
-                band, row0, f.axes, f.h, mother_wavelet)):
-            if s == a:
-                break
+        if work is not None:
+            monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
+        monkeypatch.setattr(wavelets, "_A_GRID", (a,))
+        rng = np.random.default_rng(31)
+        weights = [rng.random((1, 64)), np.zeros((1, 64)), rng.random((1, 64))]
+        weights[2][0, 5:40] = 0.0
+        (got_b, sums), = _level_sums(band, row0, f.axes, f.h, mother_wavelet,
+                                     weights)
         (b,), (x,) = whole_field_cwt(v, mother_wavelet, [a])
-        zero_rows = ~x.reshape(len(x), -1).any(axis=1)
-        assert zero_rows[0] and zero_rows[-1] and not zero_rows.all()
         assert got_b.tobytes() == b.tobytes()
-        want = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
-        # The power holds the live windows only; every other window's
-        # power is +0.
-        live = slice(wlo, wlo + len(power))
-        assert power.shape[1:] == want.shape[1:] and 0 < len(power) < len(b)
-        assert power.tobytes() == want[live].tobytes()
-        dead = np.concatenate((want[:live.start], want[live.stop:]))
-        assert dead.tobytes() == np.zeros_like(dead).tobytes()
+        power = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
+        want = [float(np.sum(weight * power)) for weight in weights]
+        assert [s.hex() for s in sums] == [s.hex() for s in want]
+        (_, wlo, whi, _), = _scale_windows(band, row0, f.axes[0],
+                                           mother_wavelet, [a])
+        zero_rows = ~x.reshape(len(x), -1).any(axis=1)
+        if a < f.axes[0].spacing:
+            # No live window: every level's sum is +0, as the oracle's.
+            assert wlo == whi and zero_rows.all()
+            assert [s.hex() for s in sums] == ["0x0.0p+0"] * len(weights)
+        else:
+            assert zero_rows[0] and zero_rows[-1] and 0 < whi - wlo < len(b)
+            assert all(s > 0 for s in sums[::2])
 
 
 class TestReconstruction:
