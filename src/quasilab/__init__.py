@@ -15,9 +15,9 @@ from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError, QuasilabError,
                      RefusalError, ResolutionError, SymbolParseError,
                      TailDominanceError)
-from .grids import AxisSpec, GridField, apply_multiplier
+from .grids import AxisSpec, apply_multiplier
 from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
-                        build_cutoff, support_volume, synthesize_on_axes,
+                        build_cutoff, synthesize_on_axes,
                         verify_joint_quasimode)
 from .symbols import (INFINITE, ContactReport, GraphForm, PolySymbol,
                       mixed_partials_check, contact_profile, curvature_check,

@@ -32,9 +32,8 @@ from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      dyadic_radius, quadratic_phase, resonant_amplitude,
                      resonant_radius, power_loss, ttstar_kernel, vdc_check,
                      window_overlap)
-from .quasimode import (MAX_GRID_CELLS, build_cutoff, support_volume,
-                        synthesize_at, synthesize_on_axes,
-                        verify_joint_quasimode)
+from .quasimode import (MAX_GRID_CELLS, build_cutoff, synthesize_at,
+                        synthesize_on_axes, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
                       graph_factor, parse_symbol, sample_directions)
 from .wavelets import decay_diagnostic, make_mother_wavelet
@@ -323,8 +322,9 @@ def _check_contact(v: dict) -> None:
 
 
 def _check_lp_sweep(v: dict) -> None:
-    """An Lp sweep's family must predict its slopes at every p, and its
-    position grid must fit the synthesis cell budget."""
+    """An Lp sweep's family must predict its slopes at every p, and, when a
+    p other than 2 takes its norm from the synthesis, its position grid must
+    fit the synthesis cell budget."""
     fam, ps = v["family"], v["p_list"]
     if not ps or v["peak_only"]:
         return
@@ -339,6 +339,8 @@ def _check_lp_sweep(v: dict) -> None:
                 f"p_list has p = {', '.join(map(str, low))} below p0 = {p0}, "
                 f"the least p at which family {fam.name!r} predicts an Lp "
                 f"slope at n = {v['n']}; drop those p or set peak_only = true")
+    if all(p == 2 for p in ps):
+        return
     axes = oscillation_axes([1.0] * v["n"], 1.0, v["margin"],
                             v["points_per_scale"])
     cells = math.prod(a.points for a in axes)
@@ -457,21 +459,23 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
     """One sweep.csv row: h, volume, volume_ratio, peak, t0_rel_err,
     joint_ratio_max and the norm at each p of ps."""
     cut = build_cutoff(spec, h)
-    vol, peak = support_volume(cut), cut.peak()
+    vol, peak = cut.volume(), cut.peak()
     origin = np.zeros((1, cut.dim))
     t0_err = abs(abs(synthesize_at(cut, origin)[0]) - peak) / peak
     row = [h, vol, vol / h ** gamma, peak, t0_err,
            float(verify_joint_quasimode(cut, v["joint_orders"]).max())]
-    if ps:
+    # p = 2 is frequency-side Parseval: exact for the normalized cutoff, so
+    # only the other p need the synthesis.
+    synthesized = [p for p in ps if p != 2]
+    norms = {}
+    if synthesized:
         exts = [cut.extent(i) for i in range(cut.dim)]
         axes = oscillation_axes(exts, h, v["margin"], v["points_per_scale"])
-        # p = 2 is frequency-side Parseval: exact for the normalized cutoff.
         sums = BlockNorms([a.points for a in axes], cell_volume(axes),
-                          [p for p in ps if p != 2])
+                          synthesized)
         synthesize_on_axes(cut, axes, sums.add)
         norms = {m.p: m.value for m in sums.norms()}
-        row += [norms.get(p, 1.0) for p in ps]
-    return row
+    return row + [norms.get(p, 1.0) for p in ps]
 
 
 def run_sharpness(v: dict):

@@ -69,22 +69,20 @@ def aligned_position_axes(cutoff, x1_half_width: float,
 
 # -- finite-difference quasimode diagnostics ------------------------------------
 
-def hd_x1(data: np.ndarray, h: float, dx: float, order: int = 1,
+def hd_x1(data: np.ndarray, h: float, dx: float,
           out: np.ndarray | None = None) -> np.ndarray:
-    """(hD_x1)^order by iterated centered differences along axis 0 of the
-    samples data of an x1 grid of spacing dx.
+    """hD_x1 by the centered difference along axis 0 of the samples data of
+    an x1 grid of spacing dx; (hD_x1)^M is M of them in turn.
 
-    Returns the interior samples only (order rows trimmed per side); the
+    Returns the interior samples only (one row trimmed per side); the
     symmetric difference of a band-limited signal underestimates |xi1|, so
-    quadrature norms of the result sit below the exact operator norm.  Each
-    order writes its difference, its h/i product and its division into one
-    array: a new one, or out (complex, of the result's shape) at order 1.
+    quadrature norms of the result sit below the exact operator norm.  The
+    difference, its h/i product and its division are written into one
+    array: a new one, or out (complex, of the result's shape).
     """
-    for _ in range(order):
-        diff = np.subtract(data[2:], data[:-2], dtype=complex, out=out)
-        np.multiply(h / 1j, diff, out=diff)
-        data = np.divide(diff, 2.0 * dx, out=diff)
-    return data
+    diff = np.subtract(data[2:], data[:-2], dtype=complex, out=out)
+    np.multiply(h / 1j, diff, out=diff)
+    return np.divide(diff, 2.0 * dx, out=diff)
 
 
 @dataclass(frozen=True)
@@ -221,19 +219,18 @@ class FlatteningCheck:
         w = _w_multiplier(a1, h, self.x1[lo:lo + n], self._work("w", n))(*self.xi)
         dv = apply_multiplier(u, bar, h, lambda *_: w, first=1,
                               out=self._work("v", n))
-        # (hD_x1)^m v from (hD_x1)^(m-1) v, the steps hd_x1 takes from v,
-        # so the same bits.  m = 1 keeps its array for the residual; the
-        # later orders take turns in "v", free once m = 1 is formed, and
-        # "d2".
+        # (hD_x1)^m v is hd_x1 of (hD_x1)^(m-1) v.  m = 1 keeps its array
+        # for the residual; the later orders take turns in "v", free once
+        # m = 1 is formed, and "d2".
         for m in range(1, self.halo + 1):
-            dv = hd_x1(dv, h, dx, 1, self._work(
+            dv = hd_x1(dv, h, dx, self._work(
                 "d1" if m == 1 else ("v", "d2")[m % 2], max(0, n - 2 * m)))
             if m in self.orders:
                 self._add_abs_sq(m, dv, lo + m, rows)
         if not self.check_identity:
             return
         # (hD_x1 - a1(hD_bar)) u and then W times it, in place in "v".
-        rhs = hd_x1(u, h, dx, 1, self._work("v", n - 2))
+        rhs = hd_x1(u, h, dx, self._work("v", n - 2))
         np.subtract(rhs, apply_multiplier(
             u[1:-1], bar, h, lambda *xi: a1.eval_grid(xi), first=1,
             out=self._work("d2", n - 2)), out=rhs)

@@ -5,7 +5,9 @@ Grids use a midpoint convention: an axis with N cells over
 of one cell volume per sample is the quadrature rule everywhere.  With the
 dual axis chosen so that dx * dxi = 2*pi*h / N, the discrete transform is
 exactly unitary for that quadrature (Parseval holds to rounding) and
-inverse(forward) is the identity.  apply_multiplier is the one place a
+inverse(forward) is the identity.  The transforms act on plain arrays, a
+field's samples or one block of its x1 rows, with the grid given by its
+AxisSpecs: no field object is built.  apply_multiplier is the one place a
 frequency multiplier m(hD) is applied: transform, multiply, invert.
 """
 
@@ -75,31 +77,6 @@ def node_arrays(axes: Sequence[AxisSpec], ndim: int,
 def cell_volume(axes: Sequence[AxisSpec]) -> float:
     """Product of the axes' spacings: the quadrature weight of one cell."""
     return math.prod(a.spacing for a in axes)
-
-
-@dataclass
-class GridField:
-    """Complex position-side samples over a product grid."""
-
-    h: float
-    axes: list[AxisSpec]
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.h <= 1:
-            raise ValueError("h must lie in (0, 1]")
-        shape = tuple(a.points for a in self.axes)
-        if self.data.shape != shape:
-            raise DimensionMismatchError(
-                f"data shape {self.data.shape} does not match axes {shape}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def cell_volume(self) -> float:
-        return cell_volume(self.axes)
 
 
 # -- transforms ---------------------------------------------------------------

@@ -13,9 +13,9 @@ norms of p1^M1 p2^M2 sit below h^(M1+M2) by construction.  synthesize_on_axes
 sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
 it makes the normalized quasimode itself.  Its last fold makes the grid in
-blocks of whole x1 rows, which a consumer takes one at a time; without a
-consumer they are written into one grid.  A 2D field's per-block tables,
-gathers and products live in buffers made once per call.
+blocks of whole x1 rows, which a consumer takes one at a time: no grid is
+ever built.  A 2D field's per-block tables, gathers and products live in
+buffers made once per call.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import AxisSpec, GridField, cell_volume, node_arrays
+from .grids import AxisSpec, cell_volume, node_arrays
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -40,8 +40,8 @@ _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
 # whole x1 rows (one row a block when a row holds more).
 _OUT_BLOCK = 1 << 15
-# Largest array, in cells, that synthesize_on_axes allocates (256 MB of
-# complex values), and the largest bar grid build_cutoff evaluates on.
+# Largest grid, in cells, that synthesize_on_axes makes (256 MB of complex
+# values), and the largest bar grid build_cutoff evaluates on.
 MAX_GRID_CELLS = 1 << 24
 _JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
@@ -243,13 +243,6 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
         spec=spec)
 
 
-def support_volume(field: CutoffField) -> float:
-    """Cell count times cell volume."""
-    if field.cell_count == 0:
-        raise EmptySupportError("cutoff has empty support")
-    return field.volume()
-
-
 # -- synthesis ---------------------------------------------------------------------
 
 def _dirichlet(theta: np.ndarray, counts: np.ndarray,
@@ -356,8 +349,8 @@ BlockConsumer = Callable[[slice, np.ndarray], None]
 
 
 def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
-                       consume: BlockConsumer | None = None,
-                       rows: range | None = None) -> GridField | None:
+                       consume: BlockConsumer,
+                       rows: range | None = None) -> None:
     """The normalized quasimode on a product position grid (separable fast
     path).
 
@@ -387,32 +380,27 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     columns (for a 2D field, of the run factors' x1 nodes), scaled by
     (2 pi h)^(-n/2) * cellvol and then by 1/||chi||_2 (numpy divides a
     complex array by a real scalar as a multiply by its reciprocal, so
-    these are a division's bits).  Its bits depend only on the grid.  With
-    consume, each block goes to consume(slice(i0, i1), block) in increasing
-    i0 and no grid is built; block is a view of one buffer that the next
-    block overwrites, so consume must not keep it.  Without consume, the
-    blocks are written into one grid, allocated at the first block once
-    every budget check has passed, and returned as a GridField.  rows, a
-    range of x1 row indices within the grid, needs consume and limits the
-    last fold to the blocks that meet it (none when it is empty): the
-    blocks keep their boundaries and the others are skipped, so no block's
-    bits move; for n >= 3 the earlier folds still cover every x1 row.  A
-    2D field's run and phase tables are built one block at a time, over
-    that block's x1 nodes: their entries are elementwise those of whole
-    tables.  They, the run-factor rows gathered from them, the rows of
-    exponentials each product takes and its partial products are written
-    into buffers made once per call and rewritten block by block, with
-    the ufuncs, np.take and np.matmul of the unbuffered sum in its operand
-    order, so the bits are the same and no block allocates its own.  The
-    output grid, every fold's result, the run tables and every
-    exponential table are checked against MAX_GRID_CELLS before any of them
-    is allocated, and each fold's input is released once the next fold is
-    built.
+    these are a division's bits).  Its bits depend only on the grid.  Each
+    block goes to consume(slice(i0, i1), block) in increasing i0, and no
+    grid is built; block is a view of one buffer that the next block
+    overwrites, so consume must not keep it.  rows, a range of x1 row
+    indices within the grid, limits the last fold to the blocks that meet
+    it (none when it is empty): the blocks keep their boundaries and the
+    others are skipped, so no block's bits move; for n >= 3 the earlier
+    folds still cover every x1 row.  A 2D field's run and phase tables are
+    built one block at a time, over that block's x1 nodes: their entries
+    are elementwise those of whole tables.  They, the run-factor rows
+    gathered from them, the rows of exponentials each product takes and
+    its partial products are written into buffers made once per call and
+    rewritten block by block, with the ufuncs, np.take and np.matmul of
+    the unbuffered sum in its operand order, so the bits are the same and
+    no block allocates its own.  The
+    grid, every fold's result, the run tables and every exponential table
+    are checked against MAX_GRID_CELLS before any of them is allocated, and
+    each fold's input is released once the next fold is built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
-    if consume is None and rows is not None:
-        raise ValueError("a row range needs consume")
     shape = tuple(a.points for a in axes)
     _check_grid_cells(shape)
     x1 = axes[0].nodes()
@@ -511,7 +499,6 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
         fold_work = (np.empty(reduced * axis.points, complex),
                      np.empty(outs.size, complex)
                      if len(value_of) > _BLOCK else None)
-    grid = None
     for i0 in blocks:
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
@@ -523,15 +510,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
                    0, len(value_of), fold_work)
         out *= scale
         out *= inv_norm
-        block = out.reshape((i1 - i0,) + shape[1:])
-        if consume is not None:
-            consume(slice(i0, i1), block)
-            continue
-        if grid is None:
-            grid = np.empty(shape, dtype=complex)
-        grid[i0:i1] = block
-    if consume is None:
-        return GridField(h, list(axes), grid)
+        consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
 
 
 def _power_columns(x: np.ndarray, m: int) -> np.ndarray:

@@ -4,14 +4,14 @@ decay diagnostics of the flat model.
 The mother wavelet is the derivative of the standard smooth bump
 exp(-1/(1-t^2)) on (-1,1): compactly supported, smooth and mean zero.
 The transform is a plain quadrature on the field's x1 grid, summed per
-scale tap by tap in numpy over a band of x1 rows, scanned once for its
-first and last nonzero rows: each tap reaches only the windows where it
-lands on a row between them, and only the windows some tap reaches are
-formed, so the others are exact zeros, not small numbers.  A coefficient
-is a sum that starts at +0 and never turns -0, so the taps skipped on zero
-rows, which add +-0, change no bit of it.  The decay table takes the field
-from the synthesis in blocks of x1 rows, keeps only the windowed band of
-rows where its x1 window is nonzero, and never holds the whole grid.  Each
+scale tap by tap in numpy over a band of x1 rows, outside which the field
+is zero: each tap reaches only the windows where it lands on a band row,
+and only the windows some tap reaches are formed, so the others are exact
+zeros, not small numbers.  A coefficient is a sum that starts at +0 and
+never turns -0, so the taps skipped off the band, which would add +-0,
+change no bit of it.  The decay table takes the field from the synthesis
+in blocks of x1 rows, keeps only the windowed band of rows where its x1
+window is nonzero, and never holds the whole grid.  Each
 scale forms and bar-transforms its live windows one block at a time, and
 their power fills one buffer of one working block (grids.WORK_BLOCK_BYTES),
 whose weighted rows feed each level's analysis.PairwiseSum whenever it is
@@ -85,38 +85,18 @@ def make_mother_wavelet() -> MotherWavelet:
     )
 
 
-def _nonzero_rows(flat: np.ndarray) -> tuple[int, int]:
-    """(first, last) rows of a 2-D array that hold a nonzero entry, NaN
-    included; (n, -1), an empty range, when every entry is +-0."""
-    rows = np.flatnonzero(flat.any(axis=1))
-    if rows.size == 0:
-        return flat.shape[0], -1
-    return int(rows[0]), int(rows[-1])
-
-
-def _scale_windows(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
-                   a_grid: Sequence[float]):
-    """Per scale: (b, wlo, whi, blocks), blocks yielding (i0, x), x the
+def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec,
+                  w: MotherWavelet, a: float):
+    """(b, wlo, whi, blocks) at the scale a, blocks yielding (i0, x), x the
     coefficients of the windows [i0, i0 + len(x)), in increasing i0.
 
     band is the real (rows, 2 * prod(bar_shape)) view of x1 rows row0,
     row0 + 1, ... of a field on the x1 axis ax; every row outside it is
-    zero.  The band is scanned once for its first and last nonzero rows.
-    The blocks tile [wlo, whi), the union of the window ranges of the
-    scale's live taps: the windows where some nonzero tap lands on a row
-    from the first nonzero row to the last.  Every window outside it gets
-    no tap, so its coefficients are +0 and are not formed.  A block is a
-    view of one buffer that the next block of its scale overwrites.
-    """
-    first, last = _nonzero_rows(band)
-    for a in np.asarray(a_grid, dtype=float):
-        yield _scale_window(band, row0, first + row0, last + row0, ax, w, a)
-
-
-def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
-                  ax: AxisSpec, w: MotherWavelet, a: float):
-    """_scale_windows at one scale a, whose band's nonzero rows run from
-    the x1 rows first to last.
+    zero.  The blocks tile [wlo, whi), the union of the window ranges of
+    the scale's live taps: the windows where some nonzero tap lands on a
+    band row.  Every window outside it gets no tap, so its coefficients are
+    +0 and are not formed.  A block is a view of one buffer that the next
+    block of its scale overwrites.
 
     X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
     b runs on a grid of step ~ a/8, snapped to the x1 grid so windows slide
@@ -145,8 +125,9 @@ def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
     # b sits on the grid, so the sampled profile is one row for every b.
     frow = w.profile(offs * dx / a) / math.sqrt(a)
     # Window i's tap at off reads field row i * stride + (off - pad_cells);
-    # windows [lo, hi) are those where that row lies on the rows
+    # windows [lo, hi) are those where that row lies on the band's rows
     # first..last, outside which every sample is a zero.
+    first, last = row0, row0 + len(band) - 1
     shift = offs - pad_cells
     lo = np.maximum(0, -((shift - first) // stride))
     hi = np.minimum(len(b), (last - shift) // stride + 1)
@@ -161,8 +142,8 @@ def _scale_window(band: np.ndarray, row0: int, first: int, last: int,
         # order, the padded-gather oracle's order, which fixes every output
         # bit; windows go in blocks small enough to stay in cache across
         # their taps.  A sum that starts at +0 never becomes -0, so adding
-        # a +-0 term changes no bit of it: skipping a zero tap or a tap on
-        # a zero row keeps every bit, signed zeros included.
+        # a +-0 term changes no bit of it: skipping a zero tap or a tap off
+        # the band keeps every bit, signed zeros included.
         out = np.empty((min(block, whi - wlo), cols))
         buf = np.empty_like(out)
         for r0 in range(wlo, whi, block):
@@ -287,7 +268,7 @@ def _level_sums(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
     once at the end of the scale, each level's weight times it goes into the
     product buffer and on into that level's analysis.PairwiseSum.  The bar
     axes and the working block are powers of two, so the buffer holds a
-    whole number of _scale_windows' blocks (two of complex coefficients)
+    whole number of _scale_window's blocks (two of complex coefficients)
     and every block but a scale's last is full: no block straddles a flush,
     and one that would fails the shape check of its |.|^2.  Every
     other window's power is +0, so each sum skips those rows.  The bar
@@ -304,7 +285,8 @@ def _level_sums(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
         for weight, total in zip(weights, totals):
             total.add(np.multiply(weight, power[:filled], out=product[:filled]))
 
-    for b, wlo, whi, blocks in _scale_windows(band, row0, ax, w, _A_GRID):
+    for a in _A_GRID:
+        b, wlo, whi, blocks = _scale_window(band, row0, ax, w, a)
         totals = [PairwiseSum(len(b) * cells) for _ in weights]
         for total in totals:
             total.skip(wlo * cells)

@@ -7,11 +7,11 @@ import pytest
 
 from quasilab import families
 from quasilab.fio import aligned_position_axes
-from quasilab.grids import AxisSpec, GridField
-from quasilab.quasimode import build_cutoff, synthesize_on_axes
+from quasilab.grids import AxisSpec
+from quasilab.quasimode import build_cutoff
 from quasilab.wavelets import make_mother_wavelet
 
-from oracles import padded_gather_cwt, reconstruct
+from oracles import GridField, padded_gather_cwt, reconstruct, synthesize_grid
 
 
 @pytest.fixture(scope="session")
@@ -50,4 +50,4 @@ def flat_model():
 @pytest.fixture(scope="session")
 def flat_model_field(flat_model):
     """The flat model's field on its whole grid."""
-    return synthesize_on_axes(*flat_model)
+    return synthesize_grid(*flat_model)

@@ -1,19 +1,22 @@
 """Slow reference paths the tests check the runs' fast paths against.
 
-No run calls these: the sweeps take their norms block by block
-(analysis.BlockNorms), the decay table transforms only live windows
-(wavelets._scale_windows), the flattening check takes its field block by
-block (fio.FlatteningCheck), the 2D synthesis keeps its block buffers
-(unbuffered_synthesis_2d), no run takes a norm over a whole field
+No run calls these: no run holds a whole field (GridField), the synthesis
+hands its grid over block by block and never assembles it
+(synthesize_grid), the sweeps take their norms block by block
+(analysis.BlockNorms), the decay table transforms only live windows of
+its band (wavelets._scale_window), the flattening check takes its field
+block by block (fio.FlatteningCheck), the 2D synthesis keeps its block
+buffers (unbuffered_synthesis_2d), no run takes a norm over a whole field
 (l2_norm) and the cutoffs evaluate their symbols on whole grids
-(PolySymbol.eval_grid).  Each definition here is the
-whole-array, whole-field or exact form of one of them, or a step of the
-paper's argument that the tests check by hand.
+(PolySymbol.eval_grid).  Each definition here is the whole-array,
+whole-field or exact form of one of them, or a step of the paper's
+argument that the tests check by hand.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -25,8 +28,9 @@ from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
 from quasilab.fio import _w_multiplier
-from quasilab.grids import AxisSpec, GridField, apply_multiplier, node_arrays
-from quasilab.quasimode import _BLOCK, CutoffField, _dirichlet
+from quasilab.grids import AxisSpec, apply_multiplier, cell_volume, node_arrays
+from quasilab.quasimode import (_BLOCK, CutoffField, _dirichlet,
+                                synthesize_on_axes)
 from quasilab.symbols import PolySymbol
 from quasilab.wavelets import _T_POINTS, bump_derivative
 
@@ -188,6 +192,48 @@ def reconstruct(a_grid, b_grids, values, dx: float, w,
 
 
 # -- fields --------------------------------------------------------------------------
+
+@dataclass
+class GridField:
+    """Complex position-side samples over a product grid."""
+
+    h: float
+    axes: list[AxisSpec]
+    data: np.ndarray
+
+    def __post_init__(self):
+        if not 0 < self.h <= 1:
+            raise ValueError("h must lie in (0, 1]")
+        shape = tuple(a.points for a in self.axes)
+        if self.data.shape != shape:
+            raise DimensionMismatchError(
+                f"data shape {self.data.shape} does not match axes {shape}")
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def cell_volume(self) -> float:
+        return cell_volume(self.axes)
+
+
+def synthesize_grid(field: CutoffField,
+                    axes: Sequence[AxisSpec]) -> GridField:
+    """The normalized quasimode of the cutoff field on the whole grid of
+    axes: synthesize_on_axes's blocks written into one grid, allocated at
+    the first block, so after every budget check of the synthesis."""
+    grid = None
+
+    def keep(rows: slice, block: np.ndarray) -> None:
+        nonlocal grid
+        if grid is None:
+            grid = np.empty(tuple(a.points for a in axes), dtype=complex)
+        grid[rows] = block
+
+    synthesize_on_axes(field, axes, keep)
+    return GridField(field.h, list(axes), grid)
+
 
 def l2_norm(u: GridField) -> float:
     """The quadrature L2 norm of a field on its whole grid, one np.sum over

@@ -19,17 +19,18 @@ from quasilab.cli import main
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                                   EXIT_VERDICT_FAIL)
 from quasilab.fio import aligned_position_axes, flattening_reports
-from quasilab.grids import AxisSpec, GridField, cell_volume, dual_axis, ft_axes
+from quasilab.grids import AxisSpec, cell_volume, dual_axis, ft_axes
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                              power_loss, quadratic_phase, resonant_amplitude,
                              ttstar_kernel, vdc_check)
-from quasilab.quasimode import (build_cutoff, support_volume, synthesize_at,
-                                synthesize_on_axes, verify_joint_quasimode)
+from quasilab.quasimode import (build_cutoff, synthesize_at, synthesize_on_axes,
+                                verify_joint_quasimode)
 from quasilab.symbols import (mixed_partials_check, contact_profile, graph_factor,
                               parse_symbol, sample_directions)
 from quasilab.wavelets import decay_diagnostic
 
-from oracles import l2_norm, plane_vs_bowl_graphs, transform_quasimode
+from oracles import (GridField, l2_norm, plane_vs_bowl_graphs, synthesize_grid,
+                     transform_quasimode)
 
 F = Fraction
 
@@ -120,7 +121,7 @@ class TestCriterion3QuasimodeExactness:
         # grid the synthesis is a unitary DFT of chi / ||chi||_2.
         h = 2.0 ** -6
         cut = build_cutoff(families.paraboloid_cutoff(2, 3, pow2=True), h)
-        u = synthesize_on_axes(cut, [dual_axis(a, h) for a in cut.axes])
+        u = synthesize_grid(cut, [dual_axis(a, h) for a in cut.axes])
         norm_err = abs(l2_norm(u) - 1.0)
         ok = (worst_t0 <= 1e-10 and worst_ratio <= 1.0 + 1.0 / 16.0
               and norm_err <= 1e-12)
@@ -142,7 +143,7 @@ class TestCriterion4Volumes:
         ]
         bands = {}
         for name, spec, gamma in cases:
-            ratios = [support_volume(build_cutoff(spec, h)) / h ** gamma
+            ratios = [build_cutoff(spec, h).volume() / h ** gamma
                       for h in hs]
             bands[name] = max(ratios) / min(ratios)
         ok = all(b <= 4.0 for b in bands.values())

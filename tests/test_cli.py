@@ -136,6 +136,29 @@ class TestRun:
         assert ps == [8, Fraction(16, 3), INF_P] and ps[2] is INF_P
         assert type(ps[0]) is Fraction
 
+    def test_p2_sweep_synthesizes_nothing(self, tmp_path, monkeypatch):
+        # The L2 norm of the normalized quasimode is 1 by Parseval, so a
+        # sweep asking for p = 2 alone makes no synthesis: its table is the
+        # 2, 4, 6 sweep's table without the p = 4 and p = 6 columns, and
+        # the synthesis grid's budget does not refuse it (at n = 5 the grid
+        # would hold 128^5 cells).
+        text = (CONFIG_DIR / "sharp_smallp_n2.cfg").read_text().replace(
+            "\np_list = 2, 4, 6\n", "\np_list = 2\n")
+        run_experiment(parse_config(CONFIG_DIR / "sharp_smallp_n2.cfg"),
+                       tmp_path / "all")
+        calls = []
+        monkeypatch.setattr(experiments, "synthesize_on_axes",
+                            lambda *args: calls.append(args))
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "p2")]) == EXIT_OK
+        assert calls == []
+        lines = (tmp_path / "all" / "sweep.csv").read_bytes().split(b"\n")
+        assert (tmp_path / "p2" / "sweep.csv").read_bytes() == b"\n".join(
+            line.rsplit(b",", 2)[0] for line in lines)
+        n5 = write_cfg(tmp_path, text.replace("\nn = 2\n", "\nn = 5\n"),
+                       "n5.cfg")
+        assert parse_config(n5).params["n"] == "5"
+
     def test_rerun_bit_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, DELTA_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

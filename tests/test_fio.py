@@ -11,12 +11,13 @@ from quasilab import families, quasimode
 from quasilab.errors import DimensionMismatchError
 from quasilab.fio import (FlatteningCheck, FlatteningReport, _w_multiplier,
                           aligned_position_axes, flattening_reports, hd_x1)
-from quasilab.grids import (AxisSpec, GridField, apply_multiplier, dual_axis,
-                            ft_axis, node_arrays)
-from quasilab.quasimode import build_cutoff, synthesize_on_axes
+from quasilab.grids import (AxisSpec, apply_multiplier, dual_axis, ft_axis,
+                            node_arrays)
+from quasilab.quasimode import build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import eval_exact, l2_norm, transform_quasimode
+from oracles import (GridField, eval_exact, l2_norm, synthesize_grid,
+                     transform_quasimode)
 
 
 def _a1(n=2, k=1):
@@ -31,6 +32,13 @@ def fed_reports(a1, u, orders, rows):
         i1 = min(i0 + rows, len(u.data))
         check.add(slice(i0, i1), u.data[i0:i1])
     return check.reports()
+
+
+def _hd_x1_power(data, h, dx, order):
+    """(hD_x1)^order as order centered differences in turn."""
+    for _ in range(order):
+        data = hd_x1(data, h, dx)
+    return data
 
 
 def _random_field(h=2.0 ** -5, n=256, seed=3):
@@ -73,7 +81,7 @@ class TestTransformQuasimode:
         h, n, k = 2.0 ** -4, 2, 1
         cut = build_cutoff(families.paraboloid_cutoff(n, k, pow2=True), h)
         axes = aligned_position_axes(cut, 8.0, h / 8.0)
-        u = synthesize_on_axes(cut, axes)
+        u = synthesize_grid(cut, axes)
         return _a1(n, k), u
 
     def test_frequency_side_intertwining(self, setup):
@@ -93,7 +101,7 @@ class TestTransformQuasimode:
         # Each x1 row of v is exp(-i x1 a1(hD_bar)/h) on that slice alone.
         h, a1 = 2.0 ** -4, _a1(n, 1)
         cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
-        u = synthesize_on_axes(
+        u = synthesize_grid(
             cut, aligned_position_axes(cut, half_width, h / per_h))
         v = transform_quasimode(a1, u)
         for i, x1 in list(enumerate(u.axes[0].nodes()))[::7]:
@@ -119,7 +127,7 @@ class TestTransformQuasimode:
         x1 = axes[0].nodes()[:, None]
         x2 = axes[1].nodes()[None, :]
         u = GridField(h, axes, np.exp(1j * (x1 * a_val + x2 * xi0) / h))
-        dv = hd_x1(transform_quasimode(a1, u).data, h, axes[0].spacing, 1)
+        dv = hd_x1(transform_quasimode(a1, u).data, h, axes[0].spacing)
         assert np.abs(dv).max() < 1e-12
 
     def test_quasimode_ratios(self, setup):
@@ -138,7 +146,7 @@ class TestTransformQuasimode:
         want = f.data
         for _ in range(order):
             want = (f.h / 1j) * (want[2:] - want[:-2]) / (2.0 * f.axes[0].spacing)
-        got = hd_x1(f.data, f.h, f.axes[0].spacing, order)
+        got = _hd_x1_power(f.data, f.h, f.axes[0].spacing, order)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -170,15 +178,16 @@ def _whole_grid_reports(a1, u, orders):
     v = apply_multiplier(u.data, bar, h, lambda *xi: w_nodes, first=1)
     u_norm = l2_norm(u)
     fd_rel = (dx / h) ** 2 / 6.0
-    ratios = {m: norm(hd_x1(v, h, dx, m)) / (h ** m * u_norm) for m in orders}
+    ratios = {m: norm(_hd_x1_power(v, h, dx, m)) / (h ** m * u_norm)
+              for m in orders}
     nan = float("nan")
     resid = bound = nan
     if 1 in orders:
-        hd_minus_a = hd_x1(u.data, h, dx, 1) - apply_multiplier(
+        hd_minus_a = hd_x1(u.data, h, dx) - apply_multiplier(
             u.data, bar, h, lambda *xi: a1.eval_grid(xi), first=1)[1:-1]
         rhs = apply_multiplier(hd_minus_a, bar, h, lambda *xi: w_nodes[1:-1],
                                first=1)
-        resid = norm(hd_x1(v, h, dx, 1) - rhs) / u_norm
+        resid = norm(hd_x1(v, h, dx) - rhs) / u_norm
         amax = float(np.abs(a1.eval_grid(node_arrays(duals, len(duals)))).max())
         mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
         d1 = amax * norm(mid_gap)
@@ -230,7 +239,7 @@ class TestBlockedReports:
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
         axes = aligned_position_axes(cut, 8.0, h / 8.0)
-        u = synthesize_on_axes(cut, axes)
+        u = synthesize_grid(cut, axes)
         assert u.data.shape == (2048, 64)
         assert quasimode._OUT_BLOCK // u.data.shape[1] == 512
         want = _hex(_whole_grid_reports(_a1(), u, orders))
@@ -291,7 +300,7 @@ class TestStreamedMemory:
         # arrays are sized by that and not by the block.
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        u = synthesize_on_axes(cut, aligned_position_axes(cut, 8.0, h / 8.0))
+        u = synthesize_grid(cut, aligned_position_axes(cut, 8.0, h / 8.0))
         assert u.data.shape == (4096, 64)
         peaks = []
         for rows in (4096, 512):

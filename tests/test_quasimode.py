@@ -20,11 +20,12 @@ from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
 from quasilab.grids import AxisSpec, dual_axis, ft_axes, node_arrays
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
-                                build_cutoff, support_volume, synthesize_at,
-                                synthesize_on_axes, verify_joint_quasimode)
+                                build_cutoff, synthesize_at, synthesize_on_axes,
+                                verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import l2_norm, lp_norm, shell_mask, unbuffered_synthesis_2d
+from oracles import (l2_norm, lp_norm, shell_mask, synthesize_grid,
+                     unbuffered_synthesis_2d)
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -286,7 +287,7 @@ class TestSupportVolume:
         for h in (2.0 ** -4, 2.0 ** -7):
             cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
             oracle = 4.0 / 3.0 * (2 * h) ** 1.5
-            assert support_volume(cut) == pytest.approx(oracle, rel=0.02)
+            assert cut.volume() == pytest.approx(oracle, rel=0.02)
 
     @pytest.mark.parametrize("spec,gamma", [
         (families.paraboloid_cutoff(2, 1), 1.5),
@@ -294,13 +295,13 @@ class TestSupportVolume:
         (families.axis_contact_cutoff(3), 1.75),
     ])
     def test_scaling_band(self, spec, gamma):
-        ratios = [support_volume(build_cutoff(spec, h)) / h ** gamma
+        ratios = [build_cutoff(spec, h).volume() / h ** gamma
                   for h in H_SWEEP]
         assert max(ratios) / min(ratios) < 4.0
 
     def test_monotone_in_h(self):
         spec = families.valley_cutoff()
-        vols = [support_volume(build_cutoff(spec, h)) for h in H_SWEEP]
+        vols = [build_cutoff(spec, h).volume() for h in H_SWEEP]
         assert all(b < a for a, b in zip(vols, vols[1:]))
 
 
@@ -317,7 +318,7 @@ class TestSynthesis:
     def test_normalization_is_exact(self):
         h = 2.0 ** -6
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
-        assert cut.l2_norm() == pytest.approx(math.sqrt(support_volume(cut)),
+        assert cut.l2_norm() == pytest.approx(math.sqrt(cut.volume()),
                                               rel=1e-15)
         # Measured: on the dual grid of a power-of-two cutoff grid the
         # synthesis is a unitary DFT of chi / ||chi||, so Parseval gives 1.
@@ -325,8 +326,7 @@ class TestSynthesis:
             for h in (2.0 ** -4, 2.0 ** -6):
                 spec = families.paraboloid_cutoff(n, 3, pow2=True)
                 cut = build_cutoff(spec, h)
-                u = synthesize_on_axes(cut, [dual_axis(a, h)
-                                             for a in cut.axes])
+                u = synthesize_grid(cut, [dual_axis(a, h) for a in cut.axes])
                 assert l2_norm(u) == pytest.approx(1.0, rel=1e-12)
 
     def test_non_oscillation_plateau(self):
@@ -425,12 +425,12 @@ DIGEST_CHILD = """
 import hashlib
 from quasilab import families
 from quasilab.analysis import oscillation_axes
-from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
-                                verify_joint_quasimode)
+from quasilab.quasimode import build_cutoff, verify_joint_quasimode
+from oracles import synthesize_grid
 from test_quasimode import _fine_4d_field, _fine_parabola_cutoff
 cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
 fine = build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6)
-arrays = [synthesize_on_axes(c, oscillation_axes(
+arrays = [synthesize_grid(c, oscillation_axes(
     [c.extent(i) for i in range(c.dim)], c.h, margin, pts)).data
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
@@ -470,7 +470,7 @@ class TestProductSynthesis:
         # Off-center boxes spanning a few oscillation scales per axis.
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
-        fast = synthesize_on_axes(cut, axes)
+        fast = synthesize_grid(cut, axes)
         assert fast.data.shape == points
         oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
@@ -489,7 +489,7 @@ class TestProductSynthesis:
         axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
             (3.0 * cut.h / cut.extent(i) for i in range(2)), (23, 19))]
         want = unbuffered_synthesis_2d(cut, axes, max(1, out_block // 19))
-        assert synthesize_on_axes(cut, axes).data.tobytes() == want.tobytes()
+        assert synthesize_grid(cut, axes).data.tobytes() == want.tobytes()
 
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
@@ -503,8 +503,8 @@ class TestProductSynthesis:
             axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2,
                                     pts)
             np.testing.assert_array_equal(
-                synthesize_on_axes(shuffled, axes).data,
-                synthesize_on_axes(cut, axes).data)
+                synthesize_grid(shuffled, axes).data,
+                synthesize_grid(cut, axes).data)
 
     @pytest.mark.parametrize("n,pts", [(2, 8), (3, 8), (4, 4)],
                              ids=["2d", "3d", "4d"])
@@ -516,28 +516,29 @@ class TestProductSynthesis:
         nodes = mesh_points(axes)
         targets = nodes[np.linspace(0, len(nodes) - 1, 64).astype(int)]
         norm = cut.l2_norm()
-        grid = synthesize_on_axes(cut, axes)
+        grid = synthesize_grid(cut, axes)
         values = synthesize_at(cut, targets)
         # With a unit norm the scaling by 1/norm is exact: the raw sums.
         monkeypatch.setattr(CutoffField, "l2_norm", lambda self: 1.0)
         assert grid.data.tobytes() == \
-            (synthesize_on_axes(cut, axes).data / norm).tobytes()
+            (synthesize_grid(cut, axes).data / norm).tobytes()
         assert values.tobytes() == \
             (synthesize_at(cut, targets) / norm).tobytes()
 
     def test_memory_bounded(self):
-        # The 64^3 complex output alone is 4.2 MB.
+        # The 64^3 complex grid alone would be 4.2 MB; it is handed over in
+        # blocks and never built (about 3.1 MB measured, tables included).
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
         axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8)
         assert [a.points for a in axes] == [64] * 3
         tracemalloc.start()
         try:
-            synthesize_on_axes(cut, axes)
+            synthesize_on_axes(cut, axes, lambda rows, b: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12e6
+        assert peak <= 4e6
 
     @pytest.mark.parametrize("make_field,points,out_block", [
         # 23 x1 rows of 19 cells, 3 to a block: seven blocks and a partial.
@@ -607,7 +608,7 @@ class TestProductSynthesis:
         assert [(r.start, r.stop) for r, _ in blocks] == [
             (i, min(i + step, n1)) for i in range(0, n1, step)
             if i < hi and lo < i + step and lo < hi]
-        whole = synthesize_on_axes(cut, axes).data
+        whole = synthesize_grid(cut, axes).data
         for rows, b in blocks:
             assert b.tobytes() == whole[rows].tobytes()
 
@@ -618,12 +619,6 @@ class TestProductSynthesis:
         axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
         with pytest.raises(ValueError, match="x1 rows"):
             synthesize_on_axes(cut, axes, lambda rows, b: None, rows)
-
-    def test_row_range_needs_consume(self):
-        cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
-        axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
-        with pytest.raises(ValueError, match="consume"):
-            synthesize_on_axes(cut, axes, rows=range(0, 3))
 
     def test_sweep_blocks_are_on_axes_slices(self):
         # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, each the
@@ -636,7 +631,7 @@ class TestProductSynthesis:
                            lambda rows, b: blocks.append((rows, b.copy())))
         assert [(r.start, r.stop) for r, _ in blocks] == [
             (i, i + 8) for i in range(0, 64, 8)]
-        grid = synthesize_on_axes(cut, axes).data
+        grid = synthesize_grid(cut, axes).data
         for rows, b in blocks:
             assert b.tobytes() == grid[rows].tobytes()
 
@@ -658,7 +653,7 @@ class TestProductSynthesis:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
         cut = build_cutoff(spec, h)
-        g = synthesize_on_axes(cut, oscillation_axes(
+        g = synthesize_grid(cut, oscillation_axes(
             [cut.extent(i) for i in range(3)], h, 4, 8))
         masks = shell_mask(g.data.shape), shell_mask(g.data.shape, 1)
         assert row[6:] == [
@@ -677,7 +672,7 @@ class TestProductSynthesis:
         folds = [16 * r * c for r, c in zip(rows + [1], cells)]
         tracemalloc.start()
         try:
-            synthesize_on_axes(cut, axes)
+            synthesize_on_axes(cut, axes, lambda rows, b: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -700,7 +695,7 @@ class TestProductSynthesis:
         tracemalloc.start()
         try:
             with pytest.raises(GridBudgetError, match=f"{64 * 32 * 32 * 64} cells"):
-                synthesize_on_axes(cut, axes)
+                synthesize_on_axes(cut, axes, lambda rows, b: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -713,7 +708,7 @@ class TestProductSynthesis:
         cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
                           col_start=np.array([0]), col_count=np.array([1]))
         with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
-            synthesize_on_axes(cut, axes)
+            synthesize_on_axes(cut, axes, lambda rows, b: None)
 
     def test_slabs_checked_before_allocation(self, monkeypatch):
         # 240 output cells fit a 1000-cell budget; the 6400 stage-1 slabs of
@@ -722,7 +717,7 @@ class TestProductSynthesis:
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 1000)
         axes = [AxisSpec(0.0, 1.0, n) for n in (5, 4, 4, 3)]
         with pytest.raises(MemoryError, match="128000 cells"):
-            synthesize_on_axes(cut, axes)
+            synthesize_on_axes(cut, axes, lambda rows, b: None)
 
     def test_run_tables_checked_before_allocation(self, monkeypatch):
         # Output and slab are 10 x 2 cells each; the run tables hold one
@@ -734,7 +729,7 @@ class TestProductSynthesis:
                           col_start=np.arange(5), col_count=np.arange(1, 6))
         out_axes = [AxisSpec(0.0, 1.0, 10), AxisSpec(0.0, 1.0, 2)]
         with pytest.raises(MemoryError, match="100 cells"):
-            synthesize_on_axes(cut, out_axes)
+            synthesize_on_axes(cut, out_axes, lambda rows, b: None)
 
     def test_xi2_table_checked_before_allocation(self, monkeypatch):
         # Output and slab are 2 x 10 cells each and the run tables 2 x 2
@@ -747,7 +742,7 @@ class TestProductSynthesis:
                           col_start=np.full(8, 3), col_count=np.full(8, 2))
         out_axes = [AxisSpec(0.0, 1.0, 2), AxisSpec(0.0, 1.0, 10)]
         with pytest.raises(MemoryError, match="80 cells"):
-            synthesize_on_axes(cut, out_axes)
+            synthesize_on_axes(cut, out_axes, lambda rows, b: None)
 
     def test_bits_independent_of_blas_threads(self):
         src = str(Path(quasilab.__file__).resolve().parents[1])

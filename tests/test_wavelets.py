@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from quasilab import wavelets
-from quasilab.grids import AxisSpec, GridField, ft_axes
+from quasilab.grids import AxisSpec, ft_axes
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
-                               _scale_windows, _smooth_step, _windowed_band,
+                               _scale_window, _smooth_step, _windowed_band,
                                bump, bump_derivative, decay_diagnostic,
                                dyadic_cutoffs)
 
-from oracles import admissibility, l2_norm, padded_gather_cwt
+from oracles import GridField, admissibility, l2_norm, padded_gather_cwt
 
 
 def every_window(b, wlo, whi, blocks, cols):
-    """One scale of _scale_windows as the real (len(b), cols) coefficients
+    """One scale of _scale_window as the real (len(b), cols) coefficients
     at every b: its blocks, which must tile [wlo, whi) in order, copied
     in, and +0 at the windows it does not form."""
     out = np.zeros((len(b), cols))
@@ -32,7 +32,7 @@ def every_window(b, wlo, whi, blocks, cols):
 
 
 def whole_field_cwt(v, w, a_grid):
-    """(b_grids, values): _scale_windows on the whole field v, per scale
+    """(b_grids, values): _scale_window on the whole field v, per scale
     the translates b and the coefficients at every b, those of the windows
     it does not form padded with +0, in v's bar shape."""
     bar_shape = v.data.shape[1:]
@@ -40,7 +40,8 @@ def whole_field_cwt(v, w, a_grid):
     flat = np.ascontiguousarray(v.data, dtype=complex).reshape(
         v.axes[0].points, -1).view(float)
     b_grids, values = [], []
-    for b, *blocks in _scale_windows(flat, 0, v.axes[0], w, a_grid):
+    for a in a_grid:
+        b, *blocks = _scale_window(flat, 0, v.axes[0], w, a)
         out = every_window(b, *blocks, flat.shape[1])
         values.append(out.view(complex).reshape((len(b),) + bar_shape))
         b_grids.append(b)
@@ -111,9 +112,9 @@ class TestCwt:
     # cell.  1000 cells is a multiple of neither stride nor qstride, so the
     # windows meet the data edges at varying partial overlaps.  With 48 bar
     # points a = 1/4's 566 windows span two of the cache blocks.  Besides
-    # a dense field, the clip to the nonzero rows meets a field with zero
-    # rows at both ends, a zero row inside and -0.0 entries, and a field of
-    # zeros only; bytes are compared, so signed zeros count.
+    # a dense field, windows are formed over a field with zero rows at both
+    # ends, a zero row inside and -0.0 entries, and over a field of zeros
+    # only; bytes are compared, so signed zeros count.
     @pytest.mark.parametrize("bar_shape", [(), (8,), (48,)],
                              ids=["1d", "2d", "2d-blocks"])
     def test_matches_padded_gather_oracle(self, mother_wavelet, bar_shape):
@@ -143,7 +144,8 @@ class TestCwt:
     # A band of 80 rows starting at row 300 of a 1000-row field: the
     # transform of the field zero-padded around it is the oracle.  a = 4
     # decimates (qstride 7), and a = 16 reaches the band from windows far
-    # outside it.
+    # outside it.  The band's rows may be zeros too: at its ends, inside it
+    # or all of them; the windows formed over them keep the oracle's bits.
     @pytest.mark.parametrize("bar_shape", [(), (8,)], ids=["1d", "2d"])
     @pytest.mark.parametrize("case", ["dense", "zero-ends", "zero-inside",
                                       "all-zero"])
@@ -168,13 +170,11 @@ class TestCwt:
         want_bs, wants = whole_field_cwt(GridField(2.0 ** -4, axes, data),
                                          mother_wavelet, a_grid)
         flat = band.reshape(rows, -1).view(float)
-        scales = list(_scale_windows(flat, row0, ax, mother_wavelet, a_grid))
-        assert len(scales) == len(a_grid)
-        for (b, wlo, whi, blocks), want_b, want in zip(scales, want_bs, wants):
+        for a, want_b, want in zip(a_grid, want_bs, wants):
+            b, *blocks = _scale_window(flat, row0, ax, mother_wavelet, a)
             assert b.tobytes() == want_b.tobytes()
-            got = every_window(b, wlo, whi, blocks, flat.shape[1])
+            got = every_window(b, *blocks, flat.shape[1])
             assert got.tobytes() == want.reshape(len(b), -1).view(float).tobytes()
-            assert (whi == wlo) == (case == "all-zero")
 
     def test_memory_bounded(self, mother_wavelet, flat_model_field):
         # The transform of the flat model's whole 8192 x 64 grid at every
@@ -185,8 +185,9 @@ class TestCwt:
         flat = v.data.reshape(v.axes[0].points, -1).view(float)
         tracemalloc.start()
         try:
-            for b, _, _, blocks in _scale_windows(
-                    flat, 0, v.axes[0], mother_wavelet, _A_GRID):
+            for a in _A_GRID:
+                b, _, _, blocks = _scale_window(flat, 0, v.axes[0],
+                                                mother_wavelet, a)
                 for _, x in blocks:
                     del x
                 del b, blocks
@@ -334,8 +335,8 @@ class TestDecayDiagnostic:
         power = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
         want = [float(np.sum(weight * power)) for weight in weights]
         assert [s.hex() for s in sums] == [s.hex() for s in want]
-        (_, wlo, whi, _), = _scale_windows(band, row0, f.axes[0],
-                                           mother_wavelet, [a])
+        _, wlo, whi, _ = _scale_window(band, row0, f.axes[0], mother_wavelet,
+                                       a)
         zero_rows = ~x.reshape(len(x), -1).any(axis=1)
         if a < f.axes[0].spacing:
             # No live window: every level's sum is +0, as the oracle's.
