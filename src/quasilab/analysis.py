@@ -383,15 +383,15 @@ def _sup_tail(norm: float, shell_max: float, p) -> LpNorm:
     return LpNorm(norm, shell_max, p)
 
 
-def _finite_tail(total: float, shell: float, inner: float | None, pf: float,
+def _finite_tail(total: float, shell: float, inner: float, pf: float,
                  p) -> LpNorm:
     """The finite-p tail rule, from the weighted sums of |u|^p over the grid,
-    the boundary shell and (if given) the next shell in."""
+    the boundary shell and the next shell in."""
     norm = total ** (1.0 / pf)
     tail = 0.0
     if total > 0:
         factor = 1.0
-        if inner is not None and inner > 0:
+        if inner > 0:
             ratio = shell / inner
             if ratio >= 1.0:
                 raise TailDominanceError(

@@ -346,7 +346,7 @@ def _check_lp_sweep(v: dict) -> None:
     cells = math.prod(a.points for a in axes)
     if cells > MAX_GRID_CELLS:
         raise ConfigError(
-            f"an Lp sweep at n = {v['n']} synthesizes on a grid of "
+            f"an Lp sweep at n = {v['n']} streams a position grid of "
             f"{'x'.join(str(a.points) for a in axes)} = {cells} cells, over "
             f"the budget of {MAX_GRID_CELLS} (2^24); lower n, margin or "
             "points_per_scale, or set peak_only = true")

@@ -83,7 +83,7 @@ def flat_pair(n: int, k: int) -> tuple[PolySymbol, PolySymbol]:
 # -- cutoff specs -----------------------------------------------------------------
 
 def _band(sym: PolySymbol) -> BandConstraint:
-    return BandConstraint(sym, alpha=1.0, scale=1.0)
+    return BandConstraint(sym, alpha=1.0)
 
 
 def _rule(lo: list[tuple[float, float]], hi: list[tuple[float, float]],

@@ -28,20 +28,8 @@ from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
 from .grids import (WORK_BLOCK_BYTES, AxisSpec, apply_multiplier,
                     cell_volume, dual_axis, node_arrays)
-from .quasimode import CutoffField, synthesize_on_axes
+from .quasimode import CutoffField, _check_grid_cells, synthesize_on_axes
 from .symbols import PolySymbol
-
-
-def _w_multiplier(a1: PolySymbol, h: float, x1: np.ndarray,
-                  out: np.ndarray | None = None):
-    """xi_bar -> exp(-i*x1*a1(xi_bar)/h), with the x1 nodes shaped to
-    broadcast against the bar nodes, written into out when given."""
-    def m(*xi: np.ndarray) -> np.ndarray:
-        avals = np.multiply(-1j * x1, a1.eval_grid(xi), out=out)
-        # numpy divides by a real scalar as this multiply: same bits, faster.
-        avals *= 1.0 / h
-        return np.exp(avals, out=avals)
-    return m
 
 
 def x1_points(half_width: float, max_spacing: float) -> int:
@@ -105,7 +93,9 @@ class FlatteningCheck:
     hD_x1 v against W(x1)(hD_x1 - a1(hD_bar)) u computed with the same
     difference stencil, bounded by a term-by-term estimate evaluated on the
     data itself.  Each order M needs 2M < n1 x1 rows, so that an interior
-    row is left; a ValueError says so otherwise.
+    row is left; a ValueError says so otherwise.  A grid over the synthesis
+    budget is refused (GridBudgetError) before anything is allocated.  W's
+    rows and a1(hD_bar) both come from one table of a1 on the bar duals.
 
     add(rows, block) takes block = u[rows] for the next run rows of x1
     indices; the blocks must tile the grid in order, and a block may be
@@ -133,17 +123,18 @@ class FlatteningCheck:
         if len(axes) != a1.dim + 1:
             raise DimensionMismatchError(
                 f"field dim {len(axes)} != symbol dim {a1.dim} + 1")
+        _check_grid_cells([ax.points for ax in axes], "streamed position grid")
         n1 = axes[0].points
         self.halo = max(orders)
         if 2 * self.halo >= n1:
             raise ValueError(f"order {self.halo} needs more than "
                              f"{2 * self.halo} x1 rows, and the grid has {n1}")
-        self.a1, self.h, self.orders = a1, h, tuple(orders)
+        self.h, self.orders = h, tuple(orders)
         self.axes = list(axes)
         dim = len(axes)
         self.x1, = node_arrays(axes[:1], dim)
-        self.duals = [dual_axis(ax, h) for ax in axes[1:]]
-        self.xi = node_arrays(self.duals, dim, 1)
+        duals = [dual_axis(ax, h) for ax in axes[1:]]
+        self.a_bar = a1.eval_grid(node_arrays(duals, len(duals)))
         self.row_shape = tuple(ax.points for ax in axes[1:])
         cells = math.prod(self.row_shape)
         # |.|^2 sums by key, with the x1 rows [r, n1 - r) each covers: u,
@@ -214,11 +205,14 @@ class FlatteningCheck:
     def _rows(self, u: np.ndarray, lo: int, rows: range) -> None:
         """Sum the interior x1 rows of rows from u, the grid's x1 rows
         [lo, lo + len(u)), which hold their halos."""
-        h, a1, bar = self.h, self.a1, self.axes[1:]
+        h, bar = self.h, self.axes[1:]
         dx, n = self.axes[0].spacing, len(u)
-        w = _w_multiplier(a1, h, self.x1[lo:lo + n], self._work("w", n))(*self.xi)
-        dv = apply_multiplier(u, bar, h, lambda *_: w, first=1,
-                              out=self._work("v", n))
+        # W's rows, exp(-i*x1*a1/h): numpy divides by h as this *= does.
+        w = np.multiply(-1j * self.x1[lo:lo + n], self.a_bar,
+                        out=self._work("w", n))
+        w *= 1.0 / h
+        np.exp(w, out=w)
+        dv = apply_multiplier(u, bar, h, w, out=self._work("v", n))
         # (hD_x1)^m v is hd_x1 of (hD_x1)^(m-1) v.  m = 1 keeps its array
         # for the residual; the later orders take turns in "v", free once
         # m = 1 is formed, and "d2".
@@ -232,9 +226,8 @@ class FlatteningCheck:
         # (hD_x1 - a1(hD_bar)) u and then W times it, in place in "v".
         rhs = hd_x1(u, h, dx, self._work("v", n - 2))
         np.subtract(rhs, apply_multiplier(
-            u[1:-1], bar, h, lambda *xi: a1.eval_grid(xi), first=1,
-            out=self._work("d2", n - 2)), out=rhs)
-        apply_multiplier(rhs, bar, h, lambda *_: w[1:-1], first=1, out=rhs)
+            u[1:-1], bar, h, self.a_bar, out=self._work("d2", n - 2)), out=rhs)
+        apply_multiplier(rhs, bar, h, w[1:-1], out=rhs)
         self._add_abs_sq("resid", np.subtract(
             self._work("d1", n - 2), rhs, out=rhs), lo + 1, rows)
         mid_gap = np.add(u[2:], u[:-2], out=self._work("d2", n - 2))
@@ -260,8 +253,7 @@ class FlatteningCheck:
         if self.check_identity:
             resid = norm("resid") / u_norm
             # |W (hD - a) u - hD(Wu)| <= |a|max * |u - avg(u+, u-)| + dx*a^2/(2h)*|u|.
-            a_bar = self.a1.eval_grid(node_arrays(self.duals, len(self.duals)))
-            amax = float(np.abs(a_bar).max())
+            amax = float(np.abs(self.a_bar).max())
             d1 = amax * norm("gap")
             d2 = dx * amax ** 2 / (2 * h) * u_norm
             bound = 1.5 * (d1 + d2) / u_norm + 1e-12

@@ -5,17 +5,18 @@ Grids use a midpoint convention: an axis with N cells over
 of one cell volume per sample is the quadrature rule everywhere.  With the
 dual axis chosen so that dx * dxi = 2*pi*h / N, the discrete transform is
 exactly unitary for that quadrature (Parseval holds to rounding) and
-inverse(forward) is the identity.  The transforms act on plain arrays, a
-field's samples or one block of its x1 rows, with the grid given by its
-AxisSpecs: no field object is built.  apply_multiplier is the one place a
-frequency multiplier m(hD) is applied: transform, multiply, invert.
+inverse(forward) is the identity.  ft_axes and apply_multiplier act on
+the bar axes 1, 2, ... of plain arrays, one block of a field's x1 rows,
+with the grid given by its AxisSpecs: no field object is built.
+apply_multiplier is the one place a frequency multiplier m(hD_bar) is
+applied: transform, multiply by its values on the dual nodes, invert.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,14 +63,13 @@ def dual_axis(axis: AxisSpec, h: float) -> AxisSpec:
     return AxisSpec(0.0, 0.5 * axis.points * dxi, axis.points)
 
 
-def node_arrays(axes: Sequence[AxisSpec], ndim: int,
-                first: int = 0) -> list[np.ndarray]:
-    """Node coordinates of axes[i], shaped to broadcast on axis first + i of
-    an ndim-dimensional array."""
+def node_arrays(axes: Sequence[AxisSpec], ndim: int) -> list[np.ndarray]:
+    """Node coordinates of axes[i], shaped to broadcast on axis i of an
+    ndim-dimensional array."""
     out = []
     for i, a in enumerate(axes):
         shape = [1] * ndim
-        shape[first + i] = a.points
+        shape[i] = a.points
         out.append(a.nodes().reshape(shape))
     return out
 
@@ -126,40 +126,45 @@ def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
 
 
 def ft_axes(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
-            first: int = 1, inverse: bool = False,
+            inverse: bool = False,
             out_axes: Sequence[AxisSpec] | None = None,
             out: np.ndarray | None = None) -> tuple[np.ndarray, list[AxisSpec]]:
-    """ft_axis over data axes first, first+1, ... in order; returns the new axes.
+    """ft_axis over the bar axes 1, 2, ... of data; returns the new axes.
 
-    The default first = 1 is the bar-side transform of a field whose axis 0
-    is x1; ``out_axes`` are the inverse's targets, one per transformed axis.
-    The first axis goes into ``out`` as ft_axis's does, or into a new
-    array, and every later axis in place.
+    Axis 0 is x1, whose rows are transformed independently; ``out_axes``
+    are the inverse's targets, one per transformed axis.  The first axis
+    goes into ``out`` as ft_axis's does, or into a new array, and every
+    later axis in place.
     """
     new_axes: list[AxisSpec] = []
     for i, ax in enumerate(axes):
         target = out_axes[i] if out_axes is not None else None
-        data, dual = ft_axis(data, ax, h, first + i, inverse, target, out)
+        data, dual = ft_axis(data, ax, h, 1 + i, inverse, target, out)
         out = data
         new_axes.append(dual)
     return data, new_axes
 
 
 def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
-                     m: Callable[..., np.ndarray], first: int = 0,
+                     m: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """m(hD) on data axes first, first+1, ...: the position-side samples on
-    ``axes`` are transformed, multiplied by m(xi) on the dual nodes, and
+    """m(hD_bar) on the bar axes 1, 2, ... of data: the position-side
+    samples on ``axes`` are transformed, multiplied by m, the multiplier's
+    values on the dual nodes (of shape data.shape[1:], the same on every x1
+    row, or data's own shape: a DimensionMismatchError otherwise), and
     brought back onto ``axes``.
 
-    m takes one broadcastable node array per transformed axis.  The product
-    is values * hat, in that order: numpy's vectorized complex product fuses
-    a multiply-add, so its last bit depends on operand order.  The
-    transform goes into ``out`` (complex, data's shape, and data itself
+    The product is m * hat, in that order: numpy's vectorized complex
+    product fuses a multiply-add, so its last bit depends on operand order.
+    The transform goes into ``out`` (complex, data's shape, and data itself
     allowed) or into one new array, and the product and the inverse act in
     place on it.
     """
-    hat, duals = ft_axes(data, axes, h, first, out=out)
-    np.multiply(m(*node_arrays(duals, data.ndim, first)), hat, out=hat)
-    out, _ = ft_axes(hat, duals, h, first, inverse=True, out_axes=axes, out=hat)
+    bar = data.shape[1:]
+    if len(axes) != len(bar) or m.shape not in (bar, data.shape):
+        raise DimensionMismatchError(
+            f"multiplier {m.shape} on {len(axes)} bar axes of {data.shape}")
+    hat, duals = ft_axes(data, axes, h, out=out)
+    np.multiply(m, hat, out=hat)
+    out, _ = ft_axes(hat, duals, h, inverse=True, out_axes=axes, out=hat)
     return out

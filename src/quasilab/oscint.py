@@ -8,10 +8,10 @@ of the smooth compactly supported integrand, far below the value itself.
 The rule sums fixed slabs of nodes, written into one node array per
 quadrature; on each it evaluates the amplitude first and takes the phase
 and the complex exponential only on the amplitude's support, gathered from
-the flat (N, d) list of nodes.  An integrand may declare a support radius
-R, outside whose cube |xi_k| < R the amplitude is exactly 0: then a slab
-that misses the cube (padded by one node per side) is skipped, and inside
-the others nodes are built and the amplitude taken only on the cube's rows
+the flat (N, d) list of nodes.  An integrand declares a support radius R,
+outside whose cube |xi_k| < R the amplitude is exactly 0: a slab that
+misses the cube (padded by one node per side) is skipped, and inside the
+others nodes are built and the amplitude taken only on the cube's rows
 and columns.  Everywhere else the slab keeps the zeros the amplitude would
 have given, and every slab is summed whole, so the reduction order, and
 with it every output bit, depends only on the grid, not on the radius.
@@ -56,11 +56,11 @@ class OscIntegrand:
 
     loss_rate(h) declares the amplitude's regularity loss per derivative
     (the f(h) of the admissibility condition f(h) <= h^(-1/2) mu^(1/2)).
-    support_radius(h), when given, is a radius R such that the amplitude is
-    exactly 0 at every node where some |xi_k| >= R; the quadrature then
-    skips the nodes outside that cube (see _slabs).  None means the whole
-    box.  The box is never shrunk to the cube: the node count and every
-    node come from the box.
+    support_radius(h) is a radius R such that the amplitude is exactly 0 at
+    every node where some |xi_k| >= R; the quadrature skips the nodes
+    outside that cube (see _slabs), and R = math.inf keeps the whole box.
+    The box is never shrunk to the cube: the node count and every node
+    come from the box.
     """
 
     phase: Phase
@@ -68,7 +68,7 @@ class OscIntegrand:
     d: int
     box: tuple[tuple[float, float], ...]
     loss_rate: Callable[[float], float]
-    support_radius: Callable[[float], float] | None = None
+    support_radius: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -128,19 +128,11 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
     return EvalResult(fine, n, abs(fine - coarse))
 
 
-def _radius(integrand: OscIntegrand, h: float) -> float | None:
-    radius = integrand.support_radius
-    return None if radius is None else radius(h)
-
-
 def _midpoint(integrand: OscIntegrand, h: float, n: int,
-              buffers: tuple[np.ndarray, np.ndarray] | None = None) -> complex:
+              buffers: tuple[np.ndarray, np.ndarray]) -> complex:
     """The midpoint rule on n nodes per axis.  buffers, two complex arrays
     at least one slab long, hold the slab's values and the exponential
-    scratch; by default they are allocated here."""
-    if buffers is None:
-        size = _slab_points(n, integrand.d)
-        buffers = np.empty(size, complex), np.empty(size, complex)
+    scratch."""
     values, scratch = buffers
 
     def integrand_values(pts: np.ndarray, out: np.ndarray) -> None:
@@ -161,8 +153,8 @@ def _midpoint(integrand: OscIntegrand, h: float, n: int,
         np.multiply(e, amp[on], out=e)
         out[on] = e
 
-    return complex(sum(_slabs(integrand.box, n, _radius(integrand, h), values,
-                              integrand_values)))
+    return complex(sum(_slabs(integrand.box, n, integrand.support_radius(h),
+                              values, integrand_values)))
 
 
 def _slab_rows(n: int, d: int) -> int:
@@ -176,11 +168,9 @@ def _slab_points(n: int, d: int) -> int:
     return _slab_rows(n, d) * n ** (d - 1)
 
 
-def _kept(ax: np.ndarray, radius: float | None) -> slice:
+def _kept(ax: np.ndarray, radius: float) -> slice:
     """The indices of the increasing nodes ax with |x| < radius, padded by
-    one node per side; all of them when radius is None."""
-    if radius is None:
-        return slice(0, len(ax))
+    one node per side: all of them when radius is math.inf."""
     if not radius > 0:
         raise ValueError(f"support radius {radius} is not positive")
     lo = int(np.searchsorted(ax, -radius, "right"))
@@ -188,7 +178,7 @@ def _kept(ax: np.ndarray, radius: float | None) -> slice:
     return slice(max(0, lo - 1), min(len(ax), hi + 1))
 
 
-def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float | None,
+def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float,
            values: np.ndarray,
            f: Callable[[np.ndarray, np.ndarray], None]) -> Iterator[complex]:
     """Midpoint sums of an integrand over the n^d tensor grid on box, one
@@ -200,7 +190,7 @@ def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float | None,
     zero on entry: f(pts, out) writes the integrand's nonzero values at the
     nodes pts into out, a (rows, n, ..., n)-shaped view of them, and the
     slab is summed whole.  pts and out cover only the cube |xi_k| < radius,
-    padded by one node per side (the whole slab when radius is None); a
+    padded by one node per side (the whole slab when radius is math.inf); a
     slab that misses it yields 0 without a call.  The integrand is 0
     outside the cube, so every slab's sum, and so every bit, is the whole
     box's.  out is zeroed again after its sum, and values is zeroed once
@@ -511,5 +501,5 @@ def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
 def _midpoint_abs(integrand: OscIntegrand, h: float, n: int) -> float:
     values = np.empty(_slab_points(n, integrand.d))
     return float(sum(_slabs(
-        integrand.box, n, _radius(integrand, h), values,
+        integrand.box, n, integrand.support_radius(h), values,
         lambda pts, out: np.abs(integrand.amplitude(pts, h), out=out))))

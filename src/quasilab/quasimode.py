@@ -1,7 +1,7 @@
 """Extremizer frequency cutoffs, their synthesis, and joint-quasimode checks.
 
 A cutoff is the sharp indicator of a conjunction of band constraints
-|p(xi)| <= c*h^alpha.  Because every constraint in the catalog is affine in
+|p(xi)| <= h^alpha.  Because every constraint in the catalog is affine in
 xi1 (graph symbols) or xi1-free, the support over each (xi2..xin) grid
 column is a contiguous run of xi1 cells.  build_cutoff therefore returns a
 columnar field (per-column xi1 index intervals over a virtual dense grid),
@@ -40,18 +40,18 @@ _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
 # whole x1 rows (one row a block when a row holds more).
 _OUT_BLOCK = 1 << 15
-# Largest grid, in cells, that synthesize_on_axes makes (256 MB of complex
-# values), and the largest bar grid build_cutoff evaluates on.
+# Most cells in a position grid synthesize_on_axes streams, in an array it
+# allocates (256 MB complex) and in a bar grid build_cutoff evaluates on.
 MAX_GRID_CELLS = 1 << 24
 _JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
 
 
-def _check_grid_cells(shape: Sequence[int]) -> None:
+def _check_grid_cells(shape: Sequence[int], what: str) -> None:
     total = math.prod(shape)
     if total > MAX_GRID_CELLS:
         raise GridBudgetError(
-            f"dense grid would hold {total} cells (> {MAX_GRID_CELLS})")
+            f"{what} would hold {total} cells (> {MAX_GRID_CELLS})")
 
 
 # -- h-scaling expressions -------------------------------------------------------
@@ -90,14 +90,13 @@ class AxisRule:
 
 @dataclass(frozen=True)
 class BandConstraint:
-    """|symbol(xi)| <= scale * h^alpha."""
+    """|symbol(xi)| <= h^alpha."""
 
     symbol: PolySymbol
     alpha: float
-    scale: float = 1.0
 
     def bound(self, h: float) -> float:
-        return self.scale * h ** self.alpha
+        return h ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     axes = [rule.to_axis(h) for rule in spec.box]
     bar_axes = axes[1:]
     shape = tuple(a.points for a in bar_axes)
-    _check_grid_cells(shape)
+    _check_grid_cells(shape, "bar grid")
     bar_nodes = node_arrays(bar_axes, n - 1)
     lo = np.full(shape, -np.inf)
     hi = np.full(shape, np.inf)
@@ -394,15 +393,15 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     its partial products are written into buffers made once per call and
     rewritten block by block, with the ufuncs, np.take and np.matmul of
     the unbuffered sum in its operand order, so the bits are the same and
-    no block allocates its own.  The
-    grid, every fold's result, the run tables and every exponential table
-    are checked against MAX_GRID_CELLS before any of them is allocated, and
-    each fold's input is released once the next fold is built.
+    no block allocates its own.  The streamed grid, every fold's result,
+    the run tables and each exponential table are checked against
+    MAX_GRID_CELLS before any of them is allocated, and each fold's input
+    is released once the next fold is built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
     shape = tuple(a.points for a in axes)
-    _check_grid_cells(shape)
+    _check_grid_cells(shape, "streamed position grid")
     x1 = axes[0].nodes()
     if rows is None:
         rows = range(len(x1))
@@ -418,7 +417,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     folds, width = [], len(x1)
     for axis in axes[1:]:
         starts = _run_starts(keys[:, 1:])
-        _check_grid_cells((len(starts), width, axis.points))
+        _check_grid_cells((len(starts), width, axis.points), "fold output")
         folds.append((axis, width, starts,
                       *np.unique(keys[:, 0], return_inverse=True)))
         keys = keys[starts, 1:]
@@ -434,9 +433,10 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     step = max(1, _OUT_BLOCK // math.prod(shape[1:]))
     blocks = range(rows.start - rows.start % step, rows.stop, step) if rows else rows
     _check_grid_cells((len(counts) + len(xi1_starts),
-                       min(step, len(x1)) if len(folds) == 1 else len(x1)))
+                       min(step, len(x1)) if len(folds) == 1 else len(x1)),
+                      "run tables")
     for axis, _, _, values, _ in folds:
-        _check_grid_cells((len(values), axis.points))
+        _check_grid_cells((len(values), axis.points), "exponential table")
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
 
     def table_work(rows):

@@ -357,8 +357,7 @@ class ContactProfile:
         return [r.order for r in self.reports]
 
 
-def contact_profile(a1: PolySymbol, a2: PolySymbol,
-                    directions: Iterable | None = None,
+def contact_profile(a1: PolySymbol, a2: PolySymbol, directions: Iterable,
                     max_order: int = 32) -> ContactProfile:
     """Per-direction contact reports plus a same-order-everywhere flag.
 
@@ -366,8 +365,6 @@ def contact_profile(a1: PolySymbol, a2: PolySymbol,
     identical graphs, do not break uniformity).
     """
     diff = a1 - a2   # a DimensionMismatchError unless the dims agree
-    if directions is None:
-        directions = sample_directions(a1.dim)
     reports = tuple(_contact_order(diff, d, max_order) for d in directions)
     if not reports:
         raise ValueError("empty direction sample")

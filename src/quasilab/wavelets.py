@@ -32,7 +32,7 @@ from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
 from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
                     ft_axes, node_arrays)
-from .quasimode import CutoffField, synthesize_on_axes
+from .quasimode import CutoffField, _check_grid_cells, synthesize_on_axes
 
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 # decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
@@ -236,8 +236,10 @@ def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
     never synthesized), and only the band is allocated: each block's band
     rows are multiplied by the window into it, block first, the operand
     order of a whole-grid product.  A block's bits depend only on the grid,
-    so the skipped blocks move none.
+    so the skipped blocks move none.  A grid over the synthesis budget is
+    refused (GridBudgetError) before the window or the band is allocated.
     """
+    _check_grid_cells([a.points for a in axes], "streamed position grid")
     ax = axes[0]
     bar_shape = tuple(a.points for a in axes[1:])
     window = _smooth_step(np.abs(ax.nodes()) / _LOCALIZE_HALFWIDTH).reshape(

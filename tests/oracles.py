@@ -27,8 +27,8 @@ from numpy.polynomial.legendre import leggauss
 from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
-from quasilab.fio import _w_multiplier
-from quasilab.grids import AxisSpec, apply_multiplier, cell_volume, node_arrays
+from quasilab.grids import (AxisSpec, apply_multiplier, cell_volume, dual_axis,
+                            node_arrays)
 from quasilab.quasimode import (_BLOCK, CutoffField, _dirichlet,
                                 synthesize_on_axes)
 from quasilab.symbols import PolySymbol
@@ -72,7 +72,7 @@ def lp_norm(values: np.ndarray, weights, p,
     if shell_mask is None:
         return LpNorm(total ** (1.0 / pf), 0.0, p)
     shell = float(np.sum(values[shell_mask] ** pf * weights[shell_mask]))
-    inner = None
+    inner = 0.0
     if inner_shell_mask is not None:
         inner = float(np.sum(values[inner_shell_mask] ** pf
                              * weights[inner_shell_mask]))
@@ -243,19 +243,29 @@ def l2_norm(u: GridField) -> float:
 
 # -- flattening ----------------------------------------------------------------------
 
+def w_values(a1: PolySymbol, h: float, axes: Sequence[AxisSpec]) -> np.ndarray:
+    """W = exp(-i*x1*a1(xi_bar)/h) at every x1 node of axes[0] and every
+    dual node of axes[1:], with fio.FlatteningCheck's ufuncs in its operand
+    order, so the same bits."""
+    x1, = node_arrays(axes[:1], len(axes))
+    duals = [dual_axis(ax, h) for ax in axes[1:]]
+    w = np.multiply(-1j * x1, a1.eval_grid(node_arrays(duals, len(duals))))
+    w *= 1.0 / h
+    return np.exp(w, out=w)
+
+
 def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
     """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
 
-    Vectorized over slices: one bar-side multiplier with the x1 nodes
-    broadcast down axis 0.  transform_quasimode(-a1, v) inverts it.
-    fio.FlatteningCheck forms the same v block by block.
+    Vectorized over slices: one bar-side multiplier whose values vary down
+    axis 0.  transform_quasimode(-a1, v) inverts it.  fio.FlatteningCheck
+    forms the same v block by block.
     """
     if u.dim != a1.dim + 1:
         raise DimensionMismatchError(
             f"field dim {u.dim} != symbol dim {a1.dim} + 1")
-    x1, = node_arrays(u.axes[:1], u.dim)
     return GridField(u.h, list(u.axes), apply_multiplier(
-        u.data, u.axes[1:], u.h, _w_multiplier(a1, u.h, x1), first=1))
+        u.data, u.axes[1:], u.h, w_values(a1, u.h, u.axes)))
 
 
 # -- symbols -------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
 from quasilab.fio import aligned_position_axes, flattening_reports
 from quasilab.grids import AxisSpec, cell_volume, dual_axis, ft_axes
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
-                             power_loss, quadratic_phase, resonant_amplitude,
+                             dyadic_radius, power_loss, quadratic_phase,
+                             resonant_amplitude, resonant_radius,
                              ttstar_kernel, vdc_check)
 from quasilab.quasimode import (build_cutoff, synthesize_at, synthesize_on_axes,
                                 verify_joint_quasimode)
@@ -80,7 +81,8 @@ class TestCriterion2Contact:
         for n in (2, 3):
             for k in (1, 3, 5):
                 p1, p2 = families.paraboloid_pair(n, k)
-                prof = contact_profile(bar(p1), bar(p2))
+                prof = contact_profile(bar(p1), bar(p2),
+                                       sample_directions(n - 1))
                 uniform_k = prof.uniform and set(prof.orders()) == {k}
                 claim = mixed_partials_check(bar(p1), bar(p2), k).ok
                 past = not mixed_partials_check(bar(p1), bar(p2), k + 1).ok
@@ -261,14 +263,17 @@ class TestCriterion8VanDerCorput:
         hs = [2.0 ** -e for e in range(6, 13)]
         d1 = vdc_check(OscIntegrand(quadratic_phase(1.0, 1),
                                     dyadic_amplitude(3, 2), 1,
-                                    ((-1.5, 1.5),), dyadic_loss(3, 2)), hs, 1.0)
+                                    ((-1.5, 1.5),), dyadic_loss(3, 2),
+                                    dyadic_radius(3, 2)), hs, 1.0)
         d2 = vdc_check(OscIntegrand(quadratic_phase(1.0, 2),
                                     dyadic_amplitude(3, 1), 2,
-                                    ((-1.5, 1.5),) * 2, dyadic_loss(3, 1)),
+                                    ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
+                                    dyadic_radius(3, 1)),
                        [2.0 ** -e for e in range(3, 9)], 1.0)
         phase = quadratic_phase(1.0, 1)
         bad = vdc_check(OscIntegrand(phase, resonant_amplitude(phase, 0.8),
-                                     1, ((-1.0, 1.0),), power_loss(0.8)),
+                                     1, ((-1.0, 1.0),), power_loss(0.8),
+                                     resonant_radius(0.8)),
                         hs, 1.0)
         a1 = parse_symbol("x1^2", dim=1)
         sep = 2.0 ** -3
@@ -369,7 +374,7 @@ expect = pass
         f1 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         f2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         h = 2.0 ** -5
-        ft = lambda d: ft_axes(d, [ax], h, first=0)
+        ft = lambda d: ft_axes(d[None], [ax], h)
         lin = np.abs(ft(2 * f1 - 1j * f2)[0]
                      - (2 * ft(f1)[0] - 1j * ft(f2)[0])).max() < 1e-12
         hat, duals = ft(f1)

@@ -155,7 +155,7 @@ class TestLpNorm:
         rng = np.random.default_rng(37)
         ax = AxisSpec(0.0, 2.0, 128)
         data = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        hat, duals = ft_axes(data, [ax], 2.0 ** -4, first=0)
+        hat, duals = ft_axes(data[None], [ax], 2.0 ** -4)
         norm = lp_norm(data, ax.spacing, 2).value
         hat_norm = np.sqrt(np.sum(np.abs(hat) ** 2) * cell_volume(duals))
         assert norm == pytest.approx(hat_norm, rel=1e-6)

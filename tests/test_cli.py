@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasilab
-from quasilab import errors, experiments, quasimode
+from quasilab import errors, experiments, quasimode, wavelets
 from quasilab.analysis import (INF_P, contact_delta, fit_scaling, kink_p,
                                parse_number)
 from quasilab.cli import main
@@ -746,6 +747,32 @@ class TestValidation:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_REFUSED
         err = capsys.readouterr().err
         assert "from quasimode" in err and str(MAX_GRID_CELLS) in err
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("fio_n2_k1.cfg", "x1_half_width = 8", "x1_half_width = 2^14"),
+        ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 2^-15"),
+    ])
+    def test_grid_budget_refused_before_allocation(self, tmp_path, name, old,
+                                                   new):
+        # 2^28 and 2^25 position cells: the budget is checked before the
+        # flattening check's x1 nodes or the decay table's window and band,
+        # each sized by the grid's x1 rows, are allocated (64 MB and 197 MB
+        # traced otherwise).  The mother wavelet is cached first: it is not
+        # the grid's.
+        text = (CONFIG_DIR / name).read_text()
+        assert f"\n{old}\n" in text
+        cfg = parse_config(write_cfg(tmp_path, text.replace(f"\n{old}\n",
+                                                            f"\n{new}\n")))
+        wavelets.make_mother_wavelet()
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.GridBudgetError,
+                               match="streamed position grid would hold"):
+                experiments.run_experiment(cfg, tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bar_grid_budget_refusal_exits_3(self, tmp_path, capsys,
                                              monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from quasilab import families, quasimode
 from quasilab.errors import DimensionMismatchError
-from quasilab.fio import (FlatteningCheck, FlatteningReport, _w_multiplier,
+from quasilab.fio import (FlatteningCheck, FlatteningReport,
                           aligned_position_axes, flattening_reports, hd_x1)
 from quasilab.grids import (AxisSpec, apply_multiplier, dual_axis, ft_axis,
                             node_arrays)
@@ -17,11 +17,17 @@ from quasilab.quasimode import build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
 from oracles import (GridField, eval_exact, l2_norm, synthesize_grid,
-                     transform_quasimode)
+                     transform_quasimode, w_values)
 
 
 def _a1(n=2, k=1):
     return graph_factor(families.paraboloid_pair(n, k)[0]).a
+
+
+def bar_values(q, u):
+    """The symbol q on the bar duals of the field u."""
+    duals = [dual_axis(ax, u.h) for ax in u.axes[1:]]
+    return q.eval_grid(node_arrays(duals, len(duals)))
 
 
 def fed_reports(a1, u, orders, rows):
@@ -104,10 +110,11 @@ class TestTransformQuasimode:
         u = synthesize_grid(
             cut, aligned_position_axes(cut, half_width, h / per_h))
         v = transform_quasimode(a1, u)
+        a_bar = bar_values(a1, u)
         for i, x1 in list(enumerate(u.axes[0].nodes()))[::7]:
-            w = apply_multiplier(u.data[i], u.axes[1:], h, lambda *xi: np.exp(
-                -1j * x1 * a1.eval_grid(xi) / h))
-            np.testing.assert_array_equal(w, v.data[i])
+            w = apply_multiplier(u.data[i:i + 1], u.axes[1:], h,
+                                 np.exp(-1j * x1 * a_bar / h))
+            np.testing.assert_array_equal(w[0], v.data[i])
 
     def test_unitarity_per_slice(self, setup):
         a1, u = setup
@@ -157,8 +164,7 @@ class TestTransformQuasimode:
         q = a1 - graph_factor(p2).a
         v = transform_quasimode(a1, u)
         def q_bar(f):
-            return apply_multiplier(f.data, f.axes[1:], f.h,
-                                    lambda *xi: q.eval_grid(xi), first=1)
+            return apply_multiplier(f.data, f.axes[1:], f.h, bar_values(q, f))
         qu, qv = q_bar(u), q_bar(v)
         assert np.linalg.norm(qv) == pytest.approx(np.linalg.norm(qu), rel=1e-10)
 
@@ -172,10 +178,9 @@ def _whole_grid_reports(a1, u, orders):
         return float(np.sqrt(np.sum(np.square(sq, out=sq)) * u.cell_volume))
 
     h, dx, bar = u.h, u.axes[0].spacing, u.axes[1:]
-    x1, = node_arrays(u.axes[:1], u.dim)
-    duals = [dual_axis(ax, h) for ax in bar]
-    w_nodes = _w_multiplier(a1, h, x1)(*node_arrays(duals, u.dim, 1))
-    v = apply_multiplier(u.data, bar, h, lambda *xi: w_nodes, first=1)
+    w = w_values(a1, h, u.axes)
+    a_bar = bar_values(a1, u)
+    v = apply_multiplier(u.data, bar, h, w)
     u_norm = l2_norm(u)
     fd_rel = (dx / h) ** 2 / 6.0
     ratios = {m: norm(_hd_x1_power(v, h, dx, m)) / (h ** m * u_norm)
@@ -184,11 +189,10 @@ def _whole_grid_reports(a1, u, orders):
     resid = bound = nan
     if 1 in orders:
         hd_minus_a = hd_x1(u.data, h, dx) - apply_multiplier(
-            u.data, bar, h, lambda *xi: a1.eval_grid(xi), first=1)[1:-1]
-        rhs = apply_multiplier(hd_minus_a, bar, h, lambda *xi: w_nodes[1:-1],
-                               first=1)
+            u.data, bar, h, a_bar)[1:-1]
+        rhs = apply_multiplier(hd_minus_a, bar, h, w[1:-1])
         resid = norm(hd_x1(v, h, dx) - rhs) / u_norm
-        amax = float(np.abs(a1.eval_grid(node_arrays(duals, len(duals)))).max())
+        amax = float(np.abs(a_bar).max())
         mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
         d1 = amax * norm(mid_gap)
         d2 = dx * amax ** 2 / (2 * h) * u_norm

@@ -34,13 +34,20 @@ def random_field(h, shape, seed, half_widths=None):
 
 
 def forward(f):
-    """The h-scaled transform of every axis: (values, dual axes)."""
-    return ft_axes(f.data, f.axes, f.h, first=0)
+    """The h-scaled transform of every axis: (values, dual axes).  ft_axes
+    transforms axes 1, 2, ..., so the field goes in as one x1 row."""
+    hat, duals = ft_axes(f.data[None], f.axes, f.h)
+    return hat[0], duals
 
 
 def back_onto(f, hat, duals):
     """The inverse transform of (hat, duals), landing on f's axes."""
-    return ft_axes(hat, duals, f.h, first=0, inverse=True, out_axes=f.axes)[0]
+    return ft_axes(hat[None], duals, f.h, inverse=True, out_axes=f.axes)[0][0]
+
+
+def multiply(f, m):
+    """m(hD) on every axis of f, m given by its values on the dual nodes."""
+    return apply_multiplier(f.data[None], f.axes, f.h, m)[0]
 
 
 def l2(data, axes):
@@ -134,7 +141,7 @@ class TestMultiplier:
     def test_identity_multiplier(self):
         # m = 1 multiplies exactly, leaving the transform round trip.
         f = random_field(2.0 ** -4, (64,), seed=6)
-        out = apply_multiplier(f.data, f.axes, f.h, lambda xi: 1.0)
+        out = multiply(f, np.ones(64))
         assert np.array_equal(out, back_onto(f, *forward(f)))
 
     def test_diagonal_action_on_plane_wave(self):
@@ -144,7 +151,7 @@ class TestMultiplier:
         xi0 = xi_nodes[300]  # exact grid frequency
         f = GridField(h, [ax],
                       np.exp(1j * ax.nodes() * xi0 / h).astype(complex))
-        out = apply_multiplier(f.data, [ax], h, lambda xi: xi)
+        out = multiply(f, xi_nodes)
         hat, _ = forward(f)
         out_hat, _ = forward(GridField(h, [ax], out))
         peak = np.argmax(np.abs(hat))
@@ -152,15 +159,27 @@ class TestMultiplier:
 
     def test_position_side_round_trip(self):
         f = random_field(2.0 ** -4, (64,), seed=7)
-        out = apply_multiplier(f.data, f.axes, f.h, lambda xi: 1.0)
+        out = multiply(f, np.ones(64))
         assert np.abs(out - f.data).max() < 1e-12 * np.abs(f.data).max()
 
     def test_two_axis_multiplier(self):
-        # m(xi, eta) = xi on both axes is m(xi) = xi on axis 0 alone.
+        # m(xi, eta) = xi on both axes is m(xi) = xi on each eta column
+        # alone: the columns are the rows of the transpose.
         f = random_field(2.0 ** -4, (32, 32), seed=8)
-        out = apply_multiplier(f.data, f.axes, f.h, lambda x, y: x + 0 * y)
-        expected = apply_multiplier(f.data, f.axes[:1], f.h, lambda x: x)
+        xi, eta = (dual_axis(ax, f.h).nodes() for ax in f.axes)
+        out = multiply(f, xi[:, None] + 0 * eta[None, :])
+        expected = apply_multiplier(f.data.T, f.axes[:1], f.h, xi).T
         assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m_shape, n_axes", [
+        ((32,), 2), ((), 2), ((32, 1), 2), ((32, 32), 1), ((2, 32, 32), 2)])
+    def test_multiplier_shape_checked(self, m_shape, n_axes):
+        # The values must cover the bar grid: (32, 32) per x1 row, or
+        # (rows, 32, 32) in all, on every bar axis.
+        f = random_field(2.0 ** -4, (32, 32), seed=9)
+        with pytest.raises(DimensionMismatchError):
+            apply_multiplier(f.data[None], f.axes[:n_axes], f.h,
+                             np.ones(m_shape))
 
 
 class TestDirectSynthesis:
@@ -175,13 +194,13 @@ class TestDirectSynthesis:
 
     def test_single_cell_closed_form(self):
         h, ax, data = 2.0 ** -4, AxisSpec(0.0, 1.0, 16), np.eye(16)[5]
-        pos, (out,) = ft_axes(data, [ax], h, first=0, inverse=True)
+        (pos,), (out,) = ft_axes(data[None], [ax], h, inverse=True)
         oracle = np.exp(1j * out.nodes() * ax.nodes()[5] / h) * ax.spacing
         assert np.abs(pos * np.sqrt(2 * np.pi * h) - oracle).max() < 1e-13 * ax.spacing
 
     def test_agreement_with_fft_inverse(self):
         h, axes, data = self._indicator()
-        pos, pos_axes = ft_axes(data, axes, h, first=0, inverse=True)
+        (pos,), pos_axes = ft_axes(data[None], axes, h, inverse=True)
         phase = mesh_points(pos_axes) @ mesh_points(axes).T
         direct = (np.exp(1j * phase / h) @ data.ravel()) * (
             cell_volume(axes) / (2 * np.pi * h))
@@ -191,8 +210,8 @@ class TestDirectSynthesis:
     def test_translation_covariance(self):
         # Moving chi by 3 xi1 cells multiplies the field by exp(i x1 3 dxi1 / h).
         h, axes, data = self._indicator()
-        base, pos_axes = ft_axes(data, axes, h, first=0, inverse=True)
-        moved, _ = ft_axes(np.roll(data, 3, axis=0), axes, h, first=0,
-                           inverse=True)
+        (base,), pos_axes = ft_axes(data[None], axes, h, inverse=True)
+        (moved,), _ = ft_axes(np.roll(data, 3, axis=0)[None], axes, h,
+                              inverse=True)
         phase = np.exp(1j * pos_axes[0].nodes()[:, None] * 3 * axes[0].spacing / h)
         assert np.abs(moved - base * phase).max() <= 1e-10 * np.abs(base).max()

@@ -26,6 +26,18 @@ def unit_loss(h):
     return 1.0
 
 
+def unbounded(h):
+    """The support radius of an amplitude that may be nonzero anywhere."""
+    return math.inf
+
+
+def midpoint(integrand, h, n):
+    """oscint._midpoint with a values array and a scratch of one slab each."""
+    size = oscint._slab_points(n, integrand.d)
+    return oscint._midpoint(integrand, h, n, (np.empty(size, complex),
+                                              np.empty(size, complex)))
+
+
 def linear_phase(d):
     def phi(pts):
         return np.asarray(pts, float)[..., 0]
@@ -47,14 +59,14 @@ class TestEvaluate:
     def test_zero_amplitude(self):
         zero = OscIntegrand(quadratic_phase(1.0, 1),
                             lambda p, h: np.zeros(p.shape[:-1]),
-                            1, ((-1, 1),), unit_loss)
+                            1, ((-1, 1),), unit_loss, unbounded)
         assert evaluate(zero, 2.0 ** -6).value == 0
 
     def test_fresnel_oracle(self):
         # |int exp(i mu xi^2 / 2h) a| -> sqrt(2 pi h / mu) |a(0)|.
         mu = 2.0
         integrand = OscIntegrand(quadratic_phase(mu, 1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss)
+                                 1, ((-1, 1),), unit_loss, unbounded)
         for h in (2.0 ** -8, 2.0 ** -10):
             res = evaluate(integrand, h)
             oracle = math.sqrt(2 * math.pi * h / mu) * math.exp(-1.0)
@@ -62,7 +74,7 @@ class TestEvaluate:
 
     def test_linear_phase_superpolynomial(self):
         integrand = OscIntegrand(linear_phase(1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss)
+                                 1, ((-1, 1),), unit_loss, unbounded)
         hs = [2.0 ** -e for e in range(3, 8)]
         mags = [abs(evaluate(integrand, h).value) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(mags), 1)[0]
@@ -73,24 +85,27 @@ class TestEvaluate:
         a1 = bump_amplitude(1.0)
         a2 = bump_amplitude(0.5)
         combo = OscIntegrand(phase, lambda p, h: 2 * a1(p, h) - 3 * a2(p, h),
-                             1, ((-1, 1),), unit_loss)
-        i1 = evaluate(OscIntegrand(phase, a1, 1, ((-1, 1),), unit_loss), 2.0 ** -6)
-        i2 = evaluate(OscIntegrand(phase, a2, 1, ((-1, 1),), unit_loss), 2.0 ** -6)
+                             1, ((-1, 1),), unit_loss, unbounded)
+        i1 = evaluate(OscIntegrand(phase, a1, 1, ((-1, 1),), unit_loss,
+                                   unbounded), 2.0 ** -6)
+        i2 = evaluate(OscIntegrand(phase, a2, 1, ((-1, 1),), unit_loss,
+                                   unbounded), 2.0 ** -6)
         ic = evaluate(combo, 2.0 ** -6)
         assert ic.value == pytest.approx(2 * i1.value - 3 * i2.value, rel=1e-10)
 
     def test_conjugation_symmetry(self):
         phase = quadratic_phase(1.0, 1)
         neg = OscIntegrand(lambda p: -phase(p), bump_amplitude(1.0),
-                           1, ((-1, 1),), unit_loss)
-        pos = OscIntegrand(phase, bump_amplitude(1.0), 1, ((-1, 1),), unit_loss)
+                           1, ((-1, 1),), unit_loss, unbounded)
+        pos = OscIntegrand(phase, bump_amplitude(1.0), 1, ((-1, 1),), unit_loss,
+                           unbounded)
         h = 2.0 ** -7
         assert evaluate(neg, h).value == pytest.approx(
             np.conj(evaluate(pos, h).value), rel=1e-12)
 
     def test_refuses_underresolved(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
-                                 1, ((-100, 100),), unit_loss)
+                                 1, ((-100, 100),), unit_loss, unbounded)
         with pytest.raises(ResolutionError):
             evaluate(integrand, 2.0 ** -12)
 
@@ -101,13 +116,13 @@ class TestEvaluate:
             raise AssertionError("quadrature ran")
         monkeypatch.setattr(oscint, "_midpoint", midpoint)
         integrand = OscIntegrand(quadratic_phase(1.0, 2), bump_amplitude(1.0),
-                                 2, ((-1.5, 1.5),) * 2, unit_loss)
+                                 2, ((-1.5, 1.5),) * 2, unit_loss, unbounded)
         with pytest.raises(ResolutionError, match=f"{oscint.MAX_QUAD_POINTS} in all"):
             evaluate(integrand, 2.0 ** -10)
 
     def test_error_estimate_reported(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss)
+                                 1, ((-1, 1),), unit_loss, unbounded)
         res = evaluate(integrand, 2.0 ** -6)
         assert isinstance(res, EvalResult)
         assert res.error_estimate < 1e-6
@@ -120,13 +135,13 @@ class TestEvaluate:
         assert rows < n and n % rows
         h = 2.0 ** -4
         integrand = OscIntegrand(quadratic_phase(1.0, d), bump_amplitude(1.0),
-                                 d, ((-1.0, 1.2),) * d, unit_loss)
+                                 d, ((-1.0, 1.2),) * d, unit_loss, unbounded)
         axes = [-1.0 + (np.arange(n) + 0.5) * (2.2 / n)] * d
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         cell = (2.2 / n) ** d
         vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
         whole = complex(np.sum(vals) * cell)
-        assert abs(oscint._midpoint(integrand, h, n) - whole) <= 1e-13 * abs(whole)
+        assert abs(midpoint(integrand, h, n) - whole) <= 1e-13 * abs(whole)
         mass = float(np.sum(np.abs(integrand.amplitude(pts, h))) * cell)
         assert oscint._midpoint_abs(integrand, h, n) == pytest.approx(mass, rel=1e-13)
 
@@ -141,7 +156,8 @@ class TestEvaluate:
             seen.append(pts.copy())
 
         values = np.empty(oscint._slab_points(n, d))
-        assert list(oscint._slabs(box, n, None, values, record)) == [0.0] * len(seen)
+        assert (list(oscint._slabs(box, n, math.inf, values, record))
+                == [0.0] * len(seen))
         assert len(seen) > 1 and len(seen[-1]) < len(seen[0])
         axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in box]
         want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -152,7 +168,8 @@ class TestEvaluate:
     def test_memory_bounded(self):
         # The vdc_d2 integrand at its finest h: 1834^2 quadrature points.
         integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
-                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1))
+                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
+                                 unbounded)
         tracemalloc.start()
         try:
             res = evaluate(integrand, 2.0 ** -8)
@@ -171,7 +188,8 @@ def _unmasked_midpoint(integrand, h, n):
     def write(pts, out):
         out[...] = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
 
-    return complex(sum(oscint._slabs(integrand.box, n, None, values, write)))
+    return complex(sum(oscint._slabs(integrand.box, n, math.inf, values,
+                                     write)))
 
 
 def _ttstar_style_integrand(h):
@@ -191,7 +209,7 @@ def _ttstar_style_integrand(h):
         return family.psi(1, np.sqrt(oscint._norm_sq(pts)))
 
     return OscIntegrand(phase, amp, 2, ((-1.5 * scale, 1.5 * scale),) * 2,
-                        lambda h_: 1.0 / scale)
+                        lambda h_: 1.0 / scale, unbounded)
 
 
 class TestSupportRestriction:
@@ -203,18 +221,19 @@ class TestSupportRestriction:
             h, n = 2.0 ** -8, 1834
             integrand = OscIntegrand(quadratic_phase(1.0, 2),
                                      dyadic_amplitude(3, 1), 2,
-                                     ((-1.5, 1.5),) * 2, dyadic_loss(3, 1))
+                                     ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
+                                     unbounded)
         elif case == "resonant_d1":
             h, n = 2.0 ** -10, 100_000
             phase = quadratic_phase(1.0, 1)
             integrand = OscIntegrand(phase, resonant_amplitude(phase, 0.8), 1,
-                                     ((-1, 1),), power_loss(0.8))
+                                     ((-1, 1),), power_loss(0.8), unbounded)
         else:
             h, n = 2.0 ** -8, 300
             integrand = _ttstar_style_integrand(h)
         rows = max(1, oscint._SLAB_POINTS // n ** (integrand.d - 1))
         assert rows < n and n % rows
-        value = oscint._midpoint(integrand, h, n)
+        value = midpoint(integrand, h, n)
         assert value != 0
         assert value == _unmasked_midpoint(integrand, h, n)
 
@@ -232,7 +251,7 @@ class TestSupportRestriction:
             return slabs(box, n, radius, values, write)
 
         monkeypatch.setattr(oscint, "_slabs", record)
-        value = oscint._midpoint(integrand, h, n)
+        value = midpoint(integrand, h, n)
         assert [size for size, _ in seen] == [218 * n, 82 * n]
         assert len({address for _, address in seen}) == 1
         monkeypatch.undo()
@@ -241,13 +260,14 @@ class TestSupportRestriction:
     def test_one_slab_equals_whole_grid_formula(self):
         h, n = 2.0 ** -6, 256
         integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
-                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1))
+                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
+                                 unbounded)
         assert n ** 2 == oscint._SLAB_POINTS
         axes = [-1.5 + (np.arange(n) + 0.5) * (3.0 / n)] * 2
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
         assert np.count_nonzero(vals == 0) > 0
-        assert oscint._midpoint(integrand, h, n) == complex(
+        assert midpoint(integrand, h, n) == complex(
             np.sum(vals) * (3.0 / n) ** 2)
 
     def test_phase_evaluated_on_support_only(self):
@@ -261,10 +281,12 @@ class TestSupportRestriction:
             return np.where(amp(pts, h) == 0, np.nan, plain(pts))
 
         box = ((-1.5, 1.5),) * 2
-        value = oscint._midpoint(
-            OscIntegrand(plain, amp, 2, box, dyadic_loss(3, 1)), h, n)
-        masked = oscint._midpoint(
-            OscIntegrand(nan_off_support, amp, 2, box, dyadic_loss(3, 1)), h, n)
+        value = midpoint(
+            OscIntegrand(plain, amp, 2, box, dyadic_loss(3, 1), unbounded),
+            h, n)
+        masked = midpoint(
+            OscIntegrand(nan_off_support, amp, 2, box, dyadic_loss(3, 1),
+                         unbounded), h, n)
         assert math.isfinite(abs(masked))
         assert masked == value
 
@@ -292,7 +314,7 @@ class TestCriticalPoints:
             return (xi ** 2 - 1.0) ** 2
 
         integrand = OscIntegrand(phase, bump_amplitude(2.0), 1,
-                                 ((-1.5, 1.5),), unit_loss)
+                                 ((-1.5, 1.5),), unit_loss, unbounded)
         rep = vdc_check(integrand, H6[:5], 1.0)
         assert rep.verdict == "REFUSED"
         assert "critical point" in rep.reason
@@ -301,14 +323,16 @@ class TestCriticalPoints:
 class TestVdcCheck:
     def test_dyadic_amplitude_passes(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), dyadic_amplitude(3, 2),
-                                 1, ((-1.5, 1.5),), dyadic_loss(3, 2))
+                                 1, ((-1.5, 1.5),), dyadic_loss(3, 2),
+                                 unbounded)
         rep = vdc_check(integrand, H6, 1.0)
         assert rep.verdict == "PASS"
         assert abs(rep.fitted_exponent - 0.5) <= 0.1
 
     def test_two_dimensional_radial(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
-                                 2, ((-1.5, 1.5), (-1.5, 1.5)), dyadic_loss(3, 1))
+                                 2, ((-1.5, 1.5), (-1.5, 1.5)), dyadic_loss(3, 1),
+                                 unbounded)
         rep = vdc_check(integrand, [2.0 ** -e for e in range(3, 9)], 1.0)
         assert rep.verdict == "PASS"
         assert abs(rep.fitted_exponent - 1.0) <= 0.1
@@ -316,7 +340,7 @@ class TestVdcCheck:
     def test_resonant_amplitude_degrades(self):
         phase = quadratic_phase(1.0, 1)
         integrand = OscIntegrand(phase, resonant_amplitude(phase, 0.8),
-                                 1, ((-1, 1),), power_loss(0.8))
+                                 1, ((-1, 1),), power_loss(0.8), unbounded)
         rep = vdc_check(integrand, H6, 1.0)
         assert rep.verdict == "FAIL"
         assert not rep.admissible
@@ -338,7 +362,7 @@ class TestVdcCheck:
 
             mu = float(np.min(eigs))
             integrand = OscIntegrand(phase, bump_amplitude(1.0), d,
-                                     ((-1.2, 1.2),) * d, unit_loss)
+                                     ((-1.2, 1.2),) * d, unit_loss, unbounded)
             hs = [2.0 ** -e for e in range(4, 9)]
             rep = vdc_check(integrand, hs, mu, exponent_tolerance=0.15)
             assert rep.verdict == "PASS", rep.reason
@@ -348,7 +372,7 @@ class TestVdcCheck:
         # the verdict fails instead of raising.
         zero = OscIntegrand(quadratic_phase(1.0, 1),
                             lambda p, h: np.zeros(p.shape[:-1]),
-                            1, ((-1, 1),), unit_loss)
+                            1, ((-1, 1),), unit_loss, unbounded)
         rep = vdc_check(zero, H6[:5], 1.0)
         assert rep.magnitudes == (0.0,) * 5
         assert rep.fitted_exponent == 0.0 and rep.slope_stderr == 0.0
@@ -356,7 +380,7 @@ class TestVdcCheck:
 
     def test_needs_five_points(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss)
+                                 1, ((-1, 1),), unit_loss, unbounded)
         with pytest.raises(ValueError):
             vdc_check(integrand, [0.5, 0.25, 0.125], 1.0)
 
@@ -465,7 +489,7 @@ class TestSupportRadius:
 
     @staticmethod
     def assert_bounded_equals_whole(integrand, h):
-        whole = dataclasses.replace(integrand, support_radius=None)
+        whole = dataclasses.replace(integrand, support_radius=unbounded)
         bounded, full = evaluate(integrand, h), evaluate(whole, h)
         assert bounded.value != 0
         assert bounded.value == full.value
@@ -483,7 +507,7 @@ class TestSupportRadius:
         a1 = parse_symbol(symbol, dim=dim)
         for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
             n = self.assert_bounded_equals_whole(integrand, h)
-            whole = dataclasses.replace(integrand, support_radius=None)
+            whole = dataclasses.replace(integrand, support_radius=unbounded)
             assert oscint._midpoint_abs(integrand, h, n) == oscint._midpoint_abs(
                 whole, h, n), j
 
@@ -521,7 +545,7 @@ class TestSupportRadius:
             return integrand.amplitude(pts, h_)
 
         step = 3.0 / n
-        oscint._midpoint(dataclasses.replace(integrand, amplitude=amp), h, n)
+        midpoint(dataclasses.replace(integrand, amplitude=amp), h, n)
         assert max(r for _, r in seen) < radius + step
         side = 2 * radius / step + 3    # kept nodes per axis, at most
         assert sum(size for size, _ in seen) <= side ** 2 < 0.3 * n ** 2

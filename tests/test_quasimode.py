@@ -144,8 +144,8 @@ class TestBuildCutoff:
 
     def test_inconsistent_constraints_empty(self):
         spec = FrequencyCutoff(
-            (BandConstraint(parse_symbol("x1", dim=2), 1.0, 1.0),
-             BandConstraint(parse_symbol("x1 - 1", dim=2), 1.0, 1.0)),
+            (BandConstraint(parse_symbol("x1", dim=2), 1.0),
+             BandConstraint(parse_symbol("x1 - 1", dim=2), 1.0)),
             (AxisRule(HExpr(((-2.0, 0.0),)), HExpr(((2.0, 0.0),)),
                       HExpr(((1 / 64, 1.0),))),
              AxisRule(HExpr(((-1.0, 0.0),)), HExpr(((1.0, 0.0),)),
@@ -156,8 +156,8 @@ class TestBuildCutoff:
     def test_box_too_small_detected(self):
         # Band wider than the box on the bar axis.
         spec = FrequencyCutoff(
-            (BandConstraint(parse_symbol("x1", dim=2), 1.0, 1.0),
-             BandConstraint(parse_symbol("x2", dim=2), 0.0, 1.0)),
+            (BandConstraint(parse_symbol("x1", dim=2), 1.0),
+             BandConstraint(parse_symbol("x2", dim=2), 0.0)),
             (AxisRule(HExpr(((-2.0, 1.0),)), HExpr(((2.0, 1.0),)),
                       HExpr(((1 / 16, 1.0),))),
              AxisRule(HExpr(((-0.5, 0.0),)), HExpr(((0.5, 0.0),)),
@@ -204,7 +204,8 @@ class TestBuildCutoff:
 
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", cells - 1)
         monkeypatch.setattr(quasimode, "node_arrays", no_nodes)
-        with pytest.raises(GridBudgetError, match=f"{cells} cells"):
+        with pytest.raises(GridBudgetError,
+                           match=f"bar grid would hold {cells} cells"):
             build_cutoff(spec, h)
 
 
@@ -223,8 +224,8 @@ def _box_spec(narrow=(), empty=False):
         return AxisRule(HExpr(((lo, e),)), HExpr(((hi, e),)),
                         HExpr(((spacing, e),)))
     bands = [BandConstraint(parse_symbol("x1", dim=3), 1.0),
-             BandConstraint(parse_symbol("x2", dim=3), 0.0, 0.5),
-             BandConstraint(parse_symbol("x3", dim=3), 0.0, 0.5)]
+             BandConstraint(parse_symbol("2*x2", dim=3), 0.0),
+             BandConstraint(parse_symbol("2*x3", dim=3), 0.0)]
     if empty:
         bands.append(BandConstraint(parse_symbol("x1 - 1", dim=3), 1.0))
     edges = [0.5 if i in narrow else 2.0 for i in range(3)]
@@ -352,8 +353,8 @@ class TestSynthesis:
         # The FFT inverse of the dense indicator is the independent oracle.
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        pos, pos_axes = ft_axes(_dense_indicator(cut), cut.axes, h, first=0,
-                                inverse=True)
+        (pos,), pos_axes = ft_axes(_dense_indicator(cut)[None], cut.axes, h,
+                                   inverse=True)
         pos /= cut.l2_norm()
         direct = synthesize_at(cut, mesh_points(pos_axes)).reshape(pos.shape)
         err = np.abs(direct - pos).max() / np.abs(pos).max()
@@ -387,16 +388,17 @@ def _two_branch_dirichlet(theta, counts):
     return ratio * np.exp(1j * (counts - 1) * half)
 
 
-def _fine_parabola_cutoff(n=2, caps=(0.5, 0.5, 0.5), spacing=1 / 160):
-    """|xi1 - |xi-bar|^2| <= h, |xi_j| <= caps[j-2] on a fine bar grid.
+def _fine_parabola_cutoff(n=2, weights=(2, 2, 2), spacing=1 / 160):
+    """|xi1 - |xi-bar|^2| <= h, |weights[j-2] * xi_j| <= 1 on a fine bar
+    grid.
 
-    With the default caps and spacing each bar axis holds 160 support nodes:
+    With the default weights and spacing each bar axis holds 160 support nodes:
     160 columns in 2D, and 160 rows (of equal xi3) of 160 columns each in 3D.
     """
     bar = [f"x{j}" for j in range(2, n + 1)]
     paraboloid = parse_symbol("x1 - " + " - ".join(f"{x}^2" for x in bar), dim=n)
-    caps = tuple(BandConstraint(parse_symbol(x, dim=n), 0.0, cap)
-                 for x, cap in zip(bar, caps))
+    caps = tuple(BandConstraint(parse_symbol(f"{w}*{x}", dim=n), 0.0)
+                 for x, w in zip(bar, weights))
     xi1_rule = AxisRule(HExpr(((-0.1, 0.0),)),
                         HExpr(((0.15 + 0.25 * (n - 1), 0.0),)),
                         HExpr(((1 / 16, 1.0),)))
@@ -413,7 +415,7 @@ def _fine_4d_field():
     equal (xi3, xi4) with 4 columns each.  The xi3 fold has 80 groups of 80
     rows, the xi4 fold one group of 80 rows.
     """
-    return build_cutoff(_fine_parabola_cutoff(4, (0.02, 0.5, 0.5), 1 / 80),
+    return build_cutoff(_fine_parabola_cutoff(4, (50, 2, 2), 1 / 80),
                         2.0 ** -6)
 
 
@@ -552,7 +554,7 @@ class TestProductSynthesis:
         (lambda: build_cutoff(_fine_parabola_cutoff(3), 2.0 ** -6),
          (7, 6, 5), 1),
         # 400 rows of equal (xi3, xi4) fold onto 20 of equal xi4.
-        (lambda: build_cutoff(_fine_parabola_cutoff(4, (0.02, 0.25, 0.25),
+        (lambda: build_cutoff(_fine_parabola_cutoff(4, (50, 4, 4),
                                                     1 / 40), 2.0 ** -6),
          (5, 4, 4, 3), 2 * 48),
     ], ids=["2d", "3d", "3d-fine", "4d"])
@@ -694,7 +696,8 @@ class TestProductSynthesis:
         axes = [AxisSpec(0.0, 1.0, n) for n in (32, 32, 64, 2)]
         tracemalloc.start()
         try:
-            with pytest.raises(GridBudgetError, match=f"{64 * 32 * 32 * 64} cells"):
+            with pytest.raises(GridBudgetError, match="fold output would hold "
+                               f"{64 * 32 * 32 * 64} cells"):
                 synthesize_on_axes(cut, axes, lambda rows, b: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -707,7 +710,8 @@ class TestProductSynthesis:
         axes = [AxisSpec(0.0, 1.0, 10 ** 4)] * 4
         cut = CutoffField(h=0.1, axes=axes, col_coords=np.zeros((1, 3)),
                           col_start=np.array([0]), col_count=np.array([1]))
-        with pytest.raises(MemoryError, match=f"> {MAX_GRID_CELLS}"):
+        with pytest.raises(MemoryError, match="streamed position grid would "
+                           rf"hold {10 ** 16} cells \(> {MAX_GRID_CELLS}\)"):
             synthesize_on_axes(cut, axes, lambda rows, b: None)
 
     def test_slabs_checked_before_allocation(self, monkeypatch):
@@ -716,7 +720,8 @@ class TestProductSynthesis:
         cut = _fine_4d_field()   # its 96^3 bar grid is over the test budget
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 1000)
         axes = [AxisSpec(0.0, 1.0, n) for n in (5, 4, 4, 3)]
-        with pytest.raises(MemoryError, match="128000 cells"):
+        with pytest.raises(MemoryError,
+                           match="fold output would hold 128000 cells"):
             synthesize_on_axes(cut, axes, lambda rows, b: None)
 
     def test_run_tables_checked_before_allocation(self, monkeypatch):
@@ -728,7 +733,7 @@ class TestProductSynthesis:
                           col_coords=np.linspace(-0.5, 0.5, 5)[:, None],
                           col_start=np.arange(5), col_count=np.arange(1, 6))
         out_axes = [AxisSpec(0.0, 1.0, 10), AxisSpec(0.0, 1.0, 2)]
-        with pytest.raises(MemoryError, match="100 cells"):
+        with pytest.raises(MemoryError, match="run tables would hold 100 cells"):
             synthesize_on_axes(cut, out_axes, lambda rows, b: None)
 
     def test_xi2_table_checked_before_allocation(self, monkeypatch):
@@ -741,7 +746,8 @@ class TestProductSynthesis:
                           col_coords=np.linspace(-0.5, 0.5, 8)[:, None],
                           col_start=np.full(8, 3), col_count=np.full(8, 2))
         out_axes = [AxisSpec(0.0, 1.0, 2), AxisSpec(0.0, 1.0, 10)]
-        with pytest.raises(MemoryError, match="80 cells"):
+        with pytest.raises(MemoryError,
+                           match="exponential table would hold 80 cells"):
             synthesize_on_axes(cut, out_axes, lambda rows, b: None)
 
     def test_bits_independent_of_blas_threads(self):

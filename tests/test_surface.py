@@ -1,13 +1,18 @@
 """The public surface: a public definition in src is there because src uses
-it, a module imports a name because it uses it, and the benchmark's tracer
-finds the functions and parameters it binds."""
+it, a module imports a name because it uses it, the benchmark finds what it
+calls and its tracer the functions and parameters it binds, and the runs
+agree with the benchmark's stored references."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import quasilab
+from quasilab import experiments
 
 SRC = Path(quasilab.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -120,3 +125,109 @@ def test_tracer_binds_the_traced_names(tmp_path, monkeypatch):
     for layer, count in TRACED_LAYERS.items():
         assert totals.get(layer, {}).get("calls", 0) >= 1, layer
         assert count is None or count in totals[layer], layer
+
+
+def resolve(dotted: str):
+    """The module or module attribute that a dotted quasilab name names."""
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        module, _, attr = dotted.rpartition(".")
+        return getattr(resolve(module), attr)
+
+
+def bench_uses(bench: Path) -> tuple[set[str], set[tuple[str, str]]]:
+    """What bench/*.py takes from quasilab by name: the dotted name of every
+    quasilab module it imports and of every attribute it reads on one, and
+    (function, attribute) for every attribute it reads on a name that the
+    same function binds to the result of calling such a function."""
+    names, results = set(), set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "quasilab":
+                        names.add(a.name)
+                        modules[a.asname or "quasilab"] = (
+                            a.name if a.asname else "quasilab")
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "quasilab"):
+                for a in node.names:
+                    modules[a.asname or a.name] = f"{node.module}.{a.name}"
+        names |= set(modules.values())
+
+        def dotted(node) -> str | None:
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                return f"{modules[node.value.id]}.{node.attr}"
+            return None
+
+        names |= {dotted(node) for node in ast.walk(tree) if dotted(node)}
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            calls = {node.targets[0].id: dotted(node.value.func)
+                     for node in ast.walk(scope)
+                     if isinstance(node, ast.Assign) and len(node.targets) == 1
+                     and isinstance(node.targets[0], ast.Name)
+                     and isinstance(node.value, ast.Call)
+                     and dotted(node.value.func)}
+            results |= {(calls[node.value.id], node.attr)
+                        for node in ast.walk(scope)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in calls}
+    return names, results
+
+
+def test_bench_calls_resolve(tmp_path):
+    # bench/worker.py calls into quasilab by name and reads the result of
+    # run_experiment; a name deleted or renamed in src fails every
+    # benchmark run, so each one must still resolve.
+    names, results = bench_uses(ROOT / "bench")
+    assert {"quasilab.cli", "quasilab.experiments.parse_config",
+            "quasilab.experiments.run_experiment",
+            "quasilab.wavelets.make_mother_wavelet"} <= names
+    for name in sorted(names):
+        resolve(name)
+    assert results == {("quasilab.experiments.run_experiment", "passed")}
+    result = experiments.run_experiment(
+        experiments.parse_config(ROOT / "configs" / "delta_curves_n3.cfg"),
+        tmp_path)
+    assert result.passed is True
+
+
+def test_bench_use_scan_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import quasilab.cli\nfrom quasilab import experiments as ex\n"
+        "def f():\n    r = ex.run_experiment(1, 2)\n    return r.passed\n"
+        "def g(r):\n    return r.keys, ex.gone\n")
+    assert bench_uses(tmp_path) == (
+        {"quasilab.cli", "quasilab", "quasilab.experiments",
+         "quasilab.experiments.run_experiment", "quasilab.experiments.gone"},
+        {("quasilab.experiments.run_experiment", "passed")})
+    with pytest.raises(AttributeError):
+        resolve("quasilab.experiments.gone")
+
+
+REFERENCE = ROOT / "bench" / "reference"
+
+
+@pytest.mark.parametrize("stem", sorted(p.name for p in REFERENCE.iterdir()))
+def test_outputs_match_bench_reference(tmp_path, monkeypatch, stem):
+    # The benchmark's reference check on each shipped config and each n = 3
+    # sweep, written as bench/workloads.py writes them at its default seed.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import check
+    import workloads
+
+    configs = [path for name in ("shipped-configs", "lp-sweep-n3")
+               for path in workloads.WORKLOADS[name].write_configs(
+                   ROOT, workloads.DEFAULT_SEED, tmp_path / "configs")]
+    config, = [path for path in configs if path.stem == stem]
+    experiments.run_experiment(experiments.parse_config(config),
+                               tmp_path / stem)
+    assert check.reference_mismatch(tmp_path / stem, REFERENCE / stem) is None

@@ -239,7 +239,7 @@ def _random_graph_pair(rng, dim=2, max_degree=5):
 class TestContactProfile:
     def test_uniform_flag_on_uniform_pair(self):
         p1, p2 = families.paraboloid_pair(3, 1)
-        prof = contact_profile(bar(p1), bar(p2))
+        prof = contact_profile(bar(p1), bar(p2), sample_directions(2))
         assert prof.uniform and set(prof.orders()) == {1}
         assert len(prof.reports) >= 64
 
