@@ -116,7 +116,7 @@ def _cmd_contact(args) -> int:
         p1, p2 = (parse_symbol(t, dim=dim) for t in texts)
         g1, g2 = graph_factor(p1), graph_factor(p2)
         if not g1.valid or not g2.valid:
-            print(f"error: symbols must be affine in x1 "
+            print(f"error: symbols must be graphs c*(x1 - a(x2..xn)) "
                   f"({g1.note or g2.note})", file=sys.stderr)
             return EXIT_CONFIG
         dirs = sample_directions(p1.dim - 1, args.directions)

@@ -14,8 +14,7 @@ sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
 it makes the normalized quasimode itself.  Its last fold makes the grid in
 blocks of whole x1 rows, which a consumer takes one at a time: no grid is
-ever built.  A 2D field's per-block tables, gathers and products live in
-buffers made once per call.
+ever built.
 """
 
 from __future__ import annotations
@@ -244,21 +243,16 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
 
 # -- synthesis ---------------------------------------------------------------------
 
-def _dirichlet(theta: np.ndarray, counts: np.ndarray,
-               out: np.ndarray | None = None,
-               num: np.ndarray | None = None) -> np.ndarray:
+def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """sum_{m=0}^{M-1} exp(i m theta), stable near theta = 2 pi l.
 
     theta and counts broadcast against each other; sin(theta/2) is taken
-    once per theta, not once per (count, theta) pair.  The result goes into
-    out (complex) and its real kernel into num (float), each of the
-    broadcast shape, when given, or else into new arrays: the same ufuncs,
-    so the same bits.
+    once per theta, not once per (count, theta) pair.
     """
     theta, counts = np.asarray(theta, float), np.asarray(counts, float)
     half = 0.5 * theta
     den = np.sin(half)
-    num = np.sin(np.multiply(counts, half, out=num), out=num)
+    num = np.sin(counts * half)
     safe = np.abs(den) > 1e-8
     np.divide(num, den, out=num, where=safe)
     # l'Hopital at the Dirichlet singularities (theta ~ 0 mod 2 pi), and
@@ -267,8 +261,7 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray,
     c = np.broadcast_to(counts, num.shape)[sing]
     t = np.broadcast_to(half, num.shape)[sing]
     num[sing] = c * np.cos(c * t) / np.cos(t)
-    phase = np.multiply(1j * (counts - 1), half, out=out)
-    return np.multiply(num, np.exp(phase, out=phase), out=phase)
+    return num * np.exp(1j * (counts - 1) * half)
 
 
 def synthesize_at(field: CutoffField, targets) -> np.ndarray:
@@ -307,41 +300,20 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
 
 
-def _lead(buf: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """The leading part of the flat array buf as a C-contiguous array of
-    shape."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
-def _take_rows(a: np.ndarray, idx: np.ndarray,
-               buf: np.ndarray | None) -> np.ndarray:
-    """a[idx]: a new array, or the leading part of the flat buffer buf when
-    given.  The indices are in range, so np.take's mode="clip" changes none
-    of them; it lets numpy write into buf without a copy."""
-    return np.take(a, idx, axis=0, mode="clip",
-                   out=None if buf is None
-                   else _lead(buf, (len(idx),) + a.shape[1:]))
-
-
 def _fold_into(out: np.ndarray, rows_of, e: np.ndarray, value_of: np.ndarray,
-               lo: int, hi: int, work=(None, None)) -> None:
+               lo: int, hi: int) -> None:
     """out = sum over rows lo..hi-1 of rows_of(blk).T @ e[value_of[blk]].
 
     The rows go in fixed blocks of _BLOCK from lo, so the summation order is
-    fixed; the first block is written straight into out.  work holds flat
-    complex buffers for a block's rows of e (_BLOCK of them) and for its
-    product (out's size), or None for new arrays.
+    fixed; the first block is written straight into out.
     """
-    taken, product = work
     for b in range(lo, hi, _BLOCK):
         blk = slice(b, min(b + _BLOCK, hi))
         rows = rows_of(blk)
-        e_rows = _take_rows(e, value_of[blk], taken)
         if b == lo:
-            np.matmul(rows.T, e_rows, out=out)
+            np.matmul(rows.T, e[value_of[blk]], out=out)
         else:
-            out += np.matmul(rows.T, e_rows, out=None if product is None
-                             else _lead(product, out.shape))
+            out += rows.T @ e[value_of[blk]]
 
 
 BlockConsumer = Callable[[slice, np.ndarray], None]
@@ -388,15 +360,10 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     others are skipped, so no block's bits move; for n >= 3 the earlier
     folds still cover every x1 row.  A 2D field's run and phase tables are
     built one block at a time, over that block's x1 nodes: their entries
-    are elementwise those of whole tables.  They, the run-factor rows
-    gathered from them, the rows of exponentials each product takes and
-    its partial products are written into buffers made once per call and
-    rewritten block by block, with the ufuncs, np.take and np.matmul of
-    the unbuffered sum in its operand order, so the bits are the same and
-    no block allocates its own.  The streamed grid, every fold's result,
-    the run tables and each exponential table are checked against
-    MAX_GRID_CELLS before any of them is allocated, and each fold's input
-    is released once the next fold is built.
+    are elementwise those of whole tables.  The streamed grid, every
+    fold's result, the run tables and each exponential table are checked
+    against MAX_GRID_CELLS before any of them is allocated, and each fold's
+    input is released once the next fold is built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -439,40 +406,23 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
         _check_grid_cells((len(values), axis.points), "exponential table")
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
 
-    def table_work(rows):
-        """Flat buffers for run_tables over at most rows x1 rows."""
-        return (np.empty(len(first) * rows, complex),
-                np.empty(len(counts) * rows, complex),
-                np.empty(max(len(first), len(counts)) * rows))
+    def run_tables(t0, t1):
+        """The phase and run tables over the x1 rows [t0, t1)."""
+        return (np.exp(1j * np.outer(first, x1[t0:t1]) / h),
+                _dirichlet(x1[None, t0:t1] * (ax0.spacing / h), counts[:, None]))
 
-    def run_tables(t0, t1, work):
-        """The phase and run tables over the x1 rows [t0, t1), in the
-        leading parts of the flat buffers of table_work: the ufuncs of
-        np.exp(1j * np.outer(first, x) / h) and of _dirichlet, in their
-        operand order, so the same bits."""
-        x = x1[t0:t1]
-        phase_buf, run_buf, real = work
-        arg = np.multiply(first[:, None], x[None, :],
-                          out=_lead(real, (len(first), len(x))))
-        phases = np.multiply(1j, arg, out=_lead(phase_buf, arg.shape))
-        np.divide(phases, h, out=phases)
-        runs = _dirichlet(x[None, :] * (ax0.spacing / h), counts[:, None],
-                          _lead(run_buf, (len(counts), len(x))),
-                          _lead(real, (len(counts), len(x))))
-        return np.exp(phases, out=phases), runs
-
-    tables = (run_tables(0, len(x1), table_work(len(x1)))
-              if len(folds) > 1 else None)
-    flat, gathers = None, (None, None)
+    tables = run_tables(0, len(x1)) if len(folds) > 1 else None
+    flat = None
 
     def rows_of(blk, cols=slice(None)):
         if flat is None:
             # Phase first: a complex product's rounding depends on operand
-            # order, and this order gives the untabled sum's bits.
+            # order, and this order gives the untabled sum's bits.  The
+            # product goes into the gathered phase rows: one array fewer.
             phases, runs = tables
-            rows = _take_rows(phases, start_of[blk], gathers[0])
-            return np.multiply(rows, _take_rows(runs, count_of[blk], gathers[1]),
-                               out=rows)
+            rows = phases[start_of[blk], cols]
+            rows *= runs[count_of[blk], cols]
+            return rows
         return flat[blk, cols]
 
     for axis, width, starts, values, value_of in folds[:-1]:
@@ -486,28 +436,17 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     e = np.exp(1j * np.outer(values, axis.nodes()) / h)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     inv_norm = 1.0 / field.l2_norm()
-    block_rows = min(step, len(x1))
-    outs = np.empty((block_rows * per_row, axis.points), dtype=complex)
-    fold_work = None, None
-    if flat is None:
-        # A 2D field: one block's tables, gathered rows and product, made
-        # once and rewritten block by block.
-        work = table_work(block_rows)
-        reduced = min(_BLOCK, len(value_of))
-        gathers = (np.empty(reduced * block_rows, complex),
-                   np.empty(reduced * block_rows, complex))
-        fold_work = (np.empty(reduced * axis.points, complex),
-                     np.empty(outs.size, complex)
-                     if len(value_of) > _BLOCK else None)
+    outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
     for i0 in blocks:
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
         out = outs[:cols.stop - cols.start]
         if flat is None:
-            tables = run_tables(i0, i1, work)
+            tables = None   # the last block's, freed before this block's
+            tables = run_tables(i0, i1)
             cols = slice(None)
         _fold_into(out, lambda blk: rows_of(blk, cols), e, value_of,
-                   0, len(value_of), fold_work)
+                   0, len(value_of))
         out *= scale
         out *= inv_norm
         consume(slice(i0, i1), out.reshape((i1 - i0,) + shape[1:]))
@@ -538,9 +477,11 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     (split_affine_x1), so r is evaluated once per column and spread over
     the column's xi1 run.  Whole columns go in chunks of up to
     _JOINT_CHUNK_CELLS support cells (one column when it alone holds more),
-    so the temporaries stay bounded whatever n is.  Midpoint membership
-    makes |p_j| <= h hold at every support node, so each ratio is <= 1 up
-    to rounding; values above 1 + boundary slack indicate a broken cutoff.
+    so the temporaries stay bounded whatever n is; the ratio matrix and a
+    chunk's power columns are checked against MAX_GRID_CELLS before either
+    is allocated, so orders is bounded too.  Midpoint membership makes
+    |p_j| <= h hold at every support node, so each ratio is <= 1 up to
+    rounding; values above 1 + boundary slack indicate a broken cutoff.
     qm is the quasimode's cutoff.
     """
     field = qm
@@ -549,6 +490,10 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     if field.spec is None or len(field.spec.constraints) < 2:
         raise ValueError("cutoff spec with two band constraints required")
     splits = [split_affine_x1(c.symbol) for c in field.spec.constraints[:2]]
+    _check_grid_cells((orders + 1, orders + 1), "joint ratio matrix")
+    chunk = max(_JOINT_CHUNK_CELLS, int(field.col_count.max()))
+    _check_grid_cells((min(chunk, field.cell_count), orders + 1),
+                      "power columns")
     h = field.h
     ax0 = field.axes[0]
     total = np.zeros((orders + 1, orders + 1))

@@ -296,6 +296,9 @@ def split_affine_x1(p: PolySymbol) -> tuple[Fraction, PolySymbol] | None:
 
 def graph_factor(p: PolySymbol) -> GraphForm:
     """Factor an affine-in-x1 symbol as c*(x1 - a(bar)); invalid otherwise."""
+    if p.dim < 2:
+        return GraphForm(None, False, f"dimension {p.dim} has no bar "
+                         "variable; a graph over x2..xn needs n >= 2")
     split = split_affine_x1(p)
     if split is None:
         return GraphForm(None, False, "not affine in x1")

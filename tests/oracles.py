@@ -5,9 +5,8 @@ hands its grid over block by block and never assembles it
 (synthesize_grid), the sweeps take their norms block by block
 (analysis.BlockNorms), the decay table transforms only live windows of
 its band (wavelets._scale_window), the flattening check takes its field
-block by block (fio.FlatteningCheck), the 2D synthesis keeps its block
-buffers (unbuffered_synthesis_2d), no run takes a norm over a whole field
-(l2_norm) and the cutoffs evaluate their symbols on whole grids
+block by block (fio.FlatteningCheck), no run takes a norm over a whole
+field (l2_norm) and the cutoffs evaluate their symbols on whole grids
 (PolySymbol.eval_grid).  Each definition here is the whole-array,
 whole-field or exact form of one of them, or a step of the paper's
 argument that the tests check by hand.
@@ -29,8 +28,7 @@ from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import (AxisSpec, apply_multiplier, cell_volume, dual_axis,
                             node_arrays)
-from quasilab.quasimode import (_BLOCK, CutoffField, _dirichlet,
-                                synthesize_on_axes)
+from quasilab.quasimode import CutoffField, synthesize_on_axes
 from quasilab.symbols import PolySymbol
 from quasilab.wavelets import _T_POINTS, bump_derivative
 
@@ -297,39 +295,3 @@ def plane_vs_bowl_graphs() -> tuple[PolySymbol, PolySymbol]:
     u = PolySymbol.variable(1, 2)
     v = PolySymbol.variable(2, 2)
     return PolySymbol.zero(2), -(u ** 2 + v ** 6)
-
-
-def unbuffered_synthesis_2d(field: CutoffField, axes: Sequence[AxisSpec],
-                            block_rows: int) -> np.ndarray:
-    """synthesize_on_axes's grid for a 2D field, made in blocks of
-    block_rows x1 rows with a new array for every table, gathered row and
-    product: per block, the phase and run tables over its x1 nodes, and the
-    sum over the columns, _BLOCK at a time in increasing xi2, of their
-    tabled run factors (phase first) contracted against the xi2
-    exponentials, scaled as the synthesis scales.  The same operations in
-    the same order as the synthesis, so the same bits."""
-    h, ax0 = field.h, field.axes[0]
-    x1 = axes[0].nodes()
-    order = np.lexsort(field.col_coords.T)
-    values, value_of = np.unique(field.col_coords[order, 0],
-                                 return_inverse=True)
-    counts, count_of = np.unique(field.col_count[order], return_inverse=True)
-    starts, start_of = np.unique(field.col_start[order], return_inverse=True)
-    first = ax0.start + (starts + 0.5) * ax0.spacing
-    e = np.exp(1j * np.outer(values, axes[1].nodes()) / h)
-    scale = field.cell_volume * (2.0 * np.pi * h) ** -1.0
-    blocks = []
-    for i0 in range(0, len(x1), block_rows):
-        x = x1[i0:i0 + block_rows]
-        phases = np.exp(1j * np.outer(first, x) / h)
-        runs = _dirichlet(x[None, :] * (ax0.spacing / h), counts[:, None])
-        total = None
-        for b in range(0, len(order), _BLOCK):
-            blk = slice(b, b + _BLOCK)
-            term = (phases[start_of[blk]] * runs[count_of[blk]]).T @ \
-                e[value_of[blk]]
-            total = term if total is None else total + term
-        total *= scale
-        total *= 1.0 / field.l2_norm()
-        blocks.append(total)
-    return np.concatenate(blocks)

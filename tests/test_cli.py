@@ -748,17 +748,22 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "from quasimode" in err and str(MAX_GRID_CELLS) in err
 
-    @pytest.mark.parametrize("name, old, new", [
-        ("fio_n2_k1.cfg", "x1_half_width = 8", "x1_half_width = 2^14"),
-        ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 2^-15"),
+    @pytest.mark.parametrize("name, old, new, match", [
+        ("fio_n2_k1.cfg", "x1_half_width = 8", "x1_half_width = 2^14",
+         "streamed position grid would hold"),
+        ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 2^-15",
+         "streamed position grid would hold"),
+        ("sharp_largep_n2_k3.cfg", "joint_orders = 3",
+         "joint_orders = 16777216", "joint ratio matrix would hold"),
     ])
     def test_grid_budget_refused_before_allocation(self, tmp_path, name, old,
-                                                   new):
+                                                   new, match):
         # 2^28 and 2^25 position cells: the budget is checked before the
         # flattening check's x1 nodes or the decay table's window and band,
         # each sized by the grid's x1 rows, are allocated (64 MB and 197 MB
         # traced otherwise).  The mother wavelet is cached first: it is not
-        # the grid's.
+        # the grid's.  The joint check's (2^24 + 1)^2 ratio matrix and its
+        # power columns are checked before either is allocated (2 PiB).
         text = (CONFIG_DIR / name).read_text()
         assert f"\n{old}\n" in text
         cfg = parse_config(write_cfg(tmp_path, text.replace(f"\n{old}\n",
@@ -766,8 +771,7 @@ class TestValidation:
         wavelets.make_mother_wavelet()
         tracemalloc.start()
         try:
-            with pytest.raises(errors.GridBudgetError,
-                               match="streamed position grid would hold"):
+            with pytest.raises(errors.GridBudgetError, match=match):
                 experiments.run_experiment(cfg, tmp_path / "o")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1024,6 +1028,17 @@ class TestOtherVerbs:
         p1.write_text("x1^2 - x2\n")
         p2.write_text("x1 - x2^2\n")
         assert main(["contact", "--p1", str(p1), "--p2", str(p2)]) == EXIT_CONFIG
+
+    def test_contact_rejects_one_dimensional_symbols(self, tmp_path, capsys):
+        # Both are affine in x1; what they lack is a bar variable.
+        p1 = tmp_path / "p1.txt"
+        p2 = tmp_path / "p2.txt"
+        p1.write_text("x1\n")
+        p2.write_text("x1 + 1/2\n")
+        assert main(["contact", "--p1", str(p1), "--p2", str(p2)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no bar variable" in err and "n >= 2" in err
+        assert "not affine" not in err
 
 
 def documented_keys() -> dict:

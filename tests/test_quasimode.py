@@ -17,6 +17,7 @@ from quasilab import families, quasimode
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError, GridBudgetError)
+from quasilab.fio import aligned_position_axes
 from quasilab.grids import AxisSpec, dual_axis, ft_axes, node_arrays
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
@@ -24,8 +25,7 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import (l2_norm, lp_norm, shell_mask, synthesize_grid,
-                     unbuffered_synthesis_2d)
+from oracles import l2_norm, lp_norm, shell_mask, synthesize_grid
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -478,21 +478,6 @@ class TestProductSynthesis:
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
 
-    # 160 columns: two full 64-column reductions and a partial one, so the
-    # kept product buffer is summed into the block.  23 x1 rows in blocks
-    # of 3 end on a shorter block, whose tables and gathers fill only the
-    # leading part of their buffers.
-    @pytest.mark.parametrize("out_block", [3 * 19, quasimode._OUT_BLOCK],
-                             ids=["3-row-blocks", "one-block"])
-    def test_2d_buffers_match_unbuffered_sum(self, out_block, monkeypatch):
-        monkeypatch.setattr(quasimode, "_OUT_BLOCK", out_block)
-        cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
-        assert len(cut.col_count) == 160
-        axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
-            (3.0 * cut.h / cut.extent(i) for i in range(2)), (23, 19))]
-        want = unbuffered_synthesis_2d(cut, axes, max(1, out_block // 19))
-        assert synthesize_grid(cut, axes).data.tobytes() == want.tobytes()
-
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
         # The n = 3 sweep's field, and the n = 4 one, whose 1,160 rows share
@@ -527,20 +512,32 @@ class TestProductSynthesis:
         assert values.tobytes() == \
             (synthesize_at(cut, targets) / norm).tobytes()
 
-    def test_memory_bounded(self):
+    @pytest.mark.parametrize("make_field,axes_of,points,bound", [
         # The 64^3 complex grid alone would be 4.2 MB; it is handed over in
         # blocks and never built (about 3.1 MB measured, tables included).
-        h = 2.0 ** -5
-        cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
-        axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8)
-        assert [a.points for a in axes] == [64] * 3
+        (lambda: build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5),
+         lambda cut: oscillation_axes([cut.extent(i) for i in range(3)],
+                                      cut.h, 4, 8),
+         (64, 64, 64), 4e6),
+        # The decay table's field, whose 8192 x 64 grid would be 8.4 MB: its
+        # run and phase tables are built per block of x1 rows (about 1.6 MB
+        # measured), where tables over every x1 row would add over 2 MB.
+        (lambda: build_cutoff(families.flat_cutoff(2, 3, pow2=True),
+                              2.0 ** -8),
+         lambda cut: aligned_position_axes(cut, 6, 2.0 ** -9),
+         (8192, 64), 8192 * 64 * 16 / 4),
+    ], ids=["3d", "2d"])
+    def test_memory_bounded(self, make_field, axes_of, points, bound):
+        cut = make_field()
+        axes = axes_of(cut)
+        assert tuple(a.points for a in axes) == points
         tracemalloc.start()
         try:
             synthesize_on_axes(cut, axes, lambda rows, b: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6
+        assert peak <= bound
 
     @pytest.mark.parametrize("make_field,points,out_block", [
         # 23 x1 rows of 19 cells, 3 to a block: seven blocks and a partial.
@@ -782,6 +779,17 @@ class TestJointQuasimode:
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)
         assert verify_joint_quasimode(cut, 0)[0, 0] == pytest.approx(
             1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("orders,what", [(4, "joint ratio matrix"),
+                                             (3, "power columns")])
+    def test_orders_checked_before_allocation(self, orders, what,
+                                              monkeypatch):
+        # A budget of 16 cells holds the 4 x 4 ratio matrix of orders 3 but
+        # not its power columns, one row of 4 per support cell.
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1), 2.0 ** -6)
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 16)
+        with pytest.raises(GridBudgetError, match=f"{what} would hold"):
+            verify_joint_quasimode(cut, orders)
 
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_all_orders_bounded(self, spec_fn, h):
