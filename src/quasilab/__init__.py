@@ -1,11 +1,11 @@
 """quasilab: measure the Lp growth of joint-quasimode extremizers.
 
 Core surfaces: exact symbol/contact algebra (symbols), position-side
-grids with the semiclassical transform and its multipliers (grids), sharp
-cutoffs and their synthesis (quasimode, families), the flattening
-conjugation (fio), wavelet diagnostics (wavelets), oscillatory-integral
-checks (oscint), exponent formulas and slope fits (analysis), and the
-config-driven experiment runner (experiments, cli).
+grids with the semiclassical transform (grids), sharp cutoffs and their
+synthesis (quasimode, families), the flattening conjugation (fio),
+wavelet diagnostics (wavelets), oscillatory-integral checks (oscint),
+exponent formulas and slope fits (analysis), and the config-driven
+experiment runner (experiments, cli).
 """
 
 from .analysis import (EXPONENTS, INF_P, contact_delta, exponent,
@@ -15,7 +15,7 @@ from .errors import (BoxTooSmallError, ConfigError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError, QuasilabError,
                      RefusalError, ResolutionError, SymbolParseError,
                      TailDominanceError)
-from .grids import AxisSpec, apply_multiplier
+from .grids import AxisSpec
 from .quasimode import (BandConstraint, CutoffField, FrequencyCutoff,
                         build_cutoff, synthesize_on_axes,
                         verify_joint_quasimode)

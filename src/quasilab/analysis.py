@@ -209,20 +209,19 @@ _PW_LEAF = 128   # numpy's pairwise-sum leaf: at most this many values
 class PairwiseSum:
     """np.sum of a virtual float64 array of length n, bit for bit, from its
     values fed in order: add(chunk) takes the next chunk.size values (in C
-    order), skip(count) a run of count +0 values, and total() the sum once
-    all n are in.
+    order), and total() the sum once all n are in.
 
     numpy sums a float64 array by a fixed pairwise tree (Higham 1993): a
     node of more than _PW_LEAF values splits at half its length rounded
     down to a multiple of 8, and a leaf is summed with 8 accumulators.
     Every complete node inside one chunk is summed by one np.sum over its
-    slice, which walks the same tree below it; a node inside a skipped run
-    sums to +0.  Node sums are combined with their left siblings as soon
-    as they complete, so the state is one partial sum per level of the
-    path to the next value, plus at most one leaf, copied, whose values
-    straddle two feeds.  np.sum starts from the identity +0, so a node's
-    sum may differ from numpy's inner one only in the sign of a zero,
-    which changes no nonzero sum, and total() adds the same +0.
+    slice, which walks the same tree below it.  Node sums are combined
+    with their left siblings as soon as they complete, so the state is one
+    partial sum per level of the path to the next value, plus at most one
+    leaf, copied, whose values straddle two feeds.  np.sum starts from the
+    identity +0, so a node's sum may differ from numpy's inner one only in
+    the sign of a zero, which changes no nonzero sum, and total() adds the
+    same +0.
     """
 
     def __init__(self, n: int):
@@ -233,34 +232,18 @@ class PairwiseSum:
 
     def add(self, chunk: np.ndarray) -> None:
         values = np.ravel(chunk)
-        self._feed(len(values), values)
-
-    def skip(self, count: int) -> None:
-        self._feed(count, None)
-
-    def total(self) -> float:
-        if self.pos != self.n:
-            raise ValueError(f"{self.pos} of {self.n} values fed")
-        return 0.0 + (self.left[0] if self.left else 0.0)
-
-    def _feed(self, count: int, values: np.ndarray | None) -> None:
-        end = self.pos + count
+        start, end = self.pos, self.pos + len(values)
         if end > self.n:
             raise ValueError(f"{end} values fed to a sum of {self.n}")
         while self.pos < end:
             lo, hi, rights = self._node(end)
-            at, take = self.pos - lo, min(hi, end) - self.pos
-            off = self.pos + count - end   # self.pos's index into values
+            at, off = self.pos - lo, self.pos - start
+            take = min(hi, end) - self.pos
             if at == 0 and hi <= end:
-                value = 0.0 if values is None else float(
-                    np.sum(values[off:off + take]))
+                value = float(np.sum(values[off:off + take]))
             else:
                 # A leaf that is not all in this feed: collect its values.
-                part = self.leaf[at:at + take]
-                if values is None:
-                    part.fill(0.0)
-                else:
-                    part[:] = values[off:off + take]
+                self.leaf[at:at + take] = values[off:off + take]
                 if at + take < hi - lo:
                     self.pos = end
                     return
@@ -269,6 +252,11 @@ class PairwiseSum:
             for _ in range(rights):
                 value = self.left.pop() + value
             self.left.append(value)
+
+    def total(self) -> float:
+        if self.pos != self.n:
+            raise ValueError(f"{self.pos} of {self.n} values fed")
+        return 0.0 + (self.left[0] if self.left else 0.0)
 
     def _node(self, end: int) -> tuple[int, int, int]:
         """(lo, hi, rights) of the node numpy sums whole that starts at

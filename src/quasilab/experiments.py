@@ -191,9 +191,11 @@ KEY_SECTIONS = ("params", "tolerances", "symbols")
 def parse_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as err:
         raise ConfigError(f"malformed config {path}: {err}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"malformed config {path}: not UTF-8 text") from None
     if not read:
         raise ConfigError(f"cannot read config {path}")
     for name in parser.sections():

@@ -8,12 +8,12 @@ O(h) remainder to model).  Applied to a quasimode u of hD_x1 - a1(hD_bar),
 the slice-wise transform v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1;
 FlatteningCheck verifies that quantitatively with centered finite
 differences in x1.  It is fed u by synthesize_on_axes in blocks of x1 rows
-and forms v in steps of one working block of rows (grids.WORK_BLOCK_BYTES),
-carrying only the halo rows the differences need: W on a step and
-a1(hD_bar) itself are both one multiplier applied by grids.apply_multiplier,
-at the field's h.  Every norm is streamed into
-an analysis.PairwiseSum, so neither the field nor any |.|^2 array over
-the grid is ever held, and the norms keep the bits of whole-array sums.
+and transforms each row along the bar axes once: the differences act on
+x1 alone and W and a1(hD_bar) are diagonal in xi_bar, so v's transform is
+W times u's, and every norm is taken on the frequency side (Parseval).
+The norms are streamed into analysis.PairwiseSums, so neither the field
+nor any |.|^2 array over the grid is held, and they keep the bits of
+whole-array sums.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
-from .grids import (WORK_BLOCK_BYTES, AxisSpec, apply_multiplier,
-                    cell_volume, dual_axis, node_arrays)
+from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
+                    ft_axes, node_arrays)
 from .quasimode import CutoffField, _check_grid_cells, synthesize_on_axes
 from .symbols import PolySymbol
 
@@ -100,22 +100,20 @@ class FlatteningCheck:
     add(rows, block) takes block = u[rows] for the next run rows of x1
     indices; the blocks must tile the grid in order, and a block may be
     overwritten once add returns (synthesize_on_axes's consumer contract).
-    Whatever its length, a block is taken in steps of at most one working
-    block of complex cells (grids.WORK_BLOCK_BYTES: 256 x1 rows of 64
-    cells).  The last 2 * max(orders) rows of u are carried to the next
-    step, so each step finishes the interior rows whose halo of max(orders)
-    rows per side it completes: it forms their W rows (W is elementwise in
-    (x1, xi), and its interior rows serve the residual), v = W u, the x1
-    differences of every order (each from the order below it), a1(hD_bar) u
-    and the intertwining right-hand side.  The bar transforms act row by
-    row and the rest is elementwise, so every row is the whole grid's row
-    bit for bit.  These arrays are written into a few work arrays of one
-    step and its halos each, which the check keeps to the end, so their
-    size is set by the working block and not by the producer's blocks.
-    ||u|| and each interior norm is one PairwiseSum of |.|^2, fed row by
-    row, so the norms keep the bits of one sum over a whole array while no
-    whole field and no full-length |.|^2 array is held.  reports() gives
-    one FlatteningReport per order once every row is in.
+    A block is taken in steps of at most one working block of complex
+    cells (grids.WORK_BLOCK_BYTES: 256 x1 rows of 64 cells).  Each step
+    bar-transforms its rows once, after the last 2 * max(orders) rows of
+    u_hat carried from the step before, and finishes the interior rows
+    whose halos it completes: their W rows, v_hat = W u_hat, the x1
+    differences of every order, a1 u_hat and the intertwining right-hand
+    side.  The transform acts row by row and the rest is elementwise, so
+    every row is the whole grid's row bit for bit.  These arrays live in a
+    few work arrays of one step and its halos each, kept to the end, so
+    the producer's blocks do not size them.  ||u|| and each interior norm
+    is one PairwiseSum of |.|^2, fed row by row: the bits of one sum over
+    a whole array, with no whole field and no full-length |.|^2 array
+    held.  reports() gives one FlatteningReport per order once every row
+    is in.
     """
 
     def __init__(self, a1: PolySymbol, h: float, axes: Sequence[AxisSpec],
@@ -135,6 +133,8 @@ class FlatteningCheck:
         self.x1, = node_arrays(axes[:1], dim)
         duals = [dual_axis(ax, h) for ax in axes[1:]]
         self.a_bar = a1.eval_grid(node_arrays(duals, len(duals)))
+        # The quadrature weight of one cell of x1 and the bar duals.
+        self.cell = axes[0].spacing * cell_volume(duals)
         self.row_shape = tuple(ax.points for ax in axes[1:])
         cells = math.prod(self.row_shape)
         # |.|^2 sums by key, with the x1 rows [r, n1 - r) each covers: u,
@@ -188,13 +188,13 @@ class FlatteningCheck:
         """add for the x1 rows [i0, i1), at most one step of them."""
         n1, halo = self.axes[0].points, self.halo
         self.next_row = i1
-        self._add_abs_sq("u", block, i0, range(i0, i1))
-        # u's rows [lo, i1): those kept from earlier blocks, then this one.
-        # They hold the halo of self.halo rows per side of every x1 row
-        # from done to stop - 1.
+        # u_hat's rows [lo, i1): those kept from earlier blocks, then this
+        # one's bar transform.  They hold the halo of self.halo rows per
+        # side of every x1 row from done to stop - 1.
         lo = self.kept
         u = self._work("u", i1 - lo)
-        u[i0 - lo:] = block
+        ft_axes(block, self.axes[1:], self.h, out=u[i0 - lo:])
+        self._add_abs_sq("u", u[i0 - lo:], i0, range(i0, i1))
         stop = n1 if i1 == n1 else max(self.done, i1 - halo)
         if stop > self.done:
             self._rows(u, lo, range(self.done, stop))
@@ -203,16 +203,15 @@ class FlatteningCheck:
         u[:i1 - self.kept] = u[self.kept - lo:]
 
     def _rows(self, u: np.ndarray, lo: int, rows: range) -> None:
-        """Sum the interior x1 rows of rows from u, the grid's x1 rows
-        [lo, lo + len(u)), which hold their halos."""
-        h, bar = self.h, self.axes[1:]
-        dx, n = self.axes[0].spacing, len(u)
+        """Sum the interior x1 rows of rows from u, the bar transform of the
+        grid's x1 rows [lo, lo + len(u)), which hold their halos."""
+        h, dx, n = self.h, self.axes[0].spacing, len(u)
         # W's rows, exp(-i*x1*a1/h): numpy divides by h as this *= does.
         w = np.multiply(-1j * self.x1[lo:lo + n], self.a_bar,
                         out=self._work("w", n))
         w *= 1.0 / h
         np.exp(w, out=w)
-        dv = apply_multiplier(u, bar, h, w, out=self._work("v", n))
+        dv = np.multiply(w, u, out=self._work("v", n))
         # (hD_x1)^m v is hd_x1 of (hD_x1)^(m-1) v.  m = 1 keeps its array
         # for the residual; the later orders take turns in "v", free once
         # m = 1 is formed, and "d2".
@@ -223,11 +222,11 @@ class FlatteningCheck:
                 self._add_abs_sq(m, dv, lo + m, rows)
         if not self.check_identity:
             return
-        # (hD_x1 - a1(hD_bar)) u and then W times it, in place in "v".
+        # W (hD_x1 - a1) u, in place in "v", and the residual hD v minus it.
         rhs = hd_x1(u, h, dx, self._work("v", n - 2))
-        np.subtract(rhs, apply_multiplier(
-            u[1:-1], bar, h, self.a_bar, out=self._work("d2", n - 2)), out=rhs)
-        apply_multiplier(rhs, bar, h, w[1:-1], out=rhs)
+        np.subtract(rhs, np.multiply(self.a_bar, u[1:-1],
+                                     out=self._work("d2", n - 2)), out=rhs)
+        np.multiply(w[1:-1], rhs, out=rhs)
         self._add_abs_sq("resid", np.subtract(
             self._work("d1", n - 2), rhs, out=rhs), lo + 1, rows)
         mid_gap = np.add(u[2:], u[:-2], out=self._work("d2", n - 2))
@@ -239,11 +238,10 @@ class FlatteningCheck:
         if self.next_row != self.axes[0].points:
             raise ValueError("blocks must tile the grid's first axis in order")
         h, dx = self.h, self.axes[0].spacing
-        cell = cell_volume(self.axes)
 
         def norm(key) -> float:
             """The quadrature L2 norm whose |.|^2 key summed."""
-            return float(np.sqrt(self.sums[key][0].total() * cell))
+            return float(np.sqrt(self.sums[key][0].total() * self.cell))
 
         u_norm = norm("u")
         fd_rel = (dx / h) ** 2 / 6.0

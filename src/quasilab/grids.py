@@ -5,11 +5,11 @@ Grids use a midpoint convention: an axis with N cells over
 of one cell volume per sample is the quadrature rule everywhere.  With the
 dual axis chosen so that dx * dxi = 2*pi*h / N, the discrete transform is
 exactly unitary for that quadrature (Parseval holds to rounding) and
-inverse(forward) is the identity.  ft_axes and apply_multiplier act on
-the bar axes 1, 2, ... of plain arrays, one block of a field's x1 rows,
-with the grid given by its AxisSpecs: no field object is built.
-apply_multiplier is the one place a frequency multiplier m(hD_bar) is
-applied: transform, multiply by its values on the dual nodes, invert.
+inverse(forward) is the identity.  ft_axes acts on the bar axes 1, 2, ...
+of plain arrays, one block of a field's x1 rows, with the grid given by
+its AxisSpecs: no field object is built.  A frequency multiplier m(hD_bar)
+is applied on the transformed side, as its values on the dual nodes, and
+every norm is taken there: by Parseval it is the position-side norm.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .errors import DimensionMismatchError
 
 _TWO_PI = 2.0 * np.pi
 # Bytes of one working block: the blocked stages size their per-block
-# buffers by it (the wavelet transform's windows, the decay table's power
-# and the flattening check's x1 rows), so that a block stays in cache and
-# no buffer grows with the grid or with the block a producer hands over.
+# buffers by it (the wavelet transform's windows and the flattening check's
+# x1 rows), so that a block stays in cache and no buffer grows with the
+# grid or with the block a producer hands over.
 WORK_BLOCK_BYTES = 1 << 18
 
 
@@ -143,28 +143,3 @@ def ft_axes(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
         out = data
         new_axes.append(dual)
     return data, new_axes
-
-
-def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
-                     m: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """m(hD_bar) on the bar axes 1, 2, ... of data: the position-side
-    samples on ``axes`` are transformed, multiplied by m, the multiplier's
-    values on the dual nodes (of shape data.shape[1:], the same on every x1
-    row, or data's own shape: a DimensionMismatchError otherwise), and
-    brought back onto ``axes``.
-
-    The product is m * hat, in that order: numpy's vectorized complex
-    product fuses a multiply-add, so its last bit depends on operand order.
-    The transform goes into ``out`` (complex, data's shape, and data itself
-    allowed) or into one new array, and the product and the inverse act in
-    place on it.
-    """
-    bar = data.shape[1:]
-    if len(axes) != len(bar) or m.shape not in (bar, data.shape):
-        raise DimensionMismatchError(
-            f"multiplier {m.shape} on {len(axes)} bar axes of {data.shape}")
-    hat, duals = ft_axes(data, axes, h, out=out)
-    np.multiply(m, hat, out=hat)
-    out, _ = ft_axes(hat, duals, h, inverse=True, out_axes=axes, out=hat)
-    return out

@@ -97,11 +97,18 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
 
     Raises ResolutionError, before any quadrature runs, when honoring
     POINTS_PER_WAVELENGTH (and the amplitude's own scale 1/f(h)) would
-    exceed MAX_POINTS_PER_AXIS, or MAX_QUAD_POINTS nodes over the d axes.
+    exceed MAX_POINTS_PER_AXIS, or MAX_QUAD_POINTS nodes over the d axes;
+    and before the phase-gradient probe's mesh is built when even the
+    least count per axis would.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
     d = integrand.d
+    least = max(MIN_POINTS_PER_AXIS, _GRAD_PROBE)
+    if least ** d > MAX_QUAD_POINTS:
+        raise ResolutionError(
+            f"at least {least} points per axis, {least ** d} in all over "
+            f"{d} axes (budget {MAX_QUAD_POINTS} in all); refusing")
     gmax = _grad_max(integrand.phase, integrand.box, d)
     widths = [hi - lo for lo, hi in integrand.box]
     wavelength = _TWO_PI * h / gmax if gmax > 0 else math.inf

@@ -164,14 +164,19 @@ class PolySymbol:
             out += term
         return out
 
-    def restrict_line(self, direction: Sequence[Rational]) -> list[Fraction]:
-        """Coefficients of p(t*v) as a dense univariate list, degree-indexed."""
+    def restrict_line(self, direction: Sequence[Rational],
+                      degree: int) -> list[Fraction]:
+        """Coefficients of p(t*v) through t^degree as a dense univariate
+        list, degree-indexed; the monomials of higher degree are not
+        formed, so the cost does not grow with p's own degree."""
         if len(direction) != self.dim:
             raise DimensionMismatchError(
                 f"direction has {len(direction)} entries, expected {self.dim}")
         v = [Fraction(x) for x in direction]
-        out = [Fraction(0)] * (self.total_degree() + 1)
+        out = [Fraction(0)] * (min(self.total_degree(), degree) + 1)
         for mono, c in self.coeffs.items():
+            if sum(mono) > degree:
+                continue
             term = c
             for x, e in zip(v, mono):
                 if e:
@@ -340,13 +345,11 @@ def _contact_order(diff: PolySymbol, direction, max_order: int) -> ContactReport
     if len(direction) != diff.dim or not any(Fraction(x) for x in direction):
         raise ValueError("direction must be a nonzero vector of length dim")
     direction = tuple(Fraction(x) for x in direction)
-    coeffs = diff.restrict_line(direction)
+    coeffs = diff.restrict_line(direction, max_order + 1)
     if coeffs and coeffs[0]:
         raise ValueError("graphs do not meet at the origin along this line")
     for s, c in enumerate(coeffs):
         if c:
-            if s - 1 > max_order:
-                break
             return ContactReport(direction, s - 1, c)
     return ContactReport(direction, INFINITE, None)
 

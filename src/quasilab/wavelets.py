@@ -11,12 +11,12 @@ zeros, not small numbers.  A coefficient is a sum that starts at +0 and
 never turns -0, so the taps skipped off the band, which would add +-0,
 change no bit of it.  The decay table takes the field from the synthesis
 in blocks of x1 rows, keeps only the windowed band of rows where its x1
-window is nonzero, and never holds the whole grid.  Each
-scale forms and bar-transforms its live windows one block at a time, and
-their power fills one buffer of one working block (grids.WORK_BLOCK_BYTES),
-whose weighted rows feed each level's analysis.PairwiseSum whenever it is
-full: every other window's power is +0, so the sums skip those rows, and
-they keep the bits of one sum over every window.
+window is nonzero, and never holds the whole grid.  The band is
+bar-transformed once, in place: the transform acts on the bar axes and the
+wavelet on x1, so the windows of the transformed band are the transformed
+windows.  Each scale forms its live windows one working block at a time
+(grids.WORK_BLOCK_BYTES) and sums their power down the windows into one
+row, which each level weights by its psi_j.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import PairwiseSum
 from .errors import DimensionMismatchError
 from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
                     ft_axes, node_arrays)
@@ -261,51 +260,30 @@ def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
 def _level_sums(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
                 h: float, w: MotherWavelet, weights: Sequence[np.ndarray]):
     """(b, sums) for each scale of _A_GRID in turn, of the windowed band
-    (row0, band) of _windowed_band on axes: sums[j] is the np.sum of
-    weights[j] * |F_h X(a, b, .)|^2 over every b, bit for bit.
+    (row0, band) of _windowed_band on axes, which is bar-transformed in
+    place first: sums[j] is the np.sum of weights[j] (flat, in C order)
+    times the sum over every b of |X(a, b, .)|^2 of the transformed band.
 
-    One power and one product buffer of one working block each serve every
-    scale.  The live windows' blocks are bar-transformed in place, and their
-    |.|^2 fills the power buffer block by block; each time it is full, and
-    once at the end of the scale, each level's weight times it goes into the
-    product buffer and on into that level's analysis.PairwiseSum.  The bar
-    axes and the working block are powers of two, so the buffer holds a
-    whole number of _scale_window's blocks (two of complex coefficients)
-    and every block but a scale's last is full: no block straddles a flush,
-    and one that would fails the shape check of its |.|^2.  Every
-    other window's power is +0, so each sum skips those rows.  The bar
-    transforms act row by row and the rest is elementwise, so the bits are
-    those of one sum over the weighted power of every window.
+    The transform acts on the bar axes and the wavelet on x1, so the
+    transformed band's windows are the transformed windows.  Each block of
+    live windows is squared in place on its real view, and the column sums
+    so far are folded into its first row before it is summed down its
+    windows: numpy sums a C-order block down axis 0 row after row, so this
+    is one axis-0 sum over every window, bit for bit, however the blocks
+    fall.  The windows no tap reaches would add +0, which changes no bit.
     """
-    ax, bar_axes = axes[0], axes[1:]
-    bar_shape = tuple(a.points for a in bar_axes)
-    cells = math.prod(bar_shape)
-    power = np.empty((max(1, WORK_BLOCK_BYTES // (8 * cells)),) + bar_shape)
-    product = np.empty_like(power)
-
-    def feed(totals, filled):
-        for weight, total in zip(weights, totals):
-            total.add(np.multiply(weight, power[:filled], out=product[:filled]))
-
+    coef = band.view(complex).reshape(
+        (len(band),) + tuple(a.points for a in axes[1:]))
+    ft_axes(coef, axes[1:], h, out=coef)
     for a in _A_GRID:
-        b, wlo, whi, blocks = _scale_window(band, row0, ax, w, a)
-        totals = [PairwiseSum(len(b) * cells) for _ in weights]
-        for total in totals:
-            total.skip(wlo * cells)
-        filled = 0
+        b, _, _, blocks = _scale_window(band, row0, axes[0], w, a)
+        power = np.zeros(band.shape[1])
         for _, x in blocks:
-            coef = x.view(complex).reshape((len(x),) + bar_shape)
-            hat, _ = ft_axes(coef, bar_axes, h, out=coef)
-            live = power[filled:filled + len(hat)]
-            np.square(np.abs(hat, out=live), out=live)
-            filled += len(hat)
-            if filled == len(power):
-                feed(totals, filled)
-                filled = 0
-        feed(totals, filled)
-        for total in totals:
-            total.skip((len(b) - whi) * cells)
-        yield b, [total.total() for total in totals]
+            np.square(x, out=x)
+            x[0] += power
+            power = x.sum(axis=0)
+        power = power[0::2] + power[1::2]
+        yield b, [float(np.sum(weight * power)) for weight in weights]
 
 
 def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
@@ -325,22 +303,20 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
     the windowed field is still an order-h quasimode and the envelope
     applies to it verbatim.  Only the x1 rows where the window is nonzero
     are synthesized into an array (_windowed_band): the whole grid never is.
-    Each level's sum is fed from one power and one product buffer of one
-    working block each, kept across scales (_level_sums): one PairwiseSum
-    over every window, the windows no tap reaches skipped as +0, which
-    keeps the bits of one np.sum over the full-size weighted power.
+    The band is bar-transformed once, and each scale sums the power of its
+    windows down b before weighting it by each psi_j (_level_sums).
     """
     if len(axes) < 2:
         raise DimensionMismatchError("need at least one bar axis")
     h = source.h
     family = dyadic_cutoffs(h, k)
     a_vals = np.asarray(_A_GRID)
+    band, row0 = _windowed_band(source, axes)
     duals = [dual_axis(ax, h) for ax in axes[1:]]
     radius = np.sqrt(sum(g * g for g in node_arrays(duals, len(duals))))
     cellvol = cell_volume(duals)
-    weights = [family.psi(j, radius)[None, ...]
+    weights = [family.psi(j, radius).ravel()
                for j in range(family.levels + 1)]
-    band, row0 = _windowed_band(source, axes)
     mass = []
     for b, sums in _level_sums(band, row0, axes, h, w, weights):
         db = b[1] - b[0] if len(b) > 1 else axes[0].spacing

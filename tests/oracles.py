@@ -6,7 +6,8 @@ hands its grid over block by block and never assembles it
 (analysis.BlockNorms), the decay table transforms only live windows of
 its band (wavelets._scale_window), the flattening check takes its field
 block by block (fio.FlatteningCheck), no run takes a norm over a whole
-field (l2_norm) and the cutoffs evaluate their symbols on whole grids
+field (l2_norm), no run brings a multiplier back to the position side
+(apply_multiplier) and the cutoffs evaluate their symbols on whole grids
 (PolySymbol.eval_grid).  Each definition here is the whole-array,
 whole-field or exact form of one of them, or a step of the paper's
 argument that the tests check by hand.
@@ -26,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
-from quasilab.grids import (AxisSpec, apply_multiplier, cell_volume, dual_axis,
+from quasilab.grids import (AxisSpec, cell_volume, dual_axis, ft_axes,
                             node_arrays)
 from quasilab.quasimode import CutoffField, synthesize_on_axes
 from quasilab.symbols import PolySymbol
@@ -240,6 +241,29 @@ def l2_norm(u: GridField) -> float:
 
 
 # -- flattening ----------------------------------------------------------------------
+
+def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
+                     m: np.ndarray) -> np.ndarray:
+    """m(hD_bar) on the bar axes 1, 2, ... of data, on the position side:
+    the samples on ``axes`` are transformed, multiplied by m, the
+    multiplier's values on the dual nodes (of shape data.shape[1:], the
+    same on every x1 row, or data's own shape: a DimensionMismatchError
+    otherwise), and brought back onto ``axes``.
+
+    The product is m * hat, in that order: numpy's vectorized complex
+    product fuses a multiply-add, so its last bit depends on operand order.
+    fio.FlatteningCheck applies its multipliers on the transformed side
+    and takes its norms there, which this form cross-checks.
+    """
+    bar = data.shape[1:]
+    if len(axes) != len(bar) or m.shape not in (bar, data.shape):
+        raise DimensionMismatchError(
+            f"multiplier {m.shape} on {len(axes)} bar axes of {data.shape}")
+    hat, duals = ft_axes(data, axes, h)
+    np.multiply(m, hat, out=hat)
+    out, _ = ft_axes(hat, duals, h, inverse=True, out_axes=axes, out=hat)
+    return out
+
 
 def w_values(a1: PolySymbol, h: float, axes: Sequence[AxisSpec]) -> np.ndarray:
     """W = exp(-i*x1*a1(xi_bar)/h) at every x1 node of axes[0] and every

@@ -278,6 +278,12 @@ p_list = 1, 4
         cfg = write_cfg(tmp_path, DELTA_CFG.replace("delta-curves", "bogus"))
         assert main(["run", str(cfg)]) == EXIT_CONFIG
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(DELTA_CFG.encode() + b"# \xff\n")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
@@ -748,22 +754,27 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "from quasimode" in err and str(MAX_GRID_CELLS) in err
 
-    @pytest.mark.parametrize("name, old, new, match", [
+    @pytest.mark.parametrize("name, old, new, error, match", [
         ("fio_n2_k1.cfg", "x1_half_width = 8", "x1_half_width = 2^14",
-         "streamed position grid would hold"),
+         errors.GridBudgetError, "streamed position grid would hold"),
         ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 2^-15",
-         "streamed position grid would hold"),
+         errors.GridBudgetError, "streamed position grid would hold"),
         ("sharp_largep_n2_k3.cfg", "joint_orders = 3",
-         "joint_orders = 16777216", "joint ratio matrix would hold"),
+         "joint_orders = 16777216", errors.GridBudgetError,
+         "joint ratio matrix would hold"),
+        ("vdc_d2.cfg", "d = 2", "d = 5", errors.ResolutionError,
+         "at least 33 points per axis"),
     ])
     def test_grid_budget_refused_before_allocation(self, tmp_path, name, old,
-                                                   new, match):
+                                                   new, error, match):
         # 2^28 and 2^25 position cells: the budget is checked before the
         # flattening check's x1 nodes or the decay table's window and band,
         # each sized by the grid's x1 rows, are allocated (64 MB and 197 MB
         # traced otherwise).  The mother wavelet is cached first: it is not
         # the grid's.  The joint check's (2^24 + 1)^2 ratio matrix and its
         # power columns are checked before either is allocated (2 PiB).
+        # The quadrature's least 33^5 nodes in d = 5 are refused before its
+        # gradient probe builds a 33^5-node mesh (several GB).
         text = (CONFIG_DIR / name).read_text()
         assert f"\n{old}\n" in text
         cfg = parse_config(write_cfg(tmp_path, text.replace(f"\n{old}\n",
@@ -771,7 +782,7 @@ class TestValidation:
         wavelets.make_mother_wavelet()
         tracemalloc.start()
         try:
-            with pytest.raises(errors.GridBudgetError, match=match):
+            with pytest.raises(error, match=match):
                 experiments.run_experiment(cfg, tmp_path / "o")
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -11,13 +11,13 @@ from quasilab import families, quasimode
 from quasilab.errors import DimensionMismatchError
 from quasilab.fio import (FlatteningCheck, FlatteningReport,
                           aligned_position_axes, flattening_reports, hd_x1)
-from quasilab.grids import (AxisSpec, apply_multiplier, dual_axis, ft_axis,
+from quasilab.grids import (AxisSpec, cell_volume, dual_axis, ft_axes, ft_axis,
                             node_arrays)
 from quasilab.quasimode import build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import (GridField, eval_exact, l2_norm, synthesize_grid,
-                     transform_quasimode, w_values)
+from oracles import (GridField, apply_multiplier, eval_exact, l2_norm,
+                     synthesize_grid, transform_quasimode, w_values)
 
 
 def _a1(n=2, k=1):
@@ -169,42 +169,93 @@ class TestTransformQuasimode:
         assert np.linalg.norm(qv) == pytest.approx(np.linalg.norm(qu), rel=1e-10)
 
 
-def _whole_grid_reports(a1, u, orders):
-    """flattening_reports on the whole grid at once: W on every node, v, its
-    differences, a1(hD_bar) u and the intertwining right-hand side each one
-    whole-grid array, and each norm one np.sum over a whole array."""
-    def norm(data):
-        sq = np.abs(data)
-        return float(np.sqrt(np.sum(np.square(sq, out=sq)) * u.cell_volume))
+def _norm(data, cell):
+    """The quadrature L2 norm of data at the cell weight cell: one np.sum
+    over the whole array's |.|^2."""
+    sq = np.abs(data)
+    return float(np.sqrt(np.sum(np.square(sq, out=sq)) * cell))
 
-    h, dx, bar = u.h, u.axes[0].spacing, u.axes[1:]
-    w = w_values(a1, h, u.axes)
-    a_bar = bar_values(a1, u)
-    v = apply_multiplier(u.data, bar, h, w)
-    u_norm = l2_norm(u)
+
+def _reports(orders, u, h, dx, amax, norm, v_diffs, resid):
+    """FlatteningReports of the samples u, all on one side of the bar
+    transform: norm is that side's quadrature norm, v_diffs(m) gives
+    (hD_x1)^m v and resid() the intertwining residual; amax is max |a1|."""
+    u_norm = norm(u)
     fd_rel = (dx / h) ** 2 / 6.0
-    ratios = {m: norm(_hd_x1_power(v, h, dx, m)) / (h ** m * u_norm)
-              for m in orders}
+    ratios = {m: norm(v_diffs(m)) / (h ** m * u_norm) for m in orders}
     nan = float("nan")
-    resid = bound = nan
+    r = bound = nan
     if 1 in orders:
-        hd_minus_a = hd_x1(u.data, h, dx) - apply_multiplier(
-            u.data, bar, h, a_bar)[1:-1]
-        rhs = apply_multiplier(hd_minus_a, bar, h, w[1:-1])
-        resid = norm(hd_x1(v, h, dx) - rhs) / u_norm
-        amax = float(np.abs(a_bar).max())
-        mid_gap = u.data[1:-1] - 0.5 * (u.data[2:] + u.data[:-2])
+        r = norm(resid()) / u_norm
+        mid_gap = u[1:-1] - 0.5 * (u[2:] + u[:-2])
         d1 = amax * norm(mid_gap)
         d2 = dx * amax ** 2 / (2 * h) * u_norm
         bound = 1.5 * (d1 + d2) / u_norm + 1e-12
     return [FlatteningReport(m, ratios[m], m * fd_rel + 0.05,
-                             resid if m == 1 else nan, bound if m == 1 else nan)
+                             r if m == 1 else nan, bound if m == 1 else nan)
             for m in orders]
+
+
+def _whole_grid_reports(a1, u, orders):
+    """flattening_reports on the whole grid at once, on the frequency side:
+    u_hat, the bar transform of u, W on every node, v_hat = W u_hat, its
+    differences, a1 u_hat and the intertwining right-hand side each one
+    whole-grid array, and each norm one np.sum over a whole array."""
+    h, dx = u.h, u.axes[0].spacing
+    u_hat, duals = ft_axes(u.data, u.axes[1:], h)
+    w = w_values(a1, h, u.axes)
+    a_bar = bar_values(a1, u)
+    v_hat = w * u_hat
+
+    def resid():
+        # np.multiply, not *: numpy would reuse the temporary on the right
+        # and multiply in the other operand order, which moves last bits.
+        rhs = np.multiply(w[1:-1], hd_x1(u_hat, h, dx) - a_bar * u_hat[1:-1])
+        return hd_x1(v_hat, h, dx) - rhs
+
+    return _reports(orders, u_hat, h, dx, float(np.abs(a_bar).max()),
+                    lambda data: _norm(data, dx * cell_volume(duals)),
+                    lambda m: _hd_x1_power(v_hat, h, dx, m), resid)
+
+
+def _position_side_reports(a1, u, orders):
+    """The same reports with every multiplier brought back to the position
+    side and every norm taken there: v = W u, a1(hD_bar) u and the
+    right-hand side W (hD_x1 - a1(hD_bar)) u each transformed and inverted
+    in turn.  Parseval makes these the frequency-side norms, to rounding."""
+    h, dx, bar = u.h, u.axes[0].spacing, u.axes[1:]
+    w = w_values(a1, h, u.axes)
+    a_bar = bar_values(a1, u)
+    v = apply_multiplier(u.data, bar, h, w)
+
+    def resid():
+        hd_minus_a = hd_x1(u.data, h, dx) - apply_multiplier(
+            u.data, bar, h, a_bar)[1:-1]
+        return hd_x1(v, h, dx) - apply_multiplier(hd_minus_a, bar, h, w[1:-1])
+
+    return _reports(orders, u.data, h, dx, float(np.abs(a_bar).max()),
+                    lambda data: _norm(data, u.cell_volume),
+                    lambda m: _hd_x1_power(v, h, dx, m), resid)
 
 
 def _hex(reports):
     return [(r.order, r.ratio.hex(), r.slack.hex(), r.identity_residual.hex(),
              r.identity_bound.hex()) for r in reports]
+
+
+def _random_grid(rows, cols, seed):
+    """A random complex field of rows x1 rows of cols bar cells at h = 2^-5."""
+    rng = np.random.default_rng(seed)
+    return GridField(2.0 ** -5, [AxisSpec(0.0, 1.5, rows), AxisSpec(0.1, 2.0, cols)],
+                     rng.standard_normal((rows, cols))
+                     + 1j * rng.standard_normal((rows, cols)))
+
+
+def _shipped_field(h):
+    """(cutoff, axes, field) of the fio_n2_k1 config at h."""
+    cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
+    axes = aligned_position_axes(cut, 8.0, h / 8.0)
+    return cut, axes, synthesize_grid(cut, axes)
 
 
 class TestBlockedReports:
@@ -217,10 +268,7 @@ class TestBlockedReports:
         # rows are shorter than the 2 * max(orders) rows carried between
         # blocks, so a block may finish no interior row at all; 37 feeds
         # the whole grid as one block.
-        rng = np.random.default_rng(5)
-        u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.5, 37), AxisSpec(0.1, 2.0, 16)],
-                      rng.standard_normal((37, 16))
-                      + 1j * rng.standard_normal((37, 16)))
+        u = _random_grid(37, 16, seed=5)
         want = _hex(_whole_grid_reports(_a1(), u, orders))
         assert _hex(fed_reports(_a1(), u, orders, block_rows)) == want
 
@@ -228,10 +276,7 @@ class TestBlockedReports:
     def test_whole_grid_block_steps_match_whole_grid(self, orders):
         # 600 x1 rows of 64 cells fed as one block, which the check takes
         # in steps of 256 rows: 256, 256 and 88.
-        rng = np.random.default_rng(7)
-        u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.5, 600), AxisSpec(0.1, 2.0, 64)],
-                      rng.standard_normal((600, 64))
-                      + 1j * rng.standard_normal((600, 64)))
+        u = _random_grid(600, 64, seed=7)
         assert FlatteningCheck(_a1(), u.h, u.axes, orders).step == 256
         want = _hex(_whole_grid_reports(_a1(), u, orders))
         assert _hex(fed_reports(_a1(), u, orders, 600)) == want
@@ -240,14 +285,33 @@ class TestBlockedReports:
     def test_shipped_blocks_match_whole_grid(self, orders):
         # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), as
         # synthesize_on_axes hands it over: four blocks of 512 rows.
-        h = 2.0 ** -4
-        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        axes = aligned_position_axes(cut, 8.0, h / 8.0)
-        u = synthesize_grid(cut, axes)
+        cut, axes, u = _shipped_field(2.0 ** -4)
         assert u.data.shape == (2048, 64)
         assert quasimode._OUT_BLOCK // u.data.shape[1] == 512
         want = _hex(_whole_grid_reports(_a1(), u, orders))
         assert _hex(flattening_reports(_a1(), cut, axes, orders)) == want
+
+    @pytest.mark.parametrize("orders", [(1, 2), (3,)], ids=str)
+    @pytest.mark.parametrize("field", [
+        lambda: _random_grid(37, 16, seed=5),
+        lambda: _random_grid(600, 64, seed=7),
+        lambda: _shipped_field(2.0 ** -4)[2],
+        lambda: _shipped_field(2.0 ** -5)[2]],
+        ids=["37x16", "600x64", "fio-h=2^-4", "fio-h=2^-5"])
+    def test_frequency_side_matches_position_side(self, field, orders):
+        # Parseval: the norms taken on the frequency side are the
+        # position-side norms of v = W u and of the intertwining residual,
+        # whose multipliers are each transformed and inverted, to rounding.
+        u = field()
+        got = fed_reports(_a1(), u, orders, 512)
+        want = _position_side_reports(_a1(), u, orders)
+        for g, r in zip(got, want):
+            assert g.ratio == pytest.approx(r.ratio, rel=1e-12, abs=0)
+            assert g.slack == r.slack
+            if g.order == 1:
+                assert g.identity_bound == pytest.approx(
+                    r.identity_bound, rel=1e-12, abs=0)
+                assert abs(g.identity_residual - r.identity_residual) <= 1e-15
 
     def test_rejects_orders_the_grid_cannot_carry(self):
         # 2M < n1 leaves an interior row; at 2M >= n1 none is left.

@@ -120,6 +120,23 @@ class TestEvaluate:
         with pytest.raises(ResolutionError, match=f"{oscint.MAX_QUAD_POINTS} in all"):
             evaluate(integrand, 2.0 ** -10)
 
+    def test_least_count_refused_before_probing(self, monkeypatch):
+        # 33 nodes per axis, the least evaluate uses and the gradient
+        # probe's, is one node over the budget in d = 3: refused before the
+        # probe's 33^3-node mesh and its shifted copies are built (3.7 MB
+        # traced otherwise).
+        monkeypatch.setattr(oscint, "MAX_QUAD_POINTS", 33 ** 3 - 1)
+        integrand = OscIntegrand(quadratic_phase(1.0, 3), bump_amplitude(1.0),
+                                 3, ((-1.5, 1.5),) * 3, unit_loss, unbounded)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match="at least 33 points"):
+                evaluate(integrand, 2.0 ** -4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
+
     def test_error_estimate_reported(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
                                  1, ((-1, 1),), unit_loss, unbounded)

@@ -421,13 +421,19 @@ def _fine_4d_field():
 
 # Prints sha256 digests of two 3D product syntheses (the n = 3 sweep's
 # field, and the fine field whose reductions both span several blocks), of
-# a 4D one whose two folds both span several blocks, and of a joint-ratio
-# matrix.
+# a 4D one whose two folds both span several blocks, of a joint-ratio
+# matrix, of the shipped wavelet config's decay table and of the fio_n2_k1
+# config's flattening reports at h = 2^-4: the last two reduce on the
+# frequency side.
 DIGEST_CHILD = """
 import hashlib
+import numpy as np
 from quasilab import families
 from quasilab.analysis import oscillation_axes
+from quasilab.fio import aligned_position_axes, flattening_reports
 from quasilab.quasimode import build_cutoff, verify_joint_quasimode
+from quasilab.symbols import graph_factor
+from quasilab.wavelets import decay_diagnostic, make_mother_wavelet
 from oracles import synthesize_grid
 from test_quasimode import _fine_4d_field, _fine_parabola_cutoff
 cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
@@ -436,7 +442,17 @@ arrays = [synthesize_grid(c, oscillation_axes(
     [c.extent(i) for i in range(c.dim)], c.h, margin, pts)).data
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
-for arr in arrays + [verify_joint_quasimode(cut, 3)]:
+flat = build_cutoff(families.flat_cutoff(2, 3, pow2=True), 2.0 ** -8)
+mass = decay_diagnostic(flat, aligned_position_axes(flat, 6.0, 2.0 ** -9),
+                        make_mother_wavelet(), 1, 3).mass
+h = 2.0 ** -4
+fio = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
+reports = flattening_reports(
+    graph_factor(families.paraboloid_pair(2, 1)[0]).a, fio,
+    aligned_position_axes(fio, 8.0, h / 8.0), (1, 2))
+reports = np.array([[r.ratio, r.slack, r.identity_residual, r.identity_bound]
+                    for r in reports])
+for arr in arrays + [verify_joint_quasimode(cut, 3), mass, reports]:
     print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 
@@ -758,7 +774,7 @@ class TestProductSynthesis:
             run = subprocess.run([sys.executable, "-c", DIGEST_CHILD], env=env,
                                  capture_output=True, text=True, check=True)
             digests.append(run.stdout.split())
-        assert len(digests[0]) == 4
+        assert len(digests[0]) == 6
         assert digests[0] == digests[1]
 
 

@@ -197,6 +197,25 @@ class TestContactOrder:
         rep = contact_profile(bar(p1), bar(p2), [(1, 2)]).reports[0]
         assert rep.leading_coefficient == 25
 
+    @pytest.mark.parametrize("max_order", [32, 5])
+    def test_degrees_past_max_order_are_not_formed(self, monkeypatch,
+                                                   max_order):
+        # The x2^50000 term cannot change an order of at most max_order, so
+        # no power above max_order + 1 of a direction's entries is taken.
+        a1 = parse_symbol("x1^4 + x2^8 + x2^50000", dim=2)
+        power = Fraction.__pow__
+
+        def bounded_power(base, exponent, *rest):
+            assert exponent <= max_order + 1, exponent
+            return power(base, exponent, *rest)
+
+        monkeypatch.setattr(Fraction, "__pow__", bounded_power)
+        reports = contact_profile(a1, PolySymbol.zero(2),
+                                  [(1, 0), (0, 1), (1, 1)], max_order).reports
+        want = [(3, 1), (7, 1), (3, 1)] if max_order == 32 else [
+            (3, 1), (math.inf, None), (3, 1)]
+        assert [(r.order, r.leading_coefficient) for r in reports] == want
+
     def test_symmetry_property(self):
         rng = random.Random(7)
         for _ in range(20):

@@ -307,9 +307,9 @@ class TestDecayDiagnostic:
 
     # The smallest and the largest of the default scales, and a scale below
     # the x1 spacing, whose taps all land off the profile's support, so that
-    # no window is live.  With the shipped working block the power buffer
-    # holds two blocks of windows; with 2,048 bytes a block holds 2 windows
-    # and the buffer 4, so every scale flushes the buffer many times.
+    # no window is live.  With the shipped working block a scale's windows
+    # come in blocks of 256; with 2,048 bytes a block holds 2 windows, so
+    # every scale folds its column sums across many blocks.
     @pytest.mark.parametrize("work", [None, 2048], ids=["shipped", "small"])
     @pytest.mark.parametrize("a", [2.0 ** -6, 64.0, 2.0 ** -11],
                              ids=["a=2^-6", "a=64", "a=2^-11"])
@@ -317,7 +317,7 @@ class TestDecayDiagnostic:
                                               flat_model_field, a, work,
                                               monkeypatch):
         # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
-        # coefficient rows are exact zeros and are not transformed.
+        # coefficient rows are exact zeros and are not formed.
         f = flat_model_field
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         v = GridField(f.h, list(f.axes), f.data * window[:, None])
@@ -326,15 +326,28 @@ class TestDecayDiagnostic:
             monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
         monkeypatch.setattr(wavelets, "_A_GRID", (a,))
         rng = np.random.default_rng(31)
-        weights = [rng.random((1, 64)), np.zeros((1, 64)), rng.random((1, 64))]
-        weights[2][0, 5:40] = 0.0
+        weights = [rng.random(64), np.zeros(64), rng.random(64)]
+        weights[2][5:40] = 0.0
         (got_b, sums), = _level_sums(band, row0, f.axes, f.h, mother_wavelet,
                                      weights)
-        (b,), (x,) = whole_field_cwt(v, mother_wavelet, [a])
+        # The whole-array form: the whole windowed field bar-transformed,
+        # its windows formed, and their squared real parts and imaginary
+        # parts summed in one axis-0 sum over every window.
+        v_hat = GridField(f.h, list(f.axes),
+                          ft_axes(v.data, v.axes[1:], v.h)[0])
+        (b,), (x_hat,) = whole_field_cwt(v_hat, mother_wavelet, [a])
         assert got_b.tobytes() == b.tobytes()
-        power = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
+        power = np.square(x_hat.view(float).reshape(len(b), -1)).sum(axis=0)
+        power = power[0::2] + power[1::2]
         want = [float(np.sum(weight * power)) for weight in weights]
         assert [s.hex() for s in sums] == [s.hex() for s in want]
+        # The position-side form, the windows bar-transformed one by one,
+        # agrees to rounding.
+        (_,), (x,) = whole_field_cwt(v, mother_wavelet, [a])
+        power = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
+        for got, weight in zip(sums, weights):
+            assert got == pytest.approx(float(np.sum(weight * power)),
+                                        rel=1e-12, abs=0)
         _, wlo, whi, _ = _scale_window(band, row0, f.axes[0], mother_wavelet,
                                        a)
         zero_rows = ~x.reshape(len(x), -1).any(axis=1)
