@@ -1,11 +1,11 @@
 """quasilab: measure the Lp growth of joint-quasimode extremizers.
 
 Core surfaces: exact symbol/contact algebra (symbols), position-side
-grids with the semiclassical transform (grids), sharp cutoffs and their
-synthesis (quasimode, families), the flattening conjugation (fio),
-wavelet diagnostics (wavelets), oscillatory-integral checks (oscint),
-exponent formulas and slope fits (analysis), and the config-driven
-experiment runner (experiments, cli).
+grids and their semiclassical duals (grids), sharp cutoffs, their
+synthesis and bar transforms (quasimode, families), the flattening
+conjugation (fio), wavelet diagnostics (wavelets), oscillatory-integral
+checks (oscint), exponent formulas and slope fits (analysis), and the
+config-driven experiment runner (experiments, cli).
 """
 
 from .analysis import (EXPONENTS, INF_P, contact_delta, exponent,

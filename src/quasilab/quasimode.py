@@ -14,20 +14,24 @@ sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
 it makes the normalized quasimode itself.  Its last fold makes the grid in
 blocks of whole x1 rows, which a consumer takes one at a time: no grid is
-ever built.
+ever built.  On position axes whose bar duals are the cutoff's bar grid the
+quasimode's bar transform is each column's x1 profile at that column's node
+and 0 elsewhere; column_transforms writes those profiles directly, so the
+stages that work on the bar-frequency side synthesize nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import AxisSpec, cell_volume, node_arrays
+from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
+                    node_arrays)
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -264,6 +268,52 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return num * np.exp(1j * (counts - 1) * half)
 
 
+def _aligned_x1(field: CutoffField, axes: Sequence[AxisSpec]) -> np.ndarray:
+    """The x1 nodes of axes, once axes are checked to be position axes whose
+    bar duals are the field's bar grid (fio.aligned_position_axes), on which
+    column_transforms is the quasimode's bar transform: DimensionMismatchError
+    or ValueError otherwise.  A grid over MAX_GRID_CELLS cells is refused
+    (GridBudgetError) first: it bounds the x1 nodes times the columns that
+    the callers take, in blocks, on the frequency side."""
+    _check_grid_cells([a.points for a in axes], "aligned position grid")
+    if len(axes) != field.dim:
+        raise DimensionMismatchError("axes dimension mismatch")
+    if [dual_axis(a, field.h) for a in axes[1:]] != field.axes[1:]:
+        raise ValueError("the position axes' bar duals are not the cutoff's "
+                         "bar grid (see fio.aligned_position_axes)")
+    return axes[0].nodes()
+
+
+def column_transforms(field: CutoffField, x1: np.ndarray
+                      ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The normalized quasimode's bar transform at the x1 nodes x1, block of
+    columns by block: (cols, u), u the (len(x1), columns) transform at the
+    bar nodes of the columns cols, column c being
+
+        u_c(x1) = dxi1 (2 pi h)^(-1/2) / ||chi||_2
+                  * exp(i x1 xi1_first,c / h) * D_count,c(x1 dxi1 / h),
+
+    D the run sum of _dirichlet.  On position axes whose bar duals are the
+    cutoff's bar grid (_aligned_x1) every column frequency is a dual node,
+    so this is the transform there, and it is 0 at every dual node that
+    holds no column: no position field is needed.  A block holds a quarter
+    working block of complex cells (grids.WORK_BLOCK_BYTES), or one column,
+    so that a caller's few temporaries per block stay within one working
+    block, below glibc's mmap threshold: blocks of a whole working block
+    each were mapped and faulted in afresh, block after block.
+    """
+    h, dxi1 = field.h, field.axes[0].spacing
+    first = field.xi1_first_node()
+    scale = dxi1 / math.sqrt(_TWO_PI * h) / field.l2_norm()
+    step = max(1, WORK_BLOCK_BYTES // (64 * max(1, len(x1))))
+    for c0 in range(0, len(first), step):
+        cols = slice(c0, c0 + step)
+        u = np.exp(1j * np.outer(x1, first[cols]) / h)
+        u *= _dirichlet(x1[:, None] * (dxi1 / h), field.col_count[cols])
+        u *= scale
+        yield cols, u
+
+
 def synthesize_at(field: CutoffField, targets) -> np.ndarray:
     """(2 pi h)^(-n/2) sum_cells exp(i<x,xi>/h) * cellvol / ||chi||_2, the
     normalized quasimode, at each target.
@@ -320,8 +370,7 @@ BlockConsumer = Callable[[slice, np.ndarray], None]
 
 
 def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
-                       consume: BlockConsumer,
-                       rows: range | None = None) -> None:
+                       consume: BlockConsumer) -> None:
     """The normalized quasimode on a product position grid (separable fast
     path).
 
@@ -354,13 +403,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     these are a division's bits).  Its bits depend only on the grid.  Each
     block goes to consume(slice(i0, i1), block) in increasing i0, and no
     grid is built; block is a view of one buffer that the next block
-    overwrites, so consume must not keep it.  rows, a range of x1 row
-    indices within the grid, limits the last fold to the blocks that meet
-    it (none when it is empty): the blocks keep their boundaries and the
-    others are skipped, so no block's bits move; for n >= 3 the earlier
-    folds still cover every x1 row.  A 2D field's run and phase tables are
-    built one block at a time, over that block's x1 nodes: their entries
-    are elementwise those of whole tables.  The streamed grid, every
+    overwrites, so consume must not keep it.  The streamed grid, every
     fold's result, the run tables and each exponential table are checked
     against MAX_GRID_CELLS before any of them is allocated, and each fold's
     input is released once the next fold is built.
@@ -370,11 +413,6 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     shape = tuple(a.points for a in axes)
     _check_grid_cells(shape, "streamed position grid")
     x1 = axes[0].nodes()
-    if rows is None:
-        rows = range(len(x1))
-    elif not 0 <= rows.start <= rows.stop <= len(x1) or rows.step != 1:
-        raise ValueError(f"row range {rows} is not a run of the grid's "
-                         f"{len(x1)} x1 rows")
     h = field.h
     ax0 = field.axes[0]
     # Columns by xin, ..., xi2: each fold's groups are runs of equal keys
@@ -394,24 +432,12 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     # leading key: one table row per distinct value of each.
     counts, count_of = np.unique(field.col_count[order], return_inverse=True)
     xi1_starts, start_of = np.unique(field.col_start[order], return_inverse=True)
-    # The last fold's x1 blocks.  A 2D field's tables cover one block's x1
-    # rows at a time; for n >= 3 the first fold needs every x1 row.
-    per_row = math.prod(shape[1:-1])   # last product's output rows per x1 row
-    step = max(1, _OUT_BLOCK // math.prod(shape[1:]))
-    blocks = range(rows.start - rows.start % step, rows.stop, step) if rows else rows
-    _check_grid_cells((len(counts) + len(xi1_starts),
-                       min(step, len(x1)) if len(folds) == 1 else len(x1)),
-                      "run tables")
+    _check_grid_cells((len(counts) + len(xi1_starts), len(x1)), "run tables")
     for axis, _, _, values, _ in folds:
         _check_grid_cells((len(values), axis.points), "exponential table")
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
-
-    def run_tables(t0, t1):
-        """The phase and run tables over the x1 rows [t0, t1)."""
-        return (np.exp(1j * np.outer(first, x1[t0:t1]) / h),
-                _dirichlet(x1[None, t0:t1] * (ax0.spacing / h), counts[:, None]))
-
-    tables = run_tables(0, len(x1)) if len(folds) > 1 else None
+    tables = (np.exp(1j * np.outer(first, x1) / h),
+              _dirichlet(x1[None, :] * (ax0.spacing / h), counts[:, None]))
     flat = None
 
     def rows_of(blk, cols=slice(None)):
@@ -436,15 +462,14 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     e = np.exp(1j * np.outer(values, axis.nodes()) / h)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     inv_norm = 1.0 / field.l2_norm()
+    # The last fold's x1 blocks: per_row output rows of it per x1 row.
+    per_row = math.prod(shape[1:-1])
+    step = max(1, _OUT_BLOCK // math.prod(shape[1:]))
     outs = np.empty((min(step, len(x1)) * per_row, axis.points), dtype=complex)
-    for i0 in blocks:
+    for i0 in range(0, len(x1), step):
         i1 = min(i0 + step, len(x1))
         cols = slice(i0 * per_row, i1 * per_row)
         out = outs[:cols.stop - cols.start]
-        if flat is None:
-            tables = None   # the last block's, freed before this block's
-            tables = run_tables(i0, i1)
-            cols = slice(None)
         _fold_into(out, lambda blk: rows_of(blk, cols), e, value_of,
                    0, len(value_of))
         out *= scale

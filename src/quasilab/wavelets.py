@@ -9,14 +9,15 @@ is zero: each tap reaches only the windows where it lands on a band row,
 and only the windows some tap reaches are formed, so the others are exact
 zeros, not small numbers.  A coefficient is a sum that starts at +0 and
 never turns -0, so the taps skipped off the band, which would add +-0,
-change no bit of it.  The decay table takes the field from the synthesis
-in blocks of x1 rows, keeps only the windowed band of rows where its x1
-window is nonzero, and never holds the whole grid.  The band is
-bar-transformed once, in place: the transform acts on the bar axes and the
-wavelet on x1, so the windows of the transformed band are the transformed
-windows.  Each scale forms its live windows one working block at a time
+change no bit of it.  The decay table works on the bar-frequency side: the
+bar transform acts on the bar axes and the wavelet on x1, so the windows of
+the transformed field are the transformed windows.  Its band is the
+quasimode's bar transform on the x1 rows where its x1 window is nonzero,
+read from the cutoff's columns (quasimode.column_transforms), one column
+of the band per column of the cutoff: no position field is synthesized.
+Each scale forms its live windows one working block at a time
 (grids.WORK_BLOCK_BYTES) and sums their power down the windows into one
-row, which each level weights by its psi_j.
+row, which each level weights by its psi_j at the columns' radii.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
-                    ft_axes, node_arrays)
-from .quasimode import CutoffField, _check_grid_cells, synthesize_on_axes
+from .grids import WORK_BLOCK_BYTES, AxisSpec, cell_volume
+from .quasimode import CutoffField, _aligned_x1, column_transforms
 
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 # decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
@@ -86,16 +85,16 @@ def make_mother_wavelet() -> MotherWavelet:
 
 def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec,
                   w: MotherWavelet, a: float):
-    """(b, wlo, whi, blocks) at the scale a, blocks yielding (i0, x), x the
-    coefficients of the windows [i0, i0 + len(x)), in increasing i0.
+    """(b, blocks) at the scale a, blocks yielding the coefficients of
+    consecutive windows, in increasing order.
 
-    band is the real (rows, 2 * prod(bar_shape)) view of x1 rows row0,
-    row0 + 1, ... of a field on the x1 axis ax; every row outside it is
-    zero.  The blocks tile [wlo, whi), the union of the window ranges of
-    the scale's live taps: the windows where some nonzero tap lands on a
-    band row.  Every window outside it gets no tap, so its coefficients are
-    +0 and are not formed.  A block is a view of one buffer that the next
-    block of its scale overwrites.
+    band is the real (rows, cols) view of x1 rows row0, row0 + 1, ... of a
+    field on the x1 axis ax; every row outside it is zero.  The blocks tile
+    one run of windows, the union of the window ranges of the scale's live
+    taps: the windows where some nonzero tap lands on a band row.  Every
+    window outside it gets no tap, so its coefficients are +0 and are not
+    formed.  A block is a view of one buffer that the next block of its
+    scale overwrites.
 
     X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
     b runs on a grid of step ~ a/8, snapped to the x1 grid so windows slide
@@ -157,9 +156,9 @@ def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec,
                         band[c0:c0 + (i1 - i0 - 1) * stride + 1:stride], f,
                         out=buf[:i1 - i0])
             x *= qstep
-            yield r0, x
+            yield x
 
-    return b, wlo, whi, blocks()
+    return b, blocks()
 
 
 # -- dyadic cutoffs ------------------------------------------------------------------
@@ -226,59 +225,42 @@ class DecayDiagnostic:
 
 def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
                    ) -> tuple[np.ndarray, int]:
-    """(band, row0): the quasimode of the cutoff source on axes times
-    decay_diagnostic's x1 window, on the x1 rows row0, row0 + 1, ... where
-    the window is nonzero, as the real (rows, 2 * prod(bar_shape)) view.
-
-    synthesize_on_axes hands the field over in blocks of whole x1 rows, only
-    those that meet the band (the others, whose rows the window zeroes, are
-    never synthesized), and only the band is allocated: each block's band
-    rows are multiplied by the window into it, block first, the operand
-    order of a whole-grid product.  A block's bits depend only on the grid,
-    so the skipped blocks move none.  A grid over the synthesis budget is
-    refused (GridBudgetError) before the window or the band is allocated.
+    """(band, row0): the bar transform of the quasimode of the cutoff source
+    on axes, aligned position axes, times decay_diagnostic's x1 window, on
+    the x1 rows row0, row0 + 1, ... where the window is nonzero, as the
+    real (rows, 2K) view of its K columns, filled block of columns by block
+    (quasimode.column_transforms).  Misaligned axes, and a grid over the budget, are refused
+    (quasimode._aligned_x1) before the window or the band is allocated.
     """
-    _check_grid_cells([a.points for a in axes], "streamed position grid")
-    ax = axes[0]
-    bar_shape = tuple(a.points for a in axes[1:])
-    window = _smooth_step(np.abs(ax.nodes()) / _LOCALIZE_HALFWIDTH).reshape(
-        (-1,) + (1,) * len(bar_shape))
+    x1 = _aligned_x1(source, axes)
+    window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
     rows = np.flatnonzero(window)
     row0, row1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-    band = np.empty((row1 - row0,) + bar_shape, dtype=complex)
-
-    def consume(block_rows: slice, block: np.ndarray) -> None:
-        lo, hi = max(block_rows.start, row0), min(block_rows.stop, row1)
-        if lo < hi:
-            np.multiply(block[lo - block_rows.start:hi - block_rows.start],
-                        window[lo:hi], out=band[lo - row0:hi - row0])
-
-    synthesize_on_axes(source, axes, consume, range(row0, row1))
-    return band.reshape(row1 - row0, math.prod(bar_shape)).view(float), row0
+    x1, window = x1[row0:row1], window[row0:row1, None]
+    band = np.empty((row1 - row0, len(source.col_count)), dtype=complex)
+    for cols, u in column_transforms(source, x1):
+        np.multiply(u, window, out=band[:, cols])
+    return band.view(float), row0
 
 
-def _level_sums(band: np.ndarray, row0: int, axes: Sequence[AxisSpec],
-                h: float, w: MotherWavelet, weights: Sequence[np.ndarray]):
+def _level_sums(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
+                weights: Sequence[np.ndarray]):
     """(b, sums) for each scale of _A_GRID in turn, of the windowed band
-    (row0, band) of _windowed_band on axes, which is bar-transformed in
-    place first: sums[j] is the np.sum of weights[j] (flat, in C order)
-    times the sum over every b of |X(a, b, .)|^2 of the transformed band.
+    (row0, band) of _windowed_band on the x1 axis ax: sums[j] is the np.sum
+    of weights[j] (one weight per column) times the sum over every b of
+    |X(a, b, .)|^2.
 
-    The transform acts on the bar axes and the wavelet on x1, so the
-    transformed band's windows are the transformed windows.  Each block of
-    live windows is squared in place on its real view, and the column sums
-    so far are folded into its first row before it is summed down its
-    windows: numpy sums a C-order block down axis 0 row after row, so this
-    is one axis-0 sum over every window, bit for bit, however the blocks
-    fall.  The windows no tap reaches would add +0, which changes no bit.
+    Each block of live windows is squared in place on its real view, and
+    the column sums so far are folded into its first row before it is
+    summed down its windows: numpy sums a C-order block down axis 0 row
+    after row, so this is one axis-0 sum over every window, bit for bit,
+    however the blocks fall.  The windows no tap reaches would add +0,
+    which changes no bit.
     """
-    coef = band.view(complex).reshape(
-        (len(band),) + tuple(a.points for a in axes[1:]))
-    ft_axes(coef, axes[1:], h, out=coef)
     for a in _A_GRID:
-        b, _, _, blocks = _scale_window(band, row0, axes[0], w, a)
+        b, blocks = _scale_window(band, row0, ax, w, a)
         power = np.zeros(band.shape[1])
-        for _, x in blocks:
+        for x in blocks:
             np.square(x, out=x)
             x[0] += power
             power = x.sum(axis=0)
@@ -290,9 +272,9 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
                      w: MotherWavelet, m_order: int, k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
 
-    v is the quasimode of the flat-model cutoff source on the position
-    grid axes (x1 = axis 0); the bar transform runs on the grid's dual
-    axes.  Reports the fitted a-slopes at j = 0 and the worst
+    v is the quasimode of the flat-model cutoff source on the aligned
+    position grid axes (x1 = axis 0), whose bar duals are the cutoff's bar
+    grid.  Reports the fitted a-slopes at j = 0 and the worst
     consecutive-j decay ratios for comparison against the
     2^(-j(k+1)M) * (|a|^(3/2) for a <= 1, 1 for a >= 1) envelope.
 
@@ -301,24 +283,21 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
     multiplied by a smooth window flat on |x1| <= _LOCALIZE_HALFWIDTH (zero
     past 1.5x).  The window commutes with hD_x1 up to an exact O(h) term, so
     the windowed field is still an order-h quasimode and the envelope
-    applies to it verbatim.  Only the x1 rows where the window is nonzero
-    are synthesized into an array (_windowed_band): the whole grid never is.
-    The band is bar-transformed once, and each scale sums the power of its
-    windows down b before weighting it by each psi_j (_level_sums).
+    applies to it verbatim.  The band holds only the x1 rows where the
+    window is nonzero, and only the cutoff's columns of the bar transform,
+    the dual nodes where it is not 0 (_windowed_band); each scale sums the
+    power of its windows down b before weighting it by each psi_j at the
+    columns' radii (_level_sums).
     """
-    if len(axes) < 2:
-        raise DimensionMismatchError("need at least one bar axis")
     h = source.h
     family = dyadic_cutoffs(h, k)
     a_vals = np.asarray(_A_GRID)
     band, row0 = _windowed_band(source, axes)
-    duals = [dual_axis(ax, h) for ax in axes[1:]]
-    radius = np.sqrt(sum(g * g for g in node_arrays(duals, len(duals))))
-    cellvol = cell_volume(duals)
-    weights = [family.psi(j, radius).ravel()
-               for j in range(family.levels + 1)]
+    radius = np.sqrt(sum(c * c for c in source.col_coords.T))
+    cellvol = cell_volume(source.axes[1:])
+    weights = [family.psi(j, radius) for j in range(family.levels + 1)]
     mass = []
-    for b, sums in _level_sums(band, row0, axes, h, w, weights):
+    for b, sums in _level_sums(band, row0, axes[0], w, weights):
         db = b[1] - b[0] if len(b) > 1 else axes[0].spacing
         mass.append([total * db * cellvol for total in sums])
     mass = np.sqrt(np.maximum(np.array(mass), 0.0))

@@ -4,13 +4,15 @@ No run calls these: no run holds a whole field (GridField), the synthesis
 hands its grid over block by block and never assembles it
 (synthesize_grid), the sweeps take their norms block by block
 (analysis.BlockNorms), the decay table transforms only live windows of
-its band (wavelets._scale_window), the flattening check takes its field
-block by block (fio.FlatteningCheck), no run takes a norm over a whole
-field (l2_norm), no run brings a multiplier back to the position side
-(apply_multiplier) and the cutoffs evaluate their symbols on whole grids
-(PolySymbol.eval_grid).  Each definition here is the whole-array,
-whole-field or exact form of one of them, or a step of the paper's
-argument that the tests check by hand.
+its band (wavelets._scale_window), no run FFTs a field: the flattening
+check and the decay table read the bar transform from the cutoff's
+columns (quasimode.column_transforms), which the h-scaled FFT of the
+synthesized field cross-checks (ft_axis, ft_axes), no run takes a norm
+over a whole field (l2_norm), no run brings a multiplier back to the
+position side (apply_multiplier) and the cutoffs evaluate their symbols
+on whole grids (PolySymbol.eval_grid).  Each definition here is the
+whole-array, whole-field or exact form of one of them, or a step of the
+paper's argument that the tests check by hand.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from numpy.polynomial.legendre import leggauss
 from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
-from quasilab.grids import (AxisSpec, cell_volume, dual_axis, ft_axes,
-                            node_arrays)
+from quasilab.grids import AxisSpec, cell_volume, dual_axis, node_arrays
 from quasilab.quasimode import CutoffField, synthesize_on_axes
 from quasilab.symbols import PolySymbol
 from quasilab.wavelets import _T_POINTS, bump_derivative
 
+_TWO_PI = 2.0 * np.pi
 _ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
 _GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
 
@@ -190,6 +192,72 @@ def reconstruct(a_grid, b_grids, values, dx: float, w,
     return out * (2.0 / admissibility()[0])
 
 
+# -- transforms ----------------------------------------------------------------------
+
+def _require_pow2(n: int) -> None:
+    if n & (n - 1):
+        raise ValueError(f"transform axes need a power-of-two point count, got {n}")
+
+
+def ft_axis(data: np.ndarray, axis_spec: AxisSpec, h: float, axis: int,
+            inverse: bool = False, out_axis: AxisSpec | None = None,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, AxisSpec]:
+    """h-scaled Fourier transform along one axis of an ndarray.
+
+    Forward maps a position axis onto its (centered) dual frequency axis;
+    inverse maps a frequency axis onto ``out_axis`` (default: centered dual).
+    The FFT carries explicit boundary phases so arbitrary axis offsets are
+    exact, and inverse(forward) cancels to rounding.  The result is the
+    phased input, transformed and rephased in place: one new array, or
+    ``out`` (complex, data's shape, and data itself allowed) when given.
+    """
+    n = axis_spec.points
+    _require_pow2(n)
+    dual = out_axis if out_axis is not None else dual_axis(axis_spec, h)
+    if dual.points != n:
+        raise DimensionMismatchError("dual axis point count mismatch")
+    shape = [1] * data.ndim
+    shape[axis] = n
+    ar = np.arange(n)
+    if not inverse:
+        x0 = axis_spec.start + 0.5 * axis_spec.spacing
+        pre = np.exp(-1j * (ar * axis_spec.spacing) * (dual.start + 0.5 * dual.spacing) / h)
+        post = np.exp(-1j * x0 * dual.nodes() / h) * (
+            axis_spec.spacing / np.sqrt(_TWO_PI * h))
+        out = np.multiply(data, pre.reshape(shape), out=out)
+        np.fft.fft(out, axis=axis, out=out)
+    else:
+        xi0 = axis_spec.start + 0.5 * axis_spec.spacing
+        x0 = dual.start + 0.5 * dual.spacing
+        pre = np.exp(1j * x0 * (ar * axis_spec.spacing) / h)
+        post = np.exp(1j * dual.nodes() * xi0 / h) * (
+            n * axis_spec.spacing / np.sqrt(_TWO_PI * h))
+        out = np.multiply(data, pre.reshape(shape), out=out)
+        np.fft.ifft(out, axis=axis, out=out)
+    out *= post.reshape(shape)
+    return out, dual
+
+
+def ft_axes(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
+            inverse: bool = False,
+            out_axes: Sequence[AxisSpec] | None = None,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, list[AxisSpec]]:
+    """ft_axis over the bar axes 1, 2, ... of data; returns the new axes.
+
+    Axis 0 is x1, whose rows are transformed independently; ``out_axes``
+    are the inverse's targets, one per transformed axis.  The first axis
+    goes into ``out`` as ft_axis's does, or into a new array, and every
+    later axis in place.
+    """
+    new_axes: list[AxisSpec] = []
+    for i, ax in enumerate(axes):
+        target = out_axes[i] if out_axes is not None else None
+        data, dual = ft_axis(data, ax, h, 1 + i, inverse, target, out)
+        out = data
+        new_axes.append(dual)
+    return data, new_axes
+
+
 # -- fields --------------------------------------------------------------------------
 
 @dataclass
@@ -236,7 +304,7 @@ def synthesize_grid(field: CutoffField,
 
 def l2_norm(u: GridField) -> float:
     """The quadrature L2 norm of a field on its whole grid, one np.sum over
-    |u|^2: the form whose bits fio.FlatteningCheck's streamed ||u|| keeps."""
+    |u|^2."""
     return float(np.sqrt(np.sum(np.abs(u.data) ** 2) * u.cell_volume))
 
 
@@ -252,7 +320,7 @@ def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
 
     The product is m * hat, in that order: numpy's vectorized complex
     product fuses a multiply-add, so its last bit depends on operand order.
-    fio.FlatteningCheck applies its multipliers on the transformed side
+    fio.flattening_reports applies its multipliers on the transformed side
     and takes its norms there, which this form cross-checks.
     """
     bar = data.shape[1:]
@@ -267,8 +335,8 @@ def apply_multiplier(data: np.ndarray, axes: Sequence[AxisSpec], h: float,
 
 def w_values(a1: PolySymbol, h: float, axes: Sequence[AxisSpec]) -> np.ndarray:
     """W = exp(-i*x1*a1(xi_bar)/h) at every x1 node of axes[0] and every
-    dual node of axes[1:], with fio.FlatteningCheck's ufuncs in its operand
-    order, so the same bits."""
+    dual node of axes[1:], with fio.flattening_reports's ufuncs in its
+    operand order."""
     x1, = node_arrays(axes[:1], len(axes))
     duals = [dual_axis(ax, h) for ax in axes[1:]]
     w = np.multiply(-1j * x1, a1.eval_grid(node_arrays(duals, len(duals))))
@@ -280,8 +348,8 @@ def transform_quasimode(a1: PolySymbol, u: GridField) -> GridField:
     """v(x1, .) = W(x1) u(x1, .) for a position field with x1 as axis 0.
 
     Vectorized over slices: one bar-side multiplier whose values vary down
-    axis 0.  transform_quasimode(-a1, v) inverts it.  fio.FlatteningCheck
-    forms the same v block by block.
+    axis 0.  transform_quasimode(-a1, v) inverts it.  fio.flattening_reports
+    forms the same v column by column on the frequency side.
     """
     if u.dim != a1.dim + 1:
         raise DimensionMismatchError(

@@ -19,7 +19,7 @@ from quasilab.cli import main
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                                   EXIT_VERDICT_FAIL)
 from quasilab.fio import aligned_position_axes, flattening_reports
-from quasilab.grids import AxisSpec, cell_volume, dual_axis, ft_axes
+from quasilab.grids import AxisSpec, cell_volume, dual_axis
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                              dyadic_radius, power_loss, quadratic_phase,
                              resonant_amplitude, resonant_radius,
@@ -30,8 +30,8 @@ from quasilab.symbols import (mixed_partials_check, contact_profile, graph_facto
                               parse_symbol, sample_directions)
 from quasilab.wavelets import decay_diagnostic
 
-from oracles import (GridField, l2_norm, plane_vs_bowl_graphs, synthesize_grid,
-                     transform_quasimode)
+from oracles import (GridField, ft_axes, l2_norm, plane_vs_bowl_graphs,
+                     synthesize_grid, transform_quasimode)
 
 F = Fraction
 

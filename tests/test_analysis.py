@@ -14,9 +14,9 @@ from quasilab.analysis import (INF_P, BlockNorms, PairwiseSum, contact_delta,
                                parse_p, shell_slices, sogge_delta,
                                submanifold_delta, transverse_delta)
 from quasilab.errors import TailDominanceError
-from quasilab.grids import AxisSpec, cell_volume, ft_axes
+from quasilab.grids import AxisSpec, cell_volume
 
-from oracles import lp_norm, shell_mask
+from oracles import ft_axes, lp_norm, shell_mask
 
 F = Fraction
 

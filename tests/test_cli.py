@@ -756,9 +756,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("name, old, new, error, match", [
         ("fio_n2_k1.cfg", "x1_half_width = 8", "x1_half_width = 2^14",
-         errors.GridBudgetError, "streamed position grid would hold"),
+         errors.GridBudgetError, "aligned position grid would hold"),
         ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 2^-15",
-         errors.GridBudgetError, "streamed position grid would hold"),
+         errors.GridBudgetError, "aligned position grid would hold"),
         ("sharp_largep_n2_k3.cfg", "joint_orders = 3",
          "joint_orders = 16777216", errors.GridBudgetError,
          "joint ratio matrix would hold"),
@@ -767,11 +767,10 @@ class TestValidation:
     ])
     def test_grid_budget_refused_before_allocation(self, tmp_path, name, old,
                                                    new, error, match):
-        # 2^28 and 2^25 position cells: the budget is checked before the
-        # flattening check's x1 nodes or the decay table's window and band,
-        # each sized by the grid's x1 rows, are allocated (64 MB and 197 MB
-        # traced otherwise).  The mother wavelet is cached first: it is not
-        # the grid's.  The joint check's (2^24 + 1)^2 ratio matrix and its
+        # 2^28 and 2^25 aligned position cells: the budget is checked before
+        # the flattening check's x1 nodes or the decay table's window and
+        # band, each sized by the grid's x1 rows, are allocated.  The mother
+        # wavelet is cached first: it is not the grid's.  The joint check's (2^24 + 1)^2 ratio matrix and its
         # power columns are checked before either is allocated (2 PiB).
         # The quadrature's least 33^5 nodes in d = 5 are refused before its
         # gradient probe builds a 33^5-node mesh (several GB).

@@ -7,16 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasilab import families, quasimode
+from quasilab import families
 from quasilab.errors import DimensionMismatchError
-from quasilab.fio import (FlatteningCheck, FlatteningReport,
-                          aligned_position_axes, flattening_reports, hd_x1)
-from quasilab.grids import (AxisSpec, cell_volume, dual_axis, ft_axes, ft_axis,
-                            node_arrays)
-from quasilab.quasimode import build_cutoff
+from quasilab.fio import (FlatteningReport, aligned_position_axes,
+                          flattening_reports, hd_x1)
+from quasilab.grids import AxisSpec, dual_axis, node_arrays
+from quasilab.quasimode import CutoffField, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import (GridField, apply_multiplier, eval_exact, l2_norm,
+from oracles import (GridField, apply_multiplier, eval_exact, ft_axis, l2_norm,
                      synthesize_grid, transform_quasimode, w_values)
 
 
@@ -28,16 +27,6 @@ def bar_values(q, u):
     """The symbol q on the bar duals of the field u."""
     duals = [dual_axis(ax, u.h) for ax in u.axes[1:]]
     return q.eval_grid(node_arrays(duals, len(duals)))
-
-
-def fed_reports(a1, u, orders, rows):
-    """FlatteningCheck's reports on the field u, fed in blocks of rows x1
-    rows (the last block holds the rest)."""
-    check = FlatteningCheck(a1, u.h, u.axes, orders)
-    for i0 in range(0, len(u.data), rows):
-        i1 = min(i0 + rows, len(u.data))
-        check.add(slice(i0, i1), u.data[i0:i1])
-    return check.reports()
 
 
 def _hd_x1_power(data, h, dx, order):
@@ -74,8 +63,9 @@ class TestW:
         assert np.abs(back.data - u.data).max() < 1e-12 * np.abs(u.data).max()
 
     @pytest.mark.parametrize("check", [
-        transform_quasimode, lambda a1, u: FlatteningCheck(a1, u.h, u.axes)],
-        ids=["transform_quasimode", "FlatteningCheck"])
+        transform_quasimode,
+        lambda a1, u: flattening_reports(a1, *_shipped_cutoff(2.0 ** -4))],
+        ids=["transform_quasimode", "flattening_reports"])
     def test_rejects_dimension_mismatch(self, check):
         with pytest.raises(DimensionMismatchError):
             check(_a1(3, 1), _random_field())
@@ -137,9 +127,9 @@ class TestTransformQuasimode:
         dv = hd_x1(transform_quasimode(a1, u).data, h, axes[0].spacing)
         assert np.abs(dv).max() < 1e-12
 
-    def test_quasimode_ratios(self, setup):
-        a1, u = setup
-        for rep in fed_reports(a1, u, (1, 2), 512):
+    def test_quasimode_ratios(self):
+        for rep in flattening_reports(_a1(), *_shipped_cutoff(2.0 ** -4),
+                                      (1, 2)):
             assert rep.ratio <= 1.0 + rep.slack
             if rep.order == 1:
                 assert rep.identity_residual <= rep.identity_bound
@@ -196,28 +186,6 @@ def _reports(orders, u, h, dx, amax, norm, v_diffs, resid):
             for m in orders]
 
 
-def _whole_grid_reports(a1, u, orders):
-    """flattening_reports on the whole grid at once, on the frequency side:
-    u_hat, the bar transform of u, W on every node, v_hat = W u_hat, its
-    differences, a1 u_hat and the intertwining right-hand side each one
-    whole-grid array, and each norm one np.sum over a whole array."""
-    h, dx = u.h, u.axes[0].spacing
-    u_hat, duals = ft_axes(u.data, u.axes[1:], h)
-    w = w_values(a1, h, u.axes)
-    a_bar = bar_values(a1, u)
-    v_hat = w * u_hat
-
-    def resid():
-        # np.multiply, not *: numpy would reuse the temporary on the right
-        # and multiply in the other operand order, which moves last bits.
-        rhs = np.multiply(w[1:-1], hd_x1(u_hat, h, dx) - a_bar * u_hat[1:-1])
-        return hd_x1(v_hat, h, dx) - rhs
-
-    return _reports(orders, u_hat, h, dx, float(np.abs(a_bar).max()),
-                    lambda data: _norm(data, dx * cell_volume(duals)),
-                    lambda m: _hd_x1_power(v_hat, h, dx, m), resid)
-
-
 def _position_side_reports(a1, u, orders):
     """The same reports with every multiplier brought back to the position
     side and every norm taken there: v = W u, a1(hD_bar) u and the
@@ -238,73 +206,46 @@ def _position_side_reports(a1, u, orders):
                     lambda m: _hd_x1_power(v, h, dx, m), resid)
 
 
-def _hex(reports):
-    return [(r.order, r.ratio.hex(), r.slack.hex(), r.identity_residual.hex(),
-             r.identity_bound.hex()) for r in reports]
-
-
-def _random_grid(rows, cols, seed):
-    """A random complex field of rows x1 rows of cols bar cells at h = 2^-5."""
+def _random_cutoff(rows, cols, seed):
+    """(cutoff, aligned axes): random xi1 runs over every node but the ends
+    of a cols-point bar grid at h = 2^-5, on rows x1 rows (no power of two
+    needed)."""
     rng = np.random.default_rng(seed)
-    return GridField(2.0 ** -5, [AxisSpec(0.0, 1.5, rows), AxisSpec(0.1, 2.0, cols)],
-                     rng.standard_normal((rows, cols))
-                     + 1j * rng.standard_normal((rows, cols)))
+    h = 2.0 ** -5
+    bar = AxisSpec(0.0, 2.0, cols)
+    dual = dual_axis(bar, h)
+    cut = CutoffField(h, [AxisSpec(0.0, 1.0, 64), dual],
+                      col_coords=dual.nodes()[1:-1, None],
+                      col_start=rng.integers(0, 32, cols - 2),
+                      col_count=rng.integers(1, 32, cols - 2))
+    return cut, [AxisSpec(0.0, 1.5, rows), bar]
 
 
-def _shipped_field(h):
-    """(cutoff, axes, field) of the fio_n2_k1 config at h."""
-    cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-    axes = aligned_position_axes(cut, 8.0, h / 8.0)
-    return cut, axes, synthesize_grid(cut, axes)
+def _shipped_cutoff(h, n=2, x1_half_width=8.0, per_h=8):
+    """(cutoff, aligned axes) of the fio_n2_k1 config at h, or of its n-dim
+    counterpart on x1_half_width and per_h x1 cells per h."""
+    cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+    return cut, aligned_position_axes(cut, x1_half_width, h / per_h)
 
 
 class TestBlockedReports:
-    ORDERS = [(1,), (2,), (1, 2), (3,)]
-
-    @pytest.mark.parametrize("orders", ORDERS, ids=str)
-    @pytest.mark.parametrize("block_rows", [1, 2, 5, 16, 37])
-    def test_blocks_match_whole_grid(self, orders, block_rows):
-        # 37 x1 rows: no block count divides them, and blocks of 1, 2 and 5
-        # rows are shorter than the 2 * max(orders) rows carried between
-        # blocks, so a block may finish no interior row at all; 37 feeds
-        # the whole grid as one block.
-        u = _random_grid(37, 16, seed=5)
-        want = _hex(_whole_grid_reports(_a1(), u, orders))
-        assert _hex(fed_reports(_a1(), u, orders, block_rows)) == want
-
-    @pytest.mark.parametrize("orders", ORDERS, ids=str)
-    def test_whole_grid_block_steps_match_whole_grid(self, orders):
-        # 600 x1 rows of 64 cells fed as one block, which the check takes
-        # in steps of 256 rows: 256, 256 and 88.
-        u = _random_grid(600, 64, seed=7)
-        assert FlatteningCheck(_a1(), u.h, u.axes, orders).step == 256
-        want = _hex(_whole_grid_reports(_a1(), u, orders))
-        assert _hex(fed_reports(_a1(), u, orders, 600)) == want
-
-    @pytest.mark.parametrize("orders", ORDERS, ids=str)
-    def test_shipped_blocks_match_whole_grid(self, orders):
-        # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), as
-        # synthesize_on_axes hands it over: four blocks of 512 rows.
-        cut, axes, u = _shipped_field(2.0 ** -4)
-        assert u.data.shape == (2048, 64)
-        assert quasimode._OUT_BLOCK // u.data.shape[1] == 512
-        want = _hex(_whole_grid_reports(_a1(), u, orders))
-        assert _hex(flattening_reports(_a1(), cut, axes, orders)) == want
-
     @pytest.mark.parametrize("orders", [(1, 2), (3,)], ids=str)
     @pytest.mark.parametrize("field", [
-        lambda: _random_grid(37, 16, seed=5),
-        lambda: _random_grid(600, 64, seed=7),
-        lambda: _shipped_field(2.0 ** -4)[2],
-        lambda: _shipped_field(2.0 ** -5)[2]],
-        ids=["37x16", "600x64", "fio-h=2^-4", "fio-h=2^-5"])
+        lambda: _random_cutoff(37, 16, seed=5),
+        lambda: _random_cutoff(600, 64, seed=7),
+        lambda: _shipped_cutoff(2.0 ** -4),
+        lambda: _shipped_cutoff(2.0 ** -5),
+        lambda: _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)],
+        ids=["37x16", "600x64", "fio-h=2^-4", "fio-h=2^-5", "fio-n3-h=2^-3"])
     def test_frequency_side_matches_position_side(self, field, orders):
-        # Parseval: the norms taken on the frequency side are the
+        # Parseval: the norms taken on the columns' frequency side are the
         # position-side norms of v = W u and of the intertwining residual,
-        # whose multipliers are each transformed and inverted, to rounding.
-        u = field()
-        got = fed_reports(_a1(), u, orders, 512)
-        want = _position_side_reports(_a1(), u, orders)
+        # whose multipliers are each transformed and inverted, on the
+        # synthesized field, to rounding.
+        cut, axes = field()
+        a1 = _a1(cut.dim)
+        got = flattening_reports(a1, cut, axes, orders)
+        want = _position_side_reports(a1, synthesize_grid(cut, axes), orders)
         for g, r in zip(got, want):
             assert g.ratio == pytest.approx(r.ratio, rel=1e-12, abs=0)
             assert g.slack == r.slack
@@ -315,29 +256,16 @@ class TestBlockedReports:
 
     def test_rejects_orders_the_grid_cannot_carry(self):
         # 2M < n1 leaves an interior row; at 2M >= n1 none is left.
-        u = GridField(2.0 ** -5, [AxisSpec(0.0, 1.0, 8), AxisSpec(0.0, 1.0, 16)],
-                      np.ones((8, 16), dtype=complex))
-        assert len(fed_reports(_a1(), u, (1, 3), 3)) == 2
+        cut, axes = _random_cutoff(8, 16, seed=5)
+        assert len(flattening_reports(_a1(), cut, axes, (1, 3))) == 2
         with pytest.raises(ValueError, match="8"):
-            FlatteningCheck(_a1(), u.h, u.axes, (1, 4))
-
-    def test_blocks_must_tile_the_grid(self):
-        u = _random_field()
-        check = FlatteningCheck(_a1(), u.h, u.axes, (1,))
-        with pytest.raises(ValueError, match="tile"):
-            check.add(slice(1, 2), u.data[1:2])
-        check.add(slice(0, 1), u.data[0:1])
-        with pytest.raises(ValueError, match="tile"):
-            check.add(slice(1, 2), u.data[1:2, :-1])
-        with pytest.raises(ValueError, match="tile"):
-            check.reports()
+            flattening_reports(_a1(), cut, axes, (1, 4))
 
 
 class TestStreamedMemory:
-    """The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64), fed to the
-    check by synthesize_on_axes: neither the field nor any |.|^2 array over
-    the grid is held, only one synthesis block, its tables and one block's
-    temporaries."""
+    """The fio_n2_k1 config's finer field (h = 2^-5, 4096 x 64), checked
+    column block by column block: neither the field nor any |.|^2 array
+    over the grid is held, only one block's x1 profiles and temporaries."""
 
     @staticmethod
     def peak(x1_half_width):
@@ -355,30 +283,10 @@ class TestStreamedMemory:
         return peak, 16 * axes[0].points * axes[1].points
 
     def test_memory_bounded(self):
-        # At most 0.9 copies of the grid, synthesis included (about 0.82
-        # measured).
+        # At most 0.9 copies of the grid (about 0.18 measured).
         peak, grid = self.peak(8.0)
         assert grid == 16 * 4096 * 64
         assert peak <= 0.9 * grid
-
-    def test_work_arrays_do_not_follow_the_producer(self):
-        # The whole grid fed as one block peaks within a tenth of a copy
-        # of the same check fed the synthesis's 512-row blocks: the check
-        # takes any block in steps of one working block, so its work
-        # arrays are sized by that and not by the block.
-        h = 2.0 ** -5
-        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        u = synthesize_grid(cut, aligned_position_axes(cut, 8.0, h / 8.0))
-        assert u.data.shape == (4096, 64)
-        peaks = []
-        for rows in (4096, 512):
-            tracemalloc.start()
-            try:
-                fed_reports(_a1(), u, (1, 2), rows)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] - peaks[1] <= 0.1 * u.data.nbytes
 
     def test_no_grid_sized_array(self):
         # Twice the x1 rows at the same h and bar grid: a whole field, or a

@@ -137,6 +137,46 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 1 << 19
 
+    def test_gradient_probe_memory_bounded(self):
+        # d = 4 at h = 2^-6 needs 459 nodes per axis, over the budget in
+        # all; the refusal comes after the gradient probe, whose 33^4-node
+        # mesh is probed in slabs of at most _SLAB_POINTS nodes (151.8 MB
+        # traced for the whole mesh and its shifted copies).
+        integrand = OscIntegrand(quadratic_phase(1.0, 4), bump_amplitude(1.0),
+                                 4, ((-1.5, 1.5),) * 4, unit_loss, unbounded)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match="459 points per axis"):
+                evaluate(integrand, 2.0 ** -6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    # One slab of the whole mesh at the shipped _SLAB_POINTS, and slabs of
+    # 5 first-axis indices (the last one partial) at 5 * 33^(d-1).
+    @pytest.mark.parametrize("slab", [None, 5], ids=["shipped", "5-rows"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gradient_probe_matches_whole_mesh(self, d, slab, monkeypatch):
+        def phase(pts):
+            pts = np.asarray(pts, float)
+            return np.sin(3.0 * pts[..., 0]) + np.sum(pts, axis=-1) ** 3
+
+        box = tuple((-1.5 + 0.1 * k, 1.0 + 0.2 * k) for k in range(d))
+        n = oscint._GRAD_PROBE
+        mesh = np.stack(np.meshgrid(*[np.linspace(lo, hi, n) for lo, hi in box],
+                                    indexing="ij"), axis=-1)
+        eps = min(hi - lo for lo, hi in box) * 1e-5
+        want = 0.0
+        for k in range(d):
+            shift = np.zeros(d)
+            shift[k] = eps
+            g = (phase(mesh + shift) - phase(mesh - shift)) / (2 * eps)
+            want = max(want, float(np.abs(g).max()))
+        if slab is not None:
+            monkeypatch.setattr(oscint, "_SLAB_POINTS", slab * n ** (d - 1))
+        assert oscint._grad_max(phase, box, d).hex() == want.hex()
+
     def test_error_estimate_reported(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
                                  1, ((-1, 1),), unit_loss, unbounded)

@@ -18,14 +18,14 @@ from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError, GridBudgetError)
 from quasilab.fio import aligned_position_axes
-from quasilab.grids import AxisSpec, dual_axis, ft_axes, node_arrays
+from quasilab.grids import AxisSpec, dual_axis, node_arrays
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
-                                build_cutoff, synthesize_at, synthesize_on_axes,
-                                verify_joint_quasimode)
+                                build_cutoff, column_transforms, synthesize_at,
+                                synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import l2_norm, lp_norm, shell_mask, synthesize_grid
+from oracles import ft_axes, l2_norm, lp_norm, shell_mask, synthesize_grid
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -535,14 +535,7 @@ class TestProductSynthesis:
          lambda cut: oscillation_axes([cut.extent(i) for i in range(3)],
                                       cut.h, 4, 8),
          (64, 64, 64), 4e6),
-        # The decay table's field, whose 8192 x 64 grid would be 8.4 MB: its
-        # run and phase tables are built per block of x1 rows (about 1.6 MB
-        # measured), where tables over every x1 row would add over 2 MB.
-        (lambda: build_cutoff(families.flat_cutoff(2, 3, pow2=True),
-                              2.0 ** -8),
-         lambda cut: aligned_position_axes(cut, 6, 2.0 ** -9),
-         (8192, 64), 8192 * 64 * 16 / 4),
-    ], ids=["3d", "2d"])
+    ], ids=["3d"])
     def test_memory_bounded(self, make_field, axes_of, points, bound):
         cut = make_field()
         axes = axes_of(cut)
@@ -590,50 +583,6 @@ class TestProductSynthesis:
         grid = np.concatenate([b for _, b in blocks])
         oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         assert np.abs(grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
-
-    # 23 x1 rows in blocks of 3 (2D), 13 in blocks of 2 (3D).  Each range
-    # is (start, stop) in units of the block step, from the grid's end when
-    # negative: one row inside a block, a run over three blocks, either end
-    # of the grid, an empty range in mid-block and the whole grid.
-    @pytest.mark.parametrize("make_field,points,out_block", [
-        (lambda: build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6), (23, 19),
-         3 * 19),
-        (lambda: build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5),
-         (13, 11, 9), 2 * 99 + 1),
-    ], ids=["2d", "3d"])
-    @pytest.mark.parametrize("where", [
-        "inside-block", "across-blocks", "first-row", "last-row", "empty",
-        "whole"])
-    def test_row_range_blocks_are_grid_rows(self, make_field, points,
-                                            out_block, where, monkeypatch):
-        monkeypatch.setattr(quasimode, "_OUT_BLOCK", out_block)
-        cut = make_field()
-        h = cut.h
-        axes = [AxisSpec(0.3 * hw, hw, n) for hw, n in zip(
-            (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
-        n1, step = points[0], out_block // math.prod(points[1:])
-        lo, hi = {"inside-block": (step + 1, step + 2),
-                  "across-blocks": (step - 1, 2 * step + 1),
-                  "first-row": (0, 1), "last-row": (n1 - 1, n1),
-                  "empty": (step + 1, step + 1), "whole": (0, n1)}[where]
-        blocks = []
-        synthesize_on_axes(cut, axes,
-                           lambda rows, b: blocks.append((rows, b.copy())),
-                           range(lo, hi))
-        assert [(r.start, r.stop) for r, _ in blocks] == [
-            (i, min(i + step, n1)) for i in range(0, n1, step)
-            if i < hi and lo < i + step and lo < hi]
-        whole = synthesize_grid(cut, axes).data
-        for rows, b in blocks:
-            assert b.tobytes() == whole[rows].tobytes()
-
-    @pytest.mark.parametrize("rows", [range(-1, 3), range(20, 24),
-                                      range(5, 3), range(0, 6, 2)])
-    def test_row_range_outside_grid_rejected(self, rows):
-        cut = build_cutoff(_fine_parabola_cutoff(), 2.0 ** -6)
-        axes = [AxisSpec(0.0, 1.0, 23), AxisSpec(0.0, 1.0, 19)]
-        with pytest.raises(ValueError, match="x1 rows"):
-            synthesize_on_axes(cut, axes, lambda rows, b: None, rows)
 
     def test_sweep_blocks_are_on_axes_slices(self):
         # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, each the
@@ -776,6 +725,54 @@ class TestProductSynthesis:
             digests.append(run.stdout.split())
         assert len(digests[0]) == 6
         assert digests[0] == digests[1]
+
+
+class TestColumnTransforms:
+    """The premise of the frequency-side stages: on aligned position axes
+    the h-scaled FFT of the synthesized field over the bar axes is each
+    column's x1 profile at that column's node and 0 at every other node."""
+
+    @pytest.mark.parametrize("case", ["fio-n2", "fio-n3", "wavelet-flat"])
+    def test_columns_are_the_bar_transform(self, case, request):
+        if case == "wavelet-flat":
+            # The shipped wavelet config's 8192 x 64 field.
+            cut, axes = request.getfixturevalue("flat_model")
+            u = request.getfixturevalue("flat_model_field")
+        else:
+            # The fio_n2_k1 config's finer field (4096 x 64), and an n = 3
+            # one on 64 x 64 x 64 with its 2,024 columns.
+            n, h, x1_half_width, dx = {
+                "fio-n2": (2, 2.0 ** -5, 8.0, 2.0 ** -8),
+                "fio-n3": (3, 2.0 ** -3, 2.0, 2.0 ** -4)}[case]
+            cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+            axes = aligned_position_axes(cut, x1_half_width, dx)
+            u = synthesize_grid(cut, axes)
+        hat, duals = ft_axes(u.data, axes[1:], cut.h)
+        assert duals == cut.axes[1:]
+        blocks = list(column_transforms(cut, axes[0].nodes()))
+        assert [cols.start for cols, _ in blocks] == list(range(
+            0, len(cut.col_count), blocks[0][1].shape[1]))
+        got = np.concatenate([u for _, u in blocks], axis=1)
+        nodes = (slice(None),) + tuple(
+            np.rint((cut.col_coords[:, d] - ax.start) / ax.spacing - 0.5)
+            .astype(int) for d, ax in enumerate(cut.axes[1:]))
+        peak = np.abs(got).max()
+        assert np.abs(hat[nodes] - got).max() <= 1e-13 * peak
+        hat[nodes] = 0.0
+        assert np.abs(hat).max() <= 1e-13 * peak
+
+    def test_misaligned_axes_rejected(self):
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True),
+                           2.0 ** -4)
+        axes = aligned_position_axes(cut, 8.0, 2.0 ** -7)
+        with pytest.raises(DimensionMismatchError):
+            quasimode._aligned_x1(cut, axes[:1])
+        bar = axes[1]
+        with pytest.raises(ValueError, match="bar grid"):
+            quasimode._aligned_x1(cut, [axes[0], AxisSpec(
+                bar.center, bar.half_width, 2 * bar.points)])
+        assert quasimode._aligned_x1(cut, axes).tobytes() == \
+            axes[0].nodes().tobytes()
 
 
 JOINT_CASES = [

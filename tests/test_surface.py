@@ -101,7 +101,6 @@ TRACED_LAYERS = {
     "quasimode.verify_joint_quasimode": "cells",
     "oscint.evaluate": "points",
     "fio.flattening_reports": None,
-    "grids.ft_axis": "points",
     "experiments.write_csv": "bytes",
 }
 

@@ -8,41 +8,56 @@ import numpy as np
 import pytest
 
 from quasilab import wavelets
-from quasilab.grids import AxisSpec, ft_axes
+from quasilab.grids import AxisSpec
+from quasilab.quasimode import column_transforms
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
                                _scale_window, _smooth_step, _windowed_band,
                                bump, bump_derivative, decay_diagnostic,
                                dyadic_cutoffs)
 
-from oracles import GridField, admissibility, l2_norm, padded_gather_cwt
+from oracles import (GridField, admissibility, ft_axes, l2_norm,
+                     padded_gather_cwt)
 
 
-def every_window(b, wlo, whi, blocks, cols):
-    """One scale of _scale_window as the real (len(b), cols) coefficients
-    at every b: its blocks, which must tile [wlo, whi) in order, copied
-    in, and +0 at the windows it does not form."""
-    out = np.zeros((len(b), cols))
-    row = wlo
-    for i0, x in blocks:
-        assert i0 == row
-        out[i0:i0 + len(x)] = x
-        row += len(x)
-    assert row == whi
+def real_rows(data):
+    """A field's samples as real (n1, 2 * prod(bar_shape)), the layout of
+    the decay table's band."""
+    return np.ascontiguousarray(data, dtype=complex).reshape(
+        len(data), -1).view(float)
+
+
+def window_run(blocks, cols):
+    """One scale of _scale_window's blocks copied out in order: the real
+    (windows, cols) coefficients of its run of live windows."""
+    return np.concatenate([np.empty((0, cols))] + [x.copy() for x in blocks])
+
+
+def every_window(blocks, want):
+    """One scale of _scale_window's blocks as the real coefficients at every
+    translate of want, the oracle's, of the same shape: the blocks' run of
+    windows, placed where the zero rows put it (its first nonzero row on
+    the oracle's; at 0 when either is all zero), and +0 at every other
+    window."""
+    run = window_run(blocks, want.shape[1])
+    first = [np.flatnonzero(x.any(axis=1)) for x in (want, run)]
+    start = first[0][0] - first[1][0] if all(map(len, first)) else 0
+    assert 0 <= start <= len(want) - len(run)
+    out = np.zeros_like(want)
+    out[start:start + len(run)] = run
     return out
 
 
 def whole_field_cwt(v, w, a_grid):
     """(b_grids, values): _scale_window on the whole field v, per scale
-    the translates b and the coefficients at every b, those of the windows
-    it does not form padded with +0, in v's bar shape."""
+    the translates b and the coefficients at every b (every_window, placed
+    by the padded-gather oracle's zero rows), in v's bar shape."""
     bar_shape = v.data.shape[1:]
-    # The field as real (n1, 2 * prod(bar_shape)), as the decay table's band.
-    flat = np.ascontiguousarray(v.data, dtype=complex).reshape(
-        v.axes[0].points, -1).view(float)
+    flat = real_rows(v.data)
     b_grids, values = [], []
     for a in a_grid:
-        b, *blocks = _scale_window(flat, 0, v.axes[0], w, a)
-        out = every_window(b, *blocks, flat.shape[1])
+        b, blocks = _scale_window(flat, 0, v.axes[0], w, a)
+        want = real_rows(padded_gather_cwt(v, w, a)[1])
+        out = every_window(blocks, want)
         values.append(out.view(complex).reshape((len(b),) + bar_shape))
         b_grids.append(b)
     return b_grids, values
@@ -169,12 +184,12 @@ class TestCwt:
         a_grid = [2.0 ** -5, 0.25, 4.0, 16.0]
         want_bs, wants = whole_field_cwt(GridField(2.0 ** -4, axes, data),
                                          mother_wavelet, a_grid)
-        flat = band.reshape(rows, -1).view(float)
+        flat = real_rows(band)
         for a, want_b, want in zip(a_grid, want_bs, wants):
-            b, *blocks = _scale_window(flat, row0, ax, mother_wavelet, a)
+            b, blocks = _scale_window(flat, row0, ax, mother_wavelet, a)
             assert b.tobytes() == want_b.tobytes()
-            got = every_window(b, *blocks, flat.shape[1])
-            assert got.tobytes() == want.reshape(len(b), -1).view(float).tobytes()
+            want = real_rows(want)
+            assert every_window(blocks, want).tobytes() == want.tobytes()
 
     def test_memory_bounded(self, mother_wavelet, flat_model_field):
         # The transform of the flat model's whole 8192 x 64 grid at every
@@ -182,13 +197,13 @@ class TestCwt:
         # coefficients at a time: the run peaks at about 0.08 grids
         # measured.
         v = flat_model_field
-        flat = v.data.reshape(v.axes[0].points, -1).view(float)
+        flat = real_rows(v.data)
         tracemalloc.start()
         try:
             for a in _A_GRID:
-                b, _, _, blocks = _scale_window(flat, 0, v.axes[0],
-                                                mother_wavelet, a)
-                for _, x in blocks:
+                b, blocks = _scale_window(flat, 0, v.axes[0], mother_wavelet,
+                                          a)
+                for x in blocks:
                     del x
                 del b, blocks
             peak = tracemalloc.get_traced_memory()[1]
@@ -244,12 +259,11 @@ class TestDyadicCutoffs:
 
 class TestDecayDiagnostic:
     def test_memory_bounded(self, mother_wavelet, flat_model, flat_model_field):
-        # The field is synthesized in row blocks into the windowed band
-        # alone, one block of one scale's live coefficients at a time is
-        # transformed in place, and the power and weighted-power buffers
-        # hold one working block each: the whole run, synthesis included,
-        # stays within 0.65 copies of the 8192 x 64 grid (about 0.58
-        # measured).
+        # The band holds the window's x1 rows of the cutoff's columns alone,
+        # filled one working block of columns at a time, and one block of
+        # one scale's live coefficients is squared in place at a time: the
+        # whole run stays within 0.65 copies of the 8192 x 64 grid (about
+        # 0.41 measured).
         tracemalloc.start()
         try:
             decay_diagnostic(*flat_model, mother_wavelet, 1, 3)
@@ -261,8 +275,8 @@ class TestDecayDiagnostic:
     def test_grid_never_allocated(self, flat_model, flat_model_field):
         # The band of rows where the window is nonzero (37.5 % of the grid)
         # is allocated first and lives throughout, so a whole-grid array
-        # would lift the peak a full grid above it; the synthesis tables and
-        # row blocks stay well below that (about 0.20 grid measured).
+        # would lift the peak a full grid above it; one block of columns'
+        # temporaries stays well below that.
         tracemalloc.start()
         try:
             band, _ = _windowed_band(*flat_model)
@@ -273,37 +287,19 @@ class TestDecayDiagnostic:
         assert band.nbytes < 0.4 * grid
         assert peak - band.nbytes <= 0.75 * grid
 
-    def test_band_synthesizes_only_its_blocks(self, flat_model, monkeypatch):
-        # The window keeps 3,072 of the 8,192 x1 rows: only the blocks of
-        # 512 rows that meet them are synthesized.
+    def test_band_is_windowed_columns(self, flat_model):
+        # Block of columns by block, the band is the columns' x1 profiles on
+        # the window's rows times the window, bit for bit.
         cut, axes = flat_model
-        seen = []
-        synthesize = wavelets.synthesize_on_axes
-
-        def recording(field, axes, consume, rows):
-            def record(block_rows, block):
-                seen.append((block_rows.start, block_rows.stop))
-                consume(block_rows, block)
-            return synthesize(field, axes, record, rows)
-
-        monkeypatch.setattr(wavelets, "synthesize_on_axes", recording)
         band, row0 = _windowed_band(cut, axes)
-        row1 = row0 + len(band)
-        assert seen[0][0] <= row0 < seen[0][1] and seen[-1][0] < row1 <= seen[-1][1]
-        assert all(a < row1 and row0 < b for a, b in seen)
-        assert len(seen) < 0.4 * axes[0].points / (seen[0][1] - seen[0][0])
-
-    def test_band_is_windowed_field(self, flat_model, flat_model_field):
-        # Block by block, the band is the whole field's band rows times the
-        # window, bit for bit.
-        f = flat_model_field
-        band, row0 = _windowed_band(*flat_model)
-        window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
+        x1 = axes[0].nodes()
+        window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
         row1 = row0 + len(band)
         assert window[row0 - 1] == 0.0 and window[row1] == 0.0
         assert window[row0:row1].all()
-        want = f.data[row0:row1] * window[row0:row1, None]
-        assert band.tobytes() == want.tobytes()
+        want = np.concatenate([u for _, u in column_transforms(
+            cut, x1[row0:row1])], axis=1) * window[row0:row1, None]
+        assert band.tobytes() == want.view(float).tobytes()
 
     # The smallest and the largest of the default scales, and a scale below
     # the x1 spacing, whose taps all land off the profile's support, so that
@@ -318,45 +314,54 @@ class TestDecayDiagnostic:
                                               monkeypatch):
         # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
         # coefficient rows are exact zeros and are not formed.
+        cut, axes = flat_model
         f = flat_model_field
-        window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
-        v = GridField(f.h, list(f.axes), f.data * window[:, None])
-        band, row0 = _windowed_band(*flat_model)
+        band, row0 = _windowed_band(cut, axes)
         if work is not None:
             monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
         monkeypatch.setattr(wavelets, "_A_GRID", (a,))
+        cols = band.shape[1] // 2
         rng = np.random.default_rng(31)
-        weights = [rng.random(64), np.zeros(64), rng.random(64)]
-        weights[2][5:40] = 0.0
-        (got_b, sums), = _level_sums(band, row0, f.axes, f.h, mother_wavelet,
+        weights = [rng.random(cols), np.zeros(cols), rng.random(cols)]
+        weights[2][5:30] = 0.0
+        (got_b, sums), = _level_sums(band, row0, axes[0], mother_wavelet,
                                      weights)
-        # The whole-array form: the whole windowed field bar-transformed,
-        # its windows formed, and their squared real parts and imaginary
-        # parts summed in one axis-0 sum over every window.
-        v_hat = GridField(f.h, list(f.axes),
-                          ft_axes(v.data, v.axes[1:], v.h)[0])
-        (b,), (x_hat,) = whole_field_cwt(v_hat, mother_wavelet, [a])
+        # The whole-array form: the band's columns on every x1 row, zero off
+        # the band, their windows formed, and their squared real parts and
+        # imaginary parts summed in one axis-0 sum over every window.
+        hat = np.zeros((axes[0].points, 2 * cols))
+        hat[row0:row0 + len(band)] = band
+        b, blocks = _scale_window(hat, 0, axes[0], mother_wavelet, a)
+        x_hat = window_run(blocks, 2 * cols)
         assert got_b.tobytes() == b.tobytes()
-        power = np.square(x_hat.view(float).reshape(len(b), -1)).sum(axis=0)
+        power = np.square(x_hat).sum(axis=0)
         power = power[0::2] + power[1::2]
         want = [float(np.sum(weight * power)) for weight in weights]
         assert [s.hex() for s in sums] == [s.hex() for s in want]
-        # The position-side form, the windows bar-transformed one by one,
+        # The position-side form, the windows of the synthesized windowed
+        # field bar-transformed one by one and read at the columns' nodes,
         # agrees to rounding.
-        (_,), (x,) = whole_field_cwt(v, mother_wavelet, [a])
-        power = np.abs(ft_axes(x, v.axes[1:], v.h)[0]) ** 2
+        window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
+        _, blocks = _scale_window(real_rows(f.data * window[:, None]), 0,
+                                  axes[0], mother_wavelet, a)
+        x = window_run(blocks, 2 * f.data.shape[1]).view(complex)
+        power = np.sum(np.abs(ft_axes(x, axes[1:], f.h)[0]) ** 2, axis=0)
+        nodes = np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
+                        / cut.axes[1].spacing - 0.5).astype(int)
         for got, weight in zip(sums, weights):
-            assert got == pytest.approx(float(np.sum(weight * power)),
+            assert got == pytest.approx(float(np.sum(weight * power[nodes])),
                                         rel=1e-12, abs=0)
-        _, wlo, whi, _ = _scale_window(band, row0, f.axes[0], mother_wavelet,
-                                       a)
-        zero_rows = ~x.reshape(len(x), -1).any(axis=1)
-        if a < f.axes[0].spacing:
+        # The band's run of live windows, from the zero rows: windows that
+        # reach only rows off the band are +0, and are not formed.
+        run = window_run(_scale_window(band, row0, axes[0], mother_wavelet,
+                                       a)[1], 2 * cols)
+        live = np.flatnonzero(x_hat.any(axis=1))
+        if a < axes[0].spacing:
             # No live window: every level's sum is +0, as the oracle's.
-            assert wlo == whi and zero_rows.all()
+            assert len(run) == 0 and len(live) == 0
             assert [s.hex() for s in sums] == ["0x0.0p+0"] * len(weights)
         else:
-            assert zero_rows[0] and zero_rows[-1] and 0 < whi - wlo < len(b)
+            assert live[-1] - live[0] < len(run) <= len(x_hat) < len(b)
             assert all(s > 0 for s in sums[::2])
 
 
