@@ -229,8 +229,9 @@ def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
     on axes, aligned position axes, times decay_diagnostic's x1 window, on
     the x1 rows row0, row0 + 1, ... where the window is nonzero, as the
     real (rows, 2K) view of its K columns, filled block of columns by block
-    (quasimode.column_transforms).  Misaligned axes, and a grid over the budget, are refused
-    (quasimode._aligned_x1) before the window or the band is allocated.
+    (quasimode.column_transforms).  Misaligned axes, and a grid over the
+    budget, are refused (quasimode._aligned_x1) before the window or the
+    band is allocated.
     """
     x1 = _aligned_x1(source, axes)
     window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)

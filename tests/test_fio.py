@@ -7,16 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasilab import families
+from quasilab import families, fio, quasimode
 from quasilab.errors import DimensionMismatchError
 from quasilab.fio import (FlatteningReport, aligned_position_axes,
                           flattening_reports, hd_x1)
-from quasilab.grids import AxisSpec, dual_axis, node_arrays
+from quasilab.grids import AxisSpec, cell_volume, dual_axis, node_arrays
 from quasilab.quasimode import CutoffField, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import (GridField, apply_multiplier, eval_exact, ft_axis, l2_norm,
-                     synthesize_grid, transform_quasimode, w_values)
+from oracles import (GridField, apply_multiplier, eval_exact, ft_axes, ft_axis,
+                     l2_norm, synthesize_grid, transform_quasimode, w_values)
 
 
 def _a1(n=2, k=1):
@@ -186,6 +186,27 @@ def _reports(orders, u, h, dx, amax, norm, v_diffs, resid):
             for m in orders]
 
 
+def _whole_grid_reports(a1, u, orders):
+    """The same reports on the whole grid at once, on the frequency side:
+    u_hat, the FFT over the bar axes of the synthesized field u, W on every
+    node, v_hat = W u_hat, its differences, a1 u_hat and the intertwining
+    right-hand side each one whole-grid array, and each norm one np.sum
+    over a whole array."""
+    h, dx = u.h, u.axes[0].spacing
+    u_hat, duals = ft_axes(u.data, u.axes[1:], h)
+    w = w_values(a1, h, u.axes)
+    a_bar = bar_values(a1, u)
+    v_hat = w * u_hat
+
+    def resid():
+        rhs = np.multiply(w[1:-1], hd_x1(u_hat, h, dx) - a_bar * u_hat[1:-1])
+        return hd_x1(v_hat, h, dx) - rhs
+
+    return _reports(orders, u_hat, h, dx, float(np.abs(a_bar).max()),
+                    lambda data: _norm(data, dx * cell_volume(duals)),
+                    lambda m: _hd_x1_power(v_hat, h, dx, m), resid)
+
+
 def _position_side_reports(a1, u, orders):
     """The same reports with every multiplier brought back to the position
     side and every norm taken there: v = W u, a1(hD_bar) u and the
@@ -228,7 +249,95 @@ def _shipped_cutoff(h, n=2, x1_half_width=8.0, per_h=8):
     return cut, aligned_position_axes(cut, x1_half_width, h / per_h)
 
 
+def _assert_reports_match(got, want):
+    """got agrees with the reports want to rounding."""
+    assert [g.order for g in got] == [r.order for r in want]
+    for g, r in zip(got, want):
+        assert g.ratio == pytest.approx(r.ratio, rel=1e-12, abs=0)
+        assert g.slack == r.slack
+        if g.order == 1:
+            assert g.identity_bound == pytest.approx(
+                r.identity_bound, rel=1e-12, abs=0)
+            assert abs(g.identity_residual - r.identity_residual) <= 1e-15
+
+
+def _recorded_blocks(monkeypatch):
+    """The (start, stop) of every block of columns flattening_reports reads,
+    in the order it reads them."""
+    seen = []
+    blocks = fio.column_transforms
+
+    def recording(field, x1):
+        for cols, u in blocks(field, x1):
+            seen.append((cols.start, cols.start + u.shape[1]))
+            yield cols, u
+
+    monkeypatch.setattr(fio, "column_transforms", recording)
+    return seen
+
+
+def _tiles(step, count):
+    """Blocks of step columns over count columns, the last holding the rest."""
+    return [(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 class TestBlockedReports:
+    ORDERS = [(1,), (2,), (1, 2), (3,)]
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    @pytest.mark.parametrize("block_cols", [1, 2, 5, 16, 37])
+    def test_blocks_match_whole_grid(self, orders, block_cols, monkeypatch):
+        # 37 x1 rows of 14 columns, read in blocks of block_cols columns:
+        # 5 leaves a partial last block, and 16 and 37 read every column as
+        # one block.  Each agrees with the whole synthesized grid's
+        # frequency-side reports.
+        cut, axes = _random_cutoff(37, 16, seed=5)
+        want = _whole_grid_reports(_a1(), synthesize_grid(cut, axes), orders)
+        monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES", 64 * 37 * block_cols)
+        seen = _recorded_blocks(monkeypatch)
+        got = flattening_reports(_a1(), cut, axes, orders)
+        assert seen == _tiles(block_cols, 14)
+        _assert_reports_match(got, want)
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    def test_default_block_steps_match_whole_grid(self, orders, monkeypatch):
+        # 600 x1 rows of 62 columns at the default working block: a quarter
+        # of it holds 6 columns, so ten blocks of 6 and one of 2.
+        cut, axes = _random_cutoff(600, 64, seed=7)
+        seen = _recorded_blocks(monkeypatch)
+        got = flattening_reports(_a1(), cut, axes, orders)
+        assert seen == _tiles(6, 62)
+        _assert_reports_match(
+            got, _whole_grid_reports(_a1(), synthesize_grid(cut, axes), orders))
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    def test_shipped_blocks_match_whole_grid(self, orders, monkeypatch):
+        # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), its
+        # columns read two to a block.
+        cut, axes = _shipped_cutoff(2.0 ** -4)
+        assert [a.points for a in axes] == [2048, 64]
+        seen = _recorded_blocks(monkeypatch)
+        got = flattening_reports(_a1(), cut, axes, orders)
+        assert seen == _tiles(2, len(cut.col_count))
+        _assert_reports_match(
+            got, _whole_grid_reports(_a1(), synthesize_grid(cut, axes), orders))
+
+    def test_blocks_must_tile_the_grid(self, monkeypatch):
+        # Every column is read once, in order, in blocks of at most a
+        # quarter working block of complex cells; a working block too small
+        # for one column's x1 profile still reads one whole column.
+        cut, axes = _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)
+        rows, count = axes[0].points, len(cut.col_count)
+        seen = _recorded_blocks(monkeypatch)
+        flattening_reports(_a1(3), cut, axes, (1,))
+        step = seen[0][1] - seen[0][0]
+        assert 16 * rows * step <= quasimode.WORK_BLOCK_BYTES // 4
+        assert seen == _tiles(step, count) and len(seen) > 1
+        seen.clear()
+        monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES", 64 * rows - 1)
+        flattening_reports(_a1(3), cut, axes, (1,))
+        assert seen == _tiles(1, count)
+
     @pytest.mark.parametrize("orders", [(1, 2), (3,)], ids=str)
     @pytest.mark.parametrize("field", [
         lambda: _random_cutoff(37, 16, seed=5),
@@ -245,14 +354,8 @@ class TestBlockedReports:
         cut, axes = field()
         a1 = _a1(cut.dim)
         got = flattening_reports(a1, cut, axes, orders)
-        want = _position_side_reports(a1, synthesize_grid(cut, axes), orders)
-        for g, r in zip(got, want):
-            assert g.ratio == pytest.approx(r.ratio, rel=1e-12, abs=0)
-            assert g.slack == r.slack
-            if g.order == 1:
-                assert g.identity_bound == pytest.approx(
-                    r.identity_bound, rel=1e-12, abs=0)
-                assert abs(g.identity_residual - r.identity_residual) <= 1e-15
+        _assert_reports_match(
+            got, _position_side_reports(a1, synthesize_grid(cut, axes), orders))
 
     def test_rejects_orders_the_grid_cannot_carry(self):
         # 2M < n1 leaves an interior row; at 2M >= n1 none is left.
@@ -287,6 +390,16 @@ class TestStreamedMemory:
         peak, grid = self.peak(8.0)
         assert grid == 16 * 4096 * 64
         assert peak <= 0.9 * grid
+
+    def test_work_arrays_follow_the_block(self, monkeypatch):
+        # Blocks of 1, 4 and 16 of the 50 columns: the peak stays within
+        # 14 blocks' complex x1 profiles (11.7, 9.1 and 8.6 measured), so
+        # the check's work arrays are sized by its block of columns.
+        for cols in (1, 4, 16):
+            monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES",
+                                64 * 4096 * cols)
+            peak, _ = self.peak(8.0)
+            assert peak <= 14 * 16 * 4096 * cols
 
     def test_no_grid_sized_array(self):
         # Twice the x1 rows at the same h and bar grid: a whole field, or a

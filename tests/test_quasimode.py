@@ -761,6 +761,26 @@ class TestColumnTransforms:
         hat[nodes] = 0.0
         assert np.abs(hat).max() <= 1e-13 * peak
 
+    @pytest.mark.parametrize("rows", [
+        slice(0, 1), slice(-1, None), slice(1000, 1003), slice(100, 4000),
+        slice(7, 7), slice(None), slice(0, None, 3)],
+        ids=["first-row", "last-row", "inside", "most", "empty", "whole",
+             "every-third"])
+    def test_row_runs_are_rows_of_the_whole(self, rows):
+        # Any run of x1 nodes gives the whole axis's rows, bit for bit,
+        # though its blocks hold from one column (4,096 rows) to all 50.
+        cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True),
+                           2.0 ** -5)
+        x1 = aligned_position_axes(cut, 8.0, 2.0 ** -8)[0].nodes()
+
+        def profiles(x):
+            return np.concatenate(
+                [u for _, u in column_transforms(cut, x)], axis=1)
+
+        got, want = profiles(x1[rows]), profiles(x1)[rows]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_misaligned_axes_rejected(self):
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True),
                            2.0 ** -4)

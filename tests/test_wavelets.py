@@ -287,6 +287,44 @@ class TestDecayDiagnostic:
         assert band.nbytes < 0.4 * grid
         assert peak - band.nbytes <= 0.75 * grid
 
+    def test_band_transforms_only_its_rows(self, flat_model, monkeypatch):
+        # The window keeps 3,070 of the 8,192 x1 rows: the columns are
+        # evaluated on those rows alone, every column once, in order.
+        cut, axes = flat_model
+        calls, seen = [], []
+        blocks = wavelets.column_transforms
+
+        def recording(field, x1):
+            calls.append(x1.copy())
+            for cols, u in blocks(field, x1):
+                seen.append((cols.start, cols.start + u.shape[1]))
+                yield cols, u
+
+        monkeypatch.setattr(wavelets, "column_transforms", recording)
+        band, row0 = _windowed_band(cut, axes)
+        x1, = calls
+        assert len(band) == len(x1) == 3070 < 0.4 * axes[0].points
+        assert x1.tobytes() == axes[0].nodes()[row0:row0 + 3070].tobytes()
+        assert seen[0][0] == 0 and seen[-1][1] == len(cut.col_count)
+        assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+
+    def test_band_is_windowed_field(self, flat_model, flat_model_field):
+        # The band is the whole synthesized field's FFT over the bar axis,
+        # read at the columns' nodes on the band's rows, times the window,
+        # to rounding.
+        cut, axes = flat_model
+        f = flat_model_field
+        band, row0 = _windowed_band(cut, axes)
+        band = band.view(complex)
+        row1 = row0 + len(band)
+        hat, duals = ft_axes(f.data[row0:row1], f.axes[1:], f.h)
+        assert duals == cut.axes[1:]
+        nodes = np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
+                        / cut.axes[1].spacing - 0.5).astype(int)
+        window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
+        want = hat[:, nodes] * window[row0:row1, None]
+        assert np.abs(band - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_band_is_windowed_columns(self, flat_model):
         # Block of columns by block, the band is the columns' x1 profiles on
         # the window's rows times the window, bit for bit.
