@@ -1,7 +1,8 @@
 """Norm-growth exponent formulas, Lp quadrature norms, and slope fits.
 
 The sweeps' Lp norms are summed block by block (BlockNorms) as the synthesis
-makes the grid, with the boundary shells read as boxes (shell_slices).
+makes the grid, the block sums combined by halves as numpy's pairwise tree
+does, with the boundary shells read as boxes (shell_slices).
 
 Exponents are evaluated in exact rational arithmetic with p = infinity as a
 dedicated sentinel (internally everything is a function of 1/p, so the
@@ -203,76 +204,6 @@ class LpNorm:
     p: object
 
 
-_PW_LEAF = 128   # numpy's pairwise-sum leaf: at most this many values
-
-
-class PairwiseSum:
-    """np.sum of a virtual float64 array of length n, bit for bit, from its
-    values fed in order: add(chunk) takes the next chunk.size values (in C
-    order), and total() the sum once all n are in.
-
-    numpy sums a float64 array by a fixed pairwise tree (Higham 1993): a
-    node of more than _PW_LEAF values splits at half its length rounded
-    down to a multiple of 8, and a leaf is summed with 8 accumulators.
-    Every complete node inside one chunk is summed by one np.sum over its
-    slice, which walks the same tree below it.  Node sums are combined
-    with their left siblings as soon as they complete, so the state is one
-    partial sum per level of the path to the next value, plus at most one
-    leaf, copied, whose values straddle two feeds.  np.sum starts from the
-    identity +0, so a node's sum may differ from numpy's inner one only in
-    the sign of a zero, which changes no nonzero sum, and total() adds the
-    same +0.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.pos = 0        # values fed so far
-        self.left = []      # sums of the complete left siblings on the path
-        self.leaf = np.empty(min(n, _PW_LEAF))
-
-    def add(self, chunk: np.ndarray) -> None:
-        values = np.ravel(chunk)
-        start, end = self.pos, self.pos + len(values)
-        if end > self.n:
-            raise ValueError(f"{end} values fed to a sum of {self.n}")
-        while self.pos < end:
-            lo, hi, rights = self._node(end)
-            at, off = self.pos - lo, self.pos - start
-            take = min(hi, end) - self.pos
-            if at == 0 and hi <= end:
-                value = float(np.sum(values[off:off + take]))
-            else:
-                # A leaf that is not all in this feed: collect its values.
-                self.leaf[at:at + take] = values[off:off + take]
-                if at + take < hi - lo:
-                    self.pos = end
-                    return
-                value = float(np.sum(self.leaf[:hi - lo]))
-            self.pos = hi
-            for _ in range(rights):
-                value = self.left.pop() + value
-            self.left.append(value)
-
-    def total(self) -> float:
-        if self.pos != self.n:
-            raise ValueError(f"{self.pos} of {self.n} values fed")
-        return 0.0 + (self.left[0] if self.left else 0.0)
-
-    def _node(self, end: int) -> tuple[int, int, int]:
-        """(lo, hi, rights) of the node numpy sums whole that starts at
-        self.pos and ends at or before end, or else of the leaf that holds
-        self.pos; rights counts the right-child steps that end its path."""
-        lo, hi, rights = 0, self.n, 0
-        while not (lo == self.pos and hi <= end) and hi - lo > _PW_LEAF:
-            mid = (hi - lo) // 2
-            mid = lo + mid - mid % 8
-            if self.pos < mid:
-                hi, rights = mid, 0
-            else:
-                lo, rights = mid, rights + 1
-        return lo, hi, rights
-
-
 class BlockNorms:
     """Weighted quadrature Lp norms of a grid u, for every p in ps at once,
     summed over blocks of whole first-axis rows as a producer hands them out,
@@ -287,16 +218,17 @@ class BlockNorms:
 
     add(rows, block) takes block = u[rows] for the next run rows of
     first-axis indices; the blocks must tile the grid in order.  Each block
-    gives, per p, its maximum of |u| (p = infinity) or its |u|^p * weight,
-    fed to one PairwiseSum per p, and the same maximum or sums over the
-    layer-0 and layer-1 shell_slices boxes cut to its rows, so no boolean
-    mask and no grid-sized array is built.  |u| is taken once a block, into
-    one buffer reused across blocks, and the powers into a second.  The
-    norms equal those of one numpy sum over the whole grid bit for bit,
-    however the blocks fall; the shell sums may round otherwise than one
-    sum over each shell.  norms() applies the tail rule in the order of ps,
-    and the first p it refuses raises TailDominanceError.  weight is the
-    scalar cell weight.
+    gives, per p, its maximum of |u| (p = infinity) or its np.sum of
+    |u|^p * weight, and the same over the layer-0 and layer-1 shell_slices
+    boxes cut to its rows, so no mask and no grid-sized array is built.
+    |u| is taken once a block, into one buffer reused across blocks, and
+    the powers into a second.  norms() adds the block sums by halves
+    (_halves).  synthesize_on_axes hands an oscillation_axes grid out as
+    one block or as 2^b equal blocks of 2^j >= 128 cells, each a node of
+    numpy's pairwise tree over the grid (Higham 1993), so the norms are one
+    np.sum's bits.  Other splits, and the shell sums, agree to rounding.
+    norms() applies the tail rule in the order of ps, and the first p it
+    refuses raises TailDominanceError.  weight is the scalar cell weight.
     """
 
     def __init__(self, shape: Sequence[int], weight: float, ps):
@@ -309,12 +241,9 @@ class BlockNorms:
                     for pp in map(parse_p, self.ps)]
         self.shells = (shell_slices(self.shape, 0), shell_slices(self.shape, 1))
         self.next_row = 0
-        # Per p: the block maxima or the grid's PairwiseSum, and the shell
-        # and inner-shell maximum (p = infinity, which polices the shell
-        # only) or sums.
-        cells = math.prod(self.shape)
-        self.totals = [[] if pf is None else PairwiseSum(cells)
-                       for pf in self.pfs]
+        # Per p: the block maxima or sums, and the shell and inner-shell
+        # maximum (p = infinity, which polices the shell only) or sums.
+        self.totals = [[] for _ in self.ps]
         self.shell_sums = [[0.0, 0.0] for _ in self.ps]
         self.mod = self.power = None
 
@@ -339,21 +268,25 @@ class BlockNorms:
                 continue
             np.power(mod, pf, out=power)
             power *= self.weight
-            total.add(power)
+            total.append(float(np.sum(power)))
             for j in (0, 1):
                 shell[j] += sum(float(power[b].sum()) for b in cut[j])
 
     def norms(self) -> list[LpNorm]:
         if self.next_row != self.shape[0]:
             raise ValueError("blocks must tile the grid's first axis in order")
-        out = []
-        for p, pf, total, (shell, inner) in zip(
-                self.ps, self.pfs, self.totals, self.shell_sums):
-            if pf is None:
-                out.append(_sup_tail(max(total), shell, p))
-            else:
-                out.append(_finite_tail(total.total(), shell, inner, pf, p))
-        return out
+        return [_sup_tail(max(total), shell, p) if pf is None else
+                _finite_tail(_halves(total), shell, inner, pf, p)
+                for p, pf, total, (shell, inner) in zip(
+                    self.ps, self.pfs, self.totals, self.shell_sums)]
+
+
+def _halves(sums: list[float]) -> float:
+    """sums added by halves: (0, 1), (2, 3), ..., an odd last one carried up."""
+    while len(sums) > 1:
+        odd = sums[-1:] if len(sums) % 2 else []
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + odd
+    return sums[0]
 
 
 def _finite_p(pp) -> float:

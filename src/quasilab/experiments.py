@@ -255,6 +255,10 @@ def _parse_section(cfg: ExperimentConfig, section: str, keys: dict) -> None:
             raise ConfigError(f"{key} must be {spec.what}, got {text!r}")
         if spec.bound and not spec.bound[1](value):
             raise ConfigError(f"{key} must be {spec.bound[0]}, got {text!r}")
+        for i, item in enumerate(value if isinstance(value, list) else ()):
+            if item in value[:i]:
+                raise ConfigError(f"{key} must give each value once; "
+                                  f"{item} repeats in {text!r}")
         values[key] = value
 
 

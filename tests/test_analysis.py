@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasilab.analysis import (INF_P, BlockNorms, PairwiseSum, contact_delta,
-                               exponent, fit_scaling, oscillation_axes,
-                               parse_p, shell_slices, sogge_delta,
-                               submanifold_delta, transverse_delta)
+from quasilab.analysis import (INF_P, BlockNorms, contact_delta, exponent,
+                               fit_scaling, oscillation_axes, parse_p,
+                               shell_slices, sogge_delta, submanifold_delta,
+                               transverse_delta)
 from quasilab.errors import TailDominanceError
 from quasilab.grids import AxisSpec, cell_volume
 
@@ -254,88 +254,6 @@ GRID_SHAPES = [(24, 20), (12, 11, 10), (8, 7, 6, 9)]
 ORACLE_PS = [INF_P, F(3), F(4), F(6), F(8), F(16)]
 
 
-def streamed_sum(values: np.ndarray, rng) -> float:
-    """PairwiseSum of values fed in random chunks, about a third of them
-    one value long."""
-    total = PairwiseSum(len(values))
-    i = 0
-    while i < len(values):
-        size = 1 if rng.random() < 0.3 else int(rng.integers(
-            1, max(2, len(values) // 3)))
-        total.add(values[i:i + size])
-        i += size
-    return total.total()
-
-
-def mixed_values(rng, n: int, zero_runs=()) -> np.ndarray:
-    """n values of both signs over 16 decades, so that each grouping of a
-    sum rounds its own way, with +0 on each (start, stop) of zero_runs."""
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-    for start, stop in zero_runs:
-        values[start:stop] = 0.0
-    return values
-
-
-class TestPairwiseSum:
-    """PairwiseSum against np.sum bit for bit: it pins numpy's pairwise
-    tree, which the sweeps' norms, the flattening check and the decay
-    table rely on, so a numpy that reduces otherwise fails here."""
-
-    def test_every_length_to_1000(self):
-        rng = np.random.default_rng(0)
-        for n in range(1, 1001):
-            values = mixed_values(rng, n)
-            assert np.float64(streamed_sum(values, rng)).tobytes() == \
-                np.sum(values).tobytes(), n
-
-    @pytest.mark.parametrize("n", [1 << 17, 131_079, 262_145, 300_000])
-    def test_long_arrays(self, n):
-        rng = np.random.default_rng(n)
-        values = mixed_values(rng, n)
-        want = np.sum(values)
-        for _ in range(3):
-            assert streamed_sum(values, rng) == want
-        # The test can tell trees apart: a sequential sum rounds otherwise.
-        assert float(np.cumsum(values)[-1]) != want
-
-    @pytest.mark.parametrize("where", ["start", "middle", "end", "all"])
-    def test_zero_runs(self, where):
-        rng = np.random.default_rng(7)
-        for n in (9, 128, 129, 1000, 4099, 70_001):
-            run = {"start": (0, n // 3), "middle": (n // 3, 2 * n // 3),
-                   "end": (2 * n // 3, n), "all": (0, n)}[where]
-            values = mixed_values(rng, n, [run])
-            for _ in range(3):
-                assert np.float64(streamed_sum(values, rng)).tobytes() == \
-                    np.sum(values).tobytes()
-            total = PairwiseSum(n)
-            total.add(values[:run[0]])
-            total.add(values[run[0]:run[1]])
-            total.add(values[run[1]:])
-            assert np.float64(total.total()).tobytes() == \
-                np.sum(values).tobytes()
-
-    def test_signed_zeros_sum_to_plus_zero(self):
-        values = np.full(300, -0.0)
-        total = PairwiseSum(300)
-        total.add(values[:5])
-        total.add(values[5:105])
-        total.add(values[105:])
-        assert np.float64(total.total()).tobytes() == np.sum(values).tobytes()
-        assert np.float64(PairwiseSum(0).total()).tobytes() == \
-            np.sum(np.empty(0)).tobytes()
-
-    def test_feeds_must_fit(self):
-        total = PairwiseSum(10)
-        total.add(np.ones(4))
-        with pytest.raises(ValueError, match="4 of 10"):
-            total.total()
-        with pytest.raises(ValueError, match="11 values"):
-            total.add(np.zeros(7))
-        total.add(np.ones((2, 3)))
-        assert total.total() == 10.0
-
-
 class TestBlockNorms:
     """The sweep's block-by-block norms against the per-p, mask-based
     lp_norm."""
@@ -365,19 +283,6 @@ class TestBlockNorms:
     def test_power_of_two_blocks_give_the_oracle_bits(self, shape, rows):
         # Power-of-two blocks of >= 128 cells, as the sweeps' grids give:
         # each block is one node of numpy's tree over the whole grid.
-        rng = np.random.default_rng(sum(shape))
-        values = envelope(shape, 4.0) * np.exp(2j * np.pi * rng.random(shape))
-        got = block_norms(values, 0.37, ORACLE_PS,
-                          range(rows, shape[0], rows))
-        assert [m.value for m in got] == \
-            [policed_oracle(values, 0.37, p).value for p in ORACLE_PS]
-
-    @pytest.mark.parametrize("shape,rows", [((37, 16), 5), ((23, 7, 5), 3)],
-                             ids=["2d", "3d"])
-    def test_uneven_blocks_give_the_oracle_bits(self, shape, rows):
-        # Grids of no power-of-two size in blocks that are no node of
-        # numpy's tree: the block sums combined by halves round otherwise
-        # than one sum over the whole grid, the streamed sum does not.
         rng = np.random.default_rng(sum(shape))
         values = envelope(shape, 4.0) * np.exp(2j * np.pi * rng.random(shape))
         got = block_norms(values, 0.37, ORACLE_PS,

@@ -589,6 +589,22 @@ class TestValidation:
          "normal float"),
         ("wavelet_flat_n2_k3.cfg", "m_order = 1", "m_order = 0",
          "m_order must be >= 1"),
+        # A repeated list entry duplicated columns, rows and verdicts, or
+        # failed a correct profile's order-set check (predicted 3;3).
+        ("sharp_largep_n2_k3.cfg", "p_list = inf, 8", "p_list = 8, 8.0",
+         "p_list must give each value once; 8 repeats in '8, 8.0'"),
+        ("sharp_largep_n2_k3.cfg", "p_list = inf, 8", "p_list = inf, 8, oo",
+         "p_list must give each value once; inf repeats in 'inf, 8, oo'"),
+        ("delta_curves_n3.cfg", "k_list = 1, 3, 5", "k_list = 1, 3, 5, 3",
+         "k_list must give each value once; 3 repeats in '1, 3, 5, 3'"),
+        ("fio_n2_k1.cfg", "orders = 1, 2", "orders = 2, 1, 2",
+         "orders must give each value once; 2 repeats in '2, 1, 2'"),
+        ("contact_uniform_n3_k3.cfg", "expect_orders = 3",
+         "expect_orders = 3, 3",
+         "expect_orders must give each value once; 3 repeats in '3, 3'"),
+        # The bound is checked first: its message stands.
+        ("fio_n2_k1.cfg", "orders = 1, 2", "orders = 0, 0",
+         "orders must be a list of integers >= 1"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, config, old,
                                         new, message):

@@ -602,26 +602,72 @@ class TestProductSynthesis:
     def test_sweep_point_memory_bounded(self):
         # One point of the n = 3 sweep on 64^3: the grid alone would be
         # 4 MiB, and with |u| 6 MiB.  The last fold's blocks go straight into
-        # the norm sums, whose norms equal the whole-grid oracle's bits.
+        # the norm sums.
         from quasilab import experiments
         from quasilab.analysis import INF_P
 
-        h, ps = 2.0 ** -5, [INF_P, 8]
         spec = families.paraboloid_cutoff(3, 3)
         v = {"joint_orders": 3, "margin": 4, "points_per_scale": 8}
         tracemalloc.start()
         try:
-            row = experiments._sweep_point(spec, h, 0.0, ps, v)
+            experiments._sweep_point(spec, 2.0 ** -5, 0.0, [INF_P, 8], v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
+
+    @pytest.mark.parametrize("n,margin,points,ps", [
+        (2, 8, 8, ["inf", "8"]),        # sharp_largep_n2_k3: one block
+        (3, 4, 8, ["inf", "8"]),        # the n = 3 sweep: 8 blocks
+        (4, 4, 4, ["inf", "8", "6"]),   # lp_n4_paraboloid_k3: 32 blocks
+    ], ids=["2d", "3d", "4d"])
+    def test_sweep_point_norms_are_the_whole_grid_bits(self, n, margin,
+                                                       points, ps):
+        # The sweep's norms, summed block by block as the synthesis hands
+        # the grid out, equal the oracle's one sum over the whole grid.
+        from quasilab import experiments
+        from quasilab.analysis import parse_p
+
+        h, ps = 2.0 ** -5, [parse_p(p) for p in ps]
+        spec = families.paraboloid_cutoff(n, 3)
+        v = {"joint_orders": 3, "margin": margin, "points_per_scale": points}
+        row = experiments._sweep_point(spec, h, 0.0, ps, v)
         cut = build_cutoff(spec, h)
         g = synthesize_grid(cut, oscillation_axes(
-            [cut.extent(i) for i in range(3)], h, 4, 8))
+            [cut.extent(i) for i in range(n)], h, margin, points))
         masks = shell_mask(g.data.shape), shell_mask(g.data.shape, 1)
         assert row[6:] == [
             lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_oscillation_grids_come_in_tree_node_blocks(self, n):
+        # The block norms equal one np.sum over the grid when the grid comes
+        # in one block, or in 2^b equal blocks of 2^j >= 128 cells, each a
+        # node of numpy's pairwise tree.  The blocks depend on the shape
+        # only, so a one-column field stands in for the cutoff, on the
+        # shipped and the benchmark's (margin, points per scale).
+        h = 2.0 ** -5
+        cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
+        one = CutoffField(h=h, axes=cut.axes, col_coords=cut.col_coords[:1],
+                          col_start=cut.col_start[:1],
+                          col_count=cut.col_count[:1])
+        for margin, points in [(8, 8), (4, 4), (4, 8), (8, 4), (2, 4)]:
+            axes = oscillation_axes([cut.extent(i) for i in range(n)], h,
+                                    margin, points)
+            cells = math.prod(a.points for a in axes)
+            sizes = []
+            if cells > MAX_GRID_CELLS:   # refused: nothing is summed
+                with pytest.raises(GridBudgetError):
+                    synthesize_on_axes(one, axes,
+                                       lambda rows, b: sizes.append(b.size))
+                assert sizes == []
+                continue
+            synthesize_on_axes(one, axes, lambda rows, b: sizes.append(b.size))
+            assert sum(sizes) == cells
+            if len(sizes) > 1:
+                assert len(set(sizes)) == 1 and sizes[0] >= 128
+                for count in (len(sizes), sizes[0]):
+                    assert count & (count - 1) == 0
 
     def test_each_fold_input_released(self):
         # The n = 4 sweep's field on 32^4: while a fold runs, its input and
