@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasilab.analysis import (INF_P, BlockNorms, contact_delta, exponent,
-                               fit_scaling, oscillation_axes, parse_p,
-                               shell_slices, sogge_delta, submanifold_delta,
-                               transverse_delta)
+from quasilab.analysis import (INF_P, BlockNorms, _halves, contact_delta,
+                               exponent, fit_scaling, oscillation_axes,
+                               parse_p, shell_slices, sogge_delta,
+                               submanifold_delta, transverse_delta)
 from quasilab.errors import TailDominanceError
 from quasilab.grids import AxisSpec, cell_volume
 
@@ -252,6 +252,34 @@ def assert_matches_oracle(values, weight, p):
 
 GRID_SHAPES = [(24, 20), (12, 11, 10), (8, 7, 6, 9)]
 ORACLE_PS = [INF_P, F(3), F(4), F(6), F(8), F(16)]
+
+
+class TestHalves:
+    """The block sums added by halves, as numpy's pairwise tree adds its
+    nodes."""
+
+    def test_pairs_neighbours_and_carries_the_odd_one_up(self):
+        # 2^53 + 1 rounds to 2^53, so the grouping decides each sum.
+        big = 2.0 ** 53
+        assert _halves([7.0]) == 7.0
+        assert _halves([big, 1.0]) == big
+        assert _halves([big, 1.0, 1.0]) == (big + 1.0) + 1.0 == big
+        assert _halves([big, 1.0, 1.0, 1.0]) == \
+            (big + 1.0) + (1.0 + 1.0) == big + 2.0
+        assert _halves([big, 1.0, 1.0, 1.0, 1.0]) == \
+            ((big + 1.0) + (1.0 + 1.0)) + 1.0 == big + 4.0
+        # A running sum of the same values rounds otherwise.
+        assert ((big + 1.0) + 1.0) + 1.0 == big
+
+    @pytest.mark.parametrize("blocks", [2, 8, 32, 1024])
+    def test_tree_node_blocks_give_one_np_sum_bits(self, blocks):
+        # 2^b equal blocks of 2^j >= 128 values, each a node of numpy's
+        # tree, on values of both signs over 16 decades.
+        n = 1 << 17
+        rng = np.random.default_rng(blocks)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        sums = [float(np.sum(b)) for b in np.split(values, blocks)]
+        assert np.float64(_halves(sums)).tobytes() == np.sum(values).tobytes()
 
 
 class TestBlockNorms:
