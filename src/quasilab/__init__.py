@@ -1,7 +1,7 @@
 """quasilab: measure the Lp growth of joint-quasimode extremizers.
 
-Core surfaces: exact symbol/contact algebra (symbols), position-side
-grids and their semiclassical duals (grids), sharp cutoffs, their
+Core surfaces: exact symbol/contact algebra (symbols), midpoint grids
+(grids), sharp cutoffs, their
 synthesis and bar transforms (quasimode, families), the flattening
 conjugation (fio), wavelet diagnostics (wavelets), oscillatory-integral
 checks (oscint), exponent formulas and slope fits (analysis), and the

@@ -372,8 +372,8 @@ def fit_scaling(h_values: Sequence[float], norms: Sequence[float],
                          passed)
 
 
-def oscillation_axes(extents: Sequence[float], h: float, margin: float = 8.0,
-                     points_per_scale: int = 8):
+def oscillation_axes(extents: Sequence[float], h: float, margin: float,
+                     points_per_scale: int):
     """Position axes resolving the synthesis oscillation of a cutoff.
 
     extents are the per-axis frequency support extents; the field varies on

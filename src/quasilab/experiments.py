@@ -26,7 +26,7 @@ from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
                        exponent, fit_scaling, kink_p, oscillation_axes,
                        parse_number, parse_p, sogge_delta)
 from .errors import ConfigError, QuasilabError
-from .fio import aligned_position_axes, flattening_reports, x1_points
+from .fio import flattening_reports, x1_axis
 from .grids import cell_volume
 from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                      dyadic_radius, quadratic_phase, resonant_amplitude,
@@ -144,6 +144,10 @@ def _choice(default: str, options: dict | tuple) -> Key:
     return Key(f"one of {', '.join(options)}", options.__getitem__, default)
 
 
+# Most points of a delta-curves table.  Each point is one exact Fraction row
+# per k and one for Sogge, so time and memory grow with the count: 10^6
+# points took minutes and 600 MB, and 10^8 ran out of memory.
+_MAX_INVP_POINTS = 4096
 _FLAG = {"true": True, "false": False}
 _FAMILY = _choice("paraboloid", families.CUTOFF_FAMILIES)
 _SYMBOL = Key("a polynomial", str)   # parsed by the kind's rule, which knows n
@@ -382,7 +386,7 @@ def _check_fio_orders(v: dict) -> None:
     divides, a normal float (the smallest h has the least)."""
     m = max(v["orders"])
     for h in v["h_sweep"]:
-        n1 = x1_points(v["x1_half_width"], h / _FIO_CELLS_PER_H)
+        n1 = x1_axis(v["x1_half_width"], h / _FIO_CELLS_PER_H).points
         if 2 * m >= n1:
             raise ConfigError(
                 f"orders has M = {m}, whose {2 * m + 1}-row difference "
@@ -518,9 +522,8 @@ def run_sharpness(v: dict):
 def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
-    axes = aligned_position_axes(cut, v["x1_half_width"], v["x1_spacing"])
-    diag = decay_diagnostic(cut, axes, make_mother_wavelet(),
-                            v["m_order"], k)
+    diag = decay_diagnostic(cut, x1_axis(v["x1_half_width"], v["x1_spacing"]),
+                            make_mother_wavelet(), v["m_order"], k)
     bound = 2.0 ** (-(k + 1))
     worst = max((r for _, r in diag.j_ratios), default=0.0)
     verdicts = [
@@ -606,9 +609,8 @@ def run_fio_check(v: dict):
     rows, verdicts = [], []
     for h in v["h_sweep"]:
         cut = build_cutoff(spec, h)
-        axes = aligned_position_axes(cut, v["x1_half_width"],
-                                     h / _FIO_CELLS_PER_H)
-        for rep in flattening_reports(a1, cut, axes, orders):
+        axis = x1_axis(v["x1_half_width"], h / _FIO_CELLS_PER_H)
+        for rep in flattening_reports(a1, cut, axis, orders):
             rows.append((h, rep.order, rep.ratio, rep.slack,
                          rep.identity_residual, rep.identity_bound))
             verdicts.append(Verdict(
@@ -628,7 +630,9 @@ def run_fio_check(v: dict):
 KINDS: dict[str, Kind] = {
     "delta-curves": Kind(run_delta_curves, "delta_curves", {
         "n": _int("3", 2), "k_list": _ints("1, 3, 5", 1),
-        "invp_points": _int("25", 2)}),
+        "invp_points": Key("an integer", int, "25", (
+            f">= 2 and <= {_MAX_INVP_POINTS}",
+            lambda v: 2 <= v <= _MAX_INVP_POINTS))}),
     "contact-profile": Kind(run_contact_profile, "contact_profile", {
         "n": _int("3", 2), "k": _int("1", 1), "family": _FAMILY,
         "max_order": _int("32", 1), "directions": _int("64", 1),

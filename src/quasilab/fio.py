@@ -9,48 +9,31 @@ the slice-wise transform v(x1,.) = W(x1) u(x1,.) is a quasimode of hD_x1;
 flattening_reports verifies that quantitatively with centered finite
 differences in x1.  The differences act on x1 alone and W and a1(hD_bar)
 are diagonal in xi_bar, so the check runs on the frequency side, where
-every norm is taken (Parseval): on position axes aligned with the cutoff
-(aligned_position_axes) u's bar transform is each column's x1 profile at
-that column's node and 0 at every other node, so each column is a 1D
-problem in x1 and no position field is synthesized.
+every norm is taken (Parseval), at the cutoff's own bar grid: there u's
+bar transform is each column's x1 profile at that column's node and 0 at
+every other node, so each column is a 1D problem in x1 on the x1 axis
+(x1_axis) and no position field is synthesized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .grids import AxisSpec, cell_volume, dual_axis, node_arrays
+from .grids import AxisSpec, cell_volume, node_arrays
 from .quasimode import CutoffField, _aligned_x1, column_transforms
 from .symbols import PolySymbol
 
 
-def x1_points(half_width: float, max_spacing: float) -> int:
-    """The power-of-two x1 count of aligned_position_axes: the fewest cells
-    over [-half_width, half_width] no wider than max_spacing, rounded up."""
-    return 1 << max(1, math.ceil(2 * half_width / max_spacing) - 1).bit_length()
-
-
-def aligned_position_axes(cutoff, x1_half_width: float,
-                          x1_max_spacing: float) -> list[AxisSpec]:
-    """Position axes whose bar duals coincide with the cutoff's bar grid.
-
-    Every column frequency then lands exactly on a dual node, so the
-    quasimode's bar transform on these axes is the columns' x1 profiles
-    (quasimode.column_transforms) with zero leakage, and the x1 finite
-    differences that follow see only the physical band.  The cutoff's bar
-    axes are power-of-two (build with pow2=True) and centered, so
-    dual-of-dual returns them exactly.  x1 gets a power-of-two count
-    honoring the requested spacing bound.
-    """
-    axes = [AxisSpec(0.0, x1_half_width, x1_points(x1_half_width, x1_max_spacing))]
-    for bar in cutoff.axes[1:]:
-        axes.append(dual_axis(bar, cutoff.h))
-    return axes
+def x1_axis(half_width: float, max_spacing: float) -> AxisSpec:
+    """The x1 axis of the frequency-side checks: [-half_width, half_width]
+    in the fewest cells no wider than max_spacing, their count rounded up
+    to a power of two."""
+    points = 1 << max(1, math.ceil(2 * half_width / max_spacing) - 1).bit_length()
+    return AxisSpec(0.0, half_width, points)
 
 
 # -- finite-difference quasimode diagnostics ------------------------------------
@@ -85,12 +68,11 @@ def _abs_sq_sum(data: np.ndarray) -> float:
     return float(np.sum(np.square(sq, out=sq)))
 
 
-def flattening_reports(a1: PolySymbol, field: CutoffField,
-                       axes: Sequence[AxisSpec],
-                       orders: tuple[int, ...] = (1, 2)) -> list[FlatteningReport]:
+def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
+                       orders: tuple[int, ...]) -> list[FlatteningReport]:
     """Check ||(hD_x1)^M v|| <= h^M ||u|| + slack and the discrete
-    intertwining for the quasimode u of the cutoff field on axes, aligned
-    position axes (aligned_position_axes), one FlatteningReport per order.
+    intertwining for the quasimode u of the cutoff field on the x1 axis
+    x1_axis, one FlatteningReport per order.
 
     The slack covers the centered-difference error ((dx1/h)^2/6 per
     application) plus box truncation; the intertwining residual compares
@@ -98,7 +80,9 @@ def flattening_reports(a1: PolySymbol, field: CutoffField,
     difference stencil, bounded by a term-by-term estimate evaluated on the
     data itself, with max |a1| over the bar grid.  Each order M needs
     2M < n1 x1 rows, so that an interior row is left; a ValueError says so
-    otherwise, and misaligned axes are refused (quasimode._aligned_x1).
+    otherwise.  A symbol that does not act on the field's bar axes is a
+    DimensionMismatchError, and a grid over the budget is refused
+    (quasimode._aligned_x1).
 
     The columns go in the blocks of quasimode.column_transforms, a quarter
     working block of complex cells each.  For each column c its x1 profile
@@ -109,15 +93,15 @@ def flattening_reports(a1: PolySymbol, field: CutoffField,
     BLAS thread count, and weighted by the cell of x1 times the bar grid's;
     the other bar nodes hold 0 and add nothing.
     """
-    if len(axes) != a1.dim + 1:
+    if a1.dim != field.dim - 1:
         raise DimensionMismatchError(
-            f"field dim {len(axes)} != symbol dim {a1.dim} + 1")
-    x1 = _aligned_x1(field, axes)
+            f"field dim {field.dim} != symbol dim {a1.dim} + 1")
+    x1 = _aligned_x1(field, x1_axis)
     top = max(orders)
     if 2 * top >= len(x1):
         raise ValueError(f"order {top} needs more than {2 * top} x1 rows, "
                          f"and the grid has {len(x1)}")
-    h, dx, bar = field.h, axes[0].spacing, field.axes[1:]
+    h, dx, bar = field.h, x1_axis.spacing, field.axes[1:]
     a_cols = a1.eval_grid(list(field.col_coords.T))
     sums = dict.fromkeys(("u", "resid", "gap", *orders), 0.0)
     for cols, u in column_transforms(field, x1):

@@ -1,14 +1,15 @@
-"""Anisotropic grids and their semiclassical duals.
+"""Anisotropic midpoint grids.
 
 Grids use a midpoint convention: an axis with N cells over
 [center-hw, center+hw] samples at the N cell centers, so a uniform weight
-of one cell volume per sample is the quadrature rule everywhere.  The dual
-axis is chosen so that dx * dxi = 2*pi*h / N, which makes the discrete
-h-scaled transform exactly unitary for that quadrature (Parseval).  The
+of one cell volume per sample is the quadrature rule everywhere.  The
 runs never transform a grid: a frequency multiplier m(hD_bar) is applied on
-the transformed side, as its values on the dual nodes, where the cutoff's
-columns give the transform directly, and every norm is taken there.  The
-FFT form of the transform is the tests' oracle (tests/oracles.py::ft_axes).
+the transformed side, as its values at the cutoff's bar nodes, where the
+cutoff's columns give the transform directly, and every norm is taken
+there.  The dual axis, with dx * dxi = 2*pi*h / N so that the discrete
+h-scaled transform is exactly unitary for that quadrature (Parseval), and
+the FFT form of the transform are the tests' oracles
+(tests/oracles.py::dual_axis, ft_axes).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-_TWO_PI = 2.0 * np.pi
 # Bytes of one working block: the blocked stages size their per-block
 # buffers by it (the wavelet transform's windows and the blocks of columns
 # of quasimode.column_transforms), so that a block stays in cache and no
@@ -52,12 +52,6 @@ class AxisSpec:
 
     def nodes(self) -> np.ndarray:
         return self.start + (np.arange(self.points) + 0.5) * self.spacing
-
-
-def dual_axis(axis: AxisSpec, h: float) -> AxisSpec:
-    """Dual axis for the h-scaled transform: dxi = 2*pi*h/(N*dx), centered at 0."""
-    dxi = _TWO_PI * h / (axis.points * axis.spacing)
-    return AxisSpec(0.0, 0.5 * axis.points * dxi, axis.points)
 
 
 def node_arrays(axes: Sequence[AxisSpec], ndim: int) -> list[np.ndarray]:

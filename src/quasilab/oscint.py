@@ -318,7 +318,7 @@ class VdcReport:
 
 
 def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
-              exponent_tolerance: float = 0.1) -> VdcReport:
+              exponent_tolerance: float) -> VdcReport:
     """Sweep h, fit log|I| vs log h, and compare against the d/2 decay law.
 
     PASS requires: declared amplitude loss admissible at every h, a unique

@@ -14,10 +14,12 @@ sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
 it makes the normalized quasimode itself.  Its last fold makes the grid in
 blocks of whole x1 rows, which a consumer takes one at a time: no grid is
-ever built.  On position axes whose bar duals are the cutoff's bar grid the
-quasimode's bar transform is each column's x1 profile at that column's node
-and 0 elsewhere; column_transforms writes those profiles directly, so the
-stages that work on the bar-frequency side synthesize nothing.
+ever built.  Taken at the cutoff's own bar grid, the quasimode's bar
+transform is each column's x1 profile at that column's node and 0 elsewhere;
+column_transforms writes those profiles directly, so the stages that work
+on the bar-frequency side take an x1 axis alone and synthesize nothing.  The
+position axes whose h-scaled FFT lands on that grid are the tests' oracle
+(tests/oracles.py::aligned_axes).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 
 from .errors import (BoxTooSmallError, DimensionMismatchError,
                      EmptySupportError, GridBudgetError)
-from .grids import (WORK_BLOCK_BYTES, AxisSpec, cell_volume, dual_axis,
-                    node_arrays)
+from .grids import WORK_BLOCK_BYTES, AxisSpec, cell_volume, node_arrays
 from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
@@ -268,20 +269,14 @@ def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return num * np.exp(1j * (counts - 1) * half)
 
 
-def _aligned_x1(field: CutoffField, axes: Sequence[AxisSpec]) -> np.ndarray:
-    """The x1 nodes of axes, once axes are checked to be position axes whose
-    bar duals are the field's bar grid (fio.aligned_position_axes), on which
-    column_transforms is the quasimode's bar transform: DimensionMismatchError
-    or ValueError otherwise.  A grid over MAX_GRID_CELLS cells is refused
-    (GridBudgetError) first: it bounds the x1 nodes times the columns that
-    the callers take, in blocks, on the frequency side."""
-    _check_grid_cells([a.points for a in axes], "aligned position grid")
-    if len(axes) != field.dim:
-        raise DimensionMismatchError("axes dimension mismatch")
-    if [dual_axis(a, field.h) for a in axes[1:]] != field.axes[1:]:
-        raise ValueError("the position axes' bar duals are not the cutoff's "
-                         "bar grid (see fio.aligned_position_axes)")
-    return axes[0].nodes()
+def _aligned_x1(field: CutoffField, x1_axis: AxisSpec) -> np.ndarray:
+    """The nodes of x1_axis, once the position grid of x1_axis times the
+    field's bar grid, whose columns the callers take in blocks on the
+    frequency side (column_transforms), is checked against MAX_GRID_CELLS
+    (GridBudgetError) before anything x1-sized is allocated."""
+    _check_grid_cells([x1_axis.points, *(a.points for a in field.axes[1:])],
+                      "aligned position grid")
+    return x1_axis.nodes()
 
 
 def column_transforms(field: CutoffField, x1: np.ndarray
@@ -293,10 +288,10 @@ def column_transforms(field: CutoffField, x1: np.ndarray
         u_c(x1) = dxi1 (2 pi h)^(-1/2) / ||chi||_2
                   * exp(i x1 xi1_first,c / h) * D_count,c(x1 dxi1 / h),
 
-    D the run sum of _dirichlet.  On position axes whose bar duals are the
-    cutoff's bar grid (_aligned_x1) every column frequency is a dual node,
-    so this is the transform there, and it is 0 at every dual node that
-    holds no column: no position field is needed.  A block holds a quarter
+    D the run sum of _dirichlet.  Every column frequency is a node of the
+    cutoff's bar grid, so this is the transform on that grid, and it is 0
+    at every bar node that holds no column: no position field is needed,
+    only the x1 nodes (_aligned_x1).  A block holds a quarter
     working block of complex cells (grids.WORK_BLOCK_BYTES), or one column,
     so that a caller's few temporaries per block stay within one working
     block, below glibc's mmap threshold: blocks of a whole working block

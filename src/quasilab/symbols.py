@@ -364,7 +364,7 @@ class ContactProfile:
 
 
 def contact_profile(a1: PolySymbol, a2: PolySymbol, directions: Iterable,
-                    max_order: int = 32) -> ContactProfile:
+                    max_order: int) -> ContactProfile:
     """Per-direction contact reports plus a same-order-everywhere flag.
 
     uniform is True iff all finite orders agree (INFINITE entries, e.g.
@@ -378,7 +378,7 @@ def contact_profile(a1: PolySymbol, a2: PolySymbol, directions: Iterable,
     return ContactProfile(reports, len(finite) <= 1)
 
 
-def sample_directions(m: int, count: int = 64) -> list[tuple[Fraction, ...]]:
+def sample_directions(m: int, count: int) -> list[tuple[Fraction, ...]]:
     """Deterministic rational direction sample on the sphere in R^m.
 
     Always includes the coordinate axes (both signs) and every +-1 diagonal;

@@ -12,9 +12,10 @@ never turns -0, so the taps skipped off the band, which would add +-0,
 change no bit of it.  The decay table works on the bar-frequency side: the
 bar transform acts on the bar axes and the wavelet on x1, so the windows of
 the transformed field are the transformed windows.  Its band is the
-quasimode's bar transform on the x1 rows where its x1 window is nonzero,
-read from the cutoff's columns (quasimode.column_transforms), one column
-of the band per column of the cutoff: no position field is synthesized.
+quasimode's bar transform at the cutoff's bar grid, on the rows of its x1
+axis where its x1 window is nonzero, read from the cutoff's columns
+(quasimode.column_transforms), one column of the band per column of the
+cutoff: no position field is synthesized.
 Each scale forms its live windows one working block at a time
 (grids.WORK_BLOCK_BYTES) and sums their power down the windows into one
 row, which each level weights by its psi_j at the columns' radii.
@@ -223,17 +224,16 @@ class DecayDiagnostic:
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
 
 
-def _windowed_band(source: CutoffField, axes: Sequence[AxisSpec]
+def _windowed_band(source: CutoffField, x1_axis: AxisSpec
                    ) -> tuple[np.ndarray, int]:
     """(band, row0): the bar transform of the quasimode of the cutoff source
-    on axes, aligned position axes, times decay_diagnostic's x1 window, on
-    the x1 rows row0, row0 + 1, ... where the window is nonzero, as the
-    real (rows, 2K) view of its K columns, filled block of columns by block
-    (quasimode.column_transforms).  Misaligned axes, and a grid over the
-    budget, are refused (quasimode._aligned_x1) before the window or the
-    band is allocated.
+    on the x1 axis x1_axis, times decay_diagnostic's x1 window, on the x1
+    rows row0, row0 + 1, ... where the window is nonzero, as the real
+    (rows, 2K) view of its K columns, filled block of columns by block
+    (quasimode.column_transforms).  A grid over the budget is refused
+    (quasimode._aligned_x1) before the window or the band is allocated.
     """
-    x1 = _aligned_x1(source, axes)
+    x1 = _aligned_x1(source, x1_axis)
     window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
     rows = np.flatnonzero(window)
     row0, row1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
@@ -269,14 +269,14 @@ def _level_sums(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
         yield b, [float(np.sum(weight * power)) for weight in weights]
 
 
-def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
+def decay_diagnostic(source: CutoffField, x1_axis: AxisSpec,
                      w: MotherWavelet, m_order: int, k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
 
-    v is the quasimode of the flat-model cutoff source on the aligned
-    position grid axes (x1 = axis 0), whose bar duals are the cutoff's bar
-    grid.  Reports the fitted a-slopes at j = 0 and the worst
-    consecutive-j decay ratios for comparison against the
+    v is the quasimode of the flat-model cutoff source on the x1 axis
+    x1_axis, its bar transform taken at the cutoff's bar grid.  Reports the
+    fitted a-slopes at j = 0 and the worst consecutive-j decay ratios for
+    comparison against the
     2^(-j(k+1)M) * (|a|^(3/2) for a <= 1, 1 for a >= 1) envelope.
 
     The decay law presumes a quasimode localized in an O(1) region, while a
@@ -286,20 +286,20 @@ def decay_diagnostic(source: CutoffField, axes: Sequence[AxisSpec],
     the windowed field is still an order-h quasimode and the envelope
     applies to it verbatim.  The band holds only the x1 rows where the
     window is nonzero, and only the cutoff's columns of the bar transform,
-    the dual nodes where it is not 0 (_windowed_band); each scale sums the
+    the bar nodes where it is not 0 (_windowed_band); each scale sums the
     power of its windows down b before weighting it by each psi_j at the
     columns' radii (_level_sums).
     """
     h = source.h
     family = dyadic_cutoffs(h, k)
     a_vals = np.asarray(_A_GRID)
-    band, row0 = _windowed_band(source, axes)
+    band, row0 = _windowed_band(source, x1_axis)
     radius = np.sqrt(sum(c * c for c in source.col_coords.T))
     cellvol = cell_volume(source.axes[1:])
     weights = [family.psi(j, radius) for j in range(family.levels + 1)]
     mass = []
-    for b, sums in _level_sums(band, row0, axes[0], w, weights):
-        db = b[1] - b[0] if len(b) > 1 else axes[0].spacing
+    for b, sums in _level_sums(band, row0, x1_axis, w, weights):
+        db = b[1] - b[0] if len(b) > 1 else x1_axis.spacing
         mass.append([total * db * cellvol for total in sums])
     mass = np.sqrt(np.maximum(np.array(mass), 0.0))
     bound = np.array([[min(a, 1.0) ** 1.5 * 2.0 ** (-j * (k + 1) * m_order)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from quasilab import families
-from quasilab.fio import aligned_position_axes
+from quasilab.fio import x1_axis
 from quasilab.grids import AxisSpec
 from quasilab.quasimode import build_cutoff
 from quasilab.wavelets import make_mother_wavelet
 
-from oracles import GridField, padded_gather_cwt, reconstruct, synthesize_grid
+from oracles import (GridField, aligned_axes, padded_gather_cwt, reconstruct,
+                     synthesize_grid)
 
 
 @pytest.fixture(scope="session")
@@ -40,14 +41,17 @@ def reconstruction_error(mother_wavelet):
 
 @pytest.fixture(scope="session")
 def flat_model():
-    """(cutoff, position axes) of the wavelet decay diagnostics' flat
-    model (n=2, k=3): the shipped wavelet config's 8192 x 64 grid."""
+    """(cutoff, x1 axis) of the wavelet decay diagnostics' flat model
+    (n=2, k=3): the shipped wavelet config's 8192 x1 nodes and 64 bar
+    columns."""
     h = 2.0 ** -8
     cut = build_cutoff(families.flat_cutoff(2, 3, pow2=True), h)
-    return cut, aligned_position_axes(cut, 6.0, 2.0 ** -9)
+    return cut, x1_axis(6.0, 2.0 ** -9)
 
 
 @pytest.fixture(scope="session")
 def flat_model_field(flat_model):
-    """The flat model's field on its whole grid."""
-    return synthesize_grid(*flat_model)
+    """The flat model's field on its whole grid, whose bar duals are the
+    cutoff's bar grid."""
+    cut, x1 = flat_model
+    return synthesize_grid(cut, aligned_axes(cut, x1))

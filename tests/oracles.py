@@ -4,10 +4,12 @@ No run calls these: no run holds a whole field (GridField), the synthesis
 hands its grid over block by block and never assembles it
 (synthesize_grid), the sweeps take their norms block by block
 (analysis.BlockNorms), the decay table transforms only live windows of
-its band (wavelets._scale_window), no run FFTs a field: the flattening
-check and the decay table read the bar transform from the cutoff's
-columns (quasimode.column_transforms), which the h-scaled FFT of the
-synthesized field cross-checks (ft_axis, ft_axes), no run takes a norm
+its band (wavelets._scale_window), no run FFTs a field or builds a dual
+axis: the flattening check and the decay table take an x1 axis alone and
+read the bar transform at the cutoff's bar grid from its columns
+(quasimode.column_transforms), which the h-scaled FFT of the field
+synthesized on the position axes whose bar duals are that grid
+cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), no run takes a norm
 over a whole field (l2_norm), no run brings a multiplier back to the
 position side (apply_multiplier) and the cutoffs evaluate their symbols
 on whole grids (PolySymbol.eval_grid).  Each definition here is the
@@ -29,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
-from quasilab.grids import AxisSpec, cell_volume, dual_axis, node_arrays
+from quasilab.grids import AxisSpec, cell_volume, node_arrays
 from quasilab.quasimode import CutoffField, synthesize_on_axes
 from quasilab.symbols import PolySymbol
 from quasilab.wavelets import _T_POINTS, bump_derivative
@@ -193,6 +195,21 @@ def reconstruct(a_grid, b_grids, values, dx: float, w,
 
 
 # -- transforms ----------------------------------------------------------------------
+
+def dual_axis(axis: AxisSpec, h: float) -> AxisSpec:
+    """Dual axis for the h-scaled transform: dxi = 2*pi*h/(N*dx), centered at 0."""
+    dxi = _TWO_PI * h / (axis.points * axis.spacing)
+    return AxisSpec(0.0, 0.5 * axis.points * dxi, axis.points)
+
+
+def aligned_axes(cut: CutoffField, x1_axis: AxisSpec) -> list[AxisSpec]:
+    """x1_axis and the position axes whose bar duals are the cutoff's bar
+    grid: the grid on which the h-scaled FFT of the synthesized quasimode
+    (ft_axes) lands on the nodes where quasimode.column_transforms gives its
+    bar transform.  The cutoff's bar axes are power-of-two (pow2=True) and
+    centered, so dual-of-dual returns them exactly."""
+    return [x1_axis, *(dual_axis(bar, cut.h) for bar in cut.axes[1:])]
+
 
 def _require_pow2(n: int) -> None:
     if n & (n - 1):

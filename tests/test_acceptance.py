@@ -18,8 +18,8 @@ from quasilab.analysis import (INF_P, BlockNorms, contact_delta, fit_scaling,
 from quasilab.cli import main
 from quasilab.experiments import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSED,
                                   EXIT_VERDICT_FAIL)
-from quasilab.fio import aligned_position_axes, flattening_reports
-from quasilab.grids import AxisSpec, cell_volume, dual_axis
+from quasilab.fio import flattening_reports, x1_axis
+from quasilab.grids import AxisSpec, cell_volume
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
                              dyadic_radius, power_loss, quadratic_phase,
                              resonant_amplitude, resonant_radius,
@@ -30,8 +30,9 @@ from quasilab.symbols import (mixed_partials_check, contact_profile, graph_facto
                               parse_symbol, sample_directions)
 from quasilab.wavelets import decay_diagnostic
 
-from oracles import (GridField, ft_axes, l2_norm, plane_vs_bowl_graphs,
-                     synthesize_grid, transform_quasimode)
+from oracles import (GridField, dual_axis, ft_axes, l2_norm,
+                     plane_vs_bowl_graphs, synthesize_grid,
+                     transform_quasimode)
 
 F = Fraction
 
@@ -82,14 +83,14 @@ class TestCriterion2Contact:
             for k in (1, 3, 5):
                 p1, p2 = families.paraboloid_pair(n, k)
                 prof = contact_profile(bar(p1), bar(p2),
-                                       sample_directions(n - 1))
+                                       sample_directions(n - 1, 64), 32)
                 uniform_k = prof.uniform and set(prof.orders()) == {k}
                 claim = mixed_partials_check(bar(p1), bar(p2), k).ok
                 past = not mixed_partials_check(bar(p1), bar(p2), k + 1).ok
                 ok &= uniform_k and claim and past
                 details.append(f"n={n},k={k}:{'ok' if uniform_k else 'BAD'}")
         a1, a2 = plane_vs_bowl_graphs()
-        prof = contact_profile(a1, a2, sample_directions(2, 64))
+        prof = contact_profile(a1, a2, sample_directions(2, 64), 32)
         orders = {tuple(r.direction): r.order for r in prof.reports}
         on_axis = {o for d, o in orders.items() if d[0] == 0}
         off_axis = {o for d, o in orders.items() if d[0] != 0}
@@ -229,8 +230,8 @@ class TestCriterion6Flattening:
         ratios = []
         for h in (2.0 ** -4, 2.0 ** -5):
             cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-            axes = aligned_position_axes(cut, 8.0, h / 8)
-            for rep in flattening_reports(a1, cut, axes, (1, 2)):
+            for rep in flattening_reports(a1, cut, x1_axis(8.0, h / 8),
+                                          (1, 2)):
                 ratio_ok &= rep.ratio <= 1.0 + rep.slack
                 ratios.append(f"h={h},M={rep.order}:{rep.ratio:.3f}")
 
@@ -264,17 +265,17 @@ class TestCriterion8VanDerCorput:
         d1 = vdc_check(OscIntegrand(quadratic_phase(1.0, 1),
                                     dyadic_amplitude(3, 2), 1,
                                     ((-1.5, 1.5),), dyadic_loss(3, 2),
-                                    dyadic_radius(3, 2)), hs, 1.0)
+                                    dyadic_radius(3, 2)), hs, 1.0, 0.1)
         d2 = vdc_check(OscIntegrand(quadratic_phase(1.0, 2),
                                     dyadic_amplitude(3, 1), 2,
                                     ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
                                     dyadic_radius(3, 1)),
-                       [2.0 ** -e for e in range(3, 9)], 1.0)
+                       [2.0 ** -e for e in range(3, 9)], 1.0, 0.1)
         phase = quadratic_phase(1.0, 1)
         bad = vdc_check(OscIntegrand(phase, resonant_amplitude(phase, 0.8),
                                      1, ((-1.0, 1.0),), power_loss(0.8),
                                      resonant_radius(0.8)),
-                        hs, 1.0)
+                        hs, 1.0, 0.1)
         a1 = parse_symbol("x1^2", dim=1)
         sep = 2.0 ** -3
         r_osc, r_triv = [], []

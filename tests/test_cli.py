@@ -533,6 +533,11 @@ class TestValidation:
          "k_list must be a list of integers >= 1"),
         ("delta_curves_n3.cfg", "invp_points = 25", "invp_points = 1",
          "invp_points must be >= 2"),
+        # Each point is an exact row per k and one more: 10^8 of them ran
+        # out of memory after minutes, so the count is bounded up front.
+        *[("delta_curves_n3.cfg", "invp_points = 25", f"invp_points = {value}",
+           "invp_points must be >= 2 and <= 4096, got")
+          for value in ("4097", "100000000")],
         ("vdc_d1.cfg", "d = 1", "d = 0", "d must be >= 1"),
         ("vdc_d1.cfg", "mu = 1", "mu = -1", "mu must be positive"),
         ("ttstar_n2.cfg", "a = 0.5", "a = 0", "a must be positive"),

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasilab import families, fio, quasimode
-from quasilab.errors import DimensionMismatchError
-from quasilab.fio import (FlatteningReport, aligned_position_axes,
-                          flattening_reports, hd_x1)
-from quasilab.grids import AxisSpec, cell_volume, dual_axis, node_arrays
+from quasilab import experiments, families, fio, quasimode
+from quasilab.errors import ConfigError, DimensionMismatchError
+from quasilab.fio import FlatteningReport, flattening_reports, hd_x1, x1_axis
+from quasilab.grids import AxisSpec, cell_volume, node_arrays
 from quasilab.quasimode import CutoffField, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
-from oracles import (GridField, apply_multiplier, eval_exact, ft_axes, ft_axis,
-                     l2_norm, synthesize_grid, transform_quasimode, w_values)
+from oracles import (GridField, aligned_axes, apply_multiplier, dual_axis,
+                     eval_exact, ft_axes, ft_axis, l2_norm, synthesize_grid,
+                     transform_quasimode, w_values)
+
+
+FIO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fio_n2_k1.cfg"
+SHIPPED_H = experiments.parse_config(FIO_CONFIG).values["h_sweep"]
 
 
 def _a1(n=2, k=1):
@@ -64,7 +69,8 @@ class TestW:
 
     @pytest.mark.parametrize("check", [
         transform_quasimode,
-        lambda a1, u: flattening_reports(a1, *_shipped_cutoff(2.0 ** -4))],
+        lambda a1, u: flattening_reports(a1, *_shipped_cutoff(2.0 ** -4),
+                                         (1, 2))],
         ids=["transform_quasimode", "flattening_reports"])
     def test_rejects_dimension_mismatch(self, check):
         with pytest.raises(DimensionMismatchError):
@@ -76,8 +82,7 @@ class TestTransformQuasimode:
     def setup(self):
         h, n, k = 2.0 ** -4, 2, 1
         cut = build_cutoff(families.paraboloid_cutoff(n, k, pow2=True), h)
-        axes = aligned_position_axes(cut, 8.0, h / 8.0)
-        u = synthesize_grid(cut, axes)
+        u = synthesize_grid(cut, aligned_axes(cut, x1_axis(8.0, h / 8.0)))
         return _a1(n, k), u
 
     def test_frequency_side_intertwining(self, setup):
@@ -98,7 +103,7 @@ class TestTransformQuasimode:
         h, a1 = 2.0 ** -4, _a1(n, 1)
         cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
         u = synthesize_grid(
-            cut, aligned_position_axes(cut, half_width, h / per_h))
+            cut, aligned_axes(cut, x1_axis(half_width, h / per_h)))
         v = transform_quasimode(a1, u)
         a_bar = bar_values(a1, u)
         for i, x1 in list(enumerate(u.axes[0].nodes()))[::7]:
@@ -117,7 +122,7 @@ class TestTransformQuasimode:
     def test_plane_wave_exact_characteristic(self):
         h = 2.0 ** -4
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        axes = aligned_position_axes(cut, 8.0, h / 8.0)
+        axes = aligned_axes(cut, x1_axis(8.0, h / 8.0))
         a1 = _a1()
         xi0 = cut.axes[1].nodes()[cut.axes[1].points // 2 + 3]
         a_val = float(eval_exact(a1, [xi0]))
@@ -228,8 +233,8 @@ def _position_side_reports(a1, u, orders):
 
 
 def _random_cutoff(rows, cols, seed):
-    """(cutoff, aligned axes): random xi1 runs over every node but the ends
-    of a cols-point bar grid at h = 2^-5, on rows x1 rows (no power of two
+    """(cutoff, x1 axis): random xi1 runs over every node but the ends of a
+    cols-point bar grid at h = 2^-5, on rows x1 rows (no power of two
     needed)."""
     rng = np.random.default_rng(seed)
     h = 2.0 ** -5
@@ -239,14 +244,20 @@ def _random_cutoff(rows, cols, seed):
                       col_coords=dual.nodes()[1:-1, None],
                       col_start=rng.integers(0, 32, cols - 2),
                       col_count=rng.integers(1, 32, cols - 2))
-    return cut, [AxisSpec(0.0, 1.5, rows), bar]
+    return cut, AxisSpec(0.0, 1.5, rows)
 
 
 def _shipped_cutoff(h, n=2, x1_half_width=8.0, per_h=8):
-    """(cutoff, aligned axes) of the fio_n2_k1 config at h, or of its n-dim
+    """(cutoff, x1 axis) of the fio_n2_k1 config at h, or of its n-dim
     counterpart on x1_half_width and per_h x1 cells per h."""
     cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
-    return cut, aligned_position_axes(cut, x1_half_width, h / per_h)
+    return cut, x1_axis(x1_half_width, h / per_h)
+
+
+def _whole_grid(cut, ax):
+    """The quasimode of cut synthesized on the x1 axis ax and the bar axes
+    whose duals are the cutoff's bar grid."""
+    return synthesize_grid(cut, aligned_axes(cut, ax))
 
 
 def _assert_reports_match(got, want):
@@ -291,11 +302,11 @@ class TestBlockedReports:
         # 5 leaves a partial last block, and 16 and 37 read every column as
         # one block.  Each agrees with the whole synthesized grid's
         # frequency-side reports.
-        cut, axes = _random_cutoff(37, 16, seed=5)
-        want = _whole_grid_reports(_a1(), synthesize_grid(cut, axes), orders)
+        cut, ax = _random_cutoff(37, 16, seed=5)
+        want = _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders)
         monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES", 64 * 37 * block_cols)
         seen = _recorded_blocks(monkeypatch)
-        got = flattening_reports(_a1(), cut, axes, orders)
+        got = flattening_reports(_a1(), cut, ax, orders)
         assert seen == _tiles(block_cols, 14)
         _assert_reports_match(got, want)
 
@@ -303,39 +314,39 @@ class TestBlockedReports:
     def test_default_block_steps_match_whole_grid(self, orders, monkeypatch):
         # 600 x1 rows of 62 columns at the default working block: a quarter
         # of it holds 6 columns, so ten blocks of 6 and one of 2.
-        cut, axes = _random_cutoff(600, 64, seed=7)
+        cut, ax = _random_cutoff(600, 64, seed=7)
         seen = _recorded_blocks(monkeypatch)
-        got = flattening_reports(_a1(), cut, axes, orders)
+        got = flattening_reports(_a1(), cut, ax, orders)
         assert seen == _tiles(6, 62)
         _assert_reports_match(
-            got, _whole_grid_reports(_a1(), synthesize_grid(cut, axes), orders))
+            got, _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders))
 
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_shipped_blocks_match_whole_grid(self, orders, monkeypatch):
         # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), its
         # columns read two to a block.
-        cut, axes = _shipped_cutoff(2.0 ** -4)
-        assert [a.points for a in axes] == [2048, 64]
+        cut, ax = _shipped_cutoff(2.0 ** -4)
+        assert (ax.points, cut.axes[1].points) == (2048, 64)
         seen = _recorded_blocks(monkeypatch)
-        got = flattening_reports(_a1(), cut, axes, orders)
+        got = flattening_reports(_a1(), cut, ax, orders)
         assert seen == _tiles(2, len(cut.col_count))
         _assert_reports_match(
-            got, _whole_grid_reports(_a1(), synthesize_grid(cut, axes), orders))
+            got, _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders))
 
     def test_blocks_must_tile_the_grid(self, monkeypatch):
         # Every column is read once, in order, in blocks of at most a
         # quarter working block of complex cells; a working block too small
         # for one column's x1 profile still reads one whole column.
-        cut, axes = _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)
-        rows, count = axes[0].points, len(cut.col_count)
+        cut, ax = _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)
+        rows, count = ax.points, len(cut.col_count)
         seen = _recorded_blocks(monkeypatch)
-        flattening_reports(_a1(3), cut, axes, (1,))
+        flattening_reports(_a1(3), cut, ax, (1,))
         step = seen[0][1] - seen[0][0]
         assert 16 * rows * step <= quasimode.WORK_BLOCK_BYTES // 4
         assert seen == _tiles(step, count) and len(seen) > 1
         seen.clear()
         monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES", 64 * rows - 1)
-        flattening_reports(_a1(3), cut, axes, (1,))
+        flattening_reports(_a1(3), cut, ax, (1,))
         assert seen == _tiles(1, count)
 
     @pytest.mark.parametrize("orders", [(1, 2), (3,)], ids=str)
@@ -351,18 +362,18 @@ class TestBlockedReports:
         # position-side norms of v = W u and of the intertwining residual,
         # whose multipliers are each transformed and inverted, on the
         # synthesized field, to rounding.
-        cut, axes = field()
+        cut, ax = field()
         a1 = _a1(cut.dim)
-        got = flattening_reports(a1, cut, axes, orders)
+        got = flattening_reports(a1, cut, ax, orders)
         _assert_reports_match(
-            got, _position_side_reports(a1, synthesize_grid(cut, axes), orders))
+            got, _position_side_reports(a1, _whole_grid(cut, ax), orders))
 
     def test_rejects_orders_the_grid_cannot_carry(self):
         # 2M < n1 leaves an interior row; at 2M >= n1 none is left.
-        cut, axes = _random_cutoff(8, 16, seed=5)
-        assert len(flattening_reports(_a1(), cut, axes, (1, 3))) == 2
+        cut, ax = _random_cutoff(8, 16, seed=5)
+        assert len(flattening_reports(_a1(), cut, ax, (1, 3))) == 2
         with pytest.raises(ValueError, match="8"):
-            flattening_reports(_a1(), cut, axes, (1, 4))
+            flattening_reports(_a1(), cut, ax, (1, 4))
 
 
 class TestStreamedMemory:
@@ -376,14 +387,14 @@ class TestStreamedMemory:
         x1 half-width x1_half_width, and the grid's complex bytes."""
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
-        axes = aligned_position_axes(cut, x1_half_width, h / 8.0)
+        ax = x1_axis(x1_half_width, h / 8.0)
         tracemalloc.start()
         try:
-            flattening_reports(_a1(), cut, axes, (1, 2))
+            flattening_reports(_a1(), cut, ax, (1, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak, 16 * axes[0].points * axes[1].points
+        return peak, 16 * ax.points * cut.axes[1].points
 
     def test_memory_bounded(self):
         # At most 0.9 copies of the grid (about 0.18 measured).
@@ -408,6 +419,44 @@ class TestStreamedMemory:
         small, grid = self.peak(8.0)
         large, _ = self.peak(16.0)
         assert large - small <= 0.25 * grid
+
+
+class TestX1Axis:
+    @pytest.mark.parametrize("bound", [
+        *(h / experiments._FIO_CELLS_PER_H for h in SHIPPED_H), 1.0, 4.0])
+    @pytest.mark.parametrize("half_width", [0.75, 2.0, 6.0, 8.0, 12.0])
+    def test_count_rule(self, half_width, bound):
+        # The fewest cells no wider than the bound, rounded up to a power of
+        # two and at least 2: half as many would be wider than the bound,
+        # unless there are 2.
+        ax = x1_axis(half_width, bound)
+        n = ax.points
+        assert (ax.center, ax.half_width) == (0.0, half_width)
+        assert n >= 2 and n & (n - 1) == 0
+        assert ax.spacing <= bound
+        assert n == 2 or 2 * half_width / (n // 2) > bound
+
+    @pytest.mark.parametrize("half_width", [2.0, 8.0, 12.0])
+    def test_order_check_counts_the_rows_the_run_takes(self, half_width,
+                                                       monkeypatch):
+        # At each h of the shipped sweep the order check refuses M = n1 / 2
+        # for n1 the x1 count of the axis run_fio_check hands the check.
+        v = dict(experiments.parse_config(FIO_CONFIG).values,
+                 x1_half_width=half_width)
+        seen = []
+        check = experiments.flattening_reports
+
+        def recording(a1, field, axis, orders):
+            seen.append(axis.points)
+            return check(a1, field, axis, orders)
+
+        monkeypatch.setattr(experiments, "flattening_reports", recording)
+        experiments.run_fio_check(v)
+        assert len(seen) == len(SHIPPED_H)
+        for h, n1 in zip(SHIPPED_H, seen):
+            with pytest.raises(ConfigError, match=f"of the {n1} x1 rows at"):
+                experiments._check_fio_orders(
+                    dict(v, h_sweep=[h], orders=[1, n1 // 2]))
 
 
 class TestEgorov:

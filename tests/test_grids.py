@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from quasilab.errors import DimensionMismatchError
-from quasilab.grids import AxisSpec, cell_volume, dual_axis
+from quasilab.grids import AxisSpec, cell_volume
 
-from oracles import GridField, apply_multiplier, ft_axes, l2_norm
+from oracles import GridField, apply_multiplier, dual_axis, ft_axes, l2_norm
 
 
 def mesh_points(axes):

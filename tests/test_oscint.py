@@ -372,7 +372,7 @@ class TestCriticalPoints:
 
         integrand = OscIntegrand(phase, bump_amplitude(2.0), 1,
                                  ((-1.5, 1.5),), unit_loss, unbounded)
-        rep = vdc_check(integrand, H6[:5], 1.0)
+        rep = vdc_check(integrand, H6[:5], 1.0, 0.1)
         assert rep.verdict == "REFUSED"
         assert "critical point" in rep.reason
 
@@ -382,7 +382,7 @@ class TestVdcCheck:
         integrand = OscIntegrand(quadratic_phase(1.0, 1), dyadic_amplitude(3, 2),
                                  1, ((-1.5, 1.5),), dyadic_loss(3, 2),
                                  unbounded)
-        rep = vdc_check(integrand, H6, 1.0)
+        rep = vdc_check(integrand, H6, 1.0, 0.1)
         assert rep.verdict == "PASS"
         assert abs(rep.fitted_exponent - 0.5) <= 0.1
 
@@ -390,7 +390,8 @@ class TestVdcCheck:
         integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
                                  2, ((-1.5, 1.5), (-1.5, 1.5)), dyadic_loss(3, 1),
                                  unbounded)
-        rep = vdc_check(integrand, [2.0 ** -e for e in range(3, 9)], 1.0)
+        rep = vdc_check(integrand, [2.0 ** -e for e in range(3, 9)],
+                        1.0, 0.1)
         assert rep.verdict == "PASS"
         assert abs(rep.fitted_exponent - 1.0) <= 0.1
 
@@ -398,7 +399,7 @@ class TestVdcCheck:
         phase = quadratic_phase(1.0, 1)
         integrand = OscIntegrand(phase, resonant_amplitude(phase, 0.8),
                                  1, ((-1, 1),), power_loss(0.8), unbounded)
-        rep = vdc_check(integrand, H6, 1.0)
+        rep = vdc_check(integrand, H6, 1.0, 0.1)
         assert rep.verdict == "FAIL"
         assert not rep.admissible
         assert rep.fitted_exponent < 0.4
@@ -430,7 +431,7 @@ class TestVdcCheck:
         zero = OscIntegrand(quadratic_phase(1.0, 1),
                             lambda p, h: np.zeros(p.shape[:-1]),
                             1, ((-1, 1),), unit_loss, unbounded)
-        rep = vdc_check(zero, H6[:5], 1.0)
+        rep = vdc_check(zero, H6[:5], 1.0, 0.1)
         assert rep.magnitudes == (0.0,) * 5
         assert rep.fitted_exponent == 0.0 and rep.slope_stderr == 0.0
         assert rep.verdict == "FAIL"
@@ -439,7 +440,7 @@ class TestVdcCheck:
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
                                  1, ((-1, 1),), unit_loss, unbounded)
         with pytest.raises(ValueError):
-            vdc_check(integrand, [0.5, 0.25, 0.125], 1.0)
+            vdc_check(integrand, [0.5, 0.25, 0.125], 1.0, 0.1)
 
 
 class TestTTStar:

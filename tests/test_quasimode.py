@@ -17,15 +17,16 @@ from quasilab import families, quasimode
 from quasilab.analysis import oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError, GridBudgetError)
-from quasilab.fio import aligned_position_axes
-from quasilab.grids import AxisSpec, dual_axis, node_arrays
+from quasilab.fio import x1_axis
+from quasilab.grids import AxisSpec, node_arrays
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
                                 build_cutoff, column_transforms, synthesize_at,
                                 synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import ft_axes, l2_norm, lp_norm, shell_mask, synthesize_grid
+from oracles import (aligned_axes, dual_axis, ft_axes, l2_norm, lp_norm,
+                     shell_mask, synthesize_grid)
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -430,7 +431,7 @@ import hashlib
 import numpy as np
 from quasilab import families
 from quasilab.analysis import oscillation_axes
-from quasilab.fio import aligned_position_axes, flattening_reports
+from quasilab.fio import flattening_reports, x1_axis
 from quasilab.quasimode import build_cutoff, verify_joint_quasimode
 from quasilab.symbols import graph_factor
 from quasilab.wavelets import decay_diagnostic, make_mother_wavelet
@@ -443,13 +444,13 @@ arrays = [synthesize_grid(c, oscillation_axes(
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
 flat = build_cutoff(families.flat_cutoff(2, 3, pow2=True), 2.0 ** -8)
-mass = decay_diagnostic(flat, aligned_position_axes(flat, 6.0, 2.0 ** -9),
-                        make_mother_wavelet(), 1, 3).mass
+mass = decay_diagnostic(flat, x1_axis(6.0, 2.0 ** -9), make_mother_wavelet(),
+                        1, 3).mass
 h = 2.0 ** -4
 fio = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
 reports = flattening_reports(
     graph_factor(families.paraboloid_pair(2, 1)[0]).a, fio,
-    aligned_position_axes(fio, 8.0, h / 8.0), (1, 2))
+    x1_axis(8.0, h / 8.0), (1, 2))
 reports = np.array([[r.ratio, r.slack, r.identity_residual, r.identity_bound]
                     for r in reports])
 for arr in arrays + [verify_joint_quasimode(cut, 3), mass, reports]:
@@ -774,15 +775,16 @@ class TestProductSynthesis:
 
 
 class TestColumnTransforms:
-    """The premise of the frequency-side stages: on aligned position axes
-    the h-scaled FFT of the synthesized field over the bar axes is each
-    column's x1 profile at that column's node and 0 at every other node."""
+    """The premise of the frequency-side stages: on position axes whose bar
+    duals are the cutoff's bar grid (aligned_axes) the h-scaled FFT of the
+    synthesized field over the bar axes is each column's x1 profile at that
+    column's node and 0 at every other node."""
 
     @pytest.mark.parametrize("case", ["fio-n2", "fio-n3", "wavelet-flat"])
     def test_columns_are_the_bar_transform(self, case, request):
         if case == "wavelet-flat":
             # The shipped wavelet config's 8192 x 64 field.
-            cut, axes = request.getfixturevalue("flat_model")
+            cut, ax = request.getfixturevalue("flat_model")
             u = request.getfixturevalue("flat_model_field")
         else:
             # The fio_n2_k1 config's finer field (4096 x 64), and an n = 3
@@ -791,11 +793,11 @@ class TestColumnTransforms:
                 "fio-n2": (2, 2.0 ** -5, 8.0, 2.0 ** -8),
                 "fio-n3": (3, 2.0 ** -3, 2.0, 2.0 ** -4)}[case]
             cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
-            axes = aligned_position_axes(cut, x1_half_width, dx)
-            u = synthesize_grid(cut, axes)
-        hat, duals = ft_axes(u.data, axes[1:], cut.h)
+            ax = x1_axis(x1_half_width, dx)
+            u = synthesize_grid(cut, aligned_axes(cut, ax))
+        hat, duals = ft_axes(u.data, u.axes[1:], cut.h)
         assert duals == cut.axes[1:]
-        blocks = list(column_transforms(cut, axes[0].nodes()))
+        blocks = list(column_transforms(cut, ax.nodes()))
         assert [cols.start for cols, _ in blocks] == list(range(
             0, len(cut.col_count), blocks[0][1].shape[1]))
         got = np.concatenate([u for _, u in blocks], axis=1)
@@ -817,7 +819,7 @@ class TestColumnTransforms:
         # though its blocks hold from one column (4,096 rows) to all 50.
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True),
                            2.0 ** -5)
-        x1 = aligned_position_axes(cut, 8.0, 2.0 ** -8)[0].nodes()
+        x1 = x1_axis(8.0, 2.0 ** -8).nodes()
 
         def profiles(x):
             return np.concatenate(
@@ -827,18 +829,19 @@ class TestColumnTransforms:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    def test_misaligned_axes_rejected(self):
+    def test_aligned_x1_is_the_axis_nodes(self, monkeypatch):
+        # The x1 nodes, bit for bit, once the x1 nodes times the cutoff's
+        # bar grid (2,048 x 64) are within the budget; one cell over it is
+        # refused, naming the cells.
         cut = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True),
                            2.0 ** -4)
-        axes = aligned_position_axes(cut, 8.0, 2.0 ** -7)
-        with pytest.raises(DimensionMismatchError):
-            quasimode._aligned_x1(cut, axes[:1])
-        bar = axes[1]
-        with pytest.raises(ValueError, match="bar grid"):
-            quasimode._aligned_x1(cut, [axes[0], AxisSpec(
-                bar.center, bar.half_width, 2 * bar.points)])
-        assert quasimode._aligned_x1(cut, axes).tobytes() == \
-            axes[0].nodes().tobytes()
+        ax = x1_axis(8.0, 2.0 ** -7)
+        assert quasimode._aligned_x1(cut, ax).tobytes() == \
+            ax.nodes().tobytes()
+        monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 2048 * 64 - 1)
+        with pytest.raises(GridBudgetError, match=(
+                "aligned position grid would hold 131072 cells")):
+            quasimode._aligned_x1(cut, ax)
 
 
 JOINT_CASES = [

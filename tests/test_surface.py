@@ -63,6 +63,60 @@ def test_unreferenced_check_sees_methods(tmp_path):
     assert unreferenced_public_definitions(tmp_path) == {"unused"}
 
 
+def unread_private_names(src: Path) -> set[str]:
+    """"module.name" for each private module-level function, class or
+    assigned name of src/*.py that no src module reads.  A name is read when
+    its own module loads it, or when another module imports it or reads an
+    attribute of that name."""
+    defined, loaded, reached = {}, {}, {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names |= {n.id for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)}
+        module = path.stem
+        defined[module] = {n for n in names
+                           if n.startswith("_") and not n.startswith("__")}
+        loaded[module] = {n.id for n in ast.walk(tree)
+                          if isinstance(n, ast.Name)
+                          and isinstance(n.ctx, ast.Load)}
+        reached[module] = (
+            {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               for a in n.names})
+    return {f"{module}.{name}" for module, names in defined.items()
+            for name in names - loaded[module]
+            if not any(name in reached[other] for other in reached
+                       if other != module)}
+
+
+def test_no_unread_private_names():
+    assert unread_private_names(SRC) == set()
+
+
+def test_unread_private_name_check_sees_each_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import b\nfrom b import _imported\n"
+        "_READ = 1\n_UNREAD = 2\n_T1, _T2 = 1, 2\n_ann: int = 0\n"
+        "__dunder__ = 0\n"
+        "def _called():\n    return _READ + _T1\n"
+        "def _unused():\n    pass\n"
+        "class _Unused:\n    pass\n"
+        "def public():\n    return _called(), b._as_attribute\n")
+    (tmp_path / "b.py").write_text(
+        "_imported = 1\n_as_attribute = 2\n_stored = 3\n")
+    assert unread_private_names(tmp_path) == {
+        "a._UNREAD", "a._T2", "a._ann", "a._unused", "a._Unused",
+        "b._stored"}
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names that path's module-level imports bind and that the module never
     names; `from __future__` binds none."""

@@ -165,36 +165,36 @@ class TestContactOrder:
     def test_uniform_pair_any_direction(self):
         p1, p2 = families.paraboloid_pair(3, 3)
         for v in ((1, 0), (0, 1), (F(3, 5), F(-4, 5)), (2, 7)):
-            rep = contact_profile(bar(p1), bar(p2), [v]).reports[0]
+            rep = contact_profile(bar(p1), bar(p2), [v], 32).reports[0]
             assert rep.order == 3
 
     def test_axis_pair_split_orders(self):
         p1, p2 = families.axis_contact_pair(3)
         a1, a2 = bar(p1), bar(p2)
-        assert contact_profile(a1, a2, [(0, 1)]).reports[0].order == 3
-        assert contact_profile(a1, a2, [(1, 0)]).reports[0].order == 1
+        assert contact_profile(a1, a2, [(0, 1)], 32).reports[0].order == 3
+        assert contact_profile(a1, a2, [(1, 0)], 32).reports[0].order == 1
 
     def test_identical_graphs_infinite(self):
         a = families.bar_norm_sq(3)
         a = graph_factor(families.paraboloid_pair(3, 1)[0]).a
-        rep = contact_profile(a, a, [(1, 1)]).reports[0]
+        rep = contact_profile(a, a, [(1, 1)], 32).reports[0]
         assert math.isinf(rep.order) and rep.leading_coefficient is None
 
     def test_zero_direction_rejected(self):
         a = bar(families.paraboloid_pair(3, 1)[0])
         with pytest.raises(ValueError):
-            contact_profile(a, a, [(0, 0)]).reports[0]
+            contact_profile(a, a, [(0, 0)], 32).reports[0]
 
     def test_no_contact_rejected(self):
         a1 = PolySymbol.constant(1, 2)
         a2 = PolySymbol.zero(2)
         with pytest.raises(ValueError):
-            contact_profile(a1, a2, [(1, 0)]).reports[0]
+            contact_profile(a1, a2, [(1, 0)], 32).reports[0]
 
     def test_leading_coefficient_value(self):
         # Along (1, 2): |t(1,2)|^4 = 25 t^4, so the t^4 coefficient is 25.
         p1, p2 = families.paraboloid_pair(3, 3)
-        rep = contact_profile(bar(p1), bar(p2), [(1, 2)]).reports[0]
+        rep = contact_profile(bar(p1), bar(p2), [(1, 2)], 32).reports[0]
         assert rep.leading_coefficient == 25
 
     @pytest.mark.parametrize("max_order", [32, 5])
@@ -223,8 +223,8 @@ class TestContactOrder:
             v = tuple(F(rng.randint(-4, 4)) for _ in range(a1.dim))
             if not any(v):
                 v = (F(1),) * a1.dim
-            r12 = contact_profile(a1, a2, [v]).reports[0]
-            r21 = contact_profile(a2, a1, [v]).reports[0]
+            r12 = contact_profile(a1, a2, [v], 32).reports[0]
+            r21 = contact_profile(a2, a1, [v], 32).reports[0]
             assert r12.order == r21.order
             if r12.leading_coefficient is not None:
                 assert r12.leading_coefficient == -r21.leading_coefficient
@@ -237,8 +237,8 @@ class TestContactOrder:
             v = tuple(F(rng.randint(-3, 3)) for _ in range(a1.dim))
             if not any(v):
                 continue
-            r = contact_profile(a1, a2, [v]).reports[0]
-            r_scaled = contact_profile(a1 * lam, a2 * lam, [v]).reports[0]
+            r = contact_profile(a1, a2, [v], 32).reports[0]
+            r_scaled = contact_profile(a1 * lam, a2 * lam, [v], 32).reports[0]
             assert r.order == r_scaled.order
 
 
@@ -258,14 +258,15 @@ def _random_graph_pair(rng, dim=2, max_degree=5):
 class TestContactProfile:
     def test_uniform_flag_on_uniform_pair(self):
         p1, p2 = families.paraboloid_pair(3, 1)
-        prof = contact_profile(bar(p1), bar(p2), sample_directions(2))
+        prof = contact_profile(bar(p1), bar(p2), sample_directions(2, 64),
+                               32)
         assert prof.uniform and set(prof.orders()) == {1}
         assert len(prof.reports) >= 64
 
     def test_plane_vs_bowl_split(self):
         a1, a2 = plane_vs_bowl_graphs()
         dirs = sample_directions(2, 64)
-        prof = contact_profile(a1, a2, dirs)
+        prof = contact_profile(a1, a2, dirs, 32)
         orders = {tuple(r.direction): r.order for r in prof.reports}
         assert not prof.uniform
         assert orders[(F(0), F(1))] == 5 and orders[(F(0), F(-1))] == 5
@@ -275,7 +276,7 @@ class TestContactProfile:
     def test_empty_sample_rejected(self):
         a = bar(families.paraboloid_pair(3, 1)[0])
         with pytest.raises(ValueError):
-            contact_profile(a, a, directions=[])
+            contact_profile(a, a, directions=[], max_order=32)
 
 
 class TestMixedPartials:
@@ -345,7 +346,7 @@ class TestDirections:
         assert len(dirs) >= 64
 
     def test_one_dimensional(self):
-        assert sample_directions(1) == [(F(1),), (F(-1),)]
+        assert sample_directions(1, 64) == [(F(1),), (F(-1),)]
 
     def test_rational_entries(self):
         for v in sample_directions(3, 70):

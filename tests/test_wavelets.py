@@ -290,7 +290,7 @@ class TestDecayDiagnostic:
     def test_band_transforms_only_its_rows(self, flat_model, monkeypatch):
         # The window keeps 3,070 of the 8,192 x1 rows: the columns are
         # evaluated on those rows alone, every column once, in order.
-        cut, axes = flat_model
+        cut, ax = flat_model
         calls, seen = [], []
         blocks = wavelets.column_transforms
 
@@ -301,10 +301,10 @@ class TestDecayDiagnostic:
                 yield cols, u
 
         monkeypatch.setattr(wavelets, "column_transforms", recording)
-        band, row0 = _windowed_band(cut, axes)
+        band, row0 = _windowed_band(cut, ax)
         x1, = calls
-        assert len(band) == len(x1) == 3070 < 0.4 * axes[0].points
-        assert x1.tobytes() == axes[0].nodes()[row0:row0 + 3070].tobytes()
+        assert len(band) == len(x1) == 3070 < 0.4 * ax.points
+        assert x1.tobytes() == ax.nodes()[row0:row0 + 3070].tobytes()
         assert seen[0][0] == 0 and seen[-1][1] == len(cut.col_count)
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
@@ -312,9 +312,9 @@ class TestDecayDiagnostic:
         # The band is the whole synthesized field's FFT over the bar axis,
         # read at the columns' nodes on the band's rows, times the window,
         # to rounding.
-        cut, axes = flat_model
         f = flat_model_field
-        band, row0 = _windowed_band(cut, axes)
+        cut = flat_model[0]
+        band, row0 = _windowed_band(*flat_model)
         band = band.view(complex)
         row1 = row0 + len(band)
         hat, duals = ft_axes(f.data[row0:row1], f.axes[1:], f.h)
@@ -328,9 +328,9 @@ class TestDecayDiagnostic:
     def test_band_is_windowed_columns(self, flat_model):
         # Block of columns by block, the band is the columns' x1 profiles on
         # the window's rows times the window, bit for bit.
-        cut, axes = flat_model
-        band, row0 = _windowed_band(cut, axes)
-        x1 = axes[0].nodes()
+        cut, ax = flat_model
+        band, row0 = _windowed_band(cut, ax)
+        x1 = ax.nodes()
         window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
         row1 = row0 + len(band)
         assert window[row0 - 1] == 0.0 and window[row1] == 0.0
@@ -352,9 +352,9 @@ class TestDecayDiagnostic:
                                               monkeypatch):
         # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
         # coefficient rows are exact zeros and are not formed.
-        cut, axes = flat_model
+        cut, ax = flat_model
         f = flat_model_field
-        band, row0 = _windowed_band(cut, axes)
+        band, row0 = _windowed_band(cut, ax)
         if work is not None:
             monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
         monkeypatch.setattr(wavelets, "_A_GRID", (a,))
@@ -362,14 +362,14 @@ class TestDecayDiagnostic:
         rng = np.random.default_rng(31)
         weights = [rng.random(cols), np.zeros(cols), rng.random(cols)]
         weights[2][5:30] = 0.0
-        (got_b, sums), = _level_sums(band, row0, axes[0], mother_wavelet,
+        (got_b, sums), = _level_sums(band, row0, ax, mother_wavelet,
                                      weights)
         # The whole-array form: the band's columns on every x1 row, zero off
         # the band, their windows formed, and their squared real parts and
         # imaginary parts summed in one axis-0 sum over every window.
-        hat = np.zeros((axes[0].points, 2 * cols))
+        hat = np.zeros((ax.points, 2 * cols))
         hat[row0:row0 + len(band)] = band
-        b, blocks = _scale_window(hat, 0, axes[0], mother_wavelet, a)
+        b, blocks = _scale_window(hat, 0, ax, mother_wavelet, a)
         x_hat = window_run(blocks, 2 * cols)
         assert got_b.tobytes() == b.tobytes()
         power = np.square(x_hat).sum(axis=0)
@@ -381,9 +381,9 @@ class TestDecayDiagnostic:
         # agrees to rounding.
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         _, blocks = _scale_window(real_rows(f.data * window[:, None]), 0,
-                                  axes[0], mother_wavelet, a)
+                                  ax, mother_wavelet, a)
         x = window_run(blocks, 2 * f.data.shape[1]).view(complex)
-        power = np.sum(np.abs(ft_axes(x, axes[1:], f.h)[0]) ** 2, axis=0)
+        power = np.sum(np.abs(ft_axes(x, f.axes[1:], f.h)[0]) ** 2, axis=0)
         nodes = np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
                         / cut.axes[1].spacing - 0.5).astype(int)
         for got, weight in zip(sums, weights):
@@ -391,10 +391,10 @@ class TestDecayDiagnostic:
                                         rel=1e-12, abs=0)
         # The band's run of live windows, from the zero rows: windows that
         # reach only rows off the band are +0, and are not formed.
-        run = window_run(_scale_window(band, row0, axes[0], mother_wavelet,
+        run = window_run(_scale_window(band, row0, ax, mother_wavelet,
                                        a)[1], 2 * cols)
         live = np.flatnonzero(x_hat.any(axis=1))
-        if a < axes[0].spacing:
+        if a < ax.spacing:
             # No live window: every level's sum is +0, as the oracle's.
             assert len(run) == 0 and len(live) == 0
             assert [s.hex() for s in sums] == ["0x0.0p+0"] * len(weights)
