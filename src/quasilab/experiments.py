@@ -28,10 +28,9 @@ from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
 from .errors import ConfigError, QuasilabError
 from .fio import flattening_reports, x1_axis
 from .grids import cell_volume
-from .oscint import (OscIntegrand, dyadic_amplitude, dyadic_loss,
-                     dyadic_radius, quadratic_phase, resonant_amplitude,
-                     resonant_radius, power_loss, ttstar_kernel, vdc_check,
-                     window_overlap)
+from .oscint import (Amplitude, OscIntegrand, dyadic_amplitude, psi_amplitude,
+                     quadratic_phase, resonant_amplitude, ttstar_kernel,
+                     vdc_check, window_overlap)
 from .quasimode import (MAX_GRID_CELLS, build_cutoff, synthesize_at,
                         synthesize_on_axes, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
@@ -146,8 +145,10 @@ def _choice(default: str, options: dict | tuple) -> Key:
 
 # Most points of a delta-curves table.  Each point is one exact Fraction row
 # per k and one for Sogge, so time and memory grow with the count: 10^6
-# points took minutes and 600 MB, and 10^8 ran out of memory.
+# points took minutes and 600 MB, and 10^8 ran out of memory.  The rows are
+# bounded too, by what the default three k give at the most points.
 _MAX_INVP_POINTS = 4096
+_MAX_DELTA_ROWS = 4 * _MAX_INVP_POINTS
 _FLAG = {"true": True, "false": False}
 _FAMILY = _choice("paraboloid", families.CUTOFF_FAMILIES)
 _SYMBOL = Key("a polynomial", str)   # parsed by the kind's rule, which knows n
@@ -362,22 +363,58 @@ def _check_lp_sweep(v: dict) -> None:
             "points_per_scale, or set peak_only = true")
 
 
+def _check_delta_rows(v: dict) -> None:
+    """A delta-curves table holds (len(k_list) + 1) * invp_points exact
+    rows, at most _MAX_DELTA_ROWS."""
+    rows = (len(v["k_list"]) + 1) * v["invp_points"]
+    if rows > _MAX_DELTA_ROWS:
+        raise ConfigError(
+            f"k_list and invp_points give ({len(v['k_list'])} + 1) * "
+            f"{v['invp_points']} = {rows} exact rows, over the bound of "
+            f"{_MAX_DELTA_ROWS}; give fewer k or points")
+
+
+def _check_scale(v: dict, key: str, amp: Amplitude) -> None:
+    """amp's loss rate and support radius, which key scales, must be
+    positive finite floats at every h of the sweep."""
+    for h in v["h_sweep"]:
+        try:
+            rates = amp.loss_rate(h), amp.support_radius(h)
+        except ArithmeticError:
+            rates = (math.nan,)
+        if not all(0 < r < math.inf for r in rates):
+            raise ConfigError(
+                f"{key} = {fmt(v[key])} leaves the amplitude no positive "
+                f"finite loss rate and support radius at h = {fmt(h)}")
+
+
+def _check_vdc(v: dict) -> None:
+    """Fill v["amp"], the run's dyadic or resonant amplitude."""
+    if v["amplitude"] == "dyadic":
+        key, v["amp"] = "j", dyadic_amplitude(v["k"], v["j"])
+    else:
+        phase = quadratic_phase(v["mu"], v["d"])
+        key, v["amp"] = "beta", resonant_amplitude(phase, v["beta"])
+    _check_scale(v, key, v["amp"])
+
+
 def _check_ttstar(v: dict) -> None:
-    """The kernel is 0 where its windows' b-overlap is: at `separation` or
-    at the largest h (the support-only regime's separation) the band
-    ratios would divide by it."""
+    """Each psi_j's scale must be a positive finite float.  The kernel is
+    0 where its windows' b-overlap is: at `separation` or at the largest h
+    (the support-only regime's separation) the band ratios would divide by
+    it."""
     _check_symbol(v, "a1", 1)
-    w = make_mother_wavelet()
+    _check_scale(v, "j", psi_amplitude(v["k"], v["j"]))
+    reach = 2.0 * make_mother_wavelet().support_halfwidth * v["a"]
     for key, sep in (("separation", v["separation"]),
                      ("h_list" if "h_list" in v else "h_start",
                       v["h_sweep"][0])):
-        if window_overlap(w, v["a"], sep) == 0.0:
+        if window_overlap(v["a"], sep) == 0.0:
             raise ConfigError(
                 f"{key} gives a separation of {fmt(sep)}, at which the two "
                 "windows overlap by 0.0 on the kernel's nodes (they are "
                 "disjoint from 2*a*support_halfwidth = "
-                f"{fmt(2.0 * w.support_halfwidth * v['a'])} on), so the "
-                "kernel vanishes")
+                f"{fmt(reach)} on), so the kernel vanishes")
 
 
 def _check_fio_orders(v: dict) -> None:
@@ -523,7 +560,7 @@ def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
     cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
     diag = decay_diagnostic(cut, x1_axis(v["x1_half_width"], v["x1_spacing"]),
-                            make_mother_wavelet(), v["m_order"], k)
+                            v["m_order"], k)
     bound = 2.0 ** (-(k + 1))
     worst = max((r for _, r in diag.j_ratios), default=0.0)
     verdicts = [
@@ -540,19 +577,9 @@ def run_wavelet_diagnostic(v: dict):
 
 
 def run_vdc(v: dict):
-    d, mu, amp_kind, tol = v["d"], v["mu"], v["amplitude"], v["exponent"]
-    phase = quadratic_phase(mu, d)
-    if amp_kind == "dyadic":
-        k, j = v["k"], v["j"]
-        amp, loss, radius = (dyadic_amplitude(k, j), dyadic_loss(k, j),
-                             dyadic_radius(k, j))
-    else:
-        beta = v["beta"]
-        amp, loss, radius = (resonant_amplitude(phase, beta), power_loss(beta),
-                             resonant_radius(beta))
-    ext = v["box_half_width"]
-    integrand = OscIntegrand(phase, amp, d, tuple((-ext, ext) for _ in range(d)),
-                             loss, radius)
+    d, mu, tol, ext = v["d"], v["mu"], v["exponent"], v["box_half_width"]
+    integrand = OscIntegrand(quadratic_phase(mu, d), v["amp"], d,
+                             tuple((-ext, ext) for _ in range(d)))
     rep = vdc_check(integrand, v["h_sweep"], mu, exponent_tolerance=tol)
     rows = [(h, m, h ** (d / 2) * mu ** (-d / 2), r)
             for h, m, r in zip(rep.h_values, rep.magnitudes, rep.ratios)]
@@ -571,15 +598,11 @@ def run_vdc(v: dict):
 
 def run_ttstar(v: dict):
     k, j, a, hs, a1 = v["k"], v["j"], v["a"], v["h_sweep"], v["a1"]
-    sep_vdc, nbar, w = v["separation"], a1.dim, make_mother_wavelet()
-
-    def kernel(h, sep):   # windows at x1 = sep/2 and z1 = -sep/2
-        return ttstar_kernel(a1, w, a, j, h, k, x1=sep / 2, z1=-sep / 2,
-                             xbar=[0.0] * nbar, zbar=[0.0] * nbar)
+    sep_vdc, nbar = v["separation"], a1.dim
     rows = []
     for h in hs:
-        mag_vdc = abs(kernel(h, sep_vdc).value)
-        triv = kernel(h, h)
+        mag_vdc = abs(ttstar_kernel(a1, a, j, h, k, sep_vdc).value)
+        triv = ttstar_kernel(a1, a, j, h, k, h)
         mag_triv = abs(triv.value)
         rows.append((
             h, sep_vdc, mag_vdc,
@@ -594,7 +617,7 @@ def run_ttstar(v: dict):
                 all(bound_ok)),
     ]
     # Disjoint-window kernel must vanish identically.
-    kv0 = kernel(hs[0], 5 * a)
+    kv0 = ttstar_kernel(a1, a, j, hs[0], k, 5 * a)
     verdicts.append(Verdict("disjoint-window-zero", abs(kv0.value), 0.0, 0.0,
                             kv0.value == 0.0))
     header = ("h", "separation", "kernel_vdc", "ratio_vdc", "kernel_trivial",
@@ -632,7 +655,8 @@ KINDS: dict[str, Kind] = {
         "n": _int("3", 2), "k_list": _ints("1, 3, 5", 1),
         "invp_points": Key("an integer", int, "25", (
             f">= 2 and <= {_MAX_INVP_POINTS}",
-            lambda v: 2 <= v <= _MAX_INVP_POINTS))}),
+            lambda v: 2 <= v <= _MAX_INVP_POINTS))},
+        rules=(_check_delta_rows,)),
     "contact-profile": Kind(run_contact_profile, "contact_profile", {
         "n": _int("3", 2), "k": _int("1", 1), "family": _FAMILY,
         "max_order": _int("32", 1), "directions": _int("64", 1),
@@ -668,7 +692,7 @@ KINDS: dict[str, Kind] = {
         "expect": _choice("pass", {"pass": "PASS", "fail": "FAIL"}),
         "degraded_below": _number("0.4", _FINITE),
     }, tolerances={"exponent": _number("0.1", _NONNEGATIVE)},
-        rules=(_check_fitted_sweep,)),
+        rules=(_check_fitted_sweep, _check_vdc)),
     "ttstar-kernel": Kind(run_ttstar, "ttstar", {
         "k": _int("3", 1), "j": _int("0"), "a": _number("0.5", _POSITIVE),
         **_H_SWEEP, "separation": _number("2^-3", _POSITIVE),

@@ -1,5 +1,7 @@
 """Oscillatory-integral quadrature, the nondegenerate-phase decay check with
-h-dependent amplitudes, and the dyadically localized TT* kernel.
+h-dependent amplitudes, and the dyadically localized TT* kernel.  An
+amplitude carries its loss rate and support radius (Amplitude); the dyadic
+ones take their scale from wavelets.dyadic_cutoffs.
 
 evaluate() refuses under-resolved requests instead of returning garbage:
 the tensor midpoint rule needs a fixed number of points per oscillation
@@ -8,11 +10,11 @@ of the smooth compactly supported integrand, far below the value itself.
 The rule sums fixed slabs of nodes, written into one node array per
 quadrature; on each it evaluates the amplitude first and takes the phase
 and the complex exponential only on the amplitude's support, gathered from
-the flat (N, d) list of nodes.  An integrand declares a support radius R,
-outside whose cube |xi_k| < R the amplitude is exactly 0: a slab that
-misses the cube (padded by one node per side) is skipped, and inside the
-others nodes are built and the amplitude taken only on the cube's rows
-and columns.  Everywhere else the slab keeps the zeros the amplitude would
+the flat (N, d) list of nodes.  An amplitude declares a support radius R,
+outside whose cube |xi_k| < R it is exactly 0: a slab that misses the
+cube (padded by one node per side) is skipped, and inside the others
+nodes are built and the amplitude taken only on the cube's rows and
+columns.  Everywhere else the slab keeps the zeros the amplitude would
 have given, and every slab is summed whole, so the reduction order, and
 with it every output bit, depends only on the grid, not on the radius.
 
@@ -34,7 +36,7 @@ import numpy as np
 from .analysis import MIN_SWEEP_POINTS, _fit_line
 from .errors import ResolutionError
 from .symbols import PolySymbol
-from .wavelets import MotherWavelet, _smooth_step, bump, dyadic_cutoffs
+from .wavelets import _smooth_step, bump, dyadic_cutoffs, make_mother_wavelet
 
 _TWO_PI = 2.0 * np.pi
 _SLAB_POINTS = 1 << 16   # quadrature points per slab of _slabs
@@ -47,28 +49,33 @@ _HESS_FLOOR = 0.1    # vdc_check's least |det Hess| / mu^d at the critical point
 _RATIO_BAND = 10.0   # and widest max/min spread of the normalized ratios
 
 Phase = Callable[[np.ndarray], np.ndarray]          # (..., d) -> (...)
-Amplitude = Callable[[np.ndarray, float], np.ndarray]
+
+
+@dataclass(frozen=True)
+class Amplitude:
+    """An amplitude: values(pts, h), (..., d) -> (...); loss_rate(h), its
+    regularity loss per derivative (the f(h) of the admissibility condition
+    f(h) <= h^(-1/2) mu^(1/2)); and support_radius(h), an R such that it is
+    exactly 0 at every node where some |xi_k| >= R.  The quadrature skips
+    the nodes outside that cube (see _slabs); math.inf keeps the box."""
+
+    values: Callable[[np.ndarray, float], np.ndarray]
+    loss_rate: Callable[[float], float]
+    support_radius: Callable[[float], float]
 
 
 @dataclass(frozen=True)
 class OscIntegrand:
-    """I(h) = int_box exp(i*phase/h) * amplitude(xi, h) dxi.
+    """I(h) = int_box exp(i*phase/h) * amplitude.values(xi, h) dxi.
 
-    loss_rate(h) declares the amplitude's regularity loss per derivative
-    (the f(h) of the admissibility condition f(h) <= h^(-1/2) mu^(1/2)).
-    support_radius(h) is a radius R such that the amplitude is exactly 0 at
-    every node where some |xi_k| >= R; the quadrature skips the nodes
-    outside that cube (see _slabs), and R = math.inf keeps the whole box.
-    The box is never shrunk to the cube: the node count and every node
-    come from the box.
+    The box is never shrunk to the amplitude's support cube: the node
+    count and every node come from the box.
     """
 
     phase: Phase
     amplitude: Amplitude
     d: int
     box: tuple[tuple[float, float], ...]
-    loss_rate: Callable[[float], float]
-    support_radius: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
     gmax = _grad_max(integrand.phase, integrand.box, d)
     widths = [hi - lo for lo, hi in integrand.box]
     wavelength = _TWO_PI * h / gmax if gmax > 0 else math.inf
-    loss = integrand.loss_rate(h)
+    loss = integrand.amplitude.loss_rate(h)
     amp_scale = 1.0 / loss if loss > 0 else math.inf
     n = MIN_POINTS_PER_AXIS
     for width in widths:
@@ -156,7 +163,7 @@ def _midpoint(integrand: OscIntegrand, h: float, n: int,
         # the unmasked product's reduction order, so the same bits.  The
         # exponential is formed in place with the ufuncs and operand order
         # of np.exp(1j * phase / h) * amp.
-        amp = integrand.amplitude(pts, h)
+        amp = integrand.amplitude.values(pts, h)
         on = amp != 0
         support = np.compress(on.ravel(), pts.reshape(-1, pts.shape[-1]), axis=0)
         e = scratch[:len(support)]
@@ -166,8 +173,9 @@ def _midpoint(integrand: OscIntegrand, h: float, n: int,
         np.multiply(e, amp[on], out=e)
         out[on] = e
 
-    return complex(sum(_slabs(integrand.box, n, integrand.support_radius(h),
-                              values, integrand_values)))
+    return complex(sum(_slabs(integrand.box, n,
+                              integrand.amplitude.support_radius(h), values,
+                              integrand_values)))
 
 
 def _slab_rows(n: int, d: int) -> int:
@@ -343,12 +351,9 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
                          tuple(crit), det, "REFUSED",
                          f"|det Hess| = {det:.3g} below {_HESS_FLOOR} * mu^d")
 
-    admissible = all(integrand.loss_rate(h) <= h ** -0.5 * mu ** 0.5 * (1 + 1e-9)
-                     for h in h_values)
-    mags = []
-    for h in h_values:
-        res = evaluate(integrand, h)
-        mags.append(abs(res.value))
+    admissible = all(integrand.amplitude.loss_rate(h)
+                     <= h ** -0.5 * mu ** 0.5 * (1 + 1e-9) for h in h_values)
+    mags = [abs(evaluate(integrand, h).value) for h in h_values]
     logs_h = np.log(np.asarray(h_values, float))
     logs_m = np.log(np.maximum(mags, 1e-300))
     slope, stderr = _fit_line(logs_h, logs_m)
@@ -393,52 +398,45 @@ def quadratic_phase(mu: float, d: int) -> Phase:
     return phi
 
 
+def _dyadic_scaled(k: int, j: int, profile: Callable) -> Amplitude:
+    """profile(family, |xi|), family = dyadic_cutoffs(h, k), an amplitude
+    at its scale s = family.scale(j): loss rate 1/s, 0 from 3/2 s on."""
+    def scale(h: float) -> float:
+        return dyadic_cutoffs(h, k).scale(j)
+
+    return Amplitude(
+        lambda pts, h: profile(dyadic_cutoffs(h, k), np.sqrt(_norm_sq(pts))),
+        lambda h: 1.0 / scale(h), lambda h: 1.5 * scale(h))
+
+
 def dyadic_amplitude(k: int, j: int) -> Amplitude:
-    """Smoothed cutoff at the dyadic scale 2^j h^(1/(k+1)) covering 0.
-
-    Loss rate f(h) = (2^j h^(1/(k+1)))^(-1): admissible for mu = 1 whenever
-    h <= 1, the amplitude regime of the kernel estimates.
-    """
-
-    def amp(pts: np.ndarray, h: float) -> np.ndarray:
-        s = 2.0 ** j * h ** (1.0 / (k + 1))
-        r = np.sqrt(_norm_sq(pts))
-        return _smooth_step(r / s)
-
-    return amp
+    """Smoothed cutoff at the dyadic scale s = 2^j h^(1/(k+1)) covering 0.
+    Loss rate f(h) = 1/s: admissible for mu = 1 whenever h <= 1, the
+    amplitude regime of the kernel estimates."""
+    return _dyadic_scaled(k, j, lambda family, r: _smooth_step(
+        r / family.scale(j)))
 
 
-def dyadic_loss(k: int, j: int) -> Callable[[float], float]:
-    return lambda h: (2.0 ** j * h ** (1.0 / (k + 1))) ** -1.0
-
-
-def dyadic_radius(k: int, j: int) -> Callable[[float], float]:
-    """dyadic_amplitude's support radius: the cutoff is 0 from 3/2 its scale."""
-    return lambda h: 1.5 * 2.0 ** j * h ** (1.0 / (k + 1))
+def psi_amplitude(k: int, j: int) -> Amplitude:
+    """psi_j of dyadic_cutoffs(h, k) at |xi|, the TT* kernel's amplitude at
+    level j: 0 from 3/2 its scale on, j = 0 included."""
+    return _dyadic_scaled(k, j, lambda family, r: family.psi(j, r))
 
 
 def resonant_amplitude(phase: Phase, beta: float) -> Amplitude:
     """Conjugate chirp exp(-i*phase/h) on a window of width h^(1-beta).
 
-    Declared loss rate h^(-beta).  For beta > 1/2 this is the standard
-    sharpness family for the stationary-phase bound: the chirp cancels the
-    oscillation on the window, so |I| ~ h^(1-beta) instead of h^(d/2).
+    Declared loss rate h^(-beta), support radius the window's width.  For
+    beta > 1/2 this is the standard sharpness family for the
+    stationary-phase bound: the chirp cancels the oscillation on the
+    window, so |I| ~ h^(1-beta) instead of h^(d/2).
     """
-    def amp(pts: np.ndarray, h: float) -> np.ndarray:
+    def values(pts: np.ndarray, h: float) -> np.ndarray:
         w = h ** (1.0 - beta)
         r = np.sqrt(_norm_sq(pts))
         return bump(r / w) * np.exp(-1j * phase(pts) / h)
 
-    return amp
-
-
-def power_loss(beta: float) -> Callable[[float], float]:
-    return lambda h: h ** -beta
-
-
-def resonant_radius(beta: float) -> Callable[[float], float]:
-    """resonant_amplitude's support radius: its window's width h^(1-beta)."""
-    return lambda h: h ** (1.0 - beta)
+    return Amplitude(values, lambda h: h ** -beta, lambda h: h ** (1.0 - beta))
 
 
 # -- TT* kernel --------------------------------------------------------------------
@@ -450,14 +448,16 @@ class KernelValue:
     trivial_bound: float        # support-only estimate of |K|
 
 
-def window_overlap(w: MotherWavelet, a: float, sep: float) -> float:
+def window_overlap(a: float, sep: float) -> float:
     """The b-overlap a * int f(u) f(u - sep/a) du of two windows of scale a
-    whose centres lie sep apart, summed on 4,096 u nodes.
+    whose centres lie sep apart, f the mother wavelet's profile, summed on
+    4,096 u nodes.
 
     It is exactly 0.0 once |sep| / a >= 2 * support_halfwidth, where the
     windows are disjoint, and can be 0.0 just below that, where their
     overlap is thinner than the nodes resolve.
     """
+    w = make_mother_wavelet()
     if abs(sep) / a >= 2.0 * w.support_halfwidth:
         return 0.0
     tgrid = np.linspace(-1.0, 1.0 + abs(sep) / a, 4096)
@@ -466,53 +466,39 @@ def window_overlap(w: MotherWavelet, a: float, sep: float) -> float:
     return a * float(np.sum(fv * fs) * (tgrid[1] - tgrid[0]))
 
 
-def ttstar_kernel(a1: PolySymbol, w: MotherWavelet, a: float, j: int,
-                  h: float, k: int, x1: float, z1: float,
-                  xbar: Sequence[float], zbar: Sequence[float]) -> KernelValue:
-    """Dyadic TT* kernel in the constant-coefficient model.
-
-    K = B(x1,z1;a) * (2 pi h)^(-(n-1)) * int exp(i((xbar-zbar).xi
-        + (x1-z1) a1(xi))/h) psi_j(|xi|) dxi, where B is the wavelet
-    autocorrelation of the two windows (exact zero once |x1-z1| exceeds the
-    combined support, so the kernel vanishes there).
-    """
+def ttstar_kernel(a1: PolySymbol, a: float, j: int, h: float, k: int,
+                  sep: float) -> KernelValue:
+    """Dyadic TT* kernel in the constant-coefficient model between two
+    windows of scale a whose centres x1, z1 lie sep = x1 - z1 apart, at one
+    bar point: K = B * (2 pi h)^(-(n-1)) * int exp(i sep a1(xi)/h)
+    psi_j(|xi|) dxi, where B = window_overlap(a, sep) is exactly 0 once
+    |sep| exceeds the windows' combined support, and so is K."""
     m = a1.dim
-    sep = x1 - z1
-    b_overlap = window_overlap(w, a, sep)
+    b_overlap = window_overlap(a, sep)
     if b_overlap == 0.0:
         return KernelValue(0.0, 0.0, 0.0)
 
-    family = dyadic_cutoffs(h, k)
-    scale = family.scale(j)
+    scale = dyadic_cutoffs(h, k).scale(j)
     ext = 2.0 * scale if j == 0 else 1.5 * scale
     box = tuple((-ext, ext) for _ in range(m))
-    dxz = np.asarray(xbar, float) - np.asarray(zbar, float)
 
     def phase(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        lin = np.tensordot(pts, dxz, axes=(-1, 0))
-        return lin + sep * a1.eval_grid([pts[..., i] for i in range(m)])
+        return sep * a1.eval_grid([pts[..., i] for i in range(m)])
 
-    def amp(pts: np.ndarray, h_: float) -> np.ndarray:
-        r = np.sqrt(_norm_sq(pts))
-        return family.psi(j, r)
-
-    # psi_j is 0 from 3/2 its scale on, j = 0 included.
-    integrand = OscIntegrand(phase, amp, m, box, lambda h_: 1.0 / scale,
-                             lambda h_: 1.5 * scale)
+    integrand = OscIntegrand(phase, psi_amplitude(k, j), m, box)
     res = evaluate(integrand, h)
     pref = (_TWO_PI * h) ** (-m)
     # Triangle inequality on the same quadrature nodes: |sum| <= sum of
     # moduli holds to rounding, so the support-only bound is sharp in the
     # non-oscillatory regime.
     psi_mass = _midpoint_abs(integrand, h, res.points_per_axis)
-    return KernelValue(pref * b_overlap * res.value,
-                       abs(b_overlap),
+    return KernelValue(pref * b_overlap * res.value, abs(b_overlap),
                        pref * abs(b_overlap) * psi_mass)
 
 
 def _midpoint_abs(integrand: OscIntegrand, h: float, n: int) -> float:
     values = np.empty(_slab_points(n, integrand.d))
+    amp = integrand.amplitude
     return float(sum(_slabs(
-        integrand.box, n, integrand.support_radius(h), values,
-        lambda pts, out: np.abs(integrand.amplitude(pts, h), out=out))))
+        integrand.box, n, amp.support_radius(h), values,
+        lambda pts, out: np.abs(amp.values(pts, h), out=out))))

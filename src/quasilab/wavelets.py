@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from .grids import WORK_BLOCK_BYTES, AxisSpec, cell_volume
 from .quasimode import CutoffField, _aligned_x1, column_transforms
 
-_T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 # decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
 _A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))
 _LOCALIZE_HALFWIDTH = 1.5
@@ -66,26 +64,15 @@ class MotherWavelet:
 
     profile: Callable[[np.ndarray], np.ndarray]
     support_halfwidth: float
-    l2_norm_sq: float
-    mean: float                   # quadrature of f; ~0 by construction
 
 
-@lru_cache(maxsize=1)
 def make_mother_wavelet() -> MotherWavelet:
-    """Build the bump-derivative wavelet: profile, support, L2 norm, mean."""
-    tt = np.linspace(-1.0, 1.0, 2 * _T_POINTS)
-    fv = bump_derivative(tt)
-    dtt = tt[1] - tt[0]
-    return MotherWavelet(
-        profile=bump_derivative,
-        support_halfwidth=1.0,
-        l2_norm_sq=float(np.sum(fv * fv) * dtt),
-        mean=float(np.sum(fv) * dtt),
-    )
+    """The one analyzing wavelet, the bump derivative on (-1, 1), of the
+    decay table and the TT* kernel's windows: profile and support."""
+    return MotherWavelet(bump_derivative, 1.0)
 
 
-def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec,
-                  w: MotherWavelet, a: float):
+def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec, a: float):
     """(b, blocks) at the scale a, blocks yielding the coefficients of
     consecutive windows, in increasing order.
 
@@ -97,7 +84,8 @@ def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec,
     formed.  A block is a view of one buffer that the next block of its
     scale overwrites.
 
-    X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid.
+    X(a,b,bar) = |a|^(-1/2) int f((x1-b)/a) v(x1,bar) dx1 on the x1 grid,
+    f the mother wavelet's profile.
     b runs on a grid of step ~ a/8, snapped to the x1 grid so windows slide
     by whole cells, and extended one dilated support beyond the data so the
     no-overlap region is represented.  At scales far above the grid step
@@ -112,6 +100,7 @@ def _scale_window(band: np.ndarray, row0: int, ax: AxisSpec,
     n1 = ax.points
     cols = band.shape[1]
     block = max(1, WORK_BLOCK_BYTES // (band.itemsize * cols))
+    w = make_mother_wavelet()
     half = w.support_halfwidth * a
     qstride = max(1, int(min(a / 16.0, 1.0 / 8.0) / dx))
     qstep = qstride * dx
@@ -195,11 +184,8 @@ class DyadicFamily:
 
     def psi(self, j: int, r: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
-        base = self.h ** (1.0 / (self.k + 1))
-        if j == 0:
-            return _smooth_step(r / base)
-        return (_smooth_step(r / (2.0 ** j * base))
-                - _smooth_step(r / (2.0 ** (j - 1) * base)))
+        step = _smooth_step(r / self.scale(j))
+        return step if j == 0 else step - _smooth_step(r / self.scale(j - 1))
 
 
 def dyadic_cutoffs(h: float, k: int) -> DyadicFamily:
@@ -244,7 +230,7 @@ def _windowed_band(source: CutoffField, x1_axis: AxisSpec
     return band.view(float), row0
 
 
-def _level_sums(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
+def _level_sums(band: np.ndarray, row0: int, ax: AxisSpec,
                 weights: Sequence[np.ndarray]):
     """(b, sums) for each scale of _A_GRID in turn, of the windowed band
     (row0, band) of _windowed_band on the x1 axis ax: sums[j] is the np.sum
@@ -259,7 +245,7 @@ def _level_sums(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
     which changes no bit.
     """
     for a in _A_GRID:
-        b, blocks = _scale_window(band, row0, ax, w, a)
+        b, blocks = _scale_window(band, row0, ax, a)
         power = np.zeros(band.shape[1])
         for x in blocks:
             np.square(x, out=x)
@@ -269,8 +255,8 @@ def _level_sums(band: np.ndarray, row0: int, ax: AxisSpec, w: MotherWavelet,
         yield b, [float(np.sum(weight * power)) for weight in weights]
 
 
-def decay_diagnostic(source: CutoffField, x1_axis: AxisSpec,
-                     w: MotherWavelet, m_order: int, k: int) -> DecayDiagnostic:
+def decay_diagnostic(source: CutoffField, x1_axis: AxisSpec, m_order: int,
+                     k: int) -> DecayDiagnostic:
     """Measure N(a,j) = || sqrt(psi_j) F_h[X_v(a,b,.)] ||_{L2(b,xi_bar)}.
 
     v is the quasimode of the flat-model cutoff source on the x1 axis
@@ -298,7 +284,7 @@ def decay_diagnostic(source: CutoffField, x1_axis: AxisSpec,
     cellvol = cell_volume(source.axes[1:])
     weights = [family.psi(j, radius) for j in range(family.levels + 1)]
     mass = []
-    for b, sums in _level_sums(band, row0, x1_axis, w, weights):
+    for b, sums in _level_sums(band, row0, x1_axis, weights):
         db = b[1] - b[0] if len(b) > 1 else x1_axis.spacing
         mass.append([total * db * cellvol for total in sums])
     mass = np.sqrt(np.maximum(np.array(mass), 0.0))

@@ -11,10 +11,11 @@ read the bar transform at the cutoff's bar grid from its columns
 synthesized on the position axes whose bar duals are that grid
 cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), no run takes a norm
 over a whole field (l2_norm), no run brings a multiplier back to the
-position side (apply_multiplier) and the cutoffs evaluate their symbols
-on whole grids (PolySymbol.eval_grid).  Each definition here is the
-whole-array, whole-field or exact form of one of them, or a step of the
-paper's argument that the tests check by hand.
+position side (apply_multiplier), no run reads the mother wavelet's mean,
+L2 norm or admissibility constant (wavelet_moments, admissibility) and the
+cutoffs evaluate their symbols on whole grids (PolySymbol.eval_grid).
+Each definition here is the whole-array, whole-field or exact form of one
+of them, or a step of the paper's argument that the tests check by hand.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from quasilab.errors import DimensionMismatchError
 from quasilab.grids import AxisSpec, cell_volume, node_arrays
 from quasilab.quasimode import CutoffField, synthesize_on_axes
 from quasilab.symbols import PolySymbol
-from quasilab.wavelets import _T_POINTS, bump_derivative
+from quasilab.wavelets import bump_derivative
 
 _TWO_PI = 2.0 * np.pi
+_T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 _ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
 _GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
 
@@ -129,6 +131,15 @@ def padded_gather_cwt(v: GridField, w, a, b_step_factor=8.0, b_pad=1.0,
     inside = ((idx >= pad) & (idx < pad + n1))[:, frow != 0.0]
     partial = int(np.sum(inside.any(axis=1) & ~inside.all(axis=1)))
     return ax.start + (b_idx + 0.5) * dx, out * qstep, qstride, partial
+
+
+def wavelet_moments() -> tuple[float, float]:
+    """(mean, ||f||^2) of the bump-derivative wavelet f: the sums of f and
+    f^2 over 2 * _T_POINTS even samples of [-1, 1], times their step."""
+    t = np.linspace(-1.0, 1.0, 2 * _T_POINTS)
+    f = bump_derivative(t)
+    dt = t[1] - t[0]
+    return float(np.sum(f) * dt), float(np.sum(f * f) * dt)
 
 
 def _fourier_abs_sq(eta: np.ndarray, t: np.ndarray, f: np.ndarray,

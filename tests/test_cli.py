@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasilab
-from quasilab import errors, experiments, quasimode, wavelets
+from quasilab import errors, experiments, quasimode
 from quasilab.analysis import (INF_P, contact_delta, fit_scaling, kink_p,
                                parse_number)
 from quasilab.cli import main
@@ -538,6 +538,32 @@ class TestValidation:
         *[("delta_curves_n3.cfg", "invp_points = 25", f"invp_points = {value}",
            "invp_points must be >= 2 and <= 4096, got")
           for value in ("4097", "100000000")],
+        # The rows, one per k and one more at each point, are bounded by
+        # the default three k's at 4096 points: 50 odd k there wrote
+        # 208,896 rows in 11 s.
+        ("delta_curves_n3.cfg", "k_list = 1, 3, 5\ninvp_points = 25",
+         "k_list = 1, 3, 5, 7\ninvp_points = 4096",
+         "k_list and invp_points give (4 + 1) * 4096 = 20480 exact rows, "
+         "over the bound of 16384"),
+        ("delta_curves_n3.cfg", "k_list = 1, 3, 5\ninvp_points = 25",
+         f"k_list = {', '.join(str(k) for k in range(1, 100, 2))}\n"
+         "invp_points = 4096", "(50 + 1) * 4096 = 208896 exact rows"),
+        ("delta_curves_n3.cfg", "k_list = 1, 3, 5\ninvp_points = 25",
+         f"k_list = {', '.join(str(k) for k in range(1, 2000, 2))}\n"
+         "invp_points = 17", "(1000 + 1) * 17 = 17017 exact rows"),
+        # The amplitude's scale 2^j h^(1/(k+1)), or its loss rate h^-beta
+        # and radius h^(1-beta), must be a positive finite float at every
+        # h: past that the run raised OverflowError or ZeroDivisionError.
+        *[(config, old, new, f"{new} leaves the amplitude no positive "
+           "finite loss rate and support radius at h = ")
+          for config, old, new in (
+              ("vdc_d1.cfg", "j = 2", "j = 2000"),
+              ("vdc_d1.cfg", "j = 2", "j = -2000"),
+              ("ttstar_n2.cfg", "j = 0", "j = 2000"),
+              ("ttstar_n2.cfg", "j = 0", "j = -2000"))],
+        ("vdc_d1_resonant.cfg", "beta = 0.8", "beta = 1e300",
+         "beta = 1.0000000000000001e+300 leaves the amplitude no positive "
+         "finite loss rate and support radius at h = 0.015625"),
         ("vdc_d1.cfg", "d = 1", "d = 0", "d must be >= 1"),
         ("vdc_d1.cfg", "mu = 1", "mu = -1", "mu must be positive"),
         ("ttstar_n2.cfg", "a = 0.5", "a = 0", "a must be positive"),
@@ -790,16 +816,15 @@ class TestValidation:
                                                    new, error, match):
         # 2^28 and 2^25 aligned position cells: the budget is checked before
         # the flattening check's x1 nodes or the decay table's window and
-        # band, each sized by the grid's x1 rows, are allocated.  The mother
-        # wavelet is cached first: it is not the grid's.  The joint check's (2^24 + 1)^2 ratio matrix and its
-        # power columns are checked before either is allocated (2 PiB).
+        # band, each sized by the grid's x1 rows, are allocated.  The joint
+        # check's (2^24 + 1)^2 ratio matrix and its power columns are
+        # checked before either is allocated (2 PiB).
         # The quadrature's least 33^5 nodes in d = 5 are refused before its
         # gradient probe builds a 33^5-node mesh (several GB).
         text = (CONFIG_DIR / name).read_text()
         assert f"\n{old}\n" in text
         cfg = parse_config(write_cfg(tmp_path, text.replace(f"\n{old}\n",
                                                             f"\n{new}\n")))
-        wavelets.make_mother_wavelet()
         tracemalloc.start()
         try:
             with pytest.raises(error, match=match):

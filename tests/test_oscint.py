@@ -11,13 +11,13 @@ import pytest
 
 from quasilab import oscint
 from quasilab.errors import ResolutionError
-from quasilab.oscint import (EvalResult, OscIntegrand, dyadic_amplitude,
-                             dyadic_loss, dyadic_radius, evaluate,
-                             find_critical_points, power_loss, quadratic_phase,
-                             resonant_amplitude, resonant_radius,
-                             ttstar_kernel, vdc_check, window_overlap)
+from quasilab.oscint import (Amplitude, EvalResult, OscIntegrand,
+                             dyadic_amplitude, evaluate, find_critical_points,
+                             psi_amplitude, quadratic_phase,
+                             resonant_amplitude, ttstar_kernel, vdc_check,
+                             window_overlap)
 from quasilab.symbols import parse_symbol
-from quasilab.wavelets import bump, dyadic_cutoffs, make_mother_wavelet
+from quasilab.wavelets import bump, dyadic_cutoffs
 
 H6 = [2.0 ** -e for e in range(6, 13)]
 
@@ -29,6 +29,15 @@ def unit_loss(h):
 def unbounded(h):
     """The support radius of an amplitude that may be nonzero anywhere."""
     return math.inf
+
+
+def whole_box(amp):
+    """amp with an unbounded support radius: the quadrature takes it on the
+    whole box."""
+    return dataclasses.replace(amp, support_radius=unbounded)
+
+
+ZERO = Amplitude(lambda p, h: np.zeros(p.shape[:-1]), unit_loss, unbounded)
 
 
 def midpoint(integrand, h, n):
@@ -46,27 +55,26 @@ def linear_phase(d):
 
 
 def bump_amplitude(width=1.0):
-    """Smooth bump of fixed width (h-independent; loss rate 1/width)."""
+    """Smooth bump of fixed width, h-independent, declared with loss rate 1
+    and no support radius."""
 
-    def amp(pts, h):
+    def values(pts, h):
         r = np.sqrt(np.sum(np.asarray(pts, float) ** 2, axis=-1))
         return bump(r / width)
 
-    return amp
+    return Amplitude(values, unit_loss, unbounded)
 
 
 class TestEvaluate:
     def test_zero_amplitude(self):
-        zero = OscIntegrand(quadratic_phase(1.0, 1),
-                            lambda p, h: np.zeros(p.shape[:-1]),
-                            1, ((-1, 1),), unit_loss, unbounded)
+        zero = OscIntegrand(quadratic_phase(1.0, 1), ZERO, 1, ((-1, 1),))
         assert evaluate(zero, 2.0 ** -6).value == 0
 
     def test_fresnel_oracle(self):
         # |int exp(i mu xi^2 / 2h) a| -> sqrt(2 pi h / mu) |a(0)|.
         mu = 2.0
         integrand = OscIntegrand(quadratic_phase(mu, 1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss, unbounded)
+                                 1, ((-1, 1),))
         for h in (2.0 ** -8, 2.0 ** -10):
             res = evaluate(integrand, h)
             oracle = math.sqrt(2 * math.pi * h / mu) * math.exp(-1.0)
@@ -74,7 +82,7 @@ class TestEvaluate:
 
     def test_linear_phase_superpolynomial(self):
         integrand = OscIntegrand(linear_phase(1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss, unbounded)
+                                 1, ((-1, 1),))
         hs = [2.0 ** -e for e in range(3, 8)]
         mags = [abs(evaluate(integrand, h).value) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(mags), 1)[0]
@@ -84,28 +92,26 @@ class TestEvaluate:
         phase = quadratic_phase(1.0, 1)
         a1 = bump_amplitude(1.0)
         a2 = bump_amplitude(0.5)
-        combo = OscIntegrand(phase, lambda p, h: 2 * a1(p, h) - 3 * a2(p, h),
-                             1, ((-1, 1),), unit_loss, unbounded)
-        i1 = evaluate(OscIntegrand(phase, a1, 1, ((-1, 1),), unit_loss,
-                                   unbounded), 2.0 ** -6)
-        i2 = evaluate(OscIntegrand(phase, a2, 1, ((-1, 1),), unit_loss,
-                                   unbounded), 2.0 ** -6)
+        combo = OscIntegrand(phase, Amplitude(
+            lambda p, h: 2 * a1.values(p, h) - 3 * a2.values(p, h),
+            unit_loss, unbounded), 1, ((-1, 1),))
+        i1 = evaluate(OscIntegrand(phase, a1, 1, ((-1, 1),)), 2.0 ** -6)
+        i2 = evaluate(OscIntegrand(phase, a2, 1, ((-1, 1),)), 2.0 ** -6)
         ic = evaluate(combo, 2.0 ** -6)
         assert ic.value == pytest.approx(2 * i1.value - 3 * i2.value, rel=1e-10)
 
     def test_conjugation_symmetry(self):
         phase = quadratic_phase(1.0, 1)
         neg = OscIntegrand(lambda p: -phase(p), bump_amplitude(1.0),
-                           1, ((-1, 1),), unit_loss, unbounded)
-        pos = OscIntegrand(phase, bump_amplitude(1.0), 1, ((-1, 1),), unit_loss,
-                           unbounded)
+                           1, ((-1, 1),))
+        pos = OscIntegrand(phase, bump_amplitude(1.0), 1, ((-1, 1),))
         h = 2.0 ** -7
         assert evaluate(neg, h).value == pytest.approx(
             np.conj(evaluate(pos, h).value), rel=1e-12)
 
     def test_refuses_underresolved(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
-                                 1, ((-100, 100),), unit_loss, unbounded)
+                                 1, ((-100, 100),))
         with pytest.raises(ResolutionError):
             evaluate(integrand, 2.0 ** -12)
 
@@ -116,7 +122,7 @@ class TestEvaluate:
             raise AssertionError("quadrature ran")
         monkeypatch.setattr(oscint, "_midpoint", midpoint)
         integrand = OscIntegrand(quadratic_phase(1.0, 2), bump_amplitude(1.0),
-                                 2, ((-1.5, 1.5),) * 2, unit_loss, unbounded)
+                                 2, ((-1.5, 1.5),) * 2)
         with pytest.raises(ResolutionError, match=f"{oscint.MAX_QUAD_POINTS} in all"):
             evaluate(integrand, 2.0 ** -10)
 
@@ -127,7 +133,7 @@ class TestEvaluate:
         # traced otherwise).
         monkeypatch.setattr(oscint, "MAX_QUAD_POINTS", 33 ** 3 - 1)
         integrand = OscIntegrand(quadratic_phase(1.0, 3), bump_amplitude(1.0),
-                                 3, ((-1.5, 1.5),) * 3, unit_loss, unbounded)
+                                 3, ((-1.5, 1.5),) * 3)
         tracemalloc.start()
         try:
             with pytest.raises(ResolutionError, match="at least 33 points"):
@@ -143,7 +149,7 @@ class TestEvaluate:
         # mesh is probed in slabs of at most _SLAB_POINTS nodes (151.8 MB
         # traced for the whole mesh and its shifted copies).
         integrand = OscIntegrand(quadratic_phase(1.0, 4), bump_amplitude(1.0),
-                                 4, ((-1.5, 1.5),) * 4, unit_loss, unbounded)
+                                 4, ((-1.5, 1.5),) * 4)
         tracemalloc.start()
         try:
             with pytest.raises(ResolutionError, match="459 points per axis"):
@@ -179,7 +185,7 @@ class TestEvaluate:
 
     def test_error_estimate_reported(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss, unbounded)
+                                 1, ((-1, 1),))
         res = evaluate(integrand, 2.0 ** -6)
         assert isinstance(res, EvalResult)
         assert res.error_estimate < 1e-6
@@ -192,14 +198,15 @@ class TestEvaluate:
         assert rows < n and n % rows
         h = 2.0 ** -4
         integrand = OscIntegrand(quadratic_phase(1.0, d), bump_amplitude(1.0),
-                                 d, ((-1.0, 1.2),) * d, unit_loss, unbounded)
+                                 d, ((-1.0, 1.2),) * d)
         axes = [-1.0 + (np.arange(n) + 0.5) * (2.2 / n)] * d
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         cell = (2.2 / n) ** d
-        vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
+        vals = (np.exp(1j * integrand.phase(pts) / h)
+                * integrand.amplitude.values(pts, h))
         whole = complex(np.sum(vals) * cell)
         assert abs(midpoint(integrand, h, n) - whole) <= 1e-13 * abs(whole)
-        mass = float(np.sum(np.abs(integrand.amplitude(pts, h))) * cell)
+        mass = float(np.sum(np.abs(integrand.amplitude.values(pts, h))) * cell)
         assert oscint._midpoint_abs(integrand, h, n) == pytest.approx(mass, rel=1e-13)
 
     # Each (d, n) leaves a partial last slab: 100000 = 65536 + 34464
@@ -224,9 +231,9 @@ class TestEvaluate:
 
     def test_memory_bounded(self):
         # The vdc_d2 integrand at its finest h: 1834^2 quadrature points.
-        integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
-                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
-                                 unbounded)
+        integrand = OscIntegrand(quadratic_phase(1.0, 2),
+                                 whole_box(dyadic_amplitude(3, 1)), 2,
+                                 ((-1.5, 1.5),) * 2)
         tracemalloc.start()
         try:
             res = evaluate(integrand, 2.0 ** -8)
@@ -243,18 +250,18 @@ def _unmasked_midpoint(integrand, h, n):
     values = np.empty(oscint._slab_points(n, d), complex)
 
     def write(pts, out):
-        out[...] = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
+        out[...] = (np.exp(1j * integrand.phase(pts) / h)
+                    * integrand.amplitude.values(pts, h))
 
     return complex(sum(oscint._slabs(integrand.box, n, math.inf, values,
                                      write)))
 
 
 def _ttstar_style_integrand(h):
-    # The integrand ttstar_kernel builds, in two dimensions with a nonzero
-    # linear term: a dyadic psi_j times a tensordot-plus-symbol phase.
+    # A TT*-style integrand in two dimensions: a dyadic psi_j times a
+    # mixed symbol's phase plus a linear term.
     a1 = parse_symbol("x1^2 + x1*x2 - x2^4", dim=2)
-    family = dyadic_cutoffs(h, 3)
-    scale = family.scale(1)
+    scale = dyadic_cutoffs(h, 3).scale(1)
     dxz = np.array([0.3, -0.2])
 
     def phase(pts):
@@ -262,11 +269,8 @@ def _ttstar_style_integrand(h):
         lin = np.tensordot(pts, dxz, axes=(-1, 0))
         return lin + 0.125 * a1.eval_grid([pts[..., i] for i in range(2)])
 
-    def amp(pts, h_):
-        return family.psi(1, np.sqrt(oscint._norm_sq(pts)))
-
-    return OscIntegrand(phase, amp, 2, ((-1.5 * scale, 1.5 * scale),) * 2,
-                        lambda h_: 1.0 / scale, unbounded)
+    return OscIntegrand(phase, whole_box(psi_amplitude(3, 1)), 2,
+                        ((-1.5 * scale, 1.5 * scale),) * 2)
 
 
 class TestSupportRestriction:
@@ -277,14 +281,13 @@ class TestSupportRestriction:
         if case == "vdc_d2":
             h, n = 2.0 ** -8, 1834
             integrand = OscIntegrand(quadratic_phase(1.0, 2),
-                                     dyadic_amplitude(3, 1), 2,
-                                     ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
-                                     unbounded)
+                                     whole_box(dyadic_amplitude(3, 1)), 2,
+                                     ((-1.5, 1.5),) * 2)
         elif case == "resonant_d1":
             h, n = 2.0 ** -10, 100_000
             phase = quadratic_phase(1.0, 1)
-            integrand = OscIntegrand(phase, resonant_amplitude(phase, 0.8), 1,
-                                     ((-1, 1),), power_loss(0.8), unbounded)
+            integrand = OscIntegrand(
+                phase, whole_box(resonant_amplitude(phase, 0.8)), 1, ((-1, 1),))
         else:
             h, n = 2.0 ** -8, 300
             integrand = _ttstar_style_integrand(h)
@@ -316,13 +319,14 @@ class TestSupportRestriction:
 
     def test_one_slab_equals_whole_grid_formula(self):
         h, n = 2.0 ** -6, 256
-        integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
-                                 2, ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
-                                 unbounded)
+        integrand = OscIntegrand(quadratic_phase(1.0, 2),
+                                 whole_box(dyadic_amplitude(3, 1)), 2,
+                                 ((-1.5, 1.5),) * 2)
         assert n ** 2 == oscint._SLAB_POINTS
         axes = [-1.5 + (np.arange(n) + 0.5) * (3.0 / n)] * 2
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = np.exp(1j * integrand.phase(pts) / h) * integrand.amplitude(pts, h)
+        vals = (np.exp(1j * integrand.phase(pts) / h)
+                * integrand.amplitude.values(pts, h))
         assert np.count_nonzero(vals == 0) > 0
         assert midpoint(integrand, h, n) == complex(
             np.sum(vals) * (3.0 / n) ** 2)
@@ -331,19 +335,15 @@ class TestSupportRestriction:
         # A phase that is NaN wherever the amplitude vanishes leaves the value
         # finite and unchanged: off the support the phase is never taken.
         h, n = 2.0 ** -6, 300
-        amp = dyadic_amplitude(3, 1)
+        amp = whole_box(dyadic_amplitude(3, 1))
         plain = quadratic_phase(1.0, 2)
 
         def nan_off_support(pts):
-            return np.where(amp(pts, h) == 0, np.nan, plain(pts))
+            return np.where(amp.values(pts, h) == 0, np.nan, plain(pts))
 
         box = ((-1.5, 1.5),) * 2
-        value = midpoint(
-            OscIntegrand(plain, amp, 2, box, dyadic_loss(3, 1), unbounded),
-            h, n)
-        masked = midpoint(
-            OscIntegrand(nan_off_support, amp, 2, box, dyadic_loss(3, 1),
-                         unbounded), h, n)
+        value = midpoint(OscIntegrand(plain, amp, 2, box), h, n)
+        masked = midpoint(OscIntegrand(nan_off_support, amp, 2, box), h, n)
         assert math.isfinite(abs(masked))
         assert masked == value
 
@@ -371,7 +371,7 @@ class TestCriticalPoints:
             return (xi ** 2 - 1.0) ** 2
 
         integrand = OscIntegrand(phase, bump_amplitude(2.0), 1,
-                                 ((-1.5, 1.5),), unit_loss, unbounded)
+                                 ((-1.5, 1.5),))
         rep = vdc_check(integrand, H6[:5], 1.0, 0.1)
         assert rep.verdict == "REFUSED"
         assert "critical point" in rep.reason
@@ -379,17 +379,17 @@ class TestCriticalPoints:
 
 class TestVdcCheck:
     def test_dyadic_amplitude_passes(self):
-        integrand = OscIntegrand(quadratic_phase(1.0, 1), dyadic_amplitude(3, 2),
-                                 1, ((-1.5, 1.5),), dyadic_loss(3, 2),
-                                 unbounded)
+        integrand = OscIntegrand(quadratic_phase(1.0, 1),
+                                 whole_box(dyadic_amplitude(3, 2)), 1,
+                                 ((-1.5, 1.5),))
         rep = vdc_check(integrand, H6, 1.0, 0.1)
         assert rep.verdict == "PASS"
         assert abs(rep.fitted_exponent - 0.5) <= 0.1
 
     def test_two_dimensional_radial(self):
-        integrand = OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1),
-                                 2, ((-1.5, 1.5), (-1.5, 1.5)), dyadic_loss(3, 1),
-                                 unbounded)
+        integrand = OscIntegrand(quadratic_phase(1.0, 2),
+                                 whole_box(dyadic_amplitude(3, 1)), 2,
+                                 ((-1.5, 1.5), (-1.5, 1.5)))
         rep = vdc_check(integrand, [2.0 ** -e for e in range(3, 9)],
                         1.0, 0.1)
         assert rep.verdict == "PASS"
@@ -397,8 +397,8 @@ class TestVdcCheck:
 
     def test_resonant_amplitude_degrades(self):
         phase = quadratic_phase(1.0, 1)
-        integrand = OscIntegrand(phase, resonant_amplitude(phase, 0.8),
-                                 1, ((-1, 1),), power_loss(0.8), unbounded)
+        integrand = OscIntegrand(phase, whole_box(resonant_amplitude(phase, 0.8)),
+                                 1, ((-1, 1),))
         rep = vdc_check(integrand, H6, 1.0, 0.1)
         assert rep.verdict == "FAIL"
         assert not rep.admissible
@@ -420,7 +420,7 @@ class TestVdcCheck:
 
             mu = float(np.min(eigs))
             integrand = OscIntegrand(phase, bump_amplitude(1.0), d,
-                                     ((-1.2, 1.2),) * d, unit_loss, unbounded)
+                                     ((-1.2, 1.2),) * d)
             hs = [2.0 ** -e for e in range(4, 9)]
             rep = vdc_check(integrand, hs, mu, exponent_tolerance=0.15)
             assert rep.verdict == "PASS", rep.reason
@@ -428,9 +428,7 @@ class TestVdcCheck:
     def test_zero_magnitudes_still_fit(self):
         # |I| = 0 at every h is floored before the log, so the fit runs and
         # the verdict fails instead of raising.
-        zero = OscIntegrand(quadratic_phase(1.0, 1),
-                            lambda p, h: np.zeros(p.shape[:-1]),
-                            1, ((-1, 1),), unit_loss, unbounded)
+        zero = OscIntegrand(quadratic_phase(1.0, 1), ZERO, 1, ((-1, 1),))
         rep = vdc_check(zero, H6[:5], 1.0, 0.1)
         assert rep.magnitudes == (0.0,) * 5
         assert rep.fitted_exponent == 0.0 and rep.slope_stderr == 0.0
@@ -438,75 +436,78 @@ class TestVdcCheck:
 
     def test_needs_five_points(self):
         integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
-                                 1, ((-1, 1),), unit_loss, unbounded)
+                                 1, ((-1, 1),))
         with pytest.raises(ValueError):
             vdc_check(integrand, [0.5, 0.25, 0.125], 1.0, 0.1)
 
 
 class TestTTStar:
     @pytest.fixture()
-    def setup(self, mother_wavelet):
-        return parse_symbol("x1^2", dim=1), mother_wavelet
+    def a1(self):
+        return parse_symbol("x1^2", dim=1)
 
-    def test_disjoint_windows_vanish(self, setup):
-        a1, w = setup
-        kv = ttstar_kernel(a1, w, 0.5, 0, 2.0 ** -8, 3,
-                           x1=1.25, z1=-1.25, xbar=[0.0], zbar=[0.0])
+    def test_disjoint_windows_vanish(self, a1):
+        kv = ttstar_kernel(a1, 0.5, 0, 2.0 ** -8, 3, 2.5)
         assert kv.value == 0.0 and kv.b_overlap == 0.0
 
-    def test_overlap_vanishes_just_below_reach(self, setup):
+    def test_overlap_vanishes_just_below_reach(self, a1):
         # At a = 0.5 the windows are disjoint from a separation of 1 on;
         # at 0.999 their overlap is thinner than the 4,096 nodes resolve.
-        a1, w = setup
-        assert window_overlap(w, 0.5, 0.99) != 0.0
-        assert window_overlap(w, 0.5, 0.999) == 0.0
-        assert window_overlap(w, 0.5, 1.0) == 0.0
-        kv = ttstar_kernel(a1, w, 0.5, 0, 2.0 ** -8, 3,
-                           x1=0.4995, z1=-0.4995, xbar=[0.0], zbar=[0.0])
+        assert window_overlap(0.5, 0.99) != 0.0
+        assert window_overlap(0.5, 0.999) == 0.0
+        assert window_overlap(0.5, 1.0) == 0.0
+        kv = ttstar_kernel(a1, 0.5, 0, 2.0 ** -8, 3, 0.999)
         assert kv.value == 0.0 and kv.b_overlap == 0.0
 
-    def test_vdc_regime_bounded(self, setup):
-        a1, w = setup
+    def test_vdc_regime_bounded(self, a1):
         sep = 2.0 ** -3
         ratios = []
         for h in (2.0 ** -8, 2.0 ** -10, 2.0 ** -12):
-            kv = ttstar_kernel(a1, w, 0.5, 0, h, 3, x1=sep / 2, z1=-sep / 2,
-                               xbar=[0.0], zbar=[0.0])
+            kv = ttstar_kernel(a1, 0.5, 0, h, 3, sep)
             ratios.append(abs(kv.value) * h ** 0.5 * sep ** 0.5 / 0.5)
         assert max(ratios) / min(ratios) < 4.0
 
-    def test_trivial_regime_bound_holds(self, setup):
-        a1, w = setup
+    def test_trivial_regime_bound_holds(self, a1):
         for h in (2.0 ** -8, 2.0 ** -10):
-            kv = ttstar_kernel(a1, w, 0.5, 0, h, 3, x1=h / 2, z1=-h / 2,
-                               xbar=[0.0], zbar=[0.0])
+            kv = ttstar_kernel(a1, 0.5, 0, h, 3, h)
             assert abs(kv.value) <= kv.trivial_bound * (1 + 1e-9)
             scale = 0.5 * h ** -0.75  # |a| h^(-(n-1)(1-1/(k+1))), n=2, k=3
             assert abs(kv.value) <= scale
 
 
-# The shipped vdc integrands with their support radii, and the h at which
-# each is checked: 2^-3 puts the dyadic cube outside the box (radius 1.78
-# and 3.57 against a half width of 1.5), the others inside it.
-def _vdc_integrand(case):
+# Each amplitude record as its constructor builds it, and the h at which
+# it is checked: the shipped vdc amplitudes, where 2^-3 puts the dyadic
+# cube outside the box (radius 1.78 and 3.57 against a half width of 1.5)
+# and the others inside it, and every psi_j of ttstar_n2 (k = 3) at its
+# largest and smallest h (levels 0-2 and 0-3), on a box reaching two of
+# its scales out, past its radius, with ttstar_n2's vdc-regime phase
+# 2^-3 xi^2.
+def _record_integrand(case, h):
     if case == "dyadic-d1":
         return OscIntegrand(quadratic_phase(1.0, 1), dyadic_amplitude(3, 2), 1,
-                            ((-1.5, 1.5),), dyadic_loss(3, 2), dyadic_radius(3, 2))
+                            ((-1.5, 1.5),))
     if case == "dyadic-d2":
         return OscIntegrand(quadratic_phase(1.0, 2), dyadic_amplitude(3, 1), 2,
-                            ((-1.5, 1.5),) * 2, dyadic_loss(3, 1),
-                            dyadic_radius(3, 1))
-    phase = quadratic_phase(1.0, 1)
-    return OscIntegrand(phase, resonant_amplitude(phase, 0.8), 1,
-                        ((-1.5, 1.5),), power_loss(0.8), resonant_radius(0.8))
+                            ((-1.5, 1.5),) * 2)
+    if case == "resonant-d1":
+        phase = quadratic_phase(1.0, 1)
+        return OscIntegrand(phase, resonant_amplitude(phase, 0.8), 1,
+                            ((-1.5, 1.5),))
+    j = int(case.removeprefix("psi-"))
+    ext = 2.0 * dyadic_cutoffs(h, 3).scale(j)
+    return OscIntegrand(quadratic_phase(2.0 ** -2, 1), psi_amplitude(3, j), 1,
+                        ((-ext, ext),))
 
 
-VDC_CASES = [("dyadic-d1", 2.0 ** -3), ("dyadic-d1", 2.0 ** -12),
-             ("dyadic-d2", 2.0 ** -3), ("dyadic-d2", 2.0 ** -6),
-             ("resonant-d1", 2.0 ** -3), ("resonant-d1", 2.0 ** -12)]
+RECORD_CASES = [
+    ("dyadic-d1", 2.0 ** -3), ("dyadic-d1", 2.0 ** -12),
+    ("dyadic-d2", 2.0 ** -3), ("dyadic-d2", 2.0 ** -6),
+    ("resonant-d1", 2.0 ** -3), ("resonant-d1", 2.0 ** -12),
+    *[(f"psi-{j}", h) for h in (2.0 ** -8, 2.0 ** -12)
+      for j in range(dyadic_cutoffs(h, 3).levels + 1)]]
 
 
-def _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
+def _ttstar_integrands(monkeypatch, a1, h, sep):
     """(j, integrand) for every psi_j of the TT* kernel at h (k = 3, a =
     0.5), caught on their way into evaluate."""
     seen = []
@@ -519,8 +520,7 @@ def _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
     monkeypatch.setattr(oscint, "evaluate", spy)
     levels = dyadic_cutoffs(h, 3).levels
     for j in range(levels + 1):
-        ttstar_kernel(a1, make_mother_wavelet(), 0.5, j, h, 3, x1=sep / 2,
-                      z1=-sep / 2, xbar=xbar, zbar=zbar)
+        ttstar_kernel(a1, 0.5, j, h, 3, sep)
     monkeypatch.undo()
     assert len(seen) == levels + 1
     return list(enumerate(seen))
@@ -528,10 +528,10 @@ def _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
 
 TTSTAR_CASES = [
     # ttstar_n2's symbol at its largest and smallest h (levels 0-2, 0-3).
-    ("x1^2", 1, 2.0 ** -8, 2.0 ** -3, [0.0], [0.0]),
-    ("x1^2", 1, 2.0 ** -12, 2.0 ** -12, [0.0], [0.0]),
-    # Two bar dimensions with a nonzero linear term (levels 0-1).
-    ("x1^2 + x1*x2 - x2^4", 2, 2.0 ** -4, 2.0 ** -3, [0.3, 0.1], [0.0, 0.2]),
+    ("x1^2", 1, 2.0 ** -8, 2.0 ** -3),
+    ("x1^2", 1, 2.0 ** -12, 2.0 ** -12),
+    # Two bar dimensions with a mixed symbol (levels 0-1).
+    ("x1^2 + x1*x2 - x2^4", 2, 2.0 ** -4, 2.0 ** -3),
 ]
 
 
@@ -539,7 +539,12 @@ def _outside_cube(integrand, h, n):
     """The nodes of the n^d grid on the box with some |xi_k| >= radius."""
     axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in integrand.box]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, integrand.d)
-    return pts[np.abs(pts).max(axis=1) >= integrand.support_radius(h)]
+    return pts[np.abs(pts).max(axis=1) >= integrand.amplitude.support_radius(h)]
+
+
+def _whole(integrand):
+    """integrand with its amplitude taken on the whole box."""
+    return dataclasses.replace(integrand, amplitude=whole_box(integrand.amplitude))
 
 
 class TestSupportRadius:
@@ -547,63 +552,69 @@ class TestSupportRadius:
 
     @staticmethod
     def assert_bounded_equals_whole(integrand, h):
-        whole = dataclasses.replace(integrand, support_radius=unbounded)
-        bounded, full = evaluate(integrand, h), evaluate(whole, h)
+        bounded, full = evaluate(integrand, h), evaluate(_whole(integrand), h)
         assert bounded.value != 0
         assert bounded.value == full.value
         assert bounded.error_estimate == full.error_estimate
         assert bounded.points_per_axis == full.points_per_axis
         return bounded.points_per_axis
 
-    @pytest.mark.parametrize("case, h", VDC_CASES)
-    def test_vdc_equals_whole_box(self, case, h):
-        self.assert_bounded_equals_whole(_vdc_integrand(case), h)
+    @pytest.mark.parametrize("case, h", RECORD_CASES)
+    def test_record_equals_whole_box(self, case, h):
+        integrand = _record_integrand(case, h)
+        n = self.assert_bounded_equals_whole(integrand, h)
+        assert oscint._midpoint_abs(integrand, h, n) == oscint._midpoint_abs(
+            _whole(integrand), h, n)
 
-    @pytest.mark.parametrize("symbol, dim, h, sep, xbar, zbar", TTSTAR_CASES)
+    @pytest.mark.parametrize("symbol, dim, h, sep", TTSTAR_CASES)
     def test_every_ttstar_psi_equals_whole_box(self, monkeypatch, symbol, dim,
-                                               h, sep, xbar, zbar):
+                                               h, sep):
         a1 = parse_symbol(symbol, dim=dim)
-        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
+        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep):
             n = self.assert_bounded_equals_whole(integrand, h)
-            whole = dataclasses.replace(integrand, support_radius=unbounded)
             assert oscint._midpoint_abs(integrand, h, n) == oscint._midpoint_abs(
-                whole, h, n), j
+                _whole(integrand), h, n), j
 
-    @pytest.mark.parametrize("case, h", VDC_CASES)
-    def test_vdc_amplitude_zero_outside_cube(self, case, h):
-        integrand = _vdc_integrand(case)
+    @pytest.mark.parametrize("case, h", RECORD_CASES)
+    def test_record_zero_outside_radius(self, case, h):
+        integrand = _record_integrand(case, h)
         n = evaluate(integrand, h).points_per_axis
         for m in (max(oscint.MIN_POINTS_PER_AXIS // 2, n // 2), n):
             outside = _outside_cube(integrand, h, m)
-            assert not integrand.amplitude(outside, h).any()
+            # Every box reaches past its record's radius but the dyadic
+            # ones at 2^-3.
+            assert len(outside) > 0 or (case.startswith("dyadic")
+                                        and h == 2.0 ** -3)
+            assert not integrand.amplitude.values(outside, h).any()
 
-    @pytest.mark.parametrize("symbol, dim, h, sep, xbar, zbar", TTSTAR_CASES)
+    @pytest.mark.parametrize("symbol, dim, h, sep", TTSTAR_CASES)
     def test_ttstar_psi_zero_outside_cube(self, monkeypatch, symbol, dim, h,
-                                          sep, xbar, zbar):
+                                          sep):
         a1 = parse_symbol(symbol, dim=dim)
         # psi_0's box reaches 2 scales out, past the cube; psi_j's for j >= 1
         # ends at the cube's faces.
-        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep, xbar, zbar):
+        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep):
             n = evaluate(integrand, h).points_per_axis
             outside = _outside_cube(integrand, h, n)
             assert (len(outside) > 0) == (j == 0)
-            assert not integrand.amplitude(outside, h).any(), j
+            assert not integrand.amplitude.values(outside, h).any(), j
 
     def test_amplitude_taken_only_on_padded_cube(self):
         # vdc_d2's integrand at h = 2^-8 on 1000^2 nodes in 16 slabs:
         # radius 0.75 in a box of half width 1.5, so about a quarter of the
         # nodes are taken and half the slabs skipped.
-        integrand = _vdc_integrand("dyadic-d2")
+        integrand = _record_integrand("dyadic-d2", 2.0 ** -8)
         h, n = 2.0 ** -8, 1000
-        radius = integrand.support_radius(h)
+        radius = integrand.amplitude.support_radius(h)
         seen = []
 
-        def amp(pts, h_):
+        def values(pts, h_):
             seen.append((len(pts.reshape(-1, 2)), np.abs(pts).max()))
-            return integrand.amplitude(pts, h_)
+            return integrand.amplitude.values(pts, h_)
 
         step = 3.0 / n
-        midpoint(dataclasses.replace(integrand, amplitude=amp), h, n)
+        midpoint(dataclasses.replace(integrand, amplitude=dataclasses.replace(
+            integrand.amplitude, values=values)), h, n)
         assert max(r for _, r in seen) < radius + step
         side = 2 * radius / step + 3    # kept nodes per axis, at most
         assert sum(size for size, _ in seen) <= side ** 2 < 0.3 * n ** 2
@@ -611,16 +622,17 @@ class TestSupportRadius:
         assert len(seen) <= side / rows + 2 < 0.7 * math.ceil(n / rows)
 
     def test_nonpositive_radius_rejected(self):
-        integrand = dataclasses.replace(_vdc_integrand("dyadic-d1"),
-                                        support_radius=lambda h: 0.0)
+        integrand = _record_integrand("dyadic-d1", 2.0 ** -6)
+        integrand = dataclasses.replace(integrand, amplitude=dataclasses.replace(
+            integrand.amplitude, support_radius=lambda h: 0.0))
         with pytest.raises(ValueError, match="not positive"):
             evaluate(integrand, 2.0 ** -6)
 
     def test_buffers_shared_by_both_passes(self, monkeypatch):
         # evaluate allocates one values array and one scratch, as long as
         # the longer slab of its two passes, and hands both to each pass.
-        integrand = _vdc_integrand("dyadic-d2")
         h = 2.0 ** -6
+        integrand = _record_integrand("dyadic-d2", h)
         seen = []
         midpoint = oscint._midpoint
 

@@ -434,7 +434,7 @@ from quasilab.analysis import oscillation_axes
 from quasilab.fio import flattening_reports, x1_axis
 from quasilab.quasimode import build_cutoff, verify_joint_quasimode
 from quasilab.symbols import graph_factor
-from quasilab.wavelets import decay_diagnostic, make_mother_wavelet
+from quasilab.wavelets import decay_diagnostic
 from oracles import synthesize_grid
 from test_quasimode import _fine_4d_field, _fine_parabola_cutoff
 cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
@@ -444,8 +444,7 @@ arrays = [synthesize_grid(c, oscillation_axes(
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
 flat = build_cutoff(families.flat_cutoff(2, 3, pow2=True), 2.0 ** -8)
-mass = decay_diagnostic(flat, x1_axis(6.0, 2.0 ** -9), make_mother_wavelet(),
-                        1, 3).mass
+mass = decay_diagnostic(flat, x1_axis(6.0, 2.0 ** -9), 1, 3).mass
 h = 2.0 ** -4
 fio = build_cutoff(families.paraboloid_cutoff(2, 1, pow2=True), h)
 reports = flattening_reports(

@@ -117,6 +117,68 @@ def test_unread_private_name_check_sees_each_form(tmp_path):
         "b._stored"}
 
 
+# Fields that src computes and fills in but no run reads or reports yet.
+# A run that reports one drops it from the set, and a new field that
+# nothing reads fails the scan.
+COMPUTED_NOT_REPORTED = {
+    "LpNorm.tail_estimate", "ScalingReport.slope_stderr",
+    "EvalResult.error_estimate", "VdcReport.reason",
+    "VdcReport.critical_point", "VdcReport.hess_det", "VdcReport.admissible",
+    "VdcReport.slope_stderr", "KernelValue.b_overlap",
+    "CurvatureReport.hessian", "GraphForm.xi1_coeff",
+    "MixedPartialReport.offending"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_record_fields(src: Path) -> set[str]:
+    """"Class.field" for each public field of a dataclass of src/*.py that
+    no src code reads.  A field is read where src code loads an attribute
+    of its name, or names it in a string constant, as KEY_SECTIONS names
+    the sections that parse_config reads through getattr.  The scan
+    matches by name alone, so a field escapes it when an attribute of the
+    same name is loaded anywhere in src: a field named `mean` would, since
+    analysis loads numpy's `.mean`."""
+    fields, read = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)
+                           and not item.target.id.startswith("_")}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return {f"{cls}.{name}" for cls, name in fields if name not in read}
+
+
+def test_no_new_unread_record_fields():
+    assert unread_record_fields(SRC) == COMPUTED_NOT_REPORTED
+
+
+def test_unread_record_field_check_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int\n"
+        "    named: int\n    _private: int\n    stored: int\n"
+        "@dataclasses.dataclass\nclass B:\n    unread: int\n"
+        "class Plain:\n    unread: int\n"
+        "def f(a, b):\n    a.stored = 1\n"
+        "    return a.read, getattr(a, 'named'), b.other\n")
+    assert unread_record_fields(tmp_path) == {"A.unread", "A.stored",
+                                              "B.unread"}
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names that path's module-level imports bind and that the module never
     names; `from __future__` binds none."""

@@ -16,7 +16,7 @@ from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
                                dyadic_cutoffs)
 
 from oracles import (GridField, admissibility, ft_axes, l2_norm,
-                     padded_gather_cwt)
+                     padded_gather_cwt, wavelet_moments)
 
 
 def real_rows(data):
@@ -50,12 +50,13 @@ def every_window(blocks, want):
 def whole_field_cwt(v, w, a_grid):
     """(b_grids, values): _scale_window on the whole field v, per scale
     the translates b and the coefficients at every b (every_window, placed
-    by the padded-gather oracle's zero rows), in v's bar shape."""
+    by the zero rows of the padded-gather oracle on the wavelet w), in v's
+    bar shape."""
     bar_shape = v.data.shape[1:]
     flat = real_rows(v.data)
     b_grids, values = [], []
     for a in a_grid:
-        b, blocks = _scale_window(flat, 0, v.axes[0], w, a)
+        b, blocks = _scale_window(flat, 0, v.axes[0], a)
         want = real_rows(padded_gather_cwt(v, w, a)[1])
         out = every_window(blocks, want)
         values.append(out.view(complex).reshape((len(b),) + bar_shape))
@@ -64,8 +65,9 @@ def whole_field_cwt(v, w, a_grid):
 
 
 class TestMotherWavelet:
-    def test_mean_zero(self, mother_wavelet):
-        assert abs(mother_wavelet.mean) < 1e-12
+    def test_mean_zero(self):
+        mean, _ = wavelet_moments()
+        assert abs(mean) < 1e-12
 
     def test_admissibility_finite_and_frozen(self):
         # Frozen value from the quadrature itself (stability guard).
@@ -95,7 +97,7 @@ class TestCwt:
         v = self._field(bump_derivative(ax.nodes()))
         (b,), (x,) = whole_field_cwt(v, mother_wavelet, [1.0])
         peak = x[int(np.argmin(np.abs(b)))]
-        assert peak.real == pytest.approx(mother_wavelet.l2_norm_sq, abs=1e-3)
+        assert peak.real == pytest.approx(wavelet_moments()[1], abs=1e-3)
 
     def test_mean_zero_cancellation_on_constant(self, mother_wavelet):
         v = self._field(np.ones(4096))
@@ -186,12 +188,12 @@ class TestCwt:
                                          mother_wavelet, a_grid)
         flat = real_rows(band)
         for a, want_b, want in zip(a_grid, want_bs, wants):
-            b, blocks = _scale_window(flat, row0, ax, mother_wavelet, a)
+            b, blocks = _scale_window(flat, row0, ax, a)
             assert b.tobytes() == want_b.tobytes()
             want = real_rows(want)
             assert every_window(blocks, want).tobytes() == want.tobytes()
 
-    def test_memory_bounded(self, mother_wavelet, flat_model_field):
+    def test_memory_bounded(self, flat_model_field):
         # The transform of the flat model's whole 8192 x 64 grid at every
         # scale of the shipped a-grid holds one block of one scale's
         # coefficients at a time: the run peaks at about 0.08 grids
@@ -201,8 +203,7 @@ class TestCwt:
         tracemalloc.start()
         try:
             for a in _A_GRID:
-                b, blocks = _scale_window(flat, 0, v.axes[0], mother_wavelet,
-                                          a)
+                b, blocks = _scale_window(flat, 0, v.axes[0], a)
                 for x in blocks:
                     del x
                 del b, blocks
@@ -258,7 +259,7 @@ class TestDyadicCutoffs:
 
 
 class TestDecayDiagnostic:
-    def test_memory_bounded(self, mother_wavelet, flat_model, flat_model_field):
+    def test_memory_bounded(self, flat_model, flat_model_field):
         # The band holds the window's x1 rows of the cutoff's columns alone,
         # filled one working block of columns at a time, and one block of
         # one scale's live coefficients is squared in place at a time: the
@@ -266,7 +267,7 @@ class TestDecayDiagnostic:
         # 0.41 measured).
         tracemalloc.start()
         try:
-            decay_diagnostic(*flat_model, mother_wavelet, 1, 3)
+            decay_diagnostic(*flat_model, 1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,7 +348,7 @@ class TestDecayDiagnostic:
     @pytest.mark.parametrize("work", [None, 2048], ids=["shipped", "small"])
     @pytest.mark.parametrize("a", [2.0 ** -6, 64.0, 2.0 ** -11],
                              ids=["a=2^-6", "a=64", "a=2^-11"])
-    def test_level_sums_match_whole_transform(self, mother_wavelet, flat_model,
+    def test_level_sums_match_whole_transform(self, flat_model,
                                               flat_model_field, a, work,
                                               monkeypatch):
         # decay_diagnostic's windowed field: zero for |x1| >= 2.25, so most
@@ -362,14 +363,13 @@ class TestDecayDiagnostic:
         rng = np.random.default_rng(31)
         weights = [rng.random(cols), np.zeros(cols), rng.random(cols)]
         weights[2][5:30] = 0.0
-        (got_b, sums), = _level_sums(band, row0, ax, mother_wavelet,
-                                     weights)
+        (got_b, sums), = _level_sums(band, row0, ax, weights)
         # The whole-array form: the band's columns on every x1 row, zero off
         # the band, their windows formed, and their squared real parts and
         # imaginary parts summed in one axis-0 sum over every window.
         hat = np.zeros((ax.points, 2 * cols))
         hat[row0:row0 + len(band)] = band
-        b, blocks = _scale_window(hat, 0, ax, mother_wavelet, a)
+        b, blocks = _scale_window(hat, 0, ax, a)
         x_hat = window_run(blocks, 2 * cols)
         assert got_b.tobytes() == b.tobytes()
         power = np.square(x_hat).sum(axis=0)
@@ -381,7 +381,7 @@ class TestDecayDiagnostic:
         # agrees to rounding.
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         _, blocks = _scale_window(real_rows(f.data * window[:, None]), 0,
-                                  ax, mother_wavelet, a)
+                                  ax, a)
         x = window_run(blocks, 2 * f.data.shape[1]).view(complex)
         power = np.sum(np.abs(ft_axes(x, f.axes[1:], f.h)[0]) ** 2, axis=0)
         nodes = np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
@@ -391,8 +391,7 @@ class TestDecayDiagnostic:
                                         rel=1e-12, abs=0)
         # The band's run of live windows, from the zero rows: windows that
         # reach only rows off the band are +0, and are not formed.
-        run = window_run(_scale_window(band, row0, ax, mother_wavelet,
-                                       a)[1], 2 * cols)
+        run = window_run(_scale_window(band, row0, ax, a)[1], 2 * cols)
         live = np.flatnonzero(x_hat.any(axis=1))
         if a < ax.spacing:
             # No live window: every level's sum is +0, as the oracle's.
