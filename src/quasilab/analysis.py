@@ -1,8 +1,9 @@
 """Norm-growth exponent formulas, Lp quadrature norms, and slope fits.
 
 The sweeps' Lp norms are summed block by block (BlockNorms) as the synthesis
-makes the grid, the block sums combined by halves as numpy's pairwise tree
-does, with the boundary shells read as boxes (shell_slices).
+makes the grid, or the orthant of it over which |u| is even, the block sums
+combined by halves as numpy's pairwise tree does, with the boundary shells
+read as boxes (shell_slices).
 
 Exponents are evaluated in exact rational arithmetic with p = infinity as a
 dedicated sentinel (internally everything is a function of 1/p, so the
@@ -209,6 +210,15 @@ class BlockNorms:
     summed over blocks of whole first-axis rows as a producer hands them out,
     with both boundary shells policed.
 
+    halved flags, per axis, the axes on which u is the positive half of a
+    whole grid's axis over which |u| is even: the grid is the whole grid's
+    orthant.  Each cell then stands for 2^m cells of the whole grid, m the
+    number of halved axes, so weight is scaled by 2^m (a power of two: the
+    multiply is exact), and the shells are the whole grid's cut to the
+    orthant: a halved axis's low face is the whole grid's centre, so only
+    its outer face is boundary (shell_slices).  The shell/inner ratio of
+    the tail rule and the maximum of |u| are the whole grid's up to rounding.
+
     For finite p the tail estimate is the norm increment the exterior would
     contribute if the shell masses kept decaying at their measured
     geometric rate, that of the layer-0 shell over the layer-1 shell.  For
@@ -231,15 +241,17 @@ class BlockNorms:
     refuses raises TailDominanceError.  weight is the scalar cell weight.
     """
 
-    def __init__(self, shape: Sequence[int], weight: float, ps):
+    def __init__(self, shape: Sequence[int], weight: float, ps,
+                 halved: Sequence[bool] = ()):
         if weight < 0:
             raise ValueError("weights must be nonnegative")
         self.shape = tuple(shape)
-        self.weight = weight
+        self.weight = weight * 2.0 ** sum(halved)
         self.ps = list(ps)
         self.pfs = [None if pp is INF_P else _finite_p(pp)
                     for pp in map(parse_p, self.ps)]
-        self.shells = (shell_slices(self.shape, 0), shell_slices(self.shape, 1))
+        self.shells = (shell_slices(self.shape, 0, halved),
+                       shell_slices(self.shape, 1, halved))
         self.next_row = 0
         # Per p: the block maxima or sums, and the shell and inner-shell
         # maximum (p = infinity, which polices the shell only) or sums.
@@ -372,6 +384,13 @@ def fit_scaling(h_values: Sequence[float], norms: Sequence[float],
                          passed)
 
 
+def oscillation_points(margin: float, points_per_scale: int) -> int:
+    """Nodes per axis of an oscillation_axes grid: 2 * margin *
+    points_per_scale, rounded down and then up to a power of two."""
+    n = int(2 * margin * points_per_scale)
+    return 1 << (n - 1).bit_length()
+
+
 def oscillation_axes(extents: Sequence[float], h: float, margin: float,
                      points_per_scale: int):
     """Position axes resolving the synthesis oscillation of a cutoff.
@@ -379,20 +398,23 @@ def oscillation_axes(extents: Sequence[float], h: float, margin: float,
     extents are the per-axis frequency support extents; the field varies on
     the scale h/extent per axis, the box spans margin such scales each way,
     and the sampling puts points_per_scale nodes per scale, with each axis
-    count rounded up to a power of two.  Axis counts are h-independent, so
-    sweeps sample self-similarly and slopes are clean.
+    count rounded up to a power of two (oscillation_points).  Axis counts
+    are h-independent, so sweeps sample self-similarly and slopes are clean.
     """
-    axes = []
-    for ext in extents:
-        scale = h / ext if ext > 0 else 1.0
-        n = int(2 * margin * points_per_scale)
-        n = 1 << (n - 1).bit_length()
-        axes.append(AxisSpec(0.0, margin * scale, n))
-    return axes
+    n = oscillation_points(margin, points_per_scale)
+    return [AxisSpec(0.0, margin * (h / ext if ext > 0 else 1.0), n)
+            for ext in extents]
 
 
-def shell_slices(shape: Sequence[int], layer: int = 0
-                 ) -> list[tuple[slice, ...]]:
+def half_axis(axis: AxisSpec) -> AxisSpec:
+    """The positive half of an axis centred on 0 with an even count: its
+    spacing's bits, and its upper nodes to rounding."""
+    half = axis.half_width / 2
+    return AxisSpec(half, half, axis.points // 2)
+
+
+def shell_slices(shape: Sequence[int], layer: int = 0,
+                 halved: Sequence[bool] = ()) -> list[tuple[slice, ...]]:
     """Disjoint nonempty boxes whose union is the shell of the cells exactly
     ``layer`` steps from the boundary: the box of cells at depth >= layer,
     minus the box at depth >= layer + 1.
@@ -400,15 +422,22 @@ def shell_slices(shape: Sequence[int], layer: int = 0
     Box (d, face) holds the shell cells whose first boundary axis is d: one
     of the two faces of the layer's box on axis d, inside the next box in
     on the axes before d and inside the layer's box on the axes after d.
+    An axis flagged in halved is the upper half of a whole grid's axis
+    (BlockNorms): its low end is that grid's centre, not a boundary, so
+    depth on it counts from its outer face alone, and the boxes are the
+    whole grid's shell cut to the orthant.
     """
     shape = tuple(shape)
-    if any(n <= 2 * layer for n in shape):
+    halved = tuple(halved) or (False,) * len(shape)
+    if any(n <= (1 if half else 2) * layer for n, half in zip(shape, halved)):
         return []   # the layer's box is empty, and so is its shell
-    outer = [slice(layer, n - layer) for n in shape]
-    inner = [slice(layer + 1, n - layer - 1) for n in shape]
+    outer = [slice(0 if half else layer, n - layer)
+             for n, half in zip(shape, halved)]
+    inner = [slice(0 if half else layer + 1, n - layer - 1)
+             for n, half in zip(shape, halved)]
     boxes = []
-    for d, n in enumerate(shape):
-        for i in sorted({layer, n - layer - 1}):
+    for d, (n, half) in enumerate(zip(shape, halved)):
+        for i in sorted({n - layer - 1} if half else {layer, n - layer - 1}):
             box = (*inner[:d], slice(i, i + 1), *outer[d + 1:])
             if all(s.stop > s.start for s in box):
                 boxes.append(box)

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import families
 from .analysis import (INF_P, MIN_SWEEP_POINTS, BlockNorms, contact_delta,
-                       exponent, fit_scaling, kink_p, oscillation_axes,
-                       parse_number, parse_p, sogge_delta)
+                       exponent, fit_scaling, half_axis, kink_p,
+                       oscillation_axes, oscillation_points, parse_number,
+                       parse_p, sogge_delta)
 from .errors import ConfigError, QuasilabError
 from .fio import flattening_reports, x1_axis
 from .grids import cell_volume
@@ -335,7 +336,9 @@ def _check_contact(v: dict) -> None:
 def _check_lp_sweep(v: dict) -> None:
     """An Lp sweep's family must predict its slopes at every p, and, when a
     p other than 2 takes its norm from the synthesis, its position grid must
-    fit the synthesis cell budget."""
+    hold at least 4 points per axis and fit the synthesis cell budget.  A
+    2-point axis is all boundary shell, and its orthant (the sweep sums
+    over the upper half of each axis on which |u| is even) 1 point."""
     fam, ps = v["family"], v["p_list"]
     if not ps or v["peak_only"]:
         return
@@ -352,13 +355,18 @@ def _check_lp_sweep(v: dict) -> None:
                 f"slope at n = {v['n']}; drop those p or set peak_only = true")
     if all(p == 2 for p in ps):
         return
-    axes = oscillation_axes([1.0] * v["n"], 1.0, v["margin"],
-                            v["points_per_scale"])
-    cells = math.prod(a.points for a in axes)
+    points = oscillation_points(v["margin"], v["points_per_scale"])
+    if points < 4:
+        raise ConfigError(
+            f"margin = {fmt(v['margin'])} and points_per_scale = "
+            f"{v['points_per_scale']} give an Lp sweep {points} position "
+            "point(s) per axis; it needs at least 4, so 2 * margin * "
+            "points_per_scale must be at least 3")
+    cells = points ** v["n"]
     if cells > MAX_GRID_CELLS:
         raise ConfigError(
             f"an Lp sweep at n = {v['n']} streams a position grid of "
-            f"{'x'.join(str(a.points) for a in axes)} = {cells} cells, over "
+            f"{'x'.join([str(points)] * v['n'])} = {cells} cells, over "
             f"the budget of {MAX_GRID_CELLS} (2^24); lower n, margin or "
             "points_per_scale, or set peak_only = true")
 
@@ -388,8 +396,32 @@ def _check_scale(v: dict, key: str, amp: Amplitude) -> None:
                 f"finite loss rate and support radius at h = {fmt(h)}")
 
 
+def _check_flat_cutoff(v: dict) -> None:
+    """Fill v["spec"], the wavelet run's flat cutoff, whose cell volume at h
+    must be a normal float: the quasimode divides by the square root of
+    its support volume, a count of such cells, and below the least normal
+    float that volume underflows toward 0."""
+    v["spec"] = families.flat_cutoff(v["n"], v["k"], pow2=True)
+    vol = cell_volume([rule.to_axis(v["h"]) for rule in v["spec"].box])
+    if vol < sys.float_info.min:
+        raise ConfigError(
+            f"h = {fmt(v['h'])} gives the flat cutoff a cell volume of "
+            f"{fmt(vol)}, below the least normal float; the quasimode is "
+            "normalized by the square root of its support volume")
+
+
 def _check_vdc(v: dict) -> None:
-    """Fill v["amp"], the run's dyadic or resonant amplitude."""
+    """Fill v["amp"], the run's dyadic or resonant amplitude.  The phase
+    mu |xi|^2 / 2, |xi|^2 first as the phase takes it, must be a finite
+    float at twice box_half_width on every axis, the farthest the
+    critical-point search steps; its finite differences, 1e-5 of the box
+    wide, overflowed past there (OverflowError)."""
+    reach = 2.0 * v["box_half_width"]
+    if not math.isfinite(0.5 * v["mu"] * (v["d"] * reach * reach)):
+        raise ConfigError(
+            f"box_half_width = {fmt(v['box_half_width'])} overflows the phase "
+            f"mu |xi|^2 / 2 (mu = {fmt(v['mu'])}, d = {v['d']}) at twice "
+            "the box, where the critical-point search steps")
     if v["amplitude"] == "dyadic":
         key, v["amp"] = "j", dyadic_amplitude(v["k"], v["j"])
     else:
@@ -504,7 +536,12 @@ def _band(name: str, column, band: float) -> Verdict:
 
 def _sweep_point(spec, h, gamma, ps, v) -> list:
     """One sweep.csv row: h, volume, volume_ratio, peak, t0_rel_err,
-    joint_ratio_max and the norm at each p of ps."""
+    joint_ratio_max and the norm at each p of ps.
+
+    The norms other than p = 2 are summed over the positive orthant of the
+    axes on which |u| is even (CutoffField.even_axes): each such axis of
+    the oscillation grid is synthesized on its upper half (half_axis), and
+    BlockNorms weighs each cell for the 2^m cells it stands for."""
     cut = build_cutoff(spec, h)
     vol, peak = cut.volume(), cut.peak()
     origin = np.zeros((1, cut.dim))
@@ -517,9 +554,12 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
     norms = {}
     if synthesized:
         exts = [cut.extent(i) for i in range(cut.dim)]
-        axes = oscillation_axes(exts, h, v["margin"], v["points_per_scale"])
+        halved = cut.even_axes()
+        axes = [half_axis(a) if half else a for a, half in zip(
+            oscillation_axes(exts, h, v["margin"], v["points_per_scale"]),
+            halved)]
         sums = BlockNorms([a.points for a in axes], cell_volume(axes),
-                          synthesized)
+                          synthesized, halved)
         synthesize_on_axes(cut, axes, sums.add)
         norms = {m.p: m.value for m in sums.norms()}
     return row + [norms.get(p, 1.0) for p in ps]
@@ -558,7 +598,7 @@ def run_sharpness(v: dict):
 
 def run_wavelet_diagnostic(v: dict):
     k, h = v["k"], v["h"]
-    cut = build_cutoff(families.flat_cutoff(v["n"], k, pow2=True), h)
+    cut = build_cutoff(v["spec"], h)
     diag = decay_diagnostic(cut, x1_axis(v["x1_half_width"], v["x1_spacing"]),
                             v["m_order"], k)
     bound = 2.0 ** (-(k + 1))
@@ -683,7 +723,8 @@ KINDS: dict[str, Kind] = {
     }, tolerances={
         "small_a_min": _number("1.4", _FINITE),
         "large_a_abs": _number("0.1", _NONNEGATIVE),
-    }, rules=(partial(_check_pair, fam=families.CUTOFF_FAMILIES["flat"]),)),
+    }, rules=(partial(_check_pair, fam=families.CUTOFF_FAMILIES["flat"]),
+              _check_flat_cutoff)),
     "vdc": Kind(run_vdc, "vdc", {
         "d": _int("1", 1), "mu": _number("1", _POSITIVE), **_H_SWEEP,
         "amplitude": _choice("dyadic", ("dyadic", "resonant")),

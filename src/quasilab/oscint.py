@@ -89,7 +89,10 @@ def _grad_max(phase: Phase, box, d: int) -> float:
     """The largest |d phase / d xi_k| by centered differences over the
     _GRAD_PROBE^d mesh of the box, probed in slabs of first-axis indices of
     at most _SLAB_POINTS nodes (_slab_rows): the maximum does not depend on
-    the order, so the slabs give the whole mesh's value."""
+    the order, so the slabs give the whole mesh's value.  A gradient that is
+    not finite on the mesh (a phase that overflows there) is refused with
+    ResolutionError: no node count resolves it, and Python's max would drop
+    a NaN and read it as no oscillation."""
     axes = [np.linspace(lo, hi, _GRAD_PROBE) for lo, hi in box]
     eps = min(hi - lo for lo, hi in box) * 1e-5
     rows = _slab_rows(_GRAD_PROBE, d)
@@ -100,8 +103,14 @@ def _grad_max(phase: Phase, box, d: int) -> float:
         for k in range(d):
             shift = np.zeros(d)
             shift[k] = eps
-            g = (phase(pts + shift) - phase(pts - shift)) / (2 * eps)
-            gmax = max(gmax, float(np.abs(g).max()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = (phase(pts + shift) - phase(pts - shift)) / (2 * eps)
+            gk = float(np.abs(g).max())
+            if not math.isfinite(gk):
+                raise ResolutionError(
+                    f"the phase gradient on axis {k + 1} is {gk} on the "
+                    "probe mesh of the box; refusing")
+            gmax = max(gmax, gk)
     return gmax
 
 
@@ -110,9 +119,10 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
 
     Raises ResolutionError, before any quadrature runs, when honoring
     POINTS_PER_WAVELENGTH (and the amplitude's own scale 1/f(h)) would
-    exceed MAX_POINTS_PER_AXIS, or MAX_QUAD_POINTS nodes over the d axes;
-    and before the phase-gradient probe's mesh is built when even the
-    least count per axis would.
+    exceed MAX_POINTS_PER_AXIS, or MAX_QUAD_POINTS nodes over the d axes,
+    or when the phase gradient is not finite (_grad_max); and before the
+    phase-gradient probe's mesh is built when even the least count per
+    axis would.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -131,8 +141,13 @@ def evaluate(integrand: OscIntegrand, h: float) -> EvalResult:
     for width in widths:
         need_osc = width / wavelength * POINTS_PER_WAVELENGTH
         need_amp = width / amp_scale * 8.0
+        if not max(need_osc, need_amp) <= MAX_POINTS_PER_AXIS:
+            raise ResolutionError(
+                f"{max(need_osc, need_amp):.4g} points per axis needed to "
+                f"resolve the oscillation (budget {MAX_POINTS_PER_AXIS} per "
+                "axis); refusing")
         n = max(n, math.ceil(need_osc), math.ceil(need_amp))
-    if n > MAX_POINTS_PER_AXIS or n ** d > MAX_QUAD_POINTS:
+    if n ** d > MAX_QUAD_POINTS:
         raise ResolutionError(
             f"{n} points per axis, {n ** d} in all, needed to resolve the "
             f"oscillation (budget {MAX_POINTS_PER_AXIS} per axis and "

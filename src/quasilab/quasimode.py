@@ -14,12 +14,15 @@ sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
 it makes the normalized quasimode itself.  Its last fold makes the grid in
 blocks of whole x1 rows, which a consumer takes one at a time: no grid is
-ever built.  Taken at the cutoff's own bar grid, the quasimode's bar
-transform is each column's x1 profile at that column's node and 0 elsewhere;
-column_transforms writes those profiles directly, so the stages that work
-on the bar-frequency side take an x1 axis alone and synthesize nothing.  The
-position axes whose h-scaled FFT lands on that grid are the tests' oracle
-(tests/oracles.py::aligned_axes).
+ever built.  build_cutoff records the bar axes on which the support is
+its own mirror image (CutoffField.closed); |u| is even in those, and in
+x1 when all are, so a sweep synthesizes only their positive orthant
+(CutoffField.even_axes).  Taken at the cutoff's own bar grid, the
+quasimode's bar transform is each column's x1 profile at that column's
+node and 0 elsewhere; column_transforms writes those profiles directly,
+so the stages that work on the bar-frequency side take an x1 axis alone
+and synthesize nothing.  The position axes whose h-scaled FFT lands on
+that grid are the tests' oracle (tests/oracles.py::aligned_axes).
 """
 
 from __future__ import annotations
@@ -135,10 +138,23 @@ class CutoffField:
     col_start: np.ndarray    # (K,) int64
     col_count: np.ndarray    # (K,) int64
     spec: FrequencyCutoff | None = None
+    # Per bar axis: whether the support is its own mirror image in that
+    # axis (build_cutoff's closure check); () when nobody checked.
+    closed: tuple[bool, ...] = ()
 
     @property
     def dim(self) -> int:
         return len(self.axes)
+
+    def even_axes(self) -> tuple[bool, ...]:
+        """Per axis, x1 first: whether |u| of the quasimode is even in it.
+
+        u is even in each closed bar axis.  Its coefficients are real, so
+        u(-x) = conj u(x), and |u| is even in x1 too once every bar axis is
+        closed.  A field whose closure nobody checked has no even axis.
+        """
+        bar = self.closed or (False,) * (self.dim - 1)
+        return (all(bar), *bar)
 
     @property
     def cell_volume(self) -> float:
@@ -182,6 +198,11 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     before any of those arrays is allocated, EmptySupportError when no cell
     qualifies and BoxTooSmallError when the support touches the box
     boundary (the configured box must enclose the constraint set).
+
+    A bar axis is closed when the axis is centred on 0.0 and flipping it
+    maps the nonempty columns, and each one's xi1 index run, onto
+    themselves: an exact check on integer indices, so the support is its
+    own mirror image in that axis however its band edges rounded.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -235,6 +256,14 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
             raise BoxTooSmallError(
                 f"support reaches the box boundary on axis {d + 2} at h={h}")
 
+    def is_closed(d: int) -> bool:
+        if bar_axes[d].center != 0.0:
+            return False
+        flip = np.flip(nonempty, d)
+        return bool(np.array_equal(nonempty, flip)) and all(
+            np.array_equal(i[nonempty], np.flip(i, d)[nonempty])
+            for i in (i_lo, i_hi))
+
     # np.nonzero walks the bar grid in C order: the columns' order.
     return CutoffField(
         h=h,
@@ -243,7 +272,8 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
                                     zip(bar_axes, np.nonzero(nonempty))]),
         col_start=col_start,
         col_count=col_end - col_start + 1,
-        spec=spec)
+        spec=spec,
+        closed=tuple(is_closed(d) for d in range(n - 1)))
 
 
 # -- synthesis ---------------------------------------------------------------------

@@ -387,6 +387,56 @@ class TestBlockNorms:
                                           + 1j * rng.standard_normal(shape))
         assert_matches_oracle(values, weight, p)
 
+    @pytest.mark.parametrize("dim,most", [(1, 7), (2, 6), (3, 4), (4, 3)])
+    def test_one_sided_shell_slices_are_the_orthant_of_the_shell(self, dim,
+                                                                 most):
+        # On a halved axis the grid is the upper half of a whole grid's
+        # axis of twice the count: the boxes partition exactly the whole
+        # grid's shell cut to that orthant.
+        for shape in itertools.product(range(1, most + 1), repeat=dim):
+            for halved in itertools.product((False, True), repeat=dim):
+                whole = [2 * n if half else n for n, half in zip(shape, halved)]
+                orthant = tuple(slice(n, None) if half else slice(None)
+                                for n, half in zip(shape, halved))
+                for layer in range(5):
+                    hits = np.zeros(shape, dtype=int)
+                    for box in shell_slices(shape, layer, halved):
+                        assert hits[box].size > 0
+                        hits[box] += 1
+                    assert hits.max(initial=0) <= 1, (shape, halved, layer)
+                    np.testing.assert_array_equal(
+                        hits == 1, shell_mask(whole, layer)[orthant],
+                        err_msg=f"shape {shape}, {halved}, layer {layer}")
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES, ids=["2d", "3d", "4d"])
+    def test_orthant_gives_the_whole_grids_norms(self, shape):
+        # Values even in every axis but the last on a grid twice as long on
+        # those axes: the orthant's block norms, halved on those axes, are
+        # the whole grid's norms and tail estimates to rounding, and its
+        # refusals are the whole grid's (slow decay refuses some p).
+        whole = tuple(2 * n for n in shape[:-1]) + shape[-1:]
+        halved = (True,) * (len(shape) - 1) + (False,)
+        orthant = tuple(slice(n, None) for n in shape[:-1])
+        for rate in (3.0, 0.5):
+            values = envelope(whole, rate)
+            values = values + values[tuple(slice(None, None, -1)
+                                            for _ in shape[:-1])]
+            for p in ORACLE_PS:
+                sums = BlockNorms(shape, 0.01, [p], halved)
+                for i0 in range(shape[0]):
+                    sums.add(slice(i0, i0 + 1), values[orthant][i0:i0 + 1])
+                try:
+                    want = policed_oracle(values, 0.01, p)
+                except TailDominanceError as err:
+                    with pytest.raises(TailDominanceError) as got:
+                        sums.norms()
+                    assert str(got.value) == str(err)
+                    continue
+                got, = sums.norms()
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                assert got.tail_estimate == pytest.approx(
+                    want.tail_estimate, rel=0, abs=1e-12 * want.value)
+
 
 class TestFitScaling:
     def test_exact_power_law(self):

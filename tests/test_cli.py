@@ -363,6 +363,26 @@ expect = pass
         err = capsys.readouterr().err
         assert "refused" in err and "from oscint" in err
 
+    @pytest.mark.parametrize("config, old, new, match", [
+        # j = 1000: sep * xi^2 overflows on the box of +-1.5 * 2^1000 *
+        # h^(1/4), the gradient probe read nan as no oscillation, the
+        # kernel came out 0 at 33 nodes and the band ratios divided by it.
+        ("ttstar_n2.cfg", "j = 0", "j = 1000",
+         "the phase gradient on axis 1 is nan"),
+        # A phase finite at twice the box, but a node count that is not.
+        ("vdc_d1.cfg", "d = 1", "d = 1\nbox_half_width = 6.7e153",
+         "inf points per axis needed"),
+    ], ids=["ttstar-j1000", "vdc-box6.7e153"])
+    def test_unresolvable_phase_exits_3(self, tmp_path, capsys, config, old,
+                                        new, match):
+        text = (CONFIG_DIR / config).read_text()
+        assert f"\n{old}\n" in text
+        cfg = write_cfg(tmp_path, text.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert main(["run", str(cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_REFUSED
+        err = capsys.readouterr().err
+        assert "(ResolutionError from oscint)" in err and match in err
+
     @pytest.mark.parametrize("error", [
         errors.ResolutionError, errors.EmptySupportError,
         errors.BoxTooSmallError, errors.TailDominanceError,
@@ -636,6 +656,24 @@ class TestValidation:
         # The bound is checked first: its message stands.
         ("fio_n2_k1.cfg", "orders = 1, 2", "orders = 0, 0",
          "orders must be a list of integers >= 1"),
+        # An Lp sweep's grid needs 4 points per axis: 1 point was an
+        # internal error (AxisSpec's "points must be >= 2"), and 2 points,
+        # all boundary shell, a refusal at run time.
+        *[("lp_n4_paraboloid_k3.cfg", "margin = 4\npoints_per_scale = 4",
+           f"margin = {margin}\npoints_per_scale = 1",
+           f"margin = {margin} and points_per_scale = 1 give an Lp sweep "
+           f"{points} position point(s) per axis; it needs at least 4")
+          for margin, points in (("0.5", 1), ("1", 2))],
+        # A cell volume that underflows: the quasimode's normalization
+        # divided by the square root of a support volume of 0.
+        ("wavelet_flat_n2_k3.cfg", "h = 2^-8", "h = 1e-300",
+         "h = 1e-300 gives the flat cutoff a cell volume of 0, below the "
+         "least normal float"),
+        # A phase that overflows where the critical-point search steps:
+        # its finite differences raised OverflowError.
+        ("vdc_d1.cfg", "d = 1", "d = 1\nbox_half_width = 1e300",
+         "overflows the phase mu |xi|^2 / 2 (mu = 1, d = 1) at twice the "
+         "box"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, config, old,
                                         new, message):
@@ -663,6 +701,25 @@ class TestValidation:
             else:
                 with pytest.raises(ConfigError, match=f"orders has M = {m}"):
                     parse_config(cfg)
+
+    def test_underflow_and_overflow_bounds_are_sharp(self, tmp_path):
+        # The flat n = 2, k = 3 cutoff's cell volume leaves the normal
+        # floats between h = 1e-243 and 1e-244; |xi|^2 at twice the box
+        # overflows between box_half_width = 6.70e153 and 6.71e153.
+        wavelet = (CONFIG_DIR / "wavelet_flat_n2_k3.cfg").read_text()
+        vdc = (CONFIG_DIR / "vdc_d1.cfg").read_text()
+        for text, old, ok, over, match in (
+                (wavelet, "h = 2^-8", "h = 1e-243", "h = 1e-244",
+                 "^h = .* cell volume"),
+                (vdc, "d = 1", "d = 1\nbox_half_width = 6.70e153",
+                 "d = 1\nbox_half_width = 6.71e153",
+                 "^box_half_width = .* overflows the phase")):
+            assert f"\n{old}\n" in text
+            parse_config(write_cfg(tmp_path, text.replace(
+                f"\n{old}\n", f"\n{ok}\n")))
+            with pytest.raises(ConfigError, match=match):
+                parse_config(write_cfg(tmp_path, text.replace(
+                    f"\n{old}\n", f"\n{over}\n")))
 
     def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(v):

@@ -115,6 +115,25 @@ class TestEvaluate:
         with pytest.raises(ResolutionError):
             evaluate(integrand, 2.0 ** -12)
 
+    @pytest.mark.parametrize("ext, match", [
+        # mu |xi|^2 / 2 overflows to inf at the box's edge, so the probe's
+        # differences are inf - inf = nan, which max() used to drop (0.0,
+        # read as no oscillation, and 33 nodes).
+        (1e200, "phase gradient on axis 1 is nan"),
+        # A finite gradient whose node count overflows to inf: refused
+        # before math.ceil(inf) raises OverflowError.
+        (8e153, "inf points per axis needed"),
+    ])
+    def test_refuses_non_finite_gradient_or_count(self, ext, match,
+                                                  monkeypatch):
+        def midpoint(*args):
+            raise AssertionError("quadrature ran")
+        monkeypatch.setattr(oscint, "_midpoint", midpoint)
+        integrand = OscIntegrand(quadratic_phase(1.0, 1), bump_amplitude(1.0),
+                                 1, ((-ext, ext),))
+        with pytest.raises(ResolutionError, match=match):
+            evaluate(integrand, 2.0 ** -4)
+
     def test_refuses_over_total_point_budget(self, monkeypatch):
         # 7,334 nodes per axis is within MAX_POINTS_PER_AXIS, but 7,334^2
         # is over MAX_QUAD_POINTS: refused before any quadrature runs.

@@ -283,6 +283,57 @@ class TestCutoffMatchesMeshOracle:
         assert peak < 13 * 8 * 48 ** 3
 
 
+class TestClosure:
+    """build_cutoff's exact per-bar-axis mirror check."""
+
+    HS = [2.0 ** -3, 2.0 ** -4.37, 2.0 ** -5, 2.0 ** -6.81, 2.0 ** -8]
+
+    @pytest.mark.parametrize("name,n", [
+        (name, n) for name in ("paraboloid", "slab", "flat")
+        for n in (2, 3, 4)] + [("axis-contact", 3)])
+    def test_every_bar_axis_closed(self, name, n):
+        spec = families.CUTOFF_FAMILIES[name].cutoff(
+            n, 3, families.CELLS_PER_BAND)
+        for h in self.HS:
+            cut = build_cutoff(spec, h)
+            assert cut.closed == (True,) * (n - 1), h
+            assert cut.even_axes() == (True,) * n
+
+    def test_valley_xi2_open(self):
+        # The valley sits at xi2 = xi3^2 >= 0, in an off-centre xi2 box.
+        for h in self.HS:
+            cut = build_cutoff(families.valley_cutoff(), h)
+            assert cut.closed == (False, True), h
+            assert cut.even_axes() == (False, False, True)
+
+    def test_mirror_broken_by_an_odd_term_or_an_off_centre_box(self):
+        # + xi2^3 / 256 in p2 keeps the cell count (24,644) but moves the
+        # xi1 runs of some mirrored xi2 columns apart; a box of unequal
+        # edges puts the bar grid off 0.0, whatever the support.  xi3 stays
+        # closed in both.
+        h = 2.0 ** -5
+        spec = families.paraboloid_cutoff(3, 3)
+        p2 = spec.constraints[1].symbol + parse_symbol("1/256*x2^3", dim=3)
+        odd = FrequencyCutoff((spec.constraints[0], BandConstraint(p2, 1.0)),
+                              spec.box)
+        assert build_cutoff(odd, h).cell_count == \
+            build_cutoff(spec, h).cell_count
+        assert build_cutoff(odd, h).closed == (False, True)
+        rule = spec.box[1]
+        shifted = AxisRule(HExpr(((1.1 * rule.lo.terms[0][0],
+                                   rule.lo.terms[0][1]),)), rule.hi,
+                           rule.spacing)
+        off = FrequencyCutoff(spec.constraints,
+                              (spec.box[0], shifted, spec.box[2]))
+        assert build_cutoff(off, h).closed == (False, True)
+
+    def test_unchecked_field_has_no_even_axis(self):
+        cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
+        bare = CutoffField(h=cut.h, axes=cut.axes, col_coords=cut.col_coords,
+                           col_start=cut.col_start, col_count=cut.col_count)
+        assert bare.even_axes() == (False,) * 3
+
+
 class TestSupportVolume:
     def test_closed_form_n2_k1(self):
         # Vol = int (2h - xi2^2)_+ dxi2 = (4/3)(2h)^(3/2).
@@ -601,8 +652,8 @@ class TestProductSynthesis:
 
     def test_sweep_point_memory_bounded(self):
         # One point of the n = 3 sweep on 64^3: the grid alone would be
-        # 4 MiB, and with |u| 6 MiB.  The last fold's blocks go straight into
-        # the norm sums.
+        # 4 MiB, and with |u| 6 MiB.  Its orthant is 32^3, and the last
+        # fold's blocks go straight into the norm sums (2.1 MiB traced).
         from quasilab import experiments
         from quasilab.analysis import INF_P
 
@@ -614,30 +665,83 @@ class TestProductSynthesis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 2 ** 20
+        assert peak <= 3 * 2 ** 20
 
-    @pytest.mark.parametrize("n,margin,points,ps", [
-        (2, 8, 8, ["inf", "8"]),        # sharp_largep_n2_k3: one block
-        (3, 4, 8, ["inf", "8"]),        # the n = 3 sweep: 8 blocks
-        (4, 4, 4, ["inf", "8", "6"]),   # lp_n4_paraboloid_k3: 32 blocks
-    ], ids=["2d", "3d", "4d"])
-    def test_sweep_point_norms_are_the_whole_grid_bits(self, n, margin,
-                                                       points, ps):
-        # The sweep's norms, summed block by block as the synthesis hands
-        # the grid out, equal the oracle's one sum over the whole grid.
+    def test_n4_sweep_point_memory_bounded(self):
+        # lp_n4_paraboloid_k3's last point, h = 2^-9, on 32^4: the folds of
+        # its 16^4 orthant (10.9 MiB traced; 39.2 MiB on the whole grid).
         from quasilab import experiments
         from quasilab.analysis import parse_p
 
+        spec = families.paraboloid_cutoff(4, 3)
+        v = {"joint_orders": 3, "margin": 4, "points_per_scale": 4}
+        ps = [parse_p(p) for p in ("inf", "8", "6")]
+        tracemalloc.start()
+        try:
+            experiments._sweep_point(spec, 2.0 ** -9, 0.0, ps, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
+    ORTHANT_CASES = [
+        ("paraboloid", 2, 8, 8, ["inf", "8"]),       # sharp_largep_n2_k3
+        ("paraboloid", 3, 4, 8, ["inf", "8"]),       # the n = 3 sweep
+        ("paraboloid", 4, 4, 4, ["inf", "8", "6"]),  # lp_n4_paraboloid_k3
+        ("slab", 2, 8, 8, ["4", "inf"]),
+        ("slab", 3, 8, 4, ["4"]),                    # the n = 3 slab sweep
+        ("slab", 4, 8, 2, ["4", "inf"]),
+        ("flat", 2, 8, 8, ["inf", "8", "4"]),
+        ("flat", 3, 4, 4, ["inf", "8"]),
+        ("flat", 4, 4, 4, ["inf", "8", "4"]),
+        ("axis-contact", 3, 4, 8, ["inf", "8"]),
+        # xi2 open: x1 and xi2 are synthesized whole, xi3 on its half.
+        ("valley", 3, 8, 4, ["inf", "8"]),
+    ]
+
+    @pytest.mark.parametrize("name,n,margin,points,ps", ORTHANT_CASES,
+                             ids=[f"{c[0]}-{c[1]}d" for c in ORTHANT_CASES])
+    def test_sweep_point_norms_are_the_orthant_bits(self, name, n, margin,
+                                                    points, ps, monkeypatch):
+        # The sweep's norms, summed block by block as the synthesis hands
+        # the orthant out, equal bit for bit the oracle's one sum over the
+        # orthant grid, weighted by 2^m cell volumes with the whole grid's
+        # shells cut to it, and the whole grid's norms to rounding.
+        from quasilab import experiments
+        from quasilab.analysis import half_axis, parse_p
+
         h, ps = 2.0 ** -5, [parse_p(p) for p in ps]
-        spec = families.paraboloid_cutoff(n, 3)
+        spec = families.CUTOFF_FAMILIES[name].cutoff(
+            n, 3, families.CELLS_PER_BAND)
         v = {"joint_orders": 3, "margin": margin, "points_per_scale": points}
+        synthesized = []
+
+        def spy(field, axes, consume):
+            synthesized.append([a.points for a in axes])
+            synthesize_on_axes(field, axes, consume)
+
+        monkeypatch.setattr(experiments, "synthesize_on_axes", spy)
         row = experiments._sweep_point(spec, h, 0.0, ps, v)
         cut = build_cutoff(spec, h)
-        g = synthesize_grid(cut, oscillation_axes(
-            [cut.extent(i) for i in range(n)], h, margin, points))
-        masks = shell_mask(g.data.shape), shell_mask(g.data.shape, 1)
-        assert row[6:] == [
-            lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps]
+        whole = oscillation_axes([cut.extent(i) for i in range(n)], h,
+                                 margin, points)
+        halved = cut.even_axes()
+        assert halved == ((False, False, True) if name == "valley"
+                          else (True,) * n)
+        axes = [half_axis(a) if half else a for a, half in zip(whole, halved)]
+        assert synthesized == [[a.points for a in axes]]
+        shape = [a.points for a in whole]
+        orthant = tuple(slice(m // 2, None) if half else slice(None)
+                        for m, half in zip(shape, halved))
+        g = synthesize_grid(cut, axes)
+        masks = shell_mask(shape)[orthant], shell_mask(shape, 1)[orthant]
+        assert row[6:] == [lp_norm(g.data, 2.0 ** sum(halved) * g.cell_volume,
+                                   p, *masks).value for p in ps]
+        g = synthesize_grid(cut, whole)
+        masks = shell_mask(shape), shell_mask(shape, 1)
+        assert row[6:] == pytest.approx(
+            [lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps],
+            rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_oscillation_grids_come_in_tree_node_blocks(self, n):
