@@ -17,8 +17,11 @@ blocks of whole x1 rows, which a consumer takes one at a time: no grid is
 ever built.  build_cutoff records the bar axes on which the support is
 its own mirror image (CutoffField.closed); |u| is even in those, and in
 x1 when all are, so a sweep synthesizes only their positive orthant
-(CutoffField.even_axes).  Taken at the cutoff's own bar grid, the
-quasimode's bar transform is each column's x1 profile at that column's
+(CutoffField.even_axes).  On the frequency side the synthesis sums each
+mirror pair of columns on a closed axis once, through a real cosine table,
+and so does the joint check wherever its two symbols are even in that
+axis's variable too (_mirror_halves).  Taken at the cutoff's own bar grid,
+the quasimode's bar transform is each column's x1 profile at that column's
 node and 0 elsewhere; column_transforms writes those profiles directly,
 so the stages that work on the bar-frequency side take an x1 axis alone
 and synthesize nothing.  The position axes whose h-scaled FFT lands on
@@ -52,6 +55,9 @@ _OUT_BLOCK = 1 << 15
 MAX_GRID_CELLS = 1 << 24
 _JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
+# Most xi1 points build_cutoff takes: every integer up to 2^53 is a float,
+# so its xi1 index bounds are exact up to there.
+_MAX_EXACT_INDEX = 1 << 53
 
 
 def _check_grid_cells(shape: Sequence[int], what: str) -> None:
@@ -195,7 +201,8 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     The constraints are evaluated on broadcast bar nodes, so every array is
     bar-grid shaped and none lists the grid's points.  Raises
     GridBudgetError when the bar grid holds more than MAX_GRID_CELLS cells,
-    before any of those arrays is allocated, EmptySupportError when no cell
+    before any of those arrays is allocated, or the xi1 axis more than 2^53
+    points, before an index bound is cast, EmptySupportError when no cell
     qualifies and BoxTooSmallError when the support touches the box
     boundary (the configured box must enclose the constraint set).
 
@@ -212,6 +219,10 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
             "a cutoff needs one xi1 axis and at least one bar axis; "
             f"the box has dimension {n}")
     axes = [rule.to_axis(h) for rule in spec.box]
+    if axes[0].points > _MAX_EXACT_INDEX:
+        raise GridBudgetError(
+            f"xi1 axis would hold {axes[0].points} points at h={h} "
+            f"(> 2^53, past which its float index bounds are not exact)")
     bar_axes = axes[1:]
     shape = tuple(a.points for a in bar_axes)
     _check_grid_cells(shape, "bar grid")
@@ -274,6 +285,41 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
         col_count=col_end - col_start + 1,
         spec=spec,
         closed=tuple(is_closed(d) for d in range(n - 1)))
+
+
+# -- mirror pairs ------------------------------------------------------------------
+
+def _mirror_side(coords: np.ndarray, axis: AxisSpec) -> np.ndarray:
+    """2i - (P - 1) for the bar index i of each coordinate on an axis of P
+    points, whose mirror index is P - 1 - i: > 0 above the mirror plane,
+    0 on it."""
+    i = np.rint((coords - axis.start) / axis.spacing - 0.5).astype(np.int64)
+    return 2 * i - (axis.points - 1)
+
+
+def _mirror_halves(field: CutoffField, odd: frozenset[int] = frozenset()
+                   ) -> tuple[tuple[bool, ...], np.ndarray, np.ndarray]:
+    """Which bar axes pair: every closed one (CutoffField.closed) that is
+    not in odd, 0 being xi2.  Also the columns that stand for their mirror
+    images on those axes, as indices in stored order, and how many columns
+    each stands for.
+
+    Exact closure gives a column and its mirror on a closed axis, bar index
+    P - 1 - i for i, the same xi1 run, so a sum that is even in each paired
+    axis sums each pair once, at the upper column (2i >= P - 1 on every
+    paired axis), weighted by 2 per paired axis off the mirror plane and 1
+    on it.  Where nothing pairs every column is kept with weight 1.
+    """
+    closed = field.closed or (False,) * (field.dim - 1)
+    paired = tuple(c and d not in odd for d, c in enumerate(closed))
+    keep = np.ones(len(field.col_count), dtype=bool)
+    weight = np.ones(len(field.col_count))
+    for d, (axis, pair) in enumerate(zip(field.axes[1:], paired)):
+        if pair:
+            side = _mirror_side(field.col_coords[:, d], axis)
+            keep &= side >= 0
+            weight[side > 0] *= 2.0
+    return paired, np.flatnonzero(keep), weight[keep]
 
 
 # -- synthesis ---------------------------------------------------------------------
@@ -380,15 +426,37 @@ def _fold_into(out: np.ndarray, rows_of, e: np.ndarray, value_of: np.ndarray,
     """out = sum over rows lo..hi-1 of rows_of(blk).T @ e[value_of[blk]].
 
     The rows go in fixed blocks of _BLOCK from lo, so the summation order is
-    fixed; the first block is written straight into out.
+    fixed.  A complex table's first block is written straight into out.  A
+    real table (a paired axis's, _fold_table) contracts the float view of
+    the complex rows, whose columns alternate real and imaginary parts, at
+    half the multiply-adds of a complex product; the sum's real and
+    imaginary rows are then interleaved into out.
     """
+    real = e.dtype != complex
+    acc = np.empty((2 * len(out), out.shape[1])) if real else out
     for b in range(lo, hi, _BLOCK):
         blk = slice(b, min(b + _BLOCK, hi))
         rows = rows_of(blk)
+        if real:
+            rows = rows.view(np.float64)
         if b == lo:
-            np.matmul(rows.T, e[value_of[blk]], out=out)
+            np.matmul(rows.T, e[value_of[blk]], out=acc)
         else:
-            out += rows.T @ e[value_of[blk]]
+            acc += rows.T @ e[value_of[blk]]
+    if real:
+        out.real, out.imag = acc[0::2], acc[1::2]
+
+
+def _fold_table(values: np.ndarray, nodes: np.ndarray, h: float,
+                weight: np.ndarray | None) -> np.ndarray:
+    """A fold's table, one row per distinct leading key xi in values:
+    exp(i x xi / h) at the position nodes x, or on a paired axis the real
+    weight * cos(x xi / h), a mirror pair's exponentials summed."""
+    if weight is None:
+        return np.exp(1j * np.outer(values, nodes) / h)
+    table = np.cos(np.outer(values, nodes) / h)
+    table *= weight[:, None]
+    return table
 
 
 BlockConsumer = Callable[[slice, np.ndarray], None]
@@ -406,17 +474,31 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     contracts each group against its rows' xi(j+1) exponentials,
     (N1*...*Nj x R_g) times (R_g x N(j+1)), written in C order with no
     transpose: R*N1*...*N(j+1) multiply-adds for the R rows it folds.  The
-    xi2 fold's rows are the K columns, each its xi1 run factor over the N1
-    x1 nodes: its start's phase row times its count's Dirichlet row, formed
-    block by block and never held for all K at once.  The phase, Dirichlet
-    and exponential rows are tabled once per call over the distinct starts,
-    counts and leading keys (38 xi2 rows serve the ~1,150 columns of the
-    n = 3, k = 3 paraboloid at h = 2^-5), so no fold evaluates a sin, cos or
-    exp per row.  A 2D field is one fold of one group.  Rows are taken in
-    increasing (xin, ..., xi(j+1)), and every reduction runs over fixed
-    blocks of _BLOCK rows.  That fixes the summation order, and so every
-    output bit, whatever the order of the stored columns or the BLAS thread
-    count.
+    xi2 fold's rows are the kept columns, each its xi1 run factor over the
+    N1 x1 nodes: its start's phase row times its count's Dirichlet row,
+    formed block by block and never held for all of them at once.
+
+    A closed bar axis (CutoffField.closed) pairs its mirror columns, bar
+    indices i and P - 1 - i of its P: exact closure gives them the same xi1
+    run, so their exponentials sum to 2 cos(x xi / h) at the upper node's
+    xi.  Only the columns with 2i >= P - 1 on every paired axis are kept
+    (_mirror_halves), and a paired axis's table is the real
+    w * cos(x xi / h), w = 2 off the mirror plane and 1 on it (2i = P - 1,
+    odd P).  The identity holds at any x, so the pairing does not depend on
+    the position axes.  A real table is contracted through the float view
+    of the complex rows at half the multiply-adds of a complex one
+    (_fold_into); an open axis, such as the valley's xi2, keeps its
+    exp(i x xi / h) table over every value.  A field whose closure nobody
+    checked pairs nothing.  The n = 3, k = 3 paraboloid at h = 2^-5 keeps
+    289 of its 1,156 columns.
+
+    The phase, Dirichlet and fold-table rows are tabled once per call over
+    the distinct starts, counts and leading keys (19 xi2 rows serve those
+    289 columns), so no fold evaluates a sin, cos or exp per row.  A 2D
+    field is one fold of one group.  Rows are taken in increasing
+    (xin, ..., xi(j+1)), and every reduction runs over fixed blocks of
+    _BLOCK rows.  That fixes the summation order, and so every output bit,
+    whatever the order of the stored columns or the BLAS thread count.
 
     The last fold, whose one group is every row, makes the grid in blocks
     of whole x1 rows, _OUT_BLOCK cells or one x1 row each: a block is a
@@ -429,9 +511,10 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     block goes to consume(slice(i0, i1), block) in increasing i0, and no
     grid is built; block is a view of one buffer that the next block
     overwrites, so consume must not keep it.  The streamed grid, every
-    fold's result, the run tables and each exponential table are checked
-    against MAX_GRID_CELLS before any of them is allocated, and each fold's
-    input is released once the next fold is built.
+    fold's result, the run tables and each fold's table, all sized by the
+    kept columns, are checked against MAX_GRID_CELLS before any of them is
+    allocated, and each fold's input is released once the next fold is
+    built.
     """
     if len(axes) != field.dim:
         raise DimensionMismatchError("axes dimension mismatch")
@@ -440,16 +523,19 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     x1 = axes[0].nodes()
     h = field.h
     ax0 = field.axes[0]
-    # Columns by xin, ..., xi2: each fold's groups are runs of equal keys
-    # after its leading one, taken in increasing leading key.
-    order = np.lexsort(field.col_coords.T)
+    paired, kept, _ = _mirror_halves(field)
+    # Kept columns by xin, ..., xi2: each fold's groups are runs of equal
+    # keys after its leading one, taken in increasing leading key.
+    order = kept[np.lexsort(field.col_coords[kept].T)]
     keys = field.col_coords[order]
     folds, width = [], len(x1)
-    for axis in axes[1:]:
+    for axis, bar_axis, pair in zip(axes[1:], field.axes[1:], paired):
         starts = _run_starts(keys[:, 1:])
         _check_grid_cells((len(starts), width, axis.points), "fold output")
-        folds.append((axis, width, starts,
-                      *np.unique(keys[:, 0], return_inverse=True)))
+        values, value_of = np.unique(keys[:, 0], return_inverse=True)
+        weight = (np.where(_mirror_side(values, bar_axis) > 0, 2.0, 1.0)
+                  if pair else None)
+        folds.append((axis, width, starts, values, value_of, weight))
         keys = keys[starts, 1:]
         width *= axis.points
     # The run factor depends on a column only through its count, the phase
@@ -458,7 +544,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     counts, count_of = np.unique(field.col_count[order], return_inverse=True)
     xi1_starts, start_of = np.unique(field.col_start[order], return_inverse=True)
     _check_grid_cells((len(counts) + len(xi1_starts), len(x1)), "run tables")
-    for axis, _, _, values, _ in folds:
+    for axis, _, _, values, _, _ in folds:
         _check_grid_cells((len(values), axis.points), "exponential table")
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
     tables = (np.exp(1j * np.outer(first, x1) / h),
@@ -476,15 +562,15 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
             return rows
         return flat[blk, cols]
 
-    for axis, width, starts, values, value_of in folds[:-1]:
-        e = np.exp(1j * np.outer(values, axis.nodes()) / h)
+    for axis, width, starts, values, value_of, weight in folds[:-1]:
+        e = _fold_table(values, axis.nodes(), h, weight)
         folded = np.empty((len(starts), width, axis.points), dtype=complex)
         for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(value_of)]):
             _fold_into(out, rows_of, e, value_of, lo, hi)
         flat, tables = folded.reshape(len(starts), -1), None
 
-    axis, _, _, values, value_of = folds[-1]
-    e = np.exp(1j * np.outer(values, axis.nodes()) / h)
+    axis, _, _, values, value_of, weight = folds[-1]
+    e = _fold_table(values, axis.nodes(), h, weight)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     inv_norm = 1.0 / field.l2_norm()
     # The last fold's x1 blocks: per_row output rows of it per x1 row.
@@ -525,14 +611,19 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     of each are contracted against the other.  p1 and p2 are the cutoff's
     first two band symbols.  Each splits as p = c1*xi1 + r(xi2..xin)
     (split_affine_x1), so r is evaluated once per column and spread over
-    the column's xi1 run.  Whole columns go in chunks of up to
-    _JOINT_CHUNK_CELLS support cells (one column when it alone holds more),
-    so the temporaries stay bounded whatever n is; the ratio matrix and a
-    chunk's power columns are checked against MAX_GRID_CELLS before either
-    is allocated, so orders is bounded too.  Midpoint membership makes
-    |p_j| <= h hold at every support node, so each ratio is <= 1 up to
-    rounding; values above 1 + boundary slack indicate a broken cutoff.
-    qm is the quasimode's cutoff.
+    the column's xi1 run.  A closed bar axis pairs when r1 and r2 hold
+    only even powers of its variable (read off the PolySymbol exponents):
+    a column and its mirror then have the same cells' values, so only the
+    kept columns are summed (_mirror_halves), each cell's power row
+    weighted by its column's multiplicity.  The [0, 0] entry so sums
+    integers to the cell count exactly, and is 1.0.  Whole kept columns go
+    in chunks of up to _JOINT_CHUNK_CELLS support cells (one column when it
+    alone holds more), so the temporaries stay bounded whatever n is; the
+    ratio matrix and a chunk's power columns are checked against
+    MAX_GRID_CELLS before either is allocated, so orders is bounded too.
+    Midpoint membership makes |p_j| <= h hold at every support node, so
+    each ratio is <= 1 up to rounding; values above 1 + boundary slack
+    indicate a broken cutoff.  qm is the quasimode's cutoff.
     """
     field = qm
     if orders < 0:
@@ -541,29 +632,35 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
         raise ValueError("cutoff spec with two band constraints required")
     splits = [split_affine_x1(c.symbol) for c in field.spec.constraints[:2]]
     _check_grid_cells((orders + 1, orders + 1), "joint ratio matrix")
-    chunk = max(_JOINT_CHUNK_CELLS, int(field.col_count.max()))
-    _check_grid_cells((min(chunk, field.cell_count), orders + 1),
+    _, kept, weight = _mirror_halves(field, frozenset(
+        d for _, rest in splits for mono in rest.coeffs
+        for d, e in enumerate(mono) if e % 2))
+    kept_count = field.col_count[kept]
+    chunk = max(_JOINT_CHUNK_CELLS, int(kept_count.max()))
+    _check_grid_cells((min(chunk, int(kept_count.sum())), orders + 1),
                       "power columns")
     h = field.h
     ax0 = field.axes[0]
     total = np.zeros((orders + 1, orders + 1))
-    ends = np.cumsum(field.col_count)
+    ends = np.cumsum(kept_count)
     lo = 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(
             ends, (ends[lo - 1] if lo else 0) + _JOINT_CHUNK_CELLS, "right")))
-        counts = field.col_count[lo:hi]
-        bar = field.col_coords[lo:hi]
+        cols = kept[lo:hi]
+        counts = kept_count[lo:hi]
+        bar = field.col_coords[cols]
         # xi1 cell index: the column's start plus the offset into its run.
         run_ends = np.cumsum(counts)
         idx = np.arange(run_ends[-1]) + np.repeat(
-            field.col_start[lo:hi] - (run_ends - counts), counts)
+            field.col_start[cols] - (run_ends - counts), counts)
         xi1 = ax0.start + (idx + 0.5) * ax0.spacing
         bar_arrays = [bar[:, d] for d in range(field.dim - 1)]
         a, b = [_power_columns(((float(c1) * xi1
                                  + np.repeat(rest.eval_grid(bar_arrays), counts))
                                 / h) ** 2, orders + 1)
                 for c1, rest in splits]
+        a *= np.repeat(weight[lo:hi], counts)[:, None]
         total += a.T @ b
         lo = hi
     return np.sqrt(total * field.cell_volume) / field.l2_norm()

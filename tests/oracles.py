@@ -9,9 +9,10 @@ axis: the flattening check and the decay table take an x1 axis alone and
 read the bar transform at the cutoff's bar grid from its columns
 (quasimode.column_transforms), which the h-scaled FFT of the field
 synthesized on the position axes whose bar duals are that grid
-cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), no run takes a norm
-over a whole field (l2_norm), no run brings a multiplier back to the
-position side (apply_multiplier), no run reads the mother wavelet's mean,
+cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), the joint check
+sums each mirror pair of support columns once (joint_ratios sums them
+all), no run takes a norm over a whole field (l2_norm), no run brings a
+multiplier back to the position side (apply_multiplier), no run reads the mother wavelet's mean,
 L2 norm or admissibility constant (wavelet_moments, admissibility) and the
 cutoffs evaluate their symbols on whole grids (PolySymbol.eval_grid).
 Each definition here is the whole-array, whole-field or exact form of one
@@ -34,7 +35,7 @@ from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import AxisSpec, cell_volume, node_arrays
 from quasilab.quasimode import CutoffField, synthesize_on_axes
-from quasilab.symbols import PolySymbol
+from quasilab.symbols import PolySymbol, split_affine_x1
 from quasilab.wavelets import bump_derivative
 
 _TWO_PI = 2.0 * np.pi
@@ -328,6 +329,31 @@ def synthesize_grid(field: CutoffField,
 
     synthesize_on_axes(field, axes, keep)
     return GridField(field.h, list(axes), grid)
+
+
+def joint_ratios(field: CutoffField, orders: int,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """||p1^M1 p2^M2 chi||_2 / (h^(M1+M2) ||chi||_2), indexed [M1, M2], as
+    one contraction over every support cell, mirror columns included; each
+    cell counts weights[c] times for its column c (once without weights).
+
+    The whole-support sum of quasimode.verify_joint_quasimode, which goes
+    in chunks and sums each mirror pair of columns once."""
+    counts = field.col_count
+    ends = np.cumsum(counts)
+    idx = np.arange(ends[-1]) + np.repeat(field.col_start - (ends - counts),
+                                          counts)
+    ax0 = field.axes[0]
+    xi1 = ax0.start + (idx + 0.5) * ax0.spacing
+    bar = [field.col_coords[:, d] for d in range(field.dim - 1)]
+    a, b = [np.vander(((float(c1) * xi1
+                        + np.repeat(rest.eval_grid(bar), counts)) / field.h)
+                      ** 2, orders + 1, increasing=True)
+            for c1, rest in (split_affine_x1(c.symbol)
+                             for c in field.spec.constraints[:2])]
+    if weights is not None:
+        a *= np.repeat(weights, counts)[:, None]
+    return np.sqrt(a.T @ b * field.cell_volume) / field.l2_norm()
 
 
 def l2_norm(u: GridField) -> float:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -382,6 +383,26 @@ expect = pass
                      str(tmp_path / "o")]) == EXIT_REFUSED
         err = capsys.readouterr().err
         assert "(ResolutionError from oscint)" in err and match in err
+
+    def test_xi1_axis_past_exact_indices_exits_3(self, tmp_path, capsys):
+        # At h = 1e-200 the paraboloid's xi1 axis holds 2.8e101 points (its
+        # range shrinks like h^(1/2), its spacing like h): past 2^53 its
+        # float index bounds are not exact, and their cast to int64
+        # overflowed.  It is refused, naming the axis, before that cast.
+        text = (CONFIG_DIR / "sharp_largep_n2_k3.cfg").read_text()
+        old = "\nh_start = 2^-4\nh_stop = 2^-10\n"
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(
+            old, "\nh_list = 1e-200, 1e-201, 1e-202, 1e-203, 1e-204\n"))
+        points = parse_config(cfg).values["family"].cutoff(
+            2, 3, 16).box[0].to_axis(1e-200).points
+        assert points > 2 ** 335
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out",
+                         str(tmp_path / "o")]) == EXIT_REFUSED
+        assert (f"refused (GridBudgetError from quasimode): xi1 axis would "
+                f"hold {points} points at h=1e-200" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("error", [
         errors.ResolutionError, errors.EmptySupportError,

@@ -25,8 +25,8 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import (aligned_axes, dual_axis, ft_axes, l2_norm, lp_norm,
-                     shell_mask, synthesize_grid)
+from oracles import (aligned_axes, dual_axis, ft_axes, joint_ratios, l2_norm,
+                     lp_norm, shell_mask, synthesize_grid)
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -111,17 +111,33 @@ def assert_matches_mesh_cutoff(spec, h):
     return got
 
 
+def bar_indices(cut):
+    """Each stored column's bar-grid index on each bar axis, (K, n-1),
+    recovered from its coordinates."""
+    return np.column_stack([
+        np.rint((cut.col_coords[:, d] - ax.start) / ax.spacing - 0.5)
+        .astype(np.int64) for d, ax in enumerate(cut.axes[1:])])
+
+
+def upper_columns(cut):
+    """Mask of the columns on the upper half (2i >= P - 1) of every closed
+    bar axis: the columns a sum even in those axes keeps."""
+    idx = bar_indices(cut)
+    keep = np.ones(len(idx), dtype=bool)
+    for d, (ax, closed) in enumerate(zip(cut.axes[1:], cut.closed)):
+        if closed:
+            keep &= 2 * idx[:, d] >= ax.points - 1
+    return keep
+
+
 def _dense_indicator(cut):
     """The cutoff's 0/1 indicator as an array over its dense frequency grid:
     the input of the FFT and multiplier oracles."""
     shape = tuple(a.points for a in cut.axes)
     data = np.zeros(shape, dtype=complex)
     flat = data.reshape(shape[0], -1)
-    # Recover each stored column's flat bar index from its coordinates.
-    idx = np.zeros(len(cut.col_coords), dtype=np.int64)
-    for d, ax in enumerate(cut.axes[1:]):
-        pos = np.round((cut.col_coords[:, d] - ax.start) / ax.spacing - 0.5)
-        idx = idx * ax.points + pos.astype(np.int64)
+    idx = np.ravel_multi_index(bar_indices(cut).T,
+                               [a.points for a in cut.axes[1:]])
     for col, (s, c) in enumerate(zip(cut.col_start, cut.col_count)):
         flat[s:s + c, idx[col]] = 1.0
     return data
@@ -545,15 +561,55 @@ class TestProductSynthesis:
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
 
+    PAIRED_CASES = [(name, n) for name in ("paraboloid", "slab", "flat")
+                    for n in (2, 3, 4)] + [
+        ("axis-contact", 3), ("valley", 3), ("odd-count", 3),
+        ("unchecked", 3)]
+
+    @pytest.mark.parametrize("name,n", PAIRED_CASES,
+                             ids=[f"{c[0]}-{c[1]}d" for c in PAIRED_CASES])
+    def test_paired_folds_match_the_column_sum(self, name, n):
+        # On each closed bar axis the folds sum every mirror pair of columns
+        # once, through a cosine table; synthesize_at sums every column with
+        # its own exponentials and folds nothing.  The valley pairs xi3
+        # only, 45 bar points put 35 columns on each mirror plane, and a
+        # field whose closure nobody checked pairs nothing.
+        h = 2.0 ** -5
+        if name == "odd-count":
+            cut = build_cutoff(families.paraboloid_cutoff(
+                n, 3, cells_per_band=15), h)
+            assert [a.points for a in cut.axes[1:]] == [45, 45]
+            idx = bar_indices(cut)
+            assert ((2 * idx == 44).sum(axis=0) == 35).all()
+        elif name == "unchecked":
+            cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
+            cut = CutoffField(h, cut.axes, cut.col_coords, cut.col_start,
+                              cut.col_count)
+        else:
+            cut = build_cutoff(families.CUTOFF_FAMILIES[name].cutoff(
+                n, 3, families.CELLS_PER_BAND), h)
+        assert cut.closed == {"valley": (False, True), "unchecked": ()}.get(
+            name, (True,) * (n - 1))
+        points = {2: (9, 8), 3: (7, 6, 5), 4: (5, 4, 4, 3)}[n]
+        hws = [3.0 * h / cut.extent(i) for i in range(n)]
+        # Off-centre axes, and the upper halves of centred ones.
+        for axes in ([AxisSpec(0.3 * hw, hw, m) for hw, m in zip(hws, points)],
+                     [AxisSpec(hw / 2, hw / 2, m) for hw, m in zip(hws, points)]):
+            fast = synthesize_grid(cut, axes).data
+            oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
+            assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
         # The n = 3 sweep's field, and the n = 4 one, whose 1,160 rows share
-        # 38 xi2 values.
+        # 38 xi2 values.  The permuted field keeps the closure, and so sums
+        # the same mirror pairs once.
         for n, pts in ((3, 8), (4, 4)):
             cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
             perm = np.random.default_rng(5).permutation(len(cut.col_count))
             shuffled = CutoffField(h, cut.axes, cut.col_coords[perm],
-                                   cut.col_start[perm], cut.col_count[perm])
+                                   cut.col_start[perm], cut.col_count[perm],
+                                   closed=cut.closed)
             axes = oscillation_axes([cut.extent(i) for i in range(n)], h, 2,
                                     pts)
             np.testing.assert_array_equal(
@@ -652,8 +708,9 @@ class TestProductSynthesis:
 
     def test_sweep_point_memory_bounded(self):
         # One point of the n = 3 sweep on 64^3: the grid alone would be
-        # 4 MiB, and with |u| 6 MiB.  Its orthant is 32^3, and the last
-        # fold's blocks go straight into the norm sums (2.1 MiB traced).
+        # 4 MiB, and with |u| 6 MiB.  Its orthant is 32^3, the folds sum
+        # each mirror pair of columns once, and the last fold's blocks go
+        # straight into the norm sums (1.4 MiB traced).
         from quasilab import experiments
         from quasilab.analysis import INF_P
 
@@ -665,11 +722,12 @@ class TestProductSynthesis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 2 ** 20
+        assert peak <= 2 * 2 ** 20
 
     def test_n4_sweep_point_memory_bounded(self):
         # lp_n4_paraboloid_k3's last point, h = 2^-9, on 32^4: the folds of
-        # its 16^4 orthant (10.9 MiB traced; 39.2 MiB on the whole grid).
+        # its 16^4 orthant over the upper halves of its columns (8.8 MiB
+        # traced; 10.9 MiB over every column, 39.2 MiB on the whole grid).
         from quasilab import experiments
         from quasilab.analysis import parse_p
 
@@ -682,7 +740,7 @@ class TestProductSynthesis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
 
     ORTHANT_CASES = [
         ("paraboloid", 2, 8, 8, ["inf", "8"]),       # sharp_largep_n2_k3
@@ -780,8 +838,10 @@ class TestProductSynthesis:
         cut = build_cutoff(families.paraboloid_cutoff(4, 3), h)
         axes = oscillation_axes([cut.extent(i) for i in range(4)], h, 4, 4)
         assert [a.points for a in axes] == [32] * 4
-        # The xi(j+1) fold's result has one row per distinct (xi(j+2)..xin).
-        rows = [len(np.unique(cut.col_coords[:, j:], axis=0)) for j in (1, 2)]
+        # The xi(j+1) fold's result has one row per distinct (xi(j+2)..xin)
+        # among the kept columns.
+        keys = cut.col_coords[upper_columns(cut)]
+        rows = [len(np.unique(keys[:, j:], axis=0)) for j in (1, 2)]
         cells = np.cumprod([a.points for a in axes])[1:]
         folds = [16 * r * c for r, c in zip(rows + [1], cells)]
         tracemalloc.start()
@@ -827,13 +887,15 @@ class TestProductSynthesis:
             synthesize_on_axes(cut, axes, lambda rows, b: None)
 
     def test_slabs_checked_before_allocation(self, monkeypatch):
-        # 240 output cells fit a 1000-cell budget; the 6400 stage-1 slabs of
-        # 5 x 4 cells each (128,000) do not.
+        # 240 output cells fit a 1000-cell budget; the stage-1 slabs of 5 x 4
+        # cells each do not: one per row of equal (xi3, xi4) among the kept
+        # columns, the upper halves of its 80 xi3 and 80 xi4 values (1,600
+        # slabs, 32,000 cells).
         cut = _fine_4d_field()   # its 96^3 bar grid is over the test budget
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", 1000)
         axes = [AxisSpec(0.0, 1.0, n) for n in (5, 4, 4, 3)]
         with pytest.raises(MemoryError,
-                           match="fold output would hold 128000 cells"):
+                           match="fold output would hold 32000 cells"):
             synthesize_on_axes(cut, axes, lambda rows, b: None)
 
     def test_run_tables_checked_before_allocation(self, monkeypatch):
@@ -1008,17 +1070,19 @@ class TestJointQuasimode:
             return power_columns(x, m)
 
         monkeypatch.setattr(quasimode, "_power_columns", record)
-        # Every n <= 3 case is one chunk at the shipped size.
+        # Every n <= 3 case is one chunk at the shipped size, of the kept
+        # columns' cells: each closed axis pairs here.
+        counts = cut.col_count[upper_columns(cut)]
         whole = verify_joint_quasimode(cut, 3)
-        assert sizes[::2] == [cut.cell_count]
+        assert sizes[::2] == [counts.sum()]
         for cells in (40, 5000):
             monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", cells)
             sizes.clear()
             got = verify_joint_quasimode(cut, 3)
             np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
-            # Whole columns, as many as fit in the chunk, or one.
-            chunks, ends = sizes[::2], np.cumsum(cut.col_count)
-            assert sum(chunks) == cut.cell_count
+            # Whole kept columns, as many as fit in the chunk, or one.
+            chunks, ends = sizes[::2], np.cumsum(counts)
+            assert sum(chunks) == counts.sum()
             bounds = np.cumsum(chunks)
             assert set(bounds) <= set(ends)
             for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
@@ -1026,6 +1090,48 @@ class TestJointQuasimode:
                 assert hi - lo <= cells or hi == first
                 nxt = np.searchsorted(ends, hi, "right")
                 assert nxt == len(ends) or ends[nxt] - lo > cells
+
+    WHOLE_CASES = [(name, n) for name in ("paraboloid", "slab", "flat")
+                   for n in (2, 3, 4)] + [("axis-contact", 3), ("valley", 3)]
+
+    @pytest.mark.parametrize("name,n", WHOLE_CASES,
+                             ids=[f"{c[0]}-{c[1]}d" for c in WHOLE_CASES])
+    def test_matches_whole_support_oracle(self, name, n):
+        # Each mirror pair of columns summed once, against every support
+        # cell summed; the (0, 0) entry sums integers to the cell count.
+        # The valley's 57 xi3 points put columns on its mirror plane.
+        # n = 4 runs at half the shipped resolution: the oracle holds every
+        # cell's power columns at once.
+        cells = 8 if n == 4 else families.CELLS_PER_BAND
+        cut = build_cutoff(families.CUTOFF_FAMILIES[name].cutoff(n, 3, cells),
+                           2.0 ** -5)
+        got = verify_joint_quasimode(cut, 3)
+        np.testing.assert_allclose(got, joint_ratios(cut, 3), rtol=1e-12,
+                                   atol=0)
+        assert got[0, 0] == 1.0
+
+    def test_odd_power_in_the_first_symbol_does_not_pair(self):
+        # p1 + xi2^3 under a loose band (|.| <= 1) leaves the paraboloid's
+        # support, and so its closure, as they are: the check's first symbol
+        # is odd in xi2, so xi2 must not pair, while xi3 still does.
+        # Pairing xi2 as well sums to other ratios.
+        h = 2.0 ** -5
+        spec = families.paraboloid_cutoff(3, 3)
+        odd = BandConstraint(spec.constraints[0].symbol
+                             + parse_symbol("x2^3", dim=3), 0.0)
+        cut = build_cutoff(FrequencyCutoff((odd,) + spec.constraints,
+                                           spec.box), h)
+        assert cut.cell_count == build_cutoff(spec, h).cell_count
+        assert cut.closed == (True, True)
+        got = verify_joint_quasimode(cut, 3)
+        np.testing.assert_allclose(got, joint_ratios(cut, 3), rtol=1e-12,
+                                   atol=0)
+        assert got[0, 0] == 1.0
+        side = 2 * bar_indices(cut) - np.array(
+            [a.points - 1 for a in cut.axes[1:]])
+        both = np.select([side > 0, side == 0], [2.0, 1.0], 0.0).prod(axis=1)
+        wrong = joint_ratios(cut, 3, both)
+        assert np.abs(wrong - got).max() > 1e-3 * got.max()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_power_columns_match_vander(self, m):
