@@ -618,8 +618,11 @@ def run_wavelet_diagnostic(v: dict):
 
 def run_vdc(v: dict):
     d, mu, tol, ext = v["d"], v["mu"], v["exponent"], v["box_half_width"]
+    # The phase is quadratic and both amplitudes are radial: even in every
+    # axis.
     integrand = OscIntegrand(quadratic_phase(mu, d), v["amp"], d,
-                             tuple((-ext, ext) for _ in range(d)))
+                             tuple((-ext, ext) for _ in range(d)),
+                             frozenset(range(d)))
     rep = vdc_check(integrand, v["h_sweep"], mu, exponent_tolerance=tol)
     rows = [(h, m, h ** (d / 2) * mu ** (-d / 2), r)
             for h, m, r in zip(rep.h_values, rep.magnitudes, rep.ratios)]

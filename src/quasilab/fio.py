@@ -12,7 +12,10 @@ are diagonal in xi_bar, so the check runs on the frequency side, where
 every norm is taken (Parseval), at the cutoff's own bar grid: there u's
 bar transform is each column's x1 profile at that column's node and 0 at
 every other node, so each column is a 1D problem in x1 on the x1 axis
-(x1_axis) and no position field is synthesized.
+(x1_axis) and no position field is synthesized.  A column and its mirror
+on a closed bar axis in whose variable a1 holds only even powers pose the
+same problem, so only the kept mirror columns are checked, each weighted
+by the columns it stands for (quasimode._mirror_halves).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .grids import AxisSpec, cell_volume, node_arrays
-from .quasimode import CutoffField, _aligned_x1, column_transforms
+from .quasimode import (CutoffField, _aligned_x1, _mirror_halves,
+                        column_transforms)
 from .symbols import PolySymbol
 
 
@@ -62,10 +66,13 @@ class FlatteningReport:
     identity_bound: float     # self-calibrated O((dx/h)^2) allowance
 
 
-def _abs_sq_sum(data: np.ndarray) -> float:
-    """The sum of |data|^2, one numpy reduction."""
+def _abs_sq_sum(data: np.ndarray, weight: np.ndarray) -> float:
+    """The sum of weight * |data|^2, one weight per column of data, in one
+    numpy reduction."""
     sq = np.abs(data)
-    return float(np.sum(np.square(sq, out=sq)))
+    np.square(sq, out=sq)
+    sq *= weight
+    return float(np.sum(sq))
 
 
 def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
@@ -88,10 +95,14 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
     working block of complex cells each.  For each column c its x1 profile
     u_c is a 1D problem: W_c = exp(-i x1 a1(xi_bar_c)/h), v_c = W_c u_c,
     its differences of every order, the residual
-    hD v_c - W_c (hD u_c - a1 u_c) and the midpoint gap of u_c.  Every
-    |.|^2 is summed per block by numpy, so the bits do not depend on the
-    BLAS thread count, and weighted by the cell of x1 times the bar grid's;
-    the other bar nodes hold 0 and add nothing.
+    hD v_c - W_c (hD u_c - a1 u_c) and the midpoint gap of u_c.  A column
+    and its mirror on a closed axis in whose variable a1 holds only even
+    powers have the same u_c and a1 value, so the same terms: only the kept
+    columns are taken (quasimode._mirror_halves), each |.|^2 weighted by
+    the number of columns it stands for.  Every |.|^2 is summed per block
+    by numpy, so the bits do not depend on the BLAS thread count, and
+    weighted by the cell of x1 times the bar grid's; the other bar nodes
+    hold 0 and add nothing.
     """
     if a1.dim != field.dim - 1:
         raise DimensionMismatchError(
@@ -102,25 +113,26 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
         raise ValueError(f"order {top} needs more than {2 * top} x1 rows, "
                          f"and the grid has {len(x1)}")
     h, dx, bar = field.h, x1_axis.spacing, field.axes[1:]
-    a_cols = a1.eval_grid(list(field.col_coords.T))
+    _, kept, weight = _mirror_halves(field, a1.odd_axes())
+    a_cols = a1.eval_grid(list(field.col_coords[kept].T))
     sums = dict.fromkeys(("u", "resid", "gap", *orders), 0.0)
-    for cols, u in column_transforms(field, x1):
-        a = a_cols[cols]
+    for block, u in column_transforms(field, x1, kept):
+        a, mult = a_cols[block], weight[block]
         w = np.multiply(-1j * x1[:, None], a)
         w *= 1.0 / h
         np.exp(w, out=w)
-        sums["u"] += _abs_sq_sum(u)
+        sums["u"] += _abs_sq_sum(u, mult)
         dv = np.multiply(w, u)
         for m in range(1, top + 1):
             dv = hd_x1(dv, h, dx)
             if m == 1:
                 hd_v = dv
             if m in orders:
-                sums[m] += _abs_sq_sum(dv)
+                sums[m] += _abs_sq_sum(dv, mult)
         if 1 in orders:
             rhs = np.multiply(w[1:-1], hd_x1(u, h, dx) - a * u[1:-1])
-            sums["resid"] += _abs_sq_sum(hd_v - rhs)
-            sums["gap"] += _abs_sq_sum(u[1:-1] - 0.5 * (u[2:] + u[:-2]))
+            sums["resid"] += _abs_sq_sum(hd_v - rhs, mult)
+            sums["gap"] += _abs_sq_sum(u[1:-1] - 0.5 * (u[2:] + u[:-2]), mult)
 
     cell = dx * cell_volume(bar)
 

@@ -17,6 +17,12 @@ nodes are built and the amplitude taken only on the cube's rows and
 columns.  Everywhere else the slab keeps the zeros the amplitude would
 have given, and every slab is summed whole, so the reduction order, and
 with it every output bit, depends only on the grid, not on the radius.
+An integrand declares the axes on which its phase and its amplitude are
+both even (OscIntegrand.even): run_vdc every axis, ttstar_kernel each
+variable that a1 holds only to even powers.  On each such axis whose box
+is symmetric the rule sums the upper half of the nodes at weight 2, the
+node at 0 at weight 1 (_slabs): one orthant of the box, with the node
+count, and so every budget and refusal, of the whole box.
 
 The decay check sweeps h, fits log|I| against log h, and certifies the
 h^(d/2) mu^(-d/2) law only when the declared amplitude regularity loss
@@ -69,13 +75,17 @@ class OscIntegrand:
     """I(h) = int_box exp(i*phase/h) * amplitude.values(xi, h) dxi.
 
     The box is never shrunk to the amplitude's support cube: the node
-    count and every node come from the box.
+    count and every node come from the box.  even holds the axes, 0 first,
+    on which both the phase and the amplitude are even: the quadrature
+    sums one half of each such axis whose box is symmetric (_slabs).  An
+    integrand that declares none is summed on the whole box.
     """
 
     phase: Phase
     amplitude: Amplitude
     d: int
     box: tuple[tuple[float, float], ...]
+    even: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,7 @@ def _midpoint(integrand: OscIntegrand, h: float, n: int,
 
     return complex(sum(_slabs(integrand.box, n,
                               integrand.amplitude.support_radius(h), values,
-                              integrand_values)))
+                              integrand_values, integrand.even)))
 
 
 def _slab_rows(n: int, d: int) -> int:
@@ -215,41 +225,58 @@ def _kept(ax: np.ndarray, radius: float) -> slice:
 
 
 def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float,
-           values: np.ndarray,
-           f: Callable[[np.ndarray, np.ndarray], None]) -> Iterator[complex]:
+           values: np.ndarray, f: Callable[[np.ndarray, np.ndarray], None],
+           even: frozenset[int]) -> Iterator[complex]:
     """Midpoint sums of an integrand over the n^d tensor grid on box, one
     slab at a time.
 
-    A slab is a fixed run of _slab_rows first-axis indices, so memory stays
-    bounded and the reduction order depends only on n and d.  Its values
-    are the leading part of values (a flat array at least one slab long),
-    zero on entry: f(pts, out) writes the integrand's nonzero values at the
-    nodes pts into out, a (rows, n, ..., n)-shaped view of them, and the
-    slab is summed whole.  pts and out cover only the cube |xi_k| < radius,
-    padded by one node per side (the whole slab when radius is math.inf); a
-    slab that misses it yields 0 without a call.  The integrand is 0
-    outside the cube, so every slab's sum, and so every bit, is the whole
-    box's.  out is zeroed again after its sum, and values is zeroed once
-    per call.  The nodes are written, coordinate by coordinate, into one
-    C-order (rows, ..., d) array allocated once per call (a partial last
-    slab is its leading part): the values of np.stack(np.meshgrid(...))
-    without building the mesh.  f may not keep pts or out past its return.
+    An axis in even (0 first) whose box is symmetric, lo == -hi, is halved:
+    an integrand even in it takes the same value at a node and its mirror,
+    so only the upper half of its nodes, ax[n // 2:], is summed, at weight
+    2, but for odd n the node at 0, which is its own mirror, at weight 1.
+    The weights are exact: the cell is doubled per halved axis and the
+    centre node's values halved, so the sum is the whole axis's to the
+    rounding of the mirrored nodes and of the shorter sum.  Every other
+    axis keeps its n nodes.
+
+    A slab is a fixed run of _slab_rows(n, d) first-axis indices of the
+    (halved) grid, so memory stays bounded and the reduction order depends
+    only on n, d and the halved axes.  Its values are the leading part of
+    values (a flat array at least _slab_points(n, d) long), zero on entry:
+    f(pts, out) writes the integrand's nonzero values at the nodes pts into
+    out, a (rows, ...)-shaped view of them, and the slab is summed whole.
+    pts and out cover only the cube |xi_k| < radius, padded by one node per
+    side (the whole slab when radius is math.inf); a slab that misses it
+    yields 0 without a call.  The integrand is 0 outside the cube, so every
+    slab's sum, and so every bit, is the one radius math.inf gives.
+    out is zeroed again after its sum, and values is zeroed once per call.
+    The nodes are written, coordinate by coordinate, into one C-order
+    (rows, ..., d) array allocated once per call (a partial last slab is
+    its leading part): the values of np.stack(np.meshgrid(...)) without
+    building the mesh.  f may not keep pts or out past its return.
     """
     d = len(box)
-    axes = []
+    axes, centred = [], []
     cell = 1.0
-    for lo, hi in box:
+    for k, (lo, hi) in enumerate(box):
         step = (hi - lo) / n
-        axes.append(lo + (np.arange(n) + 0.5) * step)
+        ax = lo + (np.arange(n) + 0.5) * step
         cell *= step
+        if k in even and lo == -hi:
+            ax = ax[n // 2:]
+            cell *= 2.0
+            if n % 2:
+                centred.append(k)
+        axes.append(ax)
     kept = [_kept(ax, radius) for ax in axes]
     rows = _slab_rows(n, d)
-    plane = n ** (d - 1)
+    plane_shape = tuple(len(ax) for ax in axes[1:])
+    plane = math.prod(plane_shape)
     values[:rows * plane].fill(0)
     nodes = np.empty((min(rows, kept[0].stop - kept[0].start),)
                      + tuple(k.stop - k.start for k in kept[1:]) + (d,))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    for start in range(0, len(axes[0]), rows):
+        stop = min(start + rows, len(axes[0]))
         lo, hi = max(start, kept[0].start), min(stop, kept[0].stop)
         if lo >= hi:
             yield 0.0
@@ -260,9 +287,13 @@ def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float,
             shape[k] = -1
             pts[..., k] = (ax[lo:hi] if k == 0 else ax[kept[k]]).reshape(shape)
         slab = values[:(stop - start) * plane]
-        out = slab.reshape((stop - start,) + (n,) * (d - 1))[
+        out = slab.reshape((stop - start,) + plane_shape)[
             (slice(lo - start, hi - start),) + tuple(kept[1:])]
         f(pts, out)
+        # The centre node, index 0 of its halved axis, where out holds it.
+        for k in centred:
+            if (lo if k == 0 else kept[k].start) == 0:
+                out[(slice(None),) * k + (0,)] *= 0.5
         total = np.sum(slab) * cell
         out.fill(0)
         yield total
@@ -500,7 +531,10 @@ def ttstar_kernel(a1: PolySymbol, a: float, j: int, h: float, k: int,
     def phase(pts: np.ndarray) -> np.ndarray:
         return sep * a1.eval_grid([pts[..., i] for i in range(m)])
 
-    integrand = OscIntegrand(phase, psi_amplitude(k, j), m, box)
+    # psi_j is radial, so the integrand is even in each variable that a1
+    # holds only to even powers.
+    integrand = OscIntegrand(phase, psi_amplitude(k, j), m, box,
+                             frozenset(range(m)) - a1.odd_axes())
     res = evaluate(integrand, h)
     pref = (_TWO_PI * h) ** (-m)
     # Triangle inequality on the same quadrature nodes: |sum| <= sum of
@@ -516,4 +550,5 @@ def _midpoint_abs(integrand: OscIntegrand, h: float, n: int) -> float:
     amp = integrand.amplitude
     return float(sum(_slabs(
         integrand.box, n, amp.support_radius(h), values,
-        lambda pts, out: np.abs(amp.values(pts, h), out=out))))
+        lambda pts, out: np.abs(amp.values(pts, h), out=out),
+        integrand.even)))

@@ -24,8 +24,10 @@ axis's variable too (_mirror_halves).  Taken at the cutoff's own bar grid,
 the quasimode's bar transform is each column's x1 profile at that column's
 node and 0 elsewhere; column_transforms writes those profiles directly,
 so the stages that work on the bar-frequency side take an x1 axis alone
-and synthesize nothing.  The position axes whose h-scaled FFT lands on
-that grid are the tests' oracle (tests/oracles.py::aligned_axes).
+and synthesize nothing.  A column's profile is its mirror's, so they
+transform the kept mirror columns only (fio, wavelets).  The position
+axes whose h-scaled FFT lands on that grid are the tests' oracle
+(tests/oracles.py::aligned_axes).
 """
 
 from __future__ import annotations
@@ -355,11 +357,12 @@ def _aligned_x1(field: CutoffField, x1_axis: AxisSpec) -> np.ndarray:
     return x1_axis.nodes()
 
 
-def column_transforms(field: CutoffField, x1: np.ndarray
+def column_transforms(field: CutoffField, x1: np.ndarray, cols: np.ndarray
                       ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The normalized quasimode's bar transform at the x1 nodes x1, block of
-    columns by block: (cols, u), u the (len(x1), columns) transform at the
-    bar nodes of the columns cols, column c being
+    """The normalized quasimode's bar transform at the x1 nodes x1 and the
+    bar nodes of the columns cols (indices in stored order, such as the
+    kept columns of _mirror_halves), block by block: (block, u), u the
+    (len(x1), columns) transform at the columns cols[block], column c being
 
         u_c(x1) = dxi1 (2 pi h)^(-1/2) / ||chi||_2
                   * exp(i x1 xi1_first,c / h) * D_count,c(x1 dxi1 / h),
@@ -367,22 +370,24 @@ def column_transforms(field: CutoffField, x1: np.ndarray
     D the run sum of _dirichlet.  Every column frequency is a node of the
     cutoff's bar grid, so this is the transform on that grid, and it is 0
     at every bar node that holds no column: no position field is needed,
-    only the x1 nodes (_aligned_x1).  A block holds a quarter
+    only the x1 nodes (_aligned_x1).  A column and its mirror on a closed
+    axis have the same xi1 run, so the same u_c.  A block holds a quarter
     working block of complex cells (grids.WORK_BLOCK_BYTES), or one column,
     so that a caller's few temporaries per block stay within one working
     block, below glibc's mmap threshold: blocks of a whole working block
     each were mapped and faulted in afresh, block after block.
     """
     h, dxi1 = field.h, field.axes[0].spacing
-    first = field.xi1_first_node()
+    first = field.xi1_first_node()[cols]
+    counts = field.col_count[cols]
     scale = dxi1 / math.sqrt(_TWO_PI * h) / field.l2_norm()
     step = max(1, WORK_BLOCK_BYTES // (64 * max(1, len(x1))))
-    for c0 in range(0, len(first), step):
-        cols = slice(c0, c0 + step)
-        u = np.exp(1j * np.outer(x1, first[cols]) / h)
-        u *= _dirichlet(x1[:, None] * (dxi1 / h), field.col_count[cols])
+    for c0 in range(0, len(cols), step):
+        block = slice(c0, c0 + step)
+        u = np.exp(1j * np.outer(x1, first[block]) / h)
+        u *= _dirichlet(x1[:, None] * (dxi1 / h), counts[block])
         u *= scale
-        yield cols, u
+        yield block, u
 
 
 def synthesize_at(field: CutoffField, targets) -> np.ndarray:
@@ -632,9 +637,8 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
         raise ValueError("cutoff spec with two band constraints required")
     splits = [split_affine_x1(c.symbol) for c in field.spec.constraints[:2]]
     _check_grid_cells((orders + 1, orders + 1), "joint ratio matrix")
-    _, kept, weight = _mirror_halves(field, frozenset(
-        d for _, rest in splits for mono in rest.coeffs
-        for d, e in enumerate(mono) if e % 2))
+    _, kept, weight = _mirror_halves(
+        field, splits[0][1].odd_axes() | splits[1][1].odd_axes())
     kept_count = field.col_count[kept]
     chunk = max(_JOINT_CHUNK_CELLS, int(kept_count.max()))
     _check_grid_cells((min(chunk, int(kept_count.sum())), orders + 1),

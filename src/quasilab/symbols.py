@@ -83,6 +83,12 @@ class PolySymbol:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.coeffs), default=0)
 
+    def odd_axes(self) -> frozenset[int]:
+        """The variables, 0 for x1, that some monomial holds to an odd
+        power: the polynomial is even in each of the others."""
+        return frozenset(i for mono in self.coeffs
+                         for i, e in enumerate(mono) if e % 2)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolySymbol):
             return NotImplemented

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -247,10 +248,11 @@ def _random_cutoff(rows, cols, seed):
     return cut, AxisSpec(0.0, 1.5, rows)
 
 
-def _shipped_cutoff(h, n=2, x1_half_width=8.0, per_h=8):
+def _shipped_cutoff(h, n=2, x1_half_width=8.0, per_h=8, pow2=True):
     """(cutoff, x1 axis) of the fio_n2_k1 config at h, or of its n-dim
-    counterpart on x1_half_width and per_h x1 cells per h."""
-    cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+    counterpart on x1_half_width and per_h x1 cells per h, or with bar
+    counts not rounded to a power of two (pow2=False)."""
+    cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=pow2), h)
     return cut, x1_axis(x1_half_width, h / per_h)
 
 
@@ -278,10 +280,10 @@ def _recorded_blocks(monkeypatch):
     seen = []
     blocks = fio.column_transforms
 
-    def recording(field, x1):
-        for cols, u in blocks(field, x1):
-            seen.append((cols.start, cols.start + u.shape[1]))
-            yield cols, u
+    def recording(field, x1, cols):
+        for block, u in blocks(field, x1, cols):
+            seen.append((block.start, block.start + u.shape[1]))
+            yield block, u
 
     monkeypatch.setattr(fio, "column_transforms", recording)
     return seen
@@ -324,21 +326,21 @@ class TestBlockedReports:
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_shipped_blocks_match_whole_grid(self, orders, monkeypatch):
         # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), its
-        # columns read two to a block.
+        # kept mirror columns, half of its 50, read two to a block.
         cut, ax = _shipped_cutoff(2.0 ** -4)
         assert (ax.points, cut.axes[1].points) == (2048, 64)
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(_a1(), cut, ax, orders)
-        assert seen == _tiles(2, len(cut.col_count))
+        assert seen == _tiles(2, 25) and len(cut.col_count) == 50
         _assert_reports_match(
             got, _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders))
 
     def test_blocks_must_tile_the_grid(self, monkeypatch):
-        # Every column is read once, in order, in blocks of at most a
+        # Every kept column is read once, in order, in blocks of at most a
         # quarter working block of complex cells; a working block too small
         # for one column's x1 profile still reads one whole column.
         cut, ax = _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)
-        rows, count = ax.points, len(cut.col_count)
+        rows, count = ax.points, len(quasimode._mirror_halves(cut)[1])
         seen = _recorded_blocks(monkeypatch)
         flattening_reports(_a1(3), cut, ax, (1,))
         step = seen[0][1] - seen[0][0]
@@ -374,6 +376,95 @@ class TestBlockedReports:
         assert len(flattening_reports(_a1(), cut, ax, (1, 3))) == 2
         with pytest.raises(ValueError, match="8"):
             flattening_reports(_a1(), cut, ax, (1, 4))
+
+
+def _report_bits(reports):
+    """Every float of the reports, as hex."""
+    return [[float(x).hex() for x in dataclasses.astuple(r)] for r in reports]
+
+
+def _unweighted_sums(monkeypatch):
+    """Make flattening_reports sum each |.|^2 unweighted, as one np.sum,
+    asserting that every column stands for itself alone."""
+    def plain(data, weight):
+        assert (weight == 1.0).all()
+        sq = np.abs(data)
+        return float(np.sum(np.square(sq, out=sq)))
+
+    monkeypatch.setattr(fio, "_abs_sq_sum", plain)
+
+
+class TestMirrorColumns:
+    """The check on the kept mirror columns, each |.|^2 weighted by the
+    columns it stands for, against every column."""
+
+    @pytest.mark.parametrize("orders", [(1, 2), (3,)], ids=str)
+    @pytest.mark.parametrize("field, kept", [
+        (lambda: _shipped_cutoff(2.0 ** -4), 25),
+        (lambda: _shipped_cutoff(2.0 ** -5), 25),
+        (lambda: _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2),
+         506),
+        (lambda: _shipped_cutoff(2.0 ** -4, pow2=False), 23),
+        (lambda: _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2,
+                                 pow2=False), 424)],
+        ids=["fio-h=2^-4", "fio-h=2^-5", "fio-n3-h=2^-3", "odd-h=2^-4",
+             "odd-n3-h=2^-3"])
+    def test_paired_match_every_column(self, field, kept, orders,
+                                       monkeypatch):
+        # The shipped fields read half their 50 columns and the n = 3 one a
+        # quarter of its 2,024: each bar axis has an even count, so no
+        # column lies on a mirror plane and every column stands for 2 or 4.
+        # On 57 bar nodes per axis the columns on the mirror planes stand
+        # for themselves alone: 23 of 45 columns are read, and 424 of 1,605.
+        # The reports agree with those of every column to rounding.
+        cut, ax = field()
+        a1 = _a1(cut.dim)
+        want = flattening_reports(a1, dataclasses.replace(cut, closed=()), ax,
+                                  orders)
+        seen = _recorded_blocks(monkeypatch)
+        got = flattening_reports(a1, cut, ax, orders)
+        assert seen[-1][1] == kept < len(cut.col_count)
+        _assert_reports_match(got, want)
+
+    @pytest.mark.parametrize("symbol, n, paired", [
+        ("x1^2 + x1", 2, ()), ("x1^3", 2, ()),
+        ("x1^3 + x2^2", 3, (1,)), ("x1^2 + x2^3", 3, (0,)),
+        ("x1*x2", 3, ())])
+    def test_odd_power_keeps_its_axis(self, symbol, n, paired, monkeypatch):
+        # An axis in whose variable a1 holds an odd power is not paired:
+        # the check reads the columns on its both sides, and with no axis
+        # paired it is every column's check bit for bit.
+        h = 2.0 ** -4 if n == 2 else 2.0 ** -3
+        cut, ax = _shipped_cutoff(h, n=n, x1_half_width=2.0, per_h=2)
+        a1 = parse_symbol(symbol, dim=n - 1)
+        sides = np.column_stack([
+            quasimode._mirror_side(cut.col_coords[:, d], bar)
+            for d, bar in enumerate(cut.axes[1:])])
+        seen = _recorded_blocks(monkeypatch)
+        got = flattening_reports(a1, cut, ax, (1, 2))
+        assert seen[-1][1] == int((sides[:, list(paired)] >= 0).all(axis=1).sum())
+        if paired:
+            _assert_reports_match(got, flattening_reports(
+                a1, dataclasses.replace(cut, closed=()), ax, (1, 2)))
+        else:
+            assert seen[-1][1] == len(cut.col_count)
+            _unweighted_sums(monkeypatch)
+            assert _report_bits(got) == _report_bits(
+                flattening_reports(a1, cut, ax, (1, 2)))
+
+    @pytest.mark.parametrize("field", [
+        lambda: _random_cutoff(37, 16, seed=5),
+        lambda: _random_cutoff(600, 64, seed=7)], ids=["37x16", "600x64"])
+    def test_unchecked_closure_keeps_its_bits(self, field, monkeypatch):
+        # A field whose closure nobody checked pairs nothing: every column
+        # is read with weight 1, so the sums are the unweighted ones bit for
+        # bit.
+        cut, ax = field()
+        assert cut.closed == ()
+        got = flattening_reports(_a1(), cut, ax, (1, 2))
+        _unweighted_sums(monkeypatch)
+        assert _report_bits(got) == _report_bits(
+            flattening_reports(_a1(), cut, ax, (1, 2)))
 
 
 class TestStreamedMemory:

@@ -239,7 +239,8 @@ class TestEvaluate:
             seen.append(pts.copy())
 
         values = np.empty(oscint._slab_points(n, d))
-        assert (list(oscint._slabs(box, n, math.inf, values, record))
+        assert (list(oscint._slabs(box, n, math.inf, values, record,
+                                   frozenset()))
                 == [0.0] * len(seen))
         assert len(seen) > 1 and len(seen[-1]) < len(seen[0])
         axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in box]
@@ -263,8 +264,9 @@ class TestEvaluate:
         assert peak <= 32 * 2 ** 20
 
 
-def _unmasked_midpoint(integrand, h, n):
-    """exp(i*phase/h) * amplitude at every node, summed in _midpoint's slabs."""
+def _unmasked_midpoint(integrand, h, n, even=frozenset()):
+    """exp(i*phase/h) * amplitude at every node, summed in _midpoint's
+    slabs: on the whole box, or halving the axes even (_slabs)."""
     d = integrand.d
     values = np.empty(oscint._slab_points(n, d), complex)
 
@@ -273,7 +275,17 @@ def _unmasked_midpoint(integrand, h, n):
                     * integrand.amplitude.values(pts, h))
 
     return complex(sum(oscint._slabs(integrand.box, n, math.inf, values,
-                                     write)))
+                                     write, even)))
+
+
+def _declared(integrand):
+    """integrand declared even in every axis."""
+    return dataclasses.replace(integrand, even=frozenset(range(integrand.d)))
+
+
+def _undeclared(integrand):
+    """integrand with no axis declared even: the whole box."""
+    return dataclasses.replace(integrand, even=frozenset())
 
 
 def _ttstar_style_integrand(h):
@@ -293,28 +305,33 @@ def _ttstar_style_integrand(h):
 
 
 class TestSupportRestriction:
-    # Each n leaves a partial last slab: 1834 = 52 * 35 + 14 rows of 1834,
-    # 100000 = 65536 + 34464 points, 300 = 218 + 82 rows of 300.
-    @pytest.mark.parametrize("case", ["vdc_d2", "resonant_d1", "ttstar"])
+    # On the orthant grid of the declared integrands, whose halved first
+    # axis holds n - n // 2 indices, and on the whole box of the TT*-style
+    # one.  Each n leaves a partial last slab: 917 = 26 * 35 + 7 and
+    # 918 = 26 * 35 + 8 rows of 917 or 918, 75000 = 65536 + 9464 points,
+    # 300 = 218 + 82 rows of 300.
+    @pytest.mark.parametrize("case", ["vdc_d2", "vdc_d2_odd", "resonant_d1",
+                                      "ttstar"])
     def test_bits_equal_unmasked_product(self, case):
-        if case == "vdc_d2":
-            h, n = 2.0 ** -8, 1834
-            integrand = OscIntegrand(quadratic_phase(1.0, 2),
-                                     whole_box(dyadic_amplitude(3, 1)), 2,
-                                     ((-1.5, 1.5),) * 2)
+        if case.startswith("vdc_d2"):
+            h, n = 2.0 ** -8, 1835 if case.endswith("odd") else 1834
+            integrand = _declared(OscIntegrand(
+                quadratic_phase(1.0, 2), whole_box(dyadic_amplitude(3, 1)), 2,
+                ((-1.5, 1.5),) * 2))
         elif case == "resonant_d1":
-            h, n = 2.0 ** -10, 100_000
+            h, n = 2.0 ** -10, 150_000
             phase = quadratic_phase(1.0, 1)
-            integrand = OscIntegrand(
-                phase, whole_box(resonant_amplitude(phase, 0.8)), 1, ((-1, 1),))
+            integrand = _declared(OscIntegrand(
+                phase, whole_box(resonant_amplitude(phase, 0.8)), 1, ((-1, 1),)))
         else:
             h, n = 2.0 ** -8, 300
             integrand = _ttstar_style_integrand(h)
+        first = n - n // 2 if integrand.even else n
         rows = max(1, oscint._SLAB_POINTS // n ** (integrand.d - 1))
-        assert rows < n and n % rows
+        assert rows < first and first % rows
         value = midpoint(integrand, h, n)
         assert value != 0
-        assert value == _unmasked_midpoint(integrand, h, n)
+        assert value == _unmasked_midpoint(integrand, h, n, integrand.even)
 
     def test_values_array_reused_across_slabs(self, monkeypatch):
         # 300 = 218 + 82 rows of 300: both slabs fill one values array.
@@ -323,11 +340,11 @@ class TestSupportRestriction:
         seen = []
         slabs = oscint._slabs
 
-        def record(box, n, radius, values, f):
+        def record(box, n, radius, values, f, even):
             def write(pts, out):
                 f(pts, out)
                 seen.append((out.size, out.__array_interface__["data"][0]))
-            return slabs(box, n, radius, values, write)
+            return slabs(box, n, radius, values, write, even)
 
         monkeypatch.setattr(oscint, "_slabs", record)
         value = midpoint(integrand, h, n)
@@ -349,6 +366,28 @@ class TestSupportRestriction:
         assert np.count_nonzero(vals == 0) > 0
         assert midpoint(integrand, h, n) == complex(
             np.sum(vals) * (3.0 / n) ** 2)
+
+    @pytest.mark.parametrize("n", [256, 255])
+    def test_one_slab_equals_orthant_formula(self, n):
+        # Declared even, the integrand is summed on the upper half of each
+        # axis, ax[n // 2:], in one slab: for odd n the centre node, index
+        # 0 of each half, at weight 1 and every other node at weight 2,
+        # that is the values times 1/2 at the centre and the cell times 4.
+        h = 2.0 ** -6
+        integrand = _declared(OscIntegrand(
+            quadratic_phase(1.0, 2), whole_box(dyadic_amplitude(3, 1)), 2,
+            ((-1.5, 1.5),) * 2))
+        half = (-1.5 + (np.arange(n) + 0.5) * (3.0 / n))[n // 2:]
+        pts = np.stack(np.meshgrid(half, half, indexing="ij"), axis=-1)
+        vals = (np.exp(1j * integrand.phase(pts) / h)
+                * integrand.amplitude.values(pts, h))
+        if n % 2:
+            assert abs(half[0]) < 1e-15
+            vals[0] *= 0.5
+            vals[:, 0] *= 0.5
+        assert np.count_nonzero(vals == 0) > 0
+        assert midpoint(integrand, h, n) == complex(
+            np.sum(vals) * ((3.0 / n) ** 2 * 4))
 
     def test_phase_evaluated_on_support_only(self):
         # A phase that is NaN wherever the amplitude vanishes leaves the value
@@ -666,3 +705,115 @@ class TestSupportRadius:
         assert (coarse, fine) == (n // 2, n)
         assert addr0 == addr1 and size0 == size1
         assert size0[0] == max(oscint._slab_points(m, 2) for m in (coarse, fine))
+
+
+def _node_spans(integrand, h, n):
+    """(count, lows): the nodes at which the quadrature takes the amplitude
+    on n nodes per axis, and the least coordinate of them on each axis."""
+    seen = []
+    amp = integrand.amplitude
+
+    def values(pts, h_):
+        seen.append(pts.reshape(-1, integrand.d).copy())
+        return amp.values(pts, h_)
+
+    midpoint(dataclasses.replace(integrand, amplitude=dataclasses.replace(
+        amp, values=values)), h, n)
+    pts = np.concatenate(seen)
+    return len(pts), pts.min(axis=0)
+
+
+def _orthant_integrand(case, h):
+    """The declared integrands of the orthant quadrature: the vdc dyadic
+    amplitude at d = 1-3 and the resonant one at d = 1, as run_vdc declares
+    them, on the shipped box of half width 1.5 with their support radii."""
+    if case == "resonant-d1":
+        phase = quadratic_phase(1.0, 1)
+        amp, d = resonant_amplitude(phase, 0.8), 1
+    else:
+        d = int(case[-1])
+        amp = dyadic_amplitude(3, 1 if d > 1 else 2)
+    return OscIntegrand(quadratic_phase(1.0, d), amp, d, ((-1.5, 1.5),) * d,
+                        frozenset(range(d)))
+
+
+class TestOrthant:
+    """The quadrature on one orthant of the declared axes against today's
+    whole-box slab sum (_unmasked_midpoint)."""
+
+    @staticmethod
+    def assert_matches_whole_box(integrand, h, n):
+        # To 1e-13 of the sum of moduli, the scale of the rounding of the
+        # mirrored nodes and of the sum (3e-15 of it at most measured): the
+        # vdc-regime kernels cancel to 1/100 of it.
+        got = midpoint(integrand, h, n)
+        whole = _unmasked_midpoint(integrand, h, n)
+        mass = oscint._midpoint_abs(integrand, h, n)
+        assert mass == pytest.approx(
+            oscint._midpoint_abs(_undeclared(integrand), h, n), rel=1e-13)
+        assert abs(got - whole) <= 1e-13 * mass
+        # Each declared axis was halved: no node below its centre.
+        count, lows = _node_spans(integrand, h, n)
+        step = (integrand.box[0][1] - integrand.box[0][0]) / n
+        assert (lows > -0.25 * step).all()
+        assert count <= (n - n // 2) ** integrand.d
+
+    # Odd and even n, each with a partial last slab but at d = 1.
+    @pytest.mark.parametrize("case, h, n", [
+        ("dyadic-d1", 2.0 ** -12, 4000), ("dyadic-d1", 2.0 ** -12, 4001),
+        ("dyadic-d2", 2.0 ** -8, 1834), ("dyadic-d2", 2.0 ** -8, 1835),
+        ("dyadic-d3", 2.0 ** -5, 120), ("dyadic-d3", 2.0 ** -5, 121),
+        ("resonant-d1", 2.0 ** -12, 150_000),
+        ("resonant-d1", 2.0 ** -12, 150_001)])
+    def test_vdc_matches_whole_box(self, case, h, n):
+        self.assert_matches_whole_box(_orthant_integrand(case, h), h, n)
+
+    @pytest.mark.parametrize("h, sep", [(2.0 ** -8, 2.0 ** -3),
+                                        (2.0 ** -12, 2.0 ** -12)])
+    def test_ttstar_psi_matches_whole_box(self, monkeypatch, h, sep):
+        # Every psi_j of ttstar_n2's symbol x1^2, at the node count evaluate
+        # takes and one more.
+        a1 = parse_symbol("x1^2", dim=1)
+        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, sep):
+            assert integrand.even == {0}, j
+            n = evaluate(integrand, h).points_per_axis
+            for m in (n, n + 1):
+                self.assert_matches_whole_box(integrand, h, m)
+
+    @pytest.mark.parametrize("symbol, dim, even", [
+        ("x1^3", 1, set()), ("x1^2 + x1", 1, set()),
+        ("x1^2 + x1*x2 - x2^4", 2, set()), ("x1^2 + x2^3", 2, {0}),
+        ("x1^3 + x2^2", 2, {1}), ("x1^2 - x2^4", 2, {0, 1})])
+    def test_ttstar_declares_only_even_axes(self, monkeypatch, symbol, dim,
+                                            even):
+        # An axis in whose variable a1 holds an odd power keeps its whole
+        # axis: nodes on both sides of 0, and the whole box's bits.
+        a1 = parse_symbol(symbol, dim=dim)
+        h = 2.0 ** -4
+        for j, integrand in _ttstar_integrands(monkeypatch, a1, h, 2.0 ** -3):
+            assert integrand.even == even, j
+            n = evaluate(integrand, h).points_per_axis
+            _, lows = _node_spans(integrand, h, n)
+            step = (integrand.box[0][1] - integrand.box[0][0]) / n
+            assert [k for k in range(dim) if lows[k] > -step] == sorted(even)
+            if not even:
+                assert midpoint(integrand, h, n) == _unmasked_midpoint(
+                    integrand, h, n)
+
+    @pytest.mark.parametrize("box", [((-1.5, 1.5), (-1.0, 1.2)),
+                                     ((-1.2, 1.0), (-1.5, 1.5))])
+    def test_asymmetric_box_keeps_its_axis(self, box):
+        # Declared even in both axes, an axis whose box is not symmetric
+        # keeps its n nodes; the symmetric one is halved.
+        h, n = 2.0 ** -6, 301
+        integrand = OscIntegrand(quadratic_phase(1.0, 2),
+                                 dyadic_amplitude(3, 1), 2, box,
+                                 frozenset({0, 1}))
+        count, lows = _node_spans(integrand, h, n)
+        steps = [(hi - lo) / n for lo, hi in box]
+        halved = [lo == -hi for lo, hi in box]
+        assert [bool(low > -s) for low, s in zip(lows, steps)] == halved
+        whole = _unmasked_midpoint(integrand, h, n)
+        assert abs(midpoint(integrand, h, n) - whole) <= 1e-13 * abs(whole)
+        assert midpoint(integrand, h, n) == _unmasked_midpoint(
+            integrand, h, n, frozenset({halved.index(True)}))

@@ -962,8 +962,9 @@ class TestColumnTransforms:
             u = synthesize_grid(cut, aligned_axes(cut, ax))
         hat, duals = ft_axes(u.data, u.axes[1:], cut.h)
         assert duals == cut.axes[1:]
-        blocks = list(column_transforms(cut, ax.nodes()))
-        assert [cols.start for cols, _ in blocks] == list(range(
+        blocks = list(column_transforms(cut, ax.nodes(),
+                                        np.arange(len(cut.col_count))))
+        assert [block.start for block, _ in blocks] == list(range(
             0, len(cut.col_count), blocks[0][1].shape[1]))
         got = np.concatenate([u for _, u in blocks], axis=1)
         nodes = (slice(None),) + tuple(
@@ -987,12 +988,39 @@ class TestColumnTransforms:
         x1 = x1_axis(8.0, 2.0 ** -8).nodes()
 
         def profiles(x):
-            return np.concatenate(
-                [u for _, u in column_transforms(cut, x)], axis=1)
+            return np.concatenate([u for _, u in column_transforms(
+                cut, x, np.arange(len(cut.col_count)))], axis=1)
 
         got, want = profiles(x1[rows]), profiles(x1)[rows]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kept_columns_stand_for_their_mirrors(self, n):
+        # The kept columns' profiles are those columns of the whole, bit
+        # for bit, and every column's profile is its kept mirror's: the
+        # same xi1 run on a closed axis.
+        h = 2.0 ** -5 if n == 2 else 2.0 ** -3
+        cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+        x1 = x1_axis(2.0, 2.0 ** -4).nodes()
+        _, kept, weight = quasimode._mirror_halves(cut)
+        every = np.arange(len(cut.col_count))
+        assert len(kept) < len(every)
+        whole = np.concatenate(
+            [u for _, u in column_transforms(cut, x1, every)], axis=1)
+        got = np.concatenate(
+            [u for _, u in column_transforms(cut, x1, kept)], axis=1)
+        assert got.tobytes() == whole[:, kept].tobytes()
+        # Each column's kept mirror: the same distance from every mirror
+        # plane, in bar indices.
+        sides = np.abs(np.column_stack([
+            quasimode._mirror_side(cut.col_coords[:, d], ax)
+            for d, ax in enumerate(cut.axes[1:])]))
+        key = {tuple(sides[c]): c for c in kept}
+        mirror = [key[tuple(side)] for side in sides]
+        assert whole.tobytes() == whole[:, mirror].tobytes()
+        assert np.bincount(mirror, minlength=len(every))[kept].tolist() == \
+            weight.tolist()
 
     def test_aligned_x1_is_the_axis_nodes(self, monkeypatch):
         # The x1 nodes, bit for bit, once the x1 nodes times the cutoff's

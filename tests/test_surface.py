@@ -9,10 +9,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasilab
-from quasilab import experiments
+from quasilab import experiments, oscint
 
 SRC = Path(quasilab.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -326,6 +327,53 @@ def test_bench_use_scan_sees_each_form(tmp_path):
         {("quasilab.experiments.run_experiment", "passed")})
     with pytest.raises(AttributeError):
         resolve("quasilab.experiments.gone")
+
+
+def test_declared_even_axes_are_even(tmp_path, monkeypatch):
+    # The quadrature sums one half of each axis an integrand declares even
+    # (oscint._slabs), so a wrong declaration changes the value without a
+    # sign.  Every integrand the four shipped oscint configs and a TT* run
+    # with an odd symbol hand evaluate must have a phase and an amplitude
+    # that are even, to rounding, in each declared axis, on a seeded probe
+    # mesh of the box and of the amplitude's support cube within it.
+    seen = []
+    evaluate = oscint.evaluate
+
+    def spy(integrand, h):
+        seen.append((integrand, h))
+        return evaluate(integrand, h)
+
+    monkeypatch.setattr(oscint, "evaluate", spy)
+    cubic = tmp_path / "ttstar_cubic.cfg"
+    cubic.write_text((ROOT / "configs" / "ttstar_n2.cfg").read_text()
+                     .replace("a1 = x1^2", "a1 = x1^3"))
+    for config in [ROOT / "configs" / f"{name}.cfg" for name in (
+            "vdc_d1", "vdc_d1_resonant", "vdc_d2", "ttstar_n2")] + [cubic]:
+        experiments.run_experiment(experiments.parse_config(config),
+                                   tmp_path / config.stem)
+    rng = np.random.default_rng(45)
+    declared = 0
+    for integrand, h in seen:
+        lo, hi = np.array(integrand.box).T
+        reach = min(integrand.amplitude.support_radius(h), float(hi.min()))
+        pts = np.concatenate([rng.uniform(lo, hi, (256, integrand.d)),
+                              rng.uniform(-reach, reach, (256, integrand.d))])
+        phase = integrand.phase(pts)
+        amp = integrand.amplitude.values(pts, h)
+        assert np.abs(amp).max() > 0
+        for k in integrand.even:
+            flipped = pts.copy()
+            flipped[:, k] *= -1.0
+            np.testing.assert_allclose(
+                integrand.phase(flipped), phase, rtol=1e-12,
+                atol=1e-12 * np.abs(phase).max())
+            np.testing.assert_allclose(
+                integrand.amplitude.values(flipped, h), amp, rtol=1e-12,
+                atol=1e-12 * np.abs(amp).max())
+            declared += 1
+    assert declared > 0
+    assert {i.even for i, _ in seen} == {frozenset(), frozenset({0}),
+                                         frozenset({0, 1})}
 
 
 REFERENCE = ROOT / "bench" / "reference"

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quasilab import wavelets
+from quasilab import families, wavelets
+from quasilab.fio import x1_axis
 from quasilab.grids import AxisSpec
-from quasilab.quasimode import column_transforms
+from quasilab.quasimode import _mirror_halves, build_cutoff, column_transforms
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
                                _scale_window, _smooth_step, _windowed_band,
                                bump, bump_derivative, decay_diagnostic,
@@ -258,87 +260,145 @@ class TestDyadicCutoffs:
             dyadic_cutoffs(0.5, 0)
 
 
+def _kept(cut):
+    """The kept mirror columns of the cutoff cut, in stored order."""
+    return _mirror_halves(cut)[1]
+
+
+def _column_nodes(cut, cols):
+    """The bar-grid index of each of the columns cols of a 2D cutoff."""
+    return np.rint((cut.col_coords[cols, 0] - cut.axes[1].start)
+                   / cut.axes[1].spacing - 0.5).astype(int)
+
+
 class TestDecayDiagnostic:
     def test_memory_bounded(self, flat_model, flat_model_field):
-        # The band holds the window's x1 rows of the cutoff's columns alone,
-        # filled one working block of columns at a time, and one block of
-        # one scale's live coefficients is squared in place at a time: the
-        # whole run stays within 0.65 copies of the 8192 x 64 grid (about
-        # 0.41 measured).
+        # The band holds the window's x1 rows of the cutoff's kept mirror
+        # columns alone, filled one working block of columns at a time, and
+        # one block of one scale's live coefficients is squared in place at
+        # a time: the whole run stays within 0.42 copies of the 8192 x 64
+        # grid (about 0.26 measured).
         tracemalloc.start()
         try:
             decay_diagnostic(*flat_model, 1, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.65 * flat_model_field.data.nbytes
+        assert peak <= 0.42 * flat_model_field.data.nbytes
 
     def test_grid_never_allocated(self, flat_model, flat_model_field):
-        # The band of rows where the window is nonzero (37.5 % of the grid)
-        # is allocated first and lives throughout, so a whole-grid array
-        # would lift the peak a full grid above it; one block of columns'
+        # The band of rows where the window is nonzero (37.5 % of the rows)
+        # and of the 25 kept of the 64 bar nodes (14.6 % of the grid) is
+        # allocated first and lives throughout, so a whole-grid array would
+        # lift the peak a full grid above it; one block of columns'
         # temporaries stays well below that.
+        cut, ax = flat_model
         tracemalloc.start()
         try:
-            band, _ = _windowed_band(*flat_model)
+            band, _ = _windowed_band(cut, ax, _kept(cut))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         grid = flat_model_field.data.nbytes
-        assert band.nbytes < 0.4 * grid
+        assert band.nbytes < 0.2 * grid
         assert peak - band.nbytes <= 0.75 * grid
 
     def test_band_transforms_only_its_rows(self, flat_model, monkeypatch):
         # The window keeps 3,070 of the 8,192 x1 rows: the columns are
-        # evaluated on those rows alone, every column once, in order.
+        # evaluated on those rows alone, every kept column once, in order.
         cut, ax = flat_model
         calls, seen = [], []
         blocks = wavelets.column_transforms
 
-        def recording(field, x1):
+        def recording(field, x1, cols):
             calls.append(x1.copy())
-            for cols, u in blocks(field, x1):
-                seen.append((cols.start, cols.start + u.shape[1]))
-                yield cols, u
+            for block, u in blocks(field, x1, cols):
+                seen.append((block.start, block.start + u.shape[1]))
+                yield block, u
 
         monkeypatch.setattr(wavelets, "column_transforms", recording)
-        band, row0 = _windowed_band(cut, ax)
+        band, row0 = _windowed_band(cut, ax, _kept(cut))
         x1, = calls
         assert len(band) == len(x1) == 3070 < 0.4 * ax.points
         assert x1.tobytes() == ax.nodes()[row0:row0 + 3070].tobytes()
-        assert seen[0][0] == 0 and seen[-1][1] == len(cut.col_count)
+        assert seen[0][0] == 0 and seen[-1][1] == len(_kept(cut)) == 25
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
     def test_band_is_windowed_field(self, flat_model, flat_model_field):
         # The band is the whole synthesized field's FFT over the bar axis,
-        # read at the columns' nodes on the band's rows, times the window,
-        # to rounding.
+        # read at the kept columns' nodes on the band's rows, times the
+        # window, to rounding.
         f = flat_model_field
         cut = flat_model[0]
-        band, row0 = _windowed_band(*flat_model)
+        band, row0 = _windowed_band(*flat_model, _kept(cut))
         band = band.view(complex)
         row1 = row0 + len(band)
         hat, duals = ft_axes(f.data[row0:row1], f.axes[1:], f.h)
         assert duals == cut.axes[1:]
-        nodes = np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
-                        / cut.axes[1].spacing - 0.5).astype(int)
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
-        want = hat[:, nodes] * window[row0:row1, None]
+        want = hat[:, _column_nodes(cut, _kept(cut))] * window[row0:row1, None]
         assert np.abs(band - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_band_is_windowed_columns(self, flat_model):
-        # Block of columns by block, the band is the columns' x1 profiles on
-        # the window's rows times the window, bit for bit.
+        # Block of columns by block, the band is the kept columns' x1
+        # profiles on the window's rows times the window, bit for bit.
         cut, ax = flat_model
-        band, row0 = _windowed_band(cut, ax)
+        band, row0 = _windowed_band(cut, ax, _kept(cut))
         x1 = ax.nodes()
         window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
         row1 = row0 + len(band)
         assert window[row0 - 1] == 0.0 and window[row1] == 0.0
         assert window[row0:row1].all()
         want = np.concatenate([u for _, u in column_transforms(
-            cut, x1[row0:row1])], axis=1) * window[row0:row1, None]
+            cut, x1[row0:row1], _kept(cut))], axis=1) * window[row0:row1, None]
         assert band.tobytes() == want.view(float).tobytes()
+
+    # The shipped flat model, whose 50 columns pair into 25, and an n = 3
+    # one whose 4,096 bar nodes hold 2,032 columns, a quarter of them kept:
+    # each bar axis has an even count, so no column lies on a mirror plane.
+    # A paraboloid cutoff on 57 bar nodes keeps 23 of its 45 columns, one
+    # of them on the mirror plane, standing for itself alone.
+    @pytest.mark.parametrize("field", ["shipped", "n3", "odd"])
+    def test_paired_match_every_column(self, flat_model, field):
+        # The table from the kept mirror columns, each weighted by the
+        # columns it stands for, is every column's table to rounding.
+        if field == "shipped":
+            cut, ax = flat_model
+        else:
+            spec = (families.flat_cutoff(3, 3, pow2=True) if field == "n3"
+                    else families.paraboloid_cutoff(2, 1))
+            cut = build_cutoff(spec, 2.0 ** -4)
+            ax = x1_axis(3.0, 2.0 ** -6)
+        kept = {"shipped": (25, 50), "n3": (508, 2032), "odd": (23, 45)}[field]
+        assert (len(_kept(cut)), len(cut.col_count)) == kept
+        got = decay_diagnostic(cut, ax, 1, 3)
+        want = decay_diagnostic(dataclasses.replace(cut, closed=()), ax, 1, 3)
+        assert got.mass.shape == want.mass.shape
+        assert (got.mass > 0).sum() >= got.mass.size // 2
+        np.testing.assert_allclose(got.mass, want.mass, rtol=1e-13, atol=0)
+        assert got.small_a_slope == pytest.approx(want.small_a_slope,
+                                                  rel=1e-12)
+        assert got.large_a_slope == pytest.approx(want.large_a_slope,
+                                                  rel=1e-10)
+
+    def test_unchecked_closure_keeps_its_bits(self, flat_model):
+        # A field whose closure nobody checked pairs nothing: the table is
+        # the unweighted one of every column, the band of every column and
+        # each level's sum weighted by psi_j alone, bit for bit.
+        cut, ax = flat_model
+        cut = dataclasses.replace(cut, closed=())
+        every = np.arange(len(cut.col_count))
+        assert _kept(cut).tolist() == every.tolist()
+        band, row0 = _windowed_band(cut, ax, every)
+        family = dyadic_cutoffs(cut.h, 3)
+        radius = np.abs(cut.col_coords[:, 0])
+        weights = [family.psi(j, radius) for j in range(family.levels + 1)]
+        cell = cut.axes[1].spacing
+        want = np.sqrt(np.maximum(np.array([
+            [total * (b[1] - b[0]) * cell for total in sums]
+            for b, sums in _level_sums(band, row0, ax, weights)]), 0.0))
+        got = decay_diagnostic(cut, ax, 1, 3).mass
+        assert got.tobytes() == want.tobytes()
 
     # The smallest and the largest of the default scales, and a scale below
     # the x1 spacing, whose taps all land off the profile's support, so that
@@ -355,7 +415,7 @@ class TestDecayDiagnostic:
         # coefficient rows are exact zeros and are not formed.
         cut, ax = flat_model
         f = flat_model_field
-        band, row0 = _windowed_band(cut, ax)
+        band, row0 = _windowed_band(cut, ax, _kept(cut))
         if work is not None:
             monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
         monkeypatch.setattr(wavelets, "_A_GRID", (a,))
@@ -377,15 +437,14 @@ class TestDecayDiagnostic:
         want = [float(np.sum(weight * power)) for weight in weights]
         assert [s.hex() for s in sums] == [s.hex() for s in want]
         # The position-side form, the windows of the synthesized windowed
-        # field bar-transformed one by one and read at the columns' nodes,
-        # agrees to rounding.
+        # field bar-transformed one by one and read at the kept columns'
+        # nodes, agrees to rounding.
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
         _, blocks = _scale_window(real_rows(f.data * window[:, None]), 0,
                                   ax, a)
         x = window_run(blocks, 2 * f.data.shape[1]).view(complex)
         power = np.sum(np.abs(ft_axes(x, f.axes[1:], f.h)[0]) ** 2, axis=0)
-        nodes = np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
-                        / cut.axes[1].spacing - 0.5).astype(int)
+        nodes = _column_nodes(cut, _kept(cut))
         for got, weight in zip(sums, weights):
             assert got == pytest.approx(float(np.sum(weight * power[nodes])),
                                         rel=1e-12, abs=0)
