@@ -536,7 +536,10 @@ def _band(name: str, column, band: float) -> Verdict:
 
 def _sweep_point(spec, h, gamma, ps, v) -> list:
     """One sweep.csv row: h, volume, volume_ratio, peak, t0_rel_err,
-    joint_ratio_max and the norm at each p of ps.
+    joint_ratio_max, joint_ratio_offdiag_max and the norm at each p of ps.
+
+    joint_ratio_offdiag_max is the joint-ratio maximum over every (M1, M2)
+    but (0, 0), whose ratio is exactly 1: empty when joint_orders is 0.
 
     The norms other than p = 2 are summed over the positive orthant of the
     axes on which |u| is even (CutoffField.even_axes): each such axis of
@@ -546,8 +549,9 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
     vol, peak = cut.volume(), cut.peak()
     origin = np.zeros((1, cut.dim))
     t0_err = abs(abs(synthesize_at(cut, origin)[0]) - peak) / peak
-    row = [h, vol, vol / h ** gamma, peak, t0_err,
-           float(verify_joint_quasimode(cut, v["joint_orders"]).max())]
+    joint = verify_joint_quasimode(cut, v["joint_orders"]).ravel()
+    row = [h, vol, vol / h ** gamma, peak, t0_err, float(joint.max()),
+           float(joint[1:].max()) if len(joint) > 1 else ""]
     # p = 2 is frequency-side Parseval: exact for the normalized cutoff, so
     # only the other p need the synthesis.
     synthesized = [p for p in ps if p != 2]
@@ -571,9 +575,10 @@ def run_sharpness(v: dict):
     ps = [] if v["peak_only"] else v["p_list"]
     gamma = fam.gamma(n, k)
     header = ["h", "volume", "volume_ratio", "peak", "t0_rel_err",
-              "joint_ratio_max"] + [f"norm_p{fmt(p)}" for p in ps]
+              "joint_ratio_max", "joint_ratio_offdiag_max"] + [
+                  f"norm_p{fmt(p)}" for p in ps]
     rows = [_sweep_point(spec, h, gamma, ps, v) for h in v["h_sweep"]]
-    hs, vols, vol_ratios, peaks, t0_errs, joint, *norms = zip(*rows)
+    hs, vols, vol_ratios, peaks, t0_errs, joint, _, *norms = zip(*rows)
 
     worst_t0, worst_joint, slack = max(t0_errs), max(joint), v["joint_slack"]
     monotone = all(b < a for a, b in zip(vols, vols[1:]))

@@ -45,9 +45,11 @@ from .symbols import PolySymbol, split_affine_x1
 
 _TWO_PI = 2.0 * np.pi
 _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
-# Rows per matrix product in each fold of synthesize_on_axes (the xi2 fold's
-# rows are columns).  A fixed block makes the output bits independent of the
-# BLAS thread count.
+# Rows per contraction block in each fold of synthesize_on_axes (the xi2
+# fold's rows are columns), and output rows per tile of each fold product
+# (_tile_product).  A fixed block makes the output bits independent of the
+# BLAS thread count; a real table's (64 x <= 64) @ (<= 64 x N) tile stays on
+# the calling thread.
 _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
 # whole x1 rows (one row a block when a row holds more).
@@ -426,16 +428,45 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
 
 
+def _tile_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b, as one np.matmul over a stack of _BLOCK-row tiles of a
+    (a reshape, no copy) and one more for the rows left over.
+
+    OpenBLAS hands a product past a size floor to a second thread, which
+    then spins for about 0.1 s after the call returns; a fold's whole
+    product, such as the n = 3 sweep's (2048 x 19) @ (19 x 32) last fold,
+    is past it.  A real tile, (64 x <= 64) @ (<= 64 x N), stayed on the
+    calling thread for every N up to 128 (OpenBLAS 0.3.31, 2-core Xeon
+    VM); a complex one is past the floor from M*N*K = 65536 on.  Each
+    output element is the same K-term sum in whichever tile, so the bits
+    are the whole product's, except that numpy sends a one-row product to
+    gemv, whose sums differ from gemm's: a single row left over is
+    therefore made together with the row before it.  out must be
+    C-contiguous, so that its reshape is a view.
+    """
+    m = len(a) - len(a) % _BLOCK
+    if m:
+        np.matmul(a[:m].reshape(-1, _BLOCK, a.shape[1]), b,
+                  out=out[:m].reshape(-1, _BLOCK, out.shape[1]))
+    if m < len(a):
+        rest = m - 1 if m and len(a) - m == 1 else m
+        np.matmul(a[rest:], b, out=out[rest:])
+    return out
+
+
 def _fold_into(out: np.ndarray, rows_of, e: np.ndarray, value_of: np.ndarray,
                lo: int, hi: int) -> None:
     """out = sum over rows lo..hi-1 of rows_of(blk).T @ e[value_of[blk]].
 
     The rows go in fixed blocks of _BLOCK from lo, so the summation order is
-    fixed.  A complex table's first block is written straight into out.  A
-    real table (a paired axis's, _fold_table) contracts the float view of
-    the complex rows, whose columns alternate real and imaginary parts, at
-    half the multiply-adds of a complex product; the sum's real and
-    imaginary rows are then interleaved into out.
+    fixed, and each block's product is made in output tiles of _BLOCK rows
+    (_tile_product), so that a real table's stays on the calling thread
+    whatever the BLAS thread count.  A complex table's first block is
+    written straight into out.  A real table (a paired axis's, _fold_table)
+    contracts the float view of the complex rows, whose columns alternate
+    real and imaginary parts, at half the multiply-adds of a complex
+    product; the sum's real and imaginary rows are then interleaved into
+    out.
     """
     real = e.dtype != complex
     acc = np.empty((2 * len(out), out.shape[1])) if real else out
@@ -445,9 +476,9 @@ def _fold_into(out: np.ndarray, rows_of, e: np.ndarray, value_of: np.ndarray,
         if real:
             rows = rows.view(np.float64)
         if b == lo:
-            np.matmul(rows.T, e[value_of[blk]], out=acc)
+            _tile_product(rows.T, e[value_of[blk]], acc)
         else:
-            acc += rows.T @ e[value_of[blk]]
+            acc += _tile_product(rows.T, e[value_of[blk]], np.empty_like(acc))
     if real:
         out.real, out.imag = acc[0::2], acc[1::2]
 
@@ -504,6 +535,11 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     (xin, ..., xi(j+1)), and every reduction runs over fixed blocks of
     _BLOCK rows.  That fixes the summation order, and so every output bit,
     whatever the order of the stored columns or the BLAS thread count.
+    Each block's product is one np.matmul over a stack of output tiles of
+    _BLOCK rows (_tile_product), with the same bits: with paired real
+    tables, as in every shipped sweep, no product of any fold reaches
+    OpenBLAS's threading floor, so a default BLAS thread count wakes no
+    second core to spin.
 
     The last fold, whose one group is every row, makes the grid in blocks
     of whole x1 rows, _OUT_BLOCK cells or one x1 row each: a block is a

@@ -71,6 +71,22 @@ expect_uniform = false
 expect_orders = 1, 3
 """
 
+TINY_SWEEP_CFG = """
+[experiment]
+id = tiny-sweep
+kind = sharpness-sweep
+seed = 7
+
+[params]
+family = paraboloid
+n = 2
+k = 1
+h_start = 2^-4
+h_stop = 2^-8
+p_list = inf
+joint_orders = 1
+"""
+
 
 class TestRun:
     def test_delta_curves_passes(self, tmp_path, capsys):
@@ -173,26 +189,29 @@ class TestRun:
             (out2 / "report.json").read_bytes()
 
     def test_sweep_rerun_bit_identical(self, tmp_path):
-        text = """
-[experiment]
-id = tiny-sweep
-kind = sharpness-sweep
-seed = 7
-
-[params]
-family = paraboloid
-n = 2
-k = 1
-h_start = 2^-4
-h_stop = 2^-8
-p_list = inf
-joint_orders = 1
-"""
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, TINY_SWEEP_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(cfg), "--out", str(out1)]) == EXIT_OK
         assert main(["run", str(cfg), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("orders", [0, 1])
+    def test_joint_offdiag_column(self, tmp_path, orders):
+        # joint_ratio_max is the (0, 0) ratio, exactly 1 on every cutoff;
+        # joint_ratio_offdiag_max is the largest of the others, below 1,
+        # and empty when joint_orders = 0 leaves no other.
+        cfg = write_cfg(tmp_path, TINY_SWEEP_CFG.replace(
+            "joint_orders = 1", f"joint_orders = {orders}"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        table = (tmp_path / "o" / "sweep.csv").read_text()
+        header, *rows = (line.split(",") for line in table.splitlines())
+        assert header[5:7] == ["joint_ratio_max", "joint_ratio_offdiag_max"]
+        assert {row[5] for row in rows} == {"1"}
+        offdiag = [row[6] for row in rows]
+        if orders:
+            assert all(0.0 < float(c) < 1.0 for c in offdiag)
+        else:
+            assert offdiag == [""] * len(rows)
 
     def test_n4_paraboloid_slopes(self, tmp_path):
         out = tmp_path / "o"

@@ -14,7 +14,7 @@ import pytest
 
 import quasilab
 from quasilab import families, quasimode
-from quasilab.analysis import oscillation_axes
+from quasilab.analysis import half_axis, oscillation_axes
 from quasilab.errors import (BoxTooSmallError, DimensionMismatchError,
                              EmptySupportError, GridBudgetError)
 from quasilab.fio import x1_axis
@@ -489,16 +489,19 @@ def _fine_4d_field():
 
 # Prints sha256 digests of two 3D product syntheses (the n = 3 sweep's
 # field, and the fine field whose reductions both span several blocks), of
-# a 4D one whose two folds both span several blocks, of a joint-ratio
-# matrix, of the shipped wavelet config's decay table and of the fio_n2_k1
-# config's flattening reports at h = 2^-4: the last two reduce on the
-# frequency side.
+# a 4D one whose two folds both span several blocks, of the valley's (its
+# open xi2 folds through the complex table, over 65 x1 nodes: one full tile
+# and one row left over) and of a 2D one whose 50 x1 nodes make one full
+# tile and a partial one, of a joint-ratio matrix, of the shipped wavelet
+# config's decay table and of the fio_n2_k1 config's flattening reports at
+# h = 2^-4: the last two reduce on the frequency side.
 DIGEST_CHILD = """
 import hashlib
 import numpy as np
 from quasilab import families
 from quasilab.analysis import oscillation_axes
 from quasilab.fio import flattening_reports, x1_axis
+from quasilab.grids import AxisSpec
 from quasilab.quasimode import build_cutoff, verify_joint_quasimode
 from quasilab.symbols import graph_factor
 from quasilab.wavelets import decay_diagnostic
@@ -510,6 +513,11 @@ arrays = [synthesize_grid(c, oscillation_axes(
     [c.extent(i) for i in range(c.dim)], c.h, margin, pts)).data
     for c, margin, pts in ((cut, 2, 8), (fine, 4, 8),
                            (_fine_4d_field(), 2, 4))]
+valley = build_cutoff(families.valley_cutoff(), 2.0 ** -5)
+plane = build_cutoff(families.paraboloid_cutoff(2, 3), 2.0 ** -5)
+arrays += [synthesize_grid(c, [AxisSpec(0.3 * w, w, m) for w, m in zip(
+    (3.0 * c.h / c.extent(i) for i in range(c.dim)), points)]).data
+    for c, points in ((valley, (65, 9, 7)), (plane, (50, 40)))]
 flat = build_cutoff(families.flat_cutoff(2, 3, pow2=True), 2.0 ** -8)
 mass = decay_diagnostic(flat, x1_axis(6.0, 2.0 ** -9), 1, 3).mass
 h = 2.0 ** -4
@@ -598,6 +606,67 @@ class TestProductSynthesis:
             fast = synthesize_grid(cut, axes).data
             oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
             assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("case", ["2d-sweep", "3d-paraboloid", "valley"])
+    def test_fold_products_are_tiles(self, case, monkeypatch):
+        # Every fold product is an np.matmul over tiles of at most _BLOCK
+        # output rows and _BLOCK terms, which OpenBLAS keeps on the calling
+        # thread.  The 2D sweep's orthant grid (64 x1 nodes: two tiles of
+        # the real table's float rows); the n = 3 paraboloid, whose paired
+        # real tables fold 480 float rows last; the valley, whose open xi2
+        # takes the complex exp table over 65 x1 nodes (one full tile and
+        # one row left over) and whose closed xi3 a real one.
+        h = 2.0 ** -5
+        if case == "2d-sweep":
+            cut = build_cutoff(families.paraboloid_cutoff(2, 3), h)
+            axes = [half_axis(a) for a in oscillation_axes(
+                [cut.extent(i) for i in range(2)], h, 8, 8)]
+            assert cut.even_axes() == (True, True)
+        else:
+            cut = build_cutoff(families.paraboloid_cutoff(3, 3) if
+                               case == "3d-paraboloid" else
+                               families.valley_cutoff(), h)
+            points = (24, 10, 8) if case == "3d-paraboloid" else (65, 9, 7)
+            axes = [AxisSpec(0.3 * hw, hw, m) for hw, m in zip(
+                (3.0 * h / cut.extent(i) for i in range(3)), points)]
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            products.append((a.shape[-2:], np.result_type(a, b)))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        fast = synthesize_grid(cut, axes).data
+        monkeypatch.undo()
+        shapes = [shape for shape, _ in products]
+        assert max(rows for rows, _ in shapes) == quasimode._BLOCK
+        assert max(terms for _, terms in shapes) <= quasimode._BLOCK
+        assert {dtype for _, dtype in products} == (
+            {np.dtype(complex), np.dtype(float)} if case == "valley"
+            else {np.dtype(float)})
+        oracle = synthesize_at(cut, mesh_points(axes)).reshape(fast.shape)
+        assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_tiles_keep_the_whole_products_bits(self, dtype):
+        # Each output element is one K-term sum in either form.  65 and
+        # 129 rows leave one row over, which alone numpy would send to
+        # gemv, whose sums differ from gemm's.
+        rng = np.random.default_rng(3)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return (x + 1j * rng.standard_normal(shape) if dtype is complex
+                    else x)
+
+        for rows, terms in ((1, 19), (46, 64), (64, 1), (65, 19), (100, 64),
+                            (129, 7), (2048, 19)):
+            # C-order (terms, rows), transposed: a fold's rows_of(blk).T.
+            a, b = draw((terms, rows)), draw((terms, 64))
+            out = np.empty((rows, 64), dtype)
+            assert quasimode._tile_product(a.T, b, out) is out
+            assert out.tobytes() == (a.T @ b).tobytes()
 
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
@@ -788,16 +857,20 @@ class TestProductSynthesis:
                           else (True,) * n)
         axes = [half_axis(a) if half else a for a, half in zip(whole, halved)]
         assert synthesized == [[a.points for a in axes]]
+        # joint_ratio_max, then the largest ratio but the exact (0, 0) one.
+        ratios = verify_joint_quasimode(cut, 3).ravel()
+        assert row[5:7] == [ratios.max(), ratios[1:].max()]
         shape = [a.points for a in whole]
         orthant = tuple(slice(m // 2, None) if half else slice(None)
                         for m, half in zip(shape, halved))
         g = synthesize_grid(cut, axes)
         masks = shell_mask(shape)[orthant], shell_mask(shape, 1)[orthant]
-        assert row[6:] == [lp_norm(g.data, 2.0 ** sum(halved) * g.cell_volume,
-                                   p, *masks).value for p in ps]
+        assert row[-len(ps):] == [lp_norm(
+            g.data, 2.0 ** sum(halved) * g.cell_volume, p, *masks).value
+            for p in ps]
         g = synthesize_grid(cut, whole)
         masks = shell_mask(shape), shell_mask(shape, 1)
-        assert row[6:] == pytest.approx(
+        assert row[-len(ps):] == pytest.approx(
             [lp_norm(g.data, g.cell_volume, p, *masks).value for p in ps],
             rel=1e-13, abs=0)
 
@@ -935,7 +1008,7 @@ class TestProductSynthesis:
             run = subprocess.run([sys.executable, "-c", DIGEST_CHILD], env=env,
                                  capture_output=True, text=True, check=True)
             digests.append(run.stdout.split())
-        assert len(digests[0]) == 6
+        assert len(digests[0]) == 8
         assert digests[0] == digests[1]
 
 
