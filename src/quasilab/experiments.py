@@ -333,12 +333,22 @@ def _check_contact(v: dict) -> None:
         raise ConfigError("both symbols must factor as graphs over xi1")
 
 
+def _check_sweep_spec(v: dict) -> None:
+    """Fill v["spec"], the sweep's cutoff spec: its family's at n, k and
+    cells_per_band, built once for the parse checks and the run."""
+    v["spec"] = v["family"].cutoff(v["n"], v["k"], v["cells_per_band"])
+
+
 def _check_lp_sweep(v: dict) -> None:
     """An Lp sweep's family must predict its slopes at every p, and, when a
     p other than 2 takes its norm from the synthesis, its position grid must
-    hold at least 4 points per axis and fit the synthesis cell budget.  A
-    2-point axis is all boundary shell, and its orthant (the sweep sums
-    over the upper half of each axis on which |u| is even) 1 point."""
+    hold at least 4 points per axis and the grid it streams fit the
+    synthesis cell budget.  That grid is the orthant of the axes on which
+    |u| is even (the sweep sums over the upper half of each, points // 2),
+    read off the spec's symbols as build_cutoff reads them
+    (FrequencyCutoff.even_axes); the valley, closed on none but xi3, keeps
+    the whole of its others.  A 2-point axis is all boundary shell, and its
+    orthant 1 point."""
     fam, ps = v["family"], v["p_list"]
     if not ps or v["peak_only"]:
         return
@@ -362,13 +372,16 @@ def _check_lp_sweep(v: dict) -> None:
             f"{v['points_per_scale']} give an Lp sweep {points} position "
             "point(s) per axis; it needs at least 4, so 2 * margin * "
             "points_per_scale must be at least 3")
-    cells = points ** v["n"]
+    n = v["n"]
+    sizes = [points // 2 if half else points
+             for half in v["spec"].even_axes()]
+    cells = math.prod(sizes)
     if cells > MAX_GRID_CELLS:
         raise ConfigError(
-            f"an Lp sweep at n = {v['n']} streams a position grid of "
-            f"{'x'.join([str(points)] * v['n'])} = {cells} cells, over "
-            f"the budget of {MAX_GRID_CELLS} (2^24); lower n, margin or "
-            "points_per_scale, or set peak_only = true")
+            f"an Lp sweep at n = {n} streams {'x'.join(map(str, sizes))} = "
+            f"{cells} cells of its {'x'.join([str(points)] * n)} position "
+            f"grid, over the budget of {MAX_GRID_CELLS} (2^24); lower n, "
+            "margin or points_per_scale, or set peak_only = true")
 
 
 def _check_delta_rows(v: dict) -> None:
@@ -571,7 +584,7 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
 
 def run_sharpness(v: dict):
     fam, n, k = v["family"], v["n"], v["k"]
-    spec = fam.cutoff(n, k, v["cells_per_band"])
+    spec = v["spec"]
     ps = [] if v["peak_only"] else v["p_list"]
     gamma = fam.gamma(n, k)
     header = ["h", "volume", "volume_ratio", "peak", "t0_rel_err",
@@ -722,7 +735,8 @@ KINDS: dict[str, Kind] = {
         "joint_slack": _number("1/16", _NONNEGATIVE),
         "slope": _number("0.1", _NONNEGATIVE),
         "slope_p2": _number("0.02", _NONNEGATIVE),
-    }, rules=(_check_pair, _check_lp_sweep, _check_fitted_sweep)),
+    }, rules=(_check_pair, _check_sweep_spec, _check_lp_sweep,
+              _check_fitted_sweep)),
     "wavelet-diagnostic": Kind(run_wavelet_diagnostic, "wavelet_diag", {
         "n": _int("2", 2), "k": _int("3", 1),
         "h": _number("2^-8", ("in (0, 1]", lambda v: 0 < v <= 1)),
@@ -811,6 +825,8 @@ TEMPLATES: tuple[Template, ...] = (
              "slab extremizer saturates the low-p branch (p = 2, 4, 6)"),
     Template("lp-n4-paraboloid-k3", "sharpness-sweep", "lp_n4_paraboloid_k3.cfg",
              "L-inf, L8 and L6 growth match the contact exponent (n=4, k=3)"),
+    Template("lp-n5-paraboloid-k3", "sharpness-sweep", "lp_n5_paraboloid_k3.cfg",
+             "L-inf, L8 and L6 growth match the contact exponent (n=5, k=3)"),
     Template("peak-valley-n3", "sharpness-sweep", "peak_valley_n3.cfg",
              "parabola-valley support volume and peak pick up the hidden h^(1/20)"),
     Template("wavelet-flat-n2-k3", "wavelet-diagnostic", "wavelet_flat_n2_k3.cfg",

@@ -14,8 +14,10 @@ bar transform is each column's x1 profile at that column's node and 0 at
 every other node, so each column is a 1D problem in x1 on the x1 axis
 (x1_axis) and no position field is synthesized.  A column and its mirror
 on a closed bar axis in whose variable a1 holds only even powers pose the
-same problem, so only the kept mirror columns are checked, each weighted
-by the columns it stands for (quasimode._mirror_halves).
+same problem, so only the cutoff's stored columns are checked there, each
+weighted by the columns it stands for (CutoffField.col_mult); a closed
+axis in whose variable a1 holds an odd power is unpaired first
+(quasimode._mirror_halves).
 """
 
 from __future__ import annotations
@@ -97,12 +99,14 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
     its differences of every order, the residual
     hD v_c - W_c (hD u_c - a1 u_c) and the midpoint gap of u_c.  A column
     and its mirror on a closed axis in whose variable a1 holds only even
-    powers have the same u_c and a1 value, so the same terms: only the kept
-    columns are taken (quasimode._mirror_halves), each |.|^2 weighted by
-    the number of columns it stands for.  Every |.|^2 is summed per block
-    by numpy, so the bits do not depend on the BLAS thread count, and
-    weighted by the cell of x1 times the bar grid's; the other bar nodes
-    hold 0 and add nothing.
+    powers have the same u_c and a1 value, so the same terms: only the
+    stored columns are taken there, each |.|^2 weighted by the number of
+    columns it stands for (CutoffField.col_mult), while a closed axis in
+    whose variable a1 holds an odd power is unpaired, its mirror columns
+    joined in the whole bar grid's order (quasimode._mirror_halves).
+    Every |.|^2 is summed per block by numpy, so the bits do not depend on
+    the BLAS thread count, and weighted by the cell of x1 times the bar
+    grid's; the other bar nodes hold 0 and add nothing.
     """
     if a1.dim != field.dim - 1:
         raise DimensionMismatchError(
@@ -113,11 +117,11 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
         raise ValueError(f"order {top} needs more than {2 * top} x1 rows, "
                          f"and the grid has {len(x1)}")
     h, dx, bar = field.h, x1_axis.spacing, field.axes[1:]
-    _, kept, weight = _mirror_halves(field, a1.odd_axes())
-    a_cols = a1.eval_grid(list(field.col_coords[kept].T))
+    field = _mirror_halves(field, a1.odd_axes())
+    a_cols = a1.eval_grid(list(field.col_coords.T))
     sums = dict.fromkeys(("u", "resid", "gap", *orders), 0.0)
-    for block, u in column_transforms(field, x1, kept):
-        a, mult = a_cols[block], weight[block]
+    for block, u in column_transforms(field, x1):
+        a, mult = a_cols[block], field.col_mult[block]
         w = np.multiply(-1j * x1[:, None], a)
         w *= 1.0 / h
         np.exp(w, out=w)

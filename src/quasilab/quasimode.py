@@ -14,26 +14,31 @@ sums the columns onto a product position grid by sum factorisation, with one
 fold per bar axis, xi2 included, and divides by the indicator's L2 norm, so
 it makes the normalized quasimode itself.  Its last fold makes the grid in
 blocks of whole x1 rows, which a consumer takes one at a time: no grid is
-ever built.  build_cutoff records the bar axes on which the support is
-its own mirror image (CutoffField.closed); |u| is even in those, and in
-x1 when all are, so a sweep synthesizes only their positive orthant
-(CutoffField.even_axes).  On the frequency side the synthesis sums each
-mirror pair of columns on a closed axis once, through a real cosine table,
-and so does the joint check wherever its two symbols are even in that
-axis's variable too (_mirror_halves).  Taken at the cutoff's own bar grid,
-the quasimode's bar transform is each column's x1 profile at that column's
-node and 0 elsewhere; column_transforms writes those profiles directly,
-so the stages that work on the bar-frequency side take an x1 axis alone
-and synthesize nothing.  A column's profile is its mirror's, so they
-transform the kept mirror columns only (fio, wavelets).  The position
-axes whose h-scaled FFT lands on that grid are the tests' oracle
+ever built.  Each spec reads off its symbols and box the bar axes on which
+the support is its own mirror image at every h (FrequencyCutoff.closed);
+build_cutoff evaluates the constraints on the upper half of those axes
+alone, and the field stores those columns with their multiplicities
+(CutoffField).  |u| is even in the closed axes, and in x1 when all are,
+so a sweep synthesizes only their positive orthant (CutoffField.even_axes).
+On the frequency side the synthesis sums each mirror pair of columns on a
+closed axis once, through a real cosine table, and the joint check each
+pair's cells once; a consumer whose sum is not even in a closed axis
+joins the mirror columns back in (_mirror_halves).  Taken at the cutoff's
+own bar grid, the quasimode's bar transform is each column's x1 profile at
+that column's node and 0 elsewhere; column_transforms writes those
+profiles directly, so the stages that work on the bar-frequency side take
+an x1 axis alone and synthesize nothing.  A column's profile is its
+mirror's, so they transform the stored columns only (fio, wavelets).  The
+position axes whose h-scaled FFT lands on that grid are the tests' oracle
 (tests/oracles.py::aligned_axes).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -52,12 +57,22 @@ _SNAP = 1e-9  # index-space nudge so exact band edges land reproducibly
 # the calling thread.
 _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
-# whole x1 rows (one row a block when a row holds more).
-_OUT_BLOCK = 1 << 15
+# whole x1 rows (one row a block when a row holds more), and support cells
+# per verify_joint_quasimode chunk (one column a chunk when it holds more).
+# A block is 64 KB complex, and a chunk's power columns at orders 3 are
+# 128 KB: each such per-point temporary stays under glibc's 128 KB mmap
+# threshold, so the heap reuses it, where blocks of 2^15 cells (512 KB) were
+# mapped and faulted in afresh, thousands of minor faults a sweep pass.  A
+# grid of 2^b blocks of 2^12 cells is still one np.sum's pairwise tree to
+# BlockNorms.
+_OUT_BLOCK = 1 << 12
+_JOINT_CHUNK_CELLS = 1 << 12
+# Multiply-adds below which a complex fold tile stays on the calling thread
+# (_tile_product).
+_COMPLEX_TILE = 1 << 16
 # Most cells in a position grid synthesize_on_axes streams, in an array it
 # allocates (256 MB complex) and in a bar grid build_cutoff evaluates on.
 MAX_GRID_CELLS = 1 << 24
-_JOINT_CHUNK_CELLS = 1 << 16   # support cells per verify_joint_quasimode chunk
 _TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
 # Most xi1 points build_cutoff takes: every integer up to 2^53 is a float,
 # so its xi1 index bounds are exact up to there.
@@ -118,10 +133,20 @@ class BandConstraint:
 
 @dataclass(frozen=True)
 class FrequencyCutoff:
-    """Conjunction of band constraints plus the enclosing box rules."""
+    """Conjunction of band constraints plus the enclosing box rules.
+
+    Each constraint is split once, at construction, as c1*xi1 + r(xi2..xin)
+    (splits, split_affine_x1; None where it is not of that form), and each
+    bar axis's mirror closure is read off the symbols and the box (closed,
+    _closure), so neither is redone at each h.
+    """
 
     constraints: tuple[BandConstraint, ...]
     box: tuple[AxisRule, ...]
+    splits: tuple[tuple[Fraction, PolySymbol] | None, ...] = \
+        dataclasses.field(init=False, repr=False, compare=False)
+    closed: tuple[bool, ...] = dataclasses.field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         n = len(self.box)
@@ -129,6 +154,47 @@ class FrequencyCutoff:
             if c.symbol.dim != n:
                 raise DimensionMismatchError(
                     f"constraint dim {c.symbol.dim} != box dim {n}")
+        splits = tuple(split_affine_x1(c.symbol) for c in self.constraints)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "closed", _closure(splits, self.box))
+
+    def even_axes(self) -> tuple[bool, ...]:
+        """Per axis, x1 first: whether |u| of the quasimode of every
+        build_cutoff of this spec is even in it (_even_axes)."""
+        return _even_axes(self.closed)
+
+
+def _closure(splits, box: Sequence[AxisRule]) -> tuple[bool, ...]:
+    """Per bar axis, 0 being xi2: whether the support is its own mirror
+    image in that axis at every h, read off the spec, exactly.
+
+    The axis's box rule must be centred on 0, its lo the term-by-term
+    negation of its hi, so that the axis's centre is 0.0 at every h, and
+    each constraint even in the axis's variable: a xi1-affine one's
+    remainder r may hold it only to even powers (PolySymbol.odd_axes), so
+    that a node and its mirror get the same xi1 run, while a xi1-free band
+    |r| <= b may also hold it only to odd powers, |r| being even then (the
+    slab's |xi_j| <= h^(1/2)).  A spec with a constraint of neither form
+    has no closed axis.
+    """
+    def even(split, d: int) -> bool:
+        if split is None:
+            return False
+        c1, rest = split
+        return d not in rest.odd_axes() or (
+            c1 == 0 and all(mono[d] % 2 for mono in rest.coeffs))
+
+    return tuple(
+        rule.lo.terms == tuple((-c, e) for c, e in rule.hi.terms)
+        and all(even(split, d) for split in splits)
+        for d, rule in enumerate(box[1:]))
+
+
+def _even_axes(closed: Sequence[bool]) -> tuple[bool, ...]:
+    """Per axis, x1 first, of a quasimode whose bar axes are closed as
+    flagged: |u| is even in each closed bar axis, and in x1 once every bar
+    axis is, since u's coefficients are real and so u(-x) = conj u(x)."""
+    return (all(closed), *closed)
 
 
 # -- columnar cutoff field --------------------------------------------------------
@@ -138,8 +204,16 @@ class CutoffField:
     """Sharp indicator support as xi1 index runs over bar-grid columns.
 
     axes[0] is the (virtual) xi1 axis; axes[1:] are materialized.  Only
-    nonempty columns are stored: col_coords holds their bar coordinates,
-    col_start/col_count the first xi1 cell index and run length.
+    nonempty columns are stored, in the C order of the bar grid: col_coords
+    holds their bar coordinates, col_start/col_count the first xi1 cell
+    index and run length.  On each bar axis flagged in closed the support
+    is its own mirror image, the column at bar index P - 1 - i of the
+    axis's P holding the xi1 run of the one at i, and only the upper half
+    (2i >= P - 1) is stored.  col_mult, derived from the coordinates, is
+    how many support columns each stored one stands for: 2 per closed axis
+    off its mirror plane, 1 on it (2i = P - 1, odd P).  closed is () when
+    every column is stored.  cell_count, volume() and peak() are the
+    whole support's.
     """
 
     h: float
@@ -148,23 +222,25 @@ class CutoffField:
     col_start: np.ndarray    # (K,) int64
     col_count: np.ndarray    # (K,) int64
     spec: FrequencyCutoff | None = None
-    # Per bar axis: whether the support is its own mirror image in that
-    # axis (build_cutoff's closure check); () when nobody checked.
+    # Per bar axis: whether only its upper half is stored.
     closed: tuple[bool, ...] = ()
+    col_mult: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        mult = np.ones(len(self.col_count), dtype=np.int64)
+        for d, (axis, closed) in enumerate(zip(self.axes[1:], self.closed)):
+            if closed:
+                mult[_mirror_side(self.col_coords[:, d], axis) > 0] *= 2
+        self.col_mult = mult
 
     @property
     def dim(self) -> int:
         return len(self.axes)
 
     def even_axes(self) -> tuple[bool, ...]:
-        """Per axis, x1 first: whether |u| of the quasimode is even in it.
-
-        u is even in each closed bar axis.  Its coefficients are real, so
-        u(-x) = conj u(x), and |u| is even in x1 too once every bar axis is
-        closed.  A field whose closure nobody checked has no even axis.
-        """
-        bar = self.closed or (False,) * (self.dim - 1)
-        return (all(bar), *bar)
+        """Per axis, x1 first: whether |u| of the quasimode is even in it
+        (_even_axes).  A field that stores every column has no even axis."""
+        return _even_axes(self.closed or (False,) * (self.dim - 1))
 
     @property
     def cell_volume(self) -> float:
@@ -172,7 +248,7 @@ class CutoffField:
 
     @property
     def cell_count(self) -> int:
-        return int(self.col_count.sum())
+        return int(self.col_count @ self.col_mult)
 
     def volume(self) -> float:
         return self.cell_count * self.cell_volume
@@ -191,29 +267,37 @@ class CutoffField:
         return ax.start + (self.col_start + 0.5) * ax.spacing
 
     def extent(self, axis: int) -> float:
-        """max |xi_axis| over the support cells."""
+        """max |xi_axis| over the support cells, the mirror columns'
+        nodes included."""
         if axis == 0:
             first = self.xi1_first_node()
             last = first + (self.col_count - 1) * self.axes[0].spacing
             return float(max(np.abs(first).max(), np.abs(last).max()))
-        return float(np.abs(self.col_coords[:, axis - 1]).max())
+        coords = self.col_coords[:, axis - 1]
+        if self.closed and self.closed[axis - 1]:
+            bar = self.axes[axis]
+            coords = np.concatenate([coords, bar.nodes()[
+                bar.points - 1 - _bar_index(coords, bar)]])
+        return float(np.abs(coords).max())
 
 
 def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     """Indicator of the constraint conjunction on the spec's grid at this h.
 
     The constraints are evaluated on broadcast bar nodes, so every array is
-    bar-grid shaped and none lists the grid's points.  Raises
-    GridBudgetError when the bar grid holds more than MAX_GRID_CELLS cells,
-    before any of those arrays is allocated, or the xi1 axis more than 2^53
-    points, before an index bound is cast, EmptySupportError when no cell
-    qualifies and BoxTooSmallError when the support touches the box
-    boundary (the configured box must enclose the constraint set).
-
-    A bar axis is closed when the axis is centred on 0.0 and flipping it
-    maps the nonempty columns, and each one's xi1 index run, onto
-    themselves: an exact check on integer indices, so the support is its
-    own mirror image in that axis however its band edges rounded.
+    bar-grid shaped and none lists the grid's points: on a bar axis the
+    spec closes (FrequencyCutoff.closed) only on its upper half, bar
+    indices i with 2i >= P - 1 of its P, the lower half being their mirror
+    image by construction.  The field stores those columns alone
+    (CutoffField): about 2^-(n-1) of the support's when every bar axis is
+    closed.  Raises GridBudgetError when the evaluated bar grid
+    holds more than MAX_GRID_CELLS cells, before any of its arrays is
+    allocated, or the xi1 axis more than 2^53 points, before an index bound
+    is cast, EmptySupportError when no cell qualifies, BoxTooSmallError
+    when the support touches the box boundary (the configured box must
+    enclose the constraint set; a closed axis's low face is its high face's
+    mirror) and NotImplementedError when a constraint is neither affine in
+    xi1 nor xi1-free.
     """
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
@@ -222,24 +306,25 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
         raise DimensionMismatchError(
             "a cutoff needs one xi1 axis and at least one bar axis; "
             f"the box has dimension {n}")
+    if None in spec.splits:
+        raise NotImplementedError(
+            "cutoff constraints must be affine in xi1 or xi1-free")
     axes = [rule.to_axis(h) for rule in spec.box]
     if axes[0].points > _MAX_EXACT_INDEX:
         raise GridBudgetError(
             f"xi1 axis would hold {axes[0].points} points at h={h} "
             f"(> 2^53, past which its float index bounds are not exact)")
     bar_axes = axes[1:]
-    shape = tuple(a.points for a in bar_axes)
+    # The first bar index evaluated on each axis: P // 2 on a closed one.
+    first = [a.points // 2 if c else 0 for a, c in zip(bar_axes, spec.closed)]
+    shape = tuple(a.points - i0 for a, i0 in zip(bar_axes, first))
     _check_grid_cells(shape, "bar grid")
-    bar_nodes = node_arrays(bar_axes, n - 1)
+    bar_nodes = [x[(slice(None),) * d + (slice(i0, None),)] for d, (x, i0)
+                 in enumerate(zip(node_arrays(bar_axes, n - 1), first))]
     lo = np.full(shape, -np.inf)
     hi = np.full(shape, np.inf)
     mask = np.ones(shape, dtype=bool)
-    for c in spec.constraints:
-        split = split_affine_x1(c.symbol)
-        if split is None:
-            raise NotImplementedError(
-                "cutoff constraints must be affine in xi1 or xi1-free")
-        c1, rest = split
+    for c, (c1, rest) in zip(spec.constraints, spec.splits):
         b = c.bound(h)
         rvals = rest.eval_grid(bar_nodes)
         if c1 == 0:
@@ -266,64 +351,72 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
             f"xi1 support leaves the configured box at h={h}")
 
     # Boundary check on the bar axes: support must stay off the outer layer.
-    for d in range(n - 1):
-        if np.take(nonempty, [0, -1], axis=d).any():
+    for d, i0 in enumerate(first):
+        if np.take(nonempty, [-1] if i0 else [0, -1], axis=d).any():
             raise BoxTooSmallError(
                 f"support reaches the box boundary on axis {d + 2} at h={h}")
 
-    def is_closed(d: int) -> bool:
-        if bar_axes[d].center != 0.0:
-            return False
-        flip = np.flip(nonempty, d)
-        return bool(np.array_equal(nonempty, flip)) and all(
-            np.array_equal(i[nonempty], np.flip(i, d)[nonempty])
-            for i in (i_lo, i_hi))
-
-    # np.nonzero walks the bar grid in C order: the columns' order.
+    # np.nonzero walks the evaluated grid in C order, and so the stored
+    # columns in the whole bar grid's C order.
     return CutoffField(
         h=h,
         axes=axes,
-        col_coords=np.column_stack([a.nodes()[i] for a, i in
-                                    zip(bar_axes, np.nonzero(nonempty))]),
+        col_coords=np.column_stack([a.nodes()[i0 + i] for a, i0, i in
+                                    zip(bar_axes, first, np.nonzero(nonempty))]),
         col_start=col_start,
         col_count=col_end - col_start + 1,
         spec=spec,
-        closed=tuple(is_closed(d) for d in range(n - 1)))
+        closed=spec.closed)
 
 
 # -- mirror pairs ------------------------------------------------------------------
+
+def _bar_index(coords: np.ndarray, axis: AxisSpec) -> np.ndarray:
+    """The bar index i of each node coordinate on an axis."""
+    return np.rint((coords - axis.start) / axis.spacing - 0.5).astype(np.int64)
+
 
 def _mirror_side(coords: np.ndarray, axis: AxisSpec) -> np.ndarray:
     """2i - (P - 1) for the bar index i of each coordinate on an axis of P
     points, whose mirror index is P - 1 - i: > 0 above the mirror plane,
     0 on it."""
-    i = np.rint((coords - axis.start) / axis.spacing - 0.5).astype(np.int64)
-    return 2 * i - (axis.points - 1)
+    return 2 * _bar_index(coords, axis) - (axis.points - 1)
 
 
-def _mirror_halves(field: CutoffField, odd: frozenset[int] = frozenset()
-                   ) -> tuple[tuple[bool, ...], np.ndarray, np.ndarray]:
-    """Which bar axes pair: every closed one (CutoffField.closed) that is
-    not in odd, 0 being xi2.  Also the columns that stand for their mirror
-    images on those axes, as indices in stored order, and how many columns
-    each stands for.
+def _mirror_halves(field: CutoffField, odd: frozenset[int]) -> CutoffField:
+    """The field with its closed bar axes that are in odd (0 being xi2)
+    unpaired: each stored column off the mirror plane of such an axis is
+    joined by its mirror image there, bar index P - 1 - i for i, at that
+    index's node and with the same xi1 run, and the columns are put in the
+    bar grid's C order.  These are the arrays a build of the whole axes
+    gives, bit for bit.  The field itself when no such axis is closed.
 
-    Exact closure gives a column and its mirror on a closed axis, bar index
-    P - 1 - i for i, the same xi1 run, so a sum that is even in each paired
-    axis sums each pair once, at the upper column (2i >= P - 1 on every
-    paired axis), weighted by 2 per paired axis off the mirror plane and 1
-    on it.  Where nothing pairs every column is kept with weight 1.
+    A consumer whose sum is not even in a closed axis's variable takes
+    this: the fio check, over the axes in whose variable a1 holds an odd
+    power.
     """
     closed = field.closed or (False,) * (field.dim - 1)
-    paired = tuple(c and d not in odd for d, c in enumerate(closed))
-    keep = np.ones(len(field.col_count), dtype=bool)
-    weight = np.ones(len(field.col_count))
-    for d, (axis, pair) in enumerate(zip(field.axes[1:], paired)):
-        if pair:
-            side = _mirror_side(field.col_coords[:, d], axis)
-            keep &= side >= 0
-            weight[side > 0] *= 2.0
-    return paired, np.flatnonzero(keep), weight[keep]
+    unpair = [d for d, c in enumerate(closed) if c and d in odd]
+    if not unpair:
+        return field
+    bar = field.axes[1:]
+    shape = [a.points for a in bar]
+    idx = [_bar_index(field.col_coords[:, d], a) for d, a in enumerate(bar)]
+    src = np.arange(len(field.col_count))
+    for d in unpair:
+        above = np.flatnonzero(2 * idx[d] > shape[d] - 1)
+        src = np.concatenate([src, src[above]])
+        idx = [np.concatenate([i, shape[d] - 1 - i[above] if e == d
+                               else i[above]]) for e, i in enumerate(idx)]
+    order = np.argsort(np.ravel_multi_index(idx, shape))
+    src = src[order]
+    coords = np.empty((len(src), len(bar)))
+    for d, a in enumerate(bar):
+        coords[:, d] = (a.nodes()[idx[d][order]] if d in unpair
+                        else field.col_coords[:, d][src])
+    return CutoffField(field.h, field.axes, coords, field.col_start[src],
+                       field.col_count[src], field.spec,
+                       tuple(c and d not in unpair for d, c in enumerate(closed)))
 
 
 # -- synthesis ---------------------------------------------------------------------
@@ -359,12 +452,12 @@ def _aligned_x1(field: CutoffField, x1_axis: AxisSpec) -> np.ndarray:
     return x1_axis.nodes()
 
 
-def column_transforms(field: CutoffField, x1: np.ndarray, cols: np.ndarray
+def column_transforms(field: CutoffField, x1: np.ndarray
                       ) -> Iterator[tuple[slice, np.ndarray]]:
     """The normalized quasimode's bar transform at the x1 nodes x1 and the
-    bar nodes of the columns cols (indices in stored order, such as the
-    kept columns of _mirror_halves), block by block: (block, u), u the
-    (len(x1), columns) transform at the columns cols[block], column c being
+    bar nodes of the stored columns, block by block: (block, u), u the
+    (len(x1), columns) transform at the columns [block] in stored order,
+    column c being
 
         u_c(x1) = dxi1 (2 pi h)^(-1/2) / ||chi||_2
                   * exp(i x1 xi1_first,c / h) * D_count,c(x1 dxi1 / h),
@@ -373,18 +466,19 @@ def column_transforms(field: CutoffField, x1: np.ndarray, cols: np.ndarray
     cutoff's bar grid, so this is the transform on that grid, and it is 0
     at every bar node that holds no column: no position field is needed,
     only the x1 nodes (_aligned_x1).  A column and its mirror on a closed
-    axis have the same xi1 run, so the same u_c.  A block holds a quarter
+    axis have the same xi1 run, so the same u_c, and the stored column
+    stands for both (CutoffField.col_mult).  A block holds a quarter
     working block of complex cells (grids.WORK_BLOCK_BYTES), or one column,
     so that a caller's few temporaries per block stay within one working
     block, below glibc's mmap threshold: blocks of a whole working block
     each were mapped and faulted in afresh, block after block.
     """
     h, dxi1 = field.h, field.axes[0].spacing
-    first = field.xi1_first_node()[cols]
-    counts = field.col_count[cols]
+    first = field.xi1_first_node()
+    counts = field.col_count
     scale = dxi1 / math.sqrt(_TWO_PI * h) / field.l2_norm()
     step = max(1, WORK_BLOCK_BYTES // (64 * max(1, len(x1))))
-    for c0 in range(0, len(cols), step):
+    for c0 in range(0, len(counts), step):
         block = slice(c0, c0 + step)
         u = np.exp(1j * np.outer(x1, first[block]) / h)
         u *= _dirichlet(x1[:, None] * (dxi1 / h), counts[block])
@@ -398,6 +492,13 @@ def synthesize_at(field: CutoffField, targets) -> np.ndarray:
 
     Column-wise closed form: the xi1 run of every column is a geometric sum,
     so the cost is targets x columns, independent of the xi1 resolution.
+    On a closed bar axis a stored column stands for its mirror too, and the
+    pair's exponentials sum to w * cos(x xi / h), w = 2 off the mirror
+    plane and 1 on it, as in synthesize_on_axes's folds: the sum runs over
+    the stored columns alone.  At x = 0 every term is its columns' cell
+    count, exactly, so u(0) has the bits of the sum over every column in
+    any order.  A field that stores every column sums each with its own
+    exponentials.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.size == 0:
@@ -408,6 +509,7 @@ def synthesize_at(field: CutoffField, targets) -> np.ndarray:
     dxi1 = field.axes[0].spacing
     first = field.xi1_first_node()
     counts = field.col_count.astype(float)
+    closed = field.closed or (False,) * (field.dim - 1)
     out = np.empty(targets.shape[0], dtype=complex)
     rows = max(1, _TARGET_CHUNK // max(len(counts), 1))
     for lo in range(0, targets.shape[0], rows):
@@ -416,9 +518,18 @@ def synthesize_at(field: CutoffField, targets) -> np.ndarray:
         theta = x1 * (dxi1 / h)
         run = _dirichlet(theta, counts[None, :])
         phase = x1 * first[None, :]
-        for d in range(field.dim - 1):
-            phase = phase + tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
-        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * run, axis=1)
+        # The columns' multiplicities times the closed axes' cosines.
+        pair = field.col_mult if any(closed) else None
+        for d, c in enumerate(closed):
+            arg = tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
+            if c:
+                pair = pair * np.cos(arg / h)
+            else:
+                phase = phase + arg
+        terms = np.exp(1j * phase / h) * run
+        if pair is not None:
+            terms *= pair
+        out[lo:lo + rows] = np.sum(terms, axis=1)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     return scale * out * (1.0 / field.l2_norm())
 
@@ -429,21 +540,46 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _tile_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b, as one np.matmul over a stack of _BLOCK-row tiles of a
-    (a reshape, no copy) and one more for the rows left over.
+    """out = a @ b, as np.matmul over a stack of _BLOCK-row tiles of a (a
+    reshape, no copy) and once more for the rows left over; a complex
+    product also in tiles of b's columns.
 
     OpenBLAS hands a product past a size floor to a second thread, which
     then spins for about 0.1 s after the call returns; a fold's whole
     product, such as the n = 3 sweep's (2048 x 19) @ (19 x 32) last fold,
     is past it.  A real tile, (64 x <= 64) @ (<= 64 x N), stayed on the
     calling thread for every N up to 128 (OpenBLAS 0.3.31, 2-core Xeon
-    VM); a complex one is past the floor from M*N*K = 65536 on.  Each
-    output element is the same K-term sum in whichever tile, so the bits
-    are the whole product's, except that numpy sends a one-row product to
-    gemv, whose sums differ from gemm's: a single row left over is
-    therefore made together with the row before it.  out must be
-    C-contiguous, so that its reshape is a view.
+    VM); a complex one is past the floor from M*N*K = 65536 on, so a
+    complex product goes in tiles of b's columns, a multiple of 8 of them
+    (at least 8) with 64*N*K under _COMPLEX_TILE.  Each output element is
+    the same K-term sum in whichever tile, so the bits are the whole
+    product's, provided each column tile starts at a multiple of 8 (tiles
+    of 2, 31 or 33 complex columns summed otherwise, of 4 to 64 alike) and
+    no tile is one row or one column, which numpy sends to gemv, whose
+    sums differ from gemm's: a single row left over is therefore made
+    together with the row before it, and a single column left over with
+    the 8 before it.  out must be C-contiguous, so that its reshape is a
+    view.
     """
+    n = b.shape[1]
+    if b.dtype != complex:
+        return _row_tiles(a, b, out)
+    step = max(8, (_COMPLEX_TILE - 1) // (_BLOCK * a.shape[1]) // 8 * 8)
+    if n <= step:
+        return _row_tiles(a, b, out)
+    starts = list(range(0, n, step))
+    if n - starts[-1] == 1:
+        starts[-1] -= 8
+        if starts[-1] == starts[-2]:
+            del starts[-1]
+    for c in map(slice, starts, starts[1:] + [n]):
+        _row_tiles(a, b[:, c], out[:, c])
+    return out
+
+
+def _row_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b over a stack of _BLOCK-row tiles of a and out (views),
+    a single row left over made together with the row before it."""
     m = len(a) - len(a) % _BLOCK
     if m:
         np.matmul(a[:m].reshape(-1, _BLOCK, a.shape[1]), b,
@@ -510,23 +646,22 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     contracts each group against its rows' xi(j+1) exponentials,
     (N1*...*Nj x R_g) times (R_g x N(j+1)), written in C order with no
     transpose: R*N1*...*N(j+1) multiply-adds for the R rows it folds.  The
-    xi2 fold's rows are the kept columns, each its xi1 run factor over the
+    xi2 fold's rows are the stored columns, each its xi1 run factor over the
     N1 x1 nodes: its start's phase row times its count's Dirichlet row,
     formed block by block and never held for all of them at once.
 
     A closed bar axis (CutoffField.closed) pairs its mirror columns, bar
-    indices i and P - 1 - i of its P: exact closure gives them the same xi1
-    run, so their exponentials sum to 2 cos(x xi / h) at the upper node's
-    xi.  Only the columns with 2i >= P - 1 on every paired axis are kept
-    (_mirror_halves), and a paired axis's table is the real
-    w * cos(x xi / h), w = 2 off the mirror plane and 1 on it (2i = P - 1,
-    odd P).  The identity holds at any x, so the pairing does not depend on
-    the position axes.  A real table is contracted through the float view
-    of the complex rows at half the multiply-adds of a complex one
-    (_fold_into); an open axis, such as the valley's xi2, keeps its
-    exp(i x xi / h) table over every value.  A field whose closure nobody
-    checked pairs nothing.  The n = 3, k = 3 paraboloid at h = 2^-5 keeps
-    289 of its 1,156 columns.
+    indices i and P - 1 - i of its P: closure gives them the same xi1 run,
+    so their exponentials sum to 2 cos(x xi / h) at the upper node's xi.
+    The field stores only the columns with 2i >= P - 1 on every closed
+    axis, and a paired axis's table is the real w * cos(x xi / h), w = 2
+    off the mirror plane and 1 on it (2i = P - 1, odd P).  The identity
+    holds at any x, so the pairing does not depend on the position axes.
+    A real table is contracted through the float view of the complex rows
+    at half the multiply-adds of a complex one (_fold_into); an open axis,
+    such as the valley's xi2, keeps its exp(i x xi / h) table over every
+    value.  A field that stores every column pairs nothing.  The n = 3,
+    k = 3 paraboloid at h = 2^-5 stores 289 of its 1,156 columns.
 
     The phase, Dirichlet and fold-table rows are tabled once per call over
     the distinct starts, counts and leading keys (19 xi2 rows serve those
@@ -536,13 +671,14 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     _BLOCK rows.  That fixes the summation order, and so every output bit,
     whatever the order of the stored columns or the BLAS thread count.
     Each block's product is one np.matmul over a stack of output tiles of
-    _BLOCK rows (_tile_product), with the same bits: with paired real
-    tables, as in every shipped sweep, no product of any fold reaches
+    _BLOCK rows, and a complex table's also over tiles of its columns
+    (_tile_product), with the same bits: no product of any fold reaches
     OpenBLAS's threading floor, so a default BLAS thread count wakes no
     second core to spin.
 
     The last fold, whose one group is every row, makes the grid in blocks
-    of whole x1 rows, _OUT_BLOCK cells or one x1 row each: a block is a
+    of whole x1 rows, _OUT_BLOCK cells (64 KB) or one x1 row each, so that
+    the heap reuses each block's buffers: a block is a
     C-order slice u[i0:i1] of the grid and a contiguous run of the last
     product's output rows, computed from the same run of its input's
     columns (for a 2D field, of the run factors' x1 nodes), scaled by
@@ -553,7 +689,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     grid is built; block is a view of one buffer that the next block
     overwrites, so consume must not keep it.  The streamed grid, every
     fold's result, the run tables and each fold's table, all sized by the
-    kept columns, are checked against MAX_GRID_CELLS before any of them is
+    stored columns, are checked against MAX_GRID_CELLS before any of them is
     allocated, and each fold's input is released once the next fold is
     built.
     """
@@ -564,10 +700,10 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     x1 = axes[0].nodes()
     h = field.h
     ax0 = field.axes[0]
-    paired, kept, _ = _mirror_halves(field)
-    # Kept columns by xin, ..., xi2: each fold's groups are runs of equal
+    paired = field.closed or (False,) * (field.dim - 1)
+    # Stored columns by xin, ..., xi2: each fold's groups are runs of equal
     # keys after its leading one, taken in increasing leading key.
-    order = kept[np.lexsort(field.col_coords[kept].T)]
+    order = np.lexsort(field.col_coords.T)
     keys = field.col_coords[order]
     folds, width = [], len(x1)
     for axis, bar_axis, pair in zip(axes[1:], field.axes[1:], paired):
@@ -650,16 +786,17 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     [M1, M2], from one pass over the support: p1^2 and p2^2 (in units of
     h^2) are formed at every support cell, and the power columns 0..orders
     of each are contracted against the other.  p1 and p2 are the cutoff's
-    first two band symbols.  Each splits as p = c1*xi1 + r(xi2..xin)
-    (split_affine_x1), so r is evaluated once per column and spread over
-    the column's xi1 run.  A closed bar axis pairs when r1 and r2 hold
-    only even powers of its variable (read off the PolySymbol exponents):
-    a column and its mirror then have the same cells' values, so only the
-    kept columns are summed (_mirror_halves), each cell's power row
-    weighted by its column's multiplicity.  The [0, 0] entry so sums
-    integers to the cell count exactly, and is 1.0.  Whole kept columns go
-    in chunks of up to _JOINT_CHUNK_CELLS support cells (one column when it
-    alone holds more), so the temporaries stay bounded whatever n is; the
+    first two band symbols.  Each splits as p = c1*xi1 + r(xi2..xin), once
+    per spec (FrequencyCutoff.splits), so r is evaluated once per column
+    and spread over the column's xi1 run.  On a closed bar axis r is even
+    in its variable when c1 != 0, and even or odd when c1 = 0
+    (FrequencyCutoff.closed), so p^2 takes the same values at a column's
+    cells and at its mirror's: only the stored columns are summed, each
+    cell's power row weighted by its column's multiplicity
+    (CutoffField.col_mult).  The [0, 0] entry so sums integers to the cell
+    count exactly, and is 1.0.  Whole stored columns go in chunks of up to
+    _JOINT_CHUNK_CELLS support cells (one column when it alone holds
+    more), so the temporaries stay bounded whatever n is; the
     ratio matrix and a chunk's power columns are checked against
     MAX_GRID_CELLS before either is allocated, so orders is bounded too.
     Midpoint membership makes |p_j| <= h hold at every support node, so
@@ -671,36 +808,33 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
         raise ValueError("orders must be nonnegative")
     if field.spec is None or len(field.spec.constraints) < 2:
         raise ValueError("cutoff spec with two band constraints required")
-    splits = [split_affine_x1(c.symbol) for c in field.spec.constraints[:2]]
+    splits = field.spec.splits[:2]
     _check_grid_cells((orders + 1, orders + 1), "joint ratio matrix")
-    _, kept, weight = _mirror_halves(
-        field, splits[0][1].odd_axes() | splits[1][1].odd_axes())
-    kept_count = field.col_count[kept]
-    chunk = max(_JOINT_CHUNK_CELLS, int(kept_count.max()))
-    _check_grid_cells((min(chunk, int(kept_count.sum())), orders + 1),
+    stored_count = field.col_count
+    chunk = max(_JOINT_CHUNK_CELLS, int(stored_count.max()))
+    _check_grid_cells((min(chunk, int(stored_count.sum())), orders + 1),
                       "power columns")
     h = field.h
     ax0 = field.axes[0]
     total = np.zeros((orders + 1, orders + 1))
-    ends = np.cumsum(kept_count)
+    ends = np.cumsum(stored_count)
     lo = 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(
             ends, (ends[lo - 1] if lo else 0) + _JOINT_CHUNK_CELLS, "right")))
-        cols = kept[lo:hi]
-        counts = kept_count[lo:hi]
-        bar = field.col_coords[cols]
+        counts = stored_count[lo:hi]
+        bar = field.col_coords[lo:hi]
         # xi1 cell index: the column's start plus the offset into its run.
         run_ends = np.cumsum(counts)
         idx = np.arange(run_ends[-1]) + np.repeat(
-            field.col_start[cols] - (run_ends - counts), counts)
+            field.col_start[lo:hi] - (run_ends - counts), counts)
         xi1 = ax0.start + (idx + 0.5) * ax0.spacing
         bar_arrays = [bar[:, d] for d in range(field.dim - 1)]
         a, b = [_power_columns(((float(c1) * xi1
                                  + np.repeat(rest.eval_grid(bar_arrays), counts))
                                 / h) ** 2, orders + 1)
                 for c1, rest in splits]
-        a *= np.repeat(weight[lo:hi], counts)[:, None]
+        a *= np.repeat(field.col_mult[lo:hi], counts)[:, None]
         total += a.T @ b
         lo = hi
     return np.sqrt(total * field.cell_volume) / field.l2_norm()

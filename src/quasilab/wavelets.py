@@ -14,9 +14,9 @@ bar transform acts on the bar axes and the wavelet on x1, so the windows of
 the transformed field are the transformed windows.  Its band is the
 quasimode's bar transform at the cutoff's bar grid, on the rows of its x1
 axis where its x1 window is nonzero, read from the cutoff's columns
-(quasimode.column_transforms), one column of the band per kept mirror
-column of the cutoff (quasimode._mirror_halves), whose multiplicity
-weights its power: no position field is synthesized.
+(quasimode.column_transforms), one column of the band per stored column
+of the cutoff, whose multiplicity (CutoffField.col_mult) weights its
+power: no position field is synthesized.
 Each scale forms its live windows one working block at a time
 (grids.WORK_BLOCK_BYTES) and sums their power down the windows into one
 row, which each level weights by its psi_j at the columns' radii.
@@ -31,8 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import WORK_BLOCK_BYTES, AxisSpec, cell_volume
-from .quasimode import (CutoffField, _aligned_x1, _mirror_halves,
-                        column_transforms)
+from .quasimode import CutoffField, _aligned_x1, column_transforms
 
 # decay_diagnostic's scales a, and its x1 window, flat out to the half-width.
 _A_GRID = tuple(np.geomspace(2.0 ** -6, 2.0 ** 6, 25))
@@ -212,13 +211,13 @@ class DecayDiagnostic:
     j_ratios: tuple[tuple[int, float], ...]  # (j, max_a N(a,j+1)/N(a,j)), j >= 1
 
 
-def _windowed_band(source: CutoffField, x1_axis: AxisSpec, cols: np.ndarray
+def _windowed_band(source: CutoffField, x1_axis: AxisSpec
                    ) -> tuple[np.ndarray, int]:
     """(band, row0): the bar transform of the quasimode of the cutoff source
     on the x1 axis x1_axis, times decay_diagnostic's x1 window, on the x1
     rows row0, row0 + 1, ... where the window is nonzero, as the real
-    (rows, 2K) view of the K columns cols (indices in stored order), filled
-    block of columns by block (quasimode.column_transforms).  A grid over
+    (rows, 2K) view of the source's K stored columns, filled block of
+    columns by block (quasimode.column_transforms).  A grid over
     the budget is refused (quasimode._aligned_x1) before the window or the
     band is allocated.
     """
@@ -227,8 +226,8 @@ def _windowed_band(source: CutoffField, x1_axis: AxisSpec, cols: np.ndarray
     rows = np.flatnonzero(window)
     row0, row1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
     x1, window = x1[row0:row1], window[row0:row1, None]
-    band = np.empty((row1 - row0, len(cols)), dtype=complex)
-    for block, u in column_transforms(source, x1, cols):
+    band = np.empty((row1 - row0, len(source.col_count)), dtype=complex)
+    for block, u in column_transforms(source, x1):
         np.multiply(u, window, out=band[:, block])
     return band.view(float), row0
 
@@ -279,17 +278,17 @@ def decay_diagnostic(source: CutoffField, x1_axis: AxisSpec, m_order: int,
     power of its windows down b before weighting it by each psi_j at the
     columns' radii (_level_sums).  A column and its mirror on a closed axis
     have the same x1 profile, and the radial psi_j the same weight, so
-    the band holds only the kept columns (quasimode._mirror_halves), each
-    weighted by the number of columns it stands for.
+    the band holds only the stored columns, each weighted by the number of
+    columns it stands for (CutoffField.col_mult).
     """
     h = source.h
     family = dyadic_cutoffs(h, k)
     a_vals = np.asarray(_A_GRID)
-    _, kept, mult = _mirror_halves(source)
-    band, row0 = _windowed_band(source, x1_axis, kept)
-    radius = np.sqrt(sum(c * c for c in source.col_coords[kept].T))
+    band, row0 = _windowed_band(source, x1_axis)
+    radius = np.sqrt(sum(c * c for c in source.col_coords.T))
     cellvol = cell_volume(source.axes[1:])
-    weights = [family.psi(j, radius) * mult for j in range(family.levels + 1)]
+    weights = [family.psi(j, radius) * source.col_mult
+               for j in range(family.levels + 1)]
     mass = []
     for b, sums in _level_sums(band, row0, x1_axis, weights):
         db = b[1] - b[0] if len(b) > 1 else x1_axis.spacing

@@ -9,9 +9,11 @@ axis: the flattening check and the decay table take an x1 axis alone and
 read the bar transform at the cutoff's bar grid from its columns
 (quasimode.column_transforms), which the h-scaled FFT of the field
 synthesized on the position axes whose bar duals are that grid
-cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), the joint check
-sums each mirror pair of support columns once (joint_ratios sums them
-all), no run takes a norm over a whole field (l2_norm), no run brings a
+cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), a cutoff is
+built on the upper half of each axis its symbols close and stores those
+columns alone (every_column stores them all; numeric_closure is the
+closure check on the built whole), the joint check sums each mirror pair
+of support columns once (joint_ratios sums them all), no run takes a norm over a whole field (l2_norm), no run brings a
 multiplier back to the position side (apply_multiplier), no run reads the mother wavelet's mean,
 L2 norm or admissibility constant (wavelet_moments, admissibility) and the
 cutoffs evaluate their symbols on whole grids (PolySymbol.eval_grid).
@@ -34,7 +36,7 @@ from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import AxisSpec, cell_volume, node_arrays
-from quasilab.quasimode import CutoffField, synthesize_on_axes
+from quasilab.quasimode import CutoffField, _mirror_halves, synthesize_on_axes
 from quasilab.symbols import PolySymbol, split_affine_x1
 from quasilab.wavelets import bump_derivative
 
@@ -334,11 +336,13 @@ def synthesize_grid(field: CutoffField,
 def joint_ratios(field: CutoffField, orders: int,
                  weights: np.ndarray | None = None) -> np.ndarray:
     """||p1^M1 p2^M2 chi||_2 / (h^(M1+M2) ||chi||_2), indexed [M1, M2], as
-    one contraction over every support cell, mirror columns included; each
-    cell counts weights[c] times for its column c (once without weights).
+    one contraction over every support cell, mirror columns included
+    (every_column); each cell counts weights[c] times for its column c of
+    every_column(field) (once without weights).
 
     The whole-support sum of quasimode.verify_joint_quasimode, which goes
     in chunks and sums each mirror pair of columns once."""
+    field = every_column(field)
     counts = field.col_count
     ends = np.cumsum(counts)
     idx = np.arange(ends[-1]) + np.repeat(field.col_start - (ends - counts),
@@ -354,6 +358,43 @@ def joint_ratios(field: CutoffField, orders: int,
     if weights is not None:
         a *= np.repeat(weights, counts)[:, None]
     return np.sqrt(a.T @ b * field.cell_volume) / field.l2_norm()
+
+
+# -- cutoff closure ----------------------------------------------------------------
+
+def every_column(field: CutoffField) -> CutoffField:
+    """The field with every support column stored, the mirror images of its
+    stored ones on each closed axis included, in the bar grid's C order:
+    the arrays of a build on the whole bar grid."""
+    return _mirror_halves(field, frozenset(range(field.dim - 1)))
+
+
+def numeric_closure(field: CutoffField) -> tuple[bool, ...]:
+    """Per bar axis of a field that stores every column, whether the axis
+    is centred on 0.0 and flipping it maps the nonempty columns, and each
+    one's xi1 index run, onto themselves: an exact check on integer
+    indices, made on the built whole.  The oracle of the closure that
+    quasimode.FrequencyCutoff reads off the symbols."""
+    bar = field.axes[1:]
+    shape = tuple(a.points for a in bar)
+    idx = tuple(np.rint((field.col_coords[:, d] - a.start) / a.spacing - 0.5)
+                .astype(np.int64) for d, a in enumerate(bar))
+    nonempty = np.zeros(shape, dtype=bool)
+    nonempty[idx] = True
+    bounds = []
+    for value in (field.col_start, field.col_start + field.col_count - 1):
+        i = np.full(shape, -1, dtype=np.int64)
+        i[idx] = value
+        bounds.append(i)
+
+    def is_closed(d: int) -> bool:
+        if bar[d].center != 0.0:
+            return False
+        return bool(np.array_equal(nonempty, np.flip(nonempty, d))) and all(
+            np.array_equal(i[nonempty], np.flip(i, d)[nonempty])
+            for i in bounds)
+
+    return tuple(is_closed(d) for d in range(len(bar)))
 
 
 def l2_norm(u: GridField) -> float:

@@ -223,6 +223,17 @@ class TestRun:
             assert abs(slopes[f"lp-slope-p{p}"]
                        + float(contact_delta(4, p, 3))) <= 0.01
 
+    def test_n5_paraboloid_slopes(self, tmp_path):
+        # The law in n at n = 5: its 32^5 grids stream as 16^5 orthants.
+        out = tmp_path / "o"
+        assert main(["run", str(CONFIG_DIR / "lp_n5_paraboloid_k3.cfg"),
+                     "--out", str(out)]) == EXIT_OK
+        verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+        slopes = {v["name"]: float(v["measured"]) for v in verdicts}
+        for p in ("inf", "8", "6"):
+            assert abs(slopes[f"lp-slope-p{p}"]
+                       + float(contact_delta(5, p, 3))) <= 0.01
+
     def test_flat_sweep_slopes(self, tmp_path):
         # The flat cutoff is a box, |xi1| <= h by |xi-bar| <= (2h)^(1/4): its
         # Lp slope is -(n-1)*k/(k+1)*(1/2 - 1/p), not -delta(n, p, k).
@@ -535,24 +546,42 @@ class TestValidation:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert cfg.params["n"] == "5"
 
-    @pytest.mark.parametrize("n, margin, grid", [
-        ("4", None, "128x128x128x128"),   # the default margin and resolution
-        ("3", "32", "512x512x512"),
+    @pytest.mark.parametrize("n, margin, orthant, grid", [
+        ("4", "16", "128x128x128x128", "256x256x256x256"),
+        ("3", "64", "512x512x512", "1024x1024x1024"),
     ])
     def test_lp_sweep_over_grid_budget_exits_2(self, tmp_path, capsys, n,
-                                               margin, grid):
+                                               margin, orthant, grid):
+        # The check sizes the orthant the sweep streams, half of each axis
+        # on which |u| is even (here every one), against the 2^24 budget.
         text = (CONFIG_DIR / "lp_n4_paraboloid_k3.cfg").read_text()
         assert "\nmargin = 4\npoints_per_scale = 4\n" in text
         text = text.replace("\nn = 4\n", f"\nn = {n}\n").replace(
-            "\nmargin = 4\npoints_per_scale = 4\n",
-            f"\nmargin = {margin}\n" if margin else "\n")
+            "\nmargin = 4\npoints_per_scale = 4\n", f"\nmargin = {margin}\n")
         out = tmp_path / "o"
         assert main(["run", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert grid in err and f"budget of {MAX_GRID_CELLS}" in err
+        assert f"streams {orthant} = " in err and f"its {grid} position" in err
+        assert f"budget of {MAX_GRID_CELLS}" in err
         assert "n, margin or points_per_scale" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n, margin, points", [
+        ("5", "4", 32),   # the shipped n = 5 sweep: a 16^5 orthant of 32^5
+        ("4", "8", 128),  # the default margin: a 64^4 orthant, 2^24 cells
+    ])
+    def test_lp_sweep_orthant_within_budget_parses(self, tmp_path, n, margin,
+                                                   points):
+        # Whole grids over 2^24 cells whose streamed orthant fits parse.
+        text = (CONFIG_DIR / "lp_n4_paraboloid_k3.cfg").read_text()
+        text = text.replace("\nn = 4\n", f"\nn = {n}\n").replace(
+            "\nmargin = 4\npoints_per_scale = 4\n",
+            f"\nmargin = {margin}\npoints_per_scale = 4\n")
+        if margin == "8":
+            text = text.replace("points_per_scale = 4", "points_per_scale = 8")
+        v = parse_config(write_cfg(tmp_path, text)).values
+        assert points ** v["n"] > MAX_GRID_CELLS >= (points // 2) ** v["n"]
 
     @pytest.mark.parametrize("margin", ["inf", "0", "-1"])
     def test_lp_sweep_nonpositive_margin_exits_2(self, tmp_path, capsys,
@@ -942,7 +971,10 @@ class TestValidation:
         h = v["h_sweep"][0]
         spec = v["family"].cutoff(v["n"], v["k"], v["cells_per_band"])
         bar_axes = quasimode.build_cutoff(spec, h).axes[1:]
-        cells = math.prod(a.points for a in bar_axes)
+        # The evaluated grid: the upper half of the closed xi3 only.
+        assert spec.closed == (False, True)
+        cells = bar_axes[0].points * (bar_axes[1].points
+                                      - bar_axes[1].points // 2)
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", cells - 1)
         out = str(tmp_path / "o")
         assert main(["run", str(path), "--out", out]) == EXIT_REFUSED

@@ -17,8 +17,8 @@ from quasilab.quasimode import CutoffField, build_cutoff
 from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
 from oracles import (GridField, aligned_axes, apply_multiplier, dual_axis,
-                     eval_exact, ft_axes, ft_axis, l2_norm, synthesize_grid,
-                     transform_quasimode, w_values)
+                     eval_exact, every_column, ft_axes, ft_axis, l2_norm,
+                     synthesize_grid, transform_quasimode, w_values)
 
 
 FIO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fio_n2_k1.cfg"
@@ -280,8 +280,8 @@ def _recorded_blocks(monkeypatch):
     seen = []
     blocks = fio.column_transforms
 
-    def recording(field, x1, cols):
-        for block, u in blocks(field, x1, cols):
+    def recording(field, x1):
+        for block, u in blocks(field, x1):
             seen.append((block.start, block.start + u.shape[1]))
             yield block, u
 
@@ -326,21 +326,22 @@ class TestBlockedReports:
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_shipped_blocks_match_whole_grid(self, orders, monkeypatch):
         # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), its
-        # kept mirror columns, half of its 50, read two to a block.
+        # stored mirror columns, half of its 50, read two to a block.
         cut, ax = _shipped_cutoff(2.0 ** -4)
         assert (ax.points, cut.axes[1].points) == (2048, 64)
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(_a1(), cut, ax, orders)
-        assert seen == _tiles(2, 25) and len(cut.col_count) == 50
+        assert seen == _tiles(2, 25)
+        assert (len(cut.col_count), len(every_column(cut).col_count)) == (25, 50)
         _assert_reports_match(
             got, _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders))
 
     def test_blocks_must_tile_the_grid(self, monkeypatch):
-        # Every kept column is read once, in order, in blocks of at most a
+        # Every stored column is read once, in order, in blocks of at most a
         # quarter working block of complex cells; a working block too small
         # for one column's x1 profile still reads one whole column.
         cut, ax = _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)
-        rows, count = ax.points, len(quasimode._mirror_halves(cut)[1])
+        rows, count = ax.points, len(cut.col_count)
         seen = _recorded_blocks(monkeypatch)
         flattening_reports(_a1(3), cut, ax, (1,))
         step = seen[0][1] - seen[0][0]
@@ -419,11 +420,11 @@ class TestMirrorColumns:
         # The reports agree with those of every column to rounding.
         cut, ax = field()
         a1 = _a1(cut.dim)
-        want = flattening_reports(a1, dataclasses.replace(cut, closed=()), ax,
-                                  orders)
+        every = every_column(cut)
+        want = flattening_reports(a1, every, ax, orders)
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(a1, cut, ax, orders)
-        assert seen[-1][1] == kept < len(cut.col_count)
+        assert seen[-1][1] == kept == len(cut.col_count) < len(every.col_count)
         _assert_reports_match(got, want)
 
     @pytest.mark.parametrize("symbol, n, paired", [
@@ -436,21 +437,24 @@ class TestMirrorColumns:
         # paired it is every column's check bit for bit.
         h = 2.0 ** -4 if n == 2 else 2.0 ** -3
         cut, ax = _shipped_cutoff(h, n=n, x1_half_width=2.0, per_h=2)
+        every = every_column(cut)
         a1 = parse_symbol(symbol, dim=n - 1)
         sides = np.column_stack([
-            quasimode._mirror_side(cut.col_coords[:, d], bar)
+            quasimode._mirror_side(every.col_coords[:, d], bar)
             for d, bar in enumerate(cut.axes[1:])])
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(a1, cut, ax, (1, 2))
         assert seen[-1][1] == int((sides[:, list(paired)] >= 0).all(axis=1).sum())
         if paired:
-            _assert_reports_match(got, flattening_reports(
-                a1, dataclasses.replace(cut, closed=()), ax, (1, 2)))
+            _assert_reports_match(got, flattening_reports(a1, every, ax,
+                                                          (1, 2)))
         else:
-            assert seen[-1][1] == len(cut.col_count)
+            # Every column, in the whole build's order: the bits of the
+            # whole field's check, each column weighted 1.
+            assert seen[-1][1] == len(every.col_count)
             _unweighted_sums(monkeypatch)
             assert _report_bits(got) == _report_bits(
-                flattening_reports(a1, cut, ax, (1, 2)))
+                flattening_reports(a1, every, ax, (1, 2)))
 
     @pytest.mark.parametrize("field", [
         lambda: _random_cutoff(37, 16, seed=5),

@@ -25,8 +25,9 @@ from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 synthesize_on_axes, verify_joint_quasimode)
 from quasilab.symbols import parse_symbol, split_affine_x1
 
-from oracles import (aligned_axes, dual_axis, ft_axes, joint_ratios, l2_norm,
-                     lp_norm, shell_mask, synthesize_grid)
+from oracles import (aligned_axes, dual_axis, every_column, ft_axes,
+                     joint_ratios, l2_norm, lp_norm, numeric_closure,
+                     shell_mask, synthesize_grid)
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -93,8 +94,10 @@ def mesh_cutoff(spec, h):
 
 
 def assert_matches_mesh_cutoff(spec, h):
-    """build_cutoff gives the oracle's arrays, dtypes included, or raises
-    the oracle's error type with its message."""
+    """build_cutoff, its stored columns joined by their mirror images
+    (every_column), gives the oracle's arrays, dtypes included, or raises
+    the oracle's error type with its message.  The closure the spec reads
+    off its symbols is the oracle's numeric one."""
     try:
         want = mesh_cutoff(spec, h)
     except (EmptySupportError, BoxTooSmallError) as err:
@@ -104,10 +107,16 @@ def assert_matches_mesh_cutoff(spec, h):
         return None
     got = build_cutoff(spec, h)
     assert got.axes == want.axes
+    assert got.closed == spec.closed == numeric_closure(want)
+    # Only the upper half (2i >= P - 1) of each closed axis is stored.
+    side = 2 * bar_indices(got) - [a.points - 1 for a in got.axes[1:]]
+    assert (side[:, list(got.closed)] >= 0).all()
+    whole = every_column(got)
     for name in ("col_coords", "col_start", "col_count"):
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = getattr(whole, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
+    assert got.cell_count == want.cell_count
     return got
 
 
@@ -119,20 +128,10 @@ def bar_indices(cut):
         .astype(np.int64) for d, ax in enumerate(cut.axes[1:])])
 
 
-def upper_columns(cut):
-    """Mask of the columns on the upper half (2i >= P - 1) of every closed
-    bar axis: the columns a sum even in those axes keeps."""
-    idx = bar_indices(cut)
-    keep = np.ones(len(idx), dtype=bool)
-    for d, (ax, closed) in enumerate(zip(cut.axes[1:], cut.closed)):
-        if closed:
-            keep &= 2 * idx[:, d] >= ax.points - 1
-    return keep
-
-
 def _dense_indicator(cut):
     """The cutoff's 0/1 indicator as an array over its dense frequency grid:
     the input of the FFT and multiplier oracles."""
+    cut = every_column(cut)
     shape = tuple(a.points for a in cut.axes)
     data = np.zeros(shape, dtype=complex)
     flat = data.reshape(shape[0], -1)
@@ -207,12 +206,14 @@ class TestBuildCutoff:
             build_cutoff(spec, 2.0 ** -6)
 
     def test_bar_grid_checked_before_allocation(self, monkeypatch):
-        # The n = 3 paraboloid's 48 x 48 bar grid at h = 2^-5 fits a budget
-        # of exactly its cells; one cell less refuses before the bar nodes,
-        # the first bar-grid arrays, are formed.
+        # The n = 3 paraboloid's 48 x 48 bar grid at h = 2^-5 is evaluated
+        # on its closed axes' upper halves, 24 x 24 cells, which fit a
+        # budget of exactly those cells; one cell less refuses before the
+        # bar nodes, the first bar-grid arrays, are formed.
         spec, h = families.paraboloid_cutoff(3, 3), 2.0 ** -5
-        cells = math.prod(a.points for a in build_cutoff(spec, h).axes[1:])
-        assert cells == 48 * 48
+        bar = build_cutoff(spec, h).axes[1:]
+        assert [a.points for a in bar] == [48, 48]
+        cells = 24 * 24
         monkeypatch.setattr(quasimode, "MAX_GRID_CELLS", cells)
         build_cutoff(spec, h)
 
@@ -300,7 +301,9 @@ class TestCutoffMatchesMeshOracle:
 
 
 class TestClosure:
-    """build_cutoff's exact per-bar-axis mirror check."""
+    """The per-bar-axis mirror closure each spec reads off its symbols and
+    box, against the exact numeric check on the whole build
+    (oracles.numeric_closure of mesh_cutoff)."""
 
     HS = [2.0 ** -3, 2.0 ** -4.37, 2.0 ** -5, 2.0 ** -6.81, 2.0 ** -8]
 
@@ -310,16 +313,22 @@ class TestClosure:
     def test_every_bar_axis_closed(self, name, n):
         spec = families.CUTOFF_FAMILIES[name].cutoff(
             n, 3, families.CELLS_PER_BAND)
+        assert spec.closed == (True,) * (n - 1)
+        assert spec.even_axes() == (True,) * n
         for h in self.HS:
             cut = build_cutoff(spec, h)
-            assert cut.closed == (True,) * (n - 1), h
+            assert cut.closed == numeric_closure(mesh_cutoff(spec, h)) == \
+                spec.closed, h
             assert cut.even_axes() == (True,) * n
 
     def test_valley_xi2_open(self):
         # The valley sits at xi2 = xi3^2 >= 0, in an off-centre xi2 box.
+        spec = families.valley_cutoff()
+        assert spec.even_axes() == (False, False, True)
         for h in self.HS:
-            cut = build_cutoff(families.valley_cutoff(), h)
-            assert cut.closed == (False, True), h
+            cut = build_cutoff(spec, h)
+            assert cut.closed == numeric_closure(mesh_cutoff(spec, h)) == \
+                (False, True), h
             assert cut.even_axes() == (False, False, True)
 
     def test_mirror_broken_by_an_odd_term_or_an_off_centre_box(self):
@@ -334,20 +343,40 @@ class TestClosure:
                               spec.box)
         assert build_cutoff(odd, h).cell_count == \
             build_cutoff(spec, h).cell_count
-        assert build_cutoff(odd, h).closed == (False, True)
         rule = spec.box[1]
         shifted = AxisRule(HExpr(((1.1 * rule.lo.terms[0][0],
                                    rule.lo.terms[0][1]),)), rule.hi,
                            rule.spacing)
         off = FrequencyCutoff(spec.constraints,
                               (spec.box[0], shifted, spec.box[2]))
-        assert build_cutoff(off, h).closed == (False, True)
+        # The build keeps the whole of an open xi2, columns below its
+        # mirror plane included, and agrees with the whole-grid oracle.
+        for broken in (odd, off):
+            assert broken.closed == (False, True)
+            cut = assert_matches_mesh_cutoff(broken, h)
+            side = 2 * bar_indices(cut) - [a.points - 1 for a in cut.axes[1:]]
+            assert (side[:, 0] < 0).any() and (side[:, 1] >= 0).all()
+
+    @pytest.mark.parametrize("band, closed", [
+        ("2*x2^3", True), ("4*x2^2", True), ("2*x2 + 1/4*x2^2", False)])
+    def test_xi1_free_band_parity(self, band, closed):
+        # A xi1-free band |r| <= b closes its axis when r holds the axis's
+        # variable only to odd powers or only to even ones, not to both.
+        spec = _box_spec()
+        bands = (spec.constraints[0],
+                 BandConstraint(parse_symbol(band, dim=3), 0.0),
+                 spec.constraints[2])
+        spec = FrequencyCutoff(bands, spec.box)
+        assert spec.closed == (closed, True)
+        assert assert_matches_mesh_cutoff(spec, 2.0 ** -5) is not None
 
     def test_unchecked_field_has_no_even_axis(self):
-        cut = build_cutoff(families.paraboloid_cutoff(3, 3), 2.0 ** -5)
+        cut = every_column(build_cutoff(families.paraboloid_cutoff(3, 3),
+                                        2.0 ** -5))
         bare = CutoffField(h=cut.h, axes=cut.axes, col_coords=cut.col_coords,
                            col_start=cut.col_start, col_count=cut.col_count)
         assert bare.even_axes() == (False,) * 3
+        assert bare.cell_count == cut.cell_count == 24644
 
 
 class TestSupportVolume:
@@ -556,8 +585,9 @@ class TestProductSynthesis:
     def test_matches_pointwise_oracle(self, make_field, points, rows):
         cut = make_field()
         h = cut.h
-        # Columns per row of equal (xi3..xin); a 2D field is one row.
-        widths = np.unique(cut.col_coords[:, 1:], axis=0,
+        # Columns per row of equal (xi3..xin) of the whole support; a 2D
+        # field is one row.
+        widths = np.unique(every_column(cut).col_coords[:, 1:], axis=0,
                            return_counts=True)[1]
         assert (len(widths), widths.max()) == rows
         # Off-center boxes spanning a few oscillation scales per axis.
@@ -565,7 +595,8 @@ class TestProductSynthesis:
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
         fast = synthesize_grid(cut, axes)
         assert fast.data.shape == points
-        oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
+        oracle = synthesize_at(every_column(cut),
+                               mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
 
@@ -577,20 +608,22 @@ class TestProductSynthesis:
     @pytest.mark.parametrize("name,n", PAIRED_CASES,
                              ids=[f"{c[0]}-{c[1]}d" for c in PAIRED_CASES])
     def test_paired_folds_match_the_column_sum(self, name, n):
-        # On each closed bar axis the folds sum every mirror pair of columns
-        # once, through a cosine table; synthesize_at sums every column with
-        # its own exponentials and folds nothing.  The valley pairs xi3
-        # only, 45 bar points put 35 columns on each mirror plane, and a
-        # field whose closure nobody checked pairs nothing.
+        # On each closed bar axis the folds, and synthesize_at, sum every
+        # mirror pair of columns once, through a cosine; synthesize_at over
+        # every column (every_column) sums each with its own exponentials
+        # and folds nothing, and it has the paired sum's bits at x = 0.  The
+        # valley pairs xi3 only, 45 bar points put 35 columns on each
+        # mirror plane, and a field that stores every column pairs nothing.
         h = 2.0 ** -5
         if name == "odd-count":
             cut = build_cutoff(families.paraboloid_cutoff(
                 n, 3, cells_per_band=15), h)
             assert [a.points for a in cut.axes[1:]] == [45, 45]
-            idx = bar_indices(cut)
+            idx = bar_indices(every_column(cut))
             assert ((2 * idx == 44).sum(axis=0) == 35).all()
         elif name == "unchecked":
-            cut = build_cutoff(families.paraboloid_cutoff(n, 3), h)
+            cut = every_column(build_cutoff(families.paraboloid_cutoff(n, 3),
+                                            h))
             cut = CutoffField(h, cut.axes, cut.col_coords, cut.col_start,
                               cut.col_count)
         else:
@@ -604,18 +637,26 @@ class TestProductSynthesis:
         for axes in ([AxisSpec(0.3 * hw, hw, m) for hw, m in zip(hws, points)],
                      [AxisSpec(hw / 2, hw / 2, m) for hw, m in zip(hws, points)]):
             fast = synthesize_grid(cut, axes).data
-            oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
+            targets = mesh_points(axes)
+            oracle = synthesize_at(every_column(cut), targets).reshape(points)
             assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
+            paired = synthesize_at(cut, targets).reshape(points)
+            assert np.abs(paired - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        origin = np.zeros((1, n))
+        assert synthesize_at(cut, origin).tobytes() == \
+            synthesize_at(every_column(cut), origin).tobytes()
 
     @pytest.mark.parametrize("case", ["2d-sweep", "3d-paraboloid", "valley"])
     def test_fold_products_are_tiles(self, case, monkeypatch):
         # Every fold product is an np.matmul over tiles of at most _BLOCK
-        # output rows and _BLOCK terms, which OpenBLAS keeps on the calling
-        # thread.  The 2D sweep's orthant grid (64 x1 nodes: two tiles of
-        # the real table's float rows); the n = 3 paraboloid, whose paired
-        # real tables fold 480 float rows last; the valley, whose open xi2
-        # takes the complex exp table over 65 x1 nodes (one full tile and
-        # one row left over) and whose closed xi3 a real one.
+        # output rows and _BLOCK terms, and a complex one's under 65,536
+        # multiply-adds, which OpenBLAS keeps on the calling thread.  The
+        # 2D sweep's orthant grid (64 x1 nodes: two tiles of the real
+        # table's float rows); the n = 3 paraboloid, whose paired real
+        # tables fold 480 float rows last; the valley, whose open xi2 takes
+        # the complex exp table over 65 x1 nodes (one full tile and one row
+        # left over) and 33 xi2 nodes (tiles of its columns), and whose
+        # closed xi3 a real one.
         h = 2.0 ** -5
         if case == "2d-sweep":
             cut = build_cutoff(families.paraboloid_cutoff(2, 3), h)
@@ -626,33 +667,42 @@ class TestProductSynthesis:
             cut = build_cutoff(families.paraboloid_cutoff(3, 3) if
                                case == "3d-paraboloid" else
                                families.valley_cutoff(), h)
-            points = (24, 10, 8) if case == "3d-paraboloid" else (65, 9, 7)
+            points = (24, 10, 8) if case == "3d-paraboloid" else (65, 33, 5)
             axes = [AxisSpec(0.3 * hw, hw, m) for hw, m in zip(
                 (3.0 * h / cut.extent(i) for i in range(3)), points)]
         products = []
         matmul = np.matmul
 
         def spy(a, b, **kwargs):
-            products.append((a.shape[-2:], np.result_type(a, b)))
+            products.append((*a.shape[-2:], b.shape[-1],
+                             np.result_type(a, b)))
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         fast = synthesize_grid(cut, axes).data
         monkeypatch.undo()
-        shapes = [shape for shape, _ in products]
-        assert max(rows for rows, _ in shapes) == quasimode._BLOCK
-        assert max(terms for _, terms in shapes) <= quasimode._BLOCK
-        assert {dtype for _, dtype in products} == (
+        assert max(rows for rows, *_ in products) == quasimode._BLOCK
+        assert max(terms for _, terms, *_ in products) <= quasimode._BLOCK
+        assert {dtype for *_, dtype in products} == (
             {np.dtype(complex), np.dtype(float)} if case == "valley"
             else {np.dtype(float)})
-        oracle = synthesize_at(cut, mesh_points(axes)).reshape(fast.shape)
+        complex_tiles = [(m * k * n, n) for m, k, n, dtype in products
+                         if dtype == complex]
+        assert all(cost < 1 << 16 for cost, _ in complex_tiles)
+        assert (case != "valley") == (min(n for _, n in complex_tiles or
+                                          [(0, 33)]) == 33)
+        assert all(n > 1 for _, _, n, _ in products)
+        oracle = synthesize_at(every_column(cut),
+                               mesh_points(axes)).reshape(fast.shape)
         assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_tiles_keep_the_whole_products_bits(self, dtype):
         # Each output element is one K-term sum in either form.  65 and
         # 129 rows leave one row over, which alone numpy would send to
-        # gemv, whose sums differ from gemm's.
+        # gemv, whose sums differ from gemm's.  A complex product also
+        # goes in tiles of columns; 129 and 130 columns leave one or two
+        # over.
         rng = np.random.default_rng(3)
 
         def draw(shape):
@@ -662,11 +712,13 @@ class TestProductSynthesis:
 
         for rows, terms in ((1, 19), (46, 64), (64, 1), (65, 19), (100, 64),
                             (129, 7), (2048, 19)):
-            # C-order (terms, rows), transposed: a fold's rows_of(blk).T.
-            a, b = draw((terms, rows)), draw((terms, 64))
-            out = np.empty((rows, 64), dtype)
-            assert quasimode._tile_product(a.T, b, out) is out
-            assert out.tobytes() == (a.T @ b).tobytes()
+            for cols in (64, 129, 130) if dtype is complex else (64,):
+                # C-order (terms, rows), transposed: a fold's
+                # rows_of(blk).T.
+                a, b = draw((terms, rows)), draw((terms, cols))
+                out = np.empty((rows, cols), dtype)
+                assert quasimode._tile_product(a.T, b, out) is out
+                assert out.tobytes() == (a.T @ b).tobytes()
 
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
@@ -757,12 +809,13 @@ class TestProductSynthesis:
         for rows, b in blocks:
             assert b.shape == (rows.stop - rows.start,) + points[1:]
         grid = np.concatenate([b for _, b in blocks])
-        oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
+        oracle = synthesize_at(every_column(cut),
+                               mesh_points(axes)).reshape(points)
         assert np.abs(grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_sweep_blocks_are_on_axes_slices(self):
-        # The n = 3 sweep's 64^3 grid: eight blocks of 8 x1 rows, each the
-        # whole grid's rows, bit for bit.
+        # The n = 3 sweep's 64^3 grid: 64 blocks of one x1 row of 2^12
+        # cells, each the whole grid's row, bit for bit.
         h = 2.0 ** -5
         cut = build_cutoff(families.paraboloid_cutoff(3, 3), h)
         axes = oscillation_axes([cut.extent(i) for i in range(3)], h, 4, 8)
@@ -770,7 +823,7 @@ class TestProductSynthesis:
         synthesize_on_axes(cut, axes,
                            lambda rows, b: blocks.append((rows, b.copy())))
         assert [(r.start, r.stop) for r, _ in blocks] == [
-            (i, i + 8) for i in range(0, 64, 8)]
+            (i, i + 1) for i in range(64)]
         grid = synthesize_grid(cut, axes).data
         for rows, b in blocks:
             assert b.tobytes() == grid[rows].tobytes()
@@ -912,8 +965,8 @@ class TestProductSynthesis:
         axes = oscillation_axes([cut.extent(i) for i in range(4)], h, 4, 4)
         assert [a.points for a in axes] == [32] * 4
         # The xi(j+1) fold's result has one row per distinct (xi(j+2)..xin)
-        # among the kept columns.
-        keys = cut.col_coords[upper_columns(cut)]
+        # among the stored columns.
+        keys = cut.col_coords
         rows = [len(np.unique(keys[:, j:], axis=0)) for j in (1, 2)]
         cells = np.cumprod([a.points for a in axes])[1:]
         folds = [16 * r * c for r, c in zip(rows + [1], cells)]
@@ -1035,8 +1088,8 @@ class TestColumnTransforms:
             u = synthesize_grid(cut, aligned_axes(cut, ax))
         hat, duals = ft_axes(u.data, u.axes[1:], cut.h)
         assert duals == cut.axes[1:]
-        blocks = list(column_transforms(cut, ax.nodes(),
-                                        np.arange(len(cut.col_count))))
+        cut = every_column(cut)
+        blocks = list(column_transforms(cut, ax.nodes()))
         assert [block.start for block, _ in blocks] == list(range(
             0, len(cut.col_count), blocks[0][1].shape[1]))
         got = np.concatenate([u for _, u in blocks], axis=1)
@@ -1061,39 +1114,42 @@ class TestColumnTransforms:
         x1 = x1_axis(8.0, 2.0 ** -8).nodes()
 
         def profiles(x):
-            return np.concatenate([u for _, u in column_transforms(
-                cut, x, np.arange(len(cut.col_count)))], axis=1)
+            return np.concatenate([u for _, u in column_transforms(cut, x)],
+                                  axis=1)
 
         got, want = profiles(x1[rows]), profiles(x1)[rows]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_kept_columns_stand_for_their_mirrors(self, n):
-        # The kept columns' profiles are those columns of the whole, bit
-        # for bit, and every column's profile is its kept mirror's: the
-        # same xi1 run on a closed axis.
+    def test_stored_columns_stand_for_their_mirrors(self, n):
+        # The stored columns' profiles are those columns of the whole, bit
+        # for bit, and every column's profile is its stored mirror's: the
+        # same xi1 run on a closed axis.  Each stored column stands for as
+        # many columns as its multiplicity says.
         h = 2.0 ** -5 if n == 2 else 2.0 ** -3
         cut = build_cutoff(families.paraboloid_cutoff(n, 1, pow2=True), h)
+        every = every_column(cut)
         x1 = x1_axis(2.0, 2.0 ** -4).nodes()
-        _, kept, weight = quasimode._mirror_halves(cut)
-        every = np.arange(len(cut.col_count))
-        assert len(kept) < len(every)
+        assert len(cut.col_count) < len(every.col_count)
         whole = np.concatenate(
-            [u for _, u in column_transforms(cut, x1, every)], axis=1)
+            [u for _, u in column_transforms(every, x1)], axis=1)
         got = np.concatenate(
-            [u for _, u in column_transforms(cut, x1, kept)], axis=1)
+            [u for _, u in column_transforms(cut, x1)], axis=1)
+        # The stored columns among every column, by their coordinates.
+        rows = {c.tobytes(): i for i, c in enumerate(every.col_coords)}
+        kept = [rows[c.tobytes()] for c in cut.col_coords]
         assert got.tobytes() == whole[:, kept].tobytes()
-        # Each column's kept mirror: the same distance from every mirror
+        # Each column's stored mirror: the same distance from every mirror
         # plane, in bar indices.
         sides = np.abs(np.column_stack([
-            quasimode._mirror_side(cut.col_coords[:, d], ax)
+            quasimode._mirror_side(every.col_coords[:, d], ax)
             for d, ax in enumerate(cut.axes[1:])]))
         key = {tuple(sides[c]): c for c in kept}
         mirror = [key[tuple(side)] for side in sides]
         assert whole.tobytes() == whole[:, mirror].tobytes()
-        assert np.bincount(mirror, minlength=len(every))[kept].tolist() == \
-            weight.tolist()
+        assert np.bincount(mirror, minlength=len(sides))[kept].tolist() == \
+            cut.col_mult.tolist()
 
     def test_aligned_x1_is_the_axis_nodes(self, monkeypatch):
         # The x1 nodes, bit for bit, once the x1 nodes times the cutoff's
@@ -1148,7 +1204,7 @@ class TestJointQuasimode:
     @pytest.mark.parametrize("spec_fn,h", JOINT_CASES)
     def test_one_pass_matches_per_pair_sums(self, spec_fn, h):
         cut = build_cutoff(spec_fn(), h)
-        coords = support_cells(cut)
+        coords = support_cells(every_column(cut))
         arrays = [coords[:, d] for d in range(cut.dim)]
         v1, v2 = (c.symbol.eval_grid(arrays) for c in cut.spec.constraints[:2])
         direct = np.zeros((4, 4))
@@ -1171,17 +1227,18 @@ class TestJointQuasimode:
             return power_columns(x, m)
 
         monkeypatch.setattr(quasimode, "_power_columns", record)
-        # Every n <= 3 case is one chunk at the shipped size, of the kept
-        # columns' cells: each closed axis pairs here.
-        counts = cut.col_count[upper_columns(cut)]
+        # One chunk of every stored column's cells, against the shipped
+        # chunks of 2^12 cells and others: each closed axis pairs here.
+        counts = cut.col_count
+        monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", 1 << 30)
         whole = verify_joint_quasimode(cut, 3)
         assert sizes[::2] == [counts.sum()]
-        for cells in (40, 5000):
+        for cells in (40, 5000, 1 << 12):
             monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", cells)
             sizes.clear()
             got = verify_joint_quasimode(cut, 3)
             np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
-            # Whole kept columns, as many as fit in the chunk, or one.
+            # Whole stored columns, as many as fit in the chunk, or one.
             chunks, ends = sizes[::2], np.cumsum(counts)
             assert sum(chunks) == counts.sum()
             bounds = np.cumsum(chunks)
@@ -1213,25 +1270,28 @@ class TestJointQuasimode:
 
     def test_odd_power_in_the_first_symbol_does_not_pair(self):
         # p1 + xi2^3 under a loose band (|.| <= 1) leaves the paraboloid's
-        # support, and so its closure, as they are: the check's first symbol
-        # is odd in xi2, so xi2 must not pair, while xi3 still does.
-        # Pairing xi2 as well sums to other ratios.
+        # support as it is, and so its numeric closure, but its xi1-affine
+        # remainder is odd in xi2: the spec does not close xi2, so the
+        # build keeps the whole of it and the check does not pair it, while
+        # xi3 still pairs.  Pairing xi2 as well sums to other ratios.
         h = 2.0 ** -5
         spec = families.paraboloid_cutoff(3, 3)
         odd = BandConstraint(spec.constraints[0].symbol
                              + parse_symbol("x2^3", dim=3), 0.0)
-        cut = build_cutoff(FrequencyCutoff((odd,) + spec.constraints,
-                                           spec.box), h)
+        odd_spec = FrequencyCutoff((odd,) + spec.constraints, spec.box)
+        cut = build_cutoff(odd_spec, h)
         assert cut.cell_count == build_cutoff(spec, h).cell_count
-        assert cut.closed == (True, True)
+        assert cut.closed == (False, True)
+        assert numeric_closure(mesh_cutoff(odd_spec, h)) == (True, True)
         got = verify_joint_quasimode(cut, 3)
         np.testing.assert_allclose(got, joint_ratios(cut, 3), rtol=1e-12,
                                    atol=0)
         assert got[0, 0] == 1.0
-        side = 2 * bar_indices(cut) - np.array(
+        whole = every_column(cut)
+        side = 2 * bar_indices(whole) - np.array(
             [a.points - 1 for a in cut.axes[1:]])
         both = np.select([side > 0, side == 0], [2.0, 1.0], 0.0).prod(axis=1)
-        wrong = joint_ratios(cut, 3, both)
+        wrong = joint_ratios(whole, 3, both)
         assert np.abs(wrong - got).max() > 1e-3 * got.max()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,14 +10,14 @@ import pytest
 from quasilab import families, wavelets
 from quasilab.fio import x1_axis
 from quasilab.grids import AxisSpec
-from quasilab.quasimode import _mirror_halves, build_cutoff, column_transforms
+from quasilab.quasimode import build_cutoff, column_transforms
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
                                _scale_window, _smooth_step, _windowed_band,
                                bump, bump_derivative, decay_diagnostic,
                                dyadic_cutoffs)
 
-from oracles import (GridField, admissibility, ft_axes, l2_norm,
-                     padded_gather_cwt, wavelet_moments)
+from oracles import (GridField, admissibility, every_column, ft_axes,
+                     l2_norm, padded_gather_cwt, wavelet_moments)
 
 
 def real_rows(data):
@@ -260,14 +259,9 @@ class TestDyadicCutoffs:
             dyadic_cutoffs(0.5, 0)
 
 
-def _kept(cut):
-    """The kept mirror columns of the cutoff cut, in stored order."""
-    return _mirror_halves(cut)[1]
-
-
-def _column_nodes(cut, cols):
-    """The bar-grid index of each of the columns cols of a 2D cutoff."""
-    return np.rint((cut.col_coords[cols, 0] - cut.axes[1].start)
+def _column_nodes(cut):
+    """The bar-grid index of each stored column of a 2D cutoff."""
+    return np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
                    / cut.axes[1].spacing - 0.5).astype(int)
 
 
@@ -295,7 +289,7 @@ class TestDecayDiagnostic:
         cut, ax = flat_model
         tracemalloc.start()
         try:
-            band, _ = _windowed_band(cut, ax, _kept(cut))
+            band, _ = _windowed_band(cut, ax)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,18 +304,18 @@ class TestDecayDiagnostic:
         calls, seen = [], []
         blocks = wavelets.column_transforms
 
-        def recording(field, x1, cols):
+        def recording(field, x1):
             calls.append(x1.copy())
-            for block, u in blocks(field, x1, cols):
+            for block, u in blocks(field, x1):
                 seen.append((block.start, block.start + u.shape[1]))
                 yield block, u
 
         monkeypatch.setattr(wavelets, "column_transforms", recording)
-        band, row0 = _windowed_band(cut, ax, _kept(cut))
+        band, row0 = _windowed_band(cut, ax)
         x1, = calls
         assert len(band) == len(x1) == 3070 < 0.4 * ax.points
         assert x1.tobytes() == ax.nodes()[row0:row0 + 3070].tobytes()
-        assert seen[0][0] == 0 and seen[-1][1] == len(_kept(cut)) == 25
+        assert seen[0][0] == 0 and seen[-1][1] == len(cut.col_count) == 25
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
 
     def test_band_is_windowed_field(self, flat_model, flat_model_field):
@@ -330,27 +324,27 @@ class TestDecayDiagnostic:
         # window, to rounding.
         f = flat_model_field
         cut = flat_model[0]
-        band, row0 = _windowed_band(*flat_model, _kept(cut))
+        band, row0 = _windowed_band(*flat_model)
         band = band.view(complex)
         row1 = row0 + len(band)
         hat, duals = ft_axes(f.data[row0:row1], f.axes[1:], f.h)
         assert duals == cut.axes[1:]
         window = _smooth_step(np.abs(f.axes[0].nodes()) / _LOCALIZE_HALFWIDTH)
-        want = hat[:, _column_nodes(cut, _kept(cut))] * window[row0:row1, None]
+        want = hat[:, _column_nodes(cut)] * window[row0:row1, None]
         assert np.abs(band - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_band_is_windowed_columns(self, flat_model):
         # Block of columns by block, the band is the kept columns' x1
         # profiles on the window's rows times the window, bit for bit.
         cut, ax = flat_model
-        band, row0 = _windowed_band(cut, ax, _kept(cut))
+        band, row0 = _windowed_band(cut, ax)
         x1 = ax.nodes()
         window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
         row1 = row0 + len(band)
         assert window[row0 - 1] == 0.0 and window[row1] == 0.0
         assert window[row0:row1].all()
         want = np.concatenate([u for _, u in column_transforms(
-            cut, x1[row0:row1], _kept(cut))], axis=1) * window[row0:row1, None]
+            cut, x1[row0:row1])], axis=1) * window[row0:row1, None]
         assert band.tobytes() == want.view(float).tobytes()
 
     # The shipped flat model, whose 50 columns pair into 25, and an n = 3
@@ -370,9 +364,10 @@ class TestDecayDiagnostic:
             cut = build_cutoff(spec, 2.0 ** -4)
             ax = x1_axis(3.0, 2.0 ** -6)
         kept = {"shipped": (25, 50), "n3": (508, 2032), "odd": (23, 45)}[field]
-        assert (len(_kept(cut)), len(cut.col_count)) == kept
+        every = every_column(cut)
+        assert (len(cut.col_count), len(every.col_count)) == kept
         got = decay_diagnostic(cut, ax, 1, 3)
-        want = decay_diagnostic(dataclasses.replace(cut, closed=()), ax, 1, 3)
+        want = decay_diagnostic(every, ax, 1, 3)
         assert got.mass.shape == want.mass.shape
         assert (got.mass > 0).sum() >= got.mass.size // 2
         np.testing.assert_allclose(got.mass, want.mass, rtol=1e-13, atol=0)
@@ -382,14 +377,13 @@ class TestDecayDiagnostic:
                                                   rel=1e-10)
 
     def test_unchecked_closure_keeps_its_bits(self, flat_model):
-        # A field whose closure nobody checked pairs nothing: the table is
-        # the unweighted one of every column, the band of every column and
-        # each level's sum weighted by psi_j alone, bit for bit.
+        # A field that stores every column pairs nothing: the table is the
+        # unweighted one of every column, the band of every column and each
+        # level's sum weighted by psi_j alone, bit for bit.
         cut, ax = flat_model
-        cut = dataclasses.replace(cut, closed=())
-        every = np.arange(len(cut.col_count))
-        assert _kept(cut).tolist() == every.tolist()
-        band, row0 = _windowed_band(cut, ax, every)
+        cut = every_column(cut)
+        assert cut.col_mult.tolist() == [1] * 50
+        band, row0 = _windowed_band(cut, ax)
         family = dyadic_cutoffs(cut.h, 3)
         radius = np.abs(cut.col_coords[:, 0])
         weights = [family.psi(j, radius) for j in range(family.levels + 1)]
@@ -415,7 +409,7 @@ class TestDecayDiagnostic:
         # coefficient rows are exact zeros and are not formed.
         cut, ax = flat_model
         f = flat_model_field
-        band, row0 = _windowed_band(cut, ax, _kept(cut))
+        band, row0 = _windowed_band(cut, ax)
         if work is not None:
             monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
         monkeypatch.setattr(wavelets, "_A_GRID", (a,))
@@ -444,7 +438,7 @@ class TestDecayDiagnostic:
                                   ax, a)
         x = window_run(blocks, 2 * f.data.shape[1]).view(complex)
         power = np.sum(np.abs(ft_axes(x, f.axes[1:], f.h)[0]) ** 2, axis=0)
-        nodes = _column_nodes(cut, _kept(cut))
+        nodes = _column_nodes(cut)
         for got, weight in zip(sums, weights):
             assert got == pytest.approx(float(np.sum(weight * power[nodes])),
                                         rel=1e-12, abs=0)
