@@ -59,12 +59,12 @@ _BLOCK = 64
 # Cells per block of synthesize_on_axes's last fold, which makes the grid in
 # whole x1 rows (one row a block when a row holds more), and support cells
 # per verify_joint_quasimode chunk (one column a chunk when it holds more).
-# A block is 64 KB complex, and a chunk's power columns at orders 3 are
-# 128 KB: each such per-point temporary stays under glibc's 128 KB mmap
-# threshold, so the heap reuses it, where blocks of 2^15 cells (512 KB) were
-# mapped and faulted in afresh, thousands of minor faults a sweep pass.  A
-# grid of 2^b blocks of 2^12 cells is still one np.sum's pairwise tree to
-# BlockNorms.
+# A block is 64 KB complex and a chunk's power columns at orders 3 are
+# 128 KB, so each per-point temporary stays within glibc's mmap threshold
+# (128 KB, raised to the largest mapped chunk freed) and the heap reuses
+# it; a 512 KB block (2^15 cells) is mapped and faulted in afresh at every
+# call, thousands of minor faults a sweep pass.  A grid of 2^b blocks of
+# 2^12 cells is still one np.sum's pairwise tree to BlockNorms.
 _OUT_BLOCK = 1 << 12
 _JOINT_CHUNK_CELLS = 1 << 12
 # Multiply-adds below which a complex fold tile stays on the calling thread

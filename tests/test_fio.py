@@ -396,7 +396,7 @@ def _unweighted_sums(monkeypatch):
 
 
 class TestMirrorColumns:
-    """The check on the kept mirror columns, each |.|^2 weighted by the
+    """The check on the stored mirror columns, each |.|^2 weighted by the
     columns it stands for, against every column."""
 
     @pytest.mark.parametrize("orders", [(1, 2), (3,)], ids=str)
