@@ -346,9 +346,8 @@ def _check_lp_sweep(v: dict) -> None:
     synthesis cell budget.  That grid is the orthant of the axes on which
     |u| is even (the sweep sums over the upper half of each, points // 2),
     read off the spec's symbols as build_cutoff reads them
-    (FrequencyCutoff.even_axes); the valley, closed on none but xi3, keeps
-    the whole of its others.  A 2-point axis is all boundary shell, and its
-    orthant 1 point."""
+    (FrequencyCutoff.even_axes).  A 2-point axis is all boundary shell, and
+    its orthant 1 point."""
     fam, ps = v["family"], v["p_list"]
     if not ps or v["peak_only"]:
         return

@@ -67,9 +67,6 @@ _BLOCK = 64
 # 2^12 cells is still one np.sum's pairwise tree to BlockNorms.
 _OUT_BLOCK = 1 << 12
 _JOINT_CHUNK_CELLS = 1 << 12
-# Multiply-adds below which a complex fold tile stays on the calling thread
-# (_tile_product).
-_COMPLEX_TILE = 1 << 16
 # Most cells in a position grid synthesize_on_axes streams, in an array it
 # allocates (256 MB complex) and in a bar grid build_cutoff evaluates on.
 MAX_GRID_CELLS = 1 << 24
@@ -166,7 +163,8 @@ class FrequencyCutoff:
 
 def _closure(splits, box: Sequence[AxisRule]) -> tuple[bool, ...]:
     """Per bar axis, 0 being xi2: whether the support is its own mirror
-    image in that axis at every h, read off the spec, exactly.
+    image in that axis at every h, read off the spec, exactly (up to the
+    rounding of nodes that fall on a band edge: build_cutoff).
 
     The axis's box rule must be centred on 0, its lo the term-by-term
     negation of its hi, so that the axis's centre is 0.0 at every h, and
@@ -290,7 +288,16 @@ def build_cutoff(spec: FrequencyCutoff, h: float) -> CutoffField:
     indices i with 2i >= P - 1 of its P, the lower half being their mirror
     image by construction.  The field stores those columns alone
     (CutoffField): about 2^-(n-1) of the support's when every bar axis is
-    closed.  Raises GridBudgetError when the evaluated bar grid
+    closed.  They are a whole-grid build's upper half, bit for bit, and
+    their mirror images its lower half wherever node P - 1 - i lands its
+    cells as node i does.  That holds when each node is the exact negation
+    of its mirror node, and AxisSpec.nodes rounds start + (i + 1/2) *
+    spacing, so for P not a power of two the two can differ in the last
+    bit; only a node that falls on a band edge then lands differently.  A
+    whole build keeps one of such a pair and drops the other (the slab at
+    6 cells per band, h = 2^-4.37: nodes 1 and 13 of 15 on |xi_j| =
+    h^(1/2)), and its support is not quite its own mirror image; this
+    build takes the upper node's side for both.  Raises GridBudgetError when the evaluated bar grid
     holds more than MAX_GRID_CELLS cells, before any of its arrays is
     allocated, or the xi1 axis more than 2^53 points, before an index bound
     is cast, EmptySupportError when no cell qualifies, BoxTooSmallError
@@ -389,11 +396,13 @@ def _mirror_halves(field: CutoffField, odd: frozenset[int]) -> CutoffField:
     joined by its mirror image there, bar index P - 1 - i for i, at that
     index's node and with the same xi1 run, and the columns are put in the
     bar grid's C order.  These are the arrays a build of the whole axes
-    gives, bit for bit.  The field itself when no such axis is closed.
+    gives, bit for bit, but where a node on a band edge rounds differently
+    from its mirror (build_cutoff).  The field itself when no such axis is
+    closed.
 
     A consumer whose sum is not even in a closed axis's variable takes
-    this: the fio check, over the axes in whose variable a1 holds an odd
-    power.
+    this: synthesize_at, over every axis, and the fio check, over the axes
+    in whose variable a1 holds an odd power.
     """
     closed = field.closed or (False,) * (field.dim - 1)
     unpair = [d for d, c in enumerate(closed) if c and d in odd]
@@ -492,24 +501,19 @@ def synthesize_at(field: CutoffField, targets) -> np.ndarray:
 
     Column-wise closed form: the xi1 run of every column is a geometric sum,
     so the cost is targets x columns, independent of the xi1 resolution.
-    On a closed bar axis a stored column stands for its mirror too, and the
-    pair's exponentials sum to w * cos(x xi / h), w = 2 off the mirror
-    plane and 1 on it, as in synthesize_on_axes's folds: the sum runs over
-    the stored columns alone.  At x = 0 every term is its columns' cell
-    count, exactly, so u(0) has the bits of the sum over every column in
-    any order.  A field that stores every column sums each with its own
-    exponentials.
+    The sum runs over every support column, the stored ones joined by
+    their mirror images (_mirror_halves).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.size == 0:
         raise ValueError("empty target list")
     if targets.shape[1] != field.dim:
         raise DimensionMismatchError("targets dimension mismatch")
+    field = _mirror_halves(field, frozenset(range(field.dim - 1)))
     h = field.h
     dxi1 = field.axes[0].spacing
     first = field.xi1_first_node()
     counts = field.col_count.astype(float)
-    closed = field.closed or (False,) * (field.dim - 1)
     out = np.empty(targets.shape[0], dtype=complex)
     rows = max(1, _TARGET_CHUNK // max(len(counts), 1))
     for lo in range(0, targets.shape[0], rows):
@@ -518,18 +522,9 @@ def synthesize_at(field: CutoffField, targets) -> np.ndarray:
         theta = x1 * (dxi1 / h)
         run = _dirichlet(theta, counts[None, :])
         phase = x1 * first[None, :]
-        # The columns' multiplicities times the closed axes' cosines.
-        pair = field.col_mult if any(closed) else None
-        for d, c in enumerate(closed):
-            arg = tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
-            if c:
-                pair = pair * np.cos(arg / h)
-            else:
-                phase = phase + arg
-        terms = np.exp(1j * phase / h) * run
-        if pair is not None:
-            terms *= pair
-        out[lo:lo + rows] = np.sum(terms, axis=1)
+        for d in range(field.dim - 1):
+            phase = phase + tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
+        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * run, axis=1)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     return scale * out * (1.0 / field.l2_norm())
 
@@ -540,46 +535,21 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _tile_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b, as np.matmul over a stack of _BLOCK-row tiles of a (a
-    reshape, no copy) and once more for the rows left over; a complex
-    product also in tiles of b's columns.
+    """out = a @ b, as one np.matmul over a stack of _BLOCK-row tiles of a
+    (a reshape, no copy) and one more for the rows left over.
 
     OpenBLAS hands a product past a size floor to a second thread, which
     then spins for about 0.1 s after the call returns; a fold's whole
     product, such as the n = 3 sweep's (2048 x 19) @ (19 x 32) last fold,
     is past it.  A real tile, (64 x <= 64) @ (<= 64 x N), stayed on the
     calling thread for every N up to 128 (OpenBLAS 0.3.31, 2-core Xeon
-    VM); a complex one is past the floor from M*N*K = 65536 on, so a
-    complex product goes in tiles of b's columns, a multiple of 8 of them
-    (at least 8) with 64*N*K under _COMPLEX_TILE.  Each output element is
-    the same K-term sum in whichever tile, so the bits are the whole
-    product's, provided each column tile starts at a multiple of 8 (tiles
-    of 2, 31 or 33 complex columns summed otherwise, of 4 to 64 alike) and
-    no tile is one row or one column, which numpy sends to gemv, whose
-    sums differ from gemm's: a single row left over is therefore made
-    together with the row before it, and a single column left over with
-    the 8 before it.  out must be C-contiguous, so that its reshape is a
-    view.
+    VM); a complex one is past the floor from M*N*K = 65536 on.  Each
+    output element is the same K-term sum in whichever tile, so the bits
+    are the whole product's, except that numpy sends a one-row product to
+    gemv, whose sums differ from gemm's: a single row left over is
+    therefore made together with the row before it.  out must be
+    C-contiguous, so that its reshape is a view.
     """
-    n = b.shape[1]
-    if b.dtype != complex:
-        return _row_tiles(a, b, out)
-    step = max(8, (_COMPLEX_TILE - 1) // (_BLOCK * a.shape[1]) // 8 * 8)
-    if n <= step:
-        return _row_tiles(a, b, out)
-    starts = list(range(0, n, step))
-    if n - starts[-1] == 1:
-        starts[-1] -= 8
-        if starts[-1] == starts[-2]:
-            del starts[-1]
-    for c in map(slice, starts, starts[1:] + [n]):
-        _row_tiles(a, b[:, c], out[:, c])
-    return out
-
-
-def _row_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b over a stack of _BLOCK-row tiles of a and out (views),
-    a single row left over made together with the row before it."""
     m = len(a) - len(a) % _BLOCK
     if m:
         np.matmul(a[:m].reshape(-1, _BLOCK, a.shape[1]), b,

@@ -227,12 +227,22 @@ class TestBuildCutoff:
             build_cutoff(spec, h)
 
 
+# Cells per band besides the default that give bar axes of a point count
+# other than a power of two, whose nodes are not all the exact negations of
+# their mirror nodes (AxisSpec.nodes rounds start + (i + 1/2) * spacing).
+ODD_CELLS = (3, 5, 6, 7)
+
+
 def _family_cases():
     """(family, n, cells per band): every CUTOFF_FAMILIES entry at n = 2..5,
-    the 5D case at four cells per band (12^4 bar columns)."""
+    the 5D case at four cells per band (12^4 bar columns), and at n = 2..4
+    at each of ODD_CELLS."""
     for fam in families.CUTOFF_FAMILIES.values():
         for n in [fam.dim] if fam.dim else range(2, 6):
             yield fam.name, n, 4 if n == 5 else families.CELLS_PER_BAND
+            if n < 5:
+                for cells in ODD_CELLS:
+                    yield fam.name, n, cells
 
 
 def _box_spec(narrow=(), empty=False):
@@ -306,20 +316,54 @@ class TestClosure:
     (oracles.numeric_closure of mesh_cutoff)."""
 
     HS = [2.0 ** -3, 2.0 ** -4.37, 2.0 ** -5, 2.0 ** -6.81, 2.0 ** -8]
+    # (family, cells per band, h) at which a node of each bar axis falls
+    # on the slab's band edge |xi_j| = h^(1/2) and its mirror node is not
+    # its exact negation, so the whole build keeps one and drops the other
+    # (test_knife_edge_node_takes_the_upper_side).
+    KNIFE_EDGES = {("slab", 6, 2.0 ** -4.37), ("slab", 6, 2.0 ** -6.81)}
 
-    @pytest.mark.parametrize("name,n", [
-        (name, n) for name in ("paraboloid", "slab", "flat")
-        for n in (2, 3, 4)] + [("axis-contact", 3)])
-    def test_every_bar_axis_closed(self, name, n):
-        spec = families.CUTOFF_FAMILIES[name].cutoff(
-            n, 3, families.CELLS_PER_BAND)
+    @pytest.mark.parametrize("name,n,cells", [
+        (name, n, cells) for name in ("paraboloid", "slab", "flat")
+        for n in (2, 3, 4) for cells in (families.CELLS_PER_BAND, *ODD_CELLS)]
+        + [("axis-contact", 3, cells)
+           for cells in (families.CELLS_PER_BAND, *ODD_CELLS)])
+    def test_every_bar_axis_closed(self, name, n, cells):
+        spec = families.CUTOFF_FAMILIES[name].cutoff(n, 3, cells)
         assert spec.closed == (True,) * (n - 1)
         assert spec.even_axes() == (True,) * n
         for h in self.HS:
             cut = build_cutoff(spec, h)
-            assert cut.closed == numeric_closure(mesh_cutoff(spec, h)) == \
-                spec.closed, h
+            assert cut.closed == spec.closed
+            whole = numeric_closure(mesh_cutoff(spec, h))
+            assert whole == ((False,) * (n - 1) if (name, cells, h) in
+                             self.KNIFE_EDGES else spec.closed), h
             assert cut.even_axes() == (True,) * n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("h, whole_cells, cells", [
+        (2.0 ** -4.37, (144, 1699), (132, 1436)),
+        (2.0 ** -6.81, (144, 1728), (156, 2028))])
+    def test_knife_edge_node_takes_the_upper_side(self, n, h, whole_cells,
+                                                  cells):
+        # The slab at 6 cells per band puts 15 nodes on each bar axis, and
+        # nodes 1 and 13 at -6 and +6 spacings, on the band edge -h^(1/2)
+        # and h^(1/2); rounded, they are not each other's negation, and a
+        # whole build keeps the one inside its band and drops the other.
+        # The upper-half build stores the whole build's upper half, bit for
+        # bit, and takes node 13's side for node 1 too: its support is the
+        # mirror image of itself, the whole build's is not.
+        spec = families.slab_cutoff(n, 3, cells_per_band=6)
+        want, got = mesh_cutoff(spec, h), build_cutoff(spec, h)
+        x = got.axes[1].nodes()
+        assert (len(x), x[1] == -x[13]) == (15, False)
+        assert numeric_closure(want) == (False,) * (n - 1)
+        assert numeric_closure(every_column(got)) == (True,) * (n - 1)
+        upper = (2 * bar_indices(want) >= 14).all(axis=1)
+        for name in ("col_coords", "col_start", "col_count"):
+            assert np.array_equal(getattr(want, name)[upper],
+                                  getattr(got, name)), name
+        assert (want.cell_count, got.cell_count) == (whole_cells[n - 2],
+                                                     cells[n - 2])
 
     def test_valley_xi2_open(self):
         # The valley sits at xi2 = xi3^2 >= 0, in an off-centre xi2 box.
@@ -595,8 +639,7 @@ class TestProductSynthesis:
             (3.0 * h / cut.extent(i) for i in range(cut.dim)), points)]
         fast = synthesize_grid(cut, axes)
         assert fast.data.shape == points
-        oracle = synthesize_at(every_column(cut),
-                               mesh_points(axes)).reshape(points)
+        oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         err = np.abs(fast.data - oracle).max() / np.abs(oracle).max()
         assert err <= 1e-12
 
@@ -608,12 +651,12 @@ class TestProductSynthesis:
     @pytest.mark.parametrize("name,n", PAIRED_CASES,
                              ids=[f"{c[0]}-{c[1]}d" for c in PAIRED_CASES])
     def test_paired_folds_match_the_column_sum(self, name, n):
-        # On each closed bar axis the folds, and synthesize_at, sum every
-        # mirror pair of columns once, through a cosine; synthesize_at over
-        # every column (every_column) sums each with its own exponentials
-        # and folds nothing, and it has the paired sum's bits at x = 0.  The
-        # valley pairs xi3 only, 45 bar points put 35 columns on each
-        # mirror plane, and a field that stores every column pairs nothing.
+        # On each closed bar axis the folds sum every mirror pair of columns
+        # once, through a cosine table; synthesize_at sums every column,
+        # the mirror images included, with its own exponentials and folds
+        # nothing.  The valley pairs xi3 only, 45 bar points put 35 columns
+        # on each mirror plane, and a field that stores every column pairs
+        # nothing.
         h = 2.0 ** -5
         if name == "odd-count":
             cut = build_cutoff(families.paraboloid_cutoff(
@@ -637,26 +680,18 @@ class TestProductSynthesis:
         for axes in ([AxisSpec(0.3 * hw, hw, m) for hw, m in zip(hws, points)],
                      [AxisSpec(hw / 2, hw / 2, m) for hw, m in zip(hws, points)]):
             fast = synthesize_grid(cut, axes).data
-            targets = mesh_points(axes)
-            oracle = synthesize_at(every_column(cut), targets).reshape(points)
+            oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
             assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
-            paired = synthesize_at(cut, targets).reshape(points)
-            assert np.abs(paired - oracle).max() <= 1e-13 * np.abs(oracle).max()
-        origin = np.zeros((1, n))
-        assert synthesize_at(cut, origin).tobytes() == \
-            synthesize_at(every_column(cut), origin).tobytes()
 
     @pytest.mark.parametrize("case", ["2d-sweep", "3d-paraboloid", "valley"])
     def test_fold_products_are_tiles(self, case, monkeypatch):
         # Every fold product is an np.matmul over tiles of at most _BLOCK
-        # output rows and _BLOCK terms, and a complex one's under 65,536
-        # multiply-adds, which OpenBLAS keeps on the calling thread.  The
-        # 2D sweep's orthant grid (64 x1 nodes: two tiles of the real
-        # table's float rows); the n = 3 paraboloid, whose paired real
-        # tables fold 480 float rows last; the valley, whose open xi2 takes
-        # the complex exp table over 65 x1 nodes (one full tile and one row
-        # left over) and 33 xi2 nodes (tiles of its columns), and whose
-        # closed xi3 a real one.
+        # output rows and _BLOCK terms, which OpenBLAS keeps on the calling
+        # thread.  The 2D sweep's orthant grid (64 x1 nodes: two tiles of
+        # the real table's float rows); the n = 3 paraboloid, whose paired
+        # real tables fold 480 float rows last; the valley, whose open xi2
+        # takes the complex exp table over 65 x1 nodes (one full tile and
+        # one row left over) and whose closed xi3 a real one.
         h = 2.0 ** -5
         if case == "2d-sweep":
             cut = build_cutoff(families.paraboloid_cutoff(2, 3), h)
@@ -667,42 +702,33 @@ class TestProductSynthesis:
             cut = build_cutoff(families.paraboloid_cutoff(3, 3) if
                                case == "3d-paraboloid" else
                                families.valley_cutoff(), h)
-            points = (24, 10, 8) if case == "3d-paraboloid" else (65, 33, 5)
+            points = (24, 10, 8) if case == "3d-paraboloid" else (65, 9, 7)
             axes = [AxisSpec(0.3 * hw, hw, m) for hw, m in zip(
                 (3.0 * h / cut.extent(i) for i in range(3)), points)]
         products = []
         matmul = np.matmul
 
         def spy(a, b, **kwargs):
-            products.append((*a.shape[-2:], b.shape[-1],
-                             np.result_type(a, b)))
+            products.append((a.shape[-2:], np.result_type(a, b)))
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         fast = synthesize_grid(cut, axes).data
         monkeypatch.undo()
-        assert max(rows for rows, *_ in products) == quasimode._BLOCK
-        assert max(terms for _, terms, *_ in products) <= quasimode._BLOCK
-        assert {dtype for *_, dtype in products} == (
+        shapes = [shape for shape, _ in products]
+        assert max(rows for rows, _ in shapes) == quasimode._BLOCK
+        assert max(terms for _, terms in shapes) <= quasimode._BLOCK
+        assert {dtype for _, dtype in products} == (
             {np.dtype(complex), np.dtype(float)} if case == "valley"
             else {np.dtype(float)})
-        complex_tiles = [(m * k * n, n) for m, k, n, dtype in products
-                         if dtype == complex]
-        assert all(cost < 1 << 16 for cost, _ in complex_tiles)
-        assert (case != "valley") == (min(n for _, n in complex_tiles or
-                                          [(0, 33)]) == 33)
-        assert all(n > 1 for _, _, n, _ in products)
-        oracle = synthesize_at(every_column(cut),
-                               mesh_points(axes)).reshape(fast.shape)
+        oracle = synthesize_at(cut, mesh_points(axes)).reshape(fast.shape)
         assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_tiles_keep_the_whole_products_bits(self, dtype):
         # Each output element is one K-term sum in either form.  65 and
         # 129 rows leave one row over, which alone numpy would send to
-        # gemv, whose sums differ from gemm's.  A complex product also
-        # goes in tiles of columns; 129 and 130 columns leave one or two
-        # over.
+        # gemv, whose sums differ from gemm's.
         rng = np.random.default_rng(3)
 
         def draw(shape):
@@ -712,13 +738,11 @@ class TestProductSynthesis:
 
         for rows, terms in ((1, 19), (46, 64), (64, 1), (65, 19), (100, 64),
                             (129, 7), (2048, 19)):
-            for cols in (64, 129, 130) if dtype is complex else (64,):
-                # C-order (terms, rows), transposed: a fold's
-                # rows_of(blk).T.
-                a, b = draw((terms, rows)), draw((terms, cols))
-                out = np.empty((rows, cols), dtype)
-                assert quasimode._tile_product(a.T, b, out) is out
-                assert out.tobytes() == (a.T @ b).tobytes()
+            # C-order (terms, rows), transposed: a fold's rows_of(blk).T.
+            a, b = draw((terms, rows)), draw((terms, 64))
+            out = np.empty((rows, 64), dtype)
+            assert quasimode._tile_product(a.T, b, out) is out
+            assert out.tobytes() == (a.T @ b).tobytes()
 
     def test_column_order_does_not_change_bits(self):
         h = 2.0 ** -5
@@ -809,8 +833,7 @@ class TestProductSynthesis:
         for rows, b in blocks:
             assert b.shape == (rows.stop - rows.start,) + points[1:]
         grid = np.concatenate([b for _, b in blocks])
-        oracle = synthesize_at(every_column(cut),
-                               mesh_points(axes)).reshape(points)
+        oracle = synthesize_at(cut, mesh_points(axes)).reshape(points)
         assert np.abs(grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_sweep_blocks_are_on_axes_slices(self):
