@@ -641,8 +641,8 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     _BLOCK rows.  That fixes the summation order, and so every output bit,
     whatever the order of the stored columns or the BLAS thread count.
     Each block's product is one np.matmul over a stack of output tiles of
-    _BLOCK rows, and a complex table's also over tiles of its columns
-    (_tile_product), with the same bits: no product of any fold reaches
+    _BLOCK rows (_tile_product), with the same bits: with paired real
+    tables, as in every shipped sweep, no product of any fold reaches
     OpenBLAS's threading floor, so a default BLAS thread count wakes no
     second core to spin.
 
