@@ -32,7 +32,7 @@ from .grids import cell_volume
 from .oscint import (Amplitude, OscIntegrand, dyadic_amplitude, psi_amplitude,
                      quadratic_phase, resonant_amplitude, ttstar_kernel,
                      vdc_check, window_overlap)
-from .quasimode import (MAX_GRID_CELLS, build_cutoff, synthesize_at,
+from .quasimode import (MAX_GRID_CELLS, build_cutoff, origin_value,
                         synthesize_on_axes, verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
                       graph_factor, parse_symbol, sample_directions)
@@ -559,8 +559,7 @@ def _sweep_point(spec, h, gamma, ps, v) -> list:
     BlockNorms weighs each cell for the 2^m cells it stands for."""
     cut = build_cutoff(spec, h)
     vol, peak = cut.volume(), cut.peak()
-    origin = np.zeros((1, cut.dim))
-    t0_err = abs(abs(synthesize_at(cut, origin)[0]) - peak) / peak
+    t0_err = abs(abs(origin_value(cut)) - peak) / peak
     joint = verify_joint_quasimode(cut, v["joint_orders"]).ravel()
     row = [h, vol, vol / h ** gamma, peak, t0_err, float(joint.max()),
            float(joint[1:].max()) if len(joint) > 1 else ""]

@@ -14,10 +14,10 @@ bar transform is each column's x1 profile at that column's node and 0 at
 every other node, so each column is a 1D problem in x1 on the x1 axis
 (x1_axis) and no position field is synthesized.  A column and its mirror
 on a closed bar axis in whose variable a1 holds only even powers pose the
-same problem, so only the cutoff's stored columns are checked there, each
-weighted by the columns it stands for (CutoffField.col_mult); a closed
-axis in whose variable a1 holds an odd power is unpaired first
-(quasimode._mirror_halves).
+same problem, so only the cutoff's stored columns are checked, each
+weighted by the columns it stands for (CutoffField.col_mult).  An a1 that
+holds an odd power of a closed axis's variable is refused: such a check
+needs a field that stores every column.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .grids import AxisSpec, cell_volume, node_arrays
-from .quasimode import (CutoffField, _aligned_x1, _mirror_halves,
-                        column_transforms)
+from .quasimode import CutoffField, _aligned_x1, column_transforms
 from .symbols import PolySymbol
 
 
@@ -90,34 +89,38 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
     data itself, with max |a1| over the bar grid.  Each order M needs
     2M < n1 x1 rows, so that an interior row is left; a ValueError says so
     otherwise.  A symbol that does not act on the field's bar axes is a
-    DimensionMismatchError, and a grid over the budget is refused
-    (quasimode._aligned_x1).
+    DimensionMismatchError, one that holds an odd power of a closed bar
+    axis's variable (CutoffField.closed) a ValueError naming the axis, and
+    a grid over the budget is refused (quasimode._aligned_x1).
 
     The columns go in the blocks of quasimode.column_transforms, a quarter
     working block of complex cells each.  For each column c its x1 profile
     u_c is a 1D problem: W_c = exp(-i x1 a1(xi_bar_c)/h), v_c = W_c u_c,
     its differences of every order, the residual
     hD v_c - W_c (hD u_c - a1 u_c) and the midpoint gap of u_c.  A column
-    and its mirror on a closed axis in whose variable a1 holds only even
-    powers have the same u_c and a1 value, so the same terms: only the
-    stored columns are taken there, each |.|^2 weighted by the number of
-    columns it stands for (CutoffField.col_mult), while a closed axis in
-    whose variable a1 holds an odd power is unpaired, its mirror columns
-    joined in the whole bar grid's order (quasimode._mirror_halves).
-    Every |.|^2 is summed per block by numpy, so the bits do not depend on
-    the BLAS thread count, and weighted by the cell of x1 times the bar
-    grid's; the other bar nodes hold 0 and add nothing.
+    and its mirror on a closed axis have the same u_c and, a1 being even in
+    the axis's variable, the same a1 value, so the same terms: only the
+    stored columns are taken, each |.|^2 weighted by the number of columns
+    it stands for (CutoffField.col_mult); the fio config's a1, the
+    paraboloid's |xi_bar|^2, is even in every axis.  Every |.|^2 is summed
+    per block by numpy, so the bits do not depend on the BLAS thread count,
+    and weighted by the cell of x1 times the bar grid's; the other bar
+    nodes hold 0 and add nothing.
     """
     if a1.dim != field.dim - 1:
         raise DimensionMismatchError(
             f"field dim {field.dim} != symbol dim {a1.dim} + 1")
+    odd = sorted(d for d in a1.odd_axes() if field.closed and field.closed[d])
+    if odd:
+        raise ValueError(
+            f"a1 holds an odd power of xi{odd[0] + 2}, a closed axis on "
+            "which the field stores only the upper half of its columns")
     x1 = _aligned_x1(field, x1_axis)
     top = max(orders)
     if 2 * top >= len(x1):
         raise ValueError(f"order {top} needs more than {2 * top} x1 rows, "
                          f"and the grid has {len(x1)}")
     h, dx, bar = field.h, x1_axis.spacing, field.axes[1:]
-    field = _mirror_halves(field, a1.odd_axes())
     a_cols = a1.eval_grid(list(field.col_coords.T))
     sums = dict.fromkeys(("u", "resid", "gap", *orders), 0.0)
     for block, u in column_transforms(field, x1):

@@ -22,15 +22,17 @@ alone, and the field stores those columns with their multiplicities
 so a sweep synthesizes only their positive orthant (CutoffField.even_axes).
 On the frequency side the synthesis sums each mirror pair of columns on a
 closed axis once, through a real cosine table, and the joint check each
-pair's cells once; a consumer whose sum is not even in a closed axis
-joins the mirror columns back in (_mirror_halves).  Taken at the cutoff's
-own bar grid, the quasimode's bar transform is each column's x1 profile at
-that column's node and 0 elsewhere; column_transforms writes those
-profiles directly, so the stages that work on the bar-frequency side take
-an x1 axis alone and synthesize nothing.  A column's profile is its
-mirror's, so they transform the stored columns only (fio, wavelets).  The
-position axes whose h-scaled FFT lands on that grid are the tests' oracle
-(tests/oracles.py::aligned_axes).
+pair's cells once: every consumer reads the stored columns alone, each
+weighted by its multiplicity (CutoffField.col_mult), and none joins the
+mirror columns back in (the tests' every_column does).  Taken at the
+cutoff's own bar grid, the quasimode's bar transform is each column's x1
+profile at that column's node and 0 elsewhere; column_transforms writes
+those profiles directly, so the stages that work on the bar-frequency side
+take an x1 axis alone and synthesize nothing.  A column's profile is its
+mirror's, so they transform the stored columns only (fio, wavelets, and
+origin_value, the sweep's u(0)).  The position axes whose h-scaled FFT
+lands on that grid, and the pointwise column sum (synthesize_at), are the
+tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ _JOINT_CHUNK_CELLS = 1 << 12
 # Most cells in a position grid synthesize_on_axes streams, in an array it
 # allocates (256 MB complex) and in a bar grid build_cutoff evaluates on.
 MAX_GRID_CELLS = 1 << 24
-_TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
 # Most xi1 points build_cutoff takes: every integer up to 2^53 is a float,
 # so its xi1 index bounds are exact up to there.
 _MAX_EXACT_INDEX = 1 << 53
@@ -211,7 +212,10 @@ class CutoffField:
     how many support columns each stored one stands for: 2 per closed axis
     off its mirror plane, 1 on it (2i = P - 1, odd P).  closed is () when
     every column is stored.  cell_count, volume() and peak() are the
-    whole support's.
+    whole support's, and every stage that reads the columns (the
+    synthesis, the joint check, column_transforms and its consumers) reads
+    the stored ones alone, weighted by col_mult: no stage expands the
+    mirror images.
     """
 
     h: float
@@ -390,44 +394,6 @@ def _mirror_side(coords: np.ndarray, axis: AxisSpec) -> np.ndarray:
     return 2 * _bar_index(coords, axis) - (axis.points - 1)
 
 
-def _mirror_halves(field: CutoffField, odd: frozenset[int]) -> CutoffField:
-    """The field with its closed bar axes that are in odd (0 being xi2)
-    unpaired: each stored column off the mirror plane of such an axis is
-    joined by its mirror image there, bar index P - 1 - i for i, at that
-    index's node and with the same xi1 run, and the columns are put in the
-    bar grid's C order.  These are the arrays a build of the whole axes
-    gives, bit for bit, but where a node on a band edge rounds differently
-    from its mirror (build_cutoff).  The field itself when no such axis is
-    closed.
-
-    A consumer whose sum is not even in a closed axis's variable takes
-    this: synthesize_at, over every axis, and the fio check, over the axes
-    in whose variable a1 holds an odd power.
-    """
-    closed = field.closed or (False,) * (field.dim - 1)
-    unpair = [d for d, c in enumerate(closed) if c and d in odd]
-    if not unpair:
-        return field
-    bar = field.axes[1:]
-    shape = [a.points for a in bar]
-    idx = [_bar_index(field.col_coords[:, d], a) for d, a in enumerate(bar)]
-    src = np.arange(len(field.col_count))
-    for d in unpair:
-        above = np.flatnonzero(2 * idx[d] > shape[d] - 1)
-        src = np.concatenate([src, src[above]])
-        idx = [np.concatenate([i, shape[d] - 1 - i[above] if e == d
-                               else i[above]]) for e, i in enumerate(idx)]
-    order = np.argsort(np.ravel_multi_index(idx, shape))
-    src = src[order]
-    coords = np.empty((len(src), len(bar)))
-    for d, a in enumerate(bar):
-        coords[:, d] = (a.nodes()[idx[d][order]] if d in unpair
-                        else field.col_coords[:, d][src])
-    return CutoffField(field.h, field.axes, coords, field.col_start[src],
-                       field.col_count[src], field.spec,
-                       tuple(c and d not in unpair for d, c in enumerate(closed)))
-
-
 # -- synthesis ---------------------------------------------------------------------
 
 def _dirichlet(theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -495,38 +461,22 @@ def column_transforms(field: CutoffField, x1: np.ndarray
         yield block, u
 
 
-def synthesize_at(field: CutoffField, targets) -> np.ndarray:
-    """(2 pi h)^(-n/2) sum_cells exp(i<x,xi>/h) * cellvol / ||chi||_2, the
-    normalized quasimode, at each target.
+def origin_value(field: CutoffField) -> complex:
+    """u(0), the normalized quasimode at the origin, from the stored
+    columns alone: the sum of their bar transforms at x1 = 0
+    (column_transforms), each counted col_mult times, times the bar cell
+    volume and (2 pi h)^(-(n-1)/2).
 
-    Column-wise closed form: the xi1 run of every column is a geometric sum,
-    so the cost is targets x columns, independent of the xi1 resolution.
-    The sum runs over every support column, the stored ones joined by
-    their mirror images (_mirror_halves).
+    At x_bar = 0 every bar phase is 1, so the bar axes' inverse transform
+    is that plain sum, and a column and its mirror have the same
+    transform: the sum holds on an open axis too, such as the valley's
+    xi2.  |u(0)| is peak() up to rounding, the sweep's peak identity.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.size == 0:
-        raise ValueError("empty target list")
-    if targets.shape[1] != field.dim:
-        raise DimensionMismatchError("targets dimension mismatch")
-    field = _mirror_halves(field, frozenset(range(field.dim - 1)))
-    h = field.h
-    dxi1 = field.axes[0].spacing
-    first = field.xi1_first_node()
-    counts = field.col_count.astype(float)
-    out = np.empty(targets.shape[0], dtype=complex)
-    rows = max(1, _TARGET_CHUNK // max(len(counts), 1))
-    for lo in range(0, targets.shape[0], rows):
-        tt = targets[lo:lo + rows]
-        x1 = tt[:, 0:1]
-        theta = x1 * (dxi1 / h)
-        run = _dirichlet(theta, counts[None, :])
-        phase = x1 * first[None, :]
-        for d in range(field.dim - 1):
-            phase = phase + tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
-        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * run, axis=1)
-    scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
-    return scale * out * (1.0 / field.l2_norm())
+    total = 0j
+    for block, u in column_transforms(field, np.zeros(1)):
+        total += np.sum(u[0] * field.col_mult[block])
+    return complex(total * cell_volume(field.axes[1:])
+                   * (_TWO_PI * field.h) ** (-(field.dim - 1) / 2))
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -757,18 +707,19 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     h^2) are formed at every support cell, and the power columns 0..orders
     of each are contracted against the other.  p1 and p2 are the cutoff's
     first two band symbols.  Each splits as p = c1*xi1 + r(xi2..xin), once
-    per spec (FrequencyCutoff.splits), so r is evaluated once per column
-    and spread over the column's xi1 run.  On a closed bar axis r is even
-    in its variable when c1 != 0, and even or odd when c1 = 0
-    (FrequencyCutoff.closed), so p^2 takes the same values at a column's
-    cells and at its mirror's: only the stored columns are summed, each
-    cell's power row weighted by its column's multiplicity
+    per spec (FrequencyCutoff.splits), so r is evaluated once per call, on
+    every stored column, and spread over each column's xi1 run.  On a
+    closed bar axis r is even in its variable when c1 != 0, and even or odd
+    when c1 = 0 (FrequencyCutoff.closed), so p^2 takes the same values at a
+    column's cells and at its mirror's: only the stored columns are summed,
+    each cell's power row weighted by its column's multiplicity
     (CutoffField.col_mult).  The [0, 0] entry so sums integers to the cell
     count exactly, and is 1.0.  Whole stored columns go in chunks of up to
-    _JOINT_CHUNK_CELLS support cells (one column when it alone holds
-    more), so the temporaries stay bounded whatever n is; the
-    ratio matrix and a chunk's power columns are checked against
-    MAX_GRID_CELLS before either is allocated, so orders is bounded too.
+    _JOINT_CHUNK_CELLS support cells (one column when it alone holds more),
+    each taking its slice of r's values, so the temporaries stay bounded
+    whatever n is; the ratio matrix and a chunk's power columns are checked
+    against MAX_GRID_CELLS before either is allocated, so orders is bounded
+    too.
     Midpoint membership makes |p_j| <= h hold at every support node, so
     each ratio is <= 1 up to rounding; values above 1 + boundary slack
     indicate a broken cutoff.  qm is the quasimode's cutoff.
@@ -787,23 +738,22 @@ def verify_joint_quasimode(qm: CutoffField, orders: int) -> np.ndarray:
     h = field.h
     ax0 = field.axes[0]
     total = np.zeros((orders + 1, orders + 1))
+    rests = [rest.eval_grid(list(field.col_coords.T)) for _, rest in splits]
     ends = np.cumsum(stored_count)
     lo = 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(
             ends, (ends[lo - 1] if lo else 0) + _JOINT_CHUNK_CELLS, "right")))
         counts = stored_count[lo:hi]
-        bar = field.col_coords[lo:hi]
         # xi1 cell index: the column's start plus the offset into its run.
         run_ends = np.cumsum(counts)
         idx = np.arange(run_ends[-1]) + np.repeat(
             field.col_start[lo:hi] - (run_ends - counts), counts)
         xi1 = ax0.start + (idx + 0.5) * ax0.spacing
-        bar_arrays = [bar[:, d] for d in range(field.dim - 1)]
         a, b = [_power_columns(((float(c1) * xi1
-                                 + np.repeat(rest.eval_grid(bar_arrays), counts))
-                                / h) ** 2, orders + 1)
-                for c1, rest in splits]
+                                 + np.repeat(r[lo:hi], counts)) / h) ** 2,
+                               orders + 1)
+                for (c1, _), r in zip(splits, rests)]
         a *= np.repeat(field.col_mult[lo:hi], counts)[:, None]
         total += a.T @ b
         lo = hi

@@ -1,7 +1,7 @@
 """Slow reference paths the tests check the runs' fast paths against.
 
-No run calls these: no run holds a whole field (GridField), the synthesis
-hands its grid over block by block and never assembles it
+No run calls these: no run holds a whole field (GridField), the
+synthesis hands its grid over block by block and never assembles it
 (synthesize_grid), the sweeps take their norms block by block
 (analysis.BlockNorms), the decay table transforms only live windows of
 its band (wavelets._scale_window), no run FFTs a field or builds a dual
@@ -9,13 +9,16 @@ axis: the flattening check and the decay table take an x1 axis alone and
 read the bar transform at the cutoff's bar grid from its columns
 (quasimode.column_transforms), which the h-scaled FFT of the field
 synthesized on the position axes whose bar duals are that grid
-cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), a cutoff is
-built on the upper half of each axis its symbols close and stores those
-columns alone (every_column stores them all; numeric_closure is the
-closure check on the built whole), the joint check sums each mirror pair
-of support columns once (joint_ratios sums them all), no run takes a norm over a whole field (l2_norm), no run brings a
-multiplier back to the position side (apply_multiplier), no run reads the mother wavelet's mean,
-L2 norm or admissibility constant (wavelet_moments, admissibility) and the
+cross-checks (dual_axis, aligned_axes, ft_axis, ft_axes), no run sums
+the columns at a point (synthesize_at, the pointwise form of the
+synthesis and of the sweep's u(0)), a cutoff is built on the upper half
+of each axis its symbols close and stores those columns alone
+(every_column stores them all; numeric_closure is the closure check on
+the built whole), the joint check sums each mirror pair of support
+columns once (joint_ratios sums them all), no run takes a norm over a
+whole field (l2_norm), no run brings a multiplier back to the position
+side (apply_multiplier), no run reads the mother wavelet's mean, L2 norm
+or admissibility constant (wavelet_moments, admissibility) and the
 cutoffs evaluate their symbols on whole grids (PolySymbol.eval_grid).
 Each definition here is the whole-array, whole-field or exact form of one
 of them, or a step of the paper's argument that the tests check by hand.
@@ -36,7 +39,8 @@ from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import AxisSpec, cell_volume, node_arrays
-from quasilab.quasimode import CutoffField, _mirror_halves, synthesize_on_axes
+from quasilab.quasimode import (CutoffField, _bar_index, _dirichlet,
+                                synthesize_on_axes)
 from quasilab.symbols import PolySymbol, split_affine_x1
 from quasilab.wavelets import bump_derivative
 
@@ -44,6 +48,7 @@ _TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
 _ETA_MIN, _ETA_MAX = 1e-6, 1e3   # frequency range of the C_f quadrature
 _GL_NODES = 256      # Gauss-Legendre nodes per segment of the C_f quadrature
+_TARGET_CHUNK = 1 << 21    # targets x columns per block of synthesize_at
 
 
 # -- Lp norms ------------------------------------------------------------------------
@@ -316,6 +321,42 @@ class GridField:
         return cell_volume(self.axes)
 
 
+def synthesize_at(field: CutoffField, targets) -> np.ndarray:
+    """(2 pi h)^(-n/2) sum_cells exp(i<x,xi>/h) * cellvol / ||chi||_2, the
+    normalized quasimode, at each target.
+
+    Column-wise closed form: the xi1 run of every column is a geometric sum,
+    so the cost is targets x columns, independent of the xi1 resolution.
+    The sum runs over every support column, the stored ones joined by
+    their mirror images (every_column).  The pointwise oracle of
+    quasimode.synthesize_on_axes, and at the origin of
+    quasimode.origin_value.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if targets.size == 0:
+        raise ValueError("empty target list")
+    if targets.shape[1] != field.dim:
+        raise DimensionMismatchError("targets dimension mismatch")
+    field = every_column(field)
+    h = field.h
+    dxi1 = field.axes[0].spacing
+    first = field.xi1_first_node()
+    counts = field.col_count.astype(float)
+    out = np.empty(targets.shape[0], dtype=complex)
+    rows = max(1, _TARGET_CHUNK // max(len(counts), 1))
+    for lo in range(0, targets.shape[0], rows):
+        tt = targets[lo:lo + rows]
+        x1 = tt[:, 0:1]
+        theta = x1 * (dxi1 / h)
+        run = _dirichlet(theta, counts[None, :])
+        phase = x1 * first[None, :]
+        for d in range(field.dim - 1):
+            phase = phase + tt[:, d + 1:d + 2] * field.col_coords[None, :, d]
+        out[lo:lo + rows] = np.sum(np.exp(1j * phase / h) * run, axis=1)
+    scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
+    return scale * out * (1.0 / field.l2_norm())
+
+
 def synthesize_grid(field: CutoffField,
                     axes: Sequence[AxisSpec]) -> GridField:
     """The normalized quasimode of the cutoff field on the whole grid of
@@ -363,10 +404,35 @@ def joint_ratios(field: CutoffField, orders: int,
 # -- cutoff closure ----------------------------------------------------------------
 
 def every_column(field: CutoffField) -> CutoffField:
-    """The field with every support column stored, the mirror images of its
-    stored ones on each closed axis included, in the bar grid's C order:
-    the arrays of a build on the whole bar grid."""
-    return _mirror_halves(field, frozenset(range(field.dim - 1)))
+    """The field with every support column stored: each stored column off
+    the mirror plane of a closed axis is joined by its mirror image there,
+    bar index P - 1 - i for i, at that index's node and with the same xi1
+    run, and the columns are put in the bar grid's C order.  These are the
+    arrays a build of the whole bar grid gives, bit for bit, but where a
+    node on a band edge rounds differently from its mirror
+    (quasimode.build_cutoff).  The field itself when no axis is closed."""
+    closed = field.closed or (False,) * (field.dim - 1)
+    unpair = [d for d, c in enumerate(closed) if c]
+    if not unpair:
+        return field
+    bar = field.axes[1:]
+    shape = [a.points for a in bar]
+    idx = [_bar_index(field.col_coords[:, d], a) for d, a in enumerate(bar)]
+    src = np.arange(len(field.col_count))
+    for d in unpair:
+        above = np.flatnonzero(2 * idx[d] > shape[d] - 1)
+        src = np.concatenate([src, src[above]])
+        idx = [np.concatenate([i, shape[d] - 1 - i[above] if e == d
+                               else i[above]]) for e, i in enumerate(idx)]
+    order = np.argsort(np.ravel_multi_index(idx, shape))
+    src = src[order]
+    coords = np.empty((len(src), len(bar)))
+    for d, a in enumerate(bar):
+        coords[:, d] = (a.nodes()[idx[d][order]] if closed[d]
+                        else field.col_coords[:, d][src])
+    return CutoffField(field.h, field.axes, coords, field.col_start[src],
+                       field.col_count[src], field.spec,
+                       (False,) * len(closed))
 
 
 def numeric_closure(field: CutoffField) -> tuple[bool, ...]:

@@ -22,14 +22,14 @@ from quasilab.fio import flattening_reports, x1_axis
 from quasilab.grids import AxisSpec, cell_volume
 from quasilab.oscint import (OscIntegrand, dyadic_amplitude, quadratic_phase,
                              resonant_amplitude, ttstar_kernel, vdc_check)
-from quasilab.quasimode import (build_cutoff, synthesize_at, synthesize_on_axes,
+from quasilab.quasimode import (build_cutoff, synthesize_on_axes,
                                 verify_joint_quasimode)
 from quasilab.symbols import (mixed_partials_check, contact_profile, graph_factor,
                               parse_symbol, sample_directions)
 from quasilab.wavelets import decay_diagnostic
 
 from oracles import (GridField, dual_axis, ft_axes, l2_norm,
-                     plane_vs_bowl_graphs, synthesize_grid,
+                     plane_vs_bowl_graphs, synthesize_at, synthesize_grid,
                      transform_quasimode)
 
 F = Fraction

@@ -16,7 +16,7 @@ from quasilab.analysis import (INF_P, BlockNorms, _halves, contact_delta,
 from quasilab.errors import TailDominanceError
 from quasilab.grids import AxisSpec, cell_volume
 
-from oracles import ft_axes, lp_norm, shell_mask
+from oracles import ft_axes, lp_norm, shell_mask, synthesize_at
 
 F = Fraction
 
@@ -168,7 +168,7 @@ class TestLpNorm:
     def test_sup_norm_of_synthesis_dominates_peak(self):
         # A target set containing 0 puts the exact maximum in the sup norm.
         from quasilab import families
-        from quasilab.quasimode import build_cutoff, synthesize_at
+        from quasilab.quasimode import build_cutoff
 
         h = 2.0 ** -6
         cut = build_cutoff(families.paraboloid_cutoff(2, 1), h)

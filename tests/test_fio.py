@@ -427,34 +427,39 @@ class TestMirrorColumns:
         assert seen[-1][1] == kept == len(cut.col_count) < len(every.col_count)
         _assert_reports_match(got, want)
 
-    @pytest.mark.parametrize("symbol, n, paired", [
-        ("x1^2 + x1", 2, ()), ("x1^3", 2, ()),
-        ("x1^3 + x2^2", 3, (1,)), ("x1^2 + x2^3", 3, (0,)),
-        ("x1*x2", 3, ())])
-    def test_odd_power_keeps_its_axis(self, symbol, n, paired, monkeypatch):
-        # An axis in whose variable a1 holds an odd power is not paired:
-        # the check reads the columns on its both sides, and with no axis
-        # paired it is every column's check bit for bit.
+    ODD_SYMBOLS = [("x1^2 + x1", 2, 2), ("x1^3", 2, 2), ("x1^3 + x2^2", 3, 2),
+                   ("x1^2 + x2^3", 3, 3), ("x1*x2", 3, 2)]
+
+    @pytest.mark.parametrize("symbol, n, axis", ODD_SYMBOLS)
+    def test_odd_power_on_a_closed_axis_is_refused(self, symbol, n, axis,
+                                                   monkeypatch):
+        # The columns on the lower side of a closed axis are not stored,
+        # and a1 there is not a1 at their mirrors: the check is refused,
+        # naming the first such axis, before any column is read.
+        h = 2.0 ** -4 if n == 2 else 2.0 ** -3
+        cut, ax = _shipped_cutoff(h, n=n, x1_half_width=2.0, per_h=2)
+        assert all(cut.closed)
+        seen = _recorded_blocks(monkeypatch)
+        with pytest.raises(ValueError, match=f"odd power of xi{axis},"):
+            flattening_reports(parse_symbol(symbol, dim=n - 1), cut, ax,
+                               (1, 2))
+        assert seen == []
+
+    @pytest.mark.parametrize("symbol, n, axis", ODD_SYMBOLS)
+    def test_odd_power_on_every_column(self, symbol, n, axis, monkeypatch):
+        # A field that stores every column, in the whole build's order,
+        # closes no axis: each column is read with weight 1, so the check
+        # is the whole field's, bit for bit.
         h = 2.0 ** -4 if n == 2 else 2.0 ** -3
         cut, ax = _shipped_cutoff(h, n=n, x1_half_width=2.0, per_h=2)
         every = every_column(cut)
         a1 = parse_symbol(symbol, dim=n - 1)
-        sides = np.column_stack([
-            quasimode._mirror_side(every.col_coords[:, d], bar)
-            for d, bar in enumerate(cut.axes[1:])])
         seen = _recorded_blocks(monkeypatch)
-        got = flattening_reports(a1, cut, ax, (1, 2))
-        assert seen[-1][1] == int((sides[:, list(paired)] >= 0).all(axis=1).sum())
-        if paired:
-            _assert_reports_match(got, flattening_reports(a1, every, ax,
-                                                          (1, 2)))
-        else:
-            # Every column, in the whole build's order: the bits of the
-            # whole field's check, each column weighted 1.
-            assert seen[-1][1] == len(every.col_count)
-            _unweighted_sums(monkeypatch)
-            assert _report_bits(got) == _report_bits(
-                flattening_reports(a1, every, ax, (1, 2)))
+        got = flattening_reports(a1, every, ax, (1, 2))
+        assert seen[-1][1] == len(every.col_count) > len(cut.col_count)
+        _unweighted_sums(monkeypatch)
+        assert _report_bits(got) == _report_bits(
+            flattening_reports(a1, every, ax, (1, 2)))
 
     @pytest.mark.parametrize("field", [
         lambda: _random_cutoff(37, 16, seed=5),

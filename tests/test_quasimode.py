@@ -21,13 +21,13 @@ from quasilab.fio import x1_axis
 from quasilab.grids import AxisSpec, node_arrays
 from quasilab.quasimode import (MAX_GRID_CELLS, AxisRule, BandConstraint,
                                 CutoffField, FrequencyCutoff, HExpr,
-                                build_cutoff, column_transforms, synthesize_at,
+                                build_cutoff, column_transforms, origin_value,
                                 synthesize_on_axes, verify_joint_quasimode)
-from quasilab.symbols import parse_symbol, split_affine_x1
+from quasilab.symbols import PolySymbol, parse_symbol, split_affine_x1
 
 from oracles import (aligned_axes, dual_axis, every_column, ft_axes,
                      joint_ratios, l2_norm, lp_norm, numeric_closure,
-                     shell_mask, synthesize_grid)
+                     shell_mask, synthesize_at, synthesize_grid)
 
 H_SWEEP = [2.0 ** -e for e in range(4, 11)]
 
@@ -1188,6 +1188,39 @@ class TestColumnTransforms:
             quasimode._aligned_x1(cut, ax)
 
 
+ORIGIN_CASES = [(name, n) for name, fam in families.CUTOFF_FAMILIES.items()
+                for n in ([fam.dim] if fam.dim else range(2, 6))]
+ORIGIN_IDS = [f"{name}-{n}d" for name, n in ORIGIN_CASES]
+
+
+class TestOriginValue:
+    """u(0) from the stored columns' bar transforms at x1 = 0, each counted
+    col_mult times, against the pointwise column sum over every column."""
+
+    @pytest.mark.parametrize("name,n", ORIGIN_CASES, ids=ORIGIN_IDS)
+    def test_matches_pointwise_oracle(self, name, n):
+        spec = families.CUTOFF_FAMILIES[name].cutoff(n, 3,
+                                                     families.CELLS_PER_BAND)
+        for h in (2.0 ** -3, 2.0 ** -4.37, 2.0 ** -5):
+            cut = build_cutoff(spec, h)
+            got = origin_value(cut)
+            want = synthesize_at(cut, np.zeros((1, n)))[0]
+            assert abs(got - want) <= 1e-14 * abs(want), h
+            assert abs(abs(got) - cut.peak()) <= 1e-14 * cut.peak(), h
+
+    @pytest.mark.parametrize("name,n", ORIGIN_CASES, ids=ORIGIN_IDS)
+    def test_every_column_gives_the_same_value(self, name, n):
+        # Each mirror column joined in and counted once: the same u(0) to
+        # rounding, the valley's open xi2 included.
+        cut = build_cutoff(families.CUTOFF_FAMILIES[name].cutoff(
+            n, 3, families.CELLS_PER_BAND), 2.0 ** -4)
+        assert name != "valley" or cut.closed == (False, True)
+        every = every_column(cut)
+        assert len(every.col_count) > len(cut.col_count)
+        got = origin_value(cut)
+        assert abs(origin_value(every) - got) <= 1e-14 * abs(got)
+
+
 JOINT_CASES = [
     (lambda: families.paraboloid_cutoff(2, 3), 2.0 ** -6),
     (lambda: families.slab_cutoff(3, 3), 2.0 ** -5),
@@ -1315,6 +1348,35 @@ class TestJointQuasimode:
         both = np.select([side > 0, side == 0], [2.0, 1.0], 0.0).prod(axis=1)
         wrong = joint_ratios(whole, 3, both)
         assert np.abs(wrong - got).max() > 1e-3 * got.max()
+
+    @pytest.mark.parametrize("cells", [40, 1 << 12, 1 << 30])
+    def test_each_remainder_evaluated_once(self, cells, monkeypatch):
+        # The two band remainders are evaluated once a call, on every
+        # stored column, and each chunk takes its slice: two eval_grid
+        # calls whatever the number of chunks, with the same ratios.
+        cut = build_cutoff(families.valley_cutoff(), 2.0 ** -6)
+        want = verify_joint_quasimode(cut, 3)
+        calls, sizes = [], []
+        eval_grid, power_columns = PolySymbol.eval_grid, quasimode._power_columns
+
+        def counting(symbol, coords):
+            calls.append(symbol)
+            return eval_grid(symbol, coords)
+
+        def record(x, m):
+            sizes.append(len(x))
+            return power_columns(x, m)
+
+        monkeypatch.setattr(PolySymbol, "eval_grid", counting)
+        monkeypatch.setattr(quasimode, "_power_columns", record)
+        monkeypatch.setattr(quasimode, "_JOINT_CHUNK_CELLS", cells)
+        got = verify_joint_quasimode(cut, 3)
+        assert len(calls) == 2
+        # Two power-column arrays a chunk: one chunk only when every stored
+        # cell fits in it.
+        chunks = len(sizes) // 2
+        assert (chunks == 1) == (cells > cut.col_count.sum())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_power_columns_match_vander(self, m):
