@@ -32,11 +32,13 @@ from .grids import cell_volume
 from .oscint import (Amplitude, OscIntegrand, dyadic_amplitude, psi_amplitude,
                      quadratic_phase, resonant_amplitude, ttstar_kernel,
                      vdc_check, window_overlap)
-from .quasimode import (MAX_GRID_CELLS, build_cutoff, origin_value,
-                        synthesize_on_axes, verify_joint_quasimode)
+from .quasimode import (_MAX_EXACT_INDEX, MAX_GRID_CELLS, build_cutoff,
+                        origin_value, synthesize_on_axes,
+                        verify_joint_quasimode)
 from .symbols import (mixed_partials_check, contact_profile, curvature_check,
                       graph_factor, parse_symbol, sample_directions)
-from .wavelets import decay_diagnostic, make_mother_wavelet
+from .wavelets import (decay_diagnostic, make_mother_wavelet, reach_cells,
+                       x1_window)
 
 SCHEMA_VERSION = 1
 # x1 cells per unit of h in a fio check's position grid.
@@ -422,6 +424,35 @@ def _check_flat_cutoff(v: dict) -> None:
             "normalized by the square root of its support volume")
 
 
+def _check_wavelet_x1(v: dict) -> None:
+    """The decay table's x1 axis, x1_half_width over cells no wider than
+    x1_spacing, must hold a node where its x1 window is nonzero: with none
+    every mass was 0 and the decay law read as failed.  Its cells must be
+    countable, and the widest scale's reach, in x1 cells, at most 2^53, as
+    build_cutoff's xi1 indices: past that the window indices overflowed
+    (OverflowError)."""
+    hw, dx = v["x1_half_width"], v["x1_spacing"]
+    keys = f"x1_half_width = {fmt(hw)} and x1_spacing = {fmt(dx)}"
+    if not math.isfinite(2.0 * hw / dx):
+        raise ConfigError(f"{keys} give more x1 cells than a float counts")
+    ax = x1_axis(hw, dx)
+    # The window falls in |x1|, so it holds a node if it holds one of the
+    # two nearest 0, taken as AxisSpec.nodes takes them.
+    mid = ax.points // 2
+    inner = [ax.start + (i + 0.5) * ax.spacing for i in (mid - 1, mid)]
+    if not x1_window(np.array(inner)).any():
+        raise ConfigError(
+            f"{keys} give an x1 axis whose nodes nearest 0 are at "
+            f"{fmt(inner[0])} and {fmt(inner[1])}, outside the decay table's "
+            "x1 window, so every mass would be 0")
+    reach = reach_cells(ax.spacing)
+    if reach > _MAX_EXACT_INDEX:
+        raise ConfigError(
+            f"{keys} give x1 cells of {fmt(ax.spacing)}, and the widest "
+            f"scale's windows reach {fmt(float(reach))} of them past the "
+            "data (> 2^53, past which their cell indices are not exact)")
+
+
 def _check_vdc(v: dict) -> None:
     """Fill v["amp"], the run's dyadic or resonant amplitude.  The phase
     mu |xi|^2 / 2, |xi|^2 first as the phase takes it, must be a finite
@@ -744,7 +775,7 @@ KINDS: dict[str, Kind] = {
         "small_a_min": _number("1.4", _FINITE),
         "large_a_abs": _number("0.1", _NONNEGATIVE),
     }, rules=(partial(_check_pair, fam=families.CUTOFF_FAMILIES["flat"]),
-              _check_flat_cutoff)),
+              _check_flat_cutoff, _check_wavelet_x1)),
     "vdc": Kind(run_vdc, "vdc", {
         "d": _int("1", 1), "mu": _number("1", _POSITIVE), **_H_SWEEP,
         "amplitude": _choice("dyadic", ("dyadic", "resonant")),

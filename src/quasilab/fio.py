@@ -17,7 +17,12 @@ on a closed bar axis in whose variable a1 holds only even powers pose the
 same problem, so only the cutoff's stored columns are checked, each
 weighted by the columns it stands for (CutoffField.col_mult).  An a1 that
 holds an odd power of a closed axis's variable is refused: such a check
-needs a field that stores every column.
+needs a field that stores every column.  Each column's x1 profile is the
+transform of a real run, so it is Hermitian in x1 (u_c(-x1) is the
+conjugate of u_c(x1)), and so are W_c, v_c, their differences, the
+residual and the midpoint gap: every |.|^2 is even in x1, and the check
+runs on the upper half of its centred x1 axis, each row x1 > 0 counted
+for itself and its mirror.
 """
 
 from __future__ import annotations
@@ -67,12 +72,16 @@ class FlatteningReport:
     identity_bound: float     # self-calibrated O((dx/h)^2) allowance
 
 
-def _abs_sq_sum(data: np.ndarray, weight: np.ndarray) -> float:
-    """The sum of weight * |data|^2, one weight per column of data, in one
-    numpy reduction."""
+def _abs_sq_sum(data: np.ndarray, weight: np.ndarray, centre: bool) -> float:
+    """The sum of weight * |data|^2 in one numpy reduction, one weight per
+    column of data, already doubled: each row stands for itself and its
+    mirror image in x1.  When centre is set, the first row is x1 = 0, its
+    own mirror image, and counts once."""
     sq = np.abs(data)
     np.square(sq, out=sq)
     sq *= weight
+    if centre:
+        sq[0] *= 0.5
     return float(np.sum(sq))
 
 
@@ -90,8 +99,9 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
     2M < n1 x1 rows, so that an interior row is left; a ValueError says so
     otherwise.  A symbol that does not act on the field's bar axes is a
     DimensionMismatchError, one that holds an odd power of a closed bar
-    axis's variable (CutoffField.closed) a ValueError naming the axis, and
-    a grid over the budget is refused (quasimode._aligned_x1).
+    axis's variable (CutoffField.closed) a ValueError naming the axis, an
+    x1 axis not centred at 0 a ValueError naming its centre, and a grid
+    over the budget is refused (quasimode._aligned_x1).
 
     The columns go in the blocks of quasimode.column_transforms, a quarter
     working block of complex cells each.  For each column c its x1 profile
@@ -102,10 +112,15 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
     the axis's variable, the same a1 value, so the same terms: only the
     stored columns are taken, each |.|^2 weighted by the number of columns
     it stands for (CutoffField.col_mult); the fio config's a1, the
-    paraboloid's |xi_bar|^2, is even in every axis.  Every |.|^2 is summed
-    per block by numpy, so the bits do not depend on the BLAS thread count,
-    and weighted by the cell of x1 times the bar grid's; the other bar
-    nodes hold 0 and add nothing.
+    paraboloid's |xi_bar|^2, is even in every axis.  u_c is Hermitian in
+    x1, and a1 is real, so every term is, and its |.|^2 is even in x1: the
+    profiles are formed only on the rows x1 >= 0 and the M rows below
+    them that an order-M stencil reaches, and each |.|^2 is summed over
+    the rows x1 > 0 at weight 2 and over the centre row x1 = 0 of an odd
+    row count at weight 1.  Every |.|^2 is summed per block by numpy, so
+    the bits do not depend on the BLAS thread count, and weighted by the
+    cell of x1 times the bar grid's; the other bar nodes hold 0 and add
+    nothing.
     """
     if a1.dim != field.dim - 1:
         raise DimensionMismatchError(
@@ -115,31 +130,41 @@ def flattening_reports(a1: PolySymbol, field: CutoffField, x1_axis: AxisSpec,
         raise ValueError(
             f"a1 holds an odd power of xi{odd[0] + 2}, a closed axis on "
             "which the field stores only the upper half of its columns")
+    if x1_axis.center != 0.0:
+        raise ValueError(f"the x1 axis is centred at {x1_axis.center}, not "
+                         "at 0, so its rows are not each other's mirrors")
     x1 = _aligned_x1(field, x1_axis)
     top = max(orders)
     if 2 * top >= len(x1):
         raise ValueError(f"order {top} needs more than {2 * top} x1 rows, "
                          f"and the grid has {len(x1)}")
+    # The rows x1 >= 0 start at mid, and the top rows below them are the
+    # stencils' guards: a term whose first row is r drops its mid - r rows
+    # below mid before it is summed.
+    mid = len(x1) // 2
+    x1 = x1[mid - top:]
+    centre = x1_axis.points % 2 == 1
     h, dx, bar = field.h, x1_axis.spacing, field.axes[1:]
     a_cols = a1.eval_grid(list(field.col_coords.T))
     sums = dict.fromkeys(("u", "resid", "gap", *orders), 0.0)
     for block, u in column_transforms(field, x1):
-        a, mult = a_cols[block], field.col_mult[block]
+        a, mult = a_cols[block], 2.0 * field.col_mult[block]
         w = np.multiply(-1j * x1[:, None], a)
         w *= 1.0 / h
         np.exp(w, out=w)
-        sums["u"] += _abs_sq_sum(u, mult)
+        sums["u"] += _abs_sq_sum(u[top:], mult, centre)
         dv = np.multiply(w, u)
         for m in range(1, top + 1):
             dv = hd_x1(dv, h, dx)
             if m == 1:
                 hd_v = dv
             if m in orders:
-                sums[m] += _abs_sq_sum(dv, mult)
+                sums[m] += _abs_sq_sum(dv[top - m:], mult, centre)
         if 1 in orders:
             rhs = np.multiply(w[1:-1], hd_x1(u, h, dx) - a * u[1:-1])
-            sums["resid"] += _abs_sq_sum(hd_v - rhs, mult)
-            sums["gap"] += _abs_sq_sum(u[1:-1] - 0.5 * (u[2:] + u[:-2]), mult)
+            sums["resid"] += _abs_sq_sum((hd_v - rhs)[top - 1:], mult, centre)
+            sums["gap"] += _abs_sq_sum(
+                (u[1:-1] - 0.5 * (u[2:] + u[:-2]))[top - 1:], mult, centre)
 
     cell = dx * cell_volume(bar)
 

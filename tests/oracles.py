@@ -18,8 +18,13 @@ the built whole), the joint check sums each mirror pair of support
 columns once (joint_ratios sums them all), no run takes a norm over a
 whole field (l2_norm), no run brings a multiplier back to the position
 side (apply_multiplier), no run reads the mother wavelet's mean, L2 norm
-or admissibility constant (wavelet_moments, admissibility) and the
-cutoffs evaluate their symbols on whole grids (PolySymbol.eval_grid).
+or admissibility constant (wavelet_moments, admissibility), the
+flattening check takes the upper half of its x1 axis
+(whole_axis_flattening_reports takes all of it), the decay table
+transforms each distinct x1 profile once, window by window at the wide
+scales (per_column_decay_mass transforms every stored column tap by
+tap) and the cutoffs evaluate their symbols on whole grids
+(PolySymbol.eval_grid).
 Each definition here is the whole-array, whole-field or exact form of one
 of them, or a step of the paper's argument that the tests check by hand.
 """
@@ -39,10 +44,13 @@ from quasilab.analysis import (INF_P, LpNorm, _finite_p, _finite_tail,
                                _sup_tail, parse_p)
 from quasilab.errors import DimensionMismatchError
 from quasilab.grids import AxisSpec, cell_volume, node_arrays
-from quasilab.quasimode import (CutoffField, _bar_index, _dirichlet,
+from quasilab.fio import FlatteningReport, hd_x1
+from quasilab.quasimode import (CutoffField, _aligned_x1, _bar_index,
+                                _dirichlet, column_transforms,
                                 synthesize_on_axes)
 from quasilab.symbols import PolySymbol, split_affine_x1
-from quasilab.wavelets import bump_derivative
+from quasilab.wavelets import (_A_GRID, _scale_taps, _tap_blocks,
+                               bump_derivative, dyadic_cutoffs, x1_window)
 
 _TWO_PI = 2.0 * np.pi
 _T_POINTS = 8192     # t samples per unit length in the wavelet quadratures
@@ -548,3 +556,103 @@ def plane_vs_bowl_graphs() -> tuple[PolySymbol, PolySymbol]:
     u = PolySymbol.variable(1, 2)
     v = PolySymbol.variable(2, 2)
     return PolySymbol.zero(2), -(u ** 2 + v ** 6)
+
+
+def _weighted_abs_sq_sum(data: np.ndarray, weight: np.ndarray) -> float:
+    """The sum of weight * |data|^2, one weight per column, in one numpy
+    reduction."""
+    sq = np.abs(data)
+    np.square(sq, out=sq)
+    sq *= weight
+    return float(np.sum(sq))
+
+
+def whole_axis_flattening_reports(a1: PolySymbol, field: CutoffField,
+                                  x1_axis: AxisSpec, orders: tuple[int, ...]
+                                  ) -> list[FlatteningReport]:
+    """fio.flattening_reports on every row of the x1 axis: the same
+    per-column terms, each |.|^2 summed over the whole axis, not over its
+    upper half with each row x1 > 0 counted twice."""
+    x1 = _aligned_x1(field, x1_axis)
+    top = max(orders)
+    h, dx, bar = field.h, x1_axis.spacing, field.axes[1:]
+    a_cols = a1.eval_grid(list(field.col_coords.T))
+    sums = dict.fromkeys(("u", "resid", "gap", *orders), 0.0)
+    for block, u in column_transforms(field, x1):
+        a, mult = a_cols[block], field.col_mult[block]
+        w = np.multiply(-1j * x1[:, None], a)
+        w *= 1.0 / h
+        np.exp(w, out=w)
+        sums["u"] += _weighted_abs_sq_sum(u, mult)
+        dv = w * u
+        for m in range(1, top + 1):
+            dv = hd_x1(dv, h, dx)
+            if m == 1:
+                hd_v = dv
+            if m in orders:
+                sums[m] += _weighted_abs_sq_sum(dv, mult)
+        if 1 in orders:
+            rhs = w[1:-1] * (hd_x1(u, h, dx) - a * u[1:-1])
+            sums["resid"] += _weighted_abs_sq_sum(hd_v - rhs, mult)
+            sums["gap"] += _weighted_abs_sq_sum(
+                u[1:-1] - 0.5 * (u[2:] + u[:-2]), mult)
+    cell = dx * cell_volume(bar)
+
+    def norm(key) -> float:
+        return float(np.sqrt(sums[key] * cell))
+
+    u_norm = norm("u")
+    fd_rel = (dx / h) ** 2 / 6.0
+    nan = float("nan")
+    resid = bound = nan
+    if 1 in orders:
+        resid = norm("resid") / u_norm
+        amax = float(np.abs(a1.eval_grid(node_arrays(bar, len(bar)))).max())
+        bound = 1.5 * (amax * norm("gap") + dx * amax ** 2 / (2 * h) * u_norm
+                       ) / u_norm + 1e-12
+    return [FlatteningReport(m, norm(m) / (h ** m * u_norm), m * fd_rel + 0.05,
+                             resid if m == 1 else nan,
+                             bound if m == 1 else nan)
+            for m in orders]
+
+
+def tap_order_power(band: np.ndarray, row0: int, ax: AxisSpec, a: float
+                    ) -> np.ndarray:
+    """The sum over every window of the scale a of the squared coefficients
+    of the real band (row0, band), each column's, the windows summed tap
+    by tap (wavelets._tap_blocks) and their squares in one axis-0 sum."""
+    _, taps = _scale_taps(len(band), row0, ax, a)
+    blocks = [x.copy() for x in _tap_blocks(band, taps)]
+    return np.square(np.concatenate(
+        [np.empty((0, band.shape[1]))] + blocks)).sum(axis=0)
+
+
+def per_column_decay_mass(source: CutoffField, x1_axis: AxisSpec, k: int
+                          ) -> np.ndarray:
+    """wavelets.decay_diagnostic's mass N(a, j) from a band of every stored
+    column, not of each distinct x1 profile once, every scale summed tap
+    by tap: each stored column's windowed profile, its power over the
+    windows of each scale, and each level's np.sum of psi_j at the
+    columns' radii times their multiplicities and that power."""
+    x1 = _aligned_x1(source, x1_axis)
+    window = x1_window(x1)
+    rows = np.flatnonzero(window)
+    row0, row1 = int(rows[0]), int(rows[-1]) + 1
+    band = np.empty((row1 - row0, len(source.col_count)), dtype=complex)
+    for block, u in column_transforms(source, x1[row0:row1]):
+        band[:, block] = u * window[row0:row1, None]
+    band = band.view(float)
+    family = dyadic_cutoffs(source.h, k)
+    radius = np.sqrt(sum(c * c for c in source.col_coords.T))
+    weights = [family.psi(j, radius) * source.col_mult
+               for j in range(family.levels + 1)]
+    cellvol = cell_volume(source.axes[1:])
+    mass = []
+    for a in _A_GRID:
+        b, _ = _scale_taps(len(band), row0, x1_axis, a)
+        power = tap_order_power(band, row0, x1_axis, a)
+        power = power[0::2] + power[1::2]
+        db = b[1] - b[0] if len(b) > 1 else x1_axis.spacing
+        mass.append([float(np.sum(weight * power)) * db * cellvol
+                     for weight in weights])
+    return np.sqrt(np.maximum(np.array(mass), 0.0))

@@ -738,6 +738,23 @@ class TestValidation:
         ("wavelet_flat_n2_k3.cfg", "h = 2^-8", "h = 1e-300",
          "h = 1e-300 gives the flat cutoff a cell volume of 0, below the "
          "least normal float"),
+        # A decay-table x1 axis with no node in the x1 window (every mass
+        # was 0 and the run exited 1), one whose widest scale reaches more
+        # than 2^53 of its cells (an OverflowError, exit 4), and one with
+        # more cells than a float counts (an OverflowError, exit 4).
+        ("wavelet_flat_n2_k3.cfg", "x1_spacing = 2^-9", "x1_spacing = 1e300",
+         "x1_half_width = 6 and x1_spacing = 1.0000000000000001e+300 give an "
+         "x1 axis whose nodes nearest 0 are at -3 and 3, outside the decay "
+         "table's x1 window"),
+        ("wavelet_flat_n2_k3.cfg", "x1_half_width = 6",
+         "x1_half_width = 1e-300",
+         "x1_half_width = 1e-300 and x1_spacing = 0.001953125 give x1 cells "
+         "of 1e-300, and the widest scale's windows reach "
+         "2.5637499999999997e+302 of them past the data (> 2^53"),
+        ("wavelet_flat_n2_k3.cfg", "x1_half_width = 6\nx1_spacing = 2^-9",
+         "x1_half_width = 1e300\nx1_spacing = 1e-300",
+         "x1_half_width = 1.0000000000000001e+300 and x1_spacing = 1e-300 "
+         "give more x1 cells than a float counts"),
         # A phase that overflows where the critical-point search steps:
         # its finite differences raised OverflowError.
         ("vdc_d1.cfg", "d = 1", "d = 1\nbox_half_width = 1e300",

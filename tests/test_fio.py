@@ -18,7 +18,8 @@ from quasilab.symbols import format_symbol, graph_factor, parse_symbol
 
 from oracles import (GridField, aligned_axes, apply_multiplier, dual_axis,
                      eval_exact, every_column, ft_axes, ft_axis, l2_norm,
-                     synthesize_grid, transform_quasimode, w_values)
+                     synthesize_grid, transform_quasimode, w_values,
+                     whole_axis_flattening_reports)
 
 
 FIO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fio_n2_k1.cfg"
@@ -289,6 +290,12 @@ def _recorded_blocks(monkeypatch):
     return seen
 
 
+def _rows_taken(ax, orders):
+    """The x1 rows flattening_reports transforms on the axis ax: its rows
+    x1 >= 0 and the max(orders) guard rows below them."""
+    return ax.points - ax.points // 2 + max(orders)
+
+
 def _tiles(step, count):
     """Blocks of step columns over count columns, the last holding the rest."""
     return [(i, min(i + step, count)) for i in range(0, count, step)]
@@ -300,13 +307,15 @@ class TestBlockedReports:
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     @pytest.mark.parametrize("block_cols", [1, 2, 5, 16, 37])
     def test_blocks_match_whole_grid(self, orders, block_cols, monkeypatch):
-        # 37 x1 rows of 14 columns, read in blocks of block_cols columns:
+        # 14 columns on 37 x1 rows, of which the 19 with x1 >= 0 and M
+        # guard rows are transformed, read in blocks of block_cols columns:
         # 5 leaves a partial last block, and 16 and 37 read every column as
         # one block.  Each agrees with the whole synthesized grid's
         # frequency-side reports.
         cut, ax = _random_cutoff(37, 16, seed=5)
         want = _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders)
-        monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES", 64 * 37 * block_cols)
+        monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES",
+                            64 * _rows_taken(ax, orders) * block_cols)
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(_a1(), cut, ax, orders)
         assert seen == _tiles(block_cols, 14)
@@ -314,24 +323,28 @@ class TestBlockedReports:
 
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_default_block_steps_match_whole_grid(self, orders, monkeypatch):
-        # 600 x1 rows of 62 columns at the default working block: a quarter
-        # of it holds 6 columns, so ten blocks of 6 and one of 2.
+        # 62 columns on 600 x1 rows, of which the 300 with x1 > 0 and M
+        # guard rows are transformed, at the default working block: a
+        # quarter of it holds 13 columns of 301-303 rows, so four blocks of
+        # 13 and one of 10.
         cut, ax = _random_cutoff(600, 64, seed=7)
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(_a1(), cut, ax, orders)
-        assert seen == _tiles(6, 62)
+        assert _rows_taken(ax, orders) == 300 + max(orders)
+        assert seen == _tiles(13, 62)
         _assert_reports_match(
             got, _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders))
 
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_shipped_blocks_match_whole_grid(self, orders, monkeypatch):
         # The fio_n2_k1 config's coarser field (h = 2^-4, 2048 x 64), its
-        # stored mirror columns, half of its 50, read two to a block.
+        # stored mirror columns, half of its 50, on its 1,024 rows x1 > 0
+        # and M guard rows, read three to a block.
         cut, ax = _shipped_cutoff(2.0 ** -4)
         assert (ax.points, cut.axes[1].points) == (2048, 64)
         seen = _recorded_blocks(monkeypatch)
         got = flattening_reports(_a1(), cut, ax, orders)
-        assert seen == _tiles(2, 25)
+        assert seen == _tiles(3, 25)
         assert (len(cut.col_count), len(every_column(cut).col_count)) == (25, 50)
         _assert_reports_match(
             got, _whole_grid_reports(_a1(), _whole_grid(cut, ax), orders))
@@ -339,9 +352,10 @@ class TestBlockedReports:
     def test_blocks_must_tile_the_grid(self, monkeypatch):
         # Every stored column is read once, in order, in blocks of at most a
         # quarter working block of complex cells; a working block too small
-        # for one column's x1 profile still reads one whole column.
+        # for one column's x1 profile, on the rows the check transforms,
+        # still reads one whole column.
         cut, ax = _shipped_cutoff(2.0 ** -3, n=3, x1_half_width=2.0, per_h=2)
-        rows, count = ax.points, len(cut.col_count)
+        rows, count = _rows_taken(ax, (1,)), len(cut.col_count)
         seen = _recorded_blocks(monkeypatch)
         flattening_reports(_a1(3), cut, ax, (1,))
         step = seen[0][1] - seen[0][0]
@@ -379,18 +393,71 @@ class TestBlockedReports:
             flattening_reports(_a1(), cut, ax, (1, 4))
 
 
+class TestHalfAxis:
+    """The check on the upper half of its x1 axis, each |.|^2 of a row
+    x1 > 0 counted for itself and its mirror image, against the same terms
+    summed over the whole axis."""
+
+    @pytest.mark.parametrize("orders", [(1,), (1, 2), (3,), (1, 2, 3)],
+                             ids=str)
+    @pytest.mark.parametrize("field, rows", [
+        (lambda: _random_cutoff(8, 16, seed=5), 8),
+        (lambda: _random_cutoff(37, 16, seed=5), 37),
+        (lambda: _random_cutoff(600, 64, seed=7), 600),
+        (lambda: _shipped_cutoff(2.0 ** -4), 2048),
+        (lambda: _shipped_cutoff(2.0 ** -5), 4096)],
+        ids=["8x16", "37x16", "600x64", "fio-h=2^-4", "fio-h=2^-5"])
+    def test_matches_whole_axis(self, field, rows, orders, monkeypatch):
+        # The rows transformed are the axis's own nodes from M below its
+        # first row x1 >= 0 (its centre row when the count is odd) on, and
+        # the reports are the whole axis's to rounding.
+        cut, ax = field()
+        assert ax.points == rows
+        seen = []
+        blocks = fio.column_transforms
+
+        def recording(field, x1):
+            seen.append(x1.copy())
+            return blocks(field, x1)
+
+        want = whole_axis_flattening_reports(_a1(), cut, ax, orders)
+        monkeypatch.setattr(fio, "column_transforms", recording)
+        got = flattening_reports(_a1(), cut, ax, orders)
+        x1, = seen
+        first = rows // 2 - max(orders)
+        assert len(x1) == _rows_taken(ax, orders)
+        assert x1.tobytes() == ax.nodes()[first:].tobytes()
+        _assert_reports_match(got, want)
+
+    @pytest.mark.parametrize("centre", [0.25, -1e-9])
+    def test_rejects_an_axis_off_centre(self, centre, monkeypatch):
+        # The rows of an axis not centred at 0 are not each other's
+        # mirrors: the check is refused, naming the centre, before any
+        # column is read.
+        cut, _ = _random_cutoff(37, 16, seed=5)
+        seen = _recorded_blocks(monkeypatch)
+        with pytest.raises(ValueError, match=f"centred at {centre},"):
+            flattening_reports(_a1(), cut, AxisSpec(centre, 1.5, 37), (1,))
+        assert seen == []
+
+
 def _report_bits(reports):
     """Every float of the reports, as hex."""
     return [[float(x).hex() for x in dataclasses.astuple(r)] for r in reports]
 
 
 def _unweighted_sums(monkeypatch):
-    """Make flattening_reports sum each |.|^2 unweighted, as one np.sum,
-    asserting that every column stands for itself alone."""
-    def plain(data, weight):
-        assert (weight == 1.0).all()
+    """Make flattening_reports sum each |.|^2 with no column weight, as one
+    np.sum of the row weights times it, asserting that every column stands
+    for itself alone (a weight of 2, for its rows and their mirrors)."""
+    def plain(data, weight, centre):
+        assert (weight == 2.0).all()
         sq = np.abs(data)
-        return float(np.sum(np.square(sq, out=sq)))
+        np.square(sq, out=sq)
+        sq *= 2.0
+        if centre:
+            sq[0] *= 0.5
+        return float(np.sum(sq))
 
     monkeypatch.setattr(fio, "_abs_sq_sum", plain)
 
@@ -497,20 +564,23 @@ class TestStreamedMemory:
         return peak, 16 * ax.points * cut.axes[1].points
 
     def test_memory_bounded(self):
-        # At most 0.9 copies of the grid (about 0.18 measured).
+        # At most 0.9 copies of the grid (about 0.10 measured).
         peak, grid = self.peak(8.0)
         assert grid == 16 * 4096 * 64
         assert peak <= 0.9 * grid
 
     def test_work_arrays_follow_the_block(self, monkeypatch):
-        # Blocks of 1, 4 and 16 of the 50 columns: the peak stays within
-        # 14 blocks' complex x1 profiles (11.7, 9.1 and 8.6 measured), so
-        # the check's work arrays are sized by its block of columns.
+        # Blocks of 1, 4 and 16 of the 25 stored columns, on the 2,048 rows
+        # x1 > 0 and the 2 guard rows the check transforms: the peak stays
+        # within 14 blocks' complex x1 profiles (12.4, 10.2 and 7.1
+        # measured), so the check's work arrays are sized by its block of
+        # columns.
+        rows = 2048 + 2
         for cols in (1, 4, 16):
             monkeypatch.setattr(quasimode, "WORK_BLOCK_BYTES",
-                                64 * 4096 * cols)
+                                64 * rows * cols)
             peak, _ = self.peak(8.0)
-            assert peak <= 14 * 16 * 4096 * cols
+            assert peak <= 14 * 16 * rows * cols
 
     def test_no_grid_sized_array(self):
         # Twice the x1 rows at the same h and bar grid: a whole field, or a

@@ -12,12 +12,14 @@ from quasilab.fio import x1_axis
 from quasilab.grids import AxisSpec
 from quasilab.quasimode import build_cutoff, column_transforms
 from quasilab.wavelets import (_A_GRID, _LOCALIZE_HALFWIDTH, _level_sums,
-                               _scale_window, _smooth_step, _windowed_band,
+                               _scale_taps, _scale_window, _smooth_step,
+                               _tap_blocks, _window_blocks, _windowed_band,
                                bump, bump_derivative, decay_diagnostic,
                                dyadic_cutoffs)
 
 from oracles import (GridField, admissibility, every_column, ft_axes,
-                     l2_norm, padded_gather_cwt, wavelet_moments)
+                     l2_norm, padded_gather_cwt, per_column_decay_mass,
+                     tap_order_power, wavelet_moments)
 
 
 def real_rows(data):
@@ -194,6 +196,52 @@ class TestCwt:
             want = real_rows(want)
             assert every_window(blocks, want).tobytes() == want.tobytes()
 
+    @staticmethod
+    def _random_band():
+        """(band, row0, axis): 300 rows of 7 complex columns from row 1,000
+        of a 4,096-row axis, with zero rows at its ends, one inside and
+        -0.0 entries."""
+        rng = np.random.default_rng(47)
+        band = rng.standard_normal((300, 14))
+        band[:11] = 0.0
+        band[-4:] = -0.0
+        band[150] = 0.0
+        band[40:60][band[40:60] < 0] = -0.0
+        return band, 1000, AxisSpec(0.0, 6.0, 4096)
+
+    @pytest.mark.parametrize("field", ["shipped", "random"])
+    def test_window_order_matches_tap_order(self, flat_model, field):
+        # At every scale of the a-grid, and at one below the x1 spacing,
+        # where no window is live, the windows summed window by window are
+        # those summed tap by tap, and so is each scale's power, bit for
+        # bit.
+        if field == "shipped":
+            band, row0, _ = _windowed_band(*flat_model)
+            ax = flat_model[1]
+        else:
+            band, row0, ax = self._random_band()
+        cols = band.shape[1]
+        for a in (*_A_GRID, ax.spacing / 2):
+            _, taps = _scale_taps(len(band), row0, ax, a)
+            by_tap = window_run(_tap_blocks(band, taps), cols)
+            by_window = window_run(_window_blocks(band, taps), cols)
+            assert np.array_equal(by_window, by_tap)
+            assert (np.square(by_window).sum(axis=0).tobytes()
+                    == tap_order_power(band, row0, ax, a).tobytes())
+
+    def test_wide_scales_go_window_by_window(self, flat_model):
+        # On the shipped band the scales from 2^(3/2) on have fewer live
+        # windows than live taps (at a = 64, 17 windows and 577 taps), and
+        # only those are summed window by window.
+        band, row0, _ = _windowed_band(*flat_model)
+        by_window = []
+        for a in _A_GRID:
+            _, taps = _scale_taps(len(band), row0, flat_model[1], a)
+            if taps.end - taps.first < len(taps.f):
+                by_window.append(a)
+        assert by_window == [a for a in _A_GRID if a > 2.5]
+        assert (taps.end - taps.first, len(taps.f)) == (17, 577)
+
     def test_memory_bounded(self, flat_model_field):
         # The transform of the flat model's whole 8192 x 64 grid at every
         # scale of the shipped a-grid holds one block of one scale's
@@ -259,6 +307,16 @@ class TestDyadicCutoffs:
             dyadic_cutoffs(0.5, 0)
 
 
+def _decay_field(flat_model, field):
+    """(cutoff, x1 axis) of the shipped flat model, of an n = 3 flat model
+    or of a paraboloid cutoff on 57 bar nodes, an odd count."""
+    if field == "shipped":
+        return flat_model
+    spec = (families.flat_cutoff(3, 3, pow2=True) if field == "n3"
+            else families.paraboloid_cutoff(2, 1))
+    return build_cutoff(spec, 2.0 ** -4), x1_axis(3.0, 2.0 ** -6)
+
+
 def _column_nodes(cut):
     """The bar-grid index of each stored column of a 2D cutoff."""
     return np.rint((cut.col_coords[:, 0] - cut.axes[1].start)
@@ -267,11 +325,11 @@ def _column_nodes(cut):
 
 class TestDecayDiagnostic:
     def test_memory_bounded(self, flat_model, flat_model_field):
-        # The band holds the window's x1 rows of the cutoff's kept mirror
-        # columns alone, filled one working block of columns at a time, and
-        # one block of one scale's live coefficients is squared in place at
-        # a time: the whole run stays within 0.42 copies of the 8192 x 64
-        # grid (about 0.26 measured).
+        # The band holds the window's x1 rows of the distinct x1 profiles
+        # of the cutoff's kept mirror columns alone, filled one working
+        # block of profiles at a time, and one block of one scale's live
+        # coefficients is squared in place at a time: the whole run stays
+        # within 0.42 copies of the 8192 x 64 grid (about 0.20 measured).
         tracemalloc.start()
         try:
             decay_diagnostic(*flat_model, 1, 3)
@@ -282,50 +340,57 @@ class TestDecayDiagnostic:
 
     def test_grid_never_allocated(self, flat_model, flat_model_field):
         # The band of rows where the window is nonzero (37.5 % of the rows)
-        # and of the 25 kept of the 64 bar nodes (14.6 % of the grid) is
-        # allocated first and lives throughout, so a whole-grid array would
-        # lift the peak a full grid above it; one block of columns'
-        # temporaries stays well below that.
+        # and of the 15 distinct x1 profiles of the 25 kept of the 64 bar
+        # nodes (8.8 % of the grid) is allocated first and lives
+        # throughout, so a whole-grid array would lift the peak a full grid
+        # above it; one block of profiles' temporaries stays well below
+        # that.
         cut, ax = flat_model
         tracemalloc.start()
         try:
-            band, _ = _windowed_band(cut, ax)
+            band, _, _ = _windowed_band(cut, ax)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         grid = flat_model_field.data.nbytes
-        assert band.nbytes < 0.2 * grid
+        assert band.nbytes < 0.1 * grid
         assert peak - band.nbytes <= 0.75 * grid
 
     def test_band_transforms_only_its_rows(self, flat_model, monkeypatch):
-        # The window keeps 3,070 of the 8,192 x1 rows: the columns are
-        # evaluated on those rows alone, every kept column once, in order.
+        # The window keeps 3,070 of the 8,192 x1 rows: the profiles are
+        # evaluated on those rows alone, every distinct xi1 run of the 25
+        # kept columns once, 15 of them, in order.
         cut, ax = flat_model
         calls, seen = [], []
         blocks = wavelets.column_transforms
 
         def recording(field, x1):
-            calls.append(x1.copy())
+            calls.append((field, x1.copy()))
             for block, u in blocks(field, x1):
                 seen.append((block.start, block.start + u.shape[1]))
                 yield block, u
 
         monkeypatch.setattr(wavelets, "column_transforms", recording)
-        band, row0 = _windowed_band(cut, ax)
-        x1, = calls
+        band, row0, of = _windowed_band(cut, ax)
+        (profiles, x1), = calls
         assert len(band) == len(x1) == 3070 < 0.4 * ax.points
         assert x1.tobytes() == ax.nodes()[row0:row0 + 3070].tobytes()
-        assert seen[0][0] == 0 and seen[-1][1] == len(cut.col_count) == 25
+        runs = set(zip(cut.col_start.tolist(), cut.col_count.tolist()))
+        assert sorted(runs) == list(zip(profiles.col_start.tolist(),
+                                        profiles.col_count.tolist()))
+        assert seen[0][0] == 0 and seen[-1][1] == len(runs) == 15
+        assert len(of) == len(cut.col_count) == 25
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+        assert profiles.cell_count == cut.cell_count
 
     def test_band_is_windowed_field(self, flat_model, flat_model_field):
-        # The band is the whole synthesized field's FFT over the bar axis,
-        # read at the kept columns' nodes on the band's rows, times the
-        # window, to rounding.
+        # The band, each kept column read at its profile, is the whole
+        # synthesized field's FFT over the bar axis, read at the kept
+        # columns' nodes on the band's rows, times the window, to rounding.
         f = flat_model_field
         cut = flat_model[0]
-        band, row0 = _windowed_band(*flat_model)
-        band = band.view(complex)
+        band, row0, of = _windowed_band(*flat_model)
+        band = band.view(complex)[:, of]
         row1 = row0 + len(band)
         hat, duals = ft_axes(f.data[row0:row1], f.axes[1:], f.h)
         assert duals == cut.axes[1:]
@@ -334,10 +399,12 @@ class TestDecayDiagnostic:
         assert np.abs(band - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_band_is_windowed_columns(self, flat_model):
-        # Block of columns by block, the band is the kept columns' x1
-        # profiles on the window's rows times the window, bit for bit.
+        # Each kept column read at its profile, the band is the kept
+        # columns' x1 profiles, block of columns by block with the cutoff's
+        # normalization, on the window's rows times the window, bit for bit.
         cut, ax = flat_model
-        band, row0 = _windowed_band(cut, ax)
+        band, row0, of = _windowed_band(cut, ax)
+        band = np.ascontiguousarray(band.view(complex)[:, of])
         x1 = ax.nodes()
         window = _smooth_step(np.abs(x1) / _LOCALIZE_HALFWIDTH)
         row1 = row0 + len(band)
@@ -356,13 +423,7 @@ class TestDecayDiagnostic:
     def test_paired_match_every_column(self, flat_model, field):
         # The table from the kept mirror columns, each weighted by the
         # columns it stands for, is every column's table to rounding.
-        if field == "shipped":
-            cut, ax = flat_model
-        else:
-            spec = (families.flat_cutoff(3, 3, pow2=True) if field == "n3"
-                    else families.paraboloid_cutoff(2, 1))
-            cut = build_cutoff(spec, 2.0 ** -4)
-            ax = x1_axis(3.0, 2.0 ** -6)
+        cut, ax = _decay_field(flat_model, field)
         kept = {"shipped": (25, 50), "n3": (508, 2032), "odd": (23, 45)}[field]
         every = every_column(cut)
         assert (len(cut.col_count), len(every.col_count)) == kept
@@ -376,6 +437,23 @@ class TestDecayDiagnostic:
         assert got.large_a_slope == pytest.approx(want.large_a_slope,
                                                   rel=1e-10)
 
+    # The same fields: their kept columns hold 15, 42 and 19 distinct xi1
+    # runs, so x1 profiles.
+    @pytest.mark.parametrize("field, runs", [("shipped", 15), ("n3", 42),
+                                             ("odd", 19)])
+    def test_profiles_match_per_column_oracle(self, flat_model, field, runs):
+        # The table transforms each distinct x1 profile once and gathers
+        # each scale's power back to the kept columns before the weights:
+        # bit for bit the table of a band of every kept column, each
+        # summed tap by tap.
+        cut, ax = _decay_field(flat_model, field)
+        assert len(set(zip(cut.col_start.tolist(),
+                           cut.col_count.tolist()))) == runs
+        got = decay_diagnostic(cut, ax, 1, 3).mass
+        want = per_column_decay_mass(cut, ax, 3)
+        assert (got > 0).sum() >= got.size // 2
+        assert got.tobytes() == want.tobytes()
+
     def test_unchecked_closure_keeps_its_bits(self, flat_model):
         # A field that stores every column pairs nothing: the table is the
         # unweighted one of every column, the band of every column and each
@@ -383,14 +461,14 @@ class TestDecayDiagnostic:
         cut, ax = flat_model
         cut = every_column(cut)
         assert cut.col_mult.tolist() == [1] * 50
-        band, row0 = _windowed_band(cut, ax)
+        band, row0, of = _windowed_band(cut, ax)
         family = dyadic_cutoffs(cut.h, 3)
         radius = np.abs(cut.col_coords[:, 0])
         weights = [family.psi(j, radius) for j in range(family.levels + 1)]
         cell = cut.axes[1].spacing
         want = np.sqrt(np.maximum(np.array([
             [total * (b[1] - b[0]) * cell for total in sums]
-            for b, sums in _level_sums(band, row0, ax, weights)]), 0.0))
+            for b, sums in _level_sums(band, row0, ax, of, weights)]), 0.0))
         got = decay_diagnostic(cut, ax, 1, 3).mass
         assert got.tobytes() == want.tobytes()
 
@@ -409,25 +487,26 @@ class TestDecayDiagnostic:
         # coefficient rows are exact zeros and are not formed.
         cut, ax = flat_model
         f = flat_model_field
-        band, row0 = _windowed_band(cut, ax)
+        band, row0, of = _windowed_band(cut, ax)
         if work is not None:
             monkeypatch.setattr(wavelets, "WORK_BLOCK_BYTES", work)
         monkeypatch.setattr(wavelets, "_A_GRID", (a,))
         cols = band.shape[1] // 2
         rng = np.random.default_rng(31)
-        weights = [rng.random(cols), np.zeros(cols), rng.random(cols)]
-        weights[2][5:30] = 0.0
-        (got_b, sums), = _level_sums(band, row0, ax, weights)
-        # The whole-array form: the band's columns on every x1 row, zero off
-        # the band, their windows formed, and their squared real parts and
-        # imaginary parts summed in one axis-0 sum over every window.
+        weights = [rng.random(len(of)), np.zeros(len(of)), rng.random(len(of))]
+        weights[2][5:20] = 0.0
+        (got_b, sums), = _level_sums(band, row0, ax, of, weights)
+        # The whole-array form: the band's profiles on every x1 row, zero
+        # off the band, their windows formed, their squared real parts and
+        # imaginary parts summed in one axis-0 sum over every window, and
+        # each kept column's read at its profile.
         hat = np.zeros((ax.points, 2 * cols))
         hat[row0:row0 + len(band)] = band
         b, blocks = _scale_window(hat, 0, ax, a)
         x_hat = window_run(blocks, 2 * cols)
         assert got_b.tobytes() == b.tobytes()
         power = np.square(x_hat).sum(axis=0)
-        power = power[0::2] + power[1::2]
+        power = (power[0::2] + power[1::2])[of]
         want = [float(np.sum(weight * power)) for weight in weights]
         assert [s.hex() for s in sums] == [s.hex() for s in want]
         # The position-side form, the windows of the synthesized windowed
