@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .analysis import EXPONENTS, exponent, parse_p
 from .errors import ConfigError, QuasilabError, RefusalError
-from .experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
-                          EXIT_REFUSED, EXIT_VERDICT_FAIL, list_experiments,
-                          parse_config, run_experiment)
+from .experiments import (_MAX_DIRECTIONS, EXIT_CONFIG, EXIT_INTERNAL,
+                          EXIT_OK, EXIT_REFUSED, EXIT_VERDICT_FAIL,
+                          list_experiments, parse_config, run_experiment)
 from .symbols import (contact_profile, format_symbol, graph_factor,
                       parse_symbol, sample_directions)
 
@@ -106,8 +106,9 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_contact(args) -> int:
-    if args.directions < 1:
-        print("error: --directions must be >= 1", file=sys.stderr)
+    if not 1 <= args.directions <= _MAX_DIRECTIONS:
+        print(f"error: --directions must be >= 1 and <= {_MAX_DIRECTIONS}",
+              file=sys.stderr)
         return EXIT_CONFIG
     try:
         texts = [Path(f).read_text().strip() for f in (args.p1, args.p2)]

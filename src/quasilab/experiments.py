@@ -152,6 +152,10 @@ def _choice(default: str, options: dict | tuple) -> Key:
 # bounded too, by what the default three k give at the most points.
 _MAX_INVP_POINTS = 4096
 _MAX_DELTA_ROWS = 4 * _MAX_INVP_POINTS
+# Most directions of a contact profile, in a config and in `quasilab contact
+# --directions`.  Sampling and profiling one takes 0.08-0.22 ms (m = 2-4),
+# so the bound costs about a second; 10^8 directions ran past two minutes.
+_MAX_DIRECTIONS = 4096
 _FLAG = {"true": True, "false": False}
 _FAMILY = _choice("paraboloid", families.CUTOFF_FAMILIES)
 _SYMBOL = Key("a polynomial", str)   # parsed by the kind's rule, which knows n
@@ -456,15 +460,18 @@ def _check_wavelet_x1(v: dict) -> None:
 def _check_vdc(v: dict) -> None:
     """Fill v["amp"], the run's dyadic or resonant amplitude.  The phase
     mu |xi|^2 / 2, |xi|^2 first as the phase takes it, must be a finite
-    float at twice box_half_width on every axis, the farthest the
-    critical-point search steps; its finite differences, 1e-5 of the box
-    wide, overflowed past there (OverflowError)."""
+    float at twice box_half_width on every axis.  That keeps it finite,
+    with room to spare, wherever a run takes it: on the box and at the
+    gradient probe's steps just past its faces.  A box of half width B
+    near the bound needs some 10 mu B^2 / (pi h) nodes per axis, past any
+    budget, so the bound turns away no run that could finish, and names the
+    key where the quadrature would refuse the run (exit 3)."""
     reach = 2.0 * v["box_half_width"]
     if not math.isfinite(0.5 * v["mu"] * (v["d"] * reach * reach)):
         raise ConfigError(
             f"box_half_width = {fmt(v['box_half_width'])} overflows the phase "
             f"mu |xi|^2 / 2 (mu = {fmt(v['mu'])}, d = {v['d']}) at twice "
-            "the box, where the critical-point search steps")
+            "the box, the margin kept around every node where it is taken")
     if v["amplitude"] == "dyadic":
         key, v["amp"] = "j", dyadic_amplitude(v["k"], v["j"])
     else:
@@ -493,12 +500,20 @@ def _check_ttstar(v: dict) -> None:
 
 
 def _check_fio_orders(v: dict) -> None:
-    """Every order M of a fio check needs an interior x1 row, 2M < n1, at
-    each h (the largest h has the fewest rows), and h^M, by which its ratio
-    divides, a normal float (the smallest h has the least)."""
-    m = max(v["orders"])
+    """The x1 axis at each h, x1_half_width over cells of h /
+    _FIO_CELLS_PER_H, must have countable cells: past that x1_axis raised
+    OverflowError.  Every order M of a fio check needs an interior x1 row,
+    2M < n1, at each h (the largest h has the fewest rows), and h^M, by
+    which its ratio divides, a normal float (the smallest h has the
+    least)."""
+    m, hw = max(v["orders"]), v["x1_half_width"]
     for h in v["h_sweep"]:
-        n1 = x1_axis(v["x1_half_width"], h / _FIO_CELLS_PER_H).points
+        dx = h / _FIO_CELLS_PER_H
+        if not math.isfinite(2.0 * hw / dx):
+            raise ConfigError(
+                f"x1_half_width = {fmt(hw)} gives more x1 cells at "
+                f"h = {fmt(h)} than a float counts")
+        n1 = x1_axis(hw, dx).points
         if 2 * m >= n1:
             raise ConfigError(
                 f"orders has M = {m}, whose {2 * m + 1}-row difference "
@@ -749,7 +764,10 @@ KINDS: dict[str, Kind] = {
         rules=(_check_delta_rows,)),
     "contact-profile": Kind(run_contact_profile, "contact_profile", {
         "n": _int("3", 2), "k": _int("1", 1), "family": _FAMILY,
-        "max_order": _int("32", 1), "directions": _int("64", 1),
+        "max_order": _int("32", 1),
+        "directions": Key("an integer", int, "64", (
+            f">= 1 and <= {_MAX_DIRECTIONS}",
+            lambda v: 1 <= v <= _MAX_DIRECTIONS)),
         "expect_uniform": _choice("true", _FLAG), "expect_orders": _ints(REQUIRED),
     }, symbols={"p1": _SYMBOL, "p2": _SYMBOL}, rules=(_check_contact,)),
     "sharpness-sweep": Kind(run_sharpness, "sweep", {

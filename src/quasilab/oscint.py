@@ -26,13 +26,14 @@ count, and so every budget and refusal, of the whole box.
 
 The decay check sweeps h, fits log|I| against log h, and certifies the
 h^(d/2) mu^(-d/2) law only when the declared amplitude regularity loss
-f(h) <= h^(-1/2) mu^(1/2) holds and the located critical point is unique
-and nondegenerate with |det Hess| on the order of mu^d.
+f(h) <= h^(-1/2) mu^(1/2) holds and the phase's one critical point, in
+the box, is nondegenerate with |det Hess| on the order of mu^d.  Every
+run's phase is mu |xi|^2 / 2 (QuadraticPhase), so the check reads that
+point, 0, and |det Hess| = |mu|^d off the phase instead of searching.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -299,62 +300,6 @@ def _slabs(box: Sequence[tuple[float, float]], n: int, radius: float,
         yield total
 
 
-# -- critical point location ----------------------------------------------------
-
-def _grad_hess(phase: Phase, x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    d = len(x)
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = eps
-        grad[i] = (phase(x + ei) - phase(x - ei)) / (2 * eps)
-        hess[i, i] = (phase(x + ei) - 2 * phase(x) + phase(x - ei)) / eps ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = eps
-            hess[i, j] = hess[j, i] = (
-                phase(x + ei + ej) - phase(x + ei - ej)
-                - phase(x - ei + ej) + phase(x - ei - ej)) / (4 * eps ** 2)
-    return grad, hess
-
-
-def find_critical_points(phase: Phase, box, d: int) -> list[np.ndarray]:
-    """Damped Newton from the box center and corners; clustered duplicates merged."""
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    scale = float(np.max(hi - lo))
-    eps = scale * 1e-5
-    starts = [0.5 * (lo + hi)]
-    for corner in itertools.product(*[(0.25, 0.75)] * d):
-        starts.append(lo + np.array(corner) * (hi - lo))
-    found: list[np.ndarray] = []
-    for x in starts:
-        x = x.astype(float)
-        ok = False
-        for _ in range(80):
-            grad, hess = _grad_hess(phase, x, eps)
-            if np.linalg.norm(grad) < 1e-10 * max(1.0, scale):
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                break
-            limit = 0.25 * scale
-            norm = np.linalg.norm(step)
-            if norm > limit:
-                step *= limit / norm
-            x = x - step
-            if np.any(x < lo - 0.5 * (hi - lo)) or np.any(x > hi + 0.5 * (hi - lo)):
-                break
-        if not ok or np.any(x < lo) or np.any(x > hi):
-            continue
-        if not any(np.linalg.norm(x - y) < 1e-6 * max(1.0, scale) for y in found):
-            found.append(x)
-    return found
-
-
 # -- the decay verdict ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -375,27 +320,34 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
               exponent_tolerance: float) -> VdcReport:
     """Sweep h, fit log|I| vs log h, and compare against the d/2 decay law.
 
-    PASS requires: declared amplitude loss admissible at every h, a unique
-    nondegenerate critical point with |det Hess| >= _HESS_FLOOR * mu^d,
-    fitted exponent >= d/2 - exponent_tolerance, and the normalized ratios
+    The phase must be a QuadraticPhase of the integrand's dimension, whose
+    one critical point, 0, and |det Hess| = |mu_phase|^d are read off the
+    record, not searched for.  The check is REFUSED, before any quadrature
+    runs, when the phase is not such a record, when 0 lies outside the
+    closed box, or when |det Hess| < _HESS_FLOOR * mu^d.  PASS then
+    requires: declared amplitude loss admissible at every h, fitted
+    exponent >= d/2 - exponent_tolerance, and the normalized ratios
     |I| h^(-d/2) mu^(d/2) within a factor _RATIO_BAND across the sweep.
     """
     if len(h_values) < MIN_SWEEP_POINTS:
         raise ValueError(f"need at least {MIN_SWEEP_POINTS} sweep points")
-    d = integrand.d
-    crits = find_critical_points(integrand.phase, integrand.box, d)
-    if len(crits) != 1:
+    d, phase = integrand.d, integrand.phase
+
+    def refused(crit, det: float, reason: str) -> VdcReport:
         return VdcReport(tuple(h_values), (), (), math.nan, math.nan, False,
-                         None, math.nan, "REFUSED",
-                         f"expected one critical point, found {len(crits)}")
-    crit = crits[0]
-    scale = max(b[1] - b[0] for b in integrand.box)
-    _, hess = _grad_hess(integrand.phase, crit, scale * 1e-4)
-    det = float(abs(np.linalg.det(hess)))
+                         crit, det, "REFUSED", reason)
+
+    if not (isinstance(phase, QuadraticPhase) and phase.d == d):
+        return refused(None, math.nan, "the phase is not mu |xi|^2 / 2 in "
+                       f"d = {d}, so its critical point is not known")
+    if not all(lo <= 0.0 <= hi for lo, hi in integrand.box):
+        return refused(None, math.nan,
+                       "the critical point 0 lies outside the box")
+    crit = (0.0,) * d
+    det = abs(phase.mu) ** d
     if det < _HESS_FLOOR * mu ** d:
-        return VdcReport(tuple(h_values), (), (), math.nan, math.nan, False,
-                         tuple(crit), det, "REFUSED",
-                         f"|det Hess| = {det:.3g} below {_HESS_FLOOR} * mu^d")
+        return refused(crit, det, f"|det Hess| = {det:.3g} at the critical "
+                       f"point, below {_HESS_FLOOR} * mu^d")
 
     admissible = all(integrand.amplitude.loss_rate(h)
                      <= h ** -0.5 * mu ** 0.5 * (1 + 1e-9) for h in h_values)
@@ -415,7 +367,7 @@ def vdc_check(integrand: OscIntegrand, h_values: Sequence[float], mu: float,
     elif not bounded:
         reason = "normalized ratios not confined to the allowed band"
     return VdcReport(tuple(h_values), tuple(mags), ratios, float(slope),
-                     float(stderr), admissible, tuple(crit), det,
+                     float(stderr), admissible, crit, det,
                      "PASS" if ok else "FAIL", reason)
 
 
@@ -435,13 +387,21 @@ def _norm_sq(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def quadratic_phase(mu: float, d: int) -> Phase:
-    """phi(xi) = mu |xi|^2 / 2: unique nondegenerate critical point at 0."""
+@dataclass(frozen=True)
+class QuadraticPhase:
+    """phi(xi) = mu |xi|^2 / 2 on R^d: one critical point, at 0, with
+    |det Hess| = |mu|^d, which vdc_check reads off the record."""
 
-    def phi(pts: np.ndarray) -> np.ndarray:
-        return 0.5 * mu * _norm_sq(pts)
+    mu: float
+    d: int
 
-    return phi
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return 0.5 * self.mu * _norm_sq(pts)
+
+
+def quadratic_phase(mu: float, d: int) -> QuadraticPhase:
+    """phi(xi) = mu |xi|^2 / 2 in d variables (QuadraticPhase)."""
+    return QuadraticPhase(mu, d)
 
 
 def _dyadic_scaled(k: int, j: int, profile: Callable) -> Amplitude:

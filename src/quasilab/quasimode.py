@@ -540,15 +540,14 @@ def _fold_into(out: np.ndarray, rows_of, e: np.ndarray, value_of: np.ndarray,
 
 
 def _fold_table(values: np.ndarray, nodes: np.ndarray, h: float,
-                weight: np.ndarray | None) -> np.ndarray:
+                paired: bool) -> np.ndarray:
     """A fold's table, one row per distinct leading key xi in values:
     exp(i x xi / h) at the position nodes x, or on a paired axis the real
-    weight * cos(x xi / h), a mirror pair's exponentials summed."""
-    if weight is None:
-        return np.exp(1j * np.outer(values, nodes) / h)
-    table = np.cos(np.outer(values, nodes) / h)
-    table *= weight[:, None]
-    return table
+    cos(x xi / h), half a mirror pair's exponentials summed (the rows carry
+    the factor 2, CutoffField.col_mult)."""
+    if paired:
+        return np.cos(np.outer(values, nodes) / h)
+    return np.exp(1j * np.outer(values, nodes) / h)
 
 
 BlockConsumer = Callable[[slice, np.ndarray], None]
@@ -574,14 +573,18 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     indices i and P - 1 - i of its P: closure gives them the same xi1 run,
     so their exponentials sum to 2 cos(x xi / h) at the upper node's xi.
     The field stores only the columns with 2i >= P - 1 on every closed
-    axis, and a paired axis's table is the real w * cos(x xi / h), w = 2
-    off the mirror plane and 1 on it (2i = P - 1, odd P).  The identity
-    holds at any x, so the pairing does not depend on the position axes.
-    A real table is contracted through the float view of the complex rows
-    at half the multiply-adds of a complex one (_fold_into); an open axis,
-    such as the valley's xi2, keeps its exp(i x xi / h) table over every
-    value.  A field that stores every column pairs nothing.  The n = 3,
-    k = 3 paraboloid at h = 2^-5 stores 289 of its 1,156 columns.
+    axis.  Each xi2-fold row, after its phase and run product, is
+    multiplied by its column's col_mult, the factor 2 of each closed axis
+    off whose mirror plane (2i = P - 1, odd P) it lies, so a closed axis's
+    table is the plain real cos(x xi / h).  The factors are powers of two,
+    so the scaling is exact and passes unchanged through every rounded
+    product and sum.  The identity holds at any x, so the pairing does not
+    depend on the position axes.  A real table is contracted through the
+    float view of the complex rows at half the multiply-adds of a complex
+    one (_fold_into); an open axis, such as the valley's xi2, keeps its
+    exp(i x xi / h) table over every value.  A field that stores every
+    column pairs nothing.  The n = 3, k = 3 paraboloid at h = 2^-5 stores
+    289 of its 1,156 columns.
 
     The phase, Dirichlet and fold-table rows are tabled once per call over
     the distinct starts, counts and leading keys (19 xi2 rows serve those
@@ -626,13 +629,11 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     order = np.lexsort(field.col_coords.T)
     keys = field.col_coords[order]
     folds, width = [], len(x1)
-    for axis, bar_axis, pair in zip(axes[1:], field.axes[1:], paired):
+    for axis, pair in zip(axes[1:], paired):
         starts = _run_starts(keys[:, 1:])
         _check_grid_cells((len(starts), width, axis.points), "fold output")
         values, value_of = np.unique(keys[:, 0], return_inverse=True)
-        weight = (np.where(_mirror_side(values, bar_axis) > 0, 2.0, 1.0)
-                  if pair else None)
-        folds.append((axis, width, starts, values, value_of, weight))
+        folds.append((axis, width, starts, values, value_of, pair))
         keys = keys[starts, 1:]
         width *= axis.points
     # The run factor depends on a column only through its count, the phase
@@ -646,6 +647,7 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
     first = ax0.start + (xi1_starts + 0.5) * ax0.spacing
     tables = (np.exp(1j * np.outer(first, x1) / h),
               _dirichlet(x1[None, :] * (ax0.spacing / h), counts[:, None]))
+    mult = field.col_mult[order].astype(float)[:, None]
     flat = None
 
     def rows_of(blk, cols=slice(None)):
@@ -653,21 +655,25 @@ def synthesize_on_axes(field: CutoffField, axes: Sequence[AxisSpec],
             # Phase first: a complex product's rounding depends on operand
             # order, and this order gives the untabled sum's bits.  The
             # product goes into the gathered phase rows: one array fewer.
+            # Then each row's multiplicity, through the float view: a
+            # power of two, so exact in both parts.
             phases, runs = tables
             rows = phases[start_of[blk], cols]
             rows *= runs[count_of[blk], cols]
+            parts = rows.view(np.float64)
+            parts *= mult[blk]
             return rows
         return flat[blk, cols]
 
-    for axis, width, starts, values, value_of, weight in folds[:-1]:
-        e = _fold_table(values, axis.nodes(), h, weight)
+    for axis, width, starts, values, value_of, pair in folds[:-1]:
+        e = _fold_table(values, axis.nodes(), h, pair)
         folded = np.empty((len(starts), width, axis.points), dtype=complex)
         for out, lo, hi in zip(folded, starts, np.r_[starts[1:], len(value_of)]):
             _fold_into(out, rows_of, e, value_of, lo, hi)
         flat, tables = folded.reshape(len(starts), -1), None
 
-    axis, _, _, values, value_of, weight = folds[-1]
-    e = _fold_table(values, axis.nodes(), h, weight)
+    axis, _, _, values, value_of, pair = folds[-1]
+    e = _fold_table(values, axis.nodes(), h, pair)
     scale = field.cell_volume * (_TWO_PI * h) ** (-field.dim / 2)
     inv_norm = 1.0 / field.l2_norm()
     # The last fold's x1 blocks: per_row output rows of it per x1 row.

@@ -4,8 +4,8 @@ Symbols are multivariate polynomials over the rationals in the frequency
 variables x1..xn, stored as a map from exponent tuples to nonzero Fraction
 coefficients.  Every algebraic operation here (graph factorization,
 line restriction, Hessians, mixed-partial scans) is exact; floating
-point enters only when a symbol is evaluated at float points (eval,
-eval_grid).
+point enters only when a symbol is evaluated at float points
+(PolySymbol.eval_grid).
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .analysis import _fit_line
 from .grids import WORK_BLOCK_BYTES, AxisSpec, cell_volume
 from .quasimode import CutoffField, _aligned_x1, column_transforms
 
@@ -427,7 +428,7 @@ def decay_diagnostic(source: CutoffField, x1_axis: AxisSpec, m_order: int,
     def fit(mask) -> float:
         xs = np.log(a_vals[mask])
         ys = np.log(np.maximum(mass[mask, 0], 1e-300))
-        return float(np.polyfit(xs, ys, 1)[0])
+        return _fit_line(xs, ys)[0]
 
     # Each asymptotic exponent is measured in the outer octaves of its
     # regime: a -> 0 for the |a|^(3/2) law, a -> inf for the plateau.  The

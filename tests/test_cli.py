@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 import quasilab
 from quasilab import errors, experiments, quasimode
-from quasilab.analysis import (INF_P, contact_delta, fit_scaling, kink_p,
-                               parse_number)
+from quasilab.analysis import (INF_P, _fit_line, contact_delta, fit_scaling,
+                               kink_p, parse_number)
 from quasilab.cli import main
 from quasilab.errors import ConfigError
 from quasilab.experiments import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
@@ -414,6 +414,21 @@ expect = pass
         err = capsys.readouterr().err
         assert "(ResolutionError from oscint)" in err and match in err
 
+    def test_many_axes_vdc_exits_3_quickly(self, tmp_path, capsys):
+        # d = 30: the critical point is read off the phase, not searched
+        # for from 2^30 + 1 starts, so the quadrature's budget refuses the
+        # run at once.
+        text = (CONFIG_DIR / "vdc_d2.cfg").read_text()
+        assert "\nd = 2\n" in text
+        cfg = write_cfg(tmp_path, text.replace("\nd = 2\n", "\nd = 30\n"))
+        start = time.perf_counter()
+        assert main(["run", str(cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_REFUSED
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "(ResolutionError from oscint)" in err
+        assert "at least 33 points per axis" in err
+
     def test_xi1_axis_past_exact_indices_exits_3(self, tmp_path, capsys):
         # At h = 1e-200 the paraboloid's xi1 axis holds 2.8e101 points (its
         # range shrinks like h^(1/2), its spacing like h): past 2^53 its
@@ -618,6 +633,10 @@ class TestValidation:
          "max_order must be >= 1"),
         *[("contact_axis_k3.cfg", "directions = 64", f"directions = {value}",
            "directions must be >= 1") for value in ("0", "-3")],
+        # 10^8 directions ran past two minutes: the count is bounded.
+        *[("contact_axis_k3.cfg", "directions = 64", f"directions = {value}",
+           "directions must be >= 1 and <= 4096, got")
+          for value in ("4097", "100000000")],
         ("delta_curves_n3.cfg", "k_list = 1, 3, 5", "k_list = 0, 3",
          "k_list must be a list of integers >= 1"),
         ("delta_curves_n3.cfg", "invp_points = 25", "invp_points = 1",
@@ -755,8 +774,13 @@ class TestValidation:
          "x1_half_width = 1e300\nx1_spacing = 1e-300",
          "x1_half_width = 1.0000000000000001e+300 and x1_spacing = 1e-300 "
          "give more x1 cells than a float counts"),
-        # A phase that overflows where the critical-point search steps:
-        # its finite differences raised OverflowError.
+        # A fio x1 axis with more cells than a float counts (an
+        # OverflowError in fio.x1_axis, exit 4).
+        ("fio_n2_k1.cfg", "x1_half_width = 8", "x1_half_width = 1e308",
+         "x1_half_width = 1e+308 gives more x1 cells at h = 0.0625 than a "
+         "float counts"),
+        # A phase that overflows at twice the box (the critical-point search
+        # that stepped there raised OverflowError).
         ("vdc_d1.cfg", "d = 1", "d = 1\nbox_half_width = 1e300",
          "overflows the phase mu |xi|^2 / 2 (mu = 1, d = 1) at twice the "
          "box"),
@@ -1224,6 +1248,19 @@ class TestOtherVerbs:
                      "--directions", count]) == EXIT_CONFIG
         assert "--directions must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["4097", "100000000"])
+    def test_contact_rejects_too_many_directions(self, tmp_path, capsys,
+                                                 count):
+        # 10^8 directions ran past two minutes: the count is bounded.
+        p1 = tmp_path / "p1.txt"
+        p2 = tmp_path / "p2.txt"
+        p1.write_text("x1 - x2^2 - x3^2\n")
+        p2.write_text("x1 - 2*x2^2 - x3^2 - x3^4\n")
+        assert main(["contact", "--p1", str(p1), "--p2", str(p2),
+                     "--directions", count]) == EXIT_CONFIG
+        assert "--directions must be >= 1 and <= 4096" in \
+            capsys.readouterr().err
+
     def test_contact_rejects_nongraph(self, tmp_path, capsys):
         p1 = tmp_path / "p1.txt"
         p2 = tmp_path / "p2.txt"
@@ -1341,8 +1378,8 @@ def _wavelet_measured(c: dict) -> dict:
     mass = np.reshape(c["value"], (len(a), levels))
 
     def slope(mask):   # log N(a, 0) against log a
-        return float(np.polyfit(np.log(a[mask]),
-                                np.log(np.maximum(mass[mask, 0], 1e-300)), 1)[0])
+        return _fit_line(np.log(a[mask]),
+                         np.log(np.maximum(mass[mask, 0], 1e-300)))[0]
     return {"small-a-exponent": slope(a <= min(a.min() * 8, 1.0) + 1e-12),
             "large-a-exponent": slope(a >= max(a.max() / 8, 1.0) - 1e-12),
             "j-decay-ratio": max((row[j + 1] / row[j] for row in mass.tolist()

@@ -12,7 +12,7 @@ import pytest
 from quasilab import oscint
 from quasilab.errors import ResolutionError
 from quasilab.oscint import (Amplitude, EvalResult, OscIntegrand,
-                             dyadic_amplitude, evaluate, find_critical_points,
+                             QuadraticPhase, dyadic_amplitude, evaluate,
                              psi_amplitude, quadratic_phase,
                              resonant_amplitude, ttstar_kernel, vdc_check,
                              window_overlap)
@@ -418,21 +418,47 @@ class TestSupportRestriction:
             assert got.tobytes() == want.tobytes()
 
 
+def _double_well(p):
+    xi = np.asarray(p, float)[..., 0]
+    return (xi ** 2 - 1.0) ** 2
+
+
 class TestCriticalPoints:
-    def test_unique_quadratic(self):
-        pts = find_critical_points(quadratic_phase(1.0, 2), ((-1, 1), (-1, 1)), 2)
-        assert len(pts) == 1 and np.linalg.norm(pts[0]) < 1e-8
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_quadratic_phase_is_half_mu_norm_sq(self, d):
+        rng = np.random.default_rng(d)
+        for mu, pts in ((1.0, rng.standard_normal((1000, d))),
+                        (-0.7, rng.standard_normal((7, 9, d)) * 1e3),
+                        (2.0 ** -3, rng.standard_normal((5, d)) * 1e-3)):
+            phase = quadratic_phase(mu, d)
+            assert phase == QuadraticPhase(mu, d)
+            assert phase(pts).tobytes() == \
+                (0.5 * mu * oscint._norm_sq(pts)).tobytes()
 
-    def test_multiple_points_refused(self):
-        def phase(p):
-            xi = np.asarray(p, float)[..., 0]
-            return (xi ** 2 - 1.0) ** 2
-
-        integrand = OscIntegrand(phase, bump_amplitude(2.0), 1,
-                                 ((-1.5, 1.5),))
+    @pytest.mark.parametrize("phase, box, crit", [
+        # Two critical points, and a function vdc_check cannot read one off.
+        (_double_well, ((-1.5, 1.5),), None),
+        # A quadratic phase of the wrong dimension.
+        (QuadraticPhase(1.0, 2), ((-1.5, 1.5),), None),
+        # 0 outside the box (on its edge is inside: the next test).
+        (QuadraticPhase(1.0, 2), ((-1.5, 1.5), (0.5, 1.5)), None),
+        # mu = 0: a degenerate critical point, |det Hess| = 0.
+        (QuadraticPhase(0.0, 1), ((-1.5, 1.5),), (0.0,)),
+    ], ids=["double-well", "wrong-d", "box-without-0", "mu-0"])
+    def test_refused(self, phase, box, crit):
+        integrand = OscIntegrand(phase, bump_amplitude(2.0), len(box), box)
         rep = vdc_check(integrand, H6[:5], 1.0, 0.1)
         assert rep.verdict == "REFUSED"
         assert "critical point" in rep.reason
+        assert rep.critical_point == crit and rep.magnitudes == ()
+
+    def test_zero_on_the_box_edge_is_inside(self):
+        integrand = OscIntegrand(quadratic_phase(1.0, 1),
+                                 whole_box(dyadic_amplitude(3, 2)), 1,
+                                 ((0.0, 1.5),))
+        rep = vdc_check(integrand, H6[:5], 1.0, 0.1)
+        assert rep.verdict != "REFUSED"
+        assert rep.critical_point == (0.0,) and rep.hess_det == 1.0
 
 
 class TestVdcCheck:
@@ -463,25 +489,22 @@ class TestVdcCheck:
         assert rep.fitted_exponent < 0.4
 
     def test_randomized_nondegenerate_family(self):
-        # Random anisotropic quadratic phases with admissible bump
-        # amplitudes all obey the d/2 law.
+        # Random isotropic quadratic phases of either sign with admissible
+        # bump amplitudes all obey the d/2 law, their critical point and
+        # |det Hess| read off the phase.
         rng = np.random.default_rng(31)
         for trial in range(10):
             d = 1 if trial % 2 == 0 else 2
-            eigs = rng.uniform(0.5, 2.0, size=d)
-            signs = rng.choice([-1.0, 1.0], size=d)
-            shift = rng.uniform(-0.2, 0.2, size=d)
-
-            def phase(p, eigs=eigs, signs=signs, shift=shift):
-                q = np.asarray(p, float) - shift
-                return 0.5 * np.sum(signs * eigs * q * q, axis=-1)
-
-            mu = float(np.min(eigs))
-            integrand = OscIntegrand(phase, bump_amplitude(1.0), d,
+            mu = float(rng.uniform(0.5, 2.0))
+            sign = float(rng.choice([-1.0, 1.0]))
+            integrand = OscIntegrand(QuadraticPhase(sign * mu, d),
+                                     bump_amplitude(1.0), d,
                                      ((-1.2, 1.2),) * d)
             hs = [2.0 ** -e for e in range(4, 9)]
             rep = vdc_check(integrand, hs, mu, exponent_tolerance=0.15)
             assert rep.verdict == "PASS", rep.reason
+            assert rep.critical_point == (0.0,) * d
+            assert rep.hess_det == mu ** d
 
     def test_zero_magnitudes_still_fit(self):
         # |I| = 0 at every h is floored before the log, so the fit runs and
